@@ -66,7 +66,7 @@ from .protocol import (
     TupleReply,
     WalkerProbe,
 )
-from .simulator import NetworkSimulator, PeerNode
+from .simulator import NetworkSimulator
 from .churn import ChurnConfig, ChurnProcess
 from .live import LiveNetwork
 
@@ -110,7 +110,6 @@ __all__ = [
     "AggregateReply",
     "TupleReply",
     "NetworkSimulator",
-    "PeerNode",
     "ChurnConfig",
     "ChurnProcess",
     "LiveNetwork",

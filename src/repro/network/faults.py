@@ -42,6 +42,7 @@ and persist into the next.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple, Union, cast
 
@@ -350,6 +351,9 @@ class FaultState:
     The only mutable piece is the step clock; every decision is a pure
     function of the step it consumed, so two states built from the
     same plan (and clock offset) emit identical decision sequences.
+    The compiled schedule (crash-window index, expanded outage balls,
+    loss table) is never written after ``__init__``, which is what
+    lets :meth:`fork` share it between states.
     """
 
     def __init__(
@@ -359,10 +363,7 @@ class FaultState:
         clock_start: int = 0,
         strict_peers: bool = True,
     ):
-        if clock_start < 0:
-            raise ConfigurationError(
-                f"clock_start must be >= 0, got {clock_start}"
-            )
+        self._restart(clock_start)
         num_peers = topology.num_peers
         windows: Dict[int, List[Tuple[int, int]]] = {}
 
@@ -395,7 +396,26 @@ class FaultState:
         self._loss: Dict[str, float] = dict(
             cast(Tuple[Tuple[str, float], ...], plan.reply_loss)
         )
+
+    def _restart(self, clock_start: int) -> "FaultState":
+        """Validate and set the step clock; returns ``self``."""
+        if clock_start < 0:
+            raise ConfigurationError(
+                f"clock_start must be >= 0, got {clock_start}"
+            )
         self._clock = clock_start
+        return self
+
+    def fork(self, clock_start: int) -> "FaultState":
+        """A state replaying this one's schedule on its own clock.
+
+        O(1): the fork shares the compiled schedule by reference — no
+        re-validation, no BFS — and owns only a clock started at
+        ``clock_start``, so it makes exactly the decisions a freshly
+        bound state would.  This is how every query session gets an
+        isolated fault clock without re-compiling the plan.
+        """
+        return copy.copy(self)._restart(clock_start)
 
     @property
     def plan(self) -> FaultPlan:

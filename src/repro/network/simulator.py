@@ -20,8 +20,17 @@ accounted exactly where the paper's cost model says they arise:
 
 from __future__ import annotations
 
-import dataclasses
-from typing import TYPE_CHECKING, FrozenSet, List, Optional, Sequence, Tuple
+import copy
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -65,9 +74,10 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only (obs/sim layering)
 
 
 __all__ = [
-    "PeerNode",
     "NetworkSimulator",
 ]
+
+_Sim = TypeVar("_Sim", bound="NetworkSimulator")
 
 
 def _emit_probe(
@@ -121,17 +131,101 @@ def _emit_flood(
         )
 
 
-@dataclasses.dataclass
-class PeerNode:
-    """A peer's runtime state: identity plus local storage."""
+def _check_tuples_per_peer(tuples_per_peer: int) -> None:
+    """The one budget validator every visit entry point runs first."""
+    if tuples_per_peer < 0:
+        raise ConfigurationError("tuples_per_peer must be >= 0")
 
-    peer: Peer
-    database: LocalDatabase
+
+class NetworkSnapshot:
+    """What a network *is*: everything immutable for its lifetime.
+
+    Built once by :class:`NetworkSimulator` and shared **by reference**
+    by that simulator and every :meth:`~NetworkSimulator.session` of
+    it, so a session costs nothing proportional to the network.  The
+    derived views (:attr:`flat`, :meth:`total_tuples`,
+    :meth:`cpu_speeds`) are write-once memos: peers' data never changes
+    under a snapshot (churn produces *new* simulators via
+    ``LiveNetwork.snapshot``), so whichever simulator or session
+    touches a view first builds it for all of them.
+    """
+
+    def __init__(
+        self,
+        topology: Topology,
+        databases: Sequence[LocalDatabase],
+        peers: Optional[Sequence[Peer]],
+        cost_model: Optional[CostModel],
+        peer_labels: Optional[Sequence[int]],
+    ):
+        num_peers = topology.num_peers
+        if len(databases) != num_peers:
+            raise ConfigurationError(
+                f"{len(databases)} databases for {num_peers} peers"
+            )
+        if peer_labels is not None and len(peer_labels) != num_peers:
+            raise ConfigurationError(
+                f"{len(peer_labels)} peer labels for {num_peers} peers"
+            )
+        if peers is None:
+            identity_rng = ensure_rng(12345)  # addresses are cosmetic
+            peers = [
+                synthesize_peer(peer_id, seed=identity_rng)
+                for peer_id in range(num_peers)
+            ]
+        if len(peers) != num_peers:
+            raise ConfigurationError(
+                f"{len(peers)} peer identities for {num_peers} peers"
+            )
+        self.topology = topology
+        self.databases: Tuple[LocalDatabase, ...] = tuple(databases)
+        self.peers: Tuple[Peer, ...] = tuple(peers)
+        self.cost_model = cost_model or CostModel()
+        self.peer_labels: Optional[Tuple[int, ...]] = (
+            tuple(int(label) for label in peer_labels)
+            if peer_labels is not None
+            else None
+        )
+        self._flat: Optional[FlatDataset] = None
+        self._total_tuples: Optional[int] = None
+        self._cpu_speeds: Optional[np.ndarray] = None
 
     @property
-    def peer_id(self) -> int:
-        """Topology vertex id of this peer."""
-        return self.peer.peer_id
+    def flat(self) -> FlatDataset:
+        """Concatenated columnar view over all peers' databases."""
+        if self._flat is None:
+            self._flat = FlatDataset.from_databases(self.databases)
+        return self._flat
+
+    def adopt_flat(self, flat: FlatDataset) -> None:
+        """Install a pre-built flat view instead of concatenating."""
+        if flat.num_peers != self.topology.num_peers:
+            raise ConfigurationError(
+                f"flat view has {flat.num_peers} peers, "
+                f"network has {self.topology.num_peers}"
+            )
+        self._flat = flat
+        self._total_tuples = flat.num_tuples
+
+    def total_tuples(self) -> int:
+        """Network-wide tuple count N."""
+        if self._total_tuples is None:
+            if self._flat is not None:
+                self._total_tuples = self._flat.num_tuples
+            else:
+                self._total_tuples = sum(
+                    database.num_tuples for database in self.databases
+                )
+        return self._total_tuples
+
+    def cpu_speeds(self) -> np.ndarray:
+        """Per-peer CPU speeds, for the batch cost accounting."""
+        if self._cpu_speeds is None:
+            self._cpu_speeds = np.asarray(
+                [peer.capabilities.cpu_speed for peer in self.peers],
+                dtype=np.float64,
+            )
+        return self._cpu_speeds
 
 
 class NetworkSimulator:
@@ -194,44 +288,15 @@ class NetworkSimulator:
         fault_strict_peers: bool = True,
         peer_labels: Optional[Sequence[int]] = None,
     ):
-        if len(databases) != topology.num_peers:
-            raise ConfigurationError(
-                f"{len(databases)} databases for {topology.num_peers} peers"
-            )
-        if peer_labels is not None and len(peer_labels) != topology.num_peers:
-            raise ConfigurationError(
-                f"{len(peer_labels)} peer labels for "
-                f"{topology.num_peers} peers"
-            )
-        self._peer_labels: Optional[Tuple[int, ...]] = (
-            tuple(int(label) for label in peer_labels)
-            if peer_labels is not None
-            else None
+        self._snapshot = NetworkSnapshot(
+            topology, databases, peers, cost_model, peer_labels
         )
-        self._topology = topology
-        self._rng = ensure_rng(seed)
-        if peers is None:
-            identity_rng = ensure_rng(12345)  # addresses are cosmetic
-            peers = [
-                synthesize_peer(peer_id, seed=identity_rng)
-                for peer_id in range(topology.num_peers)
-            ]
-        if len(peers) != topology.num_peers:
-            raise ConfigurationError(
-                f"{len(peers)} peer identities for {topology.num_peers} peers"
-            )
-        self._nodes = [
-            PeerNode(peer=peer, database=database)
-            for peer, database in zip(peers, databases)
-        ]
-        self._cost_model = cost_model or CostModel()
         if not 0.0 <= reply_loss_rate < 1.0:
             raise ConfigurationError(
                 f"reply_loss_rate must be in [0, 1), got {reply_loss_rate}"
             )
         self._reply_loss_rate = reply_loss_rate
-        self._failure_rng = ensure_rng(self._rng.spawn(1)[0])
-        self._fault_strict_peers = fault_strict_peers
+        self._reseed(seed)
         self._fault_state: Optional[FaultState] = (
             fault_plan.bind(
                 topology,
@@ -241,12 +306,11 @@ class NetworkSimulator:
             if fault_plan is not None
             else None
         )
-        # Lazy caches.  A simulator's databases are immutable for its
-        # lifetime (churn produces *new* simulators via
-        # LiveNetwork.snapshot), so both stay valid once built.
-        self._total_tuples: Optional[int] = None
-        self._flat: Optional[FlatDataset] = None
-        self._cpu_speeds: Optional[np.ndarray] = None
+
+    def _reseed(self, seed: SeedLike) -> None:
+        """(Re)start the sub-sampling and failure streams from ``seed``."""
+        self._rng = ensure_rng(seed)
+        self._failure_rng = ensure_rng(self._rng.spawn(1)[0])
 
     def _maybe_drop_reply(self, peer_id: int, ledger: CostLedger) -> None:
         """Simulate a lost reply with the configured probability.
@@ -270,7 +334,7 @@ class NetworkSimulator:
         timeout = state.plan.probe_timeout_ms
         if timeout is not None:
             return timeout
-        return self._cost_model.visit_overhead_ms
+        return self._snapshot.cost_model.visit_overhead_ms
 
     def _apply_faults(
         self, peer_id: int, kind: str, ledger: CostLedger
@@ -367,17 +431,17 @@ class NetworkSimulator:
     @property
     def topology(self) -> Topology:
         """The frozen connection graph."""
-        return self._topology
+        return self._snapshot.topology
 
     @property
     def num_peers(self) -> int:
         """Number of peers in the network."""
-        return self._topology.num_peers
+        return self._snapshot.topology.num_peers
 
     @property
     def cost_model(self) -> CostModel:
         """The unit-cost model used by new ledgers."""
-        return self._cost_model
+        return self._snapshot.cost_model
 
     @property
     def reply_loss_rate(self) -> float:
@@ -409,21 +473,18 @@ class NetworkSimulator:
         churn epochs (vertex ids themselves are compacted per epoch).
         ``None`` when the network was not built from a churn snapshot.
         """
-        return self._peer_labels
+        return self._snapshot.peer_labels
 
     @property
     def flat_dataset(self) -> FlatDataset:
         """Concatenated columnar view over all peers' databases.
 
-        Built on first access and cached — the batch-visit fast path
+        Built on first access — through this simulator or any session
+        of it — and shared by all of them; the batch-visit fast path
         and the exact evaluator read through it instead of scanning
         peers one by one.
         """
-        if self._flat is None:
-            self._flat = FlatDataset.from_databases(
-                [node.database for node in self._nodes]
-            )
-        return self._flat
+        return self._snapshot.flat
 
     def adopt_flat_dataset(self, flat: FlatDataset) -> None:
         """Install a pre-built flat view instead of concatenating.
@@ -434,31 +495,29 @@ class NetworkSimulator:
         is mapped, never copied.  The adopted view must describe this
         network's peers exactly.
         """
-        if flat.num_peers != self.num_peers:
-            raise ConfigurationError(
-                f"flat view has {flat.num_peers} peers, "
-                f"network has {self.num_peers}"
-            )
-        self._flat = flat
-        self._total_tuples = flat.num_tuples
+        self._snapshot.adopt_flat(flat)
 
-    def node(self, peer_id: int) -> PeerNode:
-        """The runtime node for ``peer_id``."""
+    def _check_peer(self, peer_id: int) -> None:
         if not 0 <= peer_id < self.num_peers:
             raise ProtocolError(f"unknown peer {peer_id}")
-        return self._nodes[peer_id]
+
+    def peer(self, peer_id: int) -> Peer:
+        """Peer ``peer_id``'s identity."""
+        self._check_peer(peer_id)
+        return self._snapshot.peers[peer_id]
 
     def database(self, peer_id: int) -> LocalDatabase:
         """Peer ``peer_id``'s local database."""
-        return self.node(peer_id).database
+        self._check_peer(peer_id)
+        return self._snapshot.databases[peer_id]
 
     def databases(self) -> List[LocalDatabase]:
         """All local databases, indexed by peer id."""
-        return [node.database for node in self._nodes]
+        return list(self._snapshot.databases)
 
     def new_ledger(self) -> CostLedger:
         """A fresh cost ledger bound to this network's cost model."""
-        return CostLedger(self._cost_model)
+        return CostLedger(self._snapshot.cost_model)
 
     # ------------------------------------------------------------------
     # Time-domain hooks (no-ops here; the event-driven subclass in
@@ -534,65 +593,39 @@ class NetworkSimulator:
         return None
 
     def session(
-        self,
+        self: _Sim,
         seed: SeedLike = None,
         fault_clock: Optional[int] = None,
-    ) -> "NetworkSimulator":
+    ) -> _Sim:
         """An isolated per-query view of this frozen network.
 
-        The returned simulator shares the topology, the peer
-        databases/identities and the (lazily built) caches — peers'
-        data is immutable for a snapshot's lifetime, so sharing is
-        safe — but owns its *entire stochastic state*: its own
-        sub-sampling RNG, its own failure RNG and its own fault-plan
-        clock.  This is what makes concurrent query execution
-        deterministic: each query runs against its own session seeded
-        from a per-query stream, so no interleaving of sessions can
-        perturb any other session's draws or fault decisions.
+        O(1) in the size of the network: the session *is* this
+        simulator's :class:`NetworkSnapshot` (topology, databases,
+        identities, cost model, labels and every memoized view, shared
+        by reference) plus its own *entire stochastic state* — its own
+        sub-sampling RNG, its own failure RNG and its own fault clock
+        forked off the already-compiled fault schedule.  This is what
+        makes concurrent query execution deterministic: each query runs
+        against its own session seeded from a per-query stream, so no
+        interleaving of sessions can perturb any other session's draws
+        or fault decisions.
 
         ``fault_clock`` defaults to this simulator's *current* fault
         clock, so a session created mid-run sees the fault schedule
         from "now" onward.
         """
-        if fault_clock is None:
-            state = self._fault_state
-            fault_clock = state.clock if state is not None else 0
-        clone = NetworkSimulator(
-            self._topology,
-            [node.database for node in self._nodes],
-            peers=[node.peer for node in self._nodes],
-            cost_model=self._cost_model,
-            seed=seed,
-            reply_loss_rate=self._reply_loss_rate,
-            fault_plan=self.fault_plan,
-            fault_clock=fault_clock,
-            fault_strict_peers=self._fault_strict_peers,
-            peer_labels=self._peer_labels,
-        )
-        clone._flat = self._flat
-        clone._total_tuples = self._total_tuples
-        clone._cpu_speeds = self._cpu_speeds
+        clone = copy.copy(self)
+        clone._reseed(seed)
+        state = self._fault_state
+        if state is not None:
+            clone._fault_state = state.fork(
+                state.clock if fault_clock is None else fault_clock
+            )
         return clone
 
     def total_tuples(self) -> int:
         """Network-wide tuple count N (computed once, then cached)."""
-        if self._total_tuples is None:
-            if self._flat is not None:
-                self._total_tuples = self._flat.num_tuples
-            else:
-                self._total_tuples = sum(
-                    node.database.num_tuples for node in self._nodes
-                )
-        return self._total_tuples
-
-    def _cpu_speed_array(self) -> np.ndarray:
-        """Per-peer CPU speeds, cached for the batch cost accounting."""
-        if self._cpu_speeds is None:
-            self._cpu_speeds = np.asarray(
-                [node.peer.capabilities.cpu_speed for node in self._nodes],
-                dtype=np.float64,
-            )
-        return self._cpu_speeds
+        return self._snapshot.total_tuples()
 
     # ------------------------------------------------------------------
     # Membership probes
@@ -600,7 +633,7 @@ class NetworkSimulator:
 
     def ping(self, source: int, destination: int, ledger: CostLedger) -> Pong:
         """Ping a direct neighbor; returns its Pong."""
-        if not self._topology.has_edge(source, destination):
+        if not self.topology.has_edge(source, destination):
             raise ProtocolError(
                 f"peer {source} is not connected to {destination}"
             )
@@ -614,13 +647,13 @@ class NetworkSimulator:
             request_messages=1,
             request_hops=1,
         )
-        node = self.node(destination)
+        peer = self.peer(destination)
         pong = Pong(
             source=destination,
             destination=source,
-            ip=node.peer.ip,
-            port=node.peer.port,
-            shared_tuples=node.database.num_tuples,
+            ip=peer.ip,
+            port=peer.port,
+            shared_tuples=self.database(destination).num_tuples,
         )
         ledger.record_reply(pong.size_bytes())
         _emit_probe(destination, "ping", "ok", replies=1, messages=2, hops=1)
@@ -629,6 +662,36 @@ class NetworkSimulator:
     # ------------------------------------------------------------------
     # The paper's Visit procedure (§4)
     # ------------------------------------------------------------------
+
+    def _open_visit(
+        self,
+        peer_id: int,
+        kind: str,
+        ledger: CostLedger,
+        tuples_per_peer: int,
+        sampling_method: str,
+        seed: SeedLike,
+    ) -> Tuple[Dict[str, np.ndarray], int, int]:
+        """The preamble every scalar visit shares.
+
+        Validates the arguments *before* anything observable happens
+        (a rejected call must not consume a fault-clock step or charge
+        the ledger), runs the probe's failure gauntlet, then reads the
+        peer's rows: ``tuples_per_peer`` sub-sampled tuples when the
+        partition is larger than the budget, the whole partition
+        otherwise.  Returns ``(columns, total, processed)``.
+        """
+        _check_tuples_per_peer(tuples_per_peer)
+        database = self.database(peer_id)
+        self._probe_checks(peer_id, kind, ledger)
+        total = database.num_tuples
+        rng = self._rng if seed is None else ensure_rng(seed)
+        if tuples_per_peer and total > tuples_per_peer:
+            columns = database.sample(
+                tuples_per_peer, method=sampling_method, seed=rng
+            )
+            return columns, total, tuples_per_peer
+        return database.scan(), total, total
 
     def visit_aggregate(
         self,
@@ -654,21 +717,10 @@ class NetworkSimulator:
             raise ConfigurationError(
                 f"{query.agg.value} cannot be pushed down; use visit_values"
             )
-        node = self.node(peer_id)
-        self._probe_checks(peer_id, "aggregate", ledger)
-        database = node.database
-        total = database.num_tuples
-        if tuples_per_peer < 0:
-            raise ConfigurationError("tuples_per_peer must be >= 0")
-        rng = self._rng if seed is None else ensure_rng(seed)
-        if tuples_per_peer and total > tuples_per_peer:
-            columns = database.sample(
-                tuples_per_peer, method=sampling_method, seed=rng
-            )
-            processed = tuples_per_peer
-        else:
-            columns = database.scan()
-            processed = total
+        columns, total, processed = self._open_visit(
+            peer_id, "aggregate", ledger,
+            tuples_per_peer, sampling_method, seed,
+        )
 
         # Single-segment call into the same kernel the batch path uses,
         # so scalar and batched visits agree bit-for-bit.
@@ -698,7 +750,7 @@ class NetworkSimulator:
             matching_count=scaled_count,
             column_total=column_sum * scale,
             contribution_variance=contribution_variance,
-            degree=self._topology.degree(peer_id),
+            degree=self.topology.degree(peer_id),
             local_tuples=total,
             processed_tuples=processed,
         )
@@ -706,7 +758,7 @@ class NetworkSimulator:
             peer_id,
             tuples_processed=processed,
             tuples_sampled=min(processed, tuples_per_peer or processed),
-            cpu_speed=node.peer.capabilities.cpu_speed,
+            cpu_speed=self._snapshot.peers[peer_id].capabilities.cpu_speed,
         )
         ledger.record_reply(reply.size_bytes())
         _emit_probe(
@@ -786,7 +838,7 @@ class NetworkSimulator:
                     if shared_rng is not None
                     else ensure_rng(per_visit_seed)
                 )
-                database = self._nodes[peer_id].database
+                database = self._snapshot.databases[peer_id]
                 if uniform:
                     local = database.uniform_sample_indices(
                         tuples_per_peer, seed=rng
@@ -856,8 +908,7 @@ class NetworkSimulator:
             raise ConfigurationError(
                 f"{query.agg.value} cannot be pushed down; use visit_values"
             )
-        if tuples_per_peer < 0:
-            raise ConfigurationError("tuples_per_peer must be >= 0")
+        _check_tuples_per_peer(tuples_per_peer)
         peers = self._validate_batch_peers(peer_ids)
         if peers.size == 0:
             return []
@@ -905,7 +956,7 @@ class NetworkSimulator:
         values = primary * scales
         scaled_counts = counts * scales
         scaled_column_sums = column_sums * scales
-        degrees = self._topology.degrees[peers]
+        degrees = self.topology.degrees[peers]
         sampled = processed
         if tuples_per_peer:
             sampled = np.minimum(processed, tuples_per_peer)
@@ -931,7 +982,7 @@ class NetworkSimulator:
             tuples_processed=processed,
             tuples_sampled=sampled,
             reply_bytes=np.full(peers.size, reply_bytes, dtype=np.int64),
-            cpu_speeds=self._cpu_speed_array()[peers],
+            cpu_speeds=self._snapshot.cpu_speeds()[peers],
         )
         tracer = active_tracer()
         if tracer is not None:
@@ -962,6 +1013,7 @@ class NetworkSimulator:
         """
         if ship not in ("median", "sample"):
             raise ConfigurationError(f"unknown ship mode {ship!r}")
+        _check_tuples_per_peer(tuples_per_peer)
         peers = self._validate_batch_peers(peer_ids)
         if peers.size == 0:
             return []
@@ -1011,7 +1063,7 @@ class NetworkSimulator:
         match_starts = np.zeros(peers.size, dtype=np.int64)
         if peers.size > 1:
             np.cumsum(match_counts[:-1], out=match_starts[1:])
-        degrees = self._topology.degrees[peers]
+        degrees = self.topology.degrees[peers]
 
         replies: List[TupleReply] = []
         reply_bytes = np.empty(peers.size, dtype=np.int64)
@@ -1041,7 +1093,7 @@ class NetworkSimulator:
             tuples_processed=processed,
             tuples_sampled=processed,
             reply_bytes=reply_bytes,
-            cpu_speeds=self._cpu_speed_array()[peers],
+            cpu_speeds=self._snapshot.cpu_speeds()[peers],
         )
         tracer = active_tracer()
         if tracer is not None:
@@ -1079,24 +1131,13 @@ class NetworkSimulator:
                 raise ConfigurationError(
                     f"{query.agg.value} cannot be pushed down"
                 )
-        node = self.node(peer_id)
-        self._probe_checks(peer_id, "multi", ledger)
-        database = node.database
-        total = database.num_tuples
-        if tuples_per_peer < 0:
-            raise ConfigurationError("tuples_per_peer must be >= 0")
-        rng = self._rng if seed is None else ensure_rng(seed)
-        if tuples_per_peer and total > tuples_per_peer:
-            columns = database.sample(
-                tuples_per_peer, method=sampling_method, seed=rng
-            )
-            processed = tuples_per_peer
-        else:
-            columns = database.scan()
-            processed = total
+        columns, total, processed = self._open_visit(
+            peer_id, "multi", ledger,
+            tuples_per_peer, sampling_method, seed,
+        )
 
         scale = (total / processed) if processed else 0.0
-        degree = self._topology.degree(peer_id)
+        degree = self.topology.degree(peer_id)
         replies: List[AggregateReply] = []
         for query in queries:
             if processed == 0:
@@ -1137,7 +1178,7 @@ class NetworkSimulator:
             peer_id,
             tuples_processed=processed,
             tuples_sampled=min(processed, tuples_per_peer or processed),
-            cpu_speed=node.peer.capabilities.cpu_speed,
+            cpu_speed=self._snapshot.peers[peer_id].capabilities.cpu_speed,
         )
         _emit_probe(
             peer_id,
@@ -1171,21 +1212,10 @@ class NetworkSimulator:
             raise ConfigurationError(
                 f"GROUP BY is not supported for {query.agg.value}"
             )
-        node = self.node(peer_id)
-        self._probe_checks(peer_id, "group", ledger)
-        database = node.database
-        total = database.num_tuples
-        if tuples_per_peer < 0:
-            raise ConfigurationError("tuples_per_peer must be >= 0")
-        rng = self._rng if seed is None else ensure_rng(seed)
-        if tuples_per_peer and total > tuples_per_peer:
-            columns = database.sample(
-                tuples_per_peer, method=sampling_method, seed=rng
-            )
-            processed = tuples_per_peer
-        else:
-            columns = database.scan()
-            processed = total
+        columns, total, processed = self._open_visit(
+            peer_id, "group", ledger,
+            tuples_per_peer, sampling_method, seed,
+        )
 
         entries = []
         if processed:
@@ -1207,7 +1237,7 @@ class NetworkSimulator:
             source=peer_id,
             destination=sink,
             entries=tuple(entries),
-            degree=self._topology.degree(peer_id),
+            degree=self.topology.degree(peer_id),
             local_tuples=total,
             processed_tuples=processed,
         )
@@ -1215,7 +1245,7 @@ class NetworkSimulator:
             peer_id,
             tuples_processed=processed,
             tuples_sampled=min(processed, tuples_per_peer or processed),
-            cpu_speed=node.peer.capabilities.cpu_speed,
+            cpu_speed=self._snapshot.peers[peer_id].capabilities.cpu_speed,
         )
         ledger.record_reply(reply.size_bytes())
         _emit_probe(peer_id, "group", "ok", replies=1, messages=1, visits=1)
@@ -1245,19 +1275,10 @@ class NetworkSimulator:
         """
         if ship not in ("median", "sample"):
             raise ConfigurationError(f"unknown ship mode {ship!r}")
-        node = self.node(peer_id)
-        self._probe_checks(peer_id, "values", ledger)
-        database = node.database
-        total = database.num_tuples
-        rng = self._rng if seed is None else ensure_rng(seed)
-        if tuples_per_peer and total > tuples_per_peer:
-            columns = database.sample(
-                tuples_per_peer, method=sampling_method, seed=rng
-            )
-            processed = tuples_per_peer
-        else:
-            columns = database.scan()
-            processed = total
+        columns, total, processed = self._open_visit(
+            peer_id, "values", ledger,
+            tuples_per_peer, sampling_method, seed,
+        )
 
         if processed:
             mask = query.predicate.mask(columns)
@@ -1277,7 +1298,7 @@ class NetworkSimulator:
             source=peer_id,
             destination=sink,
             values=shipped,
-            degree=self._topology.degree(peer_id),
+            degree=self.topology.degree(peer_id),
             local_tuples=total,
             processed_tuples=processed,
         )
@@ -1285,7 +1306,7 @@ class NetworkSimulator:
             peer_id,
             tuples_processed=processed,
             tuples_sampled=processed,
-            cpu_speed=node.peer.capabilities.cpu_speed,
+            cpu_speed=self._snapshot.peers[peer_id].capabilities.cpu_speed,
         )
         ledger.record_reply(reply.size_bytes())
         _emit_probe(peer_id, "values", "ok", replies=1, messages=1, visits=1)
@@ -1328,7 +1349,7 @@ class NetworkSimulator:
         (messages sent to them are still charged), so a correlated
         outage is observed as a partition.
         """
-        self.node(start)  # validates the id
+        self._check_peer(start)
         if ttl < 0:
             raise ConfigurationError("ttl must be >= 0")
         down = self._flood_down_peers()
@@ -1344,7 +1365,7 @@ class NetworkSimulator:
             depth += 1
             next_frontier: List[int] = []
             for peer in frontier:
-                for neighbor in self._topology.neighbors(peer):
+                for neighbor in self.topology.neighbors(peer):
                     neighbor = int(neighbor)
                     ledger.record_flood_message(message_bytes)
                     messages += 1

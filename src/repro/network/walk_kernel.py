@@ -190,15 +190,14 @@ _ALIAS_CACHE: (
 ) = weakref.WeakKeyDictionary()
 
 
-def kernel_tables(topology: Topology) -> KernelTables:
-    """The (memoized) kernel tables for ``topology``."""
-    cached = _TABLE_CACHE.get(topology)
-    if cached is not None:
-        return cached
-    indptr = topology.indptr.tolist()
-    indices = topology.indices.tolist()
+def _memoize_tables(
+    topology: Topology, indptr: np.ndarray, indices: np.ndarray
+) -> KernelTables:
+    """Build ``topology``'s tables from a CSR pair and memoize them."""
+    indptr_list = indptr.tolist()
+    indices_list = indices.tolist()
     neighbors = [
-        indices[indptr[p]: indptr[p + 1]]
+        indices_list[indptr_list[p]: indptr_list[p + 1]]
         for p in range(topology.num_peers)
     ]
     tables = KernelTables(
@@ -207,6 +206,14 @@ def kernel_tables(topology: Topology) -> KernelTables:
     )
     _TABLE_CACHE[topology] = tables
     return tables
+
+
+def kernel_tables(topology: Topology) -> KernelTables:
+    """The (memoized) kernel tables for ``topology``."""
+    cached = _TABLE_CACHE.get(topology)
+    if cached is not None:
+        return cached
+    return _memoize_tables(topology, topology.indptr, topology.indices)
 
 
 def prime_kernel_tables(
@@ -238,18 +245,7 @@ def prime_kernel_tables(
             f"indices has {indices.size} entries, indptr ends at "
             f"{int(indptr[-1])}"
         )
-    indptr_list = indptr.tolist()
-    indices_list = indices.tolist()
-    neighbors = [
-        indices_list[indptr_list[p]: indptr_list[p + 1]]
-        for p in range(topology.num_peers)
-    ]
-    tables = KernelTables(
-        neighbors=neighbors,
-        degrees=[float(len(row)) for row in neighbors],
-    )
-    _TABLE_CACHE[topology] = tables
-    return tables
+    return _memoize_tables(topology, indptr, indices)
 
 
 def stationary_alias(topology: Topology, variant: str) -> AliasTable:

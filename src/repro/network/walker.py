@@ -340,9 +340,12 @@ class WalkCursor:
 class RandomWalker:
     """Runs random walks over a frozen :class:`Topology`.
 
-    The walker caches plain-python adjacency arrays because scalar
-    indexing of python lists is several times faster than numpy scalar
-    indexing, and the walk is inherently sequential.
+    Stepping reads the plain-python adjacency memoized per topology by
+    :func:`~repro.network.walk_kernel.kernel_tables` (scalar indexing
+    of python lists is several times faster than numpy scalar
+    indexing, and the walk is inherently sequential).  The tables are
+    looked up on the first hop, not at construction, so building a
+    walker costs nothing proportional to the graph.
     """
 
     def __init__(
@@ -354,8 +357,6 @@ class RandomWalker:
         self._topology = topology
         self._config = config or RandomWalkConfig()
         self._rng = ensure_rng(seed)
-        self._indptr: List[int] = topology.indptr.tolist()
-        self._indices: List[int] = topology.indices.tolist()
         if topology.num_edges == 0:
             raise TopologyError("cannot walk an edgeless topology")
 
@@ -480,8 +481,9 @@ class RandomWalker:
 
     def _walk_segment(self, current: int, hops: int) -> int:
         """Advance ``hops`` hops from ``current``; returns the endpoint."""
-        indptr = self._indptr
-        indices = self._indices
+        tables = kernel_tables(self._topology)
+        nbrs = tables.neighbors
+        degs = tables.degrees
         variant = self._config.variant
         lazy = variant == "lazy"
         inclusive = variant == "self-inclusive"
@@ -499,29 +501,25 @@ class RandomWalker:
                 cursor = 0
             r = randoms[cursor]
             cursor += 1
-            lo = indptr[current]
-            degree = indptr[current + 1] - lo
+            degree = degs[current]
             if lazy:
                 if r < 0.5:
                     continue
                 r = (r - 0.5) * 2.0
-                current = indices[lo + int(r * degree)]
+                current = nbrs[current][int(r * degree)]
             elif inclusive:
                 pick = int(r * (degree + 1))
                 if pick < degree:
-                    current = indices[lo + pick]
+                    current = nbrs[current][pick]
             elif metropolis:
-                proposal = indices[lo + int(r * degree)]
+                proposal = nbrs[current][int(r * degree)]
                 accept = randoms[cursor]
                 cursor += 1
-                proposal_degree = (
-                    indptr[proposal + 1] - indptr[proposal]
-                )
                 # Accept with min(1, deg(u)/deg(v)): uniform target.
-                if accept * proposal_degree < degree:
+                if accept * degs[proposal] < degree:
                     current = proposal
             else:
-                current = indices[lo + int(r * degree)]
+                current = nbrs[current][int(r * degree)]
         return current
 
     # ------------------------------------------------------------------
@@ -680,8 +678,9 @@ class WeightedMetropolisWalker(RandomWalker):
         )
 
     def _walk_segment(self, current: int, hops: int) -> int:
-        indptr = self._indptr
-        indices = self._indices
+        tables = kernel_tables(self._topology)
+        nbrs = tables.neighbors
+        degs = tables.degrees
         weights = self._weights
         rng = self._rng
         randoms = rng.random(
@@ -695,13 +694,11 @@ class WeightedMetropolisWalker(RandomWalker):
             r = randoms[cursor]
             accept = randoms[cursor + 1]
             cursor += 2
-            lo = indptr[current]
-            degree = indptr[current + 1] - lo
-            proposal = indices[lo + int(r * degree)]
-            proposal_degree = indptr[proposal + 1] - indptr[proposal]
+            degree = degs[current]
+            proposal = nbrs[current][int(r * degree)]
             # accept iff u < (w_v * deg_u) / (w_u * deg_v)
             if (
-                accept * weights[current] * proposal_degree
+                accept * weights[current] * degs[proposal]
                 < weights[proposal] * degree
             ):
                 current = proposal

@@ -44,15 +44,14 @@ Transport (the sharded backend's wire protocol)
 Replies never cross the pool queue as whole-object pickles.  Each
 worker flattens a reply through the versioned tuple codec
 (:mod:`repro.service.codec`), coalesces every reply of an inbound job
-batch into one queue message, and — under lazy trace shipping, the
-default — keeps the trace *lines* in a bounded worker-side store,
-sending only the digest and event count eagerly.  The parent's
-:class:`RemoteTrace` handle fetches the lines on first access (or at
-:meth:`ForkedBackend.close`, which materializes every still-remote
-trace before the workers go away), verifying them against the eagerly
-shipped digest.  None of this is observable to trace consumers: the
-fetched lines are byte-identical to eager shipping, which the parity
-suite pins.
+batch into one queue message, and keeps the trace *lines* in a bounded
+worker-side store, sending only the digest and event count with the
+reply.  The parent's :class:`RemoteTrace` handle fetches the lines on
+first access (or at :meth:`ForkedBackend.close`, which materializes
+every still-remote trace before the workers go away), verifying them
+against the shipped digest.  None of this is observable to trace
+consumers: the fetched lines are byte-identical to the inline
+backend's, which the parity suite pins.
 """
 
 from __future__ import annotations
@@ -436,7 +435,7 @@ class RemoteTrace:
     """A completed trace whose lines (may) still live in a worker.
 
     Satisfies :class:`~repro.obs.tracer.TraceLike`: the digest and
-    event count arrived eagerly with the reply, and :attr:`lines`
+    event count arrived with the reply, and :attr:`lines`
     fetches the canonical JSONL lines from the owning worker on first
     access (verifying them against the digest), then caches them
     parent-side.  :meth:`ForkedBackend.close` materializes every
@@ -451,14 +450,13 @@ class RemoteTrace:
         query_id: int,
         digest: str,
         num_events: int,
-        lines: Optional[Tuple[str, ...]] = None,
     ):
         self._backend = backend
         self._worker = worker
         self._query_id = query_id
         self._digest = digest
         self._num_events = num_events
-        self._lines = lines
+        self._lines: Optional[Tuple[str, ...]] = None
         self._lost: Optional[str] = None
 
     @property
@@ -473,11 +471,11 @@ class RemoteTrace:
 
     @property
     def num_events(self) -> int:
-        """How many events the trace holds (shipped eagerly)."""
+        """How many events the trace holds (shipped with the reply)."""
         return self._num_events
 
     def digest(self) -> str:
-        """sha256 over the canonical lines (shipped eagerly)."""
+        """sha256 over the canonical lines (shipped with the reply)."""
         return self._digest
 
     @property
@@ -545,13 +543,11 @@ class _ShardWorker:
         settings: EngineSettings,
         manifest: Optional[PackManifest],
         *,
-        lazy_traces: bool = True,
         trace_store_limit: int = 2048,
     ):
         self._simulator = simulator
         self._settings = settings
         self._manifest = manifest
-        self._lazy_traces = lazy_traces
         self._trace_store_limit = trace_store_limit
         self._cache = PlanCache()
         self._view: Optional[SnapshotView] = None
@@ -617,18 +613,11 @@ class _ShardWorker:
         if tracer is not None:
             # The vt stamps are already baked into the lines; neither
             # the clock nor the tracer crosses the process boundary.
-            lines = tuple(tracer.lines)
-            if self._lazy_traces:
-                self._traces[item.query_id] = lines
-                while len(self._traces) > self._trace_store_limit:
-                    self._traces.popitem(last=False)
-                wire_lines: Optional[Tuple[str, ...]] = None
-            else:
-                wire_lines = lines
+            self._traces[item.query_id] = tuple(tracer.lines)
+            while len(self._traces) > self._trace_store_limit:
+                self._traces.popitem(last=False)
             trace = TraceWire(
-                digest=tracer.digest(),
-                num_events=tracer.num_events,
-                lines=wire_lines,
+                digest=tracer.digest(), num_events=tracer.num_events
             )
         reply = dataclasses.replace(
             reply,
@@ -704,18 +693,16 @@ class ForkedBackend(ExecutionBackend):
     submissions costs one pickle per worker, not one per job), and
     each worker answers a batch with one coalesced reply message.
 
+    Traced replies ship only the digest and event count; the lines
+    stay in the owning worker's bounded store and the parent's
+    :class:`RemoteTrace` fetches them on first access (close
+    materializes the rest).
+
     Parameters
     ----------
-    lazy_traces:
-        When on (default), traced replies ship only the digest and
-        event count; the lines stay in the owning worker's bounded
-        store and the parent's :class:`RemoteTrace` fetches them on
-        first access (close materializes the rest).  Off ships lines
-        eagerly with every reply — bit-identical trace content, more
-        bytes per reply.
     trace_store_limit:
-        Per-worker bound on retained lazy traces; beyond it the
-        oldest is evicted and a later fetch for it raises
+        Per-worker bound on retained traces; beyond it the oldest is
+        evicted and a later fetch for it raises
         :class:`~repro.errors.ServiceError`.
     measure_transport:
         Account queue traffic in :meth:`transport_stats` by
@@ -731,8 +718,6 @@ class ForkedBackend(ExecutionBackend):
         settings: EngineSettings,
         workers: int,
         *,
-        share_arrays: bool = True,
-        lazy_traces: bool = True,
         trace_store_limit: int = 2048,
         measure_transport: bool = False,
     ):
@@ -742,9 +727,7 @@ class ForkedBackend(ExecutionBackend):
         self._settings = settings
         self._workers = workers
         self._simulator = simulator
-        self._share_arrays = share_arrays
-        self._lazy_traces = bool(lazy_traces)
-        self._pack = self._export(simulator, share_arrays)
+        self._pack = self._export(simulator)
         try:
             manifest = (
                 self._pack.manifest if self._pack is not None else None
@@ -753,7 +736,6 @@ class ForkedBackend(ExecutionBackend):
                 simulator,
                 settings,
                 manifest,
-                lazy_traces=self._lazy_traces,
                 trace_store_limit=trace_store_limit,
             )
             self._fork_pool = _pool.ForkPool(
@@ -776,7 +758,7 @@ class ForkedBackend(ExecutionBackend):
         # slim wire replies carry only the id; the query object never
         # crosses the queue twice.
         self._tickets: Dict[int, QueryTicket] = {}
-        # Lazy trace handles not yet materialized, keyed by query id.
+        # Trace handles not yet materialized, keyed by query id.
         self._traces: Dict[int, RemoteTrace] = {}
         # Replies folded while waiting for a trace fetch, delivered
         # by the next pump.
@@ -800,13 +782,11 @@ class ForkedBackend(ExecutionBackend):
         self._closed = False
 
     @staticmethod
-    def _export(
-        simulator: NetworkSimulator, share_arrays: bool
-    ) -> Optional[SharedArrayPack]:
+    def _export(simulator: NetworkSimulator) -> Optional[SharedArrayPack]:
         # Fault plans force the per-peer visit path, which never reads
         # the flat view — mirror the service's _prime and skip the
         # segment rather than materialize a view nobody maps.
-        if not share_arrays or simulator.faults_active:
+        if simulator.faults_active:
             return None
         return export_snapshot(simulator)
 
@@ -816,11 +796,6 @@ class ForkedBackend(ExecutionBackend):
     def workers(self) -> int:
         """Number of shard-owner processes."""
         return self._workers
-
-    @property
-    def lazy_traces(self) -> bool:
-        """Whether trace lines ship on demand instead of eagerly."""
-        return self._lazy_traces
 
     def transport_stats(self) -> TransportStats:
         """Measured queue traffic (requires ``measure_transport``)."""
@@ -876,10 +851,8 @@ class ForkedBackend(ExecutionBackend):
                 query_id,
                 trace.digest,
                 trace.num_events,
-                lines=trace.lines,
             )
-            if trace.lines is None:
-                self._traces[query_id] = handle
+            self._traces[query_id] = handle
             reply = dataclasses.replace(reply, tracer=handle)
         self._outstanding -= 1
         self._cache_stats = CacheStats(
@@ -1059,7 +1032,7 @@ class ForkedBackend(ExecutionBackend):
                     "queries outstanding"
                 )
             self._absorb_stale_fetch(payload)
-        new_pack = self._export(simulator, self._share_arrays)
+        new_pack = self._export(simulator)
         try:
             manifest = (
                 new_pack.manifest if new_pack is not None else None

@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 #: Bump on any change to the tuple layouts below.
-REPLY_WIRE_VERSION = 1
+REPLY_WIRE_VERSION = 2
 
 #: Marker for a result slot holding an arbitrary (opaque) object.
 _OPAQUE = "obj"
@@ -57,16 +57,14 @@ _COST_FROM_RESULT = "result"
 
 @dataclasses.dataclass(frozen=True)
 class TraceWire:
-    """A trace as it crosses the queue: digest now, lines maybe.
+    """A trace as it crosses the queue: digest and event count.
 
-    ``lines`` is ``None`` under lazy shipping — the worker kept them
-    in its store and the parent fetches on demand — and the full
-    tuple under eager shipping.
+    The lines stay in the owning worker's store; the parent fetches
+    them on demand and verifies them against ``digest``.
     """
 
     digest: str
     num_events: int
-    lines: Optional[Tuple[str, ...]]
 
 
 def _encode_cost(cost: Optional[QueryCost]) -> Optional[tuple]:
@@ -210,9 +208,8 @@ def _decode_result(
 def encode_reply(reply: Any, *, trace: Optional[TraceWire]) -> tuple:
     """Flatten one ``QueryReply`` (tracer excluded) for the queue.
 
-    ``trace`` carries the reply's trace separately — the caller
-    decides whether the lines ride along (eager) or stay worker-side
-    (lazy) — so the reply tuple itself is trace-free either way.
+    ``trace`` carries the reply's trace summary separately (the
+    lines stay worker-side), so the reply tuple itself is trace-free.
     """
     result_slot = _encode_result(reply.result)
     if reply.result is not None and reply.cost is reply.result.cost:
@@ -229,9 +226,7 @@ def encode_reply(reply: Any, *, trace: Optional[TraceWire]) -> tuple:
         reply.detail,
         cost_slot,
         reply.chunks,
-        (trace.digest, trace.num_events, trace.lines)
-        if trace is not None
-        else None,
+        (trace.digest, trace.num_events) if trace is not None else None,
         reply.warm_runs,
         reply.cold_runs,
         reply.delta_runs,
@@ -288,11 +283,7 @@ def decode_reply(
         cost = _decode_cost(data[6])
     trace_slot = data[8]
     trace = (
-        TraceWire(
-            digest=trace_slot[0],
-            num_events=trace_slot[1],
-            lines=trace_slot[2],
-        )
+        TraceWire(digest=trace_slot[0], num_events=trace_slot[1])
         if trace_slot is not None
         else None
     )

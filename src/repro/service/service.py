@@ -251,7 +251,7 @@ class QueryService:
 
     @staticmethod
     def _prime(simulator: NetworkSimulator) -> None:
-        # Sessions share the base snapshot's lazy columnar cache; build
+        # Sessions share the snapshot's memoized columnar view; build
         # it once up front so no query pays for it mid-run.  Fault
         # plans force the per-peer path, which doesn't need it.
         if not simulator.faults_active:
@@ -323,10 +323,10 @@ class QueryService:
         available once the query has resolved.
 
         On a sharded service the lines may still live in the owning
-        worker (lazy trace shipping): the returned handle fetches
-        them on first ``.lines`` access and :meth:`close`
-        materializes any never-read traces, so the lines survive the
-        workers either way — byte-identical to the inline backend's.
+        worker: the returned handle fetches them on first ``.lines``
+        access and :meth:`close` materializes any never-read traces,
+        so the lines survive the workers either way — byte-identical
+        to the inline backend's.
         """
         return self._tracers.get(ticket.query_id)
 

@@ -114,9 +114,15 @@ class EventDrivenSimulator(NetworkSimulator):
         self._timeline = timeline
         self._probe_timeout_ms = probe_timeout_ms
         self._stale_mode = stale_mode
+        self._reset_time_domain()
+
+    def _reset_time_domain(self) -> None:
+        """Start one query's virtual time: fresh kernel, no deadline."""
         self._deadline_ms_value: Optional[float] = None
         self._pending_spike_ms = 0.0
-        self._kernel = SimulationKernel(latency=latency, timeline=timeline)
+        self._kernel = SimulationKernel(
+            latency=self._latency, timeline=self._timeline
+        )
 
     # ------------------------------------------------------------------
     # Time-domain state
@@ -251,7 +257,7 @@ class EventDrivenSimulator(NetworkSimulator):
         patience = self._patience_ms()
         if patience is not None:
             return patience
-        return self._cost_model.visit_overhead_ms
+        return self.cost_model.visit_overhead_ms
 
     def _apply_faults(
         self, peer_id: int, kind: str, ledger: CostLedger
@@ -462,36 +468,18 @@ class EventDrivenSimulator(NetworkSimulator):
         self,
         seed: SeedLike = None,
         fault_clock: Optional[int] = None,
-    ) -> "NetworkSimulator":
-        """An isolated per-query view with a **fresh** kernel.
+    ) -> "EventDrivenSimulator":
+        """An isolated per-query view with a **fresh** time domain.
 
-        The clone shares the frozen latency model and timeline but
-        starts its own clock at 0 with message counter 0, so every
-        session replays the identical time domain regardless of how
-        sessions interleave — the event-driven form of the serving
-        layer's serial==concurrent invariant.  The deadline is *not*
-        inherited; the service arms it per query.
+        Everything else is the base class's O(1) session; this
+        override only resets what belongs to one query's virtual
+        time.  The session shares the frozen latency model and
+        timeline but starts its own kernel — clock at 0, message
+        counter 0 — so every session replays the identical time
+        domain regardless of how sessions interleave: the event-driven
+        form of the serving layer's serial==concurrent invariant.  The
+        deadline is *not* inherited; the service arms it per query.
         """
-        if fault_clock is None:
-            state = self._fault_state
-            fault_clock = state.clock if state is not None else 0
-        clone = EventDrivenSimulator(
-            self._topology,
-            [node.database for node in self._nodes],
-            peers=[node.peer for node in self._nodes],
-            cost_model=self._cost_model,
-            seed=seed,
-            reply_loss_rate=self._reply_loss_rate,
-            fault_plan=self.fault_plan,
-            fault_clock=fault_clock,
-            fault_strict_peers=self._fault_strict_peers,
-            peer_labels=self._peer_labels,
-            latency=self._latency,
-            timeline=self._timeline,
-            probe_timeout_ms=self._probe_timeout_ms,
-            stale_mode=self._stale_mode,
-        )
-        clone._flat = self._flat
-        clone._total_tuples = self._total_tuples
-        clone._cpu_speeds = self._cpu_speeds
+        clone = super().session(seed=seed, fault_clock=fault_clock)
+        clone._reset_time_domain()
         return clone

@@ -13,4 +13,4 @@ def free_traversal(simulator, peer):
 
 def pierced_internals(simulator):
     # reaching into private simulator state skips record_visit entirely
-    return simulator._nodes[0].database.scan()
+    return simulator._snapshot.databases[0].scan()

@@ -5,8 +5,9 @@ import pytest
 
 from repro.data.localdb import LocalDatabase
 from repro.errors import ConfigurationError, ProtocolError
+from repro.network.faults import FaultPlan
 from repro.network.peer import Peer, PeerCapabilities
-from repro.network.simulator import NetworkSimulator, PeerNode
+from repro.network.simulator import NetworkSimulator
 from repro.network.topology import Topology
 from repro.query.model import AggregateOp, AggregationQuery, Between
 
@@ -40,10 +41,10 @@ class TestConstruction:
             )
 
     def test_peer_identities_synthesized(self, mini_network):
-        node = mini_network.node(2)
-        assert isinstance(node, PeerNode)
-        assert node.peer.peer_id == 2
-        assert node.peer.ip.startswith("10.")
+        peer = mini_network.peer(2)
+        assert isinstance(peer, Peer)
+        assert peer.peer_id == 2
+        assert peer.ip.startswith("10.")
 
     def test_explicit_peers(self):
         topology = Topology(2, [(0, 1)])
@@ -54,7 +55,7 @@ class TestConstruction:
         ]
         databases = [LocalDatabase({"A": np.array([1])})] * 2
         network = NetworkSimulator(topology, databases, peers=peers)
-        assert network.node(1).peer.port == 7001
+        assert network.peer(1).port == 7001
 
     def test_peer_count_mismatch(self):
         topology = Topology(2, [(0, 1)])
@@ -67,7 +68,9 @@ class TestConstruction:
 
     def test_unknown_peer(self, mini_network):
         with pytest.raises(ProtocolError):
-            mini_network.node(9)
+            mini_network.peer(9)
+        with pytest.raises(ProtocolError):
+            mini_network.database(9)
 
     def test_total_tuples(self, mini_network):
         assert mini_network.total_tuples() == 7
@@ -272,3 +275,64 @@ class TestFlood:
     def test_negative_ttl_rejected(self, mini_network):
         with pytest.raises(ConfigurationError):
             mini_network.flood(0, ttl=-1, ledger=mini_network.new_ledger())
+
+
+MEDIAN_ALL = AggregationQuery(agg=AggregateOp.MEDIAN, column="A")
+SUM_BY_A = AggregationQuery(agg=AggregateOp.SUM, column="A", group_by="A")
+
+VISIT_ENTRY_POINTS = {
+    "visit_aggregate": lambda net, **kw: net.visit_aggregate(
+        0, SUM_ALL, **kw
+    ),
+    "visit_multi_aggregate": lambda net, **kw: net.visit_multi_aggregate(
+        0, [SUM_ALL, COUNT_SMALL], **kw
+    ),
+    "visit_group_aggregate": lambda net, **kw: net.visit_group_aggregate(
+        0, SUM_BY_A, **kw
+    ),
+    "visit_values": lambda net, **kw: net.visit_values(
+        0, MEDIAN_ALL, **kw
+    ),
+    "visit_aggregate_batch": lambda net, **kw: net.visit_aggregate_batch(
+        [0, 1], SUM_ALL, **kw
+    ),
+    "visit_values_batch": lambda net, **kw: net.visit_values_batch(
+        [0, 1], MEDIAN_ALL, **kw
+    ),
+}
+
+
+class TestVisitArgumentValidation:
+    """Regression: a rejected visit must be rejected *first*.
+
+    ``tuples_per_peer=-5`` used to raise only after the probe gauntlet
+    had consumed a fault-clock step (and possibly charged the ledger),
+    and the values visits leaked a ``SamplingError`` from the local
+    database instead of validating at all.
+    """
+
+    @pytest.mark.parametrize("faulty", [False, True])
+    @pytest.mark.parametrize("entry_point", sorted(VISIT_ENTRY_POINTS))
+    def test_negative_budget_rejected_before_side_effects(
+        self, mini_network, entry_point, faulty
+    ):
+        network = mini_network
+        if faulty:
+            network = NetworkSimulator(
+                mini_network.topology,
+                mini_network.databases(),
+                seed=3,
+                fault_plan=FaultPlan(seed=1, reply_loss=0.5),
+                fault_clock=1,
+            )
+        ledger = network.new_ledger()
+        untouched = ledger.snapshot()
+        with pytest.raises(
+            ConfigurationError, match="tuples_per_peer must be >= 0"
+        ):
+            VISIT_ENTRY_POINTS[entry_point](
+                network, sink=1, ledger=ledger, tuples_per_peer=-5
+            )
+        assert ledger.snapshot() == untouched
+        if faulty:
+            assert network.fault_state.clock == 1

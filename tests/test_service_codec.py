@@ -109,11 +109,6 @@ traces = st.one_of(
         TraceWire,
         digest=st.text(min_size=1, max_size=64),
         num_events=counts,
-        lines=st.one_of(
-            st.none(),
-            st.tuples(),
-            st.lists(st.text(max_size=40), max_size=5).map(tuple),
-        ),
     ),
 )
 
@@ -229,11 +224,14 @@ class TestVersioning:
             ),
             trace=None,
         )
-        tampered = (REPLY_WIRE_VERSION + 1,) + wire[1:]
-        with pytest.raises(ServiceError, match="version"):
-            decode_reply(tampered, ticket=TICKET)
-        with pytest.raises(ServiceError, match="version"):
-            reply_query_id(tampered)
+        # Version 1 shipped trace lines in a third trace-slot field;
+        # a payload from it must fail typed, never mis-zip.
+        for version in (1, REPLY_WIRE_VERSION + 1):
+            tampered = (version,) + wire[1:8] + (("d", 3, ("x",)),) + wire[9:]
+            with pytest.raises(ServiceError, match="version"):
+                decode_reply(tampered, ticket=TICKET)
+            with pytest.raises(ServiceError, match="version"):
+                reply_query_id(tampered)
 
     def test_malformed_payloads_are_refused(self):
         for payload in [None, 42, "rebound", (), ("x",) * 16]:

@@ -15,7 +15,6 @@ shared oversubscription warning with ``run_trials``) and a slow soak
 test driving 500+ queries through admission backpressure.
 """
 
-import dataclasses
 import os
 import signal
 import subprocess
@@ -94,7 +93,7 @@ def service_with_backend(network, workers, **backend_kwargs):
     """A traced QueryService around an explicitly-built ForkedBackend.
 
     The service API deliberately does not surface the transport knobs
-    (``lazy_traces``, ``trace_store_limit``, ``measure_transport``);
+    (``trace_store_limit``, ``measure_transport``);
     tests that need them construct the backend directly with settings
     matching the service defaults.
     """
@@ -540,28 +539,6 @@ class TestLazyTraceTransport:
         finally:
             service.close()
 
-    def test_eager_shipping_matches_lazy_byte_for_byte(
-        self, small_network
-    ):
-        lazy_svc, lazy_tickets, _ = run_sharded(small_network, 2)
-        eager_svc = service_with_backend(
-            small_network, 2, lazy_traces=False
-        )
-        try:
-            assert eager_svc.backend.lazy_traces is False
-            eager_tickets = [
-                eager_svc.submit(query, 0.1) for query in WORKLOAD
-            ]
-            eager_svc.run()
-            for lazy_t, eager_t in zip(lazy_tickets, eager_tickets):
-                eager_trace = eager_svc.trace(eager_t)
-                assert eager_trace.fetched  # lines rode the reply
-                lazy_trace = lazy_svc.trace(lazy_t)
-                assert lazy_trace.lines == eager_trace.lines
-                assert lazy_trace.digest() == eager_trace.digest()
-        finally:
-            eager_svc.close()
-
     def test_close_materializes_unread_traces(self, small_network):
         service = service_with_backend(small_network, 1)
         ticket = service.submit(COUNT_30, 0.1)
@@ -771,29 +748,28 @@ class TestLazyTraceTransport:
             handle.lines
 
     def test_transport_accounting(self, small_network):
-        def measured(**backend_kwargs):
-            service = service_with_backend(
-                small_network, 1, measure_transport=True,
-                **backend_kwargs,
+        service = service_with_backend(
+            small_network, 1, measure_transport=True
+        )
+        try:
+            tickets = [service.submit(query, 0.1) for query in WORKLOAD]
+            service.run()
+            stats = service.backend.transport_stats()
+            trace_bytes = sum(
+                len(line)
+                for ticket in tickets
+                for line in service.trace(ticket).lines
             )
-            try:
-                for query in WORKLOAD:
-                    service.submit(query, 0.1)
-                service.run()
-                return service.backend.transport_stats()
-            finally:
-                service.close()
-
-        eager = measured(lazy_traces=False)
-        lazy = measured()
+        finally:
+            service.close()
         # Every submit happened before the first pump, so the whole
         # workload crossed as ONE job message (that's the batching).
-        assert eager.job_messages == lazy.job_messages == 1
-        assert lazy.replies == eager.replies == len(WORKLOAD)
-        # The entire point: not shipping trace lines eagerly makes the
-        # replies materially smaller on a traced workload.
-        assert lazy.reply_bytes < eager.reply_bytes
-        assert lazy.total_bytes < eager.total_bytes
+        assert stats.job_messages == 1
+        assert stats.replies == len(WORKLOAD)
+        assert stats.total_bytes == stats.job_bytes + stats.reply_bytes
+        # Trace lines never ride the replies: all replies together
+        # are smaller than the trace text they summarize.
+        assert 0 < stats.reply_bytes < trace_bytes
 
     def test_transport_stats_require_opt_in(self, small_network):
         with QueryService(
@@ -850,7 +826,7 @@ class TestShmLifecycle:
             ) is not None
             old_segment = service.backend._pack.manifest.segment
 
-            def refuse(simulator, share_arrays):
+            def refuse(simulator):
                 raise RuntimeError("no segment for you")
 
             monkeypatch.setattr(
@@ -887,8 +863,8 @@ class TestShmLifecycle:
             staged = []
             real_export = backend_module.ForkedBackend._export
 
-            def capturing(simulator, share_arrays):
-                pack = real_export(simulator, share_arrays)
+            def capturing(simulator):
+                pack = real_export(simulator)
                 staged.append(pack.manifest.segment)
                 return pack
 
