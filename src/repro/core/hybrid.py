@@ -50,7 +50,6 @@ from ..obs.events import (
 )
 from ..obs.tracer import active_tracer
 from ..query.model import AggregationQuery
-from .confidence import ConfidenceInterval, z_for_confidence
 from .crossval import cross_validate
 from .estimators import make_estimator, observations_from_replies
 from .planner import estimate_scale
@@ -316,9 +315,9 @@ class HybridEngine:
         self._cold_runs = 0
         self._warm_runs = 0
         self._delta_runs = 0
-        self._point, self._variance = make_estimator(
+        self._point = make_estimator(
             self._config.estimator, simulator.topology.num_peers
-        )
+        )[0]
 
     # ------------------------------------------------------------------
 
@@ -378,9 +377,9 @@ class HybridEngine:
             config=self._config,
             seed=self._rng.spawn(1)[0] if seed is None else seed,
         )
-        self._point, self._variance = make_estimator(
+        self._point = make_estimator(
             self._config.estimator, simulator.topology.num_peers
-        )
+        )[0]
 
     # ------------------------------------------------------------------
 
@@ -500,9 +499,92 @@ class HybridEngine:
         chunk_peers: Optional[int],
     ) -> StepwiseRun:
         self._warm_runs += 1
-        plan.uses += 1
         if sink is None:
             sink = int(self._rng.integers(self._simulator.num_peers))
+        result = yield from self._planned_stepwise(
+            query, delta_req, sink, plan, chunk_peers, "warm", []
+        )
+        return result
+
+    def _delta_stepwise(
+        self,
+        query: AggregationQuery,
+        delta_req: float,
+        sink: Optional[int],
+        plan: CachedPlan,
+        chunk_peers: Optional[int],
+    ) -> StepwiseRun:
+        """Churn-delta top-up: reuse survivors, walk only the deficit.
+
+        The plan's population stamp no longer matches the simulator —
+        a churn epoch replaced the topology — but its retained sample
+        still references peers by stable label.  Survivors (peers
+        whose label is still live and reachable) are remapped onto the
+        new topology and *reused*; a fresh walk collects only the
+        difference between the planned sample size and the survivor
+        count.  The result honours the same estimate contract as a
+        cold re-walk: same requested/effective/degraded semantics,
+        with the plan's statistics refreshed and its population
+        re-stamped so the next run is warm again.
+        """
+        retained = plan.retained
+        labels = self._simulator.peer_labels
+        assert retained is not None and labels is not None
+        self._delta_runs += 1
+        topology = self._simulator.topology
+
+        # Filter the retained sample against the new epoch's live set
+        # and remap survivors onto the new vertex ids.  The remapped
+        # degree feeds the stationary probability, which must describe
+        # the *new* topology for the estimator to stay unbiased.
+        vertex_of = {label: v for v, label in enumerate(labels)}
+        survivors: List[AggregateReply] = []
+        for label, reply in zip(retained.labels, retained.replies):
+            vertex = vertex_of.get(label)
+            if vertex is None or topology.degree(vertex) == 0:
+                continue
+            survivors.append(
+                dataclasses.replace(
+                    reply,
+                    source=vertex,
+                    degree=topology.degree(vertex),
+                )
+            )
+
+        if sink is None:
+            sink_vertex = vertex_of.get(retained.sink_label)
+            if sink_vertex is not None and topology.degree(sink_vertex) > 0:
+                sink = sink_vertex
+            else:  # the sink itself churned out; draw a fresh one
+                sink = int(self._rng.integers(self._simulator.num_peers))
+
+        result = yield from self._planned_stepwise(
+            query, delta_req, sink, plan, chunk_peers, "delta", survivors,
+            dropped=len(retained.replies) - len(survivors),
+        )
+        # The statistics now describe the new epoch, so the next lookup
+        # is an ordinary warm hit.
+        plan.num_peers = topology.num_peers
+        plan.num_edges = topology.num_edges
+        return result
+
+    def _planned_stepwise(
+        self,
+        query: AggregationQuery,
+        delta_req: float,
+        sink: int,
+        plan: CachedPlan,
+        chunk_peers: Optional[int],
+        phase: str,
+        reused: List[AggregateReply],
+        dropped: int = 0,
+    ) -> StepwiseRun:
+        """One walk sized from ``plan`` — the body of warm and delta runs.
+
+        ``reused`` replies (a delta run's survivors) count toward the
+        planned sample; only the deficit is collected.
+        """
+        plan.uses += 1
         ledger = self._simulator.new_ledger()
         timing_token = self._simulator.begin_timing()
 
@@ -526,27 +608,41 @@ class HybridEngine:
             peers = min(
                 peers, max(4, self._config.max_phase_two_peers)
             )
+        deficit = max(0, peers - len(reused))
 
         _emit(
             PhaseEvent(
                 engine="hybrid",
-                phase="warm",
+                phase=phase,
                 status="start",
                 requested=peers,
             )
         )
-        observations, replies = yield from (
-            self._engine.collect_observations_stepwise(
-                sink, query, peers, ledger, chunk_peers, "warm"
+        if phase == "delta":
+            _emit(
+                DeltaReuseEvent(
+                    survivors=len(reused), dropped=dropped, deficit=deficit
+                )
             )
+        topology = self._simulator.topology
+        observations = observations_from_replies(
+            reused,
+            num_edges=topology.num_edges,
+            num_peers=topology.num_peers,
+            variant=self._config.walk_variant,
         )
+        replies = reused
+        if deficit > 0:
+            fresh_observations, fresh_replies = yield from (
+                self._engine.collect_observations_stepwise(
+                    sink, query, deficit, ledger, chunk_peers, phase
+                )
+            )
+            observations = observations + fresh_observations
+            replies = reused + fresh_replies
         estimate = self._engine.final_estimate(query, observations)
-        z = z_for_confidence(self._config.confidence)
-        half_width = z * math.sqrt(self._variance(observations))
-        interval = ConfidenceInterval(
-            estimate=estimate,
-            half_width=half_width,
-            confidence=self._config.confidence,
+        interval = self._engine.confidence_interval(
+            query, observations, estimate
         )
 
         # Fold fresh statistics back into the cache so the plan tracks
@@ -576,7 +672,7 @@ class HybridEngine:
             plan.refresh(rescaled, fresh_scale, self._decay)
         self._retain(plan, replies, sink)
 
-        phase = PhaseReport(
+        phase_report = PhaseReport(
             peers_visited=len(replies),
             tuples_sampled=sum(r.processed_tuples for r in replies),
             hops=ledger.snapshot().hops,
@@ -593,187 +689,17 @@ class HybridEngine:
                 degraded=effective < peers,
             )
         )
-        # Warm results honour the degraded-result contract exactly
-        # like cold runs: fault injection or churn can shrink the
-        # sample below the planned size, and downstream consumers key
-        # on these fields.
+        # Plan-served results honour the degraded-result contract
+        # exactly like cold runs: fault injection or churn can shrink
+        # the sample below the planned size, and downstream consumers
+        # key on these fields.
         return ApproximateResult(
             query=query,
             estimate=estimate,
             delta_req=delta_req,
             scale=planning_scale,
             confidence_interval=interval,
-            phase_one=phase,
-            phase_two=None,
-            cost=ledger.snapshot(),
-            requested_sample_size=peers,
-            effective_sample_size=effective,
-            degraded=effective < peers,
-            timing=self._simulator.finish_timing(timing_token),
-        )
-
-    def _delta_stepwise(
-        self,
-        query: AggregationQuery,
-        delta_req: float,
-        sink: Optional[int],
-        plan: CachedPlan,
-        chunk_peers: Optional[int],
-    ) -> StepwiseRun:
-        """Churn-delta top-up: reuse survivors, walk only the deficit.
-
-        The plan's population stamp no longer matches the simulator —
-        a churn epoch replaced the topology — but its retained sample
-        still references peers by stable label.  Survivors (peers
-        whose label is still live and reachable) are remapped onto the
-        new topology and *reused*; a fresh walk collects only the
-        difference between the planned sample size and the survivor
-        count.  The result honours the same estimate contract as a
-        cold re-walk: same requested/effective/degraded semantics,
-        with the plan's statistics refreshed and its population
-        re-stamped so the next run is warm again.
-        """
-        retained = plan.retained
-        labels = self._simulator.peer_labels
-        assert retained is not None and labels is not None
-        self._delta_runs += 1
-        plan.uses += 1
-        topology = self._simulator.topology
-        ledger = self._simulator.new_ledger()
-        timing_token = self._simulator.begin_timing()
-
-        # Filter the retained sample against the new epoch's live set
-        # and remap survivors onto the new vertex ids.  The remapped
-        # degree feeds the stationary probability, which must describe
-        # the *new* topology for the estimator to stay unbiased.
-        vertex_of = {label: v for v, label in enumerate(labels)}
-        survivor_replies: List[AggregateReply] = []
-        survivor_labels: List[int] = []
-        for label, reply in zip(retained.labels, retained.replies):
-            vertex = vertex_of.get(label)
-            if vertex is None or topology.degree(vertex) == 0:
-                continue
-            survivor_replies.append(
-                dataclasses.replace(
-                    reply,
-                    source=vertex,
-                    degree=topology.degree(vertex),
-                )
-            )
-            survivor_labels.append(label)
-        dropped = len(retained.replies) - len(survivor_replies)
-
-        # Size the sample exactly as a warm run would; the retained
-        # survivors count toward it and only the deficit is collected.
-        planning_scale = plan.scale
-        absolute_target = delta_req * planning_scale
-        m_prime = (
-            plan.half_size
-            * plan.mean_squared_cv_error
-            / absolute_target**2
-        )
-        peers = max(self._config.phase_one_peers, int(math.ceil(m_prime)))
-        if self._config.max_phase_two_peers is not None:
-            peers = min(peers, max(4, self._config.max_phase_two_peers))
-        deficit = max(0, peers - len(survivor_replies))
-
-        if sink is None:
-            sink_vertex = vertex_of.get(retained.sink_label)
-            if sink_vertex is not None and topology.degree(sink_vertex) > 0:
-                sink = sink_vertex
-            else:  # the sink itself churned out; draw a fresh one
-                sink = int(self._rng.integers(self._simulator.num_peers))
-
-        _emit(
-            PhaseEvent(
-                engine="hybrid",
-                phase="delta",
-                status="start",
-                requested=peers,
-            )
-        )
-        _emit(
-            DeltaReuseEvent(
-                survivors=len(survivor_replies),
-                dropped=dropped,
-                deficit=deficit,
-            )
-        )
-        fresh_replies: List[AggregateReply] = []
-        if deficit > 0:
-            _fresh_obs, fresh_replies = yield from (
-                self._engine.collect_observations_stepwise(
-                    sink, query, deficit, ledger, chunk_peers, "delta"
-                )
-            )
-        replies = survivor_replies + fresh_replies
-        observations = observations_from_replies(
-            replies,
-            num_edges=topology.num_edges,
-            num_peers=topology.num_peers,
-            variant=self._config.walk_variant,
-        )
-        estimate = self._engine.final_estimate(query, observations)
-        z = z_for_confidence(self._config.confidence)
-        half_width = z * math.sqrt(self._variance(observations))
-        interval = ConfidenceInterval(
-            estimate=estimate,
-            half_width=half_width,
-            confidence=self._config.confidence,
-        )
-
-        # Refresh the plan from the combined sample and re-stamp its
-        # population: the statistics now describe the new epoch, so
-        # the next lookup is an ordinary warm hit.
-        if len(observations) >= 4:
-            point = (
-                None
-                if self._config.estimator == "ht"
-                else self._point
-            )
-            cv = cross_validate(
-                observations,
-                rounds=self._config.cross_validation_rounds,
-                seed=self._rng,
-                estimator=point,
-            )
-            rescaled = (
-                cv.mean_squared_error * cv.half_size / plan.half_size
-                if plan.half_size
-                else cv.mean_squared_error
-            )
-            fresh_scale = estimate_scale(
-                query, observations, point_estimator=point
-            )
-            plan.refresh(rescaled, fresh_scale, self._decay)
-        plan.num_peers = topology.num_peers
-        plan.num_edges = topology.num_edges
-        self._retain(plan, replies, sink)
-
-        phase = PhaseReport(
-            peers_visited=len(replies),
-            tuples_sampled=sum(r.processed_tuples for r in replies),
-            hops=ledger.snapshot().hops,
-            estimate=estimate,
-        )
-        effective = len(replies)
-        _emit(
-            EstimateEvent(
-                engine="hybrid",
-                agg=query.agg.value,
-                estimate=estimate,
-                requested=peers,
-                received=effective,
-                degraded=effective < peers,
-            )
-        )
-        return ApproximateResult(
-            query=query,
-            estimate=estimate,
-            delta_req=delta_req,
-            scale=planning_scale,
-            confidence_interval=interval,
-            phase_one=phase,
+            phase_one=phase_report,
             phase_two=None,
             cost=ledger.snapshot(),
             requested_sample_size=peers,

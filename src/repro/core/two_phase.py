@@ -151,11 +151,6 @@ class TwoPhaseConfig:
         fresh peers are found).  The paper's theory assumes *with*
         replacement; without-replacement is never worse statistically
         but costs extra hops — exposed for ablations.
-    walk_kernel:
-        Walk-generation strategy, forwarded to
-        :class:`~repro.network.walker.RandomWalkConfig`: ``"auto"``
-        (default, vectorized when bit-identical), ``"stepwise"``, or
-        ``"vectorized"`` (raise when ineligible).
     sampling_method:
         Local sub-sampling flavour: ``"uniform"`` or ``"block"``.
     confidence:
@@ -186,7 +181,6 @@ class TwoPhaseConfig:
     confidence: float = 0.95
     estimator: str = "hajek"
     distinct_peers: bool = False
-    walk_kernel: str = "auto"
     retry_policy: Optional[RetryPolicy] = None
 
     def __post_init__(self) -> None:
@@ -207,10 +201,6 @@ class TwoPhaseConfig:
         if self.estimator not in ("ht", "hajek"):
             raise ConfigurationError(
                 f"unknown estimator {self.estimator!r}"
-            )
-        if self.walk_kernel not in ("auto", "stepwise", "vectorized"):
-            raise ConfigurationError(
-                f"unknown walk_kernel {self.walk_kernel!r}"
             )
 
     @classmethod
@@ -239,7 +229,6 @@ class TwoPhaseConfig:
             burn_in=self.burn_in,
             variant=self.walk_variant,
             allow_revisits=not self.distinct_peers,
-            kernel=self.walk_kernel,
         )
 
 
@@ -328,15 +317,13 @@ class TwoPhaseEngine:
     ) -> Generator[StepCheckpoint, None, List[AggregateReply]]:
         """Walk, visit and gather replies, yielding between chunks.
 
-        With ``chunk_peers=None`` (or >= ``count``) this is exactly the
-        historical single-shot collection — one walk, one batch visit,
-        one checkpoint.  With a smaller ``chunk_peers`` the walk runs
-        through a :class:`~repro.network.walker.WalkCursor` in chunks
-        of that many selections, yielding a checkpoint after each —
-        bit-identical replies either way, because the cursor consumes
-        the walker RNG exactly as the single-shot walk does and the
-        batch visits consume ``self._visit_rng`` peer by peer in
-        selection order.
+        The walk runs through a :class:`~repro.network.walker.
+        WalkCursor` in takes of ``chunk_peers`` selections (one take of
+        ``count`` when ``None``), yielding a checkpoint after each —
+        bit-identical replies for any chunking, because the cursor
+        consumes the walker RNG exactly as one take does and the batch
+        visits consume ``self._visit_rng`` peer by peer in selection
+        order.
         """
         probe = WalkerProbe(
             source=sink,
@@ -360,34 +347,20 @@ class TwoPhaseEngine:
             )
             yield StepCheckpoint("two-phase", phase, len(replies), ledger)
             return replies
-        if chunk_peers is None or chunk_peers >= count:
-            walk = self._walker.sample_peers(sink, count)
+        cursor = self._walker.cursor(sink)
+        replies = []
+        remaining = count
+        while True:
+            take = remaining if chunk_peers is None else min(
+                chunk_peers, remaining
+            )
+            walk = cursor.take(take)
             self._simulator.walk_hops(
                 walk.hops, ledger, message_bytes=probe.size_bytes()
             )
             # The batch fast path visits all selected peers in one
             # vectorized pass; under fault injection it degrades to the
             # per-peer loop internally, dropping lost replies either way.
-            replies = self._simulator.visit_aggregate_batch(
-                walk.peers,
-                query,
-                sink=sink,
-                ledger=ledger,
-                tuples_per_peer=self._config.tuples_per_peer,
-                sampling_method=self._config.sampling_method,
-                seed=self._visit_rng,
-            )
-            yield StepCheckpoint("two-phase", phase, len(replies), ledger)
-            return replies
-        cursor = self._walker.cursor(sink)
-        replies = []
-        remaining = count
-        while remaining > 0:
-            take = min(chunk_peers, remaining)
-            walk = cursor.take(take)
-            self._simulator.walk_hops(
-                walk.hops, ledger, message_bytes=probe.size_bytes()
-            )
             replies.extend(
                 self._simulator.visit_aggregate_batch(
                     walk.peers,
@@ -401,7 +374,8 @@ class TwoPhaseEngine:
             )
             remaining -= take
             yield StepCheckpoint("two-phase", phase, len(replies), ledger)
-        return replies
+            if remaining <= 0:
+                return replies
 
     def _observations(
         self, replies: Sequence[AggregateReply]
@@ -449,6 +423,30 @@ class TwoPhaseEngine:
                 )
             return total_sum / total_count
         return self._point(observations)
+
+    def confidence_interval(
+        self,
+        query: AggregationQuery,
+        observations: Sequence[PeerObservation],
+        estimate: float,
+    ) -> ConfidenceInterval:
+        """The CLT interval around ``estimate`` — cold, warm and delta
+        runs all report this one."""
+        z = z_for_confidence(self._config.confidence)
+        half_width = z * math.sqrt(self._variance(observations))
+        if query.agg is AggregateOp.AVG:
+            # The interval tracks the SUM component; rescale it into
+            # AVG units via the estimated matching count.
+            count_estimate = self._point(
+                self._count_projection(observations)
+            )
+            if count_estimate > 0:
+                half_width = half_width / count_estimate
+        return ConfidenceInterval(
+            estimate=estimate,
+            half_width=half_width,
+            confidence=self._config.confidence,
+        )
 
     def collect_observations(
         self,
@@ -620,7 +618,13 @@ class TwoPhaseEngine:
             )
             hops_two = ledger.snapshot().hops - hops_before
             observations_two = self._observations(replies_two)
-            estimate_two = self._final_estimate(query, observations_two)
+            # Diagnostic only: a phase-II sample of a few peers may see
+            # no matching tuple while the pooled sample does.
+            estimate_two: Optional[float]
+            try:
+                estimate_two = self._final_estimate(query, observations_two)
+            except SamplingError:
+                estimate_two = None
             _emit(
                 PhaseEvent(
                     engine="two-phase",
@@ -641,20 +645,8 @@ class TwoPhaseEngine:
         else:
             final_observations = observations_one
         estimate = self._final_estimate(query, final_observations)
-        z = z_for_confidence(self._config.confidence)
-        half_width = z * math.sqrt(self._variance(final_observations))
-        if query.agg is AggregateOp.AVG:
-            # The interval tracks the SUM component; rescale it into
-            # AVG units via the estimated matching count.
-            count_estimate = self._point(
-                self._count_projection(final_observations)
-            )
-            if count_estimate > 0:
-                half_width = half_width / count_estimate
-        interval = ConfidenceInterval(
-            estimate=estimate,
-            half_width=half_width,
-            confidence=self._config.confidence,
+        interval = self.confidence_interval(
+            query, final_observations, estimate
         )
 
         effective = len(replies_one) + len(replies_two)

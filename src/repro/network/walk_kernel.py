@@ -1,27 +1,23 @@
-"""Vectorized whole-walk generation (the walk hot path).
+"""The walk hot path: every hop of every walk runs here.
 
-The stepwise walker (:mod:`repro.network.walker`) advances one segment
-at a time: every burn-in and every jump segment pays a separate
-``Generator.random`` call, a cursor/refill check per hop, and the
-variant branch dispatch per hop.  For the sampling walks the engines
-actually run (burn-in + ``count`` selections ``jump`` hops apart) the
-whole RNG demand of a take is known up front, so this module generates
-entire takes as one array program:
+A walk is sequential — hop ``k+1`` needs hop ``k``'s position — but its
+RNG demand is known up front (``per_hop * hops`` uniforms), so
+:class:`WalkKernel` generates it as one array program:
 
-* **one fused RNG draw per take** — ``rng.random(n)`` for the exact
-  number of uniforms the stepwise path would consume across all of its
-  per-segment draws.  For numpy's ``Generator`` (PCG64),
-  ``rng.random(a)`` followed by ``rng.random(b)`` produces bit-for-bit
-  the same doubles as ``rng.random(a + b)`` and leaves the stream in
-  the same state, so fusing the draws is *exact*, not approximate;
+* **fused RNG draws** — ``rng.random(n)`` for exactly the uniforms the
+  walk consumes.  For numpy's ``Generator`` (PCG64), ``rng.random(a)``
+  followed by ``rng.random(b)`` produces bit-for-bit the same doubles
+  as ``rng.random(a + b)`` and leaves the stream in the same state, so
+  a walk draws in fixed-size chunks without changing a single hop, and
+  ``take(a); take(b)`` is bit-identical to ``take(a + b)``;
 * **precomputed neighbor tables** — per-peer neighbor lists and a
   degree list materialized once per :class:`~repro.network.topology.
   Topology` and memoized in a :class:`weakref.WeakKeyDictionary`
   alongside the spectral profile cache.  A churn epoch freezes a *new*
   topology object, so epoch invalidation is automatic;
 * **jump-thinning as a stride** — selections are emitted every
-  ``jump``-th visit of the fused hop loop instead of re-entering the
-  segment machinery per selection.
+  ``jump``-th visit of the hop loop; a bare segment and a full trace
+  are the same loop with stride ``hops`` and stride 1.
 
 Neighbor *choice* stays ``int(r * degree)`` — for uniform proposals
 the alias method degenerates to direct indexing (every column of the
@@ -29,28 +25,21 @@ alias table keeps probability 1), so the table would only add a
 memory indirection.  :class:`AliasTable` (Vose's O(n) construction,
 O(1) per draw) is used where the distribution is genuinely non-uniform:
 drawing i.i.d. peers from a variant's *stationary* law
-(:func:`stationary_alias`), the oracle the convergence and parity
-suites sample against.  See ``docs/performance.md`` for the full
-construction and the fallback matrix.
+(:func:`stationary_alias`), the oracle the convergence suites sample
+against.  See ``docs/performance.md``.
 
-Bit-parity contract
--------------------
-
-Kernel takes must be bit-identical to the stepwise walker: same
-selected peers, same hop counts, same RNG stream position afterwards.
-That holds only while every constituent stepwise segment fits in one
-RNG block (``per_hop * hops <= 8192``) — a larger segment refills
-mid-loop and *discards the tail* of its final block, which a fused
-draw cannot reproduce.  :class:`~repro.network.walker.RandomWalker`
-checks this (and the other fallback conditions) before handing a
-kernel to the cursor; the kernel itself assumes eligibility.
+There is one loop per variant and no second implementation in ``src/``;
+the segment-by-segment reference lives in ``tests/walk_oracle.py`` and
+``tests/test_walk_kernel.py`` pins selections, hop counts and RNG
+stream position against it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import weakref
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -160,8 +149,8 @@ class KernelTables:
     """Plain-python adjacency of one topology, shaped for the hot loop.
 
     ``neighbors[p]`` is peer ``p``'s neighbor list in CSR order (so
-    ``neighbors[p][k] == indices[indptr[p] + k]`` — the exact element
-    the stepwise walker would index) and ``degrees[p]`` its length.
+    ``neighbors[p][k] == indices[indptr[p] + k]``) and ``degrees[p]``
+    its length.
     Scalar indexing of nested python lists beats both numpy scalar
     indexing and flat-list ``indptr`` arithmetic on this loop.
 
@@ -169,9 +158,8 @@ class KernelTables:
     uniform, and CPython's float-float multiply is measurably faster
     than float-int while producing the identical double (int-to-double
     conversion is exact for any degree below 2**53, and that conversion
-    is exactly what the stepwise walker's mixed-type multiply performs
-    anyway).  Comparisons against these degrees are exact for the same
-    reason.
+    is exactly what a float-int multiply performs anyway).  Comparisons
+    against these degrees are exact for the same reason.
     """
 
     neighbors: List[List[int]]
@@ -277,93 +265,72 @@ def stationary_alias(topology: Topology, variant: str) -> AliasTable:
 
 
 # ---------------------------------------------------------------------------
-# Fused take loops (one per variant; bit-identical to _walk_segment)
+# Fused hop loops (one per variant — the only code that advances a walk)
 # ---------------------------------------------------------------------------
 #
-# Each loop iterates the fused uniforms directly (``for r in randoms``
+# Each loop iterates one chunk of uniforms directly (``for r in randoms``
 # is the cheapest sequential access CPython offers — measurably faster
 # than a bound ``__next__``) and implements jump-thinning as a countdown
 # stride: ``left`` hops remain until the next selection, reset to
-# ``jump`` after each.  The per-hop arithmetic replicates the stepwise
-# segment token for token — the float expressions are load-bearing,
-# e.g. lazy's ``(r - 0.5) * 2.0`` cannot be rewritten without moving
-# int() cutoffs by an ulp.  The fused draw is sized so the uniforms run
-# out exactly at the ``count``-th selection.
+# ``jump`` after each.  ``(current, left)`` is returned so the next chunk
+# resumes mid-stride.  The float expressions are load-bearing, e.g.
+# lazy's ``(r - 0.5) * 2.0`` cannot be rewritten without moving int()
+# cutoffs by an ulp (``tests/walk_oracle.py`` is the reference).
+
+_Emit = Callable[[int], None]
+_HopLoop = Callable[
+    [List[List[int]], List[float], List[float], int, int, int, _Emit],
+    Tuple[int, int],
+]
 
 
-def _start_stride(
-    selected: List[int], current: int, jump: int, first: bool, burn_in: int
-) -> int:
-    """Initial countdown; emits the immediate selection when due."""
-    if first:
-        if burn_in == 0:
-            # Post-burn-in position is the first selection; with no
-            # burn-in that is the start itself, before any hop.
-            selected.append(current)
-            return jump
-        return burn_in
-    return jump
-
-
-def _take_simple(
+def _hops_simple(
     nbrs: List[List[int]],
     degs: List[float],
     randoms: List[float],
     current: int,
-    count: int,
+    left: int,
     jump: int,
-    first: bool,
-    burn_in: int,
-) -> List[int]:
-    selected: List[int] = []
-    append = selected.append
-    left = _start_stride(selected, current, jump, first, burn_in)
+    emit: _Emit,
+) -> Tuple[int, int]:
     for r in randoms:
         current = nbrs[current][int(r * degs[current])]
         left -= 1
         if not left:
-            append(current)
+            emit(current)
             left = jump
-    return selected
+    return current, left
 
 
-def _take_lazy(
+def _hops_lazy(
     nbrs: List[List[int]],
     degs: List[float],
     randoms: List[float],
     current: int,
-    count: int,
+    left: int,
     jump: int,
-    first: bool,
-    burn_in: int,
-) -> List[int]:
-    selected: List[int] = []
-    append = selected.append
-    left = _start_stride(selected, current, jump, first, burn_in)
+    emit: _Emit,
+) -> Tuple[int, int]:
     for r in randoms:
         if r >= 0.5:
             r = (r - 0.5) * 2.0
             current = nbrs[current][int(r * degs[current])]
         left -= 1
         if not left:
-            append(current)
+            emit(current)
             left = jump
-    return selected
+    return current, left
 
 
-def _take_inclusive(
+def _hops_inclusive(
     nbrs: List[List[int]],
     degs: List[float],
     randoms: List[float],
     current: int,
-    count: int,
+    left: int,
     jump: int,
-    first: bool,
-    burn_in: int,
-) -> List[int]:
-    selected: List[int] = []
-    append = selected.append
-    left = _start_stride(selected, current, jump, first, burn_in)
+    emit: _Emit,
+) -> Tuple[int, int]:
     for r in randoms:
         degree = degs[current]
         pick = int(r * (degree + 1))
@@ -371,57 +338,51 @@ def _take_inclusive(
             current = nbrs[current][pick]
         left -= 1
         if not left:
-            append(current)
+            emit(current)
             left = jump
-    return selected
+    return current, left
 
 
-def _take_metropolis(
+def _hops_metropolis(
     nbrs: List[List[int]],
     degs: List[float],
     randoms: List[float],
     current: int,
-    count: int,
+    left: int,
     jump: int,
-    first: bool,
-    burn_in: int,
-) -> List[int]:
-    selected: List[int] = []
-    append = selected.append
-    left = _start_stride(selected, current, jump, first, burn_in)
+    emit: _Emit,
+) -> Tuple[int, int]:
     pairs = iter(randoms)
     for r in pairs:
         accept = next(pairs)
         degree = degs[current]
         proposal = nbrs[current][int(r * degree)]
+        # Accept with min(1, deg(u)/deg(v)): uniform target.
         if accept * degs[proposal] < degree:
             current = proposal
         left -= 1
         if not left:
-            append(current)
+            emit(current)
             left = jump
-    return selected
+    return current, left
 
 
-def _take_weighted(
+def _hops_weighted(
+    weights: List[float],
     nbrs: List[List[int]],
     degs: List[float],
-    weights: List[float],
     randoms: List[float],
     current: int,
-    count: int,
+    left: int,
     jump: int,
-    first: bool,
-    burn_in: int,
-) -> List[int]:
-    selected: List[int] = []
-    append = selected.append
-    left = _start_stride(selected, current, jump, first, burn_in)
+    emit: _Emit,
+) -> Tuple[int, int]:
     pairs = iter(randoms)
     for r in pairs:
         accept = next(pairs)
         degree = degs[current]
         proposal = nbrs[current][int(r * degree)]
+        # accept iff u < (w_v * deg_u) / (w_u * deg_v)
         if (
             accept * weights[current] * degs[proposal]
             < weights[proposal] * degree
@@ -429,20 +390,40 @@ def _take_weighted(
             current = proposal
         left -= 1
         if not left:
-            append(current)
+            emit(current)
             left = jump
-    return selected
+    return current, left
+
+
+_HOP_LOOPS: Dict[str, _HopLoop] = {
+    "simple": _hops_simple,
+    "lazy": _hops_lazy,
+    "self-inclusive": _hops_inclusive,
+    "metropolis-uniform": _hops_metropolis,
+}
+
+# Uniforms per RNG draw.  A constant, not an option: splitting a draw
+# never changes the stream, it only bounds the float list a long walk
+# holds at once.  Even, so a Metropolis (propose, accept) pair never
+# straddles two draws.
+_CHUNK = 1 << 16
+
+
+def _discard(peer: int) -> None:
+    """Selection sink of a bare segment."""
 
 
 class WalkKernel:
-    """Fused-draw take generation for one walker's RNG stream.
+    """Every hop of one walker's RNG stream.
 
-    Built by :meth:`~repro.network.walker.RandomWalker.cursor` once
-    eligibility is established; :meth:`take` replaces the cursor's
-    segment-by-segment stepping with one RNG draw and one tight loop,
-    returning exactly the selections (and hop count) the stepwise path
-    would produce while leaving the shared ``rng`` at exactly the same
-    stream position.
+    A walk of ``hops`` hops draws exactly ``per_hop * hops`` uniforms
+    — as one ``rng.random`` call when they fit in a chunk, in
+    fixed-size chunks otherwise — and runs them through the variant's
+    fused loop.  :meth:`take` is the sampling walk (burn-in, then every
+    ``jump``-th visit), :meth:`advance` a bare segment and
+    :meth:`trace` every visit; all three are the same loop with a
+    different stride.  Passing ``weights`` selects the weighted
+    Metropolis–Hastings accept rule (``variant`` is then unused).
     """
 
     def __init__(
@@ -458,26 +439,36 @@ class WalkKernel:
             raise ConfigurationError("kernel needs jump >= 1, burn_in >= 0")
         self._tables = tables
         self._rng = rng
-        self._variant = variant
         self._jump = jump
         self._burn_in = burn_in
-        self._weights = weights
-        if weights is None:
-            if variant == "metropolis-uniform":
-                self._per_hop = 2
-            elif variant in ("simple", "lazy", "self-inclusive"):
-                self._per_hop = 1
-            else:
-                raise ConfigurationError(
-                    f"unknown walk variant {variant!r}"
-                )
+        if weights is not None:
+            self._loop: _HopLoop = functools.partial(_hops_weighted, weights)
+            self._per_hop = 2  # uniforms per hop: propose + accept
+        elif variant in _HOP_LOOPS:
+            self._loop = _HOP_LOOPS[variant]
+            self._per_hop = 2 if variant == "metropolis-uniform" else 1
         else:
-            self._per_hop = 2  # weighted Metropolis: propose + accept
+            raise ConfigurationError(f"unknown walk variant {variant!r}")
 
-    @property
-    def per_hop(self) -> int:
-        """Uniforms consumed per hop (2 for Metropolis accept steps)."""
-        return self._per_hop
+    def _run(
+        self, current: int, left: int, jump: int, hops: int, emit: _Emit
+    ) -> int:
+        """Walk ``hops`` hops from ``current``; returns the endpoint.
+
+        ``emit`` receives the peer reached when the ``left`` countdown
+        hits zero and every ``jump`` hops after that.
+        """
+        nbrs = self._tables.neighbors
+        degs = self._tables.degrees
+        remaining = self._per_hop * hops
+        while remaining:
+            size = min(remaining, _CHUNK)
+            remaining -= size
+            randoms = self._rng.random(size).tolist()
+            current, left = self._loop(
+                nbrs, degs, randoms, current, left, jump, emit
+            )
+        return current
 
     def take(
         self, current: int, count: int, first: bool
@@ -486,34 +477,35 @@ class WalkKernel:
         burn-in and the post-burn-in pending selection.
 
         Returns ``(selected, hops)``.  ``count`` must be >= 1 (the
-        cursor short-circuits empty takes before the kernel).
+        cursor short-circuits empty takes before the kernel).  The
+        uniforms run out exactly at the ``count``-th selection.
         """
         if count < 1:
             raise ConfigurationError("kernel take needs count >= 1")
         jump = self._jump
-        burn_in = self._burn_in if first else 0
-        segments = count - 1 if first else count
-        hops = burn_in + segments * jump
-        total = self._per_hop * hops
-        randoms = self._rng.random(total).tolist() if total else []
-        if self._weights is not None:
-            selected = _take_weighted(
-                self._tables.neighbors, self._tables.degrees,
-                self._weights, randoms, current, count, jump,
-                first, burn_in,
-            )
+        selected: List[int] = []
+        if not first:
+            left, hops = jump, count * jump
+        elif self._burn_in:
+            left, hops = self._burn_in, self._burn_in + (count - 1) * jump
         else:
-            loop = _TAKE_LOOPS[self._variant]
-            selected = loop(
-                self._tables.neighbors, self._tables.degrees,
-                randoms, current, count, jump, first, burn_in,
-            )
+            # Post-burn-in position is the first selection; with no
+            # burn-in that is the start itself, before any hop.
+            selected.append(current)
+            left, hops = jump, (count - 1) * jump
+        self._run(current, left, jump, hops, selected.append)
         return selected, hops
 
+    def advance(self, current: int, hops: int) -> int:
+        """The position ``hops`` hops from ``current`` (no selections).
 
-_TAKE_LOOPS = {
-    "simple": _take_simple,
-    "lazy": _take_lazy,
-    "self-inclusive": _take_inclusive,
-    "metropolis-uniform": _take_metropolis,
-}
+        A zero-hop segment consumes no randomness.
+        """
+        return self._run(current, hops, hops, hops, _discard)
+
+    def trace(self, current: int, hops: int) -> List[int]:
+        """``current`` and every peer visited in ``hops`` hops."""
+        visited = [current]
+        self._run(current, 1, 1, hops, visited.append)
+        return visited
+

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -82,8 +83,6 @@ __all__ = [
 ]
 
 _VARIANTS = ("simple", "lazy", "self-inclusive", "metropolis-uniform")
-_KERNELS = ("auto", "stepwise", "vectorized")
-_RANDOM_BLOCK = 8192
 
 
 def _emit_walk(result: WalkResult) -> WalkResult:
@@ -121,21 +120,12 @@ class RandomWalkConfig:
         Peers may be selected multiple times (sampling with
         replacement).  The paper's derivations assume replacement;
         disabling it is available for ablations.
-    kernel:
-        Walk-generation strategy.  ``"auto"`` (default) uses the
-        vectorized kernel whenever it is bit-identical to stepwise
-        stepping and falls back silently otherwise; ``"stepwise"``
-        forces the per-segment loop; ``"vectorized"`` forces the
-        kernel and raises :class:`ConfigurationError` when the
-        configuration is ineligible (see
-        :meth:`RandomWalker.kernel_ineligibility`).
     """
 
     jump: int = 10
     burn_in: Optional[int] = None
     variant: str = "simple"
     allow_revisits: bool = True
-    kernel: str = "auto"
 
     def __post_init__(self) -> None:
         if self.jump < 0:
@@ -145,10 +135,6 @@ class RandomWalkConfig:
         if self.variant not in _VARIANTS:
             raise ConfigurationError(
                 f"variant must be one of {_VARIANTS}, got {self.variant!r}"
-            )
-        if self.kernel not in _KERNELS:
-            raise ConfigurationError(
-                f"kernel must be one of {_KERNELS}, got {self.kernel!r}"
             )
 
     @property
@@ -212,20 +198,14 @@ class WalkCursor:
     """
 
     def __init__(
-        self,
-        start: int,
-        segment: Callable[[int, int], int],
-        config: RandomWalkConfig,
-        kernel: Optional[WalkKernel] = None,
+        self, start: int, kernel: WalkKernel, config: RandomWalkConfig
     ):
         self._start = start
-        self._segment = segment
-        self._config = config
         self._kernel = kernel
+        self._config = config
         self._current = start
         self._seen: Set[int] = set()
         self._started = False
-        self._pending_selection = False
         self._total_hops = 0
         self._total_selected = 0
 
@@ -267,86 +247,62 @@ class WalkCursor:
                     start=self._start,
                 )
             )
-        if self._kernel is not None:
-            return self._take_vectorized(count)
-        return self._take(count)
-
-    def _take(self, count: int) -> WalkResult:
-        """Stepwise take: advance segment by segment (scalar path)."""
-        jump = self._config.effective_jump
-        hops = 0
-        budget_base = 0
-        if not self._started:
-            burn_in = self._config.effective_burn_in
-            if burn_in:
-                self._current = self._segment(self._start, burn_in)
-            hops = burn_in
-            budget_base = burn_in
+        if self._config.allow_revisits:
+            selected, hops = self._kernel.take(
+                self._current, count, not self._started
+            )
             self._started = True
-            self._pending_selection = True  # post-burn-in position counts
+            self._current = selected[-1]
+        else:
+            selected, hops = self._take_distinct(count)
+        self._total_hops += hops
+        self._total_selected += count
+        return _emit_walk(
+            WalkResult(
+                peers=np.asarray(selected, dtype=np.int64),
+                hops=hops,
+                start=self._start,
+            )
+        )
+
+    def _take_distinct(self, count: int) -> Tuple[List[int], int]:
+        """The same walk taken one selection at a time, keeping only
+        peers no earlier selection of this cursor returned."""
+        jump = self._config.effective_jump
+        burn_in = 0 if self._started else self._config.effective_burn_in
+        hop_budget = burn_in + 1000 * jump * count + 10_000
         selected: List[int] = []
-        hop_budget = budget_base + 1000 * jump * max(count, 1) + 10_000
+        hops = 0
         while len(selected) < count:
-            if not self._pending_selection:
-                self._current = self._segment(self._current, jump)
-                hops += jump
-            self._pending_selection = False
-            if self._config.allow_revisits or self._current not in self._seen:
-                selected.append(self._current)
-                self._seen.add(self._current)
+            (peer,), segment_hops = self._kernel.take(
+                self._current, 1, not self._started
+            )
+            self._started = True
+            self._current = peer
+            hops += segment_hops
+            if peer not in self._seen:
+                selected.append(peer)
+                self._seen.add(peer)
             elif hops > hop_budget:
                 raise TopologyError(
                     f"walk could not find {count} distinct peers within "
                     f"{hop_budget} hops (graph too small?)"
                 )
-        self._total_hops += hops
-        self._total_selected += count
-        return _emit_walk(
-            WalkResult(
-                peers=np.asarray(selected, dtype=np.int64),
-                hops=hops,
-                start=self._start,
-            )
-        )
-
-    def _take_vectorized(self, count: int) -> WalkResult:
-        """Kernel take: one fused RNG draw, bit-identical to `_take`.
-
-        The walker establishes eligibility *before* handing a kernel
-        to the cursor (``allow_revisits`` on, segments within one RNG
-        block, stock stepping), so this path never consults the seen
-        set or the hop budget — the stepwise path provably would not
-        have either.
-        """
-        assert self._kernel is not None
-        first = not self._started
-        selected, hops = self._kernel.take(self._current, count, first)
-        self._started = True
-        self._pending_selection = False
-        self._current = selected[-1]
-        if not self._config.allow_revisits:  # pragma: no cover - guarded
-            self._seen.update(selected)
-        self._total_hops += hops
-        self._total_selected += count
-        return _emit_walk(
-            WalkResult(
-                peers=np.asarray(selected, dtype=np.int64),
-                hops=hops,
-                start=self._start,
-            )
-        )
+        return selected, hops
 
 
 class RandomWalker:
     """Runs random walks over a frozen :class:`Topology`.
 
-    Stepping reads the plain-python adjacency memoized per topology by
-    :func:`~repro.network.walk_kernel.kernel_tables` (scalar indexing
-    of python lists is several times faster than numpy scalar
-    indexing, and the walk is inherently sequential).  The tables are
-    looked up on the first hop, not at construction, so building a
-    walker costs nothing proportional to the graph.
+    Every hop — sampling takes, bare segments, traces — is generated
+    by one :class:`~repro.network.walk_kernel.WalkKernel` sharing this
+    walker's RNG.  The kernel (and the per-topology adjacency tables it
+    reads) is looked up on the first hop, not at construction, so
+    building a walker costs nothing proportional to the graph.
     """
+
+    #: Per-peer target weights; set by :class:`WeightedMetropolisWalker`.
+    _weights: Optional[List[float]] = None
 
     def __init__(
         self,
@@ -391,80 +347,19 @@ class RandomWalker:
         return float(self.stationary_probabilities()[peer])
 
     # ------------------------------------------------------------------
-    # Vectorized kernel eligibility
+    # Core stepping
     # ------------------------------------------------------------------
 
-    def _kernel_per_hop(self) -> int:
-        """Uniforms the stepwise segment consumes per hop."""
-        return 2 if self._config.variant == "metropolis-uniform" else 1
-
-    def _stock_stepping(self) -> bool:
-        """Whether stepping is the stock ``RandomWalker`` segment."""
-        if "_walk_segment" in self.__dict__:  # instance monkey-patch
-            return False
-        # reprolint: disable=RL002 -- method-identity probe, no bypass
-        stock = RandomWalker._walk_segment
-        return type(self)._walk_segment is stock
-
-    def kernel_ineligibility(self) -> Optional[str]:
-        """Why the vectorized kernel cannot be used, or ``None``.
-
-        The kernel is bit-identical to stepwise stepping only when:
-
-        * revisits are allowed — distinct-peer mode interleaves hop
-          generation with the seen-set filter and the hop budget,
-          which cannot be sized up front;
-        * every stepwise segment fits in one RNG block
-          (``per_hop * hops <= 8192``) — a longer segment refills
-          mid-loop and discards the tail of its final block, which a
-          fused draw cannot reproduce;
-        * stepping is the stock segment — a subclass or monkey-patched
-          ``_walk_segment`` carries semantics the kernel does not know.
-        """
-        if not self._config.allow_revisits:
-            return "distinct-peer mode needs the per-hop seen-set filter"
-        per_hop = self._kernel_per_hop()
-        if per_hop * self._config.effective_jump > _RANDOM_BLOCK:
-            return (
-                f"jump segment needs more than {_RANDOM_BLOCK} randoms; "
-                "stepwise block refills are not reproducible"
-            )
-        if per_hop * self._config.effective_burn_in > _RANDOM_BLOCK:
-            return (
-                f"burn-in segment needs more than {_RANDOM_BLOCK} randoms; "
-                "stepwise block refills are not reproducible"
-            )
-        if not self._stock_stepping():
-            return "custom _walk_segment stepping cannot be batched"
-        return None
-
-    def _make_kernel(self) -> WalkKernel:
-        """Build the fused-draw kernel sharing this walker's RNG."""
+    @functools.cached_property
+    def _kernel(self) -> WalkKernel:
         return WalkKernel(
             tables=kernel_tables(self._topology),
             rng=self._rng,
             variant=self._config.variant,
             jump=self._config.effective_jump,
             burn_in=self._config.effective_burn_in,
+            weights=self._weights,
         )
-
-    def _vectorized_kernel(self) -> Optional[WalkKernel]:
-        """The kernel the cursor should use, honoring ``config.kernel``."""
-        mode = self._config.kernel
-        if mode == "stepwise":
-            return None
-        reason = self.kernel_ineligibility()
-        if reason is not None:
-            if mode == "vectorized":
-                raise ConfigurationError(
-                    f"kernel='vectorized' is not available: {reason}"
-                )
-            return None  # auto: silent stepwise fallback
-        return self._make_kernel()
-
-    # ------------------------------------------------------------------
-    # Core stepping
-    # ------------------------------------------------------------------
 
     def _check_start(self, start: int) -> None:
         if not 0 <= start < self._topology.num_peers:
@@ -477,50 +372,7 @@ class RandomWalker:
     def step(self, current: int) -> int:
         """Advance one hop from ``current`` and return the next peer."""
         self._check_start(current)
-        return self._walk_segment(current, 1)
-
-    def _walk_segment(self, current: int, hops: int) -> int:
-        """Advance ``hops`` hops from ``current``; returns the endpoint."""
-        tables = kernel_tables(self._topology)
-        nbrs = tables.neighbors
-        degs = tables.degrees
-        variant = self._config.variant
-        lazy = variant == "lazy"
-        inclusive = variant == "self-inclusive"
-        metropolis = variant == "metropolis-uniform"
-        rng = self._rng
-        # Metropolis consumes two randoms per hop (propose + accept).
-        per_hop = 2 if metropolis else 1
-        randoms = rng.random(
-            min(_RANDOM_BLOCK, max(per_hop * hops, 1))
-        ).tolist()
-        cursor = 0
-        for _ in range(hops):
-            if cursor + per_hop > len(randoms):
-                randoms = rng.random(_RANDOM_BLOCK).tolist()
-                cursor = 0
-            r = randoms[cursor]
-            cursor += 1
-            degree = degs[current]
-            if lazy:
-                if r < 0.5:
-                    continue
-                r = (r - 0.5) * 2.0
-                current = nbrs[current][int(r * degree)]
-            elif inclusive:
-                pick = int(r * (degree + 1))
-                if pick < degree:
-                    current = nbrs[current][pick]
-            elif metropolis:
-                proposal = nbrs[current][int(r * degree)]
-                accept = randoms[cursor]
-                cursor += 1
-                # Accept with min(1, deg(u)/deg(v)): uniform target.
-                if accept * degs[proposal] < degree:
-                    current = proposal
-            else:
-                current = nbrs[current][int(r * degree)]
-        return current
+        return self._kernel.advance(current, 1)
 
     # ------------------------------------------------------------------
     # Public walks
@@ -535,13 +387,7 @@ class RandomWalker:
         self._check_start(start)
         if hops < 0:
             raise ConfigurationError("hops must be >= 0")
-        out = np.empty(hops + 1, dtype=np.int64)
-        out[0] = start
-        current = start
-        for i in range(hops):
-            current = self._walk_segment(current, 1)
-            out[i + 1] = current
-        return out
+        return np.asarray(self._kernel.trace(start, hops), dtype=np.int64)
 
     def cursor(self, start: int) -> WalkCursor:
         """A resumable sampling walk from ``start``.
@@ -550,20 +396,9 @@ class RandomWalker:
         while consuming this walker's RNG exactly as one
         :meth:`sample_peers` call for the combined count would, so
         chunked collection is bit-identical to single-shot collection.
-        The stepping capability is handed to the cursor as a bound
-        method, so it works unchanged for subclasses with different
-        kernels (e.g. :class:`WeightedMetropolisWalker`).  When the
-        configuration is kernel-eligible, the cursor additionally
-        receives a fused-draw :class:`WalkKernel` and generates whole
-        takes vectorized — bit-identically, sharing the same RNG.
         """
         self._check_start(start)
-        return WalkCursor(
-            start=start,
-            segment=self._walk_segment,
-            config=self._config,
-            kernel=self._vectorized_kernel(),
-        )
+        return WalkCursor(start, self._kernel, self._config)
 
     def sample_peers(self, start: int, count: int) -> WalkResult:
         """Select ``count`` peers by walking with the configured jump.
@@ -582,7 +417,7 @@ class RandomWalker:
         self._check_start(start)
         if hops < 0:
             raise ConfigurationError("hops must be >= 0")
-        return self._walk_segment(start, hops)
+        return self._kernel.advance(start, hops)
 
     def empirical_distribution(
         self, start: int, walks: int, hops: int
@@ -630,7 +465,7 @@ class WeightedMetropolisWalker(RandomWalker):
         seed: SeedLike = None,
     ):
         config = config or RandomWalkConfig()
-        # The variant string is ignored by this walker's stepping; pin
+        # The kernel steps by the weights, not the variant string; pin
         # it so stationary_probabilities below is authoritative.
         super().__init__(
             topology,
@@ -645,7 +480,7 @@ class WeightedMetropolisWalker(RandomWalker):
             )
         if np.any(weights <= 0) or not np.all(np.isfinite(weights)):
             raise ConfigurationError("weights must be positive and finite")
-        self._weights: List[float] = weights.tolist()
+        self._weights = weights.tolist()
         self._weight_total = float(weights.sum())
 
     @property
@@ -656,53 +491,6 @@ class WeightedMetropolisWalker(RandomWalker):
     def stationary_probabilities(self) -> np.ndarray:
         """``w(p) / sum(w)`` — the walk's exact stationary law."""
         return np.asarray(self._weights) / self._weight_total
-
-    def _kernel_per_hop(self) -> int:
-        return 2  # propose + accept
-
-    def _stock_stepping(self) -> bool:
-        if "_walk_segment" in self.__dict__:  # instance monkey-patch
-            return False
-        # reprolint: disable=RL002 -- method-identity probe, no bypass
-        stock = WeightedMetropolisWalker._walk_segment
-        return type(self)._walk_segment is stock
-
-    def _make_kernel(self) -> WalkKernel:
-        return WalkKernel(
-            tables=kernel_tables(self._topology),
-            rng=self._rng,
-            variant=self._config.variant,
-            jump=self._config.effective_jump,
-            burn_in=self._config.effective_burn_in,
-            weights=self._weights,
-        )
-
-    def _walk_segment(self, current: int, hops: int) -> int:
-        tables = kernel_tables(self._topology)
-        nbrs = tables.neighbors
-        degs = tables.degrees
-        weights = self._weights
-        rng = self._rng
-        randoms = rng.random(
-            min(_RANDOM_BLOCK, max(2 * hops, 2))
-        ).tolist()
-        cursor = 0
-        for _ in range(hops):
-            if cursor + 2 > len(randoms):
-                randoms = rng.random(_RANDOM_BLOCK).tolist()
-                cursor = 0
-            r = randoms[cursor]
-            accept = randoms[cursor + 1]
-            cursor += 2
-            degree = degs[current]
-            proposal = nbrs[current][int(r * degree)]
-            # accept iff u < (w_v * deg_u) / (w_u * deg_v)
-            if (
-                accept * weights[current] * degs[proposal]
-                < weights[proposal] * degree
-            ):
-                current = proposal
-        return current
 
 
 # ---------------------------------------------------------------------------

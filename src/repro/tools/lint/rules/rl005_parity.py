@@ -1,18 +1,16 @@
 """RL005 — batch/scalar parity.
 
-The vectorized fast paths promise *bit-for-bit* agreement with their
+The batch fast paths promise *bit-for-bit* agreement with their
 per-peer loops.  That promise only means something while (a) the scalar
 counterpart still exists to compare against and (b) the equivalence
-suite actually exercises the vectorized entry point.  This
-project-wide rule checks, for every ``*_batch`` and ``*_vectorized``
-function defined under ``src/``:
+suite actually exercises the batch entry point.  This project-wide
+rule checks, for every ``*_batch`` function defined under ``src/``:
 
 * a sibling of the same name minus the suffix is defined in the same
   class (for methods) or module (for free functions);
-* the suffixed name is referenced from the suffix's equivalence suite
-  — ``tests/test_batch_equivalence.py`` for ``*_batch``,
-  ``tests/test_walk_kernel.py`` for ``*_vectorized`` (skipped when
-  that suite is not part of the lint run, e.g. ``lint src`` alone).
+* the suffixed name is referenced from
+  ``tests/test_batch_equivalence.py`` (skipped when that suite is not
+  part of the lint run, e.g. ``lint src`` alone).
 
 Runs entirely from module summaries (definitions + referenced-name
 sets), so a cached file never needs re-parsing to keep parity checked.
@@ -20,7 +18,7 @@ sets), so a cached file never needs re-parsing to keep parity checked.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterator, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, Set, Tuple
 
 from ..diagnostics import Diagnostic
 from .base import AnalysisRule
@@ -33,35 +31,28 @@ __all__ = [
     "BatchParityRule",
 ]
 
-#: suffix -> the test module that must exercise functions carrying it.
-_PARITY_SUITES = {
-    "_batch": "tests/test_batch_equivalence.py",
-    "_vectorized": "tests/test_walk_kernel.py",
-}
+_SUFFIX = "_batch"
+#: The test module that must exercise every function carrying it.
+_PARITY_SUITE = "tests/test_batch_equivalence.py"
 
 
 class BatchParityRule(AnalysisRule):
     code = "RL005"
     name = "batch-parity"
     description = (
-        "every *_batch / *_vectorized function needs a scalar "
-        "counterpart and coverage in its equivalence suite"
+        "every *_batch function needs a scalar counterpart and "
+        "coverage in the equivalence suite"
     )
 
     def check(self, analysis: "ProjectAnalysis") -> Iterator[Diagnostic]:
-        # Per-suffix: is the suite part of this run, and which names
-        # does it reference?
-        suites_in_run: Dict[str, bool] = {}
-        covered: Dict[str, Set[str]] = {}
-        for suffix, suite in _PARITY_SUITES.items():
-            names: Set[str] = set()
-            present = False
-            for relpath, module in analysis.modules.items():
-                if relpath.endswith(suite):
-                    present = True
-                    names |= set(module.referenced_names)
-            suites_in_run[suffix] = present
-            covered[suffix] = names
+        # Is the suite part of this run, and which names does it
+        # reference?
+        suite_in_run = False
+        covered: Set[str] = set()
+        for relpath, module in analysis.modules.items():
+            if relpath.endswith(_PARITY_SUITE):
+                suite_in_run = True
+                covered |= set(module.referenced_names)
 
         for relpath in sorted(analysis.modules):
             module = analysis.module(relpath)
@@ -77,30 +68,21 @@ class BatchParityRule(AnalysisRule):
             for (scope, name), function in sorted(
                 definitions.items(), key=lambda item: item[1].lineno
             ):
-                suffix: Optional[str] = next(
-                    (
-                        candidate
-                        for candidate in _PARITY_SUITES
-                        if name.endswith(candidate)
-                    ),
-                    None,
-                )
-                if suffix is None:
+                if not name.endswith(_SUFFIX):
                     continue
-                kind = suffix[1:]  # "batch" / "vectorized"
-                scalar = name[: -len(suffix)]
+                scalar = name[: -len(_SUFFIX)]
                 if not scalar or (scope, scalar) not in definitions:
                     where = f"class '{scope}'" if scope else "this module"
                     yield self.finding(
                         relpath, function.lineno, function.col,
-                        f"{kind} function '{name}' has no scalar "
+                        f"batch function '{name}' has no scalar "
                         f"counterpart '{scalar}' in {where}; the "
                         "bit-identical contract has nothing to compare "
                         "against",
                     )
-                if suites_in_run[suffix] and name not in covered[suffix]:
+                if suite_in_run and name not in covered:
                     yield self.finding(
                         relpath, function.lineno, function.col,
-                        f"{kind} function '{name}' is not exercised by "
-                        f"{_PARITY_SUITES[suffix]}",
+                        f"batch function '{name}' is not exercised by "
+                        f"{_PARITY_SUITE}",
                     )

@@ -14,17 +14,3 @@ def visit(peer, ledger):
 def visit_batch(peers, ledger):
     # has a scalar twin, but the equivalence suite never touches it
     return [visit(peer, ledger) for peer in peers]
-
-
-def lift_vectorized(values):
-    # no scalar 'lift' exists anywhere in this module
-    return [value + 1 for value in values]
-
-
-def step(state):
-    return state + 1
-
-
-def step_vectorized(states):
-    # has a scalar twin, but the kernel parity suite never touches it
-    return [step(state) for state in states]

@@ -16,11 +16,3 @@ class Engine:
 
     def estimate_batch(self, peers):
         return [self.estimate(peer) for peer in peers]
-
-
-def take(state):
-    return state + 1
-
-
-def take_vectorized(states):
-    return [take(state) for state in states]

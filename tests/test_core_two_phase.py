@@ -1,5 +1,6 @@
 """Integration tests for the two-phase engine (the paper's algorithm)."""
 
+import json
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from repro.core.two_phase import (
     TwoPhaseEngine,
     drain_steps,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SamplingError
+from repro.obs import Tracer, tracing
 from repro.query.exact import evaluate_exact
 from repro.query.model import AggregateOp, AggregationQuery
 from repro.query.parser import parse_query
@@ -147,6 +149,37 @@ class TestExecution:
         assert result.estimate == pytest.approx(
             result.phase_two.estimate
         )
+
+    def test_avg_survives_a_matchless_phase_two(self, small_network):
+        """A phase-II sample of a few peers may see no matching tuple
+        while the pooled sample does.  Its per-phase estimate is a
+        diagnostic: it is reported as ``None``, it does not kill the
+        query — unless phase II alone is what the answer is built from."""
+        selective = parse_query(
+            "SELECT AVG(A) FROM T WHERE A BETWEEN 29 AND 30"
+        )
+        engine = TwoPhaseEngine(small_network.session(seed=4), seed=4)
+        tracer = Tracer()
+        with tracing(tracer):
+            result = engine.execute(selective, 0.1, sink=4)
+        assert result.phase_two is not None
+        assert result.phase_two.peers_visited > 0
+        assert result.phase_two.estimate is None
+        assert 29.0 <= result.estimate <= 30.0
+        phase_ends = [
+            event for event in map(json.loads, tracer.lines)
+            if event["kind"] == "phase" and event["status"] == "end"
+        ]
+        assert [(e["phase"], e["estimate"] is None) for e in phase_ends] == [
+            ("one", False), ("analysis", True), ("two", True),
+        ]
+        literal = TwoPhaseEngine(
+            small_network.session(seed=4),
+            config=TwoPhaseConfig(pool_phases=False),
+            seed=4,
+        )
+        with pytest.raises(SamplingError, match="AVG undefined"):
+            literal.execute(selective, 0.1, sink=4)
 
     def test_deterministic_given_seed(self, small_network):
         a = TwoPhaseEngine(small_network, seed=99).execute(

@@ -114,8 +114,8 @@ def test_rl004_findings():
 def test_rl005_findings():
     mapping = codes_by_file(run_lint(BAD))
     codes = mapping["bad/src/batching.py"]
-    # batch: no scalar twin + two unreferenced; vectorized: same trio.
-    assert codes.count("RL005") == 6
+    # no scalar twin + two unreferenced
+    assert codes.count("RL005") == 3
 
 
 def test_rl005_reference_check_needs_equivalence_suite_in_run():

@@ -1,15 +1,19 @@
-"""Vectorized walk kernel: bit-parity, fallback matrix, delta re-use.
+"""Walk kernel: bit-parity with the oracle, stream contract, delta re-use.
 
-The kernel's contract (``src/repro/network/walk_kernel.py``) is not
-"statistically equivalent" but *bit-identical*: for every eligible
-configuration the vectorized cursor must select the same peers, charge
-the same hops, and leave the shared RNG at the same stream position as
-the stepwise walker.  The property tests here drive both paths from
-identical seeds over random topologies, variants, strides and take
-chunkings and compare everything observable.  The delta re-estimation
-tests pin the churn-salvage semantics layered on top of the kernel.
+``src/repro/network/walk_kernel.py`` is the only code that advances a
+walk.  Its contract is not "statistically equivalent" but
+*bit-identical* to the segment-by-segment reference in
+``tests/walk_oracle.py`` (the product's former stepwise walker, moved
+there verbatim): same selected peers, same hop counts, same RNG stream
+position afterwards — for every variant, both revisit modes, any take
+chunking, and the bare ``step``/``trace``/``endpoint_after`` segments.
+The two places the product *intentionally* leaves the oracle's stream
+(oversize segments, zero-hop segments) are pinned in
+``TestFallbackMatrix``.  The delta re-estimation tests pin the
+churn-salvage semantics layered on top of the kernel.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -23,7 +27,7 @@ from repro.core.two_phase import TwoPhaseConfig, TwoPhaseEngine
 from repro.data.localdb import LocalDatabase
 from repro.errors import ConfigurationError, TopologyError
 from repro.network.churn import ChurnConfig
-from repro.network.faults import FaultPlan
+from repro.network.faults import FaultPlan, RegionalOutage
 from repro.network.generators import (
     power_law_topology,
     random_regular_topology,
@@ -40,13 +44,18 @@ from repro.network.walk_kernel import (
 from repro.network.walker import (
     RandomWalkConfig,
     RandomWalker,
-    WalkCursor,
+    RetryPolicy,
+    WalkResult,
     WeightedMetropolisWalker,
+    _emit_walk,
 )
 from repro.obs import Tracer, tracing
+from repro.obs.events import WalkEvent
 from repro.query.exact import evaluate_exact
 from repro.query.parser import parse_query
 from repro.service import QueryService
+
+from .walk_oracle import OracleWalker
 
 VARIANTS = ("simple", "lazy", "self-inclusive", "metropolis-uniform")
 
@@ -59,20 +68,43 @@ TOPOLOGIES = (
 SUM_ALL = parse_query("SELECT SUM(A) FROM T")
 
 
-def walker_pair(topology, variant, jump, burn_in, seed, start=0):
-    """Stepwise and vectorized walkers with identical RNG streams."""
-    walkers = []
-    for kernel in ("stepwise", "vectorized"):
-        config = RandomWalkConfig(
-            variant=variant, jump=jump, burn_in=burn_in, kernel=kernel
-        )
-        walkers.append(RandomWalker(topology, config, seed=seed))
-    return tuple(walkers)
+def walker_pair(
+    topology, variant, jump, burn_in, seed, allow_revisits=True, weights=None
+):
+    """The oracle and the product walker on identical RNG streams."""
+    config = RandomWalkConfig(
+        variant=variant,
+        jump=jump,
+        burn_in=burn_in,
+        allow_revisits=allow_revisits,
+    )
+    if weights is None:
+        walker = RandomWalker(topology, config, seed=seed)
+    else:
+        walker = WeightedMetropolisWalker(topology, weights, config, seed=seed)
+    return OracleWalker(topology, config, seed, weights=weights), walker
 
 
-def assert_stream_parity(stepwise, vectorized):
+def assert_stream_parity(oracle, walker):
     """Both RNGs must sit at the same stream position afterwards."""
-    assert stepwise._rng.random() == vectorized._rng.random()
+    assert oracle.rng.bit_generator.state == walker._rng.bit_generator.state
+
+
+def assert_take_parity(oracle_cursor, cursor, count):
+    """One take on both cursors: same peers, hops and position."""
+    peers, hops = oracle_cursor.take(count)
+    result = cursor.take(count)
+    assert result.peers.tolist() == peers
+    assert result.hops == hops
+    assert cursor.position == oracle_cursor.position
+    assert cursor.total_hops == oracle_cursor.total_hops
+
+
+def assert_uniforms_consumed(rng, seed, count):
+    """``rng`` has drawn exactly ``count`` doubles since ``seed``."""
+    expected = np.random.default_rng(seed)
+    expected.random(count)
+    assert rng.bit_generator.state == expected.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
@@ -208,175 +240,224 @@ class TestCursorParity:
         self, topology_index, variant, jump, burn_in, seed, chunks
     ):
         topology = TOPOLOGIES[topology_index]
-        stepwise, vectorized = walker_pair(
-            topology, variant, jump, burn_in, seed
-        )
+        oracle, walker = walker_pair(topology, variant, jump, burn_in, seed)
         start = seed % topology.num_peers
-        cursor_s = stepwise.cursor(start)
-        cursor_v = vectorized.cursor(start)
-        assert cursor_v._kernel is not None  # eligible by construction
+        oracle_cursor = oracle.cursor(start)
+        cursor = walker.cursor(start)
         for count in chunks:
-            result_s = cursor_s.take(count)
-            result_v = cursor_v.take(count)
-            np.testing.assert_array_equal(result_s.peers, result_v.peers)
-            assert result_s.hops == result_v.hops
-            assert cursor_s.position == cursor_v.position
-            assert cursor_s.total_hops == cursor_v.total_hops
-        assert_stream_parity(stepwise, vectorized)
+            assert_take_parity(oracle_cursor, cursor, count)
+        assert_stream_parity(oracle, walker)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("jump,burn_in", [(10, None), (1, 0), (3, 7), (0, 5), (2, 0)])
     def test_sample_peers_parity_across_strides(self, variant, jump, burn_in):
-        topology = TOPOLOGIES[0]
-        stepwise, vectorized = walker_pair(
-            topology, variant, jump, burn_in, seed=42
+        oracle, walker = walker_pair(
+            TOPOLOGIES[0], variant, jump, burn_in, seed=42
         )
-        result_s = stepwise.sample_peers(7, 25)
-        result_v = vectorized.sample_peers(7, 25)
-        np.testing.assert_array_equal(result_s.peers, result_v.peers)
-        assert result_s.hops == result_v.hops
-        assert_stream_parity(stepwise, vectorized)
+        peers, hops = oracle.sample_peers(7, 25)
+        result = walker.sample_peers(7, 25)
+        assert result.peers.tolist() == peers
+        assert result.hops == hops
+        assert_stream_parity(oracle, walker)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("jump,burn_in", [(10, None), (1, 0), (3, 7), (2, 0)])
+    def test_distinct_peer_mode_matches_the_oracle(
+        self, variant, jump, burn_in
+    ):
+        """Distinct-peer mode is the same loop taken one selection at a
+        time under the seen-set filter — chunked takes included."""
+        oracle, walker = walker_pair(
+            TOPOLOGIES[0], variant, jump, burn_in, seed=42,
+            allow_revisits=False,
+        )
+        oracle_cursor = oracle.cursor(7)
+        cursor = walker.cursor(7)
+        for count in (6, 0, 1, 11):
+            assert_take_parity(oracle_cursor, cursor, count)
+        assert len(set(oracle_cursor._seen)) == 18
+        assert_stream_parity(oracle, walker)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_distinct_peer_hop_budget_trips_like_the_oracle(self, variant):
+        """Five peers cannot yield six distinct selections: both sides
+        give up after the same hops, at the same stream position."""
+        oracle, walker = walker_pair(
+            TOPOLOGIES[2], variant, jump=1, burn_in=0, seed=9,
+            allow_revisits=False,
+        )
+        oracle_cursor = oracle.cursor(1)
+        cursor = walker.cursor(1)
+        assert_take_parity(oracle_cursor, cursor, 3)
+        with pytest.raises(TopologyError, match="distinct peers") as expected:
+            oracle_cursor.take(3)
+        with pytest.raises(TopologyError, match="distinct peers") as raised:
+            cursor.take(3)
+        assert str(raised.value) == str(expected.value)
+        assert_stream_parity(oracle, walker)
 
     def test_weighted_metropolis_parity(self):
         topology = TOPOLOGIES[0]
         weights = np.random.default_rng(19).uniform(
             0.5, 3.0, topology.num_peers
         )
-        walkers = []
-        for kernel in ("stepwise", "vectorized"):
-            config = RandomWalkConfig(jump=4, burn_in=6, kernel=kernel)
-            walkers.append(
-                WeightedMetropolisWalker(topology, weights, config, seed=8)
+        for allow_revisits in (True, False):
+            oracle, walker = walker_pair(
+                topology, "simple", jump=4, burn_in=6, seed=8,
+                allow_revisits=allow_revisits, weights=weights,
             )
-        stepwise, vectorized = walkers
-        result_s = stepwise.sample_peers(3, 40)
-        result_v = vectorized.sample_peers(3, 40)
-        np.testing.assert_array_equal(result_s.peers, result_v.peers)
-        assert result_s.hops == result_v.hops
-        assert_stream_parity(stepwise, vectorized)
+            oracle_cursor = oracle.cursor(3)
+            cursor = walker.cursor(3)
+            for count in (15, 25):
+                assert_take_parity(oracle_cursor, cursor, count)
+            assert_stream_parity(oracle, walker)
+
+    @pytest.mark.parametrize("variant", [*VARIANTS, "weighted"])
+    def test_step_trace_endpoint_stream_position(self, variant):
+        """The bare segments run the kernel too: same peers, and the
+        RNG lands where the oracle's per-segment draws leave it."""
+        topology = TOPOLOGIES[0]
+        weights = None
+        if variant == "weighted":
+            variant = "simple"
+            weights = np.random.default_rng(19).uniform(
+                0.5, 3.0, topology.num_peers
+            )
+        oracle, walker = walker_pair(
+            topology, variant, jump=3, burn_in=2, seed=21, weights=weights
+        )
+        assert walker.step(4) == oracle.step(4)
+        assert_stream_parity(oracle, walker)
+        np.testing.assert_array_equal(
+            walker.trace(4, 37), oracle.trace(4, 37)
+        )
+        assert_stream_parity(oracle, walker)
+        assert walker.endpoint_after(4, 29) == oracle.endpoint_after(4, 29)
+        assert_stream_parity(oracle, walker)
+        # ... and interleave with sampling takes on the same stream.
+        assert walker.sample_peers(4, 5).peers.tolist() == (
+            oracle.sample_peers(4, 5)[0]
+        )
+        assert_stream_parity(oracle, walker)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_takes_longer_than_one_rng_chunk_match_the_oracle(self, variant):
+        """A take needing more uniforms than one fused draw holds is
+        drawn in chunks — which changes nothing (Metropolis pairs
+        included: the chunk size is even)."""
+        oracle, walker = walker_pair(
+            TOPOLOGIES[0], variant, jump=7, burn_in=3, seed=5
+        )
+        count = 10_000  # 70k hops: > 65536 uniforms for every variant
+        peers, hops = oracle.sample_peers(2, count)
+        result = walker.sample_peers(2, count)
+        assert result.peers.tolist() == peers
+        assert result.hops == hops
+        assert_stream_parity(oracle, walker)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        variant=st.sampled_from(VARIANTS),
+        allow_revisits=st.booleans(),
+        stride=st.sampled_from(
+            [(1, 0), (3, None), (0, 5), (7, 2), (9000, 1), (2, 9000)]
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        first=st.integers(0, 6),
+        second=st.integers(0, 6),
+    )
+    def test_split_takes_equal_one_take(
+        self, variant, allow_revisits, stride, seed, first, second
+    ):
+        """``take(a); take(b)`` is ``take(a + b)`` — oversize segments
+        (9000 hops, past the oracle's RNG block) included."""
+        jump, burn_in = stride
+        config = RandomWalkConfig(
+            variant=variant,
+            jump=jump,
+            burn_in=burn_in,
+            allow_revisits=allow_revisits,
+        )
+        split = RandomWalker(TOPOLOGIES[0], config, seed=seed)
+        whole = RandomWalker(TOPOLOGIES[0], config, seed=seed)
+        cursor = split.cursor(3)
+        parts = [cursor.take(first), cursor.take(second)]
+        result = whole.sample_peers(3, first + second)
+        assert (
+            parts[0].peers.tolist() + parts[1].peers.tolist()
+            == result.peers.tolist()
+        )
+        assert parts[0].hops + parts[1].hops == result.hops
+        assert split._rng.bit_generator.state == whole._rng.bit_generator.state
 
     def test_trace_digest_parity(self):
-        topology = TOPOLOGIES[0]
-        digests = []
-        for kernel in ("stepwise", "vectorized"):
-            config = RandomWalkConfig(
-                variant="lazy", jump=5, burn_in=3, kernel=kernel
+        """The WalkEvents a chunked cursor emits are the oracle's takes."""
+        oracle, walker = walker_pair(
+            TOPOLOGIES[0], "lazy", jump=5, burn_in=3, seed=77
+        )
+        tracer = Tracer()
+        with tracing(tracer):
+            cursor = walker.cursor(2)
+            cursor.take(6)
+            cursor.take(9)
+        expected = Tracer()
+        oracle_cursor = oracle.cursor(2)
+        for count in (6, 9):
+            peers, hops = oracle_cursor.take(count)
+            expected.emit(
+                WalkEvent(
+                    start=2,
+                    hops=hops,
+                    selected=len(peers),
+                    distinct=len(set(peers)),
+                )
             )
-            walker = RandomWalker(topology, config, seed=77)
-            tracer = Tracer()
-            with tracing(tracer):
-                cursor = walker.cursor(2)
-                cursor.take(6)
-                cursor.take(9)
-            digests.append(tracer.digest())
-        assert digests[0] == digests[1]
+        assert tracer.digest() == expected.digest()
 
     def test_first_take_with_zero_burn_in_selects_the_start(self):
-        topology = TOPOLOGIES[2]
-        _, vectorized = walker_pair(
-            topology, "simple", jump=3, burn_in=0, seed=4
+        _, walker = walker_pair(
+            TOPOLOGIES[2], "simple", jump=3, burn_in=0, seed=4
         )
-        result = vectorized.cursor(1).take(4)
+        result = walker.cursor(1).take(4)
         assert result.peers[0] == 1
         assert result.hops == 9  # (count - 1) * jump, burn-in free
 
     def test_empty_and_negative_takes_bypass_the_kernel(self):
-        topology = TOPOLOGIES[2]
-        _, vectorized = walker_pair(
-            topology, "simple", jump=2, burn_in=1, seed=4
+        _, walker = walker_pair(
+            TOPOLOGIES[2], "simple", jump=2, burn_in=1, seed=4
         )
-        cursor = vectorized.cursor(0)
+        cursor = walker.cursor(0)
         assert len(cursor.take(0)) == 0
         with pytest.raises(ConfigurationError):
             cursor.take(-1)
-
-    def test_auto_mode_dispatches_into_take_vectorized(self, monkeypatch):
-        """``kernel='auto'`` on an eligible config runs the kernel path."""
-        calls = []
-        original = WalkCursor._take_vectorized
-
-        def spy(self, count):
-            calls.append(count)
-            return original(self, count)
-
-        monkeypatch.setattr(WalkCursor, "_take_vectorized", spy)
-        topology = TOPOLOGIES[0]
-        walker = RandomWalker(topology, RandomWalkConfig(), seed=6)
-        walker.cursor(0).take(5)
-        assert calls == [5]
-
-    def test_stepwise_mode_dispatches_into_take(self, monkeypatch):
-        calls = []
-        original = WalkCursor._take
-
-        def spy(self, count):
-            calls.append(count)
-            return original(self, count)
-
-        monkeypatch.setattr(WalkCursor, "_take", spy)
-        topology = TOPOLOGIES[0]
-        config = RandomWalkConfig(kernel="stepwise")
-        walker = RandomWalker(topology, config, seed=6)
-        walker.cursor(0).take(5)
-        assert calls == [5]
+        assert_uniforms_consumed(walker._rng, 4, 0)
 
 
 # ---------------------------------------------------------------------------
-# Fallback matrix
+# No knobs, no fallbacks — and the two intended stream changes
 # ---------------------------------------------------------------------------
-
-
-class _CustomStepping(RandomWalker):
-    def _walk_segment(self, current, hops):
-        return current  # teleport-nowhere stepping the kernel can't fuse
 
 
 class TestFallbackMatrix:
-    def test_eligible_config_reports_no_reason(self):
-        walker = RandomWalker(TOPOLOGIES[0], RandomWalkConfig(), seed=1)
-        assert walker.kernel_ineligibility() is None
+    """There is none: no ``kernel=`` knob selects a second walker and no
+    configuration falls back to one.  What is left to pin is that the
+    knobs are really gone, and the two places the single loop
+    *intentionally* leaves the oracle's RNG stream."""
 
-    def test_distinct_peer_mode_falls_back(self):
-        config = RandomWalkConfig(allow_revisits=False)
-        walker = RandomWalker(TOPOLOGIES[0], config, seed=1)
-        assert "distinct-peer" in walker.kernel_ineligibility()
-        assert walker.cursor(0)._kernel is None  # auto: silent stepwise
-
-    def test_oversized_jump_segment_falls_back(self):
-        config = RandomWalkConfig(jump=9000)
-        walker = RandomWalker(TOPOLOGIES[0], config, seed=1)
-        assert "jump segment" in walker.kernel_ineligibility()
-
-    def test_oversized_burn_in_segment_falls_back(self):
-        config = RandomWalkConfig(jump=2, burn_in=9000)
-        walker = RandomWalker(TOPOLOGIES[0], config, seed=1)
-        assert "burn-in segment" in walker.kernel_ineligibility()
-
-    def test_metropolis_halves_the_segment_budget(self):
-        # 2 uniforms per hop: 5000-hop jumps exceed the 8192 block.
-        config = RandomWalkConfig(variant="metropolis-uniform", jump=5000)
-        walker = RandomWalker(TOPOLOGIES[0], config, seed=1)
-        assert walker.kernel_ineligibility() is not None
-        simple = RandomWalker(
-            TOPOLOGIES[0], RandomWalkConfig(jump=5000), seed=1
-        )
-        assert simple.kernel_ineligibility() is None
-
-    def test_subclassed_stepping_falls_back(self):
-        walker = _CustomStepping(TOPOLOGIES[0], RandomWalkConfig(), seed=1)
-        assert "custom _walk_segment" in walker.kernel_ineligibility()
-        assert walker.cursor(0)._kernel is None
-
-    def test_monkeypatched_instance_falls_back(self):
-        walker = RandomWalker(TOPOLOGIES[0], RandomWalkConfig(), seed=1)
-        walker.__dict__["_walk_segment"] = lambda current, hops: current
-        assert walker.kernel_ineligibility() is not None
-
-    def test_forced_vectorized_raises_when_ineligible(self):
-        config = RandomWalkConfig(allow_revisits=False, kernel="vectorized")
-        walker = RandomWalker(TOPOLOGIES[0], config, seed=1)
-        with pytest.raises(ConfigurationError, match="not available"):
-            walker.cursor(0)
+    def test_invalid_kernel_mode_rejected(self):
+        """The knobs are not deprecated aliases; they are unknown."""
+        for mode in ("auto", "stepwise", "vectorized", "turbo"):
+            with pytest.raises(TypeError, match="kernel"):
+                RandomWalkConfig(kernel=mode)
+            with pytest.raises(TypeError, match="walk_kernel"):
+                TwoPhaseConfig(walk_kernel=mode)
+        assert [f.name for f in dataclasses.fields(RandomWalkConfig)] == [
+            "jump", "burn_in", "variant", "allow_revisits",
+        ]
+        assert "walk_kernel" not in {
+            f.name for f in dataclasses.fields(TwoPhaseConfig)
+        }
+        assert not hasattr(RandomWalker, "kernel_ineligibility")
 
     def test_kernel_rejects_bad_parameters(self):
         tables = kernel_tables(TOPOLOGIES[0])
@@ -389,11 +470,62 @@ class TestFallbackMatrix:
         with pytest.raises(ConfigurationError):
             kernel.take(0, 0, True)
 
-    def test_invalid_kernel_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            RandomWalkConfig(kernel="turbo")
-        with pytest.raises(ConfigurationError):
-            TwoPhaseConfig(walk_kernel="turbo")
+    def test_metropolis_halves_the_segment_budget(self):
+        """Oracle parity reaches as far as the oracle's 8192-uniform
+        block: 8192 hops, or 4096 for the two-uniform Metropolis hop."""
+        for variant, jump in (("simple", 8192), ("metropolis-uniform", 4096)):
+            oracle, walker = walker_pair(
+                TOPOLOGIES[0], variant, jump, burn_in=jump, seed=1
+            )
+            peers, hops = oracle.sample_peers(0, 3)
+            result = walker.sample_peers(0, 3)
+            assert result.peers.tolist() == peers
+            assert result.hops == hops == 3 * jump
+            assert_stream_parity(oracle, walker)
+
+    @pytest.mark.parametrize(
+        "variant,per_hop", [("simple", 1), ("metropolis-uniform", 2)]
+    )
+    @pytest.mark.parametrize("segment", ["jump", "burn-in"])
+    def test_oversized_segment_draws_exactly_what_it_consumes(
+        self, segment, variant, per_hop
+    ):
+        """Stream change 1: a segment past 8192 uniforms no longer
+        discards the tail of its last RNG block.  The walk is the one
+        that many single-hop oracle segments (which never refill)
+        produce, and the stream sits exactly ``per_hop * hops`` in."""
+        long = 9000 // per_hop + 1
+        jump, burn_in = (long, 2) if segment == "jump" else (2, long)
+        oracle, walker = walker_pair(
+            TOPOLOGIES[0], variant, jump, burn_in, seed=13
+        )
+        result = walker.sample_peers(5, 2)
+        assert result.hops == burn_in + jump
+        hop_by_hop = oracle.trace(5, result.hops)
+        assert result.peers.tolist() == [
+            hop_by_hop[burn_in], hop_by_hop[burn_in + jump]
+        ]
+        assert_stream_parity(oracle, walker)
+        assert_uniforms_consumed(walker._rng, 13, per_hop * result.hops)
+        # The oracle's own oversize segment is what changed:
+        stale, _ = walker_pair(TOPOLOGIES[0], variant, jump, burn_in, seed=13)
+        stale.sample_peers(5, 2)
+        assert stale.rng.bit_generator.state != walker._rng.bit_generator.state
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_zero_hop_segment_consumes_no_randomness(self, weighted):
+        """Stream change 2: ``endpoint_after(p, 0)`` is ``p`` for free
+        (the oracle draws one wasted uniform, two when weighted)."""
+        topology = TOPOLOGIES[0]
+        weights = [1.0] * topology.num_peers if weighted else None
+        oracle, walker = walker_pair(
+            topology, "simple", jump=3, burn_in=0, seed=2, weights=weights
+        )
+        assert walker.endpoint_after(6, 0) == 6
+        np.testing.assert_array_equal(walker.trace(6, 0), [6])
+        assert_uniforms_consumed(walker._rng, 2, 0)
+        assert oracle.endpoint_after(6, 0) == 6
+        assert_uniforms_consumed(oracle.rng, 2, 2 if weighted else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +533,44 @@ class TestFallbackMatrix:
 # ---------------------------------------------------------------------------
 
 
+class _OracleBackedCursor:
+    def __init__(self, start, oracle_cursor):
+        self._start = start
+        self._oracle_cursor = oracle_cursor
+
+    def take(self, count):
+        peers, hops = self._oracle_cursor.take(count)
+        return _emit_walk(
+            WalkResult(
+                peers=np.asarray(peers, dtype=np.int64),
+                hops=hops,
+                start=self._start,
+            )
+        )
+
+
+class OracleBackedWalker(RandomWalker):
+    """A walker whose every hop is generated by the ``tests/`` oracle."""
+
+    def __init__(self, topology, config, seed):
+        super().__init__(topology, config, seed)
+        self._oracle = OracleWalker(topology, config, self._rng)
+
+    def cursor(self, start):
+        return _OracleBackedCursor(start, self._oracle.cursor(start))
+
+    def endpoint_after(self, start, hops):
+        return self._oracle.endpoint_after(start, hops)
+
+
 class TestEngineParity:
     def _run(
-        self, small_topology, small_dataset, kernel, fault_plan=None
+        self,
+        small_topology,
+        small_dataset,
+        oracle,
+        fault_plan=None,
+        **config,
     ):
         simulator = NetworkSimulator(
             small_topology,
@@ -411,50 +578,67 @@ class TestEngineParity:
             seed=7,
             fault_plan=fault_plan,
         )
-        config = TwoPhaseConfig(phase_one_peers=30, walk_kernel=kernel)
+        config = TwoPhaseConfig(phase_one_peers=30, **config)
         engine = TwoPhaseEngine(simulator, config=config, seed=11)
+        if oracle:
+            walker = OracleBackedWalker(
+                small_topology, config.walk_config(), engine._walker._rng
+            )
+            engine._walker = walker
+            if engine._collector is not None:
+                engine._collector._walker = walker
         tracer = Tracer()
         with tracing(tracer):
             result = engine.execute(SUM_ALL, 0.15, sink=0)
-        return result, tracer.digest()
+        return result, tracer
+
+    def _assert_parity(self, small_topology, small_dataset, **kwargs):
+        result_o, tracer_o = self._run(
+            small_topology, small_dataset, True, **kwargs
+        )
+        result_p, tracer_p = self._run(
+            small_topology, small_dataset, False, **kwargs
+        )
+        assert result_o.estimate == result_p.estimate
+        assert result_o.cost == result_p.cost
+        assert result_o.confidence_interval == result_p.confidence_interval
+        assert tracer_o.digest() == tracer_p.digest()
+        return tracer_p
 
     def test_estimates_costs_and_traces_match(
         self, small_topology, small_dataset
     ):
-        result_s, digest_s = self._run(
-            small_topology, small_dataset, "stepwise"
+        self._assert_parity(small_topology, small_dataset)
+
+    def test_distinct_peer_engine_parity(self, small_topology, small_dataset):
+        self._assert_parity(
+            small_topology, small_dataset, distinct_peers=True
         )
-        result_v, digest_v = self._run(
-            small_topology, small_dataset, "vectorized"
-        )
-        assert result_s.estimate == result_v.estimate
-        assert result_s.cost == result_v.cost
-        assert result_s.confidence_interval == result_v.confidence_interval
-        assert digest_s == digest_v
 
     def test_parity_survives_fault_injection(
         self, small_topology, small_dataset
     ):
         plan = FaultPlan(seed=3, reply_loss=0.15)
-        result_s, digest_s = self._run(
-            small_topology, small_dataset, "stepwise", fault_plan=plan
-        )
-        result_v, digest_v = self._run(
-            small_topology, small_dataset, "vectorized", fault_plan=plan
-        )
-        assert result_s.estimate == result_v.estimate
-        assert result_s.cost == result_v.cost
-        assert digest_s == digest_v
+        self._assert_parity(small_topology, small_dataset, fault_plan=plan)
 
-    def test_auto_equals_vectorized_on_eligible_config(
-        self, small_topology, small_dataset
-    ):
-        result_a, digest_a = self._run(small_topology, small_dataset, "auto")
-        result_v, digest_v = self._run(
-            small_topology, small_dataset, "vectorized"
+    def test_substitution_hop_parity(self, small_topology, small_dataset):
+        """The resilient collector's restart-from-last-good hop is a
+        bare kernel segment; it must land where the oracle's does."""
+        plan = FaultPlan(
+            seed=3,
+            reply_loss=0.1,
+            outages=(
+                RegionalOutage(center=5, radius=1, start=0, stop=10**6),
+            ),
         )
-        assert result_a.estimate == result_v.estimate
-        assert digest_a == digest_v
+        tracer = self._assert_parity(
+            small_topology,
+            small_dataset,
+            fault_plan=plan,
+            retry_policy=RetryPolicy(),
+        )
+        kinds = [json.loads(line)["kind"] for line in tracer.lines]
+        assert "substitute" in kinds
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +738,31 @@ class TestDeltaReestimation:
         assert interval.low <= result.estimate <= interval.high
         assert abs(result.estimate - exact) / exact < 0.5
         assert result.phase_two is None  # delta is a one-phase top-up
+
+    def test_warm_and_delta_avg_intervals_are_in_avg_units(self):
+        """Cold, warm and delta runs report one interval: for AVG the
+        half-width is rescaled from SUM units by the matching count."""
+        avg = parse_query("SELECT AVG(A) FROM T WHERE A BETWEEN 1 AND 60")
+        net1, net2, _ = churned_pair()
+        engine = HybridEngine(
+            net1, self.CONFIG, seed=7, delta_reestimation=True
+        )
+        cold = engine.execute(avg, 0.2, sink=0)
+        warm = engine.execute(avg, 0.2, sink=0)
+        engine.rebind(net2)
+        delta = engine.execute(avg, 0.2, sink=0)
+        assert (engine.cold_runs, engine.warm_runs, engine.delta_runs) == (
+            1, 1, 1,
+        )
+        exact = evaluate_exact(avg, net2.databases())
+        for result in (cold, warm, delta):
+            interval = result.confidence_interval
+            assert abs(result.estimate - exact) < 5.0
+            assert 0.0 < interval.half_width < 10.0
+            assert (
+                0.1 < interval.half_width / cold.confidence_interval.half_width
+                < 10.0
+            )
 
     def test_plan_is_restamped_so_the_next_run_is_warm(self):
         net1, net2, _ = churned_pair()
