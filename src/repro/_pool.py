@@ -205,9 +205,14 @@ class ForkPool:
     fork copy-on-write; per-worker mutable handler state (e.g. a plan
     cache) simply diverges per process after the fork.
 
-    The pool never hangs on a crashed worker: :meth:`recv` polls with
-    a timeout and raises :class:`~repro.errors.WorkerPoolError` when a
-    worker died with jobs outstanding.
+    Replies to :meth:`send`/:meth:`send_many` stream back through
+    :meth:`recv`/:meth:`recv_many`/:meth:`try_recv`; :meth:`call` is
+    the request/response form and never touches that stream.
+
+    The pool never hangs on a crashed worker: every blocking receive
+    polls with a timeout and raises
+    :class:`~repro.errors.WorkerPoolError` when a worker died with
+    jobs outstanding.
     """
 
     def __init__(
@@ -242,6 +247,12 @@ class ForkPool:
         # caller: batched messages flatten into here, so recv/try_recv/
         # recv_many see one uniform stream of (worker, tag, payload).
         self._pending: Deque[Tuple[int, int, Any]] = collections.deque()
+        # call(): requests issued so far, the tag still waiting for its
+        # response (None once it landed) and the landed response.  Call
+        # tags are tuples, job tags plain ints: never confused.
+        self._calls = 0
+        self._awaiting: Optional[Tuple[str, int]] = None
+        self._answer: Any = None
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -264,12 +275,15 @@ class ForkPool:
             if process.is_alive()
         ]
 
-    def send(self, worker: int, tag: int, item: Any) -> None:
-        """Enqueue one job on ``worker``'s FIFO inbox."""
+    def _check_open(self, worker: int = 0) -> None:
         if self._closed:
             raise WorkerPoolError("pool is closed")
         if not 0 <= worker < len(self._processes):
             raise ConfigurationError(f"unknown worker {worker}")
+
+    def send(self, worker: int, tag: int, item: Any) -> None:
+        """Enqueue one job on ``worker``'s FIFO inbox."""
+        self._check_open(worker)
         self._inboxes[worker].put((tag, item))
 
     def broadcast(self, tag: int, item: Any) -> None:
@@ -287,16 +301,18 @@ class ForkPool:
         message, which ``recv``/``recv_many`` flatten back into
         per-job ``(worker, tag, payload)`` replies.
         """
-        if self._closed:
-            raise WorkerPoolError("pool is closed")
-        if not 0 <= worker < len(self._processes):
-            raise ConfigurationError(f"unknown worker {worker}")
+        self._check_open(worker)
         if not pairs:
             return
         self._inboxes[worker].put(_JobBatch(tuple(pairs)))
 
-    def _buffer(self, worker: int, tag: int, payload: Any) -> None:
-        if isinstance(payload, _ReplyBatch):
+    def _buffer(self, worker: int, tag: Any, payload: Any) -> None:
+        if isinstance(tag, tuple):
+            # A call's response goes to the call still waiting for it
+            # and to nobody else: one whose call gave up is dropped.
+            if tag == self._awaiting:
+                self._awaiting, self._answer = None, payload
+        elif isinstance(payload, _ReplyBatch):
             for sub_tag, sub_payload in payload.pairs:
                 self._pending.append((worker, sub_tag, sub_payload))
         else:
@@ -308,10 +324,12 @@ class ForkPool:
             raise payload.error
         return worker, tag, payload
 
-    def _wait_for_reply(self, poll_s: float, max_polls: int) -> None:
-        """Block until at least one reply is pending, crash-aware."""
+    def _await(
+        self, ready: Callable[[], bool], poll_s: float, max_polls: int
+    ) -> None:
+        """Buffer arriving messages until ``ready()``, crash-aware."""
         polls = 0
-        while not self._pending:
+        while not ready():
             try:
                 worker, tag, payload = self._outbox.get(timeout=poll_s)
             except queue.Empty:
@@ -356,9 +374,8 @@ class ForkPool:
         a handler exception shipped back by a live worker is re-raised
         here with its original type.
         """
-        if self._closed:
-            raise WorkerPoolError("pool is closed")
-        self._wait_for_reply(poll_s, max_polls)
+        self._check_open()
+        self._await(lambda: bool(self._pending), poll_s, max_polls)
         return self._pop_pending()
 
     def recv_many(
@@ -375,9 +392,8 @@ class ForkPool:
         failed slot when it already collected something, so the
         exception surfaces on the next call instead.
         """
-        if self._closed:
-            raise WorkerPoolError("pool is closed")
-        self._wait_for_reply(poll_s, max_polls)
+        self._check_open()
+        self._await(lambda: bool(self._pending), poll_s, max_polls)
         self._drain_outbox()
         replies: List[Tuple[int, int, Any]] = []
         while self._pending:
@@ -388,13 +404,52 @@ class ForkPool:
 
     def try_recv(self) -> Optional[Tuple[int, int, Any]]:
         """A reply if one is already waiting, else ``None`` (no block)."""
-        if self._closed:
-            raise WorkerPoolError("pool is closed")
+        self._check_open()
         if not self._pending:
             self._drain_outbox()
         if not self._pending:
             return None
         return self._pop_pending()
+
+    def call(
+        self,
+        worker: int,
+        item: Any,
+        *,
+        poll_s: float = 0.05,
+        max_polls: int = 6000,
+    ) -> Any:
+        """``handler(item)`` on ``worker``, synchronously.
+
+        The request joins the worker's FIFO inbox, so it runs after
+        every job sent before it.  Returns that request's response and
+        only that: job replies arriving meanwhile stay buffered, in
+        arrival order, for the next ``recv``/``recv_many``/
+        ``try_recv``.  The handler's own exception re-raises here with
+        its original type; a dead worker, or one silent past the poll
+        budget, raises :class:`~repro.errors.WorkerPoolError` — and
+        the response to a call that gave up is dropped if it ever
+        arrives, never handed to a later caller.
+        """
+        self._check_open(worker)
+        # Checked up front: nobody drains a dead worker's inbox, so a
+        # request larger than the pipe buffer would block in put().
+        if not self._processes[worker].is_alive():
+            raise WorkerPoolError(
+                f"worker {worker} is dead (exit code "
+                f"{self._processes[worker].exitcode})"
+            )
+        self._calls += 1
+        self._awaiting = ("call", self._calls)
+        self._inboxes[worker].put((self._awaiting, item))
+        try:
+            self._await(lambda: self._awaiting is None, poll_s, max_polls)
+        finally:
+            self._awaiting = None
+        answer, self._answer = self._answer, None
+        if isinstance(answer, _Raised):
+            raise answer.error
+        return answer
 
     def close(self, *, join_timeout_s: float = 10.0) -> None:
         """Stop every worker and reap the processes (idempotent)."""

@@ -52,6 +52,10 @@ every still-remote trace before the workers go away), verifying them
 against the shipped digest.  None of this is observable to trace
 consumers: the fetched lines are byte-identical to the inline
 backend's, which the parity suite pins.
+
+Only job replies stream.  A trace fetch or a rebind is one synchronous
+:meth:`~repro._pool.ForkPool.call` per worker: it returns that
+request's response and leaves every job reply on the stream.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import pickle
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -291,6 +295,28 @@ def _reply_from_completion(completion: Completion) -> QueryReply:
     )
 
 
+def _worker_failure(job: QueryJob, error: Exception) -> QueryReply:
+    """The ``failed`` reply for a job whose build or drive raised."""
+    failure = ServiceError(
+        f"query {job.query_id} failed in its shard worker: {error!r}"
+    )
+    return QueryReply(
+        ticket=QueryTicket(
+            job.query_id, job.query, job.delta_req, job.signature
+        ),
+        status="failed",
+        result=None,
+        error=failure,
+        detail=str(failure),
+        cost=None,
+        chunks=0,
+        tracer=None,
+        warm_runs=0,
+        cold_runs=0,
+        delta_runs=0,
+    )
+
+
 class ExecutionBackend:
     """What the service front-end requires of an execution strategy."""
 
@@ -423,14 +449,6 @@ class _FetchTrace:
     query_id: int
 
 
-#: Worker fetch responses: ``(_TRACE_LINES, query_id, lines)`` on a
-#: hit, ``(_TRACE_MISSING, query_id, reason)`` on a miss.  A miss is a
-#: payload rather than a raised exception so it can never discard
-#: batched job replies sharing the parent's receive sweep.
-_TRACE_LINES = "trace-lines"
-_TRACE_MISSING = "trace-missing"
-
-
 class RemoteTrace:
     """A completed trace whose lines (may) still live in a worker.
 
@@ -500,26 +518,6 @@ class RemoteTrace:
         self._lines = lines
         return lines
 
-    def deliver(self, lines: Tuple[str, ...]) -> None:
-        """Accept lines that arrived outside :meth:`materialize`.
-
-        Used when a fetch aborted before consuming its response and
-        the response surfaces in a later receive sweep: the lines are
-        still the canonical ones, so they complete the handle instead
-        of being thrown away.  Digest-checked like a normal fetch; a
-        mismatch marks the handle lost rather than caching bad lines.
-        """
-        if self._lines is not None or self._lost is not None:
-            return
-        if digest_of_lines(list(lines)) != self._digest:
-            self.mark_lost(
-                f"late-delivered trace lines for query "
-                f"{self._query_id} do not match the digest shipped "
-                f"with its reply"
-            )
-            return
-        self._lines = lines
-
     def mark_lost(self, reason: str) -> None:
         """Record that the lines can no longer be fetched."""
         if self._lines is None and self._lost is None:
@@ -579,18 +577,16 @@ class _ShardWorker:
         self._attached = False
         return "rebound"
 
-    def _fetch_trace(self, control: _FetchTrace) -> object:
+    def _fetch_trace(self, control: _FetchTrace) -> Tuple[str, ...]:
         lines = self._traces.pop(control.query_id, None)
         if lines is None:
-            return (
-                _TRACE_MISSING,
-                control.query_id,
+            raise ServiceError(
                 f"trace lines for query {control.query_id} are not in "
                 f"this worker's store (never captured, already "
                 f"fetched, or evicted past the "
-                f"{self._trace_store_limit}-entry bound)",
+                f"{self._trace_store_limit}-entry bound)"
             )
-        return (_TRACE_LINES, control.query_id, lines)
+        return lines
 
     def __call__(
         self, item: Union[QueryJob, _Rebind, _FetchTrace]
@@ -605,9 +601,13 @@ class _ShardWorker:
         misses = cache.misses
         churn = cache.churn_invalidations
         delta = cache.delta_hits
-        task = build_task(self._simulator, self._settings, cache, item)
-        completion = drive_task(task)
-        reply = _reply_from_completion(completion)
+        try:
+            task = build_task(self._simulator, self._settings, cache, item)
+            reply = _reply_from_completion(drive_task(task))
+        except Exception as error:  # noqa: BLE001 - resolved as a failed reply
+            # Raising here would reach the parent with no query id and
+            # leave the ticket outstanding forever.
+            reply = _worker_failure(item, error)
         trace: Optional[TraceWire] = None
         tracer = reply.tracer
         if tracer is not None:
@@ -760,18 +760,9 @@ class ForkedBackend(ExecutionBackend):
         self._tickets: Dict[int, QueryTicket] = {}
         # Trace handles not yet materialized, keyed by query id.
         self._traces: Dict[int, RemoteTrace] = {}
-        # Replies folded while waiting for a trace fetch, delivered
-        # by the next pump.
+        # Replies a pump folded before a later payload of the same
+        # sweep failed to fold; the next pump delivers them.
         self._ready: List[QueryReply] = []
-        # Raw wire payloads received but not yet folded.  Every
-        # recv_many sweep lands here first, so resolving (or failing
-        # on) one payload can never discard the rest of its batch.
-        self._inbound: "deque[object]" = deque()
-        # query id -> count of trace-fetch responses still owed to
-        # fetches that raised before consuming their answer.  Lets
-        # later sweeps recognize the late answer instead of choking
-        # on it as an unknown reply.
-        self._stale_fetches: Dict[int, int] = {}
         self._outstanding = 0
         self._cache_stats = CacheStats(
             hits=0, misses=0, churn_invalidations=0, delta_hits=0
@@ -868,132 +859,46 @@ class ForkedBackend(ExecutionBackend):
         )
         return reply
 
-    @staticmethod
-    def _is_fetch_response(payload: object) -> bool:
-        return (
-            isinstance(payload, tuple)
-            and len(payload) == 3
-            and payload[0] in (_TRACE_LINES, _TRACE_MISSING)
-        )
-
-    def _absorb_stale_fetch(self, payload: tuple) -> None:
-        """Consume a trace-fetch response nobody is waiting on.
-
-        Only an aborted fetch (one that raised before consuming its
-        answer) can leave such a response behind; anything else is a
-        protocol violation and raises.  A stale ``_TRACE_LINES``
-        response still carries the canonical lines, so it completes
-        the query's handle instead of being dropped.
-        """
-        tag, query_id, body = payload
-        owed = self._stale_fetches.get(query_id, 0)
-        if not owed:
-            raise ServiceError(
-                f"stray trace-fetch response for query {query_id} "
-                "with no aborted fetch to account for it"
-            )
-        if owed == 1:
-            del self._stale_fetches[query_id]
-        else:
-            self._stale_fetches[query_id] = owed - 1
-        if tag == _TRACE_LINES:
-            handle = self._traces.pop(query_id, None)
-            if handle is not None:
-                handle.deliver(body)
-
-    def _next_inbound(self) -> object:
-        """The next raw wire payload, receiving a batch when dry.
-
-        Blocks (crash-aware) only when the parent-side buffer is
-        empty; a whole ``recv_many`` sweep lands in the buffer before
-        anything is folded, so one payload's failure never discards
-        the payloads behind it.
-        """
-        if not self._inbound:
-            self._inbound.extend(
-                payload
-                for _, _, payload in self._fork_pool.recv_many()
-            )
-        return self._inbound.popleft()
-
     def pump(self) -> List[QueryReply]:
-        replies = list(self._ready)
-        self._ready.clear()
-        try:
-            if self._outstanding > 0:
-                self._flush()
-                if not replies and not self._inbound:
-                    # One blocking sweep absorbs whole reply batches.
-                    self._inbound.extend(
-                        payload
-                        for _, _, payload in self._fork_pool.recv_many()
-                    )
-                else:
-                    while True:
-                        extra = self._fork_pool.try_recv()
-                        if extra is None:
-                            break
-                        self._inbound.append(extra[2])
-            while self._inbound:
-                payload = self._inbound.popleft()
-                if self._is_fetch_response(payload):
-                    self._absorb_stale_fetch(payload)
-                    continue
+        replies, self._ready = self._ready, []
+        if replies or self._outstanding == 0:
+            return replies
+        self._flush()
+        failure: Optional[ServiceError] = None
+        # One blocking sweep absorbs whole reply batches, and always
+        # finishes: a payload that fails to fold costs neither the
+        # replies folded before it nor the payloads behind it.
+        for _, _, payload in self._fork_pool.recv_many():
+            try:
                 replies.append(self._fold(payload))
-        except BaseException:
-            # Surface the failure without losing anything already
-            # folded: collected replies go back on the ready buffer
-            # (ahead of any concurrently-folded ones) and unfolded
-            # payloads are still in the inbound buffer.
-            self._ready[:0] = replies
-            raise
+            except ServiceError as error:
+                failure = failure or error
+        if failure is not None:
+            self._ready = replies
+            raise failure
         return replies
 
     def _fetch_trace_lines(
         self, worker: int, query_id: int
     ) -> Tuple[str, ...]:
-        """Pull one trace's lines out of its owning worker's store.
-
-        Job replies sharing a receive sweep with the fetch response —
-        before *or* after it in the batch — are folded into the ready
-        buffer (or kept raw in the inbound buffer), so interleaving a
-        trace read with live traffic loses nothing.  If the fetch
-        raises before consuming its response, the response is
-        remembered as owed and absorbed by a later sweep instead of
-        surfacing as an unknown reply.
-        """
+        """Pull one trace's lines out of its owning worker's store."""
         if self._closed:
             raise ServiceError(
                 f"cannot fetch trace lines for query {query_id}: the "
                 "sharded backend is closed and its workers are gone"
             )
-        self._fork_pool.send(worker, -2, _FetchTrace(query_id))
-        answered = False
+        # The worker drops the lines as it answers, so the handle has
+        # nothing left to materialize at close whatever happens next.
+        self._traces.pop(query_id, None)
         try:
-            while True:
-                payload = self._next_inbound()
-                if self._is_fetch_response(payload):
-                    if payload[1] != query_id:
-                        self._absorb_stale_fetch(payload)
-                        continue
-                    answered = True
-                    self._traces.pop(query_id, None)
-                    if payload[0] == _TRACE_MISSING:
-                        raise ServiceError(payload[2])
-                    return payload[2]
-                self._ready.append(self._fold(payload))
+            lines: Tuple[str, ...] = self._fork_pool.call(
+                worker, _FetchTrace(query_id)
+            )
         except WorkerPoolError as error:
             raise ServiceError(
                 f"trace fetch for query {query_id} failed: {error}"
             ) from error
-        finally:
-            if not answered:
-                # The worker will (or did) still answer this fetch;
-                # account for the response so the sweep that finds it
-                # knows it is stale rather than a protocol error.
-                self._stale_fetches[query_id] = (
-                    self._stale_fetches.get(query_id, 0) + 1
-                )
+        return lines
 
     @property
     def idle(self) -> bool:
@@ -1019,38 +924,20 @@ class ForkedBackend(ExecutionBackend):
             )
         # Transactional: every parent-side mutation stays staged until
         # the swap cannot fail anymore.  Export first; on any failure
-        # through the ack loop, retire the new segment and re-raise
-        # with the old simulator, pack and manifests fully intact.
-        # With nothing outstanding the inbound buffer can only hold
-        # responses owed to aborted trace fetches; absorb them so the
-        # ack loop below sees acks alone.
-        while self._inbound:
-            payload = self._inbound.popleft()
-            if not self._is_fetch_response(payload):
-                raise ServiceError(
-                    f"unexpected buffered payload {payload!r} with no "
-                    "queries outstanding"
-                )
-            self._absorb_stale_fetch(payload)
+        # through the last acknowledgement, retire the new segment and
+        # re-raise with the old simulator, pack and manifests intact.
         new_pack = self._export(simulator)
         try:
             manifest = (
                 new_pack.manifest if new_pack is not None else None
             )
-            self._fork_pool.broadcast(-1, _Rebind(simulator, manifest))
-            acks = 0
-            while acks < self._workers:
-                _, _, payload = self._fork_pool.recv()
-                if self._is_fetch_response(payload):
-                    # A stale fetch response can trail into the ack
-                    # sweep if the worker answered after the abort.
-                    self._absorb_stale_fetch(payload)
-                    continue
-                if payload != "rebound":
+            control = _Rebind(simulator, manifest)
+            for worker in range(self._workers):
+                ack = self._fork_pool.call(worker, control)
+                if ack != "rebound":
                     raise ServiceError(
-                        f"unexpected rebind acknowledgement {payload!r}"
+                        f"unexpected rebind acknowledgement {ack!r}"
                     )
-                acks += 1
         except BaseException:
             if new_pack is not None:
                 new_pack.close()
@@ -1070,10 +957,7 @@ class ForkedBackend(ExecutionBackend):
         (reading it raises :class:`~repro.errors.ServiceError` with
         the reason) rather than blocking close.
         """
-        for query_id in sorted(self._traces):
-            handle = self._traces.get(query_id)
-            if handle is None:
-                continue
+        for query_id, handle in sorted(self._traces.items()):
             try:
                 handle.materialize()
             except ServiceError as error:

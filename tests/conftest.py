@@ -1,5 +1,6 @@
 """Shared fixtures: small deterministic networks and datasets."""
 
+import faulthandler
 import os
 
 import numpy as np
@@ -20,6 +21,37 @@ hypothesis_settings.register_profile("ci", derandomize=True)
 _profile = os.environ.get("REPRO_HYPOTHESIS_PROFILE")
 if _profile:
     hypothesis_settings.load_profile(_profile)
+
+
+#: Per-test deadlines in seconds (default tests / ``slow``-marked).  A
+#: test still running at its deadline is a hang — a wedged forked
+#: worker, a bare ``Queue.get`` — so every thread's traceback is
+#: dumped and the whole run exits non-zero instead of stalling CI.
+#: Generous on purpose: the slowest default test takes a few seconds.
+HANG_GUARD_S = 120
+HANG_GUARD_SLOW_S = 600
+
+_real_stderr_fd = 2
+
+
+def pytest_configure(config):
+    # Output capture is suspended while plugins configure, so fd 2 is
+    # still the terminal here; inside a test it is pytest's capture
+    # file, which a hard exit would take the dump down with.
+    global _real_stderr_fd
+    _real_stderr_fd = os.dup(2)
+
+
+@pytest.fixture(autouse=True)
+def _hang_guard(request):
+    slow = request.node.get_closest_marker("slow") is not None
+    faulthandler.dump_traceback_later(
+        HANG_GUARD_SLOW_S if slow else HANG_GUARD_S,
+        exit=True,
+        file=_real_stderr_fd,
+    )
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 def pytest_addoption(parser):

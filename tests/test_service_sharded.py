@@ -15,10 +15,12 @@ shared oversubscription warning with ``run_trials``) and a slow soak
 test driving 500+ queries through admission backpressure.
 """
 
+import dataclasses
 import os
 import signal
 import subprocess
 import sys
+import time
 from multiprocessing import shared_memory
 
 import pytest
@@ -235,6 +237,142 @@ class TestPropertyParity:
             assert a.result.cost == b.result.cost
 
 
+@pytest.fixture(scope="module")
+def other_network(small_dataset):
+    """A second snapshot (different population) to rebind onto."""
+    return NetworkSimulator(
+        power_law_topology(150, 600, seed=11),
+        small_dataset.databases[:150],
+        seed=13,
+    )
+
+
+class TestInterleavingParity:
+    """Control calls woven through live traffic change nothing.
+
+    Arbitrary interleavings of submit bursts, single ticks, trace
+    reads (a ``ForkPool.call`` with job replies possibly in flight)
+    and rebinds (one ``call`` per worker) must leave every outcome,
+    ledger, cache counter and trace identical to the inline service
+    driven through the same script — and the backend idle.
+    """
+
+    POOL = [COUNT_30, SUM_50, AVG_ALL]
+
+    OPS = st.one_of(
+        st.tuples(
+            st.just("burst"),
+            st.lists(
+                st.integers(min_value=0, max_value=2),
+                min_size=1, max_size=4,
+            ),
+        ),
+        st.tuples(st.just("tick"), st.none()),
+        st.tuples(st.just("read"), st.integers(min_value=0)),
+        st.tuples(st.just("rebind"), st.none()),
+    )
+
+    def _drive(self, service, networks, script):
+        tickets = []
+        bound = 0
+        for op, arg in script:
+            if op == "burst":
+                tickets.extend(
+                    service.submit(self.POOL[pick], 0.15) for pick in arg
+                )
+            elif op == "tick":
+                service.tick()
+            elif op == "read":
+                resolved = [
+                    t for t in tickets if service.outcome(t) is not None
+                ]
+                if resolved:
+                    assert service.trace(resolved[arg % len(resolved)]).lines
+            else:
+                # Rebind needs an idle service; what was in flight
+                # resolves against the snapshot it was submitted to.
+                service.run()
+                bound = 1 - bound
+                service.rebind(networks[bound])
+        service.run()
+        assert service.idle and service.backend.idle
+        outcomes = [service.outcome(t) for t in tickets]
+        traces = [service.trace(t) for t in tickets]
+        return (
+            [(o.status, o.result.estimate, o.result.cost) for o in outcomes],
+            [(t.digest(), t.lines) for t in traces],
+            dataclasses.replace(service.stats(), ticks=0),
+        )
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        script=st.lists(OPS, min_size=1, max_size=10),
+        workers=st.sampled_from([1, 2]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_any_interleaving_equals_inline(
+        self, small_network, other_network, script, workers, seed
+    ):
+        networks = [small_network, other_network]
+        config = TwoPhaseConfig(max_phase_two_peers=60)
+
+        def run(**backend_kwargs):
+            with QueryService(
+                small_network, config, seed=seed,
+                chunk_peers=5, capture_traces=True, **backend_kwargs,
+            ) as service:
+                return self._drive(service, networks, script)
+
+        assert run(workers=workers) == run(max_in_flight=2)
+
+
+class TestWorkerFailure:
+    """A job that raises inside its shard worker fails *that* query."""
+
+    def test_worker_side_exception_resolves_typed_and_bounded(
+        self, small_network, other_network, monkeypatch
+    ):
+        """Regression: the bare exception used to surface from
+        ``run()`` with no query id and leave the ticket outstanding —
+        the service never went idle again, the next ``run()`` sat out
+        the pool's whole silence bound, and rebind was refused
+        forever."""
+        real_build = backend_module.build_task
+
+        def build_or_raise(simulator, settings_, cache, job):
+            if job.query_id == 1:
+                raise RuntimeError("kaboom")
+            return real_build(simulator, settings_, cache, job)
+
+        # Patched before the fork, so the worker inherits it.
+        monkeypatch.setattr(backend_module, "build_task", build_or_raise)
+        with QueryService(
+            small_network, CONFIG, seed=99, workers=1
+        ) as service:
+            tickets = [
+                service.submit(query, 0.1)
+                for query in (COUNT_30, SUM_50, AVG_ALL)
+            ]
+            outcomes = service.run()
+            assert service.idle
+            assert [o.status for o in outcomes] == [
+                "done", "failed", "done"
+            ]
+            error = outcomes[1].error
+            assert isinstance(error, ServiceError)
+            assert "query 1" in str(error)
+            assert "RuntimeError('kaboom')" in str(error)
+            with pytest.raises(ServiceError, match="query 1"):
+                service.await_result(tickets[1])
+            stats = service.stats()
+            assert (stats.completed, stats.failed) == (2, 1)
+            # Still serving: nothing is owed, so rebind goes through.
+            service.rebind(other_network)
+            assert service.await_result(
+                service.submit(COUNT_30, 0.1)
+            ) is not None
+
+
 class TestShardedLifecycle:
     def test_close_is_idempotent_and_reaps_workers(self, small_network):
         service = QueryService(
@@ -433,6 +571,12 @@ def _die_on_marker(value):
     return value
 
 
+def _nap_on_marker(value):
+    if value == "nap":
+        time.sleep(0.4)
+    return value
+
+
 class TestForkPool:
     def test_run_forked_map_preserves_order(self):
         items = list(range(23))
@@ -463,6 +607,82 @@ class TestForkPool:
     def test_effective_workers_validation(self):
         with pytest.raises(ConfigurationError):
             pool.effective_workers(0)
+
+    @staticmethod
+    def _collect(fork_pool, count):
+        got = []
+        while len(got) < count:
+            got.extend(fork_pool.recv_many())
+        assert fork_pool.try_recv() is None
+        return got
+
+    def test_call_returns_only_its_own_response(self):
+        """Job replies land around the call's response — a batch ahead
+        of it on the same worker, a slow job behind it on the other —
+        and every one of them is still on the stream afterwards, in
+        send order, with the response nowhere among them."""
+        with pool.ForkPool(2, _nap_on_marker, name="t-call") as fp:
+            fp.send(1, 100, "nap")
+            fp.send_many(0, [(tag, f"job-{tag}") for tag in range(5)])
+            assert fp.call(0, "control") == "control"
+            fp.send_many(0, [(tag, f"job-{tag}") for tag in range(5, 8)])
+            got = self._collect(fp, 9)
+            assert [reply for reply in got if reply[0] == 0] == [
+                (0, tag, f"job-{tag}") for tag in range(8)
+            ]
+            assert [reply for reply in got if reply[0] == 1] == [
+                (1, 100, "nap")
+            ]
+
+    def test_call_runs_after_the_jobs_sent_before_it(self):
+        with pool.ForkPool(1, _nap_on_marker, name="t-fifo") as fp:
+            fp.send(0, 0, "nap")
+            assert fp.call(0, "control") == "control"
+            # FIFO inbox: the slow job finished before the call ran,
+            # so its reply is already buffered — no blocking needed.
+            assert fp.try_recv() == (0, 0, "nap")
+
+    def test_call_reraises_typed_without_disturbing_replies(self):
+        with pool.ForkPool(1, _double_or_explode, name="t-cerr") as fp:
+            fp.send_many(0, [(tag, tag) for tag in range(3)])
+            with pytest.raises(ValueError, match="boom on -1"):
+                fp.call(0, -1)
+            assert self._collect(fp, 3) == [
+                (0, tag, tag * 2) for tag in range(3)
+            ]
+            assert fp.call(0, 21) == 42
+
+    def test_call_against_a_killed_worker_is_typed_not_a_hang(self):
+        with pool.ForkPool(2, _die_on_marker, name="t-ckill") as fp:
+            # Dies while serving the call ...
+            with pytest.raises(WorkerPoolError, match="died"):
+                fp.call(0, "die", poll_s=0.01, max_polls=1000)
+            # ... and was already dead when the call was made.
+            process = fp._processes[1]
+            os.kill(process.pid, signal.SIGKILL)
+            process.join(timeout=10)
+            with pytest.raises(WorkerPoolError, match="dead"):
+                fp.call(1, "anything")
+
+    def test_abandoned_call_response_is_never_delivered(self):
+        with pool.ForkPool(1, _nap_on_marker, name="t-late") as fp:
+            with pytest.raises(WorkerPoolError, match="silent"):
+                fp.call(0, "nap", poll_s=0.01, max_polls=2)
+            # The worker still answers the abandoned call (FIFO: before
+            # anything below runs); nobody ever sees that answer.
+            assert fp.call(0, "second") == "second"
+            fp.send(0, 7, "job")
+            assert fp.recv() == (0, 7, "job")
+            assert fp.try_recv() is None
+            assert fp.call(0, "third") == "third"
+
+    def test_call_validates_worker_and_closed(self):
+        fp = pool.ForkPool(1, _double, name="t-cval")
+        with pytest.raises(ConfigurationError):
+            fp.call(3, 1)
+        fp.close()
+        with pytest.raises(WorkerPoolError, match="closed"):
+            fp.call(0, 1)
 
 
 class TestBatchedPool:
@@ -566,57 +786,6 @@ class TestLazyTraceTransport:
         finally:
             service.close()
 
-    def test_fetch_response_mid_batch_keeps_trailing_replies(
-        self, small_network, monkeypatch
-    ):
-        """Regression: job replies landing in the SAME receive sweep
-        *after* the fetch response used to be dropped on the floor,
-        wedging the backend (outstanding never drained)."""
-        service = service_with_backend(small_network, 1)
-        try:
-            first = service.submit(COUNT_30, 0.1)
-            service.await_result(first)
-            handle = service.trace(first)
-            assert not handle.fetched
-            backend = service.backend
-            later = [service.submit(query, 0.1) for query in WORKLOAD]
-            backend._flush()
-            real = backend._fork_pool.recv_many
-
-            def fetch_first(**kwargs):
-                # Collect until the fetch response arrived, then sort
-                # it to the FRONT so every job reply trails it in the
-                # one batch _fetch_trace_lines sees.
-                batch = list(real(**kwargs))
-                while not any(
-                    backend._is_fetch_response(p) for _, _, p in batch
-                ):
-                    batch.extend(real(**kwargs))
-                batch.sort(
-                    key=lambda r: 0
-                    if backend._is_fetch_response(r[2])
-                    else 1
-                )
-                return batch
-
-            monkeypatch.setattr(
-                backend._fork_pool, "recv_many", fetch_first
-            )
-            assert handle.lines
-            # Nothing behind the fetch response was lost: every job
-            # reply is either folded or still buffered raw, waiting
-            # for the next pump.
-            assert (
-                len(backend._ready) + len(backend._inbound)
-                == len(WORKLOAD)
-            )
-            monkeypatch.setattr(backend._fork_pool, "recv_many", real)
-            service.run()
-            outcomes = [service.outcome(ticket) for ticket in later]
-            assert all(o is not None and o.ok for o in outcomes)
-        finally:
-            service.close()
-
     def test_pump_exception_preserves_folded_replies(
         self, small_network, monkeypatch
     ):
@@ -641,68 +810,6 @@ class TestLazyTraceTransport:
             monkeypatch.setattr(backend._fork_pool, "recv_many", real)
             assert len(backend.pump()) == 1
             assert backend.idle
-        finally:
-            service.close()
-
-    def test_aborted_fetch_response_is_salvaged_by_next_pump(
-        self, small_network, monkeypatch
-    ):
-        """Regression: if a fetch raised before consuming its answer,
-        the answer later hit _fold and failed as an 'unexpected wire
-        payload'.  Now the next sweep recognizes it as the stale
-        response — and, since it carries the canonical lines, it
-        completes the handle instead of being thrown away."""
-        service = service_with_backend(small_network, 1)
-        try:
-            first = service.submit(COUNT_30, 0.1)
-            service.await_result(first)
-            handle = service.trace(first)
-            assert not handle.fetched
-            backend = service.backend
-            real = backend._fork_pool.recv_many
-
-            def poison_ahead(**kwargs):
-                return [(0, 99, ("garbage",))] + list(real(**kwargs))
-
-            monkeypatch.setattr(
-                backend._fork_pool, "recv_many", poison_ahead
-            )
-            with pytest.raises(ServiceError, match="wire payload"):
-                handle.materialize()
-            monkeypatch.setattr(backend._fork_pool, "recv_many", real)
-            # The unconsumed fetch response is absorbed, not fatal.
-            assert backend.pump() == []
-            assert handle.fetched
-            assert handle.lines
-            assert not backend._stale_fetches
-        finally:
-            service.close()
-
-    def test_rebind_absorbs_stale_fetch_response(
-        self, small_network, monkeypatch
-    ):
-        """A fetch response left over from an aborted fetch must not
-        masquerade as a bad rebind acknowledgement."""
-        service = service_with_backend(small_network, 1)
-        try:
-            first = service.submit(COUNT_30, 0.1)
-            service.await_result(first)
-            handle = service.trace(first)
-            backend = service.backend
-            real = backend._fork_pool.recv_many
-
-            def poison_ahead(**kwargs):
-                return [(0, 99, ("garbage",))] + list(real(**kwargs))
-
-            monkeypatch.setattr(
-                backend._fork_pool, "recv_many", poison_ahead
-            )
-            with pytest.raises(ServiceError, match="wire payload"):
-                handle.materialize()
-            monkeypatch.setattr(backend._fork_pool, "recv_many", real)
-            backend.rebind(small_network)
-            assert not backend._stale_fetches
-            assert handle.fetched  # the stale response completed it
         finally:
             service.close()
 
@@ -854,8 +961,8 @@ class TestShmLifecycle:
     def test_rebind_bad_ack_is_unwound(
         self, small_network, small_dataset, monkeypatch
     ):
-        """Regression: a rebind that dies in the ack loop must unlink
-        the staged segment and keep the old one."""
+        """Regression: a rebind whose acknowledgement is bad must
+        unlink the staged segment and keep the old one."""
         with QueryService(
             small_network, CONFIG, seed=99, workers=2
         ) as service:
@@ -873,8 +980,8 @@ class TestShmLifecycle:
                 staticmethod(capturing),
             )
             monkeypatch.setattr(
-                service.backend._fork_pool, "recv",
-                lambda **kwargs: (0, -1, "nonsense"),
+                service.backend._fork_pool, "call",
+                lambda worker, item: "nonsense",
             )
             other = NetworkSimulator(
                 power_law_topology(150, 600, seed=11),
