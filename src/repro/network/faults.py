@@ -46,6 +46,8 @@ import copy
 import dataclasses
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple, Union, cast
 
+import numpy as np
+
 from ..errors import ConfigurationError
 from ..obs.events import FaultEvent
 from ..obs.tracer import active_tracer
@@ -60,6 +62,7 @@ __all__ = [
     "FaultPlan",
     "FaultState",
     "counter_uniform",
+    "counter_uniforms",
     "kind_code",
     "splitmix64",
 ]
@@ -101,12 +104,60 @@ def _uniform(seed: int, *parts: int) -> float:
     return _splitmix64(x) / 2.0**64
 
 
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_SHIFT30, _SHIFT27, _SHIFT31 = np.uint64(30), np.uint64(27), np.uint64(31)
+
+
+def _splitmix64_array(x: np.ndarray) -> np.ndarray:
+    """:func:`_splitmix64` over a ``uint64`` array.
+
+    Array arithmetic on ``uint64`` wraps modulo 2**64 silently, which
+    is exactly the scalar form's ``& _MASK64``; the input must be an
+    array (not a numpy scalar) so no overflow warning is raised.
+    """
+    x = x + _GAMMA
+    x = (x ^ (x >> _SHIFT30)) * _MIX1
+    x = (x ^ (x >> _SHIFT27)) * _MIX2
+    mixed: np.ndarray = x ^ (x >> _SHIFT31)
+    return mixed
+
+
+def _as_u64(value: Union[int, np.ndarray]) -> np.ndarray:
+    """``value`` (an int or an integer array) as a ``uint64`` array,
+    reduced modulo 2**64 like the scalar hash's ``& _MASK64``."""
+    if isinstance(value, int):
+        return np.array([value & _MASK64], dtype=np.uint64)
+    return np.atleast_1d(value).astype(np.uint64, copy=False)
+
+
+def _uniforms(seed: int, *parts: Union[int, np.ndarray]) -> np.ndarray:
+    """:func:`_uniform` for many keys at once, bit for bit.
+
+    Each part is an int or an integer array; arrays broadcast, and the
+    result holds ``_uniform(seed, *key)`` for every broadcast key — the
+    same hash rounds, the same ``/ 2**64``.  Leading int parts are
+    hashed as Python ints, so a call pays array arithmetic only from
+    its first array part on.
+    """
+    x: Union[int, np.ndarray] = seed & _MASK64
+    for part in parts:
+        if isinstance(x, int) and isinstance(part, int):
+            x = _splitmix64(x ^ (part & _MASK64))
+        else:
+            x = _splitmix64_array(_as_u64(x) ^ _as_u64(part))
+    uniforms: np.ndarray = _splitmix64_array(_as_u64(x)) / 2.0**64
+    return uniforms
+
+
 #: Public names for the counter-hash discipline, so other subsystems
 #: (the discrete-event kernel's latency draws, churn timelines) can
 #: key their own decisions off the same primitive instead of minting a
 #: Generator stream.
 splitmix64 = _splitmix64
 counter_uniform = _uniform
+counter_uniforms = _uniforms
 
 
 def kind_code(kind: str) -> int:

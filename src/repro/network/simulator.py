@@ -137,6 +137,30 @@ def _check_tuples_per_peer(tuples_per_peer: int) -> None:
         raise ConfigurationError("tuples_per_peer must be >= 0")
 
 
+def _check_sampling_method(sampling_method: str) -> bool:
+    """The one sampling-method validator every visit entry point runs
+    first, whether or not the visit ends up sub-sampling.  Returns
+    whether the method is row-level (``"uniform"``) rather than
+    block-level (``"block"``)."""
+    if sampling_method == "uniform":
+        return True
+    if sampling_method == "block":
+        return False
+    raise ConfigurationError(
+        f"unknown sampling method {sampling_method!r}; "
+        "expected 'uniform' or 'block'"
+    )
+
+
+def _check_pushdown(query: AggregationQuery) -> None:
+    """Aggregate visits compute at the peer; holistic aggregates
+    (MEDIAN, quantiles) cannot and must ship values instead."""
+    if not query.agg.supports_pushdown:
+        raise ConfigurationError(
+            f"{query.agg.value} cannot be pushed down; use visit_values"
+        )
+
+
 class NetworkSnapshot:
     """What a network *is*: everything immutable for its lifetime.
 
@@ -342,7 +366,7 @@ class NetworkSimulator:
         """Consult the fault plan for one probe; charge and raise.
 
         Consumes exactly one fault-clock step per call (the batch
-        paths fall back to the per-peer loop whenever a plan is
+        paths resolve their probes one by one whenever a plan is
         active, so both paths advance the clock identically).
         """
         state = self._fault_state
@@ -677,21 +701,79 @@ class NetworkSimulator:
         Validates the arguments *before* anything observable happens
         (a rejected call must not consume a fault-clock step or charge
         the ledger), runs the probe's failure gauntlet, then reads the
-        peer's rows: ``tuples_per_peer`` sub-sampled tuples when the
-        partition is larger than the budget, the whole partition
-        otherwise.  Returns ``(columns, total, processed)``.
+        peer's rows (:meth:`_read_rows`).
         """
         _check_tuples_per_peer(tuples_per_peer)
-        database = self.database(peer_id)
+        _check_sampling_method(sampling_method)
+        self._check_peer(peer_id)
         self._probe_checks(peer_id, kind, ledger)
+        return self._read_rows(peer_id, tuples_per_peer, sampling_method, seed)
+
+    def _read_rows(
+        self,
+        peer_id: int,
+        tuples_per_peer: int,
+        sampling_method: str,
+        seed: SeedLike,
+    ) -> Tuple[Dict[str, np.ndarray], int, int]:
+        """One peer's rows: ``tuples_per_peer`` sub-sampled tuples when
+        the partition is larger than the budget, the whole partition
+        otherwise.  Returns ``(columns, total, processed)``."""
+        database = self._snapshot.databases[peer_id]
         total = database.num_tuples
-        rng = self._rng if seed is None else ensure_rng(seed)
         if tuples_per_peer and total > tuples_per_peer:
             columns = database.sample(
-                tuples_per_peer, method=sampling_method, seed=rng
+                tuples_per_peer,
+                method=sampling_method,
+                seed=self._rng if seed is None else ensure_rng(seed),
             )
             return columns, total, tuples_per_peer
         return database.scan(), total, total
+
+    def probe_aggregate(
+        self,
+        peer_id: int,
+        query: AggregationQuery,
+        ledger: CostLedger,
+        tuples_per_peer: int = 0,
+        sampling_method: str = "uniform",
+    ) -> None:
+        """The *fate* half of an aggregate visit: everything but rows.
+
+        Whether ``peer_id``'s reply arrives (raising exactly what
+        :meth:`visit_aggregate` raises when it does not), when, what
+        the ledger pays and which trace events fire depend on the peer
+        id, its partition size, the fault clock and virtual time —
+        never on row values: an :class:`AggregateReply` has a fixed
+        size and the visit processes ``min(partition, t)`` rows under
+        either sampling method.  So the whole charge of a successful
+        visit is posted here, before a row is read, and the rows of
+        every surviving probe of a collection are read later in one
+        vectorised pass (:meth:`read_aggregates`).  ``query`` is only
+        validated.
+
+        Values visits have no such half: a :class:`TupleReply`'s size,
+        hence its ledger charge, depends on the rows it ships, so
+        :meth:`visit_values` stays one per-peer step.
+        """
+        _check_pushdown(query)
+        _check_tuples_per_peer(tuples_per_peer)
+        _check_sampling_method(sampling_method)
+        self._check_peer(peer_id)
+        self._probe_checks(peer_id, "aggregate", ledger)
+        processed = self._snapshot.databases[peer_id].num_tuples
+        if tuples_per_peer:
+            processed = min(processed, tuples_per_peer)
+        ledger.record_visit(
+            peer_id,
+            tuples_processed=processed,
+            tuples_sampled=processed,
+            cpu_speed=self._snapshot.peers[peer_id].capabilities.cpu_speed,
+        )
+        ledger.record_reply(AggregateReply.SIZE_BYTES)
+        _emit_probe(
+            peer_id, "aggregate", "ok", replies=1, messages=1, visits=1
+        )
 
     def visit_aggregate(
         self,
@@ -712,14 +794,15 @@ class NetworkSimulator:
         exactly as in the paper's pseudocode.  The reply also carries
         the peer's degree, from which the sink reconstructs the
         stationary probability.
+
+        One visit is :meth:`probe_aggregate` (fate) followed by a read
+        of this one peer's rows.
         """
-        if not query.agg.supports_pushdown:
-            raise ConfigurationError(
-                f"{query.agg.value} cannot be pushed down; use visit_values"
-            )
-        columns, total, processed = self._open_visit(
-            peer_id, "aggregate", ledger,
-            tuples_per_peer, sampling_method, seed,
+        self.probe_aggregate(
+            peer_id, query, ledger, tuples_per_peer, sampling_method
+        )
+        columns, total, processed = self._read_rows(
+            peer_id, tuples_per_peer, sampling_method, seed
         )
 
         # Single-segment call into the same kernel the batch path uses,
@@ -743,7 +826,7 @@ class NetworkSimulator:
         else:  # SUM and AVG replies carry the scaled sum as primary
             value = scaled_sum
 
-        reply = AggregateReply(
+        return AggregateReply(
             source=peer_id,
             destination=sink,
             aggregate_value=value,
@@ -754,17 +837,6 @@ class NetworkSimulator:
             local_tuples=total,
             processed_tuples=processed,
         )
-        ledger.record_visit(
-            peer_id,
-            tuples_processed=processed,
-            tuples_sampled=min(processed, tuples_per_peer or processed),
-            cpu_speed=self._snapshot.peers[peer_id].capabilities.cpu_speed,
-        )
-        ledger.record_reply(reply.size_bytes())
-        _emit_probe(
-            peer_id, "aggregate", "ok", replies=1, messages=1, visits=1
-        )
-        return reply
 
     # ------------------------------------------------------------------
     # Vectorized batch visits (the fast path)
@@ -815,15 +887,7 @@ class NetworkSimulator:
         generators in the same order as the scalar path, so the sampled
         row indices are identical.
         """
-        if sampling_method == "uniform":
-            uniform = True
-        elif sampling_method == "block":
-            uniform = False
-        else:
-            raise ConfigurationError(
-                f"unknown sampling method {sampling_method!r}; "
-                "expected 'uniform' or 'block'"
-            )
+        uniform = _check_sampling_method(sampling_method)
         flat = self.flat_dataset
         offsets = flat.offsets
         totals = flat.peer_tuple_counts[peers]
@@ -866,10 +930,10 @@ class NetworkSimulator:
         return columns, starts, processed, totals
 
     def _batch_fallback_needed(self) -> bool:
-        """Whether batch visits must take the exact per-peer path.
+        """Whether batch visits must resolve their probes one by one.
 
         Loss draws and fault-clock steps interleave with the visit
-        stream, so any armed failure source forces the fallback; the
+        stream, so any armed failure source forces per-probe fate; the
         event-driven subclass adds "virtual time armed" (per-probe
         latency draws interleave the same way).
         """
@@ -878,6 +942,81 @@ class NetworkSimulator:
     def _batch_fallback_reason(self) -> str:
         """Why :meth:`_batch_fallback_needed` returned True (traced)."""
         return "faults-active"
+
+    def read_aggregates(
+        self,
+        peer_ids: ArrayLike,
+        query: AggregationQuery,
+        sink: int,
+        tuples_per_peer: int = 0,
+        sampling_method: str = "uniform",
+        seed: SeedLike = None,
+    ) -> List[AggregateReply]:
+        """The *data* half of aggregate visits, for many peers at once.
+
+        Sub-samples, filters, aggregates and scales the rows of every
+        peer in ``peer_ids`` — in order, consuming ``seed`` draw for
+        draw as one :meth:`visit_aggregate` per peer would — as single
+        numpy passes over the flat columnar view, and builds the
+        replies.  Touches neither ledger, fault clock, virtual time nor
+        tracer: that is the fate half (:meth:`probe_aggregate` per
+        probe, or the bulk charge in :meth:`visit_aggregate_batch`).
+        """
+        _check_pushdown(query)
+        _check_tuples_per_peer(tuples_per_peer)
+        _check_sampling_method(sampling_method)
+        replies, _ = self._read_aggregates(
+            self._validate_batch_peers(peer_ids),
+            query, sink, tuples_per_peer, sampling_method, seed,
+        )
+        return replies
+
+    def _read_aggregates(
+        self,
+        peers: np.ndarray,
+        query: AggregationQuery,
+        sink: int,
+        tuples_per_peer: int,
+        sampling_method: str,
+        seed: SeedLike,
+    ) -> Tuple[List[AggregateReply], np.ndarray]:
+        """:meth:`read_aggregates` over validated arguments; also
+        returns the per-visit processed-row counts (what the ledger is
+        charged for)."""
+        if peers.size == 0:
+            return [], np.empty(0, dtype=np.int64)
+        shared_rng, per_visit_seed = self._resolve_batch_rng(seed)
+        columns, starts, processed, totals = self._batch_sample_plan(
+            peers, tuples_per_peer, sampling_method, shared_rng, per_visit_seed
+        )
+        counts, sums, column_sums, variances = segment_aggregate(
+            query, columns, starts=starts, counts=processed
+        )
+        nonzero = processed > 0
+        scales = np.zeros(peers.size, dtype=np.float64)
+        np.divide(
+            totals.astype(np.float64), processed, out=scales, where=nonzero
+        )
+        primary = counts if query.agg is AggregateOp.COUNT else sums
+        values = primary * scales
+        scaled_counts = counts * scales
+        scaled_column_sums = column_sums * scales
+        degrees = self.topology.degrees[peers]
+        replies = [
+            AggregateReply(
+                source=int(peers[position]),
+                destination=sink,
+                aggregate_value=float(values[position]),
+                matching_count=float(scaled_counts[position]),
+                column_total=float(scaled_column_sums[position]),
+                contribution_variance=float(variances[position]),
+                degree=int(degrees[position]),
+                local_tuples=int(totals[position]),
+                processed_tuples=int(processed[position]),
+            )
+            for position in range(peers.size)
+        ]
+        return replies, processed
 
     def visit_aggregate_batch(
         self,
@@ -899,21 +1038,21 @@ class NetworkSimulator:
         identical to the per-peer loop.
 
         With any failure source armed (``reply_loss_rate > 0`` or a
-        bound :class:`~repro.network.faults.FaultPlan`) the method
-        automatically falls back to the per-peer path: loss draws and
-        fault-clock steps interleave with the visit stream, and
-        keeping fault injection exact matters more than speed there.
+        bound :class:`~repro.network.faults.FaultPlan`) it is *fate per
+        probe, data per batch*: loss draws and fault-clock steps
+        interleave with the visit stream, so each probe is resolved,
+        charged and traced on its own, in order
+        (:meth:`probe_aggregate`), and the rows of the survivors are
+        then read in the same single pass (:meth:`read_aggregates`).
         """
-        if not query.agg.supports_pushdown:
-            raise ConfigurationError(
-                f"{query.agg.value} cannot be pushed down; use visit_values"
-            )
+        _check_pushdown(query)
         _check_tuples_per_peer(tuples_per_peer)
+        _check_sampling_method(sampling_method)
         peers = self._validate_batch_peers(peer_ids)
         if peers.size == 0:
             return []
+        tracer = active_tracer()
         if self._batch_fallback_needed():
-            tracer = active_tracer()
             if tracer is not None:
                 tracer.emit(
                     BatchFallbackEvent(
@@ -922,69 +1061,33 @@ class NetworkSimulator:
                         reason=self._batch_fallback_reason(),
                     )
                 )
-            replies = []
-            for peer_id in peers:
+            survivors: List[int] = []
+            for peer_id in peers.tolist():
                 try:
-                    replies.append(
-                        self.visit_aggregate(
-                            int(peer_id),
-                            query,
-                            sink=sink,
-                            ledger=ledger,
-                            tuples_per_peer=tuples_per_peer,
-                            sampling_method=sampling_method,
-                            seed=seed,
-                        )
+                    self.probe_aggregate(
+                        peer_id, query, ledger, tuples_per_peer, sampling_method
                     )
                 except PeerUnavailableError:
                     continue  # lost reply: the sample just shrinks
+                survivors.append(peer_id)
+            replies, _ = self._read_aggregates(
+                np.asarray(survivors, dtype=np.int64),
+                query, sink, tuples_per_peer, sampling_method, seed,
+            )
             return replies
 
-        shared_rng, per_visit_seed = self._resolve_batch_rng(seed)
-        columns, starts, processed, totals = self._batch_sample_plan(
-            peers, tuples_per_peer, sampling_method, shared_rng, per_visit_seed
+        replies, processed = self._read_aggregates(
+            peers, query, sink, tuples_per_peer, sampling_method, seed
         )
-        counts, sums, column_sums, variances = segment_aggregate(
-            query, columns, starts=starts, counts=processed
-        )
-        nonzero = processed > 0
-        scales = np.zeros(peers.size, dtype=np.float64)
-        np.divide(
-            totals.astype(np.float64), processed, out=scales, where=nonzero
-        )
-        primary = counts if query.agg is AggregateOp.COUNT else sums
-        values = primary * scales
-        scaled_counts = counts * scales
-        scaled_column_sums = column_sums * scales
-        degrees = self.topology.degrees[peers]
-        sampled = processed
-        if tuples_per_peer:
-            sampled = np.minimum(processed, tuples_per_peer)
-
-        replies: List[AggregateReply] = []
-        for position in range(peers.size):
-            replies.append(
-                AggregateReply(
-                    source=int(peers[position]),
-                    destination=sink,
-                    aggregate_value=float(values[position]),
-                    matching_count=float(scaled_counts[position]),
-                    column_total=float(scaled_column_sums[position]),
-                    contribution_variance=float(variances[position]),
-                    degree=int(degrees[position]),
-                    local_tuples=int(totals[position]),
-                    processed_tuples=int(processed[position]),
-                )
-            )
-        reply_bytes = replies[0].size_bytes()
         ledger.record_visit_replies(
             peers,
             tuples_processed=processed,
-            tuples_sampled=sampled,
-            reply_bytes=np.full(peers.size, reply_bytes, dtype=np.int64),
+            tuples_sampled=processed,
+            reply_bytes=np.full(
+                peers.size, AggregateReply.SIZE_BYTES, dtype=np.int64
+            ),
             cpu_speeds=self._snapshot.cpu_speeds()[peers],
         )
-        tracer = active_tracer()
         if tracer is not None:
             tracer.emit(
                 BatchVisitEvent(
@@ -1007,13 +1110,17 @@ class NetworkSimulator:
         seed: SeedLike = None,
     ) -> List[TupleReply]:
         """Batched :meth:`visit_values`: one vectorized pass for the
-        median/quantile visit, with the same equivalence and
-        fault-injection fallback contract as
-        :meth:`visit_aggregate_batch`.
+        median/quantile visit, bit-for-bit equivalent to the per-peer
+        loop like :meth:`visit_aggregate_batch`.
+
+        With any failure source armed it *is* the per-peer loop: a
+        values visit cannot post its fate ahead of its data (see
+        :meth:`probe_aggregate`), so there is nothing to batch.
         """
         if ship not in ("median", "sample"):
             raise ConfigurationError(f"unknown ship mode {ship!r}")
         _check_tuples_per_peer(tuples_per_peer)
+        _check_sampling_method(sampling_method)
         peers = self._validate_batch_peers(peer_ids)
         if peers.size == 0:
             return []

@@ -577,7 +577,10 @@ class _ProbeOutcome(enum.Enum):
     EXHAUSTED = "exhausted"
 
 
-_R = TypeVar("_R", "AggregateReply", "TupleReply")
+#: What one successful probe yields: the surviving peer's id for an
+#: aggregate collection (its reply is built later), the reply itself
+#: for a values collection.
+_R = TypeVar("_R", int, "TupleReply")
 
 
 class ResilientCollector:
@@ -596,6 +599,16 @@ class ResilientCollector:
     * every failure mode is bounded, so a collection always
       terminates: worst case it returns fewer replies than requested,
       and the caller flags the result as degraded.
+
+    An aggregate collection is *fate per probe, data per collection*:
+    the loop above decides, charges and traces every probe
+    (:meth:`~repro.network.simulator.NetworkSimulator.probe_aggregate`),
+    and the rows of all surviving peers are read afterwards in one
+    vectorised pass, in survival order
+    (:meth:`~repro.network.simulator.NetworkSimulator.read_aggregates`).
+    A values collection stays per-peer — a ``TupleReply``'s ledger
+    charge depends on the rows it ships, so its fate cannot be posted
+    before its data is read.
     """
 
     def __init__(
@@ -622,7 +635,8 @@ class ResilientCollector:
         visit: Callable[[int], _R],
         counters: Dict[str, float],
     ) -> Tuple[_ProbeOutcome, Optional[_R]]:
-        """Probe one peer up to ``max_attempts`` times."""
+        """Probe one peer up to ``max_attempts`` times; a probe that
+        gets through yields whatever ``visit`` returns."""
         policy = self._policy
         for attempt in range(policy.max_attempts):
             if attempt > 0:
@@ -678,13 +692,13 @@ class ResilientCollector:
         }
         walk_hops = walk.hops
         last_good = sink
-        replies: List[_R] = []
+        collected: List[_R] = []
         for target in walk.peers:
             peer = int(target)
             while True:
-                outcome, reply = self._attempt(peer, ledger, visit, counters)
-                if outcome is _ProbeOutcome.OK and reply is not None:
-                    replies.append(reply)
+                outcome, result = self._attempt(peer, ledger, visit, counters)
+                if outcome is _ProbeOutcome.OK and result is not None:
+                    collected.append(result)
                     last_good = peer
                     break
                 if (
@@ -715,7 +729,7 @@ class ResilientCollector:
                 break  # exhausted retries or substitution budget: drop
         stats = CollectionStats(
             requested=count,
-            received=len(replies),
+            received=len(collected),
             attempts=int(counters["attempts"]),
             retries=int(counters["retries"]),
             losses=int(counters["losses"]),
@@ -725,7 +739,7 @@ class ResilientCollector:
             backoff_wait_ms=counters["backoff_wait_ms"],
             walk_hops=walk_hops,
         )
-        return replies, stats
+        return collected, stats
 
     # ------------------------------------------------------------------
 
@@ -742,18 +756,28 @@ class ResilientCollector:
     ) -> Tuple[List["AggregateReply"], CollectionStats]:
         """Collect up to ``count`` aggregate replies, resiliently."""
 
-        def visit(peer: int) -> "AggregateReply":
-            return self._simulator.visit_aggregate(
+        def probe(peer: int) -> int:
+            self._simulator.probe_aggregate(
                 peer,
                 query,
-                sink=sink,
                 ledger=ledger,
                 tuples_per_peer=tuples_per_peer,
                 sampling_method=sampling_method,
-                seed=seed,
             )
+            return peer
 
-        return self._collect(sink, count, ledger, probe_bytes, visit)
+        survivors, stats = self._collect(
+            sink, count, ledger, probe_bytes, probe
+        )
+        replies = self._simulator.read_aggregates(
+            survivors,
+            query,
+            sink=sink,
+            tuples_per_peer=tuples_per_peer,
+            sampling_method=sampling_method,
+            seed=seed,
+        )
+        return replies, stats
 
     def collect_values(
         self,

@@ -195,7 +195,9 @@ class BatchVisitEvent(TraceEvent):
 
 @dataclasses.dataclass(frozen=True)
 class BatchFallbackEvent(TraceEvent):
-    """A batch visit degraded to the per-peer loop (faults active)."""
+    """A batch visit resolves its probes one by one (faults or virtual
+    time armed): fate per probe for aggregates, with the rows read in
+    one pass afterwards; the whole per-peer loop for values."""
 
     kind: ClassVar[str] = "batch-fallback"
 

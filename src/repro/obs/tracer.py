@@ -14,9 +14,14 @@ based parallel trial runner inherits a clean default in its workers::
         engine.execute(query, 0.1, sink=0)
     print(tracer.digest())
 
-A tracer assigns each event a monotone sequence number, keeps the
-canonical JSONL line (and, optionally, streams it), and feeds every
-event into its :class:`~repro.obs.registry.MetricsRegistry`.
+A tracer assigns each event a monotone sequence number and stamps it
+with the virtual time.  ``emit`` is an append: the canonical JSONL
+lines, the digest, the cost total and the
+:class:`~repro.obs.registry.MetricsRegistry` are *folded on read* —
+each event is encoded and aggregated exactly once, the first time
+anything asks — so a traced run nobody inspects pays no encoding.  A
+tracer with a ``stream`` (or with ``capture=False``) folds on every
+emit instead: its line has been written when ``emit`` returns.
 """
 
 from __future__ import annotations
@@ -53,7 +58,9 @@ class TraceLike(Protocol):
     """What a completed trace looks like to its consumers.
 
     The serving layer hands traces around behind this protocol:
-    :class:`Tracer` satisfies it directly, and the sharded backend's
+    :class:`Tracer` satisfies it directly (encoding its captured
+    events on the first read of ``lines`` or ``digest()``, once), and
+    the sharded backend's
     remote-trace handle satisfies it by fetching the lines from the
     owning worker on first access.  Consumers (``write_traces``, the
     trace-diff gates) only ever need the canonical lines and their
@@ -84,33 +91,34 @@ class Tracer:
     stream:
         Optional writable text stream; every event's canonical JSONL
         line is written (and newline-terminated) as it is emitted.
-    registry:
-        The metrics registry to aggregate into; a fresh one is created
-        when omitted.
     capture:
-        Keep events and lines in memory (default).  Disable for
-        stream-only tracing of very long runs.
+        Keep events in memory (default).  Disable for stream-only
+        tracing of very long runs: each event is then folded into the
+        stream, the cost total and the registry as it is emitted, and
+        dropped.
     time_source:
         Optional zero-argument callable returning the current virtual
         time in milliseconds (e.g. an event-driven simulator clock's
         ``read``).  When set, each emitted line is stamped with a
         ``vt`` field — but only while the reading is positive, so a
         clock that never advances leaves the lines byte-identical to
-        an untimed run's.
+        an untimed run's.  The clock is read when the event is
+        emitted, never when the trace is read.
     """
 
     def __init__(
         self,
         stream: Optional[IO[str]] = None,
-        registry: Optional[MetricsRegistry] = None,
         capture: bool = True,
         time_source: Optional[Callable[[], float]] = None,
     ):
         self._stream = stream
-        self._registry = registry if registry is not None else MetricsRegistry()
+        self._registry = MetricsRegistry()
         self._capture = capture
         self._time_source = time_source
-        self._events: List[Tuple[int, TraceEvent]] = []
+        # ``(seq, event, vt)`` in emission order; the first
+        # ``len(self._lines)`` of them are folded.
+        self._events: List[Tuple[int, TraceEvent, Optional[float]]] = []
         self._lines: List[str] = []
         self._seq = 0
         self._cost = TraceCost()
@@ -128,22 +136,28 @@ class Tracer:
 
     @property
     def registry(self) -> MetricsRegistry:
-        """The metrics registry this tracer aggregates into."""
+        """The metrics registry this tracer aggregates into.
+
+        Up to date as of this read; read it again (rather than holding
+        the returned object) after further emits.
+        """
+        self._fold()
         return self._registry
 
     @property
     def events(self) -> List[TraceEvent]:
         """The captured events, in emission order."""
-        return [event for _, event in self._events]
+        return [event for _, event, _ in self._events]
 
     @property
     def sequenced_events(self) -> List[Tuple[int, TraceEvent]]:
         """``(seq, event)`` pairs, in emission order."""
-        return list(self._events)
+        return [(seq, event) for seq, event, _ in self._events]
 
     @property
     def lines(self) -> List[str]:
         """The canonical JSONL lines, in emission order."""
+        self._fold()
         return list(self._lines)
 
     @property
@@ -153,7 +167,8 @@ class Tracer:
 
     @property
     def cost_total(self) -> TraceCost:
-        """Running sum of every event's ledger charge."""
+        """Sum of every emitted event's ledger charge."""
+        self._fold()
         return self._cost
 
     # ------------------------------------------------------------------
@@ -162,22 +177,37 @@ class Tracer:
         """Record one event; returns its sequence number."""
         seq = self._seq
         self._seq = seq + 1
-        vt = (
-            self._time_source()
-            if self._time_source is not None
-            else None
+        time_source = self._time_source
+        self._events.append(
+            (seq, event, time_source() if time_source is not None else None)
         )
-        line = event_line(seq, event, vt=vt)
-        if self._capture:
-            self._events.append((seq, event))
-            self._lines.append(line)
-        if self._stream is not None:
-            self._stream.write(line)
-            self._stream.write("\n")
-        cost = event.cost()
-        self._cost = self._cost + cost
-        self._aggregate(event, cost)
+        if self._stream is not None or not self._capture:
+            self._fold()
         return seq
+
+    def _fold(self) -> None:
+        """Encode and aggregate every event not yet folded, in order.
+
+        The one place an event becomes a line, a stream write, a cost
+        addend and registry updates — each exactly once.
+        """
+        events = self._events
+        folded = len(self._lines)
+        if folded == len(events):
+            return
+        stream = self._stream
+        for seq, event, vt in events[folded:]:
+            line = event_line(seq, event, vt=vt)
+            if self._capture:
+                self._lines.append(line)
+            if stream is not None:
+                stream.write(line)
+                stream.write("\n")
+            cost = event.cost()
+            self._cost = self._cost + cost
+            self._aggregate(event, cost)
+        if not self._capture:
+            events.clear()
 
     def _aggregate(self, event: TraceEvent, cost: TraceCost) -> None:
         registry = self._registry
@@ -227,6 +257,7 @@ class Tracer:
         With a fixed engine, seed and topology this value is a pure
         function of the run — the golden-trace tests pin it.
         """
+        self._fold()
         return digest_of_lines(self._lines)
 
 

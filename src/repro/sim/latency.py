@@ -20,8 +20,10 @@ import dataclasses
 import math
 from typing import Final
 
+import numpy as np
+
 from ..errors import ConfigurationError
-from ..network.faults import counter_uniform, kind_code
+from ..network.faults import counter_uniform, counter_uniforms, kind_code
 
 __all__ = [
     "ZERO_LATENCY",
@@ -158,12 +160,20 @@ class LatencyModel:
         return request + reply
 
     def hop_delay_ms(self, message: int, hops: int) -> float:
-        """Total forwarding delay of a ``hops``-hop walk segment."""
+        """Total forwarding delay of a ``hops``-hop walk segment.
+
+        Hop ``i`` draws ``counter_uniform(seed, message, i, hop leg)``;
+        the segment's uniforms come from one vectorised hash call and
+        the delays are summed left to right, so the total is
+        bit-identical to hashing and adding hop by hop.
+        """
         if hops <= 0 or self.hop.is_null:
             return 0.0
+        uniforms = counter_uniforms(
+            self.seed, message, np.arange(hops, dtype=np.uint64), _HOP_LEG
+        )
+        sample_ms = self.hop.sample_ms
         total = 0.0
-        for index in range(hops):
-            total += self.hop.sample_ms(
-                counter_uniform(self.seed, message, index, _HOP_LEG)
-            )
+        for u in uniforms.tolist():
+            total += sample_ms(u)
         return total

@@ -47,6 +47,7 @@ _LEDGER_CALLS: Dict[str, int] = {
     "visit_group_aggregate": 4,
     "visit_aggregate_batch": 4,
     "visit_values_batch": 4,
+    "probe_aggregate": 3,
     "flood": 3,
     "ping": 3,
 }

@@ -299,6 +299,10 @@ VISIT_ENTRY_POINTS = {
     "visit_values_batch": lambda net, **kw: net.visit_values_batch(
         [0, 1], MEDIAN_ALL, **kw
     ),
+    # The fate half of an aggregate visit replies to nobody: no sink.
+    "probe_aggregate": lambda net, sink, **kw: net.probe_aggregate(
+        0, SUM_ALL, **kw
+    ),
 }
 
 
@@ -334,5 +338,44 @@ class TestVisitArgumentValidation:
                 network, sink=1, ledger=ledger, tuples_per_peer=-5
             )
         assert ledger.snapshot() == untouched
+        if faulty:
+            assert network.fault_state.clock == 1
+
+    @pytest.mark.parametrize("tuples_per_peer", [0, 2, 100])
+    @pytest.mark.parametrize("faulty", [False, True])
+    @pytest.mark.parametrize("entry_point", sorted(VISIT_ENTRY_POINTS))
+    def test_unknown_sampling_method_rejected_before_side_effects(
+        self, mini_network, entry_point, faulty, tuples_per_peer
+    ):
+        """The method used to be checked only inside ``database.sample``
+        — after the gauntlet had consumed a fault-clock step, and not
+        at all when the visit did not sub-sample (budget 0, or a
+        partition within the budget), where the scalar visits accepted
+        a bogus method the batch visits rejected."""
+        network = mini_network
+        if faulty:
+            network = NetworkSimulator(
+                mini_network.topology,
+                mini_network.databases(),
+                seed=3,
+                reply_loss_rate=0.5,
+                fault_plan=FaultPlan(seed=1, reply_loss=0.5),
+                fault_clock=1,
+            )
+        ledger = network.new_ledger()
+        untouched = ledger.snapshot()
+        failure_stream = network._failure_rng.bit_generator.state
+        with pytest.raises(
+            ConfigurationError, match="unknown sampling method 'bogus'"
+        ):
+            VISIT_ENTRY_POINTS[entry_point](
+                network,
+                sink=1,
+                ledger=ledger,
+                tuples_per_peer=tuples_per_peer,
+                sampling_method="bogus",
+            )
+        assert ledger.snapshot() == untouched
+        assert network._failure_rng.bit_generator.state == failure_stream
         if faulty:
             assert network.fault_state.clock == 1

@@ -11,7 +11,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.obs.tracer as tracer_module
 from repro.core.median import MedianConfig, MedianEngine
 from repro.data.generator import DatasetConfig, generate_dataset
 from repro.data.localdb import LocalDatabase
@@ -29,6 +32,8 @@ from repro.network.walker import (
 )
 from repro.obs import (
     MetricsRegistry,
+    ProbeEvent,
+    RetryEvent,
     RunManifest,
     TraceCost,
     Tracer,
@@ -189,6 +194,170 @@ class TestTracer:
         tracer = Tracer()
         tracer.emit(WalkEvent(start=1, hops=3))
         assert tracer.digest() == digest_of_lines(tracer.lines)
+
+
+class _Clock:
+    """A settable virtual clock for ``time_source``."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def read(self):
+        return self.now
+
+
+_EVENTS = st.one_of(
+    st.builds(
+        WalkEvent,
+        start=st.integers(0, 9),
+        hops=st.integers(0, 50),
+        selected=st.integers(0, 5),
+        distinct=st.integers(0, 5),
+    ),
+    st.builds(
+        ProbeEvent,
+        peer=st.integers(0, 9),
+        probe_kind=st.just("aggregate"),
+        outcome=st.sampled_from(["ok", "lost", "timeout"]),
+        replies=st.integers(0, 1),
+        charge=st.builds(
+            TraceCost,
+            messages=st.integers(0, 2),
+            hops=st.just(0),
+            visits=st.just(1),
+            timeouts=st.integers(0, 1),
+        ),
+    ),
+    st.builds(
+        RetryEvent,
+        peer=st.integers(0, 9),
+        attempt=st.integers(1, 3),
+        backoff_ms=st.sampled_from([0.0, 50.0, 100.0]),
+    ),
+)
+_OPS = st.one_of(
+    st.tuples(st.just("emit"), _EVENTS),
+    st.tuples(st.just("advance"), st.sampled_from([0.0, 0.5, 20.0])),
+    st.tuples(
+        st.sampled_from(["lines", "digest", "cost_total", "registry"]),
+        st.none(),
+    ),
+)
+
+
+class TestTracerFoldOnRead:
+    """``emit`` is an append; everything derived is folded on read,
+    once, and reads exactly what folding per emit would have."""
+
+    @pytest.fixture()
+    def encodes(self, monkeypatch):
+        """How many times the tracer has called ``event_line``."""
+        calls = []
+
+        def counting(seq, event, vt=None):
+            calls.append(seq)
+            return event_line(seq, event, vt=vt)
+
+        monkeypatch.setattr(tracer_module, "event_line", counting)
+        return calls
+
+    def test_nothing_is_encoded_until_read_and_nothing_twice(self, encodes):
+        tracer = Tracer()
+        for hops in range(25):
+            tracer.emit(WalkEvent(start=0, hops=hops))
+        assert tracer.num_events == 25
+        assert len(tracer.events) == 25
+        assert encodes == []
+        first = tracer.lines
+        assert encodes == list(range(25))
+        assert tracer.lines == first
+        tracer.digest()
+        assert tracer.cost_total.hops == sum(range(25))
+        tracer.registry.snapshot()
+        assert encodes == list(range(25))  # later reads re-encode nothing
+        tracer.emit(WalkEvent(start=0, hops=1))
+        assert encodes == list(range(25))
+        tracer.digest()
+        assert encodes == list(range(26))  # only the new event
+
+    @given(ops=st.lists(_OPS, max_size=40), streamed=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_every_read_equals_the_eager_fold(self, ops, streamed):
+        """Any interleaving of emits and reads: each read equals an
+        oracle that encodes and aggregates at every emit."""
+        clock = _Clock()
+        stream = io.StringIO() if streamed else None
+        tracer = Tracer(stream=stream, time_source=clock.read)
+        # The oracle: lines and cost kept here, the registry by a
+        # tracer that folds on every emit (it has a stream).
+        lines, cost = [], TraceCost()
+        eager = Tracer(stream=io.StringIO(), time_source=clock.read)
+        for op, argument in ops:
+            if op == "emit":
+                seq = tracer.emit(argument)
+                eager.emit(argument)
+                lines.append(event_line(seq, argument, vt=clock.now))
+                cost = cost + argument.cost()
+                if streamed:
+                    assert stream.getvalue() == "".join(
+                        line + "\n" for line in lines
+                    )
+            elif op == "advance":
+                clock.now += argument
+            elif op == "lines":
+                assert tracer.lines == lines
+            elif op == "digest":
+                assert tracer.digest() == digest_of_lines(lines)
+            elif op == "cost_total":
+                assert tracer.cost_total == cost
+            else:
+                assert (
+                    tracer.registry.snapshot()
+                    == eager._registry.snapshot()
+                )
+        assert tracer.lines == lines
+        assert tracer.num_events == len(lines)
+
+    def test_streamed_line_is_written_when_emit_returns(self, encodes):
+        stream = io.StringIO()
+        tracer = Tracer(stream=stream)
+        for k in range(5):
+            tracer.emit(WalkEvent(start=k, hops=k))
+            written = stream.getvalue().splitlines()
+            assert len(written) == k + 1
+            assert json.loads(written[k])["seq"] == k
+            assert encodes == list(range(k + 1))
+        assert tracer.lines == stream.getvalue().splitlines()
+        assert encodes == list(range(5))  # the stream's lines are the cache
+
+    def test_capture_disabled_retains_nothing_but_still_aggregates(self):
+        stream = io.StringIO()
+        tracer = Tracer(stream=stream, capture=False)
+        for hops in (3, 4):
+            tracer.emit(WalkEvent(start=1, hops=hops))
+            assert tracer._events == [] and tracer._lines == []
+        assert tracer.sequenced_events == []
+        assert tracer.cost_total == TraceCost(messages=7, hops=7)
+        assert tracer.registry.snapshot()["counters"]["events.walk"] == 2
+        assert stream.getvalue().count("\n") == 2
+
+    def test_vt_is_the_clock_at_emit_not_at_read(self):
+        clock = _Clock()
+        tracer = Tracer(time_source=clock.read)
+        tracer.emit(WalkEvent(start=1, hops=1))  # clock at zero: no stamp
+        clock.now = 5.0
+        tracer.emit(WalkEvent(start=1, hops=2))
+        clock.now = 9.0
+        tracer.emit(WalkEvent(start=1, hops=3))
+        clock.now = 100.0
+        records = [json.loads(line) for line in tracer.lines]
+        assert [record.get("vt") for record in records] == [None, 5.0, 9.0]
+
+    def test_no_external_registry(self):
+        """The registry is the tracer's own: a caller-held one would
+        go stale between folds."""
+        with pytest.raises(TypeError):
+            Tracer(registry=MetricsRegistry())
 
 
 class TestTracingContext:

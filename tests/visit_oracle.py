@@ -1,0 +1,298 @@
+"""Reference per-peer aggregate collection — the oracle the fate/data
+split is compared against (``tests/test_visit_parity.py``).
+
+This is the product's former faulted aggregate path, moved here
+verbatim when ``NetworkSimulator.probe_aggregate`` /
+``read_aggregates`` became the only way an aggregate collection runs
+under faults: every probe does its own failure gauntlet, its own
+sub-sample, its own one-segment ``segment_aggregate``, its own reply
+and its own ledger charge, one peer at a time — the scalar
+``visit_aggregate`` as it was (:func:`oracle_visit_aggregate`), the
+fallback loop of ``visit_aggregate_batch`` around it
+(:func:`oracle_visit_aggregate_batch`), and the resilient collector's
+retry/substitution loop around it (:class:`OracleCollector`).  Keep it
+dumb; it exists to be obviously right, not fast.
+
+It drives the simulator under test through the same private hooks the
+product path uses (``_probe_checks`` including the event-driven
+override, ``_rng``, the snapshot), so both sides see one fault clock,
+one virtual clock and one failure stream — run each side on its own
+identically built simulator and compare everything afterwards.
+
+One quirk is kept on purpose: the sampling method is only checked
+inside ``database.sample``, *after* the gauntlet, as it was.  The
+product now rejects a bad method up front; parity is claimed for valid
+arguments only.
+"""
+
+import numpy as np
+
+from repro._util import ensure_rng
+from repro.data.segments import segment_aggregate
+from repro.errors import (
+    ConfigurationError,
+    PeerCrashedError,
+    PeerUnavailableError,
+    ProbeTimeoutError,
+)
+from repro.network.protocol import AggregateReply
+from repro.network.simulator import _emit_probe
+from repro.obs.events import BatchFallbackEvent, RetryEvent, SubstituteEvent
+from repro.obs.tracer import active_tracer
+from repro.query.model import AggregateOp
+
+
+def _open_visit(
+    simulator, peer_id, kind, ledger, tuples_per_peer, sampling_method, seed
+):
+    if tuples_per_peer < 0:
+        raise ConfigurationError("tuples_per_peer must be >= 0")
+    database = simulator.database(peer_id)
+    simulator._probe_checks(peer_id, kind, ledger)
+    total = database.num_tuples
+    rng = simulator._rng if seed is None else ensure_rng(seed)
+    if tuples_per_peer and total > tuples_per_peer:
+        columns = database.sample(
+            tuples_per_peer, method=sampling_method, seed=rng
+        )
+        return columns, total, tuples_per_peer
+    return database.scan(), total, total
+
+
+def oracle_visit_aggregate(
+    simulator,
+    peer_id,
+    query,
+    sink,
+    ledger,
+    tuples_per_peer=0,
+    sampling_method="uniform",
+    seed=None,
+):
+    """The former ``NetworkSimulator.visit_aggregate``."""
+    if not query.agg.supports_pushdown:
+        raise ConfigurationError(
+            f"{query.agg.value} cannot be pushed down; use visit_values"
+        )
+    columns, total, processed = _open_visit(
+        simulator, peer_id, "aggregate", ledger,
+        tuples_per_peer, sampling_method, seed,
+    )
+
+    counts, sums, column_sums, variances = segment_aggregate(
+        query,
+        columns,
+        starts=np.zeros(1, dtype=np.int64),
+        counts=np.asarray([processed], dtype=np.int64),
+    )
+    local_count = float(counts[0])
+    local_sum = float(sums[0])
+    column_sum = float(column_sums[0])
+    contribution_variance = float(variances[0])
+
+    scale = (total / processed) if processed else 0.0
+    scaled_count = local_count * scale
+    scaled_sum = local_sum * scale
+    if query.agg is AggregateOp.COUNT:
+        value = scaled_count
+    else:  # SUM and AVG replies carry the scaled sum as primary
+        value = scaled_sum
+
+    reply = AggregateReply(
+        source=peer_id,
+        destination=sink,
+        aggregate_value=value,
+        matching_count=scaled_count,
+        column_total=column_sum * scale,
+        contribution_variance=contribution_variance,
+        degree=simulator.topology.degree(peer_id),
+        local_tuples=total,
+        processed_tuples=processed,
+    )
+    ledger.record_visit(
+        peer_id,
+        tuples_processed=processed,
+        tuples_sampled=min(processed, tuples_per_peer or processed),
+        cpu_speed=simulator._snapshot.peers[peer_id].capabilities.cpu_speed,
+    )
+    ledger.record_reply(reply.size_bytes())
+    _emit_probe(peer_id, "aggregate", "ok", replies=1, messages=1, visits=1)
+    return reply
+
+
+def oracle_visit_aggregate_batch(
+    simulator,
+    peer_ids,
+    query,
+    sink,
+    ledger,
+    tuples_per_peer=0,
+    sampling_method="uniform",
+    seed=None,
+):
+    """The former faulted branch of ``visit_aggregate_batch``."""
+    if not query.agg.supports_pushdown:
+        raise ConfigurationError(
+            f"{query.agg.value} cannot be pushed down; use visit_values"
+        )
+    if tuples_per_peer < 0:
+        raise ConfigurationError("tuples_per_peer must be >= 0")
+    peers = simulator._validate_batch_peers(peer_ids)
+    if peers.size == 0:
+        return []
+    assert simulator._batch_fallback_needed(), "the oracle is the faulted path"
+    tracer = active_tracer()
+    if tracer is not None:
+        tracer.emit(
+            BatchFallbackEvent(
+                probe_kind="aggregate",
+                requested=int(peers.size),
+                reason=simulator._batch_fallback_reason(),
+            )
+        )
+    replies = []
+    for peer_id in peers:
+        try:
+            replies.append(
+                oracle_visit_aggregate(
+                    simulator,
+                    int(peer_id),
+                    query,
+                    sink=sink,
+                    ledger=ledger,
+                    tuples_per_peer=tuples_per_peer,
+                    sampling_method=sampling_method,
+                    seed=seed,
+                )
+            )
+        except PeerUnavailableError:
+            continue  # lost reply: the sample just shrinks
+    return replies
+
+
+class OracleCollector:
+    """The former ``ResilientCollector._attempt`` / ``_collect`` /
+    ``collect_aggregate``: retry, backoff and substitution around one
+    :func:`oracle_visit_aggregate` per probe."""
+
+    def __init__(self, walker, simulator, policy):
+        self._walker = walker
+        self._simulator = simulator
+        self._policy = policy
+
+    def _attempt(self, peer, ledger, visit, counters):
+        policy = self._policy
+        for attempt in range(policy.max_attempts):
+            if attempt > 0:
+                wait = policy.backoff_ms(attempt - 1)
+                ledger.record_wait(wait)
+                counters["backoff_wait_ms"] += wait
+                counters["retries"] += 1
+                tracer = active_tracer()
+                if tracer is not None:
+                    tracer.emit(
+                        RetryEvent(
+                            peer=peer, attempt=attempt, backoff_ms=wait
+                        )
+                    )
+            counters["attempts"] += 1
+            try:
+                return "ok", visit(peer)
+            except PeerCrashedError:
+                counters["crashes"] += 1
+                return "crashed", None
+            except ProbeTimeoutError:
+                counters["timeouts"] += 1
+            except PeerUnavailableError:
+                counters["losses"] += 1
+        return "exhausted", None
+
+    def collect_aggregate(
+        self,
+        sink,
+        query,
+        count,
+        ledger,
+        probe_bytes,
+        tuples_per_peer=0,
+        sampling_method="uniform",
+        seed=None,
+    ):
+        """``(replies, stats)`` with ``stats`` a plain dict keyed like
+        ``CollectionStats``'s fields."""
+
+        def visit(peer):
+            return oracle_visit_aggregate(
+                self._simulator,
+                peer,
+                query,
+                sink=sink,
+                ledger=ledger,
+                tuples_per_peer=tuples_per_peer,
+                sampling_method=sampling_method,
+                seed=seed,
+            )
+
+        walk = self._walker.sample_peers(sink, count)
+        self._simulator.walk_hops(
+            walk.hops, ledger, message_bytes=probe_bytes
+        )
+        policy = self._policy
+        jump = self._walker.config.effective_jump
+        substitutions_left = (
+            count if policy.max_substitutions is None
+            else policy.max_substitutions
+        )
+        counters = {
+            "attempts": 0,
+            "retries": 0,
+            "losses": 0,
+            "timeouts": 0,
+            "crashes": 0,
+            "substitutions": 0,
+            "backoff_wait_ms": 0.0,
+        }
+        walk_hops = walk.hops
+        last_good = sink
+        replies = []
+        for target in walk.peers:
+            peer = int(target)
+            while True:
+                outcome, reply = self._attempt(peer, ledger, visit, counters)
+                if outcome == "ok" and reply is not None:
+                    replies.append(reply)
+                    last_good = peer
+                    break
+                if outcome == "crashed" and substitutions_left > 0:
+                    substitutions_left -= 1
+                    counters["substitutions"] += 1
+                    failed = peer
+                    peer = self._walker.endpoint_after(last_good, jump)
+                    self._simulator.walk_hops(
+                        jump, ledger, message_bytes=probe_bytes
+                    )
+                    walk_hops += jump
+                    tracer = active_tracer()
+                    if tracer is not None:
+                        tracer.emit(
+                            SubstituteEvent(
+                                failed=failed,
+                                replacement=peer,
+                                hops=jump,
+                            )
+                        )
+                    continue
+                break  # exhausted retries or substitution budget: drop
+        stats = {
+            "requested": count,
+            "received": len(replies),
+            "attempts": int(counters["attempts"]),
+            "retries": int(counters["retries"]),
+            "losses": int(counters["losses"]),
+            "timeouts": int(counters["timeouts"]),
+            "crashes": int(counters["crashes"]),
+            "substitutions": int(counters["substitutions"]),
+            "backoff_wait_ms": counters["backoff_wait_ms"],
+            "walk_hops": walk_hops,
+        }
+        return replies, stats
