@@ -56,6 +56,8 @@ def serve(simulator, **backend_kwargs):
         simulator,
         TwoPhaseConfig(max_phase_two_peers=300),
         seed=99,
+        # Visits between budget/deadline checks.  Nothing here carries
+        # either, so every query runs one step per phase regardless.
         chunk_peers=8,
         capture_traces=True,
         **backend_kwargs,

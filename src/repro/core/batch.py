@@ -23,7 +23,6 @@ hardest member instead of the sum.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from typing import List, Optional, Sequence
 
@@ -209,11 +208,9 @@ class BatchEngine:
             estimate = self._point(observations)
             half_width = z * math.sqrt(self._variance(observations))
             if query.agg is AggregateOp.AVG:
-                counts = [
-                    dataclasses.replace(o, value=o.matching_count)
-                    for o in observations
-                ]
-                total_count = self._point(counts)
+                total_count = self._point(
+                    observations, field="matching_count"
+                )
                 if total_count <= 0:
                     raise SamplingError(
                         "AVG undefined: batch saw no matching tuples"

@@ -144,19 +144,33 @@ def observations_from_replies(
     return observations
 
 
-def _ratios(observations: Sequence[PeerObservation]) -> np.ndarray:
+def _ratios(
+    observations: Sequence[PeerObservation], field: str = "value"
+) -> np.ndarray:
+    """The single-peer estimates ``y(s) / prob(s)``, with ``y(s)`` read
+    from ``field`` — Equation 1 applies to any per-peer quantity an
+    observation carries, so estimating another one is picking its
+    field, not copying the sample."""
     if not observations:
         raise SamplingError("estimator needs at least one observation")
-    return np.asarray([obs.ratio for obs in observations], dtype=float)
+    return np.asarray(
+        [getattr(obs, field) / obs.probability for obs in observations],
+        dtype=float,
+    )
 
 
-def horvitz_thompson(observations: Sequence[PeerObservation]) -> float:
-    """Equation 1: ``y'' = avg(y(s) / prob(s))``."""
-    return float(_ratios(observations).mean())
+def horvitz_thompson(
+    observations: Sequence[PeerObservation], field: str = "value"
+) -> float:
+    """Equation 1: ``y'' = avg(y(s) / prob(s))``, ``y(s)`` being the
+    observations' ``field``."""
+    return float(_ratios(observations, field).mean())
 
 
 def hajek_estimate(
-    observations: Sequence[PeerObservation], num_peers: int
+    observations: Sequence[PeerObservation],
+    num_peers: int,
+    field: str = "value",
 ) -> float:
     """The self-normalized (Hájek) variant of Equation 1:
 
@@ -173,7 +187,7 @@ def hajek_estimate(
     """
     if num_peers <= 0:
         raise SamplingError("num_peers must be positive")
-    ratios = _ratios(observations)
+    ratios = _ratios(observations, field)
     weights = np.asarray(
         [1.0 / obs.probability for obs in observations], dtype=float
     )
@@ -209,14 +223,16 @@ def hajek_variance(
 def make_estimator(
     name: str, num_peers: int = 0
 ) -> Tuple[
-    Callable[[Sequence["PeerObservation"]], float],
+    Callable[..., float],
     Callable[[Sequence["PeerObservation"]], float],
 ]:
     """Estimator factory: ``"ht"`` (the paper's Equation 1) or
     ``"hajek"`` (self-normalized; needs ``num_peers``).
 
     Returns ``(point_estimator, variance_estimator)`` — both callables
-    over a sequence of observations.
+    over a sequence of observations; the point estimator also takes
+    ``field=`` to estimate the total of another per-peer quantity
+    (``"matching_count"``, ``"local_tuples"``, ``"column_total"``).
     """
     if name == "ht":
         return horvitz_thompson, ht_variance
@@ -224,8 +240,10 @@ def make_estimator(
         if num_peers <= 0:
             raise SamplingError("hajek estimator needs num_peers")
 
-        def point(observations: Sequence[PeerObservation]) -> float:
-            return hajek_estimate(observations, num_peers)
+        def point(
+            observations: Sequence[PeerObservation], field: str = "value"
+        ) -> float:
+            return hajek_estimate(observations, num_peers, field)
 
         def variance(observations: Sequence[PeerObservation]) -> float:
             return hajek_variance(observations, num_peers)
@@ -311,10 +329,7 @@ def estimate_total_tuples(observations: Sequence[PeerObservation]) -> float:
     Applies Equation 1 with ``y(p) = |local partition of p|``; used to
     normalize COUNT errors when N is not known a priori.
     """
-    if not observations:
-        raise SamplingError("estimator needs at least one observation")
-    ratios = [obs.local_tuples / obs.probability for obs in observations]
-    return float(np.mean(ratios))
+    return horvitz_thompson(observations, field="local_tuples")
 
 
 def estimate_total_column_sum(
@@ -325,7 +340,4 @@ def estimate_total_column_sum(
     Applies Equation 1 with ``y(p) = sum of the column at p`` (the
     ``column_total`` the visit reply carries); normalizes SUM errors.
     """
-    if not observations:
-        raise SamplingError("estimator needs at least one observation")
-    ratios = [obs.column_total / obs.probability for obs in observations]
-    return float(np.mean(ratios))
+    return horvitz_thompson(observations, field="column_total")

@@ -58,6 +58,7 @@ from .two_phase import (
     StepwiseRun,
     TwoPhaseConfig,
     TwoPhaseEngine,
+    check_chunk_peers,
     drain_steps,
 )
 
@@ -406,6 +407,7 @@ class HybridEngine:
         :meth:`execute` would.  The warm/cold decision happens on the
         first advance of the generator, not at creation.
         """
+        check_chunk_peers(chunk_peers)
         signature = query.to_sql()
         topology = self._simulator.topology
         plan = self._cache.lookup(

@@ -21,19 +21,16 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .._util import SeedLike, check_positive, ensure_rng
 from ..errors import SamplingError
 from ..query.model import AggregateOp, AggregationQuery
-import dataclasses as _dataclasses
-
 from .crossval import CrossValidation, cross_validate
 from .estimators import (
     PeerObservation,
     clustering_badness_estimate,
-    estimate_total_column_sum,
-    estimate_total_tuples,
+    horvitz_thompson,
     make_estimator,
 )
 
@@ -110,23 +107,10 @@ class PhaseOneAnalysis:
         return math.sqrt(self.badness / total_peers)
 
 
-def _reproject(
-    observations: Sequence[PeerObservation], field: str
-) -> List[PeerObservation]:
-    """Copies of the observations with ``value`` replaced by another
-    per-peer quantity, so any estimator can be applied to it."""
-    return [
-        _dataclasses.replace(obs, value=getattr(obs, field))
-        for obs in observations
-    ]
-
-
 def estimate_scale(
     query: AggregationQuery,
     observations: Sequence[PeerObservation],
-    point_estimator: Optional[
-        Callable[[Sequence[PeerObservation]], float]
-    ] = None,
+    point_estimator: Optional[Callable[..., float]] = None,
 ) -> float:
     """The normalization scale for ``Δreq`` under this query.
 
@@ -137,19 +121,14 @@ def estimate_scale(
     volumes change quickly and must be estimated at query time).
     """
     if query.agg is AggregateOp.COUNT:
-        if point_estimator is None:
-            scale = estimate_total_tuples(observations)
-        else:
-            scale = point_estimator(_reproject(observations, "local_tuples"))
+        field = "local_tuples"
     elif query.agg in (AggregateOp.SUM, AggregateOp.AVG):
-        if point_estimator is None:
-            scale = estimate_total_column_sum(observations)
-        else:
-            scale = point_estimator(_reproject(observations, "column_total"))
+        field = "column_total"
     else:
         raise SamplingError(
             f"{query.agg.value} is planned by the median engine"
         )
+    scale = (point_estimator or horvitz_thompson)(observations, field=field)
     if scale <= 0:
         raise SamplingError(
             "could not estimate a positive normalization scale; "

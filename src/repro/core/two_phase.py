@@ -107,6 +107,19 @@ StepwiseRun = Generator[StepCheckpoint, None, ApproximateResult]
 _ReturnT = TypeVar("_ReturnT")
 
 
+def check_chunk_peers(chunk_peers: Optional[int]) -> None:
+    """Reject a take size the chunk loop could never finish with.
+
+    A take of zero selections leaves ``remaining`` where it was, so the
+    loop in :meth:`TwoPhaseEngine._collect_stepwise` would yield empty
+    checkpoints forever.  Every public stepwise entry point calls this
+    first thing on its first advance — before the plan cache, an RNG,
+    a ledger or the tracer has been touched.
+    """
+    if chunk_peers is not None and chunk_peers < 1:
+        raise ConfigurationError("chunk_peers must be >= 1")
+
+
 def drain_steps(
     steps: Generator[StepCheckpoint, None, _ReturnT],
 ) -> _ReturnT:
@@ -323,7 +336,8 @@ class TwoPhaseEngine:
         bit-identical replies for any chunking, because the cursor
         consumes the walker RNG exactly as one take does and the batch
         visits consume ``self._visit_rng`` peer by peer in selection
-        order.
+        order.  ``chunk_peers >= 1`` is the public entry points' check
+        (:func:`check_chunk_peers`); the loop relies on it to finish.
         """
         probe = WalkerProbe(
             source=sink,
@@ -400,23 +414,13 @@ class TwoPhaseEngine:
             estimate=estimate,
         )
 
-    def _count_projection(
-        self, observations: Sequence[PeerObservation]
-    ) -> List[PeerObservation]:
-        """Observations with the matching count as the value, for the
-        denominator of the AVG ratio estimate."""
-        return [
-            dataclasses.replace(obs, value=obs.matching_count)
-            for obs in observations
-        ]
-
     def _final_estimate(
         self, query: AggregationQuery, observations: Sequence[PeerObservation]
     ) -> float:
         """The configured estimator — with the ratio form for AVG."""
         if query.agg is AggregateOp.AVG:
             total_sum = self._point(observations)
-            total_count = self._point(self._count_projection(observations))
+            total_count = self._point(observations, field="matching_count")
             if total_count <= 0:
                 raise SamplingError(
                     "AVG undefined: sample saw no matching tuples"
@@ -438,7 +442,7 @@ class TwoPhaseEngine:
             # The interval tracks the SUM component; rescale it into
             # AVG units via the estimated matching count.
             count_estimate = self._point(
-                self._count_projection(observations)
+                observations, field="matching_count"
             )
             if count_estimate > 0:
                 half_width = half_width / count_estimate
@@ -480,6 +484,7 @@ class TwoPhaseEngine:
         """Stepwise :meth:`collect_observations` — yields checkpoints
         between chunks of ``chunk_peers`` visits, returns the same
         ``(observations, replies)`` pair."""
+        check_chunk_peers(chunk_peers)
         replies = yield from self._collect_stepwise(
             sink, query, count, ledger, chunk_peers, phase
         )
@@ -529,8 +534,7 @@ class TwoPhaseEngine:
         interleave queries; budget enforcement happens between chunks,
         so a query can overshoot its budget by at most one chunk.
         """
-        if chunk_peers is not None and chunk_peers < 1:
-            raise ConfigurationError("chunk_peers must be >= 1")
+        check_chunk_peers(chunk_peers)
         if not query.agg.supports_pushdown:
             raise ConfigurationError(
                 f"{query.agg.value} queries are answered by MedianEngine"

@@ -397,7 +397,9 @@ def run_workload(
     max_in_flight:
         Concurrency ceiling (does not affect results).
     chunk_peers:
-        Walk chunk size between scheduling points.
+        Visits between two checks of ``budget`` (the service's
+        enforcement quantum); without a ceiling every phase is one
+        step and this has no effect.
     budget:
         Optional per-query cost ceiling applied to every query.
     """

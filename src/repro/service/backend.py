@@ -21,7 +21,9 @@ Both backends build the per-query session/engine/tracer with the same
 function (:func:`build_task`) and advance it with the same chunk step
 (:func:`~repro.service.scheduler.advance_task`), so a query's entire
 computation is a function of its job alone — the seeds are spawned by
-the service in submission order before the backend ever sees the job.
+the service in submission order before the backend ever sees the job,
+and its chunk boundaries are derived by :func:`build_task` from the
+job's own budget and deadline, never from what else is running.
 What remains is the plan cache, the only cross-query state.  The cache
 is keyed purely by query signature: a lookup's outcome depends only on
 the history of *same-signature* traffic.  The sharded backend
@@ -120,7 +122,14 @@ __all__ = [
 
 @dataclasses.dataclass(frozen=True)
 class EngineSettings:
-    """Per-service engine knobs every backend must apply identically."""
+    """Per-service engine knobs every backend must apply identically.
+
+    ``chunk_peers`` is the enforcement quantum: the visits between two
+    budget/deadline checks of a job that has a ceiling or a deadline
+    (``None`` = one check per phase).  :func:`build_task` applies it;
+    a job with nothing to enforce runs one take per phase whatever it
+    is set to.
+    """
 
     config: TwoPhaseConfig
     chunk_peers: Optional[int]
@@ -210,7 +219,20 @@ def build_task(
     the inline backend calls it in the parent at submit time, the
     sharded backend calls it in the owning worker — so both paths
     produce bit-identical executions from the same job.
+
+    It also sizes the job's takes.  A chunk boundary exists to check
+    something, so a job with nothing to enforce — no budget (or one
+    with no ceiling) and no deadline — walks each phase in one take; a
+    job with a ceiling or an armed deadline is checked every
+    ``settings.chunk_peers`` visits.  The rule reads the job alone: a
+    take emits one walk and one batch-visit event, so boundaries sized
+    from what else is runnable would make a query's trace depend on
+    its neighbours.
     """
+    budget = job.budget
+    if budget is not None and budget.unlimited:
+        budget = None
+    enforced = budget is not None or job.deadline_ms is not None
     session = simulator.session(seed=job.session_seed)
     if job.deadline_ms is not None:
         session.arm_deadline(job.deadline_ms)
@@ -248,10 +270,10 @@ def build_task(
             job.query,
             job.delta_req,
             sink=job.sink,
-            chunk_peers=settings.chunk_peers,
+            chunk_peers=settings.chunk_peers if enforced else None,
         ),
         engine=engine,
-        budget=job.budget,
+        budget=budget,
         tracer=tracer,
         deadline_ms=job.deadline_ms,
         clock=clock.read if clock is not None else None,
@@ -261,10 +283,11 @@ def build_task(
 def drive_task(task: ScheduledQuery) -> Completion:
     """Advance ``task`` chunk by chunk until it completes.
 
-    The same chunk boundaries the round-robin scheduler would hit, so
-    budget/deadline enforcement is unchanged — only the interleaving
-    with *other* queries differs, which per-query isolation makes
-    unobservable.
+    The same chunk boundaries the round-robin scheduler would hit —
+    they were fixed by :func:`build_task` from the job, one per phase
+    when there is nothing to enforce — so budget/deadline enforcement
+    is unchanged; only the interleaving with *other* queries differs,
+    which per-query isolation makes unobservable.
     """
     while True:
         completion = advance_task(task)

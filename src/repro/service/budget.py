@@ -6,7 +6,13 @@ a query's ledger against its budget at every chunk boundary
 (:class:`~repro.core.two_phase.StepCheckpoint`), so enforcement is
 deterministic — the same query with the same seed trips its budget at
 the same chunk whether it runs alone or interleaved with others — and
-a query can overshoot a ceiling by at most one chunk's worth of work.
+a query can overshoot a ceiling by at most one chunk's worth of work:
+the service's ``chunk_peers`` visits and the hops between them.
+
+A budget with no ceiling set (:attr:`CostBudget.unlimited`) has
+nothing to check and is treated exactly like no budget: the query is
+not cut into ``chunk_peers`` pieces and its ledger is not snapshotted
+between them.
 """
 
 from __future__ import annotations
@@ -55,7 +61,8 @@ class CostBudget:
 
     @property
     def unlimited(self) -> bool:
-        """Whether no ceiling is set at all."""
+        """Whether no ceiling is set at all — the service then runs
+        the query as if it had no budget."""
         return (
             self.max_messages is None
             and self.max_hops is None

@@ -5,7 +5,11 @@ keeps at most ``max_in_flight`` of them running, and on every
 :meth:`RoundRobinScheduler.tick` advances each running task by exactly
 one chunk (one ``next()`` on its stepwise generator).  Fairness is
 structural — nobody can starve, because every tick touches every
-running query once.
+running query once.  How much one chunk is was fixed when the task was
+built (:func:`~repro.service.backend.build_task`): ``chunk_peers``
+visits for a query with a budget ceiling or a deadline to check, a
+whole phase for one with neither — so a tick is bounded by
+``max_in_flight`` phases, and a phase by the plan.
 
 Two rules carry the service's determinism invariant:
 
@@ -64,6 +68,9 @@ class ScheduledQuery:
     ticket: QueryTicket
     steps: StepwiseRun
     engine: HybridEngine
+    #: ``None`` when there is no ceiling to check — a ceilingless
+    #: :class:`CostBudget` never gets here (``build_task`` drops it), so
+    #: such a task's ledger is not snapshotted per chunk.
     budget: Optional[CostBudget]
     tracer: Optional[Tracer]
     #: Virtual-time deadline and the session clock that measures it.
@@ -109,7 +116,10 @@ def advance_task(task: ScheduledQuery) -> Optional[Completion]:
     the round-robin scheduler calls it once per running task per tick,
     and the sharded backend's workers call it in a drain loop — so
     budget and deadline enforcement at chunk boundaries is the same
-    code on every execution path.
+    code on every execution path.  A chunk is ``chunk_peers`` visits
+    (the enforcement quantum) for a task with a ceiling or a deadline
+    and one whole phase for a task with neither; a ceiling can be
+    overshot by at most one quantum.
 
     The task's tracer (if any) is activated only for the duration of
     the generator frame, so every engine event lands in the query's

@@ -20,11 +20,13 @@ heavy repeat traffic, not one query at a time):
   steps produces bit-identical results — the keystone invariant:
   ``N`` queries run concurrently equal the same queries run serially
   (a service with ``max_in_flight=1``) bit for bit, traces included.
-* **Fair interleaving with budgets.**  Engines execute stepwise
-  (``chunk_peers`` visits per step); the round-robin scheduler
-  advances every in-flight query once per tick and enforces per-query
-  :class:`~repro.service.budget.CostBudget` ceilings at chunk
-  boundaries.
+* **Fair interleaving with budgets.**  Engines execute stepwise; the
+  round-robin scheduler advances every in-flight query one step per
+  tick.  A step boundary exists where something is checked: a query
+  with a :class:`~repro.service.budget.CostBudget` ceiling or a
+  deadline steps every ``chunk_peers`` visits (the enforcement
+  quantum) and is stopped at the first boundary past its limit; a
+  query with neither takes one step per phase.
 * **Shared plan cache.**  All per-query engines serve from one
   :class:`~repro.core.hybrid.PlanCache`, so repeat signatures in the
   workload go warm.  Cache entries are churn-epoch aware; after
@@ -88,7 +90,10 @@ class QueryOutcome:
     ``"deadline-exceeded"`` (the session's virtual clock passed the
     query's deadline at a chunk boundary).
     ``cost`` is the query's ledger snapshot at the end, whichever way
-    it ended; ``chunks`` is how many scheduling steps it consumed.
+    it ended; ``chunks`` is how many scheduling steps it consumed — a
+    function of the query's own job (one per phase, or one per
+    ``chunk_peers`` visits under a ceiling or a deadline), the same on
+    every backend.
     """
 
     ticket: QueryTicket
@@ -153,11 +158,18 @@ class QueryService:
         Outstanding-query bound (queued + running); beyond it,
         :meth:`submit` raises :class:`~repro.errors.AdmissionError`.
     chunk_peers:
-        Peer visits per scheduling step.  Smaller = fairer
-        interleaving and tighter budget enforcement, at more
-        scheduling overhead.  ``None`` runs each phase in one step.
+        The enforcement quantum: peer visits between two budget /
+        deadline checks of a query that has a ceiling or a deadline,
+        which can overshoot a ceiling by at most this many visits (and
+        the hops between them).  Smaller = tighter enforcement, at
+        more scheduling overhead; ``None`` checks once per phase.  A
+        query with nothing to enforce runs each phase in one step
+        whatever this is — its step size depends on its own job only,
+        never on what else is in flight, so traces stay
+        scheduling-independent.
     default_budget:
-        Budget applied to submissions that don't bring their own.
+        Budget applied to submissions that don't bring their own.  A
+        budget with no ceiling set is the same as none.
     max_age, decay:
         Plan-cache tuning, as for :class:`~repro.core.hybrid.HybridEngine`.
     capture_traces:

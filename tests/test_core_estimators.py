@@ -5,6 +5,8 @@ verify Theorem 1 (unbiasedness), Theorem 2 (Var = C/m) and the
 agreement between the exact C and its sample estimate.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -214,6 +216,35 @@ class TestScaleEstimators:
             estimate_total_tuples([])
         with pytest.raises(SamplingError):
             estimate_total_column_sum([])
+
+    @pytest.mark.parametrize("name", ["ht", "hajek"])
+    @pytest.mark.parametrize(
+        "field", ["matching_count", "local_tuples", "column_total"]
+    )
+    def test_field_projection_equals_a_copied_sample(self, name, field):
+        """Estimating another per-peer quantity is picking its field;
+        the reference is the copy of the sample the engines used to
+        build, with that quantity moved into ``value`` — bit-equal."""
+        from repro.core.estimators import make_estimator
+
+        rng = np.random.default_rng(5)
+        observations = [
+            make_observation(
+                float(rng.integers(0, 90)),
+                float(rng.uniform(0.001, 0.05)),
+                matching_count=float(rng.uniform(0, 40)),
+                column_total=float(rng.uniform(0, 5000)),
+                local_tuples=int(rng.integers(1, 200)),
+            )
+            for _ in range(57)
+        ]
+        point, _ = make_estimator(name, num_peers=2000)
+        copied = [
+            dataclasses.replace(obs, value=getattr(obs, field))
+            for obs in observations
+        ]
+        assert point(observations, field=field) == point(copied)
+        assert point(observations) == point(observations, field="value")
 
 
 class TestObservationsFromReplies:

@@ -9,6 +9,7 @@ from repro.errors import ConfigurationError
 from repro.network.faults import FaultPlan
 from repro.network.generators import power_law_topology
 from repro.network.simulator import NetworkSimulator
+from repro.obs import Tracer, tracing
 from repro.query.exact import evaluate_exact
 from repro.query.parser import parse_query
 
@@ -90,6 +91,34 @@ class TestCaching:
         # Refreshed statistics blend; exact equality would mean the
         # refresh never happened.
         assert plan.mean_squared_cv_error != before
+
+
+class TestStepwiseValidation:
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_zero_chunk_peers_raises_on_the_first_advance(
+        self, engine, warm
+    ):
+        """A warm plan used to reach the chunk loop unvalidated and
+        spin on empty takes; it now raises before the plan cache, the
+        engine's counters or the tracer see the query."""
+        if warm:
+            engine.execute(COUNT_30, 0.1, sink=0)
+        before = (
+            engine.cache.hits, engine.cache.misses,
+            engine.cold_runs, engine.warm_runs,
+        )
+        tracer = Tracer()
+        steps = engine.run_stepwise(COUNT_30, 0.1, sink=0, chunk_peers=0)
+        with tracing(tracer):
+            with pytest.raises(
+                ConfigurationError, match="chunk_peers must be >= 1"
+            ):
+                next(steps)
+        assert before == (
+            engine.cache.hits, engine.cache.misses,
+            engine.cold_runs, engine.warm_runs,
+        )
+        assert tracer.events == []
 
 
 class TestAccuracyAndCost:

@@ -336,6 +336,29 @@ class TestStepwiseExecution:
         with pytest.raises(ConfigurationError):
             next(engine.run_stepwise(self.QUERY, 0.1, chunk_peers=0))
 
+    @pytest.mark.parametrize("chunk_peers", [0, -2])
+    def test_collect_stepwise_rejects_a_take_that_never_finishes(
+        self, small_network, chunk_peers
+    ):
+        """``take = min(0, remaining)`` would yield empty checkpoints
+        forever; the first advance raises instead, with the walker
+        RNG, the ledger and the tracer untouched."""
+        engine = TwoPhaseEngine(small_network, seed=3)
+        ledger = small_network.new_ledger()
+        tracer = Tracer()
+        walker_state = engine._walker._rng.bit_generator.state
+        steps = engine.collect_observations_stepwise(
+            0, self.QUERY, 12, ledger, chunk_peers=chunk_peers
+        )
+        with tracing(tracer):
+            with pytest.raises(
+                ConfigurationError, match="chunk_peers must be >= 1"
+            ):
+                next(steps)
+        assert engine._walker._rng.bit_generator.state == walker_state
+        assert ledger.snapshot() == small_network.new_ledger().snapshot()
+        assert tracer.events == []
+
     def test_drain_steps_returns_generator_value(self):
         def generator():
             yield "checkpoint"

@@ -35,6 +35,7 @@ from repro.service import (
     RoundRobinScheduler,
     ScheduledQuery,
 )
+from repro.sim import ConstantLatency, EventDrivenSimulator, LatencyModel
 from repro.tools.trace.cli import main as trace_main
 
 COUNT_30 = parse_query("SELECT COUNT(A) FROM T WHERE A BETWEEN 1 AND 30")
@@ -202,6 +203,127 @@ class TestBudgets:
         )
         ticket = service.submit(COUNT_30, 0.1)
         assert service.await_result(ticket).estimate > 0
+
+
+class TestQuantum:
+    """``chunk_peers`` is the enforcement quantum: a chunk boundary
+    exists only where a budget or a deadline is checked, so the take
+    size is a function of the job.  Counts repeat exactly — this is
+    the stopwatch-free floor for the scheduler's per-chunk cost."""
+
+    #: Pinned at the commit before the quantum became a function of
+    #: the job: what ``max_hops=10`` under ``chunk_peers=4`` cost.
+    BUDGET_STOP_COST = QueryCost(
+        messages=44, hops=40, peers_visited=4, distinct_peers=4,
+        tuples_processed=100, tuples_sampled=100, bytes_sent=3468,
+        latency_ms=2104.409293513404, timeouts=0,
+    )
+
+    @staticmethod
+    def _takes(tracer):
+        """(selected, requested) of every walk / batch-visit pair."""
+        walks = [e for e in tracer.events if e.kind == "walk"]
+        visits = [e for e in tracer.events if e.kind == "batch-visit"]
+        return (
+            [walk.selected for walk in walks],
+            [visit.requested for visit in visits],
+        )
+
+    def test_unbudgeted_warm_query_is_one_take(self, small_network):
+        service = make_service(
+            small_network, max_in_flight=1, capture_traces=True
+        )
+        service.await_result(service.submit(COUNT_30, 0.1))
+        ticks_before = service.stats().ticks
+        ticket = service.submit(COUNT_30, 0.1)
+        result = service.await_result(ticket)
+        assert service.stats().warm_runs == 1
+        assert service.outcome(ticket).chunks == 1
+        planned = result.requested_sample_size
+        assert self._takes(service.trace(ticket)) == ([planned], [planned])
+        # One tick runs the phase, the next sees the generator end.
+        assert service.stats().ticks - ticks_before == 2
+
+    def test_unbudgeted_cold_query_is_a_chunk_per_phase(
+        self, small_network
+    ):
+        service = make_service(small_network, capture_traces=True)
+        ticket = service.submit(COUNT_30, 0.1)
+        result = service.await_result(ticket)
+        assert result.phase_two is not None
+        # one / analysis / two
+        assert service.outcome(ticket).chunks == 3
+        phases = [CONFIG.phase_one_peers, result.phase_two.peers_visited]
+        assert self._takes(service.trace(ticket)) == (phases, phases)
+
+    def test_ceilingless_budget_is_no_budget(self, small_network):
+        plain, plain_tickets, plain_outcomes = run_workload_at(
+            small_network, 2
+        )
+        empty, empty_tickets, empty_outcomes = run_workload_at(
+            small_network, 2, default_budget=CostBudget()
+        )
+        assert empty_outcomes == plain_outcomes
+        for a, b in zip(plain_tickets, empty_tickets):
+            assert plain.trace(a).lines == empty.trace(b).lines
+
+    def test_budgeted_query_trips_where_it_always_did(self, small_network):
+        service = make_service(
+            small_network, chunk_peers=4, capture_traces=True
+        )
+        ticket = service.submit(
+            COUNT_30, 0.1, budget=CostBudget(max_hops=10)
+        )
+        service.run()
+        outcome = service.outcome(ticket)
+        assert outcome.status == "budget-exceeded"
+        assert outcome.detail == "hops 40 > 10"
+        assert outcome.chunks == 1
+        assert outcome.cost == self.BUDGET_STOP_COST
+        assert self._takes(service.trace(ticket)) == ([4], [4])
+
+    def test_deadline_query_keeps_the_quantum(self, small_network):
+        """An armed deadline is something to enforce, retry policy or
+        not: the walk is still cut every ``chunk_peers`` visits."""
+        timed = EventDrivenSimulator(
+            small_network.topology,
+            small_network.databases(),
+            seed=7,
+            latency=LatencyModel(
+                seed=3,
+                request=ConstantLatency(5.0),
+                reply=ConstantLatency(5.0),
+            ),
+        )
+        service = make_service(timed, chunk_peers=8, capture_traces=True)
+        ticket = service.submit(COUNT_30, 0.1, deadline_ms=1e9)
+        result = service.await_result(ticket)
+        walks, _ = self._takes(service.trace(ticket))
+        # 40 phase-I peers, then phase II, each in takes of <= 8.
+        assert walks[:5] == [8] * 5
+        assert max(walks) == 8
+        assert sum(walks) == result.requested_sample_size
+        assert service.outcome(ticket).chunks == len(walks) + 1
+
+    def test_a_ceiling_changes_the_chunking_not_the_answers(
+        self, small_network
+    ):
+        _, _, free = run_workload_at(small_network, 4)
+        _, _, checked = run_workload_at(
+            small_network, 4, default_budget=CostBudget(max_visits=10**9)
+        )
+        assert sum(o.chunks for o in checked) > sum(o.chunks for o in free)
+        for a, b in zip(free, checked):
+            assert a.status == b.status == "done"
+            assert a.result.estimate == b.result.estimate
+            # As in test_chunk_size_does_not_change_results: only the
+            # float latency accumulator may differ, in the last ulps.
+            assert dataclasses.replace(
+                a.result.cost, latency_ms=0.0
+            ) == dataclasses.replace(b.result.cost, latency_ms=0.0)
+            assert a.result.cost.latency_ms == pytest.approx(
+                b.result.cost.latency_ms, rel=1e-12
+            )
 
 
 class TestSharedPlanCache:

@@ -38,7 +38,7 @@ from repro.errors import (
 from repro.network.generators import power_law_topology
 from repro.network.simulator import NetworkSimulator
 from repro.query.parser import parse_query
-from repro.service import QueryService
+from repro.service import CostBudget, QueryService
 from repro.service import backend as backend_module
 from repro.service.backend import (
     EngineSettings,
@@ -255,15 +255,31 @@ class TestInterleavingParity:
     and rebinds (one ``call`` per worker) must leave every outcome,
     ledger, cache counter and trace identical to the inline service
     driven through the same script — and the backend idle.
+
+    Every submission draws its own budget, so the jobs are mixed:
+    some run a take per phase, some are cut (and stopped) every
+    ``chunk_peers`` visits.  A query's chunk boundaries are a function
+    of its own job, which is what keeps ``chunks`` and the traces equal
+    across serial, concurrent and sharded service.
     """
 
     POOL = [COUNT_30, SUM_50, AVG_ALL]
+
+    BUDGETS = [
+        None,
+        CostBudget(),
+        CostBudget(max_visits=20),
+        CostBudget(max_hops=150),
+    ]
 
     OPS = st.one_of(
         st.tuples(
             st.just("burst"),
             st.lists(
-                st.integers(min_value=0, max_value=2),
+                st.tuples(
+                    st.integers(min_value=0, max_value=2),
+                    st.integers(min_value=0, max_value=3),
+                ),
                 min_size=1, max_size=4,
             ),
         ),
@@ -278,7 +294,10 @@ class TestInterleavingParity:
         for op, arg in script:
             if op == "burst":
                 tickets.extend(
-                    service.submit(self.POOL[pick], 0.15) for pick in arg
+                    service.submit(
+                        self.POOL[pick], 0.15, budget=self.BUDGETS[budget]
+                    )
+                    for pick, budget in arg
                 )
             elif op == "tick":
                 service.tick()
@@ -299,7 +318,13 @@ class TestInterleavingParity:
         outcomes = [service.outcome(t) for t in tickets]
         traces = [service.trace(t) for t in tickets]
         return (
-            [(o.status, o.result.estimate, o.result.cost) for o in outcomes],
+            [
+                (
+                    o.status, o.detail, o.chunks, o.cost,
+                    o.result and o.result.estimate,
+                )
+                for o in outcomes
+            ],
             [(t.digest(), t.lines) for t in traces],
             dataclasses.replace(service.stats(), ticks=0),
         )
@@ -323,7 +348,9 @@ class TestInterleavingParity:
             ) as service:
                 return self._drive(service, networks, script)
 
-        assert run(workers=workers) == run(max_in_flight=2)
+        serial = run(max_in_flight=1)
+        assert run(max_in_flight=4) == serial
+        assert run(workers=workers) == serial
 
 
 class TestWorkerFailure:
