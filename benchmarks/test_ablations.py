@@ -244,7 +244,7 @@ def test_ablation_cost_optimal_t(benchmark):
             seed=55,
         )
         ledger = bundle.simulator.new_ledger()
-        observations, _ = probe.collect_observations(
+        observations = probe.collect_observations(
             0, COUNT_30, 60, ledger
         )
         plan = optimize_tuple_budget(

@@ -13,9 +13,10 @@
 """
 
 from .estimators import (
-    PeerObservation,
+    avg_divisor,
     clustering_badness,
     clustering_badness_estimate,
+    estimate_query,
     estimate_total_column_sum,
     estimate_total_tuples,
     hajek_estimate,
@@ -62,8 +63,9 @@ from .median import MedianConfig, MedianEngine
 from .confidence import ConfidenceInterval, normal_confidence_interval
 
 __all__ = [
-    "PeerObservation",
     "observations_from_replies",
+    "estimate_query",
+    "avg_divisor",
     "clustering_badness_estimate",
     "estimate_total_tuples",
     "estimate_total_column_sum",

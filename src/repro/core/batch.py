@@ -23,7 +23,6 @@ hardest member instead of the sum.
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Sequence
 
 from .._util import SeedLike, ensure_rng
@@ -33,13 +32,13 @@ from ..errors import (
     SamplingError,
 )
 from ..metrics.cost import CostLedger
-from ..network.protocol import AggregateReply, WalkerProbe
+from ..network.protocol import AggregateReply, AggregateSample, WalkerProbe
 from ..network.simulator import NetworkSimulator
 from ..network.walker import RandomWalker
-from ..query.model import AggregateOp, AggregationQuery
-from .confidence import ConfidenceInterval, z_for_confidence
+from ..query.model import AggregationQuery
+from .confidence import query_confidence_interval
 from .estimators import (
-    PeerObservation,
+    estimate_query,
     make_estimator,
     observations_from_replies,
 )
@@ -88,8 +87,8 @@ class BatchEngine:
         queries: Sequence[AggregationQuery],
         count: int,
         ledger: CostLedger,
-    ) -> List[List[AggregateReply]]:
-        """One walk; returns per-query reply lists."""
+    ) -> List[AggregateSample]:
+        """One walk; returns one sample per query."""
         walk = self._walker.sample_peers(sink, count)
         probe = WalkerProbe(
             source=sink, destination=sink, sink=sink,
@@ -115,17 +114,16 @@ class BatchEngine:
                 continue
             for index, reply in enumerate(replies):
                 per_query[index].append(reply)
-        return per_query
-
-    def _observations(
-        self, replies: Sequence[AggregateReply]
-    ) -> "List[PeerObservation]":
-        return observations_from_replies(
-            replies,
-            num_edges=self._simulator.topology.num_edges,
-            num_peers=self._simulator.topology.num_peers,
-            variant=self._config.walk_variant,
-        )
+        topology = self._simulator.topology
+        return [
+            observations_from_replies(
+                AggregateSample.from_replies(replies, sink),
+                num_edges=topology.num_edges,
+                num_peers=topology.num_peers,
+                variant=self._config.walk_variant,
+            )
+            for replies in per_query
+        ]
 
     # ------------------------------------------------------------------
 
@@ -158,16 +156,15 @@ class BatchEngine:
         ledger = self._simulator.new_ledger()
 
         # Phase I: one walk serves every query.
-        phase_one_replies = self._collect(
+        phase_one_samples = self._collect(
             sink, queries, self._config.phase_one_peers, ledger
         )
         analyses = []
-        for query, replies in zip(queries, phase_one_replies):
-            observations = self._observations(replies)
+        for query, sample in zip(queries, phase_one_samples):
             analyses.append(
                 analyze_phase_one(
                     query,
-                    observations,
+                    sample,
                     delta_req=delta_req,
                     tuples_per_peer=self._config.tuples_per_peer,
                     cross_validation_rounds=(
@@ -184,70 +181,37 @@ class BatchEngine:
         additional = max(
             analysis.plan.additional_peers for analysis in analyses
         )
-        phase_two_replies: List[List[AggregateReply]] = [
-            [] for _ in queries
-        ]
+        phase_two_samples: List[AggregateSample] = []
         if additional > 0:
-            phase_two_replies = self._collect(
+            phase_two_samples = self._collect(
                 sink, queries, additional, ledger
             )
 
         cost = ledger.snapshot()
-        z = z_for_confidence(self._config.confidence)
         results: List[ApproximateResult] = []
         for index, query in enumerate(queries):
-            pooled_replies = (
-                list(phase_one_replies[index])
-                + list(phase_two_replies[index])
-            )
-            observations = self._observations(pooled_replies)
-            if not observations:
+            phases = [phase_one_samples[index]]
+            if additional > 0:
+                phases.append(phase_two_samples[index])
+            sample = AggregateSample.concat(phases)
+            if not len(sample):
                 raise SamplingError(
                     "no observations survived for one of the queries"
                 )
-            estimate = self._point(observations)
-            half_width = z * math.sqrt(self._variance(observations))
-            if query.agg is AggregateOp.AVG:
-                total_count = self._point(
-                    observations, field="matching_count"
-                )
-                if total_count <= 0:
-                    raise SamplingError(
-                        "AVG undefined: batch saw no matching tuples"
-                    )
-                estimate = estimate / total_count
-                half_width = half_width / total_count
-            phase_one = PhaseReport(
-                peers_visited=len(phase_one_replies[index]),
-                tuples_sampled=sum(
-                    r.processed_tuples for r in phase_one_replies[index]
-                ),
-                hops=0,
-                estimate=None,
-            )
-            phase_two: Optional[PhaseReport] = None
-            if additional > 0:
-                phase_two = PhaseReport(
-                    peers_visited=len(phase_two_replies[index]),
-                    tuples_sampled=sum(
-                        r.processed_tuples
-                        for r in phase_two_replies[index]
-                    ),
-                    hops=0,
-                )
+            estimate = estimate_query(query, sample, self._point)
+            reports = [PhaseReport.of_sample(phase, 0) for phase in phases]
             results.append(
                 ApproximateResult(
                     query=query,
                     estimate=estimate,
                     delta_req=delta_req,
                     scale=analyses[index].scale,
-                    confidence_interval=ConfidenceInterval(
-                        estimate=estimate,
-                        half_width=half_width,
-                        confidence=self._config.confidence,
+                    confidence_interval=query_confidence_interval(
+                        query, sample, estimate,
+                        self._point, self._variance, self._config.confidence,
                     ),
-                    phase_one=phase_one,
-                    phase_two=phase_two,
+                    phase_one=reports[0],
+                    phase_two=reports[1] if additional > 0 else None,
                     cost=cost,
                     analysis=analyses[index],
                 )

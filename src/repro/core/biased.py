@@ -25,7 +25,6 @@ weights are smoothed with a floor.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -36,12 +35,12 @@ from ..errors import (
     PeerUnavailableError,
     SamplingError,
 )
-from ..network.protocol import WalkerProbe
+from ..network.protocol import AggregateSample, WalkerProbe
 from ..network.simulator import NetworkSimulator
 from ..network.walker import RandomWalkConfig, WeightedMetropolisWalker
 from ..query.model import AggregationQuery
-from .confidence import ConfidenceInterval, z_for_confidence
-from .estimators import PeerObservation, hajek_estimate, hajek_variance
+from .confidence import query_confidence_interval
+from .estimators import estimate_query, make_estimator
 from .result import ApproximateResult, PhaseReport
 
 
@@ -156,6 +155,9 @@ class BiasedSamplingEngine:
             seed=self._rng.spawn(1)[0],
         )
         self._visit_rng = self._rng.spawn(1)[0]
+        self._point, self._variance = make_estimator(
+            "hajek", simulator.num_peers
+        )
 
     @property
     def config(self) -> BiasedConfig:
@@ -197,53 +199,35 @@ class BiasedSamplingEngine:
             walk.hops, ledger, message_bytes=probe.size_bytes()
         )
 
-        probabilities = self._walker.stationary_probabilities()
-        observations = []
         replies = []
         for peer in walk.peers:
-            peer = int(peer)
             try:
-                reply = self._simulator.visit_aggregate(
-                    peer, query, sink=sink, ledger=ledger,
-                    tuples_per_peer=self._config.tuples_per_peer,
-                    seed=self._visit_rng,
+                replies.append(
+                    self._simulator.visit_aggregate(
+                        int(peer), query, sink=sink, ledger=ledger,
+                        tuples_per_peer=self._config.tuples_per_peer,
+                        seed=self._visit_rng,
+                    )
                 )
             except PeerUnavailableError:
                 continue  # lost reply: the sample just shrinks
-            replies.append(reply)
-            observations.append(
-                PeerObservation(
-                    peer_id=peer,
-                    value=reply.aggregate_value,
-                    probability=float(probabilities[peer]),
-                    matching_count=reply.matching_count,
-                    column_total=reply.column_total,
-                    local_tuples=reply.local_tuples,
-                )
-            )
-        if len(observations) < 2:
+        if len(replies) < 2:
             raise SamplingError("biased sampling needs >= 2 observations")
+        sample = AggregateSample.from_replies(replies, sink)
+        sample = sample.with_probability(
+            self._walker.stationary_probabilities()[sample["source"]]
+        )
 
-        num_peers = self._simulator.num_peers
-        estimate = hajek_estimate(observations, num_peers)
-        half_width = z_for_confidence(self._config.confidence) * math.sqrt(
-            hajek_variance(observations, num_peers)
-        )
-        phase = PhaseReport(
-            peers_visited=len(replies),
-            tuples_sampled=sum(r.processed_tuples for r in replies),
-            hops=walk.hops,
-            estimate=estimate,
-        )
+        estimate = estimate_query(query, sample, self._point)
+        phase = PhaseReport.of_sample(sample, walk.hops, estimate)
         return ApproximateResult(
             query=query,
             estimate=estimate,
             delta_req=0.0,
             scale=max(abs(estimate), 1.0),
-            confidence_interval=ConfidenceInterval(
-                estimate=estimate,
-                half_width=half_width,
-                confidence=self._config.confidence,
+            confidence_interval=query_confidence_interval(
+                query, sample, estimate,
+                self._point, self._variance, self._config.confidence,
             ),
             phase_one=phase,
             phase_two=None,

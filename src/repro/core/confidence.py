@@ -11,15 +11,22 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Sequence
-
+from typing import Callable
 from ..errors import SamplingError
-from .estimators import PeerObservation, ht_standard_error, horvitz_thompson
+from ..network.protocol import AggregateSample
+from ..query.model import AggregationQuery
+from .estimators import (
+    PointEstimator,
+    avg_divisor,
+    ht_standard_error,
+    horvitz_thompson,
+)
 
 __all__ = [
     "z_for_confidence",
     "ConfidenceInterval",
     "normal_confidence_interval",
+    "query_confidence_interval",
 ]
 
 # Two-sided standard-normal quantiles for common confidence levels.
@@ -109,15 +116,35 @@ class ConfidenceInterval:
 
 
 def normal_confidence_interval(
-    observations: Sequence[PeerObservation],
+    sample: AggregateSample,
     confidence: float = 0.95,
 ) -> ConfidenceInterval:
-    """CLT-based interval for the estimate from these observations."""
-    estimate = horvitz_thompson(observations)
-    standard_error = ht_standard_error(observations)
+    """CLT-based interval for the estimate from this sample."""
+    estimate = horvitz_thompson(sample)
+    standard_error = ht_standard_error(sample)
     z = z_for_confidence(confidence)
     return ConfidenceInterval(
         estimate=estimate,
         half_width=z * standard_error,
+        confidence=confidence,
+    )
+
+
+def query_confidence_interval(
+    query: AggregationQuery,
+    sample: AggregateSample,
+    estimate: float,
+    point: PointEstimator,
+    variance: Callable[[AggregateSample], float],
+    confidence: float,
+) -> ConfidenceInterval:
+    """The CLT interval around ``estimate``, the answer to ``query``
+    that :func:`~repro.core.estimators.estimate_query` gave under
+    ``point``: ``variance`` is in SUM units, so the half-width goes
+    through the same :func:`~repro.core.estimators.avg_divisor`."""
+    half_width = z_for_confidence(confidence) * math.sqrt(variance(sample))
+    return ConfidenceInterval(
+        estimate=estimate,
+        half_width=half_width / avg_divisor(query, sample, point),
         confidence=confidence,
     )

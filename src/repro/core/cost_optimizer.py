@@ -48,13 +48,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from ..errors import SamplingError
 from ..metrics.cost import CostModel
-from .estimators import PeerObservation
+from ..network.protocol import AggregateSample
+from .estimators import clustering_badness_estimate
 
 
 __all__ = [
@@ -126,10 +127,8 @@ class TupleBudgetPlan:
         return peers * (per_visit_ms + per_tuple_ms * tuples_per_peer)
 
 
-def decompose_variance(
-    observations: Sequence[PeerObservation],
-) -> VarianceDecomposition:
-    """Estimate ``C_between`` and ``W`` from phase-I observations.
+def decompose_variance(sample: AggregateSample) -> VarianceDecomposition:
+    """Estimate ``C_between`` and ``W`` from the phase-I sample.
 
     The observed ratio variance is ``C_between + (within noise)``; the
     shipped per-peer contribution variances let us subtract the within
@@ -141,34 +140,29 @@ def decompose_variance(
 
     clamped at zero (small samples can over-subtract).
     """
-    if len(observations) < 2:
+    if len(sample) < 2:
         raise SamplingError("variance decomposition needs >= 2 observations")
-    ratios = np.asarray([obs.ratio for obs in observations])
-    observed = float(ratios.var(ddof=1))
+    observed = clustering_badness_estimate(sample)
 
-    within_terms = []
-    within_observed = []
-    sampled_at = 0
-    for obs in observations:
-        n = float(obs.local_tuples)
-        sigma2 = float(obs.contribution_variance)
-        prob2 = obs.probability**2
-        within_terms.append(n * n * sigma2 / prob2)
-        t_s = obs.processed_tuples
-        if 0 < t_s < obs.local_tuples:
-            sampled_at = max(sampled_at, t_s)
-            within_observed.append(n * n * sigma2 / (t_s * prob2))
-        else:
-            within_observed.append(0.0)  # full scan: no within noise
-    within_rate = float(np.mean(within_terms))
-    between = max(0.0, observed - float(np.mean(within_observed)))
+    n = sample["local_tuples"].astype(np.float64)
+    processed = sample["processed_tuples"]
+    prob2 = sample["probability"] ** 2
+    within = n * n * sample["contribution_variance"]
+    # A full scan (or an empty partition) carries no within noise.
+    sub_sampled = (processed > 0) & (processed < sample["local_tuples"])
+    within_observed = np.zeros(len(sample))
+    np.divide(
+        within, processed * prob2, out=within_observed, where=sub_sampled
+    )
     return VarianceDecomposition(
-        between=between, within_rate=within_rate, sampled_at=sampled_at
+        between=max(0.0, observed - float(within_observed.mean())),
+        within_rate=float((within / prob2).mean()),
+        sampled_at=int(processed[sub_sampled].max(initial=0)),
     )
 
 
 def optimize_tuple_budget(
-    observations: Sequence[PeerObservation],
+    sample: AggregateSample,
     absolute_error: float,
     cost_model: Optional[CostModel] = None,
     jump: int = 10,
@@ -179,8 +173,8 @@ def optimize_tuple_budget(
 
     Parameters
     ----------
-    observations:
-        Phase-I observations (carrying contribution variances).
+    sample:
+        The phase-I sample (its replies carry contribution variances).
     absolute_error:
         The target ``Δ`` in estimator units (``Δreq × scale``).
     cost_model:
@@ -198,7 +192,7 @@ def optimize_tuple_budget(
     if max_tuples < 1:
         raise SamplingError("max_tuples must be >= 1")
     model = cost_model or CostModel()
-    decomposition = decompose_variance(observations)
+    decomposition = decompose_variance(sample)
 
     per_visit = (
         jump * model.hop_latency_ms

@@ -16,13 +16,14 @@ the random halving a few times and averaging makes the estimate robust
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List
 
 import numpy as np
 
 from .._util import SeedLike, ensure_rng
 from ..errors import SamplingError
-from .estimators import PeerObservation
+from ..network.protocol import AggregateSample
+from .estimators import horvitz_thompson
 
 
 __all__ = [
@@ -70,29 +71,26 @@ class CrossValidation:
 
 
 def cross_validate(
-    observations: Sequence[PeerObservation],
+    sample: AggregateSample,
     rounds: int = 5,
     seed: SeedLike = None,
-    estimator: Optional[
-        Callable[[Sequence[PeerObservation]], float]
-    ] = None,
+    estimator: Callable[[AggregateSample], float] = horvitz_thompson,
 ) -> CrossValidation:
     """Randomly halve the sample ``rounds`` times and measure CVError.
 
-    Each round partitions the observations into two halves S1, S2
-    (sizes ``floor(m/2)`` each; with odd ``m`` one observation sits
-    out), computes ``y_1''`` and ``y_2''`` over each half and records
+    Each round partitions the sample into two halves S1, S2 (sizes
+    ``floor(m/2)`` each; with odd ``m`` one row sits out), computes
+    ``y_1''`` and ``y_2''`` over each half and records
     ``|y_1'' - y_2''|``.
 
-    ``estimator`` maps a list of observations to a point estimate;
-    the default is Equation 1 (the mean of the ratios).  Passing the
-    Hájek estimator cross-validates that estimator instead, so the
-    phase-II plan stays calibrated to whatever estimator the engine
-    actually uses.
+    ``estimator`` maps a sample to a point estimate; the default is
+    Equation 1 (the mean of the ratios).  Passing the Hájek estimator
+    cross-validates that estimator instead, so the phase-II plan stays
+    calibrated to whatever estimator the engine actually uses.
     """
     if rounds <= 0:
         raise SamplingError("rounds must be positive")
-    m = len(observations)
+    m = len(sample)
     if m < 4:
         raise SamplingError(
             f"cross-validation needs at least 4 phase-I peers, got {m}"
@@ -100,21 +98,11 @@ def cross_validate(
     rng = ensure_rng(seed)
     half = m // 2
     errors: List[float] = []
-    if estimator is None:
-        ratios = np.asarray(
-            [obs.ratio for obs in observations], dtype=float
-        )
-        for _ in range(rounds):
-            order = rng.permutation(m)
-            first = ratios[order[:half]]
-            second = ratios[order[half: 2 * half]]
-            errors.append(abs(float(first.mean()) - float(second.mean())))
-    else:
-        for _ in range(rounds):
-            order = rng.permutation(m)
-            first = [observations[i] for i in order[:half]]
-            second = [observations[i] for i in order[half: 2 * half]]
-            errors.append(abs(estimator(first) - estimator(second)))
+    for _ in range(rounds):
+        order = rng.permutation(m)
+        first = sample.take(order[:half])
+        second = sample.take(order[half: 2 * half])
+        errors.append(abs(estimator(first) - estimator(second)))
     mean_squared = float(np.mean(np.square(errors)))
     return CrossValidation(
         mean_squared_error=mean_squared,

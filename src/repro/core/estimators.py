@@ -16,27 +16,34 @@ This module implements the estimator, the exact ``C`` (for tests and
 ablations that know the full network), and the plug-in estimate of
 ``C`` from a sample (the sample variance of the ratios
 ``y(s)/prob(s)``, which is what a sink can actually compute).
+
+A sample is an :class:`~repro.network.protocol.AggregateSample`: the
+replies' payloads as columns plus the probabilities the sink
+reconstructs, so every estimator here is array arithmetic over the
+columns a batch visit filled — ``y(s)`` is a column name.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import Callable, Protocol, Sequence, Tuple
 
 import numpy as np
+from numpy.typing import NDArray
 
 from ..errors import SamplingError
-from ..network.protocol import AggregateReply
+from ..network.protocol import AggregateSample
+from ..query.model import AggregateOp, AggregationQuery
 
 
 __all__ = [
-    "PeerObservation",
     "observations_from_replies",
     "horvitz_thompson",
     "hajek_estimate",
     "hajek_variance",
     "make_estimator",
+    "estimate_query",
+    "avg_divisor",
     "ht_variance",
     "ht_standard_error",
     "clustering_badness_estimate",
@@ -47,63 +54,26 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass(frozen=True)
-class PeerObservation:
-    """One visited peer's contribution, as the sink sees it.
+class PointEstimator(Protocol):
+    """Estimates the network-wide total of one sample column — the
+    query's own ``aggregate_value`` unless ``field`` names another."""
 
-    Attributes
-    ----------
-    peer_id:
-        The visited peer.
-    value:
-        The (scaled) local aggregate ``y(s)`` for the query.
-    probability:
-        The peer's probability under the walk's stationary
-        distribution, reconstructed at the sink from the degree.
-    matching_count:
-        Scaled count of predicate-matching tuples (drives COUNT and
-        the denominator of AVG).
-    column_total:
-        Scaled sum of the aggregated column over *all* local tuples
-        (used to normalize SUM errors).
-    local_tuples:
-        The peer's partition size (used to estimate N).
-    contribution_variance:
-        Per-tuple variance of the selection-gated contribution at this
-        peer (drives the cost-optimal choice of t).
-    processed_tuples:
-        Tuples the peer actually aggregated (t, or all of them).
-    """
+    def __call__(
+        self, sample: AggregateSample, field: str = ...
+    ) -> float: ...
 
-    peer_id: int
-    value: float
-    probability: float
-    matching_count: float = 0.0
-    column_total: float = 0.0
-    local_tuples: int = 0
-    contribution_variance: float = 0.0
-    processed_tuples: int = 0
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.probability <= 1.0:
-            raise SamplingError(
-                f"stationary probability must be in (0, 1], "
-                f"got {self.probability}"
-            )
-
-    @property
-    def ratio(self) -> float:
-        """The single-peer estimate ``y(s) / prob(s)``."""
-        return self.value / self.probability
+#: The estimated variance of a point estimator's ``aggregate_value``.
+VarianceEstimator = Callable[[AggregateSample], float]
 
 
 def observations_from_replies(
-    replies: Iterable[AggregateReply],
+    sample: AggregateSample,
     num_edges: int,
     num_peers: int = 0,
     variant: str = "simple",
-) -> List[PeerObservation]:
-    """Convert wire replies into observations.
+) -> AggregateSample:
+    """Attach the stationary probabilities the sink reconstructs.
 
     The sink knows ``|E|`` (a pre-processing output the paper assumes
     all peers share) and each reply carries ``deg(s)``, so
@@ -113,64 +83,41 @@ def observations_from_replies(
     """
     if num_edges <= 0:
         raise SamplingError("num_edges must be positive")
-    observations = []
-    for reply in replies:
-        if variant == "self-inclusive":
-            if num_peers <= 0:
-                raise SamplingError(
-                    "self-inclusive variant needs num_peers"
-                )
-            probability = (reply.degree + 1.0) / (2.0 * num_edges + num_peers)
-        elif variant == "metropolis-uniform":
-            if num_peers <= 0:
-                raise SamplingError(
-                    "metropolis-uniform variant needs num_peers"
-                )
-            probability = 1.0 / num_peers
-        else:
-            probability = reply.degree / (2.0 * num_edges)
-        observations.append(
-            PeerObservation(
-                peer_id=reply.source,
-                value=reply.aggregate_value,
-                probability=probability,
-                matching_count=reply.matching_count,
-                column_total=reply.column_total,
-                local_tuples=reply.local_tuples,
-                contribution_variance=reply.contribution_variance,
-                processed_tuples=reply.processed_tuples,
-            )
+    if variant in ("self-inclusive", "metropolis-uniform") and num_peers <= 0:
+        raise SamplingError(f"{variant} variant needs num_peers")
+    if variant == "self-inclusive":
+        return sample.with_probability(
+            (sample["degree"] + 1.0) / (2.0 * num_edges + num_peers)
         )
-    return observations
+    if variant == "metropolis-uniform":
+        return sample.with_probability(1.0 / num_peers)
+    return sample.with_probability(sample["degree"] / (2.0 * num_edges))
 
 
 def _ratios(
-    observations: Sequence[PeerObservation], field: str = "value"
-) -> np.ndarray:
+    sample: AggregateSample, field: str = "aggregate_value"
+) -> "NDArray[np.float64]":
     """The single-peer estimates ``y(s) / prob(s)``, with ``y(s)`` read
-    from ``field`` — Equation 1 applies to any per-peer quantity an
-    observation carries, so estimating another one is picking its
-    field, not copying the sample."""
-    if not observations:
+    from column ``field`` — Equation 1 applies to any per-peer quantity
+    a reply carries, so estimating another one is naming its column."""
+    if not len(sample):
         raise SamplingError("estimator needs at least one observation")
-    return np.asarray(
-        [getattr(obs, field) / obs.probability for obs in observations],
-        dtype=float,
-    )
+    ratios: "NDArray[np.float64]" = sample[field] / sample["probability"]
+    return ratios
 
 
 def horvitz_thompson(
-    observations: Sequence[PeerObservation], field: str = "value"
+    sample: AggregateSample, field: str = "aggregate_value"
 ) -> float:
     """Equation 1: ``y'' = avg(y(s) / prob(s))``, ``y(s)`` being the
-    observations' ``field``."""
-    return float(_ratios(observations, field).mean())
+    sample's ``field`` column."""
+    return float(_ratios(sample, field).mean())
 
 
 def hajek_estimate(
-    observations: Sequence[PeerObservation],
+    sample: AggregateSample,
     num_peers: int,
-    field: str = "value",
+    field: str = "aggregate_value",
 ) -> float:
     """The self-normalized (Hájek) variant of Equation 1:
 
@@ -187,16 +134,12 @@ def hajek_estimate(
     """
     if num_peers <= 0:
         raise SamplingError("num_peers must be positive")
-    ratios = _ratios(observations, field)
-    weights = np.asarray(
-        [1.0 / obs.probability for obs in observations], dtype=float
-    )
+    ratios = _ratios(sample, field)
+    weights = 1.0 / sample["probability"]
     return float(num_peers * ratios.sum() / weights.sum())
 
 
-def hajek_variance(
-    observations: Sequence[PeerObservation], num_peers: int
-) -> float:
+def hajek_variance(sample: AggregateSample, num_peers: int) -> float:
     """Delete-one jackknife variance of :func:`hajek_estimate`.
 
     Vectorized leave-one-out over the two sums, so it costs O(m).
@@ -204,12 +147,10 @@ def hajek_variance(
     """
     if num_peers <= 0:
         raise SamplingError("num_peers must be positive")
-    ratios = _ratios(observations)
+    ratios = _ratios(sample)
     if ratios.size < 2:
         raise SamplingError("variance estimation needs >= 2 observations")
-    weights = np.asarray(
-        [1.0 / obs.probability for obs in observations], dtype=float
-    )
+    weights = 1.0 / sample["probability"]
     ratio_sum = ratios.sum()
     weight_sum = weights.sum()
     leave_one_out = (
@@ -222,17 +163,14 @@ def hajek_variance(
 
 def make_estimator(
     name: str, num_peers: int = 0
-) -> Tuple[
-    Callable[..., float],
-    Callable[[Sequence["PeerObservation"]], float],
-]:
+) -> Tuple[PointEstimator, VarianceEstimator]:
     """Estimator factory: ``"ht"`` (the paper's Equation 1) or
     ``"hajek"`` (self-normalized; needs ``num_peers``).
 
     Returns ``(point_estimator, variance_estimator)`` — both callables
-    over a sequence of observations; the point estimator also takes
-    ``field=`` to estimate the total of another per-peer quantity
-    (``"matching_count"``, ``"local_tuples"``, ``"column_total"``).
+    over a sample; the point estimator also takes ``field=`` to
+    estimate the total of another column (``"matching_count"``,
+    ``"local_tuples"``, ``"column_total"``).
     """
     if name == "ht":
         return horvitz_thompson, ht_variance
@@ -241,12 +179,12 @@ def make_estimator(
             raise SamplingError("hajek estimator needs num_peers")
 
         def point(
-            observations: Sequence[PeerObservation], field: str = "value"
+            sample: AggregateSample, field: str = "aggregate_value"
         ) -> float:
-            return hajek_estimate(observations, num_peers, field)
+            return hajek_estimate(sample, num_peers, field)
 
-        def variance(observations: Sequence[PeerObservation]) -> float:
-            return hajek_variance(observations, num_peers)
+        def variance(sample: AggregateSample) -> float:
+            return hajek_variance(sample, num_peers)
 
         return point, variance
     raise SamplingError(
@@ -254,34 +192,59 @@ def make_estimator(
     )
 
 
-def ht_variance(observations: Sequence[PeerObservation]) -> float:
+def avg_divisor(
+    query: AggregationQuery, sample: AggregateSample, point: PointEstimator
+) -> float:
+    """What turns SUM units into ``query``'s units: 1 for COUNT and
+    SUM, the estimated matching-count total for AVG.
+
+    A reply's ``aggregate_value`` is the scaled *sum* for AVG, so the
+    estimators and their variances work in SUM units; AVG is the ratio
+    of two totals under the same ``point`` estimator, and an interval's
+    half-width is brought into AVG units by the same division.
+    """
+    if query.agg is not AggregateOp.AVG:
+        return 1.0
+    total_count = point(sample, field="matching_count")
+    if total_count <= 0:
+        raise SamplingError("AVG undefined: sample saw no matching tuples")
+    return total_count
+
+
+def estimate_query(
+    query: AggregationQuery, sample: AggregateSample, point: PointEstimator
+) -> float:
+    """The answer to ``query`` from ``sample`` — the one estimate rule
+    every COUNT/SUM/AVG engine applies."""
+    return point(sample) / avg_divisor(query, sample, point)
+
+
+def ht_variance(sample: AggregateSample) -> float:
     """Plug-in estimate of ``Var[y''] = C/m`` from the sample itself.
 
     The sample variance of the ratios estimates ``C`` (see
     :func:`clustering_badness_estimate`); dividing by ``m`` gives the
     variance of their mean.  Needs at least two observations.
     """
-    ratios = _ratios(observations)
+    ratios = _ratios(sample)
     if ratios.size < 2:
         raise SamplingError("variance estimation needs >= 2 observations")
     return float(ratios.var(ddof=1) / ratios.size)
 
 
-def ht_standard_error(observations: Sequence[PeerObservation]) -> float:
+def ht_standard_error(sample: AggregateSample) -> float:
     """Standard error of the estimate (sqrt of :func:`ht_variance`)."""
-    return math.sqrt(ht_variance(observations))
+    return math.sqrt(ht_variance(sample))
 
 
-def clustering_badness_estimate(
-    observations: Sequence[PeerObservation],
-) -> float:
+def clustering_badness_estimate(sample: AggregateSample) -> float:
     """Estimate ``C`` from a stationary sample.
 
     Under stationary sampling, ``Var[y(s)/prob(s)] = C`` exactly
     (Theorem 2 with m=1), so the sample variance of the observed
     ratios is an unbiased estimate of ``C``.
     """
-    ratios = _ratios(observations)
+    ratios = _ratios(sample)
     if ratios.size < 2:
         raise SamplingError("badness estimation needs >= 2 observations")
     return float(ratios.var(ddof=1))
@@ -323,21 +286,19 @@ def theoretical_variance(
     return badness / sample_size
 
 
-def estimate_total_tuples(observations: Sequence[PeerObservation]) -> float:
+def estimate_total_tuples(sample: AggregateSample) -> float:
     """Estimate N (network-wide tuple count) from a stationary sample.
 
     Applies Equation 1 with ``y(p) = |local partition of p|``; used to
     normalize COUNT errors when N is not known a priori.
     """
-    return horvitz_thompson(observations, field="local_tuples")
+    return horvitz_thompson(sample, field="local_tuples")
 
 
-def estimate_total_column_sum(
-    observations: Sequence[PeerObservation],
-) -> float:
+def estimate_total_column_sum(sample: AggregateSample) -> float:
     """Estimate the network-wide sum of the aggregated column.
 
     Applies Equation 1 with ``y(p) = sum of the column at p`` (the
     ``column_total`` the visit reply carries); normalizes SUM errors.
     """
-    return horvitz_thompson(observations, field="column_total")
+    return horvitz_thompson(sample, field="column_total")

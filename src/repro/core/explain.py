@@ -130,14 +130,14 @@ def explain(
     if sink is None:
         sink = 0
     ledger = simulator.new_ledger()
-    observations, _replies = engine.collect_observations(
+    sample = engine.collect_observations(
         sink, query, engine.config.phase_one_peers, ledger
     )
     from .planner import analyze_phase_one
 
     analysis = analyze_phase_one(
         query,
-        observations,
+        sample,
         delta_req=delta_req,
         tuples_per_peer=engine.config.tuples_per_peer,
         cross_validation_rounds=engine.config.cross_validation_rounds,
@@ -149,7 +149,7 @@ def explain(
     optimizer = None
     if optimize_budget:
         optimizer = optimize_tuple_budget(
-            observations,
+            sample,
             absolute_error=analysis.plan.absolute_error_target,
             cost_model=simulator.cost_model,
             jump=engine.config.jump,
@@ -159,7 +159,7 @@ def explain(
         query=query,
         delta_req=delta_req,
         analysis=analysis,
-        sniff_peers=len(observations),
+        sniff_peers=len(sample),
         config=engine.config,
         optimizer=optimizer,
     )

@@ -36,11 +36,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
+
+import numpy as np
+from numpy.typing import NDArray
 
 from .._util import SeedLike, ensure_rng
 from ..errors import ConfigurationError
-from ..network.protocol import AggregateReply
+from ..network.protocol import AggregateSample
 from ..network.simulator import NetworkSimulator
 from ..obs.events import (
     DeltaReuseEvent,
@@ -82,7 +85,7 @@ def _emit(event: TraceEvent) -> None:
 class RetainedSample:
     """A run's sample, keyed by stable labels, for churn-delta top-up.
 
-    This retains per-peer *sufficient statistics* — each reply carries
+    This retains per-peer *sufficient statistics* — each row carries
     one peer's locally scaled aggregate, variance and degree — not
     tuples, so it stays within the doctrine that pre-computed tuple
     samples are impractical in P2P systems while slow-changing
@@ -95,7 +98,30 @@ class RetainedSample:
 
     sink_label: int
     labels: Tuple[int, ...]
-    replies: Tuple[AggregateReply, ...]
+    replies: AggregateSample
+
+    def survivors(
+        self, vertex_of: Mapping[int, int], degrees: "NDArray[np.int64]"
+    ) -> AggregateSample:
+        """The rows whose peer is still live (its label is a key of
+        ``vertex_of``) and connected (``degrees`` by vertex) in a new
+        epoch, remapped onto that epoch's vertex ids.
+
+        The remapped degree feeds the stationary probability, which
+        must describe the *new* topology for the estimator to stay
+        unbiased — so the result carries no probabilities.
+        """
+        vertices = np.asarray(
+            [vertex_of.get(label, -1) for label in self.labels],
+            dtype=np.int64,
+        )
+        # A departed label's -1 reads some vertex's degree; the first
+        # test masks it out.
+        keep = np.flatnonzero((vertices >= 0) & (degrees[vertices] > 0))
+        vertices = vertices[keep]
+        return self.replies.take(keep).replace(
+            source=vertices, degree=degrees[vertices]
+        )
 
 
 @dataclasses.dataclass
@@ -469,7 +495,7 @@ class HybridEngine:
     def _retain(
         self,
         plan: CachedPlan,
-        replies: Sequence[AggregateReply],
+        replies: Optional[AggregateSample],
         sink: Optional[int],
     ) -> None:
         """Record a run's sample on its plan, keyed by stable labels.
@@ -488,8 +514,8 @@ class HybridEngine:
             return
         plan.retained = RetainedSample(
             sink_label=labels[sink],
-            labels=tuple(labels[reply.source] for reply in replies),
-            replies=tuple(replies),
+            labels=tuple(labels[v] for v in replies["source"].tolist()),
+            replies=replies,
         )
 
     def _warm_stepwise(
@@ -504,7 +530,7 @@ class HybridEngine:
         if sink is None:
             sink = int(self._rng.integers(self._simulator.num_peers))
         result = yield from self._planned_stepwise(
-            query, delta_req, sink, plan, chunk_peers, "warm", []
+            query, delta_req, sink, plan, chunk_peers, "warm"
         )
         return result
 
@@ -535,23 +561,16 @@ class HybridEngine:
         self._delta_runs += 1
         topology = self._simulator.topology
 
-        # Filter the retained sample against the new epoch's live set
-        # and remap survivors onto the new vertex ids.  The remapped
-        # degree feeds the stationary probability, which must describe
-        # the *new* topology for the estimator to stay unbiased.
+        # Filter the retained sample against the new epoch's live set,
+        # remap survivors onto the new vertex ids and give them the
+        # new topology's probabilities.
         vertex_of = {label: v for v, label in enumerate(labels)}
-        survivors: List[AggregateReply] = []
-        for label, reply in zip(retained.labels, retained.replies):
-            vertex = vertex_of.get(label)
-            if vertex is None or topology.degree(vertex) == 0:
-                continue
-            survivors.append(
-                dataclasses.replace(
-                    reply,
-                    source=vertex,
-                    degree=topology.degree(vertex),
-                )
-            )
+        survivors = observations_from_replies(
+            retained.survivors(vertex_of, topology.degrees),
+            num_edges=topology.num_edges,
+            num_peers=topology.num_peers,
+            variant=self._config.walk_variant,
+        )
 
         if sink is None:
             sink_vertex = vertex_of.get(retained.sink_label)
@@ -578,12 +597,12 @@ class HybridEngine:
         plan: CachedPlan,
         chunk_peers: Optional[int],
         phase: str,
-        reused: List[AggregateReply],
+        reused: Optional[AggregateSample] = None,
         dropped: int = 0,
     ) -> StepwiseRun:
         """One walk sized from ``plan`` — the body of warm and delta runs.
 
-        ``reused`` replies (a delta run's survivors) count toward the
+        ``reused`` rows (a delta run's survivors) count toward the
         planned sample; only the deficit is collected.
         """
         plan.uses += 1
@@ -610,7 +629,8 @@ class HybridEngine:
             peers = min(
                 peers, max(4, self._config.max_phase_two_peers)
             )
-        deficit = max(0, peers - len(reused))
+        survivors = 0 if reused is None else len(reused)
+        deficit = max(0, peers - survivors)
 
         _emit(
             PhaseEvent(
@@ -623,43 +643,27 @@ class HybridEngine:
         if phase == "delta":
             _emit(
                 DeltaReuseEvent(
-                    survivors=len(reused), dropped=dropped, deficit=deficit
+                    survivors=survivors, dropped=dropped, deficit=deficit
                 )
             )
-        topology = self._simulator.topology
-        observations = observations_from_replies(
-            reused,
-            num_edges=topology.num_edges,
-            num_peers=topology.num_peers,
-            variant=self._config.walk_variant,
-        )
-        replies = reused
+        parts: List[AggregateSample] = [] if reused is None else [reused]
         if deficit > 0:
-            fresh_observations, fresh_replies = yield from (
-                self._engine.collect_observations_stepwise(
-                    sink, query, deficit, ledger, chunk_peers, phase
-                )
+            fresh = yield from self._engine.collect_observations_stepwise(
+                sink, query, deficit, ledger, chunk_peers, phase
             )
-            observations = observations + fresh_observations
-            replies = reused + fresh_replies
-        estimate = self._engine.final_estimate(query, observations)
-        interval = self._engine.confidence_interval(
-            query, observations, estimate
-        )
+            parts.append(fresh)
+        sample = AggregateSample.concat(parts)
+        estimate = self._engine.final_estimate(query, sample)
+        interval = self._engine.confidence_interval(query, sample, estimate)
 
         # Fold fresh statistics back into the cache so the plan tracks
         # data drift without a cold restart.
-        if len(observations) >= 4:
-            point = (
-                None
-                if self._config.estimator == "ht"
-                else self._point
-            )
+        if len(sample) >= 4:
             cv = cross_validate(
-                observations,
+                sample,
                 rounds=self._config.cross_validation_rounds,
                 seed=self._rng,
-                estimator=point,
+                estimator=self._point,
             )
             # Rescale the fresh CVError² from this sample's half size
             # to the cached anchor (CVError² ~ 1/half).
@@ -668,19 +672,14 @@ class HybridEngine:
                 if plan.half_size
                 else cv.mean_squared_error
             )
-            fresh_scale = estimate_scale(
-                query, observations, point_estimator=point
-            )
+            fresh_scale = estimate_scale(query, sample, self._point)
             plan.refresh(rescaled, fresh_scale, self._decay)
-        self._retain(plan, replies, sink)
+        self._retain(plan, sample, sink)
 
-        phase_report = PhaseReport(
-            peers_visited=len(replies),
-            tuples_sampled=sum(r.processed_tuples for r in replies),
-            hops=ledger.snapshot().hops,
-            estimate=estimate,
+        phase_report = PhaseReport.of_sample(
+            sample, ledger.snapshot().hops, estimate
         )
-        effective = len(replies)
+        effective = len(sample)
         _emit(
             EstimateEvent(
                 engine="hybrid",

@@ -21,14 +21,15 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 from .._util import SeedLike, check_positive, ensure_rng
 from ..errors import SamplingError
+from ..network.protocol import AggregateSample
 from ..query.model import AggregateOp, AggregationQuery
 from .crossval import CrossValidation, cross_validate
 from .estimators import (
-    PeerObservation,
+    PointEstimator,
     clustering_badness_estimate,
     horvitz_thompson,
     make_estimator,
@@ -109,14 +110,14 @@ class PhaseOneAnalysis:
 
 def estimate_scale(
     query: AggregationQuery,
-    observations: Sequence[PeerObservation],
-    point_estimator: Optional[Callable[..., float]] = None,
+    sample: AggregateSample,
+    point_estimator: PointEstimator = horvitz_thompson,
 ) -> float:
     """The normalization scale for ``Δreq`` under this query.
 
     COUNT errors are normalized by the total tuple count N; SUM and
     AVG errors by the total column sum — both estimated from the same
-    phase-I observations via Equation 1 (the paper assumes network
+    phase-I sample via Equation 1 (the paper assumes network
     parameters like M and \\|E| are known from pre-processing, but data
     volumes change quickly and must be estimated at query time).
     """
@@ -128,7 +129,7 @@ def estimate_scale(
         raise SamplingError(
             f"{query.agg.value} is planned by the median engine"
         )
-    scale = (point_estimator or horvitz_thompson)(observations, field=field)
+    scale = point_estimator(sample, field=field)
     if scale <= 0:
         raise SamplingError(
             "could not estimate a positive normalization scale; "
@@ -139,7 +140,7 @@ def estimate_scale(
 
 def analyze_phase_one(
     query: AggregationQuery,
-    observations: Sequence[PeerObservation],
+    sample: AggregateSample,
     delta_req: float,
     tuples_per_peer: int,
     cross_validation_rounds: int = 5,
@@ -155,8 +156,8 @@ def analyze_phase_one(
     ----------
     query:
         The aggregation query being answered.
-    observations:
-        Phase-I peer observations (size ``m``).
+    sample:
+        The phase-I sample (size ``m``), probabilities attached.
     delta_req:
         Required accuracy on the normalized scale, in (0, 1].
     tuples_per_peer:
@@ -184,21 +185,17 @@ def analyze_phase_one(
         )
     rng = ensure_rng(seed)
     point_estimator, _variance = make_estimator(estimator, num_peers)
-    estimate = point_estimator(observations)
+    estimate = point_estimator(sample)
     if scale is None:
-        scale = estimate_scale(
-            query,
-            observations,
-            point_estimator=None if estimator == "ht" else point_estimator,
-        )
+        scale = estimate_scale(query, sample, point_estimator)
     check_positive("scale", scale)
     cross_validation = cross_validate(
-        observations,
+        sample,
         rounds=cross_validation_rounds,
         seed=rng,
-        estimator=None if estimator == "ht" else point_estimator,
+        estimator=point_estimator,
     )
-    badness = clustering_badness_estimate(observations)
+    badness = clustering_badness_estimate(sample)
 
     absolute_target = delta_req * scale
     # The paper's formula: m' = (m/2) * (CVError / Δ)².  Using the

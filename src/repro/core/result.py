@@ -6,6 +6,7 @@ import dataclasses
 from typing import Optional
 
 from ..metrics.cost import QueryCost
+from ..network.protocol import AggregateSample
 from ..query.model import AggregationQuery
 from ..sim.timing import QueryTiming
 from .confidence import ConfidenceInterval
@@ -38,6 +39,18 @@ class PhaseReport:
     tuples_sampled: int
     hops: int
     estimate: Optional[float] = None
+
+    @classmethod
+    def of_sample(
+        cls,
+        sample: AggregateSample,
+        hops: int,
+        estimate: Optional[float] = None,
+    ) -> "PhaseReport":
+        """The report of a phase whose visits returned ``sample``."""
+        return cls(
+            len(sample), int(sample["processed_tuples"].sum()), hops, estimate
+        )
 
 
 @dataclasses.dataclass(frozen=True)

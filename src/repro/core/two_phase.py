@@ -26,12 +26,12 @@ estimate.
 from __future__ import annotations
 
 import dataclasses
-from typing import Generator, List, Optional, Sequence, Tuple, TypeVar
+from typing import Generator, List, Optional, TypeVar
 
 from .._util import SeedLike, ensure_rng
 from ..errors import ConfigurationError, SamplingError
 from ..metrics.cost import CostLedger
-from ..network.protocol import AggregateReply, WalkerProbe
+from ..network.protocol import AggregateSample, WalkerProbe
 from ..network.simulator import NetworkSimulator
 from ..network.walker import (
     RandomWalkConfig,
@@ -41,12 +41,10 @@ from ..network.walker import (
 )
 from ..obs.events import EstimateEvent, PhaseEvent, TraceEvent
 from ..obs.tracer import active_tracer
-from ..query.model import AggregateOp, AggregationQuery
-import math
-
-from .confidence import ConfidenceInterval, z_for_confidence
+from ..query.model import AggregationQuery
+from .confidence import ConfidenceInterval, query_confidence_interval
 from .estimators import (
-    PeerObservation,
+    estimate_query,
     make_estimator,
     observations_from_replies,
 )
@@ -273,7 +271,7 @@ class TwoPhaseEngine:
             self._collector = ResilientCollector(
                 self._walker, simulator, policy=self._config.retry_policy
             )
-        self._last_replies: Tuple[AggregateReply, ...] = ()
+        self._last_replies: Optional[AggregateSample] = None
         self._last_sink: Optional[int] = None
 
     @property
@@ -287,12 +285,12 @@ class TwoPhaseEngine:
         return self._simulator
 
     @property
-    def last_replies(self) -> Tuple[AggregateReply, ...]:
-        """The pooled replies of the most recent full run (diagnostic).
+    def last_replies(self) -> Optional[AggregateSample]:
+        """The pooled sample of the most recent full run (diagnostic).
 
         Lets composed engines (delta re-estimation) retain a run's
-        sample without re-walking; empty before the first run.  Purely
-        observational — recording it consumes no randomness.
+        sample without re-walking; ``None`` before the first run.
+        Purely observational — recording it consumes no randomness.
         """
         return self._last_replies
 
@@ -305,20 +303,6 @@ class TwoPhaseEngine:
     # Plumbing
     # ------------------------------------------------------------------
 
-    def _collect(
-        self,
-        sink: int,
-        query: AggregationQuery,
-        count: int,
-        ledger: CostLedger,
-    ) -> List[AggregateReply]:
-        """Walk, visit every selected peer, and gather replies."""
-        return drain_steps(
-            self._collect_stepwise(
-                sink, query, count, ledger, chunk_peers=None, phase="collect"
-            )
-        )
-
     def _collect_stepwise(
         self,
         sink: int,
@@ -327,8 +311,8 @@ class TwoPhaseEngine:
         ledger: CostLedger,
         chunk_peers: Optional[int],
         phase: str,
-    ) -> Generator[StepCheckpoint, None, List[AggregateReply]]:
-        """Walk, visit and gather replies, yielding between chunks.
+    ) -> Generator[StepCheckpoint, None, AggregateSample]:
+        """Walk, visit and gather the sample, yielding between chunks.
 
         The walk runs through a :class:`~repro.network.walker.
         WalkCursor` in takes of ``chunk_peers`` selections (one take of
@@ -349,7 +333,7 @@ class TwoPhaseEngine:
         if self._collector is not None:
             # The resilient collector owns its retry/substitution loop;
             # it collects in one piece and checkpoints once.
-            replies, _stats = self._collector.collect_aggregate(
+            sample, _stats = self._collector.collect_aggregate(
                 sink,
                 query,
                 count,
@@ -359,10 +343,11 @@ class TwoPhaseEngine:
                 sampling_method=self._config.sampling_method,
                 seed=self._visit_rng,
             )
-            yield StepCheckpoint("two-phase", phase, len(replies), ledger)
-            return replies
+            yield StepCheckpoint("two-phase", phase, len(sample), ledger)
+            return sample
         cursor = self._walker.cursor(sink)
-        replies = []
+        chunks: List[AggregateSample] = []
+        collected = 0
         remaining = count
         while True:
             take = remaining if chunk_peers is None else min(
@@ -375,7 +360,7 @@ class TwoPhaseEngine:
             # The batch fast path visits all selected peers in one
             # vectorized pass; under fault injection it degrades to the
             # per-peer loop internally, dropping lost replies either way.
-            replies.extend(
+            chunks.append(
                 self._simulator.visit_aggregate_batch(
                     walk.peers,
                     query,
@@ -386,70 +371,29 @@ class TwoPhaseEngine:
                     seed=self._visit_rng,
                 )
             )
+            collected += len(chunks[-1])
             remaining -= take
-            yield StepCheckpoint("two-phase", phase, len(replies), ledger)
+            yield StepCheckpoint("two-phase", phase, collected, ledger)
             if remaining <= 0:
-                return replies
-
-    def _observations(
-        self, replies: Sequence[AggregateReply]
-    ) -> List[PeerObservation]:
-        return observations_from_replies(
-            replies,
-            num_edges=self._simulator.topology.num_edges,
-            num_peers=self._simulator.topology.num_peers,
-            variant=self._config.walk_variant,
-        )
-
-    @staticmethod
-    def _phase_report(
-        replies: Sequence[AggregateReply],
-        hops: int,
-        estimate: Optional[float],
-    ) -> PhaseReport:
-        return PhaseReport(
-            peers_visited=len(replies),
-            tuples_sampled=sum(r.processed_tuples for r in replies),
-            hops=hops,
-            estimate=estimate,
-        )
+                return AggregateSample.concat(chunks)
 
     def _final_estimate(
-        self, query: AggregationQuery, observations: Sequence[PeerObservation]
+        self, query: AggregationQuery, sample: AggregateSample
     ) -> float:
-        """The configured estimator — with the ratio form for AVG."""
-        if query.agg is AggregateOp.AVG:
-            total_sum = self._point(observations)
-            total_count = self._point(observations, field="matching_count")
-            if total_count <= 0:
-                raise SamplingError(
-                    "AVG undefined: sample saw no matching tuples"
-                )
-            return total_sum / total_count
-        return self._point(observations)
+        """The configured estimator under the one estimate rule."""
+        return estimate_query(query, sample, self._point)
 
     def confidence_interval(
         self,
         query: AggregationQuery,
-        observations: Sequence[PeerObservation],
+        sample: AggregateSample,
         estimate: float,
     ) -> ConfidenceInterval:
         """The CLT interval around ``estimate`` — cold, warm and delta
         runs all report this one."""
-        z = z_for_confidence(self._config.confidence)
-        half_width = z * math.sqrt(self._variance(observations))
-        if query.agg is AggregateOp.AVG:
-            # The interval tracks the SUM component; rescale it into
-            # AVG units via the estimated matching count.
-            count_estimate = self._point(
-                observations, field="matching_count"
-            )
-            if count_estimate > 0:
-                half_width = half_width / count_estimate
-        return ConfidenceInterval(
-            estimate=estimate,
-            half_width=half_width,
-            confidence=self._config.confidence,
+        return query_confidence_interval(
+            query, sample, estimate,
+            self._point, self._variance, self._config.confidence,
         )
 
     def collect_observations(
@@ -458,15 +402,15 @@ class TwoPhaseEngine:
         query: AggregationQuery,
         count: int,
         ledger: CostLedger,
-    ) -> Tuple[List[PeerObservation], List[AggregateReply]]:
-        """Walk, visit ``count`` peers, and return their observations.
+    ) -> AggregateSample:
+        """Walk, visit ``count`` peers, and return the sample.
 
         Public so composed engines (hybrid pre-computation, biased
-        sampling) can reuse the walk+visit+reply pipeline; returns
-        ``(observations, replies)``.
+        sampling) can reuse the walk+visit+reply pipeline.
         """
-        replies = self._collect(sink, query, count, ledger)
-        return self._observations(replies), replies
+        return drain_steps(
+            self.collect_observations_stepwise(sink, query, count, ledger)
+        )
 
     def collect_observations_stepwise(
         self,
@@ -476,25 +420,27 @@ class TwoPhaseEngine:
         ledger: CostLedger,
         chunk_peers: Optional[int] = None,
         phase: str = "collect",
-    ) -> Generator[
-        StepCheckpoint,
-        None,
-        Tuple[List[PeerObservation], List[AggregateReply]],
-    ]:
+    ) -> Generator[StepCheckpoint, None, AggregateSample]:
         """Stepwise :meth:`collect_observations` — yields checkpoints
         between chunks of ``chunk_peers`` visits, returns the same
-        ``(observations, replies)`` pair."""
+        sample: the replies with the stationary probabilities the sink
+        reconstructs for this engine's walk attached."""
         check_chunk_peers(chunk_peers)
-        replies = yield from self._collect_stepwise(
+        sample = yield from self._collect_stepwise(
             sink, query, count, ledger, chunk_peers, phase
         )
-        return self._observations(replies), replies
+        return observations_from_replies(
+            sample,
+            num_edges=self._simulator.topology.num_edges,
+            num_peers=self._simulator.topology.num_peers,
+            variant=self._config.walk_variant,
+        )
 
     def final_estimate(
-        self, query: AggregationQuery, observations: Sequence[PeerObservation]
+        self, query: AggregationQuery, sample: AggregateSample
     ) -> float:
-        """The engine's configured estimator over ``observations``."""
-        return self._final_estimate(query, observations)
+        """The engine's configured estimator over ``sample``."""
+        return self._final_estimate(query, sample)
 
     # ------------------------------------------------------------------
     # The algorithm
@@ -554,26 +500,25 @@ class TwoPhaseEngine:
                 requested=self._config.phase_one_peers,
             )
         )
-        replies_one = yield from self._collect_stepwise(
+        sample_one = yield from self.collect_observations_stepwise(
             sink, query, self._config.phase_one_peers, ledger,
             chunk_peers, "one",
         )
         hops_one = ledger.snapshot().hops - phase_one_hops_before
-        observations_one = self._observations(replies_one)
-        estimate_one = self._final_estimate(query, observations_one)
+        estimate_one = self._final_estimate(query, sample_one)
         _emit(
             PhaseEvent(
                 engine="two-phase",
                 phase="one",
                 status="end",
                 requested=self._config.phase_one_peers,
-                received=len(replies_one),
+                received=len(sample_one),
                 estimate=estimate_one,
             )
         )
         analysis = analyze_phase_one(
             query,
-            observations_one,
+            sample_one,
             delta_req=delta_req,
             tuples_per_peer=self._config.tuples_per_peer,
             cross_validation_rounds=self._config.cross_validation_rounds,
@@ -597,14 +542,13 @@ class TwoPhaseEngine:
         )
         # A checkpoint between analysis and phase II lets a scheduler
         # stop an over-budget query before it pays for the second walk.
-        yield StepCheckpoint("two-phase", "analysis", len(replies_one), ledger)
-        phase_one = self._phase_report(replies_one, hops_one, estimate_one)
+        yield StepCheckpoint("two-phase", "analysis", len(sample_one), ledger)
+        phase_one = PhaseReport.of_sample(sample_one, hops_one, estimate_one)
 
         # Phase II -------------------------------------------------------
         requested = self._config.phase_one_peers
         phase_two: Optional[PhaseReport] = None
-        observations_two: List[PeerObservation] = []
-        replies_two: List[AggregateReply] = []
+        pooled = final = sample_one
         if analysis.plan.phase_two_needed:
             requested += analysis.plan.additional_peers
             hops_before = ledger.snapshot().hops
@@ -616,17 +560,16 @@ class TwoPhaseEngine:
                     requested=analysis.plan.additional_peers,
                 )
             )
-            replies_two = yield from self._collect_stepwise(
+            sample_two = yield from self.collect_observations_stepwise(
                 sink, query, analysis.plan.additional_peers, ledger,
                 chunk_peers, "two",
             )
             hops_two = ledger.snapshot().hops - hops_before
-            observations_two = self._observations(replies_two)
             # Diagnostic only: a phase-II sample of a few peers may see
             # no matching tuple while the pooled sample does.
             estimate_two: Optional[float]
             try:
-                estimate_two = self._final_estimate(query, observations_two)
+                estimate_two = self._final_estimate(query, sample_two)
             except SamplingError:
                 estimate_two = None
             _emit(
@@ -635,26 +578,23 @@ class TwoPhaseEngine:
                     phase="two",
                     status="end",
                     requested=analysis.plan.additional_peers,
-                    received=len(replies_two),
+                    received=len(sample_two),
                     estimate=estimate_two,
                 )
             )
-            phase_two = self._phase_report(replies_two, hops_two, estimate_two)
+            phase_two = PhaseReport.of_sample(
+                sample_two, hops_two, estimate_two
+            )
+            pooled = final = AggregateSample.concat([sample_one, sample_two])
+            if not self._config.pool_phases and len(sample_two):
+                final = sample_two  # the paper's literal phase-II-only form
 
         # Final estimate ---------------------------------------------------
-        if self._config.pool_phases:
-            final_observations = observations_one + observations_two
-        elif observations_two:
-            final_observations = observations_two
-        else:
-            final_observations = observations_one
-        estimate = self._final_estimate(query, final_observations)
-        interval = self.confidence_interval(
-            query, final_observations, estimate
-        )
+        estimate = self._final_estimate(query, final)
+        interval = self.confidence_interval(query, final, estimate)
 
-        effective = len(replies_one) + len(replies_two)
-        self._last_replies = tuple(replies_one) + tuple(replies_two)
+        effective = len(pooled)
+        self._last_replies = pooled
         self._last_sink = sink
         _emit(
             EstimateEvent(
@@ -696,13 +636,11 @@ class TwoPhaseEngine:
         if sink is None:
             sink = int(self._rng.integers(self._simulator.num_peers))
         ledger = self._simulator.new_ledger()
-        replies = self._collect(
-            sink, query, self._config.phase_one_peers, ledger
-        )
-        observations = self._observations(replies)
         return analyze_phase_one(
             query,
-            observations,
+            self.collect_observations(
+                sink, query, self._config.phase_one_peers, ledger
+            ),
             delta_req=delta_req,
             tuples_per_peer=self._config.tuples_per_peer,
             cross_validation_rounds=self._config.cross_validation_rounds,

@@ -57,6 +57,7 @@ from .discovery import (
 from .spectral import SpectralProfile, analyze_topology, recommend_jump
 from .protocol import (
     AggregateReply,
+    AggregateSample,
     Message,
     MessageType,
     Ping,
@@ -108,6 +109,7 @@ __all__ = [
     "QueryHit",
     "WalkerProbe",
     "AggregateReply",
+    "AggregateSample",
     "TupleReply",
     "NetworkSimulator",
     "ChurnConfig",

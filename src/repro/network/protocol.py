@@ -9,6 +9,10 @@ replies the sampling algorithm needs:
 * :class:`WalkerProbe` — the walker, forwarded hop by hop;
 * :class:`AggregateReply` — a visited peer's scaled local aggregate and
   degree, sent directly back to the sink (aggregation push-down, §3.2);
+* :class:`AggregateSample` — what the sink holds once a collection's
+  aggregate replies are in: their payloads as columns, one row per
+  reply — the one form a COUNT/SUM/AVG sample takes from the visit to
+  the estimate;
 * :class:`TupleReply` — a raw sub-sample of local tuples, used by
   median/quantile estimation where push-down is impossible.
 
@@ -23,9 +27,21 @@ from __future__ import annotations
 import dataclasses
 import enum
 import itertools
-from typing import ClassVar, Optional, Tuple
+import operator
+from typing import (
+    Any,
+    ClassVar,
+    Iterable,
+    Iterator,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-from ..errors import ProtocolError
+import numpy as np
+from numpy.typing import ArrayLike, NDArray
+
+from ..errors import ProtocolError, SamplingError
 
 __all__ = [
     "GNUTELLA_HEADER_BYTES",
@@ -37,6 +53,7 @@ __all__ = [
     "QueryHit",
     "WalkerProbe",
     "AggregateReply",
+    "AggregateSample",
     "GroupReply",
     "TupleReply",
 ]
@@ -226,6 +243,141 @@ class AggregateReply(Message):
 
     def payload_bytes(self) -> int:
         return 8 + 8 + 8 + 8 + 4 + 4 + 4
+
+
+#: The payload of an :class:`AggregateReply`, field for field.
+_SAMPLE_DTYPE = np.dtype(
+    [
+        ("source", np.int64),
+        ("degree", np.int64),
+        ("local_tuples", np.int64),
+        ("processed_tuples", np.int64),
+        ("aggregate_value", np.float64),
+        ("matching_count", np.float64),
+        ("column_total", np.float64),
+        ("contribution_variance", np.float64),
+    ]
+)
+_SAMPLE_COLUMNS: Tuple[str, ...] = _SAMPLE_DTYPE.names or ()
+_reply_payload = operator.attrgetter(*_SAMPLE_COLUMNS)
+
+
+@dataclasses.dataclass(frozen=True, slots=True, eq=False)
+class AggregateSample:
+    """The aggregate replies of a collection, as columns.
+
+    One row per :class:`AggregateReply` that reached ``sink``, in
+    arrival order; ``sample[name]`` is the read-only column of that
+    reply field (``source``, ``degree``, ``local_tuples``,
+    ``processed_tuples``, ``aggregate_value``, ``matching_count``,
+    ``column_total``, ``contribution_variance``).  Batch visits fill
+    the columns straight from their array kernels and every sink-side
+    function reads them back as arrays, so no per-peer object exists
+    between the visit and the estimate; iterating the sample
+    materialises each row as a fresh :class:`AggregateReply` for
+    whoever wants the protocol objects.
+
+    ``probability`` — each row's probability under the walk's
+    stationary distribution — is not on the wire: the sink reconstructs
+    it from ``degree`` and attaches it (:meth:`with_probability`).
+    Until then, and again after :meth:`replace` (a changed ``degree``
+    is a changed probability), ``sample["probability"]`` raises
+    :class:`~repro.errors.SamplingError`.
+    """
+
+    rows: "NDArray[np.void]"
+    sink: int
+    probability: Optional["NDArray[np.float64]"] = None
+
+    def __post_init__(self) -> None:
+        self.rows.setflags(write=False)
+
+    @classmethod
+    def from_columns(
+        cls, sink: int, size: int, **columns: ArrayLike
+    ) -> "AggregateSample":
+        """``size`` rows holding ``columns``; columns not given are 0."""
+        return cls(np.zeros(size, dtype=_SAMPLE_DTYPE), sink).replace(
+            **columns
+        )
+
+    @classmethod
+    def from_replies(
+        cls, replies: Iterable[AggregateReply], sink: int
+    ) -> "AggregateSample":
+        """The sample made of ``replies`` (scalar visits, oracles)."""
+        rows = [_reply_payload(reply) for reply in replies]
+        return cls(np.array(rows, dtype=_SAMPLE_DTYPE), sink)
+
+    @classmethod
+    def concat(cls, samples: Sequence["AggregateSample"]) -> "AggregateSample":
+        """The rows of ``samples`` (at least one), back to back."""
+        if len(samples) == 1:
+            return samples[0]
+        probabilities = [
+            sample.probability
+            for sample in samples
+            if sample.probability is not None
+        ]
+        return cls(
+            np.concatenate([sample.rows for sample in samples]),
+            samples[0].sink,
+            np.concatenate(probabilities)
+            if len(probabilities) == len(samples)
+            else None,
+        )
+
+    def take(self, indices: "NDArray[np.intp]") -> "AggregateSample":
+        """The sample made of the rows at ``indices``, in that order."""
+        return AggregateSample(
+            self.rows[indices],
+            self.sink,
+            None if self.probability is None else self.probability[indices],
+        )
+
+    def replace(self, **columns: ArrayLike) -> "AggregateSample":
+        """A new sample with ``columns`` overwritten (a scalar fills
+        its column) and no probabilities."""
+        rows = self.rows.copy()
+        for name, values in columns.items():
+            rows[name] = values
+        return AggregateSample(rows, self.sink)
+
+    def with_probability(self, probability: ArrayLike) -> "AggregateSample":
+        """The same rows with their stationary probabilities attached
+        (a scalar serves every row); each must lie in (0, 1]."""
+        values = np.asarray(probability, dtype=np.float64)
+        if values.ndim and values.shape != self.rows.shape:
+            raise SamplingError(
+                f"{values.shape} probabilities for {self.rows.size} rows"
+            )
+        values = np.broadcast_to(values, self.rows.shape)
+        valid = (values > 0.0) & (values <= 1.0)
+        if not valid.all():
+            raise SamplingError(
+                "stationary probability must be in (0, 1], "
+                f"got {values[~valid][0]}"
+            )
+        return AggregateSample(self.rows, self.sink, values)
+
+    def __len__(self) -> int:
+        return int(self.rows.size)
+
+    def __iter__(self) -> Iterator[AggregateReply]:
+        for row in self.rows.tolist():
+            yield AggregateReply(
+                destination=self.sink, **dict(zip(_SAMPLE_COLUMNS, row))
+            )
+
+    def __getitem__(self, column: str) -> "NDArray[Any]":
+        if column != "probability":
+            return self.rows[column]
+        if self.probability is None:
+            raise SamplingError(
+                "the sample carries no stationary probabilities yet "
+                "(see observations_from_replies)"
+            )
+        return self.probability
 
 
 @dataclasses.dataclass(frozen=True, slots=True)

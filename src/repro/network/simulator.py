@@ -60,6 +60,7 @@ from .faults import FaultPlan, FaultState
 from .peer import Peer, synthesize_peer
 from .protocol import (
     AggregateReply,
+    AggregateSample,
     GroupReply,
     Ping,
     Pong,
@@ -801,38 +802,46 @@ class NetworkSimulator:
         self.probe_aggregate(
             peer_id, query, ledger, tuples_per_peer, sampling_method
         )
-        columns, total, processed = self._read_rows(
-            peer_id, tuples_per_peer, sampling_method, seed
+        return self._local_reply(
+            peer_id, query, sink,
+            *self._read_rows(peer_id, tuples_per_peer, sampling_method, seed),
         )
 
-        # Single-segment call into the same kernel the batch path uses,
-        # so scalar and batched visits agree bit-for-bit.
+    def _local_reply(
+        self,
+        peer_id: int,
+        query: AggregationQuery,
+        sink: int,
+        columns: Dict[str, np.ndarray],
+        total: int,
+        processed: int,
+    ) -> AggregateReply:
+        """``peer_id``'s reply to ``query`` over the ``processed`` rows
+        in ``columns``, scaled up to its ``total`` rows.
+
+        A single-segment call into the same kernel the batch path
+        uses, so scalar and batched visits agree bit-for-bit.
+        """
         counts, sums, column_sums, variances = segment_aggregate(
             query,
             columns,
             starts=np.zeros(1, dtype=np.int64),
             counts=np.asarray([processed], dtype=np.int64),
         )
-        local_count = float(counts[0])
-        local_sum = float(sums[0])
-        column_sum = float(column_sums[0])
-        contribution_variance = float(variances[0])
-
         scale = (total / processed) if processed else 0.0
-        scaled_count = local_count * scale
-        scaled_sum = local_sum * scale
-        if query.agg is AggregateOp.COUNT:
-            value = scaled_count
-        else:  # SUM and AVG replies carry the scaled sum as primary
-            value = scaled_sum
-
+        scaled_count = float(counts[0]) * scale
+        # SUM and AVG replies carry the scaled sum as primary.
         return AggregateReply(
             source=peer_id,
             destination=sink,
-            aggregate_value=value,
+            aggregate_value=(
+                scaled_count
+                if query.agg is AggregateOp.COUNT
+                else float(sums[0]) * scale
+            ),
             matching_count=scaled_count,
-            column_total=column_sum * scale,
-            contribution_variance=contribution_variance,
+            column_total=float(column_sums[0]) * scale,
+            contribution_variance=float(variances[0]),
             degree=self.topology.degree(peer_id),
             local_tuples=total,
             processed_tuples=processed,
@@ -951,40 +960,24 @@ class NetworkSimulator:
         tuples_per_peer: int = 0,
         sampling_method: str = "uniform",
         seed: SeedLike = None,
-    ) -> List[AggregateReply]:
+    ) -> AggregateSample:
         """The *data* half of aggregate visits, for many peers at once.
 
         Sub-samples, filters, aggregates and scales the rows of every
         peer in ``peer_ids`` — in order, consuming ``seed`` draw for
         draw as one :meth:`visit_aggregate` per peer would — as single
-        numpy passes over the flat columnar view, and builds the
-        replies.  Touches neither ledger, fault clock, virtual time nor
-        tracer: that is the fate half (:meth:`probe_aggregate` per
-        probe, or the bulk charge in :meth:`visit_aggregate_batch`).
+        numpy passes over the flat columnar view, and returns the
+        replies as one :class:`AggregateSample`, a row per peer.
+        Touches neither ledger, fault clock, virtual time nor tracer:
+        that is the fate half (:meth:`probe_aggregate` per probe, or
+        the bulk charge in :meth:`visit_aggregate_batch`).
         """
         _check_pushdown(query)
         _check_tuples_per_peer(tuples_per_peer)
         _check_sampling_method(sampling_method)
-        replies, _ = self._read_aggregates(
-            self._validate_batch_peers(peer_ids),
-            query, sink, tuples_per_peer, sampling_method, seed,
-        )
-        return replies
-
-    def _read_aggregates(
-        self,
-        peers: np.ndarray,
-        query: AggregationQuery,
-        sink: int,
-        tuples_per_peer: int,
-        sampling_method: str,
-        seed: SeedLike,
-    ) -> Tuple[List[AggregateReply], np.ndarray]:
-        """:meth:`read_aggregates` over validated arguments; also
-        returns the per-visit processed-row counts (what the ledger is
-        charged for)."""
+        peers = self._validate_batch_peers(peer_ids)
         if peers.size == 0:
-            return [], np.empty(0, dtype=np.int64)
+            return AggregateSample.from_columns(sink, 0)
         shared_rng, per_visit_seed = self._resolve_batch_rng(seed)
         columns, starts, processed, totals = self._batch_sample_plan(
             peers, tuples_per_peer, sampling_method, shared_rng, per_visit_seed
@@ -998,25 +991,18 @@ class NetworkSimulator:
             totals.astype(np.float64), processed, out=scales, where=nonzero
         )
         primary = counts if query.agg is AggregateOp.COUNT else sums
-        values = primary * scales
-        scaled_counts = counts * scales
-        scaled_column_sums = column_sums * scales
-        degrees = self.topology.degrees[peers]
-        replies = [
-            AggregateReply(
-                source=int(peers[position]),
-                destination=sink,
-                aggregate_value=float(values[position]),
-                matching_count=float(scaled_counts[position]),
-                column_total=float(scaled_column_sums[position]),
-                contribution_variance=float(variances[position]),
-                degree=int(degrees[position]),
-                local_tuples=int(totals[position]),
-                processed_tuples=int(processed[position]),
-            )
-            for position in range(peers.size)
-        ]
-        return replies, processed
+        return AggregateSample.from_columns(
+            sink,
+            peers.size,
+            source=peers,
+            degree=self.topology.degrees[peers],
+            local_tuples=totals,
+            processed_tuples=processed,
+            aggregate_value=primary * scales,
+            matching_count=counts * scales,
+            column_total=column_sums * scales,
+            contribution_variance=variances,
+        )
 
     def visit_aggregate_batch(
         self,
@@ -1027,15 +1013,16 @@ class NetworkSimulator:
         tuples_per_peer: int = 0,
         sampling_method: str = "uniform",
         seed: SeedLike = None,
-    ) -> List[AggregateReply]:
+    ) -> AggregateSample:
         """Visit many peers in one vectorized pass.
 
         Equivalent to calling :meth:`visit_aggregate` for each id in
         ``peer_ids`` (in order, with the same ``seed``), skipping peers
         that fail to reply — but sub-sampling, filtering, scaling, and
         cost accounting run as single numpy passes over the flat
-        columnar view.  The replies and the ledger end up bit-for-bit
-        identical to the per-peer loop.
+        columnar view.  The replies (one :class:`AggregateSample`, a
+        row each) and the ledger end up bit-for-bit identical to the
+        per-peer loop.
 
         With any failure source armed (``reply_loss_rate > 0`` or a
         bound :class:`~repro.network.faults.FaultPlan`) it is *fate per
@@ -1050,7 +1037,7 @@ class NetworkSimulator:
         _check_sampling_method(sampling_method)
         peers = self._validate_batch_peers(peer_ids)
         if peers.size == 0:
-            return []
+            return AggregateSample.from_columns(sink, 0)
         tracer = active_tracer()
         if self._batch_fallback_needed():
             if tracer is not None:
@@ -1070,15 +1057,14 @@ class NetworkSimulator:
                 except PeerUnavailableError:
                     continue  # lost reply: the sample just shrinks
                 survivors.append(peer_id)
-            replies, _ = self._read_aggregates(
-                np.asarray(survivors, dtype=np.int64),
-                query, sink, tuples_per_peer, sampling_method, seed,
+            return self.read_aggregates(
+                survivors, query, sink, tuples_per_peer, sampling_method, seed
             )
-            return replies
 
-        replies, processed = self._read_aggregates(
+        replies = self.read_aggregates(
             peers, query, sink, tuples_per_peer, sampling_method, seed
         )
+        processed = replies["processed_tuples"]
         ledger.record_visit_replies(
             peers,
             tuples_processed=processed,
@@ -1243,42 +1229,11 @@ class NetworkSimulator:
             tuples_per_peer, sampling_method, seed,
         )
 
-        scale = (total / processed) if processed else 0.0
-        degree = self.topology.degree(peer_id)
-        replies: List[AggregateReply] = []
-        for query in queries:
-            if processed == 0:
-                local_count = local_sum = column_sum = 0.0
-                contribution_variance = 0.0
-            else:
-                mask = query.predicate.mask(columns)
-                local_count = float(np.count_nonzero(mask))
-                column = np.asarray(columns[query.column])
-                values = column[mask]
-                local_sum = float(values.sum()) if values.size else 0.0
-                column_sum = float(column.sum())
-                if query.agg is AggregateOp.COUNT:
-                    contributions = mask.astype(float)
-                else:
-                    contributions = column * mask
-                contribution_variance = float(contributions.var())
-            value = (
-                local_count * scale
-                if query.agg is AggregateOp.COUNT
-                else local_sum * scale
-            )
-            reply = AggregateReply(
-                source=peer_id,
-                destination=sink,
-                aggregate_value=value,
-                matching_count=local_count * scale,
-                column_total=column_sum * scale,
-                contribution_variance=contribution_variance,
-                degree=degree,
-                local_tuples=total,
-                processed_tuples=processed,
-            )
-            replies.append(reply)
+        replies = [
+            self._local_reply(peer_id, query, sink, columns, total, processed)
+            for query in queries
+        ]
+        for reply in replies:
             ledger.record_reply(reply.size_bytes())
         # One visit: one overhead, one scan of the shared sub-sample.
         ledger.record_visit(

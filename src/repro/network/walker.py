@@ -68,7 +68,7 @@ from .topology import Topology
 from .walk_kernel import WalkKernel, kernel_tables
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from .protocol import AggregateReply, TupleReply
+    from .protocol import AggregateSample, TupleReply
     from .simulator import NetworkSimulator
 
 __all__ = [
@@ -753,7 +753,7 @@ class ResilientCollector:
         tuples_per_peer: int = 0,
         sampling_method: str = "uniform",
         seed: SeedLike = None,
-    ) -> Tuple[List["AggregateReply"], CollectionStats]:
+    ) -> Tuple["AggregateSample", CollectionStats]:
         """Collect up to ``count`` aggregate replies, resiliently."""
 
         def probe(peer: int) -> int:

@@ -30,7 +30,7 @@ import numpy as np
 from .._util import SeedLike, ensure_rng
 from ..core.crossval import cross_validate
 from ..core.estimators import (
-    PeerObservation,
+    estimate_query,
     horvitz_thompson,
     observations_from_replies,
 )
@@ -39,6 +39,7 @@ from ..core.result import PhaseReport
 from ..core.two_phase import TwoPhaseConfig, TwoPhaseEngine
 from ..errors import ConfigurationError, SamplingError
 from ..metrics.cost import CostLedger, QueryCost
+from ..network.protocol import AggregateSample
 from ..network.simulator import NetworkSimulator
 from ..query.model import AggregationQuery
 
@@ -151,7 +152,7 @@ class BFSEngine:
         query: AggregationQuery,
         sink: int,
         ledger: CostLedger,
-    ) -> List[PeerObservation]:
+    ) -> AggregateSample:
         replies = self._simulator.visit_aggregate_batch(
             np.asarray(peers, dtype=np.int64),
             query,
@@ -184,10 +185,10 @@ class BFSEngine:
         m = self._config.phase_one_peers
 
         peers_one = self._bfs_peers(sink, m, ledger)
-        observations_one = self._visit(peers_one, query, sink, ledger)
-        scale = estimate_scale(query, observations_one)
+        sample_one = self._visit(peers_one, query, sink, ledger)
+        scale = estimate_scale(query, sample_one)
         cross_validation = cross_validate(
-            observations_one,
+            sample_one,
             rounds=self._config.cross_validation_rounds,
             seed=self._rng,
         )
@@ -206,39 +207,40 @@ class BFSEngine:
             peers_visited=len(peers_one),
             tuples_sampled=ledger.snapshot().tuples_processed,
             hops=0,
-            estimate=horvitz_thompson(observations_one),
+            estimate=estimate_query(query, sample_one, horvitz_thompson),
         )
 
         phase_two: Optional[PhaseReport] = None
-        observations_two: List[PeerObservation] = []
+        pool = sample_one
         if additional > 0:
             tuples_before = ledger.snapshot().tuples_processed
             # Flood deeper: take the next `additional` peers in BFS
             # order after the ones already used.
             peers_all = self._bfs_peers(sink, m + additional, ledger)
             peers_two = peers_all[len(peers_one):]
-            observations_two = (
-                self._visit(peers_two, query, sink, ledger)
-                if peers_two
-                else []
-            )
+            sample_two = self._visit(peers_two, query, sink, ledger)
+            pool = AggregateSample.concat([sample_one, sample_two])
+            # Diagnostic only: phase II alone may be empty, or see no
+            # matching tuple while the pool does.
+            estimate_two: Optional[float]
+            try:
+                estimate_two = estimate_query(
+                    query, sample_two, horvitz_thompson
+                )
+            except SamplingError:
+                estimate_two = None
             phase_two = PhaseReport(
                 peers_visited=len(peers_two),
                 tuples_sampled=(
                     ledger.snapshot().tuples_processed - tuples_before
                 ),
                 hops=0,
-                estimate=(
-                    horvitz_thompson(observations_two)
-                    if observations_two
-                    else None
-                ),
+                estimate=estimate_two,
             )
 
-        pool = observations_one + observations_two
         return BaselineResult(
             query=query,
-            estimate=horvitz_thompson(pool),
+            estimate=estimate_query(query, pool, horvitz_thompson),
             delta_req=delta_req,
             scale=scale,
             phase_one=phase_one,
@@ -271,17 +273,15 @@ class UniformOracleEngine:
         count: int,
         sink: int = 0,
         ledger: Optional[CostLedger] = None,
-    ) -> List[PeerObservation]:
-        """``count`` uniform-peer observations with prob = 1/M."""
+    ) -> AggregateSample:
+        """A sample of ``count`` uniform peers, with prob = 1/M."""
         if count <= 0:
             raise SamplingError("count must be positive")
         if ledger is None:
             ledger = self._simulator.new_ledger()
         m = self._simulator.num_peers
-        peers = self._rng.integers(m, size=count)
-        observations = []
-        for peer in peers:
-            reply = self._simulator.visit_aggregate(
+        replies = [
+            self._simulator.visit_aggregate(
                 int(peer),
                 query,
                 sink=sink,
@@ -290,22 +290,18 @@ class UniformOracleEngine:
                 sampling_method=self._config.sampling_method,
                 seed=self._rng,
             )
-            observations.append(
-                PeerObservation(
-                    peer_id=reply.source,
-                    value=reply.aggregate_value,
-                    probability=1.0 / m,
-                    matching_count=reply.matching_count,
-                    column_total=reply.column_total,
-                    local_tuples=reply.local_tuples,
-                )
-            )
-        return observations
+            for peer in self._rng.integers(m, size=count)
+        ]
+        return AggregateSample.from_replies(replies, sink).with_probability(
+            1.0 / m
+        )
 
     def estimate(
         self, query: AggregationQuery, count: int, sink: int = 0
     ) -> float:
         """Equation-1 estimate from ``count`` uniform peers."""
-        return horvitz_thompson(
-            self.sample_observations(query, count, sink=sink)
+        return estimate_query(
+            query,
+            self.sample_observations(query, count, sink=sink),
+            horvitz_thompson,
         )

@@ -50,6 +50,8 @@ _MESSAGE_FIELDS = frozenset(
         "entries",
         "shared_tuples",
         "num_hits",
+        "rows",
+        "probability",
     }
 )
 

@@ -1,0 +1,78 @@
+"""The row-wise reference for the columnar COUNT/SUM/AVG sample.
+
+``src/`` holds a sample as columns
+(:class:`repro.network.protocol.AggregateSample`) and estimates with
+array arithmetic.  This module keeps the form that code replaced — one
+object per visited peer, one ``getattr(row, field) / row.probability``
+per row, then the same numpy reduction — so tests can hand-build
+samples a row at a time (:func:`sample_of`) and pin the array
+arithmetic to the object arithmetic with ``==``.
+"""
+
+from typing import NamedTuple, Sequence
+
+import numpy as np
+
+from repro.network.protocol import AggregateSample
+
+
+class Row(NamedTuple):
+    """One visited peer as the sink sees it: the reply's payload plus
+    the stationary probability reconstructed from its degree."""
+
+    aggregate_value: float
+    probability: float
+    source: int = 0
+    matching_count: float = 0.0
+    column_total: float = 0.0
+    local_tuples: int = 0
+    contribution_variance: float = 0.0
+    processed_tuples: int = 0
+    degree: int = 0
+
+
+def sample_of(rows: Sequence[Row], sink: int = 0) -> AggregateSample:
+    """The columnar sample holding ``rows``, built column by column."""
+    columns = {
+        name: [getattr(row, name) for row in rows]
+        for name in Row._fields
+        if name != "probability"
+    }
+    sample = AggregateSample.from_columns(sink, len(rows), **columns)
+    return sample.with_probability([row.probability for row in rows])
+
+
+def ratios(rows: Sequence[Row], field: str = "aggregate_value") -> np.ndarray:
+    return np.asarray(
+        [getattr(row, field) / row.probability for row in rows], dtype=float
+    )
+
+
+def weights(rows: Sequence[Row]) -> np.ndarray:
+    return np.asarray([1.0 / row.probability for row in rows], dtype=float)
+
+
+def horvitz_thompson(rows, field="aggregate_value"):
+    return float(ratios(rows, field).mean())
+
+
+def ht_variance(rows):
+    values = ratios(rows)
+    return float(values.var(ddof=1) / values.size)
+
+
+def hajek_estimate(rows, num_peers, field="aggregate_value"):
+    return float(
+        num_peers * ratios(rows, field).sum() / weights(rows).sum()
+    )
+
+
+def hajek_variance(rows, num_peers):
+    values, inverse = ratios(rows), weights(rows)
+    leave_one_out = (
+        num_peers * (values.sum() - values) / (inverse.sum() - inverse)
+    )
+    m = values.size
+    return float(
+        (m - 1) / m * np.sum((leave_one_out - leave_one_out.mean()) ** 2)
+    )

@@ -201,11 +201,13 @@ def test_batch_unknown_peer(small_network):
 
 def test_batch_empty_peer_list(small_network):
     assert (
-        small_network.visit_aggregate_batch(
-            np.asarray([], dtype=np.int64),
-            _query(AggregateOp.COUNT),
-            sink=SINK,
-            ledger=small_network.new_ledger(),
+        list(
+            small_network.visit_aggregate_batch(
+                np.asarray([], dtype=np.int64),
+                _query(AggregateOp.COUNT),
+                sink=SINK,
+                ledger=small_network.new_ledger(),
+            )
         )
         == []
     )

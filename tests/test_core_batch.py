@@ -1,5 +1,7 @@
 """Tests for multi-query batching."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.batch import BatchEngine
@@ -132,6 +134,28 @@ class TestMultiVisit:
         )
         total = replies[0].matching_count + replies[1].matching_count
         assert total == pytest.approx(replies[0].local_tuples)
+
+    @pytest.mark.parametrize("tuples_per_peer", [0, 7, 25])
+    def test_each_reply_is_the_scalar_visits_reply(
+        self, small_network, tuples_per_peer
+    ):
+        """One Visit arithmetic: under the same seed, a panel's reply
+        for each query equals :meth:`visit_aggregate`'s, field for
+        field and bit for bit (``message_id`` aside)."""
+        panel = [*QUERIES, AVG_HIGH]
+        for peer in range(small_network.num_peers):
+            multi = small_network.visit_multi_aggregate(
+                peer, panel, sink=1, ledger=small_network.new_ledger(),
+                tuples_per_peer=tuples_per_peer, seed=peer,
+            )
+            for query, reply in zip(panel, multi):
+                scalar = small_network.visit_aggregate(
+                    peer, query, sink=1, ledger=small_network.new_ledger(),
+                    tuples_per_peer=tuples_per_peer, seed=peer,
+                )
+                assert dataclasses.replace(
+                    reply, message_id=scalar.message_id
+                ) == scalar
 
     def test_empty_queries_rejected(self, small_network):
         with pytest.raises(ConfigurationError):

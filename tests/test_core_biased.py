@@ -9,13 +9,15 @@ from repro.core.biased import (
     biased_engine_for_query,
     probe_weights,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SamplingError
 from repro.network.walker import WeightedMetropolisWalker
 from repro.query.exact import evaluate_exact
 from repro.query.parser import parse_query
 
 SELECTIVE = parse_query("SELECT COUNT(A) FROM T WHERE A BETWEEN 1 AND 3")
 BROAD = parse_query("SELECT COUNT(A) FROM T WHERE A BETWEEN 1 AND 30")
+AVG_BROAD = parse_query("SELECT AVG(A) FROM T WHERE A BETWEEN 1 AND 30")
+AVG_NOBODY = parse_query("SELECT AVG(A) FROM T WHERE A > 1000000")
 
 
 class TestBiasedConfig:
@@ -101,6 +103,24 @@ class TestBiasedSamplingEngine:
             engine.execute(SELECTIVE, sink=0).estimate for _ in range(10)
         ]
         assert np.mean(estimates) == pytest.approx(truth, rel=0.25)
+
+    def test_avg_is_the_ratio_not_the_sum(self, small_network, small_dataset):
+        """AVG replies carry the scaled *sum*; the engine must divide
+        it by the matching-count total — estimate and interval both."""
+        engine = biased_engine_for_query(small_network, AVG_BROAD, seed=4)
+        truth = evaluate_exact(AVG_BROAD, small_dataset.databases)
+        results = [engine.execute(AVG_BROAD, sink=0) for _ in range(10)]
+        assert np.mean([r.estimate for r in results]) == pytest.approx(
+            truth, rel=0.25
+        )
+        assert all(
+            r.confidence_interval.half_width < truth for r in results
+        )
+
+    def test_avg_nobody_matches_is_a_sampling_error(self, small_network):
+        engine = biased_engine_for_query(small_network, AVG_NOBODY, seed=4)
+        with pytest.raises(SamplingError, match="AVG undefined"):
+            engine.execute(AVG_NOBODY, sink=0)
 
     def test_beats_plain_walk_on_selective_query(
         self, small_network, small_dataset

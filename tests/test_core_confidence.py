@@ -8,8 +8,10 @@ from repro.core.confidence import (
     normal_confidence_interval,
     z_for_confidence,
 )
-from repro.core.estimators import PeerObservation
 from repro.errors import SamplingError
+from repro.network.protocol import AggregateSample
+
+from .row_reference import Row, sample_of
 
 
 class TestZValues:
@@ -58,14 +60,14 @@ class TestConfidenceInterval:
 class TestNormalInterval:
     def make_observations(self, seed=0, num=50):
         rng = np.random.default_rng(seed)
-        return [
-            PeerObservation(
-                peer_id=i,
-                value=float(max(0.1, 10 + rng.normal())),
+        return sample_of([
+            Row(
+                source=i,
+                aggregate_value=float(max(0.1, 10 + rng.normal())),
                 probability=0.02,
             )
             for i in range(num)
-        ]
+        ])
 
     def test_width_positive(self):
         interval = normal_confidence_interval(self.make_observations())
@@ -89,14 +91,9 @@ class TestNormalInterval:
         trials = 600
         for _ in range(trials):
             picks = rng.choice(num_peers, size=200, p=probabilities)
-            observations = [
-                PeerObservation(
-                    peer_id=int(i),
-                    value=values[i],
-                    probability=probabilities[i],
-                )
-                for i in picks
-            ]
+            observations = AggregateSample.from_columns(
+                0, picks.size, source=picks, aggregate_value=values[picks]
+            ).with_probability(probabilities[picks])
             if normal_confidence_interval(observations).contains(truth):
                 covered += 1
         # CLT intervals undercover slightly on skewed ratios; the

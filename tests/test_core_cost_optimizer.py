@@ -10,9 +10,10 @@ from repro.core.cost_optimizer import (
     decompose_variance,
     optimize_tuple_budget,
 )
-from repro.core.estimators import PeerObservation
 from repro.errors import SamplingError
 from repro.metrics.cost import CostModel
+
+from .row_reference import Row, sample_of
 
 
 def make_observation(
@@ -23,9 +24,9 @@ def make_observation(
     processed_tuples=25,
     peer_id=0,
 ):
-    return PeerObservation(
-        peer_id=peer_id,
-        value=value,
+    return Row(
+        source=peer_id,
+        aggregate_value=value,
         probability=probability,
         local_tuples=local_tuples,
         contribution_variance=contribution_variance,
@@ -34,7 +35,9 @@ def make_observation(
 
 
 def homogeneous_observations(num=20, **kwargs):
-    return [make_observation(peer_id=i, **kwargs) for i in range(num)]
+    return sample_of(
+        [make_observation(peer_id=i, **kwargs) for i in range(num)]
+    )
 
 
 class TestVarianceDecomposition:
@@ -47,7 +50,7 @@ class TestVarianceDecomposition:
 
     def test_heterogeneous_data_positive_between(self):
         rng = np.random.default_rng(1)
-        observations = [
+        observations = sample_of([
             make_observation(
                 value=float(rng.uniform(10, 90)),
                 contribution_variance=0.0,  # exact local aggregates
@@ -55,7 +58,7 @@ class TestVarianceDecomposition:
                 peer_id=i,
             )
             for i in range(30)
-        ]
+        ])
         decomposition = decompose_variance(observations)
         assert decomposition.between > 0
         assert decomposition.within_rate == 0.0
@@ -76,19 +79,19 @@ class TestVarianceDecomposition:
 
     def test_needs_two(self):
         with pytest.raises(SamplingError):
-            decompose_variance([make_observation()])
+            decompose_variance(sample_of([make_observation()]))
 
 
 class TestOptimizeTupleBudget:
     def test_expensive_tuples_push_t_down(self):
-        observations = [
+        observations = sample_of([
             make_observation(
                 value=float(v), peer_id=i, contribution_variance=0.25
             )
             for i, v in enumerate(
                 np.random.default_rng(2).uniform(10, 90, 30)
             )
-        ]
+        ])
         cheap_scan = optimize_tuple_budget(
             observations,
             absolute_error=500.0,
@@ -102,14 +105,14 @@ class TestOptimizeTupleBudget:
         assert costly_scan.tuples_per_peer < cheap_scan.tuples_per_peer
 
     def test_expensive_visits_push_t_up(self):
-        observations = [
+        observations = sample_of([
             make_observation(
                 value=float(v), peer_id=i, contribution_variance=0.25
             )
             for i, v in enumerate(
                 np.random.default_rng(3).uniform(10, 90, 30)
             )
-        ]
+        ])
         cheap_visit = optimize_tuple_budget(
             observations,
             absolute_error=500.0,
@@ -138,7 +141,7 @@ class TestOptimizeTupleBudget:
         assert plan.tuples_per_peer == 500
 
     def test_no_within_noise_min_t(self):
-        observations = [
+        observations = sample_of([
             make_observation(
                 value=float(v), peer_id=i,
                 contribution_variance=0.0, processed_tuples=100,
@@ -146,7 +149,7 @@ class TestOptimizeTupleBudget:
             for i, v in enumerate(
                 np.random.default_rng(4).uniform(10, 90, 30)
             )
-        ]
+        ])
         plan = optimize_tuple_budget(observations, absolute_error=500.0)
         assert plan.tuples_per_peer == 1
 
@@ -158,24 +161,24 @@ class TestOptimizeTupleBudget:
         assert plan.tuples_per_peer <= 50
 
     def test_peers_and_latency_positive(self):
-        observations = [
+        observations = sample_of([
             make_observation(value=float(v), peer_id=i)
             for i, v in enumerate(
                 np.random.default_rng(5).uniform(10, 90, 30)
             )
-        ]
+        ])
         plan = optimize_tuple_budget(observations, absolute_error=500.0)
         assert plan.peers_to_visit >= 1
         assert plan.predicted_latency_ms > 0
         assert isinstance(plan, TupleBudgetPlan)
 
     def test_tighter_error_needs_more_peers(self):
-        observations = [
+        observations = sample_of([
             make_observation(value=float(v), peer_id=i)
             for i, v in enumerate(
                 np.random.default_rng(6).uniform(10, 90, 30)
             )
-        ]
+        ])
         loose = optimize_tuple_budget(observations, absolute_error=1000.0)
         tight = optimize_tuple_budget(observations, absolute_error=100.0)
         assert tight.peers_to_visit > loose.peers_to_visit
@@ -210,7 +213,7 @@ class TestEndToEnd:
             seed=1,
         )
         ledger = small_network.new_ledger()
-        observations, _ = probe.collect_observations(0, query, 40, ledger)
+        observations = probe.collect_observations(0, query, 40, ledger)
         scale = small_network.total_tuples()
         plan = optimize_tuple_budget(
             observations, absolute_error=0.05 * scale, max_tuples=50

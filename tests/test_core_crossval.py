@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from repro.core.crossval import CrossValidation, cross_validate
-from repro.core.estimators import PeerObservation, theoretical_variance
+from repro.core.estimators import theoretical_variance
 from repro.errors import SamplingError
+from repro.network.protocol import AggregateSample
 
 
 def make_observations(values, probabilities):
-    return [
-        PeerObservation(peer_id=i, value=v, probability=p)
-        for i, (v, p) in enumerate(zip(values, probabilities))
-    ]
+    return AggregateSample.from_columns(
+        0, len(values), source=range(len(values)), aggregate_value=values
+    ).with_probability(probabilities)
 
 
 class TestCrossValidate:
@@ -84,14 +84,9 @@ class TestTheorem3:
         cv_squares = []
         for _ in range(3000):
             picks = rng.choice(num_peers, size=m, p=probabilities)
-            observations = [
-                PeerObservation(
-                    peer_id=int(i),
-                    value=values[i],
-                    probability=probabilities[i],
-                )
-                for i in picks
-            ]
+            observations = make_observations(
+                values[picks], probabilities[picks]
+            )
             cv = cross_validate(observations, rounds=1, seed=rng)
             cv_squares.append(cv.errors[0] ** 2)
         assert np.mean(cv_squares) == pytest.approx(

@@ -5,17 +5,18 @@ verify Theorem 1 (unbiasedness), Theorem 2 (Var = C/m) and the
 agreement between the exact C and its sample estimate.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.estimators import (
-    PeerObservation,
     clustering_badness,
     clustering_badness_estimate,
     estimate_total_column_sum,
     estimate_total_tuples,
+    hajek_estimate,
+    hajek_variance,
     horvitz_thompson,
     ht_standard_error,
     ht_variance,
@@ -23,16 +24,14 @@ from repro.core.estimators import (
     theoretical_variance,
 )
 from repro.errors import SamplingError
-from repro.network.protocol import AggregateReply
+from repro.network.protocol import AggregateReply, AggregateSample
+
+from . import row_reference
+from .row_reference import Row, sample_of
 
 
 def make_observation(value, probability, **kwargs):
-    return PeerObservation(
-        peer_id=kwargs.pop("peer_id", 0),
-        value=value,
-        probability=probability,
-        **kwargs,
-    )
+    return Row(value, probability, source=kwargs.pop("peer_id", 0), **kwargs)
 
 
 def stationary_population(seed=0, num_peers=50):
@@ -46,38 +45,39 @@ def stationary_population(seed=0, num_peers=50):
 
 def draw_observations(values, probabilities, m, rng):
     picks = rng.choice(len(values), size=m, p=probabilities)
-    return [
-        make_observation(values[i], probabilities[i], peer_id=int(i))
-        for i in picks
-    ]
+    return AggregateSample.from_columns(
+        0, m, source=picks, aggregate_value=values[picks]
+    ).with_probability(probabilities[picks])
 
 
 class TestPeerObservation:
+    """One row of the sample (what ``PeerObservation`` used to be)."""
+
     def test_ratio(self):
-        obs = make_observation(10.0, 0.25)
-        assert obs.ratio == 40.0
+        obs = sample_of([make_observation(10.0, 0.25)])
+        assert horvitz_thompson(obs) == 40.0
 
     def test_invalid_probability(self):
         with pytest.raises(SamplingError):
-            make_observation(1.0, 0.0)
+            sample_of([make_observation(1.0, 0.0)])
         with pytest.raises(SamplingError):
-            make_observation(1.0, 1.5)
+            sample_of([make_observation(1.0, 1.5)])
 
 
 class TestHorvitzThompson:
     def test_single_observation(self):
-        assert horvitz_thompson([make_observation(5.0, 0.5)]) == 10.0
+        assert horvitz_thompson(sample_of([make_observation(5.0, 0.5)])) == 10.0
 
     def test_mean_of_ratios(self):
-        observations = [
+        observations = sample_of([
             make_observation(1.0, 0.5),   # ratio 2
             make_observation(3.0, 0.25),  # ratio 12
-        ]
+        ])
         assert horvitz_thompson(observations) == 7.0
 
     def test_empty_rejected(self):
         with pytest.raises(SamplingError):
-            horvitz_thompson([])
+            horvitz_thompson(sample_of([]))
 
     def test_theorem1_unbiasedness(self):
         """Theorem 1: E[y''] = y under stationary sampling."""
@@ -94,30 +94,30 @@ class TestHorvitzThompson:
 
     def test_uniform_probability_reduces_to_scaling(self):
         """With uniform probs 1/M, y'' = M * mean(values)."""
-        observations = [
+        observations = sample_of([
             make_observation(v, 0.1, peer_id=i)
             for i, v in enumerate([1.0, 2.0, 3.0])
-        ]
+        ])
         assert horvitz_thompson(observations) == pytest.approx(20.0)
 
 
 class TestVariance:
     def test_variance_needs_two(self):
         with pytest.raises(SamplingError):
-            ht_variance([make_observation(1.0, 0.5)])
+            ht_variance(sample_of([make_observation(1.0, 0.5)]))
 
     def test_variance_zero_for_constant_ratios(self):
-        observations = [
+        observations = sample_of([
             make_observation(1.0, 0.1),
             make_observation(2.0, 0.2),
-        ]  # both ratios are 10
+        ])  # both ratios are 10
         assert ht_variance(observations) == 0.0
 
     def test_standard_error_is_sqrt(self):
-        observations = [
+        observations = sample_of([
             make_observation(1.0, 0.1),
             make_observation(4.0, 0.1),
-        ]
+        ])
         assert ht_standard_error(observations) == pytest.approx(
             np.sqrt(ht_variance(observations))
         )
@@ -187,7 +187,9 @@ class TestClusteringBadness:
 
     def test_estimate_needs_two(self):
         with pytest.raises(SamplingError):
-            clustering_badness_estimate([make_observation(1.0, 0.5)])
+            clustering_badness_estimate(
+                sample_of([make_observation(1.0, 0.5)])
+            )
 
     def test_theoretical_variance_validates_m(self):
         values, probabilities = stationary_population(seed=9)
@@ -197,25 +199,25 @@ class TestClusteringBadness:
 
 class TestScaleEstimators:
     def test_total_tuples(self):
-        observations = [
+        observations = sample_of([
             make_observation(0.0, 0.5, local_tuples=10),
             make_observation(0.0, 0.25, local_tuples=5),
-        ]
+        ])
         # (10/0.5 + 5/0.25) / 2 = 20
         assert estimate_total_tuples(observations) == 20.0
 
     def test_total_column_sum(self):
-        observations = [
+        observations = sample_of([
             make_observation(0.0, 0.5, column_total=100.0),
             make_observation(0.0, 0.5, column_total=300.0),
-        ]
+        ])
         assert estimate_total_column_sum(observations) == 400.0
 
     def test_empty_rejected(self):
         with pytest.raises(SamplingError):
-            estimate_total_tuples([])
+            estimate_total_tuples(sample_of([]))
         with pytest.raises(SamplingError):
-            estimate_total_column_sum([])
+            estimate_total_column_sum(sample_of([]))
 
     @pytest.mark.parametrize("name", ["ht", "hajek"])
     @pytest.mark.parametrize(
@@ -224,11 +226,12 @@ class TestScaleEstimators:
     def test_field_projection_equals_a_copied_sample(self, name, field):
         """Estimating another per-peer quantity is picking its field;
         the reference is the copy of the sample the engines used to
-        build, with that quantity moved into ``value`` — bit-equal."""
+        build, with that quantity moved into ``aggregate_value`` —
+        bit-equal."""
         from repro.core.estimators import make_estimator
 
         rng = np.random.default_rng(5)
-        observations = [
+        rows = [
             make_observation(
                 float(rng.integers(0, 90)),
                 float(rng.uniform(0.001, 0.05)),
@@ -238,18 +241,20 @@ class TestScaleEstimators:
             )
             for _ in range(57)
         ]
+        observations = sample_of(rows)
         point, _ = make_estimator(name, num_peers=2000)
-        copied = [
-            dataclasses.replace(obs, value=getattr(obs, field))
-            for obs in observations
-        ]
+        copied = sample_of(
+            [obs._replace(aggregate_value=getattr(obs, field)) for obs in rows]
+        )
         assert point(observations, field=field) == point(copied)
-        assert point(observations) == point(observations, field="value")
+        assert point(observations) == point(
+            observations, field="aggregate_value"
+        )
 
 
 class TestObservationsFromReplies:
     def make_reply(self, degree, value=5.0):
-        return AggregateReply(
+        reply = AggregateReply(
             source=1,
             destination=0,
             aggregate_value=value,
@@ -259,51 +264,53 @@ class TestObservationsFromReplies:
             local_tuples=10,
             processed_tuples=10,
         )
+        return AggregateSample.from_replies([reply], sink=0)
 
     def test_simple_variant_probability(self):
         observations = observations_from_replies(
-            [self.make_reply(degree=4)], num_edges=100
+            self.make_reply(degree=4), num_edges=100
         )
-        assert observations[0].probability == pytest.approx(4 / 200)
+        assert observations["probability"][0] == pytest.approx(4 / 200)
 
     def test_self_inclusive_variant(self):
         observations = observations_from_replies(
-            [self.make_reply(degree=4)],
+            self.make_reply(degree=4),
             num_edges=100,
             num_peers=50,
             variant="self-inclusive",
         )
-        assert observations[0].probability == pytest.approx(5 / 250)
+        assert observations["probability"][0] == pytest.approx(5 / 250)
 
     def test_self_inclusive_needs_num_peers(self):
         with pytest.raises(SamplingError):
             observations_from_replies(
-                [self.make_reply(degree=4)],
+                self.make_reply(degree=4),
                 num_edges=100,
                 variant="self-inclusive",
             )
 
     def test_fields_copied(self):
+        """The columns survive attaching probabilities."""
         observations = observations_from_replies(
-            [self.make_reply(degree=4, value=7.0)], num_edges=100
+            self.make_reply(degree=4, value=7.0), num_edges=100
         )
-        obs = observations[0]
-        assert obs.value == 7.0
+        (obs,) = observations
+        assert obs.aggregate_value == 7.0
         assert obs.matching_count == 7.0
         assert obs.column_total == 14.0
         assert obs.local_tuples == 10
 
     def test_invalid_num_edges(self):
         with pytest.raises(SamplingError):
-            observations_from_replies([], num_edges=0)
+            observations_from_replies(sample_of([]), num_edges=0)
 
 
 class TestHajek:
     def test_equals_ht_when_probabilities_uniform(self):
-        observations = [
+        observations = sample_of([
             make_observation(v, 0.1, peer_id=i)
             for i, v in enumerate([1.0, 2.0, 3.0])
-        ]
+        ])
         from repro.core.estimators import hajek_estimate
         assert hajek_estimate(observations, num_peers=10) == (
             pytest.approx(horvitz_thompson(observations))
@@ -317,10 +324,10 @@ class TestHajek:
         num_peers = 50
         probabilities = rng.uniform(0.001, 0.05, num_peers)
         probabilities = probabilities / probabilities.sum()
-        observations = [
+        observations = sample_of([
             make_observation(7.0, float(probabilities[i]), peer_id=i)
             for i in rng.choice(num_peers, size=20)
-        ]
+        ])
         assert hajek_estimate(observations, num_peers) == (
             pytest.approx(7.0 * num_peers)
         )
@@ -374,7 +381,7 @@ class TestHajek:
             hajek_variance,
             make_estimator,
         )
-        obs = [make_observation(1.0, 0.5)]
+        obs = sample_of([make_observation(1.0, 0.5)])
         with pytest.raises(SamplingError):
             hajek_estimate(obs, num_peers=0)
         with pytest.raises(SamplingError):
@@ -387,12 +394,132 @@ class TestHajek:
     def test_make_estimator_dispatch(self):
         from repro.core.estimators import make_estimator
         point, variance = make_estimator("ht")
-        observations = [
+        observations = sample_of([
             make_observation(1.0, 0.5),
             make_observation(3.0, 0.5),
-        ]
+        ])
         assert point(observations) == 4.0
         assert variance(observations) > 0
         point_h, variance_h = make_estimator("hajek", num_peers=2)
         assert point_h(observations) == pytest.approx(4.0)
         assert variance_h(observations) >= 0
+
+
+# ---------------------------------------------------------------------------
+# The columnar sample: columns == rows, and the sample's own laws
+# ---------------------------------------------------------------------------
+
+NUM_EDGES, NUM_PEERS = 4000, 900
+FIELDS = ["aggregate_value", "matching_count", "local_tuples", "column_total"]
+
+_amounts = st.floats(min_value=0, max_value=1e6, allow_nan=False)
+payload_rows = st.lists(
+    st.builds(
+        Row,
+        aggregate_value=_amounts,
+        probability=st.just(1.0),  # reconstructed from ``degree`` below
+        source=st.integers(0, NUM_PEERS - 1),
+        matching_count=_amounts,
+        column_total=_amounts,
+        local_tuples=st.integers(0, 5000),
+        contribution_variance=_amounts,
+        processed_tuples=st.integers(0, 5000),
+        degree=st.integers(1, 400),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def reference_probability(degree, variant):
+    """The per-reply arithmetic ``observations_from_replies`` looped."""
+    if variant == "self-inclusive":
+        return (degree + 1.0) / (2.0 * NUM_EDGES + NUM_PEERS)
+    if variant == "metropolis-uniform":
+        return 1.0 / NUM_PEERS
+    return degree / (2.0 * NUM_EDGES)
+
+
+class TestColumnsEqualRows:
+    @pytest.mark.parametrize(
+        "variant", ["simple", "self-inclusive", "metropolis-uniform"]
+    )
+    @given(payload_rows)
+    @settings(max_examples=60, deadline=None)
+    def test_every_estimator_is_bit_equal_to_the_row_wise_one(
+        self, variant, rows
+    ):
+        rows = [
+            row._replace(
+                probability=reference_probability(row.degree, variant)
+            )
+            for row in rows
+        ]
+        # Through the wire form, so the row accessor and the from-rows
+        # constructor are on the path too.
+        replies = list(sample_of(rows))
+        sample = observations_from_replies(
+            AggregateSample.from_replies(replies, 0),
+            NUM_EDGES, NUM_PEERS, variant,
+        )
+        assert sample["probability"].tolist() == [
+            row.probability for row in rows
+        ]
+        for field in FIELDS:
+            assert horvitz_thompson(
+                sample, field
+            ) == row_reference.horvitz_thompson(rows, field)
+            assert hajek_estimate(
+                sample, NUM_PEERS, field
+            ) == row_reference.hajek_estimate(rows, NUM_PEERS, field)
+        if len(rows) >= 2:
+            assert ht_variance(sample) == row_reference.ht_variance(rows)
+            assert hajek_variance(
+                sample, NUM_PEERS
+            ) == row_reference.hajek_variance(rows, NUM_PEERS)
+
+    @given(payload_rows, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_concat_of_takes_has_the_rows_at_the_indices(self, rows, data):
+        sample = sample_of(rows)
+        indices = st.lists(st.integers(0, len(rows) - 1), max_size=30)
+        i, j = data.draw(indices), data.draw(indices)
+        both = AggregateSample.concat(
+            [
+                sample.take(np.asarray(i, dtype=np.int64)),
+                sample.take(np.asarray(j, dtype=np.int64)),
+            ]
+        )
+        assert both.rows.tolist() == [sample.rows[k].item() for k in i + j]
+        assert both["probability"].tolist() == [
+            rows[k].probability for k in i + j
+        ]
+        assert both.sink == sample.sink
+
+    @pytest.mark.parametrize(
+        "probability",
+        [0.0, -0.1, 1.5, float("nan"), [0.2, 0.0, 0.2], [0.2, 0.2]],
+    )
+    def test_a_bad_probability_cannot_be_attached(self, probability):
+        sample = AggregateSample.from_columns(0, 3, degree=[1, 2, 3])
+        with pytest.raises(SamplingError):
+            sample.with_probability(probability)
+
+    def test_no_estimate_without_probabilities(self):
+        """Neither fresh from the wire nor after ``replace`` — a changed
+        degree is a changed probability — and never a division by
+        ``None``."""
+        fresh = AggregateSample.from_columns(
+            0, 3, degree=[1, 2, 3], aggregate_value=[5.0, 6.0, 7.0]
+        )
+        stale = fresh.with_probability(0.1).replace(degree=[3, 2, 1])
+        for sample in (fresh, stale):
+            for estimator in (
+                horvitz_thompson,
+                ht_variance,
+                clustering_badness_estimate,
+                lambda s: hajek_estimate(s, 10),
+                lambda s: hajek_variance(s, 10),
+            ):
+                with pytest.raises(SamplingError, match="probabilities"):
+                    estimator(sample)

@@ -1,13 +1,23 @@
 """Tests for the hybrid pre-computation engine (§6 open problem 1)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.core.hybrid import CachedPlan, HybridEngine, PlanCache
+from repro.core.hybrid import (
+    CachedPlan,
+    HybridEngine,
+    PlanCache,
+    RetainedSample,
+)
 from repro.core.two_phase import TwoPhaseConfig
 from repro.errors import ConfigurationError
 from repro.network.faults import FaultPlan
 from repro.network.generators import power_law_topology
+from repro.network.protocol import AggregateReply, AggregateSample
 from repro.network.simulator import NetworkSimulator
 from repro.obs import Tracer, tracing
 from repro.query.exact import evaluate_exact
@@ -303,3 +313,79 @@ class TestCachedPlan:
         assert stamped.matches_population(5, 9)
         assert not stamped.matches_population(5, 10)
         assert CachedPlan(1.0, 10, 100.0).matches_population(5, 9)
+
+
+class TestRetainedSurvivors:
+    """The delta path's remap — a filter and two column writes — against
+    the per-reply ``dataclasses.replace`` loop it replaced."""
+
+    @staticmethod
+    def reference(labels, replies, vertex_of, degrees):
+        survivors = []
+        for label, reply in zip(labels, replies):
+            vertex = vertex_of.get(label)
+            if vertex is None or degrees[vertex] == 0:
+                continue
+            survivors.append(
+                dataclasses.replace(
+                    reply, source=vertex, degree=int(degrees[vertex])
+                )
+            )
+        return survivors
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 30),  # the peer's stable label
+                st.floats(0, 1e6, allow_nan=False),
+                st.integers(0, 500),
+            ),
+            min_size=1,
+            max_size=25,
+        ),
+        st.lists(st.integers(0, 4), min_size=1, max_size=31),
+        st.integers(0, 2**31),
+    )
+    @example([(5, 1.0, 10), (9, 2.0, 0)], [1, 1], 0)  # all gone
+    @example([(0, 1.0, 10), (1, 2.0, 3)], [0, 2], 1)  # an isolated survivor
+    @settings(max_examples=80, deadline=None)
+    def test_array_remap_equals_the_per_reply_loop(
+        self, sampled, new_degrees, seed
+    ):
+        """Labels past the new epoch's size have departed, a degree of
+        0 is an isolated survivor, and small epochs lose everyone."""
+        replies = [
+            AggregateReply(
+                source=position,
+                destination=3,
+                aggregate_value=value,
+                matching_count=value / 2,
+                column_total=value * 2,
+                contribution_variance=value / 7,
+                degree=9,
+                local_tuples=tuples,
+                processed_tuples=min(tuples, 25),
+            )
+            for position, (_, value, tuples) in enumerate(sampled)
+        ]
+        labels = tuple(label for label, _, _ in sampled)
+        retained = RetainedSample(
+            sink_label=0,
+            labels=labels,
+            replies=AggregateSample.from_replies(replies, 3),
+        )
+        # The new epoch: the first len(new_degrees) labels, shuffled
+        # onto new vertex ids.
+        live = np.random.default_rng(seed).permutation(len(new_degrees))
+        vertex_of = {
+            label: vertex for vertex, label in enumerate(live.tolist())
+        }
+        degrees = np.asarray(new_degrees, dtype=np.int64)
+
+        survivors = retained.survivors(vertex_of, degrees)
+        expected = self.reference(labels, replies, vertex_of, degrees)
+        assert survivors.probability is None
+        assert [
+            dataclasses.replace(reply, message_id=0)
+            for reply in survivors
+        ] == [dataclasses.replace(reply, message_id=0) for reply in expected]

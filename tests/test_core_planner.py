@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.estimators import PeerObservation
 from repro.core.planner import (
     PhaseTwoPlan,
     analyze_phase_one,
@@ -11,6 +10,8 @@ from repro.core.planner import (
 )
 from repro.errors import SamplingError
 from repro.query.model import AggregateOp, AggregationQuery
+
+from .row_reference import Row, sample_of
 
 
 def count_query():
@@ -27,16 +28,16 @@ def make_observations(num=20, seed=0, spread=1.0):
     for i in range(num):
         value = 50.0 + spread * rng.normal()
         observations.append(
-            PeerObservation(
-                peer_id=i,
-                value=max(value, 0.0),
+            Row(
+                source=i,
+                aggregate_value=max(value, 0.0),
                 probability=0.01,
                 matching_count=value,
                 column_total=2 * max(value, 0.0),
                 local_tuples=100,
             )
         )
-    return observations
+    return sample_of(observations)
 
 
 class TestEstimateScale:
@@ -50,7 +51,7 @@ class TestEstimateScale:
     def test_sum_scale_is_column_total(self):
         observations = make_observations(seed=1)
         expected = np.mean(
-            [o.column_total / o.probability for o in observations]
+            [o.column_total / 0.01 for o in observations]
         )
         assert estimate_scale(sum_query(), observations) == (
             pytest.approx(expected)
@@ -62,11 +63,9 @@ class TestEstimateScale:
             estimate_scale(query, make_observations())
 
     def test_zero_scale_rejected(self):
-        observations = [
-            PeerObservation(
-                peer_id=0, value=0.0, probability=0.5, local_tuples=0
-            )
-        ] * 4
+        observations = sample_of(
+            [Row(aggregate_value=0.0, probability=0.5, local_tuples=0)] * 4
+        )
         with pytest.raises(SamplingError):
             estimate_scale(count_query(), observations)
 

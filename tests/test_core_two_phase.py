@@ -5,12 +5,14 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.hybrid import HybridEngine
 from repro.core.two_phase import (
     TwoPhaseConfig,
     TwoPhaseEngine,
     drain_steps,
 )
 from repro.errors import ConfigurationError, SamplingError
+from repro.network.protocol import AggregateReply
 from repro.obs import Tracer, tracing
 from repro.query.exact import evaluate_exact
 from repro.query.model import AggregateOp, AggregationQuery
@@ -365,3 +367,47 @@ class TestStepwiseExecution:
             return 42
 
         assert drain_steps(generator()) == 42
+
+
+class TestCurrency:
+    """The sample's currency is columns: between a clean batch visit
+    and the estimate no per-peer protocol object is built.  Counts
+    repeat exactly — a refactor that re-boxes the hot path fails here
+    without a stopwatch."""
+
+    @pytest.fixture()
+    def constructed(self, monkeypatch):
+        """Every ``AggregateReply`` construction while the test runs."""
+        calls = []
+        original = AggregateReply.__init__
+
+        def counting(self, *args, **kwargs):
+            calls.append(kwargs.get("source"))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(AggregateReply, "__init__", counting)
+        return calls
+
+    def test_cold_and_warm_runs_build_no_reply_objects(
+        self, small_network, constructed
+    ):
+        # The patch is live: a scalar visit trips it.
+        small_network.visit_aggregate(
+            0, COUNT_30, sink=0, ledger=small_network.new_ledger()
+        )
+        assert constructed == [0]
+        constructed.clear()
+
+        two_phase = TwoPhaseEngine(small_network, seed=1)
+        cold = two_phase.execute(COUNT_30, delta_req=0.1, sink=0)
+        hybrid = HybridEngine(small_network, seed=1)
+        hybrid.execute(COUNT_30, delta_req=0.1, sink=0)
+        hybrid.execute(COUNT_30, delta_req=0.1, sink=0)
+        assert (hybrid.cold_runs, hybrid.warm_runs) == (1, 1)
+        assert constructed == []
+
+        # Whoever wants the protocol objects materialises them, a
+        # fresh one per row.
+        replies = list(two_phase.last_replies)
+        assert len(constructed) == len(replies) == cold.effective_sample_size
+        assert constructed == [reply.source for reply in replies]

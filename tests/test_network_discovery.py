@@ -117,6 +117,7 @@ class TestEndToEndWithEstimatedParameters:
             hajek_estimate,
             observations_from_replies,
         )
+        from repro.network.protocol import AggregateSample
         from repro.query.exact import evaluate_exact
         from repro.query.parser import parse_query
 
@@ -140,7 +141,8 @@ class TestEndToEndWithEstimatedParameters:
             for p in walk.peers
         ]
         observations = observations_from_replies(
-            replies, num_edges=max(1, round(estimate.num_edges))
+            AggregateSample.from_replies(replies, sink=0),
+            num_edges=max(1, round(estimate.num_edges)),
         )
         answer = hajek_estimate(
             observations, num_peers=max(1, round(estimate.num_peers))

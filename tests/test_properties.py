@@ -26,7 +26,6 @@ from repro.network.walker import (
 )
 from repro.obs import Tracer, tracing
 from repro.core.estimators import (
-    PeerObservation,
     clustering_badness,
     horvitz_thompson,
 )
@@ -45,6 +44,8 @@ from repro.query.model import (
 )
 from repro.query.exact import evaluate_on_columns
 from repro.query.parser import parse_query
+
+from .row_reference import Row, sample_of
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -224,15 +225,15 @@ def test_ht_estimate_bounded_by_extreme_ratios(population, seed):
     rng = np.random.default_rng(seed)
     picks = rng.choice(len(values), size=10, p=probabilities)
     observations = [
-        PeerObservation(
-            peer_id=int(i),
-            value=float(values[i]),
+        Row(
+            source=int(i),
+            aggregate_value=float(values[i]),
             probability=float(probabilities[i]),
         )
         for i in picks
     ]
-    estimate = horvitz_thompson(observations)
-    ratios = [o.ratio for o in observations]
+    estimate = horvitz_thompson(sample_of(observations))
+    ratios = [o.aggregate_value / o.probability for o in observations]
     assert min(ratios) - 1e-9 <= estimate <= max(ratios) + 1e-9
 
 
@@ -246,10 +247,10 @@ def test_ht_estimate_bounded_by_extreme_ratios(population, seed):
 @settings(max_examples=50, deadline=None)
 def test_cross_validation_error_nonnegative(ratio_values, seed):
     observations = [
-        PeerObservation(peer_id=i, value=v, probability=0.5)
+        Row(source=i, aggregate_value=v, probability=0.5)
         for i, v in enumerate(ratio_values)
     ]
-    cv = cross_validate(observations, rounds=3, seed=seed)
+    cv = cross_validate(sample_of(observations), rounds=3, seed=seed)
     assert cv.mean_squared_error >= 0
     assert all(e >= 0 for e in cv.errors)
 
@@ -360,9 +361,9 @@ def variance_observations(draw):
     observations = []
     for i in range(n):
         observations.append(
-            PeerObservation(
-                peer_id=i,
-                value=draw(
+            Row(
+                source=i,
+                aggregate_value=draw(
                     st.floats(min_value=0, max_value=1000, allow_nan=False)
                 ),
                 probability=draw(
@@ -378,7 +379,7 @@ def variance_observations(draw):
                 ),
             )
         )
-    return observations
+    return sample_of(observations)
 
 
 @given(variance_observations())
@@ -425,16 +426,16 @@ def test_hajek_bounded_by_scaled_extremes(population, seed):
     rng = np.random.default_rng(seed)
     picks = rng.choice(len(values), size=10, p=probabilities)
     observations = [
-        PeerObservation(
-            peer_id=int(i),
-            value=float(values[i]),
+        Row(
+            source=int(i),
+            aggregate_value=float(values[i]),
             probability=float(probabilities[i]),
         )
         for i in picks
     ]
     num_peers = len(values)
-    estimate = hajek_estimate(observations, num_peers)
-    sampled_values = [o.value for o in observations]
+    estimate = hajek_estimate(sample_of(observations), num_peers)
+    sampled_values = [o.aggregate_value for o in observations]
     assert (
         num_peers * min(sampled_values) - 1e-6
         <= estimate
@@ -454,24 +455,20 @@ def test_hajek_scale_invariant_in_weights(population, seed):
     rng = np.random.default_rng(seed)
     picks = rng.choice(len(values), size=8, p=probabilities)
     base = [
-        PeerObservation(
-            peer_id=int(i),
-            value=float(values[i]),
+        Row(
+            source=int(i),
+            aggregate_value=float(values[i]),
             probability=float(probabilities[i]),
         )
         for i in picks
     ]
     scaled = [
-        PeerObservation(
-            peer_id=o.peer_id,
-            value=o.value,
-            probability=min(1.0, o.probability * 0.5),
-        )
+        o._replace(probability=min(1.0, o.probability * 0.5))
         for o in base
     ]
     m = len(values)
-    assert hajek_estimate(base, m) == pytest.approx(
-        hajek_estimate(scaled, m)
+    assert hajek_estimate(sample_of(base), m) == pytest.approx(
+        hajek_estimate(sample_of(scaled), m)
     )
 
 

@@ -6,7 +6,7 @@ import pytest
 from repro.core.two_phase import TwoPhaseConfig
 from repro.data.generator import DatasetConfig, generate_dataset
 from repro.data.placement import PlacementConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SamplingError
 from repro.network.generators import clustered_power_law
 from repro.network.simulator import NetworkSimulator
 from repro.query.exact import evaluate_exact
@@ -18,6 +18,8 @@ from repro.sampling.baselines import (
 )
 
 COUNT_30 = parse_query("SELECT COUNT(A) FROM T WHERE A BETWEEN 1 AND 30")
+AVG_30 = parse_query("SELECT AVG(A) FROM T WHERE A BETWEEN 1 AND 30")
+AVG_NOBODY = parse_query("SELECT AVG(A) FROM T WHERE A > 1000000")
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +87,30 @@ class TestBFSEngine:
         with pytest.raises(ConfigurationError):
             engine.execute(query, delta_req=0.1)
 
+    def test_avg_is_the_ratio_not_the_sum(self, small_network, small_dataset):
+        """AVG replies carry the scaled *sum*; phase and final
+        estimates must divide it by the matching-count total.  (One
+        neighbourhood is a biased sample, hence the mean over sinks.)"""
+        truth = evaluate_exact(AVG_30, small_dataset.databases)
+        results = [
+            BFSEngine(small_network, seed=2).execute(
+                AVG_30, delta_req=0.1, sink=sink
+            )
+            for sink in range(0, 200, 20)
+        ]
+        assert np.mean([r.estimate for r in results]) == pytest.approx(
+            truth, rel=0.1
+        )
+        assert np.mean(
+            [r.phase_one.estimate for r in results]
+        ) == pytest.approx(truth, rel=0.25)
+
+    def test_avg_nobody_matches_is_a_sampling_error(self, small_network):
+        with pytest.raises(SamplingError, match="AVG undefined"):
+            BFSEngine(small_network, seed=2).execute(
+                AVG_NOBODY, delta_req=0.1, sink=0
+            )
+
     def test_flood_cost_charged(self, small_network):
         engine = BFSEngine(small_network, seed=3)
         result = engine.execute(COUNT_30, delta_req=0.2, sink=0)
@@ -134,12 +160,23 @@ class TestUniformOracle:
         truth = evaluate_exact(COUNT_30, small_dataset.databases)
         assert np.mean(estimates) == pytest.approx(truth, rel=0.1)
 
+    def test_avg_is_the_ratio_not_the_sum(self, small_network, small_dataset):
+        engine = UniformOracleEngine(small_network, seed=5)
+        estimates = [engine.estimate(AVG_30, count=100) for _ in range(30)]
+        truth = evaluate_exact(AVG_30, small_dataset.databases)
+        assert np.mean(estimates) == pytest.approx(truth, rel=0.1)
+
+    def test_avg_nobody_matches_is_a_sampling_error(self, small_network):
+        engine = UniformOracleEngine(small_network, seed=5)
+        with pytest.raises(SamplingError, match="AVG undefined"):
+            engine.estimate(AVG_NOBODY, count=20)
+
     def test_observation_probability_uniform(self, small_network):
         engine = UniformOracleEngine(small_network, seed=5)
         observations = engine.sample_observations(COUNT_30, count=10)
         assert all(
-            obs.probability == 1.0 / small_network.num_peers
-            for obs in observations
+            probability == 1.0 / small_network.num_peers
+            for probability in observations["probability"]
         )
 
     def test_zero_count_rejected(self, small_network):

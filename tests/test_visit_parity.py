@@ -39,6 +39,7 @@ from repro.network.faults import (
 )
 from repro.network.generators import power_law_topology
 from repro.network.live import LiveNetwork
+from repro.network.protocol import AggregateSample
 from repro.network.simulator import NetworkSimulator
 from repro.network.topology import Topology
 from repro.network.walker import (
@@ -620,12 +621,15 @@ def _oracle_collect_aggregate(
     replies, stats = visit_oracle.OracleCollector(
         self._walker, self._simulator, self._policy
     ).collect_aggregate(sink, query, count, ledger, probe_bytes, **kwargs)
-    return replies, CollectionStats(**stats)
+    return AggregateSample.from_replies(replies, sink), CollectionStats(**stats)
 
 
 def _oracle_visit_aggregate_batch(self, peer_ids, query, sink, ledger, **kw):
-    return visit_oracle.oracle_visit_aggregate_batch(
-        self, peer_ids, query, sink, ledger, **kw
+    return AggregateSample.from_replies(
+        visit_oracle.oracle_visit_aggregate_batch(
+            self, peer_ids, query, sink, ledger, **kw
+        ),
+        sink,
     )
 
 
