@@ -26,6 +26,7 @@ import numpy as np
 
 from .._util import SeedLike, check_positive, ensure_rng
 from ..errors import ConfigurationError, SamplingError
+from .segments import segment_sample_indices
 
 
 __all__ = [
@@ -159,14 +160,27 @@ class LocalDatabase:
         """Uniform without-replacement sample of row indices.
 
         If the peer holds at most ``num_rows`` tuples, all rows are
-        returned (the paper aggregates small databases entirely).
+        returned (the paper aggregates small databases entirely) and
+        no randomness is consumed.  Otherwise the sample is defined by
+        random keys: one ``rng.random(num_tuples)`` draw, and the rows
+        holding the ``num_rows`` smallest keys (equal keys: lower row
+        index first), **listed in ascending row index** — the
+        one-segment case of :func:`~repro.data.segments.
+        segment_sample_indices`, which the batch visit calls with one
+        segment per peer.  That definition is the sub-sampling RNG
+        stream contract: a sub-sampled partition consumes exactly
+        ``num_tuples`` doubles, so a batch over a shared generator may
+        draw all its peers' keys at once (``rng.random(a);
+        rng.random(b)`` ≡ ``rng.random(a + b)``).
         """
         if num_rows < 0:
             raise SamplingError("num_rows must be non-negative")
-        if num_rows >= self._num_tuples:
-            return np.arange(self._num_tuples, dtype=np.int64)
-        rng = ensure_rng(seed)
-        return rng.choice(self._num_tuples, size=num_rows, replace=False)
+        if not 0 < num_rows < self._num_tuples:
+            return np.arange(min(num_rows, self._num_tuples), dtype=np.int64)
+        keys = ensure_rng(seed).random(self._num_tuples)
+        return segment_sample_indices(
+            keys, np.asarray([self._num_tuples]), num_rows
+        )
 
     def block_sample_indices(
         self, num_rows: int, seed: SeedLike = None

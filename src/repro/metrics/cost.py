@@ -203,26 +203,23 @@ class CostLedger:
 
         # Order-independent integer totals vectorize freely ...
         self._visits += n
-        self._distinct.update(int(peer) for peer in peers)
+        self._distinct.update(peers.tolist())
         self._tuples_processed += int(tuples_processed.sum())
         self._tuples_sampled += int(tuples_sampled.sum())
         self._messages += n
         self._bytes += int(reply_bytes.sum())
         # ... but float accumulation must replay the per-event order
         # (visit overhead + processing, then reply transfer, per peer)
-        # to land on the identical rounded value.
-        overhead = self._model.visit_overhead_ms
-        per_tuple = self._model.tuple_processing_ms
-        per_byte = self._model.byte_latency_ms
-        latency = self._latency_ms
-        for position in range(n):
-            latency += (
-                overhead
-                + int(tuples_processed[position]) * per_tuple
-                / float(cpu_speeds[position])
-            )
-            latency += int(reply_bytes[position]) * per_byte
-        self._latency_ms = latency
+        # to land on the identical rounded value.  ``np.cumsum`` adds
+        # strictly left to right, so its last entry is that replay.
+        steps = np.empty(2 * n + 1, dtype=np.float64)
+        steps[0] = self._latency_ms
+        steps[1::2] = (
+            self._model.visit_overhead_ms
+            + tuples_processed * self._model.tuple_processing_ms / cpu_speeds
+        )
+        steps[2::2] = reply_bytes * self._model.byte_latency_ms
+        self._latency_ms = float(np.cumsum(steps)[-1])
 
     def record_timeout(self, peer: int, waited_ms: float) -> None:
         """Account for a probe that never completed (crash or timeout).

@@ -38,7 +38,12 @@ from numpy.typing import ArrayLike
 from .._util import SeedLike, ensure_rng
 from ..data.flat import FlatDataset
 from ..data.localdb import LocalDatabase
-from ..data.segments import segment_aggregate, segment_sums
+from ..data.segments import (
+    segment_aggregate,
+    segment_ramps,
+    segment_sample_indices,
+    segment_sums,
+)
 from ..errors import (
     ConfigurationError,
     PeerCrashedError,
@@ -523,6 +528,10 @@ class NetworkSimulator:
         self._snapshot.adopt_flat(flat)
 
     def _check_peer(self, peer_id: int) -> None:
+        if isinstance(peer_id, bool) or not isinstance(
+            peer_id, (int, np.integer)
+        ):
+            raise ProtocolError(f"peer id must be an integer, got {peer_id!r}")
         if not 0 <= peer_id < self.num_peers:
             raise ProtocolError(f"unknown peer {peer_id}")
 
@@ -856,12 +865,14 @@ class NetworkSimulator:
     ) -> Tuple[Optional[np.random.Generator], Optional[int]]:
         """Split ``seed`` into ``(shared_rng, per_visit_seed)``.
 
-        The per-peer loop calls ``visit_aggregate(..., seed=seed)`` once
+        A per-peer loop calls ``visit_aggregate(..., seed=seed)`` once
         per visit: a ``Generator`` (or ``None`` → the simulator stream)
         is consumed sequentially across visits, while an *integer* seed
-        re-seeds a fresh generator at every visit.  The batch path must
-        reproduce exactly that consumption pattern to stay bit-for-bit
-        equivalent.
+        re-seeds a fresh generator at every visit.  The batch path
+        hands every sub-sampled peer the same keys that pattern would
+        — one draw of all their doubles from a shared generator, the
+        head of one freshly seeded stream for an integer seed — so it
+        selects the same rows (:meth:`_batch_sample_plan`).
         """
         if seed is None:
             return self._rng, None
@@ -870,14 +881,17 @@ class NetworkSimulator:
         return None, seed
 
     def _validate_batch_peers(self, peer_ids: ArrayLike) -> np.ndarray:
-        peers = np.asarray(peer_ids, dtype=np.int64).reshape(-1)
-        if peers.size and (
-            int(peers.min()) < 0 or int(peers.max()) >= self.num_peers
-        ):
-            for peer_id in peers:
-                if not 0 <= int(peer_id) < self.num_peers:
-                    raise ProtocolError(f"unknown peer {int(peer_id)}")
-        return peers
+        peers = np.asarray(peer_ids)
+        if peers.ndim > 1 or (peers.size and peers.dtype.kind not in "iu"):
+            raise ProtocolError(
+                "peer ids must be a flat sequence of integers, got "
+                f"{peer_ids!r}"
+            )
+        peers = peers.reshape(-1)
+        unknown = (peers < 0) | (peers >= self.num_peers)
+        if unknown.any():
+            raise ProtocolError(f"unknown peer {int(peers[unknown][0])}")
+        return peers.astype(np.int64, copy=False)
 
     def _batch_sample_plan(
         self,
@@ -892,51 +906,53 @@ class NetworkSimulator:
         Returns ``(columns, starts, processed, totals)``: the gathered
         (sub-sampled) rows of all visits laid out contiguously, the
         per-visit segment starts, the per-visit processed-row counts,
-        and each visited peer's partition size.  Draws from the same
-        generators in the same order as the scalar path, so the sampled
-        row indices are identical.
+        and each visited peer's partition size.
+
+        The uniform sub-sample is :func:`~repro.data.segments.
+        segment_sample_indices` over every sub-sampled peer at once, on
+        the same keys the scalar path draws one peer at a time (see
+        :meth:`LocalDatabase.uniform_sample_indices` for the stream
+        contract): a shared generator hands out ``sum(n_i)`` doubles in
+        one call, an integer seed gives every peer the first ``n_i``
+        doubles of the freshly seeded stream.  Block-level sampling
+        keeps its per-peer ``rng.permutation`` draw.
         """
         uniform = _check_sampling_method(sampling_method)
         flat = self.flat_dataset
-        offsets = flat.offsets
         totals = flat.peer_tuple_counts[peers]
-        processed = totals.copy()
-        index_parts = []
-        for position, peer_id in enumerate(peers):
-            peer_id = int(peer_id)
-            total = int(totals[position])
-            if tuples_per_peer and total > tuples_per_peer:
-                rng = (
-                    shared_rng
-                    if shared_rng is not None
-                    else ensure_rng(per_visit_seed)
-                )
-                database = self._snapshot.databases[peer_id]
-                if uniform:
-                    local = database.uniform_sample_indices(
-                        tuples_per_peer, seed=rng
-                    )
+        processed = (
+            np.minimum(totals, tuples_per_peer) if tuples_per_peer else totals
+        )
+        # Whole partitions are read front to back ...
+        local = segment_ramps(processed)
+        sampled = totals > processed
+        if sampled.any():
+            # ... and the larger ones through their sub-sample.
+            sizes = totals[sampled]
+            if uniform:
+                if shared_rng is not None:
+                    keys = shared_rng.random(int(sizes.sum()))
                 else:
-                    local = database.block_sample_indices(
-                        tuples_per_peer, seed=rng
+                    keys = ensure_rng(per_visit_seed).random(
+                        int(sizes.max())
+                    )[segment_ramps(sizes)]
+                chosen = segment_sample_indices(keys, sizes, tuples_per_peer)
+            else:
+                databases = self._snapshot.databases
+                chosen = np.concatenate([
+                    databases[peer_id].block_sample_indices(
+                        tuples_per_peer,
+                        seed=(
+                            shared_rng
+                            if shared_rng is not None
+                            else ensure_rng(per_visit_seed)
+                        ),
                     )
-                processed[position] = local.size
-                index_parts.append(local + offsets[peer_id])
-            elif total:
-                index_parts.append(
-                    np.arange(
-                        offsets[peer_id], offsets[peer_id + 1], dtype=np.int64
-                    )
-                )
-        if index_parts:
-            indices = np.concatenate(index_parts)
-        else:
-            indices = np.empty(0, dtype=np.int64)
-        columns = flat.gather(indices)
-        starts = np.zeros(peers.size, dtype=np.int64)
-        if peers.size > 1:
-            np.cumsum(processed[:-1], out=starts[1:])
-        return columns, starts, processed, totals
+                    for peer_id in peers[sampled].tolist()
+                ])
+            local[np.repeat(sampled, processed)] = chosen
+        columns = flat.gather(local + np.repeat(flat.offsets[peers], processed))
+        return columns, np.cumsum(processed) - processed, processed, totals
 
     def _batch_fallback_needed(self) -> bool:
         """Whether batch visits must resolve their probes one by one.

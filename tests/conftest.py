@@ -112,6 +112,13 @@ def small_network(small_topology, small_dataset):
     )
 
 
+def assert_uniforms_consumed(rng, seed, count):
+    """``rng`` has drawn exactly ``count`` doubles since ``seed``."""
+    expected = np.random.default_rng(seed)
+    expected.random(count)
+    assert rng.bit_generator.state == expected.bit_generator.state
+
+
 @pytest.fixture()
 def rng():
     """A fresh seeded generator per test."""

@@ -300,3 +300,65 @@ def test_run_trials_parallel_matches_serial(engine):
         bundle, query, 0.1, engine=engine, trials=4, workers=4
     )
     assert serial == parallel
+
+
+# ---------------------------------------------------------------------------
+# The sub-sample stream of a batch read (appended; nothing above edited).
+# The draw itself is pinned in tests/test_data_localdb.py::TestKeyedDraw.
+# ---------------------------------------------------------------------------
+
+SIZES = [40, 7, 25, 0, 26, 40]  # t = 25 sub-samples peers 0, 4 and 5
+
+
+@pytest.fixture()
+def row_index_network():
+    """Six peers whose column ``A`` is the local row index, so a
+    ``ship="sample"`` values visit ships the rows it sub-sampled."""
+    from repro.data.localdb import LocalDatabase
+    from repro.network.topology import Topology
+
+    return NetworkSimulator(
+        Topology(len(SIZES), [(p, p + 1) for p in range(len(SIZES) - 1)]),
+        [LocalDatabase({"A": np.arange(size)}) for size in SIZES],
+        seed=12,
+    )
+
+
+def test_batch_draws_one_double_per_subsampled_row(row_index_network):
+    """A shared generator ends where ``random(sum of sub-sampled n_i)``
+    leaves it; peers that ship their whole partition draw nothing."""
+    from .conftest import assert_uniforms_consumed
+
+    network, query = row_index_network, _query(AggregateOp.SUM)
+    rng = np.random.default_rng(77)
+    network.read_aggregates(
+        np.arange(len(SIZES)), query, SINK, tuples_per_peer=25, seed=rng
+    )
+    assert_uniforms_consumed(rng, 77, 40 + 26 + 40)
+    network.read_aggregates([1, 2, 3], query, SINK, tuples_per_peer=25, seed=rng)
+    network.read_aggregates([0, 4, 5], query, SINK, seed=rng)  # t = 0: all rows
+    assert_uniforms_consumed(rng, 77, 40 + 26 + 40)
+    # seed=None draws from the simulator's own stream, the same way.
+    network.visit_values_batch(
+        [5, 1, 0], query, SINK, network.new_ledger(),
+        tuples_per_peer=25, ship="sample",
+    )
+    assert_uniforms_consumed(network._rng, 12, 40 + 40)
+
+
+def test_batch_int_seed_gives_equal_sized_peers_equal_rows(row_index_network):
+    """An int seed re-seeds per visit: every sub-sampled peer ranks the
+    first ``n_i`` doubles of the same freshly seeded stream."""
+    query = AggregationQuery(agg=AggregateOp.MEDIAN, column="A")
+    shipped = {
+        reply.source: reply.values
+        for reply in row_index_network.visit_values_batch(
+            np.arange(len(SIZES)), query, SINK, row_index_network.new_ledger(),
+            tuples_per_peer=25, ship="sample", seed=5,
+        )
+    }
+    keys = np.random.default_rng(5).random(40)
+    for peer, size in enumerate(SIZES):
+        rows = np.sort(np.argsort(keys[:size], kind="stable")[:25])
+        assert shipped[peer] == tuple(float(row) for row in rows)
+    assert shipped[0] == shipped[5]

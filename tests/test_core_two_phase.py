@@ -1,5 +1,6 @@
 """Integration tests for the two-phase engine (the paper's algorithm)."""
 
+import copy
 import json
 
 import numpy as np
@@ -11,8 +12,10 @@ from repro.core.two_phase import (
     TwoPhaseEngine,
     drain_steps,
 )
+from repro.data.localdb import LocalDatabase
 from repro.errors import ConfigurationError, SamplingError
 from repro.network.protocol import AggregateReply
+from repro.network.simulator import NetworkSimulator
 from repro.obs import Tracer, tracing
 from repro.query.exact import evaluate_exact
 from repro.query.model import AggregateOp, AggregationQuery
@@ -411,3 +414,53 @@ class TestCurrency:
         replies = list(two_phase.last_replies)
         assert len(constructed) == len(replies) == cold.effective_sample_size
         assert constructed == [reply.source for reply in replies]
+
+
+class TestOneDrawPerCollection:
+    """A clean query sub-samples a whole batch visit with one array
+    draw: no per-peer ``uniform_sample_indices`` call, and the visit
+    generator advances by exactly one double per row of every
+    sub-sampled partition.  Counts repeat exactly — the per-peer draw
+    loop coming back fails here without a stopwatch."""
+
+    def test_cold_run_draws_keys_once_per_batch_visit(
+        self, small_network, monkeypatch
+    ):
+        scalar_draws = []
+        scalar_draw = LocalDatabase.uniform_sample_indices
+
+        def counting(self, num_rows, seed=None):
+            scalar_draws.append(num_rows)
+            return scalar_draw(self, num_rows, seed=seed)
+
+        monkeypatch.setattr(LocalDatabase, "uniform_sample_indices", counting)
+        # The patch is live: a scalar sub-sampling visit trips it.
+        small_network.visit_aggregate(
+            0, COUNT_30, sink=0, ledger=small_network.new_ledger(),
+            tuples_per_peer=25,
+        )
+        assert scalar_draws == [25]
+        scalar_draws.clear()
+
+        batch_visit = NetworkSimulator.visit_aggregate_batch
+        sub_sampled_rows = []
+
+        def watching(self, peer_ids, *args, **kwargs):
+            rng = kwargs["seed"]
+            expected = copy.deepcopy(rng)
+            sample = batch_visit(self, peer_ids, *args, **kwargs)
+            sizes = sample["local_tuples"]
+            rows = int(sizes[sizes > kwargs["tuples_per_peer"]].sum())
+            expected.random(rows)
+            assert rng.bit_generator.state == expected.bit_generator.state
+            sub_sampled_rows.append(rows)
+            return sample
+
+        monkeypatch.setattr(NetworkSimulator, "visit_aggregate_batch", watching)
+        TwoPhaseEngine(small_network, seed=1).execute(
+            COUNT_30, delta_req=0.1, sink=0
+        )
+        assert scalar_draws == []
+        # Phase I and phase II, every 50-row partition sub-sampled.
+        assert len(sub_sampled_rows) == 2
+        assert all(rows and rows % 50 == 0 for rows in sub_sampled_rows)

@@ -1,10 +1,17 @@
 """Unit tests for repro.data.localdb."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.localdb import Block, LocalDatabase
+from repro.data.segments import segment_sample_indices
 from repro.errors import ConfigurationError, SamplingError
+
+from .conftest import assert_uniforms_consumed
 
 
 @pytest.fixture()
@@ -118,6 +125,124 @@ class TestUniformSampling:
                 database.uniform_sample_indices(10, seed=rng).tolist()
             )
         assert len(seen) > 90
+
+
+def reference_sample_indices(keys, counts, size):
+    """The keyed draw, one segment at a time, as its definition reads."""
+    bounds = np.concatenate([[0], np.cumsum(counts)])
+    return [
+        np.sort(np.argsort(keys[start:stop], kind="stable")[:size])
+        for start, stop in zip(bounds[:-1], bounds[1:])
+    ]
+
+
+@st.composite
+def keyed_segments(draw):
+    """``(keys, counts, size)``: ragged segments (empty ones and, half
+    the time, one far longer than the rest), keys on a coarse grid so
+    equal keys straddle the cut, and a ``size`` on every edge of some
+    segment's length."""
+    counts = draw(st.lists(st.integers(0, 40), max_size=12))
+    if draw(st.booleans()):
+        counts.insert(
+            draw(st.integers(0, len(counts))), draw(st.integers(300, 700))
+        )
+    edges = {0, 1, 3}
+    for count in counts:
+        edges.update((max(count - 1, 0), count, count + 5))
+    size = draw(st.sampled_from(sorted(edges)))
+    levels = draw(st.sampled_from([1, 2, 7, 50, 2**40]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    keys = rng.integers(levels, size=sum(counts)) / levels
+    return keys, np.asarray(counts, dtype=np.int64), size
+
+
+class TestKeyedDraw:
+    """The uniform sub-sample *is* "the ``t`` smallest of
+    ``rng.random(n)``, ascending" — a definition, and with it the
+    sub-sampling RNG stream, shared by the scalar visit (one segment)
+    and the batch visit (one per peer)."""
+
+    def test_sample_is_the_smallest_keys_in_row_order(self, database):
+        keys = np.random.default_rng(5).random(100)
+        np.testing.assert_array_equal(
+            database.uniform_sample_indices(25, seed=5),
+            np.sort(np.argsort(keys, kind="stable")[:25]),
+        )
+
+    def test_consumes_one_double_per_row_or_nothing(self, database):
+        rng = np.random.default_rng(5)
+        database.uniform_sample_indices(25, seed=rng)
+        assert_uniforms_consumed(rng, 5, 100)
+        # A whole-partition read and an empty one draw nothing.
+        database.uniform_sample_indices(100, seed=rng)
+        database.uniform_sample_indices(101, seed=rng)
+        assert database.uniform_sample_indices(0, seed=rng).size == 0
+        assert_uniforms_consumed(rng, 5, 100)
+
+    @given(keyed_segments())
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_matches_per_segment_reference(self, segments):
+        keys, counts, size = segments
+        expected = reference_sample_indices(keys, counts, size)
+        chosen = segment_sample_indices(keys, counts, size)
+        assert chosen.dtype == np.int64
+        np.testing.assert_array_equal(
+            chosen, np.concatenate([*expected, np.empty(0, dtype=np.int64)])
+        )
+
+    def test_kernel_rejects_misdescribed_segments(self):
+        keys = np.zeros(5)
+        for counts, size in (([2, 2], 1), ([6, -1], 1), ([5], -1), ([[5]], 1)):
+            with pytest.raises(ConfigurationError):
+                segment_sample_indices(keys, np.asarray(counts), size)
+
+    def test_one_long_segment_does_not_widen_the_rest(self):
+        """Work and memory are O(total rows): one 20k-row partition
+        among 49 of 100 rows must not pad all 50 to 20k keys (8 MB)."""
+        counts = np.full(50, 100, dtype=np.int64)
+        counts[17] = 20_000
+        keys = np.random.default_rng(3).random(int(counts.sum()))
+        expected = np.concatenate(reference_sample_indices(keys, counts, 25))
+        tracemalloc.start()
+        try:
+            chosen = segment_sample_indices(keys, counts, 25)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(chosen, expected)
+        assert peak < 4 * keys.nbytes
+
+    def test_every_row_equally_likely(self, database):
+        """20k draws of 25 from 100: each row is included 5,000 times
+        give or take 5 sigma (sigma = sqrt(20000 * .25 * .75) = 61) —
+        the first and last rows like any other."""
+        rng = np.random.default_rng(2006)
+        included = np.zeros(100, dtype=np.int64)
+        for _ in range(20_000):
+            included[database.uniform_sample_indices(25, seed=rng)] += 1
+        assert included.sum() == 20_000 * 25
+        assert np.abs(included - 5_000).max() < 5 * 61.3
+        assert_uniforms_consumed(rng, 2006, 20_000 * 100)
+
+    def test_pinned_stream(self):
+        """THE intended sub-sample stream change (PR 18): a sub-sample
+        is a function of ``rng.random(n)`` keys, no longer of
+        ``Generator.choice``.  If these literals move, the stream moved
+        again — intend it, regenerate ``tests/goldens`` and say so."""
+        sizes = [5, 8, 3, 8]
+        expected = [[0, 2, 3], [3, 4, 5], [0, 1, 2], [2, 5, 7]]
+        rng = np.random.default_rng(18)
+        for size, rows in zip(sizes, expected):
+            database = LocalDatabase({"A": np.arange(size)})
+            assert database.uniform_sample_indices(3, seed=rng).tolist() == rows
+        # The 3-row partition is read whole and draws nothing; the
+        # other draws, back to back, are one draw over the collection.
+        assert_uniforms_consumed(rng, 18, 5 + 8 + 8)
+        batch = segment_sample_indices(
+            np.random.default_rng(18).random(5 + 8 + 8), np.asarray([5, 8, 8]), 3
+        )
+        assert batch.tolist() == expected[0] + expected[1] + expected[3]
 
 
 class TestBlockSampling:

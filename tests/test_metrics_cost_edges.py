@@ -114,20 +114,25 @@ def test_batch_matches_per_event_path_bit_for_bit():
         visit_overhead_ms=19.0,
     )
     rng = np.random.default_rng(20060406)
-    peers = rng.integers(0, 50, size=40)
-    processed = rng.integers(0, 1000, size=40)
-    sampled = rng.integers(0, 50, size=40)
-    payloads = rng.integers(0, 4096, size=40)
-    speeds = rng.uniform(0.5, 3.0, size=40)
+    # 500 entries: long enough that any re-association of the latency
+    # sum (pairwise, blocked) would round differently from the replay.
+    for size in (40, 500):
+        peers = rng.integers(0, 50, size=size)
+        processed = rng.integers(0, 1000, size=size)
+        sampled = rng.integers(0, 50, size=size)
+        payloads = rng.integers(0, 4096, size=size)
+        speeds = rng.uniform(0.5, 3.0, size=size)
 
-    batch = CostLedger(model)
-    batch.record_hops(5)
-    batch.record_visit_replies(peers, processed, sampled, payloads, speeds)
+        batch = CostLedger(model)
+        batch.record_hops(5)
+        batch.record_visit_replies(peers, processed, sampled, payloads, speeds)
 
-    scalar = CostLedger(model)
-    scalar.record_hops(5)
-    for p, tp, ts, by, sp in zip(peers, processed, sampled, payloads, speeds):
-        scalar.record_visit(int(p), int(tp), int(ts), float(sp))
-        scalar.record_reply(int(by))
+        scalar = CostLedger(model)
+        scalar.record_hops(5)
+        for p, tp, ts, by, sp in zip(
+            peers, processed, sampled, payloads, speeds
+        ):
+            scalar.record_visit(int(p), int(tp), int(ts), float(sp))
+            scalar.record_reply(int(by))
 
-    assert batch.snapshot() == scalar.snapshot()
+        assert batch.snapshot() == scalar.snapshot()

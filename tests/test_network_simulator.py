@@ -306,6 +306,42 @@ VISIT_ENTRY_POINTS = {
 }
 
 
+#: The same entry points, handed their peer id(s) by the test.
+PEER_ENTRY_POINTS = {
+    "visit_aggregate": lambda net, peer, **kw: net.visit_aggregate(
+        peer, SUM_ALL, **kw
+    ),
+    "visit_multi_aggregate": lambda net, peer, **kw: (
+        net.visit_multi_aggregate(peer, [SUM_ALL, COUNT_SMALL], **kw)
+    ),
+    "visit_group_aggregate": lambda net, peer, **kw: (
+        net.visit_group_aggregate(peer, SUM_BY_A, **kw)
+    ),
+    "visit_values": lambda net, peer, **kw: net.visit_values(
+        peer, MEDIAN_ALL, **kw
+    ),
+    "probe_aggregate": lambda net, peer, sink, **kw: net.probe_aggregate(
+        peer, SUM_ALL, **kw
+    ),
+    "visit_aggregate_batch": lambda net, peers, **kw: (
+        net.visit_aggregate_batch(peers, SUM_ALL, **kw)
+    ),
+    "visit_values_batch": lambda net, peers, **kw: net.visit_values_batch(
+        peers, MEDIAN_ALL, **kw
+    ),
+    "read_aggregates": lambda net, peers, ledger, **kw: net.read_aggregates(
+        peers, SUM_ALL, **kw
+    ),
+}
+NOT_A_PEER = (1.7, np.float64(2.0), "1", None, True)
+NOT_PEERS = ([1.7, 2.2], [True, False], [[0, 1], [2, 3]], 1.0, ["1"])
+NON_INTEGER_PEERS = [
+    (name, bad)
+    for name in sorted(PEER_ENTRY_POINTS)
+    for bad in (NOT_PEERS if "_batch" in name or "read_" in name else NOT_A_PEER)
+]
+
+
 class TestVisitArgumentValidation:
     """Regression: a rejected visit must be rejected *first*.
 
@@ -379,3 +415,48 @@ class TestVisitArgumentValidation:
         assert network._failure_rng.bit_generator.state == failure_stream
         if faulty:
             assert network.fault_state.clock == 1
+
+    @pytest.mark.parametrize("faulty", [False, True])
+    @pytest.mark.parametrize("entry_point, bad_peers", NON_INTEGER_PEERS)
+    def test_non_integer_peer_rejected_before_side_effects(
+        self, mini_network, entry_point, bad_peers, faulty
+    ):
+        """``_check_peer`` used to be a range test only: ``1.7`` passed
+        it, consumed a fault-clock step and died with a bare
+        ``TypeError`` inside the fault hash, while the batch visits
+        truncated ``[1.7, 2.2]`` to peers 1 and 2, read booleans as
+        peers 1 and 0 and flattened a 2-D list."""
+        network = mini_network
+        if faulty:
+            network = NetworkSimulator(
+                mini_network.topology,
+                mini_network.databases(),
+                seed=3,
+                fault_plan=FaultPlan(seed=1, reply_loss=0.5),
+                fault_clock=1,
+            )
+        ledger = network.new_ledger()
+        untouched = ledger.snapshot()
+        with pytest.raises(ProtocolError, match="integer"):
+            PEER_ENTRY_POINTS[entry_point](
+                network, bad_peers, sink=1, ledger=ledger
+            )
+        assert ledger.snapshot() == untouched
+        if faulty:
+            assert network.fault_state.clock == 1
+
+    def test_integer_peer_ids_of_any_width_accepted(self, mini_network):
+        """Numpy integers and an empty list (a float64 array once
+        converted) are peer ids like any other."""
+        ledger = mini_network.new_ledger()
+        reply = mini_network.visit_aggregate(
+            np.int32(2), SUM_ALL, sink=1, ledger=ledger
+        )
+        assert reply.source == 2
+        sample = mini_network.visit_aggregate_batch(
+            np.asarray([2, 0], dtype=np.uint8), SUM_ALL, sink=1, ledger=ledger
+        )
+        assert sample["source"].tolist() == [2, 0]
+        assert len(
+            mini_network.visit_aggregate_batch([], SUM_ALL, sink=1, ledger=ledger)
+        ) == 0

@@ -55,6 +55,7 @@ from repro.query.exact import evaluate_exact
 from repro.query.parser import parse_query
 from repro.service import QueryService
 
+from .conftest import assert_uniforms_consumed
 from .walk_oracle import OracleWalker
 
 VARIANTS = ("simple", "lazy", "self-inclusive", "metropolis-uniform")
@@ -98,13 +99,6 @@ def assert_take_parity(oracle_cursor, cursor, count):
     assert result.hops == hops
     assert cursor.position == oracle_cursor.position
     assert cursor.total_hops == oracle_cursor.total_hops
-
-
-def assert_uniforms_consumed(rng, seed, count):
-    """``rng`` has drawn exactly ``count`` doubles since ``seed``."""
-    expected = np.random.default_rng(seed)
-    expected.random(count)
-    assert rng.bit_generator.state == expected.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
