@@ -12,6 +12,7 @@ overlap.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -23,6 +24,7 @@ __all__ = [
     "ensure_rng",
     "spawn",
     "check_positive",
+    "check_positive_finite",
     "check_nonnegative",
     "check_fraction",
     "check_in",
@@ -56,6 +58,19 @@ def check_positive(name: str, value: float) -> None:
     """Raise :class:`ConfigurationError` unless ``value`` > 0."""
     if not value > 0:
         raise ConfigurationError(f"{name} must be positive, got {value!r}")
+
+
+def check_positive_finite(name: str, value: float) -> None:
+    """Raise :class:`ConfigurationError` unless 0 < ``value`` < inf.
+
+    For time values that *enforce* something (timeouts, deadlines,
+    backoffs): NaN passes a plain ``<= 0`` test and silently switches
+    the enforcement off, and ``inf`` is spelled ``None``.
+    """
+    if not 0 < value < math.inf:
+        raise ConfigurationError(
+            f"{name} must be positive and finite, got {value!r}"
+        )
 
 
 def check_nonnegative(name: str, value: float) -> None:

@@ -154,6 +154,7 @@ class BatchEngine:
         if sink is None:
             sink = int(self._rng.integers(self._simulator.num_peers))
         ledger = self._simulator.new_ledger()
+        timing_token = self._simulator.begin_timing()
 
         # Phase I: one walk serves every query.
         phase_one_samples = self._collect(
@@ -188,6 +189,8 @@ class BatchEngine:
             )
 
         cost = ledger.snapshot()
+        timing = self._simulator.finish_timing(timing_token)
+        requested = self._config.phase_one_peers + additional
         results: List[ApproximateResult] = []
         for index, query in enumerate(queries):
             phases = [phase_one_samples[index]]
@@ -214,6 +217,10 @@ class BatchEngine:
                     phase_two=reports[1] if additional > 0 else None,
                     cost=cost,
                     analysis=analyses[index],
+                    requested_sample_size=requested,
+                    effective_sample_size=len(sample),
+                    degraded=len(sample) < requested,
+                    timing=timing,
                 )
             )
         return results

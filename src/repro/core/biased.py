@@ -232,6 +232,9 @@ class BiasedSamplingEngine:
             phase_one=phase,
             phase_two=None,
             cost=ledger.snapshot(),
+            requested_sample_size=self._config.peers_to_visit,
+            effective_sample_size=len(sample),
+            degraded=len(sample) < self._config.peers_to_visit,
             timing=self._simulator.finish_timing(timing_token),
         )
 

@@ -48,6 +48,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple, Union, cast
 
 import numpy as np
 
+from .._util import check_positive_finite
 from ..errors import ConfigurationError
 from ..obs.events import FaultEvent
 from ..obs.tracer import active_tracer
@@ -242,10 +243,7 @@ class LatencySpike:
 
     def __post_init__(self) -> None:
         _check_rate("latency spike rate", self.rate)
-        if self.extra_ms <= 0:
-            raise ConfigurationError(
-                f"extra_ms must be positive, got {self.extra_ms}"
-            )
+        check_positive_finite("extra_ms", self.extra_ms)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -326,10 +324,8 @@ class FaultPlan:
                 raise ConfigurationError("duplicate message kind in reply_loss")
             normalized = tuple(sorted(pairs))
         object.__setattr__(self, "reply_loss", normalized)
-        if self.probe_timeout_ms is not None and self.probe_timeout_ms <= 0:
-            raise ConfigurationError(
-                f"probe_timeout_ms must be positive, got {self.probe_timeout_ms}"
-            )
+        if self.probe_timeout_ms is not None:
+            check_positive_finite("probe_timeout_ms", self.probe_timeout_ms)
 
     def loss_rate(self, kind: str) -> float:
         """The reply-loss rate for a message kind."""

@@ -76,6 +76,7 @@ from .topology import Topology
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only (obs/sim layering)
     from ..sim.clock import VirtualClock
+    from ..sim.event_driven import VirtualTime
     from ..sim.timing import QueryTiming, TimingToken
 
 
@@ -368,16 +369,18 @@ class NetworkSimulator:
 
     def _apply_faults(
         self, peer_id: int, kind: str, ledger: CostLedger
-    ) -> None:
+    ) -> float:
         """Consult the fault plan for one probe; charge and raise.
 
         Consumes exactly one fault-clock step per call (the batch
         paths resolve their probes one by one whenever a plan is
-        active, so both paths advance the clock identically).
+        active, so both paths advance the clock identically).  Returns
+        the spike milliseconds the reply carries into its delivery —
+        read only when the session holds a time domain.
         """
         state = self._fault_state
         if state is None:
-            return
+            return 0.0
         decision = state.probe(peer_id, kind)
         if decision.crashed:
             ledger.record_timeout(peer_id, waited_ms=self._fault_wait_ms())
@@ -392,6 +395,15 @@ class NetworkSimulator:
                 f"at fault step {decision.step})"
             )
         if decision.timed_out:
+            if self._time is not None:
+                # Slow is not lost: with a time domain, a spike past
+                # the sink's patience is carried into the delivery
+                # delay — the sink times out in await_delivery (same
+                # ledger charge as below) while the reply stays in
+                # flight and lands late, observably.
+                spike = state.plan.latency_spike
+                assert spike is not None
+                return spike.extra_ms
             ledger.record_timeout(peer_id, waited_ms=self._fault_wait_ms())
             raise ProbeTimeoutError(
                 f"probe to peer {peer_id} exceeded the "
@@ -400,6 +412,7 @@ class NetworkSimulator:
             )
         if decision.extra_latency_ms > 0.0:
             ledger.record_wait(decision.extra_latency_ms)
+        return decision.extra_latency_ms
 
     def _probe_checks(
         self,
@@ -416,9 +429,20 @@ class NetworkSimulator:
         caller already paid (ping's forward hop) into the failure
         event, so trace cost totals reconcile with the ledger even for
         probes that die before replying.
+
+        This is the whole story of a probe.  A session holding a time
+        domain adds the two ends: a peer the timeline already removed
+        is refused before the gauntlet, and a probe that survives it
+        is sent and awaited in virtual time (where it can still
+        depart, time out or go stale).
         """
+        time = self._time
+        if time is not None:
+            time.refuse_departed(
+                peer_id, kind, ledger, request_messages, request_hops
+            )
         try:
-            self._apply_faults(peer_id, kind, ledger)
+            spike_ms = self._apply_faults(peer_id, kind, ledger)
             if drop_reply:
                 self._maybe_drop_reply(peer_id, ledger)
         except PeerCrashedError:
@@ -431,6 +455,8 @@ class NetworkSimulator:
                 visits=1,
                 timeouts=1,
             )
+            if time is not None:
+                time.kernel.advance_by(self._fault_wait_ms())
             raise
         except ProbeTimeoutError:
             _emit_probe(
@@ -453,6 +479,10 @@ class NetworkSimulator:
                 visits=1,
             )
             raise
+        if time is not None:
+            time.await_reply(
+                peer_id, kind, ledger, spike_ms, request_messages, request_hops
+            )
 
     # ------------------------------------------------------------------
     # Accessors
@@ -554,11 +584,16 @@ class NetworkSimulator:
         return CostLedger(self._snapshot.cost_model)
 
     # ------------------------------------------------------------------
-    # Time-domain hooks (no-ops here; the event-driven subclass in
-    # ``repro.sim`` overrides them).  Keeping the hooks on the base
-    # class lets engines and the serving layer stay simulator-agnostic
-    # without importing the sim package.
+    # The time domain.  A session either holds one (``_time``, set by
+    # the event-driven subclass in ``repro.sim`` when latency, a
+    # timeline, a timeout or a deadline arms it) or it doesn't — the
+    # synchronous simulator, and the class default.  The methods below
+    # and the probe / flood paths call into it at their seams, so
+    # engines and the serving layer stay simulator-agnostic without
+    # importing the sim package.
     # ------------------------------------------------------------------
+
+    _time: Optional["VirtualTime"] = None
 
     def walk_hops(
         self, hops: int, ledger: CostLedger, message_bytes: int
@@ -566,34 +601,29 @@ class NetworkSimulator:
         """Charge one walk segment's forwarding to ``ledger``.
 
         Engines and walkers route every post-walk ``record_hops``
-        charge through here so a time-aware simulator can advance its
-        virtual clock alongside the charge.  The base class charges
-        and nothing more — bit-identical to the direct call it
+        charge through here so a session with a time domain advances
+        its virtual clock alongside the charge.  Without one this
+        charges and nothing more — bit-identical to the direct call it
         replaces.
         """
         ledger.record_hops(hops, message_bytes=message_bytes)
+        if self._time is not None and hops > 0:
+            self._time.forward(hops)
 
     @property
     def virtual_clock(self) -> Optional["VirtualClock"]:
-        """The session's virtual clock, when time is armed (else None)."""
-        return None
+        """The session's virtual clock, when time is armed (else None).
+
+        None keeps un-armed sessions indistinguishable from
+        synchronous ones all the way up the stack (no ``vt`` stamps in
+        traces, no timing on results).
+        """
+        return self._time.kernel.clock if self._time is not None else None
 
     @property
     def deadline_ms(self) -> Optional[float]:
         """The armed virtual-time deadline, if any."""
-        return None
-
-    @property
-    def supports_deadlines(self) -> bool:
-        """Whether :meth:`arm_deadline` can succeed on this simulator.
-
-        The serving layer's sharded backend checks this *before*
-        shipping a job to a worker so a deadline on a clockless
-        simulator fails at submit time in the parent — same error,
-        same call site as the inline backend — instead of surfacing
-        from a worker process.
-        """
-        return False
+        return self._time.deadline_ms if self._time is not None else None
 
     def validate_deadline(self, deadline_ms: float) -> None:
         """Raise exactly what :meth:`arm_deadline` would, without arming.
@@ -617,14 +647,16 @@ class NetworkSimulator:
         self.validate_deadline(deadline_ms)
 
     def begin_timing(self) -> Optional["TimingToken"]:
-        """Capture the start of a query's timing window (None here)."""
-        return None
+        """Capture the start of a query's timing window (None un-armed)."""
+        return self._time.begin_timing() if self._time is not None else None
 
     def finish_timing(
         self, token: Optional["TimingToken"]
     ) -> Optional["QueryTiming"]:
         """Close a timing window opened by :meth:`begin_timing`."""
-        return None
+        if self._time is None or token is None:
+            return None
+        return self._time.finish_timing(token)
 
     def session(
         self: _Sim,
@@ -958,15 +990,15 @@ class NetworkSimulator:
         """Whether batch visits must resolve their probes one by one.
 
         Loss draws and fault-clock steps interleave with the visit
-        stream, so any armed failure source forces per-probe fate; the
-        event-driven subclass adds "virtual time armed" (per-probe
-        latency draws interleave the same way).
+        stream, so any armed failure source forces per-probe fate; so
+        does a time domain (per-probe latency draws and timeline
+        events interleave the same way).
         """
-        return self.faults_active
+        return self.faults_active or self._time is not None
 
     def _batch_fallback_reason(self) -> str:
         """Why :meth:`_batch_fallback_needed` returned True (traced)."""
-        return "faults-active"
+        return "faults-active" if self.faults_active else "virtual-time"
 
     def read_aggregates(
         self,
@@ -1398,14 +1430,17 @@ class NetworkSimulator:
         """Peers that neither respond nor forward during a flood.
 
         Consumes one fault-clock step when a plan is bound (the whole
-        flood is one scheduled decision); the event-driven subclass
-        unions in the timeline's currently departed set.
+        flood is one scheduled decision); a time domain unions in the
+        timeline's currently departed set.
         """
+        down: FrozenSet[int] = frozenset()
         if self._fault_state is not None:
-            return self._fault_state.crashed_peers(
+            down = self._fault_state.crashed_peers(
                 self._fault_state.next_step()
             )
-        return frozenset()
+        if self._time is not None:
+            down |= self._time.departed_peers()
+        return down
 
     def flood(
         self,
@@ -1439,7 +1474,8 @@ class NetworkSimulator:
         depth = 0
         max_depth = 0
         messages = 0
-        while frontier and depth < ttl:
+        full = False  # max_peers reached: stop mid-frontier
+        while frontier and depth < ttl and not full:
             depth += 1
             next_frontier: List[int] = []
             for peer in frontier:
@@ -1455,12 +1491,13 @@ class NetworkSimulator:
                         reached.append((neighbor, depth))
                         max_depth = depth
                         if max_peers is not None and len(reached) >= max_peers:
-                            ledger.record_flood_depth(max_depth)
-                            _emit_flood(
-                                start, ttl, len(reached), max_depth, messages
-                            )
-                            return reached
+                            full = True
+                            break
+                if full:
+                    break
             frontier = next_frontier
         ledger.record_flood_depth(max_depth)
         _emit_flood(start, ttl, len(reached), max_depth, messages)
+        if self._time is not None:
+            self._time.flooded(max_depth)
         return reached

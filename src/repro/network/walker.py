@@ -38,6 +38,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
+import math
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -531,10 +532,12 @@ class RetryPolicy:
             raise ConfigurationError(
                 f"max_attempts must be >= 1, got {self.max_attempts}"
             )
-        if self.backoff_base_ms < 0:
-            raise ConfigurationError("backoff_base_ms must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ConfigurationError("backoff_factor must be >= 1")
+        # Chained so NaN fails too: a NaN backoff would poison
+        # QueryCost.latency_ms through record_wait.
+        if not 0 <= self.backoff_base_ms < math.inf:
+            raise ConfigurationError("backoff_base_ms must be finite and >= 0")
+        if not 1.0 <= self.backoff_factor < math.inf:
+            raise ConfigurationError("backoff_factor must be finite and >= 1")
         if self.max_substitutions is not None and self.max_substitutions < 0:
             raise ConfigurationError("max_substitutions must be >= 0")
 

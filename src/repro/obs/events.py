@@ -50,7 +50,7 @@ covers the integer fields ``messages``/``hops``/``peers_visited``/
 from __future__ import annotations
 
 import dataclasses
-from typing import ClassVar, Dict, NamedTuple, Optional
+from typing import ClassVar, Dict, NamedTuple, Optional, Tuple
 
 __all__ = [
     "TraceCost",
@@ -106,14 +106,24 @@ class TraceEvent:
     """Base class: an event kind plus its payload and ledger charge."""
 
     kind: ClassVar[str] = "event"
+    #: Fields that are ledger charge (carried by :meth:`cost`), not
+    #: payload.
+    cost_fields: ClassVar[Tuple[str, ...]] = ()
 
     def cost(self) -> TraceCost:
         """The ledger charge recorded where this event was emitted."""
         return TraceCost()
 
     def payload(self) -> Dict[str, object]:
-        """The event's serializable fields (cost is carried separately)."""
-        return {}
+        """The event's serializable fields (cost is carried separately).
+
+        A frozen, slot-less dataclass instance holds exactly its
+        fields, so the instance dict *is* the field list.
+        """
+        payload = self.__dict__.copy()
+        for name in self.cost_fields:
+            del payload[name]
+        return payload
 
 
 @dataclasses.dataclass(frozen=True)
@@ -134,14 +144,6 @@ class WalkEvent(TraceEvent):
     def cost(self) -> TraceCost:
         return TraceCost(messages=self.hops, hops=self.hops)
 
-    def payload(self) -> Dict[str, object]:
-        return {
-            "start": self.start,
-            "hops": self.hops,
-            "selected": self.selected,
-            "distinct": self.distinct,
-        }
-
 
 @dataclasses.dataclass(frozen=True)
 class ProbeEvent(TraceEvent):
@@ -153,6 +155,7 @@ class ProbeEvent(TraceEvent):
     """
 
     kind: ClassVar[str] = "probe"
+    cost_fields: ClassVar[Tuple[str, ...]] = ("charge",)
 
     peer: int = 0
     probe_kind: str = ""
@@ -162,14 +165,6 @@ class ProbeEvent(TraceEvent):
 
     def cost(self) -> TraceCost:
         return self.charge
-
-    def payload(self) -> Dict[str, object]:
-        return {
-            "peer": self.peer,
-            "probe_kind": self.probe_kind,
-            "outcome": self.outcome,
-            "replies": self.replies,
-        }
 
 
 @dataclasses.dataclass(frozen=True)
@@ -185,13 +180,6 @@ class BatchVisitEvent(TraceEvent):
     def cost(self) -> TraceCost:
         return TraceCost(messages=self.replies, visits=self.replies)
 
-    def payload(self) -> Dict[str, object]:
-        return {
-            "probe_kind": self.probe_kind,
-            "requested": self.requested,
-            "replies": self.replies,
-        }
-
 
 @dataclasses.dataclass(frozen=True)
 class BatchFallbackEvent(TraceEvent):
@@ -204,13 +192,6 @@ class BatchFallbackEvent(TraceEvent):
     probe_kind: str = ""
     requested: int = 0
     reason: str = "faults-active"
-
-    def payload(self) -> Dict[str, object]:
-        return {
-            "probe_kind": self.probe_kind,
-            "requested": self.requested,
-            "reason": self.reason,
-        }
 
 
 @dataclasses.dataclass(frozen=True)
@@ -229,13 +210,6 @@ class RetryEvent(TraceEvent):
     attempt: int = 0
     backoff_ms: float = 0.0
 
-    def payload(self) -> Dict[str, object]:
-        return {
-            "peer": self.peer,
-            "attempt": self.attempt,
-            "backoff_ms": self.backoff_ms,
-        }
-
 
 @dataclasses.dataclass(frozen=True)
 class SubstituteEvent(TraceEvent):
@@ -249,13 +223,6 @@ class SubstituteEvent(TraceEvent):
 
     def cost(self) -> TraceCost:
         return TraceCost(messages=self.hops, hops=self.hops)
-
-    def payload(self) -> Dict[str, object]:
-        return {
-            "failed": self.failed,
-            "replacement": self.replacement,
-            "hops": self.hops,
-        }
 
 
 @dataclasses.dataclass(frozen=True)
@@ -274,15 +241,6 @@ class FaultEvent(TraceEvent):
     outcome: str = ""  # crashed | lost | timeout | spike
     extra_latency_ms: float = 0.0
 
-    def payload(self) -> Dict[str, object]:
-        return {
-            "step": self.step,
-            "peer": self.peer,
-            "probe_kind": self.probe_kind,
-            "outcome": self.outcome,
-            "extra_latency_ms": self.extra_latency_ms,
-        }
-
 
 @dataclasses.dataclass(frozen=True)
 class FloodEvent(TraceEvent):
@@ -299,15 +257,6 @@ class FloodEvent(TraceEvent):
     def cost(self) -> TraceCost:
         return TraceCost(messages=self.messages)
 
-    def payload(self) -> Dict[str, object]:
-        return {
-            "start": self.start,
-            "ttl": self.ttl,
-            "reached": self.reached,
-            "depth": self.depth,
-            "messages": self.messages,
-        }
-
 
 @dataclasses.dataclass(frozen=True)
 class PhaseEvent(TraceEvent):
@@ -323,17 +272,6 @@ class PhaseEvent(TraceEvent):
     estimate: Optional[float] = None
     error: Optional[float] = None  # cross-validation / rank error
 
-    def payload(self) -> Dict[str, object]:
-        return {
-            "engine": self.engine,
-            "phase": self.phase,
-            "status": self.status,
-            "requested": self.requested,
-            "received": self.received,
-            "estimate": self.estimate,
-            "error": self.error,
-        }
-
 
 @dataclasses.dataclass(frozen=True)
 class EstimateEvent(TraceEvent):
@@ -347,16 +285,6 @@ class EstimateEvent(TraceEvent):
     requested: int = 0
     received: int = 0
     degraded: bool = False
-
-    def payload(self) -> Dict[str, object]:
-        return {
-            "engine": self.engine,
-            "agg": self.agg,
-            "estimate": self.estimate,
-            "requested": self.requested,
-            "received": self.received,
-            "degraded": self.degraded,
-        }
 
 
 @dataclasses.dataclass(frozen=True)
@@ -377,14 +305,6 @@ class QueryLifecycleEvent(TraceEvent):
     signature: str = ""
     detail: str = ""  # budget violation / error text on failure
 
-    def payload(self) -> Dict[str, object]:
-        return {
-            "query_id": self.query_id,
-            "status": self.status,
-            "signature": self.signature,
-            "detail": self.detail,
-        }
-
 
 @dataclasses.dataclass(frozen=True)
 class DeltaReuseEvent(TraceEvent):
@@ -401,13 +321,6 @@ class DeltaReuseEvent(TraceEvent):
     survivors: int = 0
     dropped: int = 0
     deficit: int = 0
-
-    def payload(self) -> Dict[str, object]:
-        return {
-            "survivors": self.survivors,
-            "dropped": self.dropped,
-            "deficit": self.deficit,
-        }
 
 
 @dataclasses.dataclass(frozen=True)
@@ -426,14 +339,6 @@ class TimelineEvent(TraceEvent):
     at_ms: float = 0.0
     peer: Optional[int] = None
     epoch: int = 0
-
-    def payload(self) -> Dict[str, object]:
-        return {
-            "action": self.action,
-            "at_ms": self.at_ms,
-            "peer": self.peer,
-            "epoch": self.epoch,
-        }
 
 
 @dataclasses.dataclass(frozen=True)
@@ -454,14 +359,6 @@ class LateDeliveryEvent(TraceEvent):
     sent_ms: float = 0.0
     delivered_ms: float = 0.0
 
-    def payload(self) -> Dict[str, object]:
-        return {
-            "peer": self.peer,
-            "probe_kind": self.probe_kind,
-            "sent_ms": self.sent_ms,
-            "delivered_ms": self.delivered_ms,
-        }
-
 
 @dataclasses.dataclass(frozen=True)
 class StaleReplyEvent(TraceEvent):
@@ -481,14 +378,6 @@ class StaleReplyEvent(TraceEvent):
     sent_epoch: int = 0
     delivered_epoch: int = 0
 
-    def payload(self) -> Dict[str, object]:
-        return {
-            "peer": self.peer,
-            "probe_kind": self.probe_kind,
-            "sent_epoch": self.sent_epoch,
-            "delivered_epoch": self.delivered_epoch,
-        }
-
 
 @dataclasses.dataclass(frozen=True)
 class ChurnEpochEvent(TraceEvent):
@@ -499,10 +388,3 @@ class ChurnEpochEvent(TraceEvent):
     epoch: int = 0
     peers: int = 0
     fault_clock: int = 0
-
-    def payload(self) -> Dict[str, object]:
-        return {
-            "epoch": self.epoch,
-            "peers": self.peers,
-            "fault_clock": self.fault_clock,
-        }

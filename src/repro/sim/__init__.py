@@ -19,8 +19,9 @@ expressible — while preserving the project's replay discipline:
 The keystone parity invariant: an :class:`EventDrivenSimulator` with
 no latency model, no timeline and no deadline is **bit-identical** to
 the synchronous simulator — results, cost ledgers and trace digests —
-because every override delegates straight to the base class until the
-time domain is armed (``tests/test_sim_parity.py`` pins this).
+because its sessions hold no time domain and run the synchronous
+simulator's code and nothing else (``tests/test_sim_parity.py`` pins
+this).
 """
 
 from .clock import VirtualClock

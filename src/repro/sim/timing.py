@@ -1,10 +1,12 @@
 """Per-query virtual timing: tokens and the result-facing summary.
 
 Engines bracket a run with ``simulator.begin_timing()`` /
-``finish_timing(token)``.  On the synchronous simulator both return
-``None`` (results are unchanged — the parity invariant), on an armed
-:class:`~repro.sim.event_driven.EventDrivenSimulator` they capture the
-kernel state at the two boundaries and condense it into a frozen
+``finish_timing(token)``.  A session with no time domain (the
+synchronous simulator, or an un-armed
+:class:`~repro.sim.event_driven.EventDrivenSimulator`) returns ``None``
+from both (results are unchanged — the parity invariant); one that
+holds a :class:`~repro.sim.event_driven.VirtualTime` captures the
+kernel state at the two boundaries and condenses it into a frozen
 :class:`QueryTiming` carried by the result.
 """
 

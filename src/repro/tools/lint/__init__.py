@@ -4,12 +4,11 @@ The paper's accuracy and cost claims rest on mechanical conventions:
 all randomness flows through seeded numpy ``Generator`` streams, every
 peer visit and message is charged to a ``CostLedger``, and protocol
 messages are immutable value objects.  reprolint encodes those
-conventions (plus float-equality hygiene, batch/scalar parity,
-nondeterminism taint, RNG stream discipline, snapshot immutability and
-trace↔ledger reconciliation) as static rules so they are enforced, not
-remembered.
+conventions (plus float-equality hygiene, nondeterminism taint, RNG
+stream discipline, snapshot immutability and trace↔ledger
+reconciliation) as static rules so they are enforced, not remembered.
 
-RL001–RL004 examine one module's AST at a time; RL005–RL009 run over a
+RL001–RL004 examine one module's AST at a time; RL006–RL009 run over a
 whole-program view (symbol table, import graph, call graph) built from
 per-module summaries, which a content-hash cache makes incremental —
 an unchanged file is never re-parsed.
@@ -29,7 +28,6 @@ that waive nothing are themselves findings)::
 See ``docs/static-analysis.md`` for the full rule catalogue.
 """
 
-from .baseline import Baseline
 from .diagnostics import TOOL_ERROR_CODE, Diagnostic
 from .engine import LintEngine, LintReport, collect_files
 from .rules import ALL_RULES, ANALYSIS_RULES, MODULE_RULES
@@ -37,7 +35,6 @@ from .rules import ALL_RULES, ANALYSIS_RULES, MODULE_RULES
 __all__ = [
     "ALL_RULES",
     "ANALYSIS_RULES",
-    "Baseline",
     "Diagnostic",
     "LintEngine",
     "LintReport",

@@ -1,4 +1,4 @@
-"""Whole-program analysis layer behind reprolint's RL005–RL009.
+"""Whole-program analysis layer behind reprolint's RL006–RL009.
 
 The per-file rules (RL001–RL004) read one AST at a time; the
 determinism and shared-state invariants need to see the whole program:

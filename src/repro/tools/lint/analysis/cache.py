@@ -8,11 +8,11 @@ and stores everything the engine otherwise derives from the AST:
 * the :class:`~repro.tools.lint.analysis.summary.ModuleSummary`;
 * the bound suppression directives (statement extents included);
 * the per-module rule diagnostics (RL001–RL004), **unfiltered** — so
-  ``--select``/``--ignore``, suppression matching, the unused audit
-  and the baseline all still apply per run;
+  ``--select``/``--ignore``, suppression matching and the unused
+  audit all still apply per run;
 * tool errors (a cached syntax failure skips re-parsing too).
 
-Project-level rules (RL005–RL009) are never cached: they are cheap
+Project-level rules (RL006–RL009) are never cached: they are cheap
 functions of the summaries and must see the whole current file set.
 
 The cache file is plain JSON, safe to delete at any time, and written
@@ -42,7 +42,7 @@ __all__ = [
 
 #: Bump when the summary schema or any cached rule's semantics change;
 #: every entry written under another version is discarded wholesale.
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 
 def content_digest(data: bytes) -> str:

@@ -15,8 +15,8 @@ through the JSON analysis cache.  Each summary records, per function
 
 plus per-class snapshot facts (init-assigned attributes, freeze
 operations, post-``__init__`` array writes, bare ``return self._x``
-exposures) for RL008, module-level mutable/RNG state for RL007/RL008,
-and the referenced-name set RL005's coverage check reads.
+exposures) for RL008 and module-level mutable/RNG state for
+RL007/RL008.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 from pathlib import PurePosixPath
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "COST_EVENT_TYPES",
@@ -395,7 +395,6 @@ class ModuleSummary:
     classes: List[ClassSummary] = dataclasses.field(default_factory=list)
     mutable_globals: List[GlobalState] = dataclasses.field(default_factory=list)
     rng_state: List[GlobalState] = dataclasses.field(default_factory=list)
-    referenced_names: List[str] = dataclasses.field(default_factory=list)
 
     @property
     def parts(self) -> Tuple[str, ...]:
@@ -418,7 +417,6 @@ class ModuleSummary:
             "classes": [c.to_json() for c in self.classes],
             "mutable_globals": [g.to_json() for g in self.mutable_globals],
             "rng_state": [g.to_json() for g in self.rng_state],
-            "referenced_names": list(self.referenced_names),
         }
 
     @classmethod
@@ -435,7 +433,6 @@ class ModuleSummary:
                 GlobalState.from_json(g) for g in payload["mutable_globals"]
             ],
             rng_state=[GlobalState.from_json(g) for g in payload["rng_state"]],
-            referenced_names=list(payload["referenced_names"]),
         )
 
 
@@ -482,16 +479,6 @@ def _collect_aliases(
                 target = f"{base}.{name.name}" if base else name.name
                 bind(name.asname or name.name, target)
     return aliases, records
-
-
-def _referenced_names(tree: ast.Module) -> List[str]:
-    names: Set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-    return sorted(names)
 
 
 def _annotation_name(node: Optional[ast.expr]) -> str:
@@ -593,7 +580,6 @@ class _Extractor:
             relpath=relpath,
             module_name=module_name_for(relpath),
             imports=imports,
-            referenced_names=_referenced_names(tree),
         )
         self._global_index: Dict[str, GlobalState] = {}
 

@@ -13,7 +13,6 @@ from pathlib import Path
 from typing import List, Optional, Sequence, TextIO
 
 from .analysis import AnalysisCache
-from .baseline import Baseline
 from .engine import LintEngine, LintReport
 from .rules import ALL_RULES
 from .sarif import render_sarif
@@ -41,9 +40,9 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "reprolint: whole-program invariant linter for the p2p-aqp "
             "sampling engine (seed discipline, cost accounting, protocol "
-            "immutability, float equality, batch/scalar parity, "
-            "nondeterminism taint, RNG stream discipline, snapshot "
-            "immutability, trace/ledger reconciliation)"
+            "immutability, float equality, nondeterminism taint, RNG "
+            "stream discipline, snapshot immutability, trace/ledger "
+            "reconciliation)"
         ),
     )
     parser.add_argument(
@@ -73,17 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--baseline", type=Path, default=None, metavar="PATH",
-        help=(
-            "accepted-findings baseline (path::code::message multiset); "
-            "known findings are reported as baselined, new ones fail"
-        ),
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the --baseline file from this run's findings",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalogue and exit",
     )
@@ -93,12 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _render_text(report: LintReport, stream: TextIO) -> None:
     for diagnostic in report.diagnostics:
         print(diagnostic.render(), file=stream)
-    extras = []
-    if report.cache_hits:
-        extras.append(f"{report.cache_hits} cached")
-    if report.baselined:
-        extras.append(f"{report.baselined} baselined")
-    suffix = f" ({', '.join(extras)})" if extras else ""
+    suffix = f" ({report.cache_hits} cached)" if report.cache_hits else ""
     summary = (
         f"reprolint: {len(report.diagnostics)} finding(s) "
         f"in {report.files_checked} file(s){suffix}"
@@ -112,7 +95,6 @@ def _render_json(report: LintReport, stream: TextIO) -> None:
         "files_checked": report.files_checked,
         "findings": len(report.diagnostics),
         "cache_hits": report.cache_hits,
-        "baselined": report.baselined,
         "diagnostics": [d.to_json() for d in report.diagnostics],
     }
     json.dump(payload, stream, indent=2, sort_keys=True)
@@ -137,39 +119,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{rule.code} {rule.name}: {rule.description}")
         return 0
 
-    if arguments.update_baseline and arguments.baseline is None:
-        print(
-            "reprolint: error: --update-baseline requires --baseline",
-            file=sys.stderr,
-        )
-        return 2
-
     cache = (
         AnalysisCache(arguments.cache) if arguments.cache is not None else None
     )
-    baseline = None
-    if arguments.baseline is not None and not arguments.update_baseline:
-        baseline = Baseline.load(arguments.baseline)
-
     engine = LintEngine(
         select=arguments.select,
         ignore=arguments.ignore,
         cache=cache,
-        baseline=baseline,
     )
     try:
         report = engine.run(arguments.paths)
     except FileNotFoundError as exc:
         print(f"reprolint: error: {exc}", file=sys.stderr)
         return 2
-
-    if arguments.update_baseline:
-        recorded = Baseline.update(arguments.baseline, report.diagnostics)
-        print(
-            f"reprolint: baseline updated with {recorded} finding(s)",
-            file=sys.stderr,
-        )
-        return 0
 
     if arguments.format == "json":
         _render_json(report, sys.stdout)

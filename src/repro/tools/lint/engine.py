@@ -12,14 +12,13 @@ One run has two tiers:
    :class:`~repro.tools.lint.analysis.cache.AnalysisCache`: an
    unchanged file is never even re-parsed on a warm run;
 2. **whole-program** — :class:`~repro.tools.lint.analysis.project.ProjectAnalysis`
-   over the summaries, then the analysis rules (RL005–RL009).  This
+   over the summaries, then the analysis rules (RL006–RL009).  This
    tier re-runs every time (it is cheap dict-building) because its
    verdicts depend on the *set* of files, not any one of them.
 
 After the rules: ``--select``/``--ignore`` filtering, suppression
-matching, the unused-suppression audit (full-ruleset runs only — a
-narrowed run cannot prove a directive useless), and the accepted-
-findings baseline.
+matching and the unused-suppression audit (full-ruleset runs only —
+a narrowed run cannot prove a directive useless).
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from .analysis import (
     content_digest,
     extract_summary,
 )
-from .baseline import Baseline
 from .diagnostics import TOOL_ERROR_CODE, Diagnostic
 from .rules import (
     ANALYSIS_RULES,
@@ -77,8 +75,6 @@ class LintReport:
     files_checked: int
     #: Files served from the analysis cache (0 on cold / cacheless runs).
     cache_hits: int = 0
-    #: Findings waived by the accepted-findings baseline.
-    baselined: int = 0
 
     @property
     def exit_code(self) -> int:
@@ -158,7 +154,6 @@ class LintEngine:
         select: Optional[Iterable[str]] = None,
         ignore: Optional[Iterable[str]] = None,
         cache: Optional[AnalysisCache] = None,
-        baseline: Optional[Baseline] = None,
     ):
         if rules is None:
             instantiated: List[Union[Rule, AnalysisRule]] = [
@@ -173,7 +168,6 @@ class LintEngine:
         self._select = frozenset(select) if select else None
         self._ignore = frozenset(ignore) if ignore else frozenset()
         self._cache = cache
-        self._baseline = baseline
         # The cached per-file diagnostics are exactly the module rules'
         # output, so the key must change when that rule set does.
         codes = ",".join(sorted(rule.code for rule in self._module_rules))
@@ -256,10 +250,6 @@ class LintEngine:
                         )
                     )
 
-        baselined = 0
-        if self._baseline is not None:
-            kept, baselined = self._baseline.filter(kept)
-
         kept.sort(key=Diagnostic.sort_key)
         if self._cache is not None:
             self._cache.save()
@@ -267,7 +257,6 @@ class LintEngine:
             diagnostics=kept,
             files_checked=len(files),
             cache_hits=self._cache.hits if self._cache is not None else 0,
-            baselined=baselined,
         )
 
     # ------------------------------------------------------------------

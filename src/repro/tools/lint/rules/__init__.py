@@ -6,18 +6,18 @@
 | RL002 | cost-accounting              | every visit charged to a CostLedger          |
 | RL003 | protocol-immutability        | frozen/slots messages, never mutated         |
 | RL004 | float-equality               | no == / != between floats in src/            |
-| RL005 | batch-parity                 | *_batch ↔ scalar twin + equivalence coverage |
 | RL006 | nondet-taint                 | no nondeterminism reachable from det. paths  |
 | RL007 | rng-stream-discipline        | no re-seeding / shared Generators / draws    |
 | RL008 | snapshot-immutability        | published snapshots frozen; no fork hazards  |
 | RL009 | trace-ledger-reconciliation  | every cost emission meets a ledger charge    |
 
 RL001–RL004 are per-module :class:`Rule` subclasses (their findings
-cache by file content); RL005–RL009 are whole-program
+cache by file content); RL006–RL009 are whole-program
 :class:`AnalysisRule` subclasses running over module summaries.
 
 (RL000 is reserved for tool errors: parse failures and malformed
-suppression directives; see :mod:`repro.tools.lint.suppress`.)
+suppression directives; see :mod:`repro.tools.lint.suppress`.  RL005
+is retired and its code is not reused.)
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .rl001_seed import SeedDisciplineRule
 from .rl002_cost import CostAccountingRule
 from .rl003_protocol import ProtocolImmutabilityRule
 from .rl004_floateq import FloatEqualityRule
-from .rl005_parity import BatchParityRule
 from .rl006_nondet import GUARDED_DIRECTORIES, NondetTaintRule
 from .rl007_rng import RngDisciplineRule
 from .rl008_snapshot import SnapshotImmutabilityRule
@@ -45,7 +44,6 @@ MODULE_RULES: Tuple[Type[Rule], ...] = (
 
 #: Whole-program rules (run from summaries on every invocation).
 ANALYSIS_RULES: Tuple[Type[AnalysisRule], ...] = (
-    BatchParityRule,
     NondetTaintRule,
     RngDisciplineRule,
     SnapshotImmutabilityRule,
@@ -68,7 +66,6 @@ __all__ = [
     "CostAccountingRule",
     "ProtocolImmutabilityRule",
     "FloatEqualityRule",
-    "BatchParityRule",
     "NondetTaintRule",
     "RngDisciplineRule",
     "SnapshotImmutabilityRule",

@@ -6,7 +6,7 @@ Two rule flavors exist:
   its findings are cacheable per file content;
 * :class:`AnalysisRule` — examines the whole program through a
   :class:`~repro.tools.lint.analysis.project.ProjectAnalysis` built
-  from per-module summaries (RL005–RL009); it never sees an AST,
+  from per-module summaries (RL006–RL009); it never sees an AST,
   which is what lets the engine skip parsing unchanged files.
 
 Module rules see :class:`ModuleInfo`, a parsed module plus enough path

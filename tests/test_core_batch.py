@@ -7,8 +7,10 @@ import pytest
 from repro.core.batch import BatchEngine
 from repro.core.two_phase import TwoPhaseConfig, TwoPhaseEngine
 from repro.errors import ConfigurationError
+from repro.network.simulator import NetworkSimulator
 from repro.query.exact import evaluate_exact
 from repro.query.parser import parse_query
+from repro.sim import ConstantLatency, EventDrivenSimulator, LatencyModel
 
 QUERIES = [
     parse_query("SELECT COUNT(A) FROM T WHERE A BETWEEN 1 AND 30"),
@@ -107,6 +109,59 @@ class TestBatchExecution:
             QUERIES, delta_req=0.1, sink=0
         )
         assert [r.estimate for r in a] == [r.estimate for r in b]
+
+
+class TestDegradedReporting:
+    """A batch that loses observations says so, per query."""
+
+    @staticmethod
+    def _run(
+        small_topology,
+        small_dataset,
+        simulator_class=NetworkSimulator,
+        **extra,
+    ):
+        simulator = simulator_class(
+            small_topology, small_dataset.databases, seed=7, **extra
+        )
+        config = TwoPhaseConfig(max_phase_two_peers=400)
+        return config, BatchEngine(simulator, config, seed=5).execute(
+            QUERIES, delta_req=0.1, sink=0
+        )
+
+    def test_clean_run_receives_what_it_requested(
+        self, small_topology, small_dataset
+    ):
+        config, results = self._run(small_topology, small_dataset)
+        for result in results:
+            assert result.requested_sample_size >= config.phase_one_peers
+            assert result.effective_sample_size == result.requested_sample_size
+            assert result.effective_sample_size == result.total_peers_visited
+            assert not result.degraded
+            assert result.timing is None
+
+    def test_lost_replies_are_reported(self, small_topology, small_dataset):
+        _, results = self._run(
+            small_topology, small_dataset, reply_loss_rate=0.3
+        )
+        for result in results:
+            assert 0 < result.effective_sample_size
+            assert result.effective_sample_size < result.requested_sample_size
+            assert result.effective_sample_size == result.total_peers_visited
+            assert result.degraded
+
+    def test_a_timed_session_reports_timing(
+        self, small_topology, small_dataset
+    ):
+        _, results = self._run(
+            small_topology,
+            small_dataset,
+            simulator_class=EventDrivenSimulator,
+            latency=LatencyModel(seed=3, reply=ConstantLatency(5.0)),
+        )
+        timings = {result.timing for result in results}
+        assert len(timings) == 1  # the batch ran once
+        assert timings.pop().duration_ms > 0.0
 
 
 class TestMultiVisit:

@@ -10,6 +10,7 @@ from repro.core.biased import (
     probe_weights,
 )
 from repro.errors import ConfigurationError, SamplingError
+from repro.network.simulator import NetworkSimulator
 from repro.network.walker import WeightedMetropolisWalker
 from repro.query.exact import evaluate_exact
 from repro.query.parser import parse_query
@@ -161,6 +162,24 @@ class TestBiasedSamplingEngine:
         assert result.total_peers_visited == 60
         assert result.confidence_interval.half_width > 0
         assert result.cost.hops > 0
+
+    @pytest.mark.parametrize("reply_loss_rate", [0.0, 0.3])
+    def test_lost_replies_are_reported(
+        self, small_topology, small_dataset, reply_loss_rate
+    ):
+        simulator = NetworkSimulator(
+            small_topology,
+            small_dataset.databases,
+            seed=7,
+            reply_loss_rate=reply_loss_rate,
+        )
+        engine = biased_engine_for_query(simulator, BROAD, seed=5)
+        result = engine.execute(BROAD, sink=0)
+        assert result.requested_sample_size == engine.config.peers_to_visit
+        assert result.effective_sample_size == result.total_peers_visited
+        lost = result.requested_sample_size - result.effective_sample_size
+        assert (lost > 0) == (reply_loss_rate > 0.0)
+        assert result.degraded == (reply_loss_rate > 0.0)
 
     def test_uniform_weights_recover_uniform_walk(self, small_network):
         engine = BiasedSamplingEngine(

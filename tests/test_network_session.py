@@ -26,7 +26,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.localdb import LocalDatabase
-from repro.errors import ConfigurationError, PeerUnavailableError
+from repro.errors import (
+    ConfigurationError,
+    PeerUnavailableError,
+    ProbeTimeoutError,
+)
 from repro.network import faults as faults_module
 from repro.network import simulator as simulator_module
 from repro.network.faults import (
@@ -38,9 +42,13 @@ from repro.network.faults import (
 )
 from repro.network.generators import power_law_topology
 from repro.network.simulator import NetworkSimulator
+from repro.network.walker import RetryPolicy
+from repro.obs import Tracer, tracing
 from repro.query.model import AggregateOp, AggregationQuery
+from repro.service import QueryService
 from repro.sim import (
     ChurnTimeline,
+    ConstantLatency,
     EventDrivenSimulator,
     LatencyModel,
     UniformLatency,
@@ -93,6 +101,17 @@ def _network(simulator_class, num_peers=60, **kwargs):
     ]
     return simulator_class(
         topology, databases, seed=1, **EXTRA[simulator_class], **kwargs
+    )
+
+
+def _unarmed_network(**kwargs):
+    """An event-driven network that only ``kwargs`` can arm (no
+    latency, no timeline, no timeout of its own)."""
+    return EventDrivenSimulator(
+        power_law_topology(20, 60, seed=1),
+        [LocalDatabase({"A": np.arange(4)})] * 20,
+        seed=1,
+        **kwargs,
     )
 
 
@@ -361,13 +380,52 @@ class TestEventDrivenSession:
         assert session.latency is LATENCY
         assert session.timeline is TIMELINE
         assert session.stale_mode == "reject"
-        assert session._patience_ms() == 250.0
+        assert session._time.patience_ms == 250.0
         assert session.time_armed
 
-    def test_pending_spike_is_not_inherited(self):
-        base = _network(EventDrivenSimulator, fault_plan=FAULT_PLAN)
-        base._pending_spike_ms = 30.0  # as if mid-probe
-        assert base.session(seed=9)._pending_spike_ms == 0.0
+    def test_a_deferred_spike_dies_with_its_probe(self):
+        """A spike past the timeout is carried into *that* probe's
+        delivery only — not into the next probe's, nor into the first
+        probe of a later ``session()``: every delivered probe takes
+        exactly the round trip the kernel drew for it."""
+        plan = FaultPlan(
+            seed=4,
+            latency_spike=LatencySpike(rate=0.5, extra_ms=500.0),
+            probe_timeout_ms=50.0,
+        )
+        base = _network(EventDrivenSimulator, fault_plan=plan)
+
+        def timed_probes(session):
+            """(delivered?, virtual ms it took, round trip drawn) x 20."""
+            ledger = session.new_ledger()
+            for index in range(20):
+                peer = 1 + index % 4  # peer 5 departs at 40 ms
+                message = session.kernel.messages
+                before_ms = session.virtual_now_ms
+                try:
+                    session.visit_aggregate(
+                        peer, SUM_ALL, sink=0, ledger=ledger
+                    )
+                    delivered = True
+                except ProbeTimeoutError:
+                    delivered = False
+                yield (
+                    delivered,
+                    session.virtual_now_ms - before_ms,
+                    LATENCY.probe_delay_ms(message, peer, "aggregate"),
+                )
+
+        session = base.session(seed=9)
+        probes = list(timed_probes(session))
+        fates = [delivered for delivered, _, _ in probes]
+        assert True in fates[fates.index(False):]  # a clean one after a spike
+        assert session.kernel.pending_events > 0  # late replies in flight
+        # The spiked session is the parent of the next one.
+        for delivered, took_ms, drawn_ms in probes + list(
+            timed_probes(session.session(seed=9, fault_clock=0))
+        ):
+            expected_ms = drawn_ms if delivered else plan.probe_timeout_ms
+            assert took_ms == pytest.approx(expected_ms, abs=1e-9)
 
     def test_unarmed_session_stays_in_passthrough(self):
         base = EventDrivenSimulator(
@@ -378,6 +436,122 @@ class TestEventDrivenSession:
         session = base.session(seed=2)
         assert not session.time_armed
         assert session.virtual_clock is None
+
+    def test_unarmed_session_runs_the_synchronous_code(self):
+        """Parity by identity, not by delegation: an un-armed session
+        holds no time domain and overrides none of the seams."""
+        session = _unarmed_network().session(seed=2)
+        assert session._time is None
+        assert session.virtual_clock is None
+        for name in (
+            "_probe_checks",
+            "_apply_faults",
+            "walk_hops",
+            "flood",
+            "begin_timing",
+        ):
+            assert getattr(type(session), name) is getattr(
+                NetworkSimulator, name
+            )
+
+    def test_arm_deadline_arms_this_session_only(self):
+        base = _unarmed_network(
+            fault_plan=FaultPlan(
+                seed=4, latency_spike=LatencySpike(rate=0.5, extra_ms=30.0)
+            )
+        )
+        session = base.session(seed=2)
+        with pytest.raises(ConfigurationError):
+            session.arm_deadline(float("nan"))
+        assert session._time is None  # a refused deadline arms nothing
+        assert session.virtual_clock is None
+
+        session.arm_deadline(500.0)
+        assert session.time_armed
+        assert session.deadline_ms == 500.0
+        assert session.virtual_clock is session.kernel.clock
+        tracer = Tracer(time_source=session.virtual_clock.read)
+        with tracing(tracer):
+            _drive(session, range(1, 9))
+        assert session.virtual_now_ms > 0.0  # spikes now take time
+        assert any('"vt"' in line for line in tracer.lines)
+
+        assert not base.time_armed
+        assert not session.session(seed=3).time_armed
+
+    def test_a_timed_flood_takes_its_depth_and_skips_the_departed(self):
+        gone = int(_unarmed_network().topology.neighbors(0)[0])
+        session = _unarmed_network(
+            latency=LatencyModel(seed=3, hop=ConstantLatency(2.0)),
+            timeline=ChurnTimeline(
+                (TimelineEntry(time_ms=0.0, action="depart", peer=gone),)
+            ),
+        ).session(seed=2)
+        ledger = session.new_ledger()
+        reached = session.flood(0, ttl=2, ledger=ledger)
+        assert gone not in {peer for peer, _ in reached}
+        depth = max(depth for _, depth in reached)
+        assert depth > 0
+        assert session.virtual_now_ms == 2.0 * depth
+        # A capped flood stops mid-frontier and still takes its depth.
+        capped = session.flood(0, ttl=2, ledger=ledger, max_peers=3)
+        assert capped == reached[:3]
+        assert session.virtual_now_ms == 2.0 * (depth + capped[-1][1])
+
+
+class TestEnforcedTimesAreFinite:
+    """A time value that *enforces* something must be positive and
+    finite: NaN passes a ``<= 0`` test and silently switches the
+    timeout / deadline off, and ``inf`` is spelled ``None``."""
+
+    BAD_TIMES = pytest.mark.parametrize(
+        "value",
+        [float("nan"), float("inf"), float("-inf")],
+        ids=["nan", "+inf", "-inf"],
+    )
+    ENTRY_POINTS = {
+        "EventDrivenSimulator(probe_timeout_ms=)": lambda value: (
+            _unarmed_network(probe_timeout_ms=value)
+        ),
+        "FaultPlan(probe_timeout_ms=)": lambda value: (
+            FaultPlan(seed=1, probe_timeout_ms=value)
+        ),
+        "LatencySpike(extra_ms=)": lambda value: (
+            LatencySpike(rate=0.1, extra_ms=value)
+        ),
+        "RetryPolicy(backoff_base_ms=)": lambda value: (
+            RetryPolicy(backoff_base_ms=value)
+        ),
+        "RetryPolicy(backoff_factor=)": lambda value: (
+            RetryPolicy(backoff_factor=value)
+        ),
+        "validate_deadline": lambda value: (
+            _unarmed_network().validate_deadline(value)
+        ),
+        "arm_deadline": lambda value: (
+            _network(EventDrivenSimulator).session(seed=2).arm_deadline(value)
+        ),
+    }
+
+    @BAD_TIMES
+    @pytest.mark.parametrize("entry_point", sorted(ENTRY_POINTS))
+    def test_every_entry_point_refuses(self, entry_point, value):
+        with pytest.raises(ConfigurationError):
+            self.ENTRY_POINTS[entry_point](value)
+
+    @BAD_TIMES
+    def test_submit_refuses_a_bad_deadline_on_both_backends(self, value):
+        """In the parent, with one message, before anything ran."""
+        messages = []
+        for backend in ({}, {"workers": 2}):
+            simulator = _network(EventDrivenSimulator, fault_plan=FAULT_PLAN)
+            with QueryService(simulator, seed=3, **backend) as service:
+                with pytest.raises(ConfigurationError) as refused:
+                    service.submit(SUM_ALL, 0.1, deadline_ms=value)
+                assert service.stats().submitted == 0
+            assert simulator.fault_state.clock == 0
+            messages.append(str(refused.value))
+        assert messages[0] == messages[1]
 
 
 # ---------------------------------------------------------------------------

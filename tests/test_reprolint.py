@@ -15,7 +15,6 @@ from pathlib import Path
 
 from repro.tools.lint import (
     ALL_RULES,
-    Baseline,
     LintEngine,
     TOOL_ERROR_CODE,
     collect_files,
@@ -109,23 +108,6 @@ def test_rl003_declaration_and_mutation_findings():
 def test_rl004_findings():
     mapping = codes_by_file(run_lint(BAD))
     assert mapping["bad/src/rl004.py"].count("RL004") == 4
-
-
-def test_rl005_findings():
-    mapping = codes_by_file(run_lint(BAD))
-    codes = mapping["bad/src/batching.py"]
-    # no scalar twin + two unreferenced
-    assert codes.count("RL005") == 3
-
-
-def test_rl005_reference_check_needs_equivalence_suite_in_run():
-    # Linting the module alone: the missing-scalar finding stays, the
-    # "not exercised" findings are only meaningful when the equivalence
-    # suite is part of the same run.
-    report = run_lint(BAD / "src" / "batching.py")
-    messages = [d.message for d in report.diagnostics]
-    assert any("no scalar counterpart" in m for m in messages)
-    assert not any("not exercised" in m for m in messages)
 
 
 def test_rl006_direct_findings():
@@ -249,8 +231,9 @@ def test_suppression_covers_multiline_statement(tmp_path):
 
 
 def test_suppression_covers_decorated_def(tmp_path):
-    # comment-line directive above the decorator; the RL005 finding is
-    # anchored at the ``def`` line below it
+    # comment-line directive above the decorator; the RL001 finding
+    # (public function without a seed parameter) is anchored at the
+    # ``def`` line below it
     target = _src_file(
         tmp_path,
         "decorated.py",
@@ -258,10 +241,10 @@ def test_suppression_covers_decorated_def(tmp_path):
         "    return fn\n"
         "\n"
         "\n"
-        "# reprolint: disable=RL005 -- scalar twin pending extraction\n"
+        "# reprolint: disable=RL001 -- seeded by the caller's context\n"
         "@identity\n"
-        "def lift_batch(rows):\n"
-        "    return rows\n",
+        "def shuffled(rows, context):\n"
+        "    return ensure_rng(context.stream).permutation(rows)\n",
     )
     report = run_lint(target)
     assert report.diagnostics == []
@@ -332,48 +315,6 @@ def test_corrupt_cache_degrades_to_cold_run(tmp_path):
     # ...and the run repaired the file for the next one
     warm = run_lint(GOOD, cache=AnalysisCache(cache_path))
     assert warm.cache_hits == warm.files_checked
-
-
-# ----------------------------------------------------------------------
-# baseline
-
-
-def test_baseline_accepts_recorded_findings(tmp_path):
-    baseline_path = tmp_path / "baseline.json"
-    target = BAD / "src" / "rl004.py"
-    recorded = Baseline.update(baseline_path, run_lint(target).diagnostics)
-    assert recorded == 4
-    report = run_lint(target, baseline=Baseline.load(baseline_path))
-    assert report.diagnostics == []
-    assert report.baselined == 4
-    assert report.exit_code == 0
-
-
-def test_baseline_is_a_multiset(tmp_path):
-    baseline_path = tmp_path / "baseline.json"
-    target = _src_file(tmp_path, "pair.py", "A = 1 == 1.0\n")
-    Baseline.update(baseline_path, run_lint(target).diagnostics)
-    # a second identical violation exceeds the recorded budget of one
-    target.write_text("A = 1 == 1.0\nB = 2 == 2.0\n", encoding="utf-8")
-    report = run_lint(target, baseline=Baseline.load(baseline_path))
-    assert report.baselined == 1
-    assert [d.code for d in report.diagnostics] == ["RL004"]
-
-
-def test_baseline_never_absorbs_tool_errors(tmp_path):
-    baseline_path = tmp_path / "baseline.json"
-    target = BAD / "suppressed.py"
-    first = run_lint(target)
-    Baseline.update(baseline_path, first.diagnostics)
-    report = run_lint(target, baseline=Baseline.load(baseline_path))
-    codes = [d.code for d in report.diagnostics]
-    assert codes.count(TOOL_ERROR_CODE) == 3  # still reported
-    assert "RL001" not in codes  # the real findings were baselined
-
-
-def test_missing_baseline_file_acts_empty(tmp_path):
-    baseline = Baseline.load(tmp_path / "never-written.json")
-    assert len(baseline) == 0
 
 
 # ----------------------------------------------------------------------
@@ -470,30 +411,6 @@ def test_cli_cache_flag(tmp_path, capsys):
     lint_main(["--format", "json", "--cache", str(cache_path), str(GOOD)])
     warm = json.loads(capsys.readouterr().out)
     assert warm["cache_hits"] == warm["files_checked"]
-
-
-def test_cli_update_baseline_then_clean(tmp_path, capsys):
-    baseline_path = tmp_path / "baseline.json"
-    target = str(BAD / "src" / "rl004.py")
-    status = lint_main(
-        ["--baseline", str(baseline_path), "--update-baseline", target]
-    )
-    captured = capsys.readouterr()
-    assert status == 0
-    assert "baseline updated with 4 finding(s)" in captured.err
-    status = lint_main(
-        ["--format", "json", "--baseline", str(baseline_path), target]
-    )
-    payload = json.loads(capsys.readouterr().out)
-    assert status == 0
-    assert payload["findings"] == 0
-    assert payload["baselined"] == 4
-
-
-def test_cli_update_baseline_requires_baseline_path(capsys):
-    status = lint_main(["--update-baseline", str(GOOD)])
-    assert status == 2
-    assert "--update-baseline requires --baseline" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

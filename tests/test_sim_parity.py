@@ -24,6 +24,7 @@ from repro.data.generator import DatasetConfig, generate_dataset
 from repro.network.faults import CrashWindow, FaultPlan, LatencySpike
 from repro.network.generators import power_law_topology
 from repro.network.simulator import NetworkSimulator
+from repro.network.walker import RandomWalker, ResilientCollector, RetryPolicy
 from repro.obs import Tracer, tracing
 from repro.query.parser import parse_query
 from repro.service.service import QueryService
@@ -241,3 +242,49 @@ class TestTimedReplay:
             ]
 
         assert run(1) == run(4)
+
+
+class TestArmednessIsResolvedOnce:
+    def test_a_collection_never_asks_whether_time_is_armed(self, monkeypatch):
+        """Armed-ness is decided at construction / ``session()`` /
+        ``arm_deadline()``; a 100-probe resilient collection on an
+        armed session re-reads neither ingredient.  Counts, not
+        timing."""
+        timeline = ChurnTimeline.sampled(
+            seed=9, num_peers=TOPOLOGY.num_peers, horizon_ms=5_000.0,
+            departure_rate_per_s=0.2,
+        )
+        latency = LatencyModel(
+            seed=11,
+            request=UniformLatency(1.0, 5.0),
+            hop=UniformLatency(0.5, 1.0),
+        )
+        session = _simulator(
+            EventDrivenSimulator, fault_plan=FAULT_PLAN,
+            latency=latency, timeline=timeline,
+        ).session(seed=3)
+        assert session.time_armed
+
+        reads = []
+        for owner, name in (
+            (LatencyModel, "is_null"),
+            (ChurnTimeline, "is_empty"),
+        ):
+            def counted(self, original=getattr(owner, name).fget, name=name):
+                reads.append(name)
+                return original(self)
+
+            monkeypatch.setattr(owner, name, property(counted))
+        assert latency.is_null is False and reads == ["is_null"]  # wrapped
+        reads.clear()
+
+        collector = ResilientCollector(
+            RandomWalker(session.topology, seed=3),
+            session,
+            RetryPolicy(max_attempts=3),
+        )
+        _, stats = collector.collect_aggregate(
+            0, COUNT_30, 100, session.new_ledger(), probe_bytes=64
+        )
+        assert stats.attempts >= 100
+        assert reads == []
