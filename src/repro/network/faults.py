@@ -62,6 +62,8 @@ __all__ = [
     "FaultDecision",
     "FaultPlan",
     "FaultState",
+    "counter_prefix",
+    "counter_tail",
     "counter_uniform",
     "counter_uniforms",
     "kind_code",
@@ -92,6 +94,27 @@ def _splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def _prefix(seed: int, *parts: int) -> int:
+    """The hash state after absorbing ``(seed, *parts)``.
+
+    Draws whose keys differ only in their last part share everything
+    up to it: hash the common prefix once and finish each draw with
+    :func:`_tail`.
+    """
+    x = seed & _MASK64
+    for part in parts:
+        x = _splitmix64(x ^ (part & _MASK64))
+    return x
+
+
+def _tail(prefix: int, last: int) -> float:
+    """The uniform a :func:`_prefix` state yields for one more part:
+    ``_tail(_prefix(seed, *parts), last)`` *is*
+    ``_uniform(seed, *parts, last)`` — the same rounds, the same
+    ``/ 2**64``."""
+    return _splitmix64(_splitmix64(prefix ^ (last & _MASK64))) / 2.0**64
+
+
 def _uniform(seed: int, *parts: int) -> float:
     """A uniform draw in ``[0, 1)`` keyed purely by ``(seed, *parts)``.
 
@@ -99,10 +122,7 @@ def _uniform(seed: int, *parts: int) -> float:
     replay bit-identically regardless of how probes interleave with
     other randomness.
     """
-    x = seed & _MASK64
-    for part in parts:
-        x = _splitmix64(x ^ (part & _MASK64))
-    return _splitmix64(x) / 2.0**64
+    return _splitmix64(_prefix(seed, *parts)) / 2.0**64
 
 
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -157,6 +177,8 @@ def _uniforms(seed: int, *parts: Union[int, np.ndarray]) -> np.ndarray:
 #: key their own decisions off the same primitive instead of minting a
 #: Generator stream.
 splitmix64 = _splitmix64
+counter_prefix = _prefix
+counter_tail = _tail
 counter_uniform = _uniform
 counter_uniforms = _uniforms
 
@@ -440,9 +462,12 @@ class FaultState:
         self._windows = {
             peer: sorted(spans) for peer, spans in windows.items()
         }
-        self._loss: Dict[str, float] = dict(
-            cast(Tuple[Tuple[str, float], ...], plan.reply_loss)
-        )
+        self._loss: Dict[int, float] = {
+            _KIND_CODES[kind]: rate
+            for kind, rate in cast(
+                Tuple[Tuple[str, float], ...], plan.reply_loss
+            )
+        }
 
     def _restart(self, clock_start: int) -> "FaultState":
         """Validate and set the step clock; returns ``self``."""
@@ -501,10 +526,12 @@ class FaultState:
         Decision order: crash windows dominate (no coin is flipped for
         a dead peer), then the per-kind loss coin, then the latency
         spike coin (which escalates to a timeout when the spike
-        exceeds the plan's probe timeout).
+        exceeds the plan's probe timeout).  An unknown ``kind`` is
+        refused before the clock steps, crashed peer or not.
         """
+        code = kind_code(kind)
         step = self.next_step()
-        decision = self._decide(peer, kind, step)
+        decision = self._decide(peer, code, step)
         if decision.failed or decision.extra_latency_ms > 0.0:
             tracer = active_tracer()
             if tracer is not None:
@@ -527,26 +554,31 @@ class FaultState:
                 )
         return decision
 
-    def _decide(self, peer: int, kind: str, step: int) -> FaultDecision:
+    def _decide(self, peer: int, code: int, step: int) -> FaultDecision:
+        """The plan's decision for a probe of kind code ``code`` to
+        ``peer`` at ``step`` — a pure function of its arguments.
+
+        The loss coin is ``counter_uniform(seed, step, peer, code, 0)``
+        and the spike coin ``counter_uniform(seed, step, peer, code,
+        1)``; the two keys differ only in their last part, so the
+        prefix is hashed once and each coin finishes it
+        (:func:`counter_tail`).  A coin is flipped only where its
+        outcome can matter: none for a crashed peer, no loss coin at
+        rate 0, no spike coin after a loss or without a spike.
+        """
         if self.is_crashed(peer, step):
             return FaultDecision(step=step, crashed=True)
-        code = _KIND_CODES.get(kind)
-        if code is None:
-            raise ConfigurationError(
-                f"unknown message kind {kind!r}; "
-                f"expected one of {MESSAGE_KINDS}"
-            )
-        loss_rate = self._loss.get(kind, 0.0)
-        if loss_rate > 0.0 and (
-            _uniform(self._plan.seed, step, peer, code, 0) < loss_rate
-        ):
-            return FaultDecision(step=step, lost=True)
+        loss_rate = self._loss.get(code, 0.0)
         spike = self._plan.latency_spike
-        if spike is not None and (
-            _uniform(self._plan.seed, step, peer, code, 1) < spike.rate
-        ):
-            timeout = self._plan.probe_timeout_ms
-            if timeout is not None and spike.extra_ms > timeout:
-                return FaultDecision(step=step, timed_out=True)
-            return FaultDecision(step=step, extra_latency_ms=spike.extra_ms)
+        if loss_rate > 0.0 or spike is not None:
+            coins = _prefix(self._plan.seed, step, peer, code)
+            if loss_rate > 0.0 and _tail(coins, 0) < loss_rate:
+                return FaultDecision(step=step, lost=True)
+            if spike is not None and _tail(coins, 1) < spike.rate:
+                timeout = self._plan.probe_timeout_ms
+                if timeout is not None and spike.extra_ms > timeout:
+                    return FaultDecision(step=step, timed_out=True)
+                return FaultDecision(
+                    step=step, extra_latency_ms=spike.extra_ms
+                )
         return FaultDecision(step=step)

@@ -168,6 +168,11 @@ def _check_pushdown(query: AggregationQuery) -> None:
         )
 
 
+#: What a delivered aggregate probe charges: its visit and its one
+#: reply.  Shared by every ``ok`` event (a ``TraceCost`` is immutable).
+_AGGREGATE_OK_CHARGE = TraceCost(messages=1, visits=1)
+
+
 class NetworkSnapshot:
     """What a network *is*: everything immutable for its lifetime.
 
@@ -772,6 +777,31 @@ class NetworkSimulator:
             return columns, total, tuples_per_peer
         return database.scan(), total, total
 
+    @staticmethod
+    def check_aggregate_visits(
+        query: AggregationQuery, tuples_per_peer: int, sampling_method: str
+    ) -> None:
+        """Check what a whole collection of aggregate visits fixes.
+
+        The query, the per-peer budget and the sampling method are the
+        same for every probe of a collection, so they are checked once
+        — before anything observable happens — and each probe then
+        runs :meth:`probe_aggregate_prechecked`.
+        """
+        _check_pushdown(query)
+        _check_tuples_per_peer(tuples_per_peer)
+        _check_sampling_method(sampling_method)
+
+    @staticmethod
+    def check_values_visits(
+        tuples_per_peer: int, ship: str, sampling_method: str
+    ) -> None:
+        """:meth:`check_aggregate_visits` for values visits."""
+        if ship not in ("median", "sample"):
+            raise ConfigurationError(f"unknown ship mode {ship!r}")
+        _check_tuples_per_peer(tuples_per_peer)
+        _check_sampling_method(sampling_method)
+
     def probe_aggregate(
         self,
         peer_id: int,
@@ -794,13 +824,23 @@ class NetworkSimulator:
         vectorised pass (:meth:`read_aggregates`).  ``query`` is only
         validated.
 
+        This is :meth:`check_aggregate_visits` followed by
+        :meth:`probe_aggregate_prechecked`; a loop over many peers
+        runs the first once and the second per probe.
+
         Values visits have no such half: a :class:`TupleReply`'s size,
         hence its ledger charge, depends on the rows it ships, so
         :meth:`visit_values` stays one per-peer step.
         """
-        _check_pushdown(query)
-        _check_tuples_per_peer(tuples_per_peer)
-        _check_sampling_method(sampling_method)
+        self.check_aggregate_visits(query, tuples_per_peer, sampling_method)
+        self.probe_aggregate_prechecked(peer_id, ledger, tuples_per_peer)
+
+    def probe_aggregate_prechecked(
+        self, peer_id: int, ledger: CostLedger, tuples_per_peer: int
+    ) -> None:
+        """Resolve one probe of a collection whose arguments
+        :meth:`check_aggregate_visits` has already accepted — the part
+        of :meth:`probe_aggregate` that depends on the probe."""
         self._check_peer(peer_id)
         self._probe_checks(peer_id, "aggregate", ledger)
         processed = self._snapshot.databases[peer_id].num_tuples
@@ -813,9 +853,17 @@ class NetworkSimulator:
             cpu_speed=self._snapshot.peers[peer_id].capabilities.cpu_speed,
         )
         ledger.record_reply(AggregateReply.SIZE_BYTES)
-        _emit_probe(
-            peer_id, "aggregate", "ok", replies=1, messages=1, visits=1
-        )
+        tracer = active_tracer()
+        if tracer is not None:
+            tracer.emit(
+                ProbeEvent(
+                    peer=peer_id,
+                    probe_kind="aggregate",
+                    outcome="ok",
+                    replies=1,
+                    charge=_AGGREGATE_OK_CHARGE,
+                )
+            )
 
     def visit_aggregate(
         self,
@@ -1020,9 +1068,7 @@ class NetworkSimulator:
         that is the fate half (:meth:`probe_aggregate` per probe, or
         the bulk charge in :meth:`visit_aggregate_batch`).
         """
-        _check_pushdown(query)
-        _check_tuples_per_peer(tuples_per_peer)
-        _check_sampling_method(sampling_method)
+        self.check_aggregate_visits(query, tuples_per_peer, sampling_method)
         peers = self._validate_batch_peers(peer_ids)
         if peers.size == 0:
             return AggregateSample.from_columns(sink, 0)
@@ -1080,9 +1126,7 @@ class NetworkSimulator:
         (:meth:`probe_aggregate`), and the rows of the survivors are
         then read in the same single pass (:meth:`read_aggregates`).
         """
-        _check_pushdown(query)
-        _check_tuples_per_peer(tuples_per_peer)
-        _check_sampling_method(sampling_method)
+        self.check_aggregate_visits(query, tuples_per_peer, sampling_method)
         peers = self._validate_batch_peers(peer_ids)
         if peers.size == 0:
             return AggregateSample.from_columns(sink, 0)
@@ -1099,8 +1143,8 @@ class NetworkSimulator:
             survivors: List[int] = []
             for peer_id in peers.tolist():
                 try:
-                    self.probe_aggregate(
-                        peer_id, query, ledger, tuples_per_peer, sampling_method
+                    self.probe_aggregate_prechecked(
+                        peer_id, ledger, tuples_per_peer
                     )
                 except PeerUnavailableError:
                     continue  # lost reply: the sample just shrinks
@@ -1151,10 +1195,7 @@ class NetworkSimulator:
         values visit cannot post its fate ahead of its data (see
         :meth:`probe_aggregate`), so there is nothing to batch.
         """
-        if ship not in ("median", "sample"):
-            raise ConfigurationError(f"unknown ship mode {ship!r}")
-        _check_tuples_per_peer(tuples_per_peer)
-        _check_sampling_method(sampling_method)
+        self.check_values_visits(tuples_per_peer, ship, sampling_method)
         peers = self._validate_batch_peers(peer_ids)
         if peers.size == 0:
             return []

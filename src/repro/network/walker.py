@@ -757,22 +757,29 @@ class ResilientCollector:
         sampling_method: str = "uniform",
         seed: SeedLike = None,
     ) -> Tuple["AggregateSample", CollectionStats]:
-        """Collect up to ``count`` aggregate replies, resiliently."""
+        """Collect up to ``count`` aggregate replies, resiliently.
+
+        What the whole collection fixes (``query``, ``tuples_per_peer``,
+        ``sampling_method``) is checked once, before the walk: a
+        rejected argument raises with no hop walked, charged or traced
+        and no clock moved, and the per-probe path checks only the
+        peer.
+        """
+        simulator = self._simulator
+        simulator.check_aggregate_visits(
+            query, tuples_per_peer, sampling_method
+        )
 
         def probe(peer: int) -> int:
-            self._simulator.probe_aggregate(
-                peer,
-                query,
-                ledger=ledger,
-                tuples_per_peer=tuples_per_peer,
-                sampling_method=sampling_method,
+            simulator.probe_aggregate_prechecked(
+                peer, ledger, tuples_per_peer
             )
             return peer
 
         survivors, stats = self._collect(
             sink, count, ledger, probe_bytes, probe
         )
-        replies = self._simulator.read_aggregates(
+        replies = simulator.read_aggregates(
             survivors,
             query,
             sink=sink,
@@ -794,7 +801,14 @@ class ResilientCollector:
         sampling_method: str = "uniform",
         seed: SeedLike = None,
     ) -> Tuple[List["TupleReply"], CollectionStats]:
-        """Collect up to ``count`` value/median replies, resiliently."""
+        """Collect up to ``count`` value/median replies, resiliently.
+
+        Like :meth:`collect_aggregate`, a rejected argument is rejected
+        before the walk.
+        """
+        self._simulator.check_values_visits(
+            tuples_per_peer, ship, sampling_method
+        )
 
         def visit(peer: int) -> "TupleReply":
             return self._simulator.visit_values(

@@ -18,9 +18,11 @@ past its time.  Slow is not lost.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Final, NamedTuple, Optional, Set, Union
 
 from ..errors import ConfigurationError
+from ..network.faults import kind_code
 from ..obs.events import LateDeliveryEvent, TimelineEvent
 from ..obs.tracer import active_tracer
 from .clock import VirtualClock
@@ -147,7 +149,12 @@ class SimulationKernel:
     # ------------------------------------------------------------------
 
     def probe_delay_ms(self, peer: int, kind: str) -> float:
-        """Round-trip delay for the next probe message to ``peer``."""
+        """Round-trip delay for the next probe message to ``peer``.
+
+        An unknown ``kind`` is refused before the message counter
+        ticks, latency model or not.
+        """
+        kind_code(kind)
         message = self._messages
         self._messages += 1
         if self._latency is None:
@@ -222,6 +229,14 @@ class SimulationKernel:
         epoch advance marks the eventual delivery stale.  When
         ``patience_ms`` elapses first the sink gives up (``TIMED_OUT``)
         but the delivery stays queued, marked late.
+
+        A delivery nothing can intercept is not queued: when no live
+        event sits at or before its arrival time and the sink's
+        patience reaches it, the loop below would push the handle, pop
+        it straight back and return ``DELIVERED`` in the send epoch —
+        so the clock moves there and exactly that is returned.  An
+        event at *exactly* the arrival time is not "later": ``(time,
+        seq)`` order is the queue's to decide, so ties take the loop.
         """
         if delay_ms < 0.0:
             raise ConfigurationError(
@@ -233,8 +248,17 @@ class SimulationKernel:
             )
         sent_ms = self._clock.now_ms
         sent_epoch = self._epoch
+        due_ms = sent_ms + delay_ms
+        head = self._queue.peek()
+        if (
+            (head is None or head.time_ms > due_ms)
+            and (patience_ms is None or due_ms <= sent_ms + patience_ms)
+            and math.isfinite(due_ms)  # else: schedule() refuses it below
+        ):
+            self._clock.advance_to(due_ms)
+            return DeliveryOutcome(DELIVERED, due_ms, sent_epoch, sent_epoch)
         handle = self._queue.schedule(
-            sent_ms + delay_ms,
+            due_ms,
             _Delivery(
                 peer=peer,
                 probe_kind=kind,

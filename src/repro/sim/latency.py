@@ -18,12 +18,17 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Final
+from typing import ClassVar, Final
 
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..network.faults import counter_uniform, counter_uniforms, kind_code
+from ..network.faults import (
+    counter_prefix,
+    counter_tail,
+    counter_uniforms,
+    kind_code,
+)
 
 __all__ = [
     "ZERO_LATENCY",
@@ -43,6 +48,10 @@ _HOP_LEG: Final = 2
 class LatencyDistribution:
     """Maps a uniform draw in ``[0, 1)`` to a delay in milliseconds."""
 
+    #: Whether :meth:`sample_ms` reads its uniform.  A distribution
+    #: that does not is one number, and nothing is hashed to draw it.
+    reads_uniform: ClassVar[bool] = True
+
     def sample_ms(self, u: float) -> float:
         """The delay for uniform draw ``u``."""
         raise NotImplementedError
@@ -56,6 +65,8 @@ class LatencyDistribution:
 @dataclasses.dataclass(frozen=True)
 class ConstantLatency(LatencyDistribution):
     """Every message takes exactly ``ms`` milliseconds."""
+
+    reads_uniform: ClassVar[bool] = False
 
     ms: float = 0.0
 
@@ -149,14 +160,15 @@ class LatencyModel:
         )
 
     def probe_delay_ms(self, message: int, peer: int, kind: str) -> float:
-        """Round-trip delay of probe ``message`` to ``peer``."""
-        code = kind_code(kind)
-        request = self.request.sample_ms(
-            counter_uniform(self.seed, message, peer, code, _REQUEST_LEG)
-        )
-        reply = self.reply.sample_ms(
-            counter_uniform(self.seed, message, peer, code, _REPLY_LEG)
-        )
+        """Round-trip delay of probe ``message`` to ``peer``.
+
+        The request leg draws ``counter_uniform(seed, message, peer,
+        kind code, 0)`` and the reply leg the same key ending in 1, so
+        the shared prefix is hashed once and each leg finishes it.
+        """
+        legs = counter_prefix(self.seed, message, peer, kind_code(kind))
+        request = self.request.sample_ms(counter_tail(legs, _REQUEST_LEG))
+        reply = self.reply.sample_ms(counter_tail(legs, _REPLY_LEG))
         return request + reply
 
     def hop_delay_ms(self, message: int, hops: int) -> float:
@@ -165,14 +177,20 @@ class LatencyModel:
         Hop ``i`` draws ``counter_uniform(seed, message, i, hop leg)``;
         the segment's uniforms come from one vectorised hash call and
         the delays are summed left to right, so the total is
-        bit-identical to hashing and adding hop by hop.
+        bit-identical to hashing and adding hop by hop.  A hop
+        distribution that ignores its uniform hashes nothing: the
+        total is the same left-to-right sum of ``hops`` equal delays
+        (not ``hops * ms``, which rounds differently).
         """
-        if hops <= 0 or self.hop.is_null:
+        hop = self.hop
+        if hops <= 0 or hop.is_null:
             return 0.0
+        if not hop.reads_uniform:
+            return float(np.cumsum(np.full(hops, hop.sample_ms(0.0)))[-1])
         uniforms = counter_uniforms(
             self.seed, message, np.arange(hops, dtype=np.uint64), _HOP_LEG
         )
-        sample_ms = self.hop.sample_ms
+        sample_ms = hop.sample_ms
         total = 0.0
         for u in uniforms.tolist():
             total += sample_ms(u)

@@ -48,6 +48,7 @@ _LEDGER_CALLS: Dict[str, int] = {
     "visit_aggregate_batch": 4,
     "visit_values_batch": 4,
     "probe_aggregate": 3,
+    "probe_aggregate_prechecked": 2,
     "flood": 3,
     "ping": 3,
 }

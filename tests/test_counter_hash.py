@@ -3,7 +3,10 @@
 ``counter_uniforms`` must be ``counter_uniform`` key by key, *bit for
 bit* — fault decisions, latency draws and churn timelines all replay
 off the scalar hash, and ``LatencyModel.hop_delay_ms`` now draws a
-whole walk segment's uniforms through the array kernel.  The scalar
+whole walk segment's uniforms through the array kernel.  Likewise
+``counter_tail(counter_prefix(...), last)`` must be ``counter_uniform``
+of the whole key: a probe's two fault coins and its two latency legs
+share the hash of everything but their last key part.  The scalar
 forms are the reference here; nothing in this file restates the hash.
 
 CI runs this file twice (the ``sim`` job) with derandomized hypothesis.
@@ -16,7 +19,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.network.faults import counter_uniform, counter_uniforms
+from repro.network.faults import (
+    MESSAGE_KINDS,
+    CrashWindow,
+    FaultDecision,
+    FaultPlan,
+    LatencySpike,
+    counter_prefix,
+    counter_tail,
+    counter_uniform,
+    counter_uniforms,
+    kind_code,
+)
+from repro.network.topology import Topology
 from repro.sim.latency import (
     ConstantLatency,
     ExponentialLatency,
@@ -134,3 +149,93 @@ class TestHopDelay:
         assert armed.hop_delay_ms(5, -1) == 0.0
         null_hop = LatencyModel(seed=1, request=ConstantLatency(2.0))
         assert null_hop.hop_delay_ms(5, 134) == 0.0
+
+
+class TestSharedPrefix:
+    @given(seed=any_int, parts=st.lists(any_int, min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_tail_of_prefix_is_the_whole_hash(self, seed, parts):
+        assert counter_tail(
+            counter_prefix(seed, *parts[:-1]), parts[-1]
+        ) == counter_uniform(seed, *parts)
+
+
+def _two_coin_decision(state, peer, kind, step):
+    """``FaultState._decide`` as it was: one whole hash per coin."""
+    plan = state.plan
+    if state.is_crashed(peer, step):
+        return FaultDecision(step=step, crashed=True)
+    code = kind_code(kind)
+    loss_rate = plan.loss_rate(kind)
+    if loss_rate > 0.0 and (
+        counter_uniform(plan.seed, step, peer, code, 0) < loss_rate
+    ):
+        return FaultDecision(step=step, lost=True)
+    spike = plan.latency_spike
+    if spike is not None and (
+        counter_uniform(plan.seed, step, peer, code, 1) < spike.rate
+    ):
+        timeout = plan.probe_timeout_ms
+        if timeout is not None and spike.extra_ms > timeout:
+            return FaultDecision(step=step, timed_out=True)
+        return FaultDecision(step=step, extra_latency_ms=spike.extra_ms)
+    return FaultDecision(step=step)
+
+
+RING = Topology(8, [(peer, (peer + 1) % 8) for peer in range(8)])
+
+rates = st.sampled_from([0.0, 0.05, 0.5, 0.95])
+
+
+class TestDrawsThatShareAPrefix:
+    @given(
+        seed=any_int,
+        step=st.integers(0, 2**40),
+        loss=rates,
+        spike=st.one_of(st.none(), rates),
+        timeout=st.sampled_from([None, 250.0, 500.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    @pytest.mark.parametrize("kind", MESSAGE_KINDS)
+    def test_decide_equals_one_whole_hash_per_coin(
+        self, kind, seed, step, loss, spike, timeout
+    ):
+        plan = FaultPlan(
+            seed=seed,
+            crashes=(CrashWindow(peer_id=3, start=0, stop=2**39),),
+            reply_loss=loss,
+            latency_spike=(
+                None if spike is None else LatencySpike(spike, 400.0)
+            ),
+            probe_timeout_ms=timeout,
+        )
+        state = plan.bind(RING)
+        for peer in range(RING.num_peers):
+            assert state._decide(
+                peer, kind_code(kind), step
+            ) == _two_coin_decision(state, peer, kind, step)
+
+    @given(
+        seed=any_int,
+        message=st.integers(0, 2**40),
+        peer=st.integers(0, 2**31),
+    )
+    @settings(max_examples=60, deadline=None)
+    @pytest.mark.parametrize("kind", MESSAGE_KINDS)
+    def test_probe_delay_equals_one_whole_hash_per_leg(
+        self, kind, seed, message, peer
+    ):
+        model = LatencyModel(
+            seed=seed,
+            request=ExponentialLatency(20.0),
+            reply=UniformLatency(0.5, 7.25),
+        )
+        code = kind_code(kind)
+        assert model.probe_delay_ms(message, peer, kind) == (
+            model.request.sample_ms(
+                counter_uniform(seed, message, peer, code, 0)
+            )
+            + model.reply.sample_ms(
+                counter_uniform(seed, message, peer, code, 1)
+            )
+        )

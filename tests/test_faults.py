@@ -257,6 +257,26 @@ class TestProbe:
         with pytest.raises(ConfigurationError):
             state.probe(0, "telepathy")
 
+    @pytest.mark.parametrize("peer", [3, 4], ids=["crashed", "alive"])
+    def test_unknown_kind_is_refused_before_the_clock_steps(
+        self, path_topology, peer
+    ):
+        """Regression: the kind used to be resolved only after the step
+        was consumed (clock 1 -> 2 across the raise), and not at all
+        for a crashed peer, which answered ``crashed=True``."""
+        plan = FaultPlan(
+            seed=2,
+            crashes=(CrashWindow(peer_id=3, start=0, stop=100),),
+            reply_loss=0.3,
+        )
+        state = plan.bind(path_topology, clock_start=1)
+        with pytest.raises(
+            ConfigurationError, match="unknown message kind 'bogus'"
+        ):
+            state.probe(peer, "bogus")
+        assert state.clock == 1
+        assert state.probe(peer, "aggregate").step == 1
+
     def test_replay_is_bit_identical(self, path_topology):
         plan = FaultPlan(
             seed=21,

@@ -3,9 +3,33 @@
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, TopologyError
+import repro.network.faults as faults_module
+import repro.network.simulator as simulator_module
+import repro.sim.latency as latency_module
+from repro.errors import (
+    ConfigurationError,
+    PeerUnavailableError,
+    ProbeTimeoutError,
+    TopologyError,
+)
+from repro.network.faults import CrashWindow, FaultPlan, LatencySpike
 from repro.network.topology import Topology
-from repro.network.walker import RandomWalkConfig, RandomWalker
+from repro.network.walker import (
+    RandomWalkConfig,
+    RandomWalker,
+    ResilientCollector,
+    RetryPolicy,
+)
+from repro.obs import Tracer, tracing
+from repro.obs.events import FaultEvent, LateDeliveryEvent
+from repro.query.parser import parse_query
+from repro.sim import (
+    ConstantLatency,
+    EventDrivenSimulator,
+    ExponentialLatency,
+    LatencyModel,
+)
+from repro.sim.queue import EventQueue
 
 
 class TestRandomWalkConfig:
@@ -355,3 +379,231 @@ class TestWalkCursor:
         walker = RandomWalker(small_topology, seed=5)
         with pytest.raises(TopologyError):
             walker.cursor(small_topology.num_peers + 1)
+
+
+COUNT_30 = parse_query("SELECT COUNT(A) FROM T WHERE A BETWEEN 1 AND 30")
+MEDIAN_ALL = parse_query("SELECT MEDIAN(A) FROM T")
+
+#: (collector, query, the bad argument, the error it must raise)
+REJECTED_COLLECTIONS = {
+    "aggregate-budget": (
+        "collect_aggregate", COUNT_30, {"tuples_per_peer": -5},
+        "tuples_per_peer must be >= 0",
+    ),
+    "aggregate-method": (
+        "collect_aggregate", COUNT_30, {"sampling_method": "bogus"},
+        "unknown sampling method 'bogus'",
+    ),
+    "aggregate-query": (
+        "collect_aggregate", MEDIAN_ALL, {}, "cannot be pushed down",
+    ),
+    "values-budget": (
+        "collect_values", MEDIAN_ALL, {"tuples_per_peer": -5},
+        "tuples_per_peer must be >= 0",
+    ),
+    "values-method": (
+        "collect_values", MEDIAN_ALL, {"sampling_method": "bogus"},
+        "unknown sampling method 'bogus'",
+    ),
+    "values-ship": (
+        "collect_values", MEDIAN_ALL, {"ship": "bogus"},
+        "unknown ship mode 'bogus'",
+    ),
+}
+
+
+class TestCollectionArgumentsAreCheckedBeforeTheWalk:
+    """Regression: a collection with a rejected argument used to raise
+    the right error only at its *first probe* — after the walk had been
+    drawn, charged (``hops == 50``), traced and given its virtual time.
+    It is ``TestVisitArgumentValidation`` (``test_network_simulator``)
+    one level up: a rejected collection is rejected first.
+    """
+
+    @pytest.mark.parametrize("case", sorted(REJECTED_COLLECTIONS))
+    def test_nothing_observable_happens(
+        self, small_topology, small_dataset, case
+    ):
+        entry_point, query, arguments, message = REJECTED_COLLECTIONS[case]
+        session = EventDrivenSimulator(
+            small_topology,
+            small_dataset.databases,
+            seed=7,
+            fault_plan=FaultPlan(
+                seed=5,
+                reply_loss=0.1,
+                latency_spike=LatencySpike(rate=0.05, extra_ms=400.0),
+            ),
+            fault_clock=3,
+            latency=LatencyModel(seed=3, hop=ConstantLatency(1.0)),
+            probe_timeout_ms=250.0,
+        ).session(seed=2)
+        walk_rng = np.random.default_rng(4)
+        untouched_rng = walk_rng.bit_generator.state
+        collector = ResilientCollector(
+            RandomWalker(small_topology, seed=walk_rng),
+            session,
+            RetryPolicy(max_attempts=3),
+        )
+        collect = getattr(collector, entry_point)
+        ledger = session.new_ledger()
+        untouched_ledger = ledger.snapshot()
+        tracer = Tracer()
+        with tracing(tracer), pytest.raises(ConfigurationError, match=message):
+            collect(0, query, 10, ledger, 23, **arguments)
+        assert ledger.snapshot() == untouched_ledger
+        assert walk_rng.bit_generator.state == untouched_rng
+        assert session.fault_state.clock == 3
+        assert session.virtual_clock.now_ms == 0.0
+        assert session.kernel.messages == 0
+        assert tracer.num_events == 0
+
+
+def _counted(monkeypatch, owner, name, calls):
+    """Append to ``calls`` whatever ``owner.name`` returns, from here on."""
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append(result)
+        return result
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+class TestProbePathCounts:
+    """Per probe, only what depends on the probe — pinned by count, on
+    a session configured like the serving benchmark's chaos simulator
+    (``bench/workloads.make_simulator``).  Counts repeat exactly; no
+    stopwatch."""
+
+    @staticmethod
+    def _chaos_session(topology, dataset, hop=None):
+        return EventDrivenSimulator(
+            topology,
+            dataset.databases,
+            seed=1,
+            fault_plan=FaultPlan(
+                seed=5,
+                crashes=tuple(
+                    CrashWindow(peer_id=peer, start=0, stop=10**9)
+                    for peer in range(0, topology.num_peers, 17)
+                ),
+                reply_loss=0.1,
+                latency_spike=LatencySpike(rate=0.05, extra_ms=400.0),
+                probe_timeout_ms=250.0,
+            ),
+            latency=LatencyModel(
+                seed=3,
+                request=ExponentialLatency(20.0),
+                reply=ExponentialLatency(20.0),
+                hop=hop if hop is not None else ConstantLatency(1.0),
+            ),
+            probe_timeout_ms=250.0,
+        ).session(seed=2)
+
+    def test_a_collection_checks_its_arguments_once(
+        self, small_topology, small_dataset, monkeypatch
+    ):
+        session = self._chaos_session(small_topology, small_dataset)
+        checks = {
+            name: [] for name in (
+                "_check_pushdown",
+                "_check_tuples_per_peer",
+                "_check_sampling_method",
+            )
+        }
+        for name, calls in checks.items():
+            _counted(monkeypatch, simulator_module, name, calls)
+        # The survivors' rows are read once every probe is resolved
+        # (a public entry point that validates for itself): whatever
+        # ran before it is what the walk and the probes cost.
+        before_the_read = {}
+        read_aggregates = type(session).read_aggregates
+
+        def reading(self, *args, **kwargs):
+            before_the_read.update(
+                {name: len(calls) for name, calls in checks.items()}
+            )
+            return read_aggregates(self, *args, **kwargs)
+
+        monkeypatch.setattr(type(session), "read_aggregates", reading)
+        collector = ResilientCollector(
+            RandomWalker(small_topology, seed=3),
+            session,
+            RetryPolicy(max_attempts=3),
+        )
+        _, stats = collector.collect_aggregate(
+            0, COUNT_30, 40, session.new_ledger(), 23, tuples_per_peer=25
+        )
+        assert stats.attempts >= 40
+        assert before_the_read == dict.fromkeys(checks, 1)
+        # ... and the read adds a constant, not one per probe.
+        assert all(len(calls) <= 3 for calls in checks.values())
+
+    def test_a_probe_hashes_and_queues_only_what_it_must(
+        self, small_topology, small_dataset, monkeypatch
+    ):
+        session = self._chaos_session(small_topology, small_dataset)
+        rounds, handles = [], []
+        _counted(monkeypatch, faults_module, "_splitmix64", rounds)
+        _counted(monkeypatch, EventQueue, "schedule", handles)
+        ledger = session.new_ledger()
+        uncontended = behind_a_late_reply = timed_out = 0
+        tracer = Tracer()
+        with tracing(tracer):
+            for peer in range(small_topology.num_peers):
+                del rounds[:], handles[:]
+                seen = tracer.num_events
+                pending = session.kernel.pending_events
+                try:
+                    session.probe_aggregate(peer, COUNT_30, ledger, 25)
+                except ProbeTimeoutError:
+                    # A spike past the sink's patience: the reply is
+                    # slow, not lost — queued, and still there, late.
+                    (handle,) = handles
+                    assert handle.late and not handle.cancelled
+                    timed_out += 1
+                    continue
+                except PeerUnavailableError:
+                    continue  # crashed or lost: nothing is sent
+                faults = [
+                    event for event in tracer.events[seen:]
+                    if isinstance(event, FaultEvent)
+                ]
+                assert not faults  # no spike at this rate stays in time
+                # Crash check, then (seed, step, peer, kind) hashed
+                # once for the loss and spike coins: 3 + 2 + 2 rounds;
+                # (seed, message, peer, kind) once for the request and
+                # reply legs: 3 + 2 + 2.  Was 4 x 5 = 20.
+                assert len(rounds) == 14
+                if pending == 0:
+                    assert handles == []  # nothing could intercept it
+                    uncontended += 1
+                else:
+                    assert len(handles) <= 1
+                    behind_a_late_reply += 1
+            session.drain()
+        assert uncontended >= 50 and behind_a_late_reply and timed_out
+        late = [
+            event for event in tracer.events
+            if isinstance(event, LateDeliveryEvent)
+        ]
+        assert len(late) == timed_out
+
+    @pytest.mark.parametrize(
+        "hop, hashes",
+        [(ConstantLatency(1.0), 0), (ExponentialLatency(1.0), 1)],
+        ids=["constant", "exponential"],
+    )
+    def test_a_constant_hop_segment_hashes_nothing(
+        self, small_topology, small_dataset, monkeypatch, hop, hashes
+    ):
+        session = self._chaos_session(small_topology, small_dataset, hop)
+        calls = []
+        _counted(monkeypatch, latency_module, "counter_uniforms", calls)
+        session.walk_hops(37, session.new_ledger(), message_bytes=23)
+        assert len(calls) == hashes
+        assert session.kernel.messages == 1  # the counter ticks either way
+        if not hashes:
+            assert session.virtual_clock.now_ms == 37.0

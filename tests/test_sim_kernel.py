@@ -25,6 +25,116 @@ from repro.sim import (
     TimelineEntry,
     UniformLatency,
 )
+from repro.sim.kernel import DeliveryOutcome, _Delivery
+from repro.sim.queue import EventQueue
+
+
+def queued_await_delivery(kernel, peer, kind, delay_ms, patience_ms):
+    """Reference ``SimulationKernel.await_delivery``: the loop as it
+    was when *every* delivery went through the queue, kept verbatim —
+    schedule the handle, then pop events in ``(time, seq)`` order until
+    it resolves.  The product skips the queue for a delivery nothing
+    can intercept; this is what that must be indistinguishable from.
+    Drives ``kernel`` through its private state, like the other
+    oracles in this directory; keep it dumb."""
+    if delay_ms < 0.0:
+        raise ConfigurationError(f"delay_ms must be >= 0, got {delay_ms}")
+    if patience_ms is not None and patience_ms < 0.0:
+        raise ConfigurationError(
+            f"patience_ms must be >= 0, got {patience_ms}"
+        )
+    sent_ms = kernel._clock.now_ms
+    sent_epoch = kernel._epoch
+    handle = kernel._queue.schedule(
+        sent_ms + delay_ms,
+        _Delivery(
+            peer=peer, probe_kind=kind, sent_ms=sent_ms, sent_epoch=sent_epoch
+        ),
+    )
+    deadline_ms = sent_ms + patience_ms if patience_ms is not None else None
+    while True:
+        head = kernel._queue.peek()
+        if head is None:
+            if deadline_ms is not None:
+                kernel._clock.advance_to(deadline_ms)
+            return DeliveryOutcome(
+                DEPARTED, handle.time_ms, sent_epoch, kernel._epoch
+            )
+        if deadline_ms is not None and head.time_ms > deadline_ms:
+            kernel._clock.advance_to(deadline_ms)
+            if handle.cancelled:
+                return DeliveryOutcome(
+                    DEPARTED, handle.time_ms, sent_epoch, kernel._epoch
+                )
+            handle.late = True
+            return DeliveryOutcome(
+                TIMED_OUT, handle.time_ms, sent_epoch, kernel._epoch
+            )
+        event = kernel._queue.pop()
+        kernel._clock.advance_to(event.time_ms)
+        if event is handle:
+            outcome = DeliveryOutcome(
+                DELIVERED, event.time_ms, sent_epoch, kernel._epoch
+            )
+            if outcome.stale:
+                kernel._stale_replies += 1
+            return outcome
+        kernel._apply(event)
+        payload = event.payload
+        if (
+            isinstance(payload, TimelineEntry)
+            and payload.action == "depart"
+            and payload.peer == peer
+            and not handle.cancelled
+        ):
+            kernel._queue.cancel(handle)
+            if deadline_ms is None:
+                return DeliveryOutcome(
+                    DEPARTED, handle.time_ms, sent_epoch, kernel._epoch
+                )
+
+
+def _count_schedules(monkeypatch):
+    """Count ``EventQueue.schedule`` calls from here on."""
+    calls = []
+    original = EventQueue.schedule
+
+    def counted(self, time_ms, payload):
+        calls.append(time_ms)
+        return original(self, time_ms, payload)
+
+    monkeypatch.setattr(EventQueue, "schedule", counted)
+    return calls
+
+
+# Times on a coarse grid, so "an event at exactly the arrival time"
+# and "arrival at exactly the end of patience" come up constantly.
+grid_ms = st.integers(min_value=0, max_value=24).map(lambda k: 5.0 * k)
+timeline_entries = st.lists(
+    st.tuples(
+        grid_ms,
+        st.sampled_from(["depart", "join", "epoch"]),
+        st.integers(min_value=0, max_value=3),
+    ),
+    max_size=6,
+)
+#: The sink's patience relative to the delay: forever, or ending
+#: before / exactly at / after the arrival.
+patience_cases = st.sampled_from(["forever", "shorter", "equal", "longer"])
+sends = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=3), grid_ms, patience_cases),
+    min_size=1,
+    max_size=12,
+)
+
+
+def _patience_ms(case, delay_ms):
+    return {
+        "forever": None,
+        "shorter": delay_ms / 2.0,
+        "equal": delay_ms,
+        "longer": delay_ms + 5.0,
+    }[case]
 
 
 class TestLatencyModels:
@@ -197,6 +307,23 @@ class TestAwaitDelivery:
         assert kernel.hop_delay_ms(hops=4) == 0.0
         assert kernel.messages == 2
 
+    @pytest.mark.parametrize(
+        "latency",
+        [None, LatencyModel(seed=1, request=ConstantLatency(2.0))],
+        ids=["no-model", "model"],
+    )
+    def test_unknown_kind_is_refused_before_the_counter_ticks(self, latency):
+        """Regression: the counter used to tick before the kind was
+        resolved (and without a latency model it never was), so a
+        refused probe re-keyed every later draw of the session."""
+        kernel = SimulationKernel(latency=latency)
+        kernel.probe_delay_ms(peer=1, kind="aggregate")
+        with pytest.raises(
+            ConfigurationError, match="unknown message kind 'bogus'"
+        ):
+            kernel.probe_delay_ms(peer=1, kind="bogus")
+        assert kernel.messages == 1
+
     def test_rejects_negative_delays(self):
         kernel = SimulationKernel()
         with pytest.raises(ConfigurationError):
@@ -205,6 +332,126 @@ class TestAwaitDelivery:
             kernel.await_delivery(0, "aggregate", -1.0, None)
         with pytest.raises(ConfigurationError):
             kernel.await_delivery(0, "aggregate", 1.0, -1.0)
+
+    # -- a delivery nothing can intercept is not queued ----------------
+
+    @given(entries=timeline_entries, sends=sends)
+    @settings(max_examples=300, deadline=None)
+    def test_indistinguishable_from_the_queued_loop(self, entries, sends):
+        """Over random timelines and send sequences — short patience
+        leaves late deliveries pending behind later sends — the kernel
+        and the always-queue reference agree after every send on the
+        outcome and on everything a session can read back."""
+        timeline = ChurnTimeline(entries=tuple(
+            TimelineEntry(time_ms, action,
+                          peer=None if action == "epoch" else peer)
+            for time_ms, action, peer in entries
+        ))
+
+        def run(await_delivery):
+            kernel = SimulationKernel(timeline=timeline)
+            tracer = Tracer()
+            trail = []
+            with tracing(tracer):
+                for peer, delay_ms, case in sends:
+                    outcome = await_delivery(
+                        kernel, peer, "aggregate", delay_ms,
+                        _patience_ms(case, delay_ms),
+                    )
+                    trail.append((
+                        outcome, outcome.stale, kernel.now_ms,
+                        kernel.pending_events, kernel.stale_replies,
+                        kernel.epoch, kernel.departed_peers(),
+                        tracer.num_events,
+                    ))
+                kernel.drain()
+            return trail, kernel.now_ms, tracer.events
+
+        assert run(SimulationKernel.await_delivery) == run(
+            queued_await_delivery
+        )
+
+    def test_uncontended_delivery_is_not_queued(self, monkeypatch):
+        schedules = _count_schedules(monkeypatch)
+        kernel = SimulationKernel()
+        for delay_ms, patience_ms in (
+            (12.0, 100.0),
+            (7.0, None),   # infinite patience, empty queue
+            (0.0, 5.0),    # zero delay: delivered where it was sent
+            (0.0, 0.0),
+            (30.0, 30.0),  # arrival at exactly the end of patience
+        ):
+            sent_ms = kernel.now_ms
+            outcome = kernel.await_delivery(
+                1, "aggregate", delay_ms, patience_ms
+            )
+            assert outcome == DeliveryOutcome(
+                DELIVERED, sent_ms + delay_ms, 0, 0
+            )
+            assert kernel.now_ms == sent_ms + delay_ms
+            assert kernel.pending_events == 0
+        assert schedules == []
+
+    def test_event_at_exactly_the_arrival_time_goes_first(self, monkeypatch):
+        """A tie is the queue's to break: the timeline entry was
+        scheduled first (lower ``seq``), so it fires before the
+        delivery and the reply arrives stale."""
+        timeline = ChurnTimeline(entries=(TimelineEntry(50.0, "epoch"),))
+        kernel = SimulationKernel(timeline=timeline)
+        schedules = _count_schedules(monkeypatch)
+        outcome = kernel.await_delivery(1, "aggregate", 50.0, None)
+        assert schedules == [50.0]
+        assert outcome == DeliveryOutcome(DELIVERED, 50.0, 0, 1)
+        assert outcome.stale and kernel.stale_replies == 1
+
+    def test_delivery_behind_a_pending_late_reply_is_queued(
+        self, monkeypatch
+    ):
+        kernel = SimulationKernel()
+        assert kernel.await_delivery(
+            1, "aggregate", 400.0, 250.0
+        ).status == TIMED_OUT  # stays queued, late, due at 400
+        schedules = _count_schedules(monkeypatch)
+        tracer = Tracer()
+        with tracing(tracer):
+            # Lands before the late reply: nothing in its way.
+            assert kernel.await_delivery(
+                2, "aggregate", 100.0, 250.0
+            ).status == DELIVERED
+            assert schedules == [] and tracer.num_events == 0
+            # Lands after it: the late reply surfaces mid-flight.
+            outcome = kernel.await_delivery(3, "aggregate", 100.0, 250.0)
+        assert schedules == [450.0]
+        assert outcome.status == DELIVERED and kernel.now_ms == 450.0
+        assert [type(event) for event in tracer.events] == [LateDeliveryEvent]
+        assert kernel.pending_events == 0
+
+    def test_cancelled_head_does_not_block_the_shortcut(self, monkeypatch):
+        timeline = ChurnTimeline(entries=(
+            TimelineEntry(10.0, "depart", peer=1),
+        ))
+        kernel = SimulationKernel(timeline=timeline)
+        assert kernel.await_delivery(
+            1, "aggregate", 500.0, 80.0
+        ).status == DEPARTED  # its handle stays in the heap, cancelled
+        schedules = _count_schedules(monkeypatch)
+        outcome = kernel.await_delivery(2, "aggregate", 600.0, None)
+        assert schedules == []
+        assert outcome == DeliveryOutcome(DELIVERED, 680.0, 0, 0)
+        assert kernel.pending_events == 0
+
+    @pytest.mark.parametrize("delay_ms", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("patience_ms", [None, 100.0])
+    def test_non_finite_delay_is_refused_as_before(
+        self, delay_ms, patience_ms
+    ):
+        kernel = SimulationKernel()
+        kernel.advance_by(3.0)
+        with pytest.raises(
+            ConfigurationError, match="event time must be finite and >= 0"
+        ):
+            kernel.await_delivery(1, "aggregate", delay_ms, patience_ms)
+        assert kernel.now_ms == 3.0 and kernel.pending_events == 0
 
 
 class TestKernelReplay:
