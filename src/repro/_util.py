@@ -23,6 +23,7 @@ __all__ = [
     "SeedLike",
     "ensure_rng",
     "spawn",
+    "readonly_view",
     "check_positive",
     "check_positive_finite",
     "check_nonnegative",
@@ -52,6 +53,18 @@ def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
     if n < 0:
         raise ConfigurationError(f"cannot spawn {n} generators")
     return list(rng.spawn(n))
+
+
+def readonly_view(data: np.ndarray) -> np.ndarray:
+    """A non-writable view of ``data`` (the caller's array is untouched).
+
+    What a snapshot shared by reference — with every engine, every
+    session and, after a fork, every worker — stores and hands out: a
+    writable alias would be a cross-worker race waiting to happen.
+    """
+    view = data.view()
+    view.setflags(write=False)
+    return view
 
 
 def check_positive(name: str, value: float) -> None:

@@ -30,6 +30,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
+from .._util import readonly_view
 from ..errors import ConfigurationError
 from .localdb import LocalDatabase
 
@@ -37,19 +38,6 @@ from .localdb import LocalDatabase
 __all__ = [
     "FlatDataset",
 ]
-
-
-def _readonly_view(data: np.ndarray) -> np.ndarray:
-    """A non-writable view of ``data`` (the caller's array is untouched).
-
-    The flat view is shared by reference with every engine and, in the
-    planned sharded backend, across forked workers — a writable column
-    handed out by :meth:`FlatDataset.column` would be a cross-worker
-    race waiting to happen.
-    """
-    view = data.view()
-    view.setflags(write=False)
-    return view
 
 
 class FlatDataset:
@@ -76,7 +64,7 @@ class FlatDataset:
                     f"column {name!r} has {data.size} rows, expected {total}"
                 )
         self._columns = {
-            name: _readonly_view(data) for name, data in columns.items()
+            name: readonly_view(data) for name, data in columns.items()
         }
         self._offsets = offsets
         self._counts = np.diff(offsets)
@@ -94,20 +82,20 @@ class FlatDataset:
         """
         if not databases:
             raise ConfigurationError("need at least one database")
-        names = databases[0].column_names
-        name_set = set(names)
-        offsets = np.zeros(len(databases) + 1, dtype=np.int64)
-        for index, database in enumerate(databases):
-            if set(database.column_names) != name_set:
+        stores = [database.store for database in databases]
+        names = stores[0].keys()
+        for index, store in enumerate(stores):
+            if store.keys() != names:
                 raise ConfigurationError(
                     f"database {index} has columns "
-                    f"{database.column_names}, expected {names}"
+                    f"{list(store)}, expected {list(names)}"
                 )
-            offsets[index + 1] = offsets[index] + database.num_tuples
+        offsets = np.zeros(len(stores) + 1, dtype=np.int64)
+        counts = np.fromiter(map(len, databases), np.int64, len(stores))
+        np.cumsum(counts, out=offsets[1:])
         columns: Dict[str, np.ndarray] = {}
         for name in names:
-            parts = [database.column(name) for database in databases]
-            merged = np.concatenate(parts) if parts else np.empty(0)
+            merged = np.concatenate([store[name] for store in stores])
             merged.flags.writeable = False
             columns[name] = merged
         return cls(columns, offsets)

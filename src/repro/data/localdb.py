@@ -20,6 +20,7 @@ lives in the callers (simulator / estimators), matching the paper's
 from __future__ import annotations
 
 import dataclasses
+import types
 from typing import Dict, Iterator, List, Mapping, Optional
 
 import numpy as np
@@ -126,6 +127,14 @@ class LocalDatabase:
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
+
+    @property
+    def store(self) -> Mapping[str, np.ndarray]:
+        """The column store itself, no per-column views: for bulk
+        readers that copy what they read (:meth:`~repro.data.flat.
+        FlatDataset.from_databases` concatenates it).  The mapping is
+        read-only; the arrays are the database's own."""
+        return types.MappingProxyType(self._columns)
 
     def column(self, name: str) -> np.ndarray:
         """Read-only view of a full column."""

@@ -4,17 +4,24 @@ The paper characterizes each peer ``p`` by the address ``(IP_p, port_p)``
 and a capability vector: CPU speed ``p_cpu``, memory bandwidth
 ``p_mem``, disk space ``p_disk``, network bandwidth ``p_band`` and the
 connection budget ``p_conn``.  These attributes do not influence the
-*statistics* of the sampling algorithm, but they drive the simulator's
-latency model (a slow peer takes longer to execute its local query) and
-the churn model (connection budgets bound the degree of joining peers).
+*statistics* of the sampling algorithm.  The simulator reads
+``cpu_speed`` (the cost ledger's latency model: a slow peer takes
+longer to execute its local query) and ``ip`` / ``port`` (a ``Pong``
+carries them); the other four capabilities are descriptive — nothing
+bounds a database by ``disk_space`` or a join by ``max_connections``.
+A network holds its peers as a :class:`PeerTable` of columns and
+builds a :class:`Peer` when somebody asks for one.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Tuple
+from typing import Any, Iterator, Sequence, Tuple
 
-from .._util import SeedLike, ensure_rng
+import numpy as np
+from numpy.typing import ArrayLike
+
+from .._util import SeedLike, ensure_rng, readonly_view, spawn
 from ..errors import ConfigurationError
 
 
@@ -23,6 +30,7 @@ __all__ = [
     "random_capabilities",
     "Peer",
     "synthesize_peer",
+    "PeerTable",
 ]
 
 
@@ -38,11 +46,12 @@ class PeerCapabilities:
     memory_bandwidth:
         Relative memory bandwidth (reserved for future cost models).
     disk_space:
-        Disk capacity in tuples; bounds the local database size.
+        Disk capacity in tuples (descriptive).
     network_bandwidth:
-        Uplink bandwidth in bytes per simulated millisecond.
+        Uplink bandwidth in bytes per simulated millisecond
+        (descriptive).
     max_connections:
-        The connection budget ``p_conn``; joins respect it.
+        The connection budget ``p_conn`` (descriptive).
     """
 
     cpu_speed: float = 1.0
@@ -64,21 +73,14 @@ class PeerCapabilities:
             raise ConfigurationError("max_connections must be at least 1")
 
 
-def random_capabilities(seed: SeedLike = None) -> PeerCapabilities:
-    """Draw a heterogeneous capability vector.
+#: A :class:`PeerTable` has one column per capability, in field order.
+_FIELDS = dataclasses.fields(PeerCapabilities)
 
-    CPU speed and bandwidth are log-normal around the reference peer,
-    which is a reasonable stand-in for the heterogeneity observed in
-    deployed Gnutella networks.
-    """
-    rng = ensure_rng(seed)
-    return PeerCapabilities(
-        cpu_speed=float(rng.lognormal(mean=0.0, sigma=0.35)),
-        memory_bandwidth=float(rng.lognormal(mean=0.0, sigma=0.25)),
-        disk_space=int(rng.integers(100_000, 2_000_000)),
-        network_bandwidth=float(rng.lognormal(mean=4.8, sigma=0.6)),
-        max_connections=int(rng.integers(8, 64)),
-    )
+
+def random_capabilities(seed: SeedLike = None) -> PeerCapabilities:
+    """Draw a heterogeneous capability vector: row 0 of the
+    :class:`PeerTable` synthesized from ``seed``."""
+    return PeerTable.synthesize([0], seed)[0].capabilities
 
 
 @dataclasses.dataclass(frozen=True)
@@ -114,24 +116,133 @@ class Peer:
         return f"peer#{self.peer_id}@{self.ip}:{self.port}"
 
 
+def _synthetic_address(peer_id: int) -> Tuple[str, int]:
+    """The fake ``(IP, port)`` of ``peer_id``: ``10.x.y.z`` from the
+    id's low three bytes, ports from 6346 (the classic Gnutella port)."""
+    octets = (peer_id >> 16) & 0xFF, (peer_id >> 8) & 0xFF, peer_id & 0xFF
+    return "10.%d.%d.%d" % octets, 6346 + (peer_id % 1024)
+
+
 def synthesize_peer(peer_id: int, seed: SeedLike = None) -> Peer:
     """Create a peer with a deterministic fake address for ``peer_id``.
 
     The address is derived from the id (so it is stable across runs)
     while capabilities are drawn from ``seed``.
     """
-    rng = ensure_rng(seed)
-    octets = (
-        10,
-        (peer_id >> 16) & 0xFF,
-        (peer_id >> 8) & 0xFF,
-        peer_id & 0xFF,
-    )
-    ip = ".".join(str(o) for o in octets)
-    port = 6346 + (peer_id % 1024)  # 6346 is the classic Gnutella port
+    ip, port = _synthetic_address(peer_id)
     return Peer(
         peer_id=peer_id,
         ip=ip,
         port=port,
-        capabilities=random_capabilities(rng),
+        capabilities=random_capabilities(seed),
     )
+
+
+class PeerTable:
+    """A network's peers as columns: one read-only array per
+    :class:`PeerCapabilities` field (``capabilities``, in field
+    order), a row per peer, and the row's address — the id a synthetic
+    address derives from (``addresses`` an integer array) or an
+    explicit ``(ip, port)`` pair (an object array).
+
+    ``table[i]`` builds peer ``i`` (``peer_id == i``) from row ``i`` —
+    a real :class:`Peer`, so its validation runs — and nothing keeps
+    it: two reads are equal, not identical.
+    """
+
+    cpu_speed: np.ndarray
+    memory_bandwidth: np.ndarray
+    disk_space: np.ndarray
+    network_bandwidth: np.ndarray
+    max_connections: np.ndarray
+
+    def __init__(
+        self, capabilities: Sequence[ArrayLike], addresses: ArrayLike
+    ):
+        self._addresses = readonly_view(np.asarray(addresses))
+        columns = [
+            readonly_view(np.asarray(data, dtype=field.type))
+            for field, data in zip(_FIELDS, capabilities)
+        ]
+        shapes = [column.shape for column in columns]
+        if (
+            len(capabilities) != len(_FIELDS)
+            or self._addresses.ndim != 1
+            or shapes != [self._addresses.shape] * len(_FIELDS)
+        ):
+            raise ConfigurationError(
+                f"{len(capabilities)} capability columns of shapes {shapes} "
+                f"for addresses of shape {self._addresses.shape}"
+            )
+        for field, column in zip(_FIELDS, columns):
+            setattr(self, field.name, column)
+
+    @classmethod
+    def synthesize(cls, rows: ArrayLike, seed: SeedLike = None) -> "PeerTable":
+        """Rows ``rows`` of the endless heterogeneous table under
+        ``seed``; a row's address derives from its id.
+
+        Column ``k`` is **one array draw from the ``k``-th child of
+        ``seed``** — CPU speed and bandwidths log-normal around the
+        reference peer, a reasonable stand-in for the heterogeneity
+        observed in deployed Gnutella networks.  A generator per
+        column makes row ``i`` independent of how many rows are drawn,
+        so a peer whose id persists (a churn label) keeps its row
+        whoever else joins or leaves.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.size and rows.min() < 0:
+            raise ConfigurationError("peer table rows must be non-negative")
+        drawn = int(rows.max(initial=-1)) + 1
+        cpu, memory, disk, band, connections = spawn(ensure_rng(seed), 5)
+        columns = (
+            cpu.lognormal(0.0, 0.35, drawn),
+            memory.lognormal(0.0, 0.25, drawn),
+            disk.integers(100_000, 2_000_000, drawn),
+            band.lognormal(4.8, 0.6, drawn),
+            connections.integers(8, 64, drawn),
+        )
+        return cls([column[rows] for column in columns], rows)
+
+    @classmethod
+    def from_peers(cls, peers: Sequence[Peer]) -> "PeerTable":
+        """The table of explicit identities, ``ip`` / ``port`` kept;
+        ``peers[i]`` must be peer ``i``."""
+        for index, peer in enumerate(peers):
+            if peer.peer_id != index:
+                raise ConfigurationError(
+                    f"peers[{index}] has peer_id {peer.peer_id}, "
+                    f"expected {index}"
+                )
+        return cls(
+            [
+                [getattr(peer.capabilities, field.name) for peer in peers]
+                for field in _FIELDS
+            ],
+            np.fromiter(
+                ((peer.ip, peer.port) for peer in peers), object, len(peers)
+            ),
+        )
+
+    def __reduce__(self) -> Tuple[type, Tuple[Any, ...]]:
+        # Through the constructor: an un-pickled table is read-only too.
+        columns = [getattr(self, field.name) for field in _FIELDS]
+        return PeerTable, (columns, self._addresses)
+
+    def __len__(self) -> int:
+        return int(self._addresses.size)
+
+    def __getitem__(self, index: int) -> Peer:
+        if not 0 <= index < len(self):
+            raise IndexError(f"peer {index} not in [0, {len(self)})")
+        address = self._addresses[index]
+        ip, port = (
+            address
+            if isinstance(address, tuple)
+            else _synthetic_address(int(address))
+        )
+        row = (getattr(self, field.name)[index].item() for field in _FIELDS)
+        return Peer(int(index), ip, port, PeerCapabilities(*row))
+
+    def __iter__(self) -> Iterator[Peer]:
+        return (self[index] for index in range(len(self)))

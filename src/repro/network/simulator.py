@@ -62,7 +62,7 @@ from ..obs.events import (
 from ..obs.tracer import active_tracer
 from ..query.model import AggregateOp, AggregationQuery
 from .faults import FaultPlan, FaultState
-from .peer import Peer, synthesize_peer
+from .peer import Peer, PeerTable
 from .protocol import (
     AggregateReply,
     AggregateSample,
@@ -178,10 +178,11 @@ class NetworkSnapshot:
 
     Built once by :class:`NetworkSimulator` and shared **by reference**
     by that simulator and every :meth:`~NetworkSimulator.session` of
-    it, so a session costs nothing proportional to the network.  The
-    derived views (:attr:`flat`, :meth:`total_tuples`,
-    :meth:`cpu_speeds`) are write-once memos: peers' data never changes
-    under a snapshot (churn produces *new* simulators via
+    it, so a session costs nothing proportional to the network.
+    Identities are a :class:`~repro.network.peer.PeerTable` (columns;
+    a ``Peer`` is built per read).  The derived views (:attr:`flat`,
+    :meth:`total_tuples`) are write-once memos: peers' data never
+    changes under a snapshot (churn produces *new* simulators via
     ``LiveNetwork.snapshot``), so whichever simulator or session
     touches a view first builds it for all of them.
     """
@@ -203,28 +204,31 @@ class NetworkSnapshot:
             raise ConfigurationError(
                 f"{len(peer_labels)} peer labels for {num_peers} peers"
             )
-        if peers is None:
-            identity_rng = ensure_rng(12345)  # addresses are cosmetic
-            peers = [
-                synthesize_peer(peer_id, seed=identity_rng)
-                for peer_id in range(num_peers)
-            ]
-        if len(peers) != num_peers:
-            raise ConfigurationError(
-                f"{len(peers)} peer identities for {num_peers} peers"
-            )
         self.topology = topology
         self.databases: Tuple[LocalDatabase, ...] = tuple(databases)
-        self.peers: Tuple[Peer, ...] = tuple(peers)
         self.cost_model = cost_model or CostModel()
         self.peer_labels: Optional[Tuple[int, ...]] = (
             tuple(int(label) for label in peer_labels)
             if peer_labels is not None
             else None
         )
+        if peers is not None:
+            if len(peers) != num_peers:
+                raise ConfigurationError(
+                    f"{len(peers)} peer identities for {num_peers} peers"
+                )
+            self.peers = PeerTable.from_peers(peers)
+        else:
+            # Row = label where there is one: a peer keeps its
+            # capabilities and address across churn epochs, while
+            # vertex ids are compacted.  (Identities are cosmetic,
+            # hence the fixed seed.)
+            rows = self.peer_labels
+            self.peers = PeerTable.synthesize(
+                np.arange(num_peers) if rows is None else rows, 12345
+            )
         self._flat: Optional[FlatDataset] = None
         self._total_tuples: Optional[int] = None
-        self._cpu_speeds: Optional[np.ndarray] = None
 
     @property
     def flat(self) -> FlatDataset:
@@ -255,13 +259,8 @@ class NetworkSnapshot:
         return self._total_tuples
 
     def cpu_speeds(self) -> np.ndarray:
-        """Per-peer CPU speeds, for the batch cost accounting."""
-        if self._cpu_speeds is None:
-            self._cpu_speeds = np.asarray(
-                [peer.capabilities.cpu_speed for peer in self.peers],
-                dtype=np.float64,
-            )
-        return self._cpu_speeds
+        """Per-peer CPU speeds, for the cost accounting."""
+        return self.peers.cpu_speed
 
 
 class NetworkSimulator:
@@ -274,8 +273,10 @@ class NetworkSimulator:
     databases:
         One local database per peer, indexed by peer id.
     peers:
-        Optional peer identities; synthesized deterministically when
-        omitted.
+        Optional peer identities (``peers[i].peer_id`` must be ``i``);
+        synthesized deterministically when omitted — by label when
+        ``peer_labels`` is given, so a peer keeps its capabilities and
+        address across churn epochs, by vertex id otherwise.
     cost_model:
         Unit costs for the latency model.
     seed:
@@ -307,7 +308,10 @@ class NetworkSimulator:
         ``peer_labels[v]`` is the label that does.
         :class:`~repro.network.live.LiveNetwork` passes its churn
         snapshot's labels, which is what lets delta re-estimation match
-        a retained sample's peers against a later epoch's live set.
+        a retained sample's peers against a later epoch's live set,
+        and a peer keep its capabilities and address.  Labels are
+        small non-negative integers (a churn process numbers peers
+        sequentially): identities are drawn up to the largest one.
         ``None`` (default) means no cross-epoch identity is available.
     """
 
@@ -571,7 +575,8 @@ class NetworkSimulator:
             raise ProtocolError(f"unknown peer {peer_id}")
 
     def peer(self, peer_id: int) -> Peer:
-        """Peer ``peer_id``'s identity."""
+        """Peer ``peer_id``'s identity (built per call: equal by value
+        across calls and sessions, not the same object)."""
         self._check_peer(peer_id)
         return self._snapshot.peers[peer_id]
 
@@ -850,7 +855,7 @@ class NetworkSimulator:
             peer_id,
             tuples_processed=processed,
             tuples_sampled=processed,
-            cpu_speed=self._snapshot.peers[peer_id].capabilities.cpu_speed,
+            cpu_speed=float(self._snapshot.cpu_speeds()[peer_id]),
         )
         ledger.record_reply(AggregateReply.SIZE_BYTES)
         tracer = active_tracer()
@@ -1329,7 +1334,7 @@ class NetworkSimulator:
             peer_id,
             tuples_processed=processed,
             tuples_sampled=min(processed, tuples_per_peer or processed),
-            cpu_speed=self._snapshot.peers[peer_id].capabilities.cpu_speed,
+            cpu_speed=float(self._snapshot.cpu_speeds()[peer_id]),
         )
         _emit_probe(
             peer_id,
@@ -1396,7 +1401,7 @@ class NetworkSimulator:
             peer_id,
             tuples_processed=processed,
             tuples_sampled=min(processed, tuples_per_peer or processed),
-            cpu_speed=self._snapshot.peers[peer_id].capabilities.cpu_speed,
+            cpu_speed=float(self._snapshot.cpu_speeds()[peer_id]),
         )
         ledger.record_reply(reply.size_bytes())
         _emit_probe(peer_id, "group", "ok", replies=1, messages=1, visits=1)
@@ -1457,7 +1462,7 @@ class NetworkSimulator:
             peer_id,
             tuples_processed=processed,
             tuples_sampled=processed,
-            cpu_speed=self._snapshot.peers[peer_id].capabilities.cpu_speed,
+            cpu_speed=float(self._snapshot.cpu_speeds()[peer_id]),
         )
         ledger.record_reply(reply.size_bytes())
         _emit_probe(peer_id, "values", "ok", replies=1, messages=1, visits=1)

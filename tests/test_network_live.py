@@ -71,6 +71,57 @@ class TestSnapshots:
         assert network.num_peers == live.num_peers
         assert network.total_tuples() == live.total_tuples()
 
+    def test_a_peer_keeps_its_identity_across_epochs(self, small_topology):
+        """Vertex ids are compacted per epoch; capabilities and address
+        follow the *label*.  Dealt by vertex id (as they were), every
+        survivor above a departed peer inherits its neighbour's CPU
+        speed and IP."""
+        live = make_live(small_topology)
+        before = live.snapshot(seed=1)
+        live.leave(3)
+        live.step(20)
+        after = live.snapshot(seed=2)
+        then = {
+            label: before.peer(vertex)
+            for vertex, label in enumerate(before.peer_labels)
+        }
+        survivors = 0
+        for vertex, label in enumerate(after.peer_labels):
+            peer = after.peer(vertex)
+            assert peer.peer_id == vertex  # the id stays the vertex id
+            if label in then:
+                survivors += 1
+                assert peer.capabilities == then[label].capabilities
+                assert peer.address == then[label].address
+        assert 0 < survivors < before.num_peers
+        moved = [
+            vertex
+            for vertex, label in enumerate(after.peer_labels)
+            if vertex != label
+        ]
+        assert moved  # the regression needs a survivor whose vertex moved
+
+    def test_without_churn_the_table_is_the_label_free_one(
+        self, small_topology
+    ):
+        live = make_live(small_topology)
+        labelled = live.snapshot(seed=1)
+        plain = repro.NetworkSimulator(
+            labelled.topology, labelled.databases(), seed=1
+        )
+        assert labelled.peer_labels == tuple(range(plain.num_peers))
+        assert list(labelled._snapshot.peers) == list(plain._snapshot.peers)
+
+    def test_negative_labels_are_rejected(self, small_topology):
+        live = make_live(small_topology)
+        frozen = live.snapshot(seed=1)
+        labels = list(frozen.peer_labels)
+        labels[0] = -1
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            repro.NetworkSimulator(
+                frozen.topology, frozen.databases(), peer_labels=labels
+            )
+
     def test_queries_stay_accurate_across_epochs(self, small_topology):
         """The headline property: each epoch's snapshot answers within
         the requirement even as peers and data churn."""

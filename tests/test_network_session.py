@@ -153,9 +153,11 @@ class TestSharedSnapshot:
         assert session.topology is base.topology
         assert session.cost_model is base.cost_model
         assert session.fault_plan is base.fault_plan
+        # Peers are built per read from the one shared table.
+        assert session._snapshot.peers is base._snapshot.peers
         for peer_id in (0, base.num_peers - 1):
             assert session.database(peer_id) is base.database(peer_id)
-            assert session.peer(peer_id) is base.peer(peer_id)
+            assert session.peer(peer_id) == base.peer(peer_id)
 
     def test_view_first_touched_by_a_session_reaches_everyone(
         self, simulator_class
@@ -629,16 +631,17 @@ class TestSizeIndependence:
         for owner, name in [
             (simulator_module.NetworkSnapshot, "__init__"),
             (simulator_module.NetworkSimulator, "__init__"),
-            (simulator_module, "synthesize_peer"),
+            (simulator_module.PeerTable, "__init__"),
             (faults_module.FaultState, "__init__"),
             (faults_module, "_bfs_ball"),
         ]:
+            label = f"{owner.__name__.rpartition('.')[2]}.{name}"
             monkeypatch.setattr(
-                owner, name, counting(name, getattr(owner, name))
+                owner, name, counting(label, getattr(owner, name))
             )
         # The patches are live: a real construction trips them.
         _network(simulator_class, num_peers=30, fault_plan=FAULT_PLAN)
-        assert "_bfs_ball" in calls and "synthesize_peer" in calls
+        assert "faults._bfs_ball" in calls and "PeerTable.__init__" in calls
         calls.clear()
         base.session(seed=1)
         base.session(seed=2, fault_clock=3)

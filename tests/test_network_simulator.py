@@ -3,13 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.core.two_phase import TwoPhaseConfig
+from repro.data.generator import DatasetConfig, generate_dataset
 from repro.data.localdb import LocalDatabase
 from repro.errors import ConfigurationError, ProtocolError
 from repro.network.faults import FaultPlan
+from repro.network.generators import power_law_topology
 from repro.network.peer import Peer, PeerCapabilities
 from repro.network.simulator import NetworkSimulator
 from repro.network.topology import Topology
 from repro.query.model import AggregateOp, AggregationQuery, Between
+from repro.service import QueryService
 
 
 @pytest.fixture()
@@ -65,6 +69,32 @@ class TestConstruction:
                 topology, databases,
                 peers=[Peer(peer_id=0, ip="1.1.1.1", port=1)],
             )
+
+    def test_explicit_peers_must_be_indexed_by_peer_id(self):
+        """Only the length used to be checked: two peers both claiming
+        id 7 were accepted, and ``peer(0).peer_id`` read 7."""
+        topology = Topology(2, [(0, 1)])
+        databases = [LocalDatabase({"A": np.array([1])})] * 2
+        peers = [
+            Peer(peer_id=0, ip="1.1.1.1", port=1),
+            Peer(peer_id=7, ip="1.1.1.2", port=2),
+        ]
+        with pytest.raises(ConfigurationError, match=r"peers\[1\].*7"):
+            NetworkSimulator(topology, databases, peers=peers)
+
+    def test_explicit_peers_come_back_by_value(self):
+        topology = Topology(2, [(0, 1)])
+        databases = [LocalDatabase({"A": np.array([1])})] * 2
+        peers = [
+            Peer(
+                peer_id=i, ip=f"host-{i}.example", port=7000 + i,
+                capabilities=PeerCapabilities(cpu_speed=2.0 + i, disk_space=i),
+            )
+            for i in range(2)
+        ]
+        network = NetworkSimulator(topology, databases, peers=peers)
+        assert [network.peer(0), network.peer(1)] == peers
+        assert network._snapshot.cpu_speeds().tolist() == [2.0, 3.0]
 
     def test_unknown_peer(self, mini_network):
         with pytest.raises(ProtocolError):
@@ -460,3 +490,68 @@ class TestVisitArgumentValidation:
         assert len(
             mini_network.visit_aggregate_batch([], SUM_ALL, sink=1, ledger=ledger)
         ) == 0
+
+
+class TestSetUpCounts:
+    """Set-up builds arrays, not peers: from topology + databases to
+    the first answer no per-peer object is made and no per-peer column
+    view is taken.  Counts repeat exactly — the per-peer loop coming
+    back into ``NetworkSnapshot`` or ``FlatDataset.from_databases``
+    fails here without a stopwatch."""
+
+    NUM_PEERS = 2_000
+
+    @pytest.fixture(scope="class")
+    def parts(self):
+        topology = power_law_topology(self.NUM_PEERS, 8_000, seed=3)
+        dataset = generate_dataset(
+            topology, DatasetConfig(num_tuples=40_000), seed=3
+        )
+        return topology, dataset.databases
+
+    @pytest.fixture()
+    def counts(self, monkeypatch):
+        """Constructions of ``Peer`` / ``PeerCapabilities`` and calls
+        of ``LocalDatabase.column`` while the test runs."""
+        counts = {"Peer": 0, "PeerCapabilities": 0, "column": 0}
+
+        def counting(label, original):
+            def wrapper(*args, **kwargs):
+                counts[label] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for owner, name, label in [
+            (Peer, "__post_init__", "Peer"),
+            (PeerCapabilities, "__post_init__", "PeerCapabilities"),
+            (LocalDatabase, "column", "column"),
+        ]:
+            monkeypatch.setattr(
+                owner, name, counting(label, getattr(owner, name))
+            )
+        return counts
+
+    def test_first_answer_builds_no_peer_and_views_no_column(
+        self, parts, counts
+    ):
+        topology, databases = parts
+        # The patches are live.
+        Peer(peer_id=0, ip="10.0.0.0", port=6346)
+        databases[0].column("A")
+        assert counts == {"Peer": 1, "PeerCapabilities": 1, "column": 1}
+        counts.update(dict.fromkeys(counts, 0))
+
+        network = NetworkSimulator(topology, databases, seed=1)
+        assert network.flat_dataset.num_peers == self.NUM_PEERS
+        with QueryService(network, TwoPhaseConfig(), seed=2) as service:
+            ticket = service.submit(COUNT_SMALL, 0.1)
+            service.await_result(ticket)
+            assert service.outcome(ticket).cost.peers_visited > 0
+        assert counts == {"Peer": 0, "PeerCapabilities": 0, "column": 0}
+
+        a, b = next(topology.edges())
+        pong = network.ping(int(a), int(b), network.new_ledger())
+        assert (pong.ip, pong.port) == network.peer(int(b)).address
+        # ping built one peer; the line above built the second.
+        assert counts == {"Peer": 2, "PeerCapabilities": 2, "column": 0}
