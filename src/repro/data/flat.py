@@ -22,21 +22,28 @@ The view is immutable and built lazily: peers' databases never change
 under a frozen simulator (churn produces *new* simulators via
 :meth:`~repro.network.live.LiveNetwork.snapshot`), so the
 concatenation is computed once and cached.
+
+A *generated* or *loaded* dataset goes the other way round: its
+:class:`FlatDataset` is the one copy of the rows there is, and its
+per-peer databases are a :class:`DatabaseTable` — slices of that store,
+built when somebody asks for one.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+import operator
+from typing import Dict, Iterator, List, Sequence, Tuple, Union, overload
 
 import numpy as np
 
-from .._util import readonly_view
+from .._util import check_positive, readonly_view
 from ..errors import ConfigurationError
 from .localdb import LocalDatabase
 
 
 __all__ = [
     "FlatDataset",
+    "DatabaseTable",
 ]
 
 
@@ -78,8 +85,12 @@ class FlatDataset:
         """Concatenate the columns of per-peer databases.
 
         All databases must expose the same column set (they partition
-        one global table horizontally).
+        one global table horizontally).  A :class:`DatabaseTable` is
+        already slices of one store: that store is returned as is,
+        nothing is concatenated.
         """
+        if isinstance(databases, DatabaseTable):
+            return databases.store
         if not databases:
             raise ConfigurationError("need at least one database")
         stores = [database.store for database in databases]
@@ -172,3 +183,63 @@ class FlatDataset:
         """Materialize the given flat-view rows of every column."""
         indices = np.asarray(indices, dtype=np.int64)
         return {name: data[indices] for name, data in self._columns.items()}
+
+
+class DatabaseTable(Sequence[LocalDatabase]):
+    """A dataset's per-peer databases as slices of one store.
+
+    ``table[i]`` builds peer ``i``'s :class:`LocalDatabase` over rows
+    ``[offsets[i], offsets[i + 1])`` of every column of ``store`` — a
+    real ``LocalDatabase``, so its validation runs, holding views, not
+    copies — and nothing keeps it: two reads are equal, not identical.
+    The sequence is read-only; :meth:`FlatDataset.from_databases`
+    hands back ``store`` itself.
+    """
+
+    __slots__ = ("_store", "_block_size")
+
+    def __init__(self, store: FlatDataset, block_size: int = 25):
+        check_positive("block_size", block_size)
+        self._store = store
+        self._block_size = int(block_size)
+
+    @property
+    def store(self) -> FlatDataset:
+        """The columns and offsets every database here is a slice of."""
+        return self._store
+
+    @property
+    def block_size(self) -> int:
+        """Rows per storage block of every database."""
+        return self._block_size
+
+    def __len__(self) -> int:
+        return self._store.num_peers
+
+    @overload
+    def __getitem__(self, index: int) -> LocalDatabase: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> Tuple[LocalDatabase, ...]: ...
+
+    def __getitem__(
+        self, index: Union[int, slice]
+    ) -> Union[LocalDatabase, Tuple[LocalDatabase, ...]]:
+        if isinstance(index, slice):
+            return tuple(
+                self[position]
+                for position in range(*index.indices(len(self)))
+            )
+        position = operator.index(index)
+        if position < 0:
+            position += len(self)
+        if not 0 <= position < len(self):
+            raise IndexError(f"database {index} not in [0, {len(self)})")
+        rows = self._store.peer_slice(position)
+        return LocalDatabase(
+            {name: data[rows] for name, data in self._store.scan().items()},
+            block_size=self._block_size,
+        )
+
+    def __iter__(self) -> Iterator[LocalDatabase]:
+        return (self[position] for position in range(len(self)))

@@ -19,7 +19,7 @@ correlated, so uniform peer sampling is *not* uniform tuple sampling.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .._util import (
 )
 from ..errors import ConfigurationError
 from ..network.topology import Topology
-from .localdb import LocalDatabase
+from .flat import DatabaseTable, FlatDataset
 from .placement import PlacementConfig, peer_slices
 from .zipf import ZipfDistribution
 
@@ -158,14 +158,17 @@ class GeneratedDataset:
     config:
         The generating configuration.
     values:
-        The full arranged value array (ground truth lives here).
+        The full arranged value array, in placement order (ground
+        truth lives here).
     databases:
-        ``databases[p]`` is peer ``p``'s :class:`LocalDatabase`.
+        ``databases[p]`` is peer ``p``'s :class:`LocalDatabase`: a
+        read-only sequence of slices of ``databases.store``, the one
+        copy of the per-peer rows (peer-id order).
     """
 
     config: DatasetConfig
     values: np.ndarray
-    databases: List[LocalDatabase]
+    databases: DatabaseTable
     group_values: Optional[np.ndarray] = None
 
     @property
@@ -195,10 +198,11 @@ def generate_dataset(
 ) -> GeneratedDataset:
     """Generate and place a dataset over ``topology``.
 
-    The returned dataset owns one :class:`LocalDatabase` per peer; the
-    global ``values`` array is kept for ground-truth evaluation (it is
-    exactly the concatenation of the per-peer partitions in placement
-    order).
+    The rows are laid out in peer-id order once, and that store *is*
+    the dataset: ``databases`` slices it.  The global ``values`` array
+    is kept for ground-truth evaluation (the same rows in placement
+    order).  Every intermediate is released as soon as it is consumed:
+    a single-column build peaks at three ``num_tuples``-row arrays.
     """
     config = config or DatasetConfig()
     placement = placement or PlacementConfig()
@@ -206,6 +210,7 @@ def generate_dataset(
     raw = config.distribution.sample(config.num_tuples, seed=rng)
     permutation = arrangement_permutation(raw, config.cluster_level, rng)
     arranged = raw[permutation]
+    del raw
 
     group_arranged: Optional[np.ndarray] = None
     if config.group_column is not None:
@@ -213,19 +218,29 @@ def generate_dataset(
             num_values=config.num_groups, skew=config.group_skew
         ).sample(config.num_tuples, seed=rng)
         group_arranged = groups[permutation]
+        del groups
+    del permutation
 
-    slices = peer_slices(config.num_tuples, topology, config=placement, seed=rng)
-    databases = []
-    for start, stop in slices:
-        columns = {config.column: arranged[start:stop].copy()}
-        if group_arranged is not None:
-            columns[config.group_column] = group_arranged[start:stop].copy()
-        databases.append(
-            LocalDatabase(columns, block_size=config.block_size)
-        )
+    # ``peer_slices`` is indexed by peer but laid out in placement
+    # order, so the peer-id-ordered store is a gather, not a reshape.
+    bounds = np.asarray(
+        peer_slices(config.num_tuples, topology, config=placement, seed=rng),
+        dtype=np.int64,
+    ).reshape(-1, 2)
+    counts = bounds[:, 1] - bounds[:, 0]
+    offsets = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    gather = np.repeat(bounds[:, 0] - offsets[:-1], counts)
+    gather += np.arange(config.num_tuples)
+    columns = {config.column: arranged[gather]}
+    if group_arranged is not None and config.group_column is not None:
+        columns[config.group_column] = group_arranged[gather]
+    del gather
     return GeneratedDataset(
         config=config,
         values=arranged,
-        databases=databases,
+        databases=DatabaseTable(
+            FlatDataset(columns, offsets), block_size=config.block_size
+        ),
         group_values=group_arranged,
     )

@@ -25,7 +25,7 @@ from typing import Dict, Iterator, List, Mapping, Optional
 
 import numpy as np
 
-from .._util import SeedLike, check_positive, ensure_rng
+from .._util import SeedLike, check_positive, ensure_rng, readonly_view
 from ..errors import ConfigurationError, SamplingError
 from .segments import segment_sample_indices
 
@@ -57,7 +57,12 @@ class LocalDatabase:
     ----------
     columns:
         Mapping of column name to a 1-D numeric array; all columns
-        must have equal length.
+        must have equal length.  The database holds a **read-only
+        view** of each array, never a copy: it may be a slice of a
+        store shared by a whole dataset
+        (:class:`~repro.data.flat.DatabaseTable`), and nothing handed
+        out by :attr:`store`, :meth:`column` or :meth:`scan` can edit
+        a snapshot somebody already published.
     block_size:
         Rows per block (the last block may be short).
     """
@@ -78,7 +83,7 @@ class LocalDatabase:
                 raise ConfigurationError(
                     f"column {name!r} has {array.size} rows, expected {length}"
                 )
-            self._columns[name] = array
+            self._columns[name] = readonly_view(array)
         self._num_tuples = int(length or 0)
         self._block_size = int(block_size)
 
@@ -130,10 +135,9 @@ class LocalDatabase:
 
     @property
     def store(self) -> Mapping[str, np.ndarray]:
-        """The column store itself, no per-column views: for bulk
-        readers that copy what they read (:meth:`~repro.data.flat.
-        FlatDataset.from_databases` concatenates it).  The mapping is
-        read-only; the arrays are the database's own."""
+        """The column store itself, for bulk readers
+        (:meth:`~repro.data.flat.FlatDataset.from_databases`
+        concatenates it).  The mapping and its arrays are read-only."""
         return types.MappingProxyType(self._columns)
 
     def column(self, name: str) -> np.ndarray:
@@ -142,13 +146,11 @@ class LocalDatabase:
             raise ConfigurationError(
                 f"unknown column {name!r}; have {self.column_names}"
             )
-        view = self._columns[name].view()
-        view.flags.writeable = False
-        return view
+        return self._columns[name]
 
     def scan(self) -> Dict[str, np.ndarray]:
         """Read-only views of all columns (a full scan)."""
-        return {name: self.column(name) for name in self._columns}
+        return dict(self._columns)
 
     def rows(self, row_indices: np.ndarray) -> Dict[str, np.ndarray]:
         """Materialize the given rows of every column."""

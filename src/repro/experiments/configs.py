@@ -153,7 +153,8 @@ def _cached_topology(key: Tuple, builder: Callable[[], Topology]) -> Topology:
     is the parameter tuple (hashed).  The stored edge array round-trips
     via :meth:`Topology.from_edge_array` to a bit-identical CSR, so a
     cache hit changes nothing about any walk — it only skips the
-    networkx construction, which dominates cold figure start-up.
+    generator's attachment loop (one scalar draw per edge endpoint),
+    which dominates cold figure start-up.
     """
     directory = topology_cache_dir()
     if directory is None:

@@ -22,8 +22,8 @@ from typing import Union
 
 import numpy as np
 
+from .data.flat import DatabaseTable, FlatDataset
 from .data.generator import DatasetConfig, GeneratedDataset
-from .data.localdb import LocalDatabase
 from .errors import ConfigurationError
 from .network.topology import Topology
 
@@ -43,46 +43,38 @@ PathLike = Union[str, pathlib.Path]
 
 def save_topology(topology: Topology, path: PathLike) -> None:
     """Write a topology to ``path`` (``.npz``)."""
-    edges = np.asarray(list(topology.edges()), dtype=np.int64).reshape(-1, 2)
     np.savez_compressed(
         path,
         schema=np.int64(_TOPOLOGY_SCHEMA),
         num_peers=np.int64(topology.num_peers),
-        edges=edges,
+        edges=topology.edge_array,
     )
 
 
 def load_topology(path: PathLike) -> Topology:
-    """Read a topology written by :func:`save_topology`."""
+    """Read a topology written by :func:`save_topology`.
+
+    The file is not trusted: its edges get the full
+    :class:`Topology` validation (range, self-loops, duplicates).
+    """
     with np.load(path) as archive:
         _check_schema(archive, _TOPOLOGY_SCHEMA, "topology", path)
         num_peers = int(archive["num_peers"])
-        edges = [tuple(edge) for edge in archive["edges"]]
+        edges = archive["edges"]
     return Topology(num_peers=num_peers, edges=edges)
 
 
 def save_dataset(dataset: GeneratedDataset, path: PathLike) -> None:
     """Write a generated dataset (all columns + partition map)."""
-    boundaries = np.zeros(len(dataset.databases) + 1, dtype=np.int64)
-    cursor = 0
-    columns = {}
-    per_peer_columns = [db.scan() for db in dataset.databases]
-    names = dataset.databases[0].column_names if dataset.databases else []
-    for name in names:
-        columns[f"column_{name}"] = np.concatenate(
-            [cols[name] for cols in per_peer_columns]
-        )
-    for index, database in enumerate(dataset.databases):
-        cursor += database.num_tuples
-        boundaries[index + 1] = cursor
+    store = FlatDataset.from_databases(dataset.databases)
     config_json = json.dumps(dataclasses.asdict(dataset.config))
     np.savez_compressed(
         path,
         schema=np.int64(_DATASET_SCHEMA),
-        boundaries=boundaries,
+        boundaries=store.offsets,
         config=np.frombuffer(config_json.encode("utf-8"), dtype=np.uint8),
-        column_names=np.array(names),
-        **columns,
+        column_names=np.array(store.column_names),
+        **{f"column_{name}": data for name, data in store.scan().items()},
     )
 
 
@@ -92,38 +84,30 @@ def load_dataset(path: PathLike) -> GeneratedDataset:
     The reconstructed dataset has identical per-peer databases (same
     partitions, same block size), so every ground-truth evaluation and
     every query execution match the original exactly.  The *global*
-    arrays are rebuilt as the concatenation of partitions in peer-id
-    order, which may differ from the original placement order — the
-    multiset of rows is identical.
+    arrays are the store's columns — the partitions in peer-id order —
+    which may differ from the original placement order; the multiset
+    of rows is identical.
     """
     with np.load(path) as archive:
         _check_schema(archive, _DATASET_SCHEMA, "dataset", path)
-        boundaries = archive["boundaries"]
         config_json = bytes(archive["config"]).decode("utf-8")
         config = DatasetConfig(**json.loads(config_json))
-        names = [str(name) for name in archive["column_names"]]
-        globals_by_name = {
-            name: archive[f"column_{name}"] for name in names
-        }
-    databases = []
-    for start, stop in zip(boundaries[:-1], boundaries[1:]):
-        columns = {
-            name: data[start:stop].copy()
-            for name, data in globals_by_name.items()
-        }
-        databases.append(
-            LocalDatabase(columns, block_size=config.block_size)
+        store = FlatDataset(
+            {
+                str(name): archive[f"column_{name}"]
+                for name in archive["column_names"]
+            },
+            archive["boundaries"],
         )
-    group_values = (
-        globals_by_name[config.group_column]
-        if config.group_column is not None
-        else None
-    )
     return GeneratedDataset(
         config=config,
-        values=globals_by_name[config.column],
-        databases=databases,
-        group_values=group_values,
+        values=store.column(config.column),
+        databases=DatabaseTable(store, block_size=config.block_size),
+        group_values=(
+            store.column(config.group_column)
+            if config.group_column is not None
+            else None
+        ),
     )
 
 

@@ -18,14 +18,18 @@ The paper builds two families of topologies:
   algorithm only interacts with a topology through its degree skew and
   its mixing properties, both of which this generator reproduces; see
   DESIGN.md for the substitution rationale.
+
+The graph under construction is a :class:`_GrowingGraph` — an
+insertion-ordered adjacency, internal to this module — frozen into a
+:class:`Topology` through the array door.  networkx is loaded only by
+:func:`random_regular_topology`, which runs networkx's own algorithm.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from .._util import SeedLike, check_positive, ensure_rng
@@ -99,8 +103,100 @@ class TopologyConfig:
         raise ConfigurationError(f"unknown topology kind {self.kind!r}")
 
 
+class _GrowingGraph:
+    """A simple graph under construction: an edge set with
+    insertion-ordered iteration, and nothing else.
+
+    Iteration order is part of every generator's output — it decides
+    which draw meets which edge, and the frozen CSR's neighbour order
+    is what walks index into — so it is pinned to networkx's, whose
+    ``Graph`` the generators were first written against (the networkx
+    build lives on as ``tests/graph_oracle.py``): nodes in insertion
+    order, a node's neighbours in insertion order, an edge reported
+    from whichever endpoint is iterated first.  Edges may only join
+    nodes already added.
+    """
+
+    def __init__(self) -> None:
+        self._adjacency: Dict[int, Dict[int, None]] = {}
+        self._num_edges = 0
+
+    def add_nodes_from(self, nodes: Iterable[int]) -> None:
+        for node in nodes:
+            self._adjacency.setdefault(node, {})
+
+    def nodes(self) -> List[int]:
+        return list(self._adjacency)
+
+    def number_of_nodes(self) -> int:
+        return len(self._adjacency)
+
+    def number_of_edges(self) -> int:
+        return self._num_edges
+
+    def degree(self, node: int) -> int:
+        return len(self._adjacency[node])
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return v in self._adjacency[u]
+
+    def add_edge(self, u: int, v: int) -> None:
+        if v not in self._adjacency[u]:
+            self._adjacency[u][v] = None
+            self._adjacency[v][u] = None
+            self._num_edges += 1
+
+    def remove_edge(self, u: int, v: int) -> None:
+        del self._adjacency[u][v]
+        del self._adjacency[v][u]
+        self._num_edges -= 1
+
+    def edges(
+        self, nbunch: Optional[Iterable[int]] = None
+    ) -> List[Tuple[int, int]]:
+        """Every edge once — or, with ``nbunch``, every edge touching
+        those nodes — each from the endpoint iterated first."""
+        done: set[int] = set()
+        edges = []
+        for node in self._adjacency if nbunch is None else nbunch:
+            for neighbor in self._adjacency[node]:
+                if neighbor not in done:
+                    edges.append((node, neighbor))
+            done.add(node)
+        return edges
+
+    def has_path(self, source: int, target: int) -> bool:
+        """Whether ``target`` is reachable from ``source``: breadth
+        first from both ends, growing the smaller frontier."""
+        if source == target:
+            return True
+        reached = {source: 0, target: 1}
+        frontiers = [[source], [target]]
+        while frontiers[0] and frontiers[1]:
+            side = int(len(frontiers[0]) > len(frontiers[1]))
+            grown = []
+            for node in frontiers[side]:
+                for neighbor in self._adjacency[node]:
+                    owner = reached.get(neighbor)
+                    if owner is None:
+                        reached[neighbor] = side
+                        grown.append(neighbor)
+                    elif owner != side:
+                        return True
+            frontiers[side] = grown
+        return False
+
+    def freeze(self) -> Topology:
+        """The graph as a :class:`Topology` over ``0..M-1``, edges in
+        :meth:`edges` order (unique by construction, so through the
+        trusted array door)."""
+        pairs = np.array(self.edges(), dtype=np.int64).reshape(-1, 2)
+        pairs.sort(axis=1)
+        return Topology.from_edge_array(self.number_of_nodes(), pairs)
+
+
 def _attach_preferentially(
-    graph: nx.Graph,
+    graph: _GrowingGraph,
     nodes: Sequence[int],
     edges_per_node: int,
     rng: np.random.Generator,
@@ -112,13 +208,11 @@ def _attach_preferentially(
     existing nodes chosen proportionally to degree (power-law tail).
     """
     nodes = list(nodes)
+    graph.add_nodes_from(nodes)
     if len(nodes) < 2:
-        if nodes:
-            graph.add_node(nodes[0])
         return
     seed_size = min(len(nodes), edges_per_node + 1)
     seed_nodes = nodes[:seed_size]
-    graph.add_nodes_from(nodes)
     for i in range(1, seed_size):  # connected seed: a path
         graph.add_edge(seed_nodes[i - 1], seed_nodes[i])
 
@@ -140,7 +234,7 @@ def _attach_preferentially(
         # Fallback to uniform choice if degree-sampling stalls.
         while len(targets) < want:
             pick = nodes[int(rng.integers(len(nodes)))]
-            if pick != node and graph.has_node(pick):
+            if pick != node:
                 targets.add(pick)
         for target in targets:
             graph.add_edge(node, target)
@@ -149,7 +243,7 @@ def _attach_preferentially(
 
 
 def _pad_edges_to(
-    graph: nx.Graph,
+    graph: _GrowingGraph,
     num_edges: int,
     rng: np.random.Generator,
     within: Optional[Sequence[Sequence[int]]] = None,
@@ -172,7 +266,7 @@ def _pad_edges_to(
         raise TopologyError(
             f"cannot fit {num_edges} simple edges (max {max_possible})"
         )
-    groups = within if within is not None else [list(graph.nodes())]
+    groups = within if within is not None else [graph.nodes()]
     group_sizes = np.asarray([len(g) for g in groups], dtype=float)
     weights = group_sizes / group_sizes.sum()
     stalls = 0
@@ -192,10 +286,10 @@ def _pad_edges_to(
 
 
 def _trim_edges_to(
-    graph: nx.Graph, num_edges: int, rng: np.random.Generator
+    graph: _GrowingGraph, num_edges: int, rng: np.random.Generator
 ) -> None:
     """Remove random edges (keeping connectivity) down to ``num_edges``."""
-    edges = list(graph.edges())
+    edges = graph.edges()
     rng.shuffle(edges)
     for u, v in edges:
         if graph.number_of_edges() <= num_edges:
@@ -203,7 +297,7 @@ def _trim_edges_to(
         if graph.degree(u) > 1 and graph.degree(v) > 1:
             graph.remove_edge(u, v)
             # Keep connectivity: put the edge back if it was a bridge.
-            if not nx.has_path(graph, u, v):
+            if not graph.has_path(u, v):
                 graph.add_edge(u, v)
 
 
@@ -225,13 +319,13 @@ def power_law_topology(
         )
     rng = ensure_rng(seed)
     edges_per_node = max(1, num_edges // max(num_peers, 1))
-    graph = nx.Graph()
+    graph = _GrowingGraph()
     _attach_preferentially(graph, range(num_peers), edges_per_node, rng)
     if graph.number_of_edges() < num_edges:
         _pad_edges_to(graph, num_edges, rng)
     elif graph.number_of_edges() > num_edges:
         _trim_edges_to(graph, num_edges, rng)
-    return Topology.from_networkx(graph)
+    return graph.freeze()
 
 
 def clustered_power_law(
@@ -272,7 +366,7 @@ def clustered_power_law(
             f"sub-graphs internally (need {min_internal})"
         )
     rng = ensure_rng(seed)
-    graph = nx.Graph()
+    graph = _GrowingGraph()
     per_node = max(1, internal_edges // max(num_peers, 1))
     for group in groups:
         _attach_preferentially(graph, group, per_node, rng)
@@ -309,7 +403,7 @@ def clustered_power_law(
             "generated more edges than requested; lower cut_edges or "
             "raise num_edges"
         )
-    return Topology.from_networkx(graph)
+    return graph.freeze()
 
 
 def subgraph_groups(num_peers: int, num_subgraphs: int) -> List[List[int]]:
@@ -372,13 +466,13 @@ def gnutella_2001_like(
             f"{num_edges} edges cannot connect {num_peers} peers"
         )
     rng = ensure_rng(seed)
-    graph = nx.Graph()
+    graph = _GrowingGraph()
     _attach_preferentially(graph, range(num_peers), 2, rng)
     if graph.number_of_edges() > num_edges:
         _trim_edges_to(graph, num_edges, rng)
     else:
         _pad_edges_to(graph, num_edges, rng)
-    return Topology.from_networkx(graph)
+    return graph.freeze()
 
 
 def gnutella_paper_topology(seed: SeedLike = None, scale: float = 1.0) -> Topology:
@@ -403,6 +497,8 @@ def random_regular_topology(
         raise TopologyError("degree must be < num_peers")
     if (num_peers * degree) % 2 != 0:
         raise TopologyError("num_peers * degree must be even")
+    import networkx as nx
+
     # networkx consumes the Generator directly, so retries continue the
     # stream instead of re-seeding a fresh PRNG per attempt.
     rng = ensure_rng(seed)

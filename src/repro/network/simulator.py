@@ -36,7 +36,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .._util import SeedLike, ensure_rng
-from ..data.flat import FlatDataset
+from ..data.flat import DatabaseTable, FlatDataset
 from ..data.localdb import LocalDatabase
 from ..data.segments import (
     segment_aggregate,
@@ -180,11 +180,14 @@ class NetworkSnapshot:
     by that simulator and every :meth:`~NetworkSimulator.session` of
     it, so a session costs nothing proportional to the network.
     Identities are a :class:`~repro.network.peer.PeerTable` (columns;
-    a ``Peer`` is built per read).  The derived views (:attr:`flat`,
-    :meth:`total_tuples`) are write-once memos: peers' data never
-    changes under a snapshot (churn produces *new* simulators via
-    ``LiveNetwork.snapshot``), so whichever simulator or session
-    touches a view first builds it for all of them.
+    a ``Peer`` is built per read).  ``databases`` is kept as given
+    when it is a :class:`~repro.data.flat.DatabaseTable` — slices of
+    one store, a ``LocalDatabase`` built per read, and that store *is*
+    :attr:`flat` — and frozen into a tuple otherwise.  The derived
+    views (:attr:`flat`, :meth:`total_tuples`) are write-once memos:
+    peers' data never changes under a snapshot (churn produces *new*
+    simulators via ``LiveNetwork.snapshot``), so whichever simulator
+    or session touches a view first builds it for all of them.
     """
 
     def __init__(
@@ -205,7 +208,15 @@ class NetworkSnapshot:
                 f"{len(peer_labels)} peer labels for {num_peers} peers"
             )
         self.topology = topology
-        self.databases: Tuple[LocalDatabase, ...] = tuple(databases)
+        # A store-backed table stays as it is (a tuple of it would be
+        # one built LocalDatabase per peer) and its store is the flat
+        # view; anything else is frozen, and concatenated on demand.
+        self.databases: Sequence[LocalDatabase]
+        self._flat: Optional[FlatDataset]
+        if isinstance(databases, DatabaseTable):
+            self.databases, self._flat = databases, databases.store
+        else:
+            self.databases, self._flat = tuple(databases), None
         self.cost_model = cost_model or CostModel()
         self.peer_labels: Optional[Tuple[int, ...]] = (
             tuple(int(label) for label in peer_labels)
@@ -227,7 +238,6 @@ class NetworkSnapshot:
             self.peers = PeerTable.synthesize(
                 np.arange(num_peers) if rows is None else rows, 12345
             )
-        self._flat: Optional[FlatDataset] = None
         self._total_tuples: Optional[int] = None
 
     @property
@@ -271,7 +281,11 @@ class NetworkSimulator:
     topology:
         The connection graph.
     databases:
-        One local database per peer, indexed by peer id.
+        One local database per peer, indexed by peer id.  A
+        :class:`~repro.data.flat.DatabaseTable` (what
+        ``generate_dataset`` and ``load_dataset`` return) is kept as
+        it is and its store serves as :attr:`flat_dataset`; any other
+        sequence is frozen into a tuple and concatenated on first use.
     peers:
         Optional peer identities (``peers[i].peer_id`` must be ``i``);
         synthesized deterministically when omitted — by label when
@@ -581,7 +595,9 @@ class NetworkSimulator:
         return self._snapshot.peers[peer_id]
 
     def database(self, peer_id: int) -> LocalDatabase:
-        """Peer ``peer_id``'s local database."""
+        """Peer ``peer_id``'s local database (over a store-backed
+        dataset it is built per call, like :meth:`peer`: equal by
+        value across calls and sessions, not the same object)."""
         self._check_peer(peer_id)
         return self._snapshot.databases[peer_id]
 
@@ -848,7 +864,7 @@ class NetworkSimulator:
         of :meth:`probe_aggregate` that depends on the probe."""
         self._check_peer(peer_id)
         self._probe_checks(peer_id, "aggregate", ledger)
-        processed = self._snapshot.databases[peer_id].num_tuples
+        processed = int(self._snapshot.flat.peer_tuple_counts[peer_id])
         if tuples_per_peer:
             processed = min(processed, tuples_per_peer)
         ledger.record_visit(

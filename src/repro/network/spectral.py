@@ -13,6 +13,9 @@ into actionable parameters:
   falls below a target;
 * :func:`conductance` — cut quality of a labelled partition, used by
   Figure 12-style experiments to relate cut size and mixing.
+
+scipy is imported by the eigensolve, not by this module: nothing on
+the serving path asks for a spectrum, so nothing there loads it.
 """
 
 from __future__ import annotations
@@ -20,15 +23,16 @@ from __future__ import annotations
 import dataclasses
 import math
 import weakref
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .._util import check_fraction, check_positive
 from ..errors import TopologyError
 from .topology import Topology
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 __all__ = [
@@ -103,6 +107,8 @@ class SpectralProfile:
 
 def _normalized_adjacency(topology: Topology) -> sp.csr_matrix:
     """``D^{-1/2} A D^{-1/2}`` — symmetric, same spectrum as ``D^-1 A``."""
+    import scipy.sparse as sp
+
     m = topology.num_peers
     degrees = topology.degrees.astype(float)
     if np.any(degrees == 0):
@@ -158,6 +164,8 @@ def _analyze_topology_uncached(topology: Topology) -> SpectralProfile:
     if m <= 16:
         eigenvalues = np.linalg.eigvalsh(matrix.toarray())
     else:
+        import scipy.sparse.linalg as spla
+
         upper = spla.eigsh(
             matrix, k=2, which="LA", return_eigenvectors=False, maxiter=5000
         )

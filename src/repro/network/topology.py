@@ -9,7 +9,9 @@ optimized for the operations the sampling algorithm needs:
   ``prob(p) = deg(p) / (2|E|)`` of the natural random walk (§3.3);
 * BFS orderings (used both by the data-placement substrate and by the
   BFS baseline sampler);
-* conversion from/to :mod:`networkx` for generation and analysis.
+* conversion from/to :mod:`networkx` for churn and analysis
+  (networkx is imported by :meth:`Topology.to_networkx`, not by this
+  module: building, freezing and walking a topology never load it).
 
 Mutable network dynamics (churn) work on networkx graphs and re-freeze
 into new ``Topology`` snapshots; the sampling algorithms themselves
@@ -19,20 +21,64 @@ the topology changes slowly relative to query execution.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Iterable,
+    Iterator,
+    List,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
+
+from ..errors import TopologyError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "Topology",
 ]
 
-try:  # networkx is a hard dependency, but import lazily-friendly
-    import networkx as nx
-except ImportError as exc:  # pragma: no cover - environment guard
-    raise ImportError("repro requires networkx") from exc
 
-from ..errors import TopologyError
+def _checked_edges(
+    num_peers: int, edges: Union[np.ndarray, Iterable[Tuple[int, int]]]
+) -> np.ndarray:
+    """``edges`` as a fresh ``(E, 2)`` array of ``u < v`` pairs, order kept.
+
+    The first edge (in the given order) that is a self-loop, names a
+    peer outside ``0..num_peers-1`` or repeats an earlier edge raises
+    :class:`TopologyError` — checked in array passes, reported as the
+    per-edge loop would.
+    """
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    given = np.asarray(edges, dtype=np.int64)
+    if given.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    if given.ndim != 2 or given.shape[1] != 2:
+        raise TopologyError(
+            f"edges must be (u, v) pairs, got an array of shape {given.shape}"
+        )
+    pairs = np.sort(given, axis=1)
+    loops = pairs[:, 0] == pairs[:, 1]
+    outside = (pairs[:, 0] < 0) | (pairs[:, 1] >= num_peers)
+    repeated = np.ones(len(pairs), dtype=bool)
+    repeated[np.unique(pairs, axis=0, return_index=True)[1]] = False
+    bad = loops | outside | repeated
+    if bad.any():
+        first = int(bad.argmax())
+        u, v = given[first].tolist()
+        if loops[first]:
+            raise TopologyError(f"self-loop edge ({u}, {v}) not allowed")
+        if outside[first]:
+            raise TopologyError(
+                f"edge ({u}, {v}) out of range for {num_peers} peers"
+            )
+        raise TopologyError(f"duplicate edge ({u}, {v})")
+    return pairs
 
 
 class Topology:
@@ -43,33 +89,21 @@ class Topology:
     num_peers:
         Number of vertices ``M``.
     edges:
-        Iterable of ``(u, v)`` pairs.  Self-loops and duplicate edges
-        are rejected: the paper's graph is a simple graph, and walk
-        self-loops are a *walker* option, not a graph feature.
+        Iterable of ``(u, v)`` pairs, or an ``(E, 2)`` integer array.
+        Self-loops and duplicate edges are rejected: the paper's graph
+        is a simple graph, and walk self-loops are a *walker* option,
+        not a graph feature.
     """
 
-    def __init__(self, num_peers: int, edges: Iterable[Tuple[int, int]]):
+    def __init__(
+        self,
+        num_peers: int,
+        edges: Union[np.ndarray, Iterable[Tuple[int, int]]],
+    ):
         if num_peers <= 0:
             raise TopologyError(f"num_peers must be positive, got {num_peers}")
-        edge_list = []
-        seen = set()
-        for u, v in edges:
-            u = int(u)
-            v = int(v)
-            if u == v:
-                raise TopologyError(f"self-loop edge ({u}, {v}) not allowed")
-            if not (0 <= u < num_peers and 0 <= v < num_peers):
-                raise TopologyError(
-                    f"edge ({u}, {v}) out of range for {num_peers} peers"
-                )
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise TopologyError(f"duplicate edge ({u}, {v})")
-            seen.add(key)
-            edge_list.append(key)
-
         self._num_peers = num_peers
-        self._edges = np.asarray(edge_list, dtype=np.int64).reshape(-1, 2)
+        self._edges = _checked_edges(num_peers, edges)
         self._build_csr()
 
     def _build_csr(self) -> None:
@@ -303,6 +337,8 @@ class Topology:
 
     def to_networkx(self) -> "nx.Graph":
         """Materialize the topology as a networkx graph."""
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(range(self._num_peers))
         graph.add_edges_from(self.edges())

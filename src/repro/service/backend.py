@@ -462,7 +462,7 @@ class _Rebind:
     """Control message: swap the worker's snapshot (and shm view)."""
 
     simulator: NetworkSimulator
-    manifest: Optional[PackManifest]
+    manifest: PackManifest
 
 
 @dataclasses.dataclass(frozen=True)
@@ -562,7 +562,7 @@ class _ShardWorker:
         self,
         simulator: NetworkSimulator,
         settings: EngineSettings,
-        manifest: Optional[PackManifest],
+        manifest: PackManifest,
         *,
         trace_store_limit: int = 2048,
     ):
@@ -581,8 +581,6 @@ class _ShardWorker:
         if self._attached:
             return
         self._attached = True
-        if self._manifest is None:
-            return
         self._view = attach_snapshot(self._manifest)
         self._simulator.adopt_flat_dataset(self._view.flat)
         prime_kernel_tables(
@@ -750,15 +748,12 @@ class ForkedBackend(ExecutionBackend):
         self._settings = settings
         self._workers = workers
         self._simulator = simulator
-        self._pack = self._export(simulator)
+        self._pack: Optional[SharedArrayPack] = self._export(simulator)
         try:
-            manifest = (
-                self._pack.manifest if self._pack is not None else None
-            )
             self._handler = _ShardWorker(
                 simulator,
                 settings,
-                manifest,
+                self._pack.manifest,
                 trace_store_limit=trace_store_limit,
             )
             self._fork_pool = _pool.ForkPool(
@@ -796,12 +791,7 @@ class ForkedBackend(ExecutionBackend):
         self._closed = False
 
     @staticmethod
-    def _export(simulator: NetworkSimulator) -> Optional[SharedArrayPack]:
-        # Fault plans force the per-peer visit path, which never reads
-        # the flat view — mirror the service's _prime and skip the
-        # segment rather than materialize a view nobody maps.
-        if simulator.faults_active:
-            return None
+    def _export(simulator: NetworkSimulator) -> SharedArrayPack:
         return export_snapshot(simulator)
 
     # ------------------------------------------------------------------
@@ -951,10 +941,7 @@ class ForkedBackend(ExecutionBackend):
         # re-raise with the old simulator, pack and manifests intact.
         new_pack = self._export(simulator)
         try:
-            manifest = (
-                new_pack.manifest if new_pack is not None else None
-            )
-            control = _Rebind(simulator, manifest)
+            control = _Rebind(simulator, new_pack.manifest)
             for worker in range(self._workers):
                 ack = self._fork_pool.call(worker, control)
                 if ack != "rebound":
@@ -962,9 +949,8 @@ class ForkedBackend(ExecutionBackend):
                         f"unexpected rebind acknowledgement {ack!r}"
                     )
         except BaseException:
-            if new_pack is not None:
-                new_pack.close()
-                new_pack.unlink()
+            new_pack.close()
+            new_pack.unlink()
             raise
         old_pack = self._pack
         self._simulator = simulator

@@ -264,10 +264,9 @@ class QueryService:
     @staticmethod
     def _prime(simulator: NetworkSimulator) -> None:
         # Sessions share the snapshot's memoized columnar view; build
-        # it once up front so no query pays for it mid-run.  Fault
-        # plans force the per-peer path, which doesn't need it.
-        if not simulator.faults_active:
-            simulator.flat_dataset
+        # it once up front so no query pays for it mid-run (clean or
+        # faulted: every aggregate collection reads its rows there).
+        simulator.flat_dataset
 
     # ------------------------------------------------------------------
     # Introspection

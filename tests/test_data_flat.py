@@ -8,10 +8,12 @@ a writable alias into the shared snapshot and every assertion here
 failed.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.data.flat import FlatDataset
+from repro.data.flat import DatabaseTable, FlatDataset
 from repro.data.localdb import LocalDatabase
 from repro.errors import ConfigurationError
 
@@ -158,3 +160,94 @@ def test_store_is_a_read_only_mapping_of_the_columns():
     assert list(database.store) == ["v"]
     with pytest.raises(TypeError):
         database.store["w"] = np.arange(3)
+
+
+# ---------------------------------------------------------------------------
+# DatabaseTable: a dataset's databases are slices of one store
+# ---------------------------------------------------------------------------
+
+
+def _table(block_size=4):
+    store = FlatDataset(
+        {"A": np.arange(10), "B": np.arange(10) * 0.5},
+        np.array([0, 3, 3, 7, 10]),
+    )
+    return store, DatabaseTable(store, block_size=block_size)
+
+
+def test_table_item_is_a_real_database_over_its_slice():
+    store, table = _table()
+    assert len(table) == 4
+    database = table[2]
+    assert type(database) is LocalDatabase
+    assert database.column_names == ["A", "B"]
+    assert database.block_size == 4 and database.num_blocks == 1
+    assert database.column("A").tolist() == [3, 4, 5, 6]
+    assert database.column("B").tolist() == [1.5, 2.0, 2.5, 3.0]
+    assert table[1].num_tuples == 0
+    assert np.shares_memory(database.column("A"), store.column("A"))
+
+
+def test_table_reads_are_equal_not_identical():
+    _, table = _table()
+    first, second = table[0], table[0]
+    assert first is not second
+    assert first.scan().keys() == second.scan().keys()
+    assert np.array_equal(first.column("A"), second.column("A"))
+
+
+def test_table_is_a_sequence():
+    _, table = _table()
+    sizes = [3, 0, 4, 3]
+    assert [len(database) for database in table] == sizes
+    assert len(table[-1]) == 3 and table[-4].column("A").tolist() == [0, 1, 2]
+    middle = table[1:3]
+    assert type(middle) is tuple
+    assert [len(database) for database in middle] == [0, 4]
+    assert [len(database) for database in table[::-2]] == [3, 0]
+    assert [len(database) for database in reversed(table)] == sizes[::-1]
+    for index in (4, -5):
+        with pytest.raises(IndexError):
+            table[index]
+    with pytest.raises(TypeError):
+        table["A"]
+
+
+def test_table_is_read_only():
+    store, table = _table()
+    with pytest.raises(TypeError):
+        table[0] = LocalDatabase({"A": np.arange(3), "B": np.zeros(3)})
+    for handed_out in (
+        table[0].store["A"],
+        table[0].column("A"),
+        table[0].scan()["A"],
+        table[:1][0].column("A"),
+    ):
+        with pytest.raises(ValueError):
+            handed_out[0] = 99
+    assert store.column("A")[0] == 0
+
+
+def test_table_validates_block_size():
+    store, _ = _table()
+    with pytest.raises(ConfigurationError, match="block_size"):
+        DatabaseTable(store, block_size=0)
+
+
+def test_from_databases_of_a_table_is_its_store():
+    store, table = _table()
+    assert FlatDataset.from_databases(table) is store
+    # Any other sequence of the same databases is concatenated.
+    copied = FlatDataset.from_databases(list(table))
+    assert copied is not store
+    assert not np.shares_memory(copied.column("A"), store.column("A"))
+    assert np.array_equal(copied.column("A"), store.column("A"))
+    assert np.array_equal(copied.offsets, store.offsets)
+
+
+def test_table_pickles_as_one_store():
+    store, table = _table(block_size=3)
+    restored = pickle.loads(pickle.dumps((table, store)))
+    assert restored[0].store is restored[1]
+    assert restored[0].block_size == 3
+    assert restored[0][2].column("A").tolist() == [3, 4, 5, 6]

@@ -1,14 +1,20 @@
 """Unit tests for repro.data.generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro._util import ensure_rng
+from repro.data.flat import DatabaseTable, FlatDataset
 from repro.data.generator import (
     DatasetConfig,
     arrange_cluster_level,
+    arrangement_permutation,
     generate_dataset,
 )
-from repro.data.placement import PlacementConfig
+from repro.data.placement import PlacementConfig, peer_slices
+from repro.data.zipf import ZipfDistribution
 from repro.errors import ConfigurationError
 
 
@@ -165,3 +171,132 @@ class TestGenerateDataset:
             seed=1,
         )
         assert dataset.databases[0].block_size == 7
+
+
+# ---------------------------------------------------------------------------
+# The store holds exactly the rows the per-peer copies held
+# ---------------------------------------------------------------------------
+
+
+def _reference_partitions(topology, config, placement, seed):
+    """``generate_dataset`` as it was when a dataset was a list of
+    per-peer copies: the same draws in the same order, then one
+    ``arranged[start:stop].copy()`` per peer and column."""
+    rng = ensure_rng(seed)
+    raw = config.distribution.sample(config.num_tuples, seed=rng)
+    permutation = arrangement_permutation(raw, config.cluster_level, rng)
+    arranged = {config.column: raw[permutation]}
+    if config.group_column is not None:
+        groups = ZipfDistribution(
+            num_values=config.num_groups, skew=config.group_skew
+        ).sample(config.num_tuples, seed=rng)
+        arranged[config.group_column] = groups[permutation]
+    slices = peer_slices(
+        config.num_tuples, topology, config=placement, seed=rng
+    )
+    partitions = [
+        {name: data[start:stop].copy() for name, data in arranged.items()}
+        for start, stop in slices
+    ]
+    return arranged, partitions
+
+
+def _dataset_digest(dataset, names):
+    sha = hashlib.sha256()
+    for database in dataset.databases:
+        for name in names:
+            sha.update(database.column(name).astype(np.int64).tobytes())
+        sha.update(np.int64(database.num_tuples).tobytes())
+    sha.update(np.ascontiguousarray(dataset.values).tobytes())
+    if dataset.group_values is not None:
+        sha.update(np.ascontiguousarray(dataset.group_values).tobytes())
+    return sha.hexdigest()
+
+
+class TestStoreEqualsPerPeerCopies:
+    @pytest.mark.parametrize("group_column", [None, "G"])
+    @pytest.mark.parametrize(
+        "placement",
+        [
+            PlacementConfig(),
+            PlacementConfig(order="random", size_distribution="lognormal"),
+            PlacementConfig(order="id"),
+            PlacementConfig(bfs_seed_peer=17, size_distribution="lognormal"),
+        ],
+        ids=["bfs", "random-lognormal", "id", "bfs17-lognormal"],
+    )
+    def test_peer_by_peer(self, small_topology, placement, group_column):
+        config = DatasetConfig(
+            num_tuples=4_321, cluster_level=0.3, group_column=group_column
+        )
+        dataset = generate_dataset(
+            small_topology, config, placement=placement, seed=21
+        )
+        arranged, partitions = _reference_partitions(
+            small_topology, config, placement, 21
+        )
+        assert len(dataset.databases) == len(partitions)
+        for database, expected in zip(dataset.databases, partitions):
+            assert database.column_names == list(expected)
+            assert database.block_size == config.block_size
+            for name, rows in expected.items():
+                column = database.column(name)
+                assert column.dtype == rows.dtype
+                np.testing.assert_array_equal(column, rows)
+        # The global arrays keep their contract: placement order.
+        np.testing.assert_array_equal(dataset.values, arranged["A"])
+        if group_column is None:
+            assert dataset.group_values is None
+        else:
+            np.testing.assert_array_equal(
+                dataset.group_values, arranged[group_column]
+            )
+
+    def test_fewer_tuples_than_peers(self, small_topology):
+        config = DatasetConfig(num_tuples=37)
+        dataset = generate_dataset(small_topology, config, seed=2)
+        _, partitions = _reference_partitions(
+            small_topology, config, PlacementConfig(), 2
+        )
+        assert [db.num_tuples for db in dataset.databases] == [
+            len(partition["A"]) for partition in partitions
+        ]
+        assert sum(db.num_tuples == 0 for db in dataset.databases) > 0
+
+    def test_pinned_at_the_parent_commit(self, small_topology):
+        """Digests of every per-peer column (and the global arrays)
+        recorded at e39f21b, where they were per-peer copies."""
+        plain = generate_dataset(
+            small_topology,
+            DatasetConfig(num_tuples=5000, cluster_level=0.3),
+            seed=2,
+        )
+        assert _dataset_digest(plain, ["A"]) == (
+            "ac22fa888cdb6e60bd3ce74b28631632"
+            "89cd26c2d3c7c98c135869ba93cbdb69"
+        )
+        grouped = generate_dataset(
+            small_topology,
+            DatasetConfig(num_tuples=3000, group_column="G", num_groups=5),
+            placement=PlacementConfig(
+                size_distribution="lognormal", order="random"
+            ),
+            seed=3,
+        )
+        assert _dataset_digest(grouped, ["A", "G"]) == (
+            "3068d14f8de67053f63ce8fdd41fc453"
+            "729b27c7b5b5f3cd5ce9bf1fa55d64aa"
+        )
+
+    def test_the_dataset_is_one_store(self, small_topology):
+        dataset = generate_dataset(
+            small_topology, DatasetConfig(num_tuples=2_000), seed=4
+        )
+        assert type(dataset.databases) is DatabaseTable
+        store = dataset.databases.store
+        assert FlatDataset.from_databases(dataset.databases) is store
+        assert store.num_tuples == dataset.num_tuples == 2_000
+        for peer in (0, 57, len(dataset.databases) - 1):
+            assert np.shares_memory(
+                dataset.databases[peer].column("A"), store.column("A")
+            )

@@ -75,6 +75,30 @@ class TestAccess:
         with pytest.raises(ValueError):
             database.column("A")[0] = 99
 
+    @pytest.mark.parametrize(
+        "door",
+        [
+            lambda database: database.store["A"],
+            lambda database: database.column("A"),
+            lambda database: database.scan()["A"],
+        ],
+        ids=["store", "column", "scan"],
+    )
+    def test_no_door_hands_out_a_writable_array(self, door):
+        """A published snapshot cannot be edited through a database:
+        a write that landed after the flat view was concatenated would
+        make the batch path and the scalar path disagree about a row."""
+        values = np.arange(10)
+        database = LocalDatabase({"A": values})
+        handed_out = door(database)
+        assert handed_out.flags.writeable is False
+        with pytest.raises(ValueError):
+            handed_out[0] = 9
+        assert database.column("A")[0] == 0
+        # A view, not a copy: the caller's own array is untouched.
+        assert values.flags.writeable is True
+        assert np.shares_memory(handed_out, values)
+
     def test_unknown_column(self, database):
         with pytest.raises(ConfigurationError):
             database.column("Z")

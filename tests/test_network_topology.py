@@ -3,6 +3,8 @@
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TopologyError
 from repro.network.topology import Topology
@@ -39,6 +41,73 @@ class TestConstruction:
         topology = Topology(3, [])
         assert topology.num_edges == 0
         assert topology.degree(0) == 0
+
+    def test_edge_array_accepted(self):
+        edges = np.array([[2, 0], [1, 2]])
+        topology = Topology(3, edges)
+        assert list(topology.edges()) == [(0, 2), (1, 2)]
+        edges[0] = (1, 0)  # the topology copied what it was given
+        assert list(topology.edges()) == [(0, 2), (1, 2)]
+
+    def test_not_pairs_rejected(self):
+        with pytest.raises(TopologyError, match="pairs"):
+            Topology(4, np.arange(6).reshape(2, 3))
+
+
+def _loop_validation(num_peers, edges):
+    """The per-edge loop ``Topology.__init__`` used to run, kept as the
+    reference for the array passes that replaced it: the normalised
+    edge list, or the error text for the first offending edge."""
+    seen = set()
+    for u, v in edges:
+        if u == v:
+            return f"self-loop edge ({u}, {v}) not allowed"
+        if not (0 <= u < num_peers and 0 <= v < num_peers):
+            return f"edge ({u}, {v}) out of range for {num_peers} peers"
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            return f"duplicate edge ({u}, {v})"
+        seen.add(key)
+    return [(min(edge), max(edge)) for edge in edges]
+
+
+class TestFirstOffender:
+    """Validation is array passes; what it reports is still the first
+    bad edge in the given order, self-loop before range before
+    duplicate, in the loop's words."""
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 1), (2, 2), (0, 1)], "self-loop edge (2, 2) not allowed"),
+            ([(0, 1), (7, 7)], "self-loop edge (7, 7) not allowed"),
+            ([(1, 0), (3, 1), (0, 1)], "edge (3, 1) out of range for 3 peers"),
+            ([(0, -1)], "edge (0, -1) out of range for 3 peers"),
+            ([(0, 1), (1, 2), (1, 0), (2, 1)], "duplicate edge (1, 0)"),
+        ],
+    )
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_message_names_the_first_offender(self, edges, message, as_array):
+        given_edges = np.array(edges) if as_array else iter(edges)
+        with pytest.raises(TopologyError) as raised:
+            Topology(3, given_edges)
+        assert str(raised.value) == message
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        num_peers=st.integers(1, 6),
+        edges=st.lists(
+            st.tuples(st.integers(-1, 6), st.integers(-1, 6)), max_size=12
+        ),
+    )
+    def test_array_passes_equal_the_loop(self, num_peers, edges):
+        expected = _loop_validation(num_peers, edges)
+        if isinstance(expected, str):
+            with pytest.raises(TopologyError) as raised:
+                Topology(num_peers, edges)
+            assert str(raised.value) == expected
+        else:
+            assert list(Topology(num_peers, edges).edges()) == expected
 
 
 class TestDegrees:

@@ -9,12 +9,17 @@ result or a typed :class:`~repro.errors.ReproError`, never a silent
 wrong answer.
 """
 
+import os
+
 import pytest
 
 import repro._pool as pool
 from repro.core.two_phase import TwoPhaseConfig
+from repro.data.flat import FlatDataset
 from repro.errors import DeadlineExceededError
+from repro.network.churn import ChurnConfig
 from repro.network.faults import CrashWindow, FaultPlan, LatencySpike
+from repro.network.live import LiveNetwork
 from repro.network.simulator import NetworkSimulator
 from repro.network.walker import RetryPolicy
 from repro.query.parser import parse_query
@@ -140,9 +145,10 @@ def run_workload_sharded(simulator, workers):
 class TestShardedUnderChaos:
     """Fault plans, churn epochs and deadlines with ``workers > 1``
     uphold the degraded-or-typed-error contract and stay byte-for-byte
-    equal to the serial reference.  Fault plans force the per-peer
-    visit path, so the backend skips the shared-memory segment — the
-    invariant must hold on plain copy-on-write snapshots too."""
+    equal to the serial reference.  A faulted collection resolves fate
+    per probe but reads its survivors' rows from the flat view like a
+    clean one, so the view is primed and the shared-memory segment
+    exported whether or not a fault plan is bound."""
 
     @pytest.fixture(autouse=True)
     def _quiet_oversubscription(self, monkeypatch):
@@ -197,6 +203,72 @@ class TestShardedUnderChaos:
                     == b.result.effective_sample_size
                 )
             assert serial_svc.trace(st).lines == shard_svc.trace(ct).lines
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/dev/shm"), reason="needs POSIX shared memory"
+    )
+    def test_faulted_live_snapshot_is_flattened_once_and_mapped(
+        self, small_network, monkeypatch
+    ):
+        """A churn epoch's databases are a hand-built list, so their
+        flat view is a concatenation: it happens once, in the parent,
+        before the fork — never mid-query, never per worker — and the
+        workers map it from one segment."""
+
+        def snapshot():
+            live = LiveNetwork(
+                small_network.topology,
+                small_network.databases(),
+                churn_config=ChurnConfig(leave_rate=0.3, join_rate=0.3),
+                fault_plan=PLAN,
+                seed=5,
+            )
+            live.step(40)
+            return live.snapshot(seed=7)
+
+        serial_svc, serial_tickets = run_workload(
+            snapshot(), max_in_flight=1
+        )
+
+        parent = os.getpid()
+        concatenations = []
+        real = FlatDataset.from_databases.__func__
+
+        def guarded(cls, databases):
+            if os.getpid() != parent:
+                raise AssertionError("a worker concatenated its own view")
+            concatenations.append(len(databases))
+            return real(cls, databases)
+
+        monkeypatch.setattr(
+            FlatDataset, "from_databases", classmethod(guarded)
+        )
+        simulator = snapshot()
+        shm_before = set(os.listdir("/dev/shm"))
+        with QueryService(
+            simulator, CONFIG, seed=99, workers=2,
+            chunk_peers=8, capture_traces=True,
+        ) as service:
+            assert concatenations == [simulator.num_peers]
+            mapped = set(os.listdir("/dev/shm")) - shm_before
+            assert mapped == {service.backend._pack.manifest.segment}
+            tickets = [service.submit(query, 0.1) for query in WORKLOAD]
+            service.run()
+            traces = [service.trace(ticket).lines for ticket in tickets]
+        assert concatenations == [simulator.num_peers]
+        assert set(os.listdir("/dev/shm")) == shm_before
+
+        for st, ct, lines in zip(serial_tickets, tickets, traces):
+            a = serial_svc.outcome(st)
+            b = service.outcome(ct)
+            assert a.status == b.status, (a.error, b.error)
+            if a.ok:
+                assert a.result.estimate == b.result.estimate
+                assert a.result.cost == b.result.cost
+            assert serial_svc.trace(st).lines == lines
+        assert any(
+            serial_svc.outcome(ticket).ok for ticket in serial_tickets
+        )
 
     def test_sharded_churn_epoch_matches_serial(self, small_network):
         """A rebind mid-service (churn epoch) re-exports the snapshot
