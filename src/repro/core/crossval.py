@@ -16,14 +16,14 @@ the random halving a few times and averaging makes the estimate robust
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, List
+from typing import List
 
 import numpy as np
 
 from .._util import SeedLike, ensure_rng
 from ..errors import SamplingError
 from ..network.protocol import AggregateSample
-from .estimators import horvitz_thompson
+from .estimators import EQUATION_ONE, PointEstimator
 
 
 __all__ = [
@@ -74,7 +74,7 @@ def cross_validate(
     sample: AggregateSample,
     rounds: int = 5,
     seed: SeedLike = None,
-    estimator: Callable[[AggregateSample], float] = horvitz_thompson,
+    estimator: PointEstimator = EQUATION_ONE,
 ) -> CrossValidation:
     """Randomly halve the sample ``rounds`` times and measure CVError.
 
@@ -83,10 +83,20 @@ def cross_validate(
     ``y_1''`` and ``y_2''`` over each half and records
     ``|y_1'' - y_2''|``.
 
-    ``estimator`` maps a sample to a point estimate; the default is
-    Equation 1 (the mean of the ratios).  Passing the Hájek estimator
-    cross-validates that estimator instead, so the phase-II plan stays
-    calibrated to whatever estimator the engine actually uses.
+    ``estimator`` is one of :func:`~repro.core.estimators.
+    make_estimator`'s point estimators; the default is Equation 1 (the
+    mean of the ratios).  Passing the Hájek estimator cross-validates
+    that estimator instead, so the phase-II plan stays calibrated to
+    whatever estimator the engine actually uses.
+
+    Either estimator is a ratio of sums over a half's rows, so the
+    halves are never built: the per-row terms are computed once, every
+    round's two halves are gathered in one pass and each is summed
+    along its own contiguous run — the values a per-half
+    ``estimator(sample.take(half))`` returns, bit for bit
+    (``tests/row_reference.py`` keeps that loop).  The permutations
+    are drawn one ``rng.permutation(m)`` per round, in round order:
+    that *is* the stream contract.
     """
     if rounds <= 0:
         raise SamplingError("rounds must be positive")
@@ -97,15 +107,17 @@ def cross_validate(
         )
     rng = ensure_rng(seed)
     half = m // 2
-    errors: List[float] = []
-    for _ in range(rounds):
-        order = rng.permutation(m)
-        first = sample.take(order[:half])
-        second = sample.take(order[half: 2 * half])
-        errors.append(abs(estimator(first) - estimator(second)))
-    mean_squared = float(np.mean(np.square(errors)))
+    terms = estimator.terms(sample)
+    orders = np.stack([rng.permutation(m) for _ in range(rounds)])
+    # (sum, round, half-of-the-round, row): ``take`` lays the gather
+    # out C-contiguous, so axis 3 is one pairwise reduction per half.
+    halves = np.take(terms, orders[:, : 2 * half], axis=1).reshape(
+        len(terms), rounds, 2, half
+    )
+    estimates = estimator.from_sums(halves.sum(axis=3), half)
+    errors = np.abs(estimates[:, 0] - estimates[:, 1])
     return CrossValidation(
-        mean_squared_error=mean_squared,
-        errors=errors,
+        mean_squared_error=float(np.mean(np.square(errors))),
+        errors=errors.tolist(),
         half_size=half,
     )

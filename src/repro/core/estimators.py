@@ -25,6 +25,7 @@ columns a batch visit filled — ``y(s)`` is a column name.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Callable, Protocol, Sequence, Tuple
 
@@ -41,6 +42,8 @@ __all__ = [
     "horvitz_thompson",
     "hajek_estimate",
     "hajek_variance",
+    "PointEstimator",
+    "EQUATION_ONE",
     "make_estimator",
     "estimate_query",
     "avg_divisor",
@@ -56,11 +59,33 @@ __all__ = [
 
 class PointEstimator(Protocol):
     """Estimates the network-wide total of one sample column — the
-    query's own ``aggregate_value`` unless ``field`` names another."""
+    query's own ``aggregate_value`` unless ``field`` names another.
+
+    Both point estimators (:func:`make_estimator` builds them, nothing
+    else is one) are a ratio of two sums over the sample's rows —
+    ``Σ y/p ÷ m`` and ``M · Σ y/p ÷ Σ 1/p`` — and say so: ``terms`` is
+    what is summed, ``from_sums`` the ratio, so a caller estimating
+    from many subsets of one sample (:func:`~repro.core.crossval.
+    cross_validate`) gathers the terms once and sums them as rows.
+    """
 
     def __call__(
         self, sample: AggregateSample, field: str = ...
     ) -> float: ...
+
+    def terms(
+        self, sample: AggregateSample, field: str = ...
+    ) -> "NDArray[np.float64]":
+        """The per-row terms the estimate sums, one row of the result
+        per sum (``(sums, len(sample))``)."""
+        ...
+
+    def from_sums(
+        self, sums: "NDArray[np.float64]", count: int
+    ) -> "NDArray[np.float64]":
+        """The estimates whose ``terms`` — ``count`` rows each — sum to
+        ``sums`` (``(sums, ...)``; the result drops the first axis)."""
+        ...
 
 
 #: The estimated variance of a point estimator's ``aggregate_value``.
@@ -161,6 +186,57 @@ def hajek_variance(sample: AggregateSample, num_peers: int) -> float:
     return float((m - 1) / m * np.sum((leave_one_out - mean_loo) ** 2))
 
 
+class _EquationOne:
+    """:func:`horvitz_thompson` as a :class:`PointEstimator`."""
+
+    def __call__(
+        self, sample: AggregateSample, field: str = "aggregate_value"
+    ) -> float:
+        return horvitz_thompson(sample, field)
+
+    def terms(
+        self, sample: AggregateSample, field: str = "aggregate_value"
+    ) -> "NDArray[np.float64]":
+        return _ratios(sample, field)[np.newaxis]
+
+    def from_sums(
+        self, sums: "NDArray[np.float64]", count: int
+    ) -> "NDArray[np.float64]":
+        estimates: "NDArray[np.float64]" = sums[0] / count
+        return estimates
+
+
+@dataclasses.dataclass(frozen=True)
+class _Hajek:
+    """:func:`hajek_estimate` at a fixed ``M`` as a
+    :class:`PointEstimator`."""
+
+    num_peers: int
+
+    def __call__(
+        self, sample: AggregateSample, field: str = "aggregate_value"
+    ) -> float:
+        return hajek_estimate(sample, self.num_peers, field)
+
+    def terms(
+        self, sample: AggregateSample, field: str = "aggregate_value"
+    ) -> "NDArray[np.float64]":
+        return np.stack(
+            (_ratios(sample, field), 1.0 / sample["probability"])
+        )
+
+    def from_sums(
+        self, sums: "NDArray[np.float64]", count: int
+    ) -> "NDArray[np.float64]":
+        estimates: "NDArray[np.float64]" = self.num_peers * sums[0] / sums[1]
+        return estimates
+
+
+#: Equation 1 as a :class:`PointEstimator` — ``make_estimator("ht")``'s
+#: and the default wherever one is optional.
+EQUATION_ONE: PointEstimator = _EquationOne()
+
+
 def make_estimator(
     name: str, num_peers: int = 0
 ) -> Tuple[PointEstimator, VarianceEstimator]:
@@ -170,23 +246,19 @@ def make_estimator(
     Returns ``(point_estimator, variance_estimator)`` — both callables
     over a sample; the point estimator also takes ``field=`` to
     estimate the total of another column (``"matching_count"``,
-    ``"local_tuples"``, ``"column_total"``).
+    ``"local_tuples"``, ``"column_total"``) and is a
+    :class:`PointEstimator`: it exposes the two sums it is a ratio of.
     """
     if name == "ht":
-        return horvitz_thompson, ht_variance
+        return EQUATION_ONE, ht_variance
     if name == "hajek":
         if num_peers <= 0:
             raise SamplingError("hajek estimator needs num_peers")
 
-        def point(
-            sample: AggregateSample, field: str = "aggregate_value"
-        ) -> float:
-            return hajek_estimate(sample, num_peers, field)
-
         def variance(sample: AggregateSample) -> float:
             return hajek_variance(sample, num_peers)
 
-        return point, variance
+        return _Hajek(num_peers), variance
     raise SamplingError(
         f"unknown estimator {name!r}; expected 'ht' or 'hajek'"
     )

@@ -29,9 +29,9 @@ from ..network.protocol import AggregateSample
 from ..query.model import AggregateOp, AggregationQuery
 from .crossval import CrossValidation, cross_validate
 from .estimators import (
+    EQUATION_ONE,
     PointEstimator,
     clustering_badness_estimate,
-    horvitz_thompson,
     make_estimator,
 )
 
@@ -111,7 +111,7 @@ class PhaseOneAnalysis:
 def estimate_scale(
     query: AggregationQuery,
     sample: AggregateSample,
-    point_estimator: PointEstimator = horvitz_thompson,
+    point_estimator: PointEstimator = EQUATION_ONE,
 ) -> float:
     """The normalization scale for ``Δreq`` under this query.
 

@@ -347,11 +347,12 @@ class AggregateSample:
         """The same rows with their stationary probabilities attached
         (a scalar serves every row); each must lie in (0, 1]."""
         values = np.asarray(probability, dtype=np.float64)
-        if values.ndim and values.shape != self.rows.shape:
+        if not values.ndim:
+            values = np.broadcast_to(values, self.rows.shape)
+        elif values.shape != self.rows.shape:
             raise SamplingError(
                 f"{values.shape} probabilities for {self.rows.size} rows"
             )
-        values = np.broadcast_to(values, self.rows.shape)
         valid = (values > 0.0) & (values <= 1.0)
         if not valid.all():
             raise SamplingError(

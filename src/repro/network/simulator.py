@@ -1090,7 +1090,23 @@ class NetworkSimulator:
         the bulk charge in :meth:`visit_aggregate_batch`).
         """
         self.check_aggregate_visits(query, tuples_per_peer, sampling_method)
-        peers = self._validate_batch_peers(peer_ids)
+        return self._read_aggregates_prechecked(
+            self._validate_batch_peers(peer_ids),
+            query, sink, tuples_per_peer, sampling_method, seed,
+        )
+
+    def _read_aggregates_prechecked(
+        self,
+        peers: np.ndarray,
+        query: AggregationQuery,
+        sink: int,
+        tuples_per_peer: int,
+        sampling_method: str,
+        seed: SeedLike,
+    ) -> AggregateSample:
+        """:meth:`read_aggregates` over arguments a public entry point
+        has already checked (``peers``: what :meth:`_validate_batch_peers`
+        returns) — the part that reads rows."""
         if peers.size == 0:
             return AggregateSample.from_columns(sink, 0)
         shared_rng, per_visit_seed = self._resolve_batch_rng(seed)
@@ -1146,6 +1162,9 @@ class NetworkSimulator:
         charged and traced on its own, in order
         (:meth:`probe_aggregate`), and the rows of the survivors are
         then read in the same single pass (:meth:`read_aggregates`).
+
+        The arguments are checked here, once; the rows are read by the
+        body :meth:`read_aggregates` shares, not through it.
         """
         self.check_aggregate_visits(query, tuples_per_peer, sampling_method)
         peers = self._validate_batch_peers(peer_ids)
@@ -1170,11 +1189,12 @@ class NetworkSimulator:
                 except PeerUnavailableError:
                     continue  # lost reply: the sample just shrinks
                 survivors.append(peer_id)
-            return self.read_aggregates(
-                survivors, query, sink, tuples_per_peer, sampling_method, seed
+            return self._read_aggregates_prechecked(
+                np.asarray(survivors, dtype=np.int64),
+                query, sink, tuples_per_peer, sampling_method, seed,
             )
 
-        replies = self.read_aggregates(
+        replies = self._read_aggregates_prechecked(
             peers, query, sink, tuples_per_peer, sampling_method, seed
         )
         processed = replies["processed_tuples"]

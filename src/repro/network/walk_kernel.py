@@ -10,8 +10,9 @@ RNG demand is known up front (``per_hop * hops`` uniforms), so
   as ``rng.random(a + b)`` and leaves the stream in the same state, so
   a walk draws in fixed-size chunks without changing a single hop, and
   ``take(a); take(b)`` is bit-identical to ``take(a + b)``;
-* **precomputed neighbor tables** — per-peer neighbor lists and a
-  degree list materialized once per :class:`~repro.network.topology.
+* **precomputed neighbor tables** — per-peer neighbor tuples and a
+  degree list (over pooled ``int`` / ``float`` objects) materialized
+  once per :class:`~repro.network.topology.
   Topology` and memoized in a :class:`weakref.WeakKeyDictionary`
   alongside the spectral profile cache.  A churn epoch freezes a *new*
   topology object, so epoch invalidation is automatic;
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import weakref
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -148,11 +150,22 @@ class AliasTable:
 class KernelTables:
     """Plain-python adjacency of one topology, shaped for the hot loop.
 
-    ``neighbors[p]`` is peer ``p``'s neighbor list in CSR order (so
-    ``neighbors[p][k] == indices[indptr[p] + k]``) and ``degrees[p]``
-    its length.
-    Scalar indexing of nested python lists beats both numpy scalar
-    indexing and flat-list ``indptr`` arithmetic on this loop.
+    ``neighbors[p]`` is peer ``p``'s neighbors as a tuple in CSR order
+    (so ``neighbors[p][k] == indices[indptr[p] + k]``) and
+    ``degrees[p]`` its length.
+    Scalar indexing of a python sequence per peer beats both numpy
+    scalar indexing and flat-list ``indptr`` arithmetic on this loop.
+
+    The objects are *pooled*: every row entry naming peer ``q`` is the
+    same ``int`` object, and every peer of degree ``d`` shares one
+    ``float``.  A served walk is a few hundred hops begun after a
+    batch visit's array passes have flushed the cache, so a hop costs
+    what it has to fetch, and that grows with the network — one
+    ``int`` per CSR entry, one ``float`` and one ``list`` (header plus
+    item array) per peer were 5.7 MB at 22,556 peers (95,007 ``int``
+    and 22,556 ``float`` objects) against 2.8 MB pooled (22,556 and
+    85; a tuple's items sit inline in its header).  Tuples of ints
+    are also untracked by the cyclic GC.
 
     ``degrees`` holds *floats*: every hop multiplies the degree by a
     uniform, and CPython's float-float multiply is measurably faster
@@ -162,7 +175,7 @@ class KernelTables:
     against these degrees are exact for the same reason.
     """
 
-    neighbors: List[List[int]]
+    neighbors: List[Tuple[int, ...]]
     degrees: List[float]
 
 
@@ -182,15 +195,20 @@ def _memoize_tables(
     topology: Topology, indptr: np.ndarray, indices: np.ndarray
 ) -> KernelTables:
     """Build ``topology``'s tables from a CSR pair and memoize them."""
-    indptr_list = indptr.tolist()
-    indices_list = indices.tolist()
+    # One ``int`` per peer id and one ``float`` per distinct degree,
+    # shared by every row that names them (see :class:`KernelTables`):
+    # gathering from an object array copies references, not ints.
+    ids = np.arange(topology.num_peers).astype(object)
+    flat = ids[indices].tolist()
     neighbors = [
-        indices_list[indptr_list[p]: indptr_list[p + 1]]
-        for p in range(topology.num_peers)
+        tuple(flat[start:stop])
+        for start, stop in itertools.pairwise(indptr.tolist())
     ]
+    top = max(map(len, neighbors))
+    floats = [float(degree) for degree in range(top + 1)]
     tables = KernelTables(
         neighbors=neighbors,
-        degrees=[float(len(row)) for row in neighbors],
+        degrees=[floats[len(row)] for row in neighbors],
     )
     _TABLE_CACHE[topology] = tables
     return tables
@@ -214,7 +232,7 @@ def prime_kernel_tables(
     Sharded-service workers attach the parent's CSR arrays from shared
     memory (:mod:`repro.service.shm`) and prime the table cache from
     *those* instead of re-reading ``topology``'s own (fork-inherited,
-    copy-on-write) arrays — the resulting nested python lists are
+    copy-on-write) arrays — the resulting python tables are
     necessarily per-process either way, but the source pages stay
     shared.  The arrays must be the same CSR the topology describes;
     the tables are keyed on the topology object exactly like
@@ -278,14 +296,15 @@ def stationary_alias(topology: Topology, variant: str) -> AliasTable:
 # cutoffs by an ulp (``tests/walk_oracle.py`` is the reference).
 
 _Emit = Callable[[int], None]
+_Rows = List[Tuple[int, ...]]
 _HopLoop = Callable[
-    [List[List[int]], List[float], List[float], int, int, int, _Emit],
+    [_Rows, List[float], List[float], int, int, int, _Emit],
     Tuple[int, int],
 ]
 
 
 def _hops_simple(
-    nbrs: List[List[int]],
+    nbrs: _Rows,
     degs: List[float],
     randoms: List[float],
     current: int,
@@ -303,7 +322,7 @@ def _hops_simple(
 
 
 def _hops_lazy(
-    nbrs: List[List[int]],
+    nbrs: _Rows,
     degs: List[float],
     randoms: List[float],
     current: int,
@@ -323,7 +342,7 @@ def _hops_lazy(
 
 
 def _hops_inclusive(
-    nbrs: List[List[int]],
+    nbrs: _Rows,
     degs: List[float],
     randoms: List[float],
     current: int,
@@ -344,7 +363,7 @@ def _hops_inclusive(
 
 
 def _hops_metropolis(
-    nbrs: List[List[int]],
+    nbrs: _Rows,
     degs: List[float],
     randoms: List[float],
     current: int,
@@ -369,7 +388,7 @@ def _hops_metropolis(
 
 def _hops_weighted(
     weights: List[float],
-    nbrs: List[List[int]],
+    nbrs: _Rows,
     degs: List[float],
     randoms: List[float],
     current: int,

@@ -30,8 +30,8 @@ import numpy as np
 from .._util import SeedLike, ensure_rng
 from ..core.crossval import cross_validate
 from ..core.estimators import (
+    EQUATION_ONE,
     estimate_query,
-    horvitz_thompson,
     observations_from_replies,
 )
 from ..core.planner import estimate_scale
@@ -207,7 +207,7 @@ class BFSEngine:
             peers_visited=len(peers_one),
             tuples_sampled=ledger.snapshot().tuples_processed,
             hops=0,
-            estimate=estimate_query(query, sample_one, horvitz_thompson),
+            estimate=estimate_query(query, sample_one, EQUATION_ONE),
         )
 
         phase_two: Optional[PhaseReport] = None
@@ -225,7 +225,7 @@ class BFSEngine:
             estimate_two: Optional[float]
             try:
                 estimate_two = estimate_query(
-                    query, sample_two, horvitz_thompson
+                    query, sample_two, EQUATION_ONE
                 )
             except SamplingError:
                 estimate_two = None
@@ -240,7 +240,7 @@ class BFSEngine:
 
         return BaselineResult(
             query=query,
-            estimate=estimate_query(query, pool, horvitz_thompson),
+            estimate=estimate_query(query, pool, EQUATION_ONE),
             delta_req=delta_req,
             scale=scale,
             phase_one=phase_one,
@@ -303,5 +303,5 @@ class UniformOracleEngine:
         return estimate_query(
             query,
             self.sample_observations(query, count, sink=sink),
-            horvitz_thompson,
+            EQUATION_ONE,
         )

@@ -6,13 +6,19 @@ array arithmetic.  This module keeps the form that code replaced — one
 object per visited peer, one ``getattr(row, field) / row.probability``
 per row, then the same numpy reduction — so tests can hand-build
 samples a row at a time (:func:`sample_of`) and pin the array
-arithmetic to the object arithmetic with ``==``.
+arithmetic to the object arithmetic with ``==``.  It also keeps the
+loop form of the cross-validation (:func:`cross_validate`: one pair of
+``take`` copies and two estimator calls per round) that the one-gather
+array program in ``repro.core.crossval`` is compared against bit for
+bit.
 """
 
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from repro._util import ensure_rng
+from repro.errors import SamplingError
 from repro.network.protocol import AggregateSample
 
 
@@ -76,3 +82,27 @@ def hajek_variance(rows, num_peers):
     return float(
         (m - 1) / m * np.sum((leave_one_out - leave_one_out.mean()) ** 2)
     )
+
+
+def cross_validate(sample, rounds, seed, estimator):
+    """The halving loop ``repro.core.crossval.cross_validate`` replaced
+    (moved here verbatim): per round one ``rng.permutation``, two
+    ``AggregateSample.take`` copies and ``estimator`` — any callable
+    over a sample — once per half.  Returns ``(mean_squared_error,
+    errors, half_size)``."""
+    if rounds <= 0:
+        raise SamplingError("rounds must be positive")
+    m = len(sample)
+    if m < 4:
+        raise SamplingError(
+            f"cross-validation needs at least 4 phase-I peers, got {m}"
+        )
+    rng = ensure_rng(seed)
+    half = m // 2
+    errors = []
+    for _ in range(rounds):
+        order = rng.permutation(m)
+        first = sample.take(order[:half])
+        second = sample.take(order[half: 2 * half])
+        errors.append(abs(estimator(first) - estimator(second)))
+    return float(np.mean(np.square(errors))), errors, half

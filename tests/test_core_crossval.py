@@ -1,12 +1,19 @@
 """Tests for repro.core.crossval, including Theorem 3."""
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import estimators
 from repro.core.crossval import CrossValidation, cross_validate
-from repro.core.estimators import theoretical_variance
+from repro.core.estimators import make_estimator, theoretical_variance
 from repro.errors import SamplingError
 from repro.network.protocol import AggregateSample
+
+from . import row_reference
 
 
 def make_observations(values, probabilities):
@@ -99,3 +106,126 @@ class TestTheorem3:
         )
         # C = mean_sq * half / 2
         assert cv.implied_badness() == 40.0
+
+
+# ---------------------------------------------------------------------------
+# One gather == the halving loop (tests/row_reference.py), bit for bit
+# ---------------------------------------------------------------------------
+
+NUM_PEERS = 900
+
+
+def skewed_sample(m, data_seed):
+    """``m`` rows whose probabilities follow a heavy-tailed degree."""
+    rng = np.random.default_rng(data_seed)
+    degrees = np.minimum(rng.zipf(1.8, size=m), 400)
+    return AggregateSample.from_columns(
+        0,
+        m,
+        source=rng.integers(0, NUM_PEERS, size=m),
+        degree=degrees,
+        aggregate_value=rng.uniform(0.0, 1e5, size=m) * (rng.random(m) < 0.8),
+    ).with_probability(degrees / 8000.0)
+
+
+def per_sample_form(name):
+    """What the loop calls on each half: the public per-sample function."""
+    if name == "ht":
+        return estimators.horvitz_thompson
+    return lambda half: estimators.hajek_estimate(half, NUM_PEERS)
+
+
+class TestOneGatherEqualsTheLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.integers(4, 300),
+        rounds=st.integers(1, 8),
+        name=st.sampled_from(["ht", "hajek"]),
+        seed=st.integers(0, 2**32 - 1),
+        shared_generator=st.booleans(),
+        data_seed=st.integers(0, 2**16),
+    )
+    def test_errors_and_stream_are_bit_identical(
+        self, m, rounds, name, seed, shared_generator, data_seed
+    ):
+        sample = skewed_sample(m, data_seed)
+        point, _ = make_estimator(name, NUM_PEERS)
+        if shared_generator:
+            seed = np.random.default_rng(seed)
+            seed.random(3)  # mid-stream, as the engines hand it over
+        oracle_seed = copy.deepcopy(seed)
+
+        cv = cross_validate(sample, rounds=rounds, seed=seed, estimator=point)
+        mean_squared, errors, half = row_reference.cross_validate(
+            sample, rounds, oracle_seed, per_sample_form(name)
+        )
+
+        assert cv.errors == errors
+        assert all(type(error) is float for error in cv.errors)
+        assert cv.mean_squared_error == mean_squared
+        assert cv.half_size == half == m // 2
+        if shared_generator:
+            assert seed.bit_generator.state == oracle_seed.bit_generator.state
+
+    @pytest.mark.parametrize("name", ["ht", "hajek"])
+    def test_the_same_refusals(self, name):
+        point, _ = make_estimator(name, NUM_PEERS)
+        reference = per_sample_form(name)
+        bare = AggregateSample.from_columns(
+            0, 6, degree=[1, 2, 3, 4, 5, 6], aggregate_value=[5.0] * 6
+        )
+        for sample, rounds, message in (
+            (skewed_sample(3, 1), 5, "at least 4 phase-I peers, got 3"),
+            (skewed_sample(8, 1), 0, "rounds must be positive"),
+            (skewed_sample(8, 1), -2, "rounds must be positive"),
+            (bare, 5, "probabilities"),
+        ):
+            for run in (
+                lambda: cross_validate(sample, rounds, 1, point),
+                lambda: row_reference.cross_validate(
+                    sample, rounds, 1, reference
+                ),
+            ):
+                with pytest.raises(SamplingError, match=message):
+                    run()
+
+
+class TestHalvingCounts:
+    """Counts, no stopwatch: a cross-validation builds no half-sample
+    and never runs the per-sample estimator (5 rounds of the loop form
+    ran each 10 times)."""
+
+    @pytest.mark.parametrize("name", ["ht", "hajek"])
+    def test_no_take_and_no_per_sample_estimate(self, name, monkeypatch):
+        calls = {"take": 0, "point": 0}
+
+        def counted(key, function):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        point, _ = make_estimator(name, NUM_PEERS)
+        monkeypatch.setattr(
+            AggregateSample, "take", counted("take", AggregateSample.take)
+        )
+        for owner, attribute in (
+            (type(point), "__call__"),
+            (estimators, "horvitz_thompson"),
+            (estimators, "hajek_estimate"),
+        ):
+            monkeypatch.setattr(
+                owner, attribute, counted("point", getattr(owner, attribute))
+            )
+        sample = skewed_sample(50, 2)
+
+        cross_validate(sample, rounds=5, seed=1, estimator=point)
+        assert calls == {"take": 0, "point": 0}
+
+        # The counters do count: the loop form pays 10 of each, and
+        # the estimator object's own per-sample form is wrapped.
+        row_reference.cross_validate(sample, 5, 1, per_sample_form(name))
+        assert calls == {"take": 10, "point": 10}
+        point(sample)
+        assert calls["point"] == 12

@@ -492,6 +492,16 @@ class TestVisitArgumentValidation:
         ) == 0
 
 
+def _counting(counts, label, original):
+    """``original``, adding one to ``counts[label]`` per call."""
+
+    def wrapper(*args, **kwargs):
+        counts[label] += 1
+        return original(*args, **kwargs)
+
+    return wrapper
+
+
 class TestSetUpCounts:
     """Set-up builds arrays, not peers: from topology + databases to
     the first answer no per-peer object is made and no per-peer column
@@ -514,21 +524,13 @@ class TestSetUpCounts:
         """Constructions of ``Peer`` / ``PeerCapabilities`` and calls
         of ``LocalDatabase.column`` while the test runs."""
         counts = {"Peer": 0, "PeerCapabilities": 0, "column": 0}
-
-        def counting(label, original):
-            def wrapper(*args, **kwargs):
-                counts[label] += 1
-                return original(*args, **kwargs)
-
-            return wrapper
-
         for owner, name, label in [
             (Peer, "__post_init__", "Peer"),
             (PeerCapabilities, "__post_init__", "PeerCapabilities"),
             (LocalDatabase, "column", "column"),
         ]:
             monkeypatch.setattr(
-                owner, name, counting(label, getattr(owner, name))
+                owner, name, _counting(counts, label, getattr(owner, name))
             )
         return counts
 
@@ -555,3 +557,104 @@ class TestSetUpCounts:
         assert (pong.ip, pong.port) == network.peer(int(b)).address
         # ping built one peer; the line above built the second.
         assert counts == {"Peer": 2, "PeerCapabilities": 2, "column": 0}
+
+
+class TestBatchVisitChecksOnce:
+    """A batch visit checks its arguments once: the public entry point
+    validates, then reads rows through the body ``read_aggregates``
+    shares — not through ``read_aggregates``, which validates again.
+    Counts repeat exactly."""
+
+    @pytest.fixture()
+    def checks(self, monkeypatch):
+        checks = {"check_aggregate_visits": 0, "_validate_batch_peers": 0}
+        monkeypatch.setattr(
+            NetworkSimulator,
+            "check_aggregate_visits",
+            staticmethod(
+                _counting(
+                    checks,
+                    "check_aggregate_visits",
+                    NetworkSimulator.check_aggregate_visits,
+                )
+            ),
+        )
+        monkeypatch.setattr(
+            NetworkSimulator,
+            "_validate_batch_peers",
+            _counting(
+                checks,
+                "_validate_batch_peers",
+                NetworkSimulator._validate_batch_peers,
+            ),
+        )
+        return checks
+
+    @pytest.mark.parametrize("faulty", [False, True])
+    def test_one_of_each_validator_per_visit(
+        self, mini_network, checks, faulty
+    ):
+        network = mini_network
+        if faulty:
+            # Fate per probe, then the survivors' rows: still one each.
+            network = NetworkSimulator(
+                mini_network.topology,
+                mini_network.databases(),
+                seed=3,
+                fault_plan=FaultPlan(seed=1, reply_loss=0.3),
+            )
+        ledger = network.new_ledger()
+        replies = network.visit_aggregate_batch(
+            [0, 1, 2, 3, 0], SUM_ALL, sink=1, ledger=ledger,
+            tuples_per_peer=2, seed=5,
+        )
+        # (the plan loses one of the five replies)
+        assert len(replies) == (4 if faulty else 5)
+        assert checks == {
+            "check_aggregate_visits": 1, "_validate_batch_peers": 1
+        }
+
+        network.read_aggregates([0, 1], SUM_ALL, sink=1, tuples_per_peer=2)
+        assert checks == {
+            "check_aggregate_visits": 2, "_validate_batch_peers": 2
+        }
+
+    @pytest.mark.parametrize(
+        "peers, kwargs, error, message",
+        [
+            ([0, 7], {}, ProtocolError, "unknown peer 7"),
+            ([0, -1], {}, ProtocolError, "unknown peer -1"),
+            ([0.5], {}, ProtocolError, "flat sequence of integers"),
+            (
+                [0, 1],
+                {"tuples_per_peer": -5},
+                ConfigurationError,
+                "tuples_per_peer must be >= 0",
+            ),
+            (
+                [0, 1],
+                {"sampling_method": "bogus"},
+                ConfigurationError,
+                "sampling",
+            ),
+        ],
+    )
+    def test_both_entry_points_refuse_the_same_way(
+        self, mini_network, peers, kwargs, error, message
+    ):
+        ledger = mini_network.new_ledger()
+        untouched = ledger.snapshot()
+        raised = []
+        for visit in (
+            lambda: mini_network.visit_aggregate_batch(
+                peers, SUM_ALL, sink=1, ledger=ledger, **kwargs
+            ),
+            lambda: mini_network.read_aggregates(
+                peers, SUM_ALL, sink=1, **kwargs
+            ),
+        ):
+            with pytest.raises(error, match=message) as caught:
+                visit()
+            raised.append(str(caught.value))
+        assert raised[0] == raised[1]
+        assert ledger.snapshot() == untouched

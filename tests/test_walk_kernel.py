@@ -15,6 +15,7 @@ churn-salvage semantics layered on top of the kernel.
 
 import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from repro.errors import ConfigurationError, TopologyError
 from repro.network.churn import ChurnConfig
 from repro.network.faults import FaultPlan, RegionalOutage
 from repro.network.generators import (
+    gnutella_2001_like,
     power_law_topology,
     random_regular_topology,
 )
@@ -39,6 +41,7 @@ from repro.network.walk_kernel import (
     AliasTable,
     WalkKernel,
     kernel_tables,
+    prime_kernel_tables,
     stationary_alias,
 )
 from repro.network.walker import (
@@ -199,16 +202,59 @@ class TestStationaryAlias:
             stationary_alias(Topology(3, []), "simple")
 
 
+@pytest.fixture(scope="module")
+def gnutella_topology():
+    """The paper's 22,556-peer graph (``dash_22k_inline``'s)."""
+    return gnutella_2001_like(seed=1)
+
+
+def assert_pooled_tuples(tables, topology):
+    """``tables`` is ``topology``'s CSR as tuples over pooled objects."""
+    indptr = topology.indptr.tolist()
+    indices = topology.indices.tolist()
+    for peer in range(topology.num_peers):
+        row = tables.neighbors[peer]
+        assert type(row) is tuple
+        assert row == tuple(indices[indptr[peer]: indptr[peer + 1]])
+        assert tables.degrees[peer] == len(row)
+        assert type(tables.degrees[peer]) is float
+    # One int per peer that appears, shared by every row naming it,
+    # and one float per distinct degree.
+    entries = {id(entry) for row in tables.neighbors for entry in row}
+    assert len(entries) == len(set(indices))
+    assert len({id(degree) for degree in tables.degrees}) == len(
+        set(tables.degrees)
+    )
+
+
 class TestKernelTables:
+    """Pinned by structure, not by stopwatch: the walk's working set is
+    the objects a hop can touch, so per-entry ints, per-peer floats or
+    list rows coming back fail by count."""
+
     def test_neighbors_mirror_csr_order(self):
-        topology = TOPOLOGIES[0]
-        tables = kernel_tables(topology)
-        indptr = topology.indptr.tolist()
-        indices = topology.indices.tolist()
-        for peer in range(topology.num_peers):
-            row = indices[indptr[peer]: indptr[peer + 1]]
-            assert tables.neighbors[peer] == row
-            assert tables.degrees[peer] == len(row)
+        for topology in TOPOLOGIES:
+            assert_pooled_tuples(kernel_tables(topology), topology)
+
+    def test_working_set_at_the_paper_size(self, gnutella_topology):
+        tables = kernel_tables(gnutella_topology)
+        assert_pooled_tuples(tables, gnutella_topology)
+        assert sum(sys.getsizeof(row) for row in tables.neighbors) <= 2.0e6
+        entries = {id(entry) for row in tables.neighbors for entry in row}
+        assert len(entries) == gnutella_topology.num_peers == 22_556
+        assert len({id(degree) for degree in tables.degrees}) < 100
+
+    def test_the_shm_door_builds_the_same_structure(self, gnutella_topology):
+        topology = Topology.from_edge_array(
+            gnutella_topology.num_peers, gnutella_topology.edge_array
+        )
+        # Copies, as a worker's shared-memory views are other arrays.
+        tables = prime_kernel_tables(
+            topology, topology.indptr.copy(), topology.indices.copy()
+        )
+        assert_pooled_tuples(tables, topology)
+        assert tables == kernel_tables(gnutella_topology)
+        assert kernel_tables(topology) is tables
 
     def test_memoized_per_topology(self):
         topology = TOPOLOGIES[1]
