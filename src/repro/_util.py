@@ -3,11 +3,13 @@
 Seeding discipline
 ------------------
 
-Every stochastic component in this library accepts either an integer
-seed or a :class:`numpy.random.Generator`.  :func:`ensure_rng`
-normalizes both into a ``Generator``.  Components that need several
-independent streams should call :func:`spawn` so sub-streams do not
-overlap.
+Every stochastic component in this library accepts an integer seed, a
+:class:`numpy.random.SeedSequence` or a :class:`numpy.random.Generator`.
+:func:`ensure_rng` normalizes each into a ``Generator``.  Components
+that need several independent streams should call :func:`spawn` so
+sub-streams do not overlap — or spawn them from
+:func:`seed_sequence`, which hands out the same children without
+building a ``Generator`` nothing may draw from.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .errors import ConfigurationError
 __all__ = [
     "SeedLike",
     "ensure_rng",
+    "seed_sequence",
     "spawn",
     "readonly_view",
     "check_positive",
@@ -33,19 +36,36 @@ __all__ = [
     "relative_error",
 ]
 
-SeedLike = Union[None, int, np.random.Generator]
+SeedLike = Union[None, int, np.random.SeedSequence, np.random.Generator]
 
 
 def ensure_rng(seed: SeedLike = None) -> np.random.Generator:
     """Return a :class:`numpy.random.Generator` for ``seed``.
 
-    ``None`` gives a fresh nondeterministic generator, an ``int`` a
-    seeded one, and an existing ``Generator`` is passed through
-    unchanged.
+    ``None`` gives a fresh nondeterministic generator, an ``int`` or a
+    ``SeedSequence`` a seeded one, and an existing ``Generator`` is
+    passed through unchanged.
     """
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+def seed_sequence(seed: SeedLike = None) -> np.random.SeedSequence:
+    """The seed sequence behind ``ensure_rng(seed)``.
+
+    Its children are the streams ``ensure_rng(seed).spawn`` hands out,
+    in the same order, and ``ensure_rng(seed_sequence(seed))`` draws
+    what ``ensure_rng(seed)`` draws — so a component can spawn its
+    sub-streams now and build its own ``Generator`` when it first
+    draws.  A ``Generator``'s own sequence is returned, so spawning
+    from it advances exactly what ``Generator.spawn`` would.
+    """
+    if isinstance(seed, np.random.Generator):
+        return seed.bit_generator.seed_seq
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    return np.random.SeedSequence(seed)
 
 
 def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:

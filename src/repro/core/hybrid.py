@@ -35,23 +35,19 @@ systems while slow-changing *parameters* are fair game.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .._util import SeedLike, ensure_rng
+from .._util import SeedLike, ensure_rng, seed_sequence
 from ..errors import ConfigurationError
 from ..network.protocol import AggregateSample
 from ..network.simulator import NetworkSimulator
-from ..obs.events import (
-    DeltaReuseEvent,
-    EstimateEvent,
-    PhaseEvent,
-    TraceEvent,
-)
-from ..obs.tracer import active_tracer
+from ..obs.events import DeltaReuseEvent, EstimateEvent, PhaseEvent
+from ..obs.tracer import emit_if_tracing
 from ..query.model import AggregationQuery
 from .crossval import cross_validate
 from .estimators import make_estimator, observations_from_replies
@@ -72,13 +68,6 @@ __all__ = [
     "RetainedSample",
     "HybridEngine",
 ]
-
-
-def _emit(event: TraceEvent) -> None:
-    """Forward ``event`` to the active tracer, if any."""
-    tracer = active_tracer()
-    if tracer is not None:
-        tracer.emit(event)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -331,9 +320,11 @@ class HybridEngine:
             raise ConfigurationError("decay must be in [0, 1)")
         self._simulator = simulator
         self._config = config or TwoPhaseConfig()
-        self._rng = ensure_rng(seed)
+        self._seed_seq = seed_sequence(seed)
+        if isinstance(seed, np.random.Generator):
+            self._rng = seed
         self._engine = TwoPhaseEngine(
-            simulator, config=self._config, seed=self._rng.spawn(1)[0]
+            simulator, config=self._config, seed=self._seed_seq.spawn(1)[0]
         )
         self._max_age = max_age
         self._decay = decay
@@ -345,6 +336,12 @@ class HybridEngine:
         self._point = make_estimator(
             self._config.estimator, simulator.topology.num_peers
         )[0]
+
+    @functools.cached_property
+    def _rng(self) -> np.random.Generator:
+        """The engine's own stream (sinks, warm cross-validation),
+        built on its first draw — a cold run never draws from it."""
+        return ensure_rng(self._seed_seq)
 
     # ------------------------------------------------------------------
 
@@ -402,7 +399,7 @@ class HybridEngine:
         self._engine = TwoPhaseEngine(
             simulator,
             config=self._config,
-            seed=self._rng.spawn(1)[0] if seed is None else seed,
+            seed=self._seed_seq.spawn(1)[0] if seed is None else seed,
         )
         self._point = make_estimator(
             self._config.estimator, simulator.topology.num_peers
@@ -632,19 +629,17 @@ class HybridEngine:
         survivors = 0 if reused is None else len(reused)
         deficit = max(0, peers - survivors)
 
-        _emit(
-            PhaseEvent(
-                engine="hybrid",
-                phase=phase,
-                status="start",
-                requested=peers,
-            )
+        emit_if_tracing(
+            PhaseEvent,
+            engine="hybrid",
+            phase=phase,
+            status="start",
+            requested=peers,
         )
         if phase == "delta":
-            _emit(
-                DeltaReuseEvent(
-                    survivors=survivors, dropped=dropped, deficit=deficit
-                )
+            emit_if_tracing(
+                DeltaReuseEvent,
+                survivors=survivors, dropped=dropped, deficit=deficit,
             )
         parts: List[AggregateSample] = [] if reused is None else [reused]
         if deficit > 0:
@@ -680,15 +675,14 @@ class HybridEngine:
             sample, ledger.snapshot().hops, estimate
         )
         effective = len(sample)
-        _emit(
-            EstimateEvent(
-                engine="hybrid",
-                agg=query.agg.value,
-                estimate=estimate,
-                requested=peers,
-                received=effective,
-                degraded=effective < peers,
-            )
+        emit_if_tracing(
+            EstimateEvent,
+            engine="hybrid",
+            agg=query.agg.value,
+            estimate=estimate,
+            requested=peers,
+            received=effective,
+            degraded=effective < peers,
         )
         # Plan-served results honour the degraded-result contract
         # exactly like cold runs: fault injection or churn can shrink

@@ -41,8 +41,8 @@ from ..network.walker import (
     ResilientCollector,
     RetryPolicy,
 )
-from ..obs.events import EstimateEvent, PhaseEvent, TraceEvent
-from ..obs.tracer import active_tracer
+from ..obs.events import EstimateEvent, PhaseEvent
+from ..obs.tracer import emit_if_tracing
 from ..query.model import AggregateOp, AggregationQuery
 from .result import MedianResult, PhaseReport
 
@@ -52,13 +52,6 @@ __all__ = [
     "weighted_rank_fraction",
     "MedianEngine",
 ]
-
-
-def _emit(event: TraceEvent) -> None:
-    """Forward ``event`` to the active tracer, if any."""
-    tracer = active_tracer()
-    if tracer is not None:
-        tracer.emit(event)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -310,13 +303,12 @@ class MedianEngine:
         timing_token = self._simulator.begin_timing()
 
         # Phase I ---------------------------------------------------------
-        _emit(
-            PhaseEvent(
-                engine="median",
-                phase="one",
-                status="start",
-                requested=self._config.phase_one_peers,
-            )
+        emit_if_tracing(
+            PhaseEvent,
+            engine="median",
+            phase="one",
+            status="start",
+            requested=self._config.phase_one_peers,
         )
         observations_one, hops_one, tuples_one, received_one = self._collect(
             sink, query, self._config.phase_one_peers, ledger
@@ -329,15 +321,14 @@ class MedianEngine:
         phase_one_estimate = self._weighted_median_of(
             observations_one, fraction
         )
-        _emit(
-            PhaseEvent(
-                engine="median",
-                phase="one",
-                status="end",
-                requested=self._config.phase_one_peers,
-                received=received_one,
-                estimate=phase_one_estimate,
-            )
+        emit_if_tracing(
+            PhaseEvent,
+            engine="median",
+            phase="one",
+            status="end",
+            requested=self._config.phase_one_peers,
+            received=received_one,
+            estimate=phase_one_estimate,
         )
         rank_error = self._cross_validated_rank_error(
             observations_one, fraction
@@ -356,14 +347,13 @@ class MedianEngine:
         additional = int(math.ceil(half * (rank_error / delta_req) ** 2))
         if self._config.max_phase_two_peers is not None:
             additional = min(additional, self._config.max_phase_two_peers)
-        _emit(
-            PhaseEvent(
-                engine="median",
-                phase="analysis",
-                status="end",
-                requested=additional,
-                error=rank_error,
-            )
+        emit_if_tracing(
+            PhaseEvent,
+            engine="median",
+            phase="analysis",
+            status="end",
+            requested=additional,
+            error=rank_error,
         )
 
         phase_two: Optional[PhaseReport] = None
@@ -372,13 +362,12 @@ class MedianEngine:
         received = received_one
         if additional > 0:
             requested += additional
-            _emit(
-                PhaseEvent(
-                    engine="median",
-                    phase="two",
-                    status="start",
-                    requested=additional,
-                )
+            emit_if_tracing(
+                PhaseEvent,
+                engine="median",
+                phase="two",
+                status="start",
+                requested=additional,
             )
             observations_two, hops_two, tuples_two, received_two = (
                 self._collect(sink, query, additional, ledger)
@@ -389,15 +378,14 @@ class MedianEngine:
                 if observations_two
                 else None
             )
-            _emit(
-                PhaseEvent(
-                    engine="median",
-                    phase="two",
-                    status="end",
-                    requested=additional,
-                    received=received_two,
-                    estimate=estimate_two,
-                )
+            emit_if_tracing(
+                PhaseEvent,
+                engine="median",
+                phase="two",
+                status="end",
+                requested=additional,
+                received=received_two,
+                estimate=estimate_two,
             )
             phase_two = PhaseReport(
                 peers_visited=additional,
@@ -411,15 +399,14 @@ class MedianEngine:
         else:
             pool = list(observations_two)
         estimate = self._weighted_median_of(pool, fraction)
-        _emit(
-            EstimateEvent(
-                engine="median",
-                agg=query.agg.value,
-                estimate=estimate,
-                requested=requested,
-                received=received,
-                degraded=received < requested,
-            )
+        emit_if_tracing(
+            EstimateEvent,
+            engine="median",
+            agg=query.agg.value,
+            estimate=estimate,
+            requested=requested,
+            received=received,
+            degraded=received < requested,
         )
         return MedianResult(
             query=query,

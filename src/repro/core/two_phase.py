@@ -26,9 +26,12 @@ estimate.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Generator, List, Optional, TypeVar
 
-from .._util import SeedLike, ensure_rng
+import numpy as np
+
+from .._util import SeedLike, ensure_rng, seed_sequence
 from ..errors import ConfigurationError, SamplingError
 from ..metrics.cost import CostLedger
 from ..network.protocol import AggregateSample, WalkerProbe
@@ -39,8 +42,8 @@ from ..network.walker import (
     ResilientCollector,
     RetryPolicy,
 )
-from ..obs.events import EstimateEvent, PhaseEvent, TraceEvent
-from ..obs.tracer import active_tracer
+from ..obs.events import EstimateEvent, PhaseEvent
+from ..obs.tracer import emit_if_tracing
 from ..query.model import AggregationQuery
 from .confidence import ConfidenceInterval, query_confidence_interval
 from .estimators import (
@@ -58,13 +61,6 @@ __all__ = [
     "TwoPhaseEngine",
     "drain_steps",
 ]
-
-
-def _emit(event: TraceEvent) -> None:
-    """Forward ``event`` to the active tracer, if any."""
-    tracer = active_tracer()
-    if tracer is not None:
-        tracer.emit(event)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -254,15 +250,18 @@ class TwoPhaseEngine:
     ):
         self._simulator = simulator
         self._config = config or TwoPhaseConfig()
-        self._rng = ensure_rng(seed)
+        self._seed_seq = seed_sequence(seed)
+        if isinstance(seed, np.random.Generator):
+            self._rng = seed
+        walk_seed, visit_seed = self._seed_seq.spawn(2)
         self._walker = RandomWalker(
             simulator.topology,
             config=self._config.walk_config(),
-            seed=self._rng.spawn(1)[0],
+            seed=walk_seed,
         )
         # Engine-owned stream for local sub-sampling at visited peers,
         # so executions are deterministic given the engine seed.
-        self._visit_rng = self._rng.spawn(1)[0]
+        self._visit_rng = ensure_rng(visit_seed)
         self._point, self._variance = make_estimator(
             self._config.estimator, simulator.topology.num_peers
         )
@@ -273,6 +272,11 @@ class TwoPhaseEngine:
             )
         self._last_replies: Optional[AggregateSample] = None
         self._last_sink: Optional[int] = None
+
+    @functools.cached_property
+    def _rng(self) -> np.random.Generator:
+        """The engine's own stream (sinks), built on its first draw."""
+        return ensure_rng(self._seed_seq)
 
     @property
     def config(self) -> TwoPhaseConfig:
@@ -492,13 +496,12 @@ class TwoPhaseEngine:
 
         # Phase I --------------------------------------------------------
         phase_one_hops_before = 0
-        _emit(
-            PhaseEvent(
-                engine="two-phase",
-                phase="one",
-                status="start",
-                requested=self._config.phase_one_peers,
-            )
+        emit_if_tracing(
+            PhaseEvent,
+            engine="two-phase",
+            phase="one",
+            status="start",
+            requested=self._config.phase_one_peers,
         )
         sample_one = yield from self.collect_observations_stepwise(
             sink, query, self._config.phase_one_peers, ledger,
@@ -506,15 +509,14 @@ class TwoPhaseEngine:
         )
         hops_one = ledger.snapshot().hops - phase_one_hops_before
         estimate_one = self._final_estimate(query, sample_one)
-        _emit(
-            PhaseEvent(
-                engine="two-phase",
-                phase="one",
-                status="end",
-                requested=self._config.phase_one_peers,
-                received=len(sample_one),
-                estimate=estimate_one,
-            )
+        emit_if_tracing(
+            PhaseEvent,
+            engine="two-phase",
+            phase="one",
+            status="end",
+            requested=self._config.phase_one_peers,
+            received=len(sample_one),
+            estimate=estimate_one,
         )
         analysis = analyze_phase_one(
             query,
@@ -523,22 +525,21 @@ class TwoPhaseEngine:
             tuples_per_peer=self._config.tuples_per_peer,
             cross_validation_rounds=self._config.cross_validation_rounds,
             max_phase_two_peers=self._config.max_phase_two_peers,
-            seed=self._rng.spawn(1)[0],
+            seed=self._seed_seq.spawn(1)[0],
             estimator=self._config.estimator,
             num_peers=self._simulator.topology.num_peers,
         )
-        _emit(
-            PhaseEvent(
-                engine="two-phase",
-                phase="analysis",
-                status="end",
-                requested=(
-                    analysis.plan.additional_peers
-                    if analysis.plan.phase_two_needed
-                    else 0
-                ),
-                error=analysis.cross_validation.rms_error,
-            )
+        emit_if_tracing(
+            PhaseEvent,
+            engine="two-phase",
+            phase="analysis",
+            status="end",
+            requested=(
+                analysis.plan.additional_peers
+                if analysis.plan.phase_two_needed
+                else 0
+            ),
+            error=analysis.cross_validation.rms_error,
         )
         # A checkpoint between analysis and phase II lets a scheduler
         # stop an over-budget query before it pays for the second walk.
@@ -552,13 +553,12 @@ class TwoPhaseEngine:
         if analysis.plan.phase_two_needed:
             requested += analysis.plan.additional_peers
             hops_before = ledger.snapshot().hops
-            _emit(
-                PhaseEvent(
-                    engine="two-phase",
-                    phase="two",
-                    status="start",
-                    requested=analysis.plan.additional_peers,
-                )
+            emit_if_tracing(
+                PhaseEvent,
+                engine="two-phase",
+                phase="two",
+                status="start",
+                requested=analysis.plan.additional_peers,
             )
             sample_two = yield from self.collect_observations_stepwise(
                 sink, query, analysis.plan.additional_peers, ledger,
@@ -572,15 +572,14 @@ class TwoPhaseEngine:
                 estimate_two = self._final_estimate(query, sample_two)
             except SamplingError:
                 estimate_two = None
-            _emit(
-                PhaseEvent(
-                    engine="two-phase",
-                    phase="two",
-                    status="end",
-                    requested=analysis.plan.additional_peers,
-                    received=len(sample_two),
-                    estimate=estimate_two,
-                )
+            emit_if_tracing(
+                PhaseEvent,
+                engine="two-phase",
+                phase="two",
+                status="end",
+                requested=analysis.plan.additional_peers,
+                received=len(sample_two),
+                estimate=estimate_two,
             )
             phase_two = PhaseReport.of_sample(
                 sample_two, hops_two, estimate_two
@@ -596,15 +595,14 @@ class TwoPhaseEngine:
         effective = len(pooled)
         self._last_replies = pooled
         self._last_sink = sink
-        _emit(
-            EstimateEvent(
-                engine="two-phase",
-                agg=query.agg.value,
-                estimate=estimate,
-                requested=requested,
-                received=effective,
-                degraded=effective < requested,
-            )
+        emit_if_tracing(
+            EstimateEvent,
+            engine="two-phase",
+            agg=query.agg.value,
+            estimate=estimate,
+            requested=requested,
+            received=effective,
+            degraded=effective < requested,
         )
         return ApproximateResult(
             query=query,
@@ -645,7 +643,7 @@ class TwoPhaseEngine:
             tuples_per_peer=self._config.tuples_per_peer,
             cross_validation_rounds=self._config.cross_validation_rounds,
             max_phase_two_peers=self._config.max_phase_two_peers,
-            seed=self._rng.spawn(1)[0],
+            seed=self._seed_seq.spawn(1)[0],
             estimator=self._config.estimator,
             num_peers=self._simulator.topology.num_peers,
         )

@@ -3,15 +3,16 @@
 The batch-visit optimisation lays the sampled rows of all visited
 peers out in one contiguous buffer and reduces each peer's segment in
 a single numpy call.  The delicate part is *bit-for-bit* equivalence
-with the per-peer loop: naive ``np.sum`` uses pairwise summation whose
-grouping depends on how the call is issued, so summing one peer's rows
-alone and summing them as a segment of a larger buffer could round
-differently.  ``np.add.reduceat`` does not have that problem — it
-reduces every segment strictly left-to-right, and the reduction of a
-segment is independent of what surrounds it.  Both the scalar
-``visit_aggregate`` and the batched ``visit_aggregate_batch`` therefore
-funnel through :func:`segment_aggregate`, which makes their float
-outputs identical by construction rather than by accident.
+with the per-peer loop: a float sum's rounding depends on the order
+its additions are grouped in, and neither ``np.sum`` nor
+``np.add.reduceat`` adds strictly left to right.  What
+``np.add.reduceat`` does guarantee is that a segment's sum is the same
+bits as the same rows reduced alone (``np.add.reduceat(rows, [0])``),
+whatever surrounds them — and the same again for every row of a
+stacked ``axis=1`` reduction.  Both the scalar ``visit_aggregate`` and
+the batched ``visit_aggregate_batch`` therefore funnel through
+:func:`segment_aggregate`, which makes their float outputs identical
+by construction rather than by accident.
 
 One ``reduceat`` wrinkle: a zero-length segment (``starts[i] ==
 starts[i+1]``) does not yield the additive identity — numpy returns
@@ -28,7 +29,7 @@ the two select the same rows from the same keys.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -147,9 +148,10 @@ def segment_sums(
     ``starts``/``counts`` describe contiguous segments laid end to end:
     segment ``i`` is ``values[starts[i] : starts[i] + counts[i]]`` and
     ``starts[i] + counts[i] == starts[i + 1]`` (the final segment ends
-    exactly at ``values.size``).  Each segment is reduced sequentially
-    left-to-right (``np.add.reduceat``), so the result for a segment is
-    bitwise independent of the segmentation around it.
+    exactly at ``values.size``).  Each segment is reduced by
+    ``np.add.reduceat`` — not strictly left to right, but to the same
+    bits as the segment reduced alone, so the result for a segment is
+    independent of the segmentation around it.
     """
     out = np.zeros(counts.shape[0], dtype=np.float64)
     if values.size == 0:
@@ -166,11 +168,13 @@ def segment_aggregate(
     columns: ColumnMap,
     starts: np.ndarray,
     counts: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Per-segment local aggregates of the paper's ``Visit`` procedure.
 
     ``columns`` holds the (sub-sampled) rows of every segment laid out
-    contiguously.  Returns, one entry per segment:
+    contiguously.  Returns one ``(4, segments)`` float64 array — so
+    ``count, total, column_sum, variance = segment_aggregate(...)``
+    unpacks it — whose rows are, per segment:
 
     ``local_count``
         Number of rows matching the query predicate.
@@ -198,30 +202,26 @@ def segment_aggregate(
             "segments must tile the column buffer exactly"
         )
 
+    out = np.zeros((4, num_segments), dtype=np.float64)
     if column.size == 0 or num_segments == 0:
-        zeros = np.zeros(num_segments, dtype=np.float64)
-        return zeros, zeros.copy(), zeros.copy(), zeros.copy()
+        return out
 
-    mask = query.predicate.mask(columns)
-    mask_f = mask.astype(np.float64)
-    column_f = column.astype(np.float64, copy=False)
-    masked_values = column_f * mask_f
-
-    local_count = segment_sums(mask_f, starts, counts)
-    local_sum = segment_sums(masked_values, starts, counts)
-    column_sum = segment_sums(column_f, starts, counts)
-
-    contributions = mask_f if query.agg is AggregateOp.COUNT else masked_values
-    if query.agg is AggregateOp.COUNT:
-        contribution_sums = local_count
-    else:
-        contribution_sums = local_sum
+    # The mask, the masked values and the column, one row each, summed
+    # per segment by one reduction (each row to the bits of its own).
+    terms = np.empty((3, column.size), dtype=np.float64)
+    terms[0] = query.predicate.mask(columns)
+    terms[2] = column
+    np.multiply(terms[2], terms[0], out=terms[1])
     nonempty = counts > 0
-    means = np.zeros(num_segments, dtype=np.float64)
-    np.divide(contribution_sums, counts, out=means, where=nonempty)
-    deviations = contributions - np.repeat(means, counts)
-    squared = segment_sums(deviations * deviations, starts, counts)
-    contribution_variance = np.zeros(num_segments, dtype=np.float64)
-    np.divide(squared, counts, out=contribution_variance, where=nonempty)
+    heads = starts[nonempty]
+    out[:3, nonempty] = np.add.reduceat(terms, heads, axis=1)
 
-    return local_count, local_sum, column_sum, contribution_variance
+    # z_u is the mask for COUNT and the masked value otherwise.
+    z = 0 if query.agg is AggregateOp.COUNT else 1
+    means = np.zeros(num_segments, dtype=np.float64)
+    np.divide(out[z], counts, out=means, where=nonempty)
+    deviations = terms[z] - np.repeat(means, counts)
+    np.multiply(deviations, deviations, out=deviations)
+    out[3, nonempty] = np.add.reduceat(deviations, heads)
+    np.divide(out[3], counts, out=out[3], where=nonempty)
+    return out

@@ -170,23 +170,33 @@ class CostLedger:
         latency accumulator is advanced with the same additions in the
         same sequence, so totals are bit-for-bit identical to the
         per-event path.  Used by the simulator's batch visits.
+
+        A scalar ``reply_bytes`` is every reply's size; passing the
+        same array as ``tuples_processed`` and ``tuples_sampled`` reads
+        it once.
         """
         peers = np.asarray(peers, dtype=np.int64).reshape(-1)
+        same = tuples_sampled is tuples_processed
         tuples_processed = np.asarray(tuples_processed, dtype=np.int64)
-        tuples_sampled = np.asarray(tuples_sampled, dtype=np.int64)
+        tuples_sampled = (
+            tuples_processed if same
+            else np.asarray(tuples_sampled, dtype=np.int64)
+        )
         reply_bytes = np.asarray(reply_bytes, dtype=np.int64)
         n = peers.size
         if not (
             tuples_processed.shape == (n,)
             and tuples_sampled.shape == (n,)
-            and reply_bytes.shape == (n,)
+            and reply_bytes.shape in ((), (n,))
         ):
             raise ConfigurationError(
                 "per-visit arrays must align with the peer list"
             )
         if n == 0:
             return
-        if tuples_processed.min() < 0 or tuples_sampled.min() < 0:
+        if tuples_processed.min() < 0 or (
+            not same and tuples_sampled.min() < 0
+        ):
             raise ConfigurationError("tuple counts must be non-negative")
         if reply_bytes.min() < 0:
             raise ConfigurationError("payload_bytes must be non-negative")
@@ -204,10 +214,15 @@ class CostLedger:
         # Order-independent integer totals vectorize freely ...
         self._visits += n
         self._distinct.update(peers.tolist())
-        self._tuples_processed += int(tuples_processed.sum())
-        self._tuples_sampled += int(tuples_sampled.sum())
+        processed = int(tuples_processed.sum())
+        self._tuples_processed += processed
+        self._tuples_sampled += (
+            processed if same else int(tuples_sampled.sum())
+        )
         self._messages += n
-        self._bytes += int(reply_bytes.sum())
+        self._bytes += (
+            int(reply_bytes.sum()) if reply_bytes.ndim else n * int(reply_bytes)
+        )
         # ... but float accumulation must replay the per-event order
         # (visit overhead + processing, then reply transfer, per peer)
         # to land on the identical rounded value.  ``np.cumsum`` adds

@@ -297,9 +297,10 @@ class AggregateSample:
         cls, sink: int, size: int, **columns: ArrayLike
     ) -> "AggregateSample":
         """``size`` rows holding ``columns``; columns not given are 0."""
-        return cls(np.zeros(size, dtype=_SAMPLE_DTYPE), sink).replace(
-            **columns
-        )
+        rows = np.zeros(size, dtype=_SAMPLE_DTYPE)
+        for name, values in columns.items():
+            rows[name] = values
+        return cls(rows, sink)
 
     @classmethod
     def from_replies(

@@ -21,6 +21,7 @@ accounted exactly where the paper's cost model says they arise:
 from __future__ import annotations
 
 import copy
+import functools
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -35,7 +36,7 @@ from typing import (
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .._util import SeedLike, ensure_rng
+from .._util import SeedLike, ensure_rng, seed_sequence
 from ..data.flat import DatabaseTable, FlatDataset
 from ..data.localdb import LocalDatabase
 from ..data.segments import (
@@ -144,19 +145,15 @@ def _check_tuples_per_peer(tuples_per_peer: int) -> None:
         raise ConfigurationError("tuples_per_peer must be >= 0")
 
 
-def _check_sampling_method(sampling_method: str) -> bool:
+def _check_sampling_method(sampling_method: str) -> None:
     """The one sampling-method validator every visit entry point runs
-    first, whether or not the visit ends up sub-sampling.  Returns
-    whether the method is row-level (``"uniform"``) rather than
-    block-level (``"block"``)."""
-    if sampling_method == "uniform":
-        return True
-    if sampling_method == "block":
-        return False
-    raise ConfigurationError(
-        f"unknown sampling method {sampling_method!r}; "
-        "expected 'uniform' or 'block'"
-    )
+    first, whether or not the visit ends up sub-sampling: row-level
+    (``"uniform"``) or block-level (``"block"``)."""
+    if sampling_method not in ("uniform", "block"):
+        raise ConfigurationError(
+            f"unknown sampling method {sampling_method!r}; "
+            "expected 'uniform' or 'block'"
+        )
 
 
 def _check_pushdown(query: AggregationQuery) -> None:
@@ -362,9 +359,27 @@ class NetworkSimulator:
         )
 
     def _reseed(self, seed: SeedLike) -> None:
-        """(Re)start the sub-sampling and failure streams from ``seed``."""
-        self._rng = ensure_rng(seed)
-        self._failure_rng = ensure_rng(self._rng.spawn(1)[0])
+        """(Re)start the sub-sampling and failure streams from ``seed``.
+
+        Each becomes a ``Generator`` on its first draw (a clean session
+        draws from neither); a ``Generator`` handed in is the
+        sub-sampling stream itself.
+        """
+        self._seed_seq = seed_sequence(seed)
+        self._failure_seed = self._seed_seq.spawn(1)[0]
+        vars(self).pop("_failure_rng", None)
+        if isinstance(seed, np.random.Generator):
+            self._rng = seed
+        else:
+            vars(self).pop("_rng", None)
+
+    @functools.cached_property
+    def _rng(self) -> np.random.Generator:
+        return ensure_rng(self._seed_seq)
+
+    @functools.cached_property
+    def _failure_rng(self) -> np.random.Generator:
+        return ensure_rng(self._failure_seed)
 
     def _maybe_drop_reply(self, peer_id: int, ledger: CostLedger) -> None:
         """Simulate a lost reply with the configured probability.
@@ -989,8 +1004,8 @@ class NetworkSimulator:
                 f"{peer_ids!r}"
             )
         peers = peers.reshape(-1)
-        unknown = (peers < 0) | (peers >= self.num_peers)
-        if unknown.any():
+        if peers.size and (peers.min() < 0 or peers.max() >= self.num_peers):
+            unknown = (peers < 0) | (peers >= self.num_peers)
             raise ProtocolError(f"unknown peer {int(peers[unknown][0])}")
         return peers.astype(np.int64, copy=False)
 
@@ -1018,16 +1033,17 @@ class NetworkSimulator:
         doubles of the freshly seeded stream.  Block-level sampling
         keeps its per-peer ``rng.permutation`` draw.
         """
-        uniform = _check_sampling_method(sampling_method)
+        uniform = sampling_method == "uniform"  # the entry point checked it
         flat = self.flat_dataset
         totals = flat.peer_tuple_counts[peers]
         processed = (
             np.minimum(totals, tuples_per_peer) if tuples_per_peer else totals
         )
-        # Whole partitions are read front to back ...
-        local = segment_ramps(processed)
         sampled = totals > processed
-        if sampled.any():
+        if not sampled.any():
+            # Whole partitions are read front to back ...
+            local = segment_ramps(processed)
+        else:
             # ... and the larger ones through their sub-sample.
             sizes = totals[sampled]
             if uniform:
@@ -1051,9 +1067,16 @@ class NetworkSimulator:
                     )
                     for peer_id in peers[sampled].tolist()
                 ])
-            local[np.repeat(sampled, processed)] = chosen
-        columns = flat.gather(local + np.repeat(flat.offsets[peers], processed))
-        return columns, np.cumsum(processed) - processed, processed, totals
+            if sampled.all():
+                local = chosen
+            else:
+                local = segment_ramps(processed)
+                local[np.repeat(sampled, processed)] = chosen
+        local += np.repeat(flat.offsets[peers], processed)
+        return (
+            flat.gather(local), np.cumsum(processed) - processed,
+            processed, totals,
+        )
 
     def _batch_fallback_needed(self) -> bool:
         """Whether batch visits must resolve their probes one by one.
@@ -1090,12 +1113,12 @@ class NetworkSimulator:
         the bulk charge in :meth:`visit_aggregate_batch`).
         """
         self.check_aggregate_visits(query, tuples_per_peer, sampling_method)
-        return self._read_aggregates_prechecked(
+        return self.read_aggregates_prechecked(
             self._validate_batch_peers(peer_ids),
             query, sink, tuples_per_peer, sampling_method, seed,
         )
 
-    def _read_aggregates_prechecked(
+    def read_aggregates_prechecked(
         self,
         peers: np.ndarray,
         query: AggregationQuery,
@@ -1104,24 +1127,24 @@ class NetworkSimulator:
         sampling_method: str,
         seed: SeedLike,
     ) -> AggregateSample:
-        """:meth:`read_aggregates` over arguments a public entry point
-        has already checked (``peers``: what :meth:`_validate_batch_peers`
-        returns) — the part that reads rows."""
+        """:meth:`read_aggregates` over arguments already checked —
+        by :meth:`check_aggregate_visits`, and ``peers`` a flat int64
+        array of known peers (what :meth:`_validate_batch_peers`
+        returns, or the survivors of checked probes) — the part that
+        reads rows."""
         if peers.size == 0:
             return AggregateSample.from_columns(sink, 0)
         shared_rng, per_visit_seed = self._resolve_batch_rng(seed)
         columns, starts, processed, totals = self._batch_sample_plan(
             peers, tuples_per_peer, sampling_method, shared_rng, per_visit_seed
         )
-        counts, sums, column_sums, variances = segment_aggregate(
+        aggregates = segment_aggregate(
             query, columns, starts=starts, counts=processed
         )
-        nonzero = processed > 0
         scales = np.zeros(peers.size, dtype=np.float64)
-        np.divide(
-            totals.astype(np.float64), processed, out=scales, where=nonzero
-        )
-        primary = counts if query.agg is AggregateOp.COUNT else sums
+        np.divide(totals, processed, out=scales, where=processed > 0)
+        # Count, sum and column sum, scaled up to every peer's total.
+        count, total, column_total = aggregates[:3] * scales
         return AggregateSample.from_columns(
             sink,
             peers.size,
@@ -1129,10 +1152,10 @@ class NetworkSimulator:
             degree=self.topology.degrees[peers],
             local_tuples=totals,
             processed_tuples=processed,
-            aggregate_value=primary * scales,
-            matching_count=counts * scales,
-            column_total=column_sums * scales,
-            contribution_variance=variances,
+            aggregate_value=count if query.agg is AggregateOp.COUNT else total,
+            matching_count=count,
+            column_total=column_total,
+            contribution_variance=aggregates[3],
         )
 
     def visit_aggregate_batch(
@@ -1189,12 +1212,12 @@ class NetworkSimulator:
                 except PeerUnavailableError:
                     continue  # lost reply: the sample just shrinks
                 survivors.append(peer_id)
-            return self._read_aggregates_prechecked(
+            return self.read_aggregates_prechecked(
                 np.asarray(survivors, dtype=np.int64),
                 query, sink, tuples_per_peer, sampling_method, seed,
             )
 
-        replies = self._read_aggregates_prechecked(
+        replies = self.read_aggregates_prechecked(
             peers, query, sink, tuples_per_peer, sampling_method, seed
         )
         processed = replies["processed_tuples"]
@@ -1202,9 +1225,7 @@ class NetworkSimulator:
             peers,
             tuples_processed=processed,
             tuples_sampled=processed,
-            reply_bytes=np.full(
-                peers.size, AggregateReply.SIZE_BYTES, dtype=np.int64
-            ),
+            reply_bytes=AggregateReply.SIZE_BYTES,
             cpu_speeds=self._snapshot.cpu_speeds()[peers],
         )
         if tracer is not None:

@@ -779,13 +779,11 @@ class ResilientCollector:
         survivors, stats = self._collect(
             sink, count, ledger, probe_bytes, probe
         )
-        replies = simulator.read_aggregates(
-            survivors,
-            query,
-            sink=sink,
-            tuples_per_peer=tuples_per_peer,
-            sampling_method=sampling_method,
-            seed=seed,
+        # Every survivor passed its probe's peer check: read the rows
+        # through the body read_aggregates shares, without re-checking.
+        replies = simulator.read_aggregates_prechecked(
+            np.asarray(survivors, dtype=np.int64),
+            query, sink, tuples_per_peer, sampling_method, seed,
         )
         return replies, stats
 

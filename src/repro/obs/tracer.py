@@ -50,6 +50,7 @@ __all__ = [
     "TraceLike",
     "Tracer",
     "active_tracer",
+    "emit_if_tracing",
     "tracing",
 ]
 
@@ -273,6 +274,14 @@ def active_tracer() -> Optional[Tracer]:
     variable read per instrumented site, compared against ``None``.
     """
     return _ACTIVE.get()
+
+
+def emit_if_tracing(kind: Callable[..., TraceEvent], **fields: object) -> None:
+    """Emit ``kind(**fields)`` to the active tracer — constructing it
+    only when there is one, so an untraced run builds no event."""
+    tracer = _ACTIVE.get()
+    if tracer is not None:
+        tracer.emit(kind(**fields))
 
 
 @contextlib.contextmanager

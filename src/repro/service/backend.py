@@ -142,10 +142,12 @@ class EngineSettings:
 class QueryJob:
     """One admitted query, fully seeded — everything a backend needs.
 
-    The RNG generators are spawned by the service in submission order
-    *before* the job reaches any backend, so where the job executes
-    cannot change what it computes.  Small and picklable by design:
-    the snapshot itself never rides along.
+    The seeds are spawned by the service in submission order *before*
+    the job reaches any backend, so where the job executes cannot
+    change what it computes.  Small and picklable by design: the
+    snapshot never rides along, and the seeds travel as
+    ``SeedSequence``\\ s that become ``Generator``\\ s where they are
+    drawn from.
     """
 
     query_id: int
@@ -155,8 +157,8 @@ class QueryJob:
     sink: Optional[int]
     budget: Optional[CostBudget]
     deadline_ms: Optional[float]
-    session_seed: np.random.Generator
-    engine_seed: np.random.Generator
+    session_seed: np.random.SeedSequence
+    engine_seed: np.random.SeedSequence
     capture_trace: bool
 
 

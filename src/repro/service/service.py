@@ -12,7 +12,9 @@ heavy repeat traffic, not one query at a time):
   :class:`~repro.errors.AdmissionError` (backpressure) instead of
   growing an unbounded backlog.
 * **Per-query determinism.**  Every submission spawns its own RNG
-  streams from the service seed, in submission order: one seeds a
+  streams — two ``SeedSequence`` children of the service seed, each
+  becoming a ``Generator`` where it is first drawn from — in
+  submission order: one seeds a
   private :meth:`~repro.network.simulator.NetworkSimulator.session`
   (own sub-sampling RNG, own failure RNG, own fault clock), the other
   the query's :class:`~repro.core.hybrid.HybridEngine`.  No query
@@ -45,7 +47,7 @@ import dataclasses
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from .._util import SeedLike, ensure_rng
+from .._util import SeedLike, seed_sequence
 from ..core.hybrid import PlanCache
 from ..core.result import ApproximateResult
 from ..core.two_phase import TwoPhaseConfig
@@ -226,7 +228,7 @@ class QueryService:
             )
         self._base = simulator
         self._config = config or TwoPhaseConfig()
-        self._rng = ensure_rng(seed)
+        self._seed_seq = seed_sequence(seed)
         self._max_queue = max_queue
         self._default_budget = default_budget
         self._capture_traces = capture_traces
@@ -397,7 +399,7 @@ class QueryService:
         query_id = self._next_id
         self._next_id += 1
         signature = query.to_sql()
-        session_seed, engine_seed = self._rng.spawn(2)
+        session_seed, engine_seed = self._seed_seq.spawn(2)
         job = QueryJob(
             query_id=query_id,
             query=query,

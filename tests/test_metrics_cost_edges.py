@@ -8,6 +8,8 @@ alternating per-event calls it replaces.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.metrics.cost import CostLedger, CostModel, QueryCost
@@ -136,3 +138,47 @@ def test_batch_matches_per_event_path_bit_for_bit():
             scalar.record_reply(int(by))
 
         assert batch.snapshot() == scalar.snapshot()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    size=st.integers(0, 300),
+    reply_bytes=st.integers(0, 4096),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+def test_scalar_reply_bytes_and_shared_tuple_counts_leave_the_same_ledger(
+    size, reply_bytes, data_seed
+):
+    """Every aggregate reply has one size, and a clean visit samples
+    what it processes: a scalar ``reply_bytes`` and one array passed
+    as both tuple counts must charge exactly what the per-peer arrays
+    did."""
+    rng = np.random.default_rng(data_seed)
+    peers = rng.integers(0, 50, size=size)
+    processed = rng.integers(0, 1000, size=size)
+    speeds = rng.uniform(0.5, 3.0, size=size)
+
+    arrays = CostLedger()
+    arrays.record_hops(5)
+    arrays.record_visit_replies(
+        peers, processed, processed.copy(),
+        np.full(size, reply_bytes, dtype=np.int64), speeds,
+    )
+    scalar = CostLedger()
+    scalar.record_hops(5)
+    scalar.record_visit_replies(
+        peers, processed, processed, reply_bytes, speeds
+    )
+    assert scalar.snapshot() == arrays.snapshot()
+
+
+def test_scalar_and_shared_arguments_are_still_checked():
+    ledger = CostLedger()
+    with pytest.raises(ConfigurationError, match="payload_bytes"):
+        ledger.record_visit_replies([1, 2], [3, 4], [3, 4], -1)
+    shared = np.array([3, -4])
+    with pytest.raises(ConfigurationError, match="tuple counts"):
+        ledger.record_visit_replies([1, 2], shared, shared, 66)
+    with pytest.raises(ConfigurationError, match="align"):
+        ledger.record_visit_replies([1, 2], [3, 4], [3, 4], [66])
+    assert ledger.snapshot() == QueryCost()

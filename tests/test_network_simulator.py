@@ -12,6 +12,7 @@ from repro.network.generators import power_law_topology
 from repro.network.peer import Peer, PeerCapabilities
 from repro.network.simulator import NetworkSimulator
 from repro.network.topology import Topology
+from repro.network.walker import RandomWalker, ResilientCollector, RetryPolicy
 from repro.query.model import AggregateOp, AggregationQuery, Between
 from repro.service import QueryService
 
@@ -563,7 +564,8 @@ class TestBatchVisitChecksOnce:
     """A batch visit checks its arguments once: the public entry point
     validates, then reads rows through the body ``read_aggregates``
     shares — not through ``read_aggregates``, which validates again.
-    Counts repeat exactly."""
+    So does a resilient collector's collection.  Counts repeat
+    exactly."""
 
     @pytest.fixture()
     def checks(self, monkeypatch):
@@ -658,3 +660,33 @@ class TestBatchVisitChecksOnce:
             raised.append(str(caught.value))
         assert raised[0] == raised[1]
         assert ledger.snapshot() == untouched
+
+    @pytest.mark.parametrize("faulty", [False, True])
+    def test_one_argument_check_per_collector_collection(
+        self, mini_network, checks, faulty
+    ):
+        """The resilient collector checks what its collection fixes
+        before the walk, each probe checks its peer, and the survivors'
+        rows are read through the body ``read_aggregates`` shares."""
+        network = mini_network
+        if faulty:
+            network = NetworkSimulator(
+                mini_network.topology,
+                mini_network.databases(),
+                seed=3,
+                fault_plan=FaultPlan(seed=1, reply_loss=0.3),
+            )
+        collector = ResilientCollector(
+            RandomWalker(network.topology, seed=4),
+            network,
+            RetryPolicy(max_attempts=2),
+        )
+        replies, stats = collector.collect_aggregate(
+            0, SUM_ALL, 12, network.new_ledger(), 23,
+            tuples_per_peer=2, seed=5,
+        )
+        assert len(replies) == stats.received > 0
+        assert (stats.losses > 0) == faulty
+        assert checks == {
+            "check_aggregate_visits": 1, "_validate_batch_peers": 0
+        }

@@ -515,19 +515,20 @@ class TestProbePathCounts:
         }
         for name, calls in checks.items():
             _counted(monkeypatch, simulator_module, name, calls)
-        # The survivors' rows are read once every probe is resolved
-        # (a public entry point that validates for itself): whatever
-        # ran before it is what the walk and the probes cost.
+        # The survivors' rows are read once every probe is resolved:
+        # whatever ran before it is what the walk and the probes cost.
         before_the_read = {}
-        read_aggregates = type(session).read_aggregates
+        read_rows = type(session).read_aggregates_prechecked
 
         def reading(self, *args, **kwargs):
             before_the_read.update(
                 {name: len(calls) for name, calls in checks.items()}
             )
-            return read_aggregates(self, *args, **kwargs)
+            return read_rows(self, *args, **kwargs)
 
-        monkeypatch.setattr(type(session), "read_aggregates", reading)
+        monkeypatch.setattr(
+            type(session), "read_aggregates_prechecked", reading
+        )
         collector = ResilientCollector(
             RandomWalker(small_topology, seed=3),
             session,
@@ -538,8 +539,10 @@ class TestProbePathCounts:
         )
         assert stats.attempts >= 40
         assert before_the_read == dict.fromkeys(checks, 1)
-        # ... and the read adds a constant, not one per probe.
-        assert all(len(calls) <= 3 for calls in checks.values())
+        # ... and the read checks nothing again.
+        assert {name: len(calls) for name, calls in checks.items()} == (
+            dict.fromkeys(checks, 1)
+        )
 
     def test_a_probe_hashes_and_queues_only_what_it_must(
         self, small_topology, small_dataset, monkeypatch

@@ -8,14 +8,18 @@ simulator session.  Everything else (backpressure, budgets, the shared
 plan cache, metrics) is tested around that.
 """
 
+import copy
 import dataclasses
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro._util import ensure_rng
+from repro.core.hybrid import PlanCache
 from repro.core.two_phase import TwoPhaseConfig
 from repro.errors import (
     AdmissionError,
@@ -27,14 +31,17 @@ from repro.errors import (
 from repro.metrics.cost import QueryCost
 from repro.network.generators import power_law_topology
 from repro.network.simulator import NetworkSimulator
+from repro.obs.events import EstimateEvent, TraceEvent
 from repro.query.parser import parse_query
 from repro.service import (
     CostBudget,
+    EngineSettings,
     QueryService,
     QueryTicket,
     RoundRobinScheduler,
     ScheduledQuery,
 )
+from repro.service.backend import build_task
 from repro.sim import ConstantLatency, EventDrivenSimulator, LatencyModel
 from repro.tools.trace.cli import main as trace_main
 
@@ -586,3 +593,151 @@ class TestPropertyDeterminism:
             assert a.status == b.status
             assert a.result.estimate == b.result.estimate
             assert a.result.cost == b.result.cost
+
+
+def _fresh_seed(kind, entropy):
+    """A new service seed of ``kind`` built from ``entropy``."""
+    if kind == "int":
+        return entropy
+    if kind == "seed-sequence":
+        return np.random.SeedSequence(entropy)
+    return np.random.default_rng(entropy)
+
+
+class TestSeedSequences:
+    """A query's streams travel and wait as ``SeedSequence``\\ s and
+    become ``Generator``\\ s where they are drawn from — replaying the
+    streams the ``Generator.spawn`` form handed out, draw for draw."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        kind=st.sampled_from(["int", "seed-sequence", "generator"]),
+        entropy=st.integers(0, 2**63 - 1),
+    )
+    def test_every_per_query_stream_replays_the_spawn_form(
+        self, small_network, kind, entropy
+    ):
+        service = QueryService(
+            small_network, CONFIG, seed=_fresh_seed(kind, entropy)
+        )
+        jobs = []
+        submit = service.backend.submit
+
+        def recording(job):
+            jobs.append(copy.deepcopy(job))
+            submit(job)
+
+        service.backend.submit = recording
+        service.submit(COUNT_30, 0.1)
+        service.submit(SUM_50, 0.1)
+
+        # What the service did before: Generators all the way down.
+        reference = ensure_rng(_fresh_seed(kind, entropy))
+        settings_ = EngineSettings(CONFIG, None, 25, 0.7, False)
+        for job in jobs:
+            session_gen, engine_gen = reference.spawn(2)
+            two_phase_gen = engine_gen.spawn(1)[0]
+            walk_gen, visit_gen, crossval_gen = two_phase_gen.spawn(3)
+            for seed, gen in (
+                (job.session_seed, session_gen),
+                (job.engine_seed, engine_gen),
+            ):
+                assert isinstance(seed, np.random.SeedSequence)
+                assert seed.spawn_key == gen.bit_generator.seed_seq.spawn_key
+                assert seed.entropy == gen.bit_generator.seed_seq.entropy
+
+            task = build_task(small_network, settings_, PlanCache(), job)
+            hybrid = task.engine
+            two_phase = hybrid._engine
+            session = hybrid._simulator
+            draws = {
+                "walk": (two_phase._walker._rng, walk_gen),
+                "visit keys": (two_phase._visit_rng, visit_gen),
+                "cross-validation": (
+                    ensure_rng(two_phase._seed_seq.spawn(1)[0]),
+                    crossval_gen,
+                ),
+                "cold sink": (two_phase._rng, two_phase_gen),
+                "warm sink": (hybrid._rng, engine_gen),
+                "session": (session._rng, session_gen),
+                "failure": (session._failure_rng, session_gen.spawn(1)[0]),
+            }
+            for name, (stream, expected) in draws.items():
+                assert stream.random(4).tolist() == (
+                    expected.random(4).tolist()
+                ), name
+
+
+def _trace_event_classes():
+    pending, classes = [TraceEvent], []
+    while pending:
+        kind = pending.pop()
+        classes.append(kind)
+        pending.extend(kind.__subclasses__())
+    return classes
+
+
+def _counted_init(built, init):
+    def counting(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    return counting
+
+
+class TestUntracedEvents:
+    """An untraced run constructs no trace event — the tracer's
+    "no allocation" promise, counted over a served stream."""
+
+    def test_an_untraced_stream_builds_no_event(
+        self, small_network, monkeypatch
+    ):
+        built = []
+        for kind in _trace_event_classes():
+            if "__init__" in vars(kind):
+                monkeypatch.setattr(
+                    kind, "__init__", _counted_init(built, kind.__init__)
+                )
+        EstimateEvent(engine="x", agg="count", estimate=1.0)
+        assert len(built) == 1  # the patches are live
+        del built[:]
+
+        service = make_service(small_network, max_in_flight=4)
+        for query in WORKLOAD:  # cold and warm
+            service.submit(query, 0.1)
+        assert {outcome.status for outcome in service.run()} == {"done"}
+        assert built == []
+
+        # The same stream, traced, builds them (the count can see them).
+        run_workload_at(small_network, 4)
+        assert {"PhaseEvent", "EstimateEvent", "BatchVisitEvent"} <= set(built)
+
+
+class TestGeneratorCounts:
+    """Per served query only the streams something draws from become
+    ``Generator``\\ s, each built once, through ``ensure_rng``: a cold
+    query builds its walk, visit-key, cross-validation and sink
+    streams (4), a warm one its walk, visit-key and engine streams
+    (3).  Neither builds a session stream a clean query never reads."""
+
+    def test_cold_and_warm_queries(self, small_network, monkeypatch):
+        built = []
+        default_rng = np.random.default_rng
+
+        def counting(seed=None):
+            built.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        service = make_service(small_network, max_in_flight=1)
+        cold = service.submit(COUNT_30, 0.1)
+        service.await_result(cold)
+        assert service.stats().cold_runs == 1
+        assert len(built) == 4
+        assert all(isinstance(s, np.random.SeedSequence) for s in built)
+
+        del built[:]
+        warm = service.submit(COUNT_30, 0.1)
+        service.await_result(warm)
+        assert service.stats().warm_runs == 1
+        assert len(built) == 3

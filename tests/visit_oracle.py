@@ -23,12 +23,16 @@ One quirk is kept on purpose: the sampling method is only checked
 inside ``database.sample``, *after* the gauntlet, as it was.  The
 product now rejects a bad method up front; parity is claimed for valid
 arguments only.
+
+:func:`oracle_segment_aggregate` is the visit's local aggregation as
+it was before it became one stacked reduction: three 1-D
+``segment_sums`` and a four-tuple.
 """
 
 import numpy as np
 
 from repro._util import ensure_rng
-from repro.data.segments import segment_aggregate
+from repro.data.segments import segment_aggregate, segment_sums
 from repro.errors import (
     ConfigurationError,
     PeerCrashedError,
@@ -40,6 +44,42 @@ from repro.network.simulator import _emit_probe
 from repro.obs.events import BatchFallbackEvent, RetryEvent, SubstituteEvent
 from repro.obs.tracer import active_tracer
 from repro.query.model import AggregateOp
+
+
+def oracle_segment_aggregate(query, columns, starts, counts):
+    """The former ``segment_aggregate``: ``(local_count, local_sum,
+    column_sum, contribution_variance)``, one reduction each."""
+    starts = np.asarray(starts, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    num_segments = starts.shape[0]
+    column = np.asarray(columns[query.column])
+    if column.size == 0 or num_segments == 0:
+        zeros = np.zeros(num_segments, dtype=np.float64)
+        return zeros, zeros.copy(), zeros.copy(), zeros.copy()
+
+    mask = query.predicate.mask(columns)
+    mask_f = mask.astype(np.float64)
+    column_f = column.astype(np.float64, copy=False)
+    masked_values = column_f * mask_f
+
+    local_count = segment_sums(mask_f, starts, counts)
+    local_sum = segment_sums(masked_values, starts, counts)
+    column_sum = segment_sums(column_f, starts, counts)
+
+    contributions = mask_f if query.agg is AggregateOp.COUNT else masked_values
+    if query.agg is AggregateOp.COUNT:
+        contribution_sums = local_count
+    else:
+        contribution_sums = local_sum
+    nonempty = counts > 0
+    means = np.zeros(num_segments, dtype=np.float64)
+    np.divide(contribution_sums, counts, out=means, where=nonempty)
+    deviations = contributions - np.repeat(means, counts)
+    squared = segment_sums(deviations * deviations, starts, counts)
+    contribution_variance = np.zeros(num_segments, dtype=np.float64)
+    np.divide(squared, counts, out=contribution_variance, where=nonempty)
+
+    return local_count, local_sum, column_sum, contribution_variance
 
 
 def _open_visit(
