@@ -63,6 +63,8 @@ class GroupByConfig:
             raise ConfigurationError("tuples_per_peer must be >= 0")
         if self.cross_validation_rounds < 1:
             raise ConfigurationError("cross_validation_rounds must be >= 1")
+        if self.max_phase_two_peers is not None and self.max_phase_two_peers < 0:
+            raise ConfigurationError("max_phase_two_peers must be >= 0")
 
     def walk_config(self) -> RandomWalkConfig:
         """The walk configuration this config implies."""

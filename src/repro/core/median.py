@@ -26,14 +26,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Generic, List, Optional, Protocol, Tuple, TypeVar
 
 import numpy as np
 
 from .._util import SeedLike, ensure_rng, weighted_median
 from ..errors import ConfigurationError, SamplingError
 from ..metrics.cost import CostLedger
-from ..network.protocol import TupleReply, WalkerProbe
+from ..network.protocol import ValueSample, WalkerProbe
 from ..network.simulator import NetworkSimulator
 from ..network.walker import (
     RandomWalkConfig,
@@ -98,22 +98,14 @@ class MedianConfig:
             raise ConfigurationError("tuples_per_peer must be >= 0")
         if self.cross_validation_rounds < 1:
             raise ConfigurationError("cross_validation_rounds must be >= 1")
+        if self.max_phase_two_peers is not None and self.max_phase_two_peers < 0:
+            raise ConfigurationError("max_phase_two_peers must be >= 0")
 
     def walk_config(self) -> RandomWalkConfig:
         """The walk configuration this config implies."""
         return RandomWalkConfig(
             jump=self.jump, burn_in=self.burn_in, variant=self.walk_variant
         )
-
-
-@dataclasses.dataclass(frozen=True)
-class _MedianObservation:
-    """A peer's local median with its stationary weight."""
-
-    peer_id: int
-    median: float
-    weight: float  # 1 / prob(s)
-    tuples_processed: int
 
 
 def weighted_rank_fraction(
@@ -137,7 +129,79 @@ def weighted_rank_fraction(
     return (below + 0.5 * tied) / total
 
 
-class MedianEngine:
+class _ValuesConfig(Protocol):
+    """What :class:`_ValuesEngine` reads of an engine's config."""
+
+    @property
+    def tuples_per_peer(self) -> int: ...
+
+    def walk_config(self) -> RandomWalkConfig: ...
+
+
+_Config = TypeVar("_Config", bound=_ValuesConfig)
+
+
+class _ValuesEngine(Generic[_Config]):
+    """What the engines answering from shipped values share: a seeded
+    walker, a visit stream, and one :class:`ValueSample` per phase."""
+
+    def __init__(
+        self, simulator: NetworkSimulator, config: _Config, seed: SeedLike
+    ):
+        self._simulator = simulator
+        self._config = config
+        self._rng = ensure_rng(seed)
+        self._walker = RandomWalker(
+            simulator.topology,
+            config=config.walk_config(),
+            seed=self._rng.spawn(1)[0],
+        )
+        self._visit_rng = self._rng.spawn(1)[0]
+        self._collector: Optional[ResilientCollector] = None
+
+    @property
+    def config(self) -> _Config:
+        """The engine configuration."""
+        return self._config
+
+    def _collect(
+        self,
+        sink: int,
+        query: AggregationQuery,
+        count: int,
+        ledger: CostLedger,
+        ship: str,
+        query_text: str,
+    ) -> Tuple[ValueSample, int]:
+        """Walk to ``count`` peers and gather what they ``ship``;
+        returns the replies, their stationary probabilities attached,
+        and the hops walked."""
+        budget = self._config.tuples_per_peer
+        probe_bytes = WalkerProbe(
+            source=sink, destination=sink, sink=sink,
+            query_text=query_text, tuples_per_peer=budget,
+        ).size_bytes()
+        if self._collector is not None:
+            sample, stats = self._collector.collect_values(
+                sink, query, count, ledger, probe_bytes=probe_bytes,
+                tuples_per_peer=budget, ship=ship, seed=self._visit_rng,
+            )
+            hops = stats.walk_hops
+        else:
+            walk = self._walker.sample_peers(sink, count)
+            self._simulator.walk_hops(
+                walk.hops, ledger, message_bytes=probe_bytes
+            )
+            hops = walk.hops
+            sample = self._simulator.visit_values_batch(
+                walk.peers, query, sink=sink, ledger=ledger,
+                tuples_per_peer=budget, ship=ship, seed=self._visit_rng,
+            )
+        probabilities = self._walker.stationary_probabilities()
+        return sample.with_probability(probabilities[sample["source"]]), hops
+
+
+class MedianEngine(_ValuesEngine[MedianConfig]):
     """Answers MEDIAN/QUANTILE queries over a simulator."""
 
     def __init__(
@@ -146,107 +210,60 @@ class MedianEngine:
         config: Optional[MedianConfig] = None,
         seed: SeedLike = None,
     ):
-        self._simulator = simulator
-        self._config = config or MedianConfig()
-        self._rng = ensure_rng(seed)
-        self._walker = RandomWalker(
-            simulator.topology,
-            config=self._config.walk_config(),
-            seed=self._rng.spawn(1)[0],
-        )
-        self._visit_rng = self._rng.spawn(1)[0]
-        self._collector: Optional[ResilientCollector] = None
+        super().__init__(simulator, config or MedianConfig(), seed)
         if self._config.retry_policy is not None:
             self._collector = ResilientCollector(
                 self._walker, simulator, policy=self._config.retry_policy
             )
 
-    @property
-    def config(self) -> MedianConfig:
-        """The engine configuration."""
-        return self._config
-
     # ------------------------------------------------------------------
 
-    def _collect(
+    def _phase(
         self,
+        phase: str,
         sink: int,
         query: AggregationQuery,
         count: int,
         ledger: CostLedger,
-    ) -> Tuple[List[_MedianObservation], int, int, int]:
-        """Walk and gather local medians; returns (observations, hops,
-        tuples processed, replies received)."""
-        probe = WalkerProbe(
-            source=sink,
-            destination=sink,
-            sink=sink,
-            query_text=query.to_sql(),
-            tuples_per_peer=self._config.tuples_per_peer,
+    ) -> Tuple[ValueSample, ValueSample, PhaseReport]:
+        """Steps 1–2 for one phase: visit ``count`` peers for their
+        local medians.  Returns the replies, the rows that shipped a
+        median (a peer with no matching tuple ships none) and the
+        phase's report, whose estimate is their weighted quantile."""
+        emit_if_tracing(
+            PhaseEvent, engine="median", phase=phase, status="start",
+            requested=count,
         )
-        probabilities = self._walker.stationary_probabilities()
-        replies: List[TupleReply]
-        if self._collector is not None:
-            replies, stats = self._collector.collect_values(
-                sink,
-                query,
-                count,
-                ledger,
-                probe_bytes=probe.size_bytes(),
-                tuples_per_peer=self._config.tuples_per_peer,
-                ship="median",
-                seed=self._visit_rng,
+        sample, hops = self._collect(
+            sink, query, count, ledger, "median", query.to_sql()
+        )
+        medians = sample.take(np.flatnonzero(sample["shipped"]))
+        if phase == "one" and len(medians) < 4:
+            raise SamplingError(
+                "phase I collected fewer than 4 local medians; "
+                "selection too rare for median estimation at this m"
             )
-            hops = stats.walk_hops
-        else:
-            walk = self._walker.sample_peers(sink, count)
-            self._simulator.walk_hops(
-                walk.hops, ledger, message_bytes=probe.size_bytes()
-            )
-            hops = walk.hops
-            replies = self._simulator.visit_values_batch(
-                walk.peers,
-                query,
-                sink=sink,
-                ledger=ledger,
-                tuples_per_peer=self._config.tuples_per_peer,
-                ship="median",
-                seed=self._visit_rng,
-            )
-        observations: List[_MedianObservation] = []
-        tuples_processed = 0
-        for reply in replies:
-            peer = reply.source
-            tuples_processed += min(
-                reply.local_tuples,
-                self._config.tuples_per_peer or reply.local_tuples,
-            )
-            if not reply.values:
-                continue  # peer had no matching tuples
-            observations.append(
-                _MedianObservation(
-                    peer_id=peer,
-                    median=reply.values[0],
-                    weight=1.0 / float(probabilities[peer]),
-                    tuples_processed=reply.local_tuples,
-                )
-            )
-        return observations, hops, tuples_processed, len(replies)
+        estimate = (
+            self._weighted_median_of(medians, query.quantile_fraction)
+            if len(medians)
+            else None
+        )
+        emit_if_tracing(
+            PhaseEvent, engine="median", phase=phase, status="end",
+            requested=count, received=len(sample), estimate=estimate,
+        )
+        return sample, medians, PhaseReport.of_sample(sample, hops, estimate)
 
     @staticmethod
-    def _weighted_median_of(
-        observations: Sequence[_MedianObservation], fraction: float
-    ) -> float:
-        if not observations:
+    def _weighted_median_of(medians: ValueSample, fraction: float) -> float:
+        if not len(medians):
             raise SamplingError("no medians collected; empty selection?")
-        values = np.asarray([o.median for o in observations])
-        weights = np.asarray([o.weight for o in observations])
-        return weighted_median(values, weights, fraction=fraction)
+        return weighted_median(
+            medians.values, 1.0 / medians["probability"], fraction=fraction
+        )
 
     def _cross_validated_rank_error(
-        self,
-        observations: Sequence[_MedianObservation],
-        fraction: float,
+        self, medians: ValueSample, fraction: float
     ) -> float:
         """Steps 3–5, averaged over several random splits.
 
@@ -255,23 +272,26 @@ class MedianEngine:
         fraction) it sits from the target fraction within group 2.
         Returns the RMS of those displacements.
         """
-        m = len(observations)
+        m = len(medians)
         if m < 4:
             raise SamplingError(
                 f"median cross-validation needs >= 4 medians, got {m}"
             )
+        values, weights = medians.values, 1.0 / medians["probability"]
+        half = m // 2
         squared: List[float] = []
         indices = np.arange(m)
         for _ in range(self._config.cross_validation_rounds):
             order = self._rng.permutation(indices)
-            half = m // 2
-            group1 = [observations[i] for i in order[:half]]
-            group2 = [observations[i] for i in order[half: 2 * half]]
-            med_g1 = self._weighted_median_of(group1, fraction)
-            values2 = np.asarray([o.median for o in group2])
-            weights2 = np.asarray([o.weight for o in group2])
+            group1, group2 = order[:half], order[half: 2 * half]
+            med_g1 = weighted_median(
+                values[group1], weights[group1], fraction=fraction
+            )
             displacement = (
-                weighted_rank_fraction(values2, weights2, med_g1) - fraction
+                weighted_rank_fraction(
+                    values[group2], weights[group2], med_g1
+                )
+                - fraction
             )
             squared.append(displacement**2)
         return float(math.sqrt(np.mean(squared)))
@@ -302,48 +322,15 @@ class MedianEngine:
         ledger = self._simulator.new_ledger()
         timing_token = self._simulator.begin_timing()
 
-        # Phase I ---------------------------------------------------------
-        emit_if_tracing(
-            PhaseEvent,
-            engine="median",
-            phase="one",
-            status="start",
-            requested=self._config.phase_one_peers,
+        sample_one, medians_one, phase_one = self._phase(
+            "one", sink, query, self._config.phase_one_peers, ledger
         )
-        observations_one, hops_one, tuples_one, received_one = self._collect(
-            sink, query, self._config.phase_one_peers, ledger
-        )
-        if len(observations_one) < 4:
-            raise SamplingError(
-                "phase I collected fewer than 4 local medians; "
-                "selection too rare for median estimation at this m"
-            )
-        phase_one_estimate = self._weighted_median_of(
-            observations_one, fraction
-        )
-        emit_if_tracing(
-            PhaseEvent,
-            engine="median",
-            phase="one",
-            status="end",
-            requested=self._config.phase_one_peers,
-            received=received_one,
-            estimate=phase_one_estimate,
-        )
-        rank_error = self._cross_validated_rank_error(
-            observations_one, fraction
-        )
-        phase_one = PhaseReport(
-            peers_visited=self._config.phase_one_peers,
-            tuples_sampled=tuples_one,
-            hops=hops_one,
-            estimate=phase_one_estimate,
-        )
+        rank_error = self._cross_validated_rank_error(medians_one, fraction)
 
         # Phase II sizing: m' = (m/2) · (c / Δreq)², the same
         # cross-validation inversion as the COUNT planner with rank
         # fractions as the error scale.
-        half = len(observations_one) // 2
+        half = len(medians_one) // 2
         additional = int(math.ceil(half * (rank_error / delta_req) ** 2))
         if self._config.max_phase_two_peers is not None:
             additional = min(additional, self._config.max_phase_two_peers)
@@ -357,47 +344,20 @@ class MedianEngine:
         )
 
         phase_two: Optional[PhaseReport] = None
-        observations_two: List[_MedianObservation] = []
+        pool = medians_one
         requested = self._config.phase_one_peers
-        received = received_one
+        received = len(sample_one)
         if additional > 0:
             requested += additional
-            emit_if_tracing(
-                PhaseEvent,
-                engine="median",
-                phase="two",
-                status="start",
-                requested=additional,
+            sample_two, medians_two, phase_two = self._phase(
+                "two", sink, query, additional, ledger
             )
-            observations_two, hops_two, tuples_two, received_two = (
-                self._collect(sink, query, additional, ledger)
-            )
-            received += received_two
-            estimate_two = (
-                self._weighted_median_of(observations_two, fraction)
-                if observations_two
-                else None
-            )
-            emit_if_tracing(
-                PhaseEvent,
-                engine="median",
-                phase="two",
-                status="end",
-                requested=additional,
-                received=received_two,
-                estimate=estimate_two,
-            )
-            phase_two = PhaseReport(
-                peers_visited=additional,
-                tuples_sampled=tuples_two,
-                hops=hops_two,
-                estimate=estimate_two,
-            )
+            received += len(sample_two)
+            if self._config.pool_phases:
+                pool = ValueSample.concat([medians_one, medians_two])
+            elif len(medians_two):
+                pool = medians_two
 
-        if self._config.pool_phases or not observations_two:
-            pool = list(observations_one) + list(observations_two)
-        else:
-            pool = list(observations_two)
         estimate = self._weighted_median_of(pool, fraction)
         emit_if_tracing(
             EstimateEvent,

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import Optional, Union
 
 from ..metrics.cost import QueryCost
-from ..network.protocol import AggregateSample
+from ..network.protocol import AggregateSample, ValueSample
 from ..query.model import AggregationQuery
 from ..sim.timing import QueryTiming
 from .confidence import ConfidenceInterval
@@ -43,7 +43,7 @@ class PhaseReport:
     @classmethod
     def of_sample(
         cls,
-        sample: AggregateSample,
+        sample: Union[AggregateSample, ValueSample],
         hops: int,
         estimate: Optional[float] = None,
     ) -> "PhaseReport":

@@ -29,26 +29,23 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .._util import SeedLike, ensure_rng
-from ..errors import (
-    ConfigurationError,
-    PeerUnavailableError,
-    SamplingError,
-)
+from .._util import SeedLike
+from ..errors import ConfigurationError, SamplingError
 from ..metrics.cost import CostLedger, QueryCost
-from ..network.protocol import TupleReply, WalkerProbe
+from ..network.protocol import ValueSample
 from ..network.simulator import NetworkSimulator
-from ..network.walker import RandomWalkConfig, RandomWalker
+from ..network.walker import RandomWalkConfig
 from ..query.model import (
     AggregateOp,
     AggregationQuery,
     Predicate,
     TruePredicate,
 )
+from .median import _ValuesEngine
 from .result import PhaseReport
 
 
@@ -84,6 +81,8 @@ class StatisticsConfig:
             raise ConfigurationError("tuples_per_peer must be >= 0")
         if self.cross_validation_rounds < 1:
             raise ConfigurationError("cross_validation_rounds must be >= 1")
+        if self.max_phase_two_peers is not None and self.max_phase_two_peers < 0:
+            raise ConfigurationError("max_phase_two_peers must be >= 0")
 
     def walk_config(self) -> RandomWalkConfig:
         """The walk configuration this config implies."""
@@ -162,24 +161,31 @@ class DistinctResult:
     cost: QueryCost
 
 
-@dataclasses.dataclass(frozen=True)
-class _PeerValueSample:
-    peer_id: int
-    values: np.ndarray
-    probability: float
-    local_tuples: int
-    processed_tuples: int
+def _bucket_terms(sample: ValueSample, edges: np.ndarray) -> np.ndarray:
+    """Each row's scaled bucket counts ``y_b(s)`` over its ``prob(s)``;
+    a row's counts are ``np.histogram(its values, bins=edges)``'s."""
+    num_buckets = edges.size - 1
+    buckets = np.searchsorted(edges, sample.values, side="right") - 1
+    buckets[sample.values == edges[-1]] = num_buckets - 1
+    inside = (buckets >= 0) & (buckets < num_buckets)
+    rows = np.repeat(np.arange(len(sample)), sample["shipped"])
+    counts = np.bincount(
+        rows[inside] * num_buckets + buckets[inside],
+        minlength=len(sample) * num_buckets,
+    ).reshape(len(sample), num_buckets)
+    processed = sample["processed_tuples"]
+    scale = np.zeros(len(sample))
+    np.divide(sample["local_tuples"], processed, out=scale, where=processed > 0)
+    return counts * scale[:, None] * (1.0 / sample["probability"])[:, None]
 
-    def bucket_aggregate(self, edges: np.ndarray) -> np.ndarray:
-        """Scaled per-bucket counts ``y_b(s)`` for this peer."""
-        if self.processed_tuples == 0:
-            return np.zeros(edges.size - 1)
-        counts, _ = np.histogram(self.values, bins=edges)
-        scale = self.local_tuples / self.processed_tuples
-        return counts.astype(float) * scale
+
+def _histogram_estimate(terms: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Hájek per-bucket mean of these rows' terms and weights, both
+    summed in row order (the caller scales by the number of peers)."""
+    return np.add.accumulate(terms)[-1] / np.add.accumulate(weights)[-1]
 
 
-class StatisticsEngine:
+class StatisticsEngine(_ValuesEngine[StatisticsConfig]):
     """Histogram and distinct-value estimation engines (see module
     docstring)."""
 
@@ -189,95 +195,18 @@ class StatisticsEngine:
         config: Optional[StatisticsConfig] = None,
         seed: SeedLike = None,
     ):
-        self._simulator = simulator
-        self._config = config or StatisticsConfig()
-        self._rng = ensure_rng(seed)
-        self._walker = RandomWalker(
-            simulator.topology,
-            config=self._config.walk_config(),
-            seed=self._rng.spawn(1)[0],
-        )
-        self._visit_rng = self._rng.spawn(1)[0]
+        super().__init__(simulator, config or StatisticsConfig(), seed)
 
-    @property
-    def config(self) -> StatisticsConfig:
-        """The engine configuration."""
-        return self._config
-
-    # ------------------------------------------------------------------
-
-    def _collect(
-        self,
-        sink: int,
-        column: str,
-        predicate: Predicate,
-        count: int,
+    def _collect_values(
+        self, sink: int, column: str, predicate: Predicate, count: int,
         ledger: CostLedger,
-    ) -> Tuple[List[_PeerValueSample], int]:
-        """Walk and gather raw value samples; returns (samples, hops)."""
+    ) -> Tuple[ValueSample, int]:
+        """Walk and gather raw value samples of ``column``."""
         query = AggregationQuery(
             agg=AggregateOp.MEDIAN, column=column, predicate=predicate
         )
-        walk = self._walker.sample_peers(sink, count)
-        probe = WalkerProbe(
-            source=sink, destination=sink, sink=sink,
-            query_text=f"HISTOGRAM({column})",
-            tuples_per_peer=self._config.tuples_per_peer,
-        )
-        self._simulator.walk_hops(
-            walk.hops, ledger, message_bytes=probe.size_bytes()
-        )
-        probabilities = self._walker.stationary_probabilities()
-        samples: List[_PeerValueSample] = []
-        for peer in walk.peers:
-            peer = int(peer)
-            try:
-                reply: TupleReply = self._simulator.visit_values(
-                    peer, query, sink=sink, ledger=ledger,
-                    tuples_per_peer=self._config.tuples_per_peer,
-                    ship="sample", seed=self._visit_rng,
-                )
-            except PeerUnavailableError:
-                continue  # lost reply: the sample just shrinks
-            samples.append(
-                _PeerValueSample(
-                    peer_id=peer,
-                    values=np.asarray(reply.values, dtype=float),
-                    probability=float(probabilities[peer]),
-                    local_tuples=reply.local_tuples,
-                    processed_tuples=reply.processed_tuples,
-                )
-            )
-        return samples, walk.hops
-
-    @staticmethod
-    def _histogram_estimate(
-        samples: Sequence[_PeerValueSample], edges: np.ndarray
-    ) -> np.ndarray:
-        """Hájek per-bucket estimate over the peer samples."""
-        if not samples:
-            raise SamplingError("no samples collected")
-        num_buckets = edges.size - 1
-        weighted = np.zeros(num_buckets)
-        weight_total = 0.0
-        for sample in samples:
-            weight = 1.0 / sample.probability
-            weighted += sample.bucket_aggregate(edges) * weight
-            weight_total += weight
-        if weight_total <= 0:
-            raise SamplingError("degenerate sampling weights")
-        # Hájek scaling by the number of peers happens at the caller;
-        # here the mean per-peer bucket vector is returned.
-        return weighted / weight_total
-
-    @staticmethod
-    def _phase_report(
-        samples: Sequence[_PeerValueSample], hops: int
-    ) -> PhaseReport:
-        return PhaseReport(
-            peers_visited=len(samples),
-            tuples_sampled=sum(s.processed_tuples for s in samples),
-            hops=hops,
+        return self._collect(
+            sink, query, count, ledger, "sample", f"HISTOGRAM({column})"
         )
 
     # ------------------------------------------------------------------
@@ -308,14 +237,13 @@ class StatisticsEngine:
             sink = int(self._rng.integers(self._simulator.num_peers))
         ledger = self._simulator.new_ledger()
 
-        samples_one, hops_one = self._collect(
+        sample_one, hops_one = self._collect_values(
             sink, column, predicate, self._config.phase_one_peers, ledger
         )
         if value_range is None:
-            observed = np.concatenate(
-                [s.values for s in samples_one if s.values.size]
-                or [np.zeros(1)]
-            )
+            observed = sample_one.values
+            if not observed.size:
+                observed = np.zeros(1)
             low, high = float(observed.min()), float(observed.max())
             if low == high:
                 high = low + 1.0
@@ -326,18 +254,19 @@ class StatisticsEngine:
         edges = np.linspace(low, high + 1e-9, num_buckets + 1)
 
         # Cross-validate: TV distance between half-sample histograms.
-        m = len(samples_one)
+        m = len(sample_one)
         if m < 4:
             raise SamplingError("histogram needs >= 4 phase-I peers")
+        terms = _bucket_terms(sample_one, edges)
+        weights = 1.0 / sample_one["probability"]
         half = m // 2
         squared_errors = []
         indices = np.arange(m)
         for _ in range(self._config.cross_validation_rounds):
             order = self._rng.permutation(indices)
-            first = [samples_one[i] for i in order[:half]]
-            second = [samples_one[i] for i in order[half: 2 * half]]
-            hist_one = self._histogram_estimate(first, edges)
-            hist_two = self._histogram_estimate(second, edges)
+            first, second = order[:half], order[half: 2 * half]
+            hist_one = _histogram_estimate(terms[first], weights[first])
+            hist_two = _histogram_estimate(terms[second], weights[second])
             total_one = hist_one.sum()
             total_two = hist_two.sum()
             if total_one <= 0 or total_two <= 0:
@@ -358,17 +287,17 @@ class StatisticsEngine:
                     additional, self._config.max_phase_two_peers
                 )
 
-        phase_one = self._phase_report(samples_one, hops_one)
+        phase_one = PhaseReport.of_sample(sample_one, hops_one)
         phase_two: Optional[PhaseReport] = None
-        samples = list(samples_one)
         if additional > 0:
-            samples_two, hops_two = self._collect(
+            sample_two, hops_two = self._collect_values(
                 sink, column, predicate, additional, ledger
             )
-            samples.extend(samples_two)
-            phase_two = self._phase_report(samples_two, hops_two)
+            phase_two = PhaseReport.of_sample(sample_two, hops_two)
+            terms = np.concatenate([terms, _bucket_terms(sample_two, edges)])
+            weights = np.concatenate([weights, 1.0 / sample_two["probability"]])
 
-        mean_bucket = self._histogram_estimate(samples, edges)
+        mean_bucket = _histogram_estimate(terms, weights)
         counts = mean_bucket * self._simulator.num_peers  # Hájek scale
         return HistogramResult(
             edges=edges,
@@ -403,15 +332,10 @@ class StatisticsEngine:
         if sink is None:
             sink = int(self._rng.integers(self._simulator.num_peers))
         ledger = self._simulator.new_ledger()
-        samples, hops = self._collect(
+        sample, hops = self._collect_values(
             sink, column, predicate, self._config.phase_one_peers, ledger
         )
-        gathered = [s.values for s in samples if s.values.size]
-        if gathered:
-            values = np.concatenate(gathered)
-        else:
-            values = np.zeros(0)
-        unique, counts = np.unique(values, return_counts=True)
+        unique, counts = np.unique(sample.values, return_counts=True)
         observed = int(unique.size)
         singletons = int(np.count_nonzero(counts == 1))
         doubletons = int(np.count_nonzero(counts == 2))
@@ -427,6 +351,6 @@ class StatisticsEngine:
             chao1=float(chao1),
             singletons=singletons,
             doubletons=doubletons,
-            phase_one=self._phase_report(samples, hops),
+            phase_one=PhaseReport.of_sample(sample, hops),
             cost=ledger.snapshot(),
         )

@@ -14,7 +14,9 @@ replies the sampling algorithm needs:
   reply — the one form a COUNT/SUM/AVG sample takes from the visit to
   the estimate;
 * :class:`TupleReply` — a raw sub-sample of local tuples, used by
-  median/quantile estimation where push-down is impossible.
+  median/quantile estimation where push-down is impossible;
+* :class:`ValueSample` — the values replies of a collection as
+  columns, every shipped value in one flat array.
 
 Messages know their approximate wire size so the simulator can account
 bandwidth; the header layout follows the classic Gnutella descriptor
@@ -36,6 +38,8 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Type,
+    TypeVar,
 )
 
 import numpy as np
@@ -56,6 +60,7 @@ __all__ = [
     "AggregateSample",
     "GroupReply",
     "TupleReply",
+    "ValueSample",
 ]
 
 GNUTELLA_HEADER_BYTES = 23
@@ -261,9 +266,85 @@ _SAMPLE_DTYPE = np.dtype(
 _SAMPLE_COLUMNS: Tuple[str, ...] = _SAMPLE_DTYPE.names or ()
 _reply_payload = operator.attrgetter(*_SAMPLE_COLUMNS)
 
+#: The payload of a :class:`TupleReply` but its values, and how many
+#: values it ships.
+_VALUE_ROW_DTYPE = np.dtype(_SAMPLE_DTYPE.descr[:4] + [("shipped", "<i8")])
+_value_payload = operator.attrgetter(*_SAMPLE_COLUMNS[:4])
+
+_Rows = TypeVar("_Rows", bound="_ReplyRows")
+
 
 @dataclasses.dataclass(frozen=True, slots=True, eq=False)
-class AggregateSample:
+class _ReplyRows:
+    """The replies of a collection as read-only columns, a row each,
+    with the stationary probability the sink attaches."""
+
+    rows: "NDArray[np.void]"
+    sink: int
+    probability: Optional["NDArray[np.float64]"] = None
+
+    def __post_init__(self) -> None:
+        self.rows.setflags(write=False)
+
+    @classmethod
+    def concat(cls: Type[_Rows], samples: Sequence[_Rows]) -> _Rows:
+        """The rows of ``samples`` (at least one), back to back."""
+        if len(samples) == 1:
+            return samples[0]
+        probabilities = [
+            sample.probability
+            for sample in samples
+            if sample.probability is not None
+        ]
+        return cls(
+            np.concatenate([sample.rows for sample in samples]),
+            samples[0].sink,
+            np.concatenate(probabilities)
+            if len(probabilities) == len(samples)
+            else None,
+        )
+
+    def take(self: _Rows, indices: "NDArray[np.intp]") -> _Rows:
+        """The sample made of the rows at ``indices``, in that order."""
+        return type(self)(
+            self.rows[indices],
+            self.sink,
+            None if self.probability is None else self.probability[indices],
+        )
+
+    def with_probability(self: _Rows, probability: ArrayLike) -> _Rows:
+        """The same rows with their stationary probabilities attached
+        (a scalar serves every row); each must lie in (0, 1]."""
+        values = np.asarray(probability, dtype=np.float64)
+        if not values.ndim:
+            values = np.broadcast_to(values, self.rows.shape)
+        elif values.shape != self.rows.shape:
+            raise SamplingError(
+                f"{values.shape} probabilities for {self.rows.size} rows"
+            )
+        valid = (values > 0.0) & (values <= 1.0)
+        if not valid.all():
+            raise SamplingError(
+                "stationary probability must be in (0, 1], "
+                f"got {values[~valid][0]}"
+            )
+        return type(self)(self.rows, self.sink, values)
+
+    def __len__(self) -> int:
+        return int(self.rows.size)
+
+    def __getitem__(self, column: str) -> "NDArray[Any]":
+        if column != "probability":
+            return self.rows[column]
+        if self.probability is None:
+            raise SamplingError(
+                "the sample carries no stationary probabilities yet "
+                "(see observations_from_replies)"
+            )
+        return self.probability
+
+
+class AggregateSample(_ReplyRows):
     """The aggregate replies of a collection, as columns.
 
     One row per :class:`AggregateReply` that reached ``sink``, in
@@ -285,12 +366,7 @@ class AggregateSample:
     :class:`~repro.errors.SamplingError`.
     """
 
-    rows: "NDArray[np.void]"
-    sink: int
-    probability: Optional["NDArray[np.float64]"] = None
-
-    def __post_init__(self) -> None:
-        self.rows.setflags(write=False)
+    __slots__ = ()
 
     @classmethod
     def from_columns(
@@ -310,32 +386,6 @@ class AggregateSample:
         rows = [_reply_payload(reply) for reply in replies]
         return cls(np.array(rows, dtype=_SAMPLE_DTYPE), sink)
 
-    @classmethod
-    def concat(cls, samples: Sequence["AggregateSample"]) -> "AggregateSample":
-        """The rows of ``samples`` (at least one), back to back."""
-        if len(samples) == 1:
-            return samples[0]
-        probabilities = [
-            sample.probability
-            for sample in samples
-            if sample.probability is not None
-        ]
-        return cls(
-            np.concatenate([sample.rows for sample in samples]),
-            samples[0].sink,
-            np.concatenate(probabilities)
-            if len(probabilities) == len(samples)
-            else None,
-        )
-
-    def take(self, indices: "NDArray[np.intp]") -> "AggregateSample":
-        """The sample made of the rows at ``indices``, in that order."""
-        return AggregateSample(
-            self.rows[indices],
-            self.sink,
-            None if self.probability is None else self.probability[indices],
-        )
-
     def replace(self, **columns: ArrayLike) -> "AggregateSample":
         """A new sample with ``columns`` overwritten (a scalar fills
         its column) and no probabilities."""
@@ -344,42 +394,95 @@ class AggregateSample:
             rows[name] = values
         return AggregateSample(rows, self.sink)
 
-    def with_probability(self, probability: ArrayLike) -> "AggregateSample":
-        """The same rows with their stationary probabilities attached
-        (a scalar serves every row); each must lie in (0, 1]."""
-        values = np.asarray(probability, dtype=np.float64)
-        if not values.ndim:
-            values = np.broadcast_to(values, self.rows.shape)
-        elif values.shape != self.rows.shape:
-            raise SamplingError(
-                f"{values.shape} probabilities for {self.rows.size} rows"
-            )
-        valid = (values > 0.0) & (values <= 1.0)
-        if not valid.all():
-            raise SamplingError(
-                "stationary probability must be in (0, 1], "
-                f"got {values[~valid][0]}"
-            )
-        return AggregateSample(self.rows, self.sink, values)
-
-    def __len__(self) -> int:
-        return int(self.rows.size)
-
     def __iter__(self) -> Iterator[AggregateReply]:
         for row in self.rows.tolist():
             yield AggregateReply(
                 destination=self.sink, **dict(zip(_SAMPLE_COLUMNS, row))
             )
 
+
+@dataclasses.dataclass(frozen=True, slots=True, eq=False)
+class ValueSample:
+    """The values replies of a collection, as one ragged sample.
+
+    ``sample[name]`` reads a column of ``replies`` — a row per
+    :class:`TupleReply` that reached the sink, as on
+    :class:`AggregateSample`, with ``shipped`` (how many values it
+    shipped) in place of the aggregates.  ``values`` is every shipped
+    value, row after row, cut by :attr:`offsets`.
+    """
+
+    replies: _ReplyRows
+    values: "NDArray[np.float64]"
+
+    def __post_init__(self) -> None:
+        self.values.setflags(write=False)
+
+    @classmethod
+    def from_columns(
+        cls, sink: int, size: int, values: ArrayLike = (), **columns: ArrayLike
+    ) -> "ValueSample":
+        """``size`` rows holding ``columns`` that shipped ``values``."""
+        rows = np.zeros(size, dtype=_VALUE_ROW_DTYPE)
+        for name, column in columns.items():
+            rows[name] = column
+        return cls(_ReplyRows(rows, sink), np.array(values, dtype=np.float64))
+
+    @classmethod
+    def from_replies(
+        cls, replies: Iterable["TupleReply"], sink: int
+    ) -> "ValueSample":
+        """The sample made of ``replies`` (scalar visits, oracles)."""
+        replies = list(replies)
+        rows = [(*_value_payload(r), len(r.values)) for r in replies]
+        return cls(
+            _ReplyRows(np.array(rows, dtype=_VALUE_ROW_DTYPE), sink),
+            np.array([v for r in replies for v in r.values], dtype=np.float64),
+        )
+
+    @classmethod
+    def concat(cls, samples: Sequence["ValueSample"]) -> "ValueSample":
+        """The rows of ``samples`` (at least one), back to back."""
+        return cls(
+            _ReplyRows.concat([sample.replies for sample in samples]),
+            np.concatenate([sample.values for sample in samples]),
+        )
+
+    def take(self, indices: "NDArray[np.intp]") -> "ValueSample":
+        """The rows at ``indices``, in that order, with their values."""
+        shipped = self["shipped"][indices]
+        moved = self.offsets[indices] - (np.cumsum(shipped) - shipped)
+        return ValueSample(
+            self.replies.take(indices),
+            self.values[np.arange(shipped.sum()) + np.repeat(moved, shipped)],
+        )
+
+    def with_probability(self, probability: ArrayLike) -> "ValueSample":
+        """:meth:`AggregateSample.with_probability`, values kept."""
+        return ValueSample(
+            self.replies.with_probability(probability), self.values
+        )
+
+    @property
+    def offsets(self) -> "NDArray[np.int64]":
+        """Where each row's values start in ``values``."""
+        return np.cumsum(self["shipped"]) - self["shipped"]
+
+    def __len__(self) -> int:
+        return len(self.replies)
+
     def __getitem__(self, column: str) -> "NDArray[Any]":
-        if column != "probability":
-            return self.rows[column]
-        if self.probability is None:
-            raise SamplingError(
-                "the sample carries no stationary probabilities yet "
-                "(see observations_from_replies)"
+        return self.replies[column]
+
+    def __iter__(self) -> Iterator["TupleReply"]:
+        values = self.values.tolist()
+        for row, start in zip(self.replies.rows.tolist(), self.offsets.tolist()):
+            *payload, shipped = row
+            yield TupleReply(
+                destination=self.replies.sink,
+                values=tuple(values[start:start + shipped]),
+                **dict(zip(_SAMPLE_COLUMNS[:4], payload)),
             )
-        return self.probability
 
 
 @dataclasses.dataclass(frozen=True, slots=True)

@@ -65,6 +65,7 @@ from ..query.model import AggregateOp, AggregationQuery
 from .faults import FaultPlan, FaultState
 from .peer import Peer, PeerTable
 from .protocol import (
+    GNUTELLA_HEADER_BYTES,
     AggregateReply,
     AggregateSample,
     GroupReply,
@@ -72,6 +73,7 @@ from .protocol import (
     Pong,
     Query,
     TupleReply,
+    ValueSample,
 )
 from .topology import Topology
 
@@ -1016,7 +1018,7 @@ class NetworkSimulator:
         sampling_method: str,
         shared_rng: Optional[np.random.Generator],
         per_visit_seed: Optional[int],
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    ) -> Tuple[Dict[str, np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
         """Pick every visited peer's rows, in visit order.
 
         Returns ``(columns, starts, processed, totals)``: the gathered
@@ -1238,6 +1240,51 @@ class NetworkSimulator:
             )
         return replies
 
+    def _values_sample(
+        self,
+        peers: np.ndarray,
+        query: AggregationQuery,
+        sink: int,
+        ship: str,
+        columns: Dict[str, np.ndarray],
+        starts: np.ndarray,
+        processed: np.ndarray,
+        totals: np.ndarray,
+    ) -> ValueSample:
+        """The values replies of ``peers``, whose processed rows lie in
+        ``columns`` segment after segment: every matching value, or each
+        peer's local quantile of them for ``ship="median"``."""
+        column = np.asarray(columns[query.column])
+        if column.size:
+            mask = query.predicate.mask(columns)
+            values = column[mask]
+            shipped = segment_sums(
+                mask.astype(np.float64), starts, processed
+            ).astype(np.int64)
+        else:
+            values = np.empty(0, dtype=column.dtype)
+            shipped = np.zeros(peers.size, dtype=np.int64)
+        if ship == "median" and values.size:
+            # quantile_fraction raises for non-quantile aggregates, so
+            # it is consulted only when some peer has a value to ship.
+            fraction = query.quantile_fraction
+            values = np.array([
+                float(np.quantile(segment, fraction))
+                for segment in np.split(values, np.cumsum(shipped)[:-1])
+                if segment.size
+            ])
+            shipped = np.minimum(shipped, 1)
+        return ValueSample.from_columns(
+            sink,
+            peers.size,
+            values=values,
+            source=peers,
+            degree=self.topology.degrees[peers],
+            local_tuples=totals,
+            processed_tuples=processed,
+            shipped=shipped,
+        )
+
     def visit_values_batch(
         self,
         peer_ids: ArrayLike,
@@ -1248,10 +1295,11 @@ class NetworkSimulator:
         ship: str = "median",
         sampling_method: str = "uniform",
         seed: SeedLike = None,
-    ) -> List[TupleReply]:
+    ) -> ValueSample:
         """Batched :meth:`visit_values`: one vectorized pass for the
         median/quantile visit, bit-for-bit equivalent to the per-peer
-        loop like :meth:`visit_aggregate_batch`.
+        loop like :meth:`visit_aggregate_batch`.  The replies come back
+        as one :class:`ValueSample`, a row per peer.
 
         With any failure source armed it *is* the per-peer loop: a
         values visit cannot post its fate ahead of its data (see
@@ -1260,7 +1308,7 @@ class NetworkSimulator:
         self.check_values_visits(tuples_per_peer, ship, sampling_method)
         peers = self._validate_batch_peers(peer_ids)
         if peers.size == 0:
-            return []
+            return ValueSample.from_columns(sink, 0)
         if self._batch_fallback_needed():
             tracer = active_tracer()
             if tracer is not None:
@@ -1271,7 +1319,7 @@ class NetworkSimulator:
                         reason=self._batch_fallback_reason(),
                     )
                 )
-            replies = []
+            replies: List[TupleReply] = []
             for peer_id in peers:
                 try:
                     replies.append(
@@ -1288,55 +1336,23 @@ class NetworkSimulator:
                     )
                 except PeerUnavailableError:
                     continue  # lost reply: the sample just shrinks
-            return replies
+            return ValueSample.from_replies(replies, sink)
 
         shared_rng, per_visit_seed = self._resolve_batch_rng(seed)
-        columns, starts, processed, totals = self._batch_sample_plan(
-            peers, tuples_per_peer, sampling_method, shared_rng, per_visit_seed
+        sample = self._values_sample(
+            peers, query, sink, ship,
+            *self._batch_sample_plan(
+                peers, tuples_per_peer, sampling_method,
+                shared_rng, per_visit_seed,
+            ),
         )
-        column = np.asarray(columns[query.column])
-        if column.size:
-            mask = query.predicate.mask(columns)
-            matching = column[mask]
-            match_counts = segment_sums(
-                mask.astype(np.float64), starts, processed
-            ).astype(np.int64)
-        else:
-            matching = np.empty(0, dtype=column.dtype)
-            match_counts = np.zeros(peers.size, dtype=np.int64)
-        match_starts = np.zeros(peers.size, dtype=np.int64)
-        if peers.size > 1:
-            np.cumsum(match_counts[:-1], out=match_starts[1:])
-        degrees = self.topology.degrees[peers]
-
-        replies: List[TupleReply] = []
-        reply_bytes = np.empty(peers.size, dtype=np.int64)
-        for position in range(peers.size):
-            start = int(match_starts[position])
-            segment = matching[start:start + int(match_counts[position])]
-            if ship == "median" and segment.size:
-                # quantile_fraction raises for non-quantile aggregates,
-                # so consult it only where the scalar path does.
-                shipped: Tuple[float, ...] = (
-                    float(np.quantile(segment, query.quantile_fraction)),
-                )
-            else:
-                shipped = tuple(float(v) for v in segment)
-            reply = TupleReply(
-                source=int(peers[position]),
-                destination=sink,
-                values=shipped,
-                degree=int(degrees[position]),
-                local_tuples=int(totals[position]),
-                processed_tuples=int(processed[position]),
-            )
-            replies.append(reply)
-            reply_bytes[position] = reply.size_bytes()
+        processed = sample["processed_tuples"]
         ledger.record_visit_replies(
             peers,
             tuples_processed=processed,
             tuples_sampled=processed,
-            reply_bytes=reply_bytes,
+            # What TupleReply.size_bytes() gives each row.
+            reply_bytes=GNUTELLA_HEADER_BYTES + 4 + 4 + 4 + 8 * sample["shipped"],
             cpu_speeds=self._snapshot.cpu_speeds()[peers],
         )
         tracer = active_tracer()
@@ -1345,10 +1361,10 @@ class NetworkSimulator:
                 BatchVisitEvent(
                     probe_kind="values",
                     requested=int(peers.size),
-                    replies=len(replies),
+                    replies=len(sample),
                 )
             )
-        return replies
+        return sample
 
     def visit_multi_aggregate(
         self,
@@ -1492,28 +1508,10 @@ class NetworkSimulator:
             peer_id, "values", ledger,
             tuples_per_peer, sampling_method, seed,
         )
-
-        if processed:
-            mask = query.predicate.mask(columns)
-            matching = np.asarray(columns[query.column])[mask]
-        else:
-            matching = np.empty(0)
-
-        if ship == "median" and matching.size:
-            fraction = query.quantile_fraction
-            shipped: Tuple[float, ...] = (
-                float(np.quantile(matching, fraction)),
-            )
-        else:
-            shipped = tuple(float(v) for v in matching)
-
-        reply = TupleReply(
-            source=peer_id,
-            destination=sink,
-            values=shipped,
-            degree=self.topology.degree(peer_id),
-            local_tuples=total,
-            processed_tuples=processed,
+        (reply,) = self._values_sample(
+            np.asarray([peer_id]), query, sink, ship, columns,
+            np.zeros(1, dtype=np.int64), np.asarray([processed]),
+            np.asarray([total]),
         )
         ledger.record_visit(
             peer_id,

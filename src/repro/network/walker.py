@@ -65,6 +65,7 @@ from ..metrics.cost import CostLedger
 from ..obs.events import RetryEvent, SubstituteEvent, WalkEvent
 from ..obs.tracer import active_tracer
 from ..query.model import AggregationQuery
+from .protocol import ValueSample
 from .topology import Topology
 from .walk_kernel import WalkKernel, kernel_tables
 
@@ -798,8 +799,10 @@ class ResilientCollector:
         ship: str = "median",
         sampling_method: str = "uniform",
         seed: SeedLike = None,
-    ) -> Tuple[List["TupleReply"], CollectionStats]:
-        """Collect up to ``count`` value/median replies, resiliently.
+    ) -> Tuple[ValueSample, CollectionStats]:
+        """Collect up to ``count`` value/median replies, resiliently,
+        as one :class:`~repro.network.protocol.ValueSample` in survival
+        order.
 
         Like :meth:`collect_aggregate`, a rejected argument is rejected
         before the walk.
@@ -820,4 +823,5 @@ class ResilientCollector:
                 seed=seed,
             )
 
-        return self._collect(sink, count, ledger, probe_bytes, visit)
+        replies, stats = self._collect(sink, count, ledger, probe_bytes, visit)
+        return ValueSample.from_replies(replies, sink), stats

@@ -11,15 +11,27 @@ loop form of the cross-validation (:func:`cross_validate`: one pair of
 ``take`` copies and two estimator calls per round) that the one-gather
 array program in ``repro.core.crossval`` is compared against bit for
 bit.
+
+The values engines get the same treatment.  Their sample is a
+:class:`repro.network.protocol.ValueSample` (every shipped value in one
+flat array); the forms it replaced are kept below — one
+:class:`MedianObservation` per local median with the median engine's
+weighted quantile and halving loop, one :class:`PeerValueSample` per
+visited peer with the histogram's per-peer bucket loop, Chao1 over the
+concatenated samples, and the statistics engine's collection as one
+scalar ``visit_values`` call per walked peer.
 """
 
-from typing import NamedTuple, Sequence
+import math
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from repro._util import ensure_rng
-from repro.errors import SamplingError
-from repro.network.protocol import AggregateSample
+from repro._util import ensure_rng, weighted_median
+from repro.core.median import weighted_rank_fraction
+from repro.errors import PeerUnavailableError, SamplingError
+from repro.network.protocol import AggregateSample, WalkerProbe
+from repro.query.model import AggregateOp, AggregationQuery
 
 
 class Row(NamedTuple):
@@ -106,3 +118,158 @@ def cross_validate(sample, rounds, seed, estimator):
         second = sample.take(order[half: 2 * half])
         errors.append(abs(estimator(first) - estimator(second)))
     return float(np.mean(np.square(errors))), errors, half
+
+
+# ---------------------------------------------------------------------------
+# Values replies: local medians, per-peer value samples
+# ---------------------------------------------------------------------------
+
+
+class MedianObservation(NamedTuple):
+    """A peer's local median with its stationary weight."""
+
+    peer_id: int
+    median: float
+    weight: float  # 1 / prob(s)
+
+
+def median_observations(replies, probabilities) -> List[MedianObservation]:
+    """One observation per ``TupleReply`` that shipped a local median,
+    weighted by ``1 / probabilities[source]``."""
+    return [
+        MedianObservation(
+            reply.source,
+            reply.values[0],
+            1.0 / float(probabilities[reply.source]),
+        )
+        for reply in replies
+        if reply.values
+    ]
+
+
+def weighted_median_of(observations, fraction):
+    if not observations:
+        raise SamplingError("no medians collected; empty selection?")
+    values = np.asarray([o.median for o in observations])
+    weights = np.asarray([o.weight for o in observations])
+    return weighted_median(values, weights, fraction=fraction)
+
+
+def rank_error(observations, fraction, rounds, rng):
+    """The median engine's halving loop over observation lists: per
+    round one ``rng.permutation``, the weighted quantile of one half
+    and its weighted rank in the other.  Returns the RMS displacement."""
+    m = len(observations)
+    if m < 4:
+        raise SamplingError(
+            f"median cross-validation needs >= 4 medians, got {m}"
+        )
+    squared = []
+    indices = np.arange(m)
+    for _ in range(rounds):
+        order = rng.permutation(indices)
+        half = m // 2
+        group1 = [observations[i] for i in order[:half]]
+        group2 = [observations[i] for i in order[half: 2 * half]]
+        med_g1 = weighted_median_of(group1, fraction)
+        values2 = np.asarray([o.median for o in group2])
+        weights2 = np.asarray([o.weight for o in group2])
+        displacement = (
+            weighted_rank_fraction(values2, weights2, med_g1) - fraction
+        )
+        squared.append(displacement**2)
+    return float(math.sqrt(np.mean(squared)))
+
+
+class PeerValueSample(NamedTuple):
+    """One visited peer's raw value sample."""
+
+    peer_id: int
+    values: np.ndarray
+    probability: float
+    local_tuples: int
+    processed_tuples: int
+
+    def bucket_aggregate(self, edges):
+        """Scaled per-bucket counts ``y_b(s)`` for this peer."""
+        if self.processed_tuples == 0:
+            return np.zeros(edges.size - 1)
+        counts, _ = np.histogram(self.values, bins=edges)
+        scale = self.local_tuples / self.processed_tuples
+        return counts.astype(float) * scale
+
+
+def peer_value_samples(replies, probabilities) -> List[PeerValueSample]:
+    return [
+        PeerValueSample(
+            reply.source,
+            np.asarray(reply.values, dtype=float),
+            float(probabilities[reply.source]),
+            reply.local_tuples,
+            reply.processed_tuples,
+        )
+        for reply in replies
+    ]
+
+
+def collect_value_samples(engine, sink, column, predicate, count, ledger):
+    """The statistics engine's collection, one scalar visit per walked
+    peer (a lost reply shrinks the list); returns ``(samples, hops)``."""
+    query = AggregationQuery(
+        agg=AggregateOp.MEDIAN, column=column, predicate=predicate
+    )
+    walk = engine._walker.sample_peers(sink, count)
+    probe = WalkerProbe(
+        source=sink, destination=sink, sink=sink,
+        query_text=f"HISTOGRAM({column})",
+        tuples_per_peer=engine.config.tuples_per_peer,
+    )
+    engine._simulator.walk_hops(
+        walk.hops, ledger, message_bytes=probe.size_bytes()
+    )
+    replies = []
+    for peer in walk.peers:
+        try:
+            replies.append(
+                engine._simulator.visit_values(
+                    int(peer), query, sink=sink, ledger=ledger,
+                    tuples_per_peer=engine.config.tuples_per_peer,
+                    ship="sample", seed=engine._visit_rng,
+                )
+            )
+        except PeerUnavailableError:
+            continue
+    probabilities = engine._walker.stationary_probabilities()
+    return peer_value_samples(replies, probabilities), walk.hops
+
+
+def histogram_estimate(samples, edges):
+    """Hájek per-bucket mean over the peer samples, accumulated one
+    peer at a time."""
+    if not samples:
+        raise SamplingError("no samples collected")
+    weighted = np.zeros(edges.size - 1)
+    weight_total = 0.0
+    for sample in samples:
+        weight = 1.0 / sample.probability
+        weighted += sample.bucket_aggregate(edges) * weight
+        weight_total += weight
+    return weighted / weight_total
+
+
+def distinct(samples) -> Tuple[int, float, int, int]:
+    """``(observed, chao1, singletons, doubletons)`` of the values the
+    samples shipped."""
+    gathered = [s.values for s in samples if s.values.size]
+    values = np.concatenate(gathered) if gathered else np.zeros(0)
+    _, counts = np.unique(values, return_counts=True)
+    observed = int(counts.size)
+    singletons = int(np.count_nonzero(counts == 1))
+    doubletons = int(np.count_nonzero(counts == 2))
+    if doubletons > 0:
+        chao1 = observed + singletons**2 / (2.0 * doubletons)
+    elif singletons > 0:
+        chao1 = observed + singletons * (singletons - 1) / 2.0
+    else:
+        chao1 = float(observed)
+    return observed, float(chao1), singletons, doubletons

@@ -1,16 +1,26 @@
 """Tests for the median/quantile engine (paper §5.6)."""
 
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.groupby import GroupByConfig
 from repro.core.median import (
     MedianConfig,
     MedianEngine,
     weighted_rank_fraction,
 )
+from repro.core.statistics import StatisticsConfig, StatisticsEngine
+from repro.core.two_phase import TwoPhaseConfig
 from repro.errors import ConfigurationError, SamplingError
+from repro.network.protocol import TupleReply, ValueSample
 from repro.query.exact import evaluate_exact, rank_of_value
 from repro.query.model import AggregateOp, AggregationQuery, Between
+
+from . import row_reference
 
 
 MEDIAN_ALL = AggregationQuery(agg=AggregateOp.MEDIAN, column="A")
@@ -190,3 +200,135 @@ class TestMedianWalkVariants:
             result = engine.execute(query, delta_req=0.15, sink=0)
             truth = evaluate_exact(query, small_dataset.databases)
             assert abs(result.estimate - truth) <= 15
+
+
+@pytest.mark.parametrize(
+    "config", [MedianConfig, StatisticsConfig, GroupByConfig, TwoPhaseConfig]
+)
+def test_negative_phase_two_cap_rejected(config):
+    """A negative cap used to be accepted and then silently skip
+    phase II; every engine's config rejects it the same way."""
+    with pytest.raises(
+        ConfigurationError, match="max_phase_two_peers must be >= 0"
+    ):
+        config(max_phase_two_peers=-5)
+    assert config(max_phase_two_peers=0).max_phase_two_peers == 0
+
+
+# Replies of a median visit: a local median or nothing (no match),
+# over peers 0..63 whose stationary probabilities are drawn alongside.
+median_replies = st.lists(
+    st.builds(
+        TupleReply,
+        source=st.integers(0, 63),
+        destination=st.just(0),
+        values=st.one_of(
+            st.just(()),
+            st.tuples(st.integers(1, 30).map(float)),
+        ),
+        local_tuples=st.integers(0, 60),
+        processed_tuples=st.integers(0, 25),
+    ),
+    max_size=30,
+)
+probabilities = st.lists(
+    st.floats(1e-4, 1.0), min_size=64, max_size=64
+).map(np.asarray)
+
+
+def _local_medians(replies, probs):
+    """The rows of the replies' sample that shipped a local median,
+    their probabilities attached — what the engine weighs."""
+    sample = ValueSample.from_replies(replies, 0)
+    sample = sample.with_probability(probs[sample["source"]])
+    return sample.take(np.flatnonzero(sample["shipped"]))
+
+
+class TestColumnsEqualRows:
+    """The median engine over a :class:`ValueSample` equals the
+    observation-list form in ``tests/row_reference.py`` bit for bit."""
+
+    @given(median_replies, probabilities, st.floats(0.05, 0.95))
+    @settings(max_examples=80, deadline=None)
+    def test_weighted_quantile(self, replies, probs, fraction):
+        medians = _local_medians(replies, probs)
+        observations = row_reference.median_observations(replies, probs)
+        assert medians.values.tolist() == [o.median for o in observations]
+        if not observations:
+            with pytest.raises(SamplingError):
+                MedianEngine._weighted_median_of(medians, fraction)
+            return
+        assert MedianEngine._weighted_median_of(
+            medians, fraction
+        ) == row_reference.weighted_median_of(observations, fraction)
+
+    @given(median_replies, probabilities, st.floats(0.05, 0.95), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rank_error(self, small_network, replies, probs, fraction, data):
+        rounds = data.draw(st.integers(1, 6))
+        engine = MedianEngine(
+            small_network,
+            MedianConfig(cross_validation_rounds=rounds),
+            seed=data.draw(st.integers(0, 2**16)),
+        )
+        twin = copy.deepcopy(engine._rng)
+        medians = _local_medians(replies, probs)
+        observations = row_reference.median_observations(replies, probs)
+        if len(observations) < 4:
+            with pytest.raises(SamplingError):
+                engine._cross_validated_rank_error(medians, fraction)
+            return
+        assert engine._cross_validated_rank_error(
+            medians, fraction
+        ) == row_reference.rank_error(observations, fraction, rounds, twin)
+        assert engine._rng.bit_generator.state == twin.bit_generator.state
+
+
+class TestCurrency:
+    """Values replies travel as one :class:`ValueSample`: a clean
+    MEDIAN query, histogram or distinct-value count builds no
+    ``TupleReply``.  Counts repeat exactly — re-boxing the values path
+    into per-peer objects fails here without a stopwatch."""
+
+    @pytest.fixture()
+    def constructed(self, monkeypatch):
+        """Every ``TupleReply`` construction while the test runs."""
+        calls = []
+        original = TupleReply.__init__
+
+        def counting(self, *args, **kwargs):
+            calls.append(kwargs.get("source"))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(TupleReply, "__init__", counting)
+        return calls
+
+    def test_clean_values_queries_build_no_reply_objects(
+        self, small_network, constructed
+    ):
+        # The patch is live: a scalar visit trips it.
+        small_network.visit_values(
+            0, MEDIAN_ALL, sink=0, ledger=small_network.new_ledger()
+        )
+        assert constructed == [0]
+        constructed.clear()
+
+        result = MedianEngine(small_network, seed=1).execute(
+            MEDIAN_ALL, delta_req=0.1, sink=0
+        )
+        assert result.phase_two is not None
+        statistics = StatisticsEngine(small_network, seed=2)
+        statistics.histogram("A", num_buckets=5, sink=0)
+        statistics.distinct_values("A", sink=0)
+        assert constructed == []
+
+        # Whoever wants the protocol objects materialises them, a
+        # fresh one per row.
+        sample = small_network.visit_values_batch(
+            np.arange(30), MEDIAN_ALL, sink=0,
+            ledger=small_network.new_ledger(), ship="sample",
+        )
+        assert constructed == []
+        replies = list(sample)
+        assert len(constructed) == len(replies) == len(sample) == 30
+        assert constructed == [reply.source for reply in replies]

@@ -1,16 +1,27 @@
 """Tests for the histogram / distinct-value engines."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.result import PhaseReport
 from repro.core.statistics import (
     DistinctResult,
     HistogramResult,
     StatisticsConfig,
     StatisticsEngine,
+    _bucket_terms,
+    _histogram_estimate,
 )
 from repro.errors import ConfigurationError, SamplingError
+from repro.network.protocol import TupleReply, ValueSample
+from repro.network.simulator import NetworkSimulator
 from repro.query.model import Between
+
+from . import row_reference
 
 
 @pytest.fixture()
@@ -153,3 +164,101 @@ class TestDistinct:
         result = engine.distinct_values("A", sink=0)
         assert result.cost.peers_visited == engine.config.phase_one_peers
         assert result.phase_one.tuples_sampled > 0
+
+
+# Values replies with ragged samples (empty rows, zero-value peers)
+# over peers 0..63, and those peers' stationary probabilities.
+sample_replies = st.lists(
+    st.builds(
+        TupleReply,
+        source=st.integers(0, 63),
+        destination=st.just(0),
+        values=st.lists(
+            st.integers(-5, 110).map(float), max_size=8
+        ).map(tuple),
+        local_tuples=st.integers(0, 90),
+        processed_tuples=st.integers(0, 30),
+    ),
+    min_size=1,
+    max_size=25,
+)
+probabilities = st.lists(
+    st.floats(1e-4, 1.0), min_size=64, max_size=64
+).map(np.asarray)
+
+
+class TestColumnsEqualRows:
+    """Bucket counts and Chao1 over a :class:`ValueSample` equal the
+    per-peer forms in ``tests/row_reference.py`` bit for bit."""
+
+    @given(sample_replies, probabilities, st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_bucket_counts_and_estimate(self, replies, probs, data):
+        num_buckets = data.draw(st.integers(1, 8))
+        low = data.draw(st.integers(-3, 50))
+        high = low + data.draw(st.integers(1, 60))
+        edges = np.linspace(low, high + 1e-9, num_buckets + 1)
+        # Values sitting exactly on an edge (the last one included).
+        replies = [
+            reply if i % 3 else dataclasses.replace(
+                reply, values=reply.values + (float(edges[i % edges.size]),)
+            )
+            for i, reply in enumerate(replies)
+        ]
+        sample = ValueSample.from_replies(replies, 0)
+        sample = sample.with_probability(probs[sample["source"]])
+        rows = row_reference.peer_value_samples(replies, probs)
+
+        terms = _bucket_terms(sample, edges)
+        assert terms.tolist() == [
+            (row.bucket_aggregate(edges) * (1.0 / row.probability)).tolist()
+            for row in rows
+        ]
+        order = np.asarray(
+            data.draw(st.permutations(range(len(rows)))), dtype=np.intp
+        )
+        part = order[: data.draw(st.integers(1, len(rows)))]
+        weights = 1.0 / sample["probability"]
+        assert _histogram_estimate(
+            terms[part], weights[part]
+        ).tolist() == row_reference.histogram_estimate(
+            [rows[i] for i in part], edges
+        ).tolist()
+
+    @given(
+        st.integers(0, 2**16),
+        st.sampled_from([0, 3, 20, 50]),
+        st.sampled_from([0.0, 0.3]),
+        st.integers(1, 100),
+        st.integers(0, 60),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_distinct_values_equals_per_peer_engine(
+        self, small_topology, small_dataset, seed, budget, loss, low, width
+    ):
+        """The whole distinct-value query, against the per-peer
+        collection and Chao1 over the concatenated samples."""
+
+        def engine():
+            network = NetworkSimulator(
+                small_topology, small_dataset.databases, seed=7,
+                reply_loss_rate=loss,
+            )
+            config = StatisticsConfig(phase_one_peers=12, tuples_per_peer=budget)
+            return StatisticsEngine(network, config, seed=seed)
+
+        predicate = Between(column="A", low=low, high=low + width)
+        result = engine().distinct_values("A", predicate=predicate, sink=0)
+
+        oracle = engine()
+        ledger = oracle._simulator.new_ledger()
+        rows, hops = row_reference.collect_value_samples(
+            oracle, 0, "A", predicate, 12, ledger
+        )
+        assert (
+            result.observed, result.chao1, result.singletons, result.doubletons
+        ) == row_reference.distinct(rows)
+        assert result.phase_one == PhaseReport(
+            len(rows), sum(row.processed_tuples for row in rows), hops
+        )
+        assert result.cost == ledger.snapshot()

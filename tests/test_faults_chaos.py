@@ -302,16 +302,27 @@ class TestEnginesUnderLoss:
             errors.append(abs(result.estimate - truth) / n)
         assert np.mean(errors) <= 0.1
 
-    def test_phase_report_reflects_surviving_replies(self, lossy_network):
-        engine = TwoPhaseEngine(
-            lossy_network,
-            config=TwoPhaseConfig(phase_one_peers=60),
-            seed=3,
-        )
-        result = engine.execute(self.COUNT_30, delta_req=0.2, sink=0)
-        # ~20% of replies are lost; the report counts survivors only.
+    @pytest.mark.parametrize("agg", ["COUNT", "MEDIAN"])
+    def test_phase_report_reflects_surviving_replies(self, lossy_network, agg):
+        if agg == "COUNT":
+            engine = TwoPhaseEngine(
+                lossy_network,
+                config=TwoPhaseConfig(phase_one_peers=60),
+                seed=3,
+            )
+            result = engine.execute(self.COUNT_30, delta_req=0.2, sink=0)
+        else:
+            engine = MedianEngine(
+                lossy_network, MedianConfig(phase_one_peers=60), seed=4
+            )
+            result = engine.execute(self.MEDIAN_ALL, delta_req=0.1, sink=0)
+        # ~20% of replies are lost; the reports count survivors only.
         assert result.phase_one.peers_visited < 60
         assert result.phase_one.peers_visited >= 30
+        reports = [result.phase_one, result.phase_two]
+        assert result.effective_sample_size == sum(
+            report.peers_visited for report in reports if report is not None
+        )
 
     def test_median_survives(self, lossy_network, small_dataset):
         engine = MedianEngine(lossy_network, seed=4)

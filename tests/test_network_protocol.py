@@ -1,8 +1,11 @@
 """Unit tests for repro.network.protocol."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, SamplingError
 from repro.network.protocol import (
     GNUTELLA_HEADER_BYTES,
     AggregateReply,
@@ -13,6 +16,7 @@ from repro.network.protocol import (
     Query,
     QueryHit,
     TupleReply,
+    ValueSample,
     WalkerProbe,
 )
 
@@ -117,3 +121,108 @@ class TestSamplingMessages:
         with pytest.raises(AttributeError):
             # reprolint: disable=RL003 -- asserts frozen messages reject mutation
             reply.aggregate_value = 1.0
+
+
+# A values reply as the sink sees it: its fields and what it shipped
+# (empty rows and zero-value peers included).
+value_replies = st.lists(
+    st.builds(
+        TupleReply,
+        source=st.integers(0, 999),
+        destination=st.just(0),
+        values=st.lists(
+            st.floats(-1e6, 1e6, allow_nan=False), max_size=6
+        ).map(tuple),
+        degree=st.integers(1, 50),
+        local_tuples=st.integers(0, 500),
+        processed_tuples=st.integers(0, 50),
+    ),
+    max_size=12,
+)
+
+
+def _payload(reply):
+    return (
+        reply.source,
+        reply.destination,
+        reply.values,
+        reply.degree,
+        reply.local_tuples,
+        reply.processed_tuples,
+    )
+
+
+class TestValueSampleEqualsRows:
+    """A :class:`ValueSample` is the list of its ``TupleReply`` rows:
+    building, taking, concatenating and iterating it agree with doing
+    the same to the list."""
+
+    @given(value_replies)
+    @settings(max_examples=80, deadline=None)
+    def test_from_replies_round_trips(self, replies):
+        sample = ValueSample.from_replies(replies, 0)
+        assert len(sample) == len(replies)
+        assert [_payload(r) for r in sample] == [_payload(r) for r in replies]
+        assert sample.values.tolist() == [v for r in replies for v in r.values]
+        assert sample["shipped"].tolist() == [len(r.values) for r in replies]
+        assert [
+            tuple(sample.values[start:start + shipped])
+            for start, shipped in zip(sample.offsets, sample["shipped"])
+        ] == [r.values for r in replies]
+        assert sample["source"].tolist() == [r.source for r in replies]
+
+    @given(value_replies, st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_take_is_the_rows_at_the_indices(self, replies, data):
+        sample = ValueSample.from_replies(replies, 0).with_probability(
+            [1.0 / (1 + r.degree) for r in replies]
+        )
+        indices = np.asarray(
+            data.draw(
+                st.lists(st.integers(0, max(len(replies) - 1, 0)))
+                if replies
+                else st.just([])
+            ),
+            dtype=np.intp,
+        )
+        taken = sample.take(indices)
+        assert [_payload(r) for r in taken] == [
+            _payload(replies[i]) for i in indices
+        ]
+        assert taken["probability"].tolist() == [
+            1.0 / (1 + replies[i].degree) for i in indices
+        ]
+
+    @given(value_replies, value_replies)
+    @settings(max_examples=80, deadline=None)
+    def test_concat_is_the_rows_back_to_back(self, first, second):
+        # An odd split, a whole half and an empty one all occur.
+        pooled = ValueSample.concat(
+            [
+                ValueSample.from_replies(first, 0),
+                ValueSample.from_replies(second, 0),
+            ]
+        )
+        assert [_payload(r) for r in pooled] == [
+            _payload(r) for r in first + second
+        ]
+        halves = ValueSample.concat(
+            [
+                pooled.take(np.arange(len(first))),
+                pooled.take(np.arange(len(first), len(pooled))),
+            ]
+        )
+        assert halves.values.tolist() == pooled.values.tolist()
+        assert halves["shipped"].tolist() == pooled["shipped"].tolist()
+
+    def test_columns_are_read_only(self):
+        sample = ValueSample.from_columns(
+            0, 2, values=[1.0, 2.0], source=[3, 4], shipped=[2, 0]
+        )
+        with pytest.raises(ValueError):
+            sample.values[0] = 9.0
+        with pytest.raises(ValueError):
+            sample["source"][0] = 9
+        assert [r.values for r in sample] == [(1.0, 2.0), ()]
+        with pytest.raises(SamplingError):
+            sample["probability"]
