@@ -22,7 +22,7 @@ from ..network.simulator import NetworkSimulator
 from ..query.model import AggregationQuery
 from .cost_optimizer import TupleBudgetPlan, optimize_tuple_budget
 from .planner import PhaseOneAnalysis
-from .two_phase import TwoPhaseConfig, TwoPhaseEngine
+from .two_phase import TwoPhaseConfig, TwoPhaseEngine, _analyze_aggregate
 
 
 __all__ = [
@@ -133,18 +133,9 @@ def explain(
     sample = engine.collect_observations(
         sink, query, engine.config.phase_one_peers, ledger
     )
-    from .planner import analyze_phase_one
-
-    analysis = analyze_phase_one(
-        query,
-        sample,
-        delta_req=delta_req,
-        tuples_per_peer=engine.config.tuples_per_peer,
-        cross_validation_rounds=engine.config.cross_validation_rounds,
-        max_phase_two_peers=engine.config.max_phase_two_peers,
-        estimator=engine.config.estimator,
-        num_peers=simulator.topology.num_peers,
-        seed=0,
+    analysis = _analyze_aggregate(
+        engine.config, query, sample, delta_req, 0,
+        simulator.topology.num_peers,
     )
     optimizer = None
     if optimize_budget:

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Union
+from typing import Any, Optional, Protocol, Sequence, Type, TypeVar
+
+from numpy.typing import NDArray
 
 from ..metrics.cost import QueryCost
-from ..network.protocol import AggregateSample, ValueSample
 from ..query.model import AggregationQuery
 from ..sim.timing import QueryTiming
 from .confidence import ConfidenceInterval
@@ -17,6 +18,21 @@ __all__ = [
     "ApproximateResult",
     "MedianResult",
 ]
+
+
+_T = TypeVar("_T")
+
+
+class _Sample(Protocol):
+    """A phase's replies as the two-phase loop reads them: how many
+    arrived, a column of theirs, and how two collections join."""
+
+    def __len__(self) -> int: ...
+
+    def __getitem__(self, column: str) -> "NDArray[Any]": ...
+
+    @classmethod
+    def concat(cls: Type[_T], samples: Sequence[_T]) -> _T: ...
 
 
 @dataclasses.dataclass(frozen=True)
@@ -43,7 +59,7 @@ class PhaseReport:
     @classmethod
     def of_sample(
         cls,
-        sample: Union[AggregateSample, ValueSample],
+        sample: _Sample,
         hops: int,
         estimate: Optional[float] = None,
     ) -> "PhaseReport":

@@ -28,25 +28,21 @@ estimate.
 from __future__ import annotations
 
 import dataclasses
-import math
-from typing import Optional, Tuple
+from typing import Generator, Optional, Tuple
 
 import numpy as np
 
-from .._util import SeedLike
-from ..errors import ConfigurationError, SamplingError
+from ..errors import ConfigurationError
 from ..metrics.cost import CostLedger, QueryCost
 from ..network.protocol import ValueSample
-from ..network.simulator import NetworkSimulator
-from ..network.walker import RandomWalkConfig
 from ..query.model import (
     AggregateOp,
     AggregationQuery,
     Predicate,
     TruePredicate,
 )
-from .median import _ValuesEngine
 from .result import PhaseReport
+from .two_phase import StepCheckpoint, _PhaseConfig, _PhasedEngine, _Run
 
 
 __all__ = [
@@ -58,37 +54,14 @@ __all__ = [
 
 
 @dataclasses.dataclass(frozen=True)
-class StatisticsConfig:
-    """Tunables shared by the histogram/distinct engines.
-
-    Mirrors :class:`~repro.core.two_phase.TwoPhaseConfig`; the
-    ``tuples_per_peer`` budget here also bounds the reply payload,
-    which is the real bandwidth cost of these aggregates.
+class StatisticsConfig(_PhaseConfig):
+    """Tunables shared by the histogram/distinct engines: the fields
+    every two-phase engine shares, with a larger default
+    ``tuples_per_peer`` — here it also bounds the reply payload, which
+    is the real bandwidth cost of these aggregates.
     """
 
-    phase_one_peers: int = 40
     tuples_per_peer: int = 50
-    jump: int = 10
-    walk_variant: str = "simple"
-    burn_in: Optional[int] = None
-    cross_validation_rounds: int = 5
-    max_phase_two_peers: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.phase_one_peers < 4:
-            raise ConfigurationError("phase_one_peers must be >= 4")
-        if self.tuples_per_peer < 0:
-            raise ConfigurationError("tuples_per_peer must be >= 0")
-        if self.cross_validation_rounds < 1:
-            raise ConfigurationError("cross_validation_rounds must be >= 1")
-        if self.max_phase_two_peers is not None and self.max_phase_two_peers < 0:
-            raise ConfigurationError("max_phase_two_peers must be >= 0")
-
-    def walk_config(self) -> RandomWalkConfig:
-        """The walk configuration this config implies."""
-        return RandomWalkConfig(
-            jump=self.jump, burn_in=self.burn_in, variant=self.walk_variant
-        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -185,29 +158,46 @@ def _histogram_estimate(terms: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.add.accumulate(terms)[-1] / np.add.accumulate(weights)[-1]
 
 
-class StatisticsEngine(_ValuesEngine[StatisticsConfig]):
+def _values_query(
+    column: str, predicate: Optional[Predicate]
+) -> AggregationQuery:
+    """The query a histogram or distinct count ships ``column`` for."""
+    return AggregationQuery(
+        agg=AggregateOp.MEDIAN, column=column,
+        predicate=predicate or TruePredicate(),
+    )
+
+
+@dataclasses.dataclass(frozen=True)
+class _Histogram:
+    """What :meth:`StatisticsEngine.histogram` runs the loop for:
+    ``values`` ships the column's matching values."""
+
+    values: AggregationQuery
+    num_buckets: int
+    value_range: Optional[Tuple[float, float]]
+
+    def __post_init__(self) -> None:
+        if self.num_buckets < 1:
+            raise ConfigurationError("num_buckets must be >= 1")
+        if self.value_range is not None and not (
+            self.value_range[0] < self.value_range[1]
+        ):
+            raise ConfigurationError("value_range must be increasing")
+
+
+class StatisticsEngine(
+    _PhasedEngine[StatisticsConfig, _Histogram, HistogramResult]
+):
     """Histogram and distinct-value estimation engines (see module
-    docstring)."""
+    docstring).
 
-    def __init__(
-        self,
-        simulator: NetworkSimulator,
-        config: Optional[StatisticsConfig] = None,
-        seed: SeedLike = None,
-    ):
-        super().__init__(simulator, config or StatisticsConfig(), seed)
+    A histogram runs the two-phase loop on raw value samples: per-bucket
+    Hájek estimates, phase II sized by the TV cross-validation.
+    """
 
-    def _collect_values(
-        self, sink: int, column: str, predicate: Predicate, count: int,
-        ledger: CostLedger,
-    ) -> Tuple[ValueSample, int]:
-        """Walk and gather raw value samples of ``column``."""
-        query = AggregationQuery(
-            agg=AggregateOp.MEDIAN, column=column, predicate=predicate
-        )
-        return self._collect(
-            sink, query, count, ledger, "sample", f"HISTOGRAM({column})"
-        )
+    _name = "histogram"
+    _default_config = StatisticsConfig
 
     # ------------------------------------------------------------------
     # Histogram
@@ -228,85 +218,53 @@ class StatisticsEngine(_ValuesEngine[StatisticsConfig]):
         distance between the estimated and true (normalized)
         histograms, cross-validated exactly like the scalar case.
         """
-        if num_buckets < 1:
-            raise ConfigurationError("num_buckets must be >= 1")
-        if not 0.0 < delta_req <= 1.0:
-            raise SamplingError(f"delta_req must be in (0, 1], got {delta_req}")
-        predicate = predicate or TruePredicate()
-        if sink is None:
-            sink = int(self._rng.integers(self._simulator.num_peers))
-        ledger = self._simulator.new_ledger()
-
-        sample_one, hops_one = self._collect_values(
-            sink, column, predicate, self._config.phase_one_peers, ledger
+        query = _Histogram(
+            _values_query(column, predicate), num_buckets, value_range
         )
-        if value_range is None:
-            observed = sample_one.values
-            if not observed.size:
-                observed = np.zeros(1)
-            low, high = float(observed.min()), float(observed.max())
-            if low == high:
-                high = low + 1.0
-        else:
-            low, high = value_range
-            if not low < high:
-                raise ConfigurationError("value_range must be increasing")
-        edges = np.linspace(low, high + 1e-9, num_buckets + 1)
+        return self.execute(query, delta_req, sink=sink)
 
-        # Cross-validate: TV distance between half-sample histograms.
-        m = len(sample_one)
-        if m < 4:
-            raise SamplingError("histogram needs >= 4 phase-I peers")
-        terms = _bucket_terms(sample_one, edges)
-        weights = 1.0 / sample_one["probability"]
-        half = m // 2
-        squared_errors = []
-        indices = np.arange(m)
-        for _ in range(self._config.cross_validation_rounds):
-            order = self._rng.permutation(indices)
-            first, second = order[:half], order[half: 2 * half]
-            hist_one = _histogram_estimate(terms[first], weights[first])
-            hist_two = _histogram_estimate(terms[second], weights[second])
-            total_one = hist_one.sum()
-            total_two = hist_two.sum()
-            if total_one <= 0 or total_two <= 0:
-                squared_errors.append(1.0)
-                continue
-            tv = 0.5 * float(
-                np.abs(hist_one / total_one - hist_two / total_two).sum()
-            )
-            squared_errors.append(tv**2)
-        cv_squared = float(np.mean(squared_errors))
+    def _collect(
+        self, sink: int, query: _Histogram, count: int, ledger: CostLedger,
+        chunk_peers: Optional[int], phase: str,
+    ) -> Generator[StepCheckpoint, None, ValueSample]:
+        return self._collect_values(
+            sink, query.values, count, ledger, chunk_peers, phase,
+            "sample", f"HISTOGRAM({query.values.column})",
+        )
 
-        additional = 0
-        m_prime = half * cv_squared / delta_req**2
-        if m_prime >= 1.0:
-            additional = int(math.ceil(m_prime))
-            if self._config.max_phase_two_peers is not None:
-                additional = min(
-                    additional, self._config.max_phase_two_peers
-                )
+    def _analyze(
+        self, query: _Histogram, sample: ValueSample, delta_req: float
+    ) -> Tuple[int, float, np.ndarray]:
+        observed = sample.values if sample.values.size else np.zeros(1)
+        low, high = query.value_range or (
+            float(observed.min()), float(observed.max())
+        )
+        if low == high:  # one observed value (a given range increases)
+            high = low + 1.0
+        edges = np.linspace(low, high + 1e-9, query.num_buckets + 1)
+        terms = _bucket_terms(sample, edges)
+        weights = 1.0 / sample["probability"]
+        additional, error = self._tv_plan(
+            len(sample),
+            lambda rows: _histogram_estimate(terms[rows], weights[rows]),
+            delta_req,
+        )
+        return additional, error, edges
 
-        phase_one = PhaseReport.of_sample(sample_one, hops_one)
-        phase_two: Optional[PhaseReport] = None
-        if additional > 0:
-            sample_two, hops_two = self._collect_values(
-                sink, column, predicate, additional, ledger
-            )
-            phase_two = PhaseReport.of_sample(sample_two, hops_two)
-            terms = np.concatenate([terms, _bucket_terms(sample_two, edges)])
-            weights = np.concatenate([weights, 1.0 / sample_two["probability"]])
-
-        mean_bucket = _histogram_estimate(terms, weights)
+    def _result(self, run: _Run[ValueSample]) -> HistogramResult:
+        mean_bucket = _histogram_estimate(
+            _bucket_terms(run.pooled, run.plan),
+            1.0 / run.pooled["probability"],
+        )
         counts = mean_bucket * self._simulator.num_peers  # Hájek scale
         return HistogramResult(
-            edges=edges,
+            edges=run.plan,
             counts=counts,
             total_estimate=float(counts.sum()),
-            delta_req=delta_req,
-            phase_one=phase_one,
-            phase_two=phase_two,
-            cost=ledger.snapshot(),
+            delta_req=run.delta_req,
+            phase_one=run.phase_one,
+            phase_two=run.phase_two,
+            cost=run.cost,
         )
 
     # ------------------------------------------------------------------
@@ -328,12 +286,9 @@ class StatisticsEngine(_ValuesEngine[StatisticsConfig]):
         lower bounds), so the engine reports the best estimate the
         budgeted sample supports.
         """
-        predicate = predicate or TruePredicate()
-        if sink is None:
-            sink = int(self._rng.integers(self._simulator.num_peers))
-        ledger = self._simulator.new_ledger()
-        sample, hops = self._collect_values(
-            sink, column, predicate, self._config.phase_one_peers, ledger
+        # A distinct count reads what a histogram's phase I ships.
+        sample, ledger = self._phase_one_only(
+            _Histogram(_values_query(column, predicate), 1, None), sink
         )
         unique, counts = np.unique(sample.values, return_counts=True)
         observed = int(unique.size)
@@ -346,11 +301,12 @@ class StatisticsEngine(_ValuesEngine[StatisticsConfig]):
             chao1 = observed + singletons * (singletons - 1) / 2.0
         else:
             chao1 = float(observed)
+        cost = ledger.snapshot()
         return DistinctResult(
             observed=observed,
             chao1=float(chao1),
             singletons=singletons,
             doubletons=doubletons,
-            phase_one=PhaseReport.of_sample(sample, hops),
-            cost=ledger.snapshot(),
+            phase_one=PhaseReport.of_sample(sample, cost.hops),
+            cost=cost,
         )

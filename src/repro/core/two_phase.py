@@ -21,20 +21,36 @@ estimate by default (both phases draw from the same stationary
 distribution, so pooling is unbiased and strictly lowers variance);
 ``pool_phases=False`` reproduces the paper's literal phase-II-only
 estimate.
+
+The MEDIAN, histogram, GROUP BY and batch engines run this same loop,
+:meth:`TwoPhaseEngine.run_stepwise`, each with the strategy for its
+query kind (``_PhasedEngine``).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Generator, List, Optional, TypeVar
+import math
+from typing import (
+    Any,
+    Callable,
+    ClassVar,
+    Generator,
+    Generic,
+    List,
+    Optional,
+    Tuple,
+    TypeVar,
+)
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .._util import SeedLike, ensure_rng, seed_sequence
 from ..errors import ConfigurationError, SamplingError
-from ..metrics.cost import CostLedger
-from ..network.protocol import AggregateSample, WalkerProbe
+from ..metrics.cost import CostLedger, QueryCost
+from ..network.protocol import AggregateSample, ValueSample, WalkerProbe
 from ..network.simulator import NetworkSimulator
 from ..network.walker import (
     RandomWalkConfig,
@@ -45,6 +61,7 @@ from ..network.walker import (
 from ..obs.events import EstimateEvent, PhaseEvent
 from ..obs.tracer import emit_if_tracing
 from ..query.model import AggregationQuery
+from ..sim.timing import QueryTiming
 from .confidence import ConfidenceInterval, query_confidence_interval
 from .estimators import (
     estimate_query,
@@ -52,7 +69,7 @@ from .estimators import (
     observations_from_replies,
 )
 from .planner import PhaseOneAnalysis, analyze_phase_one
-from .result import ApproximateResult, PhaseReport
+from .result import ApproximateResult, MedianResult, PhaseReport, _Sample
 
 
 __all__ = [
@@ -67,22 +84,24 @@ __all__ = [
 class StepCheckpoint:
     """One scheduling point inside a stepwise query execution.
 
-    Stepwise engines (:meth:`TwoPhaseEngine.run_stepwise`,
-    :meth:`~repro.core.hybrid.HybridEngine.run_stepwise`) yield one of
-    these after every chunk of network work.  A scheduler uses the
-    checkpoint to interleave queries fairly and to enforce per-query
-    cost budgets: ``ledger`` is the query's live ledger, so
-    ``ledger.snapshot()`` at a checkpoint is the query's exact cost so
-    far.  The checkpoint stream is a pure function of the engine seed
-    — it carries nothing scheduling-dependent.
+    Stepwise engines (:meth:`TwoPhaseEngine.run_stepwise` and the
+    engines that inherit it, :meth:`~repro.core.hybrid.HybridEngine.
+    run_stepwise`) yield one of these after every chunk of network
+    work.  A scheduler uses the checkpoint to interleave queries fairly
+    and to enforce per-query cost budgets: ``ledger`` is the query's
+    live ledger, so ``ledger.snapshot()`` at a checkpoint is the
+    query's exact cost so far.  The checkpoint stream is a pure
+    function of the engine seed — it carries nothing
+    scheduling-dependent.
 
     Attributes
     ----------
     engine:
-        Which engine yielded (``"two-phase"`` or ``"hybrid"``).
+        Which engine yielded (``"two-phase"``, ``"hybrid"``,
+        ``"median"``, ``"histogram"``, ``"group-by"`` or ``"batch"``).
     phase:
         The phase the work belongs to: ``one``/``analysis``/``two``
-        for the two-phase engine, ``warm`` for hybrid warm runs.
+        for the two-phase loop, ``warm`` for hybrid warm runs.
     collected:
         Replies gathered so far *within the current phase*.
     ledger:
@@ -105,7 +124,7 @@ def check_chunk_peers(chunk_peers: Optional[int]) -> None:
     """Reject a take size the chunk loop could never finish with.
 
     A take of zero selections leaves ``remaining`` where it was, so the
-    loop in :meth:`TwoPhaseEngine._collect_stepwise` would yield empty
+    loop in :meth:`TwoPhaseEngine._walk_and_visit` would yield empty
     checkpoints forever.  Every public stepwise entry point calls this
     first thing on its first advance — before the plan cache, an RNG,
     a ledger or the tracer has been touched.
@@ -131,8 +150,9 @@ def drain_steps(
 
 
 @dataclasses.dataclass(frozen=True)
-class TwoPhaseConfig:
-    """Tunables of the two-phase algorithm (paper's predefined values).
+class _PhaseConfig:
+    """The tunables every two-phase engine shares (the paper's
+    predefined values).
 
     Attributes
     ----------
@@ -150,6 +170,43 @@ class TwoPhaseConfig:
         Halvings averaged by the sink analysis.
     max_phase_two_peers:
         Optional cost cap on ``m'``.
+    """
+
+    phase_one_peers: int = 40
+    tuples_per_peer: int = 25
+    jump: int = 10
+    walk_variant: str = "simple"
+    burn_in: Optional[int] = None
+    cross_validation_rounds: int = 5
+    max_phase_two_peers: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.phase_one_peers < 4:
+            raise ConfigurationError(
+                "phase_one_peers must be >= 4 for cross-validation"
+            )
+        if self.tuples_per_peer < 0:
+            raise ConfigurationError("tuples_per_peer must be >= 0")
+        if self.cross_validation_rounds < 1:
+            raise ConfigurationError("cross_validation_rounds must be >= 1")
+        if self.max_phase_two_peers is not None and self.max_phase_two_peers < 0:
+            raise ConfigurationError("max_phase_two_peers must be >= 0")
+
+    def walk_config(self) -> RandomWalkConfig:
+        """The walk configuration this engine config implies."""
+        return RandomWalkConfig(
+            jump=self.jump, burn_in=self.burn_in, variant=self.walk_variant
+        )
+
+
+@dataclasses.dataclass(frozen=True)
+class TwoPhaseConfig(_PhaseConfig):
+    """Tunables of the two-phase algorithm: the shared fields of every
+    two-phase engine (``phase_one_peers`` … ``max_phase_two_peers``)
+    and these.
+
+    Attributes
+    ----------
     pool_phases:
         Use phase I + II observations for the final estimate (default)
         or phase II only (the paper's literal pseudocode).
@@ -176,13 +233,6 @@ class TwoPhaseConfig:
         (default) failed probes are simply dropped, as before.
     """
 
-    phase_one_peers: int = 40
-    tuples_per_peer: int = 25
-    jump: int = 10
-    walk_variant: str = "simple"
-    burn_in: Optional[int] = None
-    cross_validation_rounds: int = 5
-    max_phase_two_peers: Optional[int] = None
     pool_phases: bool = True
     sampling_method: str = "uniform"
     confidence: float = 0.95
@@ -191,16 +241,7 @@ class TwoPhaseConfig:
     retry_policy: Optional[RetryPolicy] = None
 
     def __post_init__(self) -> None:
-        if self.phase_one_peers < 4:
-            raise ConfigurationError(
-                "phase_one_peers must be >= 4 for cross-validation"
-            )
-        if self.tuples_per_peer < 0:
-            raise ConfigurationError("tuples_per_peer must be >= 0")
-        if self.cross_validation_rounds < 1:
-            raise ConfigurationError("cross_validation_rounds must be >= 1")
-        if self.max_phase_two_peers is not None and self.max_phase_two_peers < 0:
-            raise ConfigurationError("max_phase_two_peers must be >= 0")
+        super().__post_init__()
         if self.sampling_method not in ("uniform", "block"):
             raise ConfigurationError(
                 f"unknown sampling_method {self.sampling_method!r}"
@@ -230,56 +271,111 @@ class TwoPhaseConfig:
         )
 
     def walk_config(self) -> RandomWalkConfig:
-        """The walk configuration this engine config implies."""
+        """The walk configuration this engine config implies (built
+        once, not as the base's and a replaced copy: an engine is built
+        per served query)."""
         return RandomWalkConfig(
-            jump=self.jump,
-            burn_in=self.burn_in,
-            variant=self.walk_variant,
+            jump=self.jump, burn_in=self.burn_in, variant=self.walk_variant,
             allow_revisits=not self.distinct_peers,
         )
 
 
-class TwoPhaseEngine:
-    """Answers COUNT/SUM/AVG queries approximately over a simulator."""
+_S = TypeVar("_S", bound=_Sample)
+#: Row indices into a sample: a walk's selected peers, a halving's half.
+_Rows = NDArray[np.int64]
+_C = TypeVar("_C", bound=_PhaseConfig)
+_Q = TypeVar("_Q")
+_R = TypeVar("_R")
+
+
+@dataclasses.dataclass(frozen=True)
+class _Run(Generic[_S]):
+    """A finished run, as the loop hands it to the engine's
+    ``_result``: ``plan`` is what ``_analyze`` kept, ``error`` its
+    cross-validation error, ``pooled`` both phases' replies back to
+    back, ``requested`` the planned ``m + m'``."""
+
+    query: Any
+    sink: int
+    delta_req: float
+    plan: Any
+    error: float
+    sample_two: Optional[_S]
+    pooled: _S
+    phase_one: PhaseReport
+    phase_two: Optional[PhaseReport]
+    requested: int
+    received: int
+    degraded: bool
+    cost: QueryCost
+    timing: Optional[QueryTiming]
+
+    def answer(
+        self, query: AggregationQuery, estimate: float,
+        interval: ConfidenceInterval, analysis: PhaseOneAnalysis,
+    ) -> ApproximateResult:
+        """This run's COUNT/SUM/AVG result for ``query``."""
+        return ApproximateResult(
+            query=query, estimate=estimate, delta_req=self.delta_req,
+            scale=analysis.scale, confidence_interval=interval,
+            phase_one=self.phase_one, phase_two=self.phase_two,
+            cost=self.cost, analysis=analysis,
+            requested_sample_size=self.requested,
+            effective_sample_size=self.received, degraded=self.degraded,
+            timing=self.timing,
+        )
+
+
+class _PhasedEngine(Generic[_C, _Q, _R]):
+    """What every two-phase engine shares: a seeded walker and visit
+    stream, the chunked walk-and-visit loop, the cross-validation
+    halvings and the phase I → analysis → phase II loop itself
+    (:meth:`run_stepwise`).  A subclass is the strategy for its query
+    kind: ``_collect`` (a phase's replies), ``_phase_estimate`` (what
+    one phase's sample gives; ``None`` when the answer is not one
+    number), ``_analyze`` (``m'``, the cross-validation error it was
+    sized from, and what the result needs) and ``_result``;
+    ``_check`` rejects a query before anything is drawn."""
+
+    #: The engine's name in phase events and checkpoints.
+    _name: ClassVar[str]
+    #: The configuration an engine built without one runs.
+    _default_config: ClassVar[Callable[[], Any]]
 
     def __init__(
         self,
         simulator: NetworkSimulator,
-        config: Optional[TwoPhaseConfig] = None,
+        config: Optional[_C] = None,
         seed: SeedLike = None,
     ):
         self._simulator = simulator
-        self._config = config or TwoPhaseConfig()
+        self._config: _C = config or self._default_config()
         self._seed_seq = seed_sequence(seed)
         if isinstance(seed, np.random.Generator):
             self._rng = seed
         walk_seed, visit_seed = self._seed_seq.spawn(2)
         self._walker = RandomWalker(
-            simulator.topology,
-            config=self._config.walk_config(),
+            simulator.topology, config=self._config.walk_config(),
             seed=walk_seed,
         )
         # Engine-owned stream for local sub-sampling at visited peers,
         # so executions are deterministic given the engine seed.
         self._visit_rng = ensure_rng(visit_seed)
-        self._point, self._variance = make_estimator(
-            self._config.estimator, simulator.topology.num_peers
-        )
         self._collector: Optional[ResilientCollector] = None
-        if self._config.retry_policy is not None:
+        retry_policy = getattr(self._config, "retry_policy", None)
+        if retry_policy is not None:
             self._collector = ResilientCollector(
-                self._walker, simulator, policy=self._config.retry_policy
+                self._walker, simulator, policy=retry_policy
             )
-        self._last_replies: Optional[AggregateSample] = None
-        self._last_sink: Optional[int] = None
 
     @functools.cached_property
     def _rng(self) -> np.random.Generator:
-        """The engine's own stream (sinks), built on its first draw."""
+        """The engine's own stream (sinks, cross-validation halvings),
+        built on its first draw."""
         return ensure_rng(self._seed_seq)
 
     @property
-    def config(self) -> TwoPhaseConfig:
+    def config(self) -> _C:
         """The engine configuration."""
         return self._config
 
@@ -287,6 +383,306 @@ class TwoPhaseEngine:
     def simulator(self) -> NetworkSimulator:
         """The network this engine queries."""
         return self._simulator
+
+    # ------------------------------------------------------------------
+    # The strategy
+    # ------------------------------------------------------------------
+
+    def _check(self, query: _Q) -> None:
+        pass
+
+    def _collect(
+        self, sink: int, query: _Q, count: int, ledger: CostLedger,
+        chunk_peers: Optional[int], phase: str,
+    ) -> Generator[StepCheckpoint, None, Any]:
+        raise NotImplementedError
+
+    def _phase_estimate(self, query: _Q, sample: Any) -> Optional[float]:
+        return None
+
+    def _analyze(
+        self, query: _Q, sample: Any, delta_req: float
+    ) -> Tuple[int, float, Any]:
+        raise NotImplementedError
+
+    def _result(self, run: _Run[Any]) -> _R:
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # Plumbing
+    # ------------------------------------------------------------------
+
+    def _walk_and_visit(
+        self, sink: int, count: int, ledger: CostLedger,
+        chunk_peers: Optional[int], phase: str, query_text: str,
+        visit: Callable[[_Rows], _S],
+        resilient: Optional[Callable[[ResilientCollector, int], _S]] = None,
+    ) -> Generator[StepCheckpoint, None, _S]:
+        """Walk from ``sink`` to ``count`` peers and ``visit`` them, a
+        :class:`~repro.network.walker.WalkCursor` take of
+        ``chunk_peers`` selections (one of ``count`` when ``None``) and
+        a checkpoint at a time — bit-identical replies for any
+        chunking: the cursor consumes the walker RNG exactly as one
+        take does, the visits consume ``self._visit_rng`` peer by peer
+        in selection order.  The loop relies on the public entry
+        points' ``chunk_peers >= 1`` (:func:`check_chunk_peers`).
+        Under a retry policy a collection with a resilient form (the
+        aggregate and values visits) runs ``resilient(collector,
+        probe_bytes)`` instead, in one piece (the collector owns its
+        retry/substitution loop) and one checkpoint."""
+        probe_bytes = WalkerProbe(
+            source=sink, destination=sink, sink=sink, query_text=query_text,
+            tuples_per_peer=self._config.tuples_per_peer,
+        ).size_bytes()
+        if self._collector is not None and resilient is not None:
+            sample = resilient(self._collector, probe_bytes)
+            yield StepCheckpoint(self._name, phase, len(sample), ledger)
+            return sample
+        cursor = self._walker.cursor(sink)
+        chunks: List[_S] = []
+        collected = 0
+        remaining = count
+        while True:
+            take = remaining if chunk_peers is None else min(
+                chunk_peers, remaining
+            )
+            walk = cursor.take(take)
+            self._simulator.walk_hops(
+                walk.hops, ledger, message_bytes=probe_bytes
+            )
+            chunks.append(visit(walk.peers))
+            collected += len(chunks[-1])
+            remaining -= take
+            yield StepCheckpoint(self._name, phase, collected, ledger)
+            if remaining <= 0:
+                return type(chunks[0]).concat(chunks)
+
+    def _collect_values(
+        self, sink: int, query: AggregationQuery, count: int,
+        ledger: CostLedger, chunk_peers: Optional[int], phase: str,
+        ship: str, query_text: str,
+    ) -> Generator[StepCheckpoint, None, ValueSample]:
+        """:meth:`_walk_and_visit` for the engines answering from
+        shipped values: what ``count`` peers ``ship``, as one
+        :class:`ValueSample` with stationary probabilities attached."""
+        budget = self._config.tuples_per_peer
+        sample = yield from self._walk_and_visit(
+            sink, count, ledger, chunk_peers, phase, query_text,
+            lambda peers: self._simulator.visit_values_batch(
+                peers, query, sink=sink, ledger=ledger,
+                tuples_per_peer=budget, ship=ship, seed=self._visit_rng,
+            ),
+            lambda collector, probe_bytes: collector.collect_values(
+                sink, query, count, ledger, probe_bytes=probe_bytes,
+                tuples_per_peer=budget, ship=ship, seed=self._visit_rng,
+            )[0],
+        )
+        probabilities = self._walker.stationary_probabilities()
+        return sample.with_probability(probabilities[sample["source"]])
+
+    def _cross_validate(
+        self, size: int, squared_error: Callable[[_Rows, _Rows], float]
+    ) -> float:
+        """The mean of ``squared_error(first, second)`` over
+        ``cross_validation_rounds`` random halvings of ``size`` rows
+        (one sits out when ``size`` is odd), each half given as row
+        indices; the engine's stream draws one permutation per round."""
+        if size < 4:
+            raise SamplingError(
+                f"{self._name} cross-validation needs >= 4 phase-I "
+                f"replies, got {size}"
+            )
+        half = size // 2
+        squared = []
+        for _ in range(self._config.cross_validation_rounds):
+            order = self._rng.permutation(size)
+            squared.append(squared_error(order[:half], order[half: 2 * half]))
+        return float(np.mean(squared))
+
+    def _tv_plan(
+        self, size: int, estimate: Callable[[_Rows], NDArray[Any]],
+        delta_req: float,
+    ) -> Tuple[int, float]:
+        """``m' = (m/2) · CV² / Δreq²`` (none below one peer, at most
+        the cap) and the RMS ``CV``, for CV the total-variation distance
+        between the normalized vectors two halves' rows ``estimate`` (1
+        when either total is not positive)."""
+
+        def squared_tv(first: _Rows, second: _Rows) -> float:
+            one, two = estimate(first), estimate(second)
+            total_one, total_two = one.sum(), two.sum()
+            if total_one <= 0 or total_two <= 0:
+                return 1.0
+            tv = 0.5 * float(np.abs(one / total_one - two / total_two).sum())
+            return tv**2
+
+        cv_squared = self._cross_validate(size, squared_tv)
+        m_prime = size // 2 * cv_squared / delta_req**2
+        additional = int(math.ceil(m_prime)) if m_prime >= 1.0 else 0
+        cap = self._config.max_phase_two_peers
+        if cap is not None:
+            additional = min(additional, cap)
+        return additional, math.sqrt(cv_squared)
+
+    def _phase(
+        self, phase: str, sink: int, query: _Q, count: int,
+        ledger: CostLedger, chunk_peers: Optional[int],
+    ) -> Generator[StepCheckpoint, None, Tuple[Any, PhaseReport]]:
+        """One phase of the loop: collect ``count`` peers' replies,
+        bracketed by its phase events; returns them and its report."""
+        hops_before = ledger.snapshot().hops
+        emit_if_tracing(
+            PhaseEvent, engine=self._name, phase=phase, status="start",
+            requested=count,
+        )
+        sample = yield from self._collect(
+            sink, query, count, ledger, chunk_peers, phase
+        )
+        hops = ledger.snapshot().hops - hops_before
+        try:
+            estimate = self._phase_estimate(query, sample)
+        except SamplingError:
+            if phase == "one":
+                raise
+            # Diagnostic only: a phase-II sample of a few peers may see
+            # no matching tuple while the pooled sample does.
+            estimate = None
+        emit_if_tracing(
+            PhaseEvent, engine=self._name, phase=phase, status="end",
+            requested=count, received=len(sample), estimate=estimate,
+        )
+        return sample, PhaseReport.of_sample(sample, hops, estimate)
+
+    def _phase_one_only(
+        self, query: _Q, sink: Optional[int]
+    ) -> Tuple[Any, CostLedger]:
+        """Phase I alone, in one piece and on a fresh ledger, from
+        ``sink`` (a uniformly random peer when omitted): ``m`` peers'
+        replies and what they cost."""
+        if sink is None:
+            sink = int(self._rng.integers(self._simulator.num_peers))
+        ledger = self._simulator.new_ledger()
+        sample = drain_steps(self._collect(
+            sink, query, self._config.phase_one_peers, ledger, None, "one"
+        ))
+        return sample, ledger
+
+    # ------------------------------------------------------------------
+    # The algorithm
+    # ------------------------------------------------------------------
+
+    def execute(
+        self, query: _Q, delta_req: float, sink: Optional[int] = None
+    ) -> _R:
+        """Answer ``query`` within ``delta_req``.
+
+        ``sink`` is the peer where the query is introduced; a uniformly
+        random peer is chosen when omitted (queries can originate
+        anywhere in a P2P network).  Runs the stepwise form to
+        completion in one go (:func:`drain_steps`), so serial execution
+        and a scheduler driving :meth:`run_stepwise` are bit-identical
+        by construction.
+        """
+        return drain_steps(self.run_stepwise(query, delta_req, sink=sink))
+
+    def run_stepwise(
+        self,
+        query: _Q,
+        delta_req: float,
+        sink: Optional[int] = None,
+        chunk_peers: Optional[int] = None,
+    ) -> Generator[StepCheckpoint, None, _R]:
+        """The two-phase algorithm as a resumable generator.
+
+        Yields a :class:`StepCheckpoint` after every ``chunk_peers``
+        peer visits (and after the sink analysis), returning the
+        result — the *same* result :meth:`execute` produces, for any
+        chunking.  A query service advances many of these generators
+        round-robin to interleave queries; budget enforcement happens
+        between chunks, so a query can overshoot its budget by at most
+        one chunk.
+        """
+        check_chunk_peers(chunk_peers)
+        self._check(query)
+        if not 0.0 < delta_req <= 1.0:
+            raise SamplingError(f"delta_req must be in (0, 1], got {delta_req}")
+        if sink is None:
+            sink = int(self._rng.integers(self._simulator.num_peers))
+        ledger = self._simulator.new_ledger()
+        timing_token = self._simulator.begin_timing()
+        requested = self._config.phase_one_peers
+        sample_one, phase_one = yield from self._phase(
+            "one", sink, query, requested, ledger, chunk_peers
+        )
+        additional, error, plan = self._analyze(query, sample_one, delta_req)
+        emit_if_tracing(
+            PhaseEvent, engine=self._name, phase="analysis", status="end",
+            requested=additional, error=error,
+        )
+        # A checkpoint between analysis and phase II lets a scheduler
+        # stop an over-budget query before it pays for the second walk.
+        yield StepCheckpoint(self._name, "analysis", len(sample_one), ledger)
+
+        sample_two: Any = None
+        phase_two: Optional[PhaseReport] = None
+        pooled = sample_one
+        if additional > 0:
+            requested += additional
+            sample_two, phase_two = yield from self._phase(
+                "two", sink, query, additional, ledger, chunk_peers
+            )
+            pooled = type(sample_one).concat([sample_one, sample_two])
+
+        run = _Run(
+            query, sink, delta_req, plan, error, sample_two, pooled,
+            phase_one, phase_two, requested, len(pooled),
+            len(pooled) < requested, ledger.snapshot(),
+            self._simulator.finish_timing(timing_token),
+        )
+        result = self._result(run)
+        if isinstance(result, (ApproximateResult, MedianResult)):
+            emit_if_tracing(
+                EstimateEvent, engine=self._name, agg=result.query.agg.value,
+                estimate=result.estimate, requested=requested,
+                received=run.received, degraded=run.degraded,
+            )
+        return result
+
+
+def _analyze_aggregate(
+    config: TwoPhaseConfig, query: AggregationQuery, sample: AggregateSample,
+    delta_req: float, seed: SeedLike, num_peers: int,
+) -> PhaseOneAnalysis:
+    """:func:`~repro.core.planner.analyze_phase_one` under ``config``."""
+    return analyze_phase_one(
+        query, sample, delta_req=delta_req,
+        tuples_per_peer=config.tuples_per_peer,
+        cross_validation_rounds=config.cross_validation_rounds,
+        max_phase_two_peers=config.max_phase_two_peers,
+        seed=seed, estimator=config.estimator, num_peers=num_peers,
+    )
+
+
+class TwoPhaseEngine(
+    _PhasedEngine[TwoPhaseConfig, AggregationQuery, ApproximateResult]
+):
+    """Answers COUNT/SUM/AVG queries approximately over a simulator."""
+
+    _name = "two-phase"
+    _default_config = TwoPhaseConfig
+
+    def __init__(
+        self,
+        simulator: NetworkSimulator,
+        config: Optional[TwoPhaseConfig] = None,
+        seed: SeedLike = None,
+    ):
+        super().__init__(simulator, config, seed)
+        self._point, self._variance = make_estimator(
+            self._config.estimator, simulator.topology.num_peers
+        )
+        self._last_replies: Optional[AggregateSample] = None
+        self._last_sink: Optional[int] = None
 
     @property
     def last_replies(self) -> Optional[AggregateSample]:
@@ -306,80 +702,6 @@ class TwoPhaseEngine:
     # ------------------------------------------------------------------
     # Plumbing
     # ------------------------------------------------------------------
-
-    def _collect_stepwise(
-        self,
-        sink: int,
-        query: AggregationQuery,
-        count: int,
-        ledger: CostLedger,
-        chunk_peers: Optional[int],
-        phase: str,
-    ) -> Generator[StepCheckpoint, None, AggregateSample]:
-        """Walk, visit and gather the sample, yielding between chunks.
-
-        The walk runs through a :class:`~repro.network.walker.
-        WalkCursor` in takes of ``chunk_peers`` selections (one take of
-        ``count`` when ``None``), yielding a checkpoint after each —
-        bit-identical replies for any chunking, because the cursor
-        consumes the walker RNG exactly as one take does and the batch
-        visits consume ``self._visit_rng`` peer by peer in selection
-        order.  ``chunk_peers >= 1`` is the public entry points' check
-        (:func:`check_chunk_peers`); the loop relies on it to finish.
-        """
-        probe = WalkerProbe(
-            source=sink,
-            destination=sink,
-            sink=sink,
-            query_text=query.to_sql(),
-            tuples_per_peer=self._config.tuples_per_peer,
-        )
-        if self._collector is not None:
-            # The resilient collector owns its retry/substitution loop;
-            # it collects in one piece and checkpoints once.
-            sample, _stats = self._collector.collect_aggregate(
-                sink,
-                query,
-                count,
-                ledger,
-                probe_bytes=probe.size_bytes(),
-                tuples_per_peer=self._config.tuples_per_peer,
-                sampling_method=self._config.sampling_method,
-                seed=self._visit_rng,
-            )
-            yield StepCheckpoint("two-phase", phase, len(sample), ledger)
-            return sample
-        cursor = self._walker.cursor(sink)
-        chunks: List[AggregateSample] = []
-        collected = 0
-        remaining = count
-        while True:
-            take = remaining if chunk_peers is None else min(
-                chunk_peers, remaining
-            )
-            walk = cursor.take(take)
-            self._simulator.walk_hops(
-                walk.hops, ledger, message_bytes=probe.size_bytes()
-            )
-            # The batch fast path visits all selected peers in one
-            # vectorized pass; under fault injection it degrades to the
-            # per-peer loop internally, dropping lost replies either way.
-            chunks.append(
-                self._simulator.visit_aggregate_batch(
-                    walk.peers,
-                    query,
-                    sink=sink,
-                    ledger=ledger,
-                    tuples_per_peer=self._config.tuples_per_peer,
-                    sampling_method=self._config.sampling_method,
-                    seed=self._visit_rng,
-                )
-            )
-            collected += len(chunks[-1])
-            remaining -= take
-            yield StepCheckpoint("two-phase", phase, collected, ledger)
-            if remaining <= 0:
-                return AggregateSample.concat(chunks)
 
     def _final_estimate(
         self, query: AggregationQuery, sample: AggregateSample
@@ -428,16 +750,32 @@ class TwoPhaseEngine:
         """Stepwise :meth:`collect_observations` — yields checkpoints
         between chunks of ``chunk_peers`` visits, returns the same
         sample: the replies with the stationary probabilities the sink
-        reconstructs for this engine's walk attached."""
+        reconstructs for this engine's walk attached.
+
+        A batch visit covers a take's peers in one vectorized pass;
+        under fault injection it degrades to the per-peer loop
+        internally, dropping lost replies either way.
+        """
         check_chunk_peers(chunk_peers)
-        sample = yield from self._collect_stepwise(
-            sink, query, count, ledger, chunk_peers, phase
+        config = self._config
+        sample = yield from self._walk_and_visit(
+            sink, count, ledger, chunk_peers, phase, query.to_sql(),
+            lambda peers: self._simulator.visit_aggregate_batch(
+                peers, query, sink=sink, ledger=ledger,
+                tuples_per_peer=config.tuples_per_peer,
+                sampling_method=config.sampling_method, seed=self._visit_rng,
+            ),
+            lambda collector, probe_bytes: collector.collect_aggregate(
+                sink, query, count, ledger, probe_bytes=probe_bytes,
+                tuples_per_peer=config.tuples_per_peer,
+                sampling_method=config.sampling_method, seed=self._visit_rng,
+            )[0],
         )
         return observations_from_replies(
             sample,
             num_edges=self._simulator.topology.num_edges,
             num_peers=self._simulator.topology.num_peers,
-            variant=self._config.walk_variant,
+            variant=config.walk_variant,
         )
 
     def final_estimate(
@@ -445,180 +783,6 @@ class TwoPhaseEngine:
     ) -> float:
         """The engine's configured estimator over ``sample``."""
         return self._final_estimate(query, sample)
-
-    # ------------------------------------------------------------------
-    # The algorithm
-    # ------------------------------------------------------------------
-
-    def execute(
-        self,
-        query: AggregationQuery,
-        delta_req: float,
-        sink: Optional[int] = None,
-    ) -> ApproximateResult:
-        """Answer ``query`` within ``delta_req`` (normalized error).
-
-        ``sink`` is the peer where the query is introduced; a uniformly
-        random peer is chosen when omitted (queries can originate
-        anywhere in a P2P network).  Runs the stepwise form to
-        completion in one go (:func:`drain_steps`), so serial execution
-        and a scheduler driving :meth:`run_stepwise` are bit-identical
-        by construction.
-        """
-        return drain_steps(self.run_stepwise(query, delta_req, sink=sink))
-
-    def run_stepwise(
-        self,
-        query: AggregationQuery,
-        delta_req: float,
-        sink: Optional[int] = None,
-        chunk_peers: Optional[int] = None,
-    ) -> StepwiseRun:
-        """The two-phase algorithm as a resumable generator.
-
-        Yields a :class:`StepCheckpoint` after every ``chunk_peers``
-        peer visits (and after the sink analysis), returning the final
-        :class:`~repro.core.result.ApproximateResult` — the *same*
-        result :meth:`execute` produces, for any chunking.  A query
-        service advances many of these generators round-robin to
-        interleave queries; budget enforcement happens between chunks,
-        so a query can overshoot its budget by at most one chunk.
-        """
-        check_chunk_peers(chunk_peers)
-        if not query.agg.supports_pushdown:
-            raise ConfigurationError(
-                f"{query.agg.value} queries are answered by MedianEngine"
-            )
-        if sink is None:
-            sink = int(self._rng.integers(self._simulator.num_peers))
-        ledger = self._simulator.new_ledger()
-        timing_token = self._simulator.begin_timing()
-
-        # Phase I --------------------------------------------------------
-        phase_one_hops_before = 0
-        emit_if_tracing(
-            PhaseEvent,
-            engine="two-phase",
-            phase="one",
-            status="start",
-            requested=self._config.phase_one_peers,
-        )
-        sample_one = yield from self.collect_observations_stepwise(
-            sink, query, self._config.phase_one_peers, ledger,
-            chunk_peers, "one",
-        )
-        hops_one = ledger.snapshot().hops - phase_one_hops_before
-        estimate_one = self._final_estimate(query, sample_one)
-        emit_if_tracing(
-            PhaseEvent,
-            engine="two-phase",
-            phase="one",
-            status="end",
-            requested=self._config.phase_one_peers,
-            received=len(sample_one),
-            estimate=estimate_one,
-        )
-        analysis = analyze_phase_one(
-            query,
-            sample_one,
-            delta_req=delta_req,
-            tuples_per_peer=self._config.tuples_per_peer,
-            cross_validation_rounds=self._config.cross_validation_rounds,
-            max_phase_two_peers=self._config.max_phase_two_peers,
-            seed=self._seed_seq.spawn(1)[0],
-            estimator=self._config.estimator,
-            num_peers=self._simulator.topology.num_peers,
-        )
-        emit_if_tracing(
-            PhaseEvent,
-            engine="two-phase",
-            phase="analysis",
-            status="end",
-            requested=(
-                analysis.plan.additional_peers
-                if analysis.plan.phase_two_needed
-                else 0
-            ),
-            error=analysis.cross_validation.rms_error,
-        )
-        # A checkpoint between analysis and phase II lets a scheduler
-        # stop an over-budget query before it pays for the second walk.
-        yield StepCheckpoint("two-phase", "analysis", len(sample_one), ledger)
-        phase_one = PhaseReport.of_sample(sample_one, hops_one, estimate_one)
-
-        # Phase II -------------------------------------------------------
-        requested = self._config.phase_one_peers
-        phase_two: Optional[PhaseReport] = None
-        pooled = final = sample_one
-        if analysis.plan.phase_two_needed:
-            requested += analysis.plan.additional_peers
-            hops_before = ledger.snapshot().hops
-            emit_if_tracing(
-                PhaseEvent,
-                engine="two-phase",
-                phase="two",
-                status="start",
-                requested=analysis.plan.additional_peers,
-            )
-            sample_two = yield from self.collect_observations_stepwise(
-                sink, query, analysis.plan.additional_peers, ledger,
-                chunk_peers, "two",
-            )
-            hops_two = ledger.snapshot().hops - hops_before
-            # Diagnostic only: a phase-II sample of a few peers may see
-            # no matching tuple while the pooled sample does.
-            estimate_two: Optional[float]
-            try:
-                estimate_two = self._final_estimate(query, sample_two)
-            except SamplingError:
-                estimate_two = None
-            emit_if_tracing(
-                PhaseEvent,
-                engine="two-phase",
-                phase="two",
-                status="end",
-                requested=analysis.plan.additional_peers,
-                received=len(sample_two),
-                estimate=estimate_two,
-            )
-            phase_two = PhaseReport.of_sample(
-                sample_two, hops_two, estimate_two
-            )
-            pooled = final = AggregateSample.concat([sample_one, sample_two])
-            if not self._config.pool_phases and len(sample_two):
-                final = sample_two  # the paper's literal phase-II-only form
-
-        # Final estimate ---------------------------------------------------
-        estimate = self._final_estimate(query, final)
-        interval = self.confidence_interval(query, final, estimate)
-
-        effective = len(pooled)
-        self._last_replies = pooled
-        self._last_sink = sink
-        emit_if_tracing(
-            EstimateEvent,
-            engine="two-phase",
-            agg=query.agg.value,
-            estimate=estimate,
-            requested=requested,
-            received=effective,
-            degraded=effective < requested,
-        )
-        return ApproximateResult(
-            query=query,
-            estimate=estimate,
-            delta_req=delta_req,
-            scale=analysis.scale,
-            confidence_interval=interval,
-            phase_one=phase_one,
-            phase_two=phase_two,
-            cost=ledger.snapshot(),
-            analysis=analysis,
-            requested_sample_size=requested,
-            effective_sample_size=effective,
-            degraded=effective < requested,
-            timing=self._simulator.finish_timing(timing_token),
-        )
 
     def analyze_only(
         self,
@@ -631,19 +795,53 @@ class TwoPhaseEngine:
         Useful for planner-focused experiments (Figures 4/5 report the
         planned sample sizes).
         """
-        if sink is None:
-            sink = int(self._rng.integers(self._simulator.num_peers))
-        ledger = self._simulator.new_ledger()
-        return analyze_phase_one(
-            query,
-            self.collect_observations(
-                sink, query, self._config.phase_one_peers, ledger
-            ),
-            delta_req=delta_req,
-            tuples_per_peer=self._config.tuples_per_peer,
-            cross_validation_rounds=self._config.cross_validation_rounds,
-            max_phase_two_peers=self._config.max_phase_two_peers,
-            seed=self._seed_seq.spawn(1)[0],
-            estimator=self._config.estimator,
-            num_peers=self._simulator.topology.num_peers,
+        sample, _ = self._phase_one_only(query, sink)
+        return self._analyze(query, sample, delta_req)[2]
+
+    # ------------------------------------------------------------------
+    # The strategy: the configured estimator per phase, phase II
+    # planned by analyze_phase_one
+    # ------------------------------------------------------------------
+
+    def _check(self, query: AggregationQuery) -> None:
+        if not query.agg.supports_pushdown:
+            raise ConfigurationError(
+                f"{query.agg.value} queries are answered by MedianEngine"
+            )
+
+    _collect = collect_observations_stepwise
+
+    def _phase_estimate(
+        self, query: AggregationQuery, sample: AggregateSample
+    ) -> Optional[float]:
+        return self._final_estimate(query, sample)
+
+    def _analyze(
+        self, query: AggregationQuery, sample: AggregateSample,
+        delta_req: float,
+    ) -> Tuple[int, float, PhaseOneAnalysis]:
+        analysis = _analyze_aggregate(
+            self._config, query, sample, delta_req,
+            self._seed_seq.spawn(1)[0], self._simulator.topology.num_peers,
+        )
+        return (
+            analysis.plan.additional_peers,
+            analysis.cross_validation.rms_error,
+            analysis,
+        )
+
+    def _result(self, run: _Run[AggregateSample]) -> ApproximateResult:
+        final = run.pooled
+        if (
+            not self._config.pool_phases
+            and run.sample_two is not None
+            and len(run.sample_two)
+        ):
+            final = run.sample_two  # the paper's literal phase-II-only form
+        estimate = self._final_estimate(run.query, final)
+        self._last_replies = run.pooled
+        self._last_sink = run.sink
+        return run.answer(
+            run.query, estimate,
+            self.confidence_interval(run.query, final, estimate), run.plan,
         )

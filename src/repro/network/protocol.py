@@ -409,7 +409,9 @@ class ValueSample:
     :class:`TupleReply` that reached the sink, as on
     :class:`AggregateSample`, with ``shipped`` (how many values it
     shipped) in place of the aggregates.  ``values`` is every shipped
-    value, row after row, cut by :attr:`offsets`.
+    value, row after row, cut by :attr:`offsets` — or every shipped row
+    of values, when a reply ships rows (a GROUP BY reply: one
+    ``(group, count, sum)`` row per group).
     """
 
     replies: _ReplyRows

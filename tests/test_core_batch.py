@@ -140,6 +140,20 @@ class TestDegradedReporting:
             assert not result.degraded
             assert result.timing is None
 
+    def test_phase_reports_carry_the_hops_walked(
+        self, small_topology, small_dataset
+    ):
+        """Each phase reports the hops its walk took; on a clean run
+        they add up to the ledger's (they used to read 0)."""
+        _, results = self._run(small_topology, small_dataset)
+        for result in results:
+            assert result.phase_two is not None
+            assert result.phase_one.hops > 0
+            assert (
+                result.phase_one.hops + result.phase_two.hops
+                == result.cost.hops
+            )
+
     def test_lost_replies_are_reported(self, small_topology, small_dataset):
         _, results = self._run(
             small_topology, small_dataset, reply_loss_rate=0.3

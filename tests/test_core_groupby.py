@@ -143,6 +143,24 @@ class TestGroupByEngine:
         for group, value in result.groups.items():
             assert value == pytest.approx(truth[group], rel=0.3)
 
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_avg_sized_like_count(self, grouped_network, seed):
+        """Δreq bounds the TV over normalized group masses, so AVG
+        sizes phase II from the count vector: the same plan as COUNT
+        for the same seed and sink (it used to cross-validate the
+        per-group averages)."""
+        network, dataset = grouped_network
+        plans = [
+            GroupByEngine(network, seed=seed).execute(
+                query, delta_req=0.05, sink=0
+            ).phase_two
+            for query in (
+                GROUPED_COUNT, parse_query("SELECT AVG(A) FROM T GROUP BY G")
+            )
+        ]
+        assert plans[0] is not None and plans[1] is not None
+        assert plans[1].peers_visited == plans[0].peers_visited
+
     def test_groups_sorted(self, grouped_network):
         network, dataset = grouped_network
         engine = GroupByEngine(network, seed=4)

@@ -23,6 +23,7 @@ import pytest
 
 import repro.core.two_phase as two_phase_module
 from repro.core.median import MedianConfig, MedianEngine
+from repro.core.statistics import StatisticsConfig, StatisticsEngine
 from repro.core.two_phase import TwoPhaseConfig, TwoPhaseEngine
 from repro.data.generator import DatasetConfig, generate_dataset
 from repro.network.faults import CrashWindow, FaultPlan, LatencySpike
@@ -127,7 +128,20 @@ def _run_median():
     return tracer, result
 
 
-def _payload(tracer, result):
+def _run_histogram():
+    """The histogram engine on the shared loop: its phase events are
+    the two-phase engine's, named ``histogram``, with no estimate."""
+    network = _build_network()
+    engine = StatisticsEngine(
+        network, StatisticsConfig(phase_one_peers=40), seed=9
+    )
+    tracer = Tracer()
+    with tracing(tracer):
+        result = engine.histogram("A", num_buckets=8, delta_req=0.05, sink=1)
+    return tracer, result
+
+
+def _payload(tracer, result, estimate=None):
     cost = tracer.cost_total
     payload = {
         "digest": tracer.digest(),
@@ -139,7 +153,7 @@ def _payload(tracer, result):
             "visits": cost.visits,
             "timeouts": cost.timeouts,
         },
-        "estimate": result.estimate,
+        "estimate": result.estimate if estimate is None else estimate,
     }
     # Virtual time is significant golden content: the stamp count and
     # makespan change whenever event ordering or latency draws do.
@@ -177,6 +191,14 @@ class TestGoldenTraces:
         tracer, result = _run_median()
         _check_golden("trace_median", _payload(tracer, result),
                       update_goldens)
+
+    def test_histogram_golden(self, update_goldens):
+        tracer, result = _run_histogram()
+        _check_golden(
+            "trace_histogram",
+            _payload(tracer, result, estimate=result.total_estimate),
+            update_goldens,
+        )
 
     def test_fault_injected_golden(self, update_goldens):
         tracer, result = _run_two_phase(FAULT_PLAN)
