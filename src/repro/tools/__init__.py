@@ -3,7 +3,8 @@
 :mod:`repro.tools.lint` — *reprolint* — is an AST-based static-analysis
 pass enforcing the project's reproducibility invariants (seed
 discipline, cost accounting, protocol immutability, float-equality
-hygiene, batch/scalar parity).  It has no dependencies beyond the
+hygiene, nondeterminism taint, RNG stream discipline, snapshot
+immutability).  It has no dependencies beyond the
 standard library, so it can run in CI and pre-commit hooks without the
 simulation stack installed.
 

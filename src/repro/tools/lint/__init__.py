@@ -5,19 +5,17 @@ all randomness flows through seeded numpy ``Generator`` streams, every
 peer visit and message is charged to a ``CostLedger``, and protocol
 messages are immutable value objects.  reprolint encodes those
 conventions (plus float-equality hygiene, nondeterminism taint, RNG
-stream discipline, snapshot immutability and trace↔ledger
-reconciliation) as static rules so they are enforced, not remembered.
+stream discipline and snapshot immutability) as static rules so they
+are enforced, not remembered.
 
-RL001–RL004 examine one module's AST at a time; RL006–RL009 run over a
+RL001–RL004 examine one module's AST at a time; RL006–RL008 run over a
 whole-program view (symbol table, import graph, call graph) built from
-per-module summaries, which a content-hash cache makes incremental —
-an unchanged file is never re-parsed.
+per-module summaries.
 
 Usage::
 
     PYTHONPATH=src python -m repro.tools.lint src tests benchmarks
     PYTHONPATH=src python -m repro.tools.lint --format sarif src
-    PYTHONPATH=src python -m repro.tools.lint --cache .reprolint-cache.json src
     PYTHONPATH=src python -m repro.tools.lint --list-rules
 
 Suppression (explicit codes and a reason are mandatory; directives

@@ -1,8 +1,7 @@
 """Cross-module indices over a set of :class:`ModuleSummary` objects.
 
 :class:`ProjectAnalysis` is rebuilt on every run (it is cheap — pure
-dict construction over summaries) while the summaries themselves come
-from the content-hash cache.  It provides:
+dict construction over summaries).  It provides:
 
 * a **symbol table**: functions keyed by ``(relpath, scope, name)``
   and classes keyed by their absolute dotted name;
@@ -27,10 +26,10 @@ from the content-hash cache.  It provides:
      names collide (never inventing wrong ones silently on purpose:
      ambiguity yields *no* edge, keeping taint conservative).
 
-* :meth:`propagate_to_callers` — the shared fixed point: a property
-  seeded at some functions flows to every (transitive) caller, with a
-  witness chain kept for diagnostics.  RL006 uses it for
-  nondeterminism taint; RL009 uses a charge-blocked variant.
+* :meth:`propagate_to_callers` — the fixed point RL006's
+  nondeterminism taint runs: a property seeded at some functions flows
+  to every (transitive) caller, with a witness chain kept for
+  diagnostics.
 """
 
 from __future__ import annotations
@@ -99,9 +98,6 @@ class ProjectAnalysis:
     def module(self, relpath: str) -> ModuleSummary:
         return self.modules[relpath]
 
-    def function(self, key: FunctionKey) -> Optional[FunctionSummary]:
-        return self.functions.get(key)
-
     def iter_functions(self) -> Iterable[Tuple[FunctionKey, FunctionSummary]]:
         return self.functions.items()
 
@@ -110,13 +106,6 @@ class ProjectAnalysis:
     ) -> List[Tuple[FunctionKey, CallSite]]:
         """Resolved outgoing call edges of ``key``."""
         return self._edges.get(key, [])
-
-    def callers_of(self, key: FunctionKey) -> List[FunctionKey]:
-        """Functions with a resolved call edge into ``key``."""
-        return self._callers.get(key, [])
-
-    def class_of(self, dotted: str) -> Optional[Tuple[str, ClassSummary]]:
-        return self.classes.get(dotted)
 
     # ------------------------------------------------------------------
     # call graph
@@ -138,7 +127,6 @@ class ProjectAnalysis:
         summary: ModuleSummary,
         caller: FunctionKey,
         call: CallSite,
-        depth: int = 0,
     ) -> Optional[FunctionKey]:
         parts = call.resolved.split(".")
         relpath = caller.relpath
@@ -189,15 +177,6 @@ class ProjectAnalysis:
             init = FunctionKey(class_relpath, class_summary.name, "__init__")
             return init if init in self.functions else None
 
-        # typed local: ``x = producer(...)`` followed by ``x.m(...)``
-        # binds through the producer's return annotation
-        if len(parts) == 2:
-            via_local = self._resolve_through_local(
-                caller, parts[0], parts[1], depth
-            )
-            if via_local is not None:
-                return via_local
-
         return self._unique_method(parts[-1])
 
     def _resolve_through_attr(
@@ -216,44 +195,6 @@ class ProjectAnalysis:
             candidate = FunctionKey(class_relpath, target_class.name, method)
             return candidate if candidate in self.functions else None
         return None
-
-    def _resolve_through_local(
-        self, caller: FunctionKey, name: str, method: str, depth: int = 0
-    ) -> Optional[FunctionKey]:
-        """``x.m(...)`` where ``x = producer(...)`` in the same body and
-        the producer's return annotation names a project class."""
-        function = self.functions.get(caller)
-        if function is None or depth > 3:
-            return None
-        producer_expr = function.local_calls.get(name)
-        if producer_expr is None:
-            return None
-        synthetic = CallSite(
-            resolved=producer_expr, lineno=0, col=0,
-            nargs=0, argless=True, literal_seed=False,
-        )
-        producer = self._resolve_call(
-            self.modules[caller.relpath], caller, synthetic, depth + 1
-        )
-        if producer is None:
-            return None
-        produced = self.functions.get(producer)
-        if produced is None or not produced.returns:
-            return None
-        # the annotation was resolved through the producer's module
-        # aliases; a bare name is a class local to that module
-        class_hit = self.classes.get(produced.returns)
-        if class_hit is None:
-            module = self.modules.get(producer.relpath)
-            if module is not None and module.module_name:
-                class_hit = self.classes.get(
-                    f"{module.module_name}.{produced.returns}"
-                )
-        if class_hit is None:
-            return None
-        class_relpath, class_summary = class_hit
-        candidate = FunctionKey(class_relpath, class_summary.name, method)
-        return candidate if candidate in self.functions else None
 
     def _unique_method(self, method: str) -> Optional[FunctionKey]:
         owners = self._methods_by_name.get(method, [])
@@ -280,10 +221,6 @@ class ProjectAnalysis:
             edges[relpath] = targets
         return edges
 
-    def imports_of(self, relpath: str) -> Set[str]:
-        """Project modules directly imported by ``relpath``."""
-        return set(self._import_edges.get(relpath, set()))
-
     def modules_reachable_from(
         self, predicate: Callable[[ModuleSummary], bool]
     ) -> Set[str]:
@@ -307,36 +244,21 @@ class ProjectAnalysis:
     # fixed points
 
     def propagate_to_callers(
-        self,
-        seeds: Dict[FunctionKey, str],
-        *,
-        blocked: Optional[Callable[[FunctionKey], bool]] = None,
-        caller_filter: Optional[Callable[[FunctionKey], bool]] = None,
+        self, seeds: Dict[FunctionKey, str]
     ) -> Dict[FunctionKey, List[str]]:
         """Flow a property from ``seeds`` to all transitive callers.
 
         ``seeds`` maps a function to a human-readable witness for why
-        it carries the property.  A caller inherits the property (and
-        the witness chain, extended by the callee's name) unless
-        ``blocked(caller)`` — e.g. "charges a ledger" for RL009 — or
-        ``caller_filter`` rejects it.  Returns the full carrier set
-        with witness chains, seeds included.
+        it carries the property.  Every caller inherits the property
+        and the witness chain, extended by the callee's name.  Returns
+        the full carrier set with witness chains, seeds included.
         """
-        chains: Dict[FunctionKey, List[str]] = {}
-        worklist: List[FunctionKey] = []
-        for key, witness in seeds.items():
-            if blocked is not None and blocked(key):
-                continue
-            chains[key] = [witness]
-            worklist.append(key)
+        chains = {key: [witness] for key, witness in seeds.items()}
+        worklist = list(chains)
         while worklist:
             current = worklist.pop()
             for caller in self._callers.get(current, []):
                 if caller in chains:
-                    continue
-                if caller_filter is not None and not caller_filter(caller):
-                    continue
-                if blocked is not None and blocked(caller):
                     continue
                 chains[caller] = [
                     f"calls {current.render()}"

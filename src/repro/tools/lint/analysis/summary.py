@@ -1,17 +1,15 @@
 """Per-module summaries: everything the whole-program rules need.
 
-A :class:`ModuleSummary` is extracted once per file content and is
-deliberately *plain data* — strings, ints, lists — so it can round-trip
-through the JSON analysis cache.  Each summary records, per function
-(module-level code is the pseudo-function ``<module>``):
+A :class:`ModuleSummary` is extracted once per file and is plain data
+— strings, ints, lists — so the analysis rules never touch an AST.
+Each summary records, per function (module-level code is the
+pseudo-function ``<module>``):
 
 * every call site, with the callee's dotted name resolved through the
   module's import aliases (``np.random.default_rng`` instead of the
   local spelling), which is what the project call graph is built from;
 * nondeterminism seeds (wall clock, OS entropy, unseeded Generators,
   iteration over sets) for RL006;
-* cost-bearing TraceEvent constructions and CostLedger charges for
-  RL009;
 
 plus per-class snapshot facts (init-assigned attributes, freeze
 operations, post-``__init__`` array writes, bare ``return self._x``
@@ -24,13 +22,11 @@ from __future__ import annotations
 import ast
 import dataclasses
 from pathlib import PurePosixPath
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
-    "COST_EVENT_TYPES",
     "GENERATOR_CONSTRUCTORS",
     "GENERATOR_DRAW_METHODS",
-    "LEDGER_CHARGE_METHODS",
     "CallSite",
     "ClassSummary",
     "FunctionSummary",
@@ -39,30 +35,6 @@ __all__ = [
     "extract_summary",
     "module_name_for",
 ]
-
-#: TraceEvent classes that define a non-zero ``cost()`` — constructing
-#: one of these is a cost-bearing emission RL009 must see reconciled.
-COST_EVENT_TYPES = frozenset(
-    {"WalkEvent", "ProbeEvent", "BatchVisitEvent", "SubstituteEvent", "FloodEvent"}
-)
-
-#: CostLedger mutators; calling any of these counts as charging.
-#: ``walk_hops`` is the simulator's charging hook for walk segments
-#: (it forwards to ``record_hops`` and, under virtual time, advances
-#: the clock) — calling it is charging, same as the direct mutator.
-LEDGER_CHARGE_METHODS = frozenset(
-    {
-        "record_hops",
-        "walk_hops",
-        "record_visit",
-        "record_visit_replies",
-        "record_timeout",
-        "record_wait",
-        "record_reply",
-        "record_flood_message",
-        "record_flood_depth",
-    }
-)
 
 #: Callables that mint or re-key a numpy Generator stream.
 GENERATOR_CONSTRUCTORS = frozenset(
@@ -168,16 +140,7 @@ class CallSite:
     resolved: str
     lineno: int
     col: int
-    nargs: int
-    argless: bool
-    literal_seed: bool  # first positional argument is an int literal
-
-    def to_json(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_json(cls, payload: Dict[str, Any]) -> "CallSite":
-        return cls(**payload)
+    literal_seed: bool = False  # first positional argument is an int literal
 
     @property
     def tail(self) -> str:
@@ -199,13 +162,6 @@ class SeedSite:
     lineno: int
     col: int
 
-    def to_json(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_json(cls, payload: Dict[str, Any]) -> "SeedSite":
-        return cls(**payload)
-
 
 @dataclasses.dataclass
 class FunctionSummary:
@@ -213,61 +169,12 @@ class FunctionSummary:
 
     name: str
     scope: str  # enclosing class path, "" at module level
-    lineno: int
-    col: int
-    params: Tuple[str, ...] = ()
-    #: Return annotation, import aliases folded ("" when absent or not
-    #: a plain dotted name).  Lets the call graph type locals assigned
-    #: from this function's result (mypy --strict guarantees the
-    #: project's functions are annotated).
-    returns: str = ""
     calls: List[CallSite] = dataclasses.field(default_factory=list)
-    #: Local name -> resolved dotted callee of the call expression
-    #: assigned to it (``cursor = self._walker.cursor(sink)`` records
-    #: ``cursor -> self._walker.cursor``); last assignment wins.
-    local_calls: Dict[str, str] = dataclasses.field(default_factory=dict)
     seeds: List[SeedSite] = dataclasses.field(default_factory=list)
-    cost_emits: List[Tuple[str, int, int]] = dataclasses.field(
-        default_factory=list
-    )
-    charges: List[str] = dataclasses.field(default_factory=list)
 
     @property
     def qualname(self) -> str:
         return f"{self.scope}.{self.name}" if self.scope else self.name
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "scope": self.scope,
-            "lineno": self.lineno,
-            "col": self.col,
-            "params": list(self.params),
-            "returns": self.returns,
-            "calls": [c.to_json() for c in self.calls],
-            "local_calls": dict(self.local_calls),
-            "seeds": [s.to_json() for s in self.seeds],
-            "cost_emits": [list(e) for e in self.cost_emits],
-            "charges": list(self.charges),
-        }
-
-    @classmethod
-    def from_json(cls, payload: Dict[str, Any]) -> "FunctionSummary":
-        return cls(
-            name=payload["name"],
-            scope=payload["scope"],
-            lineno=payload["lineno"],
-            col=payload["col"],
-            params=tuple(payload["params"]),
-            returns=payload.get("returns", ""),
-            calls=[CallSite.from_json(c) for c in payload["calls"]],
-            local_calls=dict(payload.get("local_calls", {})),
-            seeds=[SeedSite.from_json(s) for s in payload["seeds"]],
-            cost_emits=[
-                (e[0], e[1], e[2]) for e in payload["cost_emits"]
-            ],
-            charges=list(payload["charges"]),
-        )
 
 
 @dataclasses.dataclass
@@ -280,13 +187,6 @@ class AttrRecord:
     frozen_at_init: bool = False  # value flows through a freeze helper
     scalar: bool = False  # value is a plain immutable scalar
 
-    def to_json(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_json(cls, payload: Dict[str, Any]) -> "AttrRecord":
-        return cls(**payload)
-
 
 @dataclasses.dataclass
 class AttrAccess:
@@ -297,13 +197,6 @@ class AttrAccess:
     lineno: int
     col: int
     op: str  # "store" | "thaw" | "return"
-
-    def to_json(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_json(cls, payload: Dict[str, Any]) -> "AttrAccess":
-        return cls(**payload)
 
 
 @dataclasses.dataclass
@@ -318,36 +211,6 @@ class ClassSummary:
     mutations: List[AttrAccess] = dataclasses.field(default_factory=list)
     bare_returns: List[AttrAccess] = dataclasses.field(default_factory=list)
 
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "lineno": self.lineno,
-            "init_attrs": {
-                k: v.to_json() for k, v in self.init_attrs.items()
-            },
-            "frozen_attrs": list(self.frozen_attrs),
-            "has_freeze_ops": self.has_freeze_ops,
-            "mutations": [m.to_json() for m in self.mutations],
-            "bare_returns": [r.to_json() for r in self.bare_returns],
-        }
-
-    @classmethod
-    def from_json(cls, payload: Dict[str, Any]) -> "ClassSummary":
-        return cls(
-            name=payload["name"],
-            lineno=payload["lineno"],
-            init_attrs={
-                k: AttrRecord.from_json(v)
-                for k, v in payload["init_attrs"].items()
-            },
-            frozen_attrs=list(payload["frozen_attrs"]),
-            has_freeze_ops=payload["has_freeze_ops"],
-            mutations=[AttrAccess.from_json(m) for m in payload["mutations"]],
-            bare_returns=[
-                AttrAccess.from_json(r) for r in payload["bare_returns"]
-            ],
-        )
-
 
 @dataclasses.dataclass
 class GlobalState:
@@ -361,13 +224,6 @@ class GlobalState:
     weak: bool = False  # weak-ref container (exempt memo-cache idiom)
     mutated: bool = False  # something in the module writes to it
 
-    def to_json(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_json(cls, payload: Dict[str, Any]) -> "GlobalState":
-        return cls(**payload)
-
 
 @dataclasses.dataclass
 class ImportRecord:
@@ -375,13 +231,6 @@ class ImportRecord:
 
     alias: str
     target: str
-
-    def to_json(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_json(cls, payload: Dict[str, Any]) -> "ImportRecord":
-        return cls(**payload)
 
 
 @dataclasses.dataclass
@@ -407,33 +256,6 @@ class ModuleSummary:
     def in_directory(self, name: str) -> bool:
         """True when ``name`` is one of the parent directory parts."""
         return name in self.parts[:-1]
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "relpath": self.relpath,
-            "module_name": self.module_name,
-            "imports": [i.to_json() for i in self.imports],
-            "functions": [f.to_json() for f in self.functions],
-            "classes": [c.to_json() for c in self.classes],
-            "mutable_globals": [g.to_json() for g in self.mutable_globals],
-            "rng_state": [g.to_json() for g in self.rng_state],
-        }
-
-    @classmethod
-    def from_json(cls, payload: Dict[str, Any]) -> "ModuleSummary":
-        return cls(
-            relpath=payload["relpath"],
-            module_name=payload["module_name"],
-            imports=[ImportRecord.from_json(i) for i in payload["imports"]],
-            functions=[
-                FunctionSummary.from_json(f) for f in payload["functions"]
-            ],
-            classes=[ClassSummary.from_json(c) for c in payload["classes"]],
-            mutable_globals=[
-                GlobalState.from_json(g) for g in payload["mutable_globals"]
-            ],
-            rng_state=[GlobalState.from_json(g) for g in payload["rng_state"]],
-        )
 
 
 # ----------------------------------------------------------------------
@@ -595,7 +417,7 @@ class _Extractor:
     # -- entry point ----------------------------------------------------
 
     def run(self) -> ModuleSummary:
-        module_fn = FunctionSummary(name="<module>", scope="", lineno=1, col=0)
+        module_fn = FunctionSummary(name="<module>", scope="")
         self.summary.functions.append(module_fn)
         self._walk_block(
             self.tree.body, scope="", current=module_fn,
@@ -641,34 +463,13 @@ class _Extractor:
         enclosing: FunctionSummary,
         class_summary: Optional[ClassSummary],
     ) -> None:
-        params = tuple(
-            arg.arg
-            for arg in (
-                list(node.args.posonlyargs)
-                + list(node.args.args)
-                + list(node.args.kwonlyargs)
-            )
-        )
-        function = FunctionSummary(
-            name=node.name,
-            scope=scope,
-            lineno=node.lineno,
-            col=node.col_offset,
-            params=params,
-            returns=self.resolve(_annotation_name(node.returns))
-            if node.returns is not None
-            else "",
-        )
+        function = FunctionSummary(name=node.name, scope=scope)
         self.summary.functions.append(function)
         if not enclosing.name.startswith("<"):
             # a def nested in a *function* is (conservatively) invoked
             # by its encloser; module/class bodies merely define theirs
             enclosing.calls.append(
-                CallSite(
-                    resolved=node.name, lineno=node.lineno,
-                    col=node.col_offset, nargs=0, argless=True,
-                    literal_seed=False,
-                )
+                CallSite(node.name, node.lineno, node.col_offset)
             )
         annotations = {
             arg.arg: _annotation_name(arg.annotation)
@@ -688,10 +489,7 @@ class _Extractor:
         class_path = f"{scope}.{node.name}" if scope else node.name
         class_summary = ClassSummary(name=class_path, lineno=node.lineno)
         self.summary.classes.append(class_summary)
-        body_fn = FunctionSummary(
-            name="<class>", scope=class_path,
-            lineno=node.lineno, col=node.col_offset,
-        )
+        body_fn = FunctionSummary(name="<class>", scope=class_path)
         self.summary.functions.append(body_fn)
         self._walk_block(
             node.body,
@@ -717,7 +515,6 @@ class _Extractor:
         scope: str,
     ) -> None:
         in_init = method == "__init__"
-        self._record_local_call(stmt, current)
         if at_module_level or at_class_level:
             self._record_global_bindings(stmt, at_class_level, scope)
         if class_summary is not None and method is not None:
@@ -738,23 +535,6 @@ class _Extractor:
             elif isinstance(node, ast.ClassDef):
                 self._enter_class(node, scope)
 
-    def _record_local_call(
-        self, stmt: ast.stmt, current: FunctionSummary
-    ) -> None:
-        """Remember ``x = some_call(...)`` so the call graph can type
-        ``x`` through the callee's return annotation."""
-        target: Optional[ast.expr] = None
-        value: Optional[ast.expr] = None
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target, value = stmt.targets[0], stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            target, value = stmt.target, stmt.value
-        if not isinstance(target, ast.Name) or not isinstance(value, ast.Call):
-            return
-        callee = dotted_name(value.func)
-        if callee is not None:
-            current.local_calls[target.id] = self.resolve(callee)
-
     def _own_nodes(self, stmt: ast.stmt) -> Iterable[ast.AST]:
         """Nodes of ``stmt`` (root included), not entering nested defs.
 
@@ -771,7 +551,7 @@ class _Extractor:
                 continue
             stack.extend(ast.iter_child_nodes(node))
 
-    # -- calls / seeds / emissions --------------------------------------
+    # -- calls / seeds --------------------------------------------------
 
     def _record_call(self, node: ast.Call, current: FunctionSummary) -> None:
         name = dotted_name(node.func)
@@ -785,14 +565,7 @@ class _Extractor:
             and isinstance(node.args[0].value, int)
             and not isinstance(node.args[0].value, bool)
         )
-        site = CallSite(
-            resolved=resolved,
-            lineno=node.lineno,
-            col=node.col_offset,
-            nargs=len(node.args),
-            argless=argless,
-            literal_seed=literal_seed,
-        )
+        site = CallSite(resolved, node.lineno, node.col_offset, literal_seed)
         current.calls.append(site)
 
         tail = site.tail
@@ -817,10 +590,6 @@ class _Extractor:
                     node.lineno, node.col_offset,
                 )
             )
-        if tail in COST_EVENT_TYPES:
-            current.cost_emits.append((tail, node.lineno, node.col_offset))
-        if site.is_attribute and tail in LEDGER_CHARGE_METHODS:
-            current.charges.append(tail)
 
     def _check_set_iteration(
         self, iterable: ast.expr, current: FunctionSummary
@@ -1046,5 +815,5 @@ class _Extractor:
 
 
 def extract_summary(relpath: str, tree: ast.Module) -> ModuleSummary:
-    """Distill ``tree`` into a JSON-serializable :class:`ModuleSummary`."""
+    """Distill ``tree`` into a :class:`ModuleSummary`."""
     return _Extractor(relpath, tree).run()

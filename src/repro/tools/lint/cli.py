@@ -9,12 +9,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import List, Optional, Sequence, TextIO
 
-from .analysis import AnalysisCache
 from .engine import LintEngine, LintReport
-from .rules import ALL_RULES
+from .rules import ALL_RULES, RETIRED_CODES
 from .sarif import render_sarif
 
 __all__ = [
@@ -27,7 +25,7 @@ __all__ = [
 #: Default lint scope when no paths are given.
 DEFAULT_PATHS = ("src", "tests", "benchmarks")
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
 def _split_codes(value: str) -> List[str]:
@@ -41,8 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
             "reprolint: whole-program invariant linter for the p2p-aqp "
             "sampling engine (seed discipline, cost accounting, protocol "
             "immutability, float equality, nondeterminism taint, RNG "
-            "stream discipline, snapshot immutability, trace/ledger "
-            "reconciliation)"
+            "stream discipline, snapshot immutability)"
         ),
     )
     parser.add_argument(
@@ -65,13 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule codes to skip",
     )
     parser.add_argument(
-        "--cache", type=Path, default=None, metavar="PATH",
-        help=(
-            "content-hash analysis cache file; unchanged files skip "
-            "parsing and per-module rules entirely (safe to delete)"
-        ),
-    )
-    parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalogue and exit",
     )
@@ -81,10 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _render_text(report: LintReport, stream: TextIO) -> None:
     for diagnostic in report.diagnostics:
         print(diagnostic.render(), file=stream)
-    suffix = f" ({report.cache_hits} cached)" if report.cache_hits else ""
     summary = (
         f"reprolint: {len(report.diagnostics)} finding(s) "
-        f"in {report.files_checked} file(s){suffix}"
+        f"in {report.files_checked} file(s)"
     )
     print(summary, file=stream)
 
@@ -94,7 +83,6 @@ def _render_json(report: LintReport, stream: TextIO) -> None:
         "version": REPORT_VERSION,
         "files_checked": report.files_checked,
         "findings": len(report.diagnostics),
-        "cache_hits": report.cache_hits,
         "diagnostics": [d.to_json() for d in report.diagnostics],
     }
     json.dump(payload, stream, indent=2, sort_keys=True)
@@ -119,14 +107,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{rule.code} {rule.name}: {rule.description}")
         return 0
 
-    cache = (
-        AnalysisCache(arguments.cache) if arguments.cache is not None else None
+    # A code no rule has would filter to nothing and read green.
+    known = [rule.code for rule in ALL_RULES]
+    unknown = sorted(
+        set(arguments.select or ()).union(arguments.ignore or ())
+        - set(known)
     )
-    engine = LintEngine(
-        select=arguments.select,
-        ignore=arguments.ignore,
-        cache=cache,
-    )
+    if unknown:
+        print(
+            f"reprolint: error: unknown rule code(s) {', '.join(unknown)} "
+            f"(known: {', '.join(known)}; retired: "
+            f"{', '.join(RETIRED_CODES)})",
+            file=sys.stderr,
+        )
+        return 2
+
+    engine = LintEngine(select=arguments.select, ignore=arguments.ignore)
     try:
         report = engine.run(arguments.paths)
     except FileNotFoundError as exc:

@@ -1,4 +1,4 @@
-"""File collection, caching, rule dispatch and filtering.
+"""File collection, rule dispatch and filtering.
 
 The engine is deliberately dependency-free (stdlib only): it must run
 in CI images and pre-commit environments that do not have numpy/scipy
@@ -7,13 +7,9 @@ installed, and it must never import the code it analyses.
 One run has two tiers:
 
 1. **per-file** — parse, suppression scan, module rules (RL001–RL004)
-   and summary extraction.  Everything in this tier is a pure function
-   of the file's bytes, so it lives in the content-hash
-   :class:`~repro.tools.lint.analysis.cache.AnalysisCache`: an
-   unchanged file is never even re-parsed on a warm run;
+   and summary extraction;
 2. **whole-program** — :class:`~repro.tools.lint.analysis.project.ProjectAnalysis`
-   over the summaries, then the analysis rules (RL006–RL009).  This
-   tier re-runs every time (it is cheap dict-building) because its
+   over the summaries, then the analysis rules (RL006–RL008), whose
    verdicts depend on the *set* of files, not any one of them.
 
 After the rules: ``--select``/``--ignore`` filtering, suppression
@@ -28,15 +24,7 @@ import dataclasses
 from pathlib import Path, PurePosixPath
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
 
-from .analysis import (
-    AnalysisCache,
-    CACHE_VERSION,
-    CacheEntry,
-    ModuleSummary,
-    ProjectAnalysis,
-    content_digest,
-    extract_summary,
-)
+from .analysis import ModuleSummary, ProjectAnalysis, extract_summary
 from .diagnostics import TOOL_ERROR_CODE, Diagnostic
 from .rules import (
     ANALYSIS_RULES,
@@ -52,7 +40,6 @@ __all__ = [
     "EXCLUDED_SUBPATHS",
     "LintReport",
     "collect_files",
-    "load_module",
     "LintEngine",
 ]
 
@@ -73,8 +60,6 @@ class LintReport:
 
     diagnostics: List[Diagnostic]
     files_checked: int
-    #: Files served from the analysis cache (0 on cold / cacheless runs).
-    cache_hits: int = 0
 
     @property
     def exit_code(self) -> int:
@@ -126,25 +111,6 @@ def collect_files(paths: Sequence[str]) -> List[Path]:
     return collected
 
 
-def load_module(path: Path) -> "tuple[Optional[ModuleInfo], Optional[Diagnostic]]":
-    """Parse ``path``; returns ``(module, None)`` or ``(None, error)``."""
-    relpath = path.as_posix()
-    try:
-        source = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        return None, Diagnostic(
-            relpath, 1, 0, TOOL_ERROR_CODE, f"cannot read file: {exc}"
-        )
-    try:
-        tree = ast.parse(source, filename=relpath)
-    except SyntaxError as exc:
-        return None, Diagnostic(
-            relpath, exc.lineno or 1, (exc.offset or 1) - 1,
-            TOOL_ERROR_CODE, f"syntax error: {exc.msg}",
-        )
-    return ModuleInfo(relpath=relpath, source=source, tree=tree), None
-
-
 class LintEngine:
     """Runs the rule set over a set of files and filters the findings."""
 
@@ -153,7 +119,6 @@ class LintEngine:
         rules: Optional[Sequence[Union[Rule, AnalysisRule]]] = None,
         select: Optional[Iterable[str]] = None,
         ignore: Optional[Iterable[str]] = None,
-        cache: Optional[AnalysisCache] = None,
     ):
         if rules is None:
             instantiated: List[Union[Rule, AnalysisRule]] = [
@@ -167,11 +132,6 @@ class LintEngine:
         ]
         self._select = frozenset(select) if select else None
         self._ignore = frozenset(ignore) if ignore else frozenset()
-        self._cache = cache
-        # The cached per-file diagnostics are exactly the module rules'
-        # output, so the key must change when that rule set does.
-        codes = ",".join(sorted(rule.code for rule in self._module_rules))
-        self._fingerprint = f"v{CACHE_VERSION}:{codes}"
 
     @property
     def rules(self) -> Sequence[Union[Rule, AnalysisRule]]:
@@ -198,29 +158,9 @@ class LintEngine:
 
         for path in files:
             relpath = path.as_posix()
-            try:
-                data = path.read_bytes()
-            except OSError as exc:
-                raw.append(
-                    Diagnostic(
-                        relpath, 1, 0, TOOL_ERROR_CODE,
-                        f"cannot read file: {exc}",
-                    )
-                )
-                continue
-            digest = content_digest(data)
-            entry: Optional[CacheEntry] = None
-            if self._cache is not None:
-                entry = self._cache.lookup(relpath, digest, self._fingerprint)
-            if entry is None:
-                entry = self._analyze_file(relpath, data, digest)
-                if self._cache is not None:
-                    self._cache.store(relpath, entry)
-            raw.extend(entry.tool_errors)
-            raw.extend(entry.module_diagnostics)
-            if entry.summary is not None:
-                summaries.append(entry.summary)
-            suppressions[relpath] = Suppressions.from_json(entry.suppressions)
+            suppressions[relpath] = self._check_file(
+                path, relpath, raw, summaries
+            )
 
         if summaries and self._analysis_rules:
             analysis = ProjectAnalysis(summaries)
@@ -251,69 +191,48 @@ class LintEngine:
                     )
 
         kept.sort(key=Diagnostic.sort_key)
-        if self._cache is not None:
-            self._cache.save()
-        return LintReport(
-            diagnostics=kept,
-            files_checked=len(files),
-            cache_hits=self._cache.hits if self._cache is not None else 0,
-        )
+        return LintReport(diagnostics=kept, files_checked=len(files))
 
     # ------------------------------------------------------------------
 
-    def _analyze_file(
-        self, relpath: str, data: bytes, digest: str
-    ) -> CacheEntry:
-        """The cacheable per-file tier: parse, suppressions, module
-        rules, summary."""
-
-        def failed(errors: List[Diagnostic], suppressed: List[Dict[str, object]]) -> CacheEntry:
-            return CacheEntry(
-                digest=digest,
-                fingerprint=self._fingerprint,
-                summary=None,
-                suppressions=suppressed,
-                module_diagnostics=[],
-                tool_errors=errors,
-            )
-
+    def _check_file(
+        self,
+        path: Path,
+        relpath: str,
+        raw: List[Diagnostic],
+        summaries: List[ModuleSummary],
+    ) -> Suppressions:
+        """The per-file tier: parse, suppressions, module rules and
+        summary.  Findings go to ``raw``, the summary to ``summaries``;
+        returns the file's bound suppressions."""
         try:
-            source = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            return failed(
-                [
-                    Diagnostic(
-                        relpath, 1, 0, TOOL_ERROR_CODE,
-                        f"cannot read file: {exc}",
-                    )
-                ],
-                [],
+            source = path.read_bytes().decode("utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raw.append(
+                Diagnostic(
+                    relpath, 1, 0, TOOL_ERROR_CODE, f"cannot read file: {exc}"
+                )
             )
+            return Suppressions([])
         file_suppressions, problems = scan_suppressions(relpath, source)
+        raw.extend(problems)
         try:
             tree = ast.parse(source, filename=relpath)
         except SyntaxError as exc:
-            problems.append(
+            raw.append(
                 Diagnostic(
                     relpath, exc.lineno or 1, (exc.offset or 1) - 1,
                     TOOL_ERROR_CODE, f"syntax error: {exc.msg}",
                 )
             )
-            return failed(problems, file_suppressions.to_json())
+            return file_suppressions
 
         file_suppressions.bind(tree)
         module = ModuleInfo(relpath=relpath, source=source, tree=tree)
-        module_diagnostics: List[Diagnostic] = []
         for rule in self._module_rules:
-            module_diagnostics.extend(rule.check_module(module))
-        return CacheEntry(
-            digest=digest,
-            fingerprint=self._fingerprint,
-            summary=extract_summary(relpath, tree),
-            suppressions=file_suppressions.to_json(),
-            module_diagnostics=module_diagnostics,
-            tool_errors=problems,
-        )
+            raw.extend(rule.check_module(module))
+        summaries.append(extract_summary(relpath, tree))
+        return file_suppressions
 
     @staticmethod
     def _suppressed(

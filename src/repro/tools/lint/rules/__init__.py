@@ -9,15 +9,15 @@
 | RL006 | nondet-taint                 | no nondeterminism reachable from det. paths  |
 | RL007 | rng-stream-discipline        | no re-seeding / shared Generators / draws    |
 | RL008 | snapshot-immutability        | published snapshots frozen; no fork hazards  |
-| RL009 | trace-ledger-reconciliation  | every cost emission meets a ledger charge    |
 
-RL001–RL004 are per-module :class:`Rule` subclasses (their findings
-cache by file content); RL006–RL009 are whole-program
-:class:`AnalysisRule` subclasses running over module summaries.
+RL001–RL004 are per-module :class:`Rule` subclasses; RL006–RL008 are
+whole-program :class:`AnalysisRule` subclasses running over module
+summaries.
 
 (RL000 is reserved for tool errors: parse failures and malformed
 suppression directives; see :mod:`repro.tools.lint.suppress`.  RL005
-is retired and its code is not reused.)
+and RL009 are retired — see :data:`RETIRED_CODES` — and their codes
+are not reused.)
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ from .rl004_floateq import FloatEqualityRule
 from .rl006_nondet import GUARDED_DIRECTORIES, NondetTaintRule
 from .rl007_rng import RngDisciplineRule
 from .rl008_snapshot import SnapshotImmutabilityRule
-from .rl009_ledger import LedgerReconciliationRule
 
-#: Per-module rules (cacheable by file content hash).
+#: Per-module rules (one AST at a time).
 MODULE_RULES: Tuple[Type[Rule], ...] = (
     SeedDisciplineRule,
     CostAccountingRule,
@@ -42,17 +41,21 @@ MODULE_RULES: Tuple[Type[Rule], ...] = (
     FloatEqualityRule,
 )
 
-#: Whole-program rules (run from summaries on every invocation).
+#: Whole-program rules (run over the summaries of every file).
 ANALYSIS_RULES: Tuple[Type[AnalysisRule], ...] = (
     NondetTaintRule,
     RngDisciplineRule,
     SnapshotImmutabilityRule,
-    LedgerReconciliationRule,
 )
 
 ALL_RULES: Tuple[Union[Type[Rule], Type[AnalysisRule]], ...] = (
     MODULE_RULES + ANALYSIS_RULES
 )
+
+#: Codes of deleted rules: RL005 (batch/scalar parity, now test-side
+#: oracles) and RL009 (trace/ledger reconciliation, now checked at run
+#: time by the observability tests).
+RETIRED_CODES = ("RL005", "RL009")
 
 __all__ = [
     "ALL_RULES",
@@ -61,6 +64,7 @@ __all__ = [
     "GUARDED_DIRECTORIES",
     "MODULE_RULES",
     "ModuleInfo",
+    "RETIRED_CODES",
     "Rule",
     "SeedDisciplineRule",
     "CostAccountingRule",
@@ -69,5 +73,4 @@ __all__ = [
     "NondetTaintRule",
     "RngDisciplineRule",
     "SnapshotImmutabilityRule",
-    "LedgerReconciliationRule",
 ]

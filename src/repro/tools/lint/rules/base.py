@@ -3,11 +3,9 @@
 Two rule flavors exist:
 
 * :class:`Rule` — examines one module's AST at a time (RL001–RL004);
-  its findings are cacheable per file content;
 * :class:`AnalysisRule` — examines the whole program through a
   :class:`~repro.tools.lint.analysis.project.ProjectAnalysis` built
-  from per-module summaries (RL006–RL009); it never sees an AST,
-  which is what lets the engine skip parsing unchanged files.
+  from per-module summaries (RL006–RL008); it never sees an AST.
 
 Module rules see :class:`ModuleInfo`, a parsed module plus enough path
 context to decide applicability (e.g. RL002 only constrains ``core/``
@@ -87,9 +85,8 @@ class Rule:
 class AnalysisRule:
     """A whole-program check over the summary-level project view.
 
-    Analysis rules run on every lint invocation (they are cheap) and
-    must anchor their findings with :meth:`finding` — summaries carry
-    positions as plain ints, not AST nodes.
+    Analysis rules must anchor their findings with :meth:`finding` —
+    summaries carry positions as plain ints, not AST nodes.
     """
 
     code: ClassVar[str] = ""

@@ -28,9 +28,7 @@ inherit coverage for their bodies: that would be a blanket suppression
 in disguise.
 
 Binding extents requires the parsed tree, so the engine calls
-:meth:`Suppressions.bind` after a successful parse.  The bound form is
-a pure function of the file's content and is what the analysis cache
-persists.
+:meth:`Suppressions.bind` after a successful parse.
 
 Unused directives
 -----------------
@@ -49,7 +47,7 @@ import dataclasses
 import io
 import re
 import tokenize
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .diagnostics import TOOL_ERROR_CODE, Diagnostic
 
@@ -96,28 +94,6 @@ class Directive:
     def covers(self, line: int) -> bool:
         """Whether ``line`` falls inside one of the bound spans."""
         return any(start <= line <= stop for start, stop in self.spans)
-
-    def to_json(self) -> Dict[str, object]:
-        """Serializable form for the analysis cache."""
-        return {
-            "line": self.line,
-            "column": self.column,
-            "codes": list(self.codes),
-            "spans": [list(span) for span in self.spans],
-        }
-
-    @classmethod
-    def from_json(cls, payload: Dict[str, object]) -> "Directive":
-        """Rebuild a cached directive."""
-        return cls(
-            line=int(payload["line"]),  # type: ignore[arg-type]
-            column=int(payload["column"]),  # type: ignore[arg-type]
-            codes=tuple(payload["codes"]),  # type: ignore[arg-type]
-            spans=[
-                (int(span[0]), int(span[1]))
-                for span in payload["spans"]  # type: ignore[union-attr,index]
-            ],
-        )
 
 
 class Suppressions:
@@ -190,15 +166,6 @@ class Suppressions:
             for directive in self._directives
             if id(directive) not in self._used
         ]
-
-    def to_json(self) -> List[Dict[str, object]]:
-        """Serializable form for the analysis cache."""
-        return [directive.to_json() for directive in self._directives]
-
-    @classmethod
-    def from_json(cls, payload: Iterable[Dict[str, object]]) -> "Suppressions":
-        """Rebuild cached (already-bound) suppressions."""
-        return cls([Directive.from_json(entry) for entry in payload])
 
 
 def _merge_spans(spans: List[Tuple[int, int]]) -> List[Tuple[int, int]]:

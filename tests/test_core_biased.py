@@ -10,6 +10,7 @@ from repro.core.biased import (
     probe_weights,
 )
 from repro.errors import ConfigurationError, SamplingError
+from repro.metrics.cost import QueryCost
 from repro.network.simulator import NetworkSimulator
 from repro.network.walker import WeightedMetropolisWalker
 from repro.query.exact import evaluate_exact
@@ -19,6 +20,21 @@ SELECTIVE = parse_query("SELECT COUNT(A) FROM T WHERE A BETWEEN 1 AND 3")
 BROAD = parse_query("SELECT COUNT(A) FROM T WHERE A BETWEEN 1 AND 30")
 AVG_BROAD = parse_query("SELECT AVG(A) FROM T WHERE A BETWEEN 1 AND 30")
 AVG_NOBODY = parse_query("SELECT AVG(A) FROM T WHERE A > 1000000")
+
+#: Per-peer matches of BROAD among 10 probed rows on the small fixture
+#: (``probe_weights(..., probe_tuples=10, floor=0.1, seed=3)``).
+PINNED_MATCHES = [
+    9, 9, 8, 10, 2, 9, 9, 8, 10, 9, 8, 10, 8, 6, 0, 8, 7, 9, 8, 10,
+    2, 1, 1, 0, 2, 8, 7, 10, 9, 8, 8, 3, 8, 10, 9, 1, 8, 1, 8, 1,
+    10, 8, 1, 1, 0, 9, 2, 0, 0, 9, 2, 10, 9, 9, 8, 9, 1, 0, 9, 2,
+    0, 0, 0, 0, 0, 1, 3, 9, 1, 1, 1, 9, 0, 9, 0, 10, 1, 0, 1, 10,
+    0, 0, 10, 7, 9, 8, 1, 2, 10, 8, 7, 0, 9, 1, 2, 9, 2, 0, 1, 2,
+    9, 0, 1, 10, 0, 2, 0, 0, 8, 10, 0, 9, 1, 0, 0, 2, 0, 0, 9, 10,
+    0, 2, 9, 0, 1, 0, 1, 3, 1, 10, 1, 1, 8, 8, 0, 0, 7, 1, 0, 1,
+    1, 1, 9, 1, 0, 0, 7, 0, 0, 0, 8, 0, 0, 1, 2, 1, 0, 1, 8, 7,
+    1, 1, 2, 3, 8, 2, 0, 0, 2, 1, 1, 0, 10, 1, 0, 2, 2, 3, 1, 1,
+    1, 2, 0, 10, 3, 1, 10, 3, 0, 7, 0, 9, 2, 2, 0, 2, 2, 0, 1, 2,
+]
 
 
 class TestBiasedConfig:
@@ -180,6 +196,30 @@ class TestBiasedSamplingEngine:
         lost = result.requested_sample_size - result.effective_sample_size
         assert (lost > 0) == (reply_loss_rate > 0.0)
         assert result.degraded == (reply_loss_rate > 0.0)
+
+    def test_pinned_by_value(self, small_network):
+        """Weights and one execution, recorded as literals.
+
+        Nothing else pins the biased sampler's numbers: an edit that
+        changes the weight formula or the visits' accounting still
+        passes the statistical tests above.
+        """
+        weights = probe_weights(
+            small_network, BROAD, probe_tuples=10, floor=0.1, seed=3
+        )
+        np.testing.assert_array_equal(
+            weights, np.asarray(PINNED_MATCHES) / 10 + 0.1
+        )
+        result = BiasedSamplingEngine(small_network, weights, seed=5).execute(
+            BROAD, sink=0
+        )
+        assert result.estimate == 3749.0991354932535
+        assert result.confidence_interval.half_width == 1135.1146474508187
+        assert result.cost == QueryCost(
+            messages=1260, hops=1200, peers_visited=60, distinct_peers=47,
+            tuples_processed=1500, tuples_sampled=1500, bytes_sent=100020,
+            latency_ms=61617.1166014012, timeouts=0,
+        )
 
     def test_uniform_weights_recover_uniform_walk(self, small_network):
         engine = BiasedSamplingEngine(

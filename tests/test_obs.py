@@ -15,7 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.obs.tracer as tracer_module
+from repro.core.batch import BatchEngine
+from repro.core.biased import biased_engine_for_query
+from repro.core.groupby import GroupByConfig, GroupByEngine
+from repro.core.hybrid import HybridEngine
 from repro.core.median import MedianConfig, MedianEngine
+from repro.core.statistics import StatisticsConfig, StatisticsEngine
 from repro.data.generator import DatasetConfig, generate_dataset
 from repro.data.localdb import LocalDatabase
 from repro.core.two_phase import TwoPhaseConfig, TwoPhaseEngine
@@ -51,6 +56,7 @@ from repro.obs import (
     write_manifest,
 )
 from repro.query.parser import parse_query
+from repro.sampling.baselines import BFSEngine, dfs_engine
 
 COUNT_30 = parse_query("SELECT COUNT(A) FROM T WHERE A BETWEEN 1 AND 30")
 MEDIAN_ALL = parse_query("SELECT MEDIAN(A) FROM T")
@@ -557,6 +563,86 @@ class TestReconciliation:
         assert len(estimates) == 1
         assert estimates[0].engine == "median"
         assert estimates[0].estimate == result.estimate
+
+    def test_histogram_run(self, small_network):
+        engine = StatisticsEngine(
+            small_network, StatisticsConfig(phase_one_peers=30), seed=11
+        )
+        tracer = Tracer()
+        with tracing(tracer):
+            result = engine.histogram(
+                "A", num_buckets=10, value_range=(1, 100), sink=0
+            )
+        assert_reconciles(tracer, result.cost)
+
+    def test_group_by_run(self, small_topology):
+        dataset = generate_dataset(
+            small_topology,
+            DatasetConfig(
+                num_tuples=5_000, group_column="G", num_groups=4
+            ),
+            seed=31,
+        )
+        network = NetworkSimulator(
+            small_topology, dataset.databases, seed=31
+        )
+        engine = GroupByEngine(
+            network, GroupByConfig(phase_one_peers=30), seed=12
+        )
+        tracer = Tracer()
+        with tracing(tracer):
+            result = engine.execute(
+                parse_query("SELECT COUNT(A) FROM T GROUP BY G"), 0.1, sink=0
+            )
+        assert_reconciles(tracer, result.cost)
+
+    def test_batch_run(self, small_network):
+        engine = BatchEngine(
+            small_network, TwoPhaseConfig(phase_one_peers=30), seed=13
+        )
+        queries = [COUNT_30, parse_query("SELECT SUM(A) FROM T")]
+        tracer = Tracer()
+        with tracing(tracer):
+            results = engine.execute(queries, 0.1, sink=0)
+        # every result carries the one shared batch cost
+        assert_reconciles(tracer, results[0].cost)
+
+    def test_hybrid_cold_then_warm(self, small_network):
+        engine = HybridEngine(
+            small_network, TwoPhaseConfig(phase_one_peers=30), seed=14
+        )
+        for warm_runs in (0, 1):
+            tracer = Tracer()
+            with tracing(tracer):
+                result = engine.execute(COUNT_30, 0.1, sink=0)
+            assert_reconciles(tracer, result.cost)
+            assert engine.warm_runs == warm_runs
+
+    def test_biased_engine_run(self, small_network):
+        engine = biased_engine_for_query(small_network, COUNT_30, seed=15)
+        tracer = Tracer()
+        with tracing(tracer):
+            result = engine.execute(COUNT_30, sink=0)
+        assert_reconciles(tracer, result.cost)
+
+    def test_bfs_engine_run(self, small_network):
+        engine = BFSEngine(
+            small_network, TwoPhaseConfig(phase_one_peers=30), seed=16
+        )
+        tracer = Tracer()
+        with tracing(tracer):
+            result = engine.execute(COUNT_30, 0.1, sink=0)
+        assert_reconciles(tracer, result.cost)
+        assert {e.kind for e in tracer.events} >= {"flood"}
+
+    def test_dfs_engine_run(self, small_network):
+        engine = dfs_engine(
+            small_network, TwoPhaseConfig(phase_one_peers=30), seed=17
+        )
+        tracer = Tracer()
+        with tracing(tracer):
+            result = engine.execute(COUNT_30, 0.1, sink=0)
+        assert_reconciles(tracer, result.cost)
 
 
 # ----------------------------------------------------------------------

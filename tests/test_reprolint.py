@@ -19,7 +19,6 @@ from repro.tools.lint import (
     TOOL_ERROR_CODE,
     collect_files,
 )
-from repro.tools.lint.analysis import AnalysisCache
 from repro.tools.lint.cli import main as lint_main
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "reprolint"
@@ -156,18 +155,6 @@ def test_rl008_fork_surface_findings():
     assert any("os.fork" in m for m in messages)
 
 
-def test_rl009_findings():
-    report = run_lint(BAD)
-    findings = [
-        d for d in report.diagnostics
-        if d.code == "RL009" and "rl009_ledger" in d.path
-    ]
-    # one direct emitter, one flagged after propagating through a helper
-    assert sorted(d.line for d in findings) == [4, 15]
-    for finding in findings:
-        assert "emitted at" in finding.message
-
-
 # ----------------------------------------------------------------------
 # suppression semantics
 
@@ -284,40 +271,6 @@ def test_unused_suppression_audit_only_runs_on_full_ruleset(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# analysis cache
-
-
-def test_cache_warm_run_replays_identical_diagnostics(tmp_path):
-    cache_path = tmp_path / "cache.json"
-    cold = run_lint(BAD, cache=AnalysisCache(cache_path))
-    assert cold.cache_hits == 0
-    warm = run_lint(BAD, cache=AnalysisCache(cache_path))
-    assert warm.cache_hits == warm.files_checked
-    assert warm.diagnostics == cold.diagnostics
-
-
-def test_cache_invalidates_on_content_change(tmp_path):
-    cache_path = tmp_path / "cache.json"
-    target = _src_file(tmp_path, "edited.py", "EXACT = 1 == 1.0\n")
-    run_lint(target, cache=AnalysisCache(cache_path))
-    target.write_text("EXACT = 2 == 2.0\n", encoding="utf-8")
-    changed = run_lint(target, cache=AnalysisCache(cache_path))
-    assert changed.cache_hits == 0
-    assert [d.code for d in changed.diagnostics] == ["RL004"]
-
-
-def test_corrupt_cache_degrades_to_cold_run(tmp_path):
-    cache_path = tmp_path / "cache.json"
-    cache_path.write_text("{not json", encoding="utf-8")
-    report = run_lint(GOOD, cache=AnalysisCache(cache_path))
-    assert report.cache_hits == 0
-    assert report.diagnostics == []
-    # ...and the run repaired the file for the next one
-    warm = run_lint(GOOD, cache=AnalysisCache(cache_path))
-    assert warm.cache_hits == warm.files_checked
-
-
-# ----------------------------------------------------------------------
 # file collection
 
 
@@ -353,7 +306,10 @@ def test_cli_json_output(capsys):
     status = lint_main(["--format", "json", str(GOOD)])
     payload = json.loads(capsys.readouterr().out)
     assert status == 0
-    assert payload["version"] == 1
+    assert set(payload) == {
+        "version", "files_checked", "findings", "diagnostics"
+    }
+    assert payload["version"] == 2
     assert payload["findings"] == 0
     assert payload["diagnostics"] == []
     assert payload["files_checked"] > 0
@@ -403,14 +359,25 @@ def test_cli_sarif_output(capsys):
         assert region["startColumn"] >= 1
 
 
-def test_cli_cache_flag(tmp_path, capsys):
-    cache_path = tmp_path / "cache.json"
-    lint_main(["--format", "json", "--cache", str(cache_path), str(GOOD)])
-    cold = json.loads(capsys.readouterr().out)
-    assert cold["cache_hits"] == 0
-    lint_main(["--format", "json", "--cache", str(cache_path), str(GOOD)])
-    warm = json.loads(capsys.readouterr().out)
-    assert warm["cache_hits"] == warm["files_checked"]
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--select", "RL010"],
+        ["--select", "RL001,RL009"],
+        ["--ignore", "RL005"],
+        ["--ignore", "rl000"],
+    ],
+)
+def test_cli_rejects_codes_no_rule_has(flags, capsys):
+    """A code no rule has would filter every finding away and read
+    green; it is a usage error instead, and retired codes say so."""
+    status = lint_main([*flags, str(BAD / "src" / "rl004.py")])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert "unknown rule code" in captured.err
+    assert all(code in captured.err for code in RULE_CODES)
+    assert "retired: RL005, RL009" in captured.err
 
 
 # ----------------------------------------------------------------------
