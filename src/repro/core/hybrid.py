@@ -630,17 +630,10 @@ class HybridEngine:
         deficit = max(0, peers - survivors)
 
         emit_if_tracing(
-            PhaseEvent,
-            engine="hybrid",
-            phase=phase,
-            status="start",
-            requested=peers,
+            PhaseEvent, "hybrid", phase, "start", peers, 0, None, None
         )
         if phase == "delta":
-            emit_if_tracing(
-                DeltaReuseEvent,
-                survivors=survivors, dropped=dropped, deficit=deficit,
-            )
+            emit_if_tracing(DeltaReuseEvent, survivors, dropped, deficit)
         parts: List[AggregateSample] = [] if reused is None else [reused]
         if deficit > 0:
             fresh = yield from self._engine.collect_observations_stepwise(
@@ -676,13 +669,8 @@ class HybridEngine:
         )
         effective = len(sample)
         emit_if_tracing(
-            EstimateEvent,
-            engine="hybrid",
-            agg=query.agg.value,
-            estimate=estimate,
-            requested=peers,
-            received=effective,
-            degraded=effective < peers,
+            EstimateEvent, "hybrid", query.agg.value, estimate, peers,
+            effective, effective < peers,
         )
         # Plan-served results honour the degraded-result contract
         # exactly like cold runs: fault injection or churn can shrink

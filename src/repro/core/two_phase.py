@@ -532,8 +532,7 @@ class _PhasedEngine(Generic[_C, _Q, _R]):
         bracketed by its phase events; returns them and its report."""
         hops_before = ledger.snapshot().hops
         emit_if_tracing(
-            PhaseEvent, engine=self._name, phase=phase, status="start",
-            requested=count,
+            PhaseEvent, self._name, phase, "start", count, 0, None, None
         )
         sample = yield from self._collect(
             sink, query, count, ledger, chunk_peers, phase
@@ -548,8 +547,8 @@ class _PhasedEngine(Generic[_C, _Q, _R]):
             # no matching tuple while the pooled sample does.
             estimate = None
         emit_if_tracing(
-            PhaseEvent, engine=self._name, phase=phase, status="end",
-            requested=count, received=len(sample), estimate=estimate,
+            PhaseEvent, self._name, phase, "end", count, len(sample),
+            estimate, None,
         )
         return sample, PhaseReport.of_sample(sample, hops, estimate)
 
@@ -616,8 +615,8 @@ class _PhasedEngine(Generic[_C, _Q, _R]):
         )
         additional, error, plan = self._analyze(query, sample_one, delta_req)
         emit_if_tracing(
-            PhaseEvent, engine=self._name, phase="analysis", status="end",
-            requested=additional, error=error,
+            PhaseEvent, self._name, "analysis", "end", additional, 0, None,
+            error,
         )
         # A checkpoint between analysis and phase II lets a scheduler
         # stop an over-budget query before it pays for the second walk.
@@ -642,9 +641,8 @@ class _PhasedEngine(Generic[_C, _Q, _R]):
         result = self._result(run)
         if isinstance(result, (ApproximateResult, MedianResult)):
             emit_if_tracing(
-                EstimateEvent, engine=self._name, agg=result.query.agg.value,
-                estimate=result.estimate, requested=requested,
-                received=run.received, degraded=run.degraded,
+                EstimateEvent, self._name, result.query.agg.value,
+                result.estimate, requested, run.received, run.degraded,
             )
         return result
 

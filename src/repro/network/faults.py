@@ -544,13 +544,8 @@ class FaultState:
                 else:
                     outcome = "spike"
                 tracer.emit(
-                    FaultEvent(
-                        step=step,
-                        peer=int(peer),
-                        probe_kind=kind,
-                        outcome=outcome,
-                        extra_latency_ms=decision.extra_latency_ms,
-                    )
+                    FaultEvent, step, int(peer), kind, outcome,
+                    decision.extra_latency_ms,
                 )
         return decision
 

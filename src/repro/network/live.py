@@ -250,11 +250,8 @@ class LiveNetwork:
         tracer = active_tracer()
         if tracer is not None:
             tracer.emit(
-                ChurnEpochEvent(
-                    epoch=churn_snapshot.epoch,
-                    peers=churn_snapshot.topology.num_peers,
-                    fault_clock=self.fault_clock,
-                )
+                ChurnEpochEvent, churn_snapshot.epoch,
+                churn_snapshot.topology.num_peers, self.fault_clock,
             )
         databases = []
         for label in churn_snapshot.labels:

@@ -60,7 +60,7 @@ from ..obs.events import (
     ProbeEvent,
     TraceCost,
 )
-from ..obs.tracer import active_tracer
+from ..obs.tracer import active_tracer, emit_if_tracing
 from ..query.model import AggregateOp, AggregationQuery
 from .faults import FaultPlan, FaultState
 from .peer import Peer, PeerTable
@@ -109,36 +109,14 @@ def _emit_probe(
     tracer = active_tracer()
     if tracer is not None:
         tracer.emit(
-            ProbeEvent(
-                peer=peer,
-                probe_kind=kind,
-                outcome=outcome,
-                replies=replies,
-                charge=TraceCost(
-                    messages=messages,
-                    hops=hops,
-                    visits=visits,
-                    timeouts=timeouts,
-                ),
-            )
+            ProbeEvent, peer, kind, outcome, replies,
+            _probe_charge(messages, hops, visits, timeouts),
         )
 
 
-def _emit_flood(
-    start: int, ttl: int, reached: int, depth: int, messages: int
-) -> None:
-    """Trace one completed flood (no-op when tracing is off)."""
-    tracer = active_tracer()
-    if tracer is not None:
-        tracer.emit(
-            FloodEvent(
-                start=start,
-                ttl=ttl,
-                reached=reached,
-                depth=depth,
-                messages=messages,
-            )
-        )
+#: A probe's charge is one of a handful of values, each built once: a
+#: retained trace then holds no per-probe object for the GC to track.
+_probe_charge = functools.lru_cache(maxsize=None)(TraceCost)
 
 
 def _check_tuples_per_peer(tuples_per_peer: int) -> None:
@@ -894,13 +872,7 @@ class NetworkSimulator:
         tracer = active_tracer()
         if tracer is not None:
             tracer.emit(
-                ProbeEvent(
-                    peer=peer_id,
-                    probe_kind="aggregate",
-                    outcome="ok",
-                    replies=1,
-                    charge=_AGGREGATE_OK_CHARGE,
-                )
+                ProbeEvent, peer_id, "aggregate", "ok", 1, _AGGREGATE_OK_CHARGE
             )
 
     def visit_aggregate(
@@ -1199,11 +1171,8 @@ class NetworkSimulator:
         if self._batch_fallback_needed():
             if tracer is not None:
                 tracer.emit(
-                    BatchFallbackEvent(
-                        probe_kind="aggregate",
-                        requested=int(peers.size),
-                        reason=self._batch_fallback_reason(),
-                    )
+                    BatchFallbackEvent, "aggregate", int(peers.size),
+                    self._batch_fallback_reason(),
                 )
             survivors: List[int] = []
             for peer_id in peers.tolist():
@@ -1232,11 +1201,7 @@ class NetworkSimulator:
         )
         if tracer is not None:
             tracer.emit(
-                BatchVisitEvent(
-                    probe_kind="aggregate",
-                    requested=int(peers.size),
-                    replies=len(replies),
-                )
+                BatchVisitEvent, "aggregate", int(peers.size), len(replies)
             )
         return replies
 
@@ -1313,11 +1278,8 @@ class NetworkSimulator:
             tracer = active_tracer()
             if tracer is not None:
                 tracer.emit(
-                    BatchFallbackEvent(
-                        probe_kind="values",
-                        requested=int(peers.size),
-                        reason=self._batch_fallback_reason(),
-                    )
+                    BatchFallbackEvent, "values", int(peers.size),
+                    self._batch_fallback_reason(),
                 )
             replies: List[TupleReply] = []
             for peer_id in peers:
@@ -1357,13 +1319,7 @@ class NetworkSimulator:
         )
         tracer = active_tracer()
         if tracer is not None:
-            tracer.emit(
-                BatchVisitEvent(
-                    probe_kind="values",
-                    requested=int(peers.size),
-                    replies=len(sample),
-                )
-            )
+            tracer.emit(BatchVisitEvent, "values", int(peers.size), len(sample))
         return sample
 
     def visit_multi_aggregate(
@@ -1598,7 +1554,9 @@ class NetworkSimulator:
                     break
             frontier = next_frontier
         ledger.record_flood_depth(max_depth)
-        _emit_flood(start, ttl, len(reached), max_depth, messages)
+        emit_if_tracing(
+            FloodEvent, start, ttl, len(reached), max_depth, messages
+        )
         if self._time is not None:
             self._time.flooded(max_depth)
         return reached

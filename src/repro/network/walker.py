@@ -63,7 +63,7 @@ from ..errors import (
 )
 from ..metrics.cost import CostLedger
 from ..obs.events import RetryEvent, SubstituteEvent, WalkEvent
-from ..obs.tracer import active_tracer
+from ..obs.tracer import active_tracer, emit_if_tracing
 from ..query.model import AggregationQuery
 from .protocol import ValueSample
 from .topology import Topology
@@ -92,12 +92,8 @@ def _emit_walk(result: WalkResult) -> WalkResult:
     tracer = active_tracer()
     if tracer is not None:
         tracer.emit(
-            WalkEvent(
-                start=result.start,
-                hops=result.hops,
-                selected=len(result),
-                distinct=result.distinct_peers,
-            )
+            WalkEvent, result.start, result.hops, len(result),
+            result.distinct_peers,
         )
     return result
 
@@ -648,13 +644,7 @@ class ResilientCollector:
                 ledger.record_wait(wait)
                 counters["backoff_wait_ms"] += wait
                 counters["retries"] += 1
-                tracer = active_tracer()
-                if tracer is not None:
-                    tracer.emit(
-                        RetryEvent(
-                            peer=peer, attempt=attempt, backoff_ms=wait
-                        )
-                    )
+                emit_if_tracing(RetryEvent, peer, attempt, wait)
             counters["attempts"] += 1
             try:
                 return _ProbeOutcome.OK, visit(peer)
@@ -720,15 +710,7 @@ class ResilientCollector:
                         jump, ledger, message_bytes=probe_bytes
                     )
                     walk_hops += jump
-                    tracer = active_tracer()
-                    if tracer is not None:
-                        tracer.emit(
-                            SubstituteEvent(
-                                failed=failed,
-                                replacement=peer,
-                                hops=jump,
-                            )
-                        )
+                    emit_if_tracing(SubstituteEvent, failed, peer, jump)
                     continue
                 break  # exhausted retries or substitution budget: drop
         stats = CollectionStats(

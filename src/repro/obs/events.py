@@ -5,6 +5,9 @@ deterministic values — peer ids, hop counts, outcome strings, float
 estimates.  No event carries a wall-clock timestamp or consumes
 randomness, which is what makes the trace of a seeded run a stable,
 byte-for-byte test artifact (see ``tests/test_trace_golden.py``).
+Sites emit an event as its type and its fields in declaration order
+(``tracer.emit(WalkEvent, start, hops, selected, distinct)``); these
+classes are what reading the trace builds from them.
 
 Cost reconciliation contract
 ----------------------------
@@ -50,9 +53,10 @@ covers the integer fields ``messages``/``hops``/``peers_visited``/
 from __future__ import annotations
 
 import dataclasses
-from typing import ClassVar, Dict, NamedTuple, Optional, Tuple
+from typing import ClassVar, Dict, NamedTuple, Optional, Tuple, Type
 
 __all__ = [
+    "EVENT_TYPES",
     "TraceCost",
     "TraceEvent",
     "WalkEvent",
@@ -109,6 +113,9 @@ class TraceEvent:
     #: Fields that are ledger charge (carried by :meth:`cost`), not
     #: payload.
     cost_fields: ClassVar[Tuple[str, ...]] = ()
+    #: How many fields the event declares: what ``Tracer.emit`` takes
+    #: after the event type (set for every type in :data:`EVENT_TYPES`).
+    arity: ClassVar[int] = 0
 
     def cost(self) -> TraceCost:
         """The ledger charge recorded where this event was emitted."""
@@ -388,3 +395,9 @@ class ChurnEpochEvent(TraceEvent):
     epoch: int = 0
     peers: int = 0
     fault_clock: int = 0
+
+
+#: Every event type, each named in a trace line by its ``kind``.
+EVENT_TYPES: Tuple[Type[TraceEvent], ...] = tuple(TraceEvent.__subclasses__())
+for _type in EVENT_TYPES:
+    _type.arity = len(dataclasses.fields(_type))

@@ -15,20 +15,26 @@ based parallel trial runner inherits a clean default in its workers::
     print(tracer.digest())
 
 A tracer assigns each event a monotone sequence number and stamps it
-with the virtual time.  ``emit`` is an append: the canonical JSONL
-lines, the digest, the cost total and the
-:class:`~repro.obs.registry.MetricsRegistry` are *folded on read* —
-each event is encoded and aggregated exactly once, the first time
-anything asks — so a traced run nobody inspects pays no encoding.  A
-tracer with a ``stream`` (or with ``capture=False``) folds on every
-emit instead: its line has been written when ``emit`` returns.
+with the virtual time.  ``emit(kind, *fields)`` is an append of the
+type, the stamp and the fields to one flat list: no event object
+exists until something reads the trace.  The typed events, the
+canonical JSONL lines, the digest, the cost total and the
+:class:`~repro.obs.registry.MetricsRegistry` are *built on read* —
+each event is decoded, encoded and aggregated exactly once, the first
+time anything asks — so a traced run nobody inspects pays neither
+objects nor encoding.  A tracer with a ``stream`` (or with
+``capture=False``) folds on every emit instead: its line has been
+written when ``emit`` returns.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 from contextvars import ContextVar
-from typing import IO, Callable, Iterator, List, Optional, Protocol, Tuple
+from typing import (
+    IO, Any, Callable, Iterator, List, Optional, Protocol, Tuple, Type,
+)
 
 from .events import (
     ChurnEpochEvent,
@@ -43,7 +49,7 @@ from .events import (
     TraceEvent,
     WalkEvent,
 )
-from .jsonl import digest_of_lines, event_line
+from .jsonl import event_line
 from .registry import MetricsRegistry
 
 __all__ = [
@@ -117,12 +123,17 @@ class Tracer:
         self._registry = MetricsRegistry()
         self._capture = capture
         self._time_source = time_source
-        # ``(seq, event, vt)`` in emission order; the first
-        # ``len(self._lines)`` of them are folded.
+        # ``kind, vt, *fields`` of every event not yet decoded, flat and
+        # in emission order: nothing per event for the GC to track.
+        self._records: List[Any] = []
+        # ``(seq, event, vt)`` decoded from them; the first
+        # ``len(self._lines)`` are folded.
         self._events: List[Tuple[int, TraceEvent, Optional[float]]] = []
         self._lines: List[str] = []
         self._seq = 0
+        self._decoded = 0
         self._cost = TraceCost()
+        self._hasher = hashlib.sha256()
 
     @property
     def time_source(self) -> Optional[Callable[[], float]]:
@@ -148,12 +159,12 @@ class Tracer:
     @property
     def events(self) -> List[TraceEvent]:
         """The captured events, in emission order."""
-        return [event for _, event, _ in self._events]
+        return [event for _, event, _ in self._decode()]
 
     @property
     def sequenced_events(self) -> List[Tuple[int, TraceEvent]]:
         """``(seq, event)`` pairs, in emission order."""
-        return [(seq, event) for seq, event, _ in self._events]
+        return [(seq, event) for seq, event, _ in self._decode()]
 
     @property
     def lines(self) -> List[str]:
@@ -174,31 +185,61 @@ class Tracer:
 
     # ------------------------------------------------------------------
 
-    def emit(self, event: TraceEvent) -> int:
-        """Record one event; returns its sequence number."""
+    def emit(self, kind: Type[TraceEvent], *fields: object) -> int:
+        """Record the event ``kind(*fields)``, every field given in
+        declaration order; returns its sequence number.
+
+        The event itself is built when the trace is first read.  A
+        field count other than ``kind``'s raises ``TypeError`` here.
+        """
+        if len(fields) != kind.arity:
+            raise TypeError(
+                f"a {kind.kind!r} event has {kind.arity} fields; "
+                f"emit got {len(fields)}"
+            )
         seq = self._seq
         self._seq = seq + 1
         time_source = self._time_source
-        self._events.append(
-            (seq, event, time_source() if time_source is not None else None)
-        )
+        records = self._records
+        records.append(kind)
+        records.append(time_source() if time_source is not None else None)
+        records.extend(fields)
         if self._stream is not None or not self._capture:
             self._fold()
         return seq
 
+    def _decode(self) -> List[Tuple[int, TraceEvent, Optional[float]]]:
+        """Build the event of every record not yet decoded, in order
+        and each exactly once; returns every decoded event."""
+        records = self._records
+        events = self._events
+        seq = self._decoded
+        at = 0
+        while at < len(records):
+            kind = records[at]
+            start = at + 2
+            at = start + kind.arity
+            events.append((seq, kind(*records[start:at]), records[start - 1]))
+            seq += 1
+        self._decoded = seq
+        records.clear()
+        return events
+
     def _fold(self) -> None:
         """Encode and aggregate every event not yet folded, in order.
 
-        The one place an event becomes a line, a stream write, a cost
-        addend and registry updates — each exactly once.
+        The one place an event becomes a line, a digest update, a
+        stream write, a cost addend and registry updates — each
+        exactly once.
         """
-        events = self._events
+        events = self._decode()
         folded = len(self._lines)
         if folded == len(events):
             return
         stream = self._stream
         for seq, event, vt in events[folded:]:
             line = event_line(seq, event, vt=vt)
+            self._hasher.update(f"{line}\n".encode("utf-8"))
             if self._capture:
                 self._lines.append(line)
             if stream is not None:
@@ -253,13 +294,14 @@ class Tracer:
     # ------------------------------------------------------------------
 
     def digest(self) -> str:
-        """sha256 over the captured canonical lines.
+        """sha256 over the canonical lines of every emitted event,
+        captured or only streamed.
 
         With a fixed engine, seed and topology this value is a pure
         function of the run — the golden-trace tests pin it.
         """
         self._fold()
-        return digest_of_lines(self._lines)
+        return self._hasher.hexdigest()
 
 
 _ACTIVE: ContextVar[Optional[Tracer]] = ContextVar(
@@ -276,12 +318,11 @@ def active_tracer() -> Optional[Tracer]:
     return _ACTIVE.get()
 
 
-def emit_if_tracing(kind: Callable[..., TraceEvent], **fields: object) -> None:
-    """Emit ``kind(**fields)`` to the active tracer — constructing it
-    only when there is one, so an untraced run builds no event."""
+def emit_if_tracing(kind: Type[TraceEvent], *fields: object) -> None:
+    """Emit ``kind(*fields)`` to the active tracer, if there is one."""
     tracer = _ACTIVE.get()
     if tracer is not None:
-        tracer.emit(kind(**fields))
+        tracer.emit(kind, *fields)
 
 
 @contextlib.contextmanager

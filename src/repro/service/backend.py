@@ -260,11 +260,7 @@ def build_task(
             time_source=clock.read if clock is not None else None
         )
         tracer.emit(
-            QueryLifecycleEvent(
-                query_id=job.query_id,
-                status="submitted",
-                signature=job.signature,
-            )
+            QueryLifecycleEvent, job.query_id, "submitted", job.signature, ""
         )
     return ScheduledQuery(
         ticket=ticket,

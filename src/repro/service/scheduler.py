@@ -27,17 +27,16 @@ Two rules carry the service's determinism invariant:
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 from collections import deque
-from typing import Callable, ContextManager, Deque, List, Optional, Set
+from typing import Callable, Deque, List, Optional, Set
 
 from ..core.hybrid import HybridEngine
 from ..core.result import ApproximateResult
 from ..core.two_phase import StepCheckpoint, StepwiseRun
 from ..errors import ConfigurationError, ReproError
 from ..obs.events import QueryLifecycleEvent
-from ..obs.tracer import Tracer, tracing
+from ..obs.tracer import _ACTIVE, Tracer
 from ..query.model import AggregationQuery
 from .budget import CostBudget
 
@@ -100,12 +99,8 @@ def emit_lifecycle(
     """Record a lifecycle transition in the task's trace (if any)."""
     if task.tracer is not None:
         task.tracer.emit(
-            QueryLifecycleEvent(
-                query_id=task.ticket.query_id,
-                status=status,
-                signature=task.ticket.signature,
-                detail=detail,
-            )
+            QueryLifecycleEvent, task.ticket.query_id, status,
+            task.ticket.signature, detail,
         )
 
 
@@ -121,22 +116,17 @@ def advance_task(task: ScheduledQuery) -> Optional[Completion]:
     and one whole phase for a task with neither; a ceiling can be
     overshot by at most one quantum.
 
-    The task's tracer (if any) is activated only for the duration of
-    the generator frame, so every engine event lands in the query's
-    own trace regardless of interleaving; lifecycle events are emitted
-    outside that scope.
+    The task's tracer (if any) is active only while the generator
+    runs, so every engine event lands in the query's own trace
+    regardless of interleaving; lifecycle events go to the tracer
+    directly.
     """
     if not task.started:
         task.started = True
         emit_lifecycle(task, "started")
-    scope: ContextManager[Optional[Tracer]] = (
-        tracing(task.tracer)
-        if task.tracer is not None
-        else contextlib.nullcontext()
-    )
+    token = _ACTIVE.set(task.tracer) if task.tracer is not None else None
     try:
-        with scope:
-            checkpoint = next(task.steps)
+        checkpoint = next(task.steps)
     except StopIteration as stop:
         result: ApproximateResult = stop.value
         emit_lifecycle(task, "done")
@@ -146,6 +136,9 @@ def advance_task(task: ScheduledQuery) -> Optional[Completion]:
         return Completion(
             task=task, status="failed", error=error, detail=str(error)
         )
+    finally:
+        if token is not None:
+            _ACTIVE.reset(token)
     task.chunks += 1
     task.last_checkpoint = checkpoint
     if task.budget is not None:

@@ -61,7 +61,7 @@ from ..network.peer import Peer
 from ..network.simulator import NetworkSimulator, _emit_probe
 from ..network.topology import Topology
 from ..obs.events import StaleReplyEvent
-from ..obs.tracer import active_tracer
+from ..obs.tracer import emit_if_tracing
 from .kernel import DELIVERED, DEPARTED, SimulationKernel
 from .latency import LatencyModel
 from .timeline import ChurnTimeline
@@ -156,16 +156,10 @@ class VirtualTime:
                 f"{outcome.delivered_ms:.3f} ms"
             )
         if outcome.stale:
-            tracer = active_tracer()
-            if tracer is not None:
-                tracer.emit(
-                    StaleReplyEvent(
-                        peer=peer_id,
-                        probe_kind=kind,
-                        sent_epoch=outcome.sent_epoch,
-                        delivered_epoch=outcome.delivered_epoch,
-                    )
-                )
+            emit_if_tracing(
+                StaleReplyEvent, peer_id, kind, outcome.sent_epoch,
+                outcome.delivered_epoch,
+            )
             if self.stale_mode == "reject":
                 ledger.record_visit(peer_id, 0, 0)
                 _emit_probe(

@@ -333,12 +333,8 @@ class SimulationKernel:
                 self._epoch_started_ms = event.time_ms
             if tracer is not None:
                 tracer.emit(
-                    TimelineEvent(
-                        action=payload.action,
-                        at_ms=event.time_ms,
-                        peer=payload.peer,
-                        epoch=self._epoch,
-                    )
+                    TimelineEvent, payload.action, event.time_ms,
+                    payload.peer, self._epoch,
                 )
             return
         # Only deliveries whose sink already gave up (marked late) can
@@ -346,10 +342,6 @@ class SimulationKernel:
         # departures cancel theirs.
         if tracer is not None and event.late:
             tracer.emit(
-                LateDeliveryEvent(
-                    peer=payload.peer,
-                    probe_kind=payload.probe_kind,
-                    sent_ms=payload.sent_ms,
-                    delivered_ms=event.time_ms,
-                )
+                LateDeliveryEvent, payload.peer, payload.probe_kind,
+                payload.sent_ms, event.time_ms,
             )

@@ -12,7 +12,7 @@ import sys
 from typing import Dict, List, Optional, Sequence, TextIO
 
 from ...errors import ConfigurationError
-from ...obs.events import TraceCost
+from ...obs.events import EVENT_TYPES, TraceCost
 from ...obs.jsonl import digest_of_lines, line_cost, read_trace
 
 __all__ = [
@@ -73,7 +73,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _split_kinds(value: str) -> List[str]:
-    return [kind.strip() for kind in value.split(",") if kind.strip()]
+    kinds = [kind.strip() for kind in value.split(",") if kind.strip()]
+    known = sorted(event.kind for event in EVENT_TYPES)
+    if not kinds or not set(kinds) <= set(known):
+        raise argparse.ArgumentTypeError(
+            f"{value!r} is not a list of event kinds; known: {','.join(known)}"
+        )
+    return kinds
 
 
 def summarize_records(

@@ -6,6 +6,7 @@ contract on every instrumented path, and run manifests.
 """
 
 import dataclasses
+import gc
 import io
 import json
 
@@ -55,11 +56,25 @@ from repro.obs import (
     tracing,
     write_manifest,
 )
+from repro.obs.events import EVENT_TYPES
 from repro.query.parser import parse_query
 from repro.sampling.baselines import BFSEngine, dfs_engine
+from repro.service import QueryService
+from repro.sim import (
+    ConstantLatency,
+    EventDrivenSimulator,
+    ExponentialLatency,
+    LatencyModel,
+)
 
 COUNT_30 = parse_query("SELECT COUNT(A) FROM T WHERE A BETWEEN 1 AND 30")
+SUM_ALL = parse_query("SELECT SUM(A) FROM T")
 MEDIAN_ALL = parse_query("SELECT MEDIAN(A) FROM T")
+
+
+def fields_of(event):
+    """``event``'s fields in declaration order: what ``emit`` takes."""
+    return [getattr(event, field.name) for field in dataclasses.fields(event)]
 
 
 def assert_reconciles(tracer, cost):
@@ -147,8 +162,8 @@ class TestRegistry:
 class TestTracer:
     def test_sequence_numbers_and_lines(self):
         tracer = Tracer()
-        assert tracer.emit(WalkEvent(start=1, hops=3)) == 0
-        assert tracer.emit(WalkEvent(start=2, hops=4)) == 1
+        assert tracer.emit(WalkEvent, 1, 3, 0, 0) == 0
+        assert tracer.emit(WalkEvent, 2, 4, 0, 0) == 1
         assert tracer.num_events == 2
         records = [json.loads(line) for line in tracer.lines]
         assert [r["seq"] for r in records] == [0, 1]
@@ -156,7 +171,7 @@ class TestTracer:
 
     def test_lines_are_canonical(self):
         tracer = Tracer()
-        tracer.emit(WalkEvent(start=1, hops=3, selected=2, distinct=2))
+        tracer.emit(WalkEvent, 1, 3, 2, 2)
         line = tracer.lines[0]
         record = json.loads(line)
         assert line == json.dumps(
@@ -168,13 +183,13 @@ class TestTracer:
     def test_stream_receives_lines(self):
         stream = io.StringIO()
         tracer = Tracer(stream=stream)
-        tracer.emit(WalkEvent(start=1, hops=3))
+        tracer.emit(WalkEvent, 1, 3, 0, 0)
         assert stream.getvalue() == tracer.lines[0] + "\n"
 
     def test_capture_disabled_streams_only(self):
         stream = io.StringIO()
         tracer = Tracer(stream=stream, capture=False)
-        tracer.emit(WalkEvent(start=1, hops=3))
+        tracer.emit(WalkEvent, 1, 3, 0, 0)
         assert tracer.events == []
         assert tracer.lines == []
         assert tracer.num_events == 1
@@ -182,13 +197,13 @@ class TestTracer:
 
     def test_cost_total_accumulates(self):
         tracer = Tracer()
-        tracer.emit(WalkEvent(start=1, hops=3))
-        tracer.emit(WalkEvent(start=1, hops=4))
+        tracer.emit(WalkEvent, 1, 3, 0, 0)
+        tracer.emit(WalkEvent, 1, 4, 0, 0)
         assert tracer.cost_total == TraceCost(messages=7, hops=7)
 
     def test_registry_aggregation(self):
         tracer = Tracer()
-        tracer.emit(WalkEvent(start=1, hops=3))
+        tracer.emit(WalkEvent, 1, 3, 0, 0)
         counters = tracer.registry.snapshot()["counters"]
         assert counters["events_total"] == 1
         assert counters["events.walk"] == 1
@@ -198,8 +213,163 @@ class TestTracer:
 
     def test_digest_matches_lines(self):
         tracer = Tracer()
-        tracer.emit(WalkEvent(start=1, hops=3))
+        tracer.emit(WalkEvent, 1, 3, 0, 0)
         assert tracer.digest() == digest_of_lines(tracer.lines)
+
+    def test_a_stream_only_digest_covers_what_was_streamed(self):
+        """Regression: with ``capture=False`` the digest was sha256 of
+        nothing, so any two streamed runs compared equal."""
+        stream = io.StringIO()
+        captured = Tracer()
+        streamed = Tracer(stream=stream, capture=False)
+        for tracer in (captured, streamed):
+            tracer.emit(WalkEvent, 1, 3, 0, 0)
+            tracer.emit(WalkEvent, 2, 4, 0, 0)
+        assert streamed.digest() == captured.digest()
+        assert streamed.digest() == digest_of_lines(
+            stream.getvalue().splitlines()
+        )
+        assert streamed.digest() != Tracer().digest()
+
+
+def _sample_fields(kind):
+    """A value for every field of ``kind``, in declaration order, none
+    of them the field's default."""
+    values = []
+    for index, field in enumerate(dataclasses.fields(kind), start=1):
+        default = field.default
+        if isinstance(default, bool):
+            values.append(not default)
+        elif isinstance(default, TraceCost):
+            values.append(TraceCost(1, 2, 3, 4))
+        elif isinstance(default, (int, float)):
+            values.append(default + index)
+        elif isinstance(default, str):
+            values.append(f"{field.name}-{index}")
+        else:  # an optional field, None by default
+            values.append(index / 4)
+    return values
+
+
+class TestEmitForm:
+    """``emit(kind, *fields)`` is the one way to record an event; what
+    a read builds from it is exactly ``kind(*fields)``."""
+
+    @pytest.mark.parametrize("kind", EVENT_TYPES, ids=lambda kind: kind.kind)
+    def test_round_trip(self, kind):
+        fields = _sample_fields(kind)
+        built = kind(*fields)
+        assert built != kind()
+        tracer = Tracer()
+        tracer.emit(WalkEvent, 0, 1, 0, 0)
+        seq = tracer.emit(kind, *fields)
+        assert tracer.events[-1] == built
+        assert tracer.lines[-1] == event_line(seq, built)
+        assert tracer.cost_total == TraceCost(1, 1) + built.cost()
+
+    @pytest.mark.parametrize("kind", EVENT_TYPES, ids=lambda kind: kind.kind)
+    def test_a_wrong_field_count_raises(self, kind):
+        fields = _sample_fields(kind)
+        tracer = Tracer()
+        for wrong in (fields[:-1], [*fields, 0]):
+            with pytest.raises(TypeError, match="fields; emit got"):
+                tracer.emit(kind, *wrong)
+        with pytest.raises(TypeError, match="fields; emit got 0"):
+            tracer.emit(kind(*fields))  # the built form is gone
+        assert tracer.num_events == 0
+        assert tracer.events == [] and tracer.lines == []
+
+
+def _counted_init(built, init):
+    def counting(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    return counting
+
+
+class TestTraceObjectCounts:
+    """A traced run pays for trace objects only when its trace is read
+    — pinned by count, on a service configured like the serving
+    benchmark's chaos workload (``bench/workloads.py``).  Counts repeat
+    exactly; no stopwatch."""
+
+    def test_events_are_built_on_the_first_read_only(
+        self, small_topology, small_dataset, monkeypatch
+    ):
+        built = []
+        for kind in EVENT_TYPES:
+            monkeypatch.setattr(
+                kind, "__init__", _counted_init(built, kind.__init__)
+            )
+        simulator = EventDrivenSimulator(
+            small_topology,
+            small_dataset.databases,
+            seed=1,
+            fault_plan=FaultPlan(
+                seed=5,
+                crashes=tuple(
+                    CrashWindow(peer_id=peer, start=0, stop=10**9)
+                    for peer in range(0, small_topology.num_peers, 17)
+                ),
+                reply_loss=0.1,
+                latency_spike=LatencySpike(rate=0.05, extra_ms=400.0),
+                probe_timeout_ms=250.0,
+            ),
+            latency=LatencyModel(
+                seed=3,
+                request=ExponentialLatency(20.0),
+                reply=ExponentialLatency(20.0),
+                hop=ConstantLatency(1.0),
+            ),
+            probe_timeout_ms=250.0,
+        )
+        service = QueryService(
+            simulator,
+            TwoPhaseConfig(retry_policy=RetryPolicy(max_attempts=3)),
+            seed=99,
+            max_in_flight=4,
+            capture_traces=True,
+        )
+        tickets = [
+            service.submit(query, 0.1, deadline_ms=60_000.0)
+            for query in (COUNT_30, COUNT_30, SUM_ALL, COUNT_30, SUM_ALL)
+        ]
+        assert {o.status for o in service.run()} == {"done"}
+        assert built == []
+
+        counters = {}
+        for ticket in tickets:
+            trace = service.trace(ticket)
+            assert trace.num_events > 0
+            events = trace.events
+            assert len(built) == trace.num_events == len(events)
+            assert trace.lines and trace.digest() and trace.events
+            assert len(built) == trace.num_events  # nothing built twice
+            del built[:]
+            for name, value in trace.registry.snapshot()["counters"].items():
+                counters[name] = counters.get(name, 0) + value
+        # The stream runs the faulted path the count is about.
+        for name in (
+            "events.retry", "events.fault", "probe.failures.lost",
+            "query.done",
+        ):
+            assert counters.get(name, 0) > 0, name
+
+    def test_retained_events_are_not_gc_objects(self):
+        tracer = Tracer()
+        charge = TraceCost(messages=1, visits=1)
+        tracer.emit(ProbeEvent, 0, "aggregate", "ok", 1, charge)
+        gc.collect()
+        before = len(gc.get_objects())
+        for peer in range(1, 10_001):
+            tracer.emit(ProbeEvent, peer, "aggregate", "ok", 1, charge)
+        gc.collect()
+        assert len(gc.get_objects()) - before < 10
+        assert tracer.num_events == 10_001
+        assert tracer.events[-1] == ProbeEvent(
+            10_000, "aggregate", "ok", 1, charge
+        )
 
 
 class _Clock:
@@ -270,7 +440,7 @@ class TestTracerFoldOnRead:
     def test_nothing_is_encoded_until_read_and_nothing_twice(self, encodes):
         tracer = Tracer()
         for hops in range(25):
-            tracer.emit(WalkEvent(start=0, hops=hops))
+            tracer.emit(WalkEvent, 0, hops, 0, 0)
         assert tracer.num_events == 25
         assert len(tracer.events) == 25
         assert encodes == []
@@ -281,7 +451,7 @@ class TestTracerFoldOnRead:
         assert tracer.cost_total.hops == sum(range(25))
         tracer.registry.snapshot()
         assert encodes == list(range(25))  # later reads re-encode nothing
-        tracer.emit(WalkEvent(start=0, hops=1))
+        tracer.emit(WalkEvent, 0, 1, 0, 0)
         assert encodes == list(range(25))
         tracer.digest()
         assert encodes == list(range(26))  # only the new event
@@ -300,8 +470,8 @@ class TestTracerFoldOnRead:
         eager = Tracer(stream=io.StringIO(), time_source=clock.read)
         for op, argument in ops:
             if op == "emit":
-                seq = tracer.emit(argument)
-                eager.emit(argument)
+                seq = tracer.emit(type(argument), *fields_of(argument))
+                eager.emit(type(argument), *fields_of(argument))
                 lines.append(event_line(seq, argument, vt=clock.now))
                 cost = cost + argument.cost()
                 if streamed:
@@ -328,7 +498,7 @@ class TestTracerFoldOnRead:
         stream = io.StringIO()
         tracer = Tracer(stream=stream)
         for k in range(5):
-            tracer.emit(WalkEvent(start=k, hops=k))
+            tracer.emit(WalkEvent, k, k, 0, 0)
             written = stream.getvalue().splitlines()
             assert len(written) == k + 1
             assert json.loads(written[k])["seq"] == k
@@ -340,7 +510,8 @@ class TestTracerFoldOnRead:
         stream = io.StringIO()
         tracer = Tracer(stream=stream, capture=False)
         for hops in (3, 4):
-            tracer.emit(WalkEvent(start=1, hops=hops))
+            tracer.emit(WalkEvent, 1, hops, 0, 0)
+            assert tracer._records == []
             assert tracer._events == [] and tracer._lines == []
         assert tracer.sequenced_events == []
         assert tracer.cost_total == TraceCost(messages=7, hops=7)
@@ -350,11 +521,11 @@ class TestTracerFoldOnRead:
     def test_vt_is_the_clock_at_emit_not_at_read(self):
         clock = _Clock()
         tracer = Tracer(time_source=clock.read)
-        tracer.emit(WalkEvent(start=1, hops=1))  # clock at zero: no stamp
+        tracer.emit(WalkEvent, 1, 1, 0, 0)  # clock at zero: no stamp
         clock.now = 5.0
-        tracer.emit(WalkEvent(start=1, hops=2))
+        tracer.emit(WalkEvent, 1, 2, 0, 0)
         clock.now = 9.0
-        tracer.emit(WalkEvent(start=1, hops=3))
+        tracer.emit(WalkEvent, 1, 3, 0, 0)
         clock.now = 100.0
         records = [json.loads(line) for line in tracer.lines]
         assert [record.get("vt") for record in records] == [None, 5.0, 9.0]
@@ -392,7 +563,7 @@ class TestTracingContext:
 class TestJsonl:
     def test_read_trace_roundtrip(self, tmp_path):
         tracer = Tracer()
-        tracer.emit(WalkEvent(start=1, hops=3))
+        tracer.emit(WalkEvent, 1, 3, 0, 0)
         path = tmp_path / "run.jsonl"
         path.write_text("\n".join(tracer.lines) + "\n")
         records = read_trace(path)

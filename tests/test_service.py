@@ -708,8 +708,12 @@ class TestUntracedEvents:
         assert {outcome.status for outcome in service.run()} == {"done"}
         assert built == []
 
-        # The same stream, traced, builds them (the count can see them).
-        run_workload_at(small_network, 4)
+        # The same stream, traced, builds them when its traces are read
+        # (the count can see them).
+        service, tickets, _ = run_workload_at(small_network, 4)
+        assert built == []
+        for ticket in tickets:
+            assert service.trace(ticket).events
         assert {"PhaseEvent", "EstimateEvent", "BatchVisitEvent"} <= set(built)
 
 

@@ -12,7 +12,10 @@ import sys
 import pytest
 
 from repro.core.two_phase import TwoPhaseConfig, TwoPhaseEngine
-from repro.obs import ProbeEvent, RetryEvent, Tracer, WalkEvent, tracing
+from repro.obs import (
+    ProbeEvent, RetryEvent, TraceCost, Tracer, WalkEvent, tracing,
+)
+from repro.obs.events import EVENT_TYPES
 from repro.query.parser import parse_query
 from repro.tools.trace import main as trace_main
 
@@ -123,10 +126,10 @@ class TestFilter:
 
     def test_filter_by_kind_list_and_peer(self, tmp_path, capsys):
         tracer = Tracer()
-        tracer.emit(ProbeEvent(peer=3, probe_kind="aggregate"))
-        tracer.emit(RetryEvent(peer=3, attempt=1, backoff_ms=50.0))
-        tracer.emit(ProbeEvent(peer=4, probe_kind="aggregate"))
-        tracer.emit(WalkEvent(start=3, hops=10))
+        tracer.emit(ProbeEvent, 3, "aggregate", "ok", 0, TraceCost())
+        tracer.emit(RetryEvent, 3, 1, 50.0)
+        tracer.emit(ProbeEvent, 4, "aggregate", "ok", 0, TraceCost())
+        tracer.emit(WalkEvent, 3, 10, 0, 0)
         path = tmp_path / "mixed.jsonl"
         path.write_text("\n".join(tracer.lines) + "\n")
         assert (
@@ -145,8 +148,20 @@ class TestFilter:
 
     def test_filter_everything_away_is_empty(self, traced_run, capsys):
         path, _ = traced_run
-        assert trace_main(["filter", str(path), "--kind", "no-such"]) == 0
+        assert trace_main(["filter", str(path), "--kind", "flood"]) == 0
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("kinds", ["prob", ",", "probe,no-such", ""])
+    def test_kinds_no_event_has_exit_2(self, traced_run, capsys, kinds):
+        """Regression: an unknown or empty kind list printed nothing and
+        exited 0, as if the trace held no such event."""
+        path, _ = traced_run
+        with pytest.raises(SystemExit) as excinfo:
+            trace_main(["filter", str(path), "--kind", kinds])
+        assert excinfo.value.code == 2
+        error = capsys.readouterr().err
+        for event in EVENT_TYPES:
+            assert event.kind in error
 
 
 class TestEntryPoint:

@@ -15,7 +15,10 @@ then inspect the ``tests/goldens/`` diff (the summaries make it
 reviewable) and commit it alongside the change.
 """
 
+import hashlib
+import importlib.util
 import json
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -40,6 +43,7 @@ from repro.sim import (
 )
 
 GOLDENS = Path(__file__).resolve().parent / "goldens"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 COUNT_30 = parse_query("SELECT COUNT(A) FROM T WHERE A BETWEEN 1 AND 30")
 MEDIAN_ALL = parse_query("SELECT MEDIAN(A) FROM T")
@@ -228,6 +232,70 @@ class TestGoldenTraces:
                 fault_plan, simulator_class=EventDrivenSimulator
             )
             _check_golden(name, _payload(tracer, result), update_goldens)
+
+
+#: sha256 over the concatenated per-query trace digests of the serving
+#: benchmark's ``chaos_2k_timed`` seed-7 measured stream (192 queries).
+CHAOS_STREAM_DIGEST = (
+    "9c520220a795c52e0d1b53630bf46c6b0ee9a63a69dbab0f6bda9184ee171eb9"
+)
+
+
+class TestChaosStreamTraces:
+    """The traces of the benchmark's timed, faulted stream — retries,
+    substitutions, timeouts and late deliveries under eight queries in
+    flight — pinned by value.  ``bench/workloads.py`` is loaded by path
+    (``bench/`` is not a package here) and served as ``bench.measure.
+    serve`` does: the warm-up, then closed-loop bursts of 32."""
+
+    def test_seed_7_measured_stream(self, monkeypatch):
+        spec = importlib.util.spec_from_file_location(
+            "bench_workloads", BENCH / "workloads.py"
+        )
+        bench = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, bench)  # dataclasses
+        spec.loader.exec_module(bench)
+        workload = bench.WORKLOADS["chaos_2k_timed"]
+        fixture = bench.build_fixture(workload.fixture)
+        service = bench.make_service(
+            workload, bench.make_simulator(workload, fixture)
+        )
+
+        def serve(sql):
+            outcomes = []
+            for at in range(0, len(sql), workload.clients):
+                burst = bench.parse_stream(sql[at:at + workload.clients])
+                for query in burst:
+                    service.submit(
+                        query, bench.DELTA_REQ,
+                        deadline_ms=workload.deadline_ms,
+                    )
+                while not service.idle:
+                    outcomes.extend(service.tick())
+            return sorted(outcomes, key=lambda o: o.ticket.query_id)
+
+        warm_up, measured = bench.query_stream(workload, 7)
+        serve(warm_up)
+        outcomes = serve(measured)
+        assert len(outcomes) == 192
+        assert {outcome.status for outcome in outcomes} == {"done"}
+        traces = [service.trace(outcome.ticket) for outcome in outcomes]
+        digests = "".join(trace.digest() for trace in traces)
+        assert hashlib.sha256(digests.encode()).hexdigest() == (
+            CHAOS_STREAM_DIGEST
+        )
+        kinds = Counter(
+            event.kind for trace in traces for event in trace.events
+        )
+        for kind in ("retry", "substitute", "fault", "late-delivery"):
+            assert kinds[kind] > 0, kind
+        assert sum(
+            trace.registry.snapshot()["counters"].get(
+                "probe.failures.timeout", 0
+            )
+            for trace in traces
+        ) > 0
+        service.close()
 
 
 class TestDeterminism:

@@ -444,14 +444,7 @@ class TestCursorParity:
         oracle_cursor = oracle.cursor(2)
         for count in (6, 9):
             peers, hops = oracle_cursor.take(count)
-            expected.emit(
-                WalkEvent(
-                    start=2,
-                    hops=hops,
-                    selected=len(peers),
-                    distinct=len(set(peers)),
-                )
-            )
+            expected.emit(WalkEvent, 2, hops, len(peers), len(set(peers)))
         assert tracer.digest() == expected.digest()
 
     def test_first_take_with_zero_burn_in_selects_the_start(self):

@@ -184,11 +184,8 @@ def oracle_visit_aggregate_batch(
     tracer = active_tracer()
     if tracer is not None:
         tracer.emit(
-            BatchFallbackEvent(
-                probe_kind="aggregate",
-                requested=int(peers.size),
-                reason=simulator._batch_fallback_reason(),
-            )
+            BatchFallbackEvent, "aggregate", int(peers.size),
+            simulator._batch_fallback_reason(),
         )
     replies = []
     for peer_id in peers:
@@ -230,11 +227,7 @@ class OracleCollector:
                 counters["retries"] += 1
                 tracer = active_tracer()
                 if tracer is not None:
-                    tracer.emit(
-                        RetryEvent(
-                            peer=peer, attempt=attempt, backoff_ms=wait
-                        )
-                    )
+                    tracer.emit(RetryEvent, peer, attempt, wait)
             counters["attempts"] += 1
             try:
                 return "ok", visit(peer)
@@ -314,13 +307,7 @@ class OracleCollector:
                     walk_hops += jump
                     tracer = active_tracer()
                     if tracer is not None:
-                        tracer.emit(
-                            SubstituteEvent(
-                                failed=failed,
-                                replacement=peer,
-                                hops=jump,
-                            )
-                        )
+                        tracer.emit(SubstituteEvent, failed, peer, jump)
                     continue
                 break  # exhausted retries or substitution budget: drop
         stats = {
