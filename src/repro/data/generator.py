@@ -107,6 +107,36 @@ class DatasetConfig:
         return ZipfDistribution(num_values=self.num_values, skew=self.skew)
 
 
+def _shuffle_sorted(
+    ordered: np.ndarray,
+    cluster_level: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Apply the cluster level ``CL`` to ``ordered`` in place.
+
+    ``ordered`` is in sorted order (the sorted values, or the stable
+    sorting permutation).  ``CL = 0`` leaves it; ``CL = 1`` shuffles it;
+    in between, a uniformly random ``CL`` fraction of positions have
+    their contents shuffled among themselves.  The draws depend only on
+    ``ordered.size``, so shuffling the sorted values and gathering the
+    values by the shuffled permutation give the same array.
+    """
+    check_fraction("cluster_level", cluster_level)
+    if cluster_level <= 0.0 or ordered.size <= 1:
+        return ordered
+    if cluster_level >= 1.0:
+        rng.shuffle(ordered)
+        return ordered
+    num_shuffled = int(round(cluster_level * ordered.size))
+    if num_shuffled < 2:
+        return ordered
+    positions = rng.choice(ordered.size, size=num_shuffled, replace=False)
+    shuffled = ordered[positions]
+    rng.shuffle(shuffled)
+    ordered[positions] = shuffled
+    return ordered
+
+
 def arrangement_permutation(
     values: np.ndarray,
     cluster_level: float,
@@ -114,27 +144,12 @@ def arrangement_permutation(
 ) -> np.ndarray:
     """Row permutation realizing the cluster level ``CL``.
 
-    ``CL = 0`` sorts by ``values``; ``CL = 1`` permutes uniformly; in
-    between, the order starts sorted and a uniformly random ``CL``
-    fraction of positions have their contents shuffled among
-    themselves.  Returned as an index array so multi-column datasets
-    can arrange all columns jointly (rows stay intact).
+    The stable sorting permutation of ``values``, shuffled by
+    :func:`_shuffle_sorted`.  Returned as an index array so
+    multi-column datasets can arrange all columns jointly (rows stay
+    intact).
     """
-    check_fraction("cluster_level", cluster_level)
-    order = np.argsort(values, kind="stable")
-    if cluster_level <= 0.0 or order.size <= 1:
-        return order
-    if cluster_level >= 1.0:
-        rng.shuffle(order)
-        return order
-    num_shuffled = int(round(cluster_level * order.size))
-    if num_shuffled < 2:
-        return order
-    positions = rng.choice(order.size, size=num_shuffled, replace=False)
-    shuffled = order[positions].copy()
-    rng.shuffle(shuffled)
-    order[positions] = shuffled
-    return order
+    return _shuffle_sorted(np.argsort(values, kind="stable"), cluster_level, rng)
 
 
 def arrange_cluster_level(
@@ -144,9 +159,42 @@ def arrange_cluster_level(
 ) -> np.ndarray:
     """Arrange ``values`` according to the cluster level ``CL``.
 
-    Single-column convenience over :func:`arrangement_permutation`.
+    Equal to ``values[arrangement_permutation(values, cluster_level,
+    rng)]`` with the same draws, but arranged in value space: a stable
+    sort of the values is the values gathered by their stable sorting
+    permutation, so no index array is built.  ``values`` is not
+    modified.
     """
-    return values[arrangement_permutation(values, cluster_level, rng)]
+    return _shuffle_sorted(np.sort(values, kind="stable"), cluster_level, rng)
+
+
+#: Rows per block when the store is cut from the arranged rows.
+_STORE_BLOCK_ROWS = 1 << 16
+
+
+def _peer_ordered(
+    arranged: np.ndarray, starts: np.ndarray, offsets: np.ndarray
+) -> np.ndarray:
+    """``arranged`` laid out in peer-id order.
+
+    Peer ``p``'s rows ``arranged[starts[p]:]`` (``offsets[p + 1] -
+    offsets[p]`` of them) land at ``offsets[p]``.  Gathered a block of
+    peers at a time, so the index temporaries hold about
+    :data:`_STORE_BLOCK_ROWS` rows, not all of them.
+    """
+    counts = np.diff(offsets)
+    shift = starts - offsets[:-1]
+    store = np.empty_like(arranged)
+    num_peers = counts.size
+    total = int(offsets[-1])
+    step = max(1, _STORE_BLOCK_ROWS * num_peers // max(total, 1))
+    for lo in range(0, num_peers, step):
+        hi = min(lo + step, num_peers)
+        first, stop = int(offsets[lo]), int(offsets[hi])
+        index = np.repeat(shift[lo:hi], counts[lo:hi])
+        index += np.arange(first, stop)
+        np.take(arranged, index, out=store[first:stop])
+    return store
 
 
 @dataclasses.dataclass
@@ -201,25 +249,30 @@ def generate_dataset(
     The rows are laid out in peer-id order once, and that store *is*
     the dataset: ``databases`` slices it.  The global ``values`` array
     is kept for ground-truth evaluation (the same rows in placement
-    order).  Every intermediate is released as soon as it is consumed:
-    a single-column build peaks at three ``num_tuples``-row arrays.
+    order).  A single-column build arranges the values in place, so it
+    peaks at the two ``num_tuples``-row arrays it returns plus, at
+    ``0 < CL < 1``, the position draw (``rng.choice`` holds a
+    ``num_tuples``-row permutation while it picks).  A group column is
+    carried through the row permutation instead.
     """
     config = config or DatasetConfig()
     placement = placement or PlacementConfig()
     rng = ensure_rng(seed)
-    raw = config.distribution.sample(config.num_tuples, seed=rng)
-    permutation = arrangement_permutation(raw, config.cluster_level, rng)
-    arranged = raw[permutation]
-    del raw
-
+    arranged = config.distribution.sample(config.num_tuples, seed=rng)
     group_arranged: Optional[np.ndarray] = None
-    if config.group_column is not None:
+    if config.group_column is None:
+        arranged.sort(kind="stable")
+        _shuffle_sorted(arranged, config.cluster_level, rng)
+    else:
+        permutation = arrangement_permutation(
+            arranged, config.cluster_level, rng
+        )
+        arranged = arranged[permutation]
         groups = ZipfDistribution(
             num_values=config.num_groups, skew=config.group_skew
         ).sample(config.num_tuples, seed=rng)
         group_arranged = groups[permutation]
-        del groups
-    del permutation
+        del groups, permutation
 
     # ``peer_slices`` is indexed by peer but laid out in placement
     # order, so the peer-id-ordered store is a gather, not a reshape.
@@ -227,15 +280,14 @@ def generate_dataset(
         peer_slices(config.num_tuples, topology, config=placement, seed=rng),
         dtype=np.int64,
     ).reshape(-1, 2)
-    counts = bounds[:, 1] - bounds[:, 0]
-    offsets = np.zeros(counts.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    gather = np.repeat(bounds[:, 0] - offsets[:-1], counts)
-    gather += np.arange(config.num_tuples)
-    columns = {config.column: arranged[gather]}
+    offsets = np.zeros(bounds.shape[0] + 1, dtype=np.int64)
+    np.cumsum(bounds[:, 1] - bounds[:, 0], out=offsets[1:])
+    starts = bounds[:, 0]
+    columns = {config.column: _peer_ordered(arranged, starts, offsets)}
     if group_arranged is not None and config.group_column is not None:
-        columns[config.group_column] = group_arranged[gather]
-    del gather
+        columns[config.group_column] = _peer_ordered(
+            group_arranged, starts, offsets
+        )
     return GeneratedDataset(
         config=config,
         values=arranged,

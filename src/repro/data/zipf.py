@@ -44,20 +44,34 @@ def zipf_probabilities(num_values: int, skew: float) -> np.ndarray:
     return weights / weights.sum()
 
 
+#: Uniforms per ``rng.random`` call in :func:`zipf_sample`.  Doubles
+#: are drawn one per generator output, so chunking leaves every value
+#: as one draw would make it, and a sample's temporaries stay this size.
+SAMPLE_CHUNK = 1 << 16
+
+
 def zipf_sample(
     num_samples: int,
     num_values: int = 100,
     skew: float = 0.2,
     seed: SeedLike = None,
 ) -> np.ndarray:
-    """Draw ``num_samples`` values from ``1..num_values`` ~ Zipf(skew)."""
+    """Draw ``num_samples`` values from ``1..num_values`` ~ Zipf(skew).
+
+    Inverse-CDF sampling into one ``int64`` output, filled
+    :data:`SAMPLE_CHUNK` uniforms at a time.
+    """
     check_nonnegative("num_samples", num_samples)
     rng = ensure_rng(seed)
     probabilities = zipf_probabilities(num_values, skew)
     cdf = np.cumsum(probabilities)
     cdf[-1] = 1.0  # guard against float drift
-    uniforms = rng.random(num_samples)
-    return np.searchsorted(cdf, uniforms, side="right").astype(np.int64) + 1
+    out = np.empty(num_samples, dtype=np.int64)
+    for start in range(0, out.size, SAMPLE_CHUNK):
+        chunk = out[start : start + SAMPLE_CHUNK]
+        chunk[:] = np.searchsorted(cdf, rng.random(chunk.size), side="right")
+    out += 1
+    return out
 
 
 @dataclasses.dataclass(frozen=True)

@@ -26,31 +26,71 @@ __all__ = [
 ]
 
 
+def _scans(databases: Iterable) -> Iterable[ColumnMap]:
+    """The column maps an exact answer reads: a
+    :class:`~repro.data.flat.FlatDataset`'s one concatenated map, or
+    every database's ``scan()``."""
+    if isinstance(databases, FlatDataset):
+        return (databases.scan(),)
+    return (database.scan() for database in databases)
+
+
+def _aggregated(query: AggregationQuery, columns: ColumnMap) -> np.ndarray:
+    """The query's aggregated column; unknown names raise for every
+    aggregate, COUNT included, as every engine does."""
+    if query.column not in columns:
+        raise QueryError(
+            f"unknown column {query.column!r}; available: {sorted(columns)}"
+        )
+    return np.asarray(columns[query.column])
+
+
+def _evaluate(query: AggregationQuery, scans: Iterable[ColumnMap]) -> float:
+    """Exact answer over the rows of every column map in ``scans``.
+
+    COUNT/SUM/AVG read only the predicate mask: the column is summed
+    ``where`` it holds, never copied.  MEDIAN/QUANTILE gather the
+    selected values, because they need them.
+    """
+    if query.agg in (AggregateOp.MEDIAN, AggregateOp.QUANTILE):
+        gathered = []
+        for columns in scans:
+            mask = query.predicate.mask(columns)
+            gathered.append(_aggregated(query, columns)[mask])
+        if not any(part.size for part in gathered):
+            raise QueryError(
+                f"{query.agg.value} over an empty selection is undefined"
+            )
+        selected = (
+            gathered[0] if len(gathered) == 1 else np.concatenate(gathered)
+        )
+        return float(np.quantile(selected, query.quantile_fraction))
+    count = 0
+    total = 0
+    for columns in scans:
+        mask = query.predicate.mask(columns)
+        column = _aggregated(query, columns)
+        count += int(np.count_nonzero(mask))
+        if query.agg is not AggregateOp.COUNT:
+            total += column.sum(where=mask)
+    if query.agg is AggregateOp.COUNT:
+        return float(count)
+    if query.agg is AggregateOp.SUM:
+        return float(total)
+    if count == 0:
+        raise QueryError(
+            f"{query.agg.value} over an empty selection is undefined"
+        )
+    return float(total) / count
+
+
 def evaluate_on_columns(query: AggregationQuery, columns: ColumnMap) -> float:
     """Evaluate ``query`` exactly over in-memory column arrays.
 
     Raises :class:`QueryError` for AVG/MEDIAN/QUANTILE over an empty
     selection, mirroring SQL's NULL in a numeric API.
     """
-    mask = query.predicate.mask(columns)
-    if query.agg is AggregateOp.COUNT:
-        return float(np.count_nonzero(mask))
-    if query.column not in columns:
-        raise QueryError(
-            f"unknown column {query.column!r}; available: {sorted(columns)}"
-        )
-    selected = np.asarray(columns[query.column])[mask]
-    if query.agg is AggregateOp.SUM:
-        return float(selected.sum()) if selected.size else 0.0
-    if selected.size == 0:
-        raise QueryError(
-            f"{query.agg.value} over an empty selection is undefined"
-        )
-    if query.agg is AggregateOp.AVG:
-        return float(selected.mean())
-    if query.agg in (AggregateOp.MEDIAN, AggregateOp.QUANTILE):
-        return float(np.quantile(selected, query.quantile_fraction))
-    raise QueryError(f"unsupported aggregate {query.agg!r}")  # pragma: no cover
+    return _evaluate(query, (columns,))
 
 
 def evaluate_exact(
@@ -62,49 +102,18 @@ def evaluate_exact(
     ``databases`` is an iterable of :class:`repro.data.LocalDatabase`
     (or anything exposing ``scan()``), or a
     :class:`~repro.data.flat.FlatDataset`, whose concatenated columns
-    make the whole evaluation one numpy pass.  COUNT/SUM distribute
-    over peers; AVG/MEDIAN/QUANTILE gather the selected values.
+    make the whole evaluation one numpy pass.  COUNT/SUM/AVG add up
+    per-peer counts and sums; MEDIAN/QUANTILE gather the selected
+    values.
     """
-    if isinstance(databases, FlatDataset):
-        return evaluate_on_columns(query, databases.scan())
-    if query.agg is AggregateOp.COUNT or query.agg is AggregateOp.SUM:
-        total = 0.0
-        for database in databases:
-            total += evaluate_on_columns(query, database.scan())
-        return total
-    # Holistic aggregates: gather qualifying values network-wide.
-    gathered = []
-    for database in databases:
-        columns = database.scan()
-        mask = query.predicate.mask(columns)
-        if query.column not in columns:
-            raise QueryError(
-                f"unknown column {query.column!r} at some peer"
-            )
-        values = np.asarray(columns[query.column])[mask]
-        if values.size:
-            gathered.append(values)
-    if not gathered:
-        raise QueryError(
-            f"{query.agg.value} over an empty selection is undefined"
-        )
-    everything = np.concatenate(gathered)
-    if query.agg is AggregateOp.AVG:
-        return float(everything.mean())
-    return float(np.quantile(everything, query.quantile_fraction))
+    return _evaluate(query, _scans(databases))
 
 
 def measured_selectivity(query: AggregationQuery, databases: Iterable) -> float:
     """Fraction of all tuples satisfying the query's predicate."""
-    if isinstance(databases, FlatDataset):
-        if databases.num_tuples == 0:
-            raise QueryError("selectivity over an empty network is undefined")
-        mask = query.predicate.mask(databases.scan())
-        return int(np.count_nonzero(mask)) / databases.num_tuples
     matching = 0
     total = 0
-    for database in databases:
-        columns = database.scan()
+    for columns in _scans(databases):
         mask = query.predicate.mask(columns)
         matching += int(np.count_nonzero(mask))
         total += int(mask.size)
@@ -136,6 +145,8 @@ def evaluate_exact_groups(
 
     Returns ``{group value: aggregate}`` over groups with at least one
     matching tuple.  Only distributive aggregates support grouping.
+    ``databases`` is read like :func:`evaluate_exact`'s: a
+    :class:`~repro.data.flat.FlatDataset` is one pass over its columns.
     """
     if query.group_by is None:
         raise QueryError("query has no GROUP BY column")
@@ -145,15 +156,14 @@ def evaluate_exact_groups(
         )
     counts: Dict[float, float] = {}
     sums: Dict[float, float] = {}
-    for database in databases:
-        columns = database.scan()
+    for columns in _scans(databases):
         if query.group_by not in columns:
             raise QueryError(
                 f"unknown group column {query.group_by!r} at some peer"
             )
         mask = query.predicate.mask(columns)
         groups = np.asarray(columns[query.group_by])[mask]
-        values = np.asarray(columns[query.column])[mask]
+        values = _aggregated(query, columns)[mask]
         for group in np.unique(groups):
             in_group = groups == group
             key = float(group)

@@ -250,7 +250,7 @@ class AggregationQuery:
     agg:
         The aggregation operator.
     column:
-        Aggregated column (ignored for COUNT, where any column works).
+        Aggregated column (for COUNT, any column the table has).
     predicate:
         Selection condition; defaults to all rows.
     quantile:

@@ -80,6 +80,29 @@ class TestExactGroups:
         with pytest.raises(QueryError):
             evaluate_exact_groups(query, dataset.databases)
 
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT COUNT(A) FROM T GROUP BY G",
+            "SELECT SUM(A) FROM T WHERE A BETWEEN 1 AND 50 GROUP BY G",
+            "SELECT AVG(A) FROM T WHERE A BETWEEN 20 AND 80 GROUP BY G",
+        ],
+    )
+    def test_flat_store_equals_per_database(self, grouped_network, sql):
+        """A ``FlatDataset`` is read in one pass, like
+        ``evaluate_exact``'s, with the per-database answers."""
+        network, dataset = grouped_network
+        query = parse_query(sql)
+        flat = evaluate_exact_groups(query, dataset.databases.store)
+        assert flat == evaluate_exact_groups(query, dataset.databases)
+        assert len(flat) == 6
+
+    def test_unknown_value_column_is_a_query_error(self, grouped_network):
+        network, dataset = grouped_network
+        query = parse_query("SELECT SUM(B) FROM T GROUP BY G")
+        with pytest.raises(QueryError, match="unknown column 'B'"):
+            evaluate_exact_groups(query, dataset.databases.store)
+
 
 class TestGroupVisit:
     def test_reply_entries_scaled(self, grouped_network):

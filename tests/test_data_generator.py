@@ -1,6 +1,10 @@
 """Unit tests for repro.data.generator."""
 
 import hashlib
+import importlib.util
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,10 @@ from repro.data.generator import (
 from repro.data.placement import PlacementConfig, peer_slices
 from repro.data.zipf import ZipfDistribution
 from repro.errors import ConfigurationError
+from repro.query.exact import evaluate_exact
+from repro.query.parser import parse_query
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 class TestDatasetConfig:
@@ -86,6 +94,32 @@ class TestArrangeClusterLevel:
     def test_invalid_level(self, rng):
         with pytest.raises(ConfigurationError):
             arrange_cluster_level(np.arange(5), 2.0, rng)
+
+    @pytest.mark.parametrize("cluster_level", [0.0, 0.004, 0.3, 0.6, 1.0])
+    @pytest.mark.parametrize("kind", ["ints", "floats", "zeros"])
+    def test_value_space_equals_the_permutation(self, cluster_level, kind):
+        """Sorting the values and shuffling them is gathering them by
+        the shuffled stable permutation: same draws, same bytes (signed
+        zeros and NaNs included), and the input is left alone."""
+        source = np.random.default_rng(8)
+        values = {
+            "ints": source.integers(1, 30, 1001),
+            "floats": source.random(1001),
+            "zeros": np.array([0.0, -0.0, np.nan, 1.0, -0.0, 0.0] * 50),
+        }[kind]
+        before = values.copy()
+        by_index = values[
+            arrangement_permutation(
+                values, cluster_level, np.random.default_rng(4)
+            )
+        ]
+        rng = np.random.default_rng(4)
+        arranged = arrange_cluster_level(values, cluster_level, rng)
+        assert arranged.tobytes() == by_index.tobytes()
+        assert values.tobytes() == before.tobytes()
+        reference = np.random.default_rng(4)
+        arrangement_permutation(values, cluster_level, reference)
+        assert rng.random() == reference.random()
 
 
 class TestGenerateDataset:
@@ -213,6 +247,26 @@ def _dataset_digest(dataset, names):
     return sha.hexdigest()
 
 
+class TestMemoryFloor:
+    def test_generate_dataset_peaks_at_what_it_keeps(self, small_topology):
+        """A single-column build returns two ``N``-row ``int64`` arrays
+        (placement order and the peer-ordered store).  It sorts and
+        shuffles the values in place and cuts the store in blocks, so
+        at ``CL = 0.25`` only ``rng.choice``'s own ``N``-row permutation
+        and the chosen positions come on top: under 2.5 x N x 8 bytes
+        (it was 3.25 x with an order array and a whole-store gather)."""
+        rows = 400_000
+        config = DatasetConfig(num_tuples=rows, cluster_level=0.25)
+        tracemalloc.start()
+        try:
+            dataset = generate_dataset(small_topology, config, seed=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dataset.num_tuples == rows
+        assert peak <= 2.5 * rows * 8
+
+
 class TestStoreEqualsPerPeerCopies:
     @pytest.mark.parametrize("group_column", [None, "G"])
     @pytest.mark.parametrize(
@@ -300,3 +354,55 @@ class TestStoreEqualsPerPeerCopies:
             assert np.shares_memory(
                 dataset.databases[peer].column("A"), store.column("A")
             )
+
+
+class TestBenchFixturesPinned:
+    """The serving benchmark's fixtures and their exact answers, pinned
+    by value (recorded before the generator and the exact evaluator
+    stopped building rows-long temporaries).  A changed Zipf stream,
+    arrangement, placement or store layout moves a digest; a changed
+    summation order moves an answer.  ``bench/workloads.py`` is loaded
+    by path (``bench/`` is not a package here)."""
+
+    DIGESTS = {
+        "2k": "58a3c52ddb450e5cee36bb43a2b66693"
+        "62502c976b7bb3c1733eb5b5b99a44c9",
+        "22k": "82b34718afae9de262c5633e43d3afb8"
+        "da83fa1d856644559e647d16b65448cd",
+    }
+    #: ``PANEL_SQL``'s exact answers, in its order.
+    ANSWERS = {
+        "2k": [
+            75413.0, 2632430.0, 45.306075, 9061215.0,
+            80800.0, 47.278555368364415, 200000.0, 7368142.0,
+        ],
+        "22k": [
+            752111.0, 26266118.0, 45.3289815, 90657963.0,
+            805661.0, 47.33634591211103, 2000000.0, 73782283.0,
+        ],
+    }
+
+    @pytest.mark.parametrize("kind", ["2k", "22k"])
+    def test_fixture_and_panel_answers(self, kind, monkeypatch):
+        spec = importlib.util.spec_from_file_location(
+            "bench_workloads", BENCH / "workloads.py"
+        )
+        bench = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, bench)  # dataclasses
+        spec.loader.exec_module(bench)
+        built = []
+
+        def keep(*args, **kwargs):
+            built.append(generate_dataset(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(bench, "generate_dataset", keep)
+        fixture = bench.build_fixture(kind)
+        (dataset,) = built
+        assert fixture.databases is dataset.databases
+        assert _dataset_digest(dataset, ["A"]) == self.DIGESTS[kind]
+        store = dataset.databases.store
+        answers = [
+            evaluate_exact(parse_query(sql), store) for sql in bench.PANEL_SQL
+        ]
+        assert answers == self.ANSWERS[kind]

@@ -1,9 +1,16 @@
 """Unit tests for repro.data.zipf."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.data.zipf import ZipfDistribution, zipf_probabilities, zipf_sample
+from repro.data.zipf import (
+    SAMPLE_CHUNK,
+    ZipfDistribution,
+    zipf_probabilities,
+    zipf_sample,
+)
 from repro.errors import ConfigurationError
 
 
@@ -70,6 +77,37 @@ class TestZipfSample:
 
     def test_dtype_integer(self):
         assert zipf_sample(10, seed=1).dtype == np.int64
+
+    def test_chunks_draw_what_one_draw_would(self):
+        """Filled chunk by chunk, the sample is the one-shot inverse-CDF
+        draw of ``rng.random(n)``, and the generator ends where it
+        would."""
+        n = 3 * SAMPLE_CHUNK + 17
+        cdf = np.cumsum(zipf_probabilities(100, 0.7))
+        cdf[-1] = 1.0
+        reference = np.random.default_rng(11)
+        expected = np.searchsorted(cdf, reference.random(n), side="right") + 1
+        rng = np.random.default_rng(11)
+        np.testing.assert_array_equal(
+            zipf_sample(n, num_values=100, skew=0.7, seed=rng), expected
+        )
+        assert rng.random() == reference.random()
+
+
+class TestMemoryFloor:
+    def test_peak_is_the_output_plus_one_chunk(self):
+        """The uniforms, their CDF indices and the output are never
+        held whole at once: the peak is the ``int64`` output plus one
+        chunk's doubles and indices."""
+        n = 500_000
+        tracemalloc.start()
+        try:
+            sample = zipf_sample(n, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sample.size == n
+        assert peak <= n * 8 + 2 * SAMPLE_CHUNK * 8 + 65_536
 
 
 class TestZipfDistribution:

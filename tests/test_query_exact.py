@@ -1,8 +1,11 @@
 """Unit tests for repro.query.exact."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.data.flat import FlatDataset
 from repro.data.localdb import LocalDatabase
 from repro.errors import QueryError
 from repro.query.exact import (
@@ -12,6 +15,7 @@ from repro.query.exact import (
     rank_of_value,
 )
 from repro.query.model import AggregateOp, AggregationQuery, Between
+from repro.query.parser import parse_query
 
 DATABASES = [
     LocalDatabase({"A": np.array([1, 2, 3])}),
@@ -107,6 +111,75 @@ class TestEvaluateExact:
             )
         )
         assert exact == global_count
+
+
+    @pytest.mark.parametrize("agg", ["COUNT", "SUM", "AVG", "MEDIAN"])
+    def test_unknown_column_raises_for_every_aggregate(self, agg):
+        """``COUNT(B)`` over a table without ``B`` is an error, as in
+        every engine — not the row count."""
+        rng = np.random.default_rng(5)
+        columns = {
+            "A": rng.integers(1, 101, 5000),
+            "G": rng.integers(1, 6, 5000),
+        }
+        flat = FlatDataset(columns, np.array([0, 2000, 5000]))
+        per_peer = [
+            LocalDatabase({name: data[:2000] for name, data in columns.items()}),
+            LocalDatabase({name: data[2000:] for name, data in columns.items()}),
+        ]
+        query = parse_query(f"SELECT {agg}(B) FROM T WHERE A BETWEEN 1 AND 50")
+        with pytest.raises(QueryError, match="unknown column 'B'"):
+            evaluate_on_columns(query, columns)
+        for databases in (flat, per_peer):
+            with pytest.raises(QueryError, match="unknown column 'B'"):
+                evaluate_exact(query, databases)
+
+    def test_flat_equals_per_peer(self, small_dataset):
+        store = small_dataset.databases.store
+        for sql in (
+            "SELECT COUNT(A) FROM T WHERE A BETWEEN 1 AND 30",
+            "SELECT SUM(A) FROM T WHERE A BETWEEN 40 AND 100",
+            "SELECT AVG(A) FROM T WHERE A BETWEEN 10 AND 90",
+            "SELECT MEDIAN(A) FROM T WHERE A BETWEEN 5 AND 60",
+        ):
+            query = parse_query(sql)
+            assert evaluate_exact(query, store) == evaluate_exact(
+                query, list(small_dataset.databases)
+            )
+
+
+class TestMemoryFloor:
+    """COUNT/SUM/AVG read the predicate mask and sum the column where
+    it holds: over 400k rows they allocate masks (one byte a row), never
+    a copy of the selected values (eight bytes a row)."""
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT SUM(A) FROM T",
+            "SELECT SUM(A) FROM T WHERE A BETWEEN 1 AND 50",
+            "SELECT AVG(A) FROM T",
+            "SELECT AVG(A) FROM T WHERE A BETWEEN 10 AND 90",
+        ],
+    )
+    def test_no_rows_long_copy(self, sql):
+        rows = 400_000
+        column = np.random.default_rng(3).integers(1, 101, rows)
+        flat = FlatDataset({"A": column}, np.array([0, rows // 2, rows]))
+        query = parse_query(sql)
+        tracemalloc.start()
+        try:
+            answer = evaluate_exact(query, flat)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        mask = query.predicate.mask({"A": column})
+        selected = column[mask]
+        expected = selected.sum() if query.agg is AggregateOp.SUM else (
+            selected.mean()
+        )
+        assert answer == float(expected)
+        assert peak < rows * 8 // 2
 
 
 class TestSelectivity:
