@@ -114,18 +114,6 @@ class TupleBudgetPlan:
     predicted_latency_ms: float
     decomposition: VarianceDecomposition
 
-    def predicted_latency_at(
-        self,
-        tuples_per_peer: int,
-        per_visit_ms: float,
-        per_tuple_ms: float,
-        absolute_error: float,
-    ) -> float:
-        """Model latency at an arbitrary ``t`` (for ablation curves)."""
-        badness = self.decomposition.badness_at(tuples_per_peer)
-        peers = 2.0 * badness / absolute_error**2
-        return peers * (per_visit_ms + per_tuple_ms * tuples_per_peer)
-
 
 def decompose_variance(sample: AggregateSample) -> VarianceDecomposition:
     """Estimate ``C_between`` and ``W`` from the phase-I sample.

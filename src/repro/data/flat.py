@@ -171,14 +171,6 @@ class FlatDataset:
             raise ConfigurationError(f"unknown peer {peer_id}")
         return slice(int(self._offsets[peer_id]), int(self._offsets[peer_id + 1]))
 
-    def global_indices(
-        self, peer_id: int, local_indices: np.ndarray
-    ) -> np.ndarray:
-        """Translate peer-local row indices into flat-view indices."""
-        if not 0 <= peer_id < self.num_peers:
-            raise ConfigurationError(f"unknown peer {peer_id}")
-        return np.asarray(local_indices, dtype=np.int64) + self._offsets[peer_id]
-
     def gather(self, indices: np.ndarray) -> Dict[str, np.ndarray]:
         """Materialize the given flat-view rows of every column."""
         indices = np.asarray(indices, dtype=np.int64)

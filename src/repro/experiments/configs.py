@@ -31,7 +31,6 @@ from ..data.flat import FlatDataset
 from ..data.generator import DatasetConfig, GeneratedDataset, generate_dataset
 from ..data.placement import PlacementConfig
 from ..errors import ConfigurationError
-from ..network.faults import FaultPlan
 from ..network.generators import (
     clustered_power_law,
     gnutella_2001_like,
@@ -50,7 +49,6 @@ __all__ = [
     "topology_cache_dir",
     "synthetic_bundle",
     "gnutella_bundle",
-    "with_faults",
 ]
 
 
@@ -209,32 +207,6 @@ def _build_bundle(
     return NetworkBundle(
         name=name, topology=topology, dataset=dataset, simulator=simulator
     )
-
-
-def with_faults(
-    bundle: NetworkBundle,
-    fault_plan: FaultPlan,
-    seed: Optional[int] = None,
-    fault_clock: int = 0,
-) -> NetworkBundle:
-    """A copy of ``bundle`` whose simulator runs ``fault_plan``.
-
-    The (possibly cached, shared) original bundle is left untouched:
-    only the simulator is rebuilt, over the same topology and
-    databases, with the fault schedule bound at ``fault_clock``.
-    ``seed`` defaults to the deterministic seed the builders use, so a
-    faulted bundle differs from its source *only* by the injected
-    faults.
-    """
-    simulator = NetworkSimulator(
-        bundle.topology,
-        bundle.dataset.databases,
-        cost_model=bundle.simulator.cost_model,
-        seed=seed if seed is not None else 44,
-        fault_plan=fault_plan,
-        fault_clock=fault_clock,
-    )
-    return dataclasses.replace(bundle, simulator=simulator)
 
 
 def synthetic_bundle(

@@ -473,12 +473,6 @@ def _skew_sweep(scale: float, trials: int, seed: int) -> List[List[float]]:
     return rows
 
 
-_SWEEP_COLUMNS = [
-    "x", "error_synthetic", "sample_size_synthetic",
-    "error_gnutella", "sample_size_gnutella",
-]
-
-
 def _pair_figure(
     figure_id: int,
     title: str,

@@ -16,12 +16,12 @@ builds a :class:`Peer` when somebody asks for one.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Iterator, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .._util import SeedLike, ensure_rng, readonly_view, spawn
+from .._util import SeedLike, ensure_rng, readonly_view, seed_sequence
 from ..errors import ConfigurationError
 
 
@@ -75,6 +75,15 @@ class PeerCapabilities:
 
 #: A :class:`PeerTable` has one column per capability, in field order.
 _FIELDS = dataclasses.fields(PeerCapabilities)
+
+#: How :meth:`PeerTable.synthesize` draws ``n`` rows of each column.
+_DRAWS: Dict[str, Callable[[np.random.Generator, int], np.ndarray]] = {
+    "cpu_speed": lambda rng, n: rng.lognormal(0.0, 0.35, n),
+    "memory_bandwidth": lambda rng, n: rng.lognormal(0.0, 0.25, n),
+    "disk_space": lambda rng, n: rng.integers(100_000, 2_000_000, n),
+    "network_bandwidth": lambda rng, n: rng.lognormal(4.8, 0.6, n),
+    "max_connections": lambda rng, n: rng.integers(8, 64, n),
+}
 
 
 def random_capabilities(seed: SeedLike = None) -> PeerCapabilities:
@@ -143,7 +152,8 @@ class PeerTable:
     :class:`PeerCapabilities` field (``capabilities``, in field
     order), a row per peer, and the row's address — the id a synthetic
     address derives from (``addresses`` an integer array) or an
-    explicit ``(ip, port)`` pair (an object array).
+    explicit ``(ip, port)`` pair (an object array).  A synthesized
+    table draws each column on its first read (:meth:`synthesize`).
 
     ``table[i]`` builds peer ``i`` (``peer_id == i``) from row ``i`` —
     a real :class:`Peer`, so its validation runs — and nothing keeps
@@ -155,6 +165,7 @@ class PeerTable:
     disk_space: np.ndarray
     network_bandwidth: np.ndarray
     max_connections: np.ndarray
+    _children: Dict[str, np.random.SeedSequence]  # synthesized tables only
 
     def __init__(
         self, capabilities: Sequence[ArrayLike], addresses: ArrayLike
@@ -188,21 +199,31 @@ class PeerTable:
         observed in deployed Gnutella networks.  A generator per
         column makes row ``i`` independent of how many rows are drawn,
         so a peer whose id persists (a churn label) keeps its row
-        whoever else joins or leaves.
+        whoever else joins or leaves, and a column can be drawn when it
+        is first read: ``seed`` is consumed here, the draws are not.
         """
-        rows = np.asarray(rows, dtype=np.int64)
+        rows = np.array(rows, dtype=np.int64)
         if rows.size and rows.min() < 0:
             raise ConfigurationError("peer table rows must be non-negative")
-        drawn = int(rows.max(initial=-1)) + 1
-        cpu, memory, disk, band, connections = spawn(ensure_rng(seed), 5)
-        columns = (
-            cpu.lognormal(0.0, 0.35, drawn),
-            memory.lognormal(0.0, 0.25, drawn),
-            disk.integers(100_000, 2_000_000, drawn),
-            band.lognormal(4.8, 0.6, drawn),
-            connections.integers(8, 64, drawn),
-        )
-        return cls([column[rows] for column in columns], rows)
+        table = cls.__new__(cls)  # no columns yet: see __getattr__
+        table._addresses = readonly_view(rows)
+        table._children = dict(zip(_DRAWS, seed_sequence(seed).spawn(5)))
+        return table
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        # A synthesized table's column is missing until its first read.
+        if name not in _DRAWS or "_children" not in vars(self):
+            raise AttributeError(name)
+        setattr(self, name, self._draw(name))
+        return vars(self)[name]
+
+    def _draw(self, name: str) -> np.ndarray:
+        """Column ``name`` of a synthesized table: one array draw, up to
+        the largest row, from a fresh generator over the column's child
+        seed — the same array whoever reads it first."""
+        rng = ensure_rng(self._children[name])
+        drawn = int(self._addresses.max(initial=-1)) + 1
+        return readonly_view(_DRAWS[name](rng, drawn)[self._addresses])
 
     @classmethod
     def from_peers(cls, peers: Sequence[Peer]) -> "PeerTable":

@@ -150,15 +150,34 @@ def _check_pushdown(query: AggregationQuery) -> None:
 _AGGREGATE_OK_CHARGE = TraceCost(messages=1, visits=1)
 
 
+def _checked_labels(peer_labels: Sequence[int], num_peers: int) -> np.ndarray:
+    """``peer_labels`` as an array, if they can be the identities of
+    ``num_peers`` vertices: distinct non-negative integers, one each."""
+    labels = np.asarray(peer_labels)
+    if labels.shape != (num_peers,):
+        raise ConfigurationError(
+            f"peer labels of shape {labels.shape} for {num_peers} peers"
+        )
+    ordered = np.sort(labels)  # a topology has at least one peer
+    repeated = (ordered[1:] == ordered[:-1]).any()
+    if labels.dtype.kind not in "iu" or ordered[0] < 0 or repeated:
+        raise ConfigurationError(
+            "peer labels must be distinct non-negative integers, got "
+            f"{labels.dtype}, lowest {ordered[:4].tolist()}"
+        )
+    return labels
+
+
 class NetworkSnapshot:
     """What a network *is*: everything immutable for its lifetime.
 
     Built once by :class:`NetworkSimulator` and shared **by reference**
     by that simulator and every :meth:`~NetworkSimulator.session` of
     it, so a session costs nothing proportional to the network.
-    Identities are a :class:`~repro.network.peer.PeerTable` (columns;
-    a ``Peer`` is built per read).  ``databases`` is kept as given
-    when it is a :class:`~repro.data.flat.DatabaseTable` — slices of
+    Identities are a :class:`~repro.network.peer.PeerTable` (columns,
+    each drawn on first read; a ``Peer`` is built per read).
+    ``databases`` is kept as given when it is a
+    :class:`~repro.data.flat.DatabaseTable` — slices of
     one store, a ``LocalDatabase`` built per read, and that store *is*
     :attr:`flat` — and frozen into a tuple otherwise.  The derived
     views (:attr:`flat`, :meth:`total_tuples`) are write-once memos:
@@ -180,10 +199,11 @@ class NetworkSnapshot:
             raise ConfigurationError(
                 f"{len(databases)} databases for {num_peers} peers"
             )
-        if peer_labels is not None and len(peer_labels) != num_peers:
-            raise ConfigurationError(
-                f"{len(peer_labels)} peer labels for {num_peers} peers"
-            )
+        labels = (
+            None
+            if peer_labels is None
+            else _checked_labels(peer_labels, num_peers)
+        )
         self.topology = topology
         # A store-backed table stays as it is (a tuple of it would be
         # one built LocalDatabase per peer) and its store is the flat
@@ -196,9 +216,7 @@ class NetworkSnapshot:
             self.databases, self._flat = tuple(databases), None
         self.cost_model = cost_model or CostModel()
         self.peer_labels: Optional[Tuple[int, ...]] = (
-            tuple(int(label) for label in peer_labels)
-            if peer_labels is not None
-            else None
+            None if labels is None else tuple(labels.tolist())
         )
         if peers is not None:
             if len(peers) != num_peers:
@@ -211,9 +229,8 @@ class NetworkSnapshot:
             # capabilities and address across churn epochs, while
             # vertex ids are compacted.  (Identities are cosmetic,
             # hence the fixed seed.)
-            rows = self.peer_labels
             self.peers = PeerTable.synthesize(
-                np.arange(num_peers) if rows is None else rows, 12345
+                np.arange(num_peers) if labels is None else labels, 12345
             )
         self._total_tuples: Optional[int] = None
 
@@ -301,8 +318,8 @@ class NetworkSimulator:
         snapshot's labels, which is what lets delta re-estimation match
         a retained sample's peers against a later epoch's live set,
         and a peer keep its capabilities and address.  Labels are
-        small non-negative integers (a churn process numbers peers
-        sequentially): identities are drawn up to the largest one.
+        distinct small non-negative integers (a churn process numbers
+        peers sequentially): identities are drawn up to the largest one.
         ``None`` (default) means no cross-epoch identity is available.
     """
 

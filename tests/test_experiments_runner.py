@@ -1,10 +1,14 @@
 """Unit tests for repro.experiments.runner."""
 
+import dataclasses
+import math
+
 import pytest
 
 from repro.core.median import MedianConfig
 from repro.core.two_phase import TwoPhaseConfig
 from repro.errors import ConfigurationError
+from repro.experiments import run_workload
 from repro.experiments.configs import synthetic_bundle
 from repro.experiments.runner import (
     mean_error,
@@ -12,9 +16,12 @@ from repro.experiments.runner import (
     mean_sample_size,
     run_trials,
 )
+from repro.query.exact import evaluate_exact
 from repro.query.parser import parse_query
+from repro.service import CostBudget
 
 COUNT_30 = parse_query("SELECT COUNT(A) FROM T WHERE A BETWEEN 1 AND 30")
+SUM_ALL = parse_query("SELECT SUM(A) FROM T")
 MEDIAN_ALL = parse_query("SELECT MEDIAN(A) FROM T")
 
 
@@ -118,6 +125,51 @@ class TestRunTrials:
                 bundle, COUNT_30, 0.1, engine="two-phase",
                 config=MedianConfig(), trials=1,
             )
+
+
+class TestRunWorkload:
+    """The served-workload scorer README and docs/service.md describe:
+    every query scored in submission order against the exact answer,
+    independently of how many run at once."""
+
+    QUERIES = [COUNT_30, SUM_ALL, COUNT_30, SUM_ALL, COUNT_30]
+
+    def test_scored_in_submission_order(self, bundle):
+        outcomes = run_workload(bundle, self.QUERIES, 0.1, seed=3)
+        assert [o.query_id for o in outcomes] == sorted(
+            o.query_id for o in outcomes
+        )
+        for query, outcome in zip(self.QUERIES, outcomes):
+            assert outcome.status == "done", outcome.detail
+            assert outcome.sql == query.to_sql()
+            assert outcome.truth == evaluate_exact(query, bundle.flat_dataset)
+            assert 0 <= outcome.error <= 1
+            assert outcome.peers_visited > 0 and outcome.latency_ms > 0
+
+    def test_concurrency_does_not_change_results(self, bundle):
+        def scored(max_in_flight):
+            return [
+                dataclasses.replace(outcome, query_id=0)
+                for outcome in run_workload(
+                    bundle, self.QUERIES, 0.1, seed=3,
+                    max_in_flight=max_in_flight,
+                )
+            ]
+
+        assert scored(1) == scored(5)
+
+    def test_budget_stops_are_kept_unscored(self, bundle):
+        outcomes = run_workload(
+            bundle, self.QUERIES[:2], 0.1, budget=CostBudget(max_visits=5)
+        )
+        for outcome in outcomes:
+            assert outcome.status == "budget-exceeded"
+            assert "visits" in outcome.detail
+            assert math.isnan(outcome.error) and math.isnan(outcome.estimate)
+
+    def test_empty_workload_rejected(self, bundle):
+        with pytest.raises(ConfigurationError, match="non-empty"):
+            run_workload(bundle, [], 0.1)
 
 
 class TestAggregates:

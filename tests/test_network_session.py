@@ -631,7 +631,7 @@ class TestSizeIndependence:
         for owner, name in [
             (simulator_module.NetworkSnapshot, "__init__"),
             (simulator_module.NetworkSimulator, "__init__"),
-            (simulator_module.PeerTable, "__init__"),
+            (simulator_module.PeerTable, "_draw"),
             (faults_module.FaultState, "__init__"),
             (faults_module, "_bfs_ball"),
         ]:
@@ -639,9 +639,10 @@ class TestSizeIndependence:
             monkeypatch.setattr(
                 owner, name, counting(label, getattr(owner, name))
             )
-        # The patches are live: a real construction trips them.
-        _network(simulator_class, num_peers=30, fault_plan=FAULT_PLAN)
-        assert "faults._bfs_ball" in calls and "PeerTable.__init__" in calls
+        # The patches are live: a real construction trips them, and so
+        # does the first read of its identities (a column is drawn then).
+        _network(simulator_class, num_peers=30, fault_plan=FAULT_PLAN).peer(0)
+        assert "faults._bfs_ball" in calls and "PeerTable._draw" in calls
         calls.clear()
         base.session(seed=1)
         base.session(seed=2, fault_clock=3)

@@ -1,5 +1,7 @@
 """Unit tests for repro.network.simulator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from repro.data.localdb import LocalDatabase
 from repro.errors import ConfigurationError, ProtocolError
 from repro.network.faults import FaultPlan
 from repro.network.generators import power_law_topology
-from repro.network.peer import Peer, PeerCapabilities
+from repro.network.peer import Peer, PeerCapabilities, PeerTable
 from repro.network.simulator import NetworkSimulator
 from repro.network.topology import Topology
 from repro.network.walker import RandomWalker, ResilientCollector, RetryPolicy
@@ -35,6 +37,7 @@ COUNT_SMALL = AggregationQuery(
     predicate=Between(column="A", low=1, high=5),
 )
 SUM_ALL = AggregationQuery(agg=AggregateOp.SUM, column="A")
+PEER_COLUMNS = [field.name for field in dataclasses.fields(PeerCapabilities)]
 
 
 class TestConstruction:
@@ -96,6 +99,39 @@ class TestConstruction:
         network = NetworkSimulator(topology, databases, peers=peers)
         assert [network.peer(0), network.peer(1)] == peers
         assert network._snapshot.cpu_speeds().tolist() == [2.0, 3.0]
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            [0, 0, 0, 0],  # one address and capability row for all
+            [3, 1, 3, 2],
+            [True, False, True, True],  # coerced to 1 / 0
+            [1.7, 2.0, 3.0, 4.0],  # coerced to 1
+            [0, 1, -2, 3],
+            [[0, 1], [2, 3]],
+        ],
+    )
+    def test_peer_labels_must_be_identities(self, mini_network, labels):
+        """Labels that are not distinct non-negative integers used to be
+        accepted: a repeated label gave every vertex bearing it one
+        address and capability row, and delta re-estimation's
+        label → vertex map kept only the last."""
+        with pytest.raises(ConfigurationError, match="peer label"):
+            NetworkSimulator(
+                mini_network.topology,
+                mini_network.databases(),
+                peer_labels=labels,
+            )
+
+    def test_peer_labels_come_back_as_ints(self, mini_network):
+        network = NetworkSimulator(
+            mini_network.topology,
+            mini_network.databases(),
+            peer_labels=np.array([7, 2, 9, 0], dtype=np.uint32),
+        )
+        assert network.peer_labels == (7, 2, 9, 0)
+        assert all(type(label) is int for label in network.peer_labels)
+        assert network.peer(0).address == ("10.0.0.7", 6353)
 
     def test_unknown_peer(self, mini_network):
         with pytest.raises(ProtocolError):
@@ -558,6 +594,35 @@ class TestSetUpCounts:
         assert (pong.ip, pong.port) == network.peer(int(b)).address
         # ping built one peer; the line above built the second.
         assert counts == {"Peer": 2, "PeerCapabilities": 2, "column": 0}
+
+    def test_identity_columns_drawn_when_read(self, parts, monkeypatch):
+        """A simulator draws no identities when it is built: a column is
+        drawn on its first read, once per simulator — a clean answer
+        reads ``cpu_speed`` alone, and ``ping`` the other four."""
+        _, databases = parts
+        topology = power_law_topology(self.NUM_PEERS, 8_000, seed=3)
+        drawn = []
+        draw = PeerTable._draw
+
+        def counting(table, name):
+            drawn.append(name)
+            return draw(table, name)
+
+        monkeypatch.setattr(PeerTable, "_draw", counting)
+        first = NetworkSimulator(topology, databases, seed=1)
+        second = NetworkSimulator(topology, databases, seed=2)
+        assert drawn == []
+        for network in (first, second):
+            drawn.clear()
+            for _ in range(2):
+                with QueryService(network, TwoPhaseConfig(), seed=2) as service:
+                    service.await_result(service.submit(COUNT_SMALL, 0.1))
+            assert drawn == ["cpu_speed"]
+        a, b = next(topology.edges())
+        second.ping(int(a), int(b), second.new_ledger())
+        assert sorted(drawn) == sorted(PEER_COLUMNS)
+        second.peer(0)
+        assert len(drawn) == len(PEER_COLUMNS)
 
 
 class TestBatchVisitChecksOnce:
