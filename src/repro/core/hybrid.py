@@ -11,9 +11,9 @@ individual tuples, so they can be cached:
 
 * the first execution of a query signature runs the full two-phase
   algorithm and stores ``(mean CVError², half size, scale)``;
-* repeat executions skip phase I entirely: the cached statistics size
-  a single walk of ``m' = half · CVError²/Δ²`` peers, saving the
-  phase-I visits and the analysis round-trip;
+* a repeat execution is one plan-sized phase I: the cached statistics
+  size a single walk of ``m' = half · CVError²/Δ²`` peers, saving the
+  analysis round-trip and the pooled phase-II visits;
 * every warm execution folds its fresh sample's statistics back into
   the cache with exponential decay, so the plan tracks data drift;
 * entries expire after ``max_age`` uses (or on explicit
@@ -37,7 +37,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from typing import Dict, List, Mapping, Optional, Tuple
+from collections import OrderedDict
+from typing import Mapping, Optional, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -46,28 +47,28 @@ from .._util import SeedLike, ensure_rng, seed_sequence
 from ..errors import ConfigurationError
 from ..network.protocol import AggregateSample
 from ..network.simulator import NetworkSimulator
-from ..obs.events import DeltaReuseEvent, EstimateEvent, PhaseEvent
+from ..obs.events import DeltaReuseEvent
 from ..obs.tracer import emit_if_tracing
 from ..query.model import AggregationQuery
 from .crossval import cross_validate
-from .estimators import make_estimator, observations_from_replies
-from .planner import estimate_scale
-from .result import ApproximateResult, PhaseReport
-from .two_phase import (
-    StepwiseRun,
-    TwoPhaseConfig,
-    TwoPhaseEngine,
-    check_chunk_peers,
-    drain_steps,
-)
+from .estimators import observations_from_replies
+from .planner import PhaseOneAnalysis, estimate_scale
+from .result import ApproximateResult
+from .two_phase import TwoPhaseConfig, TwoPhaseEngine, _Prior, _Run
 
 
 __all__ = [
     "CachedPlan",
+    "PLAN_CACHE_ENTRIES",
     "PlanCache",
     "RetainedSample",
     "HybridEngine",
 ]
+
+#: The most entries a :class:`PlanCache` keeps: past it, the least
+#: recently used (looked up warm or stored) goes, retained sample and
+#: all.
+PLAN_CACHE_ENTRIES = 1024
 
 
 @dataclasses.dataclass(frozen=True)
@@ -174,11 +175,13 @@ class PlanCache:
     signatures go warm no matter which engine serves them.  Lookups
     are churn-epoch aware: an entry recorded against a different
     peer/edge population is dropped and reported as a miss, so plans
-    never outlive the network they were learned on.
+    never outlive the network they were learned on.  At most
+    :data:`PLAN_CACHE_ENTRIES` entries are kept, in LRU order, so a
+    stream of one-off signatures cannot grow it without bound.
     """
 
     def __init__(self) -> None:
-        self._entries: Dict[str, CachedPlan] = {}
+        self._entries: OrderedDict[str, CachedPlan] = OrderedDict()
         self._hits = 0
         self._misses = 0
         self._expirations = 0
@@ -221,8 +224,12 @@ class PlanCache:
         return self._entries.get(signature)
 
     def store(self, signature: str, plan: CachedPlan) -> None:
-        """Insert or replace the entry for ``signature``."""
+        """Insert or replace the entry for ``signature``, as the most
+        recently used; the least recently used goes past the bound."""
         self._entries[signature] = plan
+        self._entries.move_to_end(signature)
+        if len(self._entries) > PLAN_CACHE_ENTRIES:
+            self._entries.popitem(last=False)
 
     def lookup(
         self,
@@ -250,22 +257,23 @@ class PlanCache:
             self._misses += 1
             return None
         if not plan.matches_population(num_peers, num_edges):
-            if (
+            if not (
                 allow_delta
                 and plan.retained is not None
                 and plan.uses < max_age
             ):
-                self._delta_hits += 1
-                return plan
-            del self._entries[signature]
-            self._churn_invalidations += 1
-            self._misses += 1
-            return None
-        if plan.uses >= max_age:
+                del self._entries[signature]
+                self._churn_invalidations += 1
+                self._misses += 1
+                return None
+            self._delta_hits += 1
+        elif plan.uses >= max_age:
             self._expirations += 1
             self._misses += 1
             return None
-        self._hits += 1
+        else:
+            self._hits += 1
+        self._entries.move_to_end(signature)
         return plan
 
     def invalidate(self, signature: Optional[str] = None) -> None:
@@ -276,13 +284,23 @@ class PlanCache:
             self._entries.pop(signature, None)
 
 
-class HybridEngine:
+class HybridEngine(TwoPhaseEngine):
     """Two-phase engine with a warm plan cache.
+
+    A run is the two-phase loop (:meth:`TwoPhaseEngine.run_stepwise`)
+    with what the cache already knows supplied to it.  A cold run (no
+    servable plan) is the loop as is, and its phase-I statistics become
+    the signature's plan.  A warm run's phase I (``"warm"``) is sized
+    from the plan, and its analysis is the plan refresh, which orders
+    no phase II.  A delta run (``"delta"``) is a warm run whose phase I
+    starts with the retained sample's survivors.
 
     Parameters
     ----------
     simulator, config, seed:
-        As for :class:`TwoPhaseEngine`.
+        As for :class:`TwoPhaseEngine`.  Cold runs draw from the
+        seed's first child; warm and delta runs draw their sinks and
+        refresh halvings from the seed's own stream.
     max_age:
         Warm executions before an entry is considered stale and a cold
         (full two-phase) run refreshes it.
@@ -318,14 +336,10 @@ class HybridEngine:
             raise ConfigurationError("max_age must be >= 1")
         if not 0.0 <= decay < 1.0:
             raise ConfigurationError("decay must be in [0, 1)")
-        self._simulator = simulator
-        self._config = config or TwoPhaseConfig()
-        self._seed_seq = seed_sequence(seed)
+        self._plan_seq = seed_sequence(seed)
         if isinstance(seed, np.random.Generator):
-            self._rng = seed
-        self._engine = TwoPhaseEngine(
-            simulator, config=self._config, seed=self._seed_seq.spawn(1)[0]
-        )
+            self._plan_rng = seed
+        super().__init__(simulator, config, self._plan_seq.spawn(1)[0])
         self._max_age = max_age
         self._decay = decay
         self._cache = cache if cache is not None else PlanCache()
@@ -333,15 +347,13 @@ class HybridEngine:
         self._cold_runs = 0
         self._warm_runs = 0
         self._delta_runs = 0
-        self._point = make_estimator(
-            self._config.estimator, simulator.topology.num_peers
-        )[0]
 
     @functools.cached_property
-    def _rng(self) -> np.random.Generator:
-        """The engine's own stream (sinks, warm cross-validation),
-        built on its first draw — a cold run never draws from it."""
-        return ensure_rng(self._seed_seq)
+    def _plan_rng(self) -> np.random.Generator:
+        """The stream of warm and delta runs (sinks, refresh
+        halvings), built on its first draw — a cold run never draws
+        from it."""
+        return ensure_rng(self._plan_seq)
 
     # ------------------------------------------------------------------
 
@@ -388,234 +400,41 @@ class HybridEngine:
     ) -> None:
         """Point this engine at a new network snapshot (churn epoch).
 
-        Rebuilds the inner two-phase engine, its walker and the
-        estimator closure against the new topology — the previous
-        closure baked the old ``num_peers`` into the Hájek estimator,
-        which is exactly the staleness the per-entry population check
-        guards against.  The plan cache is kept: entries for the old
-        population cold-miss on their own.
+        Rebuilds the walker, the cold streams (from the seed's next
+        child unless ``seed`` is given) and the estimator against the
+        new topology — the previous estimator baked the old
+        ``num_peers`` into the Hájek estimate, which is exactly the
+        staleness the per-entry population check guards against.  The
+        plan cache is kept: entries for the old population cold-miss
+        on their own.
         """
-        self._simulator = simulator
-        self._engine = TwoPhaseEngine(
-            simulator,
-            config=self._config,
-            seed=self._seed_seq.spawn(1)[0] if seed is None else seed,
+        self._bind(
+            simulator, self._plan_seq.spawn(1)[0] if seed is None else seed
         )
-        self._point = make_estimator(
-            self._config.estimator, simulator.topology.num_peers
-        )[0]
 
     # ------------------------------------------------------------------
+    # The strategy: the cache supplies phase I, cold runs fill it
+    # ------------------------------------------------------------------
 
-    def execute(
-        self,
-        query: AggregationQuery,
-        delta_req: float,
-        sink: Optional[int] = None,
-    ) -> ApproximateResult:
-        """Answer ``query`` within ``delta_req``; warm when possible."""
-        return drain_steps(self.run_stepwise(query, delta_req, sink=sink))
-
-    def run_stepwise(
-        self,
-        query: AggregationQuery,
-        delta_req: float,
-        sink: Optional[int] = None,
-        chunk_peers: Optional[int] = None,
-    ) -> StepwiseRun:
-        """Warm-or-cold execution as a resumable generator.
-
-        Same contract as :meth:`TwoPhaseEngine.run_stepwise`: yields a
-        checkpoint per ``chunk_peers`` visits, returns the result
-        :meth:`execute` would.  The warm/cold decision happens on the
-        first advance of the generator, not at creation.
-        """
-        check_chunk_peers(chunk_peers)
-        signature = query.to_sql()
+    def _prior(
+        self, query: AggregationQuery, delta_req: float, sink: Optional[int]
+    ) -> Optional[_Prior]:
+        """The plan-sized phase I of a warm or delta run, or ``None``
+        (a cold run) when the cache has no servable plan."""
         topology = self._simulator.topology
+        labels = self._simulator.peer_labels
         plan = self._cache.lookup(
-            signature,
-            topology.num_peers,
-            topology.num_edges,
+            query.to_sql(), topology.num_peers, topology.num_edges,
             self._max_age,
-            allow_delta=(
-                self._delta_reestimation
-                and self._simulator.peer_labels is not None
-            ),
+            allow_delta=self._delta_reestimation and labels is not None,
         )
         if plan is None:
-            result = yield from self._cold_stepwise(
-                query, delta_req, sink, signature, chunk_peers
-            )
-            return result
-        if not plan.matches_population(
-            topology.num_peers, topology.num_edges
-        ):
-            result = yield from self._delta_stepwise(
-                query, delta_req, sink, plan, chunk_peers
-            )
-            return result
-        result = yield from self._warm_stepwise(
-            query, delta_req, sink, plan, chunk_peers
-        )
-        return result
-
-    def _cold_stepwise(
-        self,
-        query: AggregationQuery,
-        delta_req: float,
-        sink: Optional[int],
-        signature: str,
-        chunk_peers: Optional[int],
-    ) -> StepwiseRun:
-        self._cold_runs += 1
-        result = yield from self._engine.run_stepwise(
-            query, delta_req, sink=sink, chunk_peers=chunk_peers
-        )
-        analysis = result.analysis  # phase-I statistics ride along
-        topology = self._simulator.topology
-        plan = CachedPlan(
-            mean_squared_cv_error=(
-                analysis.cross_validation.mean_squared_error
-            ),
-            half_size=analysis.cross_validation.half_size,
-            scale=analysis.scale,
-            num_peers=topology.num_peers,
-            num_edges=topology.num_edges,
-        )
-        self._retain(
-            plan, self._engine.last_replies, self._engine.last_sink
-        )
-        self._cache.store(signature, plan)
-        return result
-
-    def _retain(
-        self,
-        plan: CachedPlan,
-        replies: Optional[AggregateSample],
-        sink: Optional[int],
-    ) -> None:
-        """Record a run's sample on its plan, keyed by stable labels.
-
-        No-op unless delta re-estimation is on and the simulator knows
-        its peers' stable labels — in that case nothing could be
-        matched across epochs anyway.  Consumes no randomness.
-        """
-        labels = self._simulator.peer_labels
-        if (
-            not self._delta_reestimation
-            or labels is None
-            or sink is None
-            or not replies
-        ):
-            return
-        plan.retained = RetainedSample(
-            sink_label=labels[sink],
-            labels=tuple(labels[v] for v in replies["source"].tolist()),
-            replies=replies,
-        )
-
-    def _warm_stepwise(
-        self,
-        query: AggregationQuery,
-        delta_req: float,
-        sink: Optional[int],
-        plan: CachedPlan,
-        chunk_peers: Optional[int],
-    ) -> StepwiseRun:
-        self._warm_runs += 1
-        if sink is None:
-            sink = int(self._rng.integers(self._simulator.num_peers))
-        result = yield from self._planned_stepwise(
-            query, delta_req, sink, plan, chunk_peers, "warm"
-        )
-        return result
-
-    def _delta_stepwise(
-        self,
-        query: AggregationQuery,
-        delta_req: float,
-        sink: Optional[int],
-        plan: CachedPlan,
-        chunk_peers: Optional[int],
-    ) -> StepwiseRun:
-        """Churn-delta top-up: reuse survivors, walk only the deficit.
-
-        The plan's population stamp no longer matches the simulator —
-        a churn epoch replaced the topology — but its retained sample
-        still references peers by stable label.  Survivors (peers
-        whose label is still live and reachable) are remapped onto the
-        new topology and *reused*; a fresh walk collects only the
-        difference between the planned sample size and the survivor
-        count.  The result honours the same estimate contract as a
-        cold re-walk: same requested/effective/degraded semantics,
-        with the plan's statistics refreshed and its population
-        re-stamped so the next run is warm again.
-        """
-        retained = plan.retained
-        labels = self._simulator.peer_labels
-        assert retained is not None and labels is not None
-        self._delta_runs += 1
-        topology = self._simulator.topology
-
-        # Filter the retained sample against the new epoch's live set,
-        # remap survivors onto the new vertex ids and give them the
-        # new topology's probabilities.
-        vertex_of = {label: v for v, label in enumerate(labels)}
-        survivors = observations_from_replies(
-            retained.survivors(vertex_of, topology.degrees),
-            num_edges=topology.num_edges,
-            num_peers=topology.num_peers,
-            variant=self._config.walk_variant,
-        )
-
-        if sink is None:
-            sink_vertex = vertex_of.get(retained.sink_label)
-            if sink_vertex is not None and topology.degree(sink_vertex) > 0:
-                sink = sink_vertex
-            else:  # the sink itself churned out; draw a fresh one
-                sink = int(self._rng.integers(self._simulator.num_peers))
-
-        result = yield from self._planned_stepwise(
-            query, delta_req, sink, plan, chunk_peers, "delta", survivors,
-            dropped=len(retained.replies) - len(survivors),
-        )
-        # The statistics now describe the new epoch, so the next lookup
-        # is an ordinary warm hit.
-        plan.num_peers = topology.num_peers
-        plan.num_edges = topology.num_edges
-        return result
-
-    def _planned_stepwise(
-        self,
-        query: AggregationQuery,
-        delta_req: float,
-        sink: int,
-        plan: CachedPlan,
-        chunk_peers: Optional[int],
-        phase: str,
-        reused: Optional[AggregateSample] = None,
-        dropped: int = 0,
-    ) -> StepwiseRun:
-        """One walk sized from ``plan`` — the body of warm and delta runs.
-
-        ``reused`` rows (a delta run's survivors) count toward the
-        planned sample; only the deficit is collected.
-        """
+            self._cold_runs += 1
+            return None
         plan.uses += 1
-        ledger = self._simulator.new_ledger()
-        timing_token = self._simulator.begin_timing()
-
-        # The scale the walk is sized with is the scale the result
-        # reports — captured *before* the post-run refresh mutates the
-        # plan, so ``result.scale * delta_req == absolute_target``
-        # holds exactly.
-        planning_scale = plan.scale
-        absolute_target = delta_req * planning_scale
         m_prime = (
-            plan.half_size
-            * plan.mean_squared_cv_error
-            / absolute_target**2
+            plan.half_size * plan.mean_squared_cv_error
+            / (delta_req * plan.scale) ** 2
         )
         # Floor at the phase-I size: cached statistics are noisy, so a
         # warm run never samples less than a cold phase I would — the
@@ -623,34 +442,55 @@ class HybridEngine:
         # visits, not the statistical minimum.
         peers = max(self._config.phase_one_peers, int(math.ceil(m_prime)))
         if self._config.max_phase_two_peers is not None:
-            peers = min(
-                peers, max(4, self._config.max_phase_two_peers)
+            peers = min(peers, max(4, self._config.max_phase_two_peers))
+        held: Optional[AggregateSample] = None
+        if plan.matches_population(topology.num_peers, topology.num_edges):
+            self._warm_runs += 1
+        else:
+            # Churn delta: the retained sample, filtered against the
+            # new epoch's live set and remapped onto its vertex ids,
+            # with the new topology's probabilities.
+            retained = plan.retained
+            assert retained is not None and labels is not None
+            self._delta_runs += 1
+            vertex_of = {label: v for v, label in enumerate(labels)}
+            held = observations_from_replies(
+                retained.survivors(vertex_of, topology.degrees),
+                num_edges=topology.num_edges,
+                num_peers=topology.num_peers,
+                variant=self._config.walk_variant,
             )
-        survivors = 0 if reused is None else len(reused)
-        deficit = max(0, peers - survivors)
-
-        emit_if_tracing(
-            PhaseEvent, "hybrid", phase, "start", peers, 0, None, None
+            emit_if_tracing(
+                DeltaReuseEvent, len(held), len(retained.replies) - len(held),
+                max(0, peers - len(held)),
+            )
+            if sink is None:
+                sink = vertex_of.get(retained.sink_label)
+                if sink is not None and topology.degree(sink) == 0:
+                    sink = None  # the sink itself churned out
+        if sink is None:
+            sink = int(self._plan_rng.integers(self._simulator.num_peers))
+        return _Prior(
+            "warm" if held is None else "delta", sink, peers, held,
+            functools.partial(self._refresh, plan, sink),
         )
-        if phase == "delta":
-            emit_if_tracing(DeltaReuseEvent, survivors, dropped, deficit)
-        parts: List[AggregateSample] = [] if reused is None else [reused]
-        if deficit > 0:
-            fresh = yield from self._engine.collect_observations_stepwise(
-                sink, query, deficit, ledger, chunk_peers, phase
-            )
-            parts.append(fresh)
-        sample = AggregateSample.concat(parts)
-        estimate = self._engine.final_estimate(query, sample)
-        interval = self._engine.confidence_interval(query, sample, estimate)
 
-        # Fold fresh statistics back into the cache so the plan tracks
-        # data drift without a cold restart.
+    def _refresh(
+        self, plan: CachedPlan, sink: int, query: AggregationQuery,
+        sample: AggregateSample, delta_req: float,
+    ) -> Tuple[int, float, CachedPlan]:
+        """A warm or delta run's stand-in for the sink analysis: fold
+        the sample's statistics back into ``plan`` (so it tracks data
+        drift without a cold restart), retain the sample, and order no
+        phase II.  The result reports the plan as it was when it sized
+        the run, so ``result.scale * delta_req`` is the walk's absolute
+        target exactly."""
+        planned = dataclasses.replace(plan)
         if len(sample) >= 4:
             cv = cross_validate(
                 sample,
                 rounds=self._config.cross_validation_rounds,
-                seed=self._rng,
+                seed=self._plan_rng,
                 estimator=self._point,
             )
             # Rescale the fresh CVError² from this sample's half size
@@ -663,30 +503,47 @@ class HybridEngine:
             fresh_scale = estimate_scale(query, sample, self._point)
             plan.refresh(rescaled, fresh_scale, self._decay)
         self._retain(plan, sample, sink)
+        topology = self._simulator.topology
+        if not plan.matches_population(topology.num_peers, topology.num_edges):
+            # A delta run: the statistics now describe the new epoch,
+            # so the next lookup is an ordinary warm hit.
+            plan.num_peers = topology.num_peers
+            plan.num_edges = topology.num_edges
+        return 0, math.sqrt(plan.mean_squared_cv_error), planned
 
-        phase_report = PhaseReport.of_sample(
-            sample, ledger.snapshot().hops, estimate
-        )
-        effective = len(sample)
-        emit_if_tracing(
-            EstimateEvent, "hybrid", query.agg.value, estimate, peers,
-            effective, effective < peers,
-        )
-        # Plan-served results honour the degraded-result contract
-        # exactly like cold runs: fault injection or churn can shrink
-        # the sample below the planned size, and downstream consumers
-        # key on these fields.
-        return ApproximateResult(
-            query=query,
-            estimate=estimate,
-            delta_req=delta_req,
-            scale=planning_scale,
-            confidence_interval=interval,
-            phase_one=phase_report,
-            phase_two=None,
-            cost=ledger.snapshot(),
-            requested_sample_size=peers,
-            effective_sample_size=effective,
-            degraded=effective < peers,
-            timing=self._simulator.finish_timing(timing_token),
+    def _result(self, run: _Run[AggregateSample]) -> ApproximateResult:
+        result = super()._result(run)
+        analysis = result.analysis
+        if isinstance(analysis, PhaseOneAnalysis):
+            # A cold run: its phase-I statistics become the plan.
+            topology = self._simulator.topology
+            plan = CachedPlan(
+                mean_squared_cv_error=(
+                    analysis.cross_validation.mean_squared_error
+                ),
+                half_size=analysis.cross_validation.half_size,
+                scale=analysis.scale,
+                num_peers=topology.num_peers,
+                num_edges=topology.num_edges,
+            )
+            self._retain(plan, run.pooled, run.sink)
+            self._cache.store(run.query.to_sql(), plan)
+        return result
+
+    def _retain(
+        self, plan: CachedPlan, replies: AggregateSample, sink: int
+    ) -> None:
+        """Record a run's sample on its plan, keyed by stable labels.
+
+        No-op unless delta re-estimation is on and the simulator knows
+        its peers' stable labels — in that case nothing could be
+        matched across epochs anyway.  Consumes no randomness.
+        """
+        labels = self._simulator.peer_labels
+        if not self._delta_reestimation or labels is None or not replies:
+            return
+        plan.retained = RetainedSample(
+            sink_label=labels[sink],
+            labels=tuple(labels[v] for v in replies["source"].tolist()),
+            replies=replies,
         )

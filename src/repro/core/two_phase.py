@@ -85,23 +85,23 @@ class StepCheckpoint:
     """One scheduling point inside a stepwise query execution.
 
     Stepwise engines (:meth:`TwoPhaseEngine.run_stepwise` and the
-    engines that inherit it, :meth:`~repro.core.hybrid.HybridEngine.
-    run_stepwise`) yield one of these after every chunk of network
-    work.  A scheduler uses the checkpoint to interleave queries fairly
-    and to enforce per-query cost budgets: ``ledger`` is the query's
-    live ledger, so ``ledger.snapshot()`` at a checkpoint is the
-    query's exact cost so far.  The checkpoint stream is a pure
+    engines that inherit it) yield one of these after every chunk of
+    network work.  A scheduler uses the checkpoint to interleave
+    queries fairly and to enforce per-query cost budgets: ``ledger`` is
+    the query's live ledger, so ``ledger.snapshot()`` at a checkpoint
+    is the query's exact cost so far.  The checkpoint stream is a pure
     function of the engine seed — it carries nothing
     scheduling-dependent.
 
     Attributes
     ----------
     engine:
-        Which engine yielded (``"two-phase"``, ``"hybrid"``,
-        ``"median"``, ``"histogram"``, ``"group-by"`` or ``"batch"``).
+        Which engine yielded (``"two-phase"`` — a
+        :class:`~repro.core.hybrid.HybridEngine` too — ``"median"``,
+        ``"histogram"``, ``"group-by"`` or ``"batch"``).
     phase:
-        The phase the work belongs to: ``one``/``analysis``/``two``
-        for the two-phase loop, ``warm`` for hybrid warm runs.
+        The phase the work belongs to: ``one``/``analysis``/``two``,
+        or ``warm``/``delta`` for a phase I sized from a cached plan.
     collected:
         Replies gathered so far *within the current phase*.
     ledger:
@@ -312,18 +312,37 @@ class _Run(Generic[_S]):
 
     def answer(
         self, query: AggregationQuery, estimate: float,
-        interval: ConfidenceInterval, analysis: PhaseOneAnalysis,
+        interval: ConfidenceInterval, analysis: Any,
     ) -> ApproximateResult:
-        """This run's COUNT/SUM/AVG result for ``query``."""
+        """This run's COUNT/SUM/AVG result for ``query``: ``analysis``
+        is its sink analysis, or what stood in for one (a plan, whose
+        scale the result reports, with no analysis)."""
         return ApproximateResult(
             query=query, estimate=estimate, delta_req=self.delta_req,
             scale=analysis.scale, confidence_interval=interval,
             phase_one=self.phase_one, phase_two=self.phase_two,
-            cost=self.cost, analysis=analysis,
+            cost=self.cost,
+            analysis=(
+                analysis if isinstance(analysis, PhaseOneAnalysis) else None
+            ),
             requested_sample_size=self.requested,
             effective_sample_size=self.received, degraded=self.degraded,
             timing=self.timing,
         )
+
+
+@dataclasses.dataclass(frozen=True)
+class _Prior:
+    """What a run knows before its phase I, from an earlier run: the
+    phase's label, sink and size, the rows it already ``held`` (only
+    the rest are collected) and what stands in for the sink analysis
+    (``_analyze``'s signature)."""
+
+    phase: str
+    sink: int
+    size: int
+    held: Any = None
+    analyze: Optional[Callable[..., Tuple[int, float, Any]]] = None
 
 
 class _PhasedEngine(Generic[_C, _Q, _R]):
@@ -335,7 +354,8 @@ class _PhasedEngine(Generic[_C, _Q, _R]):
     one phase's sample gives; ``None`` when the answer is not one
     number), ``_analyze`` (``m'``, the cross-validation error it was
     sized from, and what the result needs) and ``_result``;
-    ``_check`` rejects a query before anything is drawn."""
+    ``_check`` rejects a query before anything is drawn, and
+    ``_prior`` supplies what an earlier run already revealed."""
 
     #: The engine's name in phase events and checkpoints.
     _name: ClassVar[str]
@@ -348,9 +368,15 @@ class _PhasedEngine(Generic[_C, _Q, _R]):
         config: Optional[_C] = None,
         seed: SeedLike = None,
     ):
-        self._simulator = simulator
         self._config: _C = config or self._default_config()
+        self._bind(simulator, seed)
+
+    def _bind(self, simulator: NetworkSimulator, seed: SeedLike) -> None:
+        """(Re)build the engine's streams (a built ``_rng`` is dropped),
+        walker and collector over ``simulator`` from ``seed``."""
+        self._simulator = simulator
         self._seed_seq = seed_sequence(seed)
+        self.__dict__.pop("_rng", None)
         if isinstance(seed, np.random.Generator):
             self._rng = seed
         walk_seed, visit_seed = self._seed_seq.spawn(2)
@@ -390,6 +416,11 @@ class _PhasedEngine(Generic[_C, _Q, _R]):
 
     def _check(self, query: _Q) -> None:
         pass
+
+    def _prior(
+        self, query: _Q, delta_req: float, sink: Optional[int]
+    ) -> Optional[_Prior]:
+        return None
 
     def _collect(
         self, sink: int, query: _Q, count: int, ledger: CostLedger,
@@ -526,22 +557,27 @@ class _PhasedEngine(Generic[_C, _Q, _R]):
 
     def _phase(
         self, phase: str, sink: int, query: _Q, count: int,
-        ledger: CostLedger, chunk_peers: Optional[int],
+        ledger: CostLedger, chunk_peers: Optional[int], held: Any = None,
     ) -> Generator[StepCheckpoint, None, Tuple[Any, PhaseReport]]:
-        """One phase of the loop: collect ``count`` peers' replies,
+        """One phase of the loop: ``count`` peers' replies — the
+        ``held`` rows and as many collected as they fall short —
         bracketed by its phase events; returns them and its report."""
         hops_before = ledger.snapshot().hops
         emit_if_tracing(
             PhaseEvent, self._name, phase, "start", count, 0, None, None
         )
-        sample = yield from self._collect(
-            sink, query, count, ledger, chunk_peers, phase
-        )
+        sample = held
+        deficit = count - (0 if held is None else len(held))
+        if deficit > 0:
+            fresh = yield from self._collect(
+                sink, query, deficit, ledger, chunk_peers, phase
+            )
+            sample = fresh if held is None else held.concat([held, fresh])
         hops = ledger.snapshot().hops - hops_before
         try:
             estimate = self._phase_estimate(query, sample)
         except SamplingError:
-            if phase == "one":
+            if phase != "two":
                 raise
             # Diagnostic only: a phase-II sample of a few peers may see
             # no matching tuple while the pooled sample does.
@@ -605,27 +641,36 @@ class _PhasedEngine(Generic[_C, _Q, _R]):
         self._check(query)
         if not 0.0 < delta_req <= 1.0:
             raise SamplingError(f"delta_req must be in (0, 1], got {delta_req}")
-        if sink is None:
-            sink = int(self._rng.integers(self._simulator.num_peers))
+        prior = self._prior(query, delta_req, sink)
+        if prior is None:
+            if sink is None:
+                sink = int(self._rng.integers(self._simulator.num_peers))
+            prior = _Prior("one", sink, self._config.phase_one_peers)
+        sink = prior.sink
         ledger = self._simulator.new_ledger()
         timing_token = self._simulator.begin_timing()
-        requested = self._config.phase_one_peers
+        requested = prior.size
         sample_one, phase_one = yield from self._phase(
-            "one", sink, query, requested, ledger, chunk_peers
+            prior.phase, sink, query, requested, ledger, chunk_peers,
+            prior.held,
         )
-        additional, error, plan = self._analyze(query, sample_one, delta_req)
+        analyze = prior.analyze or self._analyze
+        additional, error, plan = analyze(query, sample_one, delta_req)
         emit_if_tracing(
             PhaseEvent, self._name, "analysis", "end", additional, 0, None,
             error,
         )
-        # A checkpoint between analysis and phase II lets a scheduler
-        # stop an over-budget query before it pays for the second walk.
-        yield StepCheckpoint(self._name, "analysis", len(sample_one), ledger)
 
         sample_two: Any = None
         phase_two: Optional[PhaseReport] = None
         pooled = sample_one
         if additional > 0:
+            # A scheduler may stop an over-budget query here, before
+            # it pays for the second walk (with no phase II, nothing
+            # has moved since the last checkpoint).
+            yield StepCheckpoint(
+                self._name, "analysis", len(sample_one), ledger
+            )
             requested += additional
             sample_two, phase_two = yield from self._phase(
                 "two", sink, query, additional, ledger, chunk_peers
@@ -669,33 +714,11 @@ class TwoPhaseEngine(
     _name = "two-phase"
     _default_config = TwoPhaseConfig
 
-    def __init__(
-        self,
-        simulator: NetworkSimulator,
-        config: Optional[TwoPhaseConfig] = None,
-        seed: SeedLike = None,
-    ):
-        super().__init__(simulator, config, seed)
+    def _bind(self, simulator: NetworkSimulator, seed: SeedLike) -> None:
+        super()._bind(simulator, seed)
         self._point, self._variance = make_estimator(
             self._config.estimator, simulator.topology.num_peers
         )
-        self._last_replies: Optional[AggregateSample] = None
-        self._last_sink: Optional[int] = None
-
-    @property
-    def last_replies(self) -> Optional[AggregateSample]:
-        """The pooled sample of the most recent full run (diagnostic).
-
-        Lets composed engines (delta re-estimation) retain a run's
-        sample without re-walking; ``None`` before the first run.
-        Purely observational — recording it consumes no randomness.
-        """
-        return self._last_replies
-
-    @property
-    def last_sink(self) -> Optional[int]:
-        """The sink of the most recent full run (diagnostic)."""
-        return self._last_sink
 
     # ------------------------------------------------------------------
     # Plumbing
@@ -729,8 +752,8 @@ class TwoPhaseEngine(
     ) -> AggregateSample:
         """Walk, visit ``count`` peers, and return the sample.
 
-        Public so composed engines (hybrid pre-computation, biased
-        sampling) can reuse the walk+visit+reply pipeline.
+        Public so tools (:func:`~repro.core.explain.explain`) can
+        reuse the walk+visit+reply pipeline.
         """
         return drain_steps(
             self.collect_observations_stepwise(sink, query, count, ledger)
@@ -775,12 +798,6 @@ class TwoPhaseEngine(
             num_peers=self._simulator.topology.num_peers,
             variant=config.walk_variant,
         )
-
-    def final_estimate(
-        self, query: AggregationQuery, sample: AggregateSample
-    ) -> float:
-        """The engine's configured estimator over ``sample``."""
-        return self._final_estimate(query, sample)
 
     def analyze_only(
         self,
@@ -829,16 +846,14 @@ class TwoPhaseEngine(
         )
 
     def _result(self, run: _Run[AggregateSample]) -> ApproximateResult:
-        final = run.pooled
-        if (
-            not self._config.pool_phases
-            and run.sample_two is not None
-            and len(run.sample_two)
-        ):
-            final = run.sample_two  # the paper's literal phase-II-only form
-        estimate = self._final_estimate(run.query, final)
-        self._last_replies = run.pooled
-        self._last_sink = run.sink
+        # With no phase II the pooled sample is phase I's, whose
+        # estimate the loop has taken (and raised on, if undefined).
+        final, estimate = run.pooled, run.phase_one.estimate
+        if run.sample_two is not None:
+            if not self._config.pool_phases and len(run.sample_two):
+                final = run.sample_two  # the paper's phase-II-only form
+            estimate = self._final_estimate(run.query, final)
+        assert estimate is not None
         return run.answer(
             run.query, estimate,
             self.confidence_interval(run.query, final, estimate), run.plan,

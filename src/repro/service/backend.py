@@ -95,6 +95,7 @@ from .scheduler import (
     RoundRobinScheduler,
     ScheduledQuery,
     advance_task,
+    query_failure,
 )
 from .shm import (
     PackManifest,
@@ -318,9 +319,7 @@ def _reply_from_completion(completion: Completion) -> QueryReply:
 
 def _worker_failure(job: QueryJob, error: Exception) -> QueryReply:
     """The ``failed`` reply for a job whose build or drive raised."""
-    failure = ServiceError(
-        f"query {job.query_id} failed in its shard worker: {error!r}"
-    )
+    failure = query_failure(job.query_id, error)
     return QueryReply(
         ticket=QueryTicket(
             job.query_id, job.query, job.delta_req, job.signature

@@ -34,7 +34,7 @@ from typing import Callable, Deque, List, Optional, Set
 from ..core.hybrid import HybridEngine
 from ..core.result import ApproximateResult
 from ..core.two_phase import StepCheckpoint, StepwiseRun
-from ..errors import ConfigurationError, ReproError
+from ..errors import ConfigurationError, ReproError, ServiceError
 from ..obs.events import QueryLifecycleEvent
 from ..obs.tracer import _ACTIVE, Tracer
 from ..query.model import AggregationQuery
@@ -47,6 +47,7 @@ __all__ = [
     "RoundRobinScheduler",
     "advance_task",
     "emit_lifecycle",
+    "query_failure",
 ]
 
 
@@ -104,6 +105,13 @@ def emit_lifecycle(
         )
 
 
+def query_failure(query_id: int, error: Exception) -> ServiceError:
+    """The typed error a query resolves ``failed`` with when its
+    execution raised something other than a :class:`ReproError` — on
+    every backend, so inline and forked serving report it alike."""
+    return ServiceError(f"query {query_id} failed: {error!r}")
+
+
 def advance_task(task: ScheduledQuery) -> Optional[Completion]:
     """Run ``task`` one chunk forward; a completion ends it.
 
@@ -119,7 +127,9 @@ def advance_task(task: ScheduledQuery) -> Optional[Completion]:
     The task's tracer (if any) is active only while the generator
     runs, so every engine event lands in the query's own trace
     regardless of interleaving; lifecycle events go to the tracer
-    directly.
+    directly.  Whatever the generator raises resolves the task
+    ``failed`` (a non-:class:`ReproError` as :func:`query_failure`), so
+    a raising query never escapes a tick or stays in flight.
     """
     if not task.started:
         task.started = True
@@ -131,7 +141,11 @@ def advance_task(task: ScheduledQuery) -> Optional[Completion]:
         result: ApproximateResult = stop.value
         emit_lifecycle(task, "done")
         return Completion(task=task, status="done", result=result)
-    except ReproError as error:
+    except Exception as raised:  # noqa: BLE001 - resolved as a failed query
+        error = (
+            raised if isinstance(raised, ReproError)
+            else query_failure(task.ticket.query_id, raised)
+        )
         emit_lifecycle(task, "failed", detail=str(error))
         return Completion(
             task=task, status="failed", error=error, detail=str(error)

@@ -1,6 +1,8 @@
 """Tests for the hybrid pre-computation engine (§6 open problem 1)."""
 
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -8,23 +10,36 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.hybrid import (
+    PLAN_CACHE_ENTRIES,
     CachedPlan,
     HybridEngine,
     PlanCache,
     RetainedSample,
 )
 from repro.core.two_phase import TwoPhaseConfig
-from repro.errors import ConfigurationError
+from repro.data.generator import DatasetConfig, generate_dataset
+from repro.data.localdb import LocalDatabase
+from repro.errors import ConfigurationError, SamplingError
+from repro.network.churn import ChurnConfig
 from repro.network.faults import FaultPlan
 from repro.network.generators import power_law_topology
+from repro.network.live import LiveNetwork
 from repro.network.protocol import AggregateReply, AggregateSample
 from repro.network.simulator import NetworkSimulator
+from repro.network.walker import RetryPolicy
 from repro.obs import Tracer, tracing
 from repro.query.exact import evaluate_exact
 from repro.query.parser import parse_query
+from repro.sim import (
+    EventDrivenSimulator,
+    ExponentialLatency,
+    LatencyModel,
+    UniformLatency,
+)
 
 COUNT_30 = parse_query("SELECT COUNT(A) FROM T WHERE A BETWEEN 1 AND 30")
 SUM_ALL = parse_query("SELECT SUM(A) FROM T")
+AVG_60 = parse_query("SELECT AVG(A) FROM T WHERE A BETWEEN 1 AND 60")
 
 
 @pytest.fixture()
@@ -129,6 +144,77 @@ class TestStepwiseValidation:
             engine.cold_runs, engine.warm_runs,
         )
         assert tracer.events == []
+
+
+class TestWarmInputChecks:
+    """Warm and delta runs are the loop, so they pass its input checks
+    first: a bad query is rejected before the plan cache is read."""
+
+    @pytest.mark.parametrize(
+        "delta_req", [0.0, -0.1, 1.5, float("nan")],
+        ids=["zero", "negative", "above-one", "nan"],
+    )
+    def test_out_of_range_delta_raises_before_the_lookup(
+        self, engine, delta_req
+    ):
+        engine.execute(COUNT_30, 0.1, sink=0)
+        plan = engine.cached_plan(COUNT_30)
+
+        def state():
+            return (
+                engine.cache.hits, engine.cache.misses, plan.uses,
+                engine.cold_runs, engine.warm_runs,
+            )
+
+        before = state()
+        tracer = Tracer()
+        with tracing(tracer):
+            with pytest.raises(SamplingError, match="delta_req"):
+                engine.execute(COUNT_30, delta_req, sink=0)
+        assert state() == before
+        assert tracer.events == []
+
+
+class TestPhaseBrackets:
+    """Every phase a run starts, it ends — cold, warm and delta alike."""
+
+    @staticmethod
+    def assert_bracketed(tracer):
+        open_phases = []
+        for event in tracer.events:
+            if event.kind != "phase":
+                continue
+            key = (event.engine, event.phase)
+            if event.status == "start":
+                open_phases.append(key)
+            elif event.phase != "analysis":
+                assert open_phases.pop() == key
+        assert open_phases == []
+
+    def test_warm_and_delta_phases_end(self):
+        live = _pinned_live()
+        engine = HybridEngine(
+            live.snapshot(seed=11), TwoPhaseConfig(phase_one_peers=20),
+            seed=7, delta_reestimation=True,
+        )
+        engine.execute(SUM_ALL, 0.2)
+        live.step(20)
+        for network in (None, live.snapshot(seed=13)):
+            if network is not None:
+                engine.rebind(network)
+            tracer = Tracer()
+            with tracing(tracer):
+                engine.execute(SUM_ALL, 0.2, sink=0)
+            kinds = [
+                (event.phase, event.status)
+                for event in tracer.events if event.kind == "phase"
+            ]
+            self.assert_bracketed(tracer)
+            phase = "warm" if network is None else "delta"
+            assert kinds == [
+                (phase, "start"), (phase, "end"), ("analysis", "end"),
+            ]
+        assert (engine.warm_runs, engine.delta_runs) == (1, 1)
 
 
 class TestAccuracyAndCost:
@@ -289,6 +375,29 @@ class TestPlanCache:
         assert cache.expirations == 1
         assert cache.get("q") is not None
 
+    def test_entries_are_bounded_least_recently_used_first(self):
+        cache = PlanCache()
+        cache.store("panel", CachedPlan(1.0, 10, 100.0))
+        for at in range(2 * PLAN_CACHE_ENTRIES):
+            cache.store(f"adhoc {at}", CachedPlan(1.0, 10, 100.0))
+            if at % 100 == 0:
+                assert cache.lookup("panel", 0, 0, max_age=10**6)
+        assert len(cache) == PLAN_CACHE_ENTRIES
+        assert cache.get("panel") is not None
+        assert cache.get("adhoc 0") is None
+        assert cache.get(f"adhoc {2 * PLAN_CACHE_ENTRIES - 1}") is not None
+
+    def test_restoring_an_entry_makes_it_most_recent(self):
+        """Not FIFO: storing an existing signature again moves it to
+        the back of the eviction order."""
+        cache = PlanCache()
+        for at in range(PLAN_CACHE_ENTRIES):
+            cache.store(f"q {at}", CachedPlan(1.0, 10, 100.0))
+        cache.store("q 0", CachedPlan(2.0, 10, 100.0))
+        cache.store("one more", CachedPlan(1.0, 10, 100.0))
+        assert cache.get("q 0") is not None
+        assert cache.get("q 1") is None
+
     def test_invalidate(self):
         cache = PlanCache()
         cache.store("a", CachedPlan(1.0, 10, 100.0))
@@ -389,3 +498,185 @@ class TestRetainedSurvivors:
             dataclasses.replace(reply, message_id=0)
             for reply in survivors
         ] == [dataclasses.replace(reply, message_id=0) for reply in expected]
+
+
+def _pinned_network(**extra):
+    """A fresh simulator per scenario: a shared fixture's RNG state
+    would make the pins depend on test order."""
+    topology = power_law_topology(200, 800, seed=7)
+    dataset = generate_dataset(
+        topology,
+        DatasetConfig(num_tuples=10_000, cluster_level=0.25, skew=0.2),
+        seed=7,
+    )
+    simulator = extra.pop("simulator_class", NetworkSimulator)
+    return simulator(topology, dataset.databases, seed=7, **extra)
+
+
+def _pinned_live():
+    topology = power_law_topology(120, 400, seed=2)
+    rng = np.random.default_rng(3)
+    databases = [
+        LocalDatabase({"A": rng.integers(1, 101, 80)})
+        for _ in range(topology.num_peers)
+    ]
+    return LiveNetwork(
+        topology, databases,
+        churn_config=ChurnConfig(join_rate=0.5, leave_rate=0.5), seed=5,
+    )
+
+
+def _pinned_run(engine, query, delta_req, sink=None, chunk_peers=None):
+    """One traced run reduced to everything a refactor of the run may
+    not move: the result, the plan and cache after it, the checkpoint
+    count and the trace's walk/visit/fault events (phase, estimate and
+    delta-reuse bookkeeping aside, ``seq`` dropped)."""
+    tracer = Tracer()
+    steps = engine.run_stepwise(
+        query, delta_req, sink=sink, chunk_peers=chunk_peers
+    )
+    checkpoints = 0
+    with tracing(tracer):
+        while True:
+            try:
+                next(steps)
+            except StopIteration as stop:
+                result = stop.value
+                break
+            checkpoints += 1
+    plan = engine.cached_plan(query)
+    cache = engine.cache
+    events = []
+    for line in tracer.lines:
+        event = json.loads(line)
+        if event["kind"] not in ("phase", "estimate", "delta-reuse"):
+            event.pop("seq")
+            events.append(event)
+    interval = result.confidence_interval
+    return repr((
+        result.estimate, interval.estimate, interval.half_width,
+        result.scale, result.requested_sample_size,
+        result.effective_sample_size, result.degraded,
+        dataclasses.astuple(result.cost),
+        None if result.timing is None
+        else dataclasses.astuple(result.timing),
+        None if plan is None else (
+            plan.mean_squared_cv_error, plan.half_size, plan.scale,
+            plan.uses, plan.num_peers, plan.num_edges,
+            None if plan.retained is None else plan.retained.labels,
+        ),
+        (cache.hits, cache.misses, cache.expirations,
+         cache.churn_invalidations, cache.delta_hits),
+        (engine.cold_runs, engine.warm_runs, engine.delta_runs),
+        checkpoints,
+        json.dumps(events, sort_keys=True),
+    ))
+
+
+def _pinned_digest(runs):
+    return hashlib.sha256("\n".join(runs).encode()).hexdigest()
+
+
+class TestPinnedByValue:
+    """Cold, warm and delta runs pinned by value: estimate, interval,
+    scale, sample sizes, cost, timing, the plan after each run, the
+    cache counters, the checkpoint count and the walk/visit events.
+    Recorded before warm runs became the two-phase loop with a
+    plan-sized phase I, so a refactor of how a run is driven must
+    leave every number here where it was."""
+
+    CONFIG = TwoPhaseConfig(max_phase_two_peers=400)
+
+    def test_cold_warm_chunked_and_given_sink(self):
+        engine = HybridEngine(_pinned_network(), self.CONFIG, seed=7)
+        runs = [
+            _pinned_run(engine, COUNT_30, 0.1),
+            _pinned_run(engine, COUNT_30, 0.1),
+            _pinned_run(engine, COUNT_30, 0.1, chunk_peers=7),
+            _pinned_run(engine, COUNT_30, 0.05, sink=3),
+            _pinned_run(engine, SUM_ALL, 0.1, sink=3, chunk_peers=16),
+            _pinned_run(engine, SUM_ALL, 0.2),
+            _pinned_run(engine, AVG_60, 0.1, chunk_peers=5),
+            _pinned_run(engine, AVG_60, 0.1, sink=11),
+        ]
+        assert _pinned_digest(runs) == (
+            "ce920c037b8095d7fcf2d3dd568abfe59496be99823fbde3f7ead88bff29de76"
+        )
+
+    def test_max_age_and_generator_seed(self):
+        engine = HybridEngine(
+            _pinned_network(), self.CONFIG,
+            seed=np.random.default_rng(23), max_age=2,
+        )
+        runs = [_pinned_run(engine, SUM_ALL, 0.1) for _ in range(6)]
+        assert engine.cold_runs == 2
+        assert _pinned_digest(runs) == (
+            "8623c2da36f0276439c62745e9642811f38276322d294e3f447236a0c0ad2a9e"
+        )
+
+    @pytest.mark.parametrize(
+        "retry_policy, pinned",
+        [
+            (
+                None,
+                "ecba664f752dea6c390ef021fe4b6b90"
+                "cd02d00f1fbaa034372a7506f921b04f",
+            ),
+            (
+                RetryPolicy(),
+                "0d895581bb3112111e5c33d7e5eac44f"
+                "87f3759ee95e908432750b09c59e819d",
+            ),
+        ],
+        ids=["dropped", "retried"],
+    )
+    def test_faulted(self, retry_policy, pinned):
+        network = _pinned_network(
+            fault_plan=FaultPlan(seed=3, reply_loss=0.15)
+        )
+        config = dataclasses.replace(self.CONFIG, retry_policy=retry_policy)
+        engine = HybridEngine(network, config, seed=9)
+        runs = [
+            _pinned_run(engine, COUNT_30, 0.1, chunk_peers=chunk)
+            for chunk in (None, None, 6, None)
+        ]
+        assert _pinned_digest(runs) == pinned
+
+    def test_timed(self):
+        network = _pinned_network(
+            simulator_class=EventDrivenSimulator,
+            latency=LatencyModel(
+                seed=13,
+                request=UniformLatency(5.0, 25.0),
+                reply=ExponentialLatency(10.0),
+                hop=UniformLatency(0.5, 2.0),
+            ),
+        )
+        engine = HybridEngine(network, self.CONFIG, seed=5)
+        runs = [
+            _pinned_run(engine, COUNT_30, 0.1, chunk_peers=chunk)
+            for chunk in (None, None, 8)
+        ]
+        assert _pinned_digest(runs) == (
+            "2a448ac977065b761efd4602a13758fade260477f81b7a693d395aaff5c13742"
+        )
+
+    def test_delta_across_two_churn_epochs(self):
+        live = _pinned_live()
+        config = TwoPhaseConfig(phase_one_peers=20)
+        engine = HybridEngine(
+            live.snapshot(seed=11), config, seed=7, delta_reestimation=True
+        )
+        runs = [
+            _pinned_run(engine, SUM_ALL, 0.2),
+            _pinned_run(engine, SUM_ALL, 0.2),
+        ]
+        for epoch_seed in (13, 17):
+            live.step(20)
+            engine.rebind(live.snapshot(seed=epoch_seed))
+            runs.append(_pinned_run(engine, SUM_ALL, 0.2, chunk_peers=5))
+            runs.append(_pinned_run(engine, SUM_ALL, 0.2))
+        assert engine.delta_runs == 2
+        assert _pinned_digest(runs) == (
+            "f65abf033bb126697b2288e0ac7490eea46f99c84cebaf130544679206ec3efb"
+        )

@@ -402,17 +402,20 @@ class TestCurrency:
         constructed.clear()
 
         two_phase = TwoPhaseEngine(small_network, seed=1)
-        cold = two_phase.execute(COUNT_30, delta_req=0.1, sink=0)
+        two_phase.execute(COUNT_30, delta_req=0.1, sink=0)
         hybrid = HybridEngine(small_network, seed=1)
         hybrid.execute(COUNT_30, delta_req=0.1, sink=0)
         hybrid.execute(COUNT_30, delta_req=0.1, sink=0)
         assert (hybrid.cold_runs, hybrid.warm_runs) == (1, 1)
+        sample = two_phase.collect_observations(
+            0, COUNT_30, 12, small_network.new_ledger()
+        )
         assert constructed == []
 
         # Whoever wants the protocol objects materialises them, a
         # fresh one per row.
-        replies = list(two_phase.last_replies)
-        assert len(constructed) == len(replies) == cold.effective_sample_size
+        replies = list(sample)
+        assert len(constructed) == len(replies) == len(sample) > 0
         assert constructed == [reply.source for reply in replies]
 
 

@@ -648,17 +648,16 @@ class TestSeedSequences:
 
             task = build_task(small_network, settings_, PlanCache(), job)
             hybrid = task.engine
-            two_phase = hybrid._engine
             session = hybrid._simulator
             draws = {
-                "walk": (two_phase._walker._rng, walk_gen),
-                "visit keys": (two_phase._visit_rng, visit_gen),
+                "walk": (hybrid._walker._rng, walk_gen),
+                "visit keys": (hybrid._visit_rng, visit_gen),
                 "cross-validation": (
-                    ensure_rng(two_phase._seed_seq.spawn(1)[0]),
+                    ensure_rng(hybrid._seed_seq.spawn(1)[0]),
                     crossval_gen,
                 ),
-                "cold sink": (two_phase._rng, two_phase_gen),
-                "warm sink": (hybrid._rng, engine_gen),
+                "cold sink": (hybrid._rng, two_phase_gen),
+                "warm sink": (hybrid._plan_rng, engine_gen),
                 "session": (session._rng, session_gen),
                 "failure": (session._failure_rng, session_gen.spawn(1)[0]),
             }

@@ -28,10 +28,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro._pool as pool
-from repro.core.two_phase import TwoPhaseConfig
+from repro.core.two_phase import TwoPhaseConfig, TwoPhaseEngine
 from repro.errors import (
     AdmissionError,
     ConfigurationError,
+    SamplingError,
     ServiceError,
     WorkerPoolError,
 )
@@ -398,6 +399,79 @@ class TestWorkerFailure:
             assert service.await_result(
                 service.submit(COUNT_30, 0.1)
             ) is not None
+
+
+class TestFailureParity:
+    """A query that cannot be served resolves ``failed`` the same way
+    on both backends, and the service keeps serving."""
+
+    @staticmethod
+    def serve(network, workers, queries):
+        with QueryService(
+            network, CONFIG, seed=99, workers=workers
+        ) as service:
+            for query, delta_req in queries:
+                service.submit(query, delta_req)
+            outcomes = service.run()
+            stats = service.stats()
+        assert stats.in_flight == 0 and stats.queued == 0
+        return outcomes, stats
+
+    @pytest.mark.parametrize("workers", [None, 1], ids=["inline", "forked"])
+    @pytest.mark.parametrize(
+        "delta_req", [0.0, -0.1, 1.5, float("nan")],
+        ids=["zero", "negative", "above-one", "nan"],
+    )
+    def test_a_warm_query_with_a_bad_delta_fails_before_the_lookup(
+        self, small_network, workers, delta_req
+    ):
+        """Regression: a warm query skipped the loop's range check —
+        Δ 0 raised a raw ``ZeroDivisionError`` out of an inline tick
+        (then resolved ``done`` with no result), Δ 1.5 and −0.1 were
+        served, and only NaN failed."""
+        outcomes, stats = self.serve(
+            small_network, workers,
+            [(COUNT_30, 0.1), (COUNT_30, delta_req)],
+        )
+        assert [o.status for o in outcomes] == ["done", "failed"]
+        failed = outcomes[1]
+        assert not failed.ok and failed.result is None
+        assert isinstance(failed.error, SamplingError)
+        assert "delta_req must be in (0, 1]" in failed.detail
+        # The check ran before the plan cache was read.
+        assert (stats.cache_hits, stats.cache_misses) == (0, 1)
+        assert (stats.cold_runs, stats.warm_runs) == (1, 0)
+
+    def test_a_raising_engine_fails_alike_on_both_backends(
+        self, small_network, monkeypatch
+    ):
+        """Regression: the inline backend let a non-``ReproError``
+        escape ``tick()`` and later reported the dead query ``done``
+        with no result, where a shard worker resolved it ``failed``."""
+        analyze = TwoPhaseEngine._analyze
+
+        def analyze_or_raise(self, query, sample, delta_req):
+            if query == SUM_50:
+                raise RuntimeError("kaboom")
+            return analyze(self, query, sample, delta_req)
+
+        # Patched before the fork, so the worker inherits it.
+        monkeypatch.setattr(TwoPhaseEngine, "_analyze", analyze_or_raise)
+        queries = [(COUNT_30, 0.1), (SUM_50, 0.1), (AVG_ALL, 0.1)]
+        inline, inline_stats = self.serve(small_network, None, queries)
+        forked, forked_stats = self.serve(small_network, 1, queries)
+        for outcomes in (inline, forked):
+            assert [o.status for o in outcomes] == [
+                "done", "failed", "done"
+            ]
+            error = outcomes[1].error
+            assert isinstance(error, ServiceError)
+            assert str(error) == "query 1 failed: RuntimeError('kaboom')"
+        assert [(o.status, o.detail, o.chunks) for o in inline] == [
+            (o.status, o.detail, o.chunks) for o in forked
+        ]
+        assert (inline_stats.completed, inline_stats.failed) == (2, 1)
+        assert (forked_stats.completed, forked_stats.failed) == (2, 1)
 
 
 class TestShardedLifecycle:
