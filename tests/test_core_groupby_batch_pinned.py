@@ -15,7 +15,11 @@ GROUP BY AVG sizes phase II from the count vector, as COUNT does
 (``# AVG sizing``: it used to cross-validate the normalized per-group
 averages), and a batch's phase reports carry the hops the phase walked
 (``# hops``: they used to record 0).  Every other value is the one
-recorded.
+recorded.  The chaos rows were recorded later, before GROUP BY and
+batch visits became segment passes over a chunk, and are unchanged
+since; ``chaos-retry`` (a batch under the chaos plan with a
+``RetryPolicy``) was recorded after, because before it the batch
+engine ignored its retry policy.
 """
 
 import pytest
@@ -28,11 +32,14 @@ from repro.core.two_phase import TwoPhaseConfig
 from repro.data.generator import DatasetConfig, generate_dataset
 from repro.metrics.cost import QueryCost
 from repro.network.simulator import NetworkSimulator
+from repro.network.walker import RetryPolicy
 from repro.query.parser import parse_query
+from .test_core_values_pinned import CHAOS_PLAN
 
 NETWORKS = {
     "clean": {},
     "loss": {"reply_loss_rate": 0.2},
+    "chaos": {"fault_plan": CHAOS_PLAN},
 }
 
 GROUP_QUERIES = {
@@ -81,24 +88,35 @@ def _streams(engine, network):
     )
 
 
+def _with_fault_clock(observed, network):
+    """``observed`` plus the fault clock, for a network with a plan."""
+    if network.fault_state is not None:
+        observed["fault_clock"] = network.fault_state.clock
+    return observed
+
+
 def observe_groupby(small_topology, grouped_dataset, network_name, query_name):
     network = _network(small_topology, grouped_dataset, network_name)
     engine = GroupByEngine(network, GroupByConfig(), seed=3)
     result = engine.execute(GROUP_QUERIES[query_name], delta_req=0.05, sink=0)
-    return {
+    return _with_fault_clock({
         "groups": result.groups,
         "phase_one": result.phase_one,
         "phase_two": result.phase_two,
         "cost": result.cost,
         "streams": _streams(engine, network),
-    }
+    }, network)
 
 
 def observe_batch(small_topology, grouped_dataset, network_name):
+    config = TwoPhaseConfig()
+    if network_name == "chaos-retry":
+        network_name = "chaos"
+        config = TwoPhaseConfig(retry_policy=RetryPolicy(max_attempts=3))
     network = _network(small_topology, grouped_dataset, network_name)
-    engine = BatchEngine(network, TwoPhaseConfig(), seed=3)
+    engine = BatchEngine(network, config, seed=3)
     results = engine.execute(PANEL, delta_req=0.05, sink=0)
-    return {
+    return _with_fault_clock({
         "answers": [
             (
                 result.estimate,
@@ -114,7 +132,7 @@ def observe_batch(small_topology, grouped_dataset, network_name):
         "phase_two": [result.phase_two for result in results],
         "cost": results[0].cost,
         "streams": _streams(engine, network),
-    }
+    }, network)
 
 
 PINNED_GROUPBY = {
@@ -160,6 +178,30 @@ PINNED_GROUPBY = {
         'cost': QueryCost(messages=1363, hops=1260, peers_visited=126, distinct_peers=86, tuples_processed=2575, tuples_sampled=2575, bytes_sent=127337, latency_ms=66304.97043941388, timeouts=0),
         'streams': (0.48196304718838257, 0.6747268770136862, 0.4725629820399928, 0.9031718109148604, 0.14003708514257618),
     },
+    ('chaos', 'avg'): {
+        'groups': {1.0: 48.69863064609671, 2.0: 47.404161365225306, 3.0: 47.250634509851245, 4.0: 46.72042497592075, 5.0: 50.29296944821327, 6.0: 50.24185267214426},
+        'phase_one': PhaseReport(peers_visited=29, tuples_sampled=725, hops=400, estimate=None),
+        'phase_two': PhaseReport(peers_visited=30, tuples_sampled=750, hops=380, estimate=None),
+        'cost': QueryCost(messages=839, hops=780, peers_visited=78, distinct_peers=62, tuples_processed=1475, tuples_sampled=1475, bytes_sent=60313, latency_ms=43951.877961995786, timeouts=13),
+        'streams': (0.6691274961459358, 0.6169459597482094, 0.14053804489292343, 0.9031718109148604, 0.33116939425886016),
+        'fault_clock': 78,
+    },
+    ('chaos', 'count'): {
+        'groups': {1.0: 5266.909634324529, 2.0: 3957.574058112976, 3.0: 3000.3028728338018, 4.0: 2850.042703968266, 5.0: 2615.847187973301, 6.0: 2309.3235427871255},
+        'phase_one': PhaseReport(peers_visited=29, tuples_sampled=725, hops=400, estimate=None),
+        'phase_two': PhaseReport(peers_visited=30, tuples_sampled=750, hops=380, estimate=None),
+        'cost': QueryCost(messages=839, hops=780, peers_visited=78, distinct_peers=62, tuples_processed=1475, tuples_sampled=1475, bytes_sent=61873, latency_ms=43953.4379619958, timeouts=13),
+        'streams': (0.6691274961459358, 0.6169459597482094, 0.14053804489292343, 0.9031718109148604, 0.33116939425886016),
+        'fault_clock': 78,
+    },
+    ('chaos', 'sum'): {
+        'groups': {1.0: 70094.21905863693, 2.0: 54090.11736656372, 3.0: 41472.50563812625, 4.0: 38837.90743063784, 5.0: 29095.5348186153, 6.0: 28255.900110801118},
+        'phase_one': PhaseReport(peers_visited=29, tuples_sampled=725, hops=400, estimate=None),
+        'phase_two': PhaseReport(peers_visited=94, tuples_sampled=2350, hops=1230, estimate=None),
+        'cost': QueryCost(messages=1753, hops=1630, peers_visited=163, distinct_peers=105, tuples_processed=3075, tuples_sampled=3075, bytes_sent=162983, latency_ms=92071.79004690578, timeouts=28),
+        'streams': (0.6691274961459358, 0.8542446720350182, 0.1302533379496742, 0.9031718109148604, 0.33116939425886016),
+        'fault_clock': 163,
+    },
 }
 
 PINNED_BATCH = {
@@ -176,6 +218,14 @@ PINNED_BATCH = {
         'phase_two': [PhaseReport(peers_visited=787, tuples_sampled=19675, hops=9940, estimate=None), PhaseReport(peers_visited=787, tuples_sampled=19675, hops=9940, estimate=None), PhaseReport(peers_visited=787, tuples_sampled=19675, hops=9940, estimate=None)],  # hops
         'cost': QueryCost(messages=12809, hops=10340, peers_visited=1034, distinct_peers=194, tuples_processed=20575, tuples_sampled=20575, bytes_sent=1582003, latency_ms=544650.5197785409, timeouts=0),
         'streams': (0.08564916714362436, 0.8261868317638917, 0.09287253318687849, 0.9031718109148604, 0.6967013806766256),
+    },
+    'chaos': {
+        'answers': [(7367.60649580848, 20000.0, ConfidenceInterval(estimate=7367.60649580848, half_width=746.2229027144239, confidence=0.95), 588, 470, True), (901456.123476638, 947467.7326469477, ConfidenceInterval(estimate=901456.123476638, half_width=46450.46395503077, confidence=0.95), 588, 470, True), (74.96574226249996, 947467.7326469477, ConfidenceInterval(estimate=74.96574226249996, half_width=7.381179714218086, confidence=0.95), 588, 470, True)],
+        'phase_one': [PhaseReport(peers_visited=33, tuples_sampled=825, hops=400, estimate=None), PhaseReport(peers_visited=33, tuples_sampled=825, hops=400, estimate=None), PhaseReport(peers_visited=33, tuples_sampled=825, hops=400, estimate=None)],
+        'phase_two': [PhaseReport(peers_visited=437, tuples_sampled=10925, hops=5480, estimate=None), PhaseReport(peers_visited=437, tuples_sampled=10925, hops=5480, estimate=None), PhaseReport(peers_visited=437, tuples_sampled=10925, hops=5480, estimate=None)],
+        'cost': QueryCost(messages=7290, hops=5880, peers_visited=588, distinct_peers=178, tuples_processed=11750, tuples_sampled=11750, bytes_sent=900030, latency_ms=326150.23803133407, timeouts=73),
+        'streams': (0.08564916714362436, 0.09452842796741778, 0.10268097778388774, 0.9031718109148604, 0.33116939425886016),
+        'fault_clock': 588,
     },
 }
 
