@@ -10,12 +10,17 @@ import numpy as np
 from repro.core.groupby import GroupByConfig, GroupByEngine
 from repro.data.generator import DatasetConfig, generate_dataset
 from repro.network.generators import power_law_topology
+from repro.network.protocol import (
+    AggregateReply,
+    group_reply_bytes,
+    tuple_reply_bytes,
+)
 from repro.network.simulator import NetworkSimulator
+from repro.network.visits import GroupVisits
 from repro.query.exact import evaluate_exact_groups
 from repro.query.parser import parse_query
 
 GROUPED = parse_query("SELECT COUNT(A) FROM T GROUP BY G")
-SCALAR = parse_query("SELECT COUNT(A) FROM T WHERE A BETWEEN 1 AND 30")
 MEDIAN = parse_query("SELECT MEDIAN(A) FROM T")
 
 
@@ -63,28 +68,22 @@ def test_bandwidth_ordering(benchmark):
     budgets."""
     def run():
         topology, dataset, network = _network()
-        sizes = {"scalar": [], "groupby": [], "value-shipping": []}
-        for peer in range(0, 40):
-            ledger = network.new_ledger()
-            sizes["scalar"].append(
-                network.visit_aggregate(
-                    peer, SCALAR, sink=0, ledger=ledger,
-                    tuples_per_peer=50,
-                ).size_bytes()
-            )
-            sizes["groupby"].append(
-                network.visit_group_aggregate(
-                    peer, GROUPED, sink=0, ledger=ledger,
-                    tuples_per_peer=50,
-                ).size_bytes()
-            )
-            sizes["value-shipping"].append(
-                network.visit_values(
-                    peer, MEDIAN, sink=0, ledger=ledger,
-                    tuples_per_peer=50, ship="sample",
-                ).size_bytes()
-            )
-        return {name: float(np.mean(v)) for name, v in sizes.items()}
+        peers = np.arange(40)
+        ledger = network.new_ledger()
+        grouped = network.visit_batch(
+            peers, GroupVisits(network, GROUPED, 0, 50), ledger
+        )
+        shipped = network.visit_values_batch(
+            peers, MEDIAN, sink=0, ledger=ledger,
+            tuples_per_peer=50, ship="sample",
+        )
+        return {
+            "scalar": float(AggregateReply.SIZE_BYTES),
+            "groupby": float(group_reply_bytes(grouped["shipped"]).mean()),
+            "value-shipping": float(
+                tuple_reply_bytes(shipped["shipped"]).mean()
+            ),
+        }
 
     budgets = benchmark.pedantic(run, rounds=1, iterations=1)
     print("\nmean reply bytes per visit:", budgets)

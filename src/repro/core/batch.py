@@ -5,7 +5,7 @@ of them.  Running the two-phase algorithm per query multiplies the
 dominant cost (peer visits) by the number of queries, yet every query
 could have been evaluated on the *same* visited peers: the walk is
 query-independent, and a visit's sub-sample serves any number of
-predicates (see :meth:`NetworkSimulator.visit_multi_aggregate`).
+predicates (see :class:`~repro.network.visits.PanelVisits`).
 
 :class:`BatchEngine` exploits that:
 
@@ -23,14 +23,12 @@ hardest member instead of the sum.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Generator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from ..errors import ConfigurationError, PeerUnavailableError
+from ..errors import ConfigurationError
 from ..metrics.cost import CostLedger
-from ..network.protocol import AggregateReply, AggregateSample
+from ..network.protocol import PanelSample
+from ..network.visits import PanelVisits
 from ..query.model import AggregationQuery
 from .confidence import query_confidence_interval
 from .estimators import (
@@ -52,27 +50,6 @@ from .two_phase import (
 __all__ = [
     "BatchEngine",
 ]
-
-
-@dataclasses.dataclass(frozen=True)
-class _Panel:
-    """A collection's replies to a batch: a sample per query, over the
-    same peers (a multi visit answers every query or none)."""
-
-    samples: Tuple[AggregateSample, ...]
-
-    @classmethod
-    def concat(cls, panels: Sequence["_Panel"]) -> "_Panel":
-        return cls(tuple(
-            AggregateSample.concat(parts)
-            for parts in zip(*(panel.samples for panel in panels))
-        ))
-
-    def __len__(self) -> int:
-        return len(self.samples[0])
-
-    def __getitem__(self, column: str) -> np.ndarray:
-        return self.samples[0][column]
 
 
 class BatchEngine(
@@ -116,42 +93,30 @@ class BatchEngine(
     def _collect(
         self, sink: int, query: Sequence[AggregationQuery], count: int,
         ledger: CostLedger, chunk_peers: Optional[int], phase: str,
-    ) -> Generator[StepCheckpoint, None, _Panel]:
+    ) -> Generator[StepCheckpoint, None, PanelSample]:
         """One walk; every visited peer answers all queries on one
         shared sub-sample, a lost visit skipped."""
+        panel = yield from self._walk_and_visit(
+            count, ledger, chunk_peers, phase,
+            "; ".join(member.to_sql() for member in query),
+            PanelVisits(
+                self._simulator, query, sink, self._config.tuples_per_peer,
+                self._config.sampling_method, self._visit_rng,
+            ),
+        )
         topology = self._simulator.topology
-
-        def visit(peers: np.ndarray) -> _Panel:
-            per_query: List[List[AggregateReply]] = [[] for _ in query]
-            for peer in peers.tolist():
-                try:
-                    replies = self._simulator.visit_multi_aggregate(
-                        peer, query, sink=sink, ledger=ledger,
-                        tuples_per_peer=self._config.tuples_per_peer,
-                        sampling_method=self._config.sampling_method,
-                        seed=self._visit_rng,
-                    )
-                except PeerUnavailableError:
-                    continue
-                for index, reply in enumerate(replies):
-                    per_query[index].append(reply)
-            return _Panel(tuple(
-                observations_from_replies(
-                    AggregateSample.from_replies(replies, sink),
-                    num_edges=topology.num_edges,
-                    num_peers=topology.num_peers,
-                    variant=self._config.walk_variant,
-                )
-                for replies in per_query
-            ))
-
-        return (yield from self._walk_and_visit(
-            sink, count, ledger, chunk_peers, phase,
-            "; ".join(member.to_sql() for member in query), visit,
+        return PanelSample(tuple(
+            observations_from_replies(
+                sample,
+                num_edges=topology.num_edges,
+                num_peers=topology.num_peers,
+                variant=self._config.walk_variant,
+            )
+            for sample in panel.samples
         ))
 
     def _analyze(
-        self, query: Sequence[AggregationQuery], panel: _Panel,
+        self, query: Sequence[AggregationQuery], panel: PanelSample,
         delta_req: float,
     ) -> Tuple[int, float, List[PhaseOneAnalysis]]:
         """Per-query sink analysis exactly as in the scalar engine;
@@ -172,7 +137,7 @@ class BatchEngine(
             analyses,
         )
 
-    def _result(self, run: _Run[_Panel]) -> List[ApproximateResult]:
+    def _result(self, run: _Run[PanelSample]) -> List[ApproximateResult]:
         point, variance = make_estimator(
             self._config.estimator, self._simulator.num_peers
         )

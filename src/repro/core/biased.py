@@ -30,12 +30,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .._util import SeedLike, ensure_rng
-from ..errors import (
-    ConfigurationError,
-    PeerUnavailableError,
-    SamplingError,
-)
-from ..network.protocol import AggregateSample, WalkerProbe
+from ..errors import ConfigurationError, SamplingError
+from ..network.protocol import WalkerProbe
 from ..network.simulator import NetworkSimulator
 from ..network.walker import RandomWalkConfig, WeightedMetropolisWalker
 from ..query.model import AggregationQuery
@@ -199,21 +195,13 @@ class BiasedSamplingEngine:
             walk.hops, ledger, message_bytes=probe.size_bytes()
         )
 
-        replies = []
-        for peer in walk.peers:
-            try:
-                replies.append(
-                    self._simulator.visit_aggregate(
-                        int(peer), query, sink=sink, ledger=ledger,
-                        tuples_per_peer=self._config.tuples_per_peer,
-                        seed=self._visit_rng,
-                    )
-                )
-            except PeerUnavailableError:
-                continue  # lost reply: the sample just shrinks
-        if len(replies) < 2:
+        sample = self._simulator.visit_aggregate_batch(
+            walk.peers, query, sink=sink, ledger=ledger,
+            tuples_per_peer=self._config.tuples_per_peer,
+            seed=self._visit_rng,
+        )  # a lost reply is skipped: the sample just shrinks
+        if len(sample) < 2:
             raise SamplingError("biased sampling needs >= 2 observations")
-        sample = AggregateSample.from_replies(replies, sink)
         sample = sample.with_probability(
             self._walker.stationary_probabilities()[sample["source"]]
         )

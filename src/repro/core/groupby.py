@@ -22,9 +22,10 @@ from typing import Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import ConfigurationError, PeerUnavailableError
+from ..errors import ConfigurationError
 from ..metrics.cost import CostLedger, QueryCost
-from ..network.protocol import GroupReply, ValueSample
+from ..network.protocol import ValueSample
+from ..network.visits import GroupVisits
 from ..query.model import AggregateOp, AggregationQuery
 from .result import PhaseReport
 from .two_phase import StepCheckpoint, _PhaseConfig, _PhasedEngine, _Run
@@ -168,32 +169,15 @@ class GroupByEngine(
         """Walk to ``count`` peers and gather their group replies (a
         lost reply skipped) as a sample whose values are the replies'
         ``(group, count, sum)`` entries."""
+        sample = yield from self._walk_and_visit(
+            count, ledger, chunk_peers, phase, query.to_sql(),
+            GroupVisits(
+                self._simulator, query, sink, self._config.tuples_per_peer,
+                seed=self._visit_rng,
+            ),
+        )
         probabilities = self._walker.stationary_probabilities()
-
-        def visit(peers: np.ndarray) -> ValueSample:
-            replies: List[GroupReply] = []
-            for peer in peers.tolist():
-                try:
-                    replies.append(self._simulator.visit_group_aggregate(
-                        peer, query, sink=sink, ledger=ledger,
-                        tuples_per_peer=self._config.tuples_per_peer,
-                        seed=self._visit_rng,
-                    ))
-                except PeerUnavailableError:
-                    continue
-            sources = [r.source for r in replies]
-            entries = [entry for r in replies for entry in r.entries]
-            return ValueSample.from_columns(
-                sink, len(replies), values=np.reshape(entries, (-1, 3)),
-                source=sources, degree=[r.degree for r in replies],
-                local_tuples=[r.local_tuples for r in replies],
-                processed_tuples=[r.processed_tuples for r in replies],
-                shipped=[len(r.entries) for r in replies],
-            ).with_probability(probabilities[sources])
-
-        return (yield from self._walk_and_visit(
-            sink, count, ledger, chunk_peers, phase, query.to_sql(), visit
-        ))
+        return sample.with_probability(probabilities[sample["source"]])
 
     def _analyze(
         self, query: AggregationQuery, sample: ValueSample, delta_req: float

@@ -52,6 +52,7 @@ from ..errors import ConfigurationError, SamplingError
 from ..metrics.cost import CostLedger, QueryCost
 from ..network.protocol import AggregateSample, ValueSample, WalkerProbe
 from ..network.simulator import NetworkSimulator
+from ..network.visits import AggregateVisits, ValueVisits, Visits
 from ..network.walker import (
     RandomWalkConfig,
     RandomWalker,
@@ -444,29 +445,29 @@ class _PhasedEngine(Generic[_C, _Q, _R]):
     # ------------------------------------------------------------------
 
     def _walk_and_visit(
-        self, sink: int, count: int, ledger: CostLedger,
-        chunk_peers: Optional[int], phase: str, query_text: str,
-        visit: Callable[[_Rows], _S],
-        resilient: Optional[Callable[[ResilientCollector, int], _S]] = None,
+        self, count: int, ledger: CostLedger, chunk_peers: Optional[int],
+        phase: str, query_text: str, visits: Visits[_S],
     ) -> Generator[StepCheckpoint, None, _S]:
-        """Walk from ``sink`` to ``count`` peers and ``visit`` them, a
-        :class:`~repro.network.walker.WalkCursor` take of
+        """Walk from ``visits.sink`` to ``count`` peers and visit them,
+        a :class:`~repro.network.walker.WalkCursor` take of
         ``chunk_peers`` selections (one of ``count`` when ``None``) and
         a checkpoint at a time — bit-identical replies for any
         chunking: the cursor consumes the walker RNG exactly as one
         take does, the visits consume ``self._visit_rng`` peer by peer
         in selection order.  The loop relies on the public entry
         points' ``chunk_peers >= 1`` (:func:`check_chunk_peers`).
-        Under a retry policy a collection with a resilient form (the
-        aggregate and values visits) runs ``resilient(collector,
-        probe_bytes)`` instead, in one piece (the collector owns its
+        Under a retry policy the engine's collector runs the whole
+        collection instead, in one piece (it owns its
         retry/substitution loop) and one checkpoint."""
+        sink = visits.sink
         probe_bytes = WalkerProbe(
             source=sink, destination=sink, sink=sink, query_text=query_text,
             tuples_per_peer=self._config.tuples_per_peer,
         ).size_bytes()
-        if self._collector is not None and resilient is not None:
-            sample = resilient(self._collector, probe_bytes)
+        if self._collector is not None:
+            sample, _ = visits.collect(
+                self._collector, count, ledger, probe_bytes
+            )
             yield StepCheckpoint(self._name, phase, len(sample), ledger)
             return sample
         cursor = self._walker.cursor(sink)
@@ -481,7 +482,7 @@ class _PhasedEngine(Generic[_C, _Q, _R]):
             self._simulator.walk_hops(
                 walk.hops, ledger, message_bytes=probe_bytes
             )
-            chunks.append(visit(walk.peers))
+            chunks.append(visits.visit(walk.peers, ledger))
             collected += len(chunks[-1])
             remaining -= take
             yield StepCheckpoint(self._name, phase, collected, ledger)
@@ -496,17 +497,12 @@ class _PhasedEngine(Generic[_C, _Q, _R]):
         """:meth:`_walk_and_visit` for the engines answering from
         shipped values: what ``count`` peers ``ship``, as one
         :class:`ValueSample` with stationary probabilities attached."""
-        budget = self._config.tuples_per_peer
         sample = yield from self._walk_and_visit(
-            sink, count, ledger, chunk_peers, phase, query_text,
-            lambda peers: self._simulator.visit_values_batch(
-                peers, query, sink=sink, ledger=ledger,
-                tuples_per_peer=budget, ship=ship, seed=self._visit_rng,
+            count, ledger, chunk_peers, phase, query_text,
+            ValueVisits(
+                self._simulator, query, sink, self._config.tuples_per_peer,
+                seed=self._visit_rng, ship=ship,
             ),
-            lambda collector, probe_bytes: collector.collect_values(
-                sink, query, count, ledger, probe_bytes=probe_bytes,
-                tuples_per_peer=budget, ship=ship, seed=self._visit_rng,
-            )[0],
         )
         probabilities = self._walker.stationary_probabilities()
         return sample.with_probability(probabilities[sample["source"]])
@@ -774,23 +770,17 @@ class TwoPhaseEngine(
         reconstructs for this engine's walk attached.
 
         A batch visit covers a take's peers in one vectorized pass;
-        under fault injection it degrades to the per-peer loop
-        internally, dropping lost replies either way.
+        under fault injection it resolves each probe's fate on its own,
+        dropping lost replies either way.
         """
         check_chunk_peers(chunk_peers)
         config = self._config
         sample = yield from self._walk_and_visit(
-            sink, count, ledger, chunk_peers, phase, query.to_sql(),
-            lambda peers: self._simulator.visit_aggregate_batch(
-                peers, query, sink=sink, ledger=ledger,
-                tuples_per_peer=config.tuples_per_peer,
-                sampling_method=config.sampling_method, seed=self._visit_rng,
+            count, ledger, chunk_peers, phase, query.to_sql(),
+            AggregateVisits(
+                self._simulator, query, sink, config.tuples_per_peer,
+                config.sampling_method, self._visit_rng,
             ),
-            lambda collector, probe_bytes: collector.collect_aggregate(
-                sink, query, count, ledger, probe_bytes=probe_bytes,
-                tuples_per_peer=config.tuples_per_peer,
-                sampling_method=config.sampling_method, seed=self._visit_rng,
-            )[0],
         )
         return observations_from_replies(
             sample,

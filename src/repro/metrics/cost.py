@@ -162,6 +162,7 @@ class CostLedger:
         tuples_sampled: ArrayLike,
         reply_bytes: ArrayLike,
         cpu_speeds: Optional[ArrayLike] = None,
+        leading_replies: int = 0,
     ) -> None:
         """Bulk-account a sequence of visit + reply pairs.
 
@@ -169,7 +170,10 @@ class CostLedger:
         :meth:`record_reply` calls, one pair per entry, in order — the
         latency accumulator is advanced with the same additions in the
         same sequence, so totals are bit-for-bit identical to the
-        per-event path.  Used by the simulator's batch visits.
+        per-event path.  Used by the simulator's batch visits.  A visit
+        that sends ``leading_replies`` replies (a panel's ``k``) is
+        charged after them instead: ``k`` :meth:`record_reply` calls,
+        then its :meth:`record_visit`.
 
         A scalar ``reply_bytes`` is every reply's size; passing the
         same array as ``tuples_processed`` and ``tuples_sampled`` reads
@@ -212,6 +216,7 @@ class CostLedger:
                 raise ConfigurationError("cpu_speed must be positive")
 
         # Order-independent integer totals vectorize freely ...
+        replies = leading_replies or 1
         self._visits += n
         self._distinct.update(peers.tolist())
         processed = int(tuples_processed.sum())
@@ -219,21 +224,23 @@ class CostLedger:
         self._tuples_sampled += (
             processed if same else int(tuples_sampled.sum())
         )
-        self._messages += n
-        self._bytes += (
+        self._messages += n * replies
+        self._bytes += replies * (
             int(reply_bytes.sum()) if reply_bytes.ndim else n * int(reply_bytes)
         )
         # ... but float accumulation must replay the per-event order
-        # (visit overhead + processing, then reply transfer, per peer)
-        # to land on the identical rounded value.  ``np.cumsum`` adds
-        # strictly left to right, so its last entry is that replay.
-        steps = np.empty(2 * n + 1, dtype=np.float64)
+        # (visit overhead + processing, then reply transfer, per peer —
+        # or the leading replies first) to land on the identical
+        # rounded value.  ``np.cumsum`` adds strictly left to right, so
+        # its last entry is that replay.
+        steps = np.empty(n * (replies + 1) + 1, dtype=np.float64)
         steps[0] = self._latency_ms
-        steps[1::2] = (
+        per_visit = steps[1:].reshape(n, replies + 1)
+        per_visit[:] = (reply_bytes * self._model.byte_latency_ms).reshape(-1, 1)
+        per_visit[:, replies if leading_replies else 0] = (
             self._model.visit_overhead_ms
             + tuples_processed * self._model.tuple_processing_ms / cpu_speeds
         )
-        steps[2::2] = reply_bytes * self._model.byte_latency_ms
         self._latency_ms = float(np.cumsum(steps)[-1])
 
     def record_timeout(self, peer: int, waited_ms: float) -> None:

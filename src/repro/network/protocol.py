@@ -12,7 +12,9 @@ replies the sampling algorithm needs:
 * :class:`AggregateSample` — what the sink holds once a collection's
   aggregate replies are in: their payloads as columns, one row per
   reply — the one form a COUNT/SUM/AVG sample takes from the visit to
-  the estimate;
+  the estimate; a panel's replies are one per query
+  (:class:`PanelSample`);
+* :class:`GroupReply` — per-group scaled aggregates for GROUP BY;
 * :class:`TupleReply` — a raw sub-sample of local tuples, used by
   median/quantile estimation where push-down is impossible;
 * :class:`ValueSample` — the values replies of a collection as
@@ -58,8 +60,11 @@ __all__ = [
     "WalkerProbe",
     "AggregateReply",
     "AggregateSample",
+    "PanelSample",
     "GroupReply",
+    "group_reply_bytes",
     "TupleReply",
+    "tuple_reply_bytes",
     "ValueSample",
 ]
 
@@ -401,6 +406,28 @@ class AggregateSample(_ReplyRows):
             )
 
 
+@dataclasses.dataclass(frozen=True, slots=True)
+class PanelSample:
+    """A panel's replies: one :class:`AggregateSample` per query, over
+    the same peers (a panel visit answers every query or none)."""
+
+    samples: Tuple[AggregateSample, ...]
+
+    @classmethod
+    def concat(cls, panels: Sequence["PanelSample"]) -> "PanelSample":
+        """The rows of ``panels`` (at least one), back to back."""
+        return cls(tuple(
+            AggregateSample.concat(parts)
+            for parts in zip(*(panel.samples for panel in panels))
+        ))
+
+    def __len__(self) -> int:
+        return len(self.samples[0])
+
+    def __getitem__(self, column: str) -> "NDArray[Any]":
+        return self.samples[0][column]
+
+
 @dataclasses.dataclass(frozen=True, slots=True, eq=False)
 class ValueSample:
     """The values replies of a collection, as one ragged sample.
@@ -508,7 +535,16 @@ class GroupReply(Message):
         return MessageType.GROUP_REPLY
 
     def payload_bytes(self) -> int:
-        return 4 + 4 + 4 + 24 * len(self.entries)
+        return int(group_reply_bytes(len(self.entries))) - GNUTELLA_HEADER_BYTES
+
+
+def group_reply_bytes(entries: ArrayLike) -> "NDArray[np.int64]":
+    """The wire size of a :class:`GroupReply` carrying ``entries``
+    groups, a size per count when given an array — the one rule its
+    ``size_bytes()`` and a batch visit's charge read."""
+    return GNUTELLA_HEADER_BYTES + 4 + 4 + 4 + 24 * np.asarray(
+        entries, dtype=np.int64
+    )
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -531,4 +567,13 @@ class TupleReply(Message):
         return MessageType.TUPLE_REPLY
 
     def payload_bytes(self) -> int:
-        return 4 + 4 + 4 + 8 * len(self.values)
+        return int(tuple_reply_bytes(len(self.values))) - GNUTELLA_HEADER_BYTES
+
+
+def tuple_reply_bytes(shipped: ArrayLike) -> "NDArray[np.int64]":
+    """The wire size of a :class:`TupleReply` shipping ``shipped``
+    values, a size per count when given an array — the one rule its
+    ``size_bytes()`` and a batch visit's charge read."""
+    return GNUTELLA_HEADER_BYTES + 4 + 4 + 4 + 8 * np.asarray(
+        shipped, dtype=np.int64
+    )

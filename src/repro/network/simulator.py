@@ -7,14 +7,18 @@ cross-peer interaction of the sampling algorithms goes through it as a
 typed protocol message, so costs (messages, bytes, latency) are
 accounted exactly where the paper's cost model says they arise:
 
-* ``visit_aggregate`` — the paper's ``Visit`` procedure for COUNT/SUM
-  (§4): run the query on at most ``t`` sub-sampled tuples, scale by
-  ``#tuples / #processedTuples``, reply directly to the sink with the
-  scaled aggregate and the peer's degree.
-* ``visit_values`` — the median/quantile visit (§5.6): return the local
-  median (or a raw value sample) instead, which costs real bandwidth.
+* the paper's ``Visit`` procedure (§4): run the query on at most ``t``
+  sub-sampled tuples, scale by ``#tuples / #processedTuples``, reply
+  directly to the sink.  Every reply kind is one kernel over a chunk's
+  gathered rows (:mod:`repro.network.visits`): the scaled COUNT/SUM
+  aggregate and the peer's degree, a panel of them on one sub-sample,
+  per-group entries, or the local median / a raw value sample for
+  holistic aggregates (§5.6) — and one driver runs every kind
+  (``visit_batch``; ``visit_aggregate_batch`` and
+  ``visit_values_batch`` name the first and the last): a clean chunk
+  in one pass, a faulted one fate per probe (``probe_visit``);
 * ``flood`` — Gnutella's BFS flooding with a TTL, used by the naive
-  baseline the paper contrasts against (§3.1, Figure 7).
+  baseline the paper contrasts against (§3.1, Figure 7);
 * ``ping`` — membership probe, used by the churn machinery.
 """
 
@@ -24,7 +28,7 @@ import copy
 import functools
 from typing import (
     TYPE_CHECKING,
-    Dict,
+    Any,
     FrozenSet,
     List,
     Optional,
@@ -39,12 +43,7 @@ from numpy.typing import ArrayLike
 from .._util import SeedLike, ensure_rng, seed_sequence
 from ..data.flat import DatabaseTable, FlatDataset
 from ..data.localdb import LocalDatabase
-from ..data.segments import (
-    segment_aggregate,
-    segment_ramps,
-    segment_sample_indices,
-    segment_sums,
-)
+from ..data.segments import segment_ramps, segment_sample_indices
 from ..errors import (
     ConfigurationError,
     PeerCrashedError,
@@ -61,21 +60,19 @@ from ..obs.events import (
     TraceCost,
 )
 from ..obs.tracer import active_tracer, emit_if_tracing
-from ..query.model import AggregateOp, AggregationQuery
+from ..query.model import AggregationQuery
 from .faults import FaultPlan, FaultState
 from .peer import Peer, PeerTable
 from .protocol import (
-    GNUTELLA_HEADER_BYTES,
     AggregateReply,
     AggregateSample,
-    GroupReply,
     Ping,
     Pong,
     Query,
-    TupleReply,
     ValueSample,
 )
 from .topology import Topology
+from .visits import AggregateVisits, ChunkRows, ValueVisits, Visits
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only (obs/sim layering)
     from ..sim.clock import VirtualClock
@@ -88,6 +85,8 @@ __all__ = [
 ]
 
 _Sim = TypeVar("_Sim", bound="NetworkSimulator")
+#: A reply kind's sample.
+_S = TypeVar("_S")
 
 
 def _emit_probe(
@@ -117,37 +116,6 @@ def _emit_probe(
 #: A probe's charge is one of a handful of values, each built once: a
 #: retained trace then holds no per-probe object for the GC to track.
 _probe_charge = functools.lru_cache(maxsize=None)(TraceCost)
-
-
-def _check_tuples_per_peer(tuples_per_peer: int) -> None:
-    """The one budget validator every visit entry point runs first."""
-    if tuples_per_peer < 0:
-        raise ConfigurationError("tuples_per_peer must be >= 0")
-
-
-def _check_sampling_method(sampling_method: str) -> None:
-    """The one sampling-method validator every visit entry point runs
-    first, whether or not the visit ends up sub-sampling: row-level
-    (``"uniform"``) or block-level (``"block"``)."""
-    if sampling_method not in ("uniform", "block"):
-        raise ConfigurationError(
-            f"unknown sampling method {sampling_method!r}; "
-            "expected 'uniform' or 'block'"
-        )
-
-
-def _check_pushdown(query: AggregationQuery) -> None:
-    """Aggregate visits compute at the peer; holistic aggregates
-    (MEDIAN, quantiles) cannot and must ship values instead."""
-    if not query.agg.supports_pushdown:
-        raise ConfigurationError(
-            f"{query.agg.value} cannot be pushed down; use visit_values"
-        )
-
-
-#: What a delivered aggregate probe charges: its visit and its one
-#: reply.  Shared by every ``ok`` event (a ``TraceCost`` is immutable).
-_AGGREGATE_OK_CHARGE = TraceCost(messages=1, visits=1)
 
 
 def _checked_labels(peer_labels: Sequence[int], num_peers: int) -> np.ndarray:
@@ -480,39 +448,22 @@ class NetworkSimulator:
             spike_ms = self._apply_faults(peer_id, kind, ledger)
             if drop_reply:
                 self._maybe_drop_reply(peer_id, ledger)
-        except PeerCrashedError:
+        except PeerUnavailableError as error:
+            # A crash or a timeout cost the sink a wait (a crash's wait
+            # passes in virtual time here); a lost reply costs none.
+            crashed = isinstance(error, PeerCrashedError)
+            timed_out = crashed or isinstance(error, ProbeTimeoutError)
             _emit_probe(
                 peer_id,
                 kind,
-                "crashed",
+                "crashed" if crashed else "timeout" if timed_out else "lost",
                 messages=request_messages,
                 hops=request_hops,
                 visits=1,
-                timeouts=1,
+                timeouts=int(timed_out),
             )
-            if time is not None:
+            if crashed and time is not None:
                 time.kernel.advance_by(self._fault_wait_ms())
-            raise
-        except ProbeTimeoutError:
-            _emit_probe(
-                peer_id,
-                kind,
-                "timeout",
-                messages=request_messages,
-                hops=request_hops,
-                visits=1,
-                timeouts=1,
-            )
-            raise
-        except PeerUnavailableError:
-            _emit_probe(
-                peer_id,
-                kind,
-                "lost",
-                messages=request_messages,
-                hops=request_hops,
-                visits=1,
-            )
             raise
         if time is not None:
             time.await_reply(
@@ -764,133 +715,8 @@ class NetworkSimulator:
         return pong
 
     # ------------------------------------------------------------------
-    # The paper's Visit procedure (§4)
+    # The paper's Visit procedure (§4): one driver for every reply kind
     # ------------------------------------------------------------------
-
-    def _open_visit(
-        self,
-        peer_id: int,
-        kind: str,
-        ledger: CostLedger,
-        tuples_per_peer: int,
-        sampling_method: str,
-        seed: SeedLike,
-    ) -> Tuple[Dict[str, np.ndarray], int, int]:
-        """The preamble every scalar visit shares.
-
-        Validates the arguments *before* anything observable happens
-        (a rejected call must not consume a fault-clock step or charge
-        the ledger), runs the probe's failure gauntlet, then reads the
-        peer's rows (:meth:`_read_rows`).
-        """
-        _check_tuples_per_peer(tuples_per_peer)
-        _check_sampling_method(sampling_method)
-        self._check_peer(peer_id)
-        self._probe_checks(peer_id, kind, ledger)
-        return self._read_rows(peer_id, tuples_per_peer, sampling_method, seed)
-
-    def _read_rows(
-        self,
-        peer_id: int,
-        tuples_per_peer: int,
-        sampling_method: str,
-        seed: SeedLike,
-    ) -> Tuple[Dict[str, np.ndarray], int, int]:
-        """One peer's rows: ``tuples_per_peer`` sub-sampled tuples when
-        the partition is larger than the budget, the whole partition
-        otherwise.  Returns ``(columns, total, processed)``."""
-        database = self._snapshot.databases[peer_id]
-        total = database.num_tuples
-        if tuples_per_peer and total > tuples_per_peer:
-            columns = database.sample(
-                tuples_per_peer,
-                method=sampling_method,
-                seed=self._rng if seed is None else ensure_rng(seed),
-            )
-            return columns, total, tuples_per_peer
-        return database.scan(), total, total
-
-    @staticmethod
-    def check_aggregate_visits(
-        query: AggregationQuery, tuples_per_peer: int, sampling_method: str
-    ) -> None:
-        """Check what a whole collection of aggregate visits fixes.
-
-        The query, the per-peer budget and the sampling method are the
-        same for every probe of a collection, so they are checked once
-        — before anything observable happens — and each probe then
-        runs :meth:`probe_aggregate_prechecked`.
-        """
-        _check_pushdown(query)
-        _check_tuples_per_peer(tuples_per_peer)
-        _check_sampling_method(sampling_method)
-
-    @staticmethod
-    def check_values_visits(
-        tuples_per_peer: int, ship: str, sampling_method: str
-    ) -> None:
-        """:meth:`check_aggregate_visits` for values visits."""
-        if ship not in ("median", "sample"):
-            raise ConfigurationError(f"unknown ship mode {ship!r}")
-        _check_tuples_per_peer(tuples_per_peer)
-        _check_sampling_method(sampling_method)
-
-    def probe_aggregate(
-        self,
-        peer_id: int,
-        query: AggregationQuery,
-        ledger: CostLedger,
-        tuples_per_peer: int = 0,
-        sampling_method: str = "uniform",
-    ) -> None:
-        """The *fate* half of an aggregate visit: everything but rows.
-
-        Whether ``peer_id``'s reply arrives (raising exactly what
-        :meth:`visit_aggregate` raises when it does not), when, what
-        the ledger pays and which trace events fire depend on the peer
-        id, its partition size, the fault clock and virtual time —
-        never on row values: an :class:`AggregateReply` has a fixed
-        size and the visit processes ``min(partition, t)`` rows under
-        either sampling method.  So the whole charge of a successful
-        visit is posted here, before a row is read, and the rows of
-        every surviving probe of a collection are read later in one
-        vectorised pass (:meth:`read_aggregates`).  ``query`` is only
-        validated.
-
-        This is :meth:`check_aggregate_visits` followed by
-        :meth:`probe_aggregate_prechecked`; a loop over many peers
-        runs the first once and the second per probe.
-
-        Values visits have no such half: a :class:`TupleReply`'s size,
-        hence its ledger charge, depends on the rows it ships, so
-        :meth:`visit_values` stays one per-peer step.
-        """
-        self.check_aggregate_visits(query, tuples_per_peer, sampling_method)
-        self.probe_aggregate_prechecked(peer_id, ledger, tuples_per_peer)
-
-    def probe_aggregate_prechecked(
-        self, peer_id: int, ledger: CostLedger, tuples_per_peer: int
-    ) -> None:
-        """Resolve one probe of a collection whose arguments
-        :meth:`check_aggregate_visits` has already accepted — the part
-        of :meth:`probe_aggregate` that depends on the probe."""
-        self._check_peer(peer_id)
-        self._probe_checks(peer_id, "aggregate", ledger)
-        processed = int(self._snapshot.flat.peer_tuple_counts[peer_id])
-        if tuples_per_peer:
-            processed = min(processed, tuples_per_peer)
-        ledger.record_visit(
-            peer_id,
-            tuples_processed=processed,
-            tuples_sampled=processed,
-            cpu_speed=float(self._snapshot.cpu_speeds()[peer_id]),
-        )
-        ledger.record_reply(AggregateReply.SIZE_BYTES)
-        tracer = active_tracer()
-        if tracer is not None:
-            tracer.emit(
-                ProbeEvent, peer_id, "aggregate", "ok", 1, _AGGREGATE_OK_CHARGE
-            )
 
     def visit_aggregate(
         self,
@@ -910,82 +736,76 @@ class NetworkSimulator:
         and the result is scaled by ``#tuples / #processedTuples``
         exactly as in the paper's pseudocode.  The reply also carries
         the peer's degree, from which the sink reconstructs the
-        stationary probability.
+        stationary probability.  A reply that does not arrive raises.
 
-        One visit is :meth:`probe_aggregate` (fate) followed by a read
-        of this one peer's rows.
+        One visit is one probe (:meth:`probe_visit`: fate) and a read
+        of this one peer's rows through the aggregate kernel.
         """
-        self.probe_aggregate(
-            peer_id, query, ledger, tuples_per_peer, sampling_method
+        visits = AggregateVisits(
+            self, query, sink, tuples_per_peer, sampling_method, seed
         )
-        return self._local_reply(
-            peer_id, query, sink,
-            *self._read_rows(peer_id, tuples_per_peer, sampling_method, seed),
+        visits.check()
+        (reply,) = self.read_visits(
+            visits, [self.probe_visit(peer_id, visits, ledger)]
         )
+        return reply
 
-    def _local_reply(
-        self,
-        peer_id: int,
-        query: AggregationQuery,
-        sink: int,
-        columns: Dict[str, np.ndarray],
-        total: int,
-        processed: int,
-    ) -> AggregateReply:
-        """``peer_id``'s reply to ``query`` over the ``processed`` rows
-        in ``columns``, scaled up to its ``total`` rows.
-
-        A single-segment call into the same kernel the batch path
-        uses, so scalar and batched visits agree bit-for-bit.
+    def probe_visit(
+        self, peer_id: int, visits: Visits[Any], ledger: CostLedger
+    ) -> Any:
+        """Resolve one probe of a collection whose arguments
+        ``visits.check()`` has accepted: the peer check, the failure
+        gauntlet (raising what a lost, crashed or timed-out probe
+        raises) and, when the probe gets through, its charge and its
+        ``ok`` event — which depend on the peer, the fault clock and
+        virtual time, never on row values.  So a reply of fixed size is
+        charged before a row is read: the probe returns the peer, whose
+        rows :meth:`read_visits` reads with every survivor's.  A reply
+        sized by its rows is read here, through its kind's kernel with
+        one segment, and the probe returns that one-row sample.
         """
-        counts, sums, column_sums, variances = segment_aggregate(
-            query,
-            columns,
-            starts=np.zeros(1, dtype=np.int64),
-            counts=np.asarray([processed], dtype=np.int64),
+        self._check_peer(peer_id)
+        self._probe_checks(peer_id, visits.kind, ledger)
+        reply_bytes = visits.reply_bytes
+        part: Any = peer_id
+        if reply_bytes is None:
+            rows = self._gather(np.asarray([peer_id], dtype=np.int64), visits)
+            part = visits.kernel(rows)
+            processed = int(rows.processed[0])
+            reply_bytes = int(visits.sized(part["shipped"])[0])
+        else:
+            processed = int(self._snapshot.flat.peer_tuple_counts[peer_id])
+            if visits.tuples_per_peer:
+                processed = min(processed, visits.tuples_per_peer)
+        cpu_speed = float(self._snapshot.cpu_speeds()[peer_id])
+        leading = visits.leading_replies
+        for _ in range(leading):
+            ledger.record_reply(reply_bytes)
+        ledger.record_visit(peer_id, processed, processed, cpu_speed)
+        if not leading:
+            ledger.record_reply(reply_bytes)
+        tracer = active_tracer()
+        if tracer is not None:
+            replies = leading or 1
+            tracer.emit(
+                ProbeEvent, peer_id, visits.kind, "ok", replies,
+                _probe_charge(replies, 0, 1, 0),
+            )
+        return part
+
+    def read_visits(self, visits: Visits[_S], parts: Sequence[Any]) -> _S:
+        """The sample of a collection's replies from what its probes
+        (:meth:`probe_visit`) returned, in order: the surviving peers'
+        rows read in one pass for a reply of fixed size, the one-row
+        samples put end to end for the others.  Touches neither
+        ledger, fault clock, virtual time nor tracer."""
+        if visits.reply_bytes is None and parts:
+            concatenated: _S = type(parts[0]).concat(parts)
+            return concatenated
+        peers = np.asarray(
+            parts if visits.reply_bytes is not None else (), dtype=np.int64
         )
-        scale = (total / processed) if processed else 0.0
-        scaled_count = float(counts[0]) * scale
-        # SUM and AVG replies carry the scaled sum as primary.
-        return AggregateReply(
-            source=peer_id,
-            destination=sink,
-            aggregate_value=(
-                scaled_count
-                if query.agg is AggregateOp.COUNT
-                else float(sums[0]) * scale
-            ),
-            matching_count=scaled_count,
-            column_total=float(column_sums[0]) * scale,
-            contribution_variance=float(variances[0]),
-            degree=self.topology.degree(peer_id),
-            local_tuples=total,
-            processed_tuples=processed,
-        )
-
-    # ------------------------------------------------------------------
-    # Vectorized batch visits (the fast path)
-    # ------------------------------------------------------------------
-
-    def _resolve_batch_rng(
-        self, seed: SeedLike
-    ) -> Tuple[Optional[np.random.Generator], Optional[int]]:
-        """Split ``seed`` into ``(shared_rng, per_visit_seed)``.
-
-        A per-peer loop calls ``visit_aggregate(..., seed=seed)`` once
-        per visit: a ``Generator`` (or ``None`` → the simulator stream)
-        is consumed sequentially across visits, while an *integer* seed
-        re-seeds a fresh generator at every visit.  The batch path
-        hands every sub-sampled peer the same keys that pattern would
-        — one draw of all their doubles from a shared generator, the
-        head of one freshly seeded stream for an integer seed — so it
-        selects the same rows (:meth:`_batch_sample_plan`).
-        """
-        if seed is None:
-            return self._rng, None
-        if isinstance(seed, np.random.Generator):
-            return seed, None
-        return None, seed
+        return visits.kernel(self._gather(peers, visits))
 
     def _validate_batch_peers(self, peer_ids: ArrayLike) -> np.ndarray:
         peers = np.asarray(peer_ids)
@@ -1000,32 +820,24 @@ class NetworkSimulator:
             raise ProtocolError(f"unknown peer {int(peers[unknown][0])}")
         return peers.astype(np.int64, copy=False)
 
-    def _batch_sample_plan(
-        self,
-        peers: np.ndarray,
-        tuples_per_peer: int,
-        sampling_method: str,
-        shared_rng: Optional[np.random.Generator],
-        per_visit_seed: Optional[int],
-    ) -> Tuple[Dict[str, np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
-        """Pick every visited peer's rows, in visit order.
+    def _gather(self, peers: np.ndarray, visits: Visits[Any]) -> ChunkRows:
+        """Pick every visited peer's rows, in visit order: the chunk's
+        gathered (sub-sampled) rows, what every kind's kernel reads.
 
-        Returns ``(columns, starts, processed, totals)``: the gathered
-        (sub-sampled) rows of all visits laid out contiguously, the
-        per-visit segment starts, the per-visit processed-row counts,
-        and each visited peer's partition size.
-
-        The uniform sub-sample is :func:`~repro.data.segments.
-        segment_sample_indices` over every sub-sampled peer at once, on
-        the same keys the scalar path draws one peer at a time (see
+        A per-peer loop hands each visit the same ``visits.seed``: a
+        ``Generator`` (``None``: the simulator's stream) is consumed
+        visit after visit, an integer re-seeds a fresh generator at
+        every visit.  The uniform sub-sample is
+        :func:`~repro.data.segments.segment_sample_indices` over every
+        sub-sampled peer at once, on the keys that loop would draw (see
         :meth:`LocalDatabase.uniform_sample_indices` for the stream
         contract): a shared generator hands out ``sum(n_i)`` doubles in
         one call, an integer seed gives every peer the first ``n_i``
         doubles of the freshly seeded stream.  Block-level sampling
         keeps its per-peer ``rng.permutation`` draw.
         """
-        uniform = sampling_method == "uniform"  # the entry point checked it
-        flat = self.flat_dataset
+        flat = self._snapshot.flat
+        tuples_per_peer = visits.tuples_per_peer
         totals = flat.peer_tuple_counts[peers]
         processed = (
             np.minimum(totals, tuples_per_peer) if tuples_per_peer else totals
@@ -1036,12 +848,15 @@ class NetworkSimulator:
             local = segment_ramps(processed)
         else:
             # ... and the larger ones through their sub-sample.
+            seed = visits.seed
+            shared = seed is None or isinstance(seed, np.random.Generator)
+            rng = (self._rng if seed is None else seed) if shared else None
             sizes = totals[sampled]
-            if uniform:
-                if shared_rng is not None:
-                    keys = shared_rng.random(int(sizes.sum()))
+            if visits.sampling_method == "uniform":  # the check ran
+                if rng is not None:
+                    keys = rng.random(int(sizes.sum()))
                 else:
-                    keys = ensure_rng(per_visit_seed).random(
+                    keys = ensure_rng(seed).random(
                         int(sizes.max())
                     )[segment_ramps(sizes)]
                 chosen = segment_sample_indices(keys, sizes, tuples_per_peer)
@@ -1050,11 +865,7 @@ class NetworkSimulator:
                 chosen = np.concatenate([
                     databases[peer_id].block_sample_indices(
                         tuples_per_peer,
-                        seed=(
-                            shared_rng
-                            if shared_rng is not None
-                            else ensure_rng(per_visit_seed)
-                        ),
+                        seed=rng if rng is not None else ensure_rng(seed),
                     )
                     for peer_id in peers[sampled].tolist()
                 ])
@@ -1064,24 +875,72 @@ class NetworkSimulator:
                 local = segment_ramps(processed)
                 local[np.repeat(sampled, processed)] = chosen
         local += np.repeat(flat.offsets[peers], processed)
-        return (
-            flat.gather(local), np.cumsum(processed) - processed,
+        return ChunkRows(
+            peers, flat.gather(local), np.cumsum(processed) - processed,
             processed, totals,
         )
 
-    def _batch_fallback_needed(self) -> bool:
-        """Whether batch visits must resolve their probes one by one.
+    def visit_batch(
+        self, peer_ids: ArrayLike, visits: Visits[_S], ledger: CostLedger
+    ) -> _S:
+        """The one batch visit behind every kind's entry point:
+        ``visits`` of each peer in ``peer_ids``, in order, a reply that
+        does not arrive skipped — replies and ledger bit for bit those
+        of one visit per peer.
 
-        Loss draws and fault-clock steps interleave with the visit
-        stream, so any armed failure source forces per-probe fate; so
-        does a time domain (per-probe latency draws and timeline
-        events interleave the same way).
+        The arguments are checked once, before anything observable
+        happens.  A clean chunk is planned, reduced and charged in one
+        pass: its rows gathered, its kind's kernel run over them once,
+        every visit and reply charged by one ledger call, one
+        ``batch-visit`` event.  Any armed failure source or a time
+        domain interleaves loss draws, fault-clock steps and per-probe
+        timing with the visits, so then each probe is resolved,
+        charged and traced on its own, in order (:meth:`probe_visit`),
+        and the rows are read as :meth:`read_visits` reads them.
         """
-        return self.faults_active or self._time is not None
-
-    def _batch_fallback_reason(self) -> str:
-        """Why :meth:`_batch_fallback_needed` returned True (traced)."""
-        return "faults-active" if self.faults_active else "virtual-time"
+        visits.check()
+        peers = self._validate_batch_peers(peer_ids)
+        if peers.size == 0:
+            return self.read_visits(visits, [])
+        tracer = active_tracer()
+        if (
+            self._reply_loss_rate > 0.0
+            or self._fault_state is not None
+            or self._time is not None
+        ):
+            if tracer is not None:
+                tracer.emit(
+                    BatchFallbackEvent, visits.kind, int(peers.size),
+                    "faults-active" if self.faults_active else "virtual-time",
+                )
+            parts = []
+            for peer_id in peers.tolist():
+                try:
+                    parts.append(self.probe_visit(peer_id, visits, ledger))
+                except PeerUnavailableError:
+                    continue  # lost reply: the sample just shrinks
+            return self.read_visits(visits, parts)
+        rows = self._gather(peers, visits)
+        sample = visits.kernel(rows)
+        reply_bytes = visits.reply_bytes
+        leading = visits.leading_replies
+        ledger.record_visit_replies(
+            peers,
+            tuples_processed=rows.processed,
+            tuples_sampled=rows.processed,
+            reply_bytes=(
+                visits.sized(sample["shipped"]) if reply_bytes is None
+                else reply_bytes
+            ),
+            cpu_speeds=self._snapshot.cpu_speeds()[peers],
+            leading_replies=leading,
+        )
+        if tracer is not None:
+            visited = int(peers.size)
+            tracer.emit(
+                BatchVisitEvent, visits.kind, visited, visited * (leading or 1)
+            )
+        return sample
 
     def read_aggregates(
         self,
@@ -1100,54 +959,13 @@ class NetworkSimulator:
         numpy passes over the flat columnar view, and returns the
         replies as one :class:`AggregateSample`, a row per peer.
         Touches neither ledger, fault clock, virtual time nor tracer:
-        that is the fate half (:meth:`probe_aggregate` per probe, or
-        the bulk charge in :meth:`visit_aggregate_batch`).
+        that is the fate half (:meth:`probe_visit`).
         """
-        self.check_aggregate_visits(query, tuples_per_peer, sampling_method)
-        return self.read_aggregates_prechecked(
-            self._validate_batch_peers(peer_ids),
-            query, sink, tuples_per_peer, sampling_method, seed,
+        visits = AggregateVisits(
+            self, query, sink, tuples_per_peer, sampling_method, seed
         )
-
-    def read_aggregates_prechecked(
-        self,
-        peers: np.ndarray,
-        query: AggregationQuery,
-        sink: int,
-        tuples_per_peer: int,
-        sampling_method: str,
-        seed: SeedLike,
-    ) -> AggregateSample:
-        """:meth:`read_aggregates` over arguments already checked —
-        by :meth:`check_aggregate_visits`, and ``peers`` a flat int64
-        array of known peers (what :meth:`_validate_batch_peers`
-        returns, or the survivors of checked probes) — the part that
-        reads rows."""
-        if peers.size == 0:
-            return AggregateSample.from_columns(sink, 0)
-        shared_rng, per_visit_seed = self._resolve_batch_rng(seed)
-        columns, starts, processed, totals = self._batch_sample_plan(
-            peers, tuples_per_peer, sampling_method, shared_rng, per_visit_seed
-        )
-        aggregates = segment_aggregate(
-            query, columns, starts=starts, counts=processed
-        )
-        scales = np.zeros(peers.size, dtype=np.float64)
-        np.divide(totals, processed, out=scales, where=processed > 0)
-        # Count, sum and column sum, scaled up to every peer's total.
-        count, total, column_total = aggregates[:3] * scales
-        return AggregateSample.from_columns(
-            sink,
-            peers.size,
-            source=peers,
-            degree=self.topology.degrees[peers],
-            local_tuples=totals,
-            processed_tuples=processed,
-            aggregate_value=count if query.agg is AggregateOp.COUNT else total,
-            matching_count=count,
-            column_total=column_total,
-            contribution_variance=aggregates[3],
-        )
+        visits.check()
+        return self.read_visits(visits, self._validate_batch_peers(peer_ids))
 
     def visit_aggregate_batch(
         self,
@@ -1159,112 +977,17 @@ class NetworkSimulator:
         sampling_method: str = "uniform",
         seed: SeedLike = None,
     ) -> AggregateSample:
-        """Visit many peers in one vectorized pass.
-
-        Equivalent to calling :meth:`visit_aggregate` for each id in
-        ``peer_ids`` (in order, with the same ``seed``), skipping peers
-        that fail to reply — but sub-sampling, filtering, scaling, and
-        cost accounting run as single numpy passes over the flat
-        columnar view.  The replies (one :class:`AggregateSample`, a
-        row each) and the ledger end up bit-for-bit identical to the
-        per-peer loop.
-
-        With any failure source armed (``reply_loss_rate > 0`` or a
-        bound :class:`~repro.network.faults.FaultPlan`) it is *fate per
-        probe, data per batch*: loss draws and fault-clock steps
-        interleave with the visit stream, so each probe is resolved,
-        charged and traced on its own, in order
-        (:meth:`probe_aggregate`), and the rows of the survivors are
-        then read in the same single pass (:meth:`read_aggregates`).
-
-        The arguments are checked here, once; the rows are read by the
-        body :meth:`read_aggregates` shares, not through it.
+        """Visit many peers in one vectorized pass: :meth:`visit_aggregate`
+        for each id in ``peer_ids`` (in order, with the same ``seed``),
+        a peer that fails to reply skipped.  The replies come back as
+        one :class:`AggregateSample`, a row each (:meth:`visit_batch`).
         """
-        self.check_aggregate_visits(query, tuples_per_peer, sampling_method)
-        peers = self._validate_batch_peers(peer_ids)
-        if peers.size == 0:
-            return AggregateSample.from_columns(sink, 0)
-        tracer = active_tracer()
-        if self._batch_fallback_needed():
-            if tracer is not None:
-                tracer.emit(
-                    BatchFallbackEvent, "aggregate", int(peers.size),
-                    self._batch_fallback_reason(),
-                )
-            survivors: List[int] = []
-            for peer_id in peers.tolist():
-                try:
-                    self.probe_aggregate_prechecked(
-                        peer_id, ledger, tuples_per_peer
-                    )
-                except PeerUnavailableError:
-                    continue  # lost reply: the sample just shrinks
-                survivors.append(peer_id)
-            return self.read_aggregates_prechecked(
-                np.asarray(survivors, dtype=np.int64),
-                query, sink, tuples_per_peer, sampling_method, seed,
-            )
-
-        replies = self.read_aggregates_prechecked(
-            peers, query, sink, tuples_per_peer, sampling_method, seed
-        )
-        processed = replies["processed_tuples"]
-        ledger.record_visit_replies(
-            peers,
-            tuples_processed=processed,
-            tuples_sampled=processed,
-            reply_bytes=AggregateReply.SIZE_BYTES,
-            cpu_speeds=self._snapshot.cpu_speeds()[peers],
-        )
-        if tracer is not None:
-            tracer.emit(
-                BatchVisitEvent, "aggregate", int(peers.size), len(replies)
-            )
-        return replies
-
-    def _values_sample(
-        self,
-        peers: np.ndarray,
-        query: AggregationQuery,
-        sink: int,
-        ship: str,
-        columns: Dict[str, np.ndarray],
-        starts: np.ndarray,
-        processed: np.ndarray,
-        totals: np.ndarray,
-    ) -> ValueSample:
-        """The values replies of ``peers``, whose processed rows lie in
-        ``columns`` segment after segment: every matching value, or each
-        peer's local quantile of them for ``ship="median"``."""
-        column = np.asarray(columns[query.column])
-        if column.size:
-            mask = query.predicate.mask(columns)
-            values = column[mask]
-            shipped = segment_sums(
-                mask.astype(np.float64), starts, processed
-            ).astype(np.int64)
-        else:
-            values = np.empty(0, dtype=column.dtype)
-            shipped = np.zeros(peers.size, dtype=np.int64)
-        if ship == "median" and values.size:
-            # quantile_fraction raises for non-quantile aggregates, so
-            # it is consulted only when some peer has a value to ship.
-            fraction = query.quantile_fraction
-            values = np.array([
-                float(np.quantile(segment, fraction))
-                for segment in np.split(values, np.cumsum(shipped)[:-1])
-                if segment.size
-            ])
-            shipped = np.minimum(shipped, 1)
-        return ValueSample.from_columns(
-            sink,
-            peers.size,
-            values=values,
-            source=peers,
-            degree=self.topology.degrees[peers],
-            local_tuples=totals,
-            processed_tuples=processed,
-            shipped=shipped,
+        return self.visit_batch(
+            peer_ids,
+            AggregateVisits(
+                self, query, sink, tuples_per_peer, sampling_method, seed
+            ),
+            ledger,
         )
 
     def visit_values_batch(
@@ -1278,223 +1001,19 @@ class NetworkSimulator:
         sampling_method: str = "uniform",
         seed: SeedLike = None,
     ) -> ValueSample:
-        """Batched :meth:`visit_values`: one vectorized pass for the
-        median/quantile visit, bit-for-bit equivalent to the per-peer
-        loop like :meth:`visit_aggregate_batch`.  The replies come back
-        as one :class:`ValueSample`, a row per peer.
-
-        With any failure source armed it *is* the per-peer loop: a
-        values visit cannot post its fate ahead of its data (see
-        :meth:`probe_aggregate`), so there is nothing to batch.
-        """
-        self.check_values_visits(tuples_per_peer, ship, sampling_method)
-        peers = self._validate_batch_peers(peer_ids)
-        if peers.size == 0:
-            return ValueSample.from_columns(sink, 0)
-        if self._batch_fallback_needed():
-            tracer = active_tracer()
-            if tracer is not None:
-                tracer.emit(
-                    BatchFallbackEvent, "values", int(peers.size),
-                    self._batch_fallback_reason(),
-                )
-            replies: List[TupleReply] = []
-            for peer_id in peers:
-                try:
-                    replies.append(
-                        self.visit_values(
-                            int(peer_id),
-                            query,
-                            sink=sink,
-                            ledger=ledger,
-                            tuples_per_peer=tuples_per_peer,
-                            ship=ship,
-                            sampling_method=sampling_method,
-                            seed=seed,
-                        )
-                    )
-                except PeerUnavailableError:
-                    continue  # lost reply: the sample just shrinks
-            return ValueSample.from_replies(replies, sink)
-
-        shared_rng, per_visit_seed = self._resolve_batch_rng(seed)
-        sample = self._values_sample(
-            peers, query, sink, ship,
-            *self._batch_sample_plan(
-                peers, tuples_per_peer, sampling_method,
-                shared_rng, per_visit_seed,
+        """The median/quantile visit (§5.6) of many peers, like
+        :meth:`visit_aggregate_batch`: no push-down, each peer ships
+        the local quantile of its (sub-sampled) matching values
+        (``ship="median"``, the paper's median algorithm) or the values
+        themselves (``ship="sample"``).  The replies come back as one
+        :class:`ValueSample`, a row per peer."""
+        return self.visit_batch(
+            peer_ids,
+            ValueVisits(
+                self, query, sink, tuples_per_peer, sampling_method, seed, ship
             ),
+            ledger,
         )
-        processed = sample["processed_tuples"]
-        ledger.record_visit_replies(
-            peers,
-            tuples_processed=processed,
-            tuples_sampled=processed,
-            # What TupleReply.size_bytes() gives each row.
-            reply_bytes=GNUTELLA_HEADER_BYTES + 4 + 4 + 4 + 8 * sample["shipped"],
-            cpu_speeds=self._snapshot.cpu_speeds()[peers],
-        )
-        tracer = active_tracer()
-        if tracer is not None:
-            tracer.emit(BatchVisitEvent, "values", int(peers.size), len(sample))
-        return sample
-
-    def visit_multi_aggregate(
-        self,
-        peer_id: int,
-        queries: Sequence[AggregationQuery],
-        sink: int,
-        ledger: CostLedger,
-        tuples_per_peer: int = 0,
-        sampling_method: str = "uniform",
-        seed: SeedLike = None,
-    ) -> List[AggregateReply]:
-        """Evaluate several queries in one visit.
-
-        All queries run on the *same* local sub-sample, so the peer is
-        charged one visit overhead and one scan; each query gets its
-        own (small) reply.  This is the peer-side half of multi-query
-        batching: a dashboard of ``k`` aggregates costs barely more
-        than its most demanding member.
-        """
-        if not queries:
-            raise ConfigurationError("queries must be non-empty")
-        for query in queries:
-            if not query.agg.supports_pushdown:
-                raise ConfigurationError(
-                    f"{query.agg.value} cannot be pushed down"
-                )
-        columns, total, processed = self._open_visit(
-            peer_id, "multi", ledger,
-            tuples_per_peer, sampling_method, seed,
-        )
-
-        replies = [
-            self._local_reply(peer_id, query, sink, columns, total, processed)
-            for query in queries
-        ]
-        for reply in replies:
-            ledger.record_reply(reply.size_bytes())
-        # One visit: one overhead, one scan of the shared sub-sample.
-        ledger.record_visit(
-            peer_id,
-            tuples_processed=processed,
-            tuples_sampled=min(processed, tuples_per_peer or processed),
-            cpu_speed=float(self._snapshot.cpu_speeds()[peer_id]),
-        )
-        _emit_probe(
-            peer_id,
-            "multi",
-            "ok",
-            replies=len(replies),
-            messages=len(replies),
-            visits=1,
-        )
-        return replies
-
-    def visit_group_aggregate(
-        self,
-        peer_id: int,
-        query: AggregationQuery,
-        sink: int,
-        ledger: CostLedger,
-        tuples_per_peer: int = 0,
-        sampling_method: str = "uniform",
-        seed: SeedLike = None,
-    ) -> GroupReply:
-        """GROUP BY visit: per-group scaled (count, sum) triples.
-
-        Same sub-sampling and scaling discipline as
-        :meth:`visit_aggregate`, but the reply carries one entry per
-        group value seen in the processed tuples.
-        """
-        if query.group_by is None:
-            raise ConfigurationError("query has no GROUP BY column")
-        if not query.agg.supports_pushdown:
-            raise ConfigurationError(
-                f"GROUP BY is not supported for {query.agg.value}"
-            )
-        columns, total, processed = self._open_visit(
-            peer_id, "group", ledger,
-            tuples_per_peer, sampling_method, seed,
-        )
-
-        entries = []
-        if processed:
-            mask = query.predicate.mask(columns)
-            groups = np.asarray(columns[query.group_by])[mask]
-            values = np.asarray(columns[query.column])[mask]
-            scale = total / processed
-            for group in np.unique(groups):
-                in_group = groups == group
-                entries.append(
-                    (
-                        float(group),
-                        float(np.count_nonzero(in_group)) * scale,
-                        float(values[in_group].sum()) * scale,
-                    )
-                )
-
-        reply = GroupReply(
-            source=peer_id,
-            destination=sink,
-            entries=tuple(entries),
-            degree=self.topology.degree(peer_id),
-            local_tuples=total,
-            processed_tuples=processed,
-        )
-        ledger.record_visit(
-            peer_id,
-            tuples_processed=processed,
-            tuples_sampled=min(processed, tuples_per_peer or processed),
-            cpu_speed=float(self._snapshot.cpu_speeds()[peer_id]),
-        )
-        ledger.record_reply(reply.size_bytes())
-        _emit_probe(peer_id, "group", "ok", replies=1, messages=1, visits=1)
-        return reply
-
-    # ------------------------------------------------------------------
-    # Median/quantile visit (§5.6): no push-down, ship statistics
-    # ------------------------------------------------------------------
-
-    def visit_values(
-        self,
-        peer_id: int,
-        query: AggregationQuery,
-        sink: int,
-        ledger: CostLedger,
-        tuples_per_peer: int = 0,
-        ship: str = "median",
-        sampling_method: str = "uniform",
-        seed: SeedLike = None,
-    ) -> TupleReply:
-        """Visit for holistic aggregates: ship values back to the sink.
-
-        ``ship="median"`` sends only the local quantile of the
-        (sub-sampled) matching tuples — the paper's median algorithm;
-        ``ship="sample"`` sends the raw matching sample, for quantile
-        estimators that need more than a point statistic.
-        """
-        if ship not in ("median", "sample"):
-            raise ConfigurationError(f"unknown ship mode {ship!r}")
-        columns, total, processed = self._open_visit(
-            peer_id, "values", ledger,
-            tuples_per_peer, sampling_method, seed,
-        )
-        (reply,) = self._values_sample(
-            np.asarray([peer_id]), query, sink, ship, columns,
-            np.zeros(1, dtype=np.int64), np.asarray([processed]),
-            np.asarray([total]),
-        )
-        ledger.record_visit(
-            peer_id,
-            tuples_processed=processed,
-            tuples_sampled=processed,
-            cpu_speed=float(self._snapshot.cpu_speeds()[peer_id]),
-        )
-        ledger.record_reply(reply.size_bytes())
-        _emit_probe(peer_id, "values", "ok", replies=1, messages=1, visits=1)
-        return reply
 
     # ------------------------------------------------------------------
     # Gnutella flooding (the naive BFS baseline)

@@ -65,13 +65,14 @@ from ..metrics.cost import CostLedger
 from ..obs.events import RetryEvent, SubstituteEvent, WalkEvent
 from ..obs.tracer import active_tracer, emit_if_tracing
 from ..query.model import AggregationQuery
-from .protocol import ValueSample
+from .visits import AggregateVisits
 from .topology import Topology
 from .walk_kernel import WalkKernel, kernel_tables
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from .protocol import AggregateSample, TupleReply
+    from .protocol import AggregateSample
     from .simulator import NetworkSimulator
+    from .visits import Visits
 
 __all__ = [
     "RandomWalkConfig",
@@ -577,10 +578,12 @@ class _ProbeOutcome(enum.Enum):
     EXHAUSTED = "exhausted"
 
 
-#: What one successful probe yields: the surviving peer's id for an
-#: aggregate collection (its reply is built later), the reply itself
-#: for a values collection.
-_R = TypeVar("_R", int, "TupleReply")
+#: What one successful probe yields: the surviving peer's id for a
+#: reply of fixed size (its rows are read later), a one-row sample for
+#: a reply sized by its rows.
+_R = TypeVar("_R")
+#: A reply kind's sample.
+_S = TypeVar("_S")
 
 
 class ResilientCollector:
@@ -600,15 +603,17 @@ class ResilientCollector:
       terminates: worst case it returns fewer replies than requested,
       and the caller flags the result as degraded.
 
-    An aggregate collection is *fate per probe, data per collection*:
-    the loop above decides, charges and traces every probe
-    (:meth:`~repro.network.simulator.NetworkSimulator.probe_aggregate`),
-    and the rows of all surviving peers are read afterwards in one
-    vectorised pass, in survival order
-    (:meth:`~repro.network.simulator.NetworkSimulator.read_aggregates`).
-    A values collection stays per-peer — a ``TupleReply``'s ledger
-    charge depends on the rows it ships, so its fate cannot be posted
-    before its data is read.
+    One collection serves any reply kind (a
+    :class:`~repro.network.visits.Visits`): the loop above decides,
+    charges and traces every probe
+    (:meth:`~repro.network.simulator.NetworkSimulator.probe_visit`).
+    A reply of fixed size (aggregate, panel) is *fate per probe, data
+    per collection*: the rows of all surviving peers are read
+    afterwards in one vectorised pass, in survival order.  A reply
+    sized by its rows (values, GROUP BY) is read as its probe lands —
+    its ledger charge depends on the rows it ships, so its fate cannot
+    be posted before its data is read
+    (:meth:`~repro.network.simulator.NetworkSimulator.read_visits`).
     """
 
     def __init__(
@@ -729,6 +734,33 @@ class ResilientCollector:
 
     # ------------------------------------------------------------------
 
+    def collect(
+        self,
+        visits: "Visits[_S]",
+        count: int,
+        ledger: CostLedger,
+        probe_bytes: int,
+    ) -> Tuple[_S, CollectionStats]:
+        """Collect up to ``count`` replies of any kind, resiliently, as
+        one sample in survival order.
+
+        What the whole collection fixes is checked once, before the
+        walk (``visits.check()``): a rejected argument raises with no
+        hop walked, charged or traced and no clock moved.  Each probe
+        is :meth:`~repro.network.simulator.NetworkSimulator.probe_visit`
+        and the sample is read from what the probes returned by
+        :meth:`~repro.network.simulator.NetworkSimulator.read_visits`.
+        """
+        visits.check()
+        simulator = self._simulator
+        probe = functools.partial(
+            simulator.probe_visit, visits=visits, ledger=ledger
+        )
+        parts, stats = self._collect(
+            visits.sink, count, ledger, probe_bytes, probe
+        )
+        return simulator.read_visits(visits, parts), stats
+
     def collect_aggregate(
         self,
         sink: int,
@@ -740,70 +772,11 @@ class ResilientCollector:
         sampling_method: str = "uniform",
         seed: SeedLike = None,
     ) -> Tuple["AggregateSample", CollectionStats]:
-        """Collect up to ``count`` aggregate replies, resiliently.
-
-        What the whole collection fixes (``query``, ``tuples_per_peer``,
-        ``sampling_method``) is checked once, before the walk: a
-        rejected argument raises with no hop walked, charged or traced
-        and no clock moved, and the per-probe path checks only the
-        peer.
-        """
-        simulator = self._simulator
-        simulator.check_aggregate_visits(
-            query, tuples_per_peer, sampling_method
+        """:meth:`collect` of up to ``count`` aggregate replies."""
+        return self.collect(
+            AggregateVisits(
+                self._simulator, query, sink, tuples_per_peer,
+                sampling_method, seed,
+            ),
+            count, ledger, probe_bytes,
         )
-
-        def probe(peer: int) -> int:
-            simulator.probe_aggregate_prechecked(
-                peer, ledger, tuples_per_peer
-            )
-            return peer
-
-        survivors, stats = self._collect(
-            sink, count, ledger, probe_bytes, probe
-        )
-        # Every survivor passed its probe's peer check: read the rows
-        # through the body read_aggregates shares, without re-checking.
-        replies = simulator.read_aggregates_prechecked(
-            np.asarray(survivors, dtype=np.int64),
-            query, sink, tuples_per_peer, sampling_method, seed,
-        )
-        return replies, stats
-
-    def collect_values(
-        self,
-        sink: int,
-        query: AggregationQuery,
-        count: int,
-        ledger: CostLedger,
-        probe_bytes: int,
-        tuples_per_peer: int = 0,
-        ship: str = "median",
-        sampling_method: str = "uniform",
-        seed: SeedLike = None,
-    ) -> Tuple[ValueSample, CollectionStats]:
-        """Collect up to ``count`` value/median replies, resiliently,
-        as one :class:`~repro.network.protocol.ValueSample` in survival
-        order.
-
-        Like :meth:`collect_aggregate`, a rejected argument is rejected
-        before the walk.
-        """
-        self._simulator.check_values_visits(
-            tuples_per_peer, ship, sampling_method
-        )
-
-        def visit(peer: int) -> "TupleReply":
-            return self._simulator.visit_values(
-                peer,
-                query,
-                sink=sink,
-                ledger=ledger,
-                tuples_per_peer=tuples_per_peer,
-                ship=ship,
-                sampling_method=sampling_method,
-                seed=seed,
-            )
-
-        replies, stats = self._collect(sink, count, ledger, probe_bytes, visit)
-        return ValueSample.from_replies(replies, sink), stats

@@ -25,7 +25,7 @@ probe ok             replies     0/1*   1/0*    0
 probe lost           request     req.   1       0
 probe crashed        request     req.   1       1
 probe timeout        request     req.   1       1
-batch-visit          replies     0      replies 0
+batch-visit          replies     0      req'd   0
 batch-fallback       0           0      0       0
 retry                0           0      0       0
 substitute           jump        jump   0       0
@@ -39,10 +39,11 @@ phase/estimate/...   0           0      0       0
 ===================  ==========  =====  ======  ========
 
 (*) A ``ping`` probe charges its request hop itself (1 message +
-1 hop, no visit); the pushdown visits charge one visit and one reply
-message.  Walk hops are charged by the walk's *caller* via
-``record_hops`` — every engine collection path does so immediately
-after the walk, which is why the walk event owns that charge.
+1 hop, no visit); a visit charges one visit and its reply messages
+(one, or a panel's ``k``), and a batch visit the same per peer.
+Walk hops are charged by the walk's *caller* via ``record_hops`` —
+every engine collection path does so immediately after the walk,
+which is why the walk event owns that charge.
 
 Latency-only charges (backoff waits, latency spikes, flood depth) are
 traced as events with zero countable cost: the reconciliation contract
@@ -176,7 +177,9 @@ class ProbeEvent(TraceEvent):
 
 @dataclasses.dataclass(frozen=True)
 class BatchVisitEvent(TraceEvent):
-    """A vectorized batch visit served all its peers in one pass."""
+    """A vectorized batch visit served all its ``requested`` peers in
+    one pass; ``replies`` reply messages reached the sink (a panel
+    sends ``k`` per visit)."""
 
     kind: ClassVar[str] = "batch-visit"
 
@@ -185,14 +188,17 @@ class BatchVisitEvent(TraceEvent):
     replies: int = 0
 
     def cost(self) -> TraceCost:
-        return TraceCost(messages=self.replies, visits=self.replies)
+        return TraceCost(messages=self.replies, visits=self.requested)
 
 
 @dataclasses.dataclass(frozen=True)
 class BatchFallbackEvent(TraceEvent):
     """A batch visit resolves its probes one by one (faults or virtual
-    time armed): fate per probe for aggregates, with the rows read in
-    one pass afterwards; the whole per-peer loop for values."""
+    time armed), each probe traced on its own.  The fate order follows
+    the reply's size: a reply of fixed size (aggregate, panel) is
+    charged per probe and the survivors' rows read in one pass
+    afterwards; a reply sized by its rows (values, GROUP BY) is read
+    per probe, through the same kernel with one segment."""
 
     kind: ClassVar[str] = "batch-fallback"
 

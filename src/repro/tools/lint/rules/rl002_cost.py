@@ -42,13 +42,10 @@ __all__ = [
 #: index (1-based) at which ``ledger`` sits in their signatures.
 _LEDGER_CALLS: Dict[str, int] = {
     "visit_aggregate": 4,
-    "visit_values": 4,
-    "visit_multi_aggregate": 4,
-    "visit_group_aggregate": 4,
     "visit_aggregate_batch": 4,
     "visit_values_batch": 4,
-    "probe_aggregate": 3,
-    "probe_aggregate_prechecked": 2,
+    "visit_batch": 3,
+    "probe_visit": 3,
     "flood": 3,
     "ping": 3,
 }

@@ -19,7 +19,8 @@ flat array); the forms it replaced are kept below — one
 weighted quantile and halving loop, one :class:`PeerValueSample` per
 visited peer with the histogram's per-peer bucket loop, Chao1 over the
 concatenated samples, and the statistics engine's collection as one
-scalar ``visit_values`` call per walked peer.
+``visit_oracle.oracle_visit_values`` call per walked peer (the former
+scalar ``visit_values``).
 """
 
 import math
@@ -32,6 +33,8 @@ from repro.core.median import weighted_rank_fraction
 from repro.errors import PeerUnavailableError, SamplingError
 from repro.network.protocol import AggregateSample, WalkerProbe
 from repro.query.model import AggregateOp, AggregationQuery
+
+from . import visit_oracle
 
 
 class Row(NamedTuple):
@@ -231,8 +234,9 @@ def collect_value_samples(engine, sink, column, predicate, count, ledger):
     for peer in walk.peers:
         try:
             replies.append(
-                engine._simulator.visit_values(
-                    int(peer), query, sink=sink, ledger=ledger,
+                visit_oracle.oracle_visit_values(
+                    engine._simulator, int(peer), query, sink=sink,
+                    ledger=ledger,
                     tuples_per_peer=engine.config.tuples_per_peer,
                     ship="sample", seed=engine._visit_rng,
                 )

@@ -21,6 +21,8 @@ from repro.experiments.runner import run_trials
 from repro.network.simulator import NetworkSimulator
 from repro.query.model import AggregateOp, AggregationQuery, Comparison
 
+from . import visit_oracle
+
 SINK = 0
 
 
@@ -146,8 +148,8 @@ def test_values_batch_matches_scalar(small_network):
     ledger_loop = small_network.new_ledger()
     loop_rng = np.random.default_rng(4)  # ONE stream across all visits
     loop = [
-        small_network.visit_values(
-            int(peer), query, sink=SINK, ledger=ledger_loop,
+        visit_oracle.oracle_visit_values(
+            small_network, int(peer), query, sink=SINK, ledger=ledger_loop,
             tuples_per_peer=25, ship="median", seed=loop_rng,
         )
         for peer in peers
@@ -171,8 +173,8 @@ def test_values_batch_ship_sample(small_network):
     ledger_loop = small_network.new_ledger()
     loop_rng = np.random.default_rng(11)
     loop = [
-        small_network.visit_values(
-            int(peer), query, sink=SINK, ledger=ledger_loop,
+        visit_oracle.oracle_visit_values(
+            small_network, int(peer), query, sink=SINK, ledger=ledger_loop,
             tuples_per_peer=10, ship="sample", seed=loop_rng,
         )
         for peer in peers

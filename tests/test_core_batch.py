@@ -7,10 +7,16 @@ import pytest
 from repro.core.batch import BatchEngine
 from repro.core.two_phase import TwoPhaseConfig, TwoPhaseEngine
 from repro.errors import ConfigurationError
+from repro.network.protocol import AggregateReply
 from repro.network.simulator import NetworkSimulator
+from repro.network.visits import PanelVisits
+from repro.network.walker import RetryPolicy
+from repro.obs import Tracer, tracing
 from repro.query.exact import evaluate_exact
 from repro.query.parser import parse_query
 from repro.sim import ConstantLatency, EventDrivenSimulator, LatencyModel
+
+from .test_core_values_pinned import CHAOS_PLAN
 
 QUERIES = [
     parse_query("SELECT COUNT(A) FROM T WHERE A BETWEEN 1 AND 30"),
@@ -178,11 +184,20 @@ class TestDegradedReporting:
         assert timings.pop().duration_ms > 0.0
 
 
+def _panel_replies(network, peer, queries, **kwargs):
+    """``peer``'s reply to each query of a panel visit."""
+    ledger = kwargs.pop("ledger", None) or network.new_ledger()
+    panel = network.visit_batch(
+        [peer], PanelVisits(network, queries, 1, **kwargs), ledger
+    )
+    return [next(iter(sample)) for sample in panel.samples]
+
+
 class TestMultiVisit:
     def test_one_visit_many_replies(self, small_network):
         ledger = small_network.new_ledger()
-        replies = small_network.visit_multi_aggregate(
-            0, QUERIES, sink=1, ledger=ledger, tuples_per_peer=25
+        replies = _panel_replies(
+            small_network, 0, QUERIES, ledger=ledger, tuples_per_peer=25
         )
         assert len(replies) == 3
         cost = ledger.snapshot()
@@ -197,9 +212,8 @@ class TestMultiVisit:
         high = parse_query(
             "SELECT COUNT(A) FROM T WHERE A BETWEEN 51 AND 100"
         )
-        ledger = small_network.new_ledger()
-        replies = small_network.visit_multi_aggregate(
-            0, [low, high], sink=1, ledger=ledger, tuples_per_peer=25
+        replies = _panel_replies(
+            small_network, 0, [low, high], tuples_per_peer=25
         )
         total = replies[0].matching_count + replies[1].matching_count
         assert total == pytest.approx(replies[0].local_tuples)
@@ -213,8 +227,8 @@ class TestMultiVisit:
         field and bit for bit (``message_id`` aside)."""
         panel = [*QUERIES, AVG_HIGH]
         for peer in range(small_network.num_peers):
-            multi = small_network.visit_multi_aggregate(
-                peer, panel, sink=1, ledger=small_network.new_ledger(),
+            multi = _panel_replies(
+                small_network, peer, panel,
                 tuples_per_peer=tuples_per_peer, seed=peer,
             )
             for query, reply in zip(panel, multi):
@@ -228,6 +242,69 @@ class TestMultiVisit:
 
     def test_empty_queries_rejected(self, small_network):
         with pytest.raises(ConfigurationError):
-            small_network.visit_multi_aggregate(
-                0, [], sink=1, ledger=small_network.new_ledger()
+            small_network.visit_batch(
+                [0], PanelVisits(small_network, [], 1),
+                small_network.new_ledger(),
             )
+
+
+class TestRetryPolicy:
+    def test_a_panel_under_the_chaos_plan_retries(
+        self, small_topology, small_dataset
+    ):
+        """Regression: the batch engine ignored
+        ``TwoPhaseConfig.retry_policy`` — a panel under the chaos plan
+        never retried, substituted or waited a backoff, and lost every
+        probe that failed.  It now recovers as the two-phase engine
+        does."""
+        runs = []
+        for policy in (None, RetryPolicy(max_attempts=3)):
+            network = NetworkSimulator(
+                small_topology, small_dataset.databases, seed=7,
+                fault_plan=CHAOS_PLAN,
+            )
+            tracer = Tracer()
+            with tracing(tracer):
+                results = BatchEngine(
+                    network, TwoPhaseConfig(retry_policy=policy), seed=5
+                ).execute(QUERIES, delta_req=0.1, sink=0)
+            runs.append((results[0], tracer.events))
+        (plain, plain_events), (resilient, resilient_events) = runs
+        assert not [e for e in plain_events if e.kind == "retry"]
+        retries = [e for e in resilient_events if e.kind == "retry"]
+        assert retries and sum(e.backoff_ms for e in retries) > 0.0
+        assert any(e.kind == "substitute" for e in resilient_events)
+        assert (
+            resilient.effective_sample_size >= plain.effective_sample_size
+        )
+
+
+class TestCurrency:
+    """A clean panel travels as one :class:`PanelSample` of columnar
+    samples from the visit to the estimate: it builds no
+    ``AggregateReply``.  Counts repeat exactly — re-boxing the panel
+    into per-peer objects fails here without a stopwatch."""
+
+    def test_clean_panel_builds_no_reply_objects(
+        self, small_network, monkeypatch
+    ):
+        constructed = []
+        original = AggregateReply.__init__
+
+        def counting(self, *args, **kwargs):
+            constructed.append(kwargs.get("source"))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(AggregateReply, "__init__", counting)
+        # The patch is live: a scalar visit trips it.
+        small_network.visit_aggregate(
+            0, QUERIES[0], sink=0, ledger=small_network.new_ledger()
+        )
+        assert constructed == [0]
+        constructed.clear()
+
+        results = BatchEngine(
+            small_network, TwoPhaseConfig(max_phase_two_peers=400), seed=5
+        ).execute(QUERIES, delta_req=0.1, sink=0)
+        assert results[0].phase_two is not None
+        assert constructed == []

@@ -6,11 +6,16 @@ import pytest
 import repro
 from repro.core.groupby import GroupByConfig, GroupByEngine, GroupByResult
 from repro.data.generator import DatasetConfig, generate_dataset
+from repro.data.localdb import LocalDatabase
 from repro.errors import ConfigurationError, QueryError, SamplingError
+from repro.network.protocol import GroupReply
 from repro.network.simulator import NetworkSimulator
+from repro.network.visits import GroupVisits
 from repro.query.exact import evaluate_exact_groups
 from repro.query.model import AggregateOp, AggregationQuery
 from repro.query.parser import parse_query
+
+from . import visit_oracle
 
 
 @pytest.fixture(scope="module")
@@ -104,33 +109,115 @@ class TestExactGroups:
             evaluate_exact_groups(query, dataset.databases.store)
 
 
+def _group_reply(network, peer, query, **kwargs):
+    """``peer``'s GROUP BY reply, through the GROUP BY batch visit:
+    ``(entries as (group, count, sum) rows, the reply's row)``."""
+    sample = network.visit_batch(
+        [peer], GroupVisits(network, query, 1, **kwargs), network.new_ledger()
+    )
+    return sample.values, sample.replies.rows[0]
+
+
 class TestGroupVisit:
     def test_reply_entries_scaled(self, grouped_network):
         network, dataset = grouped_network
-        ledger = network.new_ledger()
-        reply = network.visit_group_aggregate(
-            0, GROUPED_COUNT, sink=1, ledger=ledger
-        )
-        total_count = sum(entry[1] for entry in reply.entries)
-        assert total_count == pytest.approx(reply.local_tuples)
+        entries, reply = _group_reply(network, 0, GROUPED_COUNT)
+        assert entries[:, 1].sum() == pytest.approx(reply["local_tuples"])
 
     def test_subsampling_scales(self, grouped_network):
         network, dataset = grouped_network
-        ledger = network.new_ledger()
-        reply = network.visit_group_aggregate(
-            0, GROUPED_COUNT, sink=1, ledger=ledger, tuples_per_peer=10
+        entries, reply = _group_reply(
+            network, 0, GROUPED_COUNT, tuples_per_peer=10
         )
-        assert reply.processed_tuples == 10
-        total = sum(entry[1] for entry in reply.entries)
-        assert total == pytest.approx(reply.local_tuples)
+        assert reply["processed_tuples"] == 10
+        assert entries[:, 1].sum() == pytest.approx(reply["local_tuples"])
 
     def test_rejects_ungrouped_query(self, grouped_network):
         network, dataset = grouped_network
         query = parse_query("SELECT COUNT(A) FROM T")
         with pytest.raises(ConfigurationError):
-            network.visit_group_aggregate(
-                0, query, sink=1, ledger=network.new_ledger()
-            )
+            _group_reply(network, 0, query)
+
+    @pytest.mark.parametrize("tuples_per_peer", [0, 10])
+    def test_entries_are_the_per_group_loops(
+        self, grouped_network, tuples_per_peer
+    ):
+        """One pass keyed by (peer, group) gives, bit for bit, what a
+        loop over each peer's groups gave: entries, ledger and visit
+        stream, over a float column too."""
+        network, dataset = grouped_network
+        queries = [
+            GROUPED_COUNT,
+            parse_query(
+                "SELECT SUM(A) FROM T WHERE A BETWEEN 10 AND 60 GROUP BY G"
+            ),
+        ]
+        floats = NetworkSimulator(
+            network.topology,
+            [
+                LocalDatabase({
+                    "A": database.column("A") / 7.0,
+                    "G": database.column("G"),
+                })
+                for database in network.databases()
+            ],
+            seed=5,
+        )
+        peers = np.arange(0, network.num_peers, 3)
+        for simulator in (network, floats):
+            for query in queries:
+                ledger, oracle_ledger = (
+                    simulator.new_ledger(), simulator.new_ledger()
+                )
+                sample = simulator.visit_batch(
+                    peers,
+                    GroupVisits(simulator, query, 1, tuples_per_peer, seed=4),
+                    ledger,
+                )
+                replies = visit_oracle.oracle_visit_batch(
+                    simulator, visit_oracle.oracle_visit_group_aggregate,
+                    "group", peers, query, 1, oracle_ledger,
+                    tuples_per_peer=tuples_per_peer, seed=4,
+                )
+                assert sample.values.tolist() == [
+                    list(entry) for reply in replies for entry in reply.entries
+                ]
+                assert sample["shipped"].tolist() == [
+                    len(reply.entries) for reply in replies
+                ]
+                assert ledger.snapshot() == oracle_ledger.snapshot()
+
+
+class TestCurrency:
+    """A clean GROUP BY query's replies travel as one
+    :class:`ValueSample` of ``(group, count, sum)`` rows: it builds no
+    ``GroupReply``.  Counts repeat exactly — a per-peer visit coming
+    back fails here without a stopwatch."""
+
+    def test_clean_group_by_query_builds_no_reply_objects(
+        self, grouped_network, monkeypatch
+    ):
+        network, dataset = grouped_network
+        constructed = []
+        original = GroupReply.__init__
+
+        def counting(self, *args, **kwargs):
+            constructed.append(kwargs.get("source"))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(GroupReply, "__init__", counting)
+        # The patch is live: the former per-peer visit trips it.
+        visit_oracle.oracle_visit_group_aggregate(
+            network, 0, GROUPED_COUNT, 1, network.new_ledger()
+        )
+        assert constructed == [0]
+        constructed.clear()
+
+        result = GroupByEngine(network, GroupByConfig(), seed=3).execute(
+            GROUPED_COUNT, delta_req=0.05, sink=0
+        )
+        assert result.phase_two is not None
+        assert constructed == []
 
 
 class TestGroupByEngine:

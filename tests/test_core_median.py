@@ -20,7 +20,7 @@ from repro.network.protocol import TupleReply, ValueSample
 from repro.query.exact import evaluate_exact, rank_of_value
 from repro.query.model import AggregateOp, AggregationQuery, Between
 
-from . import row_reference
+from . import row_reference, visit_oracle
 
 
 MEDIAN_ALL = AggregationQuery(agg=AggregateOp.MEDIAN, column="A")
@@ -306,9 +306,10 @@ class TestCurrency:
     def test_clean_values_queries_build_no_reply_objects(
         self, small_network, constructed
     ):
-        # The patch is live: a scalar visit trips it.
-        small_network.visit_values(
-            0, MEDIAN_ALL, sink=0, ledger=small_network.new_ledger()
+        # The patch is live: the former per-peer visit trips it.
+        visit_oracle.oracle_visit_values(
+            small_network, 0, MEDIAN_ALL, sink=0,
+            ledger=small_network.new_ledger(),
         )
         assert constructed == [0]
         constructed.clear()

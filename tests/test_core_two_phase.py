@@ -437,11 +437,8 @@ class TestOneDrawPerCollection:
             return scalar_draw(self, num_rows, seed=seed)
 
         monkeypatch.setattr(LocalDatabase, "uniform_sample_indices", counting)
-        # The patch is live: a scalar sub-sampling visit trips it.
-        small_network.visit_aggregate(
-            0, COUNT_30, sink=0, ledger=small_network.new_ledger(),
-            tuples_per_peer=25,
-        )
+        # The patch is live: a per-peer sub-sample trips it.
+        small_network.database(0).sample(25, seed=0)
         assert scalar_draws == [25]
         scalar_draws.clear()
 

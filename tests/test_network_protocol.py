@@ -9,6 +9,7 @@ from repro.errors import ProtocolError, SamplingError
 from repro.network.protocol import (
     GNUTELLA_HEADER_BYTES,
     AggregateReply,
+    GroupReply,
     Message,
     MessageType,
     Ping,
@@ -18,6 +19,8 @@ from repro.network.protocol import (
     TupleReply,
     ValueSample,
     WalkerProbe,
+    group_reply_bytes,
+    tuple_reply_bytes,
 )
 
 
@@ -150,6 +153,33 @@ def _payload(reply):
         reply.local_tuples,
         reply.processed_tuples,
     )
+
+
+class TestWireSizeRule:
+    """One size rule per reply kind: the count-vectorised function a
+    batch visit charges is what ``size_bytes()`` reads, row for row."""
+
+    COUNTS = [0, 1, 7]
+
+    def test_tuple_reply(self):
+        assert tuple_reply_bytes(self.COUNTS).tolist() == [
+            TupleReply(
+                source=1, destination=0, values=(2.5,) * count
+            ).size_bytes()
+            for count in self.COUNTS
+        ]
+
+    def test_group_reply(self):
+        assert group_reply_bytes(self.COUNTS).tolist() == [
+            GroupReply(
+                source=1, destination=0, entries=((1.0, 2.0, 3.0),) * count
+            ).size_bytes()
+            for count in self.COUNTS
+        ]
+
+    def test_scalar_count(self):
+        assert int(tuple_reply_bytes(3)) == GNUTELLA_HEADER_BYTES + 12 + 24
+        assert int(group_reply_bytes(2)) == GNUTELLA_HEADER_BYTES + 12 + 48
 
 
 class TestValueSampleEqualsRows:

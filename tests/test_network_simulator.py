@@ -9,11 +9,13 @@ from repro.core.two_phase import TwoPhaseConfig
 from repro.data.generator import DatasetConfig, generate_dataset
 from repro.data.localdb import LocalDatabase
 from repro.errors import ConfigurationError, ProtocolError
+from repro.network import visits as visits_module
 from repro.network.faults import FaultPlan
 from repro.network.generators import power_law_topology
 from repro.network.peer import Peer, PeerCapabilities, PeerTable
 from repro.network.simulator import NetworkSimulator
 from repro.network.topology import Topology
+from repro.network.visits import AggregateVisits, GroupVisits, PanelVisits
 from repro.network.walker import RandomWalker, ResilientCollector, RetryPolicy
 from repro.query.model import AggregateOp, AggregationQuery, Between
 from repro.service import QueryService
@@ -246,21 +248,25 @@ class TestVisitAggregate:
         assert reply.processed_tuples == 2
 
 
+def _visit_values(network, query, **kwargs):
+    """Peer 0's one values reply, through the values batch visit."""
+    (reply,) = network.visit_values_batch(
+        [0], query, sink=1, ledger=kwargs.pop("ledger", network.new_ledger()),
+        **kwargs,
+    )
+    return reply
+
+
 class TestVisitValues:
     def test_median_ship(self, mini_network):
         query = AggregationQuery(agg=AggregateOp.MEDIAN, column="A")
-        reply = mini_network.visit_values(
-            0, query, sink=1, ledger=mini_network.new_ledger()
-        )
+        reply = _visit_values(mini_network, query)
         assert len(reply.values) == 1
         assert reply.values[0] == pytest.approx(2.5)
 
     def test_sample_ship(self, mini_network):
         query = AggregationQuery(agg=AggregateOp.MEDIAN, column="A")
-        reply = mini_network.visit_values(
-            0, query, sink=1,
-            ledger=mini_network.new_ledger(), ship="sample",
-        )
+        reply = _visit_values(mini_network, query, ship="sample")
         assert sorted(reply.values) == [1.0, 2.0, 3.0, 4.0]
 
     def test_empty_selection_ships_nothing(self, mini_network):
@@ -268,37 +274,30 @@ class TestVisitValues:
             agg=AggregateOp.MEDIAN, column="A",
             predicate=Between(column="A", low=99, high=100),
         )
-        reply = mini_network.visit_values(
-            0, query, sink=1, ledger=mini_network.new_ledger()
-        )
+        reply = _visit_values(mini_network, query)
         assert reply.values == ()
 
     def test_quantile_ship(self, mini_network):
         query = AggregationQuery(
             agg=AggregateOp.QUANTILE, column="A", quantile=0.25
         )
-        reply = mini_network.visit_values(
-            0, query, sink=1, ledger=mini_network.new_ledger()
-        )
+        reply = _visit_values(mini_network, query)
         assert reply.values[0] == pytest.approx(1.75)
 
     def test_unknown_ship_mode(self, mini_network):
         query = AggregationQuery(agg=AggregateOp.MEDIAN, column="A")
         with pytest.raises(ConfigurationError):
-            mini_network.visit_values(
-                0, query, sink=1,
-                ledger=mini_network.new_ledger(), ship="teleport",
-            )
+            _visit_values(mini_network, query, ship="teleport")
 
     def test_bandwidth_scales_with_shipment(self, mini_network):
         query = AggregationQuery(agg=AggregateOp.MEDIAN, column="A")
         ledger_median = mini_network.new_ledger()
-        mini_network.visit_values(
-            0, query, sink=1, ledger=ledger_median, ship="median"
+        _visit_values(
+            mini_network, query, ledger=ledger_median, ship="median"
         )
         ledger_sample = mini_network.new_ledger()
-        mini_network.visit_values(
-            0, query, sink=1, ledger=ledger_sample, ship="sample"
+        _visit_values(
+            mini_network, query, ledger=ledger_sample, ship="sample"
         )
         assert (
             ledger_sample.snapshot().bytes_sent
@@ -351,24 +350,17 @@ VISIT_ENTRY_POINTS = {
     "visit_aggregate": lambda net, **kw: net.visit_aggregate(
         0, SUM_ALL, **kw
     ),
-    "visit_multi_aggregate": lambda net, **kw: net.visit_multi_aggregate(
-        0, [SUM_ALL, COUNT_SMALL], **kw
-    ),
-    "visit_group_aggregate": lambda net, **kw: net.visit_group_aggregate(
-        0, SUM_BY_A, **kw
-    ),
-    "visit_values": lambda net, **kw: net.visit_values(
-        0, MEDIAN_ALL, **kw
-    ),
     "visit_aggregate_batch": lambda net, **kw: net.visit_aggregate_batch(
         [0, 1], SUM_ALL, **kw
     ),
     "visit_values_batch": lambda net, **kw: net.visit_values_batch(
         [0, 1], MEDIAN_ALL, **kw
     ),
-    # The fate half of an aggregate visit replies to nobody: no sink.
-    "probe_aggregate": lambda net, sink, **kw: net.probe_aggregate(
-        0, SUM_ALL, **kw
+    "visit_batch-group": lambda net, **kw: _visit_batch(
+        net, [0, 1], GroupVisits, SUM_BY_A, **kw
+    ),
+    "visit_batch-panel": lambda net, **kw: _visit_batch(
+        net, [0, 1], PanelVisits, [SUM_ALL, COUNT_SMALL], **kw
     ),
 }
 
@@ -378,28 +370,50 @@ PEER_ENTRY_POINTS = {
     "visit_aggregate": lambda net, peer, **kw: net.visit_aggregate(
         peer, SUM_ALL, **kw
     ),
-    "visit_multi_aggregate": lambda net, peer, **kw: (
-        net.visit_multi_aggregate(peer, [SUM_ALL, COUNT_SMALL], **kw)
-    ),
-    "visit_group_aggregate": lambda net, peer, **kw: (
-        net.visit_group_aggregate(peer, SUM_BY_A, **kw)
-    ),
-    "visit_values": lambda net, peer, **kw: net.visit_values(
-        peer, MEDIAN_ALL, **kw
-    ),
-    "probe_aggregate": lambda net, peer, sink, **kw: net.probe_aggregate(
-        peer, SUM_ALL, **kw
-    ),
     "visit_aggregate_batch": lambda net, peers, **kw: (
         net.visit_aggregate_batch(peers, SUM_ALL, **kw)
     ),
     "visit_values_batch": lambda net, peers, **kw: net.visit_values_batch(
         peers, MEDIAN_ALL, **kw
     ),
+    "visit_batch-group": lambda net, peers, **kw: _visit_batch(
+        net, peers, GroupVisits, SUM_BY_A, **kw
+    ),
+    "visit_batch-panel": lambda net, peers, **kw: _visit_batch(
+        net, peers, PanelVisits, [SUM_ALL, COUNT_SMALL], **kw
+    ),
+    # The fate of one probe of a checked collection replies to nobody.
+    "probe_visit": lambda net, peer, sink, ledger, **kw: net.probe_visit(
+        peer, _checked(AggregateVisits(net, SUM_ALL, sink, **kw)), ledger
+    ),
     "read_aggregates": lambda net, peers, ledger, **kw: net.read_aggregates(
         peers, SUM_ALL, **kw
     ),
 }
+
+
+def _checked(visits):
+    visits.check()
+    return visits
+
+
+def _visit_batch(net, peers, kind, query, sink, ledger, **kwargs):
+    """The generic batch entry point over ``kind``'s visits."""
+    return net.visit_batch(peers, kind(net, query, sink, **kwargs), ledger)
+
+
+#: The four batch entry points, every reply kind one.
+BATCH_ENTRY_POINTS = {
+    name: PEER_ENTRY_POINTS[name]
+    for name in (
+        "visit_aggregate_batch",
+        "visit_values_batch",
+        "visit_batch-group",
+        "visit_batch-panel",
+    )
+}
+
+
 NOT_A_PEER = (1.7, np.float64(2.0), "1", None, True)
 NOT_PEERS = ([1.7, 2.2], [True, False], [[0, 1], [2, 3]], 1.0, ["1"])
 NON_INTEGER_PEERS = [
@@ -627,23 +641,22 @@ class TestSetUpCounts:
 
 class TestBatchVisitChecksOnce:
     """A batch visit checks its arguments once: the public entry point
-    validates, then reads rows through the body ``read_aggregates``
-    shares — not through ``read_aggregates``, which validates again.
-    So does a resilient collector's collection.  Counts repeat
-    exactly."""
+    validates, then reads rows through the kind's kernel — not through
+    ``read_aggregates``, which validates again.  So does a resilient
+    collector's collection.  Every kind's check ends in the budget and
+    sampling-method validators, so counting those counts checks.
+    Counts repeat exactly."""
 
     @pytest.fixture()
     def checks(self, monkeypatch):
-        checks = {"check_aggregate_visits": 0, "_validate_batch_peers": 0}
+        checks = {"check": 0, "_validate_batch_peers": 0}
         monkeypatch.setattr(
-            NetworkSimulator,
-            "check_aggregate_visits",
-            staticmethod(
-                _counting(
-                    checks,
-                    "check_aggregate_visits",
-                    NetworkSimulator.check_aggregate_visits,
-                )
+            visits_module,
+            "_check_tuples_per_peer",
+            _counting(
+                checks,
+                "check",
+                visits_module._check_tuples_per_peer,
             ),
         )
         monkeypatch.setattr(
@@ -656,6 +669,28 @@ class TestBatchVisitChecksOnce:
             ),
         )
         return checks
+
+    @pytest.mark.parametrize("faulty", [False, True])
+    @pytest.mark.parametrize("kind", sorted(BATCH_ENTRY_POINTS))
+    def test_one_check_per_chunk_for_every_kind(
+        self, mini_network, checks, kind, faulty
+    ):
+        network = mini_network
+        if faulty:
+            network = NetworkSimulator(
+                mini_network.topology,
+                mini_network.databases(),
+                seed=3,
+                fault_plan=FaultPlan(seed=1, reply_loss=0.3),
+            )
+        for chunk in ([0, 1, 2], [3, 0]):
+            BATCH_ENTRY_POINTS[kind](
+                network, chunk, sink=1, ledger=network.new_ledger(),
+                tuples_per_peer=2, seed=5,
+            )
+        assert checks == {
+            "check": 2, "_validate_batch_peers": 2
+        }
 
     @pytest.mark.parametrize("faulty", [False, True])
     def test_one_of_each_validator_per_visit(
@@ -678,12 +713,12 @@ class TestBatchVisitChecksOnce:
         # (the plan loses one of the five replies)
         assert len(replies) == (4 if faulty else 5)
         assert checks == {
-            "check_aggregate_visits": 1, "_validate_batch_peers": 1
+            "check": 1, "_validate_batch_peers": 1
         }
 
         network.read_aggregates([0, 1], SUM_ALL, sink=1, tuples_per_peer=2)
         assert checks == {
-            "check_aggregate_visits": 2, "_validate_batch_peers": 2
+            "check": 2, "_validate_batch_peers": 2
         }
 
     @pytest.mark.parametrize(
@@ -753,5 +788,5 @@ class TestBatchVisitChecksOnce:
         assert len(replies) == stats.received > 0
         assert (stats.losses > 0) == faulty
         assert checks == {
-            "check_aggregate_visits": 1, "_validate_batch_peers": 0
+            "check": 1, "_validate_batch_peers": 0
         }

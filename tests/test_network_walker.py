@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import repro.network.faults as faults_module
-import repro.network.simulator as simulator_module
+import repro.network.visits as visits_module
 import repro.sim.latency as latency_module
 from repro.errors import (
     ConfigurationError,
@@ -14,6 +14,7 @@ from repro.errors import (
 )
 from repro.network.faults import CrashWindow, FaultPlan, LatencySpike
 from repro.network.topology import Topology
+from repro.network.visits import AggregateVisits, ValueVisits
 from repro.network.walker import (
     RandomWalkConfig,
     RandomWalker,
@@ -412,6 +413,18 @@ REJECTED_COLLECTIONS = {
 }
 
 
+#: A collection of 10 replies to sink 0, by the collector entry point
+#: named in the table above.
+COLLECTIONS = {
+    "collect_aggregate": lambda collector, session, query, ledger, **kw: (
+        collector.collect_aggregate(0, query, 10, ledger, 23, **kw)
+    ),
+    "collect_values": lambda collector, session, query, ledger, **kw: (
+        collector.collect(ValueVisits(session, query, 0, **kw), 10, ledger, 23)
+    ),
+}
+
+
 class TestCollectionArgumentsAreCheckedBeforeTheWalk:
     """Regression: a collection with a rejected argument used to raise
     the right error only at its *first probe* — after the walk had been
@@ -445,12 +458,12 @@ class TestCollectionArgumentsAreCheckedBeforeTheWalk:
             session,
             RetryPolicy(max_attempts=3),
         )
-        collect = getattr(collector, entry_point)
+        collect = COLLECTIONS[entry_point]
         ledger = session.new_ledger()
         untouched_ledger = ledger.snapshot()
         tracer = Tracer()
         with tracing(tracer), pytest.raises(ConfigurationError, match=message):
-            collect(0, query, 10, ledger, 23, **arguments)
+            collect(collector, session, query, ledger, **arguments)
         assert ledger.snapshot() == untouched_ledger
         assert walk_rng.bit_generator.state == untouched_rng
         assert session.fault_state.clock == 3
@@ -514,11 +527,11 @@ class TestProbePathCounts:
             )
         }
         for name, calls in checks.items():
-            _counted(monkeypatch, simulator_module, name, calls)
+            _counted(monkeypatch, visits_module, name, calls)
         # The survivors' rows are read once every probe is resolved:
         # whatever ran before it is what the walk and the probes cost.
         before_the_read = {}
-        read_rows = type(session).read_aggregates_prechecked
+        read_rows = type(session).read_visits
 
         def reading(self, *args, **kwargs):
             before_the_read.update(
@@ -526,9 +539,7 @@ class TestProbePathCounts:
             )
             return read_rows(self, *args, **kwargs)
 
-        monkeypatch.setattr(
-            type(session), "read_aggregates_prechecked", reading
-        )
+        monkeypatch.setattr(type(session), "read_visits", reading)
         collector = ResilientCollector(
             RandomWalker(small_topology, seed=3),
             session,
@@ -552,6 +563,8 @@ class TestProbePathCounts:
         _counted(monkeypatch, faults_module, "_splitmix64", rounds)
         _counted(monkeypatch, EventQueue, "schedule", handles)
         ledger = session.new_ledger()
+        visits = AggregateVisits(session, COUNT_30, 0, 25)
+        visits.check()
         uncontended = behind_a_late_reply = timed_out = 0
         tracer = Tracer()
         with tracing(tracer):
@@ -560,7 +573,7 @@ class TestProbePathCounts:
                 seen = tracer.num_events
                 pending = session.kernel.pending_events
                 try:
-                    session.probe_aggregate(peer, COUNT_30, ledger, 25)
+                    session.probe_visit(peer, visits, ledger)
                 except ProbeTimeoutError:
                     # A spike past the sink's patience: the reply is
                     # slow, not lost — queued, and still there, late.

@@ -31,6 +31,7 @@ from repro.experiments.runner import run_trials
 from repro.network.faults import CrashWindow, FaultPlan, LatencySpike
 from repro.network.live import LiveNetwork
 from repro.network.simulator import NetworkSimulator
+from repro.network.visits import GroupVisits, PanelVisits
 from repro.network.walker import (
     RandomWalker,
     ResilientCollector,
@@ -75,6 +76,19 @@ MEDIAN_ALL = parse_query("SELECT MEDIAN(A) FROM T")
 def fields_of(event):
     """``event``'s fields in declaration order: what ``emit`` takes."""
     return [getattr(event, field.name) for field in dataclasses.fields(event)]
+
+
+#: The fault plan of the serving benchmark's chaos workload.
+CHAOS_PLAN = FaultPlan(
+    seed=5,
+    crashes=tuple(
+        CrashWindow(peer_id=peer, start=0, stop=10**9)
+        for peer in range(0, 200, 17)
+    ),
+    reply_loss=0.1,
+    latency_spike=LatencySpike(rate=0.05, extra_ms=400.0),
+    probe_timeout_ms=250.0,
+)
 
 
 def assert_reconciles(tracer, cost):
@@ -596,27 +610,43 @@ class TestReconciliation:
             small_network.visit_aggregate(
                 3, COUNT_30, sink=0, ledger=ledger
             )
-            small_network.visit_values(
-                4, MEDIAN_ALL, sink=0, ledger=ledger
+            small_network.visit_values_batch(
+                [4], MEDIAN_ALL, sink=0, ledger=ledger
             )
             neighbor = int(small_network.topology.neighbors(0)[0])
             small_network.ping(0, neighbor, ledger)
         assert_reconciles(tracer, ledger.snapshot())
         outcomes = [e.outcome for e in tracer.events if e.kind == "probe"]
-        assert outcomes == ["ok", "ok", "ok"]
+        assert outcomes == ["ok", "ok"]
+        assert [e.kind for e in tracer.events].count("batch-visit") == 1
 
-    def test_multi_aggregate_counts_every_reply(self, small_network):
+    @pytest.mark.parametrize("loss", [0.0, 0.3])
+    def test_multi_aggregate_counts_every_reply(
+        self, small_topology, small_dataset, loss
+    ):
+        """A panel visit sends ``k`` replies: the trace charges ``k``
+        messages and one visit per peer, batched or probe by probe."""
+        network = NetworkSimulator(
+            small_topology, small_dataset.databases, seed=7,
+            reply_loss_rate=loss,
+        )
         tracer = Tracer()
-        ledger = small_network.new_ledger()
+        ledger = network.new_ledger()
         queries = [COUNT_30, parse_query("SELECT SUM(A) FROM T")]
         with tracing(tracer):
-            replies = small_network.visit_multi_aggregate(
-                5, queries, sink=0, ledger=ledger
+            panel = network.visit_batch(
+                np.arange(20), PanelVisits(network, queries, 0), ledger
             )
-        assert len(replies) == 2
+        assert len(panel.samples) == 2
         assert_reconciles(tracer, ledger.snapshot())
-        probe = next(e for e in tracer.events if e.kind == "probe")
-        assert probe.replies == 2
+        cost = ledger.snapshot()
+        assert cost.messages == 2 * len(panel)
+        visits = [e for e in tracer.events if e.kind in ("probe", "batch-visit")]
+        if loss:
+            assert {e.replies for e in visits if e.outcome == "ok"} == {2}
+        else:
+            (batch,) = visits
+            assert (batch.requested, batch.replies) == (20, 40)
 
     def test_group_visit(self, small_topology):
         dataset = generate_dataset(
@@ -633,7 +663,7 @@ class TestReconciliation:
         ledger = network.new_ledger()
         query = parse_query("SELECT COUNT(A) FROM T GROUP BY G")
         with tracing(tracer):
-            network.visit_group_aggregate(2, query, sink=0, ledger=ledger)
+            network.visit_batch([2, 3], GroupVisits(network, query, 0), ledger)
         assert_reconciles(tracer, ledger.snapshot())
 
     def test_batch_visit_fast_path(self, small_network):
@@ -777,6 +807,41 @@ class TestReconciliation:
             results = engine.execute(queries, 0.1, sink=0)
         # every result carries the one shared batch cost
         assert_reconciles(tracer, results[0].cost)
+
+    def test_batch_and_group_by_runs_under_chaos(self, small_topology):
+        """Fate per probe for both: a panel's ``k`` replies per probe,
+        GROUP BY replies read as their probes land, the panel's lost
+        and crashed probes retried and substituted."""
+        dataset = generate_dataset(
+            small_topology,
+            DatasetConfig(num_tuples=5_000, group_column="G", num_groups=4),
+            seed=31,
+        )
+        network = NetworkSimulator(
+            small_topology, dataset.databases, seed=31, fault_plan=CHAOS_PLAN,
+        )
+        queries = [COUNT_30, parse_query("SELECT SUM(A) FROM T")]
+        tracer = Tracer()
+        with tracing(tracer):
+            results = BatchEngine(
+                network,
+                TwoPhaseConfig(
+                    phase_one_peers=30, retry_policy=RetryPolicy(max_attempts=3)
+                ),
+                seed=13,
+            ).execute(queries, 0.1, sink=0)
+        assert_reconciles(tracer, results[0].cost)
+        kinds = {e.kind for e in tracer.events}
+        assert {"retry", "substitute"} <= kinds
+        tracer = Tracer()
+        with tracing(tracer):
+            result = GroupByEngine(
+                network, GroupByConfig(phase_one_peers=30), seed=12
+            ).execute(
+                parse_query("SELECT COUNT(A) FROM T GROUP BY G"), 0.1, sink=0
+            )
+        assert_reconciles(tracer, result.cost)
+        assert "batch-fallback" in {e.kind for e in tracer.events}
 
     def test_hybrid_cold_then_warm(self, small_network):
         engine = HybridEngine(

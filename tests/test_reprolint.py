@@ -92,6 +92,30 @@ def test_rl002_findings():
     assert mapping["bad/core/rl002.py"].count("RL002") == 3
 
 
+def test_rl002_flags_every_ledgerless_batch_visit(tmp_path):
+    """Each batch entry point (and the per-probe one) charges a ledger:
+    a call without one is flagged in algorithm code."""
+    module = tmp_path / "core" / "visits.py"
+    module.parent.mkdir()
+    calls = [
+        "simulator.visit_aggregate_batch(peers, query, sink)",
+        "simulator.visit_values_batch(peers, query, sink)",
+        "simulator.visit_batch(peers, visits)",
+        "simulator.probe_visit(peer, visits)",
+    ]
+    module.write_text(
+        "def visit(simulator, peers, peer, query, sink, visits):\n"
+        + "".join(f"    {call}\n" for call in calls)
+        + "    simulator.visit_batch(peers, visits, ledger=None)\n"
+    )
+    flagged = [
+        diagnostic.message.split("'")[1]
+        for diagnostic in run_lint(module).diagnostics
+        if diagnostic.code == "RL002"
+    ]
+    assert flagged == [call.split(".")[1].split("(")[0] for call in calls]
+
+
 def test_rl002_obs_findings():
     """obs/ gets the inverted checks: no visits, no ledger writes."""
     mapping = codes_by_file(run_lint(BAD))

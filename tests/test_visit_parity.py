@@ -1,11 +1,13 @@
 """Fate per probe + one read per collection ⇔ the per-peer loop.
 
 Under faults and virtual time an aggregate collection decides, charges
-and traces every probe on its own (``NetworkSimulator.probe_aggregate``)
+and traces every probe on its own (``NetworkSimulator.probe_visit``)
 and reads the rows of all survivors afterwards in one vectorised pass
-(``read_aggregates``).  The contract is that nothing can tell: against
-the former per-peer loop, kept verbatim in ``tests/visit_oracle.py``,
-a collection must leave *everything* identical — replies (floats
+(``read_visits``); every other reply kind runs through the same driver
+and kernels (``TestKindParity``).  The contract is that nothing can
+tell: against the former per-peer loops, kept verbatim in
+``tests/visit_oracle.py``, a collection must leave *everything*
+identical — replies (floats
 bitwise), ``CostLedger.snapshot()``, ``CollectionStats``, the trace
 (digest and event count), the fault clock, the virtual clock, the
 kernel's message counter, and the state of every RNG it may touch
@@ -39,9 +41,10 @@ from repro.network.faults import (
 )
 from repro.network.generators import power_law_topology
 from repro.network.live import LiveNetwork
-from repro.network.protocol import AggregateSample
+from repro.network.protocol import AggregateSample, PanelSample
 from repro.network.simulator import NetworkSimulator
 from repro.network.topology import Topology
+from repro.network.visits import GroupVisits, PanelVisits, ValueVisits
 from repro.network.walker import (
     CollectionStats,
     RandomWalkConfig,
@@ -421,7 +424,7 @@ class TestCollectionParity:
     @settings(max_examples=80, deadline=None)
     def test_faulted_batch_visit_equals_the_per_peer_loop(self, scenario):
         peers = _peers_with_repeats(scenario)
-        if not scenario.simulator()._batch_fallback_needed():
+        if not visit_oracle._faulted(scenario.simulator()):
             # Nothing armed: the clean vectorised path, whose oracle is
             # the scalar loop (tests/test_batch_equivalence.py).
             batch, world = _visit_batch(scenario, False, peers)
@@ -442,6 +445,197 @@ class TestCollectionParity:
         peers = _peers_with_repeats(scenario)
         assert _visit_scalars(scenario, False, peers) == _visit_scalars(
             scenario, True, peers
+        )
+
+
+# ---------------------------------------------------------------------------
+# Every reply kind: one kernel per chunk ⇔ the former per-peer visits
+# ---------------------------------------------------------------------------
+
+MEDIAN_BELOW_30 = AggregationQuery(
+    agg=AggregateOp.MEDIAN, column="A", predicate=Comparison("A", "<", 30)
+)
+SUM_BY_VALUE = parse_query("SELECT SUM(A) FROM T WHERE A < 40 GROUP BY A")
+PANEL = [
+    parse_query("SELECT COUNT(A) FROM T WHERE A BETWEEN 1 AND 30"),
+    parse_query("SELECT SUM(A) FROM T"),
+    parse_query("SELECT AVG(A) FROM T WHERE A > 50"),
+]
+
+#: kind → (the product's visits over a scenario's arguments, the
+#: oracle's per-peer visit over the same).
+KINDS = {
+    "values-median": (
+        lambda sim, t, method, seed: ValueVisits(
+            sim, MEDIAN_BELOW_30, SINK, t, method, seed, ship="median"
+        ),
+        lambda sim, peer, ledger, t, method, seed: (
+            visit_oracle.oracle_visit_values(
+                sim, peer, MEDIAN_BELOW_30, SINK, ledger, t, "median",
+                method, seed,
+            )
+        ),
+    ),
+    "values-sample": (
+        lambda sim, t, method, seed: ValueVisits(
+            sim, MEDIAN_BELOW_30, SINK, t, method, seed, ship="sample"
+        ),
+        lambda sim, peer, ledger, t, method, seed: (
+            visit_oracle.oracle_visit_values(
+                sim, peer, MEDIAN_BELOW_30, SINK, ledger, t, "sample",
+                method, seed,
+            )
+        ),
+    ),
+    "group": (
+        lambda sim, t, method, seed: GroupVisits(
+            sim, SUM_BY_VALUE, SINK, t, method, seed
+        ),
+        lambda sim, peer, ledger, t, method, seed: (
+            visit_oracle.oracle_visit_group_aggregate(
+                sim, peer, SUM_BY_VALUE, SINK, ledger, t, method, seed
+            )
+        ),
+    ),
+    "multi": (
+        lambda sim, t, method, seed: PanelVisits(
+            sim, PANEL, SINK, t, method, seed
+        ),
+        lambda sim, peer, ledger, t, method, seed: (
+            visit_oracle.oracle_visit_multi_aggregate(
+                sim, peer, PANEL, SINK, ledger, t, method, seed
+            )
+        ),
+    ),
+}
+
+
+def _oracle_bits(reply):
+    """One reply of the oracle's — a panel's list of them — as bits."""
+    if isinstance(reply, list):
+        return tuple(_reply_bits(member) for member in reply)
+    shipped = getattr(reply, "entries", None) or getattr(reply, "values", ())
+    return (
+        reply.source, reply.degree, reply.local_tuples,
+        reply.processed_tuples,
+        tuple(float(value).hex() for value in np.ravel(shipped)),
+    )
+
+
+def _sample_bits(sample):
+    """The product's sample, a reply (or a panel's replies) per row."""
+    if isinstance(sample, PanelSample):
+        return [
+            tuple(_reply_bits(reply) for reply in replies)
+            for replies in zip(*(list(member) for member in sample.samples))
+        ]
+    return [
+        (
+            int(row["source"]), int(row["degree"]), int(row["local_tuples"]),
+            int(row["processed_tuples"]),
+            tuple(
+                float(value).hex()
+                for value in np.ravel(sample.values[start:start + shipped])
+            ),
+        )
+        for row, start, shipped in zip(
+            sample.replies.rows, sample.offsets.tolist(),
+            sample["shipped"].tolist(),
+        )
+    ]
+
+
+def _kind_batch(scenario, kind, oracle, peers):
+    simulator, seed, visit_generator, ledger, tracer = _stage(scenario)
+    visits, oracle_visit = KINDS[kind]
+    arguments = (scenario.tuples_per_peer, scenario.sampling_method, seed)
+    with tracing(tracer):
+        if oracle:
+            bits = [
+                _oracle_bits(reply)
+                for reply in visit_oracle.oracle_visit_batch(
+                    simulator, oracle_visit, visits(simulator, *arguments).kind,
+                    peers, ledger, *arguments,
+                )
+            ]
+        else:
+            bits = _sample_bits(
+                visits(simulator, *arguments).visit(peers, ledger)
+            )
+    world = _world_state(simulator, ledger, tracer, visit_generator)
+    if not visit_oracle._faulted(simulator):
+        # One batch-visit event against a probe event per peer: only
+        # what they charge can be compared.
+        world["trace"] = tracer.cost_total
+    return bits, world
+
+
+def _kind_collect(scenario, kind, oracle):
+    simulator, seed, visit_generator, ledger, tracer = _stage(scenario)
+    visits, oracle_visit = KINDS[kind]
+    arguments = (scenario.tuples_per_peer, scenario.sampling_method, seed)
+    walker = RandomWalker(
+        TOPOLOGY, RandomWalkConfig(jump=scenario.jump),
+        seed=scenario.walker_seed,
+    )
+    with tracing(tracer):
+        if oracle:
+            replies, stats = visit_oracle.OracleCollector(
+                walker, simulator, scenario.policy
+            ).collect_with(
+                SINK, scenario.count, ledger, PROBE_BYTES,
+                lambda peer: oracle_visit(simulator, peer, ledger, *arguments),
+            )
+            bits = [_oracle_bits(reply) for reply in replies]
+        else:
+            sample, stats = ResilientCollector(
+                walker, simulator, scenario.policy
+            ).collect(
+                visits(simulator, *arguments), scenario.count, ledger,
+                PROBE_BYTES,
+            )
+            bits = _sample_bits(sample)
+            stats = dataclasses.asdict(stats)
+    stats["backoff_wait_ms"] = float(stats["backoff_wait_ms"]).hex()
+    return (
+        bits, stats,
+        _world_state(simulator, ledger, tracer, visit_generator, walker),
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+class TestKindParity:
+    """A batch visit and a resilient collection of every reply kind
+    leave what the per-peer visits they replaced left: replies (floats
+    bitwise), ledger, stats, fault and virtual clocks, every RNG — and,
+    under faults, the trace."""
+
+    @given(scenario=scenarios)
+    @settings(max_examples=25, deadline=None)
+    def test_batch_visit_equals_the_per_peer_loop(self, kind, scenario):
+        peers = _peers_with_repeats(scenario)
+        assert _kind_batch(scenario, kind, False, peers) == _kind_batch(
+            scenario, kind, True, peers
+        )
+
+    @given(scenario=scenarios)
+    @settings(max_examples=25, deadline=None)
+    def test_resilient_collection_equals_the_per_peer_loop(
+        self, kind, scenario
+    ):
+        assert _kind_collect(scenario, kind, False) == _kind_collect(
+            scenario, kind, True
+        )
+
+    @pytest.mark.parametrize("corner", ["bench-chaos", "legacy-loss-only"])
+    def test_named_corner(self, kind, corner):
+        scenario = Scenario(**{**_BASE, **CORNERS[corner]})
+        peers = _peers_with_repeats(scenario)
+        assert _kind_batch(scenario, kind, False, peers) == _kind_batch(
+            scenario, kind, True, peers
+        )
+        assert _kind_collect(scenario, kind, False) == _kind_collect(
+            scenario, kind, True
         )
 
 
@@ -549,7 +743,7 @@ def test_named_corner(corner):
     product = _collect(scenario, oracle=False)
     assert product == _collect(scenario, oracle=True)
     peers = _peers_with_repeats(scenario)
-    if scenario.simulator()._batch_fallback_needed():
+    if visit_oracle._faulted(scenario.simulator()):
         assert _visit_batch(scenario, False, peers) == _visit_batch(
             scenario, True, peers
         )

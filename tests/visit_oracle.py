@@ -1,5 +1,6 @@
-"""Reference per-peer aggregate collection — the oracle the fate/data
-split is compared against (``tests/test_visit_parity.py``).
+"""Reference per-peer visits and collections — the oracle the fate/data
+split and the per-kind kernels are compared against
+(``tests/test_visit_parity.py``).
 
 This is the product's former faulted aggregate path, moved here
 verbatim when ``NetworkSimulator.probe_aggregate`` /
@@ -18,6 +19,14 @@ product path uses (``_probe_checks`` including the event-driven
 override, ``_rng``, the snapshot), so both sides see one fault clock,
 one virtual clock and one failure stream — run each side on its own
 identically built simulator and compare everything afterwards.
+
+The per-peer visits of the other reply kinds are here too, as they
+were before every kind became one kernel over a chunk: the panel visit
+(:func:`oracle_visit_multi_aggregate`), the GROUP BY visit with its
+per-group loop (:func:`oracle_visit_group_aggregate`), the values visit
+(:func:`oracle_visit_values`), and the loop around any of them that the
+values batch fallback and the GROUP BY and batch engines ran
+(:func:`oracle_visit_batch`).
 
 One quirk is kept on purpose: the sampling method is only checked
 inside ``database.sample``, *after* the gauntlet, as it was.  The
@@ -39,7 +48,7 @@ from repro.errors import (
     PeerUnavailableError,
     ProbeTimeoutError,
 )
-from repro.network.protocol import AggregateReply
+from repro.network.protocol import AggregateReply, GroupReply, TupleReply
 from repro.network.simulator import _emit_probe
 from repro.obs.events import BatchFallbackEvent, RetryEvent, SubstituteEvent
 from repro.obs.tracer import active_tracer
@@ -180,12 +189,12 @@ def oracle_visit_aggregate_batch(
     peers = simulator._validate_batch_peers(peer_ids)
     if peers.size == 0:
         return []
-    assert simulator._batch_fallback_needed(), "the oracle is the faulted path"
+    assert _faulted(simulator), "the oracle is the faulted path"
     tracer = active_tracer()
     if tracer is not None:
         tracer.emit(
             BatchFallbackEvent, "aggregate", int(peers.size),
-            simulator._batch_fallback_reason(),
+            _fallback_reason(simulator),
         )
     replies = []
     for peer_id in peers:
@@ -207,10 +216,215 @@ def oracle_visit_aggregate_batch(
     return replies
 
 
+def _faulted(simulator):
+    """Whether a batch visit resolves its probes one by one."""
+    return simulator.faults_active or simulator._time is not None
+
+
+def _fallback_reason(simulator):
+    return "faults-active" if simulator.faults_active else "virtual-time"
+
+
+def _local_reply(simulator, peer_id, query, sink, columns, total, processed):
+    """The former ``NetworkSimulator._local_reply``: one peer's
+    aggregate reply over its processed rows, scaled to its total."""
+    counts, sums, column_sums, variances = segment_aggregate(
+        query,
+        columns,
+        starts=np.zeros(1, dtype=np.int64),
+        counts=np.asarray([processed], dtype=np.int64),
+    )
+    scale = (total / processed) if processed else 0.0
+    scaled_count = float(counts[0]) * scale
+    return AggregateReply(
+        source=peer_id,
+        destination=sink,
+        aggregate_value=(
+            scaled_count
+            if query.agg is AggregateOp.COUNT
+            else float(sums[0]) * scale
+        ),
+        matching_count=scaled_count,
+        column_total=float(column_sums[0]) * scale,
+        contribution_variance=float(variances[0]),
+        degree=simulator.topology.degree(peer_id),
+        local_tuples=total,
+        processed_tuples=processed,
+    )
+
+
+def _cpu_speed(simulator, peer_id):
+    return simulator._snapshot.peers[peer_id].capabilities.cpu_speed
+
+
+def oracle_visit_multi_aggregate(
+    simulator,
+    peer_id,
+    queries,
+    sink,
+    ledger,
+    tuples_per_peer=0,
+    sampling_method="uniform",
+    seed=None,
+):
+    """The former ``NetworkSimulator.visit_multi_aggregate``: every
+    query on one sub-sample, its ``k`` replies charged before the
+    visit."""
+    if not queries:
+        raise ConfigurationError("queries must be non-empty")
+    for query in queries:
+        if not query.agg.supports_pushdown:
+            raise ConfigurationError(
+                f"{query.agg.value} cannot be pushed down"
+            )
+    columns, total, processed = _open_visit(
+        simulator, peer_id, "multi", ledger,
+        tuples_per_peer, sampling_method, seed,
+    )
+    replies = [
+        _local_reply(simulator, peer_id, query, sink, columns, total, processed)
+        for query in queries
+    ]
+    for reply in replies:
+        ledger.record_reply(reply.size_bytes())
+    ledger.record_visit(
+        peer_id,
+        tuples_processed=processed,
+        tuples_sampled=min(processed, tuples_per_peer or processed),
+        cpu_speed=_cpu_speed(simulator, peer_id),
+    )
+    _emit_probe(
+        peer_id, "multi", "ok",
+        replies=len(replies), messages=len(replies), visits=1,
+    )
+    return replies
+
+
+def oracle_visit_group_aggregate(
+    simulator,
+    peer_id,
+    query,
+    sink,
+    ledger,
+    tuples_per_peer=0,
+    sampling_method="uniform",
+    seed=None,
+):
+    """The former ``NetworkSimulator.visit_group_aggregate``: a loop
+    over the groups of one peer's processed matching rows."""
+    if query.group_by is None:
+        raise ConfigurationError("query has no GROUP BY column")
+    if not query.agg.supports_pushdown:
+        raise ConfigurationError(
+            f"GROUP BY is not supported for {query.agg.value}"
+        )
+    columns, total, processed = _open_visit(
+        simulator, peer_id, "group", ledger,
+        tuples_per_peer, sampling_method, seed,
+    )
+    entries = []
+    if processed:
+        mask = query.predicate.mask(columns)
+        groups = np.asarray(columns[query.group_by])[mask]
+        values = np.asarray(columns[query.column])[mask]
+        scale = total / processed
+        for group in np.unique(groups):
+            in_group = groups == group
+            entries.append(
+                (
+                    float(group),
+                    float(np.count_nonzero(in_group)) * scale,
+                    float(values[in_group].sum()) * scale,
+                )
+            )
+    reply = GroupReply(
+        source=peer_id,
+        destination=sink,
+        entries=tuple(entries),
+        degree=simulator.topology.degree(peer_id),
+        local_tuples=total,
+        processed_tuples=processed,
+    )
+    ledger.record_visit(
+        peer_id,
+        tuples_processed=processed,
+        tuples_sampled=min(processed, tuples_per_peer or processed),
+        cpu_speed=_cpu_speed(simulator, peer_id),
+    )
+    ledger.record_reply(reply.size_bytes())
+    _emit_probe(peer_id, "group", "ok", replies=1, messages=1, visits=1)
+    return reply
+
+
+def oracle_visit_values(
+    simulator,
+    peer_id,
+    query,
+    sink,
+    ledger,
+    tuples_per_peer=0,
+    ship="median",
+    sampling_method="uniform",
+    seed=None,
+):
+    """The former ``NetworkSimulator.visit_values``: the local quantile
+    of one peer's matching values, or the values themselves."""
+    if ship not in ("median", "sample"):
+        raise ConfigurationError(f"unknown ship mode {ship!r}")
+    columns, total, processed = _open_visit(
+        simulator, peer_id, "values", ledger,
+        tuples_per_peer, sampling_method, seed,
+    )
+    column = np.asarray(columns[query.column])
+    values = column[query.predicate.mask(columns)] if column.size else column
+    if ship == "median" and values.size:
+        values = [float(np.quantile(values, query.quantile_fraction))]
+    reply = TupleReply(
+        source=peer_id,
+        destination=sink,
+        values=tuple(float(value) for value in values),
+        degree=simulator.topology.degree(peer_id),
+        local_tuples=total,
+        processed_tuples=processed,
+    )
+    ledger.record_visit(
+        peer_id,
+        tuples_processed=processed,
+        tuples_sampled=processed,
+        cpu_speed=_cpu_speed(simulator, peer_id),
+    )
+    ledger.record_reply(reply.size_bytes())
+    _emit_probe(peer_id, "values", "ok", replies=1, messages=1, visits=1)
+    return reply
+
+
+def oracle_visit_batch(simulator, visit, kind, peer_ids, *args, **kwargs):
+    """The per-peer loop around one of the visits above — the former
+    faulted branch of ``visit_values_batch`` and the GROUP BY and batch
+    engines' chunk loops: ``visit(simulator, peer, *args, **kwargs)``
+    per peer, a lost reply skipped.  Under faults or virtual time it
+    opens with the ``batch-fallback`` event the product emits."""
+    peers = simulator._validate_batch_peers(peer_ids)
+    tracer = active_tracer()
+    if tracer is not None and peers.size and _faulted(simulator):
+        tracer.emit(
+            BatchFallbackEvent, kind, int(peers.size),
+            _fallback_reason(simulator),
+        )
+    replies = []
+    for peer_id in peers.tolist():
+        try:
+            replies.append(visit(simulator, peer_id, *args, **kwargs))
+        except PeerUnavailableError:
+            continue  # lost reply: the sample just shrinks
+    return replies
+
+
 class OracleCollector:
     """The former ``ResilientCollector._attempt`` / ``_collect`` /
     ``collect_aggregate``: retry, backoff and substitution around one
-    :func:`oracle_visit_aggregate` per probe."""
+    :func:`oracle_visit_aggregate` per probe — or around any visit
+    above (:meth:`collect_with`)."""
 
     def __init__(self, walker, simulator, policy):
         self._walker = walker
@@ -266,6 +480,11 @@ class OracleCollector:
                 seed=seed,
             )
 
+        return self.collect_with(sink, count, ledger, probe_bytes, visit)
+
+    def collect_with(self, sink, count, ledger, probe_bytes, visit):
+        """The collection loop around ``visit(peer)``, one reply (or a
+        panel's list of them) per probe that gets through."""
         walk = self._walker.sample_peers(sink, count)
         self._simulator.walk_hops(
             walk.hops, ledger, message_bytes=probe_bytes
