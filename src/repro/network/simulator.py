@@ -449,8 +449,8 @@ class NetworkSimulator:
             if drop_reply:
                 self._maybe_drop_reply(peer_id, ledger)
         except PeerUnavailableError as error:
-            # A crash or a timeout cost the sink a wait (a crash's wait
-            # passes in virtual time here); a lost reply costs none.
+            # A crash and a timeout each count as a timeout (the sink
+            # waited); only a crash's wait passes in virtual time here.
             crashed = isinstance(error, PeerCrashedError)
             timed_out = crashed or isinstance(error, ProbeTimeoutError)
             _emit_probe(
@@ -772,7 +772,7 @@ class NetworkSimulator:
             rows = self._gather(np.asarray([peer_id], dtype=np.int64), visits)
             part = visits.kernel(rows)
             processed = int(rows.processed[0])
-            reply_bytes = int(visits.sized(part["shipped"])[0])
+            reply_bytes = int(visits.sized(part)[0])
         else:
             processed = int(self._snapshot.flat.peer_tuple_counts[peer_id])
             if visits.tuples_per_peer:
@@ -929,8 +929,7 @@ class NetworkSimulator:
             tuples_processed=rows.processed,
             tuples_sampled=rows.processed,
             reply_bytes=(
-                visits.sized(sample["shipped"]) if reply_bytes is None
-                else reply_bytes
+                visits.sized(sample) if reply_bytes is None else reply_bytes
             ),
             cpu_speeds=self._snapshot.cpu_speeds()[peers],
             leading_replies=leading,

@@ -7,9 +7,8 @@ aggregate, a panel of them on one sub-sample, per-group entries, or
 the values themselves for holistic aggregates (§5.6).  Each kind is
 one :class:`Visits` subclass whose :meth:`~Visits.kernel` turns a whole
 chunk's gathered rows (:class:`ChunkRows`) into the sample of its
-replies in one pass; the simulator's one driver
-(:meth:`~repro.network.simulator.NetworkSimulator.visit_aggregate_batch`
-and its siblings) and the resilient collector run every kind.
+replies in one pass, for the simulator's one driver
+(:meth:`~repro.network.simulator.NetworkSimulator.visit_batch`).
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from typing import (
 )
 
 import numpy as np
-from numpy.typing import ArrayLike, NDArray
+from numpy.typing import NDArray
 
 from .._util import SeedLike
 from ..data.segments import segment_aggregate, segment_sums
@@ -114,17 +113,13 @@ class Visits(Generic[_S]):
     (``reply_bytes``) is charged before its rows are read: a faulted
     chunk resolves every probe's fate, then reads the survivors' rows
     in one pass.  A reply sized by its rows (``reply_bytes`` is
-    ``None``; :meth:`sized` prices each from how many values or
-    entries it ships) is read probe by probe, through the same kernel
-    with one segment.
+    ``None``; :meth:`sized` prices each) is read probe by probe,
+    through the same kernel with one segment.
     """
 
     kind: ClassVar[str]
     #: Every reply's wire size, when its rows do not decide it.
     reply_bytes: ClassVar[Optional[int]] = None
-    #: Replies a visit sends before it is charged (a panel's ``k``);
-    #: 0 means one reply, charged after the visit.
-    leading_replies: ClassVar[int] = 0
 
     simulator: NetworkSimulator
     query: Any
@@ -132,6 +127,12 @@ class Visits(Generic[_S]):
     tuples_per_peer: int = 0
     sampling_method: str = "uniform"
     seed: SeedLike = None
+
+    @property
+    def leading_replies(self) -> int:
+        """Replies a visit sends before it is charged (a panel's ``k``);
+        0 means one reply, charged after the visit."""
+        return 0
 
     def check(self) -> None:
         """Reject bad arguments before anything observable happens (no
@@ -142,9 +143,8 @@ class Visits(Generic[_S]):
         """The replies of ``rows.peers``, one per peer, in order."""
         raise NotImplementedError
 
-    @staticmethod
-    def sized(shipped: ArrayLike) -> NDArray[np.int64]:
-        """Each reply's wire size from what it ships."""
+    def sized(self, sample: _S) -> NDArray[np.int64]:
+        """Each reply's wire size in ``sample``, from what it ships."""
         raise NotImplementedError
 
     def visit(self, peers: np.ndarray, ledger: CostLedger) -> _S:
@@ -234,7 +234,7 @@ class PanelVisits(Visits[PanelSample]):
     reply_bytes = AggregateReply.SIZE_BYTES
 
     @property
-    def leading_replies(self) -> int:  # type: ignore[override]
+    def leading_replies(self) -> int:
         return len(self.query)
 
     def check(self) -> None:
@@ -264,7 +264,6 @@ class ValueVisits(Visits[ValueSample]):
     """
 
     kind = "values"
-    sized = staticmethod(tuple_reply_bytes)
 
     ship: str = "median"
 
@@ -273,6 +272,9 @@ class ValueVisits(Visits[ValueSample]):
             raise ConfigurationError(f"unknown ship mode {self.ship!r}")
         _check_tuples_per_peer(self.tuples_per_peer)
         _check_sampling_method(self.sampling_method)
+
+    def sized(self, sample: ValueSample) -> NDArray[np.int64]:
+        return tuple_reply_bytes(sample["shipped"])
 
     def kernel(self, rows: ChunkRows) -> ValueSample:
         query = self.query
@@ -324,7 +326,6 @@ class GroupVisits(Visits[ValueSample]):
     :class:`ValueSample` whose rows ship ``(k, 3)`` entries."""
 
     kind = "group"
-    sized = staticmethod(group_reply_bytes)
 
     def check(self) -> None:
         if self.query.group_by is None:
@@ -335,6 +336,9 @@ class GroupVisits(Visits[ValueSample]):
             )
         _check_tuples_per_peer(self.tuples_per_peer)
         _check_sampling_method(self.sampling_method)
+
+    def sized(self, sample: ValueSample) -> NDArray[np.int64]:
+        return group_reply_bytes(sample["shipped"])
 
     def kernel(self, rows: ChunkRows) -> ValueSample:
         # The matching rows keyed by (segment, group) — one np.unique

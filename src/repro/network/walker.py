@@ -603,17 +603,13 @@ class ResilientCollector:
       terminates: worst case it returns fewer replies than requested,
       and the caller flags the result as degraded.
 
-    One collection serves any reply kind (a
-    :class:`~repro.network.visits.Visits`): the loop above decides,
-    charges and traces every probe
+    One collection serves any reply kind: the loop above decides,
+    charges and traces every probe, and a reply of fixed size
+    (aggregate, panel) is *fate per probe, data per collection* — the
+    surviving peers' rows are read afterwards in one vectorised pass,
+    in survival order.  A reply sized by its rows (values, GROUP BY) is
+    read as its probe lands: its charge depends on the rows it ships
     (:meth:`~repro.network.simulator.NetworkSimulator.probe_visit`).
-    A reply of fixed size (aggregate, panel) is *fate per probe, data
-    per collection*: the rows of all surviving peers are read
-    afterwards in one vectorised pass, in survival order.  A reply
-    sized by its rows (values, GROUP BY) is read as its probe lands —
-    its ledger charge depends on the rows it ships, so its fate cannot
-    be posted before its data is read
-    (:meth:`~repro.network.simulator.NetworkSimulator.read_visits`).
     """
 
     def __init__(

@@ -620,12 +620,20 @@ class TestReconciliation:
         assert outcomes == ["ok", "ok"]
         assert [e.kind for e in tracer.events].count("batch-visit") == 1
 
-    @pytest.mark.parametrize("loss", [0.0, 0.3])
     def test_multi_aggregate_counts_every_reply(
-        self, small_topology, small_dataset, loss
+        self, small_topology, small_dataset
     ):
         """A panel visit sends ``k`` replies: the trace charges ``k``
-        messages and one visit per peer, batched or probe by probe."""
+        messages and one visit per peer."""
+        self._check_panel_reconciles(small_topology, small_dataset, 0.0)
+
+    def test_multi_aggregate_counts_every_reply_probe_by_probe(
+        self, small_topology, small_dataset
+    ):
+        self._check_panel_reconciles(small_topology, small_dataset, 0.3)
+
+    @staticmethod
+    def _check_panel_reconciles(small_topology, small_dataset, loss):
         network = NetworkSimulator(
             small_topology, small_dataset.databases, seed=7,
             reply_loss_rate=loss,
