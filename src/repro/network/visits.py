@@ -127,12 +127,9 @@ class Visits(Generic[_S]):
     tuples_per_peer: int = 0
     sampling_method: str = "uniform"
     seed: SeedLike = None
-
-    @property
-    def leading_replies(self) -> int:
-        """Replies a visit sends before it is charged (a panel's ``k``);
-        0 means one reply, charged after the visit."""
-        return 0
+    #: Replies a visit sends before it is charged (a panel's ``k``);
+    #: 0 means one reply, charged after the visit.
+    leading_replies: int = dataclasses.field(default=0, init=False)
 
     def check(self) -> None:
         """Reject bad arguments before anything observable happens (no
@@ -233,9 +230,8 @@ class PanelVisits(Visits[PanelSample]):
     kind = "multi"
     reply_bytes = AggregateReply.SIZE_BYTES
 
-    @property
-    def leading_replies(self) -> int:
-        return len(self.query)
+    def __post_init__(self) -> None:
+        self.leading_replies = len(self.query)
 
     def check(self) -> None:
         if not self.query:
