@@ -206,8 +206,7 @@ class ForkPool:
     cache) simply diverges per process after the fork.
 
     Replies to :meth:`send`/:meth:`send_many` stream back through
-    :meth:`recv`/:meth:`recv_many`/:meth:`try_recv`; :meth:`call` is
-    the request/response form and never touches that stream.
+    :meth:`recv`/:meth:`recv_many`, one stream for every worker.
 
     The pool never hangs on a crashed worker: every blocking receive
     polls with a timeout and raises
@@ -244,15 +243,9 @@ class ForkPool:
         for process in self._processes:
             process.start()
         # Replies already pulled off the outbox but not yet handed to a
-        # caller: batched messages flatten into here, so recv/try_recv/
+        # caller: batched messages flatten into here, so recv and
         # recv_many see one uniform stream of (worker, tag, payload).
         self._pending: Deque[Tuple[int, int, Any]] = collections.deque()
-        # call(): requests issued so far, the tag still waiting for its
-        # response (None once it landed) and the landed response.  Call
-        # tags are tuples, job tags plain ints: never confused.
-        self._calls = 0
-        self._awaiting: Optional[Tuple[str, int]] = None
-        self._answer: Any = None
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -306,13 +299,8 @@ class ForkPool:
             return
         self._inboxes[worker].put(_JobBatch(tuple(pairs)))
 
-    def _buffer(self, worker: int, tag: Any, payload: Any) -> None:
-        if isinstance(tag, tuple):
-            # A call's response goes to the call still waiting for it
-            # and to nobody else: one whose call gave up is dropped.
-            if tag == self._awaiting:
-                self._awaiting, self._answer = None, payload
-        elif isinstance(payload, _ReplyBatch):
+    def _buffer(self, worker: int, tag: int, payload: Any) -> None:
+        if isinstance(payload, _ReplyBatch):
             for sub_tag, sub_payload in payload.pairs:
                 self._pending.append((worker, sub_tag, sub_payload))
         else:
@@ -324,12 +312,10 @@ class ForkPool:
             raise payload.error
         return worker, tag, payload
 
-    def _await(
-        self, ready: Callable[[], bool], poll_s: float, max_polls: int
-    ) -> None:
-        """Buffer arriving messages until ``ready()``, crash-aware."""
+    def _await(self, poll_s: float, max_polls: int) -> None:
+        """Buffer arriving messages until one is pending, crash-aware."""
         polls = 0
-        while not ready():
+        while not self._pending:
             try:
                 worker, tag, payload = self._outbox.get(timeout=poll_s)
             except queue.Empty:
@@ -375,7 +361,7 @@ class ForkPool:
         here with its original type.
         """
         self._check_open()
-        self._await(lambda: bool(self._pending), poll_s, max_polls)
+        self._await(poll_s, max_polls)
         return self._pop_pending()
 
     def recv_many(
@@ -393,7 +379,7 @@ class ForkPool:
         exception surfaces on the next call instead.
         """
         self._check_open()
-        self._await(lambda: bool(self._pending), poll_s, max_polls)
+        self._await(poll_s, max_polls)
         self._drain_outbox()
         replies: List[Tuple[int, int, Any]] = []
         while self._pending:
@@ -401,55 +387,6 @@ class ForkPool:
                 break
             replies.append(self._pop_pending())
         return replies
-
-    def try_recv(self) -> Optional[Tuple[int, int, Any]]:
-        """A reply if one is already waiting, else ``None`` (no block)."""
-        self._check_open()
-        if not self._pending:
-            self._drain_outbox()
-        if not self._pending:
-            return None
-        return self._pop_pending()
-
-    def call(
-        self,
-        worker: int,
-        item: Any,
-        *,
-        poll_s: float = 0.05,
-        max_polls: int = 6000,
-    ) -> Any:
-        """``handler(item)`` on ``worker``, synchronously.
-
-        The request joins the worker's FIFO inbox, so it runs after
-        every job sent before it.  Returns that request's response and
-        only that: job replies arriving meanwhile stay buffered, in
-        arrival order, for the next ``recv``/``recv_many``/
-        ``try_recv``.  The handler's own exception re-raises here with
-        its original type; a dead worker, or one silent past the poll
-        budget, raises :class:`~repro.errors.WorkerPoolError` — and
-        the response to a call that gave up is dropped if it ever
-        arrives, never handed to a later caller.
-        """
-        self._check_open(worker)
-        # Checked up front: nobody drains a dead worker's inbox, so a
-        # request larger than the pipe buffer would block in put().
-        if not self._processes[worker].is_alive():
-            raise WorkerPoolError(
-                f"worker {worker} is dead (exit code "
-                f"{self._processes[worker].exitcode})"
-            )
-        self._calls += 1
-        self._awaiting = ("call", self._calls)
-        self._inboxes[worker].put((self._awaiting, item))
-        try:
-            self._await(lambda: self._awaiting is None, poll_s, max_polls)
-        finally:
-            self._awaiting = None
-        answer, self._answer = self._answer, None
-        if isinstance(answer, _Raised):
-            raise answer.error
-        return answer
 
     def close(self, *, join_timeout_s: float = 10.0) -> None:
         """Stop every worker and reap the processes (idempotent)."""

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import itertools
 import operator
 from typing import (
     Any,
@@ -69,7 +68,6 @@ __all__ = [
 ]
 
 GNUTELLA_HEADER_BYTES = 23
-_message_counter = itertools.count(1)
 
 
 class MessageType(enum.Enum):
@@ -107,9 +105,6 @@ class Message:
     destination: int
     ttl: int = 7
     hops: int = 0
-    message_id: int = dataclasses.field(
-        default_factory=lambda: next(_message_counter)
-    )
 
     def __post_init__(self) -> None:
         if self.source < 0 or self.destination < 0:

@@ -67,9 +67,9 @@ class TraceLike(Protocol):
     The serving layer hands traces around behind this protocol:
     :class:`Tracer` satisfies it directly (encoding its captured
     events on the first read of ``lines`` or ``digest()``, once), and
-    the sharded backend's
-    remote-trace handle satisfies it by fetching the lines from the
-    owning worker on first access.  Consumers (``write_traces``, the
+    so does the sharded backend's decoded reply trace
+    (:class:`~repro.service.codec.TraceWire`), which carries the
+    worker's lines and digest.  Consumers (``write_traces``, the
     trace-diff gates) only ever need the canonical lines and their
     digest, so they never observe which side of a process boundary
     the events were recorded on.

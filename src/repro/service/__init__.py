@@ -35,7 +35,6 @@ from .backend import (
     InlineBackend,
     QueryJob,
     QueryReply,
-    RemoteTrace,
     TransportStats,
 )
 from .budget import CostBudget
@@ -57,7 +56,6 @@ __all__ = [
     "QueryJob",
     "QueryReply",
     "QueryTicket",
-    "RemoteTrace",
     "TransportStats",
     "ScheduledQuery",
     "Completion",

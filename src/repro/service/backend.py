@@ -45,19 +45,17 @@ Transport (the sharded backend's wire protocol)
 
 Replies never cross the pool queue as whole-object pickles.  Each
 worker flattens a reply through the versioned tuple codec
-(:mod:`repro.service.codec`), coalesces every reply of an inbound job
-batch into one queue message, and keeps the trace *lines* in a bounded
-worker-side store, sending only the digest and event count with the
-reply.  The parent's :class:`RemoteTrace` handle fetches the lines on
-first access (or at :meth:`ForkedBackend.close`, which materializes
-every still-remote trace before the workers go away), verifying them
-against the shipped digest.  None of this is observable to trace
-consumers: the fetched lines are byte-identical to the inline
-backend's, which the parity suite pins.
+(:mod:`repro.service.codec`) and coalesces every reply of an inbound
+job batch into one queue message.  A traced reply carries its
+canonical lines and their digest; the decoded
+:class:`~repro.service.codec.TraceWire` is the parent's trace, so
+traces outlive the workers and need nothing at close.  The lines are
+byte-identical to the inline backend's, which the parity suite pins.
 
-Only job replies stream.  A trace fetch or a rebind is one synchronous
-:meth:`~repro._pool.ForkPool.call` per worker: it returns that
-request's response and leaves every job reply on the stream.
+Each job is answered once, on one stream.  The parent asks a worker
+something outside that stream only in :meth:`ForkedBackend.rebind`,
+which is legal only while no job is in flight: it sends one
+``_Rebind`` per worker and reads one acknowledgement from each.
 """
 
 from __future__ import annotations
@@ -65,7 +63,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import pickle
-from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -84,7 +81,6 @@ from ..metrics.cost import QueryCost
 from ..network.simulator import NetworkSimulator
 from ..network.walk_kernel import prime_kernel_tables
 from ..obs.events import QueryLifecycleEvent
-from ..obs.jsonl import digest_of_lines
 from ..obs.tracer import TraceLike, Tracer
 from ..query.model import AggregationQuery
 from .budget import CostBudget
@@ -113,7 +109,6 @@ __all__ = [
     "InlineBackend",
     "QueryJob",
     "QueryReply",
-    "RemoteTrace",
     "TransportStats",
     "build_task",
     "drive_task",
@@ -462,88 +457,6 @@ class _Rebind:
     manifest: PackManifest
 
 
-@dataclasses.dataclass(frozen=True)
-class _FetchTrace:
-    """Control message: return (and drop) one stored trace's lines."""
-
-    query_id: int
-
-
-class RemoteTrace:
-    """A completed trace whose lines (may) still live in a worker.
-
-    Satisfies :class:`~repro.obs.tracer.TraceLike`: the digest and
-    event count arrived with the reply, and :attr:`lines`
-    fetches the canonical JSONL lines from the owning worker on first
-    access (verifying them against the digest), then caches them
-    parent-side.  :meth:`ForkedBackend.close` materializes every
-    handle that was never read, so traces outlive the workers exactly
-    as they do on the inline backend.
-    """
-
-    def __init__(
-        self,
-        backend: "ForkedBackend",
-        worker: int,
-        query_id: int,
-        digest: str,
-        num_events: int,
-    ):
-        self._backend = backend
-        self._worker = worker
-        self._query_id = query_id
-        self._digest = digest
-        self._num_events = num_events
-        self._lines: Optional[Tuple[str, ...]] = None
-        self._lost: Optional[str] = None
-
-    @property
-    def query_id(self) -> int:
-        """The query this trace belongs to."""
-        return self._query_id
-
-    @property
-    def fetched(self) -> bool:
-        """Whether the lines are already parent-side."""
-        return self._lines is not None
-
-    @property
-    def num_events(self) -> int:
-        """How many events the trace holds (shipped with the reply)."""
-        return self._num_events
-
-    def digest(self) -> str:
-        """sha256 over the canonical lines (shipped with the reply)."""
-        return self._digest
-
-    @property
-    def lines(self) -> List[str]:
-        """The canonical JSONL lines, fetched on first access."""
-        return list(self.materialize())
-
-    def materialize(self) -> Tuple[str, ...]:
-        """Ensure the lines are parent-side; returns them."""
-        if self._lines is not None:
-            return self._lines
-        if self._lost is not None:
-            raise ServiceError(self._lost)
-        lines = self._backend._fetch_trace_lines(
-            self._worker, self._query_id
-        )
-        if digest_of_lines(list(lines)) != self._digest:
-            raise ServiceError(
-                f"fetched trace lines for query {self._query_id} do "
-                "not match the digest shipped with its reply"
-            )
-        self._lines = lines
-        return lines
-
-    def mark_lost(self, reason: str) -> None:
-        """Record that the lines can no longer be fetched."""
-        if self._lines is None and self._lost is None:
-            self._lost = reason
-
-
 class _ShardWorker:
     """The per-worker job handler (constructed pre-fork, runs post-fork).
 
@@ -560,19 +473,13 @@ class _ShardWorker:
         simulator: NetworkSimulator,
         settings: EngineSettings,
         manifest: PackManifest,
-        *,
-        trace_store_limit: int = 2048,
     ):
         self._simulator = simulator
         self._settings = settings
         self._manifest = manifest
-        self._trace_store_limit = trace_store_limit
         self._cache = PlanCache()
         self._view: Optional[SnapshotView] = None
         self._attached = False
-        # Post-fork, per-worker: trace lines retained for on-demand
-        # fetch, oldest evicted beyond the bound.
-        self._traces: "OrderedDict[int, Tuple[str, ...]]" = OrderedDict()
 
     def _attach(self) -> None:
         if self._attached:
@@ -595,24 +502,9 @@ class _ShardWorker:
         self._attached = False
         return "rebound"
 
-    def _fetch_trace(self, control: _FetchTrace) -> Tuple[str, ...]:
-        lines = self._traces.pop(control.query_id, None)
-        if lines is None:
-            raise ServiceError(
-                f"trace lines for query {control.query_id} are not in "
-                f"this worker's store (never captured, already "
-                f"fetched, or evicted past the "
-                f"{self._trace_store_limit}-entry bound)"
-            )
-        return lines
-
-    def __call__(
-        self, item: Union[QueryJob, _Rebind, _FetchTrace]
-    ) -> object:
+    def __call__(self, item: Union[QueryJob, _Rebind]) -> object:
         if isinstance(item, _Rebind):
             return self._rebind(item)
-        if isinstance(item, _FetchTrace):
-            return self._fetch_trace(item)
         self._attach()
         cache = self._cache
         hits = cache.hits
@@ -631,12 +523,7 @@ class _ShardWorker:
         if tracer is not None:
             # The vt stamps are already baked into the lines; neither
             # the clock nor the tracer crosses the process boundary.
-            self._traces[item.query_id] = tuple(tracer.lines)
-            while len(self._traces) > self._trace_store_limit:
-                self._traces.popitem(last=False)
-            trace = TraceWire(
-                digest=tracer.digest(), num_events=tracer.num_events
-            )
+            trace = TraceWire(tracer.digest(), tuple(tracer.lines))
         reply = dataclasses.replace(
             reply,
             tracer=None,
@@ -711,17 +598,11 @@ class ForkedBackend(ExecutionBackend):
     submissions costs one pickle per worker, not one per job), and
     each worker answers a batch with one coalesced reply message.
 
-    Traced replies ship only the digest and event count; the lines
-    stay in the owning worker's bounded store and the parent's
-    :class:`RemoteTrace` fetches them on first access (close
-    materializes the rest).
+    A traced reply carries its lines and digest; the decoded
+    :class:`~repro.service.codec.TraceWire` is the reply's trace.
 
     Parameters
     ----------
-    trace_store_limit:
-        Per-worker bound on retained traces; beyond it the oldest is
-        evicted and a later fetch for it raises
-        :class:`~repro.errors.ServiceError`.
     measure_transport:
         Account queue traffic in :meth:`transport_stats` by
         re-pickling every shipped payload.  Bench-only: doubles
@@ -736,22 +617,16 @@ class ForkedBackend(ExecutionBackend):
         settings: EngineSettings,
         workers: int,
         *,
-        trace_store_limit: int = 2048,
         measure_transport: bool = False,
     ):
         _pool.effective_workers(workers, cap=False, label="QueryService")
-        if trace_store_limit < 1:
-            raise ConfigurationError("trace_store_limit must be >= 1")
         self._settings = settings
         self._workers = workers
         self._simulator = simulator
         self._pack: Optional[SharedArrayPack] = self._export(simulator)
         try:
             self._handler = _ShardWorker(
-                simulator,
-                settings,
-                self._pack.manifest,
-                trace_store_limit=trace_store_limit,
+                simulator, settings, self._pack.manifest
             )
             self._fork_pool = _pool.ForkPool(
                 workers, self._handler, name="repro-shard"
@@ -773,8 +648,6 @@ class ForkedBackend(ExecutionBackend):
         # slim wire replies carry only the id; the query object never
         # crosses the queue twice.
         self._tickets: Dict[int, QueryTicket] = {}
-        # Trace handles not yet materialized, keyed by query id.
-        self._traces: Dict[int, RemoteTrace] = {}
         # Replies a pump folded before a later payload of the same
         # sweep failed to fold; the next pump delivers them.
         self._ready: List[QueryReply] = []
@@ -846,15 +719,7 @@ class ForkedBackend(ExecutionBackend):
             )
         reply, trace = decode_reply(payload, ticket=ticket)
         if trace is not None:
-            handle = RemoteTrace(
-                self,
-                shard_for_signature(ticket.signature, self._workers),
-                query_id,
-                trace.digest,
-                trace.num_events,
-            )
-            self._traces[query_id] = handle
-            reply = dataclasses.replace(reply, tracer=handle)
+            reply = dataclasses.replace(reply, tracer=trace)
         self._outstanding -= 1
         self._cache_stats = CacheStats(
             hits=self._cache_stats.hits + reply.cache_hits,
@@ -888,28 +753,6 @@ class ForkedBackend(ExecutionBackend):
             raise failure
         return replies
 
-    def _fetch_trace_lines(
-        self, worker: int, query_id: int
-    ) -> Tuple[str, ...]:
-        """Pull one trace's lines out of its owning worker's store."""
-        if self._closed:
-            raise ServiceError(
-                f"cannot fetch trace lines for query {query_id}: the "
-                "sharded backend is closed and its workers are gone"
-            )
-        # The worker drops the lines as it answers, so the handle has
-        # nothing left to materialize at close whatever happens next.
-        self._traces.pop(query_id, None)
-        try:
-            lines: Tuple[str, ...] = self._fork_pool.call(
-                worker, _FetchTrace(query_id)
-            )
-        except WorkerPoolError as error:
-            raise ServiceError(
-                f"trace fetch for query {query_id} failed: {error}"
-            ) from error
-        return lines
-
     @property
     def idle(self) -> bool:
         return self._outstanding == 0 and not self._ready
@@ -928,19 +771,31 @@ class ForkedBackend(ExecutionBackend):
         return self._cache_stats
 
     def rebind(self, simulator: NetworkSimulator) -> None:
+        if self._closed:
+            raise ServiceError("the sharded backend is closed")
         if self._outstanding or self._ready:
             raise ServiceError(
                 "cannot rebind while queries are outstanding"
             )
+        # Checked up front: nobody drains a dead worker's inbox, and a
+        # _Rebind carries the pickled simulator, so put() could block
+        # on that worker's full pipe.
+        if len(self._fork_pool.alive_workers()) < self._workers:
+            raise WorkerPoolError("cannot rebind: a shard worker is dead")
         # Transactional: every parent-side mutation stays staged until
         # the swap cannot fail anymore.  Export first; on any failure
         # through the last acknowledgement, retire the new segment and
         # re-raise with the old simulator, pack and manifests intact.
+        # The backend is idle, so the stream holds nothing but acks; an
+        # ack that outlives the poll budget stays on it, and the next
+        # pump raises ServiceError("unexpected wire payload") for it
+        # without losing a reply.
         new_pack = self._export(simulator)
         try:
             control = _Rebind(simulator, new_pack.manifest)
-            for worker in range(self._workers):
-                ack = self._fork_pool.call(worker, control)
+            self._fork_pool.broadcast(0, control)
+            for _ in range(self._workers):
+                _, _, ack = self._fork_pool.recv()
                 if ack != "rebound":
                     raise ServiceError(
                         f"unexpected rebind acknowledgement {ack!r}"
@@ -956,33 +811,13 @@ class ForkedBackend(ExecutionBackend):
             old_pack.close()
             old_pack.unlink()
 
-    def _materialize_traces(self) -> None:
-        """Fetch every still-remote trace before the workers go away.
-
-        Best-effort: a trace whose worker already died is marked lost
-        (reading it raises :class:`~repro.errors.ServiceError` with
-        the reason) rather than blocking close.
-        """
-        for query_id, handle in sorted(self._traces.items()):
-            try:
-                handle.materialize()
-            except ServiceError as error:
-                handle.mark_lost(
-                    f"trace lines for query {query_id} were lost "
-                    f"before close could fetch them: {error}"
-                )
-        self._traces.clear()
-
     def close(self) -> None:
         if self._closed:
             return
-        try:
-            self._materialize_traces()
-        finally:
-            self._closed = True
-            self._buffered = [[] for _ in range(self._workers)]
-            self._fork_pool.close()
-            if self._pack is not None:
-                self._pack.close()
-                self._pack.unlink()
-                self._pack = None
+        self._closed = True
+        self._buffered = [[] for _ in range(self._workers)]
+        self._fork_pool.close()
+        if self._pack is not None:
+            self._pack.close()
+            self._pack.unlink()
+            self._pack = None

@@ -27,7 +27,7 @@ before; the codec only flattens the shapes it knows.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from ..core.confidence import ConfidenceInterval
 from ..core.result import ApproximateResult, PhaseReport
@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 #: Bump on any change to the tuple layouts below.
-REPLY_WIRE_VERSION = 2
+REPLY_WIRE_VERSION = 3
 
 #: Marker for a result slot holding an arbitrary (opaque) object.
 _OPAQUE = "obj"
@@ -57,14 +57,28 @@ _COST_FROM_RESULT = "result"
 
 @dataclasses.dataclass(frozen=True)
 class TraceWire:
-    """A trace as it crosses the queue: digest and event count.
+    """A completed trace as it crosses the queue: digest and lines.
 
-    The lines stay in the owning worker's store; the parent fetches
-    them on demand and verifies them against ``digest``.
+    Satisfies :class:`~repro.obs.tracer.TraceLike`, so the decoded
+    wire is the parent's trace object as it stands.
     """
 
-    digest: str
-    num_events: int
+    sha256: str
+    canonical_lines: Tuple[str, ...]
+
+    @property
+    def lines(self) -> List[str]:
+        """The canonical JSONL lines, in emission order."""
+        return list(self.canonical_lines)
+
+    @property
+    def num_events(self) -> int:
+        """How many events the trace holds."""
+        return len(self.canonical_lines)
+
+    def digest(self) -> str:
+        """sha256 over the canonical lines, as the worker computed it."""
+        return self.sha256
 
 
 def _encode_cost(cost: Optional[QueryCost]) -> Optional[tuple]:
@@ -205,11 +219,13 @@ def _decode_result(
     )
 
 
-def encode_reply(reply: Any, *, trace: Optional[TraceWire]) -> tuple:
+def encode_reply(
+    reply: Any, *, trace: Optional[TraceWire] = None
+) -> tuple:
     """Flatten one ``QueryReply`` (tracer excluded) for the queue.
 
-    ``trace`` carries the reply's trace summary separately (the
-    lines stay worker-side), so the reply tuple itself is trace-free.
+    ``trace`` is the reply's trace, shipped as ``(digest, lines)``;
+    an untraced reply's slot is ``None``.
     """
     result_slot = _encode_result(reply.result)
     if reply.result is not None and reply.cost is reply.result.cost:
@@ -226,7 +242,7 @@ def encode_reply(reply: Any, *, trace: Optional[TraceWire]) -> tuple:
         reply.detail,
         cost_slot,
         reply.chunks,
-        (trace.digest, trace.num_events) if trace is not None else None,
+        (trace.sha256, trace.canonical_lines) if trace is not None else None,
         reply.warm_runs,
         reply.cold_runs,
         reply.delta_runs,
@@ -263,9 +279,8 @@ def decode_reply(
 
     ``ticket`` must be the parent's ticket for the reply's query id —
     it supplies the query object the encoder dropped.  The returned
-    reply has ``tracer=None``; the caller attaches its own handle
-    from the returned :class:`TraceWire` (``None`` for an untraced
-    run).
+    reply has ``tracer=None``; the caller attaches the returned
+    :class:`TraceWire` (``None`` for an untraced run).
     """
     from .backend import QueryReply
 
@@ -281,12 +296,7 @@ def decode_reply(
         cost = result.cost
     else:
         cost = _decode_cost(data[6])
-    trace_slot = data[8]
-    trace = (
-        TraceWire(digest=trace_slot[0], num_events=trace_slot[1])
-        if trace_slot is not None
-        else None
-    )
+    trace = TraceWire(*data[8]) if data[8] is not None else None
     reply = QueryReply(
         ticket=ticket,
         status=data[2],

@@ -135,8 +135,9 @@ class ServiceStats:
 
     @property
     def warm_ratio(self) -> float:
-        """Warm runs over all runs (0.0 when nothing ran)."""
-        total = self.warm_runs + self.cold_runs
+        """Warm runs over all runs, delta runs included (0.0 when
+        nothing ran)."""
+        total = self.warm_runs + self.cold_runs + self.delta_runs
         return self.warm_runs / total if total else 0.0
 
 
@@ -335,11 +336,9 @@ class QueryService:
         """The query's private trace (``capture_traces`` only),
         available once the query has resolved.
 
-        On a sharded service the lines may still live in the owning
-        worker: the returned handle fetches them on first ``.lines``
-        access and :meth:`close` materializes any never-read traces,
-        so the lines survive the workers either way — byte-identical
-        to the inline backend's.
+        On a sharded service the lines arrived with the query's
+        reply, so they survive the workers — byte-identical to the
+        inline backend's.
         """
         return self._tracers.get(ticket.query_id)
 
@@ -504,10 +503,9 @@ class QueryService:
 
         A no-op for the inline backend; a sharded service must be
         closed — or used as a context manager — to reap its workers
-        and unlink its shared-memory segment.  Closing first pulls
-        any still-worker-side trace lines into this process, so
-        :meth:`trace` and :meth:`write_traces` keep working on a
-        closed service.  Idempotent.
+        and unlink its shared-memory segment.  Every trace is already
+        in this process, so :meth:`trace` and :meth:`write_traces`
+        keep working on a closed service.  Idempotent.
         """
         self._backend.close()
 

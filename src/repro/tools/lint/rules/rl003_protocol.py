@@ -36,7 +36,6 @@ _MESSAGE_FIELDS = frozenset(
         "destination",
         "ttl",
         "hops",
-        "message_id",
         "sink",
         "query_text",
         "tuples_per_peer",

@@ -7,9 +7,6 @@ field, and the full cost ledger.  These tests pin that contract for
 every aggregate × sampling-method combination, for the fault-injection
 fallback, and for the parallel trial harness (``workers=N`` must return
 exactly the serial results).
-
-Replies are compared on payload fields only: ``message_id`` comes from
-a global counter, so two equivalent runs legitimately differ there.
 """
 
 import numpy as np
@@ -29,29 +26,6 @@ SINK = 0
 def _query(agg):
     return AggregationQuery(
         agg=agg, column="A", predicate=Comparison("A", "<", 30)
-    )
-
-
-def _aggregate_payload(reply):
-    return (
-        reply.source,
-        reply.aggregate_value,
-        reply.matching_count,
-        reply.column_total,
-        reply.contribution_variance,
-        reply.degree,
-        reply.local_tuples,
-        reply.processed_tuples,
-    )
-
-
-def _values_payload(reply):
-    return (
-        reply.source,
-        reply.values,
-        reply.degree,
-        reply.local_tuples,
-        reply.processed_tuples,
     )
 
 
@@ -99,9 +73,7 @@ def test_batch_matches_scalar(small_network, agg, method):
         seed=np.random.default_rng(99),
     )
 
-    assert [_aggregate_payload(r) for r in loop] == [
-        _aggregate_payload(r) for r in batch
-    ]
+    assert loop == list(batch)
     assert ledger_loop.snapshot() == ledger_batch.snapshot()
 
 
@@ -115,9 +87,7 @@ def test_batch_full_scan(small_network):
     batch = small_network.visit_aggregate_batch(
         peers, query, sink=SINK, ledger=ledger_batch
     )
-    assert [_aggregate_payload(r) for r in loop] == [
-        _aggregate_payload(r) for r in batch
-    ]
+    assert loop == list(batch)
     assert ledger_loop.snapshot() == ledger_batch.snapshot()
 
 
@@ -135,9 +105,7 @@ def test_batch_int_seed_reseeds_per_visit(small_network):
         peers, query, sink=SINK, ledger=ledger_batch,
         tuples_per_peer=15, seed=321,
     )
-    assert [_aggregate_payload(r) for r in loop] == [
-        _aggregate_payload(r) for r in batch
-    ]
+    assert loop == list(batch)
     assert ledger_loop.snapshot() == ledger_batch.snapshot()
 
 
@@ -160,9 +128,7 @@ def test_values_batch_matches_scalar(small_network):
         tuples_per_peer=25, ship="median",
         seed=np.random.default_rng(4),
     )
-    assert [_values_payload(r) for r in loop] == [
-        _values_payload(r) for r in batch
-    ]
+    assert loop == list(batch)
     assert ledger_loop.snapshot() == ledger_batch.snapshot()
 
 
@@ -185,9 +151,7 @@ def test_values_batch_ship_sample(small_network):
         tuples_per_peer=10, ship="sample",
         seed=np.random.default_rng(11),
     )
-    assert [_values_payload(r) for r in loop] == [
-        _values_payload(r) for r in batch
-    ]
+    assert loop == list(batch)
     assert ledger_loop.snapshot() == ledger_batch.snapshot()
 
 
@@ -253,9 +217,7 @@ def test_loss_fallback_matches_scalar(small_topology, small_dataset):
     )
 
     assert len(batch) < len(peers)  # some replies were actually lost
-    assert [_aggregate_payload(r) for r in loop] == [
-        _aggregate_payload(r) for r in batch
-    ]
+    assert loop == list(batch)
     assert ledger_loop.snapshot() == ledger_batch.snapshot()
 
 

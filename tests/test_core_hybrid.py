@@ -494,10 +494,7 @@ class TestRetainedSurvivors:
         survivors = retained.survivors(vertex_of, degrees)
         expected = self.reference(labels, replies, vertex_of, degrees)
         assert survivors.probability is None
-        assert [
-            dataclasses.replace(reply, message_id=0)
-            for reply in survivors
-        ] == [dataclasses.replace(reply, message_id=0) for reply in expected]
+        assert list(survivors) == expected
 
 
 def _pinned_network(**extra):

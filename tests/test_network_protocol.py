@@ -45,11 +45,6 @@ class TestMessageBasics:
         some = QueryHit(source=0, destination=1, num_hits=5)
         assert some.size_bytes() - none.size_bytes() == 40
 
-    def test_message_ids_unique(self):
-        a = Ping(source=0, destination=1)
-        b = Ping(source=0, destination=1)
-        assert a.message_id != b.message_id
-
     def test_negative_source_rejected(self):
         with pytest.raises(ProtocolError):
             Ping(source=-1, destination=0)
@@ -71,10 +66,6 @@ class TestForwarding:
         assert forwarded.destination == 2
         assert forwarded.ttl == 4
         assert forwarded.hops == 1
-
-    def test_forwarded_preserves_id(self):
-        query = Query(source=0, destination=1, text="x")
-        assert query.forwarded(1, 2).message_id == query.message_id
 
     def test_forward_at_zero_ttl_rejected(self):
         query = Query(source=0, destination=1, ttl=0, text="x")

@@ -17,7 +17,6 @@ itself, for both simulator classes:
     deterministically (allocated bytes, constructor calls), not timed.
 """
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -123,8 +122,7 @@ def _visit(session, peer, ledger):
         )
     except PeerUnavailableError as error:
         return type(error).__name__
-    # message_id is a process-wide counter, not a draw.
-    return dataclasses.replace(reply, message_id=0)
+    return reply
 
 
 def _observed(session, outcomes, ledger):

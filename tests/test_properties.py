@@ -564,21 +564,6 @@ _probe_sequences = st.lists(
 )
 
 
-def _reply_payload(reply):
-    """Payload fields of an AggregateReply (``message_id`` comes from a
-    global counter, so equivalent runs legitimately differ there)."""
-    return (
-        reply.source,
-        reply.aggregate_value,
-        reply.matching_count,
-        reply.column_total,
-        reply.contribution_variance,
-        reply.degree,
-        reply.local_tuples,
-        reply.processed_tuples,
-    )
-
-
 @pytest.mark.chaos
 @given(fault_plans(), _probe_sequences, st.integers(0, 2**31))
 @settings(max_examples=25, deadline=None)
@@ -638,9 +623,7 @@ def test_batch_scalar_bit_parity_under_any_fault_plan(plan, peers, seed):
         except PeerUnavailableError:
             continue
 
-    assert list(map(_reply_payload, batch_replies)) == list(
-        map(_reply_payload, scalar_replies)
-    )
+    assert list(batch_replies) == scalar_replies
     assert batch_ledger.snapshot() == scalar_ledger.snapshot()
 
 
@@ -659,14 +642,12 @@ def test_fault_replay_is_bit_identical(plan, peers, seed):
         for peer in peers:
             try:
                 replies.append(
-                    _reply_payload(
-                        simulator.visit_aggregate(
-                            peer,
-                            _FAULT_QUERY,
-                            sink=0,
-                            ledger=ledger,
-                            seed=seed,
-                        )
+                    simulator.visit_aggregate(
+                        peer,
+                        _FAULT_QUERY,
+                        sink=0,
+                        ledger=ledger,
+                        seed=seed,
                     )
                 )
             except PeerUnavailableError as exc:
@@ -789,8 +770,6 @@ def test_disabled_tracer_runs_are_bit_identical(plan, count, seed):
             replies, stats = collector.collect_aggregate(
                 0, _FAULT_QUERY, count, ledger, probe_bytes=64
             )
-        # message_id comes from a process-global counter, so equivalent
-        # runs legitimately differ there — compare payloads instead.
-        return list(map(_reply_payload, replies)), stats, ledger.snapshot()
+        return list(replies), stats, ledger.snapshot()
 
     assert run(False) == run(True)

@@ -107,8 +107,10 @@ traces = st.one_of(
     st.none(),
     st.builds(
         TraceWire,
-        digest=st.text(min_size=1, max_size=64),
-        num_events=counts,
+        sha256=st.text(min_size=1, max_size=64),
+        canonical_lines=st.lists(st.text(max_size=40), max_size=6).map(
+            tuple
+        ),
     ),
 )
 
@@ -143,6 +145,11 @@ class TestRoundTrip:
         decoded, decoded_trace = decode_reply(wire, ticket=TICKET)
         assert decoded == reply
         assert decoded_trace == trace
+        if trace is not None:
+            # The decoded wire is the parent's trace: TraceLike as is.
+            assert decoded_trace.lines == list(trace.canonical_lines)
+            assert decoded_trace.num_events == len(trace.canonical_lines)
+            assert decoded_trace.digest() == trace.sha256
         # The parent-side result must alias the ticket's query and the
         # reply's own cost object, exactly like a worker-built reply.
         assert decoded.result.query is TICKET.query
@@ -224,9 +231,10 @@ class TestVersioning:
             ),
             trace=None,
         )
-        # Version 1 shipped trace lines in a third trace-slot field;
-        # a payload from it must fail typed, never mis-zip.
-        for version in (1, REPLY_WIRE_VERSION + 1):
+        # Version 1 shipped trace lines in a third trace-slot field and
+        # version 2 an event count in place of the lines; a payload
+        # from either must fail typed, never mis-zip.
+        for version in (1, 2, REPLY_WIRE_VERSION + 1):
             tampered = (version,) + wire[1:8] + (("d", 3, ("x",)),) + wire[9:]
             with pytest.raises(ServiceError, match="version"):
                 decode_reply(tampered, ticket=TICKET)

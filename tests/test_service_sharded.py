@@ -20,7 +20,6 @@ import os
 import signal
 import subprocess
 import sys
-import time
 from multiprocessing import shared_memory
 
 import pytest
@@ -44,7 +43,6 @@ from repro.service import backend as backend_module
 from repro.service.backend import (
     EngineSettings,
     ForkedBackend,
-    RemoteTrace,
     shard_for_signature,
 )
 from repro.tools.trace.cli import main as trace_main
@@ -95,10 +93,9 @@ def run_sharded(small_network, workers, **kwargs):
 def service_with_backend(network, workers, **backend_kwargs):
     """A traced QueryService around an explicitly-built ForkedBackend.
 
-    The service API deliberately does not surface the transport knobs
-    (``trace_store_limit``, ``measure_transport``);
-    tests that need them construct the backend directly with settings
-    matching the service defaults.
+    The service API deliberately does not surface the transport knob
+    (``measure_transport``); tests that need it construct the backend
+    directly with settings matching the service defaults.
     """
     settings_ = EngineSettings(
         config=CONFIG, chunk_peers=8, max_age=25, decay=0.7,
@@ -252,10 +249,10 @@ class TestInterleavingParity:
     """Control calls woven through live traffic change nothing.
 
     Arbitrary interleavings of submit bursts, single ticks, trace
-    reads (a ``ForkPool.call`` with job replies possibly in flight)
-    and rebinds (one ``call`` per worker) must leave every outcome,
-    ledger, cache counter and trace identical to the inline service
-    driven through the same script — and the backend idle.
+    reads (with job replies possibly in flight) and rebinds (one
+    ``_Rebind`` and one acknowledgement per worker) must leave every
+    outcome, ledger, cache counter and trace identical to the inline
+    service driven through the same script — and the backend idle.
 
     Every submission draws its own budget, so the jobs are mixed:
     some run a take per phase, some are cut (and stopped) every
@@ -536,6 +533,30 @@ class TestShardedLifecycle:
                 service.rebind(small_network)
             service.run()
 
+    def test_rebind_after_close_exports_nothing(
+        self, small_network, monkeypatch
+    ):
+        """Regression: a closed backend's rebind exported a segment,
+        then unlinked it and failed with ``WorkerPoolError``."""
+        service = QueryService(
+            small_network, CONFIG, seed=99, workers=2
+        )
+        service.close()
+        exports = []
+        real_export = backend_module.ForkedBackend._export
+
+        def counting(simulator):
+            exports.append(simulator)
+            return real_export(simulator)
+
+        monkeypatch.setattr(
+            backend_module.ForkedBackend, "_export",
+            staticmethod(counting),
+        )
+        with pytest.raises(ServiceError, match="closed"):
+            service.rebind(small_network)
+        assert exports == []
+
     @pytest.mark.parametrize("deadline_ms", [100.0, 0.0, -1.0])
     def test_deadline_validation_matches_inline(
         self, small_network, deadline_ms
@@ -672,12 +693,6 @@ def _die_on_marker(value):
     return value
 
 
-def _nap_on_marker(value):
-    if value == "nap":
-        time.sleep(0.4)
-    return value
-
-
 class TestForkPool:
     def test_run_forked_map_preserves_order(self):
         items = list(range(23))
@@ -709,83 +724,6 @@ class TestForkPool:
         with pytest.raises(ConfigurationError):
             pool.effective_workers(0)
 
-    @staticmethod
-    def _collect(fork_pool, count):
-        got = []
-        while len(got) < count:
-            got.extend(fork_pool.recv_many())
-        assert fork_pool.try_recv() is None
-        return got
-
-    def test_call_returns_only_its_own_response(self):
-        """Job replies land around the call's response — a batch ahead
-        of it on the same worker, a slow job behind it on the other —
-        and every one of them is still on the stream afterwards, in
-        send order, with the response nowhere among them."""
-        with pool.ForkPool(2, _nap_on_marker, name="t-call") as fp:
-            fp.send(1, 100, "nap")
-            fp.send_many(0, [(tag, f"job-{tag}") for tag in range(5)])
-            assert fp.call(0, "control") == "control"
-            fp.send_many(0, [(tag, f"job-{tag}") for tag in range(5, 8)])
-            got = self._collect(fp, 9)
-            assert [reply for reply in got if reply[0] == 0] == [
-                (0, tag, f"job-{tag}") for tag in range(8)
-            ]
-            assert [reply for reply in got if reply[0] == 1] == [
-                (1, 100, "nap")
-            ]
-
-    def test_call_runs_after_the_jobs_sent_before_it(self):
-        with pool.ForkPool(1, _nap_on_marker, name="t-fifo") as fp:
-            fp.send(0, 0, "nap")
-            assert fp.call(0, "control") == "control"
-            # FIFO inbox: the slow job finished before the call ran,
-            # so its reply is already buffered — no blocking needed.
-            assert fp.try_recv() == (0, 0, "nap")
-
-    def test_call_reraises_typed_without_disturbing_replies(self):
-        with pool.ForkPool(1, _double_or_explode, name="t-cerr") as fp:
-            fp.send_many(0, [(tag, tag) for tag in range(3)])
-            with pytest.raises(ValueError, match="boom on -1"):
-                fp.call(0, -1)
-            assert self._collect(fp, 3) == [
-                (0, tag, tag * 2) for tag in range(3)
-            ]
-            assert fp.call(0, 21) == 42
-
-    def test_call_against_a_killed_worker_is_typed_not_a_hang(self):
-        with pool.ForkPool(2, _die_on_marker, name="t-ckill") as fp:
-            # Dies while serving the call ...
-            with pytest.raises(WorkerPoolError, match="died"):
-                fp.call(0, "die", poll_s=0.01, max_polls=1000)
-            # ... and was already dead when the call was made.
-            process = fp._processes[1]
-            os.kill(process.pid, signal.SIGKILL)
-            process.join(timeout=10)
-            with pytest.raises(WorkerPoolError, match="dead"):
-                fp.call(1, "anything")
-
-    def test_abandoned_call_response_is_never_delivered(self):
-        with pool.ForkPool(1, _nap_on_marker, name="t-late") as fp:
-            with pytest.raises(WorkerPoolError, match="silent"):
-                fp.call(0, "nap", poll_s=0.01, max_polls=2)
-            # The worker still answers the abandoned call (FIFO: before
-            # anything below runs); nobody ever sees that answer.
-            assert fp.call(0, "second") == "second"
-            fp.send(0, 7, "job")
-            assert fp.recv() == (0, 7, "job")
-            assert fp.try_recv() is None
-            assert fp.call(0, "third") == "third"
-
-    def test_call_validates_worker_and_closed(self):
-        fp = pool.ForkPool(1, _double, name="t-cval")
-        with pytest.raises(ConfigurationError):
-            fp.call(3, 1)
-        fp.close()
-        with pytest.raises(WorkerPoolError, match="closed"):
-            fp.call(0, 1)
-
-
 class TestBatchedPool:
     """send_many/recv_many: one queue message per batch, no reply loss."""
 
@@ -807,9 +745,10 @@ class TestBatchedPool:
     def test_send_many_empty_is_a_noop(self):
         with pool.ForkPool(1, _double, name="t-empty") as fork_pool:
             fork_pool.send_many(0, [])
-            assert fork_pool.try_recv() is None
             fork_pool.send(0, 0, 3)
-            assert fork_pool.recv()[2] == 6
+            # FIFO inbox: anything the empty batch produced would
+            # arrive ahead of this reply.
+            assert fork_pool.recv_many() == [(0, 0, 6)]
 
     def test_send_many_validates_worker(self):
         with pool.ForkPool(1, _double, name="t-val") as fork_pool:
@@ -837,39 +776,7 @@ class TestBatchedPool:
 
 
 class TestLazyTraceTransport:
-    """Lazy trace shipping: digests eager, lines fetched on demand."""
-
-    def test_lines_fetch_on_demand_and_cache(self, small_network):
-        service = service_with_backend(small_network, 2)
-        try:
-            ticket = service.submit(COUNT_30, 0.1)
-            service.run()
-            handle = service.trace(ticket)
-            assert isinstance(handle, RemoteTrace)
-            # Digest and event count shipped with the reply; the
-            # lines themselves did not.
-            assert not handle.fetched
-            assert handle.num_events > 0
-            digest = handle.digest()
-            assert not handle.fetched
-            lines = handle.lines
-            assert handle.fetched
-            assert lines
-            assert handle.digest() == digest
-            assert handle.lines == lines  # cached parent-side now
-        finally:
-            service.close()
-
-    def test_close_materializes_unread_traces(self, small_network):
-        service = service_with_backend(small_network, 1)
-        ticket = service.submit(COUNT_30, 0.1)
-        service.run()
-        handle = service.trace(ticket)
-        assert not handle.fetched
-        service.close()
-        # The workers are gone, but close pulled the lines over first.
-        assert handle.fetched
-        assert handle.lines
+    """Trace shipping: a traced reply carries its lines and digest."""
 
     def test_fetch_interleaved_with_live_traffic(self, small_network):
         service = service_with_backend(small_network, 2)
@@ -877,9 +784,9 @@ class TestLazyTraceTransport:
             first = service.submit(COUNT_30, 0.1)
             service.await_result(first)
             later = [service.submit(query, 0.1) for query in WORKLOAD]
-            service.tick()  # flush the batch so replies race the fetch
+            service.tick()  # flush the batch so replies are in flight
             # Reading the early trace mid-workload must not drop any
-            # of the job replies arriving behind the fetch response.
+            # of the job replies still arriving.
             assert service.trace(first).lines
             service.run()
             outcomes = [service.outcome(ticket) for ticket in later]
@@ -914,46 +821,21 @@ class TestLazyTraceTransport:
         finally:
             service.close()
 
-    def test_trace_store_bound_evicts_oldest(self, small_network):
-        service = service_with_backend(
-            small_network, 1, trace_store_limit=1
-        )
-        try:
-            first = service.submit(COUNT_30, 0.1)
-            second = service.submit(SUM_50, 0.1)
-            service.run()
-            with pytest.raises(ServiceError, match="bound"):
-                service.trace(first).lines
-            assert service.trace(second).lines
-        finally:
-            service.close()
-
-    def test_fetch_after_close_raises_not_deadlocks(self, small_network):
-        service = service_with_backend(small_network, 1)
-        ticket = service.submit(COUNT_30, 0.1)
-        service.run()
-        backend = service.backend
-        service.close()
-        # close materialized the handle: the public path still works.
-        assert service.trace(ticket).lines
-        # A raw fetch against the closed backend fails typed.
-        with pytest.raises(ServiceError, match="closed"):
-            backend._fetch_trace_lines(0, ticket.query_id)
-
-    def test_trace_after_workers_reaped_is_marked_lost(
-        self, small_network
-    ):
+    def test_trace_lines_survive_their_workers(self, small_network):
+        inline_svc, inline_tickets, _ = run_inline(small_network, 1)
         service = service_with_backend(small_network, 2)
-        ticket = service.submit(COUNT_30, 0.1)
+        tickets = [service.submit(query, 0.1) for query in WORKLOAD]
         service.run()
-        handle = service.trace(ticket)
-        assert not handle.fetched
         for process in service.backend._fork_pool._processes:
             os.kill(process.pid, signal.SIGKILL)
             process.join(timeout=10)
-        service.close()  # must not hang: the close-time fetch fails typed
-        with pytest.raises(ServiceError, match="lost"):
-            handle.lines
+        service.close()  # must not hang, and has nothing to fetch
+        for inline_ticket, ticket in zip(inline_tickets, tickets):
+            inline_trace = inline_svc.trace(inline_ticket)
+            trace = service.trace(ticket)
+            assert trace.lines == inline_trace.lines
+            assert trace.num_events == inline_trace.num_events
+            assert trace.digest() == inline_trace.digest()
 
     def test_transport_accounting(self, small_network):
         service = service_with_backend(
@@ -975,9 +857,9 @@ class TestLazyTraceTransport:
         assert stats.job_messages == 1
         assert stats.replies == len(WORKLOAD)
         assert stats.total_bytes == stats.job_bytes + stats.reply_bytes
-        # Trace lines never ride the replies: all replies together
-        # are smaller than the trace text they summarize.
-        assert 0 < stats.reply_bytes < trace_bytes
+        # Trace lines ride the replies: all replies together are at
+        # least as large as the trace text they carry.
+        assert stats.reply_bytes >= trace_bytes > 0
 
     def test_transport_stats_require_opt_in(self, small_network):
         with QueryService(
@@ -985,11 +867,6 @@ class TestLazyTraceTransport:
         ) as service:
             with pytest.raises(ConfigurationError, match="transport"):
                 service.backend.transport_stats()
-
-    def test_trace_store_limit_validation(self, small_network):
-        with pytest.raises(ConfigurationError):
-            service_with_backend(small_network, 1, trace_store_limit=0)
-
 
 class TestShmLifecycle:
     """The creator-unlinks-once rule survives every failure path."""
@@ -1081,8 +958,8 @@ class TestShmLifecycle:
                 staticmethod(capturing),
             )
             monkeypatch.setattr(
-                service.backend._fork_pool, "call",
-                lambda worker, item: "nonsense",
+                service.backend._fork_pool, "recv",
+                lambda: (0, 0, "nonsense"),
             )
             other = NetworkSimulator(
                 power_law_topology(150, 600, seed=11),

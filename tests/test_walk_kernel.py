@@ -867,3 +867,5 @@ class TestDeltaReestimation:
         assert stats.delta_hits == 1
         assert stats.warm_runs == 1
         assert stats.cold_runs == 1
+        # Delta runs count among "all runs": 1 warm of 3, not of 2.
+        assert stats.warm_ratio == 1 / 3
