@@ -25,6 +25,8 @@ from __future__ import annotations
 
 from typing import Generator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..errors import ConfigurationError
 from ..metrics.cost import CostLedger
 from ..network.protocol import PanelSample
@@ -39,6 +41,7 @@ from .estimators import (
 from .planner import PhaseOneAnalysis
 from .result import ApproximateResult
 from .two_phase import (
+    CachedPlan,
     StepCheckpoint,
     TwoPhaseConfig,
     _analyze_aggregate,
@@ -90,6 +93,11 @@ class BatchEngine(
             if member.group_by is not None:
                 raise ConfigurationError("GROUP BY queries use GroupByEngine")
 
+    def _signature(self, query: Sequence[AggregationQuery]) -> None:
+        """A batch has no plan: each member's scale differs, so it
+        always runs cold."""
+        return None
+
     def _collect(
         self, sink: int, query: Sequence[AggregationQuery], count: int,
         ledger: CostLedger, chunk_peers: Optional[int], phase: str,
@@ -117,8 +125,8 @@ class BatchEngine(
 
     def _analyze(
         self, query: Sequence[AggregationQuery], panel: PanelSample,
-        delta_req: float,
-    ) -> Tuple[int, float, List[PhaseOneAnalysis]]:
+        delta_req: float, rng: Optional[np.random.Generator] = None,
+    ) -> Tuple[int, CachedPlan, List[PhaseOneAnalysis]]:
         """Per-query sink analysis exactly as in the scalar engine;
         phase II is sized by the most demanding query."""
         analyses = [
@@ -133,7 +141,10 @@ class BatchEngine(
         )
         return (
             hardest.plan.additional_peers,
-            hardest.cross_validation.rms_error,
+            CachedPlan(
+                hardest.cross_validation.mean_squared_error,
+                hardest.cross_validation.half_size, hardest.scale,
+            ),
             analyses,
         )
 

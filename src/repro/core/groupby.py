@@ -28,7 +28,13 @@ from ..network.protocol import ValueSample
 from ..network.visits import GroupVisits
 from ..query.model import AggregateOp, AggregationQuery
 from .result import PhaseReport
-from .two_phase import StepCheckpoint, _PhaseConfig, _PhasedEngine, _Run
+from .two_phase import (
+    CachedPlan,
+    StepCheckpoint,
+    _PhaseConfig,
+    _PhasedEngine,
+    _Run,
+)
 
 
 __all__ = [
@@ -180,19 +186,20 @@ class GroupByEngine(
         return sample.with_probability(probabilities[sample["source"]])
 
     def _analyze(
-        self, query: AggregationQuery, sample: ValueSample, delta_req: float
-    ) -> Tuple[int, float, None]:
+        self, query: AggregationQuery, sample: ValueSample, delta_req: float,
+        rng: Optional[np.random.Generator] = None,
+    ) -> Tuple[int, CachedPlan, None]:
         _, counts, sums = _group_terms(sample)
         # The masses Δreq bounds: the sums for SUM, the counts for
         # COUNT and AVG.
         terms = sums if query.agg is AggregateOp.SUM else counts
         num_peers = self._simulator.num_peers
-        additional, error = self._tv_plan(
+        additional, plan = self._tv_plan(
             len(sample),
             lambda rows: _group_totals(terms, sample, rows, num_peers),
-            delta_req,
+            delta_req, rng,
         )
-        return additional, error, None
+        return additional, plan, None
 
     def _result(self, run: _Run[ValueSample]) -> GroupByResult:
         groups, counts, sums = _group_terms(run.pooled)

@@ -37,7 +37,13 @@ from ..network.protocol import ValueSample
 from ..network.walker import RetryPolicy
 from ..query.model import AggregateOp, AggregationQuery
 from .result import MedianResult
-from .two_phase import StepCheckpoint, _PhaseConfig, _PhasedEngine, _Run
+from .two_phase import (
+    CachedPlan,
+    StepCheckpoint,
+    _PhaseConfig,
+    _PhasedEngine,
+    _Run,
+)
 
 
 __all__ = [
@@ -122,7 +128,8 @@ class MedianEngine(
         )
 
     def _cross_validated_rank_error(
-        self, medians: ValueSample, fraction: float
+        self, medians: ValueSample, fraction: float,
+        rng: Optional[np.random.Generator] = None,
     ) -> float:
         """Steps 3–5, averaged over several random splits.
 
@@ -145,7 +152,7 @@ class MedianEngine(
             ) ** 2
 
         return math.sqrt(
-            self._cross_validate(len(medians), squared_displacement)
+            self._cross_validate(len(medians), squared_displacement, rng)
         )
 
     # ------------------------------------------------------------------
@@ -177,11 +184,12 @@ class MedianEngine(
         return self._weighted_median_of(medians, query.quantile_fraction)
 
     def _analyze(
-        self, query: AggregationQuery, sample: ValueSample, delta_req: float
-    ) -> Tuple[int, float, None]:
+        self, query: AggregationQuery, sample: ValueSample, delta_req: float,
+        rng: Optional[np.random.Generator] = None,
+    ) -> Tuple[int, CachedPlan, None]:
         medians = _medians(sample)
         rank_error = self._cross_validated_rank_error(
-            medians, query.quantile_fraction
+            medians, query.quantile_fraction, rng
         )
         # Step 6: m' = (m/2) · (c / Δreq)², the same cross-validation
         # inversion as the COUNT planner with rank fractions as the
@@ -192,7 +200,9 @@ class MedianEngine(
         cap = self._config.max_phase_two_peers
         if cap is not None:
             additional = min(additional, cap)
-        return additional, rank_error, None
+        return (
+            additional, CachedPlan(rank_error**2, len(medians) // 2), None
+        )
 
     def _result(self, run: _Run[ValueSample]) -> MedianResult:
         pool = run.pooled

@@ -42,7 +42,13 @@ from ..query.model import (
     TruePredicate,
 )
 from .result import PhaseReport
-from .two_phase import StepCheckpoint, _PhaseConfig, _PhasedEngine, _Run
+from .two_phase import (
+    CachedPlan,
+    StepCheckpoint,
+    _PhaseConfig,
+    _PhasedEngine,
+    _Run,
+)
 
 
 __all__ = [
@@ -232,9 +238,14 @@ class StatisticsEngine(
             "sample", f"HISTOGRAM({query.values.column})",
         )
 
+    def _signature(self, query: _Histogram) -> str:
+        values, buckets = query.values.to_sql(), query.num_buckets
+        return f"{values} AS HISTOGRAM({buckets}, {query.value_range})"
+
     def _analyze(
-        self, query: _Histogram, sample: ValueSample, delta_req: float
-    ) -> Tuple[int, float, np.ndarray]:
+        self, query: _Histogram, sample: ValueSample, delta_req: float,
+        rng: Optional[np.random.Generator] = None,
+    ) -> Tuple[int, CachedPlan, np.ndarray]:
         observed = sample.values if sample.values.size else np.zeros(1)
         low, high = query.value_range or (
             float(observed.min()), float(observed.max())
@@ -244,12 +255,12 @@ class StatisticsEngine(
         edges = np.linspace(low, high + 1e-9, query.num_buckets + 1)
         terms = _bucket_terms(sample, edges)
         weights = 1.0 / sample["probability"]
-        additional, error = self._tv_plan(
+        additional, plan = self._tv_plan(
             len(sample),
             lambda rows: _histogram_estimate(terms[rows], weights[rows]),
-            delta_req,
+            delta_req, rng,
         )
-        return additional, error, edges
+        return additional, plan, edges
 
     def _result(self, run: _Run[ValueSample]) -> HistogramResult:
         mean_bucket = _histogram_estimate(

@@ -33,12 +33,14 @@ import dataclasses
 import functools
 import math
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     ClassVar,
     Generator,
     Generic,
     List,
+    Mapping,
     Optional,
     Tuple,
     TypeVar,
@@ -59,7 +61,7 @@ from ..network.walker import (
     ResilientCollector,
     RetryPolicy,
 )
-from ..obs.events import EstimateEvent, PhaseEvent
+from ..obs.events import DeltaReuseEvent, EstimateEvent, PhaseEvent
 from ..obs.tracer import emit_if_tracing
 from ..query.model import AggregationQuery
 from ..sim.timing import QueryTiming
@@ -72,8 +74,12 @@ from .estimators import (
 from .planner import PhaseOneAnalysis, analyze_phase_one
 from .result import ApproximateResult, MedianResult, PhaseReport, _Sample
 
+if TYPE_CHECKING:
+    from .hybrid import PlanCache
 
 __all__ = [
+    "CachedPlan",
+    "RetainedSample",
     "StepCheckpoint",
     "TwoPhaseConfig",
     "TwoPhaseEngine",
@@ -114,9 +120,6 @@ class StepCheckpoint:
     collected: int
     ledger: CostLedger
 
-
-#: Type of a stepwise execution: yields checkpoints, returns the result.
-StepwiseRun = Generator[StepCheckpoint, None, ApproximateResult]
 
 _ReturnT = TypeVar("_ReturnT")
 
@@ -290,17 +293,118 @@ _R = TypeVar("_R")
 
 
 @dataclasses.dataclass(frozen=True)
+class RetainedSample:
+    """A run's sample, keyed by stable labels, for churn-delta top-up.
+
+    This retains per-peer *sufficient statistics* — each row carries
+    one peer's locally scaled aggregate, variance and degree — not
+    tuples, so it stays within the doctrine that pre-computed tuple
+    samples are impractical in P2P systems while slow-changing
+    parameters are fair game.  Labels come from
+    :attr:`~repro.network.simulator.NetworkSimulator.peer_labels`:
+    vertex ids are compacted per churn epoch, so the stable label is
+    the only identity that survives into the next epoch, where the
+    delta path filters this sample against the new live set.
+    """
+
+    sink_label: int
+    labels: Tuple[int, ...]
+    replies: AggregateSample
+
+    def survivors(
+        self, vertex_of: Mapping[int, int], degrees: "NDArray[np.int64]"
+    ) -> AggregateSample:
+        """The rows whose peer is still live (its label is a key of
+        ``vertex_of``) and connected (``degrees`` by vertex) in a new
+        epoch, remapped onto that epoch's vertex ids.
+
+        The remapped degree feeds the stationary probability, which
+        must describe the *new* topology for the estimator to stay
+        unbiased — so the result carries no probabilities.
+        """
+        vertices = np.asarray(
+            [vertex_of.get(label, -1) for label in self.labels],
+            dtype=np.int64,
+        )
+        # A departed label's -1 reads some vertex's degree; the first
+        # test masks it out.
+        keep = np.flatnonzero((vertices >= 0) & (degrees[vertices] > 0))
+        vertices = vertices[keep]
+        return self.replies.take(keep).replace(
+            source=vertices, degree=degrees[vertices]
+        )
+
+
+@dataclasses.dataclass
+class CachedPlan:
+    """Cached phase-I statistics for one query signature.
+
+    Attributes
+    ----------
+    mean_squared_cv_error:
+        Exponentially-decayed mean of the squared cross-validation
+        error at ``half_size``.
+    half_size:
+        The half-sample size the CV error is anchored to.
+    scale:
+        Decayed normalization scale ``Δreq`` is read on (N-hat or
+        total-sum estimate; 1 for a rank or a total-variation
+        distance).
+    uses:
+        Warm executions served from this entry.
+    num_peers, num_edges:
+        The population the plan was learned against.  A lookup from a
+        simulator with different counts (a churn epoch happened) is
+        treated as a cold miss — the statistics were cross-validated
+        for a network that no longer exists.  Zero means "unknown"
+        (entries constructed by hand); unknown populations never
+        mismatch, preserving the pre-churn-tracking behaviour.
+    retained:
+        The most recent run's sample keyed by stable labels, kept only
+        when the owning engine runs with delta re-estimation.  On a
+        churn mismatch it lets the lookup hand the stale plan back for
+        a delta top-up instead of dropping it.
+    """
+
+    mean_squared_cv_error: float
+    half_size: int
+    scale: float = 1.0
+    uses: int = 0
+    num_peers: int = 0
+    num_edges: int = 0
+    retained: Optional[RetainedSample] = None
+
+    def refresh(
+        self, squared_cv: float, scale: float, decay: float
+    ) -> None:
+        """Blend fresh statistics in with exponential decay."""
+        self.mean_squared_cv_error = (
+            decay * self.mean_squared_cv_error + (1 - decay) * squared_cv
+        )
+        self.scale = decay * self.scale + (1 - decay) * scale
+
+    def matches_population(self, num_peers: int, num_edges: int) -> bool:
+        """Whether this plan was learned on the given population."""
+        if self.num_peers == 0 and self.num_edges == 0:
+            return True
+        return self.num_peers == num_peers and self.num_edges == num_edges
+
+
+@dataclasses.dataclass(frozen=True)
 class _Run(Generic[_S]):
     """A finished run, as the loop hands it to the engine's
     ``_result``: ``plan`` is what ``_analyze`` kept, ``error`` its
-    cross-validation error, ``pooled`` both phases' replies back to
-    back, ``requested`` the planned ``m + m'``."""
+    cross-validation error, ``planned_scale`` the scale a warm or
+    delta run's plan sized it on (``None`` on a cold run), ``pooled``
+    both phases' replies back to back, ``requested`` the planned
+    ``m + m'``."""
 
     query: Any
     sink: int
     delta_req: float
     plan: Any
     error: float
+    planned_scale: Optional[float]
     sample_two: Optional[_S]
     pooled: _S
     phase_one: PhaseReport
@@ -316,16 +420,16 @@ class _Run(Generic[_S]):
         interval: ConfidenceInterval, analysis: Any,
     ) -> ApproximateResult:
         """This run's COUNT/SUM/AVG result for ``query``: ``analysis``
-        is its sink analysis, or what stood in for one (a plan, whose
-        scale the result reports, with no analysis)."""
+        is its sink analysis.  A warm or delta run reports no analysis
+        and the scale its plan sized it on, so ``result.scale *
+        delta_req`` is the walk's absolute target exactly."""
+        warm = self.planned_scale is not None
         return ApproximateResult(
             query=query, estimate=estimate, delta_req=self.delta_req,
-            scale=analysis.scale, confidence_interval=interval,
+            scale=self.planned_scale if warm else analysis.scale,
+            confidence_interval=interval,
             phase_one=self.phase_one, phase_two=self.phase_two,
-            cost=self.cost,
-            analysis=(
-                analysis if isinstance(analysis, PhaseOneAnalysis) else None
-            ),
+            cost=self.cost, analysis=None if warm else analysis,
             requested_sample_size=self.requested,
             effective_sample_size=self.received, degraded=self.degraded,
             timing=self.timing,
@@ -334,42 +438,73 @@ class _Run(Generic[_S]):
 
 @dataclasses.dataclass(frozen=True)
 class _Prior:
-    """What a run knows before its phase I, from an earlier run: the
-    phase's label, sink and size, the rows it already ``held`` (only
-    the rest are collected) and what stands in for the sink analysis
-    (``_analyze``'s signature)."""
+    """How a run starts: phase I's label, sink and size, the plan
+    cache's key for the query (``None`` when nothing is cached), the
+    rows phase I already ``held`` (only the rest are collected) and
+    the plan a warm or delta run is sized from (``None`` when cold)."""
 
     phase: str
     sink: int
     size: int
+    signature: Optional[str]
     held: Any = None
-    analyze: Optional[Callable[..., Tuple[int, float, Any]]] = None
+    plan: Optional[CachedPlan] = None
 
 
 class _PhasedEngine(Generic[_C, _Q, _R]):
     """What every two-phase engine shares: a seeded walker and visit
     stream, the chunked walk-and-visit loop, the cross-validation
-    halvings and the phase I → analysis → phase II loop itself
-    (:meth:`run_stepwise`).  A subclass is the strategy for its query
-    kind: ``_collect`` (a phase's replies), ``_phase_estimate`` (what
-    one phase's sample gives; ``None`` when the answer is not one
-    number), ``_analyze`` (``m'``, the cross-validation error it was
-    sized from, and what the result needs) and ``_result``;
-    ``_check`` rejects a query before anything is drawn, and
-    ``_prior`` supplies what an earlier run already revealed."""
+    halvings, the phase I → analysis → phase II loop itself
+    (:meth:`run_stepwise`) and, given a plan cache, the plans that
+    size repeat runs.  A subclass is the strategy for its query kind:
+    ``_collect`` (a phase's replies), ``_phase_estimate`` (what one
+    phase's sample gives; ``None`` when the answer is not one number),
+    ``_analyze`` (``m'``, the plan of the statistics it was sized from,
+    and what the result needs) and ``_result``; ``_check`` rejects a
+    query before anything is drawn.
+
+    Given a ``cache``, a repeat signature runs *warm*: phase I
+    (``"warm"``) sized from its plan, ``m' = half · CV² / (Δreq ·
+    scale)²`` (at least ``m``, at most the phase-II cap), whose own
+    analysis refreshes the plan instead of ordering a phase II; a
+    *delta* run's phase I (``"delta"``) starts with the survivors of the
+    plan's retained sample after churn.  A cold run stores the plan its
+    analysis learned.  Cold runs draw from the seed's first child, warm
+    and delta runs their sinks and refreshes from the seed's own
+    stream."""
 
     #: The engine's name in phase events and checkpoints.
     _name: ClassVar[str]
     #: The configuration an engine built without one runs.
     _default_config: ClassVar[Callable[[], Any]]
+    #: Runs that ran the full two-phase algorithm, were served from a
+    #: cached plan, and were served by churn-delta re-estimation.
+    cold_runs = 0
+    warm_runs = 0
+    delta_runs = 0
 
     def __init__(
         self,
         simulator: NetworkSimulator,
         config: Optional[_C] = None,
         seed: SeedLike = None,
+        *,
+        cache: Optional["PlanCache"] = None,
     ):
         self._config: _C = config or self._default_config()
+        self._cache = cache
+        # Runs retain their sample for a churn-delta top-up when the
+        # cache's policy asks and this engine's samples can cross an
+        # epoch (it has a ``_reweigh``).
+        self._retaining = False
+        if cache is not None:
+            self._plan_seq = seed_sequence(seed)
+            if isinstance(seed, np.random.Generator):
+                self._plan_rng = seed
+            seed = self._plan_seq.spawn(1)[0]
+            self._retaining = (
+                cache.delta_reestimation and self._reweigh is not None
+            )
         self._bind(simulator, seed)
 
     def _bind(self, simulator: NetworkSimulator, seed: SeedLike) -> None:
@@ -401,6 +536,13 @@ class _PhasedEngine(Generic[_C, _Q, _R]):
         built on its first draw."""
         return ensure_rng(self._seed_seq)
 
+    @functools.cached_property
+    def _plan_rng(self) -> np.random.Generator:
+        """The stream of warm and delta runs (sinks, refresh
+        halvings), built on its first draw — a cold run never draws
+        from it."""
+        return ensure_rng(self._plan_seq)
+
     @property
     def config(self) -> _C:
         """The engine configuration."""
@@ -415,13 +557,17 @@ class _PhasedEngine(Generic[_C, _Q, _R]):
     # The strategy
     # ------------------------------------------------------------------
 
+    #: Attaches the current topology's stationary probabilities to a
+    #: sample carried over from an earlier churn epoch; ``None`` for an
+    #: engine whose samples cannot be carried (no delta runs).
+    _reweigh: Optional[Callable[[Any], Any]] = None
+
     def _check(self, query: _Q) -> None:
         pass
 
-    def _prior(
-        self, query: _Q, delta_req: float, sink: Optional[int]
-    ) -> Optional[_Prior]:
-        return None
+    def _signature(self, query: _Q) -> Optional[str]:
+        """The plan cache's key for ``query`` (``None``: never cached)."""
+        return query.to_sql()  # type: ignore[attr-defined, no-any-return]
 
     def _collect(
         self, sink: int, query: _Q, count: int, ledger: CostLedger,
@@ -433,12 +579,126 @@ class _PhasedEngine(Generic[_C, _Q, _R]):
         return None
 
     def _analyze(
-        self, query: _Q, sample: Any, delta_req: float
-    ) -> Tuple[int, float, Any]:
+        self, query: _Q, sample: Any, delta_req: float,
+        rng: Optional[np.random.Generator] = None,
+    ) -> Tuple[int, CachedPlan, Any]:
+        """``m'``, the plan of the statistics it was sized from and
+        what the result needs; the halvings draw from ``rng`` when
+        given (a warm refresh), from the engine's own streams
+        otherwise."""
         raise NotImplementedError
 
     def _result(self, run: _Run[Any]) -> _R:
         raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # Plans
+    # ------------------------------------------------------------------
+
+    def _prior(
+        self, query: _Q, delta_req: float, sink: Optional[int]
+    ) -> _Prior:
+        """How a run of ``query`` starts: warm or delta from a servable
+        plan, otherwise cold from ``sink`` (a uniformly random peer
+        when omitted)."""
+        plan = None
+        signature = None if self._cache is None else self._signature(query)
+        if signature is not None:
+            assert self._cache is not None
+            topology = self._simulator.topology
+            labels = (
+                self._simulator.peer_labels if self._retaining else None
+            )
+            plan = self._cache.lookup(
+                signature, topology.num_peers, topology.num_edges,
+                self._cache.max_age, allow_delta=labels is not None,
+            )
+        if plan is None:
+            self.cold_runs += 1
+            if sink is None:
+                sink = int(self._rng.integers(self._simulator.num_peers))
+            return _Prior("one", sink, self._config.phase_one_peers, signature)
+        plan.uses += 1
+        m_prime = (
+            plan.half_size * plan.mean_squared_cv_error
+            / (delta_req * plan.scale) ** 2
+        )
+        # Floor at the phase-I size: cached statistics are noisy, so a
+        # warm run never samples less than a cold phase I would — the
+        # cache saves the planning round-trip and the pooled phase-II
+        # visits, not the statistical minimum.
+        peers = max(self._config.phase_one_peers, int(math.ceil(m_prime)))
+        if self._config.max_phase_two_peers is not None:
+            peers = min(peers, max(4, self._config.max_phase_two_peers))
+        held = None
+        if plan.matches_population(topology.num_peers, topology.num_edges):
+            self.warm_runs += 1
+        else:
+            # Churn delta: the retained sample, filtered against the
+            # new epoch's live set and remapped onto its vertex ids,
+            # with the new topology's probabilities.
+            retained = plan.retained
+            assert retained is not None and labels is not None
+            assert self._reweigh is not None
+            self.delta_runs += 1
+            vertex_of = {label: v for v, label in enumerate(labels)}
+            held = self._reweigh(
+                retained.survivors(vertex_of, topology.degrees)
+            )
+            emit_if_tracing(
+                DeltaReuseEvent, len(held), len(retained.replies) - len(held),
+                max(0, peers - len(held)),
+            )
+            if sink is None:
+                sink = vertex_of.get(retained.sink_label)
+                if sink is not None and topology.degree(sink) == 0:
+                    sink = None  # the sink itself churned out
+        if sink is None:
+            sink = int(self._plan_rng.integers(self._simulator.num_peers))
+        return _Prior(
+            "warm" if held is None else "delta", sink, peers, signature,
+            held, plan,
+        )
+
+    def _refresh(
+        self, prior: _Prior, query: _Q, sample: Any, delta_req: float
+    ) -> Tuple[float, Any]:
+        """A warm or delta run's stand-in for phase II: fold the
+        phase's own analysis back into its plan (so it tracks data
+        drift without a cold restart) and retain the sample.  Returns
+        the refreshed CV error and what the analysis kept."""
+        plan, cache = prior.plan, self._cache
+        assert plan is not None and cache is not None
+        _, fresh, kept = self._analyze(query, sample, delta_req, self._plan_rng)
+        # Rescale the fresh CVError² from this sample's half size to the
+        # cached anchor (CVError² ~ 1/half).
+        squared = fresh.mean_squared_cv_error
+        plan.refresh(
+            squared * fresh.half_size / plan.half_size
+            if plan.half_size else squared,
+            fresh.scale, cache.decay,
+        )
+        if self._retaining:
+            self._retain(plan, sample, prior.sink)
+        if prior.held is not None:
+            # A delta run: the statistics now describe the new epoch,
+            # so the next lookup is an ordinary warm hit.
+            topology = self._simulator.topology
+            plan.num_peers = topology.num_peers
+            plan.num_edges = topology.num_edges
+        return math.sqrt(plan.mean_squared_cv_error), kept
+
+    def _retain(self, plan: CachedPlan, sample: Any, sink: int) -> None:
+        """Record a run's sample on its plan, keyed by stable labels
+        (none known: nothing could be matched across epochs anyway)."""
+        labels = self._simulator.peer_labels
+        if labels is None or not sample:
+            return
+        plan.retained = RetainedSample(
+            sink_label=labels[sink],
+            labels=tuple(labels[v] for v in sample["source"].tolist()),
+            replies=sample,
+        )
 
     # ------------------------------------------------------------------
     # Plumbing
@@ -508,32 +768,37 @@ class _PhasedEngine(Generic[_C, _Q, _R]):
         return sample.with_probability(probabilities[sample["source"]])
 
     def _cross_validate(
-        self, size: int, squared_error: Callable[[_Rows, _Rows], float]
+        self, size: int, squared_error: Callable[[_Rows, _Rows], float],
+        rng: Optional[np.random.Generator] = None,
     ) -> float:
         """The mean of ``squared_error(first, second)`` over
         ``cross_validation_rounds`` random halvings of ``size`` rows
         (one sits out when ``size`` is odd), each half given as row
-        indices; the engine's stream draws one permutation per round."""
+        indices; ``rng`` (the engine's stream when omitted) draws one
+        permutation per round."""
         if size < 4:
             raise SamplingError(
                 f"{self._name} cross-validation needs >= 4 phase-I "
                 f"replies, got {size}"
             )
+        if rng is None:
+            rng = self._rng
         half = size // 2
         squared = []
         for _ in range(self._config.cross_validation_rounds):
-            order = self._rng.permutation(size)
+            order = rng.permutation(size)
             squared.append(squared_error(order[:half], order[half: 2 * half]))
         return float(np.mean(squared))
 
     def _tv_plan(
         self, size: int, estimate: Callable[[_Rows], NDArray[Any]],
-        delta_req: float,
-    ) -> Tuple[int, float]:
+        delta_req: float, rng: Optional[np.random.Generator],
+    ) -> Tuple[int, CachedPlan]:
         """``m' = (m/2) · CV² / Δreq²`` (none below one peer, at most
-        the cap) and the RMS ``CV``, for CV the total-variation distance
-        between the normalized vectors two halves' rows ``estimate`` (1
-        when either total is not positive)."""
+        the cap) and the plan of the mean ``CV²`` it was sized from,
+        for CV the total-variation distance between the normalized
+        vectors two halves' rows ``estimate`` (1 when either total is
+        not positive); ``rng`` as for :meth:`_cross_validate`."""
 
         def squared_tv(first: _Rows, second: _Rows) -> float:
             one, two = estimate(first), estimate(second)
@@ -543,13 +808,13 @@ class _PhasedEngine(Generic[_C, _Q, _R]):
             tv = 0.5 * float(np.abs(one / total_one - two / total_two).sum())
             return tv**2
 
-        cv_squared = self._cross_validate(size, squared_tv)
+        cv_squared = self._cross_validate(size, squared_tv, rng)
         m_prime = size // 2 * cv_squared / delta_req**2
         additional = int(math.ceil(m_prime)) if m_prime >= 1.0 else 0
         cap = self._config.max_phase_two_peers
         if cap is not None:
             additional = min(additional, cap)
-        return additional, math.sqrt(cv_squared)
+        return additional, CachedPlan(cv_squared, size // 2)
 
     def _phase(
         self, phase: str, sink: int, query: _Q, count: int,
@@ -638,10 +903,6 @@ class _PhasedEngine(Generic[_C, _Q, _R]):
         if not 0.0 < delta_req <= 1.0:
             raise SamplingError(f"delta_req must be in (0, 1], got {delta_req}")
         prior = self._prior(query, delta_req, sink)
-        if prior is None:
-            if sink is None:
-                sink = int(self._rng.integers(self._simulator.num_peers))
-            prior = _Prior("one", sink, self._config.phase_one_peers)
         sink = prior.sink
         ledger = self._simulator.new_ledger()
         timing_token = self._simulator.begin_timing()
@@ -650,8 +911,16 @@ class _PhasedEngine(Generic[_C, _Q, _R]):
             prior.phase, sink, query, requested, ledger, chunk_peers,
             prior.held,
         )
-        analyze = prior.analyze or self._analyze
-        additional, error, plan = analyze(query, sample_one, delta_req)
+        plan = prior.plan
+        if plan is None:
+            additional, learned, kept = self._analyze(
+                query, sample_one, delta_req
+            )
+            error = math.sqrt(learned.mean_squared_cv_error)
+            planned_scale = None
+        else:
+            additional, planned_scale = 0, plan.scale
+            error, kept = self._refresh(prior, query, sample_one, delta_req)
         emit_if_tracing(
             PhaseEvent, self._name, "analysis", "end", additional, 0, None,
             error,
@@ -674,12 +943,20 @@ class _PhasedEngine(Generic[_C, _Q, _R]):
             pooled = type(sample_one).concat([sample_one, sample_two])
 
         run = _Run(
-            query, sink, delta_req, plan, error, sample_two, pooled,
-            phase_one, phase_two, requested, len(pooled),
+            query, sink, delta_req, kept, error, planned_scale, sample_two,
+            pooled, phase_one, phase_two, requested, len(pooled),
             len(pooled) < requested, ledger.snapshot(),
             self._simulator.finish_timing(timing_token),
         )
         result = self._result(run)
+        if plan is None and self._cache is not None and prior.signature:
+            # What a cold run's analysis learned becomes the plan.
+            topology = self._simulator.topology
+            learned.num_peers = topology.num_peers
+            learned.num_edges = topology.num_edges
+            if self._retaining:
+                self._retain(learned, pooled, sink)
+            self._cache.store(prior.signature, learned)
         if isinstance(result, (ApproximateResult, MedianResult)):
             emit_if_tracing(
                 EstimateEvent, self._name, result.query.agg.value,
@@ -782,12 +1059,7 @@ class TwoPhaseEngine(
                 config.sampling_method, self._visit_rng,
             ),
         )
-        return observations_from_replies(
-            sample,
-            num_edges=self._simulator.topology.num_edges,
-            num_peers=self._simulator.topology.num_peers,
-            variant=config.walk_variant,
-        )
+        return self._reweigh(sample)
 
     def analyze_only(
         self,
@@ -813,6 +1085,10 @@ class TwoPhaseEngine(
             raise ConfigurationError(
                 f"{query.agg.value} queries are answered by MedianEngine"
             )
+        if query.group_by is not None:
+            raise ConfigurationError(
+                "GROUP BY queries are answered by GroupByEngine"
+            )
 
     _collect = collect_observations_stepwise
 
@@ -823,16 +1099,29 @@ class TwoPhaseEngine(
 
     def _analyze(
         self, query: AggregationQuery, sample: AggregateSample,
-        delta_req: float,
-    ) -> Tuple[int, float, PhaseOneAnalysis]:
+        delta_req: float, rng: Optional[np.random.Generator] = None,
+    ) -> Tuple[int, CachedPlan, PhaseOneAnalysis]:
         analysis = _analyze_aggregate(
             self._config, query, sample, delta_req,
-            self._seed_seq.spawn(1)[0], self._simulator.topology.num_peers,
+            self._seed_seq.spawn(1)[0] if rng is None else rng,
+            self._simulator.topology.num_peers,
         )
         return (
             analysis.plan.additional_peers,
-            analysis.cross_validation.rms_error,
+            CachedPlan(
+                analysis.cross_validation.mean_squared_error,
+                analysis.cross_validation.half_size, analysis.scale,
+            ),
             analysis,
+        )
+
+    def _reweigh(self, sample: AggregateSample) -> AggregateSample:
+        """``sample`` with the stationary probabilities of this
+        engine's walk on the current topology attached."""
+        topology = self._simulator.topology
+        return observations_from_replies(
+            sample, num_edges=topology.num_edges,
+            num_peers=topology.num_peers, variant=self._config.walk_variant,
         )
 
     def _result(self, run: _Run[AggregateSample]) -> ApproximateResult:

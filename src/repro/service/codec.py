@@ -19,14 +19,15 @@ property tests pin this, and the serial==sharded parity gates rest
 on it.
 
 Objects with no fixed schema — a result ``analysis`` payload, a
-:class:`~repro.errors.ReproError`, a non-standard result type — ride
-inside the tuple as-is and are pickled by the queue exactly as
-before; the codec only flattens the shapes it knows.
+:class:`~repro.errors.ReproError`, a MEDIAN/QUANTILE or GROUP BY
+result — ride inside the tuple as-is and are pickled by the queue
+exactly as before; the codec only flattens the shapes it knows.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import operator
 from typing import Any, List, Optional, Tuple
 
 from ..core.confidence import ConfidenceInterval
@@ -45,7 +46,7 @@ __all__ = [
 ]
 
 #: Bump on any change to the tuple layouts below.
-REPLY_WIRE_VERSION = 3
+REPLY_WIRE_VERSION = 4
 
 #: Marker for a result slot holding an arbitrary (opaque) object.
 _OPAQUE = "obj"
@@ -81,110 +82,45 @@ class TraceWire:
         return self.sha256
 
 
-def _encode_cost(cost: Optional[QueryCost]) -> Optional[tuple]:
-    if cost is None:
-        return None
-    return (
-        cost.messages,
-        cost.hops,
-        cost.peers_visited,
-        cost.distinct_peers,
-        cost.tuples_processed,
-        cost.tuples_sampled,
-        cost.bytes_sent,
-        cost.latency_ms,
-        cost.timeouts,
-    )
+#: A reply's fixed-schema parts cross as the tuple of their fields in
+#: declaration order and are rebuilt positionally.
+_FIELDS = {
+    kind: operator.attrgetter(*(field.name for field in dataclasses.fields(kind)))
+    for kind in (ConfidenceInterval, PhaseReport, QueryCost, QueryTiming)
+}
 
 
-def _decode_cost(data: Optional[tuple]) -> Optional[QueryCost]:
-    if data is None:
-        return None
-    return QueryCost(
-        messages=data[0],
-        hops=data[1],
-        peers_visited=data[2],
-        distinct_peers=data[3],
-        tuples_processed=data[4],
-        tuples_sampled=data[5],
-        bytes_sent=data[6],
-        latency_ms=data[7],
-        timeouts=data[8],
-    )
+def _flat(part: Optional[Any]) -> Optional[tuple]:
+    """``part``'s fields in declaration order (``None`` stays ``None``)."""
+    return None if part is None else _FIELDS[type(part)](part)
 
 
-def _encode_phase(phase: Optional[PhaseReport]) -> Optional[tuple]:
-    if phase is None:
-        return None
-    return (
-        phase.peers_visited,
-        phase.tuples_sampled,
-        phase.hops,
-        phase.estimate,
-    )
-
-
-def _decode_phase(data: Optional[tuple]) -> Optional[PhaseReport]:
-    if data is None:
-        return None
-    return PhaseReport(
-        peers_visited=data[0],
-        tuples_sampled=data[1],
-        hops=data[2],
-        estimate=data[3],
-    )
-
-
-def _encode_timing(timing: Optional[QueryTiming]) -> Optional[tuple]:
-    if timing is None:
-        return None
-    return (
-        timing.started_ms,
-        timing.finished_ms,
-        timing.deadline_ms,
-        timing.deadline_missed,
-        timing.epochs_crossed,
-        timing.stale_replies,
-        timing.staleness_ms,
-    )
-
-
-def _decode_timing(data: Optional[tuple]) -> Optional[QueryTiming]:
-    if data is None:
-        return None
-    return QueryTiming(
-        started_ms=data[0],
-        finished_ms=data[1],
-        deadline_ms=data[2],
-        deadline_missed=data[3],
-        epochs_crossed=data[4],
-        stale_replies=data[5],
-        staleness_ms=data[6],
-    )
+def _build(kind: Any, data: Optional[tuple]) -> Any:
+    """The ``kind`` a :func:`_flat` tuple was made from."""
+    return None if data is None else kind(*data)
 
 
 def _encode_result(result: Optional[object]) -> Optional[tuple]:
     if result is None:
         return None
     if not isinstance(result, ApproximateResult):
-        # MedianResult and friends: rare on the serving path, so let
-        # the queue pickle them whole rather than grow the schema.
+        # A MedianResult or GroupByResult, served like any other: the
+        # queue pickles it whole, so the schema stays one shape.
         return (_OPAQUE, result)
-    interval = result.confidence_interval
     return (
         _APPROX,
         result.estimate,
         result.delta_req,
         result.scale,
-        (interval.estimate, interval.half_width, interval.confidence),
-        _encode_phase(result.phase_one),
-        _encode_phase(result.phase_two),
-        _encode_cost(result.cost),
+        _flat(result.confidence_interval),
+        _flat(result.phase_one),
+        _flat(result.phase_two),
+        _flat(result.cost),
         result.analysis,
         result.requested_sample_size,
         result.effective_sample_size,
         result.degraded,
-        _encode_timing(result.timing),
+        _flat(result.timing),
     )
 
 
@@ -195,27 +131,20 @@ def _decode_result(
         return None
     if data[0] == _OPAQUE:
         return data[1]
-    interval = data[4]
-    phase_one = _decode_phase(data[5])
-    assert phase_one is not None  # phase one always runs
     return ApproximateResult(
         query=ticket.query,
         estimate=data[1],
         delta_req=data[2],
         scale=data[3],
-        confidence_interval=ConfidenceInterval(
-            estimate=interval[0],
-            half_width=interval[1],
-            confidence=interval[2],
-        ),
-        phase_one=phase_one,
-        phase_two=_decode_phase(data[6]),
-        cost=_decode_cost(data[7]),
+        confidence_interval=_build(ConfidenceInterval, data[4]),
+        phase_one=_build(PhaseReport, data[5]),
+        phase_two=_build(PhaseReport, data[6]),
+        cost=_build(QueryCost, data[7]),
         analysis=data[8],
         requested_sample_size=data[9],
         effective_sample_size=data[10],
         degraded=data[11],
-        timing=_decode_timing(data[12]),
+        timing=_build(QueryTiming, data[12]),
     )
 
 
@@ -232,7 +161,7 @@ def encode_reply(
         # The common "done" shape: don't ship the same ledger twice.
         cost_slot: Any = _COST_FROM_RESULT
     else:
-        cost_slot = _encode_cost(reply.cost)
+        cost_slot = _flat(reply.cost)
     return (
         REPLY_WIRE_VERSION,
         reply.ticket.query_id,
@@ -250,13 +179,14 @@ def encode_reply(
         reply.cache_misses,
         reply.cache_churn_invalidations,
         reply.cache_delta_hits,
+        reply.cache_entries,
     )
 
 
 def _check_version(wire: object) -> tuple:
     if (
         not isinstance(wire, tuple)
-        or len(wire) != 16
+        or len(wire) != 17
         or wire[0] != REPLY_WIRE_VERSION
     ):
         version = wire[0] if isinstance(wire, tuple) and wire else wire
@@ -295,7 +225,7 @@ def decode_reply(
         assert result is not None
         cost = result.cost
     else:
-        cost = _decode_cost(data[6])
+        cost = _build(QueryCost, data[6])
     trace = TraceWire(*data[8]) if data[8] is not None else None
     reply = QueryReply(
         ticket=ticket,
@@ -313,5 +243,6 @@ def decode_reply(
         cache_misses=data[13],
         cache_churn_invalidations=data[14],
         cache_delta_hits=data[15],
+        cache_entries=data[16],
     )
     return reply, trace

@@ -17,7 +17,8 @@ heavy repeat traffic, not one query at a time):
   submission order: one seeds a
   private :meth:`~repro.network.simulator.NetworkSimulator.session`
   (own sub-sampling RNG, own failure RNG, own fault clock), the other
-  the query's :class:`~repro.core.hybrid.HybridEngine`.  No query
+  the query's engine — the one its query names
+  (:func:`~repro.service.backend.build_task`).  No query
   reads shared simulator randomness, so *any* interleaving of walker
   steps produces bit-identical results — the keystone invariant:
   ``N`` queries run concurrently equal the same queries run serially
@@ -29,7 +30,8 @@ heavy repeat traffic, not one query at a time):
   deadline steps every ``chunk_peers`` visits (the enforcement
   quantum) and is stopped at the first boundary past its limit; a
   query with neither takes one step per phase.
-* **Shared plan cache.**  All per-query engines serve from one
+* **Shared plan cache.**  All per-query engines — COUNT/SUM/AVG,
+  MEDIAN/QUANTILE and GROUP BY alike — serve from one
   :class:`~repro.core.hybrid.PlanCache`, so repeat signatures in the
   workload go warm.  Cache entries are churn-epoch aware; after
   :meth:`QueryService.rebind` to a new snapshot, stale plans cold-miss
@@ -49,7 +51,6 @@ from typing import Dict, List, Optional, Union
 
 from .._util import SeedLike, seed_sequence
 from ..core.hybrid import PlanCache
-from ..core.result import ApproximateResult
 from ..core.two_phase import TwoPhaseConfig
 from ..errors import (
     AdmissionError,
@@ -73,13 +74,27 @@ from .backend import (
     QueryReply,
 )
 from .budget import CostBudget
-from .scheduler import QueryTicket
+from .scheduler import QueryTicket, ServedResult
 
 __all__ = [
     "QueryOutcome",
     "ServiceStats",
     "QueryService",
 ]
+
+#: The ``service.*`` counters, named as :class:`ServiceStats` reports them.
+_COUNTED = (
+    "submitted", "completed", "failed", "budget_stopped",
+    "deadline_stopped", "rejected", "ticks", "warm_runs", "cold_runs",
+    "delta_runs",
+)
+#: The counter each way a query can end bumps.
+_ENDED = {
+    "done": "completed",
+    "failed": "failed",
+    "budget-exceeded": "budget_stopped",
+    "deadline-exceeded": "deadline_stopped",
+}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -100,7 +115,7 @@ class QueryOutcome:
 
     ticket: QueryTicket
     status: str
-    result: Optional[ApproximateResult] = None
+    result: Optional[ServedResult] = None
     error: Optional[ReproError] = None
     detail: str = ""
     cost: Optional[QueryCost] = None
@@ -114,7 +129,10 @@ class QueryOutcome:
 
 @dataclasses.dataclass(frozen=True)
 class ServiceStats:
-    """A point-in-time summary of the service's counters."""
+    """A point-in-time summary of the service's counters (runs of
+    every engine kind).  ``plan_entries`` is the plans held: at most
+    :data:`~repro.core.hybrid.PLAN_CACHE_ENTRIES` per cache, summed
+    over a sharded service's workers."""
 
     submitted: int
     completed: int
@@ -132,6 +150,7 @@ class ServiceStats:
     cache_misses: int
     churn_invalidations: int
     delta_hits: int
+    plan_entries: int
 
     @property
     def warm_ratio(self) -> float:
@@ -151,7 +170,9 @@ class QueryService:
         own :meth:`~repro.network.simulator.NetworkSimulator.session`
         of it.
     config:
-        Engine configuration shared by all queries.
+        Engine configuration shared by all queries: the COUNT/SUM/AVG
+        engine runs it, and the MEDIAN/QUANTILE and GROUP BY engines
+        take the fields their configurations share with it.
     seed:
         Service seed; every per-query stream spawns from it in
         submission order, which is the whole determinism story.
@@ -174,18 +195,20 @@ class QueryService:
         Budget applied to submissions that don't bring their own.  A
         budget with no ceiling set is the same as none.
     max_age, decay:
-        Plan-cache tuning, as for :class:`~repro.core.hybrid.HybridEngine`.
+        Plan-cache tuning for every engine, as for
+        :class:`~repro.core.hybrid.HybridEngine`.
     capture_traces:
         Give each query a private tracer (inspect via :meth:`trace`,
         dump via :meth:`write_traces`).
     registry:
         Service metrics registry; a fresh one is created when omitted.
+        :meth:`stats` reads its ``service.*`` counters.
     delta_reestimation:
-        Forwarded to every per-query
-        :class:`~repro.core.hybrid.HybridEngine`: when on and the
-        snapshot carries stable peer labels, churn-invalidated plans
-        are topped up incrementally from their retained sample instead
-        of re-running cold (counted in ``delta_runs``/``delta_hits``).
+        As for :class:`~repro.core.hybrid.HybridEngine`: when on and
+        the snapshot carries stable peer labels, churn-invalidated
+        COUNT/SUM/AVG plans are topped up incrementally from their
+        retained sample instead of re-running cold (counted in
+        ``delta_runs``/``delta_hits``).
     workers:
         ``None`` (default) serves inline in this process.  An integer
         ``N >= 1`` serves through the sharded
@@ -234,19 +257,17 @@ class QueryService:
         self._default_budget = default_budget
         self._capture_traces = capture_traces
         self._registry = registry if registry is not None else MetricsRegistry()
+        # Registered up front: a query's bookkeeping is then a
+        # dictionary read, not a registry lookup per event.
+        self._counters = {
+            name: self._registry.counter(f"service.{name}")
+            for name in _COUNTED
+        }
+        self._queue_depth = self._registry.gauge("service.queue_depth")
+        self._in_flight = self._registry.gauge("service.in_flight")
         self._outcomes: Dict[int, QueryOutcome] = {}
         self._tracers: Dict[int, TraceLike] = {}
         self._next_id = 0
-        self._ticks = 0
-        self._submitted = 0
-        self._completed = 0
-        self._failed = 0
-        self._budget_stopped = 0
-        self._deadline_stopped = 0
-        self._rejected = 0
-        self._warm_runs = 0
-        self._cold_runs = 0
-        self._delta_runs = 0
         self._prime(simulator)
         settings = EngineSettings(
             config=self._config,
@@ -310,22 +331,17 @@ class QueryService:
         """A snapshot of the service's counters."""
         cache_stats = self._backend.cache_stats()
         return ServiceStats(
-            submitted=self._submitted,
-            completed=self._completed,
-            failed=self._failed,
-            budget_stopped=self._budget_stopped,
-            deadline_stopped=self._deadline_stopped,
-            rejected=self._rejected,
+            **{
+                name: int(counter.value)
+                for name, counter in self._counters.items()
+            },
             queued=self._backend.backlog,
             in_flight=self._backend.in_flight,
-            ticks=self._ticks,
-            warm_runs=self._warm_runs,
-            cold_runs=self._cold_runs,
-            delta_runs=self._delta_runs,
             cache_hits=cache_stats.hits,
             cache_misses=cache_stats.misses,
             churn_invalidations=cache_stats.churn_invalidations,
             delta_hits=cache_stats.delta_hits,
+            plan_entries=cache_stats.entries,
         )
 
     def outcome(self, ticket: QueryTicket) -> Optional[QueryOutcome]:
@@ -389,8 +405,7 @@ class QueryService:
         """
         outstanding = self._backend.backlog + self._backend.in_flight
         if outstanding >= self._max_queue:
-            self._rejected += 1
-            self._registry.counter("service.rejected").inc()
+            self._counters["rejected"].inc()
             raise AdmissionError(
                 f"admission queue full ({outstanding} queries outstanding, "
                 f"bound {self._max_queue})"
@@ -422,15 +437,13 @@ class QueryService:
             delta_req=delta_req,
             signature=signature,
         )
-        self._submitted += 1
-        self._registry.counter("service.submitted").inc()
+        self._counters["submitted"].inc()
         self._update_gauges()
         return ticket
 
     def tick(self) -> List[QueryOutcome]:
         """One scheduling round; returns queries that resolved in it."""
-        self._ticks += 1
-        self._registry.counter("service.ticks").inc()
+        self._counters["ticks"].inc()
         outcomes = [
             self._finish(reply) for reply in self._backend.pump()
         ]
@@ -448,7 +461,7 @@ class QueryService:
             finished.extend(self.tick())
         return sorted(finished, key=lambda o: o.ticket.query_id)
 
-    def await_result(self, ticket: QueryTicket) -> ApproximateResult:
+    def await_result(self, ticket: QueryTicket) -> ServedResult:
         """Drive the scheduler until ``ticket`` resolves; return its
         result or raise how it failed.
 
@@ -530,36 +543,15 @@ class QueryService:
         self._outcomes[reply.ticket.query_id] = outcome
         if reply.tracer is not None:
             self._tracers[reply.ticket.query_id] = reply.tracer
-        if reply.status == "done":
-            self._completed += 1
-            self._registry.counter("service.completed").inc()
-        elif reply.status == "failed":
-            self._failed += 1
-            self._registry.counter("service.failed").inc()
-        elif reply.status == "deadline-exceeded":
-            self._deadline_stopped += 1
-            self._registry.counter("service.deadline_stopped").inc()
-        else:
-            self._budget_stopped += 1
-            self._registry.counter("service.budget_stopped").inc()
-        warm = reply.warm_runs
-        cold = reply.cold_runs
-        delta = reply.delta_runs
-        self._warm_runs += warm
-        self._cold_runs += cold
-        self._delta_runs += delta
-        if warm:
-            self._registry.counter("service.warm_runs").inc(warm)
-        if cold:
-            self._registry.counter("service.cold_runs").inc(cold)
-        if delta:
-            self._registry.counter("service.delta_runs").inc(delta)
+        self._counters[_ENDED[reply.status]].inc()
+        if reply.warm_runs:
+            self._counters["warm_runs"].inc(reply.warm_runs)
+        if reply.cold_runs:
+            self._counters["cold_runs"].inc(reply.cold_runs)
+        if reply.delta_runs:
+            self._counters["delta_runs"].inc(reply.delta_runs)
         return outcome
 
     def _update_gauges(self) -> None:
-        self._registry.gauge("service.queue_depth").set(
-            float(self._backend.backlog)
-        )
-        self._registry.gauge("service.in_flight").set(
-            float(self._backend.in_flight)
-        )
+        self._queue_depth.set(float(self._backend.backlog))
+        self._in_flight.set(float(self._backend.in_flight))

@@ -16,7 +16,11 @@ from repro.core.hybrid import (
     PlanCache,
     RetainedSample,
 )
-from repro.core.two_phase import TwoPhaseConfig
+from repro.core.batch import BatchEngine
+from repro.core.groupby import GroupByConfig, GroupByEngine
+from repro.core.median import MedianConfig, MedianEngine
+from repro.core.statistics import StatisticsConfig, StatisticsEngine
+from repro.core.two_phase import TwoPhaseConfig, TwoPhaseEngine
 from repro.data.generator import DatasetConfig, generate_dataset
 from repro.data.localdb import LocalDatabase
 from repro.errors import ConfigurationError, SamplingError
@@ -59,6 +63,17 @@ class TestConstruction:
             HybridEngine(small_network, decay=1.0)
         with pytest.raises(ConfigurationError):
             HybridEngine(small_network, decay=-0.1)
+
+
+    def test_a_shared_cache_carries_the_policy(self, small_network):
+        """The policy lives on the cache: arguments that disagree with a
+        shared cache's policy are refused, not silently overridden."""
+        shared = PlanCache(max_age=3)
+        assert HybridEngine(small_network, cache=shared, max_age=3)
+        with pytest.raises(ConfigurationError, match="plan policy"):
+            HybridEngine(small_network, cache=shared)
+        with pytest.raises(ConfigurationError):
+            PlanCache(max_age=0)
 
 
 class TestCaching:
@@ -677,3 +692,122 @@ class TestPinnedByValue:
         assert _pinned_digest(runs) == (
             "f65abf033bb126697b2288e0ac7490eea46f99c84cebaf130544679206ec3efb"
         )
+
+
+GROUPED = parse_query("SELECT COUNT(A) FROM T GROUP BY A")
+MEDIAN_ALL = parse_query("SELECT MEDIAN(A) FROM T")
+
+
+class TestGroupByIsRefused:
+    """Regression: the aggregate engines answered a GROUP BY with one
+    ungrouped COUNT instead of refusing it."""
+
+    @pytest.mark.parametrize("engine_class", [TwoPhaseEngine, HybridEngine])
+    def test_group_by_raises_naming_its_engine(
+        self, small_network, engine_class
+    ):
+        engine = engine_class(small_network, seed=7)
+        with pytest.raises(ConfigurationError, match="GroupByEngine"):
+            engine.execute(GROUPED, 0.1, sink=0)
+
+
+def _fields(result):
+    """A result's fields, arrays as lists (comparable with ``==``)."""
+    return {
+        name: value.tolist() if isinstance(value, np.ndarray) else value
+        for name, value in vars(result).items()
+    }
+
+
+def _histogram(engine, sink):
+    return engine.histogram("A", num_buckets=5, delta_req=0.2, sink=sink)
+
+
+class TestEveryEnginePlans:
+    """Any engine given a cache serves a repeated signature warm: a
+    plan-sized phase I whose own analysis refreshes the plan, no phase
+    II — the same mechanism as the aggregate engine's."""
+
+    KINDS = {
+        "median": (
+            MedianEngine, MedianConfig(max_phase_two_peers=200),
+            lambda engine, sink: engine.execute(MEDIAN_ALL, 0.1, sink=sink),
+        ),
+        "group-by": (
+            GroupByEngine, GroupByConfig(max_phase_two_peers=200),
+            lambda engine, sink: engine.execute(GROUPED, 0.1, sink=sink),
+        ),
+        "histogram": (
+            StatisticsEngine, StatisticsConfig(max_phase_two_peers=200),
+            _histogram,
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_repeat_runs_are_warm_and_refresh_the_plan(
+        self, small_network, kind
+    ):
+        engine_class, config, run = self.KINDS[kind]
+        cache = PlanCache()
+        engine = engine_class(small_network, config, seed=7, cache=cache)
+        cold = run(engine, 0)
+        assert (engine.cold_runs, engine.warm_runs) == (1, 0)
+        assert len(cache) == 1
+        ((signature, plan),) = cache._entries.items()
+        # The rank and total-variation engines read Δreq on a scale of 1.
+        assert plan.scale == 1.0 and plan.half_size > 0
+        learned = plan.mean_squared_cv_error
+
+        tracer = Tracer()
+        with tracing(tracer):
+            warm = run(engine, 0)
+        assert (engine.cold_runs, engine.warm_runs) == (1, 1)
+        assert cache.hits == 1 and plan.uses == 1
+        assert plan.mean_squared_cv_error != learned
+        assert warm.phase_two is None
+        assert warm.phase_one.peers_visited >= config.phase_one_peers
+        phases = [
+            (event.phase, event.status)
+            for event in tracer.events if event.kind == "phase"
+        ]
+        assert phases == [
+            ("warm", "start"), ("warm", "end"), ("analysis", "end"),
+        ]
+        assert type(warm) is type(cold)
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_a_cold_run_with_a_cache_is_the_seeds_first_child(
+        self, small_network, kind
+    ):
+        """The stream layout every planning engine shares: a cold run
+        with a cache draws what the engine without one draws from the
+        seed's first child."""
+        engine_class, config, run = self.KINDS[kind]
+        seed = np.random.SeedSequence(31)
+        planned = engine_class(
+            small_network, config, seed=seed, cache=PlanCache()
+        )
+        plain = engine_class(
+            small_network, config, seed=np.random.SeedSequence(31).spawn(1)[0]
+        )
+        assert _fields(run(planned, 3)) == _fields(run(plain, 3))
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_the_caches_policy_ages_every_kinds_plans(
+        self, small_network, kind
+    ):
+        engine_class, config, run = self.KINDS[kind]
+        cache = PlanCache(max_age=1)
+        engine = engine_class(small_network, config, seed=7, cache=cache)
+        for _ in range(3):
+            run(engine, 0)
+        assert (engine.cold_runs, engine.warm_runs) == (2, 1)
+        assert cache.expirations == 1
+
+    def test_a_batch_has_no_plan(self, small_network):
+        cache = PlanCache()
+        engine = BatchEngine(small_network, seed=7, cache=cache)
+        for _ in range(2):
+            engine.execute([COUNT_30, SUM_ALL], 0.1, sink=0)
+        assert (engine.cold_runs, engine.warm_runs) == (2, 0)
+        assert len(cache) == 0

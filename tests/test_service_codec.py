@@ -5,7 +5,8 @@ bit for bit: the serial==sharded parity gates compare estimates, cost
 ledgers and counters across the process boundary, so the codec may
 not perturb a single float.  Hypothesis builds replies over the full
 field space (finite and infinite floats, optional phases/timings,
-opaque analysis payloads) and pins exact equality both ways, plus the
+opaque analysis payloads, and the MEDIAN/QUANTILE and GROUP BY results
+the service serves whole) and pins exact equality both ways, plus the
 versioning contract: a wire tuple from any other codec version fails
 loudly as a :class:`~repro.errors.ServiceError`, never a mis-zip.
 """
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.confidence import ConfidenceInterval
+from repro.core.groupby import GroupByResult
 from repro.core.result import ApproximateResult, MedianResult, PhaseReport
 from repro.errors import ReproError, ServiceError
 from repro.metrics.cost import QueryCost
@@ -103,6 +105,38 @@ results = st.builds(
     timing=timings,
 )
 
+#: Every result kind the service serves: the MEDIAN/QUANTILE and GROUP
+#: BY ones ride the codec's opaque slot.
+served_results = st.one_of(
+    results,
+    st.builds(
+        MedianResult,
+        query=st.just(QUERY),
+        estimate=floats,
+        delta_req=floats,
+        rank_error_estimate=floats,
+        phase_one=phases,
+        phase_two=st.one_of(st.none(), phases),
+        cost=costs,
+        requested_sample_size=counts,
+        effective_sample_size=counts,
+        degraded=st.booleans(),
+        timing=timings,
+    ),
+    st.builds(
+        GroupByResult,
+        query=st.just(QUERY),
+        groups=st.dictionaries(
+            st.floats(allow_nan=False, allow_infinity=False), floats,
+            max_size=5,
+        ),
+        delta_req=floats,
+        phase_one=phases,
+        phase_two=st.one_of(st.none(), phases),
+        cost=costs,
+    ),
+)
+
 traces = st.one_of(
     st.none(),
     st.builds(
@@ -137,7 +171,7 @@ def done_reply(result):
 
 class TestRoundTrip:
     @settings(max_examples=60, deadline=None)
-    @given(result=results, trace=traces)
+    @given(result=served_results, trace=traces)
     def test_done_reply_round_trips_exactly(self, result, trace):
         reply = done_reply(result)
         wire = encode_reply(reply, trace=trace)

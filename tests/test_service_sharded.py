@@ -27,16 +27,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro._pool as pool
+from repro.core.groupby import GroupByResult
+from repro.core.result import ApproximateResult, MedianResult
 from repro.core.two_phase import TwoPhaseConfig, TwoPhaseEngine
 from repro.errors import (
     AdmissionError,
     ConfigurationError,
+    ReproError,
     SamplingError,
     ServiceError,
     WorkerPoolError,
 )
+from repro.network.faults import CrashWindow, FaultPlan, LatencySpike
 from repro.network.generators import power_law_topology
 from repro.network.simulator import NetworkSimulator
+from repro.network.walker import RetryPolicy
 from repro.query.parser import parse_query
 from repro.service import CostBudget, QueryService
 from repro.service import backend as backend_module
@@ -45,11 +50,26 @@ from repro.service.backend import (
     ForkedBackend,
     shard_for_signature,
 )
+from repro.sim import (
+    ConstantLatency,
+    EventDrivenSimulator,
+    ExponentialLatency,
+    LatencyModel,
+)
 from repro.tools.trace.cli import main as trace_main
 
 COUNT_30 = parse_query("SELECT COUNT(A) FROM T WHERE A BETWEEN 1 AND 30")
 SUM_50 = parse_query("SELECT SUM(A) FROM T WHERE A BETWEEN 1 AND 50")
 AVG_ALL = parse_query("SELECT AVG(A) FROM T")
+MEDIAN_ALL = parse_query("SELECT MEDIAN(A) FROM T")
+QUANTILE_30 = parse_query(
+    "SELECT QUANTILE(A, 0.25) FROM T WHERE A BETWEEN 1 AND 30"
+)
+GROUPED_COUNT = parse_query("SELECT COUNT(A) FROM T GROUP BY A")
+GROUPED_AVG = parse_query("SELECT AVG(A) FROM T WHERE A BETWEEN 10 AND 60 GROUP BY A")
+
+#: One signature per engine kind the service builds.
+MIXED = [COUNT_30, MEDIAN_ALL, QUANTILE_30, GROUPED_COUNT, GROUPED_AVG]
 
 #: Same shape as the inline determinism gate: mixed signatures with
 #: repeats, so warm cache traffic is part of what must shard cleanly.
@@ -105,6 +125,15 @@ def service_with_backend(network, workers, **backend_kwargs):
     return QueryService(
         network, CONFIG, seed=99, backend=backend, capture_traces=True
     )
+
+
+def answer(result):
+    """What a served result says: the estimate, or the group vector."""
+    if result is None:
+        return None
+    if isinstance(result, GroupByResult):
+        return result.groups
+    return result.estimate
 
 
 def assert_outcomes_identical(reference, candidate):
@@ -261,7 +290,7 @@ class TestInterleavingParity:
     across serial, concurrent and sharded service.
     """
 
-    POOL = [COUNT_30, SUM_50, AVG_ALL]
+    POOL = [COUNT_30, SUM_50, AVG_ALL, *MIXED[1:]]
 
     BUDGETS = [
         None,
@@ -275,7 +304,7 @@ class TestInterleavingParity:
             st.just("burst"),
             st.lists(
                 st.tuples(
-                    st.integers(min_value=0, max_value=2),
+                    st.integers(min_value=0, max_value=6),
                     st.integers(min_value=0, max_value=3),
                 ),
                 min_size=1, max_size=4,
@@ -319,7 +348,7 @@ class TestInterleavingParity:
             [
                 (
                     o.status, o.detail, o.chunks, o.cost,
-                    o.result and o.result.estimate,
+                    answer(o.result),
                 )
                 for o in outcomes
             ],
@@ -349,6 +378,95 @@ class TestInterleavingParity:
         serial = run(max_in_flight=1)
         assert run(max_in_flight=4) == serial
         assert run(workers=workers) == serial
+
+
+class TestMixedEngines:
+    """The service answers every query its parser accepts with the
+    engine the query names, on both backends, and every kind is served
+    warm when its signature repeats."""
+
+    STREAM = [*MIXED, SUM_50, *MIXED]
+
+    def serve(self, network, workers, config=CONFIG, **submit):
+        with QueryService(
+            network, config, seed=99, workers=workers, max_in_flight=4,
+            capture_traces=True,
+        ) as service:
+            tickets = [
+                service.submit(query, 0.1, **submit) for query in self.STREAM
+            ]
+            service.run()
+            outcomes = [service.outcome(ticket) for ticket in tickets]
+            traces = [service.trace(ticket).lines for ticket in tickets]
+            return outcomes, traces, service.stats()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_kind_is_served_and_warms_alike(
+        self, small_network, workers
+    ):
+        inline, inline_traces, inline_stats = self.serve(small_network, None)
+        forked, forked_traces, forked_stats = self.serve(
+            small_network, workers
+        )
+        kinds = [type(outcome.result) for outcome in inline]
+        assert kinds[:5] == [
+            ApproximateResult, MedianResult, MedianResult, GroupByResult,
+            GroupByResult,
+        ]
+        for a, b in zip(inline, forked):
+            assert (a.status, a.chunks, a.cost) == ("done", b.chunks, b.cost)
+            assert answer(a.result) == answer(b.result)
+            assert type(a.result) is type(b.result)
+        assert inline_traces == forked_traces
+        # The first pass is cold, the repeat of every signature warm.
+        warm = len(MIXED)
+        for stats in (inline_stats, forked_stats):
+            assert (stats.cold_runs, stats.warm_runs) == (warm + 1, warm)
+            assert (stats.cache_misses, stats.cache_hits) == (warm + 1, warm)
+            assert stats.plan_entries == warm + 1
+        for lines in inline_traces[-warm:]:
+            assert any('"phase":"warm"' in line for line in lines)
+
+    @pytest.mark.chaos
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_a_faulted_median_is_degraded_or_typed(
+        self, small_network, workers
+    ):
+        """Under the timed chaos workload's plan a served MEDIAN
+        resolves done (possibly degraded) or with the engine's own
+        typed error — never a ServiceError around a raw exception."""
+        topology = small_network.topology
+        simulator = EventDrivenSimulator(
+            topology, small_network.databases(), seed=1,
+            fault_plan=FaultPlan(
+                seed=5,
+                crashes=tuple(
+                    CrashWindow(peer_id=peer, start=0, stop=10**9)
+                    for peer in range(0, topology.num_peers, 17)
+                ),
+                reply_loss=0.1,
+                latency_spike=LatencySpike(rate=0.05, extra_ms=400.0),
+                probe_timeout_ms=250.0,
+            ),
+            latency=LatencyModel(
+                seed=3, request=ExponentialLatency(20.0),
+                reply=ExponentialLatency(20.0), hop=ConstantLatency(1.0),
+            ),
+            probe_timeout_ms=250.0,
+        )
+        config = TwoPhaseConfig(
+            max_phase_two_peers=400, retry_policy=RetryPolicy(max_attempts=3)
+        )
+        outcomes, _, stats = self.serve(
+            simulator, workers, config, deadline_ms=60_000.0
+        )
+        assert stats.warm_runs == len(MIXED)
+        for outcome in outcomes:
+            if outcome.status == "done":
+                continue
+            assert outcome.status == "failed"
+            assert isinstance(outcome.error, ReproError)
+            assert not isinstance(outcome.error, ServiceError)
 
 
 class TestWorkerFailure:
