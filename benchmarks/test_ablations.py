@@ -16,8 +16,7 @@ printing a small table alongside the timing:
 import numpy as np
 
 from repro.core.biased import BiasedConfig, biased_engine_for_query
-from repro.core.hybrid import HybridEngine
-from repro.core.two_phase import TwoPhaseConfig, TwoPhaseEngine
+from repro.core.two_phase import PlanCache, TwoPhaseConfig, TwoPhaseEngine
 from repro.experiments.configs import gnutella_bundle, synthetic_bundle
 from repro.experiments.runner import run_trials
 from repro.query.exact import evaluate_exact
@@ -157,10 +156,11 @@ def test_ablation_hybrid_plan_cache(benchmark):
     def run():
         bundle = synthetic_bundle(scale=SCALE, cluster_level=0.25, skew=0.2)
         truth = evaluate_exact(COUNT_30, bundle.dataset.databases)
-        engine = HybridEngine(
+        engine = TwoPhaseEngine(
             bundle.simulator,
             TwoPhaseConfig(max_phase_two_peers=2 * bundle.num_peers),
             seed=54,
+            cache=PlanCache(),
         )
         cold = engine.execute(COUNT_30, 0.1, sink=0)
         warm_peers = []

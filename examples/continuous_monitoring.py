@@ -5,12 +5,14 @@ holds recent readings (values 1..100, where readings above 90 are
 alarms).  An operations dashboard repeatedly asks the same panel of
 aggregates while gateways join and drop out and their data turns over.
 
-The recipe combines three library pieces:
+The recipe combines two library pieces:
 
 * :class:`repro.LiveNetwork` — churn with a data lifecycle;
-* :class:`repro.BatchEngine` — the whole dashboard from one walk;
-* :class:`repro.HybridEngine` — repeat queries skip phase I between
-  churn epochs, with explicit invalidation when an epoch ends.
+* :class:`repro.BatchEngine` — the whole dashboard from one walk.
+
+(A batch always runs cold: its members' scales differ, so it has no
+plan.  A single repeated query goes warm through a
+:class:`repro.PlanCache` — see ``examples/extensions_tour.py``.)
 
 Run:  python examples/continuous_monitoring.py
 """

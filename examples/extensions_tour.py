@@ -67,10 +67,11 @@ def main() -> None:
         "SELECT COUNT(A) FROM T WHERE A BETWEEN 1 AND 30"
     )
     exact = repro.evaluate_exact(query, dataset.databases)
-    hybrid = repro.HybridEngine(
+    hybrid = repro.TwoPhaseEngine(
         network,
         repro.TwoPhaseConfig(max_phase_two_peers=2 * topology.num_peers),
         seed=22,
+        cache=repro.PlanCache(),
     )
     print("run   mode   peers  error")
     for run in range(6):

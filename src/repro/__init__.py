@@ -106,11 +106,12 @@ from .core import (
     GroupByEngine,
     GroupByResult,
     HistogramResult,
-    HybridEngine,
     MedianConfig,
     MedianEngine,
     MedianResult,
+    PhaseConfig,
     PhaseOneAnalysis,
+    PlanCache,
     StatisticsConfig,
     StatisticsEngine,
     TupleBudgetPlan,
@@ -233,6 +234,7 @@ __all__ = [
     # core
     "TwoPhaseEngine",
     "TwoPhaseConfig",
+    "PhaseConfig",
     "MedianEngine",
     "MedianConfig",
     "ApproximateResult",
@@ -245,7 +247,7 @@ __all__ = [
     "StatisticsConfig",
     "HistogramResult",
     "DistinctResult",
-    "HybridEngine",
+    "PlanCache",
     "BiasedSamplingEngine",
     "BiasedConfig",
     "biased_engine_for_query",

@@ -6,7 +6,9 @@
   estimates the clustering "badness" ``C`` (Theorem 3);
 * :mod:`repro.core.planner` — turns a phase-I sample plus a required
   accuracy into a phase-II plan ``m' = (m/2) · (CVError / Δreq)²``;
-* :mod:`repro.core.two_phase` — the full COUNT/SUM/AVG engine (§4);
+* :mod:`repro.core.two_phase` — the full COUNT/SUM/AVG engine (§4),
+  the one phase I → analysis → phase II loop every engine runs, and
+  the plan cache that serves repeat signatures warm (§6);
 * :mod:`repro.core.median` — the median/quantile engine (§5.6);
 * :mod:`repro.core.confidence` — large-sample confidence intervals;
 * :mod:`repro.core.result` — the result objects queries return.
@@ -43,7 +45,6 @@ from .cost_optimizer import (
     optimize_tuple_budget,
 )
 from .groupby import GroupByConfig, GroupByEngine, GroupByResult
-from .hybrid import CachedPlan, HybridEngine, PlanCache
 from .biased import (
     BiasedConfig,
     BiasedSamplingEngine,
@@ -54,6 +55,9 @@ from .crossval import CrossValidation, cross_validate
 from .planner import PhaseOneAnalysis, PhaseTwoPlan, analyze_phase_one
 from .result import ApproximateResult, MedianResult, PhaseReport
 from .two_phase import (
+    CachedPlan,
+    PhaseConfig,
+    PlanCache,
     StepCheckpoint,
     TwoPhaseConfig,
     TwoPhaseEngine,
@@ -83,6 +87,7 @@ __all__ = [
     "MedianResult",
     "PhaseReport",
     "StepCheckpoint",
+    "PhaseConfig",
     "TwoPhaseConfig",
     "TwoPhaseEngine",
     "drain_steps",
@@ -97,7 +102,6 @@ __all__ = [
     "StatisticsConfig",
     "HistogramResult",
     "DistinctResult",
-    "HybridEngine",
     "CachedPlan",
     "PlanCache",
     "GroupByEngine",

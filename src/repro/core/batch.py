@@ -154,7 +154,7 @@ class BatchEngine(
         )
         results: List[ApproximateResult] = []
         for query, sample, analysis in zip(
-            run.query, run.pooled.samples, run.plan
+            run.query, run.final.samples, run.plan
         ):
             estimate = estimate_query(query, sample, point)
             interval = query_confidence_interval(

@@ -30,8 +30,8 @@ from ..query.model import AggregateOp, AggregationQuery
 from .result import PhaseReport
 from .two_phase import (
     CachedPlan,
+    PhaseConfig,
     StepCheckpoint,
-    _PhaseConfig,
     _PhasedEngine,
     _Run,
 )
@@ -44,10 +44,9 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass(frozen=True)
-class GroupByConfig(_PhaseConfig):
-    """Tunables of the GROUP BY engine: the fields every two-phase
-    engine shares."""
+#: The GROUP BY engine's configuration is the one every two-phase
+#: engine takes; the name stays for the public API.
+GroupByConfig = PhaseConfig
 
 
 @dataclasses.dataclass(frozen=True)
@@ -137,14 +136,14 @@ def _group_totals(
 
 
 class GroupByEngine(
-    _PhasedEngine[GroupByConfig, AggregationQuery, GroupByResult]
+    _PhasedEngine[PhaseConfig, AggregationQuery, GroupByResult]
 ):
     """Answers GROUP BY COUNT/SUM/AVG queries approximately: per-group
     Hájek estimates, phase II sized by the TV distance between
     half-sample group masses."""
 
     _name = "group-by"
-    _default_config = GroupByConfig
+    _default_config = PhaseConfig
 
     def execute(
         self,
@@ -202,13 +201,13 @@ class GroupByEngine(
         return additional, plan, None
 
     def _result(self, run: _Run[ValueSample]) -> GroupByResult:
-        groups, counts, sums = _group_terms(run.pooled)
-        rows = np.arange(len(run.pooled))
+        groups, counts, sums = _group_terms(run.final)
+        rows = np.arange(len(run.final))
         num_peers = self._simulator.num_peers
-        count_totals = _group_totals(counts, run.pooled, rows, num_peers)
+        count_totals = _group_totals(counts, run.final, rows, num_peers)
         values = count_totals
         if run.query.agg is not AggregateOp.COUNT:
-            values = _group_totals(sums, run.pooled, rows, num_peers)
+            values = _group_totals(sums, run.final, rows, num_peers)
         if run.query.agg is AggregateOp.AVG:
             seen = count_totals > 0
             groups, values = groups[seen], values[seen] / count_totals[seen]

@@ -24,7 +24,6 @@ fraction with an arbitrary ``q``.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from typing import Generator, Optional, Tuple
 
@@ -34,13 +33,12 @@ from .._util import weighted_median
 from ..errors import ConfigurationError, SamplingError
 from ..metrics.cost import CostLedger
 from ..network.protocol import ValueSample
-from ..network.walker import RetryPolicy
 from ..query.model import AggregateOp, AggregationQuery
 from .result import MedianResult
 from .two_phase import (
     CachedPlan,
+    PhaseConfig,
     StepCheckpoint,
-    _PhaseConfig,
     _PhasedEngine,
     _Run,
 )
@@ -53,28 +51,12 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass(frozen=True)
-class MedianConfig(_PhaseConfig):
-    """Tunables of the median/quantile algorithm: the fields every
-    two-phase engine shares (``tuples_per_peer`` is the sub-sampling
-    budget for computing local medians, ``cross_validation_rounds`` the
-    random group splits averaged in step 5) and these.
-
-    Attributes
-    ----------
-    pool_phases:
-        Return the weighted median over *all* collected medians
-        (default) instead of only the phase-II ones (the paper's
-        literal step 7).
-    retry_policy:
-        When set, visits run through a
-        :class:`~repro.network.walker.ResilientCollector` (bounded
-        retry with backoff on loss/timeout, restart-from-last-good
-        on crash); when ``None``, failed probes are dropped.
-    """
-
-    pool_phases: bool = True
-    retry_policy: Optional[RetryPolicy] = None
+#: The median engine's configuration is the one every two-phase engine
+#: takes (``tuples_per_peer`` is the sub-sampling budget for computing
+#: local medians, ``cross_validation_rounds`` the random group splits
+#: averaged in step 5, and ``pool_phases=False`` the paper's literal
+#: step 7); the name stays for the public API.
+MedianConfig = PhaseConfig
 
 
 def weighted_rank_fraction(
@@ -105,7 +87,7 @@ def _medians(sample: ValueSample) -> ValueSample:
 
 
 class MedianEngine(
-    _PhasedEngine[MedianConfig, AggregationQuery, MedianResult]
+    _PhasedEngine[PhaseConfig, AggregationQuery, MedianResult]
 ):
     """Answers MEDIAN/QUANTILE queries over a simulator.
 
@@ -117,7 +99,7 @@ class MedianEngine(
     """
 
     _name = "median"
-    _default_config = MedianConfig
+    _default_config = PhaseConfig
 
     @staticmethod
     def _weighted_median_of(medians: ValueSample, fraction: float) -> float:
@@ -183,6 +165,10 @@ class MedianEngine(
             return None
         return self._weighted_median_of(medians, query.quantile_fraction)
 
+    def _answers(self, sample: ValueSample) -> bool:
+        """A sample with no local median cannot be answered from."""
+        return bool(sample["shipped"].any())
+
     def _analyze(
         self, query: AggregationQuery, sample: ValueSample, delta_req: float,
         rng: Optional[np.random.Generator] = None,
@@ -205,17 +191,10 @@ class MedianEngine(
         )
 
     def _result(self, run: _Run[ValueSample]) -> MedianResult:
-        pool = run.pooled
-        if (
-            not self._config.pool_phases
-            and run.sample_two is not None
-            and len(_medians(run.sample_two))
-        ):
-            pool = run.sample_two
         return MedianResult(
             query=run.query,
             estimate=self._weighted_median_of(
-                _medians(pool), run.query.quantile_fraction
+                _medians(run.final), run.query.quantile_fraction
             ),
             delta_req=run.delta_req,
             rank_error_estimate=run.error,

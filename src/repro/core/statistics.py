@@ -44,8 +44,8 @@ from ..query.model import (
 from .result import PhaseReport
 from .two_phase import (
     CachedPlan,
+    PhaseConfig,
     StepCheckpoint,
-    _PhaseConfig,
     _PhasedEngine,
     _Run,
 )
@@ -60,11 +60,11 @@ __all__ = [
 
 
 @dataclasses.dataclass(frozen=True)
-class StatisticsConfig(_PhaseConfig):
-    """Tunables shared by the histogram/distinct engines: the fields
-    every two-phase engine shares, with a larger default
-    ``tuples_per_peer`` — here it also bounds the reply payload, which
-    is the real bandwidth cost of these aggregates.
+class StatisticsConfig(PhaseConfig):
+    """The configuration every two-phase engine takes, with a larger
+    default ``tuples_per_peer`` for the histogram/distinct engines —
+    here it also bounds the reply payload, which is the real bandwidth
+    cost of these aggregates.
     """
 
     tuples_per_peer: int = 50
@@ -193,7 +193,7 @@ class _Histogram:
 
 
 class StatisticsEngine(
-    _PhasedEngine[StatisticsConfig, _Histogram, HistogramResult]
+    _PhasedEngine[PhaseConfig, _Histogram, HistogramResult]
 ):
     """Histogram and distinct-value estimation engines (see module
     docstring).
@@ -264,8 +264,8 @@ class StatisticsEngine(
 
     def _result(self, run: _Run[ValueSample]) -> HistogramResult:
         mean_bucket = _histogram_estimate(
-            _bucket_terms(run.pooled, run.plan),
-            1.0 / run.pooled["probability"],
+            _bucket_terms(run.final, run.plan),
+            1.0 / run.final["probability"],
         )
         counts = mean_bucket * self._simulator.num_peers  # Hájek scale
         return HistogramResult(

@@ -24,7 +24,24 @@ estimate.
 
 The MEDIAN, histogram, GROUP BY and batch engines run this same loop,
 :meth:`TwoPhaseEngine.run_stepwise`, each with the strategy for its
-query kind (``_PhasedEngine``).
+query kind (``_PhasedEngine``), under one :class:`PhaseConfig`.
+
+**Plans** (paper §6, open problem 1) — the paper asks: *"Is it
+possible to build hybrid solutions that do some amount of
+pre-computations of samples, in addition to 'on-the-fly' sampling such
+as ours?"*  The answer here is a plan cache: the expensive product of
+phase I is not the sample itself (data changes quickly, which is why
+pre-computed samples go stale) but the *sampling statistics* — the
+cross-validated error level and the normalization scale for a query
+signature.  Those drift far more slowly than individual tuples, so
+they are cached; tuples never are.  Any engine given a
+:class:`PlanCache` plans through it: a repeat signature is one
+plan-sized phase I whose own analysis refreshes the plan with
+exponential decay.  Entries expire after ``max_age`` warm runs, and a
+lookup against a different peer/edge population (a churn epoch) is a
+cold miss, so plans never silently survive churn.  A query service
+shares one cache across its per-query engines, so repeat signatures go
+warm whichever engine instance serves them.
 """
 
 from __future__ import annotations
@@ -32,8 +49,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+from collections import OrderedDict
 from typing import (
-    TYPE_CHECKING,
     Any,
     Callable,
     ClassVar,
@@ -74,11 +91,11 @@ from .estimators import (
 from .planner import PhaseOneAnalysis, analyze_phase_one
 from .result import ApproximateResult, MedianResult, PhaseReport, _Sample
 
-if TYPE_CHECKING:
-    from .hybrid import PlanCache
-
 __all__ = [
     "CachedPlan",
+    "PLAN_CACHE_ENTRIES",
+    "PhaseConfig",
+    "PlanCache",
     "RetainedSample",
     "StepCheckpoint",
     "TwoPhaseConfig",
@@ -103,8 +120,7 @@ class StepCheckpoint:
     Attributes
     ----------
     engine:
-        Which engine yielded (``"two-phase"`` — a
-        :class:`~repro.core.hybrid.HybridEngine` too — ``"median"``,
+        Which engine yielded (``"two-phase"``, ``"median"``,
         ``"histogram"``, ``"group-by"`` or ``"batch"``).
     phase:
         The phase the work belongs to: ``one``/``analysis``/``two``,
@@ -154,9 +170,10 @@ def drain_steps(
 
 
 @dataclasses.dataclass(frozen=True)
-class _PhaseConfig:
-    """The tunables every two-phase engine shares (the paper's
-    predefined values).
+class PhaseConfig:
+    """The tunables every two-phase engine runs under (the paper's
+    predefined values): COUNT/SUM/AVG, MEDIAN/QUANTILE, GROUP BY,
+    histograms and batches alike.
 
     Attributes
     ----------
@@ -174,6 +191,16 @@ class _PhaseConfig:
         Halvings averaged by the sink analysis.
     max_phase_two_peers:
         Optional cost cap on ``m'``.
+    pool_phases:
+        Answer from phase I + II (default) or, when phase II answered,
+        from phase II alone (the paper's literal pseudocode).
+    retry_policy:
+        When set, probes run through a
+        :class:`~repro.network.walker.ResilientCollector`: lost
+        replies and probe timeouts are retried with deterministic
+        exponential backoff, and crashed peers are replaced by
+        restarting the walk from the last good peer.  When ``None``
+        (default) failed probes are simply dropped.
     """
 
     phase_one_peers: int = 40
@@ -183,6 +210,8 @@ class _PhaseConfig:
     burn_in: Optional[int] = None
     cross_validation_rounds: int = 5
     max_phase_two_peers: Optional[int] = None
+    pool_phases: bool = True
+    retry_policy: Optional[RetryPolicy] = None
 
     def __post_init__(self) -> None:
         if self.phase_one_peers < 4:
@@ -204,16 +233,15 @@ class _PhaseConfig:
 
 
 @dataclasses.dataclass(frozen=True)
-class TwoPhaseConfig(_PhaseConfig):
-    """Tunables of the two-phase algorithm: the shared fields of every
-    two-phase engine (``phase_one_peers`` … ``max_phase_two_peers``)
-    and these.
+class TwoPhaseConfig(PhaseConfig):
+    """Tunables of the two-phase algorithm: the fields every two-phase
+    engine runs under (``phase_one_peers`` … ``retry_policy``) and
+    these.  ``distinct_peers`` shapes every engine's walk; the others
+    are read by the COUNT/SUM/AVG and batch engines, and the rest run
+    under them unread — so one config serves every query kind.
 
     Attributes
     ----------
-    pool_phases:
-        Use phase I + II observations for the final estimate (default)
-        or phase II only (the paper's literal pseudocode).
     distinct_peers:
         Sample peers without replacement (the walk keeps going until
         fresh peers are found).  The paper's theory assumes *with*
@@ -228,21 +256,12 @@ class TwoPhaseConfig(_PhaseConfig):
         Equation 1, which uses the network size ``M`` (known from
         pre-processing per §1/§3.3) to cancel degree noise; or
         ``"ht"`` — the paper's literal Equation 1.
-    retry_policy:
-        When set, probes run through a
-        :class:`~repro.network.walker.ResilientCollector`: lost
-        replies and probe timeouts are retried with deterministic
-        exponential backoff, and crashed peers are replaced by
-        restarting the walk from the last good peer.  When ``None``
-        (default) failed probes are simply dropped, as before.
     """
 
-    pool_phases: bool = True
     sampling_method: str = "uniform"
     confidence: float = 0.95
     estimator: str = "hajek"
     distinct_peers: bool = False
-    retry_policy: Optional[RetryPolicy] = None
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -287,7 +306,7 @@ class TwoPhaseConfig(_PhaseConfig):
 _S = TypeVar("_S", bound=_Sample)
 #: Row indices into a sample: a walk's selected peers, a halving's half.
 _Rows = NDArray[np.int64]
-_C = TypeVar("_C", bound=_PhaseConfig)
+_C = TypeVar("_C", bound=PhaseConfig)
 _Q = TypeVar("_Q")
 _R = TypeVar("_R")
 
@@ -390,14 +409,130 @@ class CachedPlan:
         return self.num_peers == num_peers and self.num_edges == num_edges
 
 
+#: The most entries a :class:`PlanCache` keeps: past it, the least
+#: recently used (looked up warm or stored) goes, retained sample and
+#: all.
+PLAN_CACHE_ENTRIES = 1024
+
+
+class PlanCache:
+    """Signature-keyed store of :class:`CachedPlan` entries, shareable
+    across engines of any kind (see the module docstring).  At most
+    :data:`PLAN_CACHE_ENTRIES` entries are kept, in LRU order, so a
+    stream of one-off signatures cannot grow it without bound.
+
+    The engines given this cache serve under its plan policy:
+    ``max_age`` warm runs per entry, ``decay`` for refreshes, and
+    ``delta_reestimation`` — when on and the simulator carries
+    ``peer_labels`` (a churn snapshot), runs retain their sample keyed
+    by stable labels, and after a churn epoch a COUNT/SUM/AVG plan is
+    topped up from the survivors (a delta run) instead of dropped.
+
+    Its lookups are counted: ``hits`` (served warm), ``misses`` (ran
+    cold: absent, aged or churn-invalidated), ``expirations`` (misses
+    by ``max_age``), ``churn_invalidations`` (entries dropped because
+    the population changed under them) and ``delta_hits`` (churn
+    mismatches salvaged by a retained sample).
+    """
+
+    def __init__(
+        self,
+        max_age: int = 25,
+        decay: float = 0.7,
+        delta_reestimation: bool = False,
+    ) -> None:
+        if max_age < 1:
+            raise ConfigurationError("max_age must be >= 1")
+        if not 0.0 <= decay < 1.0:
+            raise ConfigurationError("decay must be in [0, 1)")
+        self.max_age = max_age
+        self.decay = decay
+        self.delta_reestimation = delta_reestimation
+        self._entries: OrderedDict[str, CachedPlan] = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+        self.expirations = 0
+        self.churn_invalidations = 0
+        self.delta_hits = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, signature: str) -> Optional[CachedPlan]:
+        """The raw entry for ``signature`` (no aging/population checks,
+        no statistics side effects)."""
+        return self._entries.get(signature)
+
+    def store(self, signature: str, plan: CachedPlan) -> None:
+        """Insert or replace the entry for ``signature``, as the most
+        recently used; the least recently used goes past the bound."""
+        self._entries[signature] = plan
+        self._entries.move_to_end(signature)
+        if len(self._entries) > PLAN_CACHE_ENTRIES:
+            self._entries.popitem(last=False)
+
+    def lookup(
+        self,
+        signature: str,
+        num_peers: int,
+        num_edges: int,
+        max_age: int,
+        allow_delta: bool = False,
+    ) -> Optional[CachedPlan]:
+        """A servable plan for ``signature``, or ``None`` (cold miss).
+
+        ``None`` means the caller must run cold: there is no entry,
+        the entry has served ``max_age`` warm runs (left in place —
+        the cold run replaces it), or the entry was learned on a
+        different population (dropped on the spot).
+
+        With ``allow_delta``, a population-mismatched entry that still
+        carries a retained sample (and is not aged out) is *returned*
+        instead of dropped — the caller must check
+        :meth:`CachedPlan.matches_population` and run the delta top-up
+        path when it reports a mismatch.
+        """
+        plan = self._entries.get(signature)
+        if plan is None:
+            self.misses += 1
+            return None
+        if not plan.matches_population(num_peers, num_edges):
+            if not (
+                allow_delta
+                and plan.retained is not None
+                and plan.uses < max_age
+            ):
+                del self._entries[signature]
+                self.churn_invalidations += 1
+                self.misses += 1
+                return None
+            self.delta_hits += 1
+        elif plan.uses >= max_age:
+            self.expirations += 1
+            self.misses += 1
+            return None
+        else:
+            self.hits += 1
+        self._entries.move_to_end(signature)
+        return plan
+
+    def invalidate(self, signature: Optional[str] = None) -> None:
+        """Drop one signature's entry, or every entry."""
+        if signature is None:
+            self._entries.clear()
+        else:
+            self._entries.pop(signature, None)
+
+
 @dataclasses.dataclass(frozen=True)
 class _Run(Generic[_S]):
     """A finished run, as the loop hands it to the engine's
     ``_result``: ``plan`` is what ``_analyze`` kept, ``error`` its
     cross-validation error, ``planned_scale`` the scale a warm or
-    delta run's plan sized it on (``None`` on a cold run), ``pooled``
-    both phases' replies back to back, ``requested`` the planned
-    ``m + m'``."""
+    delta run's plan sized it on (``None`` on a cold run), ``final``
+    the replies the answer is read from — both phases' back to back,
+    or phase II's alone under ``pool_phases=False`` when it answered
+    — and ``requested`` the planned ``m + m'``."""
 
     query: Any
     sink: int
@@ -405,8 +540,7 @@ class _Run(Generic[_S]):
     plan: Any
     error: float
     planned_scale: Optional[float]
-    sample_two: Optional[_S]
-    pooled: _S
+    final: _S
     phase_one: PhaseReport
     phase_two: Optional[PhaseReport]
     requested: int
@@ -489,7 +623,7 @@ class _PhasedEngine(Generic[_C, _Q, _R]):
         config: Optional[_C] = None,
         seed: SeedLike = None,
         *,
-        cache: Optional["PlanCache"] = None,
+        cache: Optional[PlanCache] = None,
     ):
         self._config: _C = config or self._default_config()
         self._cache = cache
@@ -524,10 +658,9 @@ class _PhasedEngine(Generic[_C, _Q, _R]):
         # so executions are deterministic given the engine seed.
         self._visit_rng = ensure_rng(visit_seed)
         self._collector: Optional[ResilientCollector] = None
-        retry_policy = getattr(self._config, "retry_policy", None)
-        if retry_policy is not None:
+        if self._config.retry_policy is not None:
             self._collector = ResilientCollector(
-                self._walker, simulator, policy=retry_policy
+                self._walker, simulator, policy=self._config.retry_policy
             )
 
     @functools.cached_property
@@ -553,6 +686,35 @@ class _PhasedEngine(Generic[_C, _Q, _R]):
         """The network this engine queries."""
         return self._simulator
 
+    @property
+    def cache(self) -> Optional[PlanCache]:
+        """The plan cache this engine plans through (``None``: every
+        run is cold)."""
+        return self._cache
+
+    def cached_plan(self, query: _Q) -> Optional[CachedPlan]:
+        """The cache entry for ``query``'s signature, if any."""
+        if self._cache is None:
+            return None
+        signature = self._signature(query)
+        return None if signature is None else self._cache.get(signature)
+
+    def rebind(
+        self, simulator: NetworkSimulator, seed: SeedLike = None
+    ) -> None:
+        """Point this engine at a new network snapshot (churn epoch).
+
+        Rebuilds the walker, the cold streams (from the seed's next
+        child unless ``seed`` is given) and the engine's view of the
+        population against the new topology.  The plan cache is kept:
+        entries for the old population cold-miss on their own (or,
+        under delta re-estimation, are topped up from the survivors).
+        """
+        if seed is None:
+            parent = self._seed_seq if self._cache is None else self._plan_seq
+            seed = parent.spawn(1)[0]
+        self._bind(simulator, seed)
+
     # ------------------------------------------------------------------
     # The strategy
     # ------------------------------------------------------------------
@@ -577,6 +739,12 @@ class _PhasedEngine(Generic[_C, _Q, _R]):
 
     def _phase_estimate(self, query: _Q, sample: Any) -> Optional[float]:
         return None
+
+    def _answers(self, sample: Any) -> bool:
+        """Whether an answer can be read from ``sample`` alone: under
+        ``pool_phases=False`` a phase II that can is answered from
+        instead of both phases pooled."""
+        return len(sample) > 0
 
     def _analyze(
         self, query: _Q, sample: Any, delta_req: float,
@@ -926,9 +1094,8 @@ class _PhasedEngine(Generic[_C, _Q, _R]):
             error,
         )
 
-        sample_two: Any = None
         phase_two: Optional[PhaseReport] = None
-        pooled = sample_one
+        pooled = final = sample_one
         if additional > 0:
             # A scheduler may stop an over-budget query here, before
             # it pays for the second walk (with no phase II, nothing
@@ -940,11 +1107,13 @@ class _PhasedEngine(Generic[_C, _Q, _R]):
             sample_two, phase_two = yield from self._phase(
                 "two", sink, query, additional, ledger, chunk_peers
             )
-            pooled = type(sample_one).concat([sample_one, sample_two])
+            pooled = final = type(sample_one).concat([sample_one, sample_two])
+            if not self._config.pool_phases and self._answers(sample_two):
+                final = sample_two  # the paper's phase-II-only form
 
         run = _Run(
-            query, sink, delta_req, kept, error, planned_scale, sample_two,
-            pooled, phase_one, phase_two, requested, len(pooled),
+            query, sink, delta_req, kept, error, planned_scale, final,
+            phase_one, phase_two, requested, len(pooled),
             len(pooled) < requested, ledger.snapshot(),
             self._simulator.finish_timing(timing_token),
         )
@@ -1125,15 +1294,14 @@ class TwoPhaseEngine(
         )
 
     def _result(self, run: _Run[AggregateSample]) -> ApproximateResult:
-        # With no phase II the pooled sample is phase I's, whose
+        # With no phase II the final sample is phase I's, whose
         # estimate the loop has taken (and raised on, if undefined).
-        final, estimate = run.pooled, run.phase_one.estimate
-        if run.sample_two is not None:
-            if not self._config.pool_phases and len(run.sample_two):
-                final = run.sample_two  # the paper's phase-II-only form
-            estimate = self._final_estimate(run.query, final)
+        estimate = run.phase_one.estimate
+        if run.phase_two is not None:
+            estimate = self._final_estimate(run.query, run.final)
         assert estimate is not None
         return run.answer(
             run.query, estimate,
-            self.confidence_interval(run.query, final, estimate), run.plan,
+            self.confidence_interval(run.query, run.final, estimate),
+            run.plan,
         )

@@ -17,8 +17,7 @@ import dataclasses
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 
-from ..core.two_phase import TwoPhaseConfig
-from ..core.median import MedianConfig
+from ..core.two_phase import PhaseConfig, TwoPhaseConfig
 from ..query.model import AggregateOp, AggregationQuery, Between
 from .configs import (
     NetworkBundle,
@@ -426,7 +425,7 @@ def _clustering_sweep(
                 scale=scale, cluster_level=cluster_level, skew=0.2
             )
             if engine == "median":
-                config = MedianConfig(
+                config: PhaseConfig = PhaseConfig(
                     max_phase_two_peers=2 * bundle.num_peers
                 )
             else:

@@ -28,8 +28,8 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from .. import _pool
-from ..core.median import MedianConfig, MedianEngine
-from ..core.two_phase import TwoPhaseConfig, TwoPhaseEngine
+from ..core.median import MedianEngine
+from ..core.two_phase import PhaseConfig, TwoPhaseConfig, TwoPhaseEngine
 from ..errors import ConfigurationError
 from ..metrics.accuracy import median_rank_error
 from ..obs.manifest import (
@@ -108,7 +108,7 @@ def _run_single_trial(
     query: AggregationQuery,
     delta_req: float,
     engine: str,
-    config: Union[TwoPhaseConfig, MedianConfig],
+    config: PhaseConfig,
     truth: float,
     trial_seed: int,
 ) -> TrialOutcome:
@@ -152,7 +152,7 @@ def build_manifest(
     query: AggregationQuery,
     delta_req: float,
     engine: str,
-    config: Union[TwoPhaseConfig, MedianConfig],
+    config: PhaseConfig,
     seed: int,
     trials: int,
     outcomes: Sequence[TrialOutcome],
@@ -193,7 +193,7 @@ def build_manifest(
 def _manifest_target(
     manifest_path: Optional[Union[str, Path]],
     engine: str,
-    config: Union[TwoPhaseConfig, MedianConfig],
+    config: PhaseConfig,
     seed: int,
 ) -> Optional[Path]:
     """Where this run's manifest goes, or ``None`` for no manifest.
@@ -220,7 +220,7 @@ def run_trials(
     delta_req: float,
     engine: str = "two-phase",
     trials: int = 3,
-    config: Optional[Union[TwoPhaseConfig, MedianConfig]] = None,
+    config: Optional[PhaseConfig] = None,
     seed: int = 1000,
     workers: Optional[int] = None,
     manifest_path: Optional[Union[str, Path]] = None,
@@ -241,9 +241,9 @@ def run_trials(
     trials:
         Independent repetitions, each with its own seed and sink.
     config:
-        Engine configuration (:class:`TwoPhaseConfig`, or
-        :class:`MedianConfig` for the median engine).  A sane default
-        with a phase-II cost cap is used when omitted.
+        Engine configuration (a :class:`TwoPhaseConfig`; the median
+        engine takes any :class:`PhaseConfig`).  A sane default with a
+        phase-II cost cap is used when omitted.
     seed:
         Base seed; trial ``i`` uses ``seed + i``.
     workers:
@@ -272,21 +272,14 @@ def run_trials(
     if workers < 1:
         raise ConfigurationError("workers must be >= 1")
 
-    cap = 2 * bundle.num_peers
-    if engine == "median":
-        engine_config: Union[TwoPhaseConfig, MedianConfig] = (
-            config or MedianConfig(max_phase_two_peers=cap)
+    # The median engine runs any phase config; the others read the
+    # COUNT/SUM/AVG fields too.
+    needed = PhaseConfig if engine == "median" else TwoPhaseConfig
+    engine_config = config or needed(max_phase_two_peers=2 * bundle.num_peers)
+    if not isinstance(engine_config, needed):
+        raise ConfigurationError(
+            f"{engine} engine needs a {needed.__name__}"
         )
-        if not isinstance(engine_config, MedianConfig):
-            raise ConfigurationError(
-                "median engine needs a MedianConfig"
-            )
-    else:
-        engine_config = config or TwoPhaseConfig(max_phase_two_peers=cap)
-        if not isinstance(engine_config, TwoPhaseConfig):
-            raise ConfigurationError(
-                f"{engine} engine needs a TwoPhaseConfig"
-            )
 
     truth = evaluate_exact(query, bundle.flat_dataset)
     seeds = [seed + trial for trial in range(trials)]
@@ -374,7 +367,7 @@ def run_workload(
 
     The workload runs through a :class:`~repro.service.QueryService`
     (shared plan cache, round-robin interleaving, per-query sessions),
-    so repeated query signatures exercise the hybrid warm path exactly
+    so repeated query signatures exercise the plans' warm path exactly
     as a long-lived deployment would.  Results are independent of
     ``max_in_flight`` — the service's determinism invariant — so this
     is safe to use for accuracy experiments at any concurrency.

@@ -323,7 +323,7 @@ class QueryLifecycleEvent(TraceEvent):
 class DeltaReuseEvent(TraceEvent):
     """A delta re-estimation reused part of a retained sample.
 
-    Emitted only on the hybrid engine's delta path (feature-gated, off
+    Emitted only on a planned engine's delta path (feature-gated, off
     by default — traces of default runs are unchanged).  The countable
     cost is zero: reusing survivors costs nothing, and the deficit walk
     and visits are charged by their own walk/probe events.

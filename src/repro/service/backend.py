@@ -8,7 +8,7 @@ is backend-agnostic.  A backend receives fully-seeded
   :class:`~repro.service.scheduler.ScheduledQuery` per job and
   interleaves them on a
   :class:`~repro.service.scheduler.RoundRobinScheduler` with one
-  shared :class:`~repro.core.hybrid.PlanCache`, which every engine
+  shared :class:`~repro.core.two_phase.PlanCache`, which every engine
   kind plans in.
 * :class:`ForkedBackend` — the sharded path: ``N`` forked worker
   processes (:class:`~repro._pool.ForkPool`) over the same read-only
@@ -69,10 +69,14 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from .. import _pool
-from ..core.groupby import GroupByConfig, GroupByEngine
-from ..core.hybrid import PlanCache
-from ..core.median import MedianConfig, MedianEngine
-from ..core.two_phase import TwoPhaseConfig, TwoPhaseEngine, _PhasedEngine
+from ..core.groupby import GroupByEngine
+from ..core.median import MedianEngine
+from ..core.two_phase import (
+    PlanCache,
+    TwoPhaseConfig,
+    TwoPhaseEngine,
+    _PhasedEngine,
+)
 from ..errors import (
     ConfigurationError,
     ReproError,
@@ -123,15 +127,15 @@ __all__ = [
 class EngineSettings:
     """Per-service engine knobs every backend must apply identically.
 
-    ``config`` configures every engine: the MEDIAN/QUANTILE and GROUP
-    BY engines take the fields their configs share with it.
+    ``config`` configures every engine as it is, its
+    ``retry_policy`` and ``pool_phases`` included.
     ``chunk_peers`` is the enforcement quantum: the visits between two
     budget/deadline checks of a job that has a ceiling or a deadline
     (``None`` = one check per phase).  :func:`build_task` applies it;
     a job with nothing to enforce runs one take per phase whatever it
     is set to.  ``max_age``, ``decay`` and ``delta_reestimation`` are
     the plan policy of every engine (the backend's
-    :class:`~repro.core.hybrid.PlanCache` carries it).
+    :class:`~repro.core.two_phase.PlanCache` carries it).
     """
 
     config: TwoPhaseConfig
@@ -232,9 +236,10 @@ def build_task(
     The engine is the one the query names: a
     :class:`~repro.core.groupby.GroupByEngine` for a GROUP BY, a
     :class:`~repro.core.median.MedianEngine` for MEDIAN/QUANTILE and a
-    :class:`~repro.core.two_phase.TwoPhaseEngine` otherwise, each on
-    ``cache`` under the cache's plan policy, so every kind is served
-    warm when its signature repeats.
+    :class:`~repro.core.two_phase.TwoPhaseEngine` otherwise, each
+    running ``settings.config`` as it is (so every kind retries under
+    its ``retry_policy``) on ``cache`` under the cache's plan policy,
+    so every kind is served warm when its signature repeats.
 
     It also sizes the job's takes.  A chunk boundary exists to check
     something, so a job with nothing to enforce — no budget (or one
@@ -253,14 +258,13 @@ def build_task(
     if job.deadline_ms is not None:
         session.arm_deadline(job.deadline_ms)
     query = job.query
-    config: Any = settings.config
     kind: Any = TwoPhaseEngine
     if query.group_by is not None:
-        kind, config = GroupByEngine, _shared(GroupByConfig, config)
+        kind = GroupByEngine
     elif not query.agg.supports_pushdown:
-        kind, config = MedianEngine, _shared(MedianConfig, config)
+        kind = MedianEngine
     engine: _PhasedEngine[Any, AggregationQuery, ServedResult] = kind(
-        session, config, job.engine_seed, cache=cache
+        session, settings.config, job.engine_seed, cache=cache
     )
     ticket = QueryTicket(
         query_id=job.query_id,
@@ -291,13 +295,6 @@ def build_task(
         deadline_ms=job.deadline_ms,
         clock=clock.read if clock is not None else None,
     )
-
-
-def _shared(kind: Any, config: TwoPhaseConfig) -> Any:
-    """A ``kind`` engine configuration holding ``config``'s values of
-    the fields the two share."""
-    fields = dataclasses.fields(kind)
-    return kind(**{field.name: getattr(config, field.name) for field in fields})
 
 
 def drive_task(task: ScheduledQuery) -> Completion:

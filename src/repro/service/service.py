@@ -32,7 +32,7 @@ heavy repeat traffic, not one query at a time):
   query with neither takes one step per phase.
 * **Shared plan cache.**  All per-query engines — COUNT/SUM/AVG,
   MEDIAN/QUANTILE and GROUP BY alike — serve from one
-  :class:`~repro.core.hybrid.PlanCache`, so repeat signatures in the
+  :class:`~repro.core.two_phase.PlanCache`, so repeat signatures in the
   workload go warm.  Cache entries are churn-epoch aware; after
   :meth:`QueryService.rebind` to a new snapshot, stale plans cold-miss
   on their own.
@@ -50,8 +50,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from .._util import SeedLike, seed_sequence
-from ..core.hybrid import PlanCache
-from ..core.two_phase import TwoPhaseConfig
+from ..core.two_phase import PlanCache, TwoPhaseConfig
 from ..errors import (
     AdmissionError,
     BudgetExceededError,
@@ -131,7 +130,7 @@ class QueryOutcome:
 class ServiceStats:
     """A point-in-time summary of the service's counters (runs of
     every engine kind).  ``plan_entries`` is the plans held: at most
-    :data:`~repro.core.hybrid.PLAN_CACHE_ENTRIES` per cache, summed
+    :data:`~repro.core.two_phase.PLAN_CACHE_ENTRIES` per cache, summed
     over a sharded service's workers."""
 
     submitted: int
@@ -170,9 +169,10 @@ class QueryService:
         own :meth:`~repro.network.simulator.NetworkSimulator.session`
         of it.
     config:
-        Engine configuration shared by all queries: the COUNT/SUM/AVG
-        engine runs it, and the MEDIAN/QUANTILE and GROUP BY engines
-        take the fields their configurations share with it.
+        Engine configuration shared by all queries: every engine runs
+        it as it is — COUNT/SUM/AVG, MEDIAN/QUANTILE and GROUP BY
+        alike, so every served kind retries under its
+        ``retry_policy`` and honours its ``pool_phases``.
     seed:
         Service seed; every per-query stream spawns from it in
         submission order, which is the whole determinism story.
@@ -195,8 +195,9 @@ class QueryService:
         Budget applied to submissions that don't bring their own.  A
         budget with no ceiling set is the same as none.
     max_age, decay:
-        Plan-cache tuning for every engine, as for
-        :class:`~repro.core.hybrid.HybridEngine`.
+        Plan-cache tuning for every engine: warm runs per plan
+        before a cold refresh, and the refresh's blending factor (as
+        for :class:`~repro.core.two_phase.PlanCache`).
     capture_traces:
         Give each query a private tracer (inspect via :meth:`trace`,
         dump via :meth:`write_traces`).
@@ -204,7 +205,7 @@ class QueryService:
         Service metrics registry; a fresh one is created when omitted.
         :meth:`stats` reads its ``service.*`` counters.
     delta_reestimation:
-        As for :class:`~repro.core.hybrid.HybridEngine`: when on and
+        As for :class:`~repro.core.two_phase.PlanCache`: when on and
         the snapshot carries stable peer labels, churn-invalidated
         COUNT/SUM/AVG plans are topped up incrementally from their
         retained sample instead of re-running cold (counted in

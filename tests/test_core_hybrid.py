@@ -1,4 +1,5 @@
-"""Tests for the hybrid pre-computation engine (§6 open problem 1)."""
+"""Tests for hybrid pre-computation (§6 open problem 1): the plan
+cache every two-phase engine can plan through."""
 
 import dataclasses
 import hashlib
@@ -9,18 +10,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.hybrid import (
-    PLAN_CACHE_ENTRIES,
-    CachedPlan,
-    HybridEngine,
-    PlanCache,
-    RetainedSample,
-)
 from repro.core.batch import BatchEngine
 from repro.core.groupby import GroupByConfig, GroupByEngine
 from repro.core.median import MedianConfig, MedianEngine
 from repro.core.statistics import StatisticsConfig, StatisticsEngine
-from repro.core.two_phase import TwoPhaseConfig, TwoPhaseEngine
+from repro.core.two_phase import (
+    PLAN_CACHE_ENTRIES,
+    CachedPlan,
+    PlanCache,
+    RetainedSample,
+    TwoPhaseConfig,
+    TwoPhaseEngine,
+)
 from repro.data.generator import DatasetConfig, generate_dataset
 from repro.data.localdb import LocalDatabase
 from repro.errors import ConfigurationError, SamplingError
@@ -46,34 +47,53 @@ SUM_ALL = parse_query("SELECT SUM(A) FROM T")
 AVG_60 = parse_query("SELECT AVG(A) FROM T WHERE A BETWEEN 1 AND 60")
 
 
+def HybridEngine(
+    simulator, config=None, seed=None, max_age=25, delta_reestimation=False
+):
+    """A :class:`TwoPhaseEngine` on a plan cache of its own: the
+    engine :class:`TestPinnedByValue` was recorded with, built under
+    the name it had then, so the pinned class stays as recorded."""
+    cache = PlanCache(max_age, delta_reestimation=delta_reestimation)
+    return TwoPhaseEngine(simulator, config, seed, cache=cache)
+
+
 @pytest.fixture()
 def engine(small_network):
-    return HybridEngine(
+    return TwoPhaseEngine(
         small_network,
         TwoPhaseConfig(max_phase_two_peers=400),
         seed=7,
+        cache=PlanCache(),
     )
 
 
 class TestConstruction:
-    def test_validation(self, small_network):
-        with pytest.raises(ConfigurationError):
-            HybridEngine(small_network, max_age=0)
-        with pytest.raises(ConfigurationError):
-            HybridEngine(small_network, decay=1.0)
-        with pytest.raises(ConfigurationError):
-            HybridEngine(small_network, decay=-0.1)
-
-
-    def test_a_shared_cache_carries_the_policy(self, small_network):
-        """The policy lives on the cache: arguments that disagree with a
-        shared cache's policy are refused, not silently overridden."""
-        shared = PlanCache(max_age=3)
-        assert HybridEngine(small_network, cache=shared, max_age=3)
-        with pytest.raises(ConfigurationError, match="plan policy"):
-            HybridEngine(small_network, cache=shared)
+    def test_validation(self):
         with pytest.raises(ConfigurationError):
             PlanCache(max_age=0)
+        with pytest.raises(ConfigurationError):
+            PlanCache(decay=1.0)
+        with pytest.raises(ConfigurationError):
+            PlanCache(decay=-0.1)
+
+    def test_a_shared_cache_carries_the_policy(self, small_network):
+        """The policy lives on the cache, so engines sharing one serve
+        under one policy: its ``max_age`` ages every sharer's plans,
+        and an engine with no cache plans nothing."""
+        shared = PlanCache(max_age=1)
+        first, second = (
+            TwoPhaseEngine(small_network, seed=seed, cache=shared)
+            for seed in (7, 8)
+        )
+        assert first.cache is shared and second.cache is shared
+        first.execute(COUNT_30, 0.1, sink=0)
+        second.execute(COUNT_30, 0.1, sink=0)
+        second.execute(COUNT_30, 0.1, sink=0)
+        assert (second.cold_runs, second.warm_runs) == (1, 1)
+        assert shared.expirations == 1
+        plain = TwoPhaseEngine(small_network, seed=7)
+        assert plain.cache is None
+        assert plain.cached_plan(COUNT_30) is None
 
 
 class TestCaching:
@@ -99,7 +119,7 @@ class TestCaching:
 
     def test_invalidate_one(self, engine):
         engine.execute(COUNT_30, 0.1, sink=0)
-        engine.invalidate(COUNT_30)
+        engine.cache.invalidate(COUNT_30.to_sql())
         assert engine.cached_plan(COUNT_30) is None
         engine.execute(COUNT_30, 0.1, sink=0)
         assert engine.cold_runs == 2
@@ -107,16 +127,16 @@ class TestCaching:
     def test_invalidate_all(self, engine):
         engine.execute(COUNT_30, 0.1, sink=0)
         engine.execute(SUM_ALL, 0.1, sink=0)
-        engine.invalidate()
+        engine.cache.invalidate()
         assert engine.cached_plan(COUNT_30) is None
         assert engine.cached_plan(SUM_ALL) is None
 
     def test_max_age_forces_cold_refresh(self, small_network):
-        engine = HybridEngine(
+        engine = TwoPhaseEngine(
             small_network,
             TwoPhaseConfig(max_phase_two_peers=400),
             seed=7,
-            max_age=2,
+            cache=PlanCache(max_age=2),
         )
         for _ in range(5):
             engine.execute(COUNT_30, 0.1, sink=0)
@@ -208,9 +228,9 @@ class TestPhaseBrackets:
 
     def test_warm_and_delta_phases_end(self):
         live = _pinned_live()
-        engine = HybridEngine(
+        engine = TwoPhaseEngine(
             live.snapshot(seed=11), TwoPhaseConfig(phase_one_peers=20),
-            seed=7, delta_reestimation=True,
+            seed=7, cache=PlanCache(delta_reestimation=True),
         )
         engine.execute(SUM_ALL, 0.2)
         live.step(20)
@@ -271,8 +291,9 @@ class TestWarmResultContract:
             seed=7,
             fault_plan=FaultPlan(seed=3, reply_loss=0.5),
         )
-        engine = HybridEngine(
-            faulty, TwoPhaseConfig(max_phase_two_peers=200), seed=7
+        engine = TwoPhaseEngine(
+            faulty, TwoPhaseConfig(max_phase_two_peers=200), seed=7,
+            cache=PlanCache(),
         )
         engine.execute(COUNT_30, 0.1, sink=0)  # cold, fills the cache
         warm = engine.execute(COUNT_30, 0.1, sink=0)
@@ -314,7 +335,7 @@ class TestWarmResultContract:
             small_dataset.databases,
             seed=7,
         )
-        first = HybridEngine(big, config, seed=7, cache=cache)
+        first = TwoPhaseEngine(big, config, seed=7, cache=cache)
         first.execute(COUNT_30, 0.1, sink=0)
         assert first.cold_runs == 1
 
@@ -323,7 +344,7 @@ class TestWarmResultContract:
             small_dataset.databases[:150],
             seed=13,
         )
-        second = HybridEngine(small, config, seed=7, cache=cache)
+        second = TwoPhaseEngine(small, config, seed=7, cache=cache)
         second.execute(COUNT_30, 0.1, sink=0)
         assert second.cold_runs == 1
         assert second.warm_runs == 0
@@ -335,7 +356,7 @@ class TestWarmResultContract:
     def test_rebind_rebuilds_estimator_for_new_population(
         self, small_dataset
     ):
-        engine = HybridEngine(
+        engine = TwoPhaseEngine(
             NetworkSimulator(
                 power_law_topology(200, 800, seed=7),
                 small_dataset.databases,
@@ -343,6 +364,7 @@ class TestWarmResultContract:
             ),
             TwoPhaseConfig(max_phase_two_peers=200),
             seed=7,
+            cache=PlanCache(),
         )
         engine.execute(COUNT_30, 0.1, sink=0)
         engine.rebind(
@@ -702,11 +724,12 @@ class TestGroupByIsRefused:
     """Regression: the aggregate engines answered a GROUP BY with one
     ungrouped COUNT instead of refusing it."""
 
-    @pytest.mark.parametrize("engine_class", [TwoPhaseEngine, HybridEngine])
-    def test_group_by_raises_naming_its_engine(
-        self, small_network, engine_class
-    ):
-        engine = engine_class(small_network, seed=7)
+    @pytest.mark.parametrize(
+        "planned", [False, True], ids=["TwoPhaseEngine", "planned"]
+    )
+    def test_group_by_raises_naming_its_engine(self, small_network, planned):
+        cache = PlanCache() if planned else None
+        engine = TwoPhaseEngine(small_network, seed=7, cache=cache)
         with pytest.raises(ConfigurationError, match="GroupByEngine"):
             engine.execute(GROUPED, 0.1, sink=0)
 

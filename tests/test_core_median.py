@@ -203,7 +203,9 @@ class TestMedianWalkVariants:
 
 
 @pytest.mark.parametrize(
-    "config", [MedianConfig, StatisticsConfig, GroupByConfig, TwoPhaseConfig]
+    "config",
+    [MedianConfig, StatisticsConfig, GroupByConfig, TwoPhaseConfig],
+    ids=["MedianConfig", "StatisticsConfig", "GroupByConfig", "TwoPhaseConfig"],
 )
 def test_negative_phase_two_cap_rejected(config):
     """A negative cap used to be accepted and then silently skip

@@ -6,8 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.hybrid import HybridEngine
 from repro.core.two_phase import (
+    PlanCache,
     TwoPhaseConfig,
     TwoPhaseEngine,
     drain_steps,
@@ -403,7 +403,7 @@ class TestCurrency:
 
         two_phase = TwoPhaseEngine(small_network, seed=1)
         two_phase.execute(COUNT_30, delta_req=0.1, sink=0)
-        hybrid = HybridEngine(small_network, seed=1)
+        hybrid = TwoPhaseEngine(small_network, seed=1, cache=PlanCache())
         hybrid.execute(COUNT_30, delta_req=0.1, sink=0)
         hybrid.execute(COUNT_30, delta_req=0.1, sink=0)
         assert (hybrid.cold_runs, hybrid.warm_runs) == (1, 1)

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from repro.core.biased import BiasedConfig
 from repro.core.median import MedianConfig
 from repro.core.two_phase import TwoPhaseConfig
 from repro.errors import ConfigurationError
@@ -115,10 +116,17 @@ class TestRunTrials:
             )
 
     def test_wrong_config_type(self, bundle):
-        with pytest.raises(ConfigurationError):
+        """The median engine runs any phase config — the service hands
+        it a ``TwoPhaseConfig`` — and nothing else; the other engines
+        read the COUNT/SUM/AVG fields too."""
+        assert run_trials(
+            bundle, MEDIAN_ALL, 0.1, engine="median",
+            config=TwoPhaseConfig(), trials=1,
+        )
+        with pytest.raises(ConfigurationError, match="needs a PhaseConfig"):
             run_trials(
                 bundle, MEDIAN_ALL, 0.1, engine="median",
-                config=TwoPhaseConfig(), trials=1,
+                config=BiasedConfig(), trials=1,
             )
         with pytest.raises(ConfigurationError):
             run_trials(

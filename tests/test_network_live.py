@@ -147,10 +147,11 @@ class TestSnapshots:
         meeting the requirement."""
         live = make_live(small_topology, seed=13)
         network = live.snapshot(seed=1)
-        hybrid = repro.HybridEngine(
+        hybrid = repro.TwoPhaseEngine(
             network,
             repro.TwoPhaseConfig(max_phase_two_peers=400),
             seed=1,
+            cache=repro.PlanCache(),
         )
         hybrid.execute(COUNT_30, 0.1, sink=0)
         assert hybrid.warm_runs == 0
@@ -158,5 +159,5 @@ class TestSnapshots:
         assert hybrid.warm_runs == 1
         # Churn epoch: new snapshot, new engine, cache dropped.
         live.step(30)
-        hybrid.invalidate()
+        hybrid.cache.invalidate()
         assert hybrid.cached_plan(COUNT_30) is None

@@ -19,12 +19,11 @@ import repro.obs.tracer as tracer_module
 from repro.core.batch import BatchEngine
 from repro.core.biased import biased_engine_for_query
 from repro.core.groupby import GroupByConfig, GroupByEngine
-from repro.core.hybrid import HybridEngine
 from repro.core.median import MedianConfig, MedianEngine
 from repro.core.statistics import StatisticsConfig, StatisticsEngine
 from repro.data.generator import DatasetConfig, generate_dataset
 from repro.data.localdb import LocalDatabase
-from repro.core.two_phase import TwoPhaseConfig, TwoPhaseEngine
+from repro.core.two_phase import PlanCache, TwoPhaseConfig, TwoPhaseEngine
 from repro.errors import ConfigurationError, PeerCrashedError
 from repro.experiments.configs import synthetic_bundle
 from repro.experiments.runner import run_trials
@@ -852,8 +851,9 @@ class TestReconciliation:
         assert "batch-fallback" in {e.kind for e in tracer.events}
 
     def test_hybrid_cold_then_warm(self, small_network):
-        engine = HybridEngine(
-            small_network, TwoPhaseConfig(phase_one_peers=30), seed=14
+        engine = TwoPhaseEngine(
+            small_network, TwoPhaseConfig(phase_one_peers=30), seed=14,
+            cache=PlanCache(),
         )
         for warm_runs in (0, 1):
             tracer = Tracer()

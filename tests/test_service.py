@@ -20,11 +20,11 @@ from hypothesis import strategies as st
 
 import repro._pool as pool
 from repro._util import ensure_rng
-from repro.core import hybrid
-from repro.core.groupby import GroupByConfig, GroupByEngine
-from repro.core.hybrid import PlanCache
-from repro.core.median import MedianConfig, MedianEngine
-from repro.core.two_phase import TwoPhaseConfig
+from repro.core import two_phase
+from repro.core.groupby import GroupByEngine
+from repro.core.median import MedianEngine
+from repro.core.statistics import StatisticsConfig, StatisticsEngine
+from repro.core.two_phase import PhaseConfig, PlanCache, TwoPhaseConfig
 from repro.errors import (
     AdmissionError,
     BudgetExceededError,
@@ -45,7 +45,7 @@ from repro.service import (
     RoundRobinScheduler,
     ScheduledQuery,
 )
-from repro.service.backend import build_task, shard_for_signature
+from repro.service.backend import QueryJob, build_task, shard_for_signature
 from repro.sim import ConstantLatency, EventDrivenSimulator, LatencyModel
 from repro.tools.trace.cli import main as trace_main
 
@@ -756,30 +756,145 @@ class TestEngineTheQueryNames:
     a MEDIAN is answered at all (it used to fail)."""
 
     @pytest.mark.parametrize(
-        "sql, engine_class, config_class",
+        "sql, engine_class",
         [
-            ("SELECT COUNT(A) FROM T GROUP BY A", GroupByEngine, GroupByConfig),
-            ("SELECT AVG(A) FROM T GROUP BY A", GroupByEngine, GroupByConfig),
-            ("SELECT MEDIAN(A) FROM T", MedianEngine, MedianConfig),
-            ("SELECT QUANTILE(A, 0.9) FROM T", MedianEngine, MedianConfig),
+            ("SELECT COUNT(A) FROM T GROUP BY A", GroupByEngine),
+            ("SELECT AVG(A) FROM T GROUP BY A", GroupByEngine),
+            ("SELECT MEDIAN(A) FROM T", MedianEngine),
+            ("SELECT QUANTILE(A, 0.9) FROM T", MedianEngine),
         ],
     )
     def test_served_result_is_the_engine_run_with_the_jobs_seeds(
-        self, small_network, sql, engine_class, config_class
+        self, small_network, sql, engine_class
     ):
         query = parse_query(sql)
         service = make_service(small_network)
         served = service.await_result(service.submit(query, 0.1))
         session_seed, engine_seed = np.random.SeedSequence(99).spawn(2)
-        config = config_class(**{
-            field.name: getattr(CONFIG, field.name)
-            for field in dataclasses.fields(config_class)
-        })
         engine = engine_class(
-            small_network.session(seed=session_seed), config, engine_seed,
+            small_network.session(seed=session_seed), CONFIG, engine_seed,
             cache=PlanCache(),
         )
         assert served == engine.execute(query, 0.1)
+
+
+class TestOneConfig:
+    """Every served kind runs the service's own configuration — its
+    retry policy and phase pooling included — and every phased engine
+    reads ``pool_phases`` the same way."""
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT COUNT(A) FROM T WHERE A BETWEEN 1 AND 30",
+            "SELECT SUM(A) FROM T",
+            "SELECT AVG(A) FROM T",
+            "SELECT MEDIAN(A) FROM T",
+            "SELECT QUANTILE(A, 0.9) FROM T",
+            "SELECT COUNT(A) FROM T GROUP BY A",
+        ],
+    )
+    def test_every_served_kind_runs_the_services_config(
+        self, small_network, sql
+    ):
+        settings_ = EngineSettings(CONFIG, None, 25, 0.7, False)
+        query = parse_query(sql)
+        session_seed, engine_seed = np.random.SeedSequence(5).spawn(2)
+        job = QueryJob(
+            0, query, 0.1, query.to_sql(), None, None, None,
+            session_seed, engine_seed, False,
+        )
+        task = build_task(small_network, settings_, PlanCache(), job)
+        assert task.engine.config is settings_.config
+
+    @staticmethod
+    def phase_two_rows(engine):
+        """Record the rows ``engine``'s phase II collects."""
+        rows = {}
+        collect = engine._collect
+
+        def recording(sink, query, count, ledger, chunk_peers, phase):
+            sample = yield from collect(
+                sink, query, count, ledger, chunk_peers, phase
+            )
+            rows[phase] = sample
+            return sample
+
+        engine._collect = recording
+        return rows
+
+    def test_group_by_answers_from_phase_two_unpooled(self, small_network):
+        query = parse_query("SELECT COUNT(A) FROM T GROUP BY A")
+        results = {}
+        for pool in (True, False):
+            config = PhaseConfig(max_phase_two_peers=60, pool_phases=pool)
+            engine = GroupByEngine(small_network, config, seed=3)
+            rows = self.phase_two_rows(engine)
+            results[pool] = engine.execute(query, 0.05, sink=0)
+        two = rows["two"]
+        assert len(two) > 0
+        # Per-group Hajek totals over phase II's rows alone.
+        weights = 1.0 / two["probability"]
+        owners = np.repeat(np.arange(len(two)), two["shipped"])
+        totals = {}
+        for owner, (group, count, _) in zip(owners, two.values):
+            totals[group] = totals.get(group, 0.0) + count * weights[owner]
+        scale = small_network.num_peers / weights.sum()
+        expected = {group: total * scale for group, total in totals.items()}
+        assert results[False].groups == pytest.approx(expected, rel=1e-9)
+        assert results[False].groups != results[True].groups
+        assert results[False].phase_two == results[True].phase_two
+
+    def test_median_answers_from_the_pool_when_phase_two_ships_none(
+        self, small_network
+    ):
+        """MEDIAN's edge: a phase II whose peers hold no matching tuple
+        ships no local median, so even unpooled the answer is read from
+        both phases, as pooled."""
+        query = parse_query(
+            "SELECT MEDIAN(A) FROM T WHERE A BETWEEN 29 AND 30"
+        )
+        results = {}
+        for pool in (True, False):
+            config = PhaseConfig(max_phase_two_peers=2, pool_phases=pool)
+            engine = MedianEngine(small_network, config, seed=1)
+            rows = self.phase_two_rows(engine)
+            results[pool] = engine.execute(query, 0.05, sink=0)
+        assert len(rows["two"]) > 0 and not rows["two"]["shipped"].any()
+        assert results[False] == results[True]
+
+    def test_histogram_answers_from_phase_two_unpooled(self, small_network):
+        results = {}
+        for pool in (True, False):
+            config = StatisticsConfig(
+                max_phase_two_peers=60, pool_phases=pool
+            )
+            engine = StatisticsEngine(small_network, config, seed=3)
+            rows = self.phase_two_rows(engine)
+            results[pool] = engine.histogram(
+                "A", num_buckets=5, value_range=(1.0, 101.0),
+                delta_req=0.05, sink=0,
+            )
+        two = rows["two"]
+        assert len(two) > 0
+        # Per-bucket Hajek counts over phase II's rows alone.
+        edges = results[False].edges
+        weights = 1.0 / two["probability"]
+        terms = np.zeros((len(two), edges.size - 1))
+        for row in range(len(two)):
+            start = two.offsets[row]
+            values = two.values[start: start + two["shipped"][row]]
+            processed = two["processed_tuples"][row]
+            if processed:
+                counts, _ = np.histogram(values, bins=edges)
+                terms[row] = (
+                    counts * two["local_tuples"][row] / processed
+                ) * weights[row]
+        expected = (
+            terms.sum(axis=0) / weights.sum() * small_network.num_peers
+        )
+        np.testing.assert_allclose(results[False].counts, expected, rtol=1e-9)
+        assert not np.array_equal(results[False].counts, results[True].counts)
 
 
 class TestPlanOccupancy:
@@ -793,7 +908,7 @@ class TestPlanOccupancy:
     def test_more_signatures_than_the_bound(
         self, small_network, monkeypatch, workers
     ):
-        monkeypatch.setattr(hybrid, "PLAN_CACHE_ENTRIES", self.BOUND)
+        monkeypatch.setattr(two_phase, "PLAN_CACHE_ENTRIES", self.BOUND)
         monkeypatch.setattr(pool, "_WORKER_CAP_WARNED", True)
         queries = [
             parse_query(f"SELECT COUNT(A) FROM T WHERE A BETWEEN 1 AND {high}")

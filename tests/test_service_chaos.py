@@ -11,20 +11,27 @@ wrong answer.
 
 import os
 
+import numpy as np
 import pytest
 
 import repro._pool as pool
-from repro.core.two_phase import TwoPhaseConfig
+from repro.core.groupby import GroupByEngine
+from repro.core.two_phase import PlanCache, TwoPhaseConfig
 from repro.data.flat import FlatDataset
 from repro.errors import DeadlineExceededError
 from repro.network.churn import ChurnConfig
 from repro.network.faults import CrashWindow, FaultPlan, LatencySpike
 from repro.network.live import LiveNetwork
 from repro.network.simulator import NetworkSimulator
-from repro.network.walker import RetryPolicy
+from repro.network.walker import ResilientCollector, RetryPolicy
 from repro.query.parser import parse_query
 from repro.service import QueryService
-from repro.sim import ConstantLatency, EventDrivenSimulator, LatencyModel
+from repro.sim import (
+    ConstantLatency,
+    EventDrivenSimulator,
+    ExponentialLatency,
+    LatencyModel,
+)
 
 pytestmark = pytest.mark.chaos
 
@@ -349,3 +356,71 @@ class TestShardedUnderChaos:
         assert serial.detail == sharded.detail
         assert serial.cost == sharded.cost
         assert serial.chunks == sharded.chunks
+
+
+def chaos_timed_simulator(small_network):
+    """The timed chaos workload's network over the small fixture: an
+    event-driven simulator, every 17th peer crashed, 10% reply loss
+    and latency spikes."""
+    return EventDrivenSimulator(
+        small_network.topology,
+        small_network.databases(),
+        seed=1,
+        fault_plan=FaultPlan(
+            seed=5,
+            crashes=tuple(
+                CrashWindow(peer_id=peer, start=0, stop=10**9)
+                for peer in range(0, small_network.num_peers, 17)
+            ),
+            reply_loss=0.1,
+            latency_spike=LatencySpike(rate=0.05, extra_ms=400.0),
+            probe_timeout_ms=250.0,
+        ),
+        latency=LatencyModel(
+            seed=3,
+            request=ExponentialLatency(20.0),
+            reply=ExponentialLatency(20.0),
+            hop=ConstantLatency(1.0),
+        ),
+        probe_timeout_ms=250.0,
+    )
+
+
+class TestServedGroupByRetries:
+    """Regression: the service built a GROUP BY's configuration by
+    copying the fields it shared with the service's, and the retry
+    policy was not one of them — under the same fault plan a COUNT
+    retried and the GROUP BY next to it dropped every failed probe."""
+
+    DEADLINE_MS = 60_000.0
+
+    def test_served_group_by_is_the_engine_run_with_the_policy(
+        self, small_network, monkeypatch
+    ):
+        collections = []
+        collect = ResilientCollector.collect
+
+        def recording(self, *args, **kwargs):
+            sample, stats = collect(self, *args, **kwargs)
+            collections.append(stats)
+            return sample, stats
+
+        monkeypatch.setattr(ResilientCollector, "collect", recording)
+        config = TwoPhaseConfig(
+            max_phase_two_peers=400, retry_policy=RetryPolicy(max_attempts=3)
+        )
+        simulator = chaos_timed_simulator(small_network)
+        query = parse_query("SELECT COUNT(A) FROM T GROUP BY A")
+        service = QueryService(simulator, config, seed=99, chunk_peers=8)
+        served = service.await_result(
+            service.submit(query, 0.1, deadline_ms=self.DEADLINE_MS)
+        )
+        assert sum(stats.retries for stats in collections) > 0
+
+        del collections[:]
+        session_seed, engine_seed = np.random.SeedSequence(99).spawn(2)
+        session = simulator.session(seed=session_seed)
+        session.arm_deadline(self.DEADLINE_MS)
+        engine = GroupByEngine(session, config, engine_seed, cache=PlanCache())
+        assert served == engine.execute(query, 0.1)
+        assert sum(stats.retries for stats in collections) > 0

@@ -27,8 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.hybrid import HybridEngine
-from repro.core.two_phase import TwoPhaseConfig
+from repro.core.two_phase import PlanCache, TwoPhaseConfig, TwoPhaseEngine
 from repro.data.generator import DatasetConfig, generate_dataset
 from repro.data.localdb import LocalDatabase
 from repro.errors import PeerUnavailableError
@@ -857,11 +856,11 @@ def _chaos_epochs():
 
 def _engine_fingerprints(retry_policy):
     first, second = _chaos_epochs()
-    engine = HybridEngine(
+    engine = TwoPhaseEngine(
         first,
         TwoPhaseConfig(phase_one_peers=25, retry_policy=retry_policy),
         seed=7,
-        delta_reestimation=True,
+        cache=PlanCache(delta_reestimation=True),
     )
     fingerprints = []
 

@@ -23,8 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.hybrid import HybridEngine
-from repro.core.two_phase import TwoPhaseConfig, TwoPhaseEngine
+from repro.core.two_phase import PlanCache, TwoPhaseConfig, TwoPhaseEngine
 from repro.data.localdb import LocalDatabase
 from repro.errors import ConfigurationError, TopologyError
 from repro.network.churn import ChurnConfig
@@ -717,8 +716,9 @@ class TestDeltaReestimation:
 
     def test_churn_salvages_the_plan_instead_of_invalidating(self):
         net1, net2, _ = churned_pair()
-        engine = HybridEngine(
-            net1, self.CONFIG, seed=7, delta_reestimation=True
+        engine = TwoPhaseEngine(
+            net1, self.CONFIG, seed=7,
+            cache=PlanCache(delta_reestimation=True),
         )
         engine.execute(SUM_ALL, 0.2, sink=0)
         engine.execute(SUM_ALL, 0.2, sink=0)
@@ -742,14 +742,17 @@ class TestDeltaReestimation:
 
     def test_delta_topup_is_cheaper_than_cold_rewalk(self):
         net1, net2, live = churned_pair()
-        engine = HybridEngine(
-            net1, self.CONFIG, seed=7, delta_reestimation=True
+        engine = TwoPhaseEngine(
+            net1, self.CONFIG, seed=7,
+            cache=PlanCache(delta_reestimation=True),
         )
         engine.execute(SUM_ALL, 0.2, sink=0)
         engine.execute(SUM_ALL, 0.2, sink=0)
         engine.rebind(net2)
         delta_result = engine.execute(SUM_ALL, 0.2, sink=0)
-        cold_engine = HybridEngine(live.snapshot(seed=13), self.CONFIG, seed=7)
+        cold_engine = TwoPhaseEngine(
+            live.snapshot(seed=13), self.CONFIG, seed=7, cache=PlanCache()
+        )
         cold_result = cold_engine.execute(SUM_ALL, 0.2, sink=0)
         assert delta_result.cost.hops < cold_result.cost.hops
         assert delta_result.cost.peers_visited < cold_result.cost.peers_visited
@@ -758,8 +761,9 @@ class TestDeltaReestimation:
         """The salvaged estimate obeys the same contract as a cold run:
         finite, interval-bracketed, and close to the exact answer."""
         net1, net2, _ = churned_pair()
-        engine = HybridEngine(
-            net1, self.CONFIG, seed=7, delta_reestimation=True
+        engine = TwoPhaseEngine(
+            net1, self.CONFIG, seed=7,
+            cache=PlanCache(delta_reestimation=True),
         )
         engine.execute(SUM_ALL, 0.2, sink=0)
         engine.execute(SUM_ALL, 0.2, sink=0)
@@ -777,8 +781,9 @@ class TestDeltaReestimation:
         half-width is rescaled from SUM units by the matching count."""
         avg = parse_query("SELECT AVG(A) FROM T WHERE A BETWEEN 1 AND 60")
         net1, net2, _ = churned_pair()
-        engine = HybridEngine(
-            net1, self.CONFIG, seed=7, delta_reestimation=True
+        engine = TwoPhaseEngine(
+            net1, self.CONFIG, seed=7,
+            cache=PlanCache(delta_reestimation=True),
         )
         cold = engine.execute(avg, 0.2, sink=0)
         warm = engine.execute(avg, 0.2, sink=0)
@@ -799,8 +804,9 @@ class TestDeltaReestimation:
 
     def test_plan_is_restamped_so_the_next_run_is_warm(self):
         net1, net2, _ = churned_pair()
-        engine = HybridEngine(
-            net1, self.CONFIG, seed=7, delta_reestimation=True
+        engine = TwoPhaseEngine(
+            net1, self.CONFIG, seed=7,
+            cache=PlanCache(delta_reestimation=True),
         )
         engine.execute(SUM_ALL, 0.2, sink=0)
         engine.execute(SUM_ALL, 0.2, sink=0)
@@ -816,8 +822,9 @@ class TestDeltaReestimation:
 
     def test_retained_survivors_drop_departed_peers(self):
         net1, net2, _ = churned_pair()
-        engine = HybridEngine(
-            net1, self.CONFIG, seed=7, delta_reestimation=True
+        engine = TwoPhaseEngine(
+            net1, self.CONFIG, seed=7,
+            cache=PlanCache(delta_reestimation=True),
         )
         engine.execute(SUM_ALL, 0.2, sink=0)
         plan = engine.cached_plan(SUM_ALL)
@@ -840,8 +847,8 @@ class TestDeltaReestimation:
 
     def test_delta_defaults_off_and_churn_invalidates(self):
         net1, net2, _ = churned_pair()
-        engine = HybridEngine(net1, self.CONFIG, seed=7)
-        assert not engine.delta_reestimation
+        engine = TwoPhaseEngine(net1, self.CONFIG, seed=7, cache=PlanCache())
+        assert not engine.cache.delta_reestimation
         engine.execute(SUM_ALL, 0.2, sink=0)
         engine.rebind(net2)
         engine.execute(SUM_ALL, 0.2, sink=0)
