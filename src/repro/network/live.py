@@ -69,8 +69,8 @@ class LiveNetwork:
     tuples_per_new_peer:
         Partition size for joining peers.
     column:
-        Column name for newly generated partitions (must match the
-        existing databases).
+        Column name for newly generated partitions.  Joins need the
+        existing databases to hold this column and no other.
     handoff:
         Departing peers hand their partition to a random neighbor
         instead of taking it away.
@@ -169,7 +169,18 @@ class LiveNetwork:
         )
 
     def join(self) -> int:
-        """A peer joins with a fresh partition; returns its label."""
+        """A peer joins with a fresh partition; returns its label.
+
+        A fresh partition holds ``column`` alone, so a network whose
+        peers hold other columns too cannot stock a joiner: that raises
+        :class:`ConfigurationError` before anything changes.
+        """
+        held = next(iter(self._databases.values()), None)
+        if held is not None and held.column_names != [self._column]:
+            raise ConfigurationError(
+                f"a joining peer holds only {self._column!r}; "
+                f"the network's peers hold {held.column_names}"
+            )
         label = self._process.join()
         partition = self._fresh_partition()
         self._databases[label] = partition
@@ -195,14 +206,13 @@ class LiveNetwork:
                 target = survivors[
                     int(self._rng.integers(len(survivors)))
                 ]
-                merged = np.concatenate(
-                    [
-                        self._databases[target].column(self._column),
-                        departing_db.column(self._column),
-                    ]
-                )
+                # Every column, the departing rows after the kept ones.
+                merged = {
+                    name: np.concatenate([kept, departing_db.column(name)])
+                    for name, kept in self._databases[target].store.items()
+                }
                 self._databases[target] = LocalDatabase(
-                    {self._column: merged}, block_size=self._block_size
+                    merged, block_size=self._block_size
                 )
                 # Handed-off tuples survive on the target peer.
                 self._total_tuples += departing_db.num_tuples

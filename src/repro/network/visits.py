@@ -29,7 +29,7 @@ from typing import (
 import numpy as np
 from numpy.typing import NDArray
 
-from .._util import SeedLike
+from .._util import SeedLike, widened
 from ..data.segments import segment_aggregate, segment_sums
 from ..errors import ConfigurationError
 from ..metrics.cost import CostLedger
@@ -278,7 +278,7 @@ class ValueVisits(Visits[ValueSample]):
         column = np.asarray(columns[query.column])
         if column.size:
             mask = query.predicate.mask(columns)
-            values = column[mask]
+            values = widened(column[mask])
             shipped = segment_sums(
                 mask.astype(np.float64), starts, processed
             ).astype(np.int64)

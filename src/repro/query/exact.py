@@ -12,6 +12,7 @@ from typing import Dict, Iterable
 
 import numpy as np
 
+from .._util import widened
 from ..data.flat import FlatDataset
 from ..errors import QueryError
 from .model import AggregateOp, AggregationQuery, ColumnMap
@@ -49,8 +50,10 @@ def _evaluate(query: AggregationQuery, scans: Iterable[ColumnMap]) -> float:
     """Exact answer over the rows of every column map in ``scans``.
 
     COUNT/SUM/AVG read only the predicate mask: the column is summed
-    ``where`` it holds, never copied.  MEDIAN/QUANTILE gather the
-    selected values, because they need them.
+    ``where`` it holds, never copied (a narrow integer column sums in
+    an ``int64`` accumulator, numpy's rule for integers narrower than
+    the platform's).  MEDIAN/QUANTILE gather the selected values,
+    because they need them, and interpolate between them widened.
     """
     if query.agg in (AggregateOp.MEDIAN, AggregateOp.QUANTILE):
         gathered = []
@@ -64,7 +67,9 @@ def _evaluate(query: AggregationQuery, scans: Iterable[ColumnMap]) -> float:
         selected = (
             gathered[0] if len(gathered) == 1 else np.concatenate(gathered)
         )
-        return float(np.quantile(selected, query.quantile_fraction))
+        return float(
+            np.quantile(widened(selected), query.quantile_fraction)
+        )
     count = 0
     total = 0
     for columns in scans:

@@ -236,25 +236,53 @@ def _reference_partitions(topology, config, placement, seed):
 
 
 def _dataset_digest(dataset, names):
+    """Every array hashed by value, as ``int64``, so a digest recorded
+    when columns were stored as ``int64`` still holds at any width;
+    ``TestMemoryFloor`` pins the width itself."""
     sha = hashlib.sha256()
     for database in dataset.databases:
         for name in names:
             sha.update(database.column(name).astype(np.int64).tobytes())
         sha.update(np.int64(database.num_tuples).tobytes())
-    sha.update(np.ascontiguousarray(dataset.values).tobytes())
+    sha.update(dataset.values.astype(np.int64).tobytes())
     if dataset.group_values is not None:
-        sha.update(np.ascontiguousarray(dataset.group_values).tobytes())
+        sha.update(dataset.group_values.astype(np.int64).tobytes())
     return sha.hexdigest()
+
+
+def _bench_fixture(kind, monkeypatch):
+    """``bench/workloads.py``'s fixture ``kind`` and the dataset it was
+    cut from (``bench/`` is not a package here, so it is loaded by
+    path)."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", BENCH / "workloads.py"
+    )
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench)  # dataclasses
+    spec.loader.exec_module(bench)
+    built = []
+
+    def keep(*args, **kwargs):
+        built.append(generate_dataset(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(bench, "generate_dataset", keep)
+    fixture = bench.build_fixture(kind)
+    (dataset,) = built
+    assert fixture.databases is dataset.databases
+    return bench, fixture, dataset
 
 
 class TestMemoryFloor:
     def test_generate_dataset_peaks_at_what_it_keeps(self, small_topology):
-        """A single-column build returns two ``N``-row ``int64`` arrays
-        (placement order and the peer-ordered store).  It sorts and
-        shuffles the values in place and cuts the store in blocks, so
-        at ``CL = 0.25`` only ``rng.choice``'s own ``N``-row permutation
-        and the chosen positions come on top: under 2.5 x N x 8 bytes
-        (it was 3.25 x with an order array and a whole-store gather)."""
+        """A single-column build returns two ``N``-row arrays at the
+        domain's width, 1 byte a row (placement order and the
+        peer-ordered store).  It sorts and shuffles the values in place
+        and cuts the store in blocks, so at ``CL = 0.25`` the largest
+        term is ``rng.choice``'s own ``N``-row ``int64`` permutation,
+        with the 0.25 x N chosen positions beside it: 1 + 8 + 2 = 11
+        bytes a row measured, bounded at 12 (one byte a row of margin).
+        With ``int64`` rows it was 18.6 bytes a row."""
         rows = 400_000
         config = DatasetConfig(num_tuples=rows, cluster_level=0.25)
         tracemalloc.start()
@@ -264,7 +292,32 @@ class TestMemoryFloor:
         finally:
             tracemalloc.stop()
         assert dataset.num_tuples == rows
-        assert peak <= 2.5 * rows * 8
+        assert peak <= 12 * rows
+
+    @pytest.mark.parametrize("kind", ["2k", "22k"])
+    def test_bench_fixtures_store_a_byte_a_row(self, kind, monkeypatch):
+        """The 100-value column is ``int8`` wherever a fixture keeps
+        it: the global array, the store and every database slice."""
+        _, fixture, dataset = _bench_fixture(kind, monkeypatch)
+        store = fixture.databases.store
+        assert store.column("A").dtype == np.int8
+        assert store.column("A").nbytes == store.num_tuples
+        assert dataset.values.dtype == np.int8
+        assert fixture.databases[0].column("A").dtype == np.int8
+
+    def test_the_2k_snapshot_segment(self, monkeypatch):
+        """The forked tier's shared-memory segment for the 2k fixture:
+        200,000 one-byte rows, the offsets and the CSR topology, under
+        400,000 bytes (392,128; it was 1,792,128 with ``int64`` rows)."""
+        from repro.network.simulator import NetworkSimulator
+        from repro.service.shm import export_snapshot
+
+        _, fixture, _ = _bench_fixture("2k", monkeypatch)
+        simulator = NetworkSimulator(
+            fixture.topology, fixture.databases, seed=1
+        )
+        with export_snapshot(simulator) as pack:
+            assert pack.manifest.nbytes < 400_000
 
 
 class TestStoreEqualsPerPeerCopies:
@@ -384,22 +437,7 @@ class TestBenchFixturesPinned:
 
     @pytest.mark.parametrize("kind", ["2k", "22k"])
     def test_fixture_and_panel_answers(self, kind, monkeypatch):
-        spec = importlib.util.spec_from_file_location(
-            "bench_workloads", BENCH / "workloads.py"
-        )
-        bench = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, bench)  # dataclasses
-        spec.loader.exec_module(bench)
-        built = []
-
-        def keep(*args, **kwargs):
-            built.append(generate_dataset(*args, **kwargs))
-            return built[-1]
-
-        monkeypatch.setattr(bench, "generate_dataset", keep)
-        fixture = bench.build_fixture(kind)
-        (dataset,) = built
-        assert fixture.databases is dataset.databases
+        bench, _, dataset = _bench_fixture(kind, monkeypatch)
         assert _dataset_digest(dataset, ["A"]) == self.DIGESTS[kind]
         store = dataset.databases.store
         answers = [

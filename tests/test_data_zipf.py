@@ -8,6 +8,7 @@ import pytest
 from repro.data.zipf import (
     SAMPLE_CHUNK,
     ZipfDistribution,
+    domain_dtype,
     zipf_probabilities,
     zipf_sample,
 )
@@ -76,7 +77,27 @@ class TestZipfSample:
         np.testing.assert_allclose(counts / counts.sum(), 0.25, atol=0.01)
 
     def test_dtype_integer(self):
-        assert zipf_sample(10, seed=1).dtype == np.int64
+        """The output is stored at its domain's width: one byte per
+        value for the paper's 100 values."""
+        assert zipf_sample(10, seed=1).dtype == np.int8
+        for num_values in (2, 127, 128, 32_767, 32_768):
+            sample = zipf_sample(50, num_values=num_values, skew=0.0, seed=1)
+            assert sample.dtype == domain_dtype(num_values)
+
+    @pytest.mark.parametrize("num_values", [127, 128, 32_767, 32_768])
+    def test_the_top_of_the_domain_is_stored_as_itself(self, num_values):
+        """At each width's edge the narrow sample equals the ``int64``
+        inverse-CDF draw, top value included (it wraps to a negative
+        when the width is one too narrow)."""
+        n = 4 * num_values
+        cdf = np.cumsum(zipf_probabilities(num_values, 0.0))
+        cdf[-1] = 1.0
+        expected = np.searchsorted(
+            cdf, np.random.default_rng(9).random(n), side="right"
+        ) + 1
+        sample = zipf_sample(n, num_values=num_values, skew=0.0, seed=9)
+        assert expected.max() == num_values
+        np.testing.assert_array_equal(sample.astype(np.int64), expected)
 
     def test_chunks_draw_what_one_draw_would(self):
         """Filled chunk by chunk, the sample is the one-shot inverse-CDF
@@ -94,20 +115,59 @@ class TestZipfSample:
         assert rng.random() == reference.random()
 
 
+class TestDomainDtype:
+    @pytest.mark.parametrize(
+        "max_value, dtype",
+        [
+            (1, np.int8),
+            (100, np.int8),
+            (127, np.int8),
+            (128, np.int16),
+            (32_767, np.int16),
+            (32_768, np.int32),
+            (2**31 - 1, np.int32),
+            (2**31, np.int64),
+            (2**63 - 1, np.int64),
+        ],
+    )
+    def test_the_first_signed_width_whose_max_holds_the_domain(
+        self, max_value, dtype
+    ):
+        assert domain_dtype(max_value) == np.dtype(dtype)
+
+    @pytest.mark.parametrize("max_value", [0, -5, 2**63])
+    def test_no_width_for_an_empty_or_unbounded_domain(self, max_value):
+        with pytest.raises(ConfigurationError):
+            domain_dtype(max_value)
+
+
 class TestMemoryFloor:
-    def test_peak_is_the_output_plus_one_chunk(self):
-        """The uniforms, their CDF indices and the output are never
-        held whole at once: the peak is the ``int64`` output plus one
-        chunk's doubles and indices."""
-        n = 500_000
+    @staticmethod
+    def _traced_peak(n, num_values):
         tracemalloc.start()
         try:
-            sample = zipf_sample(n, seed=3)
+            sample = zipf_sample(n, num_values=num_values, seed=3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert sample.size == n
-        assert peak <= n * 8 + 2 * SAMPLE_CHUNK * 8 + 65_536
+        return sample, peak
+
+    def test_peak_is_the_output_plus_one_chunk(self):
+        """The uniforms, their CDF indices and the output are never
+        held whole at once, and the output is at its domain's width:
+        the peak is ``N`` bytes for the paper's 100 values (it was
+        ``N`` x 8) plus one chunk's doubles and indices."""
+        n = 500_000
+        sample, peak = self._traced_peak(n, 100)
+        assert sample.itemsize == 1
+        assert peak <= n + 2 * SAMPLE_CHUNK * 8 + 65_536
+
+    def test_a_wider_domain_peaks_at_its_own_width(self):
+        n = 500_000
+        sample, peak = self._traced_peak(n, 1_000)
+        assert sample.itemsize == 2
+        assert peak <= n * 2 + 2 * SAMPLE_CHUNK * 8 + 65_536
 
 
 class TestZipfDistribution:

@@ -14,7 +14,7 @@ from repro.data.generator import (
 )
 from repro.errors import ConfigurationError, TopologyError
 from repro.io import load_dataset, load_topology, save_dataset, save_topology
-from repro.query.exact import evaluate_exact
+from repro.query.exact import evaluate_exact, evaluate_exact_groups
 from repro.query.parser import parse_query
 
 
@@ -235,6 +235,78 @@ class TestDatasetRoundTrip:
         np.savez(path, **arrays)
         with pytest.raises(ConfigurationError, match="399 rows"):
             load_dataset(path)
+
+
+def _stored_as_int64(dataset):
+    """``dataset`` with every column stored as ``int64`` — what
+    :func:`save_dataset` wrote before columns took their domain's
+    width."""
+    store = dataset.databases.store
+    wide = FlatDataset(
+        {name: data.astype(np.int64) for name, data in store.scan().items()},
+        store.offsets,
+    )
+    return GeneratedDataset(
+        config=dataset.config,
+        values=dataset.values.astype(np.int64),
+        databases=DatabaseTable(wide, block_size=dataset.config.block_size),
+        group_values=dataset.group_values.astype(np.int64),
+    )
+
+
+class TestColumnWidth:
+    """A saved column keeps its domain's width, so the file shrinks;
+    an archive of ``int64`` columns still loads, at ``int64``, and
+    answers the same.  The schema did not change."""
+
+    QUERIES = [
+        "SELECT COUNT(A) FROM T WHERE A BETWEEN 3 AND 40",
+        "SELECT SUM(A) FROM T WHERE A BETWEEN 3 AND 40",
+        "SELECT AVG(A) FROM T",
+        "SELECT MEDIAN(A) FROM T WHERE A > 7",
+        "SELECT QUANTILE(A, 0.3) FROM T",
+    ]
+
+    def _saved(self, tmp_path, small_topology):
+        dataset = generate_dataset(
+            small_topology,
+            DatasetConfig(num_tuples=40_000, group_column="G", num_groups=5),
+            seed=8,
+        )
+        narrow, wide = tmp_path / "narrow.npz", tmp_path / "wide.npz"
+        save_dataset(dataset, narrow)
+        save_dataset(_stored_as_int64(dataset), wide)
+        return narrow, wide
+
+    def test_the_width_survives_and_the_file_shrinks(
+        self, tmp_path, small_topology
+    ):
+        narrow, wide = self._saved(tmp_path, small_topology)
+        loaded = load_dataset(narrow)
+        store = loaded.databases.store
+        assert store.column("A").dtype == np.int8
+        assert store.column("G").dtype == np.int8
+        assert loaded.values.dtype == loaded.group_values.dtype == np.int8
+        assert narrow.stat().st_size < wide.stat().st_size
+        with np.load(narrow) as archive:
+            assert int(archive["schema"]) == 2
+
+    def test_an_int64_archive_answers_the_same(
+        self, tmp_path, small_topology
+    ):
+        narrow, wide = (load_dataset(path) for path in self._saved(
+            tmp_path, small_topology
+        ))
+        assert wide.databases.store.column("A").dtype == np.int64
+        for sql in self.QUERIES:
+            query = parse_query(sql)
+            assert evaluate_exact(query, wide.databases.store) == (
+                evaluate_exact(query, narrow.databases.store)
+            )
+        grouped = parse_query("SELECT SUM(A) FROM T GROUP BY G")
+        assert evaluate_exact_groups(grouped, wide.databases.store) == (
+            evaluate_exact_groups(grouped, narrow.databases.store)
+        )
 
 
 class TestParentCommitArtifacts:

@@ -8,7 +8,7 @@ from repro.data.localdb import LocalDatabase
 from repro.errors import ConfigurationError
 from repro.network.churn import ChurnConfig
 from repro.network.live import LiveNetwork
-from repro.query.exact import evaluate_exact
+from repro.query.exact import evaluate_exact, evaluate_exact_groups
 from repro.query.parser import parse_query
 
 COUNT_30 = parse_query("SELECT COUNT(A) FROM T WHERE A BETWEEN 1 AND 30")
@@ -161,3 +161,66 @@ class TestSnapshots:
         live.step(30)
         hybrid.cache.invalidate()
         assert hybrid.cached_plan(COUNT_30) is None
+
+
+def make_grouped_live(small_topology, handoff):
+    """A network over a dataset with a group column ``G`` beside ``A``."""
+    dataset = repro.generate_dataset(
+        small_topology,
+        repro.DatasetConfig(num_tuples=4_000, group_column="G", num_groups=5),
+        seed=4,
+    )
+    return dataset, LiveNetwork(
+        small_topology,
+        dataset.databases,
+        churn_config=ChurnConfig(join_rate=0.8, leave_rate=0.8),
+        handoff=handoff,
+        seed=6,
+    )
+
+
+class TestEveryColumnLives:
+    """A network whose peers hold more than the value column keeps
+    every column through a handoff, and refuses a join it could not
+    stock."""
+
+    GROUPED = parse_query("SELECT SUM(A) FROM T WHERE A <= 40 GROUP BY G")
+
+    def test_a_handoff_carries_every_column(self, small_topology):
+        dataset, live = make_grouped_live(small_topology, handoff=True)
+        truth = evaluate_exact_groups(self.GROUPED, dataset.databases.store)
+        before = dict(live._databases)
+        live.leave(0)
+        network = live.snapshot(seed=1)
+        (merged,) = [
+            database
+            for label, database in zip(
+                network.peer_labels, network.databases()
+            )
+            if database is not before[label]
+        ]
+        kept = before[0].num_tuples
+        # The receiver's rows, then the departing rows, every row
+        # intact (A beside its own G), every column at its own width.
+        assert merged.column_names == ["A", "G"]
+        for name in ("A", "G"):
+            column = merged.column(name)
+            assert column.dtype == dataset.databases.store.column(name).dtype
+            np.testing.assert_array_equal(
+                column[column.size - kept:], before[0].column(name)
+            )
+        assert network.total_tuples() == dataset.num_tuples
+        assert evaluate_exact_groups(self.GROUPED, network.databases()) == (
+            truth
+        )
+
+    def test_a_join_it_cannot_stock_changes_nothing(self, small_topology):
+        _, live = make_grouped_live(small_topology, handoff=False)
+        peers, tuples = live.num_peers, live.total_tuples()
+        state = live._rng.bit_generator.state
+        with pytest.raises(ConfigurationError, match="'G'"):
+            live.join()
+        assert live.num_peers == peers
+        assert live.total_tuples() == tuples
+        assert live._rng.bit_generator.state == state
+        assert live.snapshot(seed=1).num_peers == peers
