@@ -44,11 +44,12 @@ carry byte-identical trace lines.
 Transport (the sharded backend's wire protocol)
 -----------------------------------------------
 
-Replies never cross the pool queue as whole-object pickles.  Each
+Replies never cross the pool's pipes as whole-object pickles.  Each
 worker flattens a reply through the versioned tuple codec
-(:mod:`repro.service.codec`) and coalesces every reply of an inbound
-job batch into one queue message.  A traced reply carries its
-canonical lines and their digest; the decoded
+(:mod:`repro.service.codec`) and sends it on its own reply pipe the
+moment the job ends, so a query never waits for the slowest job of
+its batch.  A traced reply carries its canonical lines and their
+digest; the decoded
 :class:`~repro.service.codec.TraceWire` is the parent's trace, so
 traces outlive the workers and need nothing at close.  The lines are
 byte-identical to the inline backend's, which the parity suite pins.
@@ -626,7 +627,7 @@ class ForkedBackend(ExecutionBackend):
     Submitted jobs are buffered per worker and flushed as one batch
     message per worker at the next :meth:`pump` (so a burst of
     submissions costs one pickle per worker, not one per job), and
-    each worker answers a batch with one coalesced reply message.
+    each worker answers every job of a batch as soon as it ends.
 
     A traced reply carries its lines and digest; the decoded
     :class:`~repro.service.codec.TraceWire` is the reply's trace.
@@ -769,9 +770,9 @@ class ForkedBackend(ExecutionBackend):
             return replies
         self._flush()
         failure: Optional[ServiceError] = None
-        # One blocking sweep absorbs whole reply batches, and always
-        # finishes: a payload that fails to fold costs neither the
-        # replies folded before it nor the payloads behind it.
+        # One blocking sweep absorbs every reply already arrived, and
+        # always finishes: a payload that fails to fold costs neither
+        # the replies folded before it nor the payloads behind it.
         for _, _, payload in self._fork_pool.recv_many():
             try:
                 replies.append(self._fold(payload))
@@ -806,9 +807,9 @@ class ForkedBackend(ExecutionBackend):
             raise ServiceError(
                 "cannot rebind while queries are outstanding"
             )
-        # Checked up front: nobody drains a dead worker's inbox, and a
-        # _Rebind carries the pickled simulator, so put() could block
-        # on that worker's full pipe.
+        # Checked up front, before a segment is exported for nothing:
+        # a dead worker would never acknowledge, and a send to it
+        # raises WorkerPoolError anyway.
         if len(self._fork_pool.alive_workers()) < self._workers:
             raise WorkerPoolError("cannot rebind: a shard worker is dead")
         # Transactional: every parent-side mutation stays staged until
