@@ -17,14 +17,20 @@ Run:  python examples/astronomy_survey.py
 
 import numpy as np
 
-import repro
+from repro.core.median import MedianConfig, MedianEngine
+from repro.core.two_phase import TwoPhaseConfig, TwoPhaseEngine
 from repro.data.localdb import LocalDatabase
+from repro.network.generators import clustered_power_law
+from repro.network.simulator import NetworkSimulator
+from repro.network.spectral import analyze_topology
+from repro.query.exact import evaluate_exact, rank_of_value
+from repro.query.parser import parse_query
 
 
 def build_survey(seed: int = 11):
     """A 600-observatory federation with hemisphere-clustered data."""
     rng = np.random.default_rng(seed)
-    topology = repro.clustered_power_law(
+    topology = clustered_power_law(
         num_peers=600, num_edges=4200, num_subgraphs=2, cut_edges=40,
         seed=seed,
     )
@@ -40,7 +46,7 @@ def build_survey(seed: int = 11):
         )
         magnitudes = np.clip(magnitudes, 8.0, 26.0)
         databases.append(LocalDatabase({"mag": magnitudes}, block_size=25))
-    network = repro.NetworkSimulator(topology, databases, seed=seed)
+    network = NetworkSimulator(topology, databases, seed=seed)
     return topology, databases, network
 
 
@@ -51,20 +57,20 @@ def main() -> None:
     print(f"{topology.num_peers} observatories, {total} observations\n")
 
     # Pre-processing: how well does this federation mix?
-    profile = repro.analyze_topology(topology)
+    profile = analyze_topology(topology)
     jump = profile.recommended_jump(target_correlation=0.05)
     burn_in = int(profile.mixing_time(epsilon=0.05))
     print(f"spectral gap {profile.spectral_gap:.3f} -> "
           f"recommended jump {jump}, burn-in {burn_in} hops\n")
 
-    config = repro.TwoPhaseConfig(
+    config = TwoPhaseConfig(
         phase_one_peers=40, tuples_per_peer=50, jump=jump,
         burn_in=burn_in, max_phase_two_peers=1200,
     )
-    engine = repro.TwoPhaseEngine(network, config=config, seed=3)
-    median_engine = repro.MedianEngine(
+    engine = TwoPhaseEngine(network, config=config, seed=3)
+    median_engine = MedianEngine(
         network,
-        repro.MedianConfig(
+        MedianConfig(
             phase_one_peers=40, tuples_per_peer=50, jump=jump,
             burn_in=burn_in, max_phase_two_peers=1200,
         ),
@@ -82,9 +88,9 @@ def main() -> None:
          "SELECT AVG(mag) FROM observations"),
     ]
     for label, sql in queries:
-        query = repro.parse_query(sql)
+        query = parse_query(sql)
         result = engine.execute(query, delta_req=0.10, sink=0)
-        truth = repro.evaluate_exact(query, databases)
+        truth = evaluate_exact(query, databases)
         print(f"{label}")
         print(f"  {sql}")
         print(f"  estimate {result.estimate:14.1f}   "
@@ -93,10 +99,10 @@ def main() -> None:
         print(f"  interval {result.confidence_interval}\n")
 
     # Median needs the §5.6 machinery (no push-down).
-    median_query = repro.parse_query("SELECT MEDIAN(mag) FROM observations")
+    median_query = parse_query("SELECT MEDIAN(mag) FROM observations")
     median_result = median_engine.execute(median_query, delta_req=0.10, sink=0)
-    median_truth = repro.evaluate_exact(median_query, databases)
-    rank = repro.rank_of_value(median_result.estimate, databases, "mag")
+    median_truth = evaluate_exact(median_query, databases)
+    rank = rank_of_value(median_result.estimate, databases, "mag")
     print("Median magnitude (holistic aggregate, values shipped to sink):")
     print(f"  estimate {median_result.estimate:8.2f}   "
           f"exact {median_truth:8.2f}   "

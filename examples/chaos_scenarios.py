@@ -16,32 +16,46 @@ script replays the exact same chaos (shown at the end).
 Run:  python examples/chaos_scenarios.py
 """
 
-import repro
+from repro.core.two_phase import TwoPhaseConfig, TwoPhaseEngine
+from repro.data.generator import DatasetConfig, generate_dataset
+from repro.network.churn import ChurnConfig
+from repro.network.faults import (
+    CrashWindow,
+    FaultPlan,
+    LatencySpike,
+    RegionalOutage,
+)
+from repro.network.generators import power_law_topology
+from repro.network.live import LiveNetwork
+from repro.network.simulator import NetworkSimulator
+from repro.network.walker import RetryPolicy
+from repro.query.exact import evaluate_exact
+from repro.query.parser import parse_query
 
-RETRY = repro.RetryPolicy(max_attempts=3, backoff_base_ms=25.0)
+RETRY = RetryPolicy(max_attempts=3, backoff_base_ms=25.0)
 
 
 def build_network(fault_plan=None):
-    topology = repro.power_law_topology(200, 800, seed=7)
-    dataset = repro.generate_dataset(
+    topology = power_law_topology(200, 800, seed=7)
+    dataset = generate_dataset(
         topology,
-        repro.DatasetConfig(num_tuples=10_000, cluster_level=0.25, skew=0.2),
+        DatasetConfig(num_tuples=10_000, cluster_level=0.25, skew=0.2),
         seed=7,
     )
-    network = repro.NetworkSimulator(
+    network = NetworkSimulator(
         topology, dataset.databases, seed=7, fault_plan=fault_plan
     )
     return topology, dataset, network
 
 
 def run_count(network, seed=5, retry=RETRY):
-    query = repro.parse_query("SELECT COUNT(A) FROM T")
-    config = repro.TwoPhaseConfig(
+    query = parse_query("SELECT COUNT(A) FROM T")
+    config = TwoPhaseConfig(
         phase_one_peers=40, max_phase_two_peers=120, retry_policy=retry
     )
-    engine = repro.TwoPhaseEngine(network, config, seed=seed)
+    engine = TwoPhaseEngine(network, config, seed=seed)
     result = engine.execute(query, delta_req=0.05, sink=0)
-    truth = repro.evaluate_exact(query, network.databases())
+    truth = evaluate_exact(query, network.databases())
     return result, truth
 
 
@@ -59,10 +73,10 @@ def report(label, result, truth):
 
 def scenario_crash_mid_walk():
     print("\n=== 1. crash mid-walk (15% of peers down) ===")
-    plan = repro.FaultPlan(
+    plan = FaultPlan(
         seed=11,
         crashes=tuple(
-            repro.CrashWindow(peer_id=peer, start=0, stop=10**6)
+            CrashWindow(peer_id=peer, start=0, stop=10**6)
             for peer in range(0, 200, 7)
         ),
         probe_timeout_ms=200.0,
@@ -78,10 +92,10 @@ def scenario_crash_mid_walk():
 def scenario_correlated_outage():
     print("\n=== 2. correlated regional outage (BFS ball, radius 1) ===")
     topology, _, _ = build_network()
-    plan = repro.FaultPlan(
+    plan = FaultPlan(
         seed=13,
         outages=(
-            repro.RegionalOutage(center=3, radius=1, start=0, stop=10**6),
+            RegionalOutage(center=3, radius=1, start=0, stop=10**6),
         ),
         probe_timeout_ms=150.0,
     )
@@ -94,9 +108,9 @@ def scenario_correlated_outage():
 
 def scenario_timeout_storm():
     print("\n=== 3. timeout storm (60% spike rate, 5s spikes, 1s patience) ===")
-    plan = repro.FaultPlan(
+    plan = FaultPlan(
         seed=14,
-        latency_spike=repro.LatencySpike(rate=0.6, extra_ms=5_000.0),
+        latency_spike=LatencySpike(rate=0.6, extra_ms=5_000.0),
         probe_timeout_ms=1_000.0,
     )
     _, _, network = build_network(plan)
@@ -108,30 +122,30 @@ def scenario_timeout_storm():
 def scenario_loss_under_churn():
     print("\n=== 4. reply loss under churn (20% loss, 3 epochs) ===")
     topology, dataset, _ = build_network()
-    plan = repro.FaultPlan(seed=16, reply_loss=0.2)
-    live = repro.LiveNetwork(
+    plan = FaultPlan(seed=16, reply_loss=0.2)
+    live = LiveNetwork(
         topology,
         dataset.databases,
-        churn_config=repro.ChurnConfig(join_rate=0.5, leave_rate=0.5),
+        churn_config=ChurnConfig(join_rate=0.5, leave_rate=0.5),
         fault_plan=plan,
         seed=31,
     )
-    query = repro.parse_query("SELECT COUNT(A) FROM T")
-    config = repro.TwoPhaseConfig(phase_one_peers=30, max_phase_two_peers=60)
+    query = parse_query("SELECT COUNT(A) FROM T")
+    config = TwoPhaseConfig(phase_one_peers=30, max_phase_two_peers=60)
     for epoch in range(3):
         network = live.snapshot(seed=100 + epoch)
-        engine = repro.TwoPhaseEngine(network, config, seed=40 + epoch)
+        engine = TwoPhaseEngine(network, config, seed=40 + epoch)
         result = engine.execute(query, delta_req=0.05, sink=0)
-        truth = repro.evaluate_exact(query, network.databases())
+        truth = evaluate_exact(query, network.databases())
         report(f"epoch {epoch} (clock={live.fault_clock})", result, truth)
         live.step(20)
 
 
 def replay_demo():
     print("\n=== determinism: the same plan replays bit-identically ===")
-    plan = repro.FaultPlan(
+    plan = FaultPlan(
         seed=11,
-        crashes=(repro.CrashWindow(peer_id=0, start=0, stop=10**6),),
+        crashes=(CrashWindow(peer_id=0, start=0, stop=10**6),),
         reply_loss=0.3,
         probe_timeout_ms=500.0,
     )

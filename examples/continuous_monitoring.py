@@ -7,26 +7,32 @@ aggregates while gateways join and drop out and their data turns over.
 
 The recipe combines two library pieces:
 
-* :class:`repro.LiveNetwork` — churn with a data lifecycle;
-* :class:`repro.BatchEngine` — the whole dashboard from one walk.
+* :class:`repro.network.live.LiveNetwork` — churn with a data lifecycle;
+* :class:`repro.core.batch.BatchEngine` — the whole dashboard from one walk.
 
 (A batch always runs cold: its members' scales differ, so it has no
 plan.  A single repeated query goes warm through a
-:class:`repro.PlanCache` — see ``examples/extensions_tour.py``.)
+:class:`repro.core.two_phase.PlanCache` — see
+``examples/extensions_tour.py``.)
 
 Run:  python examples/continuous_monitoring.py
 """
 
 import numpy as np
 
-import repro
+from repro.core.batch import BatchEngine
+from repro.core.two_phase import TwoPhaseConfig
 from repro.data.localdb import LocalDatabase
 from repro.network.churn import ChurnConfig
+from repro.network.generators import synthetic_paper_topology
 from repro.network.live import LiveNetwork
+from repro.query.exact import evaluate_exact
+from repro.query.model import AggregateOp
+from repro.query.parser import parse_query
 
 
 def build_swarm(seed: int = 29):
-    topology = repro.synthetic_paper_topology(seed=seed, scale=0.05)
+    topology = synthetic_paper_topology(seed=seed, scale=0.05)
     rng = np.random.default_rng(seed)
     databases = [
         LocalDatabase(
@@ -56,7 +62,7 @@ DASHBOARD = [
 def main() -> None:
     print("=== continuous monitoring under churn ===\n")
     live = build_swarm()
-    queries = [repro.parse_query(sql) for _label, sql in DASHBOARD]
+    queries = [parse_query(sql) for _label, sql in DASHBOARD]
 
     for epoch in range(3):
         live.step(40)  # gateways come and go, data turns over
@@ -66,9 +72,9 @@ def main() -> None:
               f"{network.total_tuples()} readings")
 
         # The whole dashboard from ONE walk.
-        engine = repro.BatchEngine(
+        engine = BatchEngine(
             network,
-            repro.TwoPhaseConfig(
+            TwoPhaseConfig(
                 max_phase_two_peers=2 * network.num_peers
             ),
             seed=epoch,
@@ -76,12 +82,12 @@ def main() -> None:
         results = engine.execute(queries, delta_req=0.1, sink=sink)
         shared_cost = results[0].cost
         for (label, _sql), result in zip(DASHBOARD, results):
-            truth = repro.evaluate_exact(
+            truth = evaluate_exact(
                 result.query, network.databases()
             )
             scale = (
                 network.total_tuples()
-                if result.query.agg is repro.AggregateOp.COUNT
+                if result.query.agg is AggregateOp.COUNT
                 else truth
             )
             error = abs(result.estimate - truth) / scale

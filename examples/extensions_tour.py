@@ -15,28 +15,35 @@ Run:  python examples/extensions_tour.py
 
 import numpy as np
 
-import repro
+from repro.core.biased import biased_engine_for_query
+from repro.core.statistics import StatisticsEngine
+from repro.core.two_phase import PlanCache, TwoPhaseConfig, TwoPhaseEngine
+from repro.data.generator import DatasetConfig, generate_dataset
+from repro.network.generators import synthetic_paper_topology
+from repro.network.simulator import NetworkSimulator
+from repro.query.exact import evaluate_exact
+from repro.query.parser import parse_query
 
 
 def main() -> None:
     print("=== extensions tour ===\n")
-    topology = repro.synthetic_paper_topology(seed=13, scale=0.06)
-    dataset = repro.generate_dataset(
+    topology = synthetic_paper_topology(seed=13, scale=0.06)
+    dataset = generate_dataset(
         topology,
-        repro.DatasetConfig(
+        DatasetConfig(
             num_tuples=topology.num_peers * 100,
             cluster_level=0.25,
             skew=0.6,
         ),
         seed=13,
     )
-    network = repro.NetworkSimulator(topology, dataset.databases, seed=13)
+    network = NetworkSimulator(topology, dataset.databases, seed=13)
     print(f"network: {topology.num_peers} peers, "
           f"{dataset.num_tuples} tuples, Zipf skew 0.6\n")
 
     # ------------------------------------------------------------------
     print("1. HISTOGRAM (10 equi-width buckets over the value domain)")
-    stats = repro.StatisticsEngine(network, seed=21)
+    stats = StatisticsEngine(network, seed=21)
     histogram = stats.histogram(
         "A", num_buckets=10, value_range=(1, 100), delta_req=0.1, sink=0
     )
@@ -63,15 +70,15 @@ def main() -> None:
 
     # ------------------------------------------------------------------
     print("3. HYBRID PLAN CACHE (repeated dashboard query)")
-    query = repro.parse_query(
+    query = parse_query(
         "SELECT COUNT(A) FROM T WHERE A BETWEEN 1 AND 30"
     )
-    exact = repro.evaluate_exact(query, dataset.databases)
-    hybrid = repro.TwoPhaseEngine(
+    exact = evaluate_exact(query, dataset.databases)
+    hybrid = TwoPhaseEngine(
         network,
-        repro.TwoPhaseConfig(max_phase_two_peers=2 * topology.num_peers),
+        TwoPhaseConfig(max_phase_two_peers=2 * topology.num_peers),
         seed=22,
-        cache=repro.PlanCache(),
+        cache=PlanCache(),
     )
     print("run   mode   peers  error")
     for run in range(6):
@@ -85,26 +92,26 @@ def main() -> None:
 
     # ------------------------------------------------------------------
     print("4. BIASED SAMPLING (selective query: A BETWEEN 1 AND 2)")
-    selective = repro.parse_query(
+    selective = parse_query(
         "SELECT COUNT(A) FROM T WHERE A BETWEEN 1 AND 2"
     )
-    truth_selective = repro.evaluate_exact(selective, dataset.databases)
-    biased = repro.biased_engine_for_query(network, selective, seed=23)
-    plain = repro.TwoPhaseEngine(
+    truth_selective = evaluate_exact(selective, dataset.databases)
+    biased = biased_engine_for_query(network, selective, seed=23)
+    plain = TwoPhaseEngine(
         network,
-        repro.TwoPhaseConfig(phase_one_peers=60, max_phase_two_peers=0),
+        TwoPhaseConfig(phase_one_peers=60, max_phase_two_peers=0),
         seed=23,
     )
     biased_errors = []
     plain_errors = []
     for seed in range(6):
-        b = repro.biased_engine_for_query(
+        b = biased_engine_for_query(
             network, selective, seed=seed
         ).execute(selective, sink=0)
         biased_errors.append(abs(b.estimate - truth_selective))
-        p = repro.TwoPhaseEngine(
+        p = TwoPhaseEngine(
             network,
-            repro.TwoPhaseConfig(phase_one_peers=60, max_phase_two_peers=0),
+            TwoPhaseConfig(phase_one_peers=60, max_phase_two_peers=0),
             seed=seed,
         ).execute(selective, delta_req=0.99, sink=0)
         plain_errors.append(abs(p.estimate - truth_selective))

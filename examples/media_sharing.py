@@ -19,40 +19,49 @@ Run:  python examples/media_sharing.py
 
 import numpy as np
 
-import repro
+from repro.core.two_phase import TwoPhaseConfig, TwoPhaseEngine
+from repro.data.generator import DatasetConfig, generate_dataset
+from repro.data.placement import PlacementConfig
+from repro.network.generators import (
+    clustered_power_law,
+    gnutella_paper_topology,
+)
+from repro.network.simulator import NetworkSimulator
+from repro.query.exact import evaluate_exact
+from repro.query.parser import parse_query
 from repro.sampling.baselines import BFSEngine, dfs_engine
 
 
 def build_network(cluster_level: float, seed: int = 17):
-    topology = repro.gnutella_paper_topology(seed=seed, scale=0.05)
-    dataset = repro.generate_dataset(
+    topology = gnutella_paper_topology(seed=seed, scale=0.05)
+    dataset = generate_dataset(
         topology,
-        repro.DatasetConfig(
+        DatasetConfig(
             num_tuples=topology.num_peers * 90,
             cluster_level=cluster_level,
             skew=0.4,
         ),
         seed=seed,
     )
-    network = repro.NetworkSimulator(topology, dataset.databases, seed=seed)
+    network = NetworkSimulator(topology, dataset.databases, seed=seed)
     return topology, dataset, network
 
 
 def build_communities(seed: int = 23):
     """Two media communities (e.g. music vs movies) joined by a thin
     cut, each hoarding its own genre range — Figure 7's regime."""
-    topology = repro.clustered_power_law(
+    topology = clustered_power_law(
         num_peers=600, num_edges=3600, num_subgraphs=2,
         cut_edges=36, seed=seed,
     )
-    dataset = repro.generate_dataset(
+    dataset = generate_dataset(
         topology,
-        repro.DatasetConfig(num_tuples=600 * 90, cluster_level=0.25,
+        DatasetConfig(num_tuples=600 * 90, cluster_level=0.25,
                             skew=0.4),
-        placement=repro.PlacementConfig(order="id"),
+        placement=PlacementConfig(order="id"),
         seed=seed,
     )
-    network = repro.NetworkSimulator(topology, dataset.databases, seed=seed)
+    network = NetworkSimulator(topology, dataset.databases, seed=seed)
     return topology, dataset, network
 
 
@@ -63,12 +72,12 @@ def main() -> None:
           f"{dataset.num_tuples} files\n(genres 1..100; each community "
           f"hoards its own genre range)\n")
 
-    query = repro.parse_query(
+    query = parse_query(
         "SELECT COUNT(A) FROM files WHERE A BETWEEN 1 AND 30"
     )
-    truth = repro.evaluate_exact(query, dataset.databases)
+    truth = evaluate_exact(query, dataset.databases)
     n = dataset.num_tuples
-    config = repro.TwoPhaseConfig(
+    config = TwoPhaseConfig(
         phase_one_peers=40, tuples_per_peer=25, jump=10,
         max_phase_two_peers=2 * topology.num_peers,
     )
@@ -77,7 +86,7 @@ def main() -> None:
     print("strategy        estimate      error     peers  messages")
     print("-" * 60)
     for name, factory in [
-        ("random walk", lambda: repro.TwoPhaseEngine(
+        ("random walk", lambda: TwoPhaseEngine(
             network, config=config, seed=5)),
         ("BFS (flood)", lambda: BFSEngine(network, config=config, seed=5)),
         ("DFS (j=0)", lambda: dfs_engine(network, config=config, seed=5)),
@@ -99,7 +108,7 @@ def main() -> None:
         sizes = []
         peers = []
         for seed in range(3):
-            engine = repro.TwoPhaseEngine(net, config=config, seed=seed)
+            engine = TwoPhaseEngine(net, config=config, seed=seed)
             result = engine.execute(query, delta_req=0.10)
             sizes.append(result.total_tuples_sampled)
             peers.append(result.total_peers_visited)

@@ -16,8 +16,18 @@ Run:  python examples/network_planning.py
 
 import numpy as np
 
-import repro
-from repro.network.generators import subgraph_groups
+from repro.core.two_phase import TwoPhaseConfig, TwoPhaseEngine
+from repro.data.generator import DatasetConfig, generate_dataset
+from repro.data.placement import PlacementConfig
+from repro.network.churn import ChurnConfig, ChurnProcess
+from repro.network.generators import (
+    clustered_power_law,
+    synthetic_paper_topology,
+)
+from repro.network.simulator import NetworkSimulator
+from repro.network.spectral import analyze_topology
+from repro.query.exact import evaluate_exact
+from repro.query.parser import parse_query
 
 
 def spectral_planning() -> None:
@@ -26,11 +36,11 @@ def spectral_planning() -> None:
     print("-" * 66)
     profiles = {}
     for cut in (4, 40, 400):
-        topology = repro.clustered_power_law(
+        topology = clustered_power_law(
             num_peers=500, num_edges=3000, num_subgraphs=2,
             cut_edges=cut, seed=9,
         )
-        profile = repro.analyze_topology(topology)
+        profile = analyze_topology(topology)
         jump = profile.recommended_jump(0.05)
         profiles[cut] = (topology, profile, jump)
         print(f"{cut:9d}   {profile.second_eigenvalue:17.4f}   "
@@ -43,25 +53,25 @@ def spectral_planning() -> None:
     print("-" * 34)
     for cut in (4, 400):
         topology, profile, recommended = profiles[cut]
-        dataset = repro.generate_dataset(
+        dataset = generate_dataset(
             topology,
-            repro.DatasetConfig(num_tuples=25_000, cluster_level=0.0),
-            placement=repro.PlacementConfig(order="id"),
+            DatasetConfig(num_tuples=25_000, cluster_level=0.0),
+            placement=PlacementConfig(order="id"),
             seed=9,
         )
-        network = repro.NetworkSimulator(
+        network = NetworkSimulator(
             topology, dataset.databases, seed=9
         )
-        query = repro.parse_query("SELECT SUM(A) FROM T")
-        truth = repro.evaluate_exact(query, dataset.databases)
+        query = parse_query("SELECT SUM(A) FROM T")
+        truth = evaluate_exact(query, dataset.databases)
         for jump in (1, recommended):
             errors = []
             for seed in range(3):
-                config = repro.TwoPhaseConfig(
+                config = TwoPhaseConfig(
                     jump=jump, burn_in=10 * jump,
                     max_phase_two_peers=1000,
                 )
-                engine = repro.TwoPhaseEngine(
+                engine = TwoPhaseEngine(
                     network, config=config, seed=seed
                 )
                 result = engine.execute(query, delta_req=0.10, sink=0)
@@ -75,13 +85,13 @@ def spectral_planning() -> None:
 
 def churn_operations() -> None:
     print("--- 2. answering queries while the network churns ---\n")
-    topology = repro.synthetic_paper_topology(seed=4, scale=0.04)
-    process = repro.ChurnProcess(
+    topology = synthetic_paper_topology(seed=4, scale=0.04)
+    process = ChurnProcess(
         topology,
-        repro.ChurnConfig(join_rate=0.8, leave_rate=0.8, join_degree=5),
+        ChurnConfig(join_rate=0.8, leave_rate=0.8, join_degree=5),
         seed=4,
     )
-    query = repro.parse_query(
+    query = parse_query(
         "SELECT COUNT(A) FROM T WHERE A BETWEEN 1 AND 30"
     )
     print("epoch   peers   edges   error    within 10%?")
@@ -90,17 +100,17 @@ def churn_operations() -> None:
         process.run(80)
         snapshot = process.snapshot()
         current = snapshot.topology
-        dataset = repro.generate_dataset(
+        dataset = generate_dataset(
             current,
-            repro.DatasetConfig(num_tuples=current.num_peers * 100),
+            DatasetConfig(num_tuples=current.num_peers * 100),
             seed=4 + epoch,
         )
-        network = repro.NetworkSimulator(
+        network = NetworkSimulator(
             current, dataset.databases, seed=4 + epoch
         )
-        truth = repro.evaluate_exact(query, dataset.databases)
+        truth = evaluate_exact(query, dataset.databases)
         sink = int(current.giant_component()[0])
-        engine = repro.TwoPhaseEngine(network, seed=epoch)
+        engine = TwoPhaseEngine(network, seed=epoch)
         result = engine.execute(query, delta_req=0.10, sink=sink)
         error = abs(result.estimate - truth) / dataset.num_tuples
         print(f"{epoch:5d}   {current.num_peers:5d}   "

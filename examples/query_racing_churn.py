@@ -18,28 +18,44 @@ domain and narrates three races, all bit-reproducible:
 Run:  python examples/query_racing_churn.py
 """
 
-import repro
+from repro.core.two_phase import TwoPhaseConfig, TwoPhaseEngine
+from repro.data.generator import DatasetConfig, generate_dataset
+from repro.errors import ProtocolError
+from repro.network.faults import FaultPlan, LatencySpike
+from repro.network.generators import power_law_topology
+from repro.network.walker import RetryPolicy
 from repro.obs.events import LateDeliveryEvent, StaleReplyEvent, TimelineEvent
+from repro.obs.tracer import Tracer, tracing
+from repro.query.parser import parse_query
+from repro.service.service import QueryService
+from repro.sim.event_driven import EventDrivenSimulator
+from repro.sim.latency import (
+    ConstantLatency,
+    ExponentialLatency,
+    LatencyModel,
+    UniformLatency,
+)
+from repro.sim.timeline import ChurnTimeline
 
-QUERY = repro.parse_query("SELECT COUNT(A) FROM T WHERE A BETWEEN 1 AND 30")
+QUERY = parse_query("SELECT COUNT(A) FROM T WHERE A BETWEEN 1 AND 30")
 
-TOPOLOGY = repro.power_law_topology(150, 600, seed=7)
-DATASET = repro.generate_dataset(
+TOPOLOGY = power_law_topology(150, 600, seed=7)
+DATASET = generate_dataset(
     TOPOLOGY,
-    repro.DatasetConfig(num_tuples=8_000, cluster_level=0.25, skew=0.2),
+    DatasetConfig(num_tuples=8_000, cluster_level=0.25, skew=0.2),
     seed=7,
 )
 
-LATENCY = repro.LatencyModel(
+LATENCY = LatencyModel(
     seed=13,
-    request=repro.UniformLatency(5.0, 25.0),
-    reply=repro.ExponentialLatency(40.0),
-    hop=repro.UniformLatency(0.5, 2.0),
+    request=UniformLatency(5.0, 25.0),
+    reply=ExponentialLatency(40.0),
+    hop=UniformLatency(0.5, 2.0),
 )
 
 
 def build_network(**extra):
-    return repro.EventDrivenSimulator(
+    return EventDrivenSimulator(
         TOPOLOGY, DATASET.databases, seed=7, **extra
     )
 
@@ -48,7 +64,7 @@ def race_churn():
     print("=== 1. Query vs. churn ===\n")
     network = build_network(
         latency=LATENCY,
-        timeline=repro.ChurnTimeline.sampled(
+        timeline=ChurnTimeline.sampled(
             seed=21,
             num_peers=TOPOLOGY.num_peers,
             horizon_ms=20_000.0,
@@ -57,16 +73,16 @@ def race_churn():
         ),
         probe_timeout_ms=1_000.0,
     )
-    engine = repro.TwoPhaseEngine(
+    engine = TwoPhaseEngine(
         network,
-        repro.TwoPhaseConfig(
+        TwoPhaseConfig(
             phase_one_peers=25,
-            retry_policy=repro.RetryPolicy(max_attempts=3),
+            retry_policy=RetryPolicy(max_attempts=3),
         ),
         seed=42,
     )
-    tracer = repro.Tracer(time_source=network.virtual_clock.read)
-    with repro.tracing(tracer):
+    tracer = Tracer(time_source=network.virtual_clock.read)
+    with tracing(tracer):
         result = engine.execute(QUERY, delta_req=0.15, sink=0)
         network.drain()
 
@@ -89,18 +105,18 @@ def race_churn():
 
 def race_deadline():
     print("=== 2. Query vs. deadline ===\n")
-    spiky = repro.FaultPlan(
-        seed=5, latency_spike=repro.LatencySpike(rate=0.5, extra_ms=400.0)
+    spiky = FaultPlan(
+        seed=5, latency_spike=LatencySpike(rate=0.5, extra_ms=400.0)
     )
     network = build_network(
-        latency=repro.LatencyModel(
+        latency=LatencyModel(
             seed=13,
-            request=repro.ConstantLatency(5.0),
-            reply=repro.ConstantLatency(5.0),
+            request=ConstantLatency(5.0),
+            reply=ConstantLatency(5.0),
         ),
         fault_plan=spiky,
     )
-    service = repro.QueryService(network, seed=3)
+    service = QueryService(network, seed=3)
     tight = service.submit(QUERY, delta_req=0.2, deadline_ms=150.0)
     generous = service.submit(QUERY, delta_req=0.2, deadline_ms=1e6)
     service.run()
@@ -120,24 +136,24 @@ def race_deadline():
 def slow_is_not_lost():
     print("=== 3. Slow is not lost ===\n")
     network = build_network(
-        latency=repro.LatencyModel(
+        latency=LatencyModel(
             seed=13,
-            request=repro.ConstantLatency(10.0),
-            reply=repro.ConstantLatency(5.0),
+            request=ConstantLatency(10.0),
+            reply=ConstantLatency(5.0),
         ),
-        fault_plan=repro.FaultPlan(
+        fault_plan=FaultPlan(
             seed=5,
-            latency_spike=repro.LatencySpike(rate=0.999, extra_ms=500.0),
+            latency_spike=LatencySpike(rate=0.999, extra_ms=500.0),
             probe_timeout_ms=100.0,
         ),
     )
-    tracer = repro.Tracer(time_source=network.virtual_clock.read)
-    with repro.tracing(tracer):
+    tracer = Tracer(time_source=network.virtual_clock.read)
+    with tracing(tracer):
         try:
             network.visit_aggregate(
                 1, QUERY, sink=0, ledger=network.new_ledger()
             )
-        except repro.ProtocolError as error:
+        except ProtocolError as error:
             print(f"sink gave up      -> {type(error).__name__}"
                   f" at t={network.virtual_now_ms:.0f} ms (its patience)")
         network.drain()

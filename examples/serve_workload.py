@@ -20,15 +20,18 @@ import argparse
 
 import numpy as np
 
-import repro
 from repro.core.two_phase import TwoPhaseConfig
 from repro.data.localdb import LocalDatabase
 from repro.errors import BudgetExceededError
+from repro.network.generators import synthetic_paper_topology
 from repro.network.simulator import NetworkSimulator
+from repro.query.parser import parse_query
+from repro.service.budget import CostBudget
+from repro.service.service import QueryService
 
 
 def build_network(seed: int = 17):
-    topology = repro.synthetic_paper_topology(seed=seed, scale=0.05)
+    topology = synthetic_paper_topology(seed=seed, scale=0.05)
     rng = np.random.default_rng(seed)
     databases = [
         LocalDatabase({"A": rng.integers(1, 101, 80)}, block_size=25)
@@ -52,7 +55,7 @@ WORKLOAD = [
 
 
 def serve(simulator, **backend_kwargs):
-    with repro.QueryService(
+    with QueryService(
         simulator,
         TwoPhaseConfig(max_phase_two_peers=300),
         seed=99,
@@ -63,7 +66,7 @@ def serve(simulator, **backend_kwargs):
         **backend_kwargs,
     ) as service:
         tickets = [
-            service.submit(repro.parse_query(sql), delta_req=0.1)
+            service.submit(parse_query(sql), delta_req=0.1)
             for sql in WORKLOAD
         ]
         service.run()
@@ -129,9 +132,9 @@ def main():
     print("\n=== A budgeted query ===\n")
     service, _ = serve(build_network(), max_in_flight=4)
     ticket = service.submit(
-        repro.parse_query("SELECT COUNT(A) FROM T"),
+        parse_query("SELECT COUNT(A) FROM T"),
         delta_req=0.05,
-        budget=repro.CostBudget(max_hops=200),
+        budget=CostBudget(max_hops=200),
     )
     try:
         service.await_result(ticket)

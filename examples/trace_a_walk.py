@@ -15,33 +15,39 @@ Run:  python examples/trace_a_walk.py
 from collections import Counter
 from pathlib import Path
 
-import repro
+from repro.core.two_phase import TwoPhaseEngine
+from repro.data.generator import DatasetConfig, generate_dataset
+from repro.network.generators import synthetic_paper_topology
+from repro.network.simulator import NetworkSimulator
+from repro.obs.tracer import Tracer, tracing
+from repro.query.exact import evaluate_exact
+from repro.query.parser import parse_query
 
 
 def main() -> None:
     print("=== p2p-aqp: tracing a walk ===\n")
 
     # A small seeded network (500 peers, 50k tuples).
-    topology = repro.synthetic_paper_topology(seed=7, scale=0.05)
-    dataset = repro.generate_dataset(
+    topology = synthetic_paper_topology(seed=7, scale=0.05)
+    dataset = generate_dataset(
         topology,
-        repro.DatasetConfig(num_tuples=50_000, cluster_level=0.25, skew=0.2),
+        DatasetConfig(num_tuples=50_000, cluster_level=0.25, skew=0.2),
         seed=7,
     )
-    network = repro.NetworkSimulator(topology, dataset.databases, seed=7)
-    engine = repro.TwoPhaseEngine(network, seed=42)
-    query = repro.parse_query(
+    network = NetworkSimulator(topology, dataset.databases, seed=7)
+    engine = TwoPhaseEngine(network, seed=42)
+    query = parse_query(
         "SELECT COUNT(A) FROM T WHERE A BETWEEN 1 AND 30"
     )
 
     # 1. Install a tracer for the duration of the query.  Outside the
     #    ``with`` block tracing is off and costs nothing.
-    tracer = repro.Tracer()
-    with repro.tracing(tracer):
+    tracer = Tracer()
+    with tracing(tracer):
         result = engine.execute(query, delta_req=0.1, sink=0)
 
     print(f"estimate: {result.estimate:,.0f}  "
-          f"(exact: {repro.evaluate_exact(query, dataset.databases):,.0f})")
+          f"(exact: {evaluate_exact(query, dataset.databases):,.0f})")
     print(f"events captured: {tracer.num_events}")
     for kind, count in sorted(
         Counter(event.kind for event in tracer.events).items()

@@ -104,9 +104,21 @@ def shared_fault_serial_reason(
 
 # One warning per process when a pool is oversubscribed — bench sweeps
 # create pools hundreds of times and the core count is a property of
-# the machine, not the call.  Shared by run_trials *and* the sharded
+# the process, not the call.  Shared by run_trials *and* the sharded
 # serving backend so both entry points warn identically, exactly once.
 _WORKER_CAP_WARNED = False
+
+
+def available_cores() -> int:
+    """The CPUs this process may run on, not the host's count.
+
+    Under an affinity mask or a cpuset the two differ; the mask is what
+    bounds real parallelism.  Platforms without
+    :func:`os.sched_getaffinity` fall back to :func:`os.cpu_count`.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def effective_workers(
@@ -129,7 +141,7 @@ def effective_workers(
     """
     if requested < 1:
         raise ConfigurationError("workers must be >= 1")
-    cores = os.cpu_count() or 1
+    cores = available_cores()
     granted = requested
     if cap:
         granted = min(granted, cores)

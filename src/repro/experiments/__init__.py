@@ -12,62 +12,4 @@
   benchmarks and EXPERIMENTS.md.
 """
 
-from .configs import (
-    NetworkBundle,
-    default_scale,
-    default_trials,
-    gnutella_bundle,
-    synthetic_bundle,
-)
-from .runner import TrialOutcome, WorkloadOutcome, run_trials, run_workload
-from .figures import (
-    FIGURES,
-    FigureResult,
-    figure02_required_accuracy,
-    figure03_selectivity,
-    figure04_sample_size_synthetic,
-    figure05_sample_size_gnutella,
-    figure06_samples_per_peer,
-    figure07_baselines,
-    figure08_clustering_error,
-    figure09_clustering_sample_size,
-    figure10_skew_error,
-    figure11_skew_sample_size,
-    figure12_cut_vs_jump,
-    figure13_sum_clustering_error,
-    figure14_sum_clustering_sample_size,
-    figure15_median_clustering_error,
-    figure16_median_clustering_sample_size,
-)
-from .report import render_figure, render_table
-
-__all__ = [
-    "NetworkBundle",
-    "synthetic_bundle",
-    "gnutella_bundle",
-    "default_scale",
-    "default_trials",
-    "TrialOutcome",
-    "run_trials",
-    "WorkloadOutcome",
-    "run_workload",
-    "FigureResult",
-    "FIGURES",
-    "figure02_required_accuracy",
-    "figure03_selectivity",
-    "figure04_sample_size_synthetic",
-    "figure05_sample_size_gnutella",
-    "figure06_samples_per_peer",
-    "figure07_baselines",
-    "figure08_clustering_error",
-    "figure09_clustering_sample_size",
-    "figure10_skew_error",
-    "figure11_skew_sample_size",
-    "figure12_cut_vs_jump",
-    "figure13_sum_clustering_error",
-    "figure14_sum_clustering_sample_size",
-    "figure15_median_clustering_error",
-    "figure16_median_clustering_sample_size",
-    "render_figure",
-    "render_table",
-]
+__all__: list[str] = []

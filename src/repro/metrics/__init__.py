@@ -7,24 +7,4 @@ implements the cost ledger the simulator fills in;
 :mod:`repro.metrics.accuracy` implements the paper's normalizations.
 """
 
-from .cost import CostLedger, CostModel, QueryCost
-from .accuracy import (
-    count_error,
-    median_rank_error,
-    normalized_error,
-    sum_error,
-    TrialSummary,
-    summarize_trials,
-)
-
-__all__ = [
-    "CostModel",
-    "CostLedger",
-    "QueryCost",
-    "normalized_error",
-    "count_error",
-    "sum_error",
-    "median_rank_error",
-    "TrialSummary",
-    "summarize_trials",
-]
+__all__: list[str] = []

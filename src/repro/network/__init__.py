@@ -21,98 +21,4 @@ network side of the system:
   windows, regional outages, reply loss, latency spikes/timeouts).
 """
 
-from .peer import Peer, PeerCapabilities
-from .topology import Topology
-from .generators import (
-    TopologyConfig,
-    clustered_power_law,
-    gnutella_2001_like,
-    power_law_topology,
-    random_regular_topology,
-    synthetic_paper_topology,
-)
-from .walker import (
-    CollectionStats,
-    RandomWalkConfig,
-    RandomWalker,
-    ResilientCollector,
-    RetryPolicy,
-    WalkResult,
-    WeightedMetropolisWalker,
-)
-from .faults import (
-    CrashWindow,
-    FaultDecision,
-    FaultPlan,
-    FaultState,
-    LatencySpike,
-    RegionalOutage,
-)
-from .discovery import (
-    NetworkEstimate,
-    estimate_average_degree,
-    estimate_network,
-    samples_for_size_estimate,
-)
-from .spectral import SpectralProfile, analyze_topology, recommend_jump
-from .protocol import (
-    AggregateReply,
-    AggregateSample,
-    Message,
-    MessageType,
-    Ping,
-    Pong,
-    Query,
-    QueryHit,
-    TupleReply,
-    WalkerProbe,
-)
-from .simulator import NetworkSimulator
-from .churn import ChurnConfig, ChurnProcess
-from .live import LiveNetwork
-
-__all__ = [
-    "Peer",
-    "PeerCapabilities",
-    "Topology",
-    "TopologyConfig",
-    "clustered_power_law",
-    "gnutella_2001_like",
-    "power_law_topology",
-    "random_regular_topology",
-    "synthetic_paper_topology",
-    "RandomWalkConfig",
-    "RandomWalker",
-    "WalkResult",
-    "WeightedMetropolisWalker",
-    "RetryPolicy",
-    "CollectionStats",
-    "ResilientCollector",
-    "FaultPlan",
-    "FaultState",
-    "FaultDecision",
-    "CrashWindow",
-    "RegionalOutage",
-    "LatencySpike",
-    "NetworkEstimate",
-    "estimate_network",
-    "estimate_average_degree",
-    "samples_for_size_estimate",
-    "SpectralProfile",
-    "analyze_topology",
-    "recommend_jump",
-    "Message",
-    "MessageType",
-    "Ping",
-    "Pong",
-    "Query",
-    "QueryHit",
-    "WalkerProbe",
-    "AggregateReply",
-    "AggregateSample",
-    "TupleReply",
-    "NetworkSimulator",
-    "ChurnConfig",
-    "ChurnProcess",
-    "LiveNetwork",
-]
+__all__: list[str] = []

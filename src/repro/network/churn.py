@@ -17,11 +17,11 @@ across snapshots to confirm estimates stay unbiased as the graph
 drifts.
 
 This module mutates the *graph* between queries.  Its scheduled
-counterpart is :class:`~repro.sim.ChurnTimeline`, which replays
-departures/joins/epochs at virtual-clock times *during* a query on an
-:class:`~repro.sim.EventDrivenSimulator` — the two compose: evolve a
-topology here, then hand a snapshot plus a timeline to the timed
-simulator to study the race.
+counterpart is :class:`~repro.sim.timeline.ChurnTimeline`, which
+replays departures/joins/epochs at virtual-clock times *during* a
+query on an :class:`~repro.sim.event_driven.EventDrivenSimulator` —
+the two compose: evolve a topology here, then hand a snapshot plus a
+timeline to the timed simulator to study the race.
 """
 
 from __future__ import annotations

@@ -24,9 +24,10 @@ the slow-changing parameters the paper allows.
 Churn here happens *between* snapshots; a query never sees it move.
 To race a query against churn **mid-flight** — departures and epoch
 boundaries interleaved with in-flight replies on a virtual clock —
-schedule a :class:`~repro.sim.ChurnTimeline` on an
-:class:`~repro.sim.EventDrivenSimulator` instead (its ``"epoch"``
-marks play the role of this module's snapshot boundaries).
+schedule a :class:`~repro.sim.timeline.ChurnTimeline` on an
+:class:`~repro.sim.event_driven.EventDrivenSimulator` instead (its
+``"epoch"`` marks play the role of this module's snapshot
+boundaries).
 """
 
 from __future__ import annotations

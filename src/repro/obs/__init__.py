@@ -20,74 +20,4 @@ This package observes; it never acts.  reprolint RL002 rejects any
 code under ``obs/`` that visits peers or mutates a cost ledger.
 """
 
-from .events import (
-    BatchFallbackEvent,
-    BatchVisitEvent,
-    ChurnEpochEvent,
-    DeltaReuseEvent,
-    EstimateEvent,
-    FaultEvent,
-    FloodEvent,
-    PhaseEvent,
-    ProbeEvent,
-    QueryLifecycleEvent,
-    RetryEvent,
-    SubstituteEvent,
-    TraceCost,
-    TraceEvent,
-    WalkEvent,
-)
-from .jsonl import digest_of_lines, event_line, line_cost, read_trace
-from .manifest import (
-    RunManifest,
-    canonical_config,
-    config_digest,
-    git_revision,
-    manifest_filename,
-    write_manifest,
-)
-from .registry import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from .tracer import TraceLike, Tracer, active_tracer, tracing
-
-__all__ = [
-    "TraceCost",
-    "TraceEvent",
-    "WalkEvent",
-    "ProbeEvent",
-    "BatchVisitEvent",
-    "BatchFallbackEvent",
-    "RetryEvent",
-    "SubstituteEvent",
-    "FaultEvent",
-    "FloodEvent",
-    "PhaseEvent",
-    "EstimateEvent",
-    "ChurnEpochEvent",
-    "DeltaReuseEvent",
-    "QueryLifecycleEvent",
-    "TraceLike",
-    "Tracer",
-    "active_tracer",
-    "tracing",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "DEFAULT_BUCKETS",
-    "event_line",
-    "digest_of_lines",
-    "read_trace",
-    "line_cost",
-    "RunManifest",
-    "canonical_config",
-    "config_digest",
-    "git_revision",
-    "manifest_filename",
-    "write_manifest",
-]
+__all__: list[str] = []

@@ -11,40 +11,4 @@ SQL-ish parser (:mod:`repro.query.parser`) and the ground-truth
 evaluator used to score every experiment (:mod:`repro.query.exact`).
 """
 
-from .model import (
-    AggregateOp,
-    AggregationQuery,
-    And,
-    Between,
-    Comparison,
-    InSet,
-    Not,
-    Or,
-    Predicate,
-    TruePredicate,
-)
-from .parser import parse_query
-from .exact import (
-    evaluate_exact,
-    evaluate_exact_groups,
-    evaluate_on_columns,
-    measured_selectivity,
-)
-
-__all__ = [
-    "AggregateOp",
-    "AggregationQuery",
-    "Predicate",
-    "TruePredicate",
-    "Between",
-    "Comparison",
-    "InSet",
-    "And",
-    "Or",
-    "Not",
-    "parse_query",
-    "evaluate_exact",
-    "evaluate_exact_groups",
-    "evaluate_on_columns",
-    "measured_selectivity",
-]
+__all__: list[str] = []

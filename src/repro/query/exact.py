@@ -104,7 +104,7 @@ def evaluate_exact(
 ) -> float:
     """Evaluate ``query`` exactly over every peer's local database.
 
-    ``databases`` is an iterable of :class:`repro.data.LocalDatabase`
+    ``databases`` is an iterable of :class:`repro.data.localdb.LocalDatabase`
     (or anything exposing ``scan()``), or a
     :class:`~repro.data.flat.FlatDataset`, whose concatenated columns
     make the whole evaluation one numpy pass.  COUNT/SUM/AVG add up

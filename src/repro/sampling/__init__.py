@@ -7,22 +7,4 @@ jump).  Both are implemented here behind the same estimator pipeline so
 the comparison isolates *how peers are selected*.
 """
 
-from ..data.segments import segment_aggregate, segment_sums
-from .baselines import (
-    BaselineResult,
-    BFSEngine,
-    UniformOracleEngine,
-    dfs_engine,
-)
-from .blocklevel import block_aggregate, sampling_design_effect
-
-__all__ = [
-    "BFSEngine",
-    "dfs_engine",
-    "UniformOracleEngine",
-    "BaselineResult",
-    "block_aggregate",
-    "sampling_design_effect",
-    "segment_aggregate",
-    "segment_sums",
-]
+__all__: list[str] = []

@@ -37,10 +37,11 @@ heavy repeat traffic, not one query at a time):
   :meth:`QueryService.rebind` to a new snapshot, stale plans cold-miss
   on their own.
 * **Observability.**  With ``capture_traces=True`` each query gets its
-  own :class:`~repro.obs.Tracer` (scheduling-independent, diffable
-  with ``python -m repro.tools.trace diff``); the service-level
-  :class:`~repro.obs.MetricsRegistry` tracks throughput counters,
-  queue depth, warm/cold runs and budget/admission rejections.
+  own :class:`~repro.obs.tracer.Tracer` (scheduling-independent,
+  diffable with ``python -m repro.tools.trace diff``); the
+  service-level :class:`~repro.obs.registry.MetricsRegistry` tracks
+  throughput counters, queue depth, warm/cold runs and
+  budget/admission rejections.
 """
 
 from __future__ import annotations

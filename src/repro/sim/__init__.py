@@ -24,45 +24,4 @@ simulator's code and nothing else (``tests/test_sim_parity.py`` pins
 this).
 """
 
-from .clock import VirtualClock
-from .event_driven import EventDrivenSimulator
-from .kernel import (
-    DELIVERED,
-    DEPARTED,
-    TIMED_OUT,
-    DeliveryOutcome,
-    SimulationKernel,
-)
-from .latency import (
-    ZERO_LATENCY,
-    ConstantLatency,
-    ExponentialLatency,
-    LatencyDistribution,
-    LatencyModel,
-    UniformLatency,
-)
-from .queue import EventHandle, EventQueue
-from .timeline import ChurnTimeline, TimelineEntry
-from .timing import QueryTiming, TimingToken
-
-__all__ = [
-    "DELIVERED",
-    "DEPARTED",
-    "TIMED_OUT",
-    "ZERO_LATENCY",
-    "ChurnTimeline",
-    "ConstantLatency",
-    "DeliveryOutcome",
-    "EventDrivenSimulator",
-    "EventHandle",
-    "EventQueue",
-    "ExponentialLatency",
-    "LatencyDistribution",
-    "LatencyModel",
-    "QueryTiming",
-    "SimulationKernel",
-    "TimelineEntry",
-    "TimingToken",
-    "UniformLatency",
-    "VirtualClock",
-]
+__all__: list[str] = []

@@ -10,10 +10,11 @@ from repro.network.protocol import AggregateReply
 from repro.network.simulator import NetworkSimulator
 from repro.network.visits import PanelVisits
 from repro.network.walker import RetryPolicy
-from repro.obs import Tracer, tracing
+from repro.obs.tracer import Tracer, tracing
 from repro.query.exact import evaluate_exact
 from repro.query.parser import parse_query
-from repro.sim import ConstantLatency, EventDrivenSimulator, LatencyModel
+from repro.sim.event_driven import EventDrivenSimulator
+from repro.sim.latency import ConstantLatency, LatencyModel
 
 from .test_core_values_pinned import CHAOS_PLAN
 

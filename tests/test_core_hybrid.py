@@ -32,15 +32,11 @@ from repro.network.live import LiveNetwork
 from repro.network.protocol import AggregateReply, AggregateSample
 from repro.network.simulator import NetworkSimulator
 from repro.network.walker import RetryPolicy
-from repro.obs import Tracer, tracing
+from repro.obs.tracer import Tracer, tracing
 from repro.query.exact import evaluate_exact
 from repro.query.parser import parse_query
-from repro.sim import (
-    EventDrivenSimulator,
-    ExponentialLatency,
-    LatencyModel,
-    UniformLatency,
-)
+from repro.sim.event_driven import EventDrivenSimulator
+from repro.sim.latency import ExponentialLatency, LatencyModel, UniformLatency
 
 COUNT_30 = parse_query("SELECT COUNT(A) FROM T WHERE A BETWEEN 1 AND 30")
 SUM_ALL = parse_query("SELECT SUM(A) FROM T")

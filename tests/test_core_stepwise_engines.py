@@ -31,7 +31,7 @@ from repro.data.generator import DatasetConfig, generate_dataset
 from repro.metrics.cost import QueryCost
 from repro.network.simulator import NetworkSimulator
 from repro.network.walker import RetryPolicy
-from repro.obs import Tracer, tracing
+from repro.obs.tracer import Tracer, tracing
 from repro.query.parser import parse_query
 
 from .test_core_values_pinned import CHAOS_PLAN

@@ -16,7 +16,7 @@ from repro.data.localdb import LocalDatabase
 from repro.errors import ConfigurationError, SamplingError
 from repro.network.protocol import AggregateReply
 from repro.network.simulator import NetworkSimulator
-from repro.obs import Tracer, tracing
+from repro.obs.tracer import Tracer, tracing
 from repro.query.exact import evaluate_exact
 from repro.query.model import AggregateOp, AggregationQuery
 from repro.query.parser import parse_query

@@ -9,13 +9,13 @@ from repro.core.biased import BiasedConfig
 from repro.core.median import MedianConfig
 from repro.core.two_phase import TwoPhaseConfig
 from repro.errors import ConfigurationError
-from repro.experiments import run_workload
 from repro.experiments.configs import synthetic_bundle
 from repro.experiments.runner import (
     mean_error,
     mean_peers,
     mean_sample_size,
     run_trials,
+    run_workload,
 )
 from repro.query.exact import evaluate_exact
 from repro.query.parser import parse_query
@@ -87,7 +87,7 @@ class TestRunTrials:
         # run_trials and the sharded QueryService behave identically.
         import repro._pool as pool_module
 
-        monkeypatch.setattr(pool_module.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(pool_module, "available_cores", lambda: 1)
         monkeypatch.setattr(pool_module, "_WORKER_CAP_WARNED", False)
         with pytest.warns(RuntimeWarning, match="capping the pool"):
             run_trials(
@@ -107,13 +107,38 @@ class TestRunTrials:
 
         import repro._pool as pool_module
 
-        monkeypatch.setattr(pool_module.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(pool_module, "available_cores", lambda: 8)
         monkeypatch.setattr(pool_module, "_WORKER_CAP_WARNED", False)
         with warnings_module.catch_warnings():
             warnings_module.simplefilter("error", RuntimeWarning)
             run_trials(
                 bundle, COUNT_30, 0.1, trials=2, seed=1, workers=2
             )
+
+    def test_worker_cap_counts_this_process_cpus(self, monkeypatch):
+        # An affinity mask of one CPU on an 8-CPU host caps the pool at
+        # one worker, and the warning names that one core.
+        import repro._pool as pool_module
+
+        monkeypatch.setattr(
+            pool_module.os, "sched_getaffinity", lambda pid: {0},
+            raising=False,
+        )
+        monkeypatch.setattr(pool_module.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(pool_module, "_WORKER_CAP_WARNED", False)
+        with pytest.warns(RuntimeWarning, match=r"only 1 CPU core\(s\)"):
+            assert pool_module.effective_workers(4, cap=True) == 1
+
+    def test_worker_cap_without_affinity_counts_host_cpus(
+        self, monkeypatch
+    ):
+        import repro._pool as pool_module
+
+        monkeypatch.delattr(
+            pool_module.os, "sched_getaffinity", raising=False
+        )
+        monkeypatch.setattr(pool_module.os, "cpu_count", lambda: 3)
+        assert pool_module.available_cores() == 3
 
     def test_wrong_config_type(self, bundle):
         """The median engine runs any phase config — the service hands

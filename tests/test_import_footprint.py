@@ -18,6 +18,12 @@ it may cost:
   ``FlatDataset.from_databases`` hands back the dataset's own store.
   Per-peer copies coming back into the generator, the loader or
   ``NetworkSnapshot`` fail here by count.
+* Serving loads only the modules it runs.  ``repro`` and its packages
+  re-export nothing beyond the quickstart, so a service answering
+  every aggregate kind never imports the extensions, baselines,
+  persistence or discovery modules it does not call.  Checked in its
+  own fresh interpreter, since the scipy check above imports
+  :mod:`repro.network.spectral` on purpose.
 """
 
 import multiprocessing
@@ -122,6 +128,71 @@ def test_serving_loads_neither_scipy_nor_networkx():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.strip().endswith("footprint ok")
+
+
+# What serving COUNT / SUM / AVG / MEDIAN / GROUP BY never calls.
+UNUSED_BY_SERVING = (
+    "repro.core.batch",
+    "repro.core.biased",
+    "repro.core.cost_optimizer",
+    "repro.core.explain",
+    "repro.core.statistics",
+    "repro.io",
+    "repro.metrics.accuracy",
+    "repro.network.churn",
+    "repro.network.discovery",
+    "repro.network.live",
+    "repro.network.spectral",
+    "repro.obs.manifest",
+    "repro.sampling",
+    "repro.sampling.baselines",
+    "repro.sampling.blocklevel",
+)
+
+SERVING_SCRIPT = textwrap.dedent(
+    """
+    import sys
+
+    import repro
+    from repro.network.generators import power_law_topology
+    from repro.service import QueryService
+
+    topology = power_law_topology(300, 1200, seed=1)
+    dataset = repro.generate_dataset(
+        topology,
+        repro.DatasetConfig(num_tuples=6_000, group_column="G", num_groups=4),
+        seed=1,
+    )
+    network = repro.NetworkSimulator(topology, dataset.databases, seed=1)
+    with QueryService(network, seed=2) as service:
+        for sql in (
+            "SELECT COUNT(A) FROM T WHERE A BETWEEN 1 AND 30",
+            "SELECT SUM(A) FROM T",
+            "SELECT AVG(A) FROM T",
+            "SELECT MEDIAN(A) FROM T",
+            "SELECT COUNT(A) FROM T GROUP BY G",
+        ):
+            ticket = service.submit(repro.parse_query(sql), 0.2)
+            service.await_result(ticket)
+            outcome = service.outcome(ticket)
+            assert outcome.ok, outcome.error
+    found = [name for name in UNUSED if name in sys.modules]
+    assert not found, f"serving loaded {found}"
+    print("serving footprint ok")
+    """
+)
+
+
+def test_serving_loads_only_what_it_runs():
+    proc = subprocess.run(
+        [sys.executable, "-W", "ignore", "-c",
+         f"UNUSED = {UNUSED_BY_SERVING!r}\n{SERVING_SCRIPT}"],
+        capture_output=True,
+        text=True,
+        timeout=100,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip().endswith("serving footprint ok")
 
 
 class TestStoreCounts:

@@ -1,11 +1,16 @@
 """End-to-end integration tests across the whole stack."""
 
+import doctest
+
 import numpy as np
 import pytest
 
 import repro
+from repro.core.two_phase import TwoPhaseConfig
 from repro.experiments.configs import synthetic_bundle
 from repro.experiments.runner import run_trials
+from repro.network.churn import ChurnConfig, ChurnProcess
+from repro.network.spectral import recommend_jump
 
 
 class TestPublicApiQuickstart:
@@ -30,8 +35,25 @@ class TestPublicApiQuickstart:
         assert repro.__version__
 
     def test_all_exports_resolve(self):
+        """``repro`` exports the quickstart and nothing else; every
+        other name is imported from the module that defines it."""
+        assert sorted(repro.__all__) == sorted([
+            "synthetic_paper_topology",
+            "generate_dataset",
+            "DatasetConfig",
+            "NetworkSimulator",
+            "TwoPhaseEngine",
+            "parse_query",
+            "evaluate_exact",
+        ])
         for name in repro.__all__:
             assert hasattr(repro, name), name
+
+    def test_docstring_quickstart_runs(self):
+        """``repro``'s module docstring is the quickstart, as a doctest."""
+        failed, attempted = doctest.testmod(repro, verbose=False)
+        assert attempted > 0
+        assert failed == 0
 
 
 class TestAggregateAgreement:
@@ -76,9 +98,9 @@ class TestChurnRobustness:
         """Queries stay accurate on snapshots taken under churn, as
         long as each query runs against a consistent snapshot."""
         topology = repro.synthetic_paper_topology(seed=3, scale=0.03)
-        process = repro.ChurnProcess(
+        process = ChurnProcess(
             topology,
-            repro.ChurnConfig(join_rate=0.5, leave_rate=0.5),
+            ChurnConfig(join_rate=0.5, leave_rate=0.5),
             seed=3,
         )
         process.run(60)
@@ -106,7 +128,7 @@ class TestSpectralPreprocessingEndToEnd:
         """The pre-processing jump recommendation plugged into the
         engine keeps the estimate accurate."""
         topology = repro.synthetic_paper_topology(seed=5, scale=0.03)
-        jump = repro.recommend_jump(topology)
+        jump = recommend_jump(topology)
         assert jump >= 1
         dataset = repro.generate_dataset(
             topology, repro.DatasetConfig(num_tuples=30_000), seed=5
@@ -114,7 +136,7 @@ class TestSpectralPreprocessingEndToEnd:
         network = repro.NetworkSimulator(
             topology, dataset.databases, seed=5
         )
-        config = repro.TwoPhaseConfig(jump=jump)
+        config = TwoPhaseConfig(jump=jump)
         query = repro.parse_query(
             "SELECT COUNT(A) FROM T WHERE A BETWEEN 1 AND 30"
         )

@@ -6,6 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from repro.core.two_phase import TwoPhaseEngine
 from repro.data.flat import DatabaseTable, FlatDataset
 from repro.data.generator import (
     DatasetConfig,
@@ -14,6 +15,7 @@ from repro.data.generator import (
 )
 from repro.errors import ConfigurationError, TopologyError
 from repro.io import load_dataset, load_topology, save_dataset, save_topology
+from repro.network.simulator import NetworkSimulator
 from repro.query.exact import evaluate_exact, evaluate_exact_groups
 from repro.query.parser import parse_query
 
@@ -145,19 +147,17 @@ class TestDatasetRoundTrip:
         )
 
     def test_usable_in_simulator(self, tmp_path, small_topology):
-        import repro
-
         dataset = generate_dataset(
             small_topology, DatasetConfig(num_tuples=5_000), seed=5
         )
         path = tmp_path / "dataset.npz"
         save_dataset(dataset, path)
         loaded = load_dataset(path)
-        network = repro.NetworkSimulator(
+        network = NetworkSimulator(
             small_topology, loaded.databases, seed=5
         )
-        engine = repro.TwoPhaseEngine(network, seed=5)
-        query = repro.parse_query(
+        engine = TwoPhaseEngine(network, seed=5)
+        query = parse_query(
             "SELECT COUNT(A) FROM T WHERE A BETWEEN 1 AND 30"
         )
         result = engine.execute(query, delta_req=0.2, sink=0)

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-import repro
+from repro.core.two_phase import PlanCache, TwoPhaseConfig, TwoPhaseEngine
+from repro.data.generator import DatasetConfig, generate_dataset
 from repro.data.localdb import LocalDatabase
 from repro.errors import ConfigurationError
 from repro.network.churn import ChurnConfig
 from repro.network.live import LiveNetwork
+from repro.network.simulator import NetworkSimulator
 from repro.query.exact import evaluate_exact, evaluate_exact_groups
 from repro.query.parser import parse_query
 
@@ -106,7 +108,7 @@ class TestSnapshots:
     ):
         live = make_live(small_topology)
         labelled = live.snapshot(seed=1)
-        plain = repro.NetworkSimulator(
+        plain = NetworkSimulator(
             labelled.topology, labelled.databases(), seed=1
         )
         assert labelled.peer_labels == tuple(range(plain.num_peers))
@@ -118,7 +120,7 @@ class TestSnapshots:
         labels = list(frozen.peer_labels)
         labels[0] = -1
         with pytest.raises(ConfigurationError, match="non-negative"):
-            repro.NetworkSimulator(
+            NetworkSimulator(
                 frozen.topology, frozen.databases(), peer_labels=labels
             )
 
@@ -132,9 +134,9 @@ class TestSnapshots:
             truth = evaluate_exact(COUNT_30, network.databases())
             n = network.total_tuples()
             sink = int(network.topology.giant_component()[0])
-            engine = repro.TwoPhaseEngine(
+            engine = TwoPhaseEngine(
                 network,
-                repro.TwoPhaseConfig(
+                TwoPhaseConfig(
                     max_phase_two_peers=2 * network.num_peers
                 ),
                 seed=epoch,
@@ -147,11 +149,11 @@ class TestSnapshots:
         meeting the requirement."""
         live = make_live(small_topology, seed=13)
         network = live.snapshot(seed=1)
-        hybrid = repro.TwoPhaseEngine(
+        hybrid = TwoPhaseEngine(
             network,
-            repro.TwoPhaseConfig(max_phase_two_peers=400),
+            TwoPhaseConfig(max_phase_two_peers=400),
             seed=1,
-            cache=repro.PlanCache(),
+            cache=PlanCache(),
         )
         hybrid.execute(COUNT_30, 0.1, sink=0)
         assert hybrid.warm_runs == 0
@@ -165,9 +167,9 @@ class TestSnapshots:
 
 def make_grouped_live(small_topology, handoff):
     """A network over a dataset with a group column ``G`` beside ``A``."""
-    dataset = repro.generate_dataset(
+    dataset = generate_dataset(
         small_topology,
-        repro.DatasetConfig(num_tuples=4_000, group_column="G", num_groups=5),
+        DatasetConfig(num_tuples=4_000, group_column="G", num_groups=5),
         seed=4,
     )
     return dataset, LiveNetwork(

@@ -42,17 +42,12 @@ from repro.network.faults import (
 from repro.network.generators import power_law_topology
 from repro.network.simulator import NetworkSimulator
 from repro.network.walker import RetryPolicy
-from repro.obs import Tracer, tracing
+from repro.obs.tracer import Tracer, tracing
 from repro.query.model import AggregateOp, AggregationQuery
 from repro.service import QueryService
-from repro.sim import (
-    ChurnTimeline,
-    ConstantLatency,
-    EventDrivenSimulator,
-    LatencyModel,
-    UniformLatency,
-)
-from repro.sim.timeline import TimelineEntry
+from repro.sim.event_driven import EventDrivenSimulator
+from repro.sim.latency import ConstantLatency, LatencyModel, UniformLatency
+from repro.sim.timeline import ChurnTimeline, TimelineEntry
 
 SUM_ALL = AggregationQuery(agg=AggregateOp.SUM, column="A")
 

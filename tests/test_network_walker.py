@@ -21,15 +21,11 @@ from repro.network.walker import (
     ResilientCollector,
     RetryPolicy,
 )
-from repro.obs import Tracer, tracing
 from repro.obs.events import FaultEvent, LateDeliveryEvent
+from repro.obs.tracer import Tracer, tracing
 from repro.query.parser import parse_query
-from repro.sim import (
-    ConstantLatency,
-    EventDrivenSimulator,
-    ExponentialLatency,
-    LatencyModel,
-)
+from repro.sim.event_driven import EventDrivenSimulator
+from repro.sim.latency import ConstantLatency, ExponentialLatency, LatencyModel
 from repro.sim.queue import EventQueue
 
 

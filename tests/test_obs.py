@@ -36,36 +36,29 @@ from repro.network.walker import (
     ResilientCollector,
     RetryPolicy,
 )
-from repro.obs import (
-    MetricsRegistry,
+from repro.obs.events import (
+    EVENT_TYPES,
     ProbeEvent,
     RetryEvent,
-    RunManifest,
     TraceCost,
-    Tracer,
     WalkEvent,
-    active_tracer,
+)
+from repro.obs.jsonl import digest_of_lines, event_line, line_cost, read_trace
+from repro.obs.manifest import (
+    RunManifest,
     canonical_config,
     config_digest,
-    digest_of_lines,
-    event_line,
     git_revision,
-    line_cost,
     manifest_filename,
-    read_trace,
-    tracing,
     write_manifest,
 )
-from repro.obs.events import EVENT_TYPES
+from repro.obs.registry import MetricsRegistry
+from repro.obs.tracer import Tracer, active_tracer, tracing
 from repro.query.parser import parse_query
 from repro.sampling.baselines import BFSEngine, dfs_engine
 from repro.service import QueryService
-from repro.sim import (
-    ConstantLatency,
-    EventDrivenSimulator,
-    ExponentialLatency,
-    LatencyModel,
-)
+from repro.sim.event_driven import EventDrivenSimulator
+from repro.sim.latency import ConstantLatency, ExponentialLatency, LatencyModel
 
 COUNT_30 = parse_query("SELECT COUNT(A) FROM T WHERE A BETWEEN 1 AND 30")
 SUM_ALL = parse_query("SELECT SUM(A) FROM T")

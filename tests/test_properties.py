@@ -24,7 +24,6 @@ from repro.network.walker import (
     ResilientCollector,
     RetryPolicy,
 )
-from repro.obs import Tracer, tracing
 from repro.core.estimators import (
     clustering_badness,
     horvitz_thompson,
@@ -33,6 +32,7 @@ from repro.data.generator import arrange_cluster_level
 from repro.data.localdb import LocalDatabase
 from repro.data.zipf import zipf_probabilities, zipf_sample
 from repro.network.topology import Topology
+from repro.obs.tracer import Tracer, tracing
 from repro.query.model import (
     AggregateOp,
     AggregationQuery,

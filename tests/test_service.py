@@ -46,7 +46,8 @@ from repro.service import (
     ScheduledQuery,
 )
 from repro.service.backend import QueryJob, build_task, shard_for_signature
-from repro.sim import ConstantLatency, EventDrivenSimulator, LatencyModel
+from repro.sim.event_driven import EventDrivenSimulator
+from repro.sim.latency import ConstantLatency, LatencyModel
 from repro.tools.trace.cli import main as trace_main
 
 COUNT_30 = parse_query("SELECT COUNT(A) FROM T WHERE A BETWEEN 1 AND 30")

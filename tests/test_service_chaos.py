@@ -26,12 +26,8 @@ from repro.network.simulator import NetworkSimulator
 from repro.network.walker import ResilientCollector, RetryPolicy
 from repro.query.parser import parse_query
 from repro.service import QueryService
-from repro.sim import (
-    ConstantLatency,
-    EventDrivenSimulator,
-    ExponentialLatency,
-    LatencyModel,
-)
+from repro.sim.event_driven import EventDrivenSimulator
+from repro.sim.latency import ConstantLatency, ExponentialLatency, LatencyModel
 
 pytestmark = pytest.mark.chaos
 

@@ -53,12 +53,8 @@ from repro.service.backend import (
     ForkedBackend,
     shard_for_signature,
 )
-from repro.sim import (
-    ConstantLatency,
-    EventDrivenSimulator,
-    ExponentialLatency,
-    LatencyModel,
-)
+from repro.sim.event_driven import EventDrivenSimulator
+from repro.sim.latency import ConstantLatency, ExponentialLatency, LatencyModel
 from repro.tools.trace.cli import main as trace_main
 
 COUNT_30 = parse_query("SELECT COUNT(A) FROM T WHERE A BETWEEN 1 AND 30")
@@ -740,7 +736,7 @@ class TestSharedPoolBehaviour:
         from repro.experiments.configs import synthetic_bundle
         from repro.experiments.runner import run_trials
 
-        monkeypatch.setattr(pool.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(pool, "available_cores", lambda: 1)
         monkeypatch.setattr(pool, "_WORKER_CAP_WARNED", False)
         with pytest.warns(RuntimeWarning, match="QueryService"):
             QueryService(
@@ -760,7 +756,7 @@ class TestSharedPoolBehaviour:
         # run_trials caps at the core count (work is embarrassingly
         # parallel); the sharded service must NOT cap — signature
         # routing needs exactly the requested shard count.
-        monkeypatch.setattr(pool.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(pool, "available_cores", lambda: 1)
         with QueryService(
             small_network, CONFIG, seed=99, workers=3
         ) as service:

@@ -30,14 +30,9 @@ from repro.obs.events import LateDeliveryEvent, ProbeEvent, StaleReplyEvent
 from repro.obs.tracer import Tracer, tracing
 from repro.query.parser import parse_query
 from repro.service.service import QueryService
-from repro.sim import (
-    ChurnTimeline,
-    ConstantLatency,
-    EventDrivenSimulator,
-    LatencyModel,
-    TimelineEntry,
-    UniformLatency,
-)
+from repro.sim.event_driven import EventDrivenSimulator
+from repro.sim.latency import ConstantLatency, LatencyModel, UniformLatency
+from repro.sim.timeline import ChurnTimeline, TimelineEntry
 
 pytestmark = pytest.mark.chaos
 

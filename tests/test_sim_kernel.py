@@ -13,20 +13,22 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.obs.events import LateDeliveryEvent, TimelineEvent
 from repro.obs.tracer import Tracer, tracing
-from repro.sim import (
+from repro.sim.kernel import (
     DELIVERED,
     DEPARTED,
     TIMED_OUT,
-    ChurnTimeline,
+    DeliveryOutcome,
+    SimulationKernel,
+    _Delivery,
+)
+from repro.sim.latency import (
     ConstantLatency,
     ExponentialLatency,
     LatencyModel,
-    SimulationKernel,
-    TimelineEntry,
     UniformLatency,
 )
-from repro.sim.kernel import DeliveryOutcome, _Delivery
 from repro.sim.queue import EventQueue
+from repro.sim.timeline import ChurnTimeline, TimelineEntry
 
 
 def queued_await_delivery(kernel, peer, kind, delay_ms, patience_ms):

@@ -1,11 +1,11 @@
 """The keystone parity invariant, property-tested.
 
-A zero-latency :class:`~repro.sim.EventDrivenSimulator` (no latency
-model, no timeline, no timeout, no deadline) must be **bit-identical**
-to the synchronous :class:`~repro.network.simulator.NetworkSimulator`:
-same estimates, same :class:`~repro.metrics.cost.CostLedger` totals,
-same trace digests — engines, fault plans and the serving layer
-included.  And any *timed* schedule (latency + churn timeline) must
+A zero-latency :class:`~repro.sim.event_driven.EventDrivenSimulator`
+(no latency model, no timeline, no timeout, no deadline) must be
+**bit-identical** to the synchronous
+:class:`~repro.network.simulator.NetworkSimulator`: same estimates,
+same :class:`~repro.metrics.cost.CostLedger` totals, same trace
+digests — engines, fault plans and the serving layer included.  And any *timed* schedule (latency + churn timeline) must
 replay bit-identically under the same seeds.
 
 CI runs this file twice (the ``sim`` job) with derandomized
@@ -25,16 +25,12 @@ from repro.network.faults import CrashWindow, FaultPlan, LatencySpike
 from repro.network.generators import power_law_topology
 from repro.network.simulator import NetworkSimulator
 from repro.network.walker import RandomWalker, ResilientCollector, RetryPolicy
-from repro.obs import Tracer, tracing
+from repro.obs.tracer import Tracer, tracing
 from repro.query.parser import parse_query
 from repro.service.service import QueryService
-from repro.sim import (
-    ChurnTimeline,
-    EventDrivenSimulator,
-    ExponentialLatency,
-    LatencyModel,
-    UniformLatency,
-)
+from repro.sim.event_driven import EventDrivenSimulator
+from repro.sim.latency import ExponentialLatency, LatencyModel, UniformLatency
+from repro.sim.timeline import ChurnTimeline
 
 COUNT_30 = parse_query("SELECT COUNT(A) FROM T WHERE A BETWEEN 1 AND 30")
 SUM_A = parse_query("SELECT SUM(A) FROM T WHERE A BETWEEN 5 AND 70")

@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.sim import EventQueue, VirtualClock
-from repro.sim.queue import EventHandle
+from repro.sim.clock import VirtualClock
+from repro.sim.queue import EventHandle, EventQueue
 
 # One queue program: a list of operations applied in order.
 #   ("schedule", time_ms)  — schedule a payload at time_ms

@@ -12,10 +12,14 @@ import sys
 import pytest
 
 from repro.core.two_phase import TwoPhaseConfig, TwoPhaseEngine
-from repro.obs import (
-    ProbeEvent, RetryEvent, TraceCost, Tracer, WalkEvent, tracing,
+from repro.obs.events import (
+    EVENT_TYPES,
+    ProbeEvent,
+    RetryEvent,
+    TraceCost,
+    WalkEvent,
 )
-from repro.obs.events import EVENT_TYPES
+from repro.obs.tracer import Tracer, tracing
 from repro.query.parser import parse_query
 from repro.tools.trace import main as trace_main
 

@@ -32,15 +32,11 @@ from repro.data.generator import DatasetConfig, generate_dataset
 from repro.network.faults import CrashWindow, FaultPlan, LatencySpike
 from repro.network.generators import power_law_topology
 from repro.network.simulator import NetworkSimulator
-from repro.obs import Tracer, tracing
+from repro.obs.tracer import Tracer, tracing
 from repro.query.parser import parse_query
-from repro.sim import (
-    ChurnTimeline,
-    EventDrivenSimulator,
-    ExponentialLatency,
-    LatencyModel,
-    UniformLatency,
-)
+from repro.sim.event_driven import EventDrivenSimulator
+from repro.sim.latency import ExponentialLatency, LatencyModel, UniformLatency
+from repro.sim.timeline import ChurnTimeline
 
 GOLDENS = Path(__file__).resolve().parent / "goldens"
 BENCH = Path(__file__).resolve().parent.parent / "bench"

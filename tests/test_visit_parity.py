@@ -51,17 +51,17 @@ from repro.network.walker import (
     ResilientCollector,
     RetryPolicy,
 )
-from repro.obs import Tracer, tracing
+from repro.obs.tracer import Tracer, tracing
 from repro.query.model import AggregateOp, AggregationQuery, Comparison
 from repro.query.parser import parse_query
-from repro.sim import (
-    ChurnTimeline,
+from repro.sim.event_driven import EventDrivenSimulator
+from repro.sim.latency import (
     ConstantLatency,
-    EventDrivenSimulator,
     ExponentialLatency,
     LatencyModel,
     UniformLatency,
 )
+from repro.sim.timeline import ChurnTimeline
 
 from . import visit_oracle
 

@@ -51,8 +51,8 @@ from repro.network.walker import (
     WeightedMetropolisWalker,
     _emit_walk,
 )
-from repro.obs import Tracer, tracing
 from repro.obs.events import WalkEvent
+from repro.obs.tracer import Tracer, tracing
 from repro.query.exact import evaluate_exact
 from repro.query.parser import parse_query
 from repro.service import QueryService
