@@ -225,65 +225,6 @@ def test_ablation_biased_vs_plain(benchmark):
     assert stats["biased"] < stats["plain"]
 
 
-def test_ablation_cost_optimal_t(benchmark):
-    """The §4 'ideal algorithm' knob: the optimizer's t* should land
-    near the empirical latency minimum over a t grid."""
-    from repro.core.cost_optimizer import optimize_tuple_budget
-    from repro.query.exact import evaluate_exact
-
-    def run():
-        bundle = synthetic_bundle(
-            scale=SCALE, cluster_level=0.5, skew=0.2, tuples_per_peer=400
-        )
-        probe = TwoPhaseEngine(
-            bundle.simulator,
-            TwoPhaseConfig(
-                phase_one_peers=60, tuples_per_peer=25,
-                max_phase_two_peers=0,
-            ),
-            seed=55,
-        )
-        ledger = bundle.simulator.new_ledger()
-        observations = probe.collect_observations(
-            0, COUNT_30, 60, ledger
-        )
-        plan = optimize_tuple_budget(
-            observations,
-            absolute_error=0.05 * bundle.num_tuples,
-            jump=10,
-            max_tuples=400,
-        )
-
-        def latency_at(t):
-            values = []
-            for seed in range(2):
-                engine = TwoPhaseEngine(
-                    bundle.simulator,
-                    TwoPhaseConfig(
-                        phase_one_peers=60, tuples_per_peer=t,
-                        max_phase_two_peers=4000,
-                    ),
-                    seed=seed,
-                )
-                result = engine.execute(COUNT_30, 0.05, sink=0)
-                values.append(result.cost.latency_ms)
-            return float(np.mean(values))
-
-        grid = {t: latency_at(t) for t in (5, 25, 100, 400)}
-        return {
-            "t_star": plan.tuples_per_peer,
-            "at_star": latency_at(plan.tuples_per_peer),
-            "grid": grid,
-        }
-
-    stats = benchmark.pedantic(run, rounds=1, iterations=1)
-    print(f"\nt* = {stats['t_star']}, latency {stats['at_star']:.0f} ms")
-    for t, latency in stats["grid"].items():
-        print(f"  t={t:4d}: {latency:10.0f} ms")
-    best = min(stats["grid"].values())
-    assert stats["at_star"] <= 1.3 * best
-
-
 def test_ablation_batch_vs_sequential(benchmark):
     """Multi-query batching: a dashboard of aggregates costs about as
     much as its hardest member, not the sum."""

@@ -1185,22 +1185,6 @@ class TwoPhaseEngine(
             self._point, self._variance, self._config.confidence,
         )
 
-    def collect_observations(
-        self,
-        sink: int,
-        query: AggregationQuery,
-        count: int,
-        ledger: CostLedger,
-    ) -> AggregateSample:
-        """Walk, visit ``count`` peers, and return the sample.
-
-        Public so tools (:func:`~repro.core.explain.explain`) can
-        reuse the walk+visit+reply pipeline.
-        """
-        return drain_steps(
-            self.collect_observations_stepwise(sink, query, count, ledger)
-        )
-
     def collect_observations_stepwise(
         self,
         sink: int,
@@ -1210,10 +1194,10 @@ class TwoPhaseEngine(
         chunk_peers: Optional[int] = None,
         phase: str = "collect",
     ) -> Generator[StepCheckpoint, None, AggregateSample]:
-        """Stepwise :meth:`collect_observations` — yields checkpoints
-        between chunks of ``chunk_peers`` visits, returns the same
-        sample: the replies with the stationary probabilities the sink
-        reconstructs for this engine's walk attached.
+        """Walk, visit ``count`` peers, and return the sample: the
+        replies with the stationary probabilities the sink reconstructs
+        for this engine's walk attached.  Yields checkpoints between
+        chunks of ``chunk_peers`` visits.
 
         A batch visit covers a take's peers in one vectorized pass;
         under fault injection it resolves each probe's fate on its own,

@@ -245,8 +245,8 @@ class NetworkSimulator:
     databases:
         One local database per peer, indexed by peer id.  A
         :class:`~repro.data.flat.DatabaseTable` (what
-        ``generate_dataset`` and ``load_dataset`` return) is kept as
-        it is and its store serves as :attr:`flat_dataset`; any other
+        ``generate_dataset`` returns) is kept as it is and its store
+        serves as :attr:`flat_dataset`; any other
         sequence is frozen into a tuple and concatenated on first use.
     peers:
         Optional peer identities (``peers[i].peer_id`` must be ``i``);

@@ -1,4 +1,4 @@
-"""Sampling strategies: naive baselines and block-level helpers.
+"""Sampling strategies: the naive baselines.
 
 The paper's Figure 7 compares the random-walk method against two naive
 ways to collect a peer sample — BFS (the sink's neighborhood, i.e.

@@ -9,7 +9,7 @@ standard library, so it can run in CI and pre-commit hooks without the
 simulation stack installed.
 
 :mod:`repro.tools.trace` works on the JSONL walk traces written by
-:class:`repro.obs.Tracer`: summarize event and cost totals (which
+:class:`repro.obs.tracer.Tracer`: summarize event and cost totals (which
 reconcile exactly with the run's cost ledger), diff two seeded runs,
 or filter events for further tooling.
 """

@@ -1,6 +1,6 @@
 """Trace tooling: ``python -m repro.tools.trace``.
 
-Works on the JSONL traces written by :class:`repro.obs.Tracer`:
+Works on the JSONL traces written by :class:`repro.obs.tracer.Tracer`:
 
 ``summarize``
     Event counts by kind, probe outcome breakdown, and the cost totals

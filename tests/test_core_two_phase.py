@@ -407,9 +407,9 @@ class TestCurrency:
         hybrid.execute(COUNT_30, delta_req=0.1, sink=0)
         hybrid.execute(COUNT_30, delta_req=0.1, sink=0)
         assert (hybrid.cold_runs, hybrid.warm_runs) == (1, 1)
-        sample = two_phase.collect_observations(
+        sample = drain_steps(two_phase.collect_observations_stepwise(
             0, COUNT_30, 12, small_network.new_ledger()
-        )
+        ))
         assert constructed == []
 
         # Whoever wants the protocol objects materialises them, a

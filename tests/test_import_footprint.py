@@ -11,25 +11,30 @@ it may cost:
   are ≈ 46 MB of RSS and ≈ 0.4 s per process, paid by every bench
   child and every forked worker.  Checked in a fresh interpreter, by
   ``sys.modules`` and by an import hook that forked workers inherit.
-* A generated or loaded dataset is one column store and its
-  per-peer databases are slices built on request, so from
-  ``generate_dataset`` / ``load_dataset`` to a service's first clean
-  answer **zero** ``LocalDatabase`` objects are constructed and
-  ``FlatDataset.from_databases`` hands back the dataset's own store.
-  Per-peer copies coming back into the generator, the loader or
-  ``NetworkSnapshot`` fail here by count.
+* A generated dataset is one column store and its per-peer databases
+  are slices built on request, so from ``generate_dataset`` to a
+  service's first clean answer **zero** ``LocalDatabase`` objects are
+  constructed and ``FlatDataset.from_databases`` hands back the
+  dataset's own store.  Per-peer copies coming back into the generator
+  or ``NetworkSnapshot`` fail here by count.
 * Serving loads only the modules it runs.  ``repro`` and its packages
   re-export nothing beyond the quickstart, so a service answering
-  every aggregate kind never imports the extensions, baselines,
-  persistence or discovery modules it does not call.  Checked in its
-  own fresh interpreter, since the scipy check above imports
-  :mod:`repro.network.spectral` on purpose.
+  every aggregate kind never imports the extensions and baselines it
+  does not call.  Checked in its own fresh interpreter, since the
+  scipy check above imports :mod:`repro.network.spectral` on purpose.
+* Every module under ``src/repro`` is run by something: read from the
+  source with :mod:`ast`, the imports reachable from the package, the
+  service, the figure CLI, the tools, the examples, ``bench/`` and
+  ``benchmarks/`` cover the whole tree.  A module only its own tests
+  import fails here by name.
 """
 
+import ast
 import multiprocessing
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -37,7 +42,6 @@ from repro.core.two_phase import TwoPhaseConfig
 from repro.data.flat import FlatDataset
 from repro.data.generator import DatasetConfig, generate_dataset
 from repro.data.localdb import LocalDatabase
-from repro.io import load_dataset, save_dataset
 from repro.network.generators import power_law_topology
 from repro.network.simulator import NetworkSimulator
 from repro.query.parser import parse_query
@@ -134,19 +138,14 @@ def test_serving_loads_neither_scipy_nor_networkx():
 UNUSED_BY_SERVING = (
     "repro.core.batch",
     "repro.core.biased",
-    "repro.core.cost_optimizer",
-    "repro.core.explain",
     "repro.core.statistics",
-    "repro.io",
     "repro.metrics.accuracy",
     "repro.network.churn",
-    "repro.network.discovery",
     "repro.network.live",
     "repro.network.spectral",
     "repro.obs.manifest",
     "repro.sampling",
     "repro.sampling.baselines",
-    "repro.sampling.blocklevel",
 )
 
 SERVING_SCRIPT = textwrap.dedent(
@@ -255,16 +254,56 @@ class TestStoreCounts:
         assert dataset.databases[7].num_tuples == 20
         assert counts["LocalDatabase"] == 1
 
-    def test_loaded_dataset_to_first_answer(self, counts, tmp_path):
-        topology = power_law_topology(self.NUM_PEERS, 8_000, seed=3)
-        dataset = generate_dataset(
-            topology, DatasetConfig(num_tuples=40_000), seed=3
-        )
-        save_dataset(dataset, tmp_path / "dataset.npz")
-        # Saving wrote the store it was handed back, as it was.
-        assert counts["flattened"].pop() is dataset.databases.store
-        loaded = load_dataset(tmp_path / "dataset.npz")
-        self._serve(topology, loaded.databases)
-        assert counts["LocalDatabase"] == 0
-        assert [flat is loaded.databases.store
-                for flat in counts["flattened"]] == [True]
+
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src"
+
+
+def _module_name(path):
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _imported(path, name):
+    """Every dotted name ``path`` (module ``name``) imports, at any
+    depth of its body, with each name's parent packages."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                package = name.split(".")
+                if path.name != "__init__.py":
+                    package.pop()
+                package = package[:len(package) - node.level + 1]
+                base = ".".join(package + ([base] if base else []))
+            found.add(base)
+            found.update(f"{base}.{alias.name}" for alias in node.names)
+    return {
+        ".".join(parts[:end])
+        for parts in (target.split(".") for target in found)
+        for end in range(1, len(parts) + 1)
+    }
+
+
+def test_every_module_is_reached():
+    modules = {
+        _module_name(path): path for path in (SRC / "repro").rglob("*.py")
+    }
+    roots = {"repro", "repro.service", "repro.experiments.__main__"}
+    roots |= {name for name in modules if name.startswith("repro.tools.")}
+    for directory in ("examples", "bench", "benchmarks"):
+        for path in (REPO / directory).glob("*.py"):
+            roots |= _imported(path, f"{directory}.{path.stem}")
+    reached = roots & modules.keys()
+    pending = list(reached)
+    while pending:
+        name = pending.pop()
+        for target in _imported(modules[name], name) & modules.keys():
+            if target not in reached:
+                reached.add(target)
+                pending.append(target)
+    orphans = sorted(modules.keys() - reached)
+    assert not orphans, f"nothing that runs imports {orphans}"

@@ -4,7 +4,7 @@ Generated columns take the narrowest signed width their domain allows
 (:func:`repro.data.zipf.domain_dtype`: ``int8`` up to 127 values,
 ``int16`` from 128), and every consumer that does arithmetic on raw
 column values widens first.  These properties are the net under that
-audit: on domains at each width's edge, and on a loaded store of
+audit: on domains at each width's edge, and on a hand-built store of
 negative values (where a difference of two ``int8`` values wraps),
 every exact evaluator and every served query kind — clean and through
 the resilient collector — must answer bit for bit as the same rows
@@ -25,7 +25,6 @@ from repro.data.generator import (
 )
 from repro.data.zipf import domain_dtype
 from repro.errors import QueryError
-from repro.io import load_dataset, save_dataset
 from repro.network.faults import CrashWindow, FaultPlan
 from repro.network.simulator import NetworkSimulator
 from repro.network.walker import RetryPolicy
@@ -188,12 +187,12 @@ def _generated(topology, num_values, num_groups, skew, cluster_level, seed):
     )
 
 
-def _loaded_negative(tmp_path, topology, dtype, seed):
-    """A store at ``dtype`` written and read back through
-    :mod:`repro.io`: half its values at the bottom of the width, half
-    at the top, shuffled (groups ``-3..3``).  A median that falls
-    between the two halves — the whole table's, or a peer's over an
-    even split — interpolates across a gap wider than ``dtype`` holds.
+def _negative(topology, dtype, seed):
+    """A store at ``dtype``: half its values at the bottom of the
+    width, half at the top, shuffled (groups ``-3..3``).  A median that
+    falls between the two halves — the whole table's, or a peer's over
+    an even split — interpolates across a gap wider than ``dtype``
+    holds.
     """
     shaped = generate_dataset(
         topology, DatasetConfig(num_tuples=3_000, group_column="G"), seed=seed
@@ -210,15 +209,12 @@ def _loaded_negative(tmp_path, topology, dtype, seed):
         "G": rng.integers(-3, 3, 3_000, endpoint=True).astype(dtype),
     }
     store = FlatDataset(columns, shaped.databases.store.offsets)
-    dataset = GeneratedDataset(
+    return GeneratedDataset(
         config=shaped.config,
         values=store.column("A"),
         databases=DatabaseTable(store, block_size=shaped.config.block_size),
         group_values=store.column("G"),
     )
-    path = tmp_path / f"negative_{np.dtype(dtype).name}.npz"
-    save_dataset(dataset, path)
-    return load_dataset(path)
 
 
 class TestGeneratedDomains:
@@ -270,8 +266,8 @@ class TestGeneratedDomains:
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32])
 class TestLoadedNegativeStore:
-    def test_exact_answers(self, tmp_path, small_topology, dtype):
-        narrow = _loaded_negative(tmp_path, small_topology, dtype, seed=5)
+    def test_exact_answers(self, small_topology, dtype):
+        narrow = _negative(small_topology, dtype, seed=5)
         assert narrow.values.dtype == dtype
         info = np.iinfo(dtype)
         for low, high, fraction in [
@@ -285,8 +281,8 @@ class TestLoadedNegativeStore:
             )
 
     @pytest.mark.parametrize("faults", [None, FAULTS], ids=["clean", "faulty"])
-    def test_served_answers(self, tmp_path, small_topology, dtype, faults):
-        narrow = _loaded_negative(tmp_path, small_topology, dtype, seed=6)
+    def test_served_answers(self, small_topology, dtype, faults):
+        narrow = _negative(small_topology, dtype, seed=6)
         info = np.iinfo(dtype)
         # Every shape: a peer's local quantile over a subset straddles
         # the two halves when its matching rows split just so.

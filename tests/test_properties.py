@@ -351,67 +351,6 @@ def test_uniform_sample_without_replacement(values, t, seed):
 
 
 # ---------------------------------------------------------------------------
-# Cost-optimizer invariants
-# ---------------------------------------------------------------------------
-
-@st.composite
-def variance_observations(draw):
-    """Observations with controlled variance fields."""
-    n = draw(st.integers(min_value=2, max_value=20))
-    observations = []
-    for i in range(n):
-        observations.append(
-            Row(
-                source=i,
-                aggregate_value=draw(
-                    st.floats(min_value=0, max_value=1000, allow_nan=False)
-                ),
-                probability=draw(
-                    st.floats(min_value=0.001, max_value=0.5,
-                              allow_nan=False)
-                ),
-                local_tuples=draw(st.integers(min_value=1, max_value=500)),
-                contribution_variance=draw(
-                    st.floats(min_value=0, max_value=100, allow_nan=False)
-                ),
-                processed_tuples=draw(
-                    st.integers(min_value=1, max_value=100)
-                ),
-            )
-        )
-    return sample_of(observations)
-
-
-@given(variance_observations())
-@settings(max_examples=60, deadline=None)
-def test_variance_decomposition_nonnegative(observations):
-    from repro.core.cost_optimizer import decompose_variance
-
-    decomposition = decompose_variance(observations)
-    assert decomposition.between >= 0
-    assert decomposition.within_rate >= 0
-    # badness is monotone non-increasing in t
-    assert decomposition.badness_at(10) >= decomposition.badness_at(1000)
-
-
-@given(
-    variance_observations(),
-    st.floats(min_value=1.0, max_value=1e6, allow_nan=False),
-    st.integers(min_value=1, max_value=2000),
-)
-@settings(max_examples=60, deadline=None)
-def test_optimizer_respects_bounds(observations, absolute_error, max_tuples):
-    from repro.core.cost_optimizer import optimize_tuple_budget
-
-    plan = optimize_tuple_budget(
-        observations, absolute_error=absolute_error, max_tuples=max_tuples
-    )
-    assert 1 <= plan.tuples_per_peer <= max_tuples
-    assert plan.peers_to_visit >= 1
-    assert plan.predicted_latency_ms > 0
-
-
-# ---------------------------------------------------------------------------
 # Hájek estimator invariants
 # ---------------------------------------------------------------------------
 
