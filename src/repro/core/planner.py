@@ -101,12 +101,6 @@ class PhaseOneAnalysis:
     badness: float
     plan: PhaseTwoPlan
 
-    def predicted_error_at(self, total_peers: int) -> float:
-        """Theorem-2 prediction of the absolute error (one standard
-        deviation) if ``total_peers`` peers are used in total."""
-        check_positive("total_peers", total_peers)
-        return math.sqrt(self.badness / total_peers)
-
 
 def estimate_scale(
     query: AggregationQuery,

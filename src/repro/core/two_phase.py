@@ -682,11 +682,6 @@ class _PhasedEngine(Generic[_C, _Q, _R]):
         return self._config
 
     @property
-    def simulator(self) -> NetworkSimulator:
-        """The network this engine queries."""
-        return self._simulator
-
-    @property
     def cache(self) -> Optional[PlanCache]:
         """The plan cache this engine plans through (``None``: every
         run is cold)."""

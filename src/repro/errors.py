@@ -26,6 +26,7 @@ __all__ = [
     "BudgetExceededError",
     "DeadlineExceededError",
     "WorkerPoolError",
+    "KernelBuildError",
 ]
 
 
@@ -155,4 +156,14 @@ class WorkerPoolError(ServiceError):
     workers go silent past the liveness budget.  Distinct from errors
     *computed by* a worker, which are shipped back and re-raised with
     their original type.
+    """
+
+
+class KernelBuildError(ReproError):
+    """The compiled walk loop could not be built on first import.
+
+    Raised when the C compiler Python was built with is missing or
+    fails, or when the per-user cache directory the library is written
+    to is not writable; the message names the compiler command and the
+    directory.  There is no interpreted fallback.
     """

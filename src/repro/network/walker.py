@@ -67,7 +67,7 @@ from ..obs.tracer import active_tracer, emit_if_tracing
 from ..query.model import AggregationQuery
 from .visits import AggregateVisits
 from .topology import Topology
-from .walk_kernel import WalkKernel, kernel_tables
+from .walk_kernel import WalkKernel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from .protocol import AggregateSample
@@ -247,35 +247,33 @@ class WalkCursor:
                 )
             )
         if self._config.allow_revisits:
-            selected, hops = self._kernel.take(
+            peers, hops = self._kernel.take(
                 self._current, count, not self._started
             )
             self._started = True
-            self._current = selected[-1]
+            self._current = int(peers[-1])
         else:
             selected, hops = self._take_distinct(count)
+            peers = np.asarray(selected, dtype=np.int64)
         self._total_hops += hops
         self._total_selected += count
         return _emit_walk(
-            WalkResult(
-                peers=np.asarray(selected, dtype=np.int64),
-                hops=hops,
-                start=self._start,
-            )
+            WalkResult(peers=peers, hops=hops, start=self._start)
         )
 
     def _take_distinct(self, count: int) -> Tuple[List[int], int]:
         """The same walk taken one selection at a time, keeping only
-        peers no earlier selection of this cursor returned."""
+        peers no earlier selection of this cursor returned.  A take of
+        one selection is the endpoint of one segment: the burn-in
+        first (zero hops selects the start), one jump after that."""
         jump = self._config.effective_jump
         burn_in = 0 if self._started else self._config.effective_burn_in
         hop_budget = burn_in + 1000 * jump * count + 10_000
         selected: List[int] = []
         hops = 0
         while len(selected) < count:
-            (peer,), segment_hops = self._kernel.take(
-                self._current, 1, not self._started
-            )
+            segment_hops = jump if self._started else burn_in
+            peer = self._kernel.advance(self._current, segment_hops)
             self._started = True
             self._current = peer
             hops += segment_hops
@@ -295,13 +293,13 @@ class RandomWalker:
 
     Every hop — sampling takes, bare segments, traces — is generated
     by one :class:`~repro.network.walk_kernel.WalkKernel` sharing this
-    walker's RNG.  The kernel (and the per-topology adjacency tables it
-    reads) is looked up on the first hop, not at construction, so
-    building a walker costs nothing proportional to the graph.
+    walker's RNG.  The kernel is built on the first hop, not at
+    construction; it reads the topology's own CSR arrays, so building
+    a walker costs nothing proportional to the graph.
     """
 
     #: Per-peer target weights; set by :class:`WeightedMetropolisWalker`.
-    _weights: Optional[List[float]] = None
+    _weights: Optional[np.ndarray] = None
 
     def __init__(
         self,
@@ -314,11 +312,6 @@ class RandomWalker:
         self._rng = ensure_rng(seed)
         if topology.num_edges == 0:
             raise TopologyError("cannot walk an edgeless topology")
-
-    @property
-    def topology(self) -> Topology:
-        """The topology this walker runs on."""
-        return self._topology
 
     @property
     def config(self) -> RandomWalkConfig:
@@ -352,7 +345,7 @@ class RandomWalker:
     @functools.cached_property
     def _kernel(self) -> WalkKernel:
         return WalkKernel(
-            tables=kernel_tables(self._topology),
+            topology=self._topology,
             rng=self._rng,
             variant=self._config.variant,
             jump=self._config.effective_jump,
@@ -386,7 +379,7 @@ class RandomWalker:
         self._check_start(start)
         if hops < 0:
             raise ConfigurationError("hops must be >= 0")
-        return np.asarray(self._kernel.trace(start, hops), dtype=np.int64)
+        return self._kernel.trace(start, hops)
 
     def cursor(self, start: int) -> WalkCursor:
         """A resumable sampling walk from ``start``.
@@ -479,17 +472,17 @@ class WeightedMetropolisWalker(RandomWalker):
             )
         if np.any(weights <= 0) or not np.all(np.isfinite(weights)):
             raise ConfigurationError("weights must be positive and finite")
-        self._weights = weights.tolist()
+        self._weights = weights.copy()
         self._weight_total = float(weights.sum())
 
     @property
     def weights(self) -> np.ndarray:
         """The (unnormalized) target weights."""
-        return np.asarray(self._weights)
+        return self._weights.copy()
 
     def stationary_probabilities(self) -> np.ndarray:
         """``w(p) / sum(w)`` — the walk's exact stationary law."""
-        return np.asarray(self._weights) / self._weight_total
+        return self._weights / self._weight_total
 
 
 # ---------------------------------------------------------------------------

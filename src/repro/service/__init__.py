@@ -21,7 +21,7 @@ for bit equal to serial.
 * :mod:`~repro.service.codec` — the versioned tuple wire codec the
   sharded backend's replies cross the pool queue in.
 * :mod:`~repro.service.shm` — shared-memory export/attach of the
-  snapshot's flat columns and CSR topology.
+  snapshot's flat columns.
 * :mod:`~repro.service.scheduler` — the round-robin stepwise
   scheduler with per-signature serialization.
 * :mod:`~repro.service.budget` — per-query cost ceilings.

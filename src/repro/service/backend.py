@@ -86,7 +86,6 @@ from ..errors import (
 )
 from ..metrics.cost import QueryCost
 from ..network.simulator import NetworkSimulator
-from ..network.walk_kernel import prime_kernel_tables
 from ..obs.events import QueryLifecycleEvent
 from ..obs.tracer import TraceLike, Tracer
 from ..query.model import AggregationQuery
@@ -489,10 +488,10 @@ class _ShardWorker:
 
     Holds the snapshot (inherited copy-on-write), the engine settings
     and a *private* :class:`PlanCache`.  On the first job after the
-    fork it attaches the parent's shared-memory snapshot — adopting
-    the flat view and priming the kernel tables from the mapped CSR
-    arrays — so the worker reads the big arrays from genuinely shared
-    pages instead of its COW copies.
+    fork it attaches the parent's shared-memory snapshot and adopts
+    its flat view, so the worker reads the data columns from genuinely
+    shared pages instead of its COW copies.  Walks read the inherited
+    topology's CSR arrays, which nothing writes.
     """
 
     def __init__(
@@ -516,11 +515,6 @@ class _ShardWorker:
         self._attached = True
         self._view = attach_snapshot(self._manifest)
         self._simulator.adopt_flat_dataset(self._view.flat)
-        prime_kernel_tables(
-            self._simulator.topology,
-            self._view.indptr,
-            self._view.indices,
-        )
 
     def _rebind(self, control: _Rebind) -> str:
         if self._view is not None:

@@ -1,8 +1,8 @@
 """Shared-memory export/attach of the serving snapshot's arrays.
 
 The sharded backend's workers need the big read-only arrays — the
-:class:`~repro.data.flat.FlatDataset` columns and the topology's CSR
-``indptr``/``indices`` — without copying them per process.  Fork
+:class:`~repro.data.flat.FlatDataset` columns — without copying them
+per process.  Fork
 copy-on-write already makes the *initial* mapping free, but COW pages
 are private: any parent-side page dirtying (refcount updates walk
 object headers, not array payloads, but the arrays' *owning* python
@@ -56,8 +56,6 @@ _ALIGN = 64
 #: Key prefixes inside a snapshot pack.
 _COLUMN_PREFIX = "col:"
 _OFFSETS_KEY = "flat:offsets"
-_INDPTR_KEY = "csr:indptr"
-_INDICES_KEY = "csr:indices"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -224,8 +222,6 @@ class SnapshotView:
 
     pack: SharedArrayPack
     flat: FlatDataset
-    indptr: np.ndarray
-    indices: np.ndarray
 
     def close(self) -> None:
         """Release the mapping (the flat view dies with it)."""
@@ -233,7 +229,7 @@ class SnapshotView:
 
 
 def export_snapshot(simulator: NetworkSimulator) -> SharedArrayPack:
-    """Pack ``simulator``'s flat columns + CSR topology into a segment.
+    """Pack ``simulator``'s flat columns into a segment.
 
     Returns the owning pack; ship ``pack.manifest`` to workers and
     have them :func:`attach_snapshot`.
@@ -244,8 +240,6 @@ def export_snapshot(simulator: NetworkSimulator) -> SharedArrayPack:
         for name in flat.column_names
     }
     arrays[_OFFSETS_KEY] = flat.offsets
-    arrays[_INDPTR_KEY] = simulator.topology.indptr
-    arrays[_INDICES_KEY] = simulator.topology.indices
     return SharedArrayPack.export(arrays)
 
 
@@ -254,8 +248,7 @@ def attach_snapshot(manifest: PackManifest) -> SnapshotView:
 
     The returned :class:`FlatDataset` is backed directly by the shared
     segment (no copies); pass it to :meth:`~repro.network.simulator.
-    NetworkSimulator.adopt_flat_dataset` and the CSR arrays to
-    :func:`~repro.network.walk_kernel.prime_kernel_tables`.
+    NetworkSimulator.adopt_flat_dataset`.
     """
     pack = SharedArrayPack.attach(manifest)
     columns = {
@@ -267,9 +260,4 @@ def attach_snapshot(manifest: PackManifest) -> SnapshotView:
         pack.close()
         raise ConfigurationError("manifest holds no flat columns")
     flat = FlatDataset(columns, pack.array(_OFFSETS_KEY))
-    return SnapshotView(
-        pack=pack,
-        flat=flat,
-        indptr=pack.array(_INDPTR_KEY),
-        indices=pack.array(_INDICES_KEY),
-    )
+    return SnapshotView(pack=pack, flat=flat)

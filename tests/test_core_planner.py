@@ -146,16 +146,6 @@ class TestAnalyzePhaseOne:
                     tuples_per_peer=25,
                 )
 
-    def test_predicted_error_decreases_with_peers(self):
-        observations = make_observations(spread=10.0)
-        analysis = analyze_phase_one(
-            count_query(), observations, delta_req=0.1,
-            tuples_per_peer=25, seed=1,
-        )
-        assert analysis.predicted_error_at(400) < (
-            analysis.predicted_error_at(100)
-        )
-
     def test_deterministic_given_seed(self):
         observations = make_observations(spread=10.0)
         a = analyze_phase_one(

@@ -307,8 +307,9 @@ class TestMemoryFloor:
 
     def test_the_2k_snapshot_segment(self, monkeypatch):
         """The forked tier's shared-memory segment for the 2k fixture:
-        200,000 one-byte rows, the offsets and the CSR topology, under
-        400,000 bytes (392,128; it was 1,792,128 with ``int64`` rows)."""
+        200,000 one-byte rows and the offsets, under 400,000 bytes
+        (216,008 since the CSR left the segment; 392,128 with it, and
+        1,792,128 with ``int64`` rows)."""
         from repro.network.simulator import NetworkSimulator
         from repro.service.shm import export_snapshot
 

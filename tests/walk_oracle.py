@@ -6,7 +6,9 @@ verbatim when :class:`repro.network.walk_kernel.WalkKernel` became the
 only code that advances a walk: one ``Generator.random`` call per
 burn-in/jump segment, a cursor/refill check per hop, the variant branch
 per hop, and the distinct-peer filter and hop budget around it.  Keep it
-dumb; it exists to be obviously right, not fast.
+dumb; it exists to be obviously right, not fast.  It builds its own
+python adjacency (:func:`adjacency`, the tables the product's python
+loop read) since the product walks the CSR arrays in C.
 
 One quirk is load-bearing: a segment needing more than ``_RANDOM_BLOCK``
 uniforms refills mid-loop and *discards the tail* of its last block, and
@@ -19,9 +21,19 @@ import numpy as np
 
 from repro._util import ensure_rng
 from repro.errors import TopologyError
-from repro.network.walk_kernel import kernel_tables
 
 _RANDOM_BLOCK = 8192
+
+
+def adjacency(topology):
+    """``topology``'s neighbor rows (CSR order) and float degrees, the
+    tables the former python hop loop read."""
+    indptr = topology.indptr.tolist()
+    indices = topology.indices.tolist()
+    neighbors = [
+        indices[start:stop] for start, stop in zip(indptr, indptr[1:])
+    ]
+    return neighbors, [float(len(row)) for row in neighbors]
 
 
 class OracleCursor:
@@ -85,6 +97,7 @@ class OracleWalker:
         self._config = config
         self._rng = ensure_rng(seed)
         self._weights = None if weights is None else list(weights)
+        self._nbrs, self._degs = adjacency(topology)
 
     @property
     def rng(self):
@@ -94,9 +107,8 @@ class OracleWalker:
         """Advance ``hops`` hops from ``current``; returns the endpoint."""
         if self._weights is not None:
             return self._weighted_walk_segment(current, hops)
-        tables = kernel_tables(self._topology)
-        nbrs = tables.neighbors
-        degs = tables.degrees
+        nbrs = self._nbrs
+        degs = self._degs
         variant = self._config.variant
         lazy = variant == "lazy"
         inclusive = variant == "self-inclusive"
@@ -136,9 +148,8 @@ class OracleWalker:
         return current
 
     def _weighted_walk_segment(self, current, hops):
-        tables = kernel_tables(self._topology)
-        nbrs = tables.neighbors
-        degs = tables.degrees
+        nbrs = self._nbrs
+        degs = self._degs
         weights = self._weights
         rng = self._rng
         randoms = rng.random(
