@@ -27,7 +27,7 @@ import numpy as np
 
 from .._util import SeedLike, check_positive, ensure_rng, readonly_view
 from ..errors import ConfigurationError, SamplingError
-from .segments import segment_sample_indices
+from .segments import select_rows
 
 
 __all__ = [
@@ -176,22 +176,23 @@ class LocalDatabase:
         random keys: one ``rng.random(num_tuples)`` draw, and the rows
         holding the ``num_rows`` smallest keys (equal keys: lower row
         index first), **listed in ascending row index** — the
-        one-segment case of :func:`~repro.data.segments.
-        segment_sample_indices`, which the batch visit calls with one
-        segment per peer.  That definition is the sub-sampling RNG
-        stream contract: a sub-sampled partition consumes exactly
-        ``num_tuples`` doubles, so a batch over a shared generator may
-        draw all its peers' keys at once (``rng.random(a);
-        rng.random(b)`` ≡ ``rng.random(a + b)``).
+        one-partition case of :func:`~repro.data.segments.select_rows`,
+        which the batch visit calls with every visited peer.  That
+        definition is the sub-sampling RNG stream contract: a
+        sub-sampled partition consumes exactly ``num_tuples`` doubles,
+        so a batch over a shared generator may draw all its peers' keys
+        at once (``rng.random(a); rng.random(b)`` ≡ ``rng.random(a +
+        b)``).
         """
         if num_rows < 0:
             raise SamplingError("num_rows must be non-negative")
         if not 0 < num_rows < self._num_tuples:
             return np.arange(min(num_rows, self._num_tuples), dtype=np.int64)
-        keys = ensure_rng(seed).random(self._num_tuples)
-        return segment_sample_indices(
-            keys, np.asarray([self._num_tuples]), num_rows
+        rows, *_ = select_rows(
+            np.asarray([0, self._num_tuples]), np.zeros(1, dtype=np.int64),
+            num_rows, seed,
         )
+        return rows
 
     def block_sample_indices(
         self, num_rows: int, seed: SeedLike = None

@@ -43,7 +43,7 @@ from numpy.typing import ArrayLike
 from .._util import SeedLike, ensure_rng, seed_sequence
 from ..data.flat import DatabaseTable, FlatDataset
 from ..data.localdb import LocalDatabase
-from ..data.segments import segment_ramps, segment_sample_indices
+from ..data.segments import select_rows
 from ..errors import (
     ConfigurationError,
     PeerCrashedError,
@@ -827,57 +827,41 @@ class NetworkSimulator:
         A per-peer loop hands each visit the same ``visits.seed``: a
         ``Generator`` (``None``: the simulator's stream) is consumed
         visit after visit, an integer re-seeds a fresh generator at
-        every visit.  The uniform sub-sample is
-        :func:`~repro.data.segments.segment_sample_indices` over every
-        sub-sampled peer at once, on the keys that loop would draw (see
-        :meth:`LocalDatabase.uniform_sample_indices` for the stream
-        contract): a shared generator hands out ``sum(n_i)`` doubles in
-        one call, an integer seed gives every peer the first ``n_i``
-        doubles of the freshly seeded stream.  Block-level sampling
-        keeps its per-peer ``rng.permutation`` draw.
+        every visit.  The uniform sub-sample is one compiled pass over
+        every visited peer (:func:`~repro.data.segments.select_rows`),
+        on the keys that loop would draw: a shared generator hands out
+        ``sum(n_i)`` doubles in one call, an integer seed gives every
+        peer the first ``n_i`` doubles of the freshly seeded stream.
+        Block-level sampling keeps its per-peer ``rng.permutation``
+        draw.
         """
         flat = self._snapshot.flat
-        tuples_per_peer = visits.tuples_per_peer
-        totals = flat.peer_tuple_counts[peers]
-        processed = (
-            np.minimum(totals, tuples_per_peer) if tuples_per_peer else totals
-        )
-        sampled = totals > processed
-        if not sampled.any():
-            # Whole partitions are read front to back ...
-            local = segment_ramps(processed)
+        size = visits.tuples_per_peer
+        seed = self._rng if visits.seed is None else visits.seed
+        if visits.sampling_method == "uniform":  # the check ran
+            rows, starts, processed, totals = select_rows(
+                flat.offsets, peers, size, seed
+            )
         else:
-            # ... and the larger ones through their sub-sample.
-            seed = visits.seed
-            shared = seed is None or isinstance(seed, np.random.Generator)
-            rng = (self._rng if seed is None else seed) if shared else None
-            sizes = totals[sampled]
-            if visits.sampling_method == "uniform":  # the check ran
-                if rng is not None:
-                    keys = rng.random(int(sizes.sum()))
-                else:
-                    keys = ensure_rng(seed).random(
-                        int(sizes.max())
-                    )[segment_ramps(sizes)]
-                chosen = segment_sample_indices(keys, sizes, tuples_per_peer)
-            else:
-                databases = self._snapshot.databases
-                chosen = np.concatenate([
-                    databases[peer_id].block_sample_indices(
-                        tuples_per_peer,
-                        seed=rng if rng is not None else ensure_rng(seed),
+            totals = flat.peer_tuple_counts[peers]
+            processed = np.minimum(totals, size) if size else totals
+            starts = np.cumsum(processed) - processed
+            databases = self._snapshot.databases
+            rows = np.concatenate([
+                offset + (
+                    databases[peer].block_sample_indices(
+                        size, seed=ensure_rng(seed)
                     )
-                    for peer_id in peers[sampled].tolist()
-                ])
-            if sampled.all():
-                local = chosen
-            else:
-                local = segment_ramps(processed)
-                local[np.repeat(sampled, processed)] = chosen
-        local += np.repeat(flat.offsets[peers], processed)
+                    if kept < total
+                    else np.arange(total)
+                )
+                for peer, offset, kept, total in zip(
+                    peers.tolist(), flat.offsets[peers].tolist(),
+                    processed.tolist(), totals.tolist(),
+                )
+            ] or [np.empty(0, dtype=np.int64)])
         return ChunkRows(
-            peers, flat.gather(local), np.cumsum(processed) - processed,
-            processed, totals,
+            peers, flat.gather(rows), starts, processed, totals
         )
 
     def visit_batch(

@@ -179,13 +179,10 @@ class AggregateVisits(Visits[AggregateSample]):
 
     def kernel(self, rows: ChunkRows) -> AggregateSample:
         peers, columns, starts, processed, totals = rows
-        aggregates = segment_aggregate(
-            self.query, columns, starts=starts, counts=processed
-        )
-        scales = np.zeros(peers.size, dtype=np.float64)
-        np.divide(totals, processed, out=scales, where=processed > 0)
         # Count, sum and column sum, scaled up to every peer's total.
-        count, total, column_total = aggregates[:3] * scales
+        count, total, column_total, variance = segment_aggregate(
+            self.query, columns, starts, counts=processed, totals=totals
+        )
         return AggregateSample.from_columns(
             self.sink,
             peers.size,
@@ -196,7 +193,7 @@ class AggregateVisits(Visits[AggregateSample]):
             aggregate_value=count if self.query.agg is AggregateOp.COUNT else total,
             matching_count=count,
             column_total=column_total,
-            contribution_variance=aggregates[3],
+            contribution_variance=variance,
         )
 
     def visit(self, peers: np.ndarray, ledger: CostLedger) -> AggregateSample:

@@ -20,23 +20,12 @@ hops to one compiled loop:
   ``jump``-th visit of the hop loop; a bare segment and a full trace
   are the same loop with stride ``hops + 1`` and stride 1.
 
-The C file is compiled on the first import on a machine, with the
-compiler Python was built with (``sysconfig``'s ``CC``), into the
-per-user cache (``$XDG_CACHE_HOME/repro``, else ``~/.cache/repro``),
-keyed by a hash of the source, the flags and the platform, and loaded
-through :mod:`ctypes`.  An import that finds the library built starts
-no child process.  A missing compiler or an unwritable cache raises
-:class:`~repro.errors.KernelBuildError`; there is no second
-implementation to fall back to.
+The C file is compiled with the package's other C code into one
+library (:mod:`repro._native`), on the first import on a machine.
 
-Neighbor *choice* stays ``int(r * degree)`` — for uniform proposals
-the alias method degenerates to direct indexing (every column of the
-alias table keeps probability 1), so the table would only add a
-memory indirection.  :class:`AliasTable` (Vose's O(n) construction,
-O(1) per draw) is used where the distribution is genuinely non-uniform:
-drawing i.i.d. peers from a variant's *stationary* law
-(:func:`stationary_alias`), the oracle the convergence suites sample
-against.  See ``docs/performance.md``.
+Neighbor *choice* is ``int(r * degree)``: for uniform proposals the
+alias method degenerates to direct indexing, so a table would only add
+a memory indirection.  See ``docs/performance.md``.
 
 The segment-by-segment reference lives in ``tests/walk_oracle.py``
 and ``tests/test_walk_kernel.py`` pins selections, hop counts and RNG
@@ -46,162 +35,24 @@ stream position against it.
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import shlex
-import sysconfig
 import threading
 import weakref
-from pathlib import Path
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from ..errors import ConfigurationError, KernelBuildError, TopologyError
+from .._native import address, bind
+from ..errors import ConfigurationError, TopologyError
 from .topology import Topology
 
 __all__ = [
-    "AliasTable",
     "WalkKernel",
-    "stationary_alias",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Alias-method sampling (Vose construction)
-# ---------------------------------------------------------------------------
-
-
-class AliasTable:
-    """O(1) categorical sampling via Walker's alias method.
-
-    Vose's construction: split the scaled probabilities into columns of
-    equal mass 1/n, each column holding at most two outcomes — the
-    column's own index and one "alias".  A draw picks a column
-    uniformly and keeps it or takes its alias, so sampling is two
-    uniforms and one comparison regardless of how skewed the weights
-    are (Gnutella-like degree distributions included).
-    """
-
-    def __init__(self, weights: Sequence[float]):
-        probs = np.asarray(weights, dtype=float)
-        if probs.ndim != 1 or probs.size == 0:
-            raise ConfigurationError("alias table needs a non-empty vector")
-        if np.any(probs < 0) or not np.all(np.isfinite(probs)):
-            raise ConfigurationError(
-                "alias weights must be finite and non-negative"
-            )
-        total = float(probs.sum())
-        if total <= 0.0:
-            raise ConfigurationError("alias weights must not all be zero")
-        n = probs.size
-        scaled = probs * (n / total)
-        self._prob = np.ones(n, dtype=float)
-        self._alias = np.arange(n, dtype=np.int64)
-        small = [i for i in range(n) if scaled[i] < 1.0]
-        large = [i for i in range(n) if scaled[i] >= 1.0]
-        while small and large:
-            lo = small.pop()
-            hi = large.pop()
-            self._prob[lo] = scaled[lo]
-            self._alias[lo] = hi
-            scaled[hi] = (scaled[hi] + scaled[lo]) - 1.0
-            if scaled[hi] < 1.0:
-                small.append(hi)
-            else:
-                large.append(hi)
-        # Leftovers are exactly-1 columns up to roundoff.
-        for i in small + large:
-            self._prob[i] = 1.0
-            self._alias[i] = i
-
-    def __len__(self) -> int:
-        return int(self._prob.size)
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        """Column keep-probabilities (read-only view; diagnostics)."""
-        view = self._prob.view()
-        view.flags.writeable = False
-        return view
-
-    @property
-    def aliases(self) -> np.ndarray:
-        """Column alias indices (read-only view; diagnostics)."""
-        view = self._alias.view()
-        view.flags.writeable = False
-        return view
-
-    def pick(self, column_u: float, keep_u: float) -> int:
-        """One draw from two uniforms in ``[0, 1)``."""
-        column = int(column_u * self._prob.size)
-        if keep_u < self._prob[column]:
-            return column
-        return int(self._alias[column])
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """``size`` i.i.d. draws, vectorized (one comparison per draw)."""
-        if size < 0:
-            raise ConfigurationError("size must be >= 0")
-        columns = rng.integers(self._prob.size, size=size)
-        keep = rng.random(size)
-        take_alias = keep >= self._prob[columns]
-        out = np.where(take_alias, self._alias[columns], columns)
-        return out.astype(np.int64)
-
-
-_ALIAS_CACHE: (
-    "weakref.WeakKeyDictionary[Topology, dict[str, AliasTable]]"
-) = weakref.WeakKeyDictionary()
-
-
-def stationary_alias(topology: Topology, variant: str) -> AliasTable:
-    """Alias table over ``variant``'s stationary distribution.
-
-    Memoized per ``(topology, variant)``, weakly keyed on the topology
-    (a churn epoch freezes a new one).  This is the one place the alias
-    method earns its keep: the stationary law is degree-skewed, and
-    i.i.d. draws from it are the oracle distribution walks converge to.
-    """
-    if topology.num_edges == 0:
-        raise TopologyError("stationary distribution of an edgeless graph")
-    per_topology = _ALIAS_CACHE.setdefault(topology, {})
-    cached = per_topology.get(variant)
-    if cached is not None:
-        return cached
-    degrees = topology.degrees.astype(float)
-    if variant == "self-inclusive":
-        weights = degrees + 1.0
-    elif variant == "metropolis-uniform":
-        weights = np.ones(topology.num_peers, dtype=float)
-    elif variant in ("simple", "lazy"):
-        weights = degrees
-    else:
-        raise ConfigurationError(f"unknown walk variant {variant!r}")
-    table = AliasTable(weights)
-    per_topology[variant] = table
-    return table
 
 
 # ---------------------------------------------------------------------------
 # The compiled hop loop
 # ---------------------------------------------------------------------------
-
-_SOURCE = Path(__file__).with_name("walk_kernel.c")
-
-#: Where built libraries are kept: one per source, flags and platform.
-_CACHE_DIR = (
-    Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
-    / "repro"
-)
-
-#: The compiler command Python was built with.
-_CC = sysconfig.get_config_var("CC") or ""
-
-# -ffp-contract=off: no product may be fused into a multiply-add, or
-# an int() cutoff or an accept test moves by an ulp.  No fast-math.
-_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
-
 
 class _Walk(ctypes.Structure):
     """``struct walk`` of ``walk_kernel.c``: one walker's loop, its
@@ -225,65 +76,7 @@ class _Walk(ctypes.Structure):
     ]
 
 
-def _build(library: Path) -> None:
-    """Compile ``walk_kernel.c`` to ``library``.
-
-    The compiler writes a name of this process's own, which is then
-    renamed into place, so a concurrent first import on the same
-    machine only ever loads a complete file.
-    """
-    import subprocess  # the cold path only: a warm import spawns nothing
-
-    directory = library.parent
-    if not _CC:
-        raise KernelBuildError(
-            f"cannot build the walk kernel into {directory}: Python "
-            "names no C compiler (sysconfig CC is empty)"
-        )
-    partial = directory / f".{library.name}.{os.getpid()}"
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-        partial.touch()
-    except OSError as error:
-        raise KernelBuildError(
-            f"cannot build the walk kernel with {_CC!r}: the cache "
-            f"directory {directory} is not writable ({error})"
-        ) from error
-    command = [*shlex.split(_CC), *_FLAGS, "-o", str(partial), str(_SOURCE)]
-    try:
-        subprocess.run(command, check=True, capture_output=True, text=True)
-    except OSError as error:
-        raise KernelBuildError(
-            f"cannot build the walk kernel into {directory}: the C "
-            f"compiler {_CC!r} did not run ({error})"
-        ) from error
-    except subprocess.CalledProcessError as error:
-        raise KernelBuildError(
-            f"cannot build the walk kernel into {directory}: {_CC!r} "
-            f"exited {error.returncode}: {error.stderr.strip()}"
-        ) from error
-    else:
-        os.replace(partial, library)
-    finally:
-        partial.unlink(missing_ok=True)
-
-
-def _load() -> Callable[..., int]:
-    """The hop loop, built into :data:`_CACHE_DIR` first if it is not
-    there yet.  A ``PyDLL`` keeps the GIL over the call: a take is
-    microseconds, and its buffers are this thread's."""
-    key = hashlib.sha256(_SOURCE.read_bytes())
-    key.update(" ".join((sysconfig.get_platform(), *_FLAGS)).encode())
-    library = _CACHE_DIR / f"walk_kernel-{key.hexdigest()[:16]}.so"
-    if not library.exists():
-        _build(library)
-    walk = ctypes.PyDLL(str(library)).repro_walk
-    walk.argtypes = (ctypes.POINTER(_Walk),)
-    walk.restype = ctypes.c_int64
-    return walk
-
-
-_walk = _load()
+_walk = bind("repro_walk", _Walk)
 
 
 # The C loop's variant codes (the enum in walk_kernel.c).
@@ -302,10 +95,6 @@ _WEIGHTED = 4
 _CHUNK = 1 << 16
 
 
-def _address(array: np.ndarray) -> int:
-    return int(array.ctypes.data)
-
-
 # Each topology's CSR arrays as the loop reads them, with their
 # addresses (``ndarray.ctypes`` costs microseconds; a walker is built
 # per served query).  Weakly keyed, so it lives as long as the epoch.
@@ -321,7 +110,7 @@ def _csr(topology: Topology) -> _Csr:
         indptr = np.ascontiguousarray(topology.indptr, dtype=np.int64)
         indices = np.ascontiguousarray(topology.indices, dtype=np.int64)
         csr = _CSR[topology] = (
-            indptr, indices, _address(indptr), _address(indices),
+            indptr, indices, address(indptr), address(indices),
         )
     return csr
 
@@ -332,15 +121,15 @@ class _Buffers(threading.local):
 
     def __init__(self) -> None:
         self.uniforms = np.empty(_CHUNK)
-        self.uniforms_at = _address(self.uniforms)
+        self.uniforms_at = address(self.uniforms)
         self.out = np.empty(1024, dtype=np.int64)
-        self.out_at = _address(self.out)
+        self.out_at = address(self.out)
 
     def selections(self, count: int) -> np.ndarray:
         """The selections buffer, grown to hold ``count``."""
         if count > self.out.size:
             self.out = np.empty(max(count, 2 * self.out.size), np.int64)
-            self.out_at = _address(self.out)
+            self.out_at = address(self.out)
         return self.out
 
 
@@ -383,7 +172,7 @@ class WalkKernel:
             self._weights = np.ascontiguousarray(weights, dtype=float)
             if self._weights.shape != (topology.num_peers,):
                 raise ConfigurationError("kernel needs one weight per peer")
-            weights_at = _address(self._weights)
+            weights_at = address(self._weights)
             code = _WEIGHTED
         elif variant in _VARIANTS:
             code = _VARIANTS[variant]

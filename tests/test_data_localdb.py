@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.localdb import Block, LocalDatabase
-from repro.data.segments import segment_sample_indices
+from repro.data.segments import select_rows
 from repro.errors import ConfigurationError, SamplingError
 
 from .conftest import assert_uniforms_consumed
+from .segment_oracle import compiled_sample_indices, segment_sample_indices
 
 
 @pytest.fixture()
@@ -208,12 +209,24 @@ class TestKeyedDraw:
     @settings(max_examples=200, deadline=None)
     def test_kernel_matches_per_segment_reference(self, segments):
         keys, counts, size = segments
-        expected = reference_sample_indices(keys, counts, size)
+        expected = np.concatenate([
+            *reference_sample_indices(keys, counts, size),
+            np.empty(0, dtype=np.int64),
+        ])
         chosen = segment_sample_indices(keys, counts, size)
         assert chosen.dtype == np.int64
-        np.testing.assert_array_equal(
-            chosen, np.concatenate([*expected, np.empty(0, dtype=np.int64)])
-        )
+        np.testing.assert_array_equal(chosen, expected)
+        # The compiled pass: a visit's size 0 reads every row instead.
+        compiled, drawn = compiled_sample_indices(keys, counts, size)
+        assert compiled.dtype == np.int64
+        if size:
+            np.testing.assert_array_equal(compiled, expected)
+            assert drawn == counts[counts > size].sum()
+        else:
+            np.testing.assert_array_equal(
+                compiled, np.concatenate([[], *map(np.arange, counts)])
+            )
+            assert drawn == 0
 
     def test_kernel_rejects_misdescribed_segments(self):
         keys = np.zeros(5)
@@ -228,14 +241,17 @@ class TestKeyedDraw:
         counts[17] = 20_000
         keys = np.random.default_rng(3).random(int(counts.sum()))
         expected = np.concatenate(reference_sample_indices(keys, counts, 25))
-        tracemalloc.start()
-        try:
-            chosen = segment_sample_indices(keys, counts, 25)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        np.testing.assert_array_equal(chosen, expected)
-        assert peak < 4 * keys.nbytes
+        for select in (segment_sample_indices, compiled_sample_indices):
+            tracemalloc.start()
+            try:
+                chosen = select(keys, counts, 25)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            if select is compiled_sample_indices:
+                chosen, _ = chosen
+            np.testing.assert_array_equal(chosen, expected)
+            assert peak < 4 * keys.nbytes
 
     def test_every_row_equally_likely(self, database):
         """20k draws of 25 from 100: each row is included 5,000 times
@@ -267,6 +283,18 @@ class TestKeyedDraw:
             np.random.default_rng(18).random(5 + 8 + 8), np.asarray([5, 8, 8]), 3
         )
         assert batch.tolist() == expected[0] + expected[1] + expected[3]
+        # The compiled pass over the four partitions, one shared draw.
+        rng = np.random.default_rng(18)
+        rows, _, processed, _ = select_rows(
+            np.cumsum([0, *sizes]), np.arange(4), 3, rng
+        )
+        assert rows.tolist() == [
+            row + offset
+            for rows_i, offset in zip(expected, np.cumsum([0, *sizes[:-1]]))
+            for row in rows_i
+        ]
+        assert processed.tolist() == [3, 3, 3, 3]
+        assert_uniforms_consumed(rng, 18, 5 + 8 + 8)
 
 
 class TestBlockSampling:

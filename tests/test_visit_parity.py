@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 from repro.core.two_phase import PlanCache, TwoPhaseConfig, TwoPhaseEngine
 from repro.data.generator import DatasetConfig, generate_dataset
 from repro.data.localdb import LocalDatabase
-from repro.errors import PeerUnavailableError
+from repro.errors import PeerUnavailableError, ProtocolError
 from repro.network.churn import ChurnConfig
 from repro.network.faults import (
     CrashWindow,
@@ -904,3 +904,97 @@ def test_hybrid_engine_cold_warm_delta_under_chaos(monkeypatch, retry_policy):
         _oracle_visit_aggregate_batch,
     )
     assert product == _engine_fingerprints(retry_policy)
+
+
+# ---------------------------------------------------------------------------
+# The compiled visit pass at the simulator
+# ---------------------------------------------------------------------------
+
+
+class TestCompiledVisitPass:
+    """The visit's row selection and reduction are one compiled pass per
+    chunk, over buffers of the calling thread.  A chunk that outgrows
+    every buffer reads what the per-peer loop reads, and a peer outside
+    the network is refused before the pass runs."""
+
+    QUERY = parse_query("SELECT SUM(A) FROM T WHERE A BETWEEN 10 AND 60")
+
+    @pytest.mark.parametrize("tuples_per_peer", [0, 100])
+    def test_every_peer_of_a_2000_peer_network_in_one_chunk(
+        self, tuples_per_peer
+    ):
+        import threading
+
+        topology = power_law_topology(2000, 8000, seed=3)
+        dataset = generate_dataset(
+            topology, DatasetConfig(num_tuples=400_000), seed=3
+        )
+        peers = np.arange(2000, dtype=np.int64)
+
+        def simulator():
+            return NetworkSimulator(topology, dataset.databases, seed=1)
+
+        outcome = {}
+
+        def visit():  # a new thread: every buffer starts at its initial size
+            try:
+                outcome["sample"] = simulator().visit_aggregate_batch(
+                    peers, self.QUERY, SINK, simulator().new_ledger(),
+                    tuples_per_peer=tuples_per_peer,
+                    seed=np.random.default_rng(5),
+                )
+            except BaseException as error:
+                outcome["error"] = error
+
+        thread = threading.Thread(target=visit)
+        thread.start()
+        thread.join()
+        assert "error" not in outcome, outcome.get("error")
+        oracle = simulator()
+        rng = np.random.default_rng(5)
+        replies = [
+            visit_oracle.oracle_visit_aggregate(
+                oracle, peer, self.QUERY, SINK, oracle.new_ledger(),
+                tuples_per_peer=tuples_per_peer, seed=rng,
+            )
+            for peer in peers.tolist()
+        ]
+        expected = AggregateSample.from_replies(replies, SINK)
+        assert outcome["sample"].rows.tobytes() == expected.rows.tobytes()
+        assert (
+            outcome["sample"]["processed_tuples"]
+            < outcome["sample"]["local_tuples"]
+        ).any() == bool(tuples_per_peer)
+
+    def test_an_unknown_peer_raises_before_the_compiled_pass(
+        self, monkeypatch
+    ):
+        from repro.data import segments
+
+        passes = []
+        plan = segments._plan
+        monkeypatch.setattr(
+            segments, "_plan", lambda select: passes.append(1) or plan(select)
+        )
+        simulator = NetworkSimulator(TOPOLOGY, DATASET.databases, seed=1)
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        for peers in ([0, NUM_PEERS], [-1, 3]):
+            ledger = simulator.new_ledger()
+            with pytest.raises(ProtocolError, match="unknown peer"):
+                simulator.visit_aggregate_batch(
+                    peers, self.QUERY, SINK, ledger, tuples_per_peer=5,
+                    seed=rng,
+                )
+            with pytest.raises(ProtocolError, match="unknown peer"):
+                simulator.read_aggregates(
+                    peers, self.QUERY, SINK, tuples_per_peer=5, seed=rng
+                )
+            assert ledger.snapshot() == simulator.new_ledger().snapshot()
+        assert passes == []
+        assert rng.bit_generator.state == state
+        simulator.visit_aggregate_batch(
+            [0, 3], self.QUERY, SINK, simulator.new_ledger(),
+            tuples_per_peer=5, seed=rng,
+        )
+        assert passes == [1]

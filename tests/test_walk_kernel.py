@@ -33,6 +33,7 @@ from hypothesis import strategies as st
 
 from repro.core.two_phase import PlanCache, TwoPhaseConfig, TwoPhaseEngine
 from repro.data.localdb import LocalDatabase
+from repro import _native
 from repro.errors import ConfigurationError, KernelBuildError, TopologyError
 from repro.network.churn import ChurnConfig
 from repro.network.faults import FaultPlan, RegionalOutage
@@ -44,11 +45,7 @@ from repro.network.live import LiveNetwork
 from repro.network.simulator import NetworkSimulator
 from repro.network import walk_kernel
 from repro.network.topology import Topology
-from repro.network.walk_kernel import (
-    AliasTable,
-    WalkKernel,
-    stationary_alias,
-)
+from repro.network.walk_kernel import WalkKernel
 from repro.network.walker import (
     RandomWalkConfig,
     RandomWalker,
@@ -107,104 +104,6 @@ def assert_take_parity(oracle_cursor, cursor, count):
     assert result.hops == hops
     assert cursor.position == oracle_cursor.position
     assert cursor.total_hops == oracle_cursor.total_hops
-
-
-# ---------------------------------------------------------------------------
-# Alias-method sampling
-# ---------------------------------------------------------------------------
-
-
-class TestAliasTable:
-    def test_mass_conservation_is_exact_in_structure(self):
-        """Each outcome's total column mass equals its normalized weight.
-
-        The Vose invariant: outcome ``i`` owns ``prob[i]`` of its own
-        column plus ``1 - prob[j]`` of every column aliased to it, and
-        columns weigh ``1/n`` each.
-        """
-        weights = [5.0, 1.0, 3.0, 0.0, 11.0]
-        table = AliasTable(weights)
-        n = len(table)
-        mass = np.zeros(n)
-        for column in range(n):
-            mass[column] += table.probabilities[column]
-            alias = int(table.aliases[column])
-            if alias != column:
-                mass[alias] += 1.0 - table.probabilities[column]
-        np.testing.assert_allclose(
-            mass / n, np.asarray(weights) / sum(weights), atol=1e-12
-        )
-
-    def test_uniform_weights_degenerate_to_identity(self):
-        table = AliasTable([2.0] * 7)
-        assert list(table.probabilities) == [1.0] * 7
-        assert list(table.aliases) == list(range(7))
-
-    def test_pick_matches_vectorized_sample(self):
-        table = AliasTable([1.0, 4.0, 2.0])
-        rng = np.random.default_rng(17)
-        columns = rng.integers(len(table), size=200)
-        keep = rng.random(200)
-        scalar = [
-            table.pick((c + 0.5) / len(table), k)
-            for c, k in zip(columns.tolist(), keep.tolist())
-        ]
-        rng2 = np.random.default_rng(17)
-        vector = table.sample(rng2, 200)
-        assert scalar == vector.tolist()
-
-    def test_sample_is_seed_deterministic(self):
-        table = AliasTable([1.0, 2.0, 3.0, 4.0])
-        first = table.sample(np.random.default_rng(9), 64)
-        second = table.sample(np.random.default_rng(9), 64)
-        np.testing.assert_array_equal(first, second)
-
-    def test_empirical_law_tracks_weights(self):
-        weights = np.asarray([1.0, 6.0, 3.0])
-        table = AliasTable(weights)
-        draws = table.sample(np.random.default_rng(23), 60_000)
-        freq = np.bincount(draws, minlength=3) / draws.size
-        np.testing.assert_allclose(freq, weights / weights.sum(), atol=0.02)
-
-    @pytest.mark.parametrize(
-        "bad", [[], [-1.0, 2.0], [np.inf, 1.0], [0.0, 0.0]]
-    )
-    def test_rejects_degenerate_weights(self, bad):
-        with pytest.raises(ConfigurationError):
-            AliasTable(bad)
-
-    def test_rejects_negative_sample_size(self):
-        with pytest.raises(ConfigurationError):
-            AliasTable([1.0]).sample(np.random.default_rng(0), -1)
-
-
-class TestStationaryAlias:
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_weights_match_variant_stationary_law(self, variant):
-        topology = TOPOLOGIES[0]
-        table = stationary_alias(topology, variant)
-        walker = RandomWalker(
-            topology, RandomWalkConfig(variant=variant), seed=1
-        )
-        stationary = walker.stationary_probabilities()
-        draws = table.sample(np.random.default_rng(31), 120_000)
-        freq = np.bincount(draws, minlength=topology.num_peers) / draws.size
-        np.testing.assert_allclose(freq, stationary, atol=0.01)
-
-    def test_memoized_per_topology_and_variant(self):
-        topology = TOPOLOGIES[1]
-        assert stationary_alias(topology, "simple") is stationary_alias(
-            topology, "simple"
-        )
-        assert stationary_alias(topology, "simple") is not stationary_alias(
-            topology, "lazy"
-        )
-
-    def test_unknown_variant_and_edgeless_graph(self):
-        with pytest.raises(ConfigurationError):
-            stationary_alias(TOPOLOGIES[0], "levy-flight")
-        with pytest.raises(TopologyError):
-            stationary_alias(Topology(3, []), "simple")
 
 
 # ---------------------------------------------------------------------------
@@ -649,14 +548,16 @@ class TestCompiledLoop:
         script = textwrap.dedent(
             """
             import pathlib, sys
+            from repro import _native
             from repro.network import walk_kernel
             from repro.network.generators import power_law_topology
             from repro.network.walker import RandomWalker
 
-            walk_kernel._CACHE_DIR = pathlib.Path(sys.argv[1])
+            _native._CACHE_DIR = pathlib.Path(sys.argv[1])
             print("ready", flush=True)
             sys.stdin.readline()
-            walk_kernel._walk = walk_kernel._load()
+            _native._library = _native._load()
+            walk_kernel._walk = _native.bind("repro_walk", walk_kernel._Walk)
             walker = RandomWalker(power_law_topology(60, 180, seed=3), seed=1)
             print(walker.sample_peers(0, 40).peers.tolist())
             """
@@ -686,10 +587,10 @@ class TestCompiledLoop:
     def test_a_missing_or_failing_compiler_raises_the_typed_error(
         self, tmp_path, monkeypatch, compiler
     ):
-        monkeypatch.setattr(walk_kernel, "_CC", compiler)
-        monkeypatch.setattr(walk_kernel, "_CACHE_DIR", tmp_path / "cache")
+        monkeypatch.setattr(_native, "_CC", compiler)
+        monkeypatch.setattr(_native, "_CACHE_DIR", tmp_path / "cache")
         with pytest.raises(KernelBuildError) as raised:
-            walk_kernel._load()
+            _native._load()
         assert repr(compiler) in str(raised.value)
         assert str(tmp_path / "cache") in str(raised.value)
         assert list((tmp_path / "cache").iterdir()) == []
@@ -699,11 +600,11 @@ class TestCompiledLoop:
     ):
         blocker = tmp_path / "file"
         blocker.write_text("")
-        monkeypatch.setattr(walk_kernel, "_CACHE_DIR", blocker / "repro")
+        monkeypatch.setattr(_native, "_CACHE_DIR", blocker / "repro")
         with pytest.raises(KernelBuildError) as raised:
-            walk_kernel._load()
+            _native._load()
         assert str(blocker / "repro") in str(raised.value)
-        assert walk_kernel._CC in str(raised.value)
+        assert _native._CC in str(raised.value)
 
 
 # ---------------------------------------------------------------------------
