@@ -270,6 +270,7 @@ def test_ablation_reply_loss_robustness(benchmark):
     """Accuracy degrades gracefully as replies are lost: the sample
     shrinks but stays unbiased, so the error grows slowly until losses
     starve the cross-validation."""
+    from repro.network.faults import FaultPlan
     from repro.network.simulator import NetworkSimulator
 
     def run():
@@ -280,7 +281,9 @@ def test_ablation_reply_loss_robustness(benchmark):
                 bundle.topology,
                 bundle.dataset.databases,
                 seed=57,
-                reply_loss_rate=loss,
+                fault_plan=(
+                    FaultPlan(seed=57, reply_loss=loss) if loss else None
+                ),
             )
             truth = evaluate_exact(COUNT_30, bundle.dataset.databases)
             errors = []

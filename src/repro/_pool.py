@@ -82,21 +82,18 @@ def shared_fault_serial_reason(
 ) -> Optional[str]:
     """Why executions sharing *this* simulator must run serially.
 
-    Fault-injected simulators thread one failure stream and one fault
-    clock through every execution that runs directly against them, so
-    running such executions in parallel would change which probes
-    fail.  Returns ``None`` when parallel execution is safe.
+    A fault-injected simulator threads one fault clock through every
+    execution that runs directly against it, so running such
+    executions in parallel would change which probes fail.  Returns
+    ``None`` when parallel execution is safe.
 
     This only applies to callers that share the simulator itself
     (``run_trials`` builds every trial engine on the one bundle
     simulator).  The serving layer is exempt by construction: each
     query runs in its own :meth:`~repro.network.simulator.
-    NetworkSimulator.session`, which owns a private failure RNG and
-    fault clock, so the sharded backend serves faulty snapshots
-    without falling back.
+    NetworkSimulator.session`, which owns a private fault clock, so the
+    sharded backend serves faulty snapshots without falling back.
     """
-    if simulator.reply_loss_rate > 0.0:
-        return "reply loss shares the simulator's failure stream"
     if simulator.fault_plan is not None:
         return "the bound fault plan shares the simulator's fault clock"
     return None

@@ -11,10 +11,10 @@ Trials are statistically independent (trial ``i`` always derives its
 engine from ``seed + i``, never from shared mutable state), so with
 ``workers > 1`` they execute on a fork-based process pool — results
 are identical to the serial loop, element for element, regardless of
-worker count.  Fault-injected networks (``reply_loss_rate > 0`` or a
-bound :class:`~repro.network.faults.FaultPlan`) share the simulator's
-failure stream / fault clock across trials, so those always run
-serially to keep the injected failures exactly reproducible.
+worker count.  Fault-injected networks (a bound
+:class:`~repro.network.faults.FaultPlan`) share the simulator's fault
+clock across trials, so those always run serially to keep the
+injected failures exactly reproducible.
 """
 
 from __future__ import annotations
@@ -251,9 +251,9 @@ def run_trials(
         Per-trial seed derivation is unchanged, so any worker count
         returns exactly the serial results.  The pool is capped at the
         machine's core count (extra forks only add overhead);
-        fault-injected bundles (``reply_loss_rate > 0`` or a bound
-        fault plan) always run serially, and platforms without
-        ``fork`` fall back to the serial loop.
+        fault-injected bundles (a bound fault plan) always run
+        serially, and platforms without ``fork`` fall back to the
+        serial loop.
     manifest_path:
         Where to write the run manifest (config hash, seed, git
         revision, per-trial outcomes, metrics snapshot).  A directory

@@ -112,7 +112,6 @@ class CostLedger:
         self._visits = 0
         self._distinct: Set[int] = set()
         self._tuples_processed = 0
-        self._tuples_sampled = 0
         self._bytes = 0
         self._latency_ms = 0.0
         self._timeouts = 0
@@ -138,18 +137,17 @@ class CostLedger:
         self,
         peer: int,
         tuples_processed: int,
-        tuples_sampled: int,
         cpu_speed: float = 1.0,
     ) -> None:
-        """Account for executing the local query at ``peer``."""
-        if tuples_processed < 0 or tuples_sampled < 0:
+        """Account for executing the local query at ``peer`` over
+        ``tuples_processed`` (sub-sampled) tuples."""
+        if tuples_processed < 0:
             raise ConfigurationError("tuple counts must be non-negative")
         if cpu_speed <= 0:
             raise ConfigurationError("cpu_speed must be positive")
         self._visits += 1
         self._distinct.add(int(peer))
         self._tuples_processed += tuples_processed
-        self._tuples_sampled += tuples_sampled
         self._latency_ms += (
             self._model.visit_overhead_ms
             + tuples_processed * self._model.tuple_processing_ms / cpu_speed
@@ -159,7 +157,6 @@ class CostLedger:
         self,
         peers: ArrayLike,
         tuples_processed: ArrayLike,
-        tuples_sampled: ArrayLike,
         reply_bytes: ArrayLike,
         cpu_speeds: Optional[ArrayLike] = None,
         leading_replies: int = 0,
@@ -175,22 +172,14 @@ class CostLedger:
         charged after them instead: ``k`` :meth:`record_reply` calls,
         then its :meth:`record_visit`.
 
-        A scalar ``reply_bytes`` is every reply's size; passing the
-        same array as ``tuples_processed`` and ``tuples_sampled`` reads
-        it once.
+        A scalar ``reply_bytes`` is every reply's size.
         """
         peers = np.asarray(peers, dtype=np.int64).reshape(-1)
-        same = tuples_sampled is tuples_processed
         tuples_processed = np.asarray(tuples_processed, dtype=np.int64)
-        tuples_sampled = (
-            tuples_processed if same
-            else np.asarray(tuples_sampled, dtype=np.int64)
-        )
         reply_bytes = np.asarray(reply_bytes, dtype=np.int64)
         n = peers.size
         if not (
             tuples_processed.shape == (n,)
-            and tuples_sampled.shape == (n,)
             and reply_bytes.shape in ((), (n,))
         ):
             raise ConfigurationError(
@@ -198,9 +187,7 @@ class CostLedger:
             )
         if n == 0:
             return
-        if tuples_processed.min() < 0 or (
-            not same and tuples_sampled.min() < 0
-        ):
+        if tuples_processed.min() < 0:
             raise ConfigurationError("tuple counts must be non-negative")
         if reply_bytes.min() < 0:
             raise ConfigurationError("payload_bytes must be non-negative")
@@ -221,9 +208,6 @@ class CostLedger:
         self._distinct.update(peers.tolist())
         processed = int(tuples_processed.sum())
         self._tuples_processed += processed
-        self._tuples_sampled += (
-            processed if same else int(tuples_sampled.sum())
-        )
         self._messages += n * replies
         self._bytes += replies * (
             int(reply_bytes.sum()) if reply_bytes.ndim else n * int(reply_bytes)
@@ -301,7 +285,8 @@ class CostLedger:
             peers_visited=self._visits,
             distinct_peers=len(self._distinct),
             tuples_processed=self._tuples_processed,
-            tuples_sampled=self._tuples_sampled,
+            # A visit samples exactly the tuples it processes.
+            tuples_sampled=self._tuples_processed,
             bytes_sent=self._bytes,
             latency_ms=self._latency_ms,
             timeouts=self._timeouts,

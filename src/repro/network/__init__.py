@@ -3,7 +3,6 @@
 This subpackage implements everything the paper assumes about the
 network side of the system:
 
-* :mod:`repro.network.peer` — peer identity and capability model (§3.1);
 * :mod:`repro.network.topology` — the immutable connection graph with a
   CSR adjacency hot path and stationary-distribution helpers (§3.3);
 * :mod:`repro.network.generators` — synthetic power-law topologies with
@@ -15,7 +14,7 @@ network side of the system:
   pre-processing (§3.3);
 * :mod:`repro.network.protocol` — Gnutella-style typed messages (§3.1);
 * :mod:`repro.network.simulator` — the in-process message bus with
-  latency/bandwidth accounting, tying peers + topology + data together;
+  latency/bandwidth accounting, tying topology + data together;
 * :mod:`repro.network.churn` — peer join/leave dynamics;
 * :mod:`repro.network.faults` — deterministic fault injection (crash
   windows, regional outages, reply loss, latency spikes/timeouts).

@@ -1,14 +1,14 @@
 """Deterministic fault injection for the simulated P2P network.
 
 The paper's premise is that peers "depart without a priori
-notification" (§1, §3.1).  The seed reproduction modelled exactly one
-failure shape — a uniform ``reply_loss_rate`` coin-flip — which cannot
-express the failures real unstructured overlays exhibit: peers that
-crash *mid-walk* and stay down, whole regions partitioning away at
-once, or latency spikes that make a probe indistinguishable from a
-departure until a timeout fires.
+notification" (§1, §3.1).  Beyond a uniform loss of replies, real
+unstructured overlays exhibit peers that crash *mid-walk* and stay
+down, whole regions partitioning away at once, and latency spikes that
+make a probe indistinguishable from a departure until a timeout fires.
 
-:class:`FaultPlan` is a declarative, seeded schedule of such failures:
+:class:`FaultPlan` is a declarative, seeded schedule of such failures,
+and the simulator's only failure model (a uniform loss rate ``r`` is
+``FaultPlan(seed, reply_loss=r)``):
 
 * **crash windows** — a peer is unreachable for every probe whose step
   index falls inside ``[start, stop)``;
@@ -16,7 +16,7 @@ departure until a timeout fires.
   center peer crashes together (a correlated partition);
 * **per-message-type reply loss** — independent loss coins, with
   different rates per probe kind (``"aggregate"``, ``"values"``,
-  ``"ping"``, ...);
+  ``"group"``, ...);
 * **latency spikes** — a probe occasionally takes ``extra_ms`` longer;
   when a :attr:`FaultPlan.probe_timeout_ms` is configured and the
   spike exceeds it, the probe *times out* instead of completing.
@@ -70,7 +70,9 @@ __all__ = [
     "splitmix64",
 ]
 
-#: Probe kinds a plan can schedule faults for, with their hash codes.
+#: Probe kinds a plan can schedule faults for, with their hash codes
+#: (a kind's position is its code in the counter hash, so the list only
+#: grows: ``"ping"`` keeps its code though nothing sends one).
 MESSAGE_KINDS: Tuple[str, ...] = (
     "aggregate",
     "values",
@@ -194,9 +196,8 @@ def kind_code(kind: str) -> int:
 
 
 def _check_rate(name: str, value: float) -> None:
-    # Same convention as the simulator's reply_loss_rate: [0, 1) —
-    # rate 1.0 would be a blackout, which a crash window expresses
-    # honestly (and cheaply) instead.
+    # Rates live in [0, 1): rate 1.0 would be a blackout, which a
+    # crash window expresses honestly (and cheaply) instead.
     if not 0.0 <= value < 1.0:
         raise ConfigurationError(
             f"{name} must be in [0, 1), got {value}"
@@ -303,8 +304,9 @@ class FaultPlan:
         concrete topology at :meth:`bind` time.
     reply_loss:
         Either one rate for every message kind, or a mapping from kind
-        (see :data:`MESSAGE_KINDS`) to rate.  Rates live in ``[0, 1)``,
-        matching the simulator's ``reply_loss_rate`` convention.
+        (see :data:`MESSAGE_KINDS`) to rate.  Rates live in ``[0, 1)``.
+        A lost reply is charged one visit of 0 tuples and raises
+        :class:`~repro.errors.PeerUnavailableError`.
     latency_spike:
         Optional :class:`LatencySpike` applied to surviving probes.
     probe_timeout_ms:

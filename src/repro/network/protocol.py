@@ -1,8 +1,7 @@
 """Gnutella-style message protocol (paper §3.1).
 
-The paper's network speaks the Gnutella protocol — ``Ping``/``Pong``
-for membership and ``Query``/``Query_Hit`` for flooding search — and
-adds a probabilistic *walker* message that carries an aggregation query
+The paper's network speaks the Gnutella protocol — ``Query`` /
+``Query_Hit`` for flooding search — and adds a probabilistic *walker* message that carries an aggregation query
 along a random walk.  This module defines those message types plus the
 replies the sampling algorithm needs:
 
@@ -52,8 +51,6 @@ __all__ = [
     "GNUTELLA_HEADER_BYTES",
     "MessageType",
     "Message",
-    "Ping",
-    "Pong",
     "Query",
     "QueryHit",
     "WalkerProbe",
@@ -73,8 +70,6 @@ GNUTELLA_HEADER_BYTES = 23
 class MessageType(enum.Enum):
     """Wire-level message discriminator."""
 
-    PING = 0x00
-    PONG = 0x01
     QUERY = 0x80
     QUERY_HIT = 0x81
     WALKER_PROBE = 0x90
@@ -139,38 +134,6 @@ class Message:
             ttl=self.ttl - 1,
             hops=self.hops + 1,
         )
-
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class Ping(Message):
-    """Membership probe."""
-
-    SIZE_BYTES: ClassVar[int] = GNUTELLA_HEADER_BYTES
-
-    @property
-    def message_type(self) -> MessageType:
-        return MessageType.PING
-
-    def payload_bytes(self) -> int:
-        return 0
-
-
-@dataclasses.dataclass(frozen=True, slots=True)
-class Pong(Message):
-    """Membership reply: the responder's address and share counts."""
-
-    SIZE_BYTES: ClassVar[int] = GNUTELLA_HEADER_BYTES + 14
-
-    ip: str = "0.0.0.0"
-    port: int = 6346
-    shared_tuples: int = 0
-
-    @property
-    def message_type(self) -> MessageType:
-        return MessageType.PONG
-
-    def payload_bytes(self) -> int:
-        return 14  # port(2) + ip(4) + files(4) + kb(4), classic pong
 
 
 @dataclasses.dataclass(frozen=True, slots=True)

@@ -1,8 +1,8 @@
 """In-process P2P network simulator.
 
 :class:`NetworkSimulator` binds together a frozen :class:`Topology`,
-one :class:`~repro.data.localdb.LocalDatabase` per peer, peer
-identities, and a :class:`~repro.metrics.cost.CostLedger`.  Every
+one :class:`~repro.data.localdb.LocalDatabase` per peer, the peers' CPU
+speeds, and a :class:`~repro.metrics.cost.CostLedger`.  Every
 cross-peer interaction of the sampling algorithms goes through it as a
 typed protocol message, so costs (messages, bytes, latency) are
 accounted exactly where the paper's cost model says they arise:
@@ -18,8 +18,12 @@ accounted exactly where the paper's cost model says they arise:
   ``visit_values_batch`` name the first and the last): a clean chunk
   in one pass, a faulted one fate per probe (``probe_visit``);
 * ``flood`` — Gnutella's BFS flooding with a TTL, used by the naive
-  baseline the paper contrasts against (§3.1, Figure 7);
-* ``ping`` — membership probe, used by the churn machinery.
+  baseline the paper contrasts against (§3.1, Figure 7).
+
+Whether a probed peer's reply arrives is the bound
+:class:`~repro.network.faults.FaultPlan`'s decision (a uniform loss
+rate ``r`` is ``FaultPlan(seed, reply_loss=r)``) and, in a session
+holding a time domain, virtual time's.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from typing import (
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .._util import SeedLike, ensure_rng, seed_sequence
+from .._util import SeedLike, ensure_rng, readonly_view, seed_sequence
 from ..data.flat import DatabaseTable, FlatDataset
 from ..data.localdb import LocalDatabase
 from ..data.segments import select_rows
@@ -62,15 +66,7 @@ from ..obs.events import (
 from ..obs.tracer import active_tracer, emit_if_tracing
 from ..query.model import AggregationQuery
 from .faults import FaultPlan, FaultState
-from .peer import Peer, PeerTable
-from .protocol import (
-    AggregateReply,
-    AggregateSample,
-    Ping,
-    Pong,
-    Query,
-    ValueSample,
-)
+from .protocol import AggregateReply, AggregateSample, Query, ValueSample
 from .topology import Topology
 from .visits import AggregateVisits, ChunkRows, ValueVisits, Visits
 
@@ -89,27 +85,19 @@ _Sim = TypeVar("_Sim", bound="NetworkSimulator")
 _S = TypeVar("_S")
 
 
-def _emit_probe(
-    peer: int,
-    kind: str,
-    outcome: str,
-    replies: int = 0,
-    messages: int = 0,
-    hops: int = 0,
-    visits: int = 0,
-    timeouts: int = 0,
-) -> None:
-    """Trace one resolved probe (no-op when tracing is off).
+def _emit_probe(peer: int, kind: str, outcome: str, timeouts: int) -> None:
+    """Trace one failed probe (no-op when tracing is off).
 
-    The keyword charge fields mirror exactly what the emission site
-    just recorded on the ledger, which is what lets trace cost totals
-    reconcile with :class:`~repro.metrics.cost.CostLedger` snapshots.
+    Its charge mirrors what the emission site just recorded on the
+    ledger — one visit, and one timeout when the sink waited — which
+    is what lets trace cost totals reconcile with
+    :class:`~repro.metrics.cost.CostLedger` snapshots.
     """
     tracer = active_tracer()
     if tracer is not None:
         tracer.emit(
-            ProbeEvent, peer, kind, outcome, replies,
-            _probe_charge(messages, hops, visits, timeouts),
+            ProbeEvent, peer, kind, outcome, 0,
+            _probe_charge(0, 0, 1, timeouts),
         )
 
 
@@ -136,19 +124,26 @@ def _checked_labels(peer_labels: Sequence[int], num_peers: int) -> np.ndarray:
     return labels
 
 
+def _draw_cpu_speeds(rows: np.ndarray, seed: SeedLike) -> np.ndarray:
+    """Rows ``rows`` of the endless log-normal CPU-speed column drawn
+    from ``seed``: one array draw up to the largest row, so a row does
+    not depend on how many are drawn."""
+    drawn = ensure_rng(seed).lognormal(0.0, 0.35, int(rows.max()) + 1)
+    return readonly_view(drawn[rows])
+
+
 class NetworkSnapshot:
     """What a network *is*: everything immutable for its lifetime.
 
     Built once by :class:`NetworkSimulator` and shared **by reference**
     by that simulator and every :meth:`~NetworkSimulator.session` of
     it, so a session costs nothing proportional to the network.
-    Identities are a :class:`~repro.network.peer.PeerTable` (columns,
-    each drawn on first read; a ``Peer`` is built per read).
     ``databases`` is kept as given when it is a
     :class:`~repro.data.flat.DatabaseTable` — slices of
     one store, a ``LocalDatabase`` built per read, and that store *is*
     :attr:`flat` — and frozen into a tuple otherwise.  The derived
-    views (:attr:`flat`, :meth:`total_tuples`) are write-once memos:
+    views (:attr:`flat`, :meth:`total_tuples`, :meth:`cpu_speeds`) are
+    write-once memos:
     peers' data never changes under a snapshot (churn produces *new*
     simulators via ``LiveNetwork.snapshot``), so whichever simulator
     or session touches a view first builds it for all of them.
@@ -158,7 +153,6 @@ class NetworkSnapshot:
         self,
         topology: Topology,
         databases: Sequence[LocalDatabase],
-        peers: Optional[Sequence[Peer]],
         cost_model: Optional[CostModel],
         peer_labels: Optional[Sequence[int]],
     ):
@@ -186,21 +180,9 @@ class NetworkSnapshot:
         self.peer_labels: Optional[Tuple[int, ...]] = (
             None if labels is None else tuple(labels.tolist())
         )
-        if peers is not None:
-            if len(peers) != num_peers:
-                raise ConfigurationError(
-                    f"{len(peers)} peer identities for {num_peers} peers"
-                )
-            self.peers = PeerTable.from_peers(peers)
-        else:
-            # Row = label where there is one: a peer keeps its
-            # capabilities and address across churn epochs, while
-            # vertex ids are compacted.  (Identities are cosmetic,
-            # hence the fixed seed.)
-            self.peers = PeerTable.synthesize(
-                np.arange(num_peers) if labels is None else labels, 12345
-            )
+        self._labels = None if labels is None else labels.astype(np.int64)
         self._total_tuples: Optional[int] = None
+        self._cpu_speeds: Optional[np.ndarray] = None
 
     @property
     def flat(self) -> FlatDataset:
@@ -231,8 +213,31 @@ class NetworkSnapshot:
         return self._total_tuples
 
     def cpu_speeds(self) -> np.ndarray:
-        """Per-peer CPU speeds, for the cost accounting."""
-        return self.peers.cpu_speed
+        """Per-peer relative CPU speeds (1.0 is the reference machine;
+        a visit's tuple processing time scales inversely with it), for
+        the cost accounting: drawn on first read and kept, read-only.
+
+        Row ``r`` of one endless log-normal column (the heterogeneity
+        observed in deployed Gnutella networks), drawn by a generator
+        over the first child of the fixed seed 12345 — a cosmetic
+        draw, so nothing seeds it.  The row is the peer's label where
+        there is one, its vertex id otherwise: a peer keeps its speed
+        across churn epochs while vertex ids are compacted, whoever
+        else joins or leaves.
+        """
+        if self._cpu_speeds is None:
+            rows = self._labels
+            if rows is None:
+                rows = np.arange(self.topology.num_peers)
+            self._cpu_speeds = _draw_cpu_speeds(
+                rows, np.random.SeedSequence(12345).spawn(1)[0]
+            )
+        return self._cpu_speeds
+
+    def __getstate__(self) -> dict:
+        # The speeds are drawn again on first read: a pickled array
+        # would come back writable.
+        return dict(vars(self), _cpu_speeds=None)
 
 
 class NetworkSimulator:
@@ -248,28 +253,17 @@ class NetworkSimulator:
         ``generate_dataset`` returns) is kept as it is and its store
         serves as :attr:`flat_dataset`; any other
         sequence is frozen into a tuple and concatenated on first use.
-    peers:
-        Optional peer identities (``peers[i].peer_id`` must be ``i``);
-        synthesized deterministically when omitted — by label when
-        ``peer_labels`` is given, so a peer keeps its capabilities and
-        address across churn epochs, by vertex id otherwise.
     cost_model:
         Unit costs for the latency model.
     seed:
-        Seed for the simulator's own randomness (local sub-sampling,
-        failure injection).
-    reply_loss_rate:
-        Probability, in ``[0, 1)``, that a visited peer fails to reply
-        (departed mid-query, or its reply was lost).  Visits that fail
-        raise :class:`~repro.errors.PeerUnavailableError`; the walk hop
-        cost has already been paid, and engines skip the observation.
-        A rate of exactly 1 is rejected — a total blackout is a
-        :class:`~repro.network.faults.CrashWindow`, not a loss rate.
+        Seed for the simulator's own randomness (local sub-sampling).
     fault_plan:
-        Optional :class:`~repro.network.faults.FaultPlan` — the
-        richer, fully deterministic failure schedule (crash windows,
-        correlated outages, per-message-type loss, latency spikes and
-        probe timeouts).  Composes with ``reply_loss_rate``.
+        Optional :class:`~repro.network.faults.FaultPlan` — the fully
+        deterministic failure schedule (crash windows, correlated
+        outages, per-message-type loss, latency spikes and probe
+        timeouts).  A probe that fails raises
+        :class:`~repro.errors.PeerUnavailableError`; the walk hop cost
+        has already been paid, and engines skip the observation.
     fault_clock:
         Step offset at which the bound fault plan's clock starts;
         :class:`~repro.network.live.LiveNetwork` uses it to let fault
@@ -285,9 +279,9 @@ class NetworkSimulator:
         :class:`~repro.network.live.LiveNetwork` passes its churn
         snapshot's labels, which is what lets delta re-estimation match
         a retained sample's peers against a later epoch's live set,
-        and a peer keep its capabilities and address.  Labels are
-        distinct small non-negative integers (a churn process numbers
-        peers sequentially): identities are drawn up to the largest one.
+        and a peer keep its CPU speed.  Labels are distinct small
+        non-negative integers (a churn process numbers peers
+        sequentially): speeds are drawn up to the largest one.
         ``None`` (default) means no cross-epoch identity is available.
     """
 
@@ -295,23 +289,16 @@ class NetworkSimulator:
         self,
         topology: Topology,
         databases: Sequence[LocalDatabase],
-        peers: Optional[Sequence[Peer]] = None,
         cost_model: Optional[CostModel] = None,
         seed: SeedLike = None,
-        reply_loss_rate: float = 0.0,
         fault_plan: Optional[FaultPlan] = None,
         fault_clock: int = 0,
         fault_strict_peers: bool = True,
         peer_labels: Optional[Sequence[int]] = None,
     ):
         self._snapshot = NetworkSnapshot(
-            topology, databases, peers, cost_model, peer_labels
+            topology, databases, cost_model, peer_labels
         )
-        if not 0.0 <= reply_loss_rate < 1.0:
-            raise ConfigurationError(
-                f"reply_loss_rate must be in [0, 1), got {reply_loss_rate}"
-            )
-        self._reply_loss_rate = reply_loss_rate
         self._reseed(seed)
         self._fault_state: Optional[FaultState] = (
             fault_plan.bind(
@@ -324,15 +311,12 @@ class NetworkSimulator:
         )
 
     def _reseed(self, seed: SeedLike) -> None:
-        """(Re)start the sub-sampling and failure streams from ``seed``.
+        """(Re)start the sub-sampling stream from ``seed``.
 
-        Each becomes a ``Generator`` on its first draw (a clean session
-        draws from neither); a ``Generator`` handed in is the
-        sub-sampling stream itself.
+        It becomes a ``Generator`` on its first draw; a ``Generator``
+        handed in is the stream itself.
         """
         self._seed_seq = seed_sequence(seed)
-        self._failure_seed = self._seed_seq.spawn(1)[0]
-        vars(self).pop("_failure_rng", None)
         if isinstance(seed, np.random.Generator):
             self._rng = seed
         else:
@@ -341,25 +325,6 @@ class NetworkSimulator:
     @functools.cached_property
     def _rng(self) -> np.random.Generator:
         return ensure_rng(self._seed_seq)
-
-    @functools.cached_property
-    def _failure_rng(self) -> np.random.Generator:
-        return ensure_rng(self._failure_seed)
-
-    def _maybe_drop_reply(self, peer_id: int, ledger: CostLedger) -> None:
-        """Simulate a lost reply with the configured probability.
-
-        The visit overhead has been incurred by the time the loss is
-        noticed, so it is charged before raising.
-        """
-        if (
-            self._reply_loss_rate > 0.0
-            and self._failure_rng.random() < self._reply_loss_rate
-        ):
-            ledger.record_visit(peer_id, 0, 0)
-            raise PeerUnavailableError(
-                f"peer {peer_id} failed to reply"
-            )
 
     def _fault_wait_ms(self) -> float:
         """How long the sink idles before declaring a probe dead."""
@@ -392,7 +357,9 @@ class NetworkSimulator:
                 f"{decision.step})"
             )
         if decision.lost:
-            ledger.record_visit(peer_id, 0, 0)
+            # The visit overhead has been incurred by the time the loss
+            # is noticed, so it is charged before raising.
+            ledger.record_visit(peer_id, 0)
             raise PeerUnavailableError(
                 f"peer {peer_id} failed to reply (scheduled {kind} loss "
                 f"at fault step {decision.step})"
@@ -418,20 +385,9 @@ class NetworkSimulator:
         return decision.extra_latency_ms
 
     def _probe_checks(
-        self,
-        peer_id: int,
-        kind: str,
-        ledger: CostLedger,
-        drop_reply: bool = True,
-        request_messages: int = 0,
-        request_hops: int = 0,
+        self, peer_id: int, kind: str, ledger: CostLedger
     ) -> None:
-        """Run one probe's failure gauntlet, tracing the outcome.
-
-        ``request_messages``/``request_hops`` fold a request charge the
-        caller already paid (ping's forward hop) into the failure
-        event, so trace cost totals reconcile with the ledger even for
-        probes that die before replying.
+        """Run one probe's failure gauntlet, tracing a failure.
 
         This is the whole story of a probe.  A session holding a time
         domain adds the two ends: a peer the timeline already removed
@@ -441,13 +397,9 @@ class NetworkSimulator:
         """
         time = self._time
         if time is not None:
-            time.refuse_departed(
-                peer_id, kind, ledger, request_messages, request_hops
-            )
+            time.refuse_departed(peer_id, kind, ledger)
         try:
             spike_ms = self._apply_faults(peer_id, kind, ledger)
-            if drop_reply:
-                self._maybe_drop_reply(peer_id, ledger)
         except PeerUnavailableError as error:
             # A crash and a timeout each count as a timeout (the sink
             # waited); only a crash's wait passes in virtual time here.
@@ -457,18 +409,13 @@ class NetworkSimulator:
                 peer_id,
                 kind,
                 "crashed" if crashed else "timeout" if timed_out else "lost",
-                messages=request_messages,
-                hops=request_hops,
-                visits=1,
-                timeouts=int(timed_out),
+                int(timed_out),
             )
             if crashed and time is not None:
                 time.kernel.advance_by(self._fault_wait_ms())
             raise
         if time is not None:
-            time.await_reply(
-                peer_id, kind, ledger, spike_ms, request_messages, request_hops
-            )
+            time.await_reply(peer_id, kind, ledger, spike_ms)
 
     # ------------------------------------------------------------------
     # Accessors
@@ -490,12 +437,6 @@ class NetworkSimulator:
         return self._snapshot.cost_model
 
     @property
-    def reply_loss_rate(self) -> float:
-        """Probability in ``[0, 1)`` that a visited peer fails to
-        reply."""
-        return self._reply_loss_rate
-
-    @property
     def fault_plan(self) -> Optional[FaultPlan]:
         """The bound fault schedule, if any."""
         state = self._fault_state
@@ -508,8 +449,8 @@ class NetworkSimulator:
 
     @property
     def faults_active(self) -> bool:
-        """Whether any failure source (legacy rate or plan) is armed."""
-        return self._reply_loss_rate > 0.0 or self._fault_state is not None
+        """Whether a fault plan is bound."""
+        return self._fault_state is not None
 
     @property
     def peer_labels(self) -> Optional[Tuple[int, ...]]:
@@ -551,16 +492,10 @@ class NetworkSimulator:
         if not 0 <= peer_id < self.num_peers:
             raise ProtocolError(f"unknown peer {peer_id}")
 
-    def peer(self, peer_id: int) -> Peer:
-        """Peer ``peer_id``'s identity (built per call: equal by value
-        across calls and sessions, not the same object)."""
-        self._check_peer(peer_id)
-        return self._snapshot.peers[peer_id]
-
     def database(self, peer_id: int) -> LocalDatabase:
         """Peer ``peer_id``'s local database (over a store-backed
-        dataset it is built per call, like :meth:`peer`: equal by
-        value across calls and sessions, not the same object)."""
+        dataset it is built per call: equal by value across calls and
+        sessions, not the same object)."""
         self._check_peer(peer_id)
         return self._snapshot.databases[peer_id]
 
@@ -656,10 +591,10 @@ class NetworkSimulator:
 
         O(1) in the size of the network: the session *is* this
         simulator's :class:`NetworkSnapshot` (topology, databases,
-        identities, cost model, labels and every memoized view, shared
-        by reference) plus its own *entire stochastic state* — its own
-        sub-sampling RNG, its own failure RNG and its own fault clock
-        forked off the already-compiled fault schedule.  This is what
+        cost model, labels and every memoized view, shared by
+        reference) plus its own *entire stochastic state* — its own
+        sub-sampling RNG and its own fault clock forked off the
+        already-compiled fault schedule.  This is what
         makes concurrent query execution deterministic: each query runs
         against its own session seeded from a per-query stream, so no
         interleaving of sessions can perturb any other session's draws
@@ -681,38 +616,6 @@ class NetworkSimulator:
     def total_tuples(self) -> int:
         """Network-wide tuple count N (computed once, then cached)."""
         return self._snapshot.total_tuples()
-
-    # ------------------------------------------------------------------
-    # Membership probes
-    # ------------------------------------------------------------------
-
-    def ping(self, source: int, destination: int, ledger: CostLedger) -> Pong:
-        """Ping a direct neighbor; returns its Pong."""
-        if not self.topology.has_edge(source, destination):
-            raise ProtocolError(
-                f"peer {source} is not connected to {destination}"
-            )
-        ping = Ping(source=source, destination=destination)
-        ledger.record_hops(1, message_bytes=ping.size_bytes())
-        self._probe_checks(
-            destination,
-            "ping",
-            ledger,
-            drop_reply=False,
-            request_messages=1,
-            request_hops=1,
-        )
-        peer = self.peer(destination)
-        pong = Pong(
-            source=destination,
-            destination=source,
-            ip=peer.ip,
-            port=peer.port,
-            shared_tuples=self.database(destination).num_tuples,
-        )
-        ledger.record_reply(pong.size_bytes())
-        _emit_probe(destination, "ping", "ok", replies=1, messages=2, hops=1)
-        return pong
 
     # ------------------------------------------------------------------
     # The paper's Visit procedure (§4): one driver for every reply kind
@@ -781,7 +684,7 @@ class NetworkSimulator:
         leading = visits.leading_replies
         for _ in range(leading):
             ledger.record_reply(reply_bytes)
-        ledger.record_visit(peer_id, processed, processed, cpu_speed)
+        ledger.record_visit(peer_id, processed, cpu_speed)
         if not leading:
             ledger.record_reply(reply_bytes)
         tracer = active_tracer()
@@ -876,22 +779,18 @@ class NetworkSimulator:
         happens.  A clean chunk is planned, reduced and charged in one
         pass: its rows gathered, its kind's kernel run over them once,
         every visit and reply charged by one ledger call, one
-        ``batch-visit`` event.  Any armed failure source or a time
-        domain interleaves loss draws, fault-clock steps and per-probe
-        timing with the visits, so then each probe is resolved,
-        charged and traced on its own, in order (:meth:`probe_visit`),
-        and the rows are read as :meth:`read_visits` reads them.
+        ``batch-visit`` event.  A bound fault plan or a time domain
+        interleaves fault-clock steps and per-probe timing with the
+        visits, so then each probe is resolved, charged and traced on
+        its own, in order (:meth:`probe_visit`), and the rows are read
+        as :meth:`read_visits` reads them.
         """
         visits.check()
         peers = self._validate_batch_peers(peer_ids)
         if peers.size == 0:
             return self.read_visits(visits, [])
         tracer = active_tracer()
-        if (
-            self._reply_loss_rate > 0.0
-            or self._fault_state is not None
-            or self._time is not None
-        ):
+        if self._fault_state is not None or self._time is not None:
             if tracer is not None:
                 tracer.emit(
                     BatchFallbackEvent, visits.kind, int(peers.size),
@@ -911,7 +810,6 @@ class NetworkSimulator:
         ledger.record_visit_replies(
             peers,
             tuples_processed=rows.processed,
-            tuples_sampled=rows.processed,
             reply_bytes=(
                 visits.sized(sample) if reply_bytes is None else reply_bytes
             ),

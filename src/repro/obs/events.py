@@ -21,10 +21,10 @@ the run's final ledger snapshot:
 event                messages    hops   visits  timeouts
 ===================  ==========  =====  ======  ========
 walk                 hops        hops   0       0
-probe ok             replies     0/1*   1/0*    0
-probe lost           request     req.   1       0
-probe crashed        request     req.   1       1
-probe timeout        request     req.   1       1
+probe ok             replies     0      1       0
+probe lost           0           0      1       0
+probe crashed        0           0      1       1
+probe timeout        0           0      1       1
 batch-visit          replies     0      req'd   0
 batch-fallback       0           0      0       0
 retry                0           0      0       0
@@ -38,9 +38,8 @@ stale-reply          0           0      0       0
 phase/estimate/...   0           0      0       0
 ===================  ==========  =====  ======  ========
 
-(*) A ``ping`` probe charges its request hop itself (1 message +
-1 hop, no visit); a visit charges one visit and its reply messages
-(one, or a panel's ``k``), and a batch visit the same per peer.
+A visit charges one visit and its reply messages (one, or a panel's
+``k``), and a batch visit the same per peer.
 Walk hops are charged by the walk's *caller* via ``record_hops`` —
 every engine collection path does so immediately after the walk,
 which is why the walk event owns that charge.

@@ -13,7 +13,7 @@ from typing import Dict, Iterable
 import numpy as np
 
 from .._util import widened
-from ..data.flat import FlatDataset
+from ..data.flat import DatabaseTable, FlatDataset
 from ..errors import QueryError
 from .model import AggregateOp, AggregationQuery, ColumnMap
 
@@ -27,10 +27,20 @@ __all__ = [
 ]
 
 
+def _stored(databases: Iterable) -> Iterable:
+    """A :class:`~repro.data.flat.DatabaseTable`'s store (its databases
+    are slices of it, so it holds the same rows, and reading it builds
+    no database), anything else as it is."""
+    if isinstance(databases, DatabaseTable):
+        return databases.store
+    return databases
+
+
 def _scans(databases: Iterable) -> Iterable[ColumnMap]:
     """The column maps an exact answer reads: a
-    :class:`~repro.data.flat.FlatDataset`'s one concatenated map, or
-    every database's ``scan()``."""
+    :class:`~repro.data.flat.FlatDataset`'s (or a table's store's) one
+    concatenated map, or every database's ``scan()``."""
+    databases = _stored(databases)
     if isinstance(databases, FlatDataset):
         return (databases.scan(),)
     return (database.scan() for database in databases)
@@ -106,7 +116,8 @@ def evaluate_exact(
 
     ``databases`` is an iterable of :class:`repro.data.localdb.LocalDatabase`
     (or anything exposing ``scan()``), or a
-    :class:`~repro.data.flat.FlatDataset`, whose concatenated columns
+    :class:`~repro.data.flat.FlatDataset` or
+    :class:`~repro.data.flat.DatabaseTable`, whose concatenated columns
     make the whole evaluation one numpy pass.  COUNT/SUM/AVG add up
     per-peer counts and sums; MEDIAN/QUANTILE gather the selected
     values.
@@ -134,6 +145,7 @@ def rank_of_value(value: float, databases: Iterable, column: str) -> int:
     difference between the true rank of the median that the algorithm
     returns, and N/2".
     """
+    databases = _stored(databases)
     if isinstance(databases, FlatDataset):
         return int(np.count_nonzero(databases.column(column) < value))
     below = 0

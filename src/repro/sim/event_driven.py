@@ -57,7 +57,6 @@ from ..errors import (
 )
 from ..metrics.cost import CostLedger, CostModel
 from ..network.faults import FaultPlan
-from ..network.peer import Peer
 from ..network.simulator import NetworkSimulator, _emit_probe
 from ..network.topology import Topology
 from ..obs.events import StaleReplyEvent
@@ -97,21 +96,14 @@ class VirtualTime:
         self.deadline_ms: Optional[float] = None
 
     def refuse_departed(
-        self,
-        peer_id: int,
-        kind: str,
-        ledger: CostLedger,
-        request_messages: int,
-        request_hops: int,
+        self, peer_id: int, kind: str, ledger: CostLedger
     ) -> None:
         """Before the gauntlet: a peer already gone never answers."""
         kernel = self.kernel
         kernel.drain_due()
         if kernel.is_departed(peer_id):
             ledger.record_timeout(peer_id, waited_ms=self.departed_wait_ms)
-            self._emit_failure(
-                peer_id, kind, "departed", request_messages, request_hops
-            )
+            _emit_probe(peer_id, kind, "departed", 1)
             kernel.advance_by(self.departed_wait_ms)
             raise PeerDepartedError(
                 f"peer {peer_id} departed before the {kind} probe "
@@ -119,13 +111,7 @@ class VirtualTime:
             )
 
     def await_reply(
-        self,
-        peer_id: int,
-        kind: str,
-        ledger: CostLedger,
-        spike_ms: float,
-        request_messages: int,
-        request_hops: int,
+        self, peer_id: int, kind: str, ledger: CostLedger, spike_ms: float
     ) -> None:
         """After the gauntlet: send, and block until the reply's fate."""
         kernel = self.kernel
@@ -138,18 +124,14 @@ class VirtualTime:
         )
         if outcome.status == DEPARTED:
             ledger.record_timeout(peer_id, waited_ms=kernel.now_ms - sent_ms)
-            self._emit_failure(
-                peer_id, kind, "departed", request_messages, request_hops
-            )
+            _emit_probe(peer_id, kind, "departed", 1)
             raise PeerDepartedError(
                 f"peer {peer_id} departed mid-flight during a {kind} "
                 f"probe (virtual time {kernel.now_ms:.3f} ms)"
             )
         if outcome.status != DELIVERED:  # TIMED_OUT
             ledger.record_timeout(peer_id, waited_ms=kernel.now_ms - sent_ms)
-            self._emit_failure(
-                peer_id, kind, "timeout", request_messages, request_hops
-            )
+            _emit_probe(peer_id, kind, "timeout", 1)
             raise ProbeTimeoutError(
                 f"{kind} probe to peer {peer_id} exceeded its patience; "
                 f"the reply will land late at "
@@ -161,39 +143,13 @@ class VirtualTime:
                 outcome.delivered_epoch,
             )
             if self.stale_mode == "reject":
-                ledger.record_visit(peer_id, 0, 0)
-                _emit_probe(
-                    peer_id,
-                    kind,
-                    "stale",
-                    messages=request_messages,
-                    hops=request_hops,
-                    visits=1,
-                )
+                ledger.record_visit(peer_id, 0)
+                _emit_probe(peer_id, kind, "stale", 0)
                 raise StaleReplyError(
                     f"reply from peer {peer_id} answers epoch "
                     f"{outcome.sent_epoch} but the network is at epoch "
                     f"{outcome.delivered_epoch}"
                 )
-
-    @staticmethod
-    def _emit_failure(
-        peer_id: int,
-        kind: str,
-        outcome: str,
-        request_messages: int,
-        request_hops: int,
-    ) -> None:
-        """Trace a probe the sink waited out (one visit, one timeout)."""
-        _emit_probe(
-            peer_id,
-            kind,
-            outcome,
-            messages=request_messages,
-            hops=request_hops,
-            visits=1,
-            timeouts=1,
-        )
 
     def forward(self, hops: int) -> None:
         """A walk segment of ``hops`` forwards takes its hop delays."""
@@ -245,10 +201,8 @@ class EventDrivenSimulator(NetworkSimulator):
         self,
         topology: Topology,
         databases: Sequence[LocalDatabase],
-        peers: Optional[Sequence[Peer]] = None,
         cost_model: Optional[CostModel] = None,
         seed: SeedLike = None,
-        reply_loss_rate: float = 0.0,
         fault_plan: Optional[FaultPlan] = None,
         fault_clock: int = 0,
         fault_strict_peers: bool = True,
@@ -261,10 +215,8 @@ class EventDrivenSimulator(NetworkSimulator):
         super().__init__(
             topology,
             databases,
-            peers=peers,
             cost_model=cost_model,
             seed=seed,
-            reply_loss_rate=reply_loss_rate,
             fault_plan=fault_plan,
             fault_clock=fault_clock,
             fault_strict_peers=fault_strict_peers,

@@ -6,7 +6,7 @@ reported visits/latency/bandwidth silently undercount.  Algorithm and
 serving code (``core/``, ``sampling/`` and ``service/``) therefore may
 not reach around the accounting layer:
 
-* simulator visit/flood/ping calls must pass a ``ledger`` argument;
+* simulator visit/flood calls must pass a ``ledger`` argument;
 * raw topology traversal (``.neighbors(...)``) is only allowed inside a
   function that has a ledger in scope (parameter, ``new_ledger()`` or
   ``CostLedger(...)``) — there is no free way to learn the graph;
@@ -21,7 +21,7 @@ all be charged).
 
 The observability package (``obs/``) is guarded from the opposite
 direction: it observes the cost path but must never *be* one.  Code
-under ``obs/`` may not call simulator visit/flood/ping entry points
+under ``obs/`` may not call simulator visit/flood entry points
 and may not mutate (or create) cost ledgers — a tracer that visited
 peers or charged ledgers would change the very runs it records.
 """
@@ -47,7 +47,6 @@ _LEDGER_CALLS: Dict[str, int] = {
     "visit_batch": 3,
     "probe_visit": 3,
     "flood": 3,
-    "ping": 3,
 }
 
 #: Directories whose modules this rule constrains.

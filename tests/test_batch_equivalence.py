@@ -15,6 +15,7 @@ import pytest
 from repro.errors import PeerUnavailableError, ProtocolError
 from repro.experiments.configs import synthetic_bundle
 from repro.experiments.runner import run_trials
+from repro.network.faults import FaultPlan
 from repro.network.simulator import NetworkSimulator
 from repro.query.model import AggregateOp, AggregationQuery, Comparison
 
@@ -182,7 +183,7 @@ def test_batch_empty_peer_list(small_network):
 def test_loss_fallback_matches_scalar(small_topology, small_dataset):
     """With loss injected, the batch call IS the per-peer loop.
 
-    Two simulators built identically share the same failure stream; the
+    Two simulators built identically replay the same fault plan; the
     batch call on one must reproduce the scalar loop on the other,
     dropped peers included.
     """
@@ -191,11 +192,11 @@ def test_loss_fallback_matches_scalar(small_topology, small_dataset):
 
     lossy_a = NetworkSimulator(
         small_topology, small_dataset.databases, seed=17,
-        reply_loss_rate=0.3,
+        fault_plan=FaultPlan(seed=17, reply_loss=0.3),
     )
     lossy_b = NetworkSimulator(
         small_topology, small_dataset.databases, seed=17,
-        reply_loss_rate=0.3,
+        fault_plan=FaultPlan(seed=17, reply_loss=0.3),
     )
 
     ledger_loop = lossy_a.new_ledger()

@@ -7,6 +7,7 @@ from repro.core.batch import BatchEngine
 from repro.core.two_phase import TwoPhaseConfig, TwoPhaseEngine
 from repro.errors import ConfigurationError
 from repro.network.protocol import AggregateReply
+from repro.network.faults import FaultPlan
 from repro.network.simulator import NetworkSimulator
 from repro.network.visits import PanelVisits
 from repro.network.walker import RetryPolicy
@@ -162,7 +163,9 @@ class TestDegradedReporting:
 
     def test_lost_replies_are_reported(self, small_topology, small_dataset):
         _, results = self._run(
-            small_topology, small_dataset, reply_loss_rate=0.3
+            small_topology,
+            small_dataset,
+            fault_plan=FaultPlan(seed=7, reply_loss=0.3),
         )
         for result in results:
             assert 0 < result.effective_sample_size

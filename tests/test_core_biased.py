@@ -11,6 +11,7 @@ from repro.core.biased import (
 )
 from repro.errors import ConfigurationError, SamplingError
 from repro.metrics.cost import QueryCost
+from repro.network.faults import FaultPlan
 from repro.network.simulator import NetworkSimulator
 from repro.network.walker import WeightedMetropolisWalker
 from repro.query.exact import evaluate_exact
@@ -179,23 +180,23 @@ class TestBiasedSamplingEngine:
         assert result.confidence_interval.half_width > 0
         assert result.cost.hops > 0
 
-    @pytest.mark.parametrize("reply_loss_rate", [0.0, 0.3])
+    @pytest.mark.parametrize("loss", [0.0, 0.3])
     def test_lost_replies_are_reported(
-        self, small_topology, small_dataset, reply_loss_rate
+        self, small_topology, small_dataset, loss
     ):
         simulator = NetworkSimulator(
             small_topology,
             small_dataset.databases,
             seed=7,
-            reply_loss_rate=reply_loss_rate,
+            fault_plan=FaultPlan(seed=7, reply_loss=loss) if loss else None,
         )
         engine = biased_engine_for_query(simulator, BROAD, seed=5)
         result = engine.execute(BROAD, sink=0)
         assert result.requested_sample_size == engine.config.peers_to_visit
         assert result.effective_sample_size == result.total_peers_visited
         lost = result.requested_sample_size - result.effective_sample_size
-        assert (lost > 0) == (reply_loss_rate > 0.0)
-        assert result.degraded == (reply_loss_rate > 0.0)
+        assert (lost > 0) == (loss > 0.0)
+        assert result.degraded == (loss > 0.0)
 
     def test_pinned_by_value(self, small_network):
         """Weights and one execution, recorded as literals.

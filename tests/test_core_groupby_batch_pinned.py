@@ -5,7 +5,7 @@
 walks) answer from per-peer group and multi visits.  Every answer,
 phase report, cost and the position of every stream they draw from is
 recorded below as a literal, over the 200-peer fixture carrying a
-six-group column: clean, and with 20% reply loss.  A change to how
+six-group column: clean, and under the chaos fault plan.  A change to how
 these engines walk, visit, cross-validate or estimate must reproduce
 them with ``==``.
 
@@ -19,7 +19,10 @@ recorded.  The chaos rows were recorded later, before GROUP BY and
 batch visits became segment passes over a chunk, and are unchanged
 since; ``chaos-retry`` (a batch under the chaos plan with a
 ``RetryPolicy``) was recorded after, because before it the batch
-engine ignored its retry policy.
+engine ignored its retry policy.  The simulator's separate failure
+stream (a uniform reply-loss coin, now a fault plan's ``reply_loss``)
+is gone, and with it its cells and its element of every ``streams``
+tuple.
 """
 
 import pytest
@@ -38,7 +41,6 @@ from .test_core_values_pinned import CHAOS_PLAN
 
 NETWORKS = {
     "clean": {},
-    "loss": {"reply_loss_rate": 0.2},
     "chaos": {"fault_plan": CHAOS_PLAN},
 }
 
@@ -84,7 +86,6 @@ def _streams(engine, network):
         float(engine._walker._rng.random()),
         float(engine._visit_rng.random()),
         float(network._rng.random()),
-        float(network._failure_rng.random()),
     )
 
 
@@ -141,49 +142,28 @@ PINNED_GROUPBY = {
         'phase_one': PhaseReport(peers_visited=40, tuples_sampled=1000, hops=400, estimate=None),
         'phase_two': PhaseReport(peers_visited=27, tuples_sampled=675, hops=270, estimate=None),  # AVG sizing
         'cost': QueryCost(messages=737, hops=670, peers_visited=67, distinct_peers=53, tuples_processed=1675, tuples_sampled=1675, bytes_sent=54633, latency_ms=35247.832193798946, timeouts=0),  # AVG sizing
-        'streams': (0.6653466801817194, 0.5697658418582517, 0.9164755624377187, 0.9031718109148604, 0.33116939425886016),  # AVG sizing
+        'streams': (0.6653466801817194, 0.5697658418582517, 0.9164755624377187, 0.9031718109148604),  # AVG sizing
     },
     ('clean', 'count'): {
         'groups': {1.0: 5382.176359622356, 2.0: 3719.1738263322045, 3.0: 3299.9786501657654, 4.0: 2856.0650682760743, 5.0: 2403.264975574701, 6.0: 2339.3411200289024},
         'phase_one': PhaseReport(peers_visited=40, tuples_sampled=1000, hops=400, estimate=None),
         'phase_two': PhaseReport(peers_visited=27, tuples_sampled=675, hops=270, estimate=None),
         'cost': QueryCost(messages=737, hops=670, peers_visited=67, distinct_peers=53, tuples_processed=1675, tuples_sampled=1675, bytes_sent=55973, latency_ms=35249.17219379894, timeouts=0),
-        'streams': (0.6653466801817194, 0.5697658418582517, 0.9164755624377187, 0.9031718109148604, 0.33116939425886016),
+        'streams': (0.6653466801817194, 0.5697658418582517, 0.9164755624377187, 0.9031718109148604),
     },
     ('clean', 'sum'): {
         'groups': {1.0: 63056.901735383624, 2.0: 48834.77134687568, 3.0: 43135.462983392325, 4.0: 35412.8218770435, 5.0: 30395.522440950834, 6.0: 27055.820523933948},
         'phase_one': PhaseReport(peers_visited=40, tuples_sampled=1000, hops=400, estimate=None),
         'phase_two': PhaseReport(peers_visited=77, tuples_sampled=1925, hops=770, estimate=None),
         'cost': QueryCost(messages=1287, hops=1170, peers_visited=117, distinct_peers=84, tuples_processed=2925, tuples_sampled=2925, bytes_sent=120897, latency_ms=61577.33296297757, timeouts=0),
-        'streams': (0.6653466801817194, 0.1468492346527872, 0.3937917025111275, 0.9031718109148604, 0.33116939425886016),
-    },
-    ('loss', 'avg'): {
-        'groups': {1.0: 44.59393890934075, 2.0: 44.650297610000635, 3.0: 43.55078369991001, 4.0: 45.30202619588562, 5.0: 45.65797772878799, 6.0: 44.98130589128626},  # AVG sizing
-        'phase_one': PhaseReport(peers_visited=36, tuples_sampled=900, hops=400, estimate=None),
-        'phase_two': PhaseReport(peers_visited=21, tuples_sampled=525, hops=280, estimate=None),  # AVG sizing
-        'cost': QueryCost(messages=737, hops=680, peers_visited=68, distinct_peers=54, tuples_processed=1425, tuples_sampled=1425, bytes_sent=53555, latency_ms=35769.284628889975, timeouts=0),  # AVG sizing
-        'streams': (0.48196304718838257, 0.2711541932306648, 0.0894708358613211, 0.9031718109148604, 0.48559220982054496),  # AVG sizing
-    },
-    ('loss', 'count'): {
-        'groups': {1.0: 5213.772813172059, 2.0: 4197.3503556870755, 3.0: 3241.599322956209, 4.0: 2775.1576240745453, 5.0: 2547.450042496745, 6.0: 2024.6698416133725},
-        'phase_one': PhaseReport(peers_visited=36, tuples_sampled=900, hops=400, estimate=None),
-        'phase_two': PhaseReport(peers_visited=21, tuples_sampled=525, hops=280, estimate=None),
-        'cost': QueryCost(messages=737, hops=680, peers_visited=68, distinct_peers=54, tuples_processed=1425, tuples_sampled=1425, bytes_sent=54915, latency_ms=35770.64462888999, timeouts=0),
-        'streams': (0.48196304718838257, 0.2711541932306648, 0.0894708358613211, 0.9031718109148604, 0.48559220982054496),
-    },
-    ('loss', 'sum'): {
-        'groups': {1.0: 70244.63576061794, 2.0: 56881.540063990346, 3.0: 46057.19830313578, 4.0: 38628.73480631057, 5.0: 29807.234067453963, 6.0: 19920.572819876914},
-        'phase_one': PhaseReport(peers_visited=36, tuples_sampled=900, hops=400, estimate=None),
-        'phase_two': PhaseReport(peers_visited=67, tuples_sampled=1675, hops=860, estimate=None),
-        'cost': QueryCost(messages=1363, hops=1260, peers_visited=126, distinct_peers=86, tuples_processed=2575, tuples_sampled=2575, bytes_sent=127337, latency_ms=66304.97043941388, timeouts=0),
-        'streams': (0.48196304718838257, 0.6747268770136862, 0.4725629820399928, 0.9031718109148604, 0.14003708514257618),
+        'streams': (0.6653466801817194, 0.1468492346527872, 0.3937917025111275, 0.9031718109148604),
     },
     ('chaos', 'avg'): {
         'groups': {1.0: 48.69863064609671, 2.0: 47.404161365225306, 3.0: 47.250634509851245, 4.0: 46.72042497592075, 5.0: 50.29296944821327, 6.0: 50.24185267214426},
         'phase_one': PhaseReport(peers_visited=29, tuples_sampled=725, hops=400, estimate=None),
         'phase_two': PhaseReport(peers_visited=30, tuples_sampled=750, hops=380, estimate=None),
         'cost': QueryCost(messages=839, hops=780, peers_visited=78, distinct_peers=62, tuples_processed=1475, tuples_sampled=1475, bytes_sent=60313, latency_ms=43951.877961995786, timeouts=13),
-        'streams': (0.6691274961459358, 0.6169459597482094, 0.14053804489292343, 0.9031718109148604, 0.33116939425886016),
+        'streams': (0.6691274961459358, 0.6169459597482094, 0.14053804489292343, 0.9031718109148604),
         'fault_clock': 78,
     },
     ('chaos', 'count'): {
@@ -191,7 +171,7 @@ PINNED_GROUPBY = {
         'phase_one': PhaseReport(peers_visited=29, tuples_sampled=725, hops=400, estimate=None),
         'phase_two': PhaseReport(peers_visited=30, tuples_sampled=750, hops=380, estimate=None),
         'cost': QueryCost(messages=839, hops=780, peers_visited=78, distinct_peers=62, tuples_processed=1475, tuples_sampled=1475, bytes_sent=61873, latency_ms=43953.4379619958, timeouts=13),
-        'streams': (0.6691274961459358, 0.6169459597482094, 0.14053804489292343, 0.9031718109148604, 0.33116939425886016),
+        'streams': (0.6691274961459358, 0.6169459597482094, 0.14053804489292343, 0.9031718109148604),
         'fault_clock': 78,
     },
     ('chaos', 'sum'): {
@@ -199,7 +179,7 @@ PINNED_GROUPBY = {
         'phase_one': PhaseReport(peers_visited=29, tuples_sampled=725, hops=400, estimate=None),
         'phase_two': PhaseReport(peers_visited=94, tuples_sampled=2350, hops=1230, estimate=None),
         'cost': QueryCost(messages=1753, hops=1630, peers_visited=163, distinct_peers=105, tuples_processed=3075, tuples_sampled=3075, bytes_sent=162983, latency_ms=92071.79004690578, timeouts=28),
-        'streams': (0.6691274961459358, 0.8542446720350182, 0.1302533379496742, 0.9031718109148604, 0.33116939425886016),
+        'streams': (0.6691274961459358, 0.8542446720350182, 0.1302533379496742, 0.9031718109148604),
         'fault_clock': 163,
     },
 }
@@ -210,21 +190,14 @@ PINNED_BATCH = {
         'phase_one': [PhaseReport(peers_visited=40, tuples_sampled=1000, hops=400, estimate=None), PhaseReport(peers_visited=40, tuples_sampled=1000, hops=400, estimate=None), PhaseReport(peers_visited=40, tuples_sampled=1000, hops=400, estimate=None)],  # hops
         'phase_two': [PhaseReport(peers_visited=228, tuples_sampled=5700, hops=2280, estimate=None), PhaseReport(peers_visited=228, tuples_sampled=5700, hops=2280, estimate=None), PhaseReport(peers_visited=228, tuples_sampled=5700, hops=2280, estimate=None)],  # hops
         'cost': QueryCost(messages=3484, hops=2680, peers_visited=268, distinct_peers=138, tuples_processed=6700, tuples_sampled=6700, bytes_sent=421028, latency_ms=141191.12931440547, timeouts=0),
-        'streams': (0.08564916714362436, 0.7619134069306668, 0.09202350983742213, 0.9031718109148604, 0.33116939425886016),
-    },
-    'loss': {
-        'answers': [(7602.80696006823, 19999.999999999996, ConfidenceInterval(estimate=7602.80696006823, half_width=573.6649315125721, confidence=0.95), 1034, 823, True), (883769.1358909238, 935131.1448410947, ConfidenceInterval(estimate=883769.1358909238, half_width=36127.00004414999, confidence=0.95), 1034, 823, True), (73.7150854610852, 935131.1448410947, ConfidenceInterval(estimate=73.7150854610852, half_width=5.730524767816802, confidence=0.95), 1034, 823, True)],
-        'phase_one': [PhaseReport(peers_visited=36, tuples_sampled=900, hops=400, estimate=None), PhaseReport(peers_visited=36, tuples_sampled=900, hops=400, estimate=None), PhaseReport(peers_visited=36, tuples_sampled=900, hops=400, estimate=None)],  # hops
-        'phase_two': [PhaseReport(peers_visited=787, tuples_sampled=19675, hops=9940, estimate=None), PhaseReport(peers_visited=787, tuples_sampled=19675, hops=9940, estimate=None), PhaseReport(peers_visited=787, tuples_sampled=19675, hops=9940, estimate=None)],  # hops
-        'cost': QueryCost(messages=12809, hops=10340, peers_visited=1034, distinct_peers=194, tuples_processed=20575, tuples_sampled=20575, bytes_sent=1582003, latency_ms=544650.5197785409, timeouts=0),
-        'streams': (0.08564916714362436, 0.8261868317638917, 0.09287253318687849, 0.9031718109148604, 0.6967013806766256),
+        'streams': (0.08564916714362436, 0.7619134069306668, 0.09202350983742213, 0.9031718109148604),
     },
     'chaos': {
         'answers': [(7367.60649580848, 20000.0, ConfidenceInterval(estimate=7367.60649580848, half_width=746.2229027144239, confidence=0.95), 588, 470, True), (901456.123476638, 947467.7326469477, ConfidenceInterval(estimate=901456.123476638, half_width=46450.46395503077, confidence=0.95), 588, 470, True), (74.96574226249996, 947467.7326469477, ConfidenceInterval(estimate=74.96574226249996, half_width=7.381179714218086, confidence=0.95), 588, 470, True)],
         'phase_one': [PhaseReport(peers_visited=33, tuples_sampled=825, hops=400, estimate=None), PhaseReport(peers_visited=33, tuples_sampled=825, hops=400, estimate=None), PhaseReport(peers_visited=33, tuples_sampled=825, hops=400, estimate=None)],
         'phase_two': [PhaseReport(peers_visited=437, tuples_sampled=10925, hops=5480, estimate=None), PhaseReport(peers_visited=437, tuples_sampled=10925, hops=5480, estimate=None), PhaseReport(peers_visited=437, tuples_sampled=10925, hops=5480, estimate=None)],
         'cost': QueryCost(messages=7290, hops=5880, peers_visited=588, distinct_peers=178, tuples_processed=11750, tuples_sampled=11750, bytes_sent=900030, latency_ms=326150.23803133407, timeouts=73),
-        'streams': (0.08564916714362436, 0.09452842796741778, 0.10268097778388774, 0.9031718109148604, 0.33116939425886016),
+        'streams': (0.08564916714362436, 0.09452842796741778, 0.10268097778388774, 0.9031718109148604),
         'fault_clock': 588,
     },
     # Recorded after the change: the batch engine used to ignore its
@@ -234,7 +207,7 @@ PINNED_BATCH = {
         'phase_one': [PhaseReport(peers_visited=40, tuples_sampled=1000, hops=440, estimate=None), PhaseReport(peers_visited=40, tuples_sampled=1000, hops=440, estimate=None), PhaseReport(peers_visited=40, tuples_sampled=1000, hops=440, estimate=None)],
         'phase_two': [PhaseReport(peers_visited=180, tuples_sampled=4500, hops=1980, estimate=None), PhaseReport(peers_visited=180, tuples_sampled=4500, hops=1980, estimate=None), PhaseReport(peers_visited=180, tuples_sampled=4500, hops=1980, estimate=None)],
         'cost': QueryCost(messages=3080, hops=2420, peers_visited=281, distinct_peers=130, tuples_processed=5500, tuples_sampled=5500, bytes_sent=375760, latency_ms=138808.8340700771, timeouts=36),
-        'streams': (0.08564916714362436, 0.6953896399711392, 0.601139672087238, 0.9031718109148604, 0.33116939425886016),
+        'streams': (0.08564916714362436, 0.6953896399711392, 0.601139672087238, 0.9031718109148604),
         'fault_clock': 281,
     },
 }

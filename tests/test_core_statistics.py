@@ -18,6 +18,7 @@ from repro.core.statistics import (
 )
 from repro.errors import ConfigurationError, SamplingError
 from repro.network.protocol import TupleReply, ValueSample
+from repro.network.faults import FaultPlan
 from repro.network.simulator import NetworkSimulator
 from repro.query.model import Between
 
@@ -242,7 +243,7 @@ class TestColumnsEqualRows:
         def engine():
             network = NetworkSimulator(
                 small_topology, small_dataset.databases, seed=7,
-                reply_loss_rate=loss,
+                fault_plan=FaultPlan(seed=7, reply_loss=loss) if loss else None,
             )
             config = StatisticsConfig(phase_one_peers=12, tuples_per_peer=budget)
             return StatisticsEngine(network, config, seed=seed)

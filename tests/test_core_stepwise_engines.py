@@ -6,8 +6,8 @@ COUNT/SUM/AVG, MEDIAN, histograms, GROUP BY and query panels all run
 loop.  Draining ``run_stepwise(chunk_peers=c)`` must give what
 ``execute()`` gives — the result, its ledger, every phase and estimate
 event, and the position of every stream — whatever the take size, on
-a clean network, under 20% reply loss, and under the serving
-benchmark's chaos plan with retries.
+a clean network, under a fault plan of 20% reply loss alone, and
+under the serving benchmark's chaos plan with retries.
 
 Two things are *meant* to follow the takes: the trace carries one
 ``walk`` and one ``batch-visit`` (or ``batch-fallback``) event per
@@ -29,6 +29,7 @@ from repro.core.statistics import StatisticsConfig, StatisticsEngine, _Histogram
 from repro.core.two_phase import TwoPhaseConfig, TwoPhaseEngine, drain_steps
 from repro.data.generator import DatasetConfig, generate_dataset
 from repro.metrics.cost import QueryCost
+from repro.network.faults import FaultPlan
 from repro.network.simulator import NetworkSimulator
 from repro.network.walker import RetryPolicy
 from repro.obs.tracer import Tracer, tracing
@@ -87,7 +88,7 @@ ENGINES = {
 #: network name -> (simulator keywords, engines that retry there)
 NETWORKS = {
     "clean": ({}, ()),
-    "loss": ({"reply_loss_rate": 0.2}, ()),
+    "loss": ({"fault_plan": FaultPlan(seed=7, reply_loss=0.2)}, ()),
     "chaos": ({"fault_plan": CHAOS_PLAN}, ("two-phase", "median")),
 }
 
@@ -127,7 +128,6 @@ def _run(small_topology, databases, engine_name, network_name, seed, chunk):
         float(engine._walker._rng.random()),
         float(engine._visit_rng.random()),
         float(network._rng.random()),
-        float(network._failure_rng.random()),
         None if network.fault_state is None else network.fault_state.clock,
     )
     return result, tracer, streams

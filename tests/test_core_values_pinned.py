@@ -4,16 +4,18 @@ MEDIAN/QUANTILE (:class:`MedianEngine`) and histogram / distinct-value
 estimation (:class:`StatisticsEngine`) answer from shipped values, not
 from one pushed-down aggregate.  Every answer, cost, phase report and
 the position of every stream they draw from is recorded below as a
-literal, for three networks over the 200-peer fixture: clean, 20%
-reply loss, and the chaos fault plan (crashes, loss, latency spikes,
-probe timeouts) with a retry policy.  A change to how values are
-visited, carried or estimated from must reproduce them with ``==``.
+literal, for two networks over the 200-peer fixture: clean, and the
+chaos fault plan (crashes, loss, latency spikes, probe timeouts) with
+a retry policy.  A change to how values are visited, carried or
+estimated from must reproduce them with ``==``.
 
 The literals were recorded before the values replies became one
 columnar sample; the only entries changed since are the faulted MEDIAN
 runs' ``peers_visited`` (marked), which used to report the peers
 requested and now count the replies that arrived, as the COUNT/SUM/AVG
-engine's phase reports do.
+engine's phase reports do.  The simulator's separate failure stream
+(a uniform reply-loss coin, now a fault plan's ``reply_loss``) is gone,
+and with it its cells and its element of every ``streams`` tuple.
 """
 
 import pytest
@@ -41,7 +43,6 @@ CHAOS_PLAN = FaultPlan(
 
 NETWORKS = {
     "clean": {},
-    "loss": {"reply_loss_rate": 0.2},
     "chaos": {"fault_plan": CHAOS_PLAN},
 }
 
@@ -107,7 +108,6 @@ def _streams(engine, network):
         float(engine._rng.random()),
         float(engine._visit_rng.random()),
         float(network._rng.random()),
-        float(network._failure_rng.random()),
         None if network.fault_state is None else network.fault_state.clock,
     )
 
@@ -169,7 +169,7 @@ PINNED_MEDIAN = {
         "requested_sample_size": 119,
         "effective_sample_size": 118,
         "degraded": True,
-        "streams": (0.23207460919294987, 0.057935208178940156, 0.625095466604667, 0.7978591868433563, 146),
+        "streams": (0.23207460919294987, 0.057935208178940156, 0.625095466604667, 146),
     },
     ("chaos", "quantile"): {
         "estimate": 26.0,
@@ -180,7 +180,7 @@ PINNED_MEDIAN = {
         "requested_sample_size": 70,
         "effective_sample_size": 70,
         "degraded": False,
-        "streams": (0.6339147279598937, 0.24580307289984615, 0.625095466604667, 0.7978591868433563, 80),
+        "streams": (0.6339147279598937, 0.24580307289984615, 0.625095466604667, 80),
     },
     ("clean", "median"): {
         "estimate": 44.0,
@@ -191,7 +191,7 @@ PINNED_MEDIAN = {
         "requested_sample_size": 104,
         "effective_sample_size": 104,
         "degraded": False,
-        "streams": (0.23207460919294987, 0.587571218631953, 0.625095466604667, 0.7978591868433563, None),
+        "streams": (0.23207460919294987, 0.587571218631953, 0.625095466604667, None),
     },
     ("clean", "quantile"): {
         "estimate": 25.0,
@@ -202,29 +202,7 @@ PINNED_MEDIAN = {
         "requested_sample_size": 70,
         "effective_sample_size": 70,
         "degraded": False,
-        "streams": (0.6339147279598937, 0.24580307289984615, 0.625095466604667, 0.7978591868433563, None),
-    },
-    ("loss", "median"): {
-        "estimate": 44.0,
-        "rank_error_estimate": 0.25064143144364276,
-        "phase_one": PhaseReport(peers_visited=31, tuples_sampled=775, hops=400, estimate=44.0),  # was 40: requested
-        "phase_two": PhaseReport(peers_visited=75, tuples_sampled=1875, hops=950, estimate=45.0),  # was 95: requested
-        "cost": QueryCost(messages=1456, hops=1350, peers_visited=135, distinct_peers=86, tuples_processed=2650, tuples_sampled=2650, bytes_sent=80158, latency_ms=70984.53690223071, timeouts=0),
-        "requested_sample_size": 135,
-        "effective_sample_size": 106,
-        "degraded": True,
-        "streams": (0.14646922718474464, 0.24310854939909898, 0.625095466604667, 0.6659262081935737, None),
-    },
-    ("loss", "quantile"): {
-        "estimate": 36.0,
-        "rank_error_estimate": 0.18889406602557568,
-        "phase_one": PhaseReport(peers_visited=31, tuples_sampled=310, hops=400, estimate=30.0),  # was 40: requested
-        "phase_two": PhaseReport(peers_visited=25, tuples_sampled=250, hops=300, estimate=36.0),  # was 30: requested
-        "cost": QueryCost(messages=756, hops=700, peers_visited=70, distinct_peers=54, tuples_processed=560, tuples_sampled=560, bytes_sent=65400, latency_ms=36821.603478191944, timeouts=0),
-        "requested_sample_size": 70,
-        "effective_sample_size": 56,
-        "degraded": True,
-        "streams": (0.14646922718474464, 0.15152138239099955, 0.625095466604667, 0.03888134877913885, None),
+        "streams": (0.6339147279598937, 0.24580307289984615, 0.625095466604667, None),
     },
 }
 
@@ -236,7 +214,7 @@ PINNED_STATISTICS = {
         "doubletons": 12,
         "phase_one": PhaseReport(peers_visited=35, tuples_sampled=700, hops=400, estimate=None),
         "cost": QueryCost(messages=435, hops=400, peers_visited=40, distinct_peers=34, tuples_processed=700, tuples_sampled=700, bytes_sent=24825, latency_ms=21932.140342761344, timeouts=4),
-        "streams": (0.8050029237453802, 0.1008961008005318, 0.625095466604667, 0.7978591868433563, 40),
+        "streams": (0.8050029237453802, 0.1008961008005318, 0.625095466604667, 40),
     },
     ("chaos", "distinct_selective"): {
         "observed": 30,
@@ -245,7 +223,7 @@ PINNED_STATISTICS = {
         "doubletons": 1,
         "phase_one": PhaseReport(peers_visited=35, tuples_sampled=1750, hops=400, estimate=None),
         "cost": QueryCost(messages=435, hops=400, peers_visited=40, distinct_peers=34, tuples_processed=1750, tuples_sampled=1750, bytes_sent=26593, latency_ms=21944.88135690339, timeouts=4),
-        "streams": (0.8050029237453802, 0.2531538239071238, 0.625095466604667, 0.7978591868433563, 40),
+        "streams": (0.8050029237453802, 0.2531538239071238, 0.625095466604667, 40),
     },
     ("chaos", "histogram_auto"): {
         "edges": [20.0, 27.142857143, 34.285714286, 41.428571429, 48.571428572, 55.714285715, 62.857142858, 70.000000001],
@@ -254,7 +232,7 @@ PINNED_STATISTICS = {
         "phase_two": PhaseReport(peers_visited=562, tuples_sampled=28100, hops=6680, estimate=None),
         "phase_one": PhaseReport(peers_visited=35, tuples_sampled=1750, hops=400, estimate=None),
         "cost": QueryCost(messages=7677, hops=7080, peers_visited=708, distinct_peers=183, tuples_processed=29850, tuples_sampled=29850, bytes_sent=452047, latency_ms=386652.7987196003, timeouts=63),
-        "streams": (0.34167518411834064, 0.2531538239071238, 0.625095466604667, 0.7978591868433563, 708),
+        "streams": (0.34167518411834064, 0.2531538239071238, 0.625095466604667, 708),
     },
     ("chaos", "histogram_fixed"): {
         "edges": [1.0, 20.8000000002, 40.6000000004, 60.4000000006, 80.2000000008, 100.000000001],
@@ -263,7 +241,7 @@ PINNED_STATISTICS = {
         "phase_two": PhaseReport(peers_visited=63, tuples_sampled=1260, hops=760, estimate=None),
         "phase_one": PhaseReport(peers_visited=35, tuples_sampled=700, hops=400, estimate=None),
         "cost": QueryCost(messages=1258, hops=1160, peers_visited=116, distinct_peers=81, tuples_processed=1960, tuples_sampled=1960, bytes_sent=71310, latency_ms=63917.448092098835, timeouts=13),
-        "streams": (0.34167518411834064, 0.7124405768984996, 0.625095466604667, 0.7978591868433563, 116),
+        "streams": (0.34167518411834064, 0.7124405768984996, 0.625095466604667, 116),
     },
     ("clean", "distinct"): {
         "observed": 90,
@@ -272,7 +250,7 @@ PINNED_STATISTICS = {
         "doubletons": 10,
         "phase_one": PhaseReport(peers_visited=40, tuples_sampled=800, hops=400, estimate=None),
         "cost": QueryCost(messages=440, hops=400, peers_visited=40, distinct_peers=34, tuples_processed=800, tuples_sampled=800, bytes_sent=25800, latency_ms=21034.23164097492, timeouts=0),
-        "streams": (0.8050029237453802, 0.37846227236229657, 0.625095466604667, 0.7978591868433563, None),
+        "streams": (0.8050029237453802, 0.37846227236229657, 0.625095466604667, None),
     },
     ("clean", "distinct_selective"): {
         "observed": 30,
@@ -281,7 +259,7 @@ PINNED_STATISTICS = {
         "doubletons": 1,
         "phase_one": PhaseReport(peers_visited=40, tuples_sampled=2000, hops=400, estimate=None),
         "cost": QueryCost(messages=440, hops=400, peers_visited=40, distinct_peers=34, tuples_processed=2000, tuples_sampled=2000, bytes_sent=28096, latency_ms=21049.175102437322, timeouts=0),
-        "streams": (0.8050029237453802, 0.2531538239071238, 0.625095466604667, 0.7978591868433563, None),
+        "streams": (0.8050029237453802, 0.2531538239071238, 0.625095466604667, None),
     },
     ("clean", "histogram_auto"): {
         "edges": [20.0, 27.142857143, 34.285714286, 41.428571429, 48.571428572, 55.714285715, 62.857142858, 70.000000001],
@@ -290,7 +268,7 @@ PINNED_STATISTICS = {
         "phase_two": PhaseReport(peers_visited=796, tuples_sampled=39800, hops=7960, estimate=None),
         "phase_one": PhaseReport(peers_visited=40, tuples_sampled=2000, hops=400, estimate=None),
         "cost": QueryCost(messages=9196, hops=8360, peers_visited=836, distinct_peers=188, tuples_processed=41800, tuples_sampled=41800, bytes_sent=559444, latency_ms=439903.51662736794, timeouts=0),
-        "streams": (0.3495038076728312, 0.2531538239071238, 0.625095466604667, 0.7978591868433563, None),
+        "streams": (0.3495038076728312, 0.2531538239071238, 0.625095466604667, None),
     },
     ("clean", "histogram_fixed"): {
         "edges": [1.0, 20.8000000002, 40.6000000004, 60.4000000006, 80.2000000008, 100.000000001],
@@ -299,43 +277,7 @@ PINNED_STATISTICS = {
         "phase_two": PhaseReport(peers_visited=95, tuples_sampled=1900, hops=950, estimate=None),
         "phase_one": PhaseReport(peers_visited=40, tuples_sampled=800, hops=400, estimate=None),
         "cost": QueryCost(messages=1485, hops=1350, peers_visited=135, distinct_peers=90, tuples_processed=2700, tuples_sampled=2700, bytes_sent=87075, latency_ms=70990.97497699544, timeouts=0),
-        "streams": (0.3495038076728312, 0.3579530855334151, 0.625095466604667, 0.7978591868433563, None),
-    },
-    ("loss", "distinct"): {
-        "observed": 79,
-        "chao1": 87.65384615384616,
-        "singletons": 15,
-        "doubletons": 13,
-        "phase_one": PhaseReport(peers_visited=31, tuples_sampled=620, hops=400, estimate=None),
-        "cost": QueryCost(messages=431, hops=400, peers_visited=40, distinct_peers=34, tuples_processed=620, tuples_sampled=620, bytes_sent=24045, latency_ms=21030.52357745361, timeouts=0),
-        "streams": (0.8050029237453802, 0.6942735073783938, 0.625095466604667, 0.9538314967252074, None),
-    },
-    ("loss", "distinct_selective"): {
-        "observed": 30,
-        "chao1": 31.0,
-        "singletons": 2,
-        "doubletons": 2,
-        "phase_one": PhaseReport(peers_visited=31, tuples_sampled=1550, hops=400, estimate=None),
-        "cost": QueryCost(messages=431, hops=400, peers_visited=40, distinct_peers=34, tuples_processed=1550, tuples_sampled=1550, bytes_sent=25677, latency_ms=21041.87344363406, timeouts=0),
-        "streams": (0.8050029237453802, 0.2531538239071238, 0.625095466604667, 0.9538314967252074, None),
-    },
-    ("loss", "histogram_auto"): {
-        "edges": [20.0, 27.142857143, 34.285714286, 41.428571429, 48.571428572, 55.714285715, 62.857142858, 70.000000001],
-        "counts": [1017.0075710164722, 742.8200995045243, 608.6412202092114, 504.847808322587, 753.7249739430063, 603.1672364433933, 537.4139370000646],
-        "total_estimate": 4767.622846439259,
-        "phase_two": PhaseReport(peers_visited=821, tuples_sampled=41050, hops=10390, estimate=None),
-        "phase_one": PhaseReport(peers_visited=31, tuples_sampled=1550, hops=400, estimate=None),
-        "cost": QueryCost(messages=11642, hops=10790, peers_visited=1079, distinct_peers=195, tuples_processed=42600, tuples_sampled=42600, bytes_sent=672818, latency_ms=567599.96553739, timeouts=0),
-        "streams": (0.5271064765570825, 0.2531538239071238, 0.625095466604667, 0.3260823149817158, None),
-    },
-    ("loss", "histogram_fixed"): {
-        "edges": [1.0, 20.8000000002, 40.6000000004, 60.4000000006, 80.2000000008, 100.000000001],
-        "counts": [2812.871727370147, 2382.5589715856013, 1029.5536786523285, 2311.615760819318, 1463.399861572603],
-        "total_estimate": 9999.999999999998,
-        "phase_two": PhaseReport(peers_visited=62, tuples_sampled=1240, hops=780, estimate=None),
-        "phase_one": PhaseReport(peers_visited=31, tuples_sampled=620, hops=400, estimate=None),
-        "cost": QueryCost(messages=1273, hops=1180, peers_visited=118, distinct_peers=82, tuples_processed=1860, tuples_sampled=1860, bytes_sent=71235, latency_ms=62040.582800774806, timeouts=0),
-        "streams": (0.5271064765570825, 0.5187918015126672, 0.625095466604667, 0.24833166673254592, None),
+        "streams": (0.3495038076728312, 0.3579530855334151, 0.625095466604667, None),
     },
 }
 

@@ -89,45 +89,11 @@ class TestLossRateRange:
         with pytest.raises(ConfigurationError, match=r"\[0, 1\)"):
             LatencySpike(rate=1.0, extra_ms=10.0)
 
-    def test_simulator_rate_one_rejected_with_half_open_message(
-        self, small_topology, small_dataset
-    ):
-        from repro.network.simulator import NetworkSimulator
-
-        with pytest.raises(ConfigurationError, match=r"\[0, 1\)"):
-            NetworkSimulator(
-                small_topology,
-                small_dataset.databases,
-                reply_loss_rate=1.0,
-            )
-
     def test_boundaries_zero_accepted_one_minus_epsilon_accepted(self):
         FaultPlan(reply_loss=0.0)
         FaultPlan(reply_loss=0.999999)
         with pytest.raises(ConfigurationError, match=r"\[0, 1\)"):
             FaultPlan(reply_loss=-0.1)
-
-    def test_simulator_negative_rate_rejected(
-        self, small_topology, small_dataset
-    ):
-        from repro.network.simulator import NetworkSimulator
-
-        with pytest.raises(ConfigurationError):
-            NetworkSimulator(
-                small_topology,
-                small_dataset.databases,
-                reply_loss_rate=-0.1,
-            )
-
-    def test_simulator_docstring_documents_half_open_range(self):
-        from repro.network.simulator import NetworkSimulator
-
-        assert "[0, 1)" in NetworkSimulator.__doc__
-
-
-# ---------------------------------------------------------------------------
-# Plan semantics
-# ---------------------------------------------------------------------------
 
 
 class TestFaultPlan:
@@ -374,8 +340,7 @@ class TestSimulatorFaults:
 
 
 class TestReplyLossInjection:
-    """Simulator-level reply loss (merged from the old
-    ``test_failure_injection.py`` module)."""
+    """Uniform reply loss: a fault plan with one ``reply_loss`` rate."""
 
     def test_lost_visit_still_charged(self, small_topology, small_dataset):
         from repro.network.simulator import NetworkSimulator
@@ -385,7 +350,8 @@ class TestReplyLossInjection:
             small_topology,
             small_dataset.databases,
             seed=1,
-            reply_loss_rate=0.999999 - 1e-7,  # just under the cap
+            # just under the cap
+            fault_plan=FaultPlan(seed=1, reply_loss=0.999999 - 1e-7),
         )
         ledger = network.new_ledger()
         query = parse_query("SELECT COUNT(A) FROM T WHERE A BETWEEN 1 AND 30")
@@ -414,7 +380,7 @@ class TestReplyLossInjection:
             small_topology,
             small_dataset.databases,
             seed=7,
-            reply_loss_rate=0.2,
+            fault_plan=FaultPlan(seed=7, reply_loss=0.2),
         )
         query = parse_query("SELECT COUNT(A) FROM T WHERE A BETWEEN 1 AND 30")
         ledger = network.new_ledger()

@@ -272,7 +272,7 @@ def lossy_network(small_topology, small_dataset):
         small_topology,
         small_dataset.databases,
         seed=7,
-        reply_loss_rate=0.2,
+        fault_plan=FaultPlan(seed=7, reply_loss=0.2),
     )
 
 
@@ -347,7 +347,7 @@ class TestEnginesUnderLoss:
             small_topology,
             small_dataset.databases,
             seed=2,
-            reply_loss_rate=0.999999 - 1e-7,
+            fault_plan=FaultPlan(seed=2, reply_loss=0.999999 - 1e-7),
         )
         engine = TwoPhaseEngine(network, seed=1)
         with pytest.raises(ReproError):

@@ -66,27 +66,27 @@ class TestCostLedger:
     def test_record_visit(self):
         model = CostModel(visit_overhead_ms=20, tuple_processing_ms=1)
         ledger = CostLedger(model)
-        ledger.record_visit(3, tuples_processed=10, tuples_sampled=5)
+        ledger.record_visit(3, tuples_processed=10)
         cost = ledger.snapshot()
         assert cost.peers_visited == 1
         assert cost.distinct_peers == 1
         assert cost.tuples_processed == 10
-        assert cost.tuples_sampled == 5
+        assert cost.tuples_sampled == 10  # a visit samples what it processes
         assert cost.latency_ms == 30.0
 
     def test_slow_cpu_takes_longer(self):
         model = CostModel(visit_overhead_ms=0, tuple_processing_ms=1)
         fast = CostLedger(model)
-        fast.record_visit(0, 100, 100, cpu_speed=2.0)
+        fast.record_visit(0, 100, cpu_speed=2.0)
         slow = CostLedger(model)
-        slow.record_visit(0, 100, 100, cpu_speed=0.5)
+        slow.record_visit(0, 100, cpu_speed=0.5)
         assert slow.snapshot().latency_ms == 4 * fast.snapshot().latency_ms
 
     def test_distinct_vs_visits(self):
         ledger = CostLedger()
-        ledger.record_visit(1, 0, 0)
-        ledger.record_visit(1, 0, 0)
-        ledger.record_visit(2, 0, 0)
+        ledger.record_visit(1, 0)
+        ledger.record_visit(1, 0)
+        ledger.record_visit(2, 0)
         cost = ledger.snapshot()
         assert cost.peers_visited == 3
         assert cost.distinct_peers == 2
@@ -114,9 +114,9 @@ class TestCostLedger:
         with pytest.raises(ConfigurationError):
             ledger.record_hops(-1)
         with pytest.raises(ConfigurationError):
-            ledger.record_visit(0, -1, 0)
+            ledger.record_visit(0, -1)
         with pytest.raises(ConfigurationError):
-            ledger.record_visit(0, 0, 0, cpu_speed=0)
+            ledger.record_visit(0, 0, cpu_speed=0)
         with pytest.raises(ConfigurationError):
             ledger.record_reply(-1)
         with pytest.raises(ConfigurationError):

@@ -18,23 +18,22 @@ from repro.metrics.cost import CostLedger, CostModel, QueryCost
 def test_empty_reply_batch_is_a_noop():
     ledger = CostLedger()
     before = ledger.snapshot()
-    ledger.record_visit_replies([], [], [], [])
+    ledger.record_visit_replies([], [], [])
     assert ledger.snapshot() == before == QueryCost()
 
 
 def test_empty_reply_batch_accepts_empty_cpu_speeds():
     ledger = CostLedger()
-    ledger.record_visit_replies([], [], [], [], cpu_speeds=[])
+    ledger.record_visit_replies([], [], [], cpu_speeds=[])
     assert ledger.snapshot() == QueryCost()
 
 
 def test_empty_batch_after_activity_preserves_totals():
     ledger = CostLedger()
     ledger.record_hops(3)
-    ledger.record_visit(7, 100, 10)
+    ledger.record_visit(7, 100)
     before = ledger.snapshot()
     ledger.record_visit_replies(
-        np.empty(0, dtype=np.int64),
         np.empty(0, dtype=np.int64),
         np.empty(0, dtype=np.int64),
         np.empty(0, dtype=np.int64),
@@ -53,7 +52,7 @@ def test_zero_byte_reply_still_counts_the_message():
 
 def test_zero_byte_reply_batch():
     ledger = CostLedger()
-    ledger.record_visit_replies([1, 2], [0, 0], [0, 0], [0, 0])
+    ledger.record_visit_replies([1, 2], [0, 0], [0, 0])
     snap = ledger.snapshot()
     assert snap.messages == 2
     assert snap.bytes_sent == 0
@@ -90,8 +89,8 @@ def test_zero_byte_flood_message():
         ("record_flood_depth", (-1,)),
         ("record_reply", (-1,)),
         ("record_flood_message", (-1,)),
-        ("record_visit", (0, -1, 0)),
-        ("record_visit", (0, 0, -1)),
+        ("record_visit", (0, -1)),
+        ("record_visit", (0, 0, -1.0)),  # a negative CPU speed
     ],
 )
 def test_negative_quantities_are_rejected(call, args):
@@ -103,9 +102,9 @@ def test_negative_quantities_are_rejected(call, args):
 def test_misaligned_batch_arrays_are_rejected():
     ledger = CostLedger()
     with pytest.raises(ConfigurationError):
-        ledger.record_visit_replies([1, 2], [0], [0, 0], [0, 0])
+        ledger.record_visit_replies([1, 2], [0], [0, 0])
     with pytest.raises(ConfigurationError):
-        ledger.record_visit_replies([1], [0], [0], [0], cpu_speeds=[1.0, 1.0])
+        ledger.record_visit_replies([1], [0], [0], cpu_speeds=[1.0, 1.0])
 
 
 def test_batch_matches_per_event_path_bit_for_bit():
@@ -121,20 +120,17 @@ def test_batch_matches_per_event_path_bit_for_bit():
     for size in (40, 500):
         peers = rng.integers(0, 50, size=size)
         processed = rng.integers(0, 1000, size=size)
-        sampled = rng.integers(0, 50, size=size)
         payloads = rng.integers(0, 4096, size=size)
         speeds = rng.uniform(0.5, 3.0, size=size)
 
         batch = CostLedger(model)
         batch.record_hops(5)
-        batch.record_visit_replies(peers, processed, sampled, payloads, speeds)
+        batch.record_visit_replies(peers, processed, payloads, speeds)
 
         scalar = CostLedger(model)
         scalar.record_hops(5)
-        for p, tp, ts, by, sp in zip(
-            peers, processed, sampled, payloads, speeds
-        ):
-            scalar.record_visit(int(p), int(tp), int(ts), float(sp))
+        for p, tp, by, sp in zip(peers, processed, payloads, speeds):
+            scalar.record_visit(int(p), int(tp), float(sp))
             scalar.record_reply(int(by))
 
         assert batch.snapshot() == scalar.snapshot()
@@ -149,10 +145,10 @@ def test_batch_matches_per_event_path_bit_for_bit():
 def test_scalar_reply_bytes_and_shared_tuple_counts_leave_the_same_ledger(
     size, reply_bytes, data_seed
 ):
-    """Every aggregate reply has one size, and a clean visit samples
-    what it processes: a scalar ``reply_bytes`` and one array passed
-    as both tuple counts must charge exactly what the per-peer arrays
-    did."""
+    """Every aggregate reply has one size, and a visit samples what it
+    processes: a scalar ``reply_bytes`` must charge exactly what the
+    per-peer array did, and the one tuple count is both of
+    ``QueryCost``'s."""
     rng = np.random.default_rng(data_seed)
     peers = rng.integers(0, 50, size=size)
     processed = rng.integers(0, 1000, size=size)
@@ -161,24 +157,22 @@ def test_scalar_reply_bytes_and_shared_tuple_counts_leave_the_same_ledger(
     arrays = CostLedger()
     arrays.record_hops(5)
     arrays.record_visit_replies(
-        peers, processed, processed.copy(),
-        np.full(size, reply_bytes, dtype=np.int64), speeds,
+        peers, processed, np.full(size, reply_bytes, dtype=np.int64), speeds
     )
     scalar = CostLedger()
     scalar.record_hops(5)
-    scalar.record_visit_replies(
-        peers, processed, processed, reply_bytes, speeds
-    )
-    assert scalar.snapshot() == arrays.snapshot()
+    scalar.record_visit_replies(peers, processed, reply_bytes, speeds)
+    cost = scalar.snapshot()
+    assert cost == arrays.snapshot()
+    assert cost.tuples_sampled == cost.tuples_processed == processed.sum()
 
 
 def test_scalar_and_shared_arguments_are_still_checked():
     ledger = CostLedger()
     with pytest.raises(ConfigurationError, match="payload_bytes"):
-        ledger.record_visit_replies([1, 2], [3, 4], [3, 4], -1)
-    shared = np.array([3, -4])
+        ledger.record_visit_replies([1, 2], [3, 4], -1)
     with pytest.raises(ConfigurationError, match="tuple counts"):
-        ledger.record_visit_replies([1, 2], shared, shared, 66)
+        ledger.record_visit_replies([1, 2], np.array([3, -4]), 66)
     with pytest.raises(ConfigurationError, match="align"):
-        ledger.record_visit_replies([1, 2], [3, 4], [3, 4], [66])
+        ledger.record_visit_replies([1, 2], [3, 4], [66])
     assert ledger.snapshot() == QueryCost()

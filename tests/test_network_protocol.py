@@ -12,8 +12,6 @@ from repro.network.protocol import (
     GroupReply,
     Message,
     MessageType,
-    Ping,
-    Pong,
     Query,
     QueryHit,
     TupleReply,
@@ -25,16 +23,6 @@ from repro.network.protocol import (
 
 
 class TestMessageBasics:
-    def test_ping_type_and_size(self):
-        ping = Ping(source=0, destination=1)
-        assert ping.message_type is MessageType.PING
-        assert ping.size_bytes() == GNUTELLA_HEADER_BYTES
-
-    def test_pong_payload(self):
-        pong = Pong(source=1, destination=0, ip="10.0.0.1", port=6346)
-        assert pong.message_type is MessageType.PONG
-        assert pong.size_bytes() == GNUTELLA_HEADER_BYTES + 14
-
     def test_query_size_tracks_text(self):
         short = Query(source=0, destination=1, text="a")
         long = Query(source=0, destination=1, text="a" * 50)
@@ -47,15 +35,15 @@ class TestMessageBasics:
 
     def test_negative_source_rejected(self):
         with pytest.raises(ProtocolError):
-            Ping(source=-1, destination=0)
+            Query(source=-1, destination=0)
 
     def test_negative_ttl_rejected(self):
         with pytest.raises(ProtocolError):
-            Ping(source=0, destination=1, ttl=-1)
+            Query(source=0, destination=1, ttl=-1)
 
     def test_negative_hops_rejected(self):
         with pytest.raises(ProtocolError):
-            Ping(source=0, destination=1, hops=-2)
+            Query(source=0, destination=1, hops=-2)
 
 
 class TestForwarding:
@@ -73,7 +61,7 @@ class TestForwarding:
             query.forwarded(1, 2)
 
     def test_forward_chain(self):
-        message = Ping(source=0, destination=1, ttl=3)
+        message = Query(source=0, destination=1, ttl=3)
         for expected_hops in (1, 2, 3):
             message = message.forwarded(
                 message.destination, message.destination + 1

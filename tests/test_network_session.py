@@ -3,8 +3,7 @@
 ``simulator.session()`` is what every served query runs against: a
 view that *shares* everything a network is (one
 :class:`~repro.network.simulator.NetworkSnapshot`, by reference) and
-*owns* everything a query draws (sub-sampling RNG, failure RNG, fault
-clock; for the event-driven simulator also the time domain).  The
+*owns* everything a query draws (sub-sampling RNG, fault clock; for the event-driven simulator also the time domain).  The
 serving suites exercise it end to end; this file pins the contract
 itself, for both simulator classes:
 
@@ -146,11 +145,9 @@ class TestSharedSnapshot:
         assert session.topology is base.topology
         assert session.cost_model is base.cost_model
         assert session.fault_plan is base.fault_plan
-        # Peers are built per read from the one shared table.
-        assert session._snapshot.peers is base._snapshot.peers
+        assert session._snapshot is base._snapshot
         for peer_id in (0, base.num_peers - 1):
             assert session.database(peer_id) is base.database(peer_id)
-            assert session.peer(peer_id) == base.peer(peer_id)
 
     def test_view_first_touched_by_a_session_reaches_everyone(
         self, simulator_class
@@ -186,9 +183,7 @@ class TestIsolationAndReplay:
     PEERS = [4, 2, 9, 7, 2, 30, 8, 7, 15, 2, 41, 6] * 3
 
     def _base(self, simulator_class):
-        return _network(
-            simulator_class, reply_loss_rate=0.25, fault_plan=FAULT_PLAN
-        )
+        return _network(simulator_class, fault_plan=FAULT_PLAN)
 
     def test_same_seed_replays_and_interleaving_is_invisible(
         self, simulator_class
@@ -215,13 +210,11 @@ class TestIsolationAndReplay:
     def test_session_traffic_never_moves_the_base(self, simulator_class):
         base = self._base(simulator_class)
         rng_state = base._rng.bit_generator.state
-        failure_state = base._failure_rng.bit_generator.state
         session = base.session(seed=5)
         _drive(session, self.PEERS)
         assert session.fault_state.clock == len(self.PEERS)
         assert base.fault_state.clock == 0
         assert base._rng.bit_generator.state == rng_state
-        assert base._failure_rng.bit_generator.state == failure_state
 
     def test_generator_seed_is_adopted_not_copied(self, simulator_class):
         # The service hands each session a spawned Generator; the
@@ -624,7 +617,7 @@ class TestSizeIndependence:
         for owner, name in [
             (simulator_module.NetworkSnapshot, "__init__"),
             (simulator_module.NetworkSimulator, "__init__"),
-            (simulator_module.PeerTable, "_draw"),
+            (simulator_module.NetworkSnapshot, "cpu_speeds"),
             (faults_module.FaultState, "__init__"),
             (faults_module, "_bfs_ball"),
         ]:
@@ -633,9 +626,11 @@ class TestSizeIndependence:
                 owner, name, counting(label, getattr(owner, name))
             )
         # The patches are live: a real construction trips them, and so
-        # does the first read of its identities (a column is drawn then).
-        _network(simulator_class, num_peers=30, fault_plan=FAULT_PLAN).peer(0)
-        assert "faults._bfs_ball" in calls and "PeerTable._draw" in calls
+        # does the first read of its CPU speeds (they are drawn then).
+        network = _network(simulator_class, num_peers=30, fault_plan=FAULT_PLAN)
+        network._snapshot.cpu_speeds()
+        assert "faults._bfs_ball" in calls
+        assert "NetworkSnapshot.cpu_speeds" in calls
         calls.clear()
         base.session(seed=1)
         base.session(seed=2, fault_clock=3)

@@ -1,7 +1,5 @@
 """Unit tests for repro.network.simulator."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -12,8 +10,7 @@ from repro.errors import ConfigurationError, ProtocolError
 from repro.network import visits as visits_module
 from repro.network.faults import FaultPlan
 from repro.network.generators import power_law_topology
-from repro.network.peer import Peer, PeerCapabilities, PeerTable
-from repro.network.simulator import NetworkSimulator
+from repro.network.simulator import NetworkSimulator, NetworkSnapshot
 from repro.network.topology import Topology
 from repro.network.visits import AggregateVisits, GroupVisits, PanelVisits
 from repro.network.walker import RandomWalker, ResilientCollector, RetryPolicy
@@ -39,7 +36,6 @@ COUNT_SMALL = AggregationQuery(
     predicate=Between(column="A", low=1, high=5),
 )
 SUM_ALL = AggregationQuery(agg=AggregateOp.SUM, column="A")
-PEER_COLUMNS = [field.name for field in dataclasses.fields(PeerCapabilities)]
 
 
 class TestConstruction:
@@ -50,62 +46,10 @@ class TestConstruction:
                 topology, [LocalDatabase({"A": np.array([1])})]
             )
 
-    def test_peer_identities_synthesized(self, mini_network):
-        peer = mini_network.peer(2)
-        assert isinstance(peer, Peer)
-        assert peer.peer_id == 2
-        assert peer.ip.startswith("10.")
-
-    def test_explicit_peers(self):
-        topology = Topology(2, [(0, 1)])
-        peers = [
-            Peer(peer_id=i, ip=f"192.168.0.{i + 1}", port=7000 + i,
-                 capabilities=PeerCapabilities())
-            for i in range(2)
-        ]
-        databases = [LocalDatabase({"A": np.array([1])})] * 2
-        network = NetworkSimulator(topology, databases, peers=peers)
-        assert network.peer(1).port == 7001
-
-    def test_peer_count_mismatch(self):
-        topology = Topology(2, [(0, 1)])
-        databases = [LocalDatabase({"A": np.array([1])})] * 2
-        with pytest.raises(ConfigurationError):
-            NetworkSimulator(
-                topology, databases,
-                peers=[Peer(peer_id=0, ip="1.1.1.1", port=1)],
-            )
-
-    def test_explicit_peers_must_be_indexed_by_peer_id(self):
-        """Only the length used to be checked: two peers both claiming
-        id 7 were accepted, and ``peer(0).peer_id`` read 7."""
-        topology = Topology(2, [(0, 1)])
-        databases = [LocalDatabase({"A": np.array([1])})] * 2
-        peers = [
-            Peer(peer_id=0, ip="1.1.1.1", port=1),
-            Peer(peer_id=7, ip="1.1.1.2", port=2),
-        ]
-        with pytest.raises(ConfigurationError, match=r"peers\[1\].*7"):
-            NetworkSimulator(topology, databases, peers=peers)
-
-    def test_explicit_peers_come_back_by_value(self):
-        topology = Topology(2, [(0, 1)])
-        databases = [LocalDatabase({"A": np.array([1])})] * 2
-        peers = [
-            Peer(
-                peer_id=i, ip=f"host-{i}.example", port=7000 + i,
-                capabilities=PeerCapabilities(cpu_speed=2.0 + i, disk_space=i),
-            )
-            for i in range(2)
-        ]
-        network = NetworkSimulator(topology, databases, peers=peers)
-        assert [network.peer(0), network.peer(1)] == peers
-        assert network._snapshot.cpu_speeds().tolist() == [2.0, 3.0]
-
     @pytest.mark.parametrize(
         "labels",
         [
-            [0, 0, 0, 0],  # one address and capability row for all
+            [0, 0, 0, 0],  # one CPU speed for all
             [3, 1, 3, 2],
             [True, False, True, True],  # coerced to 1 / 0
             [1.7, 2.0, 3.0, 4.0],  # coerced to 1
@@ -116,7 +60,7 @@ class TestConstruction:
     def test_peer_labels_must_be_identities(self, mini_network, labels):
         """Labels that are not distinct non-negative integers used to be
         accepted: a repeated label gave every vertex bearing it one
-        address and capability row, and delta re-estimation's
+        CPU speed, and delta re-estimation's
         label → vertex map kept only the last."""
         with pytest.raises(ConfigurationError, match="peer label"):
             NetworkSimulator(
@@ -133,11 +77,8 @@ class TestConstruction:
         )
         assert network.peer_labels == (7, 2, 9, 0)
         assert all(type(label) is int for label in network.peer_labels)
-        assert network.peer(0).address == ("10.0.0.7", 6353)
 
     def test_unknown_peer(self, mini_network):
-        with pytest.raises(ProtocolError):
-            mini_network.peer(9)
         with pytest.raises(ProtocolError):
             mini_network.database(9)
 
@@ -147,21 +88,6 @@ class TestConstruction:
     def test_databases_accessor(self, mini_network):
         assert len(mini_network.databases()) == 4
         assert mini_network.database(0).num_tuples == 4
-
-
-class TestPing:
-    def test_ping_neighbor(self, mini_network):
-        ledger = mini_network.new_ledger()
-        pong = mini_network.ping(0, 1, ledger)
-        assert pong.source == 1
-        assert pong.shared_tuples == 2
-        cost = ledger.snapshot()
-        assert cost.messages == 2  # ping + pong
-        assert cost.hops == 1
-
-    def test_ping_non_neighbor_rejected(self, mini_network):
-        with pytest.raises(ProtocolError):
-            mini_network.ping(0, 3, mini_network.new_ledger())
 
 
 class TestVisitAggregate:
@@ -475,13 +401,11 @@ class TestVisitArgumentValidation:
                 mini_network.topology,
                 mini_network.databases(),
                 seed=3,
-                reply_loss_rate=0.5,
                 fault_plan=FaultPlan(seed=1, reply_loss=0.5),
                 fault_clock=1,
             )
         ledger = network.new_ledger()
         untouched = ledger.snapshot()
-        failure_stream = network._failure_rng.bit_generator.state
         with pytest.raises(
             ConfigurationError, match="unknown sampling method 'bogus'"
         ):
@@ -493,7 +417,6 @@ class TestVisitArgumentValidation:
                 sampling_method="bogus",
             )
         assert ledger.snapshot() == untouched
-        assert network._failure_rng.bit_generator.state == failure_stream
         if faulty:
             assert network.fault_state.clock == 1
 
@@ -555,10 +478,11 @@ def _counting(counts, label, original):
 
 class TestSetUpCounts:
     """Set-up builds arrays, not peers: from topology + databases to
-    the first answer no per-peer object is made and no per-peer column
-    view is taken.  Counts repeat exactly — the per-peer loop coming
-    back into ``NetworkSnapshot`` or ``FlatDataset.from_databases``
-    fails here without a stopwatch."""
+    the first answer no per-peer database is built, no per-peer column
+    view is taken, and the one per-peer attribute a clean answer reads
+    (``cpu_speed``) is drawn once.  Counts repeat exactly — the
+    per-peer loop coming back into ``NetworkSnapshot`` or
+    ``FlatDataset.from_databases`` fails here without a stopwatch."""
 
     NUM_PEERS = 2_000
 
@@ -572,17 +496,24 @@ class TestSetUpCounts:
 
     @pytest.fixture()
     def counts(self, monkeypatch):
-        """Constructions of ``Peer`` / ``PeerCapabilities`` and calls
-        of ``LocalDatabase.column`` while the test runs."""
-        counts = {"Peer": 0, "PeerCapabilities": 0, "column": 0}
+        """Constructions of ``LocalDatabase``, calls of
+        ``LocalDatabase.column`` and draws of the CPU speeds while the
+        test runs."""
+        counts = {"LocalDatabase": 0, "column": 0, "cpu_speeds": 0}
         for owner, name, label in [
-            (Peer, "__post_init__", "Peer"),
-            (PeerCapabilities, "__post_init__", "PeerCapabilities"),
+            (LocalDatabase, "__init__", "LocalDatabase"),
             (LocalDatabase, "column", "column"),
         ]:
             monkeypatch.setattr(
                 owner, name, _counting(counts, label, getattr(owner, name))
             )
+        speeds = NetworkSnapshot.cpu_speeds
+
+        def drawing(snapshot):
+            counts["cpu_speeds"] += snapshot._cpu_speeds is None
+            return speeds(snapshot)
+
+        monkeypatch.setattr(NetworkSnapshot, "cpu_speeds", drawing)
         return counts
 
     def test_first_answer_builds_no_peer_and_views_no_column(
@@ -590,9 +521,8 @@ class TestSetUpCounts:
     ):
         topology, databases = parts
         # The patches are live.
-        Peer(peer_id=0, ip="10.0.0.0", port=6346)
         databases[0].column("A")
-        assert counts == {"Peer": 1, "PeerCapabilities": 1, "column": 1}
+        assert counts == {"LocalDatabase": 1, "column": 1, "cpu_speeds": 0}
         counts.update(dict.fromkeys(counts, 0))
 
         network = NetworkSimulator(topology, databases, seed=1)
@@ -601,42 +531,28 @@ class TestSetUpCounts:
             ticket = service.submit(COUNT_SMALL, 0.1)
             service.await_result(ticket)
             assert service.outcome(ticket).cost.peers_visited > 0
-        assert counts == {"Peer": 0, "PeerCapabilities": 0, "column": 0}
+        assert counts == {"LocalDatabase": 0, "column": 0, "cpu_speeds": 1}
 
-        a, b = next(topology.edges())
-        pong = network.ping(int(a), int(b), network.new_ledger())
-        assert (pong.ip, pong.port) == network.peer(int(b)).address
-        # ping built one peer; the line above built the second.
-        assert counts == {"Peer": 2, "PeerCapabilities": 2, "column": 0}
-
-    def test_identity_columns_drawn_when_read(self, parts, monkeypatch):
-        """A simulator draws no identities when it is built: a column is
-        drawn on its first read, once per simulator — a clean answer
-        reads ``cpu_speed`` alone, and ``ping`` the other four."""
-        _, databases = parts
-        topology = power_law_topology(self.NUM_PEERS, 8_000, seed=3)
-        drawn = []
-        draw = PeerTable._draw
-
-        def counting(table, name):
-            drawn.append(name)
-            return draw(table, name)
-
-        monkeypatch.setattr(PeerTable, "_draw", counting)
+    def test_identity_columns_drawn_when_read(self, parts, counts):
+        """A simulator draws no CPU speed when it is built: the speeds
+        are drawn on their first read, once per simulator — by its
+        first clean answer, which every later answer and session
+        shares."""
+        topology, databases = parts
         first = NetworkSimulator(topology, databases, seed=1)
         second = NetworkSimulator(topology, databases, seed=2)
-        assert drawn == []
+        assert counts["cpu_speeds"] == 0
         for network in (first, second):
-            drawn.clear()
+            assert network._snapshot._cpu_speeds is None
+            counts["cpu_speeds"] = 0
             for _ in range(2):
                 with QueryService(network, TwoPhaseConfig(), seed=2) as service:
                     service.await_result(service.submit(COUNT_SMALL, 0.1))
-            assert drawn == ["cpu_speed"]
-        a, b = next(topology.edges())
-        second.ping(int(a), int(b), second.new_ledger())
-        assert sorted(drawn) == sorted(PEER_COLUMNS)
-        second.peer(0)
-        assert len(drawn) == len(PEER_COLUMNS)
+            assert counts["cpu_speeds"] == 1
+        assert (
+            first._snapshot.cpu_speeds().tobytes()
+            == second._snapshot.cpu_speeds().tobytes()
+        )
 
 
 class TestBatchVisitChecksOnce:

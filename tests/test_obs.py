@@ -595,7 +595,7 @@ class TestJsonl:
 
 
 class TestReconciliation:
-    def test_scalar_visits_and_ping(self, small_network):
+    def test_scalar_visits(self, small_network):
         tracer = Tracer()
         ledger = small_network.new_ledger()
         with tracing(tracer):
@@ -605,11 +605,9 @@ class TestReconciliation:
             small_network.visit_values_batch(
                 [4], MEDIAN_ALL, sink=0, ledger=ledger
             )
-            neighbor = int(small_network.topology.neighbors(0)[0])
-            small_network.ping(0, neighbor, ledger)
         assert_reconciles(tracer, ledger.snapshot())
         outcomes = [e.outcome for e in tracer.events if e.kind == "probe"]
-        assert outcomes == ["ok", "ok"]
+        assert outcomes == ["ok"]
         assert [e.kind for e in tracer.events].count("batch-visit") == 1
 
     def test_multi_aggregate_counts_every_reply(
@@ -628,7 +626,7 @@ class TestReconciliation:
     def _check_panel_reconciles(small_topology, small_dataset, loss):
         network = NetworkSimulator(
             small_topology, small_dataset.databases, seed=7,
-            reply_loss_rate=loss,
+            fault_plan=FaultPlan(seed=7, reply_loss=loss) if loss else None,
         )
         tracer = Tracer()
         ledger = network.new_ledger()
@@ -685,7 +683,7 @@ class TestReconciliation:
             small_topology,
             small_dataset.databases,
             seed=7,
-            reply_loss_rate=0.3,
+            fault_plan=FaultPlan(seed=7, reply_loss=0.3),
         )
         tracer = Tracer()
         ledger = simulator.new_ledger()

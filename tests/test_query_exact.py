@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from repro.data.flat import FlatDataset
+from repro.data.generator import DatasetConfig, generate_dataset
 from repro.data.localdb import LocalDatabase
 from repro.errors import QueryError
 from repro.query.exact import (
     evaluate_exact,
+    evaluate_exact_groups,
     evaluate_on_columns,
     measured_selectivity,
     rank_of_value,
@@ -146,6 +148,68 @@ class TestEvaluateExact:
             assert evaluate_exact(query, store) == evaluate_exact(
                 query, list(small_dataset.databases)
             )
+
+
+class TestADatasetsTableReadsItsStore:
+    """``generate_dataset(...).databases`` is a ``DatabaseTable`` —
+    slices of one store.  Every exact answer over it reads the store:
+    no per-peer ``LocalDatabase`` is built, and the answer is the
+    store's."""
+
+    SQL = [
+        "SELECT COUNT(A) FROM T WHERE A BETWEEN 1 AND 30",
+        "SELECT SUM(A) FROM T WHERE A BETWEEN 40 AND 100",
+        "SELECT AVG(A) FROM T WHERE A BETWEEN 10 AND 90",
+        "SELECT MEDIAN(A) FROM T WHERE A BETWEEN 5 AND 60",
+        "SELECT QUANTILE(A, 0.25) FROM T",
+    ]
+
+    def test_no_database_is_built(self, small_topology, monkeypatch):
+        table = generate_dataset(
+            small_topology,
+            DatasetConfig(num_tuples=10_000, group_column="G", num_groups=4),
+            seed=3,
+        ).databases
+        store = table.store
+        expected = {
+            "answers": [
+                evaluate_exact(parse_query(sql), store) for sql in self.SQL
+            ],
+            "groups": evaluate_exact_groups(
+                parse_query("SELECT AVG(A) FROM T GROUP BY G"), store
+            ),
+            "selectivity": measured_selectivity(
+                parse_query("SELECT COUNT(A) FROM T WHERE A BETWEEN 1 AND 30"),
+                store,
+            ),
+            "rank": rank_of_value(40.5, store, "A"),
+        }
+        built = []
+        init = LocalDatabase.__init__
+
+        def counting(database, *args, **kwargs):
+            built.append(database)
+            init(database, *args, **kwargs)
+
+        monkeypatch.setattr(LocalDatabase, "__init__", counting)
+        table[0]  # the patch is live
+        assert len(built) == 1
+        built.clear()
+        observed = {
+            "answers": [
+                evaluate_exact(parse_query(sql), table) for sql in self.SQL
+            ],
+            "groups": evaluate_exact_groups(
+                parse_query("SELECT AVG(A) FROM T GROUP BY G"), table
+            ),
+            "selectivity": measured_selectivity(
+                parse_query("SELECT COUNT(A) FROM T WHERE A BETWEEN 1 AND 30"),
+                table,
+            ),
+            "rank": rank_of_value(40.5, table, "A"),
+        }
+        assert built == []
+        assert observed == expected
 
 
 class TestMemoryFloor:

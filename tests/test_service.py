@@ -225,8 +225,8 @@ class TestQuantum:
 
     #: Pinned at the commit before the quantum became a function of
     #: the job: what ``max_hops=10`` under ``chunk_peers=4`` cost.
-    #: (``latency_ms`` re-pinned when peers became a ``PeerTable``:
-    #: ``cpu_speed`` is an array draw now, and reaches nothing else.)
+    #: (``latency_ms`` re-pinned when the CPU speeds became one array
+    #: draw, which reaches nothing else.)
     BUDGET_STOP_COST = QueryCost(
         messages=44, hops=40, peers_visited=4, distinct_peers=4,
         tuples_processed=100, tuples_sampled=100, bytes_sent=3468,
@@ -664,7 +664,6 @@ class TestSeedSequences:
                 "cold sink": (hybrid._rng, two_phase_gen),
                 "warm sink": (hybrid._plan_rng, engine_gen),
                 "session": (session._rng, session_gen),
-                "failure": (session._failure_rng, session_gen.spawn(1)[0]),
             }
             for name, (stream, expected) in draws.items():
                 assert stream.random(4).tolist() == (

@@ -773,14 +773,6 @@ class TestSharedPoolBehaviour:
         )
         reason = pool.shared_fault_serial_reason(faulty)
         assert reason is not None and "fault" in reason
-        lossy = NetworkSimulator(
-            small_network.topology,
-            small_network.databases(),
-            seed=7,
-            reply_loss_rate=0.1,
-        )
-        reason = pool.shared_fault_serial_reason(lossy)
-        assert reason is not None and "reply loss" in reason
         assert pool.shared_fault_serial_reason(small_network) is None
 
 

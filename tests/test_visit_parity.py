@@ -11,7 +11,7 @@ identical — replies (floats
 bitwise), ``CostLedger.snapshot()``, ``CollectionStats``, the trace
 (digest and event count), the fault clock, the virtual clock, the
 kernel's message counter, and the state of every RNG it may touch
-(visit stream, simulator stream, failure stream, walker).
+(visit stream, simulator stream, walker).
 
 Scenarios are hypothesis-drawn over fault plan × latency model × churn
 timeline × retry policy × budget × sampling method × seed kind; each
@@ -87,7 +87,6 @@ PROBE_TIMEOUT_MS = 250.0
 @dataclasses.dataclass(frozen=True)
 class Scenario:
     fault_plan: Optional[FaultPlan]
-    reply_loss_rate: float
     latency: Optional[LatencyModel]
     timeline: Optional[ChurnTimeline]
     probe_timeout_ms: Optional[float]
@@ -118,14 +117,12 @@ class Scenario:
                 TOPOLOGY,
                 DATASET.databases,
                 seed=self.simulator_seed,
-                reply_loss_rate=self.reply_loss_rate,
                 fault_plan=self.fault_plan,
             )
         return EventDrivenSimulator(
             TOPOLOGY,
             DATASET.databases,
             seed=self.simulator_seed,
-            reply_loss_rate=self.reply_loss_rate,
             fault_plan=self.fault_plan,
             latency=self.latency,
             timeline=self.timeline,
@@ -222,7 +219,6 @@ policies = st.builds(
 scenarios = st.builds(
     Scenario,
     fault_plan=fault_plans,
-    reply_loss_rate=st.sampled_from([0.0, 0.0, 0.2]),
     latency=latencies,
     timeline=timelines,
     probe_timeout_ms=st.sampled_from([None, PROBE_TIMEOUT_MS]),
@@ -279,7 +275,6 @@ def _world_state(simulator, ledger, tracer, visit_generator, walker=None):
         ),
         "visit_rng": _generator_state(visit_generator),
         "simulator_rng": _generator_state(simulator._rng),
-        "failure_rng": _generator_state(simulator._failure_rng),
         "walker_rng": (
             _generator_state(walker._rng) if walker is not None else None
         ),
@@ -626,7 +621,7 @@ class TestKindParity:
             scenario, kind, True
         )
 
-    @pytest.mark.parametrize("corner", ["bench-chaos", "legacy-loss-only"])
+    @pytest.mark.parametrize("corner", ["bench-chaos", "loss-only"])
     def test_named_corner(self, kind, corner):
         scenario = Scenario(**{**_BASE, **CORNERS[corner]})
         peers = _peers_with_repeats(scenario)
@@ -641,7 +636,6 @@ class TestKindParity:
 #: Named corners the drawn scenarios may or may not hit in a given run.
 _BASE = dict(
     fault_plan=None,
-    reply_loss_rate=0.0,
     latency=None,
     timeline=None,
     probe_timeout_ms=None,
@@ -675,9 +669,8 @@ _CHAOS_LATENCY = LatencyModel(
     hop=ConstantLatency(1.0),
 )
 CORNERS = {
-    "legacy-loss-only": dict(reply_loss_rate=0.3, seed_kind="none"),
-    "legacy-loss-plus-plan": dict(
-        reply_loss_rate=0.2, fault_plan=_CHAOS_PLAN, seed_kind="int"
+    "loss-only": dict(
+        fault_plan=FaultPlan(seed=6, reply_loss=0.3), seed_kind="none"
     ),
     "one-attempt-no-substitutes": dict(
         fault_plan=_CHAOS_PLAN,

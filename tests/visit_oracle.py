@@ -17,7 +17,7 @@ dumb; it exists to be obviously right, not fast.
 It drives the simulator under test through the same private hooks the
 product path uses (``_probe_checks`` including the event-driven
 override, ``_rng``, the snapshot), so both sides see one fault clock,
-one virtual clock and one failure stream — run each side on its own
+one virtual clock — run each side on its own
 identically built simulator and compare everything afterwards.
 
 The per-peer visits of the other reply kinds are here too, as they
@@ -49,8 +49,13 @@ from repro.errors import (
     ProbeTimeoutError,
 )
 from repro.network.protocol import AggregateReply, GroupReply, TupleReply
-from repro.network.simulator import _emit_probe
-from repro.obs.events import BatchFallbackEvent, RetryEvent, SubstituteEvent
+from repro.obs.events import (
+    BatchFallbackEvent,
+    ProbeEvent,
+    RetryEvent,
+    SubstituteEvent,
+    TraceCost,
+)
 from repro.obs.tracer import active_tracer
 from repro.query.model import AggregateOp
 
@@ -161,11 +166,10 @@ def oracle_visit_aggregate(
     ledger.record_visit(
         peer_id,
         tuples_processed=processed,
-        tuples_sampled=min(processed, tuples_per_peer or processed),
-        cpu_speed=simulator._snapshot.peers[peer_id].capabilities.cpu_speed,
+        cpu_speed=_cpu_speed(simulator, peer_id),
     )
     ledger.record_reply(reply.size_bytes())
-    _emit_probe(peer_id, "aggregate", "ok", replies=1, messages=1, visits=1)
+    _emit_ok(peer_id, "aggregate", 1)
     return reply
 
 
@@ -254,7 +258,17 @@ def _local_reply(simulator, peer_id, query, sink, columns, total, processed):
 
 
 def _cpu_speed(simulator, peer_id):
-    return simulator._snapshot.peers[peer_id].capabilities.cpu_speed
+    return float(simulator._snapshot.cpu_speeds()[peer_id])
+
+
+def _emit_ok(peer_id, kind, replies):
+    """Trace one delivered probe: ``replies`` replies, one visit."""
+    tracer = active_tracer()
+    if tracer is not None:
+        tracer.emit(
+            ProbeEvent, peer_id, kind, "ok", replies,
+            TraceCost(replies, 0, 1, 0),
+        )
 
 
 def oracle_visit_multi_aggregate(
@@ -290,13 +304,9 @@ def oracle_visit_multi_aggregate(
     ledger.record_visit(
         peer_id,
         tuples_processed=processed,
-        tuples_sampled=min(processed, tuples_per_peer or processed),
         cpu_speed=_cpu_speed(simulator, peer_id),
     )
-    _emit_probe(
-        peer_id, "multi", "ok",
-        replies=len(replies), messages=len(replies), visits=1,
-    )
+    _emit_ok(peer_id, "multi", len(replies))
     return replies
 
 
@@ -348,11 +358,10 @@ def oracle_visit_group_aggregate(
     ledger.record_visit(
         peer_id,
         tuples_processed=processed,
-        tuples_sampled=min(processed, tuples_per_peer or processed),
         cpu_speed=_cpu_speed(simulator, peer_id),
     )
     ledger.record_reply(reply.size_bytes())
-    _emit_probe(peer_id, "group", "ok", replies=1, messages=1, visits=1)
+    _emit_ok(peer_id, "group", 1)
     return reply
 
 
@@ -390,11 +399,10 @@ def oracle_visit_values(
     ledger.record_visit(
         peer_id,
         tuples_processed=processed,
-        tuples_sampled=processed,
         cpu_speed=_cpu_speed(simulator, peer_id),
     )
     ledger.record_reply(reply.size_bytes())
-    _emit_probe(peer_id, "values", "ok", replies=1, messages=1, visits=1)
+    _emit_ok(peer_id, "values", 1)
     return reply
 
 
