@@ -15,7 +15,7 @@ building a ``Generator`` nothing may draw from.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -26,6 +26,7 @@ __all__ = [
     "ensure_rng",
     "seed_sequence",
     "spawn",
+    "shallow_copy",
     "readonly_view",
     "widened",
     "check_positive",
@@ -38,6 +39,8 @@ __all__ = [
 ]
 
 SeedLike = Union[None, int, np.random.SeedSequence, np.random.Generator]
+
+_T = TypeVar("_T")
 
 
 def ensure_rng(seed: SeedLike = None) -> np.random.Generator:
@@ -74,6 +77,15 @@ def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
     if n < 0:
         raise ConfigurationError(f"cannot spawn {n} generators")
     return list(rng.spawn(n))
+
+
+def shallow_copy(obj: _T) -> _T:
+    """``copy.copy(obj)`` for a plain object (attributes in its
+    ``__dict__``, no copy hooks) without the reduce protocol's detour:
+    the per-query copies of per-snapshot objects are made per query."""
+    clone: _T = object.__new__(type(obj))
+    clone.__dict__.update(obj.__dict__)
+    return clone
 
 
 def readonly_view(data: np.ndarray) -> np.ndarray:

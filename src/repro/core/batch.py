@@ -33,11 +33,7 @@ from ..network.protocol import PanelSample
 from ..network.visits import PanelVisits
 from ..query.model import AggregationQuery
 from .confidence import query_confidence_interval
-from .estimators import (
-    estimate_query,
-    make_estimator,
-    observations_from_replies,
-)
+from .estimators import estimate_query, make_estimator
 from .planner import PhaseOneAnalysis
 from .result import ApproximateResult
 from .two_phase import (
@@ -112,14 +108,8 @@ class BatchEngine(
                 self._config.sampling_method, self._visit_rng,
             ),
         )
-        topology = self._simulator.topology
         return PanelSample(tuple(
-            observations_from_replies(
-                sample,
-                num_edges=topology.num_edges,
-                num_peers=topology.num_peers,
-                variant=self._config.walk_variant,
-            )
+            self._reweigh(sample)
             for sample in panel.samples
         ))
 

@@ -96,7 +96,9 @@ def cross_validate(
     ``estimator(sample.take(half))`` returns, bit for bit
     (``tests/row_reference.py`` keeps that loop).  The permutations
     are drawn one ``rng.permutation(m)`` per round, in round order:
-    that *is* the stream contract.
+    that *is* the stream contract (one ``rng.permuted`` call shuffles
+    every round's ``arange(m)`` row in place, in row order, drawing
+    exactly what those calls draw).
     """
     if rounds <= 0:
         raise SamplingError("rounds must be positive")
@@ -108,16 +110,18 @@ def cross_validate(
     rng = ensure_rng(seed)
     half = m // 2
     terms = estimator.terms(sample)
-    orders = np.stack([rng.permutation(m) for _ in range(rounds)])
+    orders = np.empty((rounds, m), dtype=np.int64)
+    orders[:] = np.arange(m)
+    rng.permuted(orders, axis=1, out=orders)
     # (sum, round, half-of-the-round, row): ``take`` lays the gather
     # out C-contiguous, so axis 3 is one pairwise reduction per half.
-    halves = np.take(terms, orders[:, : 2 * half], axis=1).reshape(
+    halves = terms.take(orders[:, : 2 * half], axis=1).reshape(
         len(terms), rounds, 2, half
     )
-    estimates = estimator.from_sums(halves.sum(axis=3), half)
+    estimates = estimator.from_sums(np.add.reduce(halves, axis=3), half)
     errors = np.abs(estimates[:, 0] - estimates[:, 1])
     return CrossValidation(
-        mean_squared_error=float(np.mean(np.square(errors))),
+        mean_squared_error=float(np.add.reduce(np.square(errors)) / rounds),
         errors=errors.tolist(),
         half_size=half,
     )

@@ -136,7 +136,8 @@ def horvitz_thompson(
 ) -> float:
     """Equation 1: ``y'' = avg(y(s) / prob(s))``, ``y(s)`` being the
     sample's ``field`` column."""
-    return float(_ratios(sample, field).mean())
+    ratios = _ratios(sample, field)
+    return float(np.add.reduce(ratios) / ratios.size)
 
 
 def hajek_estimate(
@@ -161,7 +162,7 @@ def hajek_estimate(
         raise SamplingError("num_peers must be positive")
     ratios = _ratios(sample, field)
     weights = 1.0 / sample["probability"]
-    return float(num_peers * ratios.sum() / weights.sum())
+    return float(num_peers * np.add.reduce(ratios) / np.add.reduce(weights))
 
 
 def hajek_variance(sample: AggregateSample, num_peers: int) -> float:
@@ -176,14 +177,16 @@ def hajek_variance(sample: AggregateSample, num_peers: int) -> float:
     if ratios.size < 2:
         raise SamplingError("variance estimation needs >= 2 observations")
     weights = 1.0 / sample["probability"]
-    ratio_sum = ratios.sum()
-    weight_sum = weights.sum()
+    ratio_sum = np.add.reduce(ratios)
+    weight_sum = np.add.reduce(weights)
     leave_one_out = (
         num_peers * (ratio_sum - ratios) / (weight_sum - weights)
     )
     m = ratios.size
-    mean_loo = leave_one_out.mean()
-    return float((m - 1) / m * np.sum((leave_one_out - mean_loo) ** 2))
+    mean_loo = np.add.reduce(leave_one_out) / m
+    return float(
+        (m - 1) / m * np.add.reduce((leave_one_out - mean_loo) ** 2)
+    )
 
 
 class _EquationOne:
@@ -221,7 +224,7 @@ class _Hajek:
     def terms(
         self, sample: AggregateSample, field: str = "aggregate_value"
     ) -> "NDArray[np.float64]":
-        return np.stack(
+        return np.array(
             (_ratios(sample, field), 1.0 / sample["probability"])
         )
 

@@ -181,8 +181,7 @@ class GroupByEngine(
                 seed=self._visit_rng,
             ),
         )
-        probabilities = self._walker.stationary_probabilities()
-        return sample.with_probability(probabilities[sample["source"]])
+        return self._reweigh(sample)
 
     def _analyze(
         self, query: AggregationQuery, sample: ValueSample, delta_req: float,

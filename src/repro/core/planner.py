@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Optional
+from typing import Optional, Tuple
+
+import numpy as np
 
 from .._util import SeedLike, check_positive, ensure_rng
 from ..errors import SamplingError
@@ -40,6 +42,7 @@ __all__ = [
     "PhaseTwoPlan",
     "PhaseOneAnalysis",
     "estimate_scale",
+    "cross_validated_scale",
     "analyze_phase_one",
 ]
 
@@ -132,6 +135,22 @@ def estimate_scale(
     return scale
 
 
+def cross_validated_scale(
+    query: AggregationQuery, sample: AggregateSample, rounds: int,
+    rng: np.random.Generator, point_estimator: PointEstimator,
+    scale: Optional[float] = None,
+) -> Tuple[CrossValidation, float]:
+    """What a plan keeps from a phase-I sample: its cross-validation
+    (``rounds`` halvings drawn from ``rng``) and the scale ``Δreq`` is
+    read on (estimated unless given), both by ``point_estimator``.
+    :func:`analyze_phase_one` adds the estimate, the badness and the
+    plan on top; a warm plan's refresh keeps these two alone."""
+    if scale is None:
+        scale = estimate_scale(query, sample, point_estimator)
+    check_positive("scale", scale)
+    return cross_validate(sample, rounds, rng, point_estimator), scale
+
+
 def analyze_phase_one(
     query: AggregationQuery,
     sample: AggregateSample,
@@ -180,14 +199,8 @@ def analyze_phase_one(
     rng = ensure_rng(seed)
     point_estimator, _variance = make_estimator(estimator, num_peers)
     estimate = point_estimator(sample)
-    if scale is None:
-        scale = estimate_scale(query, sample, point_estimator)
-    check_positive("scale", scale)
-    cross_validation = cross_validate(
-        sample,
-        rounds=cross_validation_rounds,
-        seed=rng,
-        estimator=point_estimator,
+    cross_validation, scale = cross_validated_scale(
+        query, sample, cross_validation_rounds, rng, point_estimator, scale
     )
     badness = clustering_badness_estimate(sample)
 

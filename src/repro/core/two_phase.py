@@ -66,7 +66,7 @@ from typing import (
 import numpy as np
 from numpy.typing import NDArray
 
-from .._util import SeedLike, ensure_rng, seed_sequence
+from .._util import SeedLike, ensure_rng, seed_sequence, shallow_copy
 from ..errors import ConfigurationError, SamplingError
 from ..metrics.cost import CostLedger, QueryCost
 from ..network.protocol import AggregateSample, ValueSample, WalkerProbe
@@ -83,12 +83,12 @@ from ..obs.tracer import emit_if_tracing
 from ..query.model import AggregationQuery
 from ..sim.timing import QueryTiming
 from .confidence import ConfidenceInterval, query_confidence_interval
-from .estimators import (
-    estimate_query,
-    make_estimator,
-    observations_from_replies,
+from .estimators import estimate_query, make_estimator
+from .planner import (
+    PhaseOneAnalysis,
+    analyze_phase_one,
+    cross_validated_scale,
 )
-from .planner import PhaseOneAnalysis, analyze_phase_one
 from .result import ApproximateResult, MedianResult, PhaseReport, _Sample
 
 __all__ = [
@@ -294,12 +294,10 @@ class TwoPhaseConfig(PhaseConfig):
         )
 
     def walk_config(self) -> RandomWalkConfig:
-        """The walk configuration this engine config implies (built
-        once, not as the base's and a replaced copy: an engine is built
-        per served query)."""
-        return RandomWalkConfig(
-            jump=self.jump, burn_in=self.burn_in, variant=self.walk_variant,
-            allow_revisits=not self.distinct_peers,
+        """The base's walk, without revisits under ``distinct_peers``
+        (built once per snapshot by a served engine)."""
+        return dataclasses.replace(
+            super().walk_config(), allow_revisits=not self.distinct_peers
         )
 
 
@@ -625,42 +623,82 @@ class _PhasedEngine(Generic[_C, _Q, _R]):
         *,
         cache: Optional[PlanCache] = None,
     ):
-        self._config: _C = config or self._default_config()
+        self._bound(simulator, config or self._default_config())
+        self._start(simulator, seed, cache)
+
+    @classmethod
+    def for_snapshot(cls, simulator: NetworkSimulator, config: _C) -> Any:
+        """An engine bound to ``simulator``'s snapshot that runs no
+        query itself (it holds no simulator and no stream): what its
+        :meth:`for_query` copies share, built once."""
+        return cls.__new__(cls)._bound(simulator, config)
+
+    def for_query(
+        self, simulator: NetworkSimulator, seed: SeedLike,
+        cache: Optional[PlanCache],
+    ) -> Any:
+        """A copy of this engine over ``simulator`` (a session of the
+        snapshot it is bound to) planning in ``cache``, its streams
+        started from ``seed`` as a new engine's are."""
+        return shallow_copy(self)._start(simulator, seed, cache)
+
+    def _bound(self, simulator: NetworkSimulator, config: _C) -> Any:
+        self._config: _C = config
+        self._bind(simulator)
+        return self
+
+    def _bind(self, simulator: NetworkSimulator) -> None:
+        """What the engine keeps per snapshot: the walk (its config and
+        compiled loop; the stream comes per query) and the stationary
+        probabilities the sink reconstructs."""
+        self._walker = RandomWalker(
+            simulator.topology, config=self._config.walk_config()
+        )
+        self._probabilities = self._walker.stationary_probabilities()
+
+    def _start(
+        self, simulator: NetworkSimulator, seed: SeedLike,
+        cache: Optional[PlanCache],
+    ) -> Any:
+        """Point the engine at ``simulator`` and ``cache``, its run
+        counts at zero and its streams at ``seed`` (under a cache the
+        seed's own stream plans warm runs, its first child is the cold
+        streams'); returns the engine."""
+        self.cold_runs = self.warm_runs = self.delta_runs = 0
+        self._simulator = simulator
         self._cache = cache
         # Runs retain their sample for a churn-delta top-up when the
         # cache's policy asks and this engine's samples can cross an
-        # epoch (it has a ``_reweigh``).
+        # epoch.
         self._retaining = False
         if cache is not None:
             self._plan_seq = seed_sequence(seed)
+            self.__dict__.pop("_plan_rng", None)
             if isinstance(seed, np.random.Generator):
                 self._plan_rng = seed
             seed = self._plan_seq.spawn(1)[0]
             self._retaining = (
-                cache.delta_reestimation and self._reweigh is not None
+                cache.delta_reestimation and self._carries_samples
             )
-        self._bind(simulator, seed)
+        self._seed(seed)
+        return self
 
-    def _bind(self, simulator: NetworkSimulator, seed: SeedLike) -> None:
-        """(Re)build the engine's streams (a built ``_rng`` is dropped),
-        walker and collector over ``simulator`` from ``seed``."""
-        self._simulator = simulator
+    def _seed(self, seed: SeedLike) -> None:
+        """(Re)start the cold streams, the walk and the visits from
+        ``seed`` (built ``Generator``\\ s are dropped); each is built on
+        its first draw."""
         self._seed_seq = seed_sequence(seed)
         self.__dict__.pop("_rng", None)
+        self.__dict__.pop("_visit_rng", None)
         if isinstance(seed, np.random.Generator):
             self._rng = seed
-        walk_seed, visit_seed = self._seed_seq.spawn(2)
-        self._walker = RandomWalker(
-            simulator.topology, config=self._config.walk_config(),
-            seed=walk_seed,
-        )
-        # Engine-owned stream for local sub-sampling at visited peers,
-        # so executions are deterministic given the engine seed.
-        self._visit_rng = ensure_rng(visit_seed)
+        walk_seed, self._visit_seq = self._seed_seq.spawn(2)
+        self._walker = self._walker.reseeded(walk_seed)
         self._collector: Optional[ResilientCollector] = None
         if self._config.retry_policy is not None:
             self._collector = ResilientCollector(
-                self._walker, simulator, policy=self._config.retry_policy
+                self._walker, self._simulator,
+                policy=self._config.retry_policy,
             )
 
     @functools.cached_property
@@ -668,6 +706,12 @@ class _PhasedEngine(Generic[_C, _Q, _R]):
         """The engine's own stream (sinks, cross-validation halvings),
         built on its first draw."""
         return ensure_rng(self._seed_seq)
+
+    @functools.cached_property
+    def _visit_rng(self) -> np.random.Generator:
+        """The engine's stream for local sub-sampling at visited peers,
+        so executions are deterministic given the engine seed."""
+        return ensure_rng(self._visit_seq)
 
     @functools.cached_property
     def _plan_rng(self) -> np.random.Generator:
@@ -708,16 +752,18 @@ class _PhasedEngine(Generic[_C, _Q, _R]):
         if seed is None:
             parent = self._seed_seq if self._cache is None else self._plan_seq
             seed = parent.spawn(1)[0]
-        self._bind(simulator, seed)
+        self._simulator = simulator
+        self._bind(simulator)
+        self._seed(seed)
 
     # ------------------------------------------------------------------
     # The strategy
     # ------------------------------------------------------------------
 
-    #: Attaches the current topology's stationary probabilities to a
-    #: sample carried over from an earlier churn epoch; ``None`` for an
-    #: engine whose samples cannot be carried (no delta runs).
-    _reweigh: Optional[Callable[[Any], Any]] = None
+    #: Whether a sample carried over from an earlier churn epoch can be
+    #: reweighed onto the current topology (:meth:`_reweigh`), so a
+    #: plan can be topped up by a delta run.
+    _carries_samples: ClassVar[bool] = False
 
     def _check(self, query: _Q) -> None:
         pass
@@ -750,6 +796,15 @@ class _PhasedEngine(Generic[_C, _Q, _R]):
         given (a warm refresh), from the engine's own streams
         otherwise."""
         raise NotImplementedError
+
+    def _replan(
+        self, query: _Q, sample: Any, delta_req: float
+    ) -> Tuple[CachedPlan, Any]:
+        """A warm refresh's plan of ``sample``'s statistics (drawn from
+        the plan stream) and what the result needs: by default the
+        cold analysis's."""
+        _, fresh, kept = self._analyze(query, sample, delta_req, self._plan_rng)
+        return fresh, kept
 
     def _result(self, run: _Run[Any]) -> _R:
         raise NotImplementedError
@@ -802,7 +857,6 @@ class _PhasedEngine(Generic[_C, _Q, _R]):
             # with the new topology's probabilities.
             retained = plan.retained
             assert retained is not None and labels is not None
-            assert self._reweigh is not None
             self.delta_runs += 1
             vertex_of = {label: v for v, label in enumerate(labels)}
             held = self._reweigh(
@@ -827,12 +881,12 @@ class _PhasedEngine(Generic[_C, _Q, _R]):
         self, prior: _Prior, query: _Q, sample: Any, delta_req: float
     ) -> Tuple[float, Any]:
         """A warm or delta run's stand-in for phase II: fold the
-        phase's own analysis back into its plan (so it tracks data
+        phase's own statistics back into its plan (so it tracks data
         drift without a cold restart) and retain the sample.  Returns
-        the refreshed CV error and what the analysis kept."""
+        the refreshed CV error and what :meth:`_replan` kept."""
         plan, cache = prior.plan, self._cache
         assert plan is not None and cache is not None
-        _, fresh, kept = self._analyze(query, sample, delta_req, self._plan_rng)
+        fresh, kept = self._replan(query, sample, delta_req)
         # Rescale the fresh CVError² from this sample's half size to the
         # cached anchor (CVError² ~ 1/half).
         squared = fresh.mean_squared_cv_error
@@ -927,8 +981,14 @@ class _PhasedEngine(Generic[_C, _Q, _R]):
                 seed=self._visit_rng, ship=ship,
             ),
         )
-        probabilities = self._walker.stationary_probabilities()
-        return sample.with_probability(probabilities[sample["source"]])
+        return self._reweigh(sample)
+
+    def _reweigh(self, sample: _S) -> _S:
+        """``sample`` with the stationary probabilities of this
+        engine's walk on its topology attached (what
+        :func:`~repro.core.estimators.observations_from_replies`
+        computes from each row's degree)."""
+        return sample.with_probability(self._probabilities[sample["source"]])
 
     def _cross_validate(
         self, size: int, squared_error: Callable[[_Rows, _Rows], float],
@@ -1151,8 +1211,8 @@ class TwoPhaseEngine(
     _name = "two-phase"
     _default_config = TwoPhaseConfig
 
-    def _bind(self, simulator: NetworkSimulator, seed: SeedLike) -> None:
-        super()._bind(simulator, seed)
+    def _bind(self, simulator: NetworkSimulator) -> None:
+        super()._bind(simulator)
         self._point, self._variance = make_estimator(
             self._config.estimator, simulator.topology.num_peers
         )
@@ -1263,14 +1323,18 @@ class TwoPhaseEngine(
             analysis,
         )
 
-    def _reweigh(self, sample: AggregateSample) -> AggregateSample:
-        """``sample`` with the stationary probabilities of this
-        engine's walk on the current topology attached."""
-        topology = self._simulator.topology
-        return observations_from_replies(
-            sample, num_edges=topology.num_edges,
-            num_peers=topology.num_peers, variant=self._config.walk_variant,
+    def _replan(
+        self, query: AggregationQuery, sample: AggregateSample,
+        delta_req: float,
+    ) -> Tuple[CachedPlan, None]:
+        # A warm answer reports no analysis: only what the plan keeps.
+        cv, scale = cross_validated_scale(
+            query, sample, self._config.cross_validation_rounds,
+            self._plan_rng, self._point,
         )
+        return CachedPlan(cv.mean_squared_error, cv.half_size, scale), None
+
+    _carries_samples = True
 
     def _result(self, run: _Run[AggregateSample]) -> ApproximateResult:
         # With no phase II the final sample is phase I's, whose

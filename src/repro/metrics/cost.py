@@ -18,10 +18,10 @@ peers visited" as the cost, and why we report both.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Set
+from typing import Optional, Set, Union
 
 import numpy as np
-from numpy.typing import ArrayLike
+from numpy.typing import ArrayLike, NDArray
 
 from .._util import check_nonnegative
 from ..errors import ConfigurationError
@@ -191,9 +191,7 @@ class CostLedger:
             raise ConfigurationError("tuple counts must be non-negative")
         if reply_bytes.min() < 0:
             raise ConfigurationError("payload_bytes must be non-negative")
-        if cpu_speeds is None:
-            cpu_speeds = np.ones(n, dtype=np.float64)
-        else:
+        if cpu_speeds is not None:
             cpu_speeds = np.asarray(cpu_speeds, dtype=np.float64)
             if cpu_speeds.shape != (n,):
                 raise ConfigurationError(
@@ -201,31 +199,51 @@ class CostLedger:
                 )
             if cpu_speeds.min() <= 0:
                 raise ConfigurationError("cpu_speed must be positive")
+        self.record_visit_pass(
+            peers, tuples_processed,
+            reply_bytes if reply_bytes.ndim else int(reply_bytes),
+            cpu_speeds, leading_replies,
+        )
 
+    def record_visit_pass(
+        self, peers: NDArray[np.int64], tuples_processed: NDArray[np.int64],
+        reply_bytes: Union[int, NDArray[np.int64]],
+        cpu_speeds: Optional[NDArray[np.float64]] = None,
+        leading_replies: int = 0,
+    ) -> None:
+        """:meth:`record_visit_replies` of arrays a visit pass produced
+        and checked (``int64`` / ``float64``, one entry per visit, at
+        least one; ``reply_bytes`` may be an ``int``; no ``cpu_speeds``:
+        the reference speed), charged as they are: nothing is checked,
+        converted or copied."""
         # Order-independent integer totals vectorize freely ...
+        n = peers.size
         replies = leading_replies or 1
+        model = self._model
         self._visits += n
         self._distinct.update(peers.tolist())
-        processed = int(tuples_processed.sum())
-        self._tuples_processed += processed
+        self._tuples_processed += int(np.add.reduce(tuples_processed))
         self._messages += n * replies
         self._bytes += replies * (
-            int(reply_bytes.sum()) if reply_bytes.ndim else n * int(reply_bytes)
+            n * reply_bytes if isinstance(reply_bytes, int)
+            else int(np.add.reduce(reply_bytes))
         )
         # ... but float accumulation must replay the per-event order
         # (visit overhead + processing, then reply transfer, per peer —
         # or the leading replies first) to land on the identical
-        # rounded value.  ``np.cumsum`` adds strictly left to right, so
-        # its last entry is that replay.
+        # rounded value.  ``np.add.accumulate`` adds strictly left to
+        # right, so its last entry is that replay.  (A reference-speed
+        # visit skips the division by 1.0, which changes no bit.)
         steps = np.empty(n * (replies + 1) + 1, dtype=np.float64)
         steps[0] = self._latency_ms
         per_visit = steps[1:].reshape(n, replies + 1)
-        per_visit[:] = (reply_bytes * self._model.byte_latency_ms).reshape(-1, 1)
-        per_visit[:, replies if leading_replies else 0] = (
-            self._model.visit_overhead_ms
-            + tuples_processed * self._model.tuple_processing_ms / cpu_speeds
-        )
-        self._latency_ms = float(np.cumsum(steps)[-1])
+        per_visit.T[:] = reply_bytes * model.byte_latency_ms
+        visit = per_visit[:, replies if leading_replies else 0]
+        np.multiply(tuples_processed, model.tuple_processing_ms, out=visit)
+        if cpu_speeds is not None:
+            visit /= cpu_speeds
+        visit += model.visit_overhead_ms
+        self._latency_ms = float(np.add.accumulate(steps)[-1])
 
     def record_timeout(self, peer: int, waited_ms: float) -> None:
         """Account for a probe that never completed (crash or timeout).

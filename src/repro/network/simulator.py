@@ -28,12 +28,14 @@ holding a time domain, virtual time's.
 
 from __future__ import annotations
 
-import copy
 import functools
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
+    Dict,
     FrozenSet,
+    Hashable,
     List,
     Optional,
     Sequence,
@@ -44,7 +46,13 @@ from typing import (
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .._util import SeedLike, ensure_rng, readonly_view, seed_sequence
+from .._util import (
+    SeedLike,
+    ensure_rng,
+    readonly_view,
+    seed_sequence,
+    shallow_copy,
+)
 from ..data.flat import DatabaseTable, FlatDataset
 from ..data.localdb import LocalDatabase
 from ..data.segments import select_rows
@@ -83,6 +91,8 @@ __all__ = [
 _Sim = TypeVar("_Sim", bound="NetworkSimulator")
 #: A reply kind's sample.
 _S = TypeVar("_S")
+#: What a layer above derives from a snapshot.
+_T = TypeVar("_T")
 
 
 def _emit_probe(peer: int, kind: str, outcome: str, timeouts: int) -> None:
@@ -142,8 +152,8 @@ class NetworkSnapshot:
     :class:`~repro.data.flat.DatabaseTable` — slices of
     one store, a ``LocalDatabase`` built per read, and that store *is*
     :attr:`flat` — and frozen into a tuple otherwise.  The derived
-    views (:attr:`flat`, :meth:`total_tuples`, :meth:`cpu_speeds`) are
-    write-once memos:
+    views (:attr:`flat`, :meth:`total_tuples`, :meth:`cpu_speeds`,
+    :attr:`derived`) are write-once memos:
     peers' data never changes under a snapshot (churn produces *new*
     simulators via ``LiveNetwork.snapshot``), so whichever simulator
     or session touches a view first builds it for all of them.
@@ -183,6 +193,9 @@ class NetworkSnapshot:
         self._labels = None if labels is None else labels.astype(np.int64)
         self._total_tuples: Optional[int] = None
         self._cpu_speeds: Optional[np.ndarray] = None
+        # What layers above derive from this snapshot alone
+        # (NetworkSimulator.derived).
+        self.derived: Dict[Hashable, Any] = {}
 
     @property
     def flat(self) -> FlatDataset:
@@ -236,8 +249,8 @@ class NetworkSnapshot:
 
     def __getstate__(self) -> dict:
         # The speeds are drawn again on first read: a pickled array
-        # would come back writable.
-        return dict(vars(self), _cpu_speeds=None)
+        # would come back writable.  Derived state is built again too.
+        return dict(vars(self), _cpu_speeds=None, derived={})
 
 
 class NetworkSimulator:
@@ -473,6 +486,15 @@ class NetworkSimulator:
         """
         return self._snapshot.flat
 
+    def derived(self, key: Hashable, build: Callable[[], _T]) -> _T:
+        """``build()``, built on the first request for ``key`` and kept
+        with the snapshot: shared by this simulator and every session
+        of it (a served engine's walk and estimators)."""
+        memo = self._snapshot.derived
+        if key not in memo:
+            memo[key] = build()
+        return memo[key]  # type: ignore[no-any-return]
+
     def adopt_flat_dataset(self, flat: FlatDataset) -> None:
         """Install a pre-built flat view instead of concatenating.
 
@@ -604,7 +626,7 @@ class NetworkSimulator:
         clock, so a session created mid-run sees the fault schedule
         from "now" onward.
         """
-        clone = copy.copy(self)
+        clone = shallow_copy(self)
         clone._reseed(seed)
         state = self._fault_state
         if state is not None:
@@ -807,14 +829,10 @@ class NetworkSimulator:
         sample = visits.kernel(rows)
         reply_bytes = visits.reply_bytes
         leading = visits.leading_replies
-        ledger.record_visit_replies(
-            peers,
-            tuples_processed=rows.processed,
-            reply_bytes=(
-                visits.sized(sample) if reply_bytes is None else reply_bytes
-            ),
-            cpu_speeds=self._snapshot.cpu_speeds()[peers],
-            leading_replies=leading,
+        ledger.record_visit_pass(
+            peers, rows.processed,
+            visits.sized(sample) if reply_bytes is None else reply_bytes,
+            self._snapshot.cpu_speeds()[peers], leading,
         )
         if tracer is not None:
             visited = int(peers.size)

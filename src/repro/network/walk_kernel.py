@@ -42,6 +42,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .._native import address, bind
+from .._util import shallow_copy
 from ..errors import ConfigurationError, TopologyError
 from .topology import Topology
 
@@ -147,13 +148,14 @@ class WalkKernel:
     :meth:`trace` every visit; all three are the same loop with a
     different stride.  Passing ``weights`` (one positive float per
     peer) selects the weighted Metropolis–Hastings accept rule
-    (``variant`` is then unused).
+    (``variant`` is then unused).  A kernel built with no ``rng``
+    walks nothing; :meth:`reseeded` copies of it do.
     """
 
     def __init__(
         self,
         topology: Topology,
-        rng: np.random.Generator,
+        rng: Optional[np.random.Generator],
         variant: str,
         jump: int,
         burn_in: int,
@@ -184,6 +186,14 @@ class WalkKernel:
             num_peers=indptr.size - 1, variant=code,
         )
 
+    def reseeded(self, rng: np.random.Generator) -> "WalkKernel":
+        """This kernel drawing from ``rng``: the arrays and the variant
+        shared, its own loop struct (a struct is one walk's cursor)."""
+        kernel = shallow_copy(self)
+        kernel._rng = rng
+        kernel._walk = _Walk.from_buffer_copy(self._walk)
+        return kernel
+
     def _run(
         self, current: int, left: int, jump: int, hops: int, emitted: int
     ) -> int:
@@ -202,11 +212,13 @@ class WalkKernel:
         walk.left = left
         walk.emitted = emitted
         uniforms = buffers.uniforms
+        rng = self._rng
+        assert rng is not None, "a kernel built with no rng walks nothing"
         remaining = self._per_hop * hops
         while remaining:
             walk.n = size = min(remaining, _CHUNK)
             remaining -= size
-            self._rng.random(out=uniforms[:size])
+            rng.random(out=uniforms[:size])
             current = _walk(walk)
         if current < 0:
             raise TopologyError(

@@ -53,7 +53,7 @@ from typing import (
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .._util import SeedLike, ensure_rng
+from .._util import SeedLike, ensure_rng, shallow_copy
 from ..errors import (
     ConfigurationError,
     PeerCrashedError,
@@ -309,9 +309,21 @@ class RandomWalker:
     ):
         self._topology = topology
         self._config = config or RandomWalkConfig()
-        self._rng = ensure_rng(seed)
+        self._seed = seed
         if topology.num_edges == 0:
             raise TopologyError("cannot walk an edgeless topology")
+
+    def reseeded(self, seed: SeedLike) -> "RandomWalker":
+        """This walk on the stream ``seed``: topology, config and
+        compiled loop shared by reference, only the stream new (what a
+        per-query engine walks with)."""
+        return shallow_copy(self)._restart(seed, self._loop)
+
+    def _restart(self, seed: SeedLike, loop: WalkKernel) -> "RandomWalker":
+        self.__dict__.pop("_rng", None)
+        self.__dict__.pop("_kernel", None)
+        self._seed, self._loop = seed, loop
+        return self
 
     @property
     def config(self) -> RandomWalkConfig:
@@ -343,15 +355,26 @@ class RandomWalker:
     # ------------------------------------------------------------------
 
     @functools.cached_property
-    def _kernel(self) -> WalkKernel:
+    def _rng(self) -> np.random.Generator:
+        """The walk's stream, built on its first draw."""
+        return ensure_rng(self._seed)
+
+    @functools.cached_property
+    def _loop(self) -> WalkKernel:
+        """The compiled loop over this topology, drawing from nothing:
+        what every :meth:`reseeded` copy's kernel is a copy of."""
         return WalkKernel(
             topology=self._topology,
-            rng=self._rng,
+            rng=None,
             variant=self._config.variant,
             jump=self._config.effective_jump,
             burn_in=self._config.effective_burn_in,
             weights=self._weights,
         )
+
+    @functools.cached_property
+    def _kernel(self) -> WalkKernel:
+        return self._loop.reseeded(self._rng)
 
     def _check_start(self, start: int) -> None:
         if not 0 <= start < self._topology.num_peers:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 from typing import FrozenSet, Mapping, Optional, Tuple
 
 import numpy as np
@@ -307,7 +308,13 @@ class AggregationQuery:
         return referenced
 
     def to_sql(self) -> str:
-        """Render the query as SQL text (round-trips via the parser)."""
+        """Render the query as SQL text (round-trips via the parser),
+        once per query object: a served query's signature, plan-cache
+        key and probe text are one string."""
+        return self._sql
+
+    @functools.cached_property
+    def _sql(self) -> str:
         if self.agg is AggregateOp.QUANTILE:
             head = f"SELECT QUANTILE({self.column}, {self.quantile:g})"
         else:

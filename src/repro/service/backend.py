@@ -239,7 +239,11 @@ def build_task(
     :class:`~repro.core.two_phase.TwoPhaseEngine` otherwise, each
     running ``settings.config`` as it is (so every kind retries under
     its ``retry_policy``) on ``cache`` under the cache's plan policy,
-    so every kind is served warm when its signature repeats.
+    so every kind is served warm when its signature repeats.  One
+    engine of each kind is bound per snapshot (its walk, estimators
+    and stationary probabilities); a query runs
+    :meth:`~repro.core.two_phase._PhasedEngine.for_query` of it, so
+    it builds its session and its streams and nothing else.
 
     It also sizes the job's takes.  A chunk boundary exists to check
     something, so a job with nothing to enforce — no budget (or one
@@ -263,9 +267,16 @@ def build_task(
         kind = GroupByEngine
     elif not query.agg.supports_pushdown:
         kind = MedianEngine
-    engine: _PhasedEngine[Any, AggregationQuery, ServedResult] = kind(
-        session, settings.config, job.engine_seed, cache=cache
+    # The engine bound to this snapshot is built by its first query
+    # (of any service with an equal config); every query runs a copy of
+    # it with the job's streams.
+    config = settings.config
+    bound: _PhasedEngine[Any, AggregationQuery, ServedResult] = (
+        simulator.derived(
+            (kind, config), lambda: kind.for_snapshot(simulator, config)
+        )
     )
+    engine = bound.for_query(session, job.engine_seed, cache)
     ticket = QueryTicket(
         query_id=job.query_id,
         query=query,

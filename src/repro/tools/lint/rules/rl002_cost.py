@@ -68,6 +68,7 @@ _LEDGER_MUTATORS = frozenset(
         "record_hops",
         "record_visit",
         "record_visit_replies",
+        "record_visit_pass",
         "record_timeout",
         "record_wait",
         "record_reply",

@@ -10,8 +10,16 @@ from hypothesis import strategies as st
 from repro.core import estimators
 from repro.core.crossval import CrossValidation, cross_validate
 from repro.core.estimators import make_estimator, theoretical_variance
+from repro.core.planner import analyze_phase_one
+from repro.core.two_phase import (
+    PlanCache,
+    TwoPhaseConfig,
+    TwoPhaseEngine,
+    drain_steps,
+)
 from repro.errors import SamplingError
 from repro.network.protocol import AggregateSample
+from repro.query.parser import parse_query
 
 from . import row_reference
 
@@ -229,3 +237,57 @@ class TestHalvingCounts:
         assert calls == {"take": 10, "point": 10}
         point(sample)
         assert calls["point"] == 12
+
+
+# ---------------------------------------------------------------------------
+# A warm refresh keeps the cold analysis's numbers, bit for bit
+# ---------------------------------------------------------------------------
+
+
+class TestWarmRefreshIsTheColdAnalysis:
+    """A warm plan's refresh computes only the CV², the half size and
+    the scale: the numbers ``analyze_phase_one`` reports for the same
+    sample, bit for bit, from the same draws (the next draw agrees)."""
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT COUNT(A) FROM T WHERE A BETWEEN 1 AND 30",
+            "SELECT SUM(A) FROM T",
+            "SELECT AVG(A) FROM T WHERE A BETWEEN 10 AND 90",
+        ],
+    )
+    @pytest.mark.parametrize("estimator", ["ht", "hajek"])
+    @pytest.mark.parametrize("m", [24, 25])
+    def test_the_same_numbers_and_stream(
+        self, small_network, sql, estimator, m
+    ):
+        query = parse_query(sql)
+        config = TwoPhaseConfig(estimator=estimator)
+        engine = TwoPhaseEngine(
+            small_network, config, seed=np.random.default_rng(11),
+            cache=PlanCache(),
+        )
+        sample = drain_steps(engine.collect_observations_stepwise(
+            0, query, m, small_network.new_ledger()
+        ))
+        assert len(sample) == m
+
+        refreshed, kept = engine._replan(query, sample, 0.1)
+        rng = np.random.default_rng(11)
+        analysis = analyze_phase_one(
+            query, sample, 0.1, config.tuples_per_peer,
+            config.cross_validation_rounds, seed=rng, estimator=estimator,
+            num_peers=small_network.num_peers,
+        )
+
+        assert kept is None
+        assert (
+            refreshed.mean_squared_cv_error, refreshed.half_size,
+            refreshed.scale,
+        ) == (
+            analysis.cross_validation.mean_squared_error,
+            analysis.cross_validation.half_size, analysis.scale,
+        )
+        assert refreshed.half_size == m // 2
+        assert engine._plan_rng.random() == rng.random()

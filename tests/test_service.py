@@ -932,7 +932,80 @@ class TestPlanOccupancy:
 #: Python calls one warm served COUNT makes, from submit to its result
 #: (recorded before planning moved into the two-phase loop; a change
 #: may lower it, never raise it).
-WARM_CALL_CEILING = 422
+class TestWarmBuildsNothing:
+    """Counts, no stopwatch: an engine's binding (its walker and its
+    estimator pair) is built once per snapshot and no served query
+    constructs an engine, so a warm served COUNT builds none of them; a
+    rebind onto a churn snapshot binds each exactly once, and the delta
+    run there still tops up from the survivors."""
+
+    def test_warm_submit_and_rebind(self, monkeypatch):
+        from repro.core.estimators import make_estimator
+        from repro.data.localdb import LocalDatabase
+        from repro.network.churn import ChurnConfig
+        from repro.network.live import LiveNetwork
+        from repro.network.walker import RandomWalker
+
+        built = {"engine": 0, "bound": 0, "walker": 0, "estimators": 0}
+
+        def counted(key, function):
+            def wrapper(*args, **kwargs):
+                built[key] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            two_phase._PhasedEngine, "__init__",
+            counted("engine", two_phase._PhasedEngine.__init__),
+        )
+        monkeypatch.setattr(
+            two_phase._PhasedEngine, "_bind",
+            counted("bound", two_phase._PhasedEngine._bind),
+        )
+        monkeypatch.setattr(
+            RandomWalker, "__init__", counted("walker", RandomWalker.__init__)
+        )
+        monkeypatch.setattr(
+            two_phase, "make_estimator", counted("estimators", make_estimator)
+        )
+        rng = np.random.default_rng(3)
+        topology = power_law_topology(120, 400, seed=2)
+        live = LiveNetwork(
+            topology,
+            [
+                LocalDatabase({"A": rng.integers(1, 101, 80)})
+                for _ in range(topology.num_peers)
+            ],
+            churn_config=ChurnConfig(join_rate=0.5, leave_rate=0.5),
+            seed=5,
+        )
+        service = QueryService(
+            live.snapshot(seed=11), TwoPhaseConfig(phase_one_peers=20),
+            seed=99, max_in_flight=1, delta_reestimation=True,
+        )
+        for _ in range(2):
+            service.await_result(service.submit(COUNT_30, 0.2))
+        assert built == {"engine": 0, "bound": 1, "walker": 1, "estimators": 1}
+        assert service.stats().warm_runs == 1
+
+        built.update(bound=0, walker=0, estimators=0)
+        service.await_result(service.submit(COUNT_30, 0.2))
+        assert service.stats().warm_runs == 2
+        assert built == {"engine": 0, "bound": 0, "walker": 0, "estimators": 0}
+
+        live.step(20)
+        service.rebind(live.snapshot(seed=13))
+        delta = service.await_result(service.submit(COUNT_30, 0.2))
+        service.await_result(service.submit(COUNT_30, 0.2))
+        stats = service.stats()
+        assert (stats.delta_runs, stats.delta_hits, stats.warm_runs) == (1, 1, 3)
+        assert delta.effective_sample_size == delta.requested_sample_size
+        assert delta.cost.peers_visited < delta.requested_sample_size
+        assert built == {"engine": 0, "bound": 1, "walker": 1, "estimators": 1}
+
+
+WARM_CALL_CEILING = 290
 
 
 class TestWarmCallCeiling:
