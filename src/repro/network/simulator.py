@@ -243,7 +243,7 @@ class NetworkSnapshot:
             if rows is None:
                 rows = np.arange(self.topology.num_peers)
             self._cpu_speeds = _draw_cpu_speeds(
-                rows, np.random.SeedSequence(12345).spawn(1)[0]
+                rows, seed_sequence(12345).spawn(1)[0]
             )
         return self._cpu_speeds
 

@@ -70,6 +70,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from .. import _pool
+from .._util import Seed
 from ..core.groupby import GroupByEngine
 from ..core.median import MedianEngine
 from ..core.two_phase import (
@@ -153,8 +154,8 @@ class QueryJob:
     the job reaches any backend, so where the job executes cannot
     change what it computes.  Small and picklable by design: the
     snapshot never rides along, and the seeds travel as
-    ``SeedSequence``\\ s that become ``Generator``\\ s where they are
-    drawn from.
+    :func:`~repro._util.seed_sequence`'s seeds that become
+    ``Generator``\\ s where they are drawn from.
     """
 
     query_id: int
@@ -164,8 +165,8 @@ class QueryJob:
     sink: Optional[int]
     budget: Optional[CostBudget]
     deadline_ms: Optional[float]
-    session_seed: np.random.SeedSequence
-    engine_seed: np.random.SeedSequence
+    session_seed: Union[Seed, np.random.SeedSequence]
+    engine_seed: Union[Seed, np.random.SeedSequence]
     capture_trace: bool
 
 

@@ -12,11 +12,11 @@ heavy repeat traffic, not one query at a time):
   :class:`~repro.errors.AdmissionError` (backpressure) instead of
   growing an unbounded backlog.
 * **Per-query determinism.**  Every submission spawns its own RNG
-  streams — two ``SeedSequence`` children of the service seed, each
-  becoming a ``Generator`` where it is first drawn from — in
-  submission order: one seeds a
+  streams — two children of the service seed
+  (:func:`~repro._util.seed_sequence`), each becoming a ``Generator``
+  where it is first drawn from — in submission order: one seeds a
   private :meth:`~repro.network.simulator.NetworkSimulator.session`
-  (own sub-sampling RNG, own failure RNG, own fault clock), the other
+  (own sub-sampling RNG, own fault clock), the other
   the query's engine — the one its query names
   (:func:`~repro.service.backend.build_task`).  No query
   reads shared simulator randomness, so *any* interleaving of walker

@@ -17,9 +17,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.random.bit_generator import ISpawnableSeedSequence
 
 import repro._pool as pool
-from repro._util import ensure_rng
+from repro import _util
+from repro._util import Seed, ensure_rng
 from repro.core import two_phase
 from repro.core.groupby import GroupByEngine
 from repro.core.median import MedianEngine
@@ -610,9 +612,11 @@ def _fresh_seed(kind, entropy):
 
 
 class TestSeedSequences:
-    """A query's streams travel and wait as ``SeedSequence``\\ s and
-    become ``Generator``\\ s where they are drawn from — replaying the
-    streams the ``Generator.spawn`` form handed out, draw for draw."""
+    """A query's streams travel and wait as spawnable seeds (a
+    :class:`~repro._util.Seed` of the service's own, a caller's
+    ``SeedSequence``'s children as numpy spawns them) and become
+    ``Generator``\\ s where they are drawn from — replaying the streams
+    the ``Generator.spawn`` form handed out, draw for draw."""
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -647,7 +651,8 @@ class TestSeedSequences:
                 (job.session_seed, session_gen),
                 (job.engine_seed, engine_gen),
             ):
-                assert isinstance(seed, np.random.SeedSequence)
+                assert isinstance(seed, ISpawnableSeedSequence)
+                assert isinstance(seed, Seed) == (kind == "int")
                 assert seed.spawn_key == gen.bit_generator.seed_seq.spawn_key
                 assert seed.entropy == gen.bit_generator.seed_seq.entropy
 
@@ -725,7 +730,9 @@ class TestGeneratorCounts:
     ``Generator``\\ s, each built once, through ``ensure_rng``: a cold
     query builds its walk, visit-key, cross-validation and sink
     streams (4), a warm one its walk, visit-key and engine streams
-    (3).  Neither builds a session stream a clean query never reads."""
+    (3).  Neither builds a session stream a clean query never reads,
+    and a warm one constructs no numpy ``SeedSequence``: its seeds
+    are the service's :class:`~repro._util.Seed`\\ 's children."""
 
     def test_cold_and_warm_queries(self, small_network, monkeypatch):
         built = []
@@ -735,19 +742,32 @@ class TestGeneratorCounts:
             built.append(seed)
             return default_rng(seed)
 
+        sequences = []
+
+        class CountedSeedSequence(np.random.SeedSequence):
+            def __init__(self, *args, **kwargs):
+                sequences.append(args)
+                super().__init__(*args, **kwargs)
+
         monkeypatch.setattr(np.random, "default_rng", counting)
+        monkeypatch.setattr(_util, "SeedSequence", CountedSeedSequence)
         service = make_service(small_network, max_in_flight=1)
         cold = service.submit(COUNT_30, 0.1)
         service.await_result(cold)
         assert service.stats().cold_runs == 1
         assert len(built) == 4
-        assert all(isinstance(s, np.random.SeedSequence) for s in built)
+        assert all(isinstance(s, ISpawnableSeedSequence) for s in built)
 
         del built[:]
         warm = service.submit(COUNT_30, 0.1)
         service.await_result(warm)
         assert service.stats().warm_runs == 1
         assert len(built) == 3
+        assert all(isinstance(s, Seed) for s in built)
+        assert sequences == []
+        # The patch is live: an unseeded Seed draws its entropy there.
+        Seed()
+        assert len(sequences) == 1
 
 
 class TestEngineTheQueryNames:
@@ -1005,7 +1025,7 @@ class TestWarmBuildsNothing:
         assert built == {"engine": 0, "bound": 1, "walker": 1, "estimators": 1}
 
 
-WARM_CALL_CEILING = 290
+WARM_CALL_CEILING = 281
 
 
 class TestWarmCallCeiling:
