@@ -1,14 +1,11 @@
 """Tour of the extensions beyond the paper's core algorithm.
 
-The paper's §1 lists "medians, quantiles, histograms, and distinct
-values" as the statistics of interest, and §6 poses two open problems:
-hybrid pre-computed/online sampling, and biased sampling.  This example
-exercises all of them on one network:
+The paper's §6 poses two open problems: hybrid pre-computed/online
+sampling, and biased sampling.  This example exercises both on one
+network:
 
-1. histogram estimation with cross-validated phase-II sizing,
-2. distinct-value estimation (observed + Chao1),
-3. the hybrid plan cache amortizing repeated queries,
-4. probe-weighted biased sampling for a selective COUNT.
+1. the hybrid plan cache amortizing repeated queries,
+2. probe-weighted biased sampling for a selective COUNT.
 
 Run:  python examples/extensions_tour.py
 """
@@ -16,7 +13,6 @@ Run:  python examples/extensions_tour.py
 import numpy as np
 
 from repro.core.biased import biased_engine_for_query
-from repro.core.statistics import StatisticsEngine
 from repro.core.two_phase import PlanCache, TwoPhaseConfig, TwoPhaseEngine
 from repro.data.generator import DatasetConfig, generate_dataset
 from repro.network.generators import synthetic_paper_topology
@@ -42,34 +38,7 @@ def main() -> None:
           f"{dataset.num_tuples} tuples, Zipf skew 0.6\n")
 
     # ------------------------------------------------------------------
-    print("1. HISTOGRAM (10 equi-width buckets over the value domain)")
-    stats = StatisticsEngine(network, seed=21)
-    histogram = stats.histogram(
-        "A", num_buckets=10, value_range=(1, 100), delta_req=0.1, sink=0
-    )
-    true_counts, _ = np.histogram(dataset.values, bins=histogram.edges)
-    print("bucket      estimated       true")
-    for i in range(histogram.num_buckets):
-        lo, hi = histogram.edges[i], histogram.edges[i + 1]
-        print(f"[{lo:5.1f},{hi:6.1f})  {histogram.counts[i]:10.0f} "
-              f"{true_counts[i]:10d}")
-    tv = histogram.total_variation_distance(true_counts)
-    print(f"total-variation distance: {tv:.4f} "
-          f"(required <= {histogram.delta_req})")
-    print(f"cost: {histogram.cost.peers_visited} peers, "
-          f"{histogram.cost.bytes_sent} bytes shipped\n")
-
-    # ------------------------------------------------------------------
-    print("2. DISTINCT VALUES")
-    distinct = stats.distinct_values("A", sink=0)
-    truth = len(np.unique(dataset.values))
-    print(f"observed distinct: {distinct.observed}   "
-          f"Chao1 estimate: {distinct.chao1:.1f}   true: {truth}")
-    print(f"(singletons {distinct.singletons}, "
-          f"doubletons {distinct.doubletons})\n")
-
-    # ------------------------------------------------------------------
-    print("3. HYBRID PLAN CACHE (repeated dashboard query)")
+    print("1. HYBRID PLAN CACHE (repeated dashboard query)")
     query = parse_query(
         "SELECT COUNT(A) FROM T WHERE A BETWEEN 1 AND 30"
     )
@@ -91,7 +60,7 @@ def main() -> None:
           "repeat queries skip phase I and its analysis round-trip\n")
 
     # ------------------------------------------------------------------
-    print("4. BIASED SAMPLING (selective query: A BETWEEN 1 AND 2)")
+    print("2. BIASED SAMPLING (selective query: A BETWEEN 1 AND 2)")
     selective = parse_query(
         "SELECT COUNT(A) FROM T WHERE A BETWEEN 1 AND 2"
     )

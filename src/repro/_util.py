@@ -6,10 +6,10 @@ Seeding discipline
 Every stochastic component in this library accepts an integer seed, a
 :class:`numpy.random.SeedSequence` or a :class:`numpy.random.Generator`.
 :func:`ensure_rng` normalizes each into a ``Generator``.  Components
-that need several independent streams should call :func:`spawn` so
-sub-streams do not overlap — or spawn them from
-:func:`seed_sequence`, which hands out the same children without
-building a ``Generator`` nothing may draw from.
+that need several independent streams spawn them from
+:func:`seed_sequence`, which hands out the children
+``Generator.spawn`` would without building a ``Generator`` nothing may
+draw from.
 
 Every seed the package creates is a :class:`Seed`: numpy's
 ``SeedSequence`` with its mixing compiled (``seed_kernel.c`` in
@@ -41,7 +41,6 @@ __all__ = [
     "SeedLike",
     "ensure_rng",
     "seed_sequence",
-    "spawn",
     "shallow_copy",
     "readonly_view",
     "widened",
@@ -220,13 +219,6 @@ def seed_sequence(seed: SeedLike = None) -> Union[Seed, SeedSequence]:
     if isinstance(seed, (Seed, SeedSequence)):
         return seed
     return Seed(seed)
-
-
-def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Split ``rng`` into ``n`` statistically independent child streams."""
-    if n < 0:
-        raise ConfigurationError(f"cannot spawn {n} generators")
-    return list(rng.spawn(n))
 
 
 def shallow_copy(obj: _T) -> _T:

@@ -102,19 +102,14 @@ def observations_from_replies(
 
     The sink knows ``|E|`` (a pre-processing output the paper assumes
     all peers share) and each reply carries ``deg(s)``, so
-    ``prob(s) = deg(s) / 2|E|`` — or the self-inclusive variant
-    ``(deg(s)+1) / (2|E| + M)``, or the exactly-uniform ``1/M`` of the
-    Metropolis–Hastings walk; the latter two need ``num_peers``.
+    ``prob(s) = deg(s) / 2|E|`` — or the exactly-uniform ``1/M`` of
+    the Metropolis–Hastings walk, which needs ``num_peers``.
     """
     if num_edges <= 0:
         raise SamplingError("num_edges must be positive")
-    if variant in ("self-inclusive", "metropolis-uniform") and num_peers <= 0:
-        raise SamplingError(f"{variant} variant needs num_peers")
-    if variant == "self-inclusive":
-        return sample.with_probability(
-            (sample["degree"] + 1.0) / (2.0 * num_edges + num_peers)
-        )
     if variant == "metropolis-uniform":
+        if num_peers <= 0:
+            raise SamplingError(f"{variant} variant needs num_peers")
         return sample.with_probability(1.0 / num_peers)
     return sample.with_probability(sample["degree"] / (2.0 * num_edges))
 

@@ -11,8 +11,7 @@ Estimation applies the Hájek form of Equation 1 *per group* (a group
 absent at a peer contributes zero, which the estimator handles
 natively), and the cross-validation step mirrors the scalar algorithm
 with the total-variation distance between half-sample group vectors as
-the error — the same generalization the histogram engine uses, since a
-histogram is a GROUP BY over bucketized values.
+the error.
 """
 
 from __future__ import annotations

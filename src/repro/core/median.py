@@ -33,6 +33,7 @@ from .._util import weighted_median
 from ..errors import ConfigurationError, SamplingError
 from ..metrics.cost import CostLedger
 from ..network.protocol import ValueSample
+from ..network.visits import ValueVisits
 from ..query.model import AggregateOp, AggregationQuery
 from .result import MedianResult
 from .two_phase import (
@@ -151,11 +152,16 @@ class MedianEngine(
         self, sink: int, query: AggregationQuery, count: int,
         ledger: CostLedger, chunk_peers: Optional[int], phase: str,
     ) -> Generator[StepCheckpoint, None, ValueSample]:
-        """Steps 1–2: each visited peer ships its local median."""
-        return self._collect_values(
-            sink, query, count, ledger, chunk_peers, phase,
-            "median", query.to_sql(),
+        """Steps 1–2: each visited peer ships its local median, as one
+        :class:`ValueSample` with stationary probabilities attached."""
+        sample = yield from self._walk_and_visit(
+            count, ledger, chunk_peers, phase, query.to_sql(),
+            ValueVisits(
+                self._simulator, query, sink, self._config.tuples_per_peer,
+                seed=self._visit_rng,
+            ),
         )
+        return self._reweigh(sample)
 
     def _phase_estimate(
         self, query: AggregationQuery, sample: ValueSample

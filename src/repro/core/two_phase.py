@@ -22,7 +22,7 @@ distribution, so pooling is unbiased and strictly lowers variance);
 ``pool_phases=False`` reproduces the paper's literal phase-II-only
 estimate.
 
-The MEDIAN, histogram, GROUP BY and batch engines run this same loop,
+The MEDIAN, GROUP BY and batch engines run this same loop,
 :meth:`TwoPhaseEngine.run_stepwise`, each with the strategy for its
 query kind (``_PhasedEngine``), under one :class:`PhaseConfig`.
 
@@ -69,9 +69,9 @@ from numpy.typing import NDArray
 from .._util import SeedLike, ensure_rng, seed_sequence, shallow_copy
 from ..errors import ConfigurationError, SamplingError
 from ..metrics.cost import CostLedger, QueryCost
-from ..network.protocol import AggregateSample, ValueSample, WalkerProbe
+from ..network.protocol import AggregateSample, WalkerProbe
 from ..network.simulator import NetworkSimulator
-from ..network.visits import AggregateVisits, ValueVisits, Visits
+from ..network.visits import AggregateVisits, Visits
 from ..network.walker import (
     RandomWalkConfig,
     RandomWalker,
@@ -121,7 +121,7 @@ class StepCheckpoint:
     ----------
     engine:
         Which engine yielded (``"two-phase"``, ``"median"``,
-        ``"histogram"``, ``"group-by"`` or ``"batch"``).
+        ``"group-by"`` or ``"batch"``).
     phase:
         The phase the work belongs to: ``one``/``analysis``/``two``,
         or ``warm``/``delta`` for a phase I sized from a cached plan.
@@ -172,8 +172,8 @@ def drain_steps(
 @dataclasses.dataclass(frozen=True)
 class PhaseConfig:
     """The tunables every two-phase engine runs under (the paper's
-    predefined values): COUNT/SUM/AVG, MEDIAN/QUANTILE, GROUP BY,
-    histograms and batches alike.
+    predefined values): COUNT/SUM/AVG, MEDIAN/QUANTILE, GROUP BY and
+    batches alike.
 
     Attributes
     ----------
@@ -236,17 +236,11 @@ class PhaseConfig:
 class TwoPhaseConfig(PhaseConfig):
     """Tunables of the two-phase algorithm: the fields every two-phase
     engine runs under (``phase_one_peers`` … ``retry_policy``) and
-    these.  ``distinct_peers`` shapes every engine's walk; the others
-    are read by the COUNT/SUM/AVG and batch engines, and the rest run
+    these, read by the COUNT/SUM/AVG and batch engines; the rest run
     under them unread — so one config serves every query kind.
 
     Attributes
     ----------
-    distinct_peers:
-        Sample peers without replacement (the walk keeps going until
-        fresh peers are found).  The paper's theory assumes *with*
-        replacement; without-replacement is never worse statistically
-        but costs extra hops — exposed for ablations.
     sampling_method:
         Local sub-sampling flavour: ``"uniform"`` or ``"block"``.
     confidence:
@@ -261,7 +255,6 @@ class TwoPhaseConfig(PhaseConfig):
     sampling_method: str = "uniform"
     confidence: float = 0.95
     estimator: str = "hajek"
-    distinct_peers: bool = False
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -291,13 +284,6 @@ class TwoPhaseConfig(PhaseConfig):
         m = max(4, initial_sample_size // tuples_per_peer)
         return cls(
             phase_one_peers=m, tuples_per_peer=tuples_per_peer, **kwargs
-        )
-
-    def walk_config(self) -> RandomWalkConfig:
-        """The base's walk, without revisits under ``distinct_peers``
-        (built once per snapshot by a served engine)."""
-        return dataclasses.replace(
-            super().walk_config(), allow_revisits=not self.distinct_peers
         )
 
 
@@ -966,23 +952,6 @@ class _PhasedEngine(Generic[_C, _Q, _R]):
             if remaining <= 0:
                 return type(chunks[0]).concat(chunks)
 
-    def _collect_values(
-        self, sink: int, query: AggregationQuery, count: int,
-        ledger: CostLedger, chunk_peers: Optional[int], phase: str,
-        ship: str, query_text: str,
-    ) -> Generator[StepCheckpoint, None, ValueSample]:
-        """:meth:`_walk_and_visit` for the engines answering from
-        shipped values: what ``count`` peers ``ship``, as one
-        :class:`ValueSample` with stationary probabilities attached."""
-        sample = yield from self._walk_and_visit(
-            count, ledger, chunk_peers, phase, query_text,
-            ValueVisits(
-                self._simulator, query, sink, self._config.tuples_per_peer,
-                seed=self._visit_rng, ship=ship,
-            ),
-        )
-        return self._reweigh(sample)
-
     def _reweigh(self, sample: _S) -> _S:
         """``sample`` with the stationary probabilities of this
         engine's walk on its topology attached (what
@@ -1071,20 +1040,6 @@ class _PhasedEngine(Generic[_C, _Q, _R]):
             estimate, None,
         )
         return sample, PhaseReport.of_sample(sample, hops, estimate)
-
-    def _phase_one_only(
-        self, query: _Q, sink: Optional[int]
-    ) -> Tuple[Any, CostLedger]:
-        """Phase I alone, in one piece and on a fresh ledger, from
-        ``sink`` (a uniformly random peer when omitted): ``m`` peers'
-        replies and what they cost."""
-        if sink is None:
-            sink = int(self._rng.integers(self._simulator.num_peers))
-        ledger = self._simulator.new_ledger()
-        sample = drain_steps(self._collect(
-            sink, query, self._config.phase_one_peers, ledger, None, "one"
-        ))
-        return sample, ledger
 
     # ------------------------------------------------------------------
     # The algorithm
@@ -1280,7 +1235,12 @@ class TwoPhaseEngine(
         Useful for planner-focused experiments (Figures 4/5 report the
         planned sample sizes).
         """
-        sample, _ = self._phase_one_only(query, sink)
+        if sink is None:
+            sink = int(self._rng.integers(self._simulator.num_peers))
+        sample = drain_steps(self._collect(
+            sink, query, self._config.phase_one_peers,
+            self._simulator.new_ledger(), None, "one",
+        ))
         return self._analyze(query, sample, delta_req)[2]
 
     # ------------------------------------------------------------------

@@ -224,10 +224,6 @@ class CrashWindow:
                 f"window [{self.start}, {self.stop}) is empty"
             )
 
-    def covers(self, step: int) -> bool:
-        """Whether ``step`` falls inside the window."""
-        return self.start <= step < self.stop
-
 
 @dataclasses.dataclass(frozen=True)
 class RegionalOutage:

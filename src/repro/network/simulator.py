@@ -896,20 +896,18 @@ class NetworkSimulator:
         sink: int,
         ledger: CostLedger,
         tuples_per_peer: int = 0,
-        ship: str = "median",
         sampling_method: str = "uniform",
         seed: SeedLike = None,
     ) -> ValueSample:
         """The median/quantile visit (§5.6) of many peers, like
         :meth:`visit_aggregate_batch`: no push-down, each peer ships
-        the local quantile of its (sub-sampled) matching values
-        (``ship="median"``, the paper's median algorithm) or the values
-        themselves (``ship="sample"``).  The replies come back as one
+        the local quantile of its (sub-sampled) matching values (the
+        paper's median algorithm).  The replies come back as one
         :class:`ValueSample`, a row per peer."""
         return self.visit_batch(
             peer_ids,
             ValueVisits(
-                self, query, sink, tuples_per_peer, sampling_method, seed, ship
+                self, query, sink, tuples_per_peer, sampling_method, seed
             ),
             ledger,
         )

@@ -248,9 +248,8 @@ class PanelVisits(Visits[PanelSample]):
 @dataclasses.dataclass(eq=False)
 class ValueVisits(Visits[ValueSample]):
     """MEDIAN/quantile visits (§5.6): no push-down, so each peer ships
-    the local quantile of its matching values (``ship="median"``) or
-    the values themselves (``"sample"``) in a ``TupleReply`` sized by
-    what it ships.
+    the local quantile of its matching values in a ``TupleReply`` sized
+    by what it ships.
 
     A chunk goes through the named entry point
     (``visit_values_batch``), which the serving benchmark times.
@@ -258,11 +257,7 @@ class ValueVisits(Visits[ValueSample]):
 
     kind = "values"
 
-    ship: str = "median"
-
     def check(self) -> None:
-        if self.ship not in ("median", "sample"):
-            raise ConfigurationError(f"unknown ship mode {self.ship!r}")
         _check_tuples_per_peer(self.tuples_per_peer)
         _check_sampling_method(self.sampling_method)
 
@@ -282,7 +277,7 @@ class ValueVisits(Visits[ValueSample]):
         else:
             values = np.empty(0, dtype=column.dtype)
             shipped = np.zeros(peers.size, dtype=np.int64)
-        if self.ship == "median" and values.size:
+        if values.size:
             # quantile_fraction raises for non-quantile aggregates, so
             # it is consulted only when some peer has a value to ship.
             fraction = query.quantile_fraction
@@ -306,7 +301,7 @@ class ValueVisits(Visits[ValueSample]):
     def visit(self, peers: np.ndarray, ledger: CostLedger) -> ValueSample:
         return self.simulator.visit_values_batch(
             peers, self.query, sink=self.sink, ledger=ledger,
-            tuples_per_peer=self.tuples_per_peer, ship=self.ship,
+            tuples_per_peer=self.tuples_per_peer,
             sampling_method=self.sampling_method, seed=self.seed,
         )
 

@@ -19,7 +19,7 @@
 
 #include <stdint.h>
 
-enum { SIMPLE, LAZY, SELF_INCLUSIVE, METROPOLIS, WEIGHTED };
+enum { SIMPLE, METROPOLIS, WEIGHTED };
 
 /* Mirrored field for field by walk_kernel._Walk. */
 struct walk {
@@ -61,28 +61,6 @@ int64_t repro_walk(struct walk *walk)
             const int64_t *row = indices + indptr[current];
             double degree = (double)(indptr[current + 1] - indptr[current]);
             current = row[(int64_t)(*u * degree)];
-            EMIT()
-        }
-        break;
-    case LAZY:
-        for (; u < end; u++) {
-            double r = *u;
-            if (r >= 0.5) {
-                const int64_t *row = indices + indptr[current];
-                double degree =
-                    (double)(indptr[current + 1] - indptr[current]);
-                r = (r - 0.5) * 2.0;
-                current = row[(int64_t)(r * degree)];
-            }
-            EMIT()
-        }
-        break;
-    case SELF_INCLUSIVE:
-        for (; u < end; u++) {
-            int64_t degree = indptr[current + 1] - indptr[current];
-            int64_t pick = (int64_t)(*u * ((double)degree + 1.0));
-            if (pick < degree)
-                current = indices[indptr[current] + pick];
             EMIT()
         }
         break;

@@ -83,11 +83,9 @@ _walk = bind("repro_walk", _Walk)
 # The C loop's variant codes (the enum in walk_kernel.c).
 _VARIANTS = {
     "simple": 0,
-    "lazy": 1,
-    "self-inclusive": 2,
-    "metropolis-uniform": 3,
+    "metropolis-uniform": 1,
 }
-_WEIGHTED = 4
+_WEIGHTED = 2
 
 # Uniforms per RNG draw.  A constant, not an option: splitting a draw
 # never changes the stream, it only bounds the buffer a long walk

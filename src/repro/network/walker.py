@@ -13,14 +13,6 @@ Walk variants
 ``"simple"``
     Uniform over neighbors.  Stationary distribution ``deg/2|E|`` —
     the distribution in the paper's formulas.
-``"lazy"``
-    With probability 1/2 stay put, else move to a uniform neighbor.
-    Same stationary distribution, but aperiodic even on bipartite
-    graphs; the classic fix when convergence is in doubt.
-``"self-inclusive"``
-    Uniform over neighbors *and itself* (the paper's "self loops are
-    allowed" phrasing taken literally).  Stationary distribution
-    ``(deg+1) / (2|E| + M)``.
 ``"metropolis-uniform"``
     Metropolis–Hastings correction: propose a uniform neighbor ``v``
     and accept with ``min(1, deg(u)/deg(v))``, else stay.  Stationary
@@ -45,7 +37,6 @@ from typing import (
     Dict,
     List,
     Optional,
-    Set,
     Tuple,
     TypeVar,
 )
@@ -85,7 +76,7 @@ __all__ = [
     "ResilientCollector",
 ]
 
-_VARIANTS = ("simple", "lazy", "self-inclusive", "metropolis-uniform")
+_VARIANTS = ("simple", "metropolis-uniform")
 
 
 def _emit_walk(result: WalkResult) -> WalkResult:
@@ -114,17 +105,13 @@ class RandomWalkConfig:
         the sink.  The paper folds this into the fixed walk length; we
         expose it separately (default: one jump's worth).
     variant:
-        One of ``"simple"``, ``"lazy"``, ``"self-inclusive"``.
-    allow_revisits:
-        Peers may be selected multiple times (sampling with
-        replacement).  The paper's derivations assume replacement;
-        disabling it is available for ablations.
+        ``"simple"`` or ``"metropolis-uniform"``.  Either way peers are
+        selected with replacement, as the paper's derivations assume.
     """
 
     jump: int = 10
     burn_in: Optional[int] = None
     variant: str = "simple"
-    allow_revisits: bool = True
 
     def __post_init__(self) -> None:
         if self.jump < 0:
@@ -182,28 +169,19 @@ class WalkCursor:
 
     Obtained from :meth:`RandomWalker.cursor`.  Each :meth:`take` call
     continues the *same* walk where the previous call left off:
-    burn-in happens exactly once (before the first selection), the
-    distinct-peer filter spans all takes, and the walker RNG is
-    consumed in exactly the same order as a single
+    burn-in happens exactly once (before the first selection), and the
+    walker RNG is consumed in exactly the same order as a single
     :meth:`RandomWalker.sample_peers` call for the combined count.
     ``cursor.take(a)`` followed by ``cursor.take(b)`` therefore selects
     bit-identically the peers ``sample_peers(start, a + b)`` would —
     which is what lets a query service interleave walker steps from
     many in-flight queries without perturbing any of them.
-
-    The per-take hop budget mirrors the single-shot budget: generous
-    enough that it only trips on pathologically small graphs in
-    distinct-peer mode.
     """
 
-    def __init__(
-        self, start: int, kernel: WalkKernel, config: RandomWalkConfig
-    ):
+    def __init__(self, start: int, kernel: WalkKernel):
         self._start = start
         self._kernel = kernel
-        self._config = config
         self._current = start
-        self._seen: Set[int] = set()
         self._started = False
         self._total_hops = 0
         self._total_selected = 0
@@ -246,46 +224,16 @@ class WalkCursor:
                     start=self._start,
                 )
             )
-        if self._config.allow_revisits:
-            peers, hops = self._kernel.take(
-                self._current, count, not self._started
-            )
-            self._started = True
-            self._current = int(peers[-1])
-        else:
-            selected, hops = self._take_distinct(count)
-            peers = np.asarray(selected, dtype=np.int64)
+        peers, hops = self._kernel.take(
+            self._current, count, not self._started
+        )
+        self._started = True
+        self._current = int(peers[-1])
         self._total_hops += hops
         self._total_selected += count
         return _emit_walk(
             WalkResult(peers=peers, hops=hops, start=self._start)
         )
-
-    def _take_distinct(self, count: int) -> Tuple[List[int], int]:
-        """The same walk taken one selection at a time, keeping only
-        peers no earlier selection of this cursor returned.  A take of
-        one selection is the endpoint of one segment: the burn-in
-        first (zero hops selects the start), one jump after that."""
-        jump = self._config.effective_jump
-        burn_in = 0 if self._started else self._config.effective_burn_in
-        hop_budget = burn_in + 1000 * jump * count + 10_000
-        selected: List[int] = []
-        hops = 0
-        while len(selected) < count:
-            segment_hops = jump if self._started else burn_in
-            peer = self._kernel.advance(self._current, segment_hops)
-            self._started = True
-            self._current = peer
-            hops += segment_hops
-            if peer not in self._seen:
-                selected.append(peer)
-                self._seen.add(peer)
-            elif hops > hop_budget:
-                raise TopologyError(
-                    f"walk could not find {count} distinct peers within "
-                    f"{hop_budget} hops (graph too small?)"
-                )
-        return selected, hops
 
 
 class RandomWalker:
@@ -336,19 +284,11 @@ class RandomWalker:
 
     def stationary_probabilities(self) -> np.ndarray:
         """Per-peer stationary probability for the configured variant."""
-        degrees = self._topology.degrees.astype(float)
-        if self._config.variant == "self-inclusive":
-            total = 2.0 * self._topology.num_edges + self._topology.num_peers
-            return (degrees + 1.0) / total
         if self._config.variant == "metropolis-uniform":
             return np.full(
                 self._topology.num_peers, 1.0 / self._topology.num_peers
             )
         return self._topology.stationary_distribution()
-
-    def stationary_probability(self, peer: int) -> float:
-        """Stationary probability of one peer for this variant."""
-        return float(self.stationary_probabilities()[peer])
 
     # ------------------------------------------------------------------
     # Core stepping
@@ -413,16 +353,14 @@ class RandomWalker:
         chunked collection is bit-identical to single-shot collection.
         """
         self._check_start(start)
-        return WalkCursor(start, self._kernel, self._config)
+        return WalkCursor(start, self._kernel)
 
     def sample_peers(self, start: int, count: int) -> WalkResult:
         """Select ``count`` peers by walking with the configured jump.
 
         This is the paper's phase-I/II walk: after ``burn_in`` hops,
         every ``jump``-th visited peer is added to the sample until
-        ``count`` peers have been selected.  With ``allow_revisits``
-        disabled, hops continue until ``count`` *distinct* peers are
-        found (bounded by a generous hop budget).  Implemented as a
+        ``count`` peers have been selected.  Implemented as a
         single-take :class:`WalkCursor`.
         """
         return self.cursor(start).take(count)
@@ -497,11 +435,6 @@ class WeightedMetropolisWalker(RandomWalker):
             raise ConfigurationError("weights must be positive and finite")
         self._weights = weights.copy()
         self._weight_total = float(weights.sum())
-
-    @property
-    def weights(self) -> np.ndarray:
-        """The (unnormalized) target weights."""
-        return self._weights.copy()
 
     def stationary_probabilities(self) -> np.ndarray:
         """``w(p) / sum(w)`` — the walk's exact stationary law."""
@@ -637,11 +570,6 @@ class ResilientCollector:
         self._walker = walker
         self._simulator = simulator
         self._policy = policy or RetryPolicy()
-
-    @property
-    def policy(self) -> RetryPolicy:
-        """The retry policy in effect."""
-        return self._policy
 
     # ------------------------------------------------------------------
 

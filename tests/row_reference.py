@@ -12,29 +12,22 @@ loop form of the cross-validation (:func:`cross_validate`: one pair of
 array program in ``repro.core.crossval`` is compared against bit for
 bit.
 
-The values engines get the same treatment.  Their sample is a
+The median engine gets the same treatment.  Its sample is a
 :class:`repro.network.protocol.ValueSample` (every shipped value in one
-flat array); the forms it replaced are kept below — one
+flat array); the form it replaced is kept below — one
 :class:`MedianObservation` per local median with the median engine's
-weighted quantile and halving loop, one :class:`PeerValueSample` per
-visited peer with the histogram's per-peer bucket loop, Chao1 over the
-concatenated samples, and the statistics engine's collection as one
-``visit_oracle.oracle_visit_values`` call per walked peer (the former
-scalar ``visit_values``).
+weighted quantile and halving loop.
 """
 
 import math
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
 from repro._util import ensure_rng, weighted_median
 from repro.core.median import weighted_rank_fraction
-from repro.errors import PeerUnavailableError, SamplingError
-from repro.network.protocol import AggregateSample, WalkerProbe
-from repro.query.model import AggregateOp, AggregationQuery
-
-from . import visit_oracle
+from repro.errors import SamplingError
+from repro.network.protocol import AggregateSample
 
 
 class Row(NamedTuple):
@@ -182,98 +175,3 @@ def rank_error(observations, fraction, rounds, rng):
         )
         squared.append(displacement**2)
     return float(math.sqrt(np.mean(squared)))
-
-
-class PeerValueSample(NamedTuple):
-    """One visited peer's raw value sample."""
-
-    peer_id: int
-    values: np.ndarray
-    probability: float
-    local_tuples: int
-    processed_tuples: int
-
-    def bucket_aggregate(self, edges):
-        """Scaled per-bucket counts ``y_b(s)`` for this peer."""
-        if self.processed_tuples == 0:
-            return np.zeros(edges.size - 1)
-        counts, _ = np.histogram(self.values, bins=edges)
-        scale = self.local_tuples / self.processed_tuples
-        return counts.astype(float) * scale
-
-
-def peer_value_samples(replies, probabilities) -> List[PeerValueSample]:
-    return [
-        PeerValueSample(
-            reply.source,
-            np.asarray(reply.values, dtype=float),
-            float(probabilities[reply.source]),
-            reply.local_tuples,
-            reply.processed_tuples,
-        )
-        for reply in replies
-    ]
-
-
-def collect_value_samples(engine, sink, column, predicate, count, ledger):
-    """The statistics engine's collection, one scalar visit per walked
-    peer (a lost reply shrinks the list); returns ``(samples, hops)``."""
-    query = AggregationQuery(
-        agg=AggregateOp.MEDIAN, column=column, predicate=predicate
-    )
-    walk = engine._walker.sample_peers(sink, count)
-    probe = WalkerProbe(
-        source=sink, destination=sink, sink=sink,
-        query_text=f"HISTOGRAM({column})",
-        tuples_per_peer=engine.config.tuples_per_peer,
-    )
-    engine._simulator.walk_hops(
-        walk.hops, ledger, message_bytes=probe.size_bytes()
-    )
-    replies = []
-    for peer in walk.peers:
-        try:
-            replies.append(
-                visit_oracle.oracle_visit_values(
-                    engine._simulator, int(peer), query, sink=sink,
-                    ledger=ledger,
-                    tuples_per_peer=engine.config.tuples_per_peer,
-                    ship="sample", seed=engine._visit_rng,
-                )
-            )
-        except PeerUnavailableError:
-            continue
-    probabilities = engine._walker.stationary_probabilities()
-    return peer_value_samples(replies, probabilities), walk.hops
-
-
-def histogram_estimate(samples, edges):
-    """Hájek per-bucket mean over the peer samples, accumulated one
-    peer at a time."""
-    if not samples:
-        raise SamplingError("no samples collected")
-    weighted = np.zeros(edges.size - 1)
-    weight_total = 0.0
-    for sample in samples:
-        weight = 1.0 / sample.probability
-        weighted += sample.bucket_aggregate(edges) * weight
-        weight_total += weight
-    return weighted / weight_total
-
-
-def distinct(samples) -> Tuple[int, float, int, int]:
-    """``(observed, chao1, singletons, doubletons)`` of the values the
-    samples shipped."""
-    gathered = [s.values for s in samples if s.values.size]
-    values = np.concatenate(gathered) if gathered else np.zeros(0)
-    _, counts = np.unique(values, return_counts=True)
-    observed = int(counts.size)
-    singletons = int(np.count_nonzero(counts == 1))
-    doubletons = int(np.count_nonzero(counts == 2))
-    if doubletons > 0:
-        chao1 = observed + singletons**2 / (2.0 * doubletons)
-    elif singletons > 0:
-        chao1 = observed + singletons * (singletons - 1) / 2.0
-    else:
-        chao1 = float(observed)
-    return observed, float(chao1), singletons, doubletons

@@ -17,7 +17,9 @@ from repro.experiments.configs import synthetic_bundle
 from repro.experiments.runner import run_trials
 from repro.network.faults import FaultPlan
 from repro.network.simulator import NetworkSimulator
+from repro.network.visits import GroupVisits
 from repro.query.model import AggregateOp, AggregationQuery, Comparison
+from repro.query.parser import parse_query
 
 from . import visit_oracle
 
@@ -119,38 +121,14 @@ def test_values_batch_matches_scalar(small_network):
     loop = [
         visit_oracle.oracle_visit_values(
             small_network, int(peer), query, sink=SINK, ledger=ledger_loop,
-            tuples_per_peer=25, ship="median", seed=loop_rng,
+            tuples_per_peer=25, seed=loop_rng,
         )
         for peer in peers
     ]
     ledger_batch = small_network.new_ledger()
     batch = small_network.visit_values_batch(
         peers, query, sink=SINK, ledger=ledger_batch,
-        tuples_per_peer=25, ship="median",
-        seed=np.random.default_rng(4),
-    )
-    assert loop == list(batch)
-    assert ledger_loop.snapshot() == ledger_batch.snapshot()
-
-
-def test_values_batch_ship_sample(small_network):
-    """``ship="sample"`` (raw values) is equivalent too."""
-    query = _query(AggregateOp.COUNT)
-    peers = _random_peers(small_network, 30, seed=10)
-    ledger_loop = small_network.new_ledger()
-    loop_rng = np.random.default_rng(11)
-    loop = [
-        visit_oracle.oracle_visit_values(
-            small_network, int(peer), query, sink=SINK, ledger=ledger_loop,
-            tuples_per_peer=10, ship="sample", seed=loop_rng,
-        )
-        for peer in peers
-    ]
-    ledger_batch = small_network.new_ledger()
-    batch = small_network.visit_values_batch(
-        peers, query, sink=SINK, ledger=ledger_batch,
-        tuples_per_peer=10, ship="sample",
-        seed=np.random.default_rng(11),
+        tuples_per_peer=25, seed=np.random.default_rng(4),
     )
     assert loop == list(batch)
     assert ledger_loop.snapshot() == ledger_batch.snapshot()
@@ -278,7 +256,7 @@ SIZES = [40, 7, 25, 0, 26, 40]  # t = 25 sub-samples peers 0, 4 and 5
 @pytest.fixture()
 def row_index_network():
     """Six peers whose column ``A`` is the local row index, so a
-    ``ship="sample"`` values visit ships the rows it sub-sampled."""
+    ``GROUP BY A`` visit ships the rows it sub-sampled as its groups."""
     from repro.data.localdb import LocalDatabase
     from repro.network.topology import Topology
 
@@ -305,8 +283,8 @@ def test_batch_draws_one_double_per_subsampled_row(row_index_network):
     assert_uniforms_consumed(rng, 77, 40 + 26 + 40)
     # seed=None draws from the simulator's own stream, the same way.
     network.visit_values_batch(
-        [5, 1, 0], query, SINK, network.new_ledger(),
-        tuples_per_peer=25, ship="sample",
+        [5, 1, 0], AggregationQuery(agg=AggregateOp.MEDIAN, column="A"),
+        SINK, network.new_ledger(), tuples_per_peer=25,
     )
     assert_uniforms_consumed(network._rng, 12, 40 + 40)
 
@@ -314,13 +292,17 @@ def test_batch_draws_one_double_per_subsampled_row(row_index_network):
 def test_batch_int_seed_gives_equal_sized_peers_equal_rows(row_index_network):
     """An int seed re-seeds per visit: every sub-sampled peer ranks the
     first ``n_i`` doubles of the same freshly seeded stream."""
-    query = AggregationQuery(agg=AggregateOp.MEDIAN, column="A")
+    visits = GroupVisits(
+        row_index_network, parse_query("SELECT COUNT(A) FROM T GROUP BY A"),
+        SINK, tuples_per_peer=25, seed=5,
+    )
+    sample = row_index_network.visit_batch(
+        np.arange(len(SIZES)), visits, row_index_network.new_ledger()
+    )
+    groups = np.split(sample.values[:, 0], np.cumsum(sample["shipped"])[:-1])
     shipped = {
-        reply.source: reply.values
-        for reply in row_index_network.visit_values_batch(
-            np.arange(len(SIZES)), query, SINK, row_index_network.new_ledger(),
-            tuples_per_peer=25, ship="sample", seed=5,
-        )
+        int(peer): tuple(rows.tolist())
+        for peer, rows in zip(sample["source"], groups)
     }
     keys = np.random.default_rng(5).random(40)
     for peer, size in enumerate(SIZES):

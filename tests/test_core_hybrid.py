@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from repro.core.batch import BatchEngine
 from repro.core.groupby import GroupByConfig, GroupByEngine
 from repro.core.median import MedianConfig, MedianEngine
-from repro.core.statistics import StatisticsConfig, StatisticsEngine
 from repro.core.two_phase import (
     PLAN_CACHE_ENTRIES,
     CachedPlan,
@@ -738,10 +737,6 @@ def _fields(result):
     }
 
 
-def _histogram(engine, sink):
-    return engine.histogram("A", num_buckets=5, delta_req=0.2, sink=sink)
-
-
 class TestEveryEnginePlans:
     """Any engine given a cache serves a repeated signature warm: a
     plan-sized phase I whose own analysis refreshes the plan, no phase
@@ -755,10 +750,6 @@ class TestEveryEnginePlans:
         "group-by": (
             GroupByEngine, GroupByConfig(max_phase_two_peers=200),
             lambda engine, sink: engine.execute(GROUPED, 0.1, sink=sink),
-        ),
-        "histogram": (
-            StatisticsEngine, StatisticsConfig(max_phase_two_peers=200),
-            _histogram,
         ),
     }
 

@@ -1,7 +1,7 @@
 """Every two-phase engine runs one stepwise loop, and chunking it
 changes nothing.
 
-COUNT/SUM/AVG, MEDIAN, histograms, GROUP BY and query panels all run
+COUNT/SUM/AVG, MEDIAN, GROUP BY and query panels all run
 :meth:`TwoPhaseEngine.run_stepwise`'s phase I → analysis → phase II
 loop.  Draining ``run_stepwise(chunk_peers=c)`` must give what
 ``execute()`` gives — the result, its ledger, every phase and estimate
@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 from repro.core.batch import BatchEngine
 from repro.core.groupby import GroupByConfig, GroupByEngine
 from repro.core.median import MedianConfig, MedianEngine
-from repro.core.statistics import StatisticsConfig, StatisticsEngine, _Histogram
 from repro.core.two_phase import TwoPhaseConfig, TwoPhaseEngine, drain_steps
 from repro.data.generator import DatasetConfig, generate_dataset
 from repro.metrics.cost import QueryCost
@@ -58,13 +57,6 @@ ENGINES = {
         ),
         parse_query("SELECT MEDIAN(A) FROM T"),
         0.1,
-    ),
-    "histogram": (
-        lambda network, seed, retry: StatisticsEngine(
-            network, StatisticsConfig(max_phase_two_peers=60), seed=seed
-        ),
-        _Histogram(parse_query("SELECT MEDIAN(A) FROM T"), 5, None),
-        0.05,
     ),
     "group-by": (
         lambda network, seed, retry: GroupByEngine(

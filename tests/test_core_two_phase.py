@@ -62,10 +62,10 @@ class TestTwoPhaseConfig:
             TwoPhaseConfig.from_initial_sample_size(100, tuples_per_peer=0)
 
     def test_walk_config(self):
-        config = TwoPhaseConfig(jump=7, walk_variant="lazy")
+        config = TwoPhaseConfig(jump=7, walk_variant="metropolis-uniform")
         walk = config.walk_config()
         assert walk.jump == 7
-        assert walk.variant == "lazy"
+        assert walk.variant == "metropolis-uniform"
 
 
 class TestExecution:
@@ -218,10 +218,10 @@ class TestExecution:
         assert analysis.estimate > 0
         assert analysis.plan.tuples_per_peer == 25
 
-    def test_self_inclusive_variant_still_accurate(
+    def test_metropolis_uniform_variant_still_accurate(
         self, small_network, small_dataset
     ):
-        config = TwoPhaseConfig(walk_variant="self-inclusive")
+        config = TwoPhaseConfig(walk_variant="metropolis-uniform")
         engine = TwoPhaseEngine(small_network, config=config, seed=12)
         result = engine.execute(COUNT_30, delta_req=0.1, sink=0)
         truth = evaluate_exact(COUNT_30, small_dataset.databases)
@@ -254,15 +254,7 @@ class TestStatisticalGuarantee:
         assert within >= runs - 2
 
 
-class TestDistinctPeersAndRiskFlag:
-    def test_distinct_peers_mode(self, small_network):
-        config = TwoPhaseConfig(distinct_peers=True, max_phase_two_peers=50)
-        engine = TwoPhaseEngine(small_network, config=config, seed=21)
-        result = engine.execute(COUNT_30, delta_req=0.1, sink=0)
-        assert result.estimate > 0
-        # With replacement disabled, phase I visits 40 distinct peers.
-        assert result.cost.distinct_peers >= 40
-
+class TestRiskFlag:
     def test_accuracy_at_risk_flag(self, small_network):
         config = TwoPhaseConfig(max_phase_two_peers=1)
         engine = TwoPhaseEngine(small_network, config=config, seed=22)

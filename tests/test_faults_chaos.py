@@ -19,8 +19,8 @@ the exact same failures.
 import numpy as np
 import pytest
 
+from repro.core.groupby import GroupByEngine
 from repro.core.median import MedianConfig, MedianEngine
-from repro.core.statistics import StatisticsEngine
 from repro.core.two_phase import TwoPhaseConfig, TwoPhaseEngine
 from repro.errors import ReproError
 from repro.sampling.baselines import BFSEngine
@@ -330,12 +330,12 @@ class TestEnginesUnderLoss:
         truth = evaluate_exact(self.MEDIAN_ALL, small_dataset.databases)
         assert abs(result.estimate - truth) <= 15
 
-    def test_statistics_survive(self, lossy_network):
-        engine = StatisticsEngine(lossy_network, seed=5)
-        result = engine.histogram(
-            "A", num_buckets=5, value_range=(1, 100), sink=0
+    def test_group_by_survives(self, lossy_network):
+        engine = GroupByEngine(lossy_network, seed=5)
+        result = engine.execute(
+            parse_query("SELECT COUNT(A) FROM T GROUP BY A"), 0.2, sink=0
         )
-        assert result.total_estimate > 0
+        assert result.total > 0
 
     def test_bfs_survives(self, lossy_network):
         engine = BFSEngine(lossy_network, seed=6)

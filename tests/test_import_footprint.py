@@ -22,11 +22,11 @@ it may cost:
   every aggregate kind never imports the extensions and baselines it
   does not call.  Checked in its own fresh interpreter, since the
   scipy check above imports :mod:`repro.network.spectral` on purpose.
-* Every module under ``src/repro`` is run by something: read from the
-  source with :mod:`ast`, the imports reachable from the package, the
-  service, the figure CLI, the tools, the examples, ``bench/`` and
-  ``benchmarks/`` cover the whole tree.  A module only its own tests
-  import fails here by name.
+* Every module under ``src/repro`` is run by something that serves,
+  plots or benchmarks: read from the source with :mod:`ast`, the
+  imports reachable from the package, the service, the figure CLI, the
+  tools, ``bench/`` and ``benchmarks/`` cover the whole tree.  A module
+  only its own tests or an example import fails here by name.
 """
 
 import ast
@@ -138,7 +138,6 @@ def test_serving_loads_neither_scipy_nor_networkx():
 UNUSED_BY_SERVING = (
     "repro.core.batch",
     "repro.core.biased",
-    "repro.core.statistics",
     "repro.metrics.accuracy",
     "repro.network.churn",
     "repro.network.live",
@@ -294,7 +293,10 @@ def test_every_module_is_reached():
     }
     roots = {"repro", "repro.service", "repro.experiments.__main__"}
     roots |= {name for name in modules if name.startswith("repro.tools.")}
-    for directory in ("examples", "bench", "benchmarks"):
+    # Examples are not callers: they demonstrate code and decide
+    # nothing, so a module only an example runs is served, plotted and
+    # benchmarked by nobody.
+    for directory in ("bench", "benchmarks"):
         for path in (REPO / directory).glob("*.py"):
             roots |= _imported(path, f"{directory}.{path.stem}")
     reached = roots & modules.keys()

@@ -190,11 +190,6 @@ class TestVisitValues:
         assert len(reply.values) == 1
         assert reply.values[0] == pytest.approx(2.5)
 
-    def test_sample_ship(self, mini_network):
-        query = AggregationQuery(agg=AggregateOp.MEDIAN, column="A")
-        reply = _visit_values(mini_network, query, ship="sample")
-        assert sorted(reply.values) == [1.0, 2.0, 3.0, 4.0]
-
     def test_empty_selection_ships_nothing(self, mini_network):
         query = AggregationQuery(
             agg=AggregateOp.MEDIAN, column="A",
@@ -209,26 +204,6 @@ class TestVisitValues:
         )
         reply = _visit_values(mini_network, query)
         assert reply.values[0] == pytest.approx(1.75)
-
-    def test_unknown_ship_mode(self, mini_network):
-        query = AggregationQuery(agg=AggregateOp.MEDIAN, column="A")
-        with pytest.raises(ConfigurationError):
-            _visit_values(mini_network, query, ship="teleport")
-
-    def test_bandwidth_scales_with_shipment(self, mini_network):
-        query = AggregationQuery(agg=AggregateOp.MEDIAN, column="A")
-        ledger_median = mini_network.new_ledger()
-        _visit_values(
-            mini_network, query, ledger=ledger_median, ship="median"
-        )
-        ledger_sample = mini_network.new_ledger()
-        _visit_values(
-            mini_network, query, ledger=ledger_sample, ship="sample"
-        )
-        assert (
-            ledger_sample.snapshot().bytes_sent
-            > ledger_median.snapshot().bytes_sent
-        )
 
 
 class TestFlood:

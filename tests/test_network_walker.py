@@ -52,8 +52,10 @@ class TestRandomWalkConfig:
             RandomWalkConfig(burn_in=-1)
 
     def test_unknown_variant_rejected(self):
-        with pytest.raises(ConfigurationError):
-            RandomWalkConfig(variant="teleport")
+        """Two walk laws: the paper's and the uniform Metropolis one."""
+        for variant in ("teleport", "lazy", "self-inclusive"):
+            with pytest.raises(ConfigurationError):
+                RandomWalkConfig(variant=variant)
 
 
 class TestWalkMechanics:
@@ -83,26 +85,6 @@ class TestWalkMechanics:
         walker = RandomWalker(tiny_topology, seed=2)
         with pytest.raises(ConfigurationError):
             walker.trace(0, -1)
-
-    def test_lazy_walk_can_stay(self, tiny_topology):
-        walker = RandomWalker(
-            tiny_topology, RandomWalkConfig(variant="lazy"), seed=3
-        )
-        trace = walker.trace(0, 100)
-        stays = sum(
-            1 for a, b in zip(trace[:-1], trace[1:]) if a == b
-        )
-        assert stays > 20  # expect ~50
-
-    def test_self_inclusive_walk_can_stay(self, tiny_topology):
-        walker = RandomWalker(
-            tiny_topology,
-            RandomWalkConfig(variant="self-inclusive"),
-            seed=3,
-        )
-        trace = walker.trace(4, 100)
-        stays = sum(1 for a, b in zip(trace[:-1], trace[1:]) if a == b)
-        assert stays > 10  # leaf stays w.p. 1/2
 
     def test_simple_walk_never_stays(self, tiny_topology):
         walker = RandomWalker(tiny_topology, seed=3)
@@ -170,18 +152,6 @@ class TestSamplePeers:
         result = walker.sample_peers(0, 50)
         assert result.distinct_peers < 50  # only 5 peers exist
 
-    def test_distinct_mode(self, small_topology):
-        config = RandomWalkConfig(jump=2, allow_revisits=False)
-        walker = RandomWalker(small_topology, config, seed=4)
-        result = walker.sample_peers(0, 30)
-        assert result.distinct_peers == 30
-
-    def test_distinct_mode_impossible_raises(self, tiny_topology):
-        config = RandomWalkConfig(jump=1, allow_revisits=False)
-        walker = RandomWalker(tiny_topology, config, seed=4)
-        with pytest.raises(TopologyError):
-            walker.sample_peers(0, 10)  # only 5 peers exist
-
     def test_walk_result_is_reproducible(self, small_topology):
         a = RandomWalker(small_topology, seed=9).sample_peers(0, 20)
         b = RandomWalker(small_topology, seed=9).sample_peers(0, 20)
@@ -196,41 +166,12 @@ class TestStationaryDistribution:
             small_topology.stationary_distribution(),
         )
 
-    def test_self_inclusive_distribution(self, tiny_topology):
-        walker = RandomWalker(
-            tiny_topology,
-            RandomWalkConfig(variant="self-inclusive"),
-            seed=1,
-        )
-        pi = walker.stationary_probabilities()
-        expected = (tiny_topology.degrees + 1) / (2 * 5 + 5)
-        np.testing.assert_allclose(pi, expected)
-        assert pi.sum() == pytest.approx(1.0)
-
     def test_empirical_convergence_simple(self, tiny_topology):
         """After many hops the endpoint distribution approaches
         deg/2|E| (statistical, fixed seed)."""
         walker = RandomWalker(tiny_topology, seed=100)
         empirical = walker.empirical_distribution(0, walks=4000, hops=25)
         expected = tiny_topology.stationary_distribution()
-        np.testing.assert_allclose(empirical, expected, atol=0.035)
-
-    def test_empirical_convergence_lazy(self, tiny_topology):
-        walker = RandomWalker(
-            tiny_topology, RandomWalkConfig(variant="lazy"), seed=100
-        )
-        empirical = walker.empirical_distribution(0, walks=4000, hops=50)
-        expected = tiny_topology.stationary_distribution()
-        np.testing.assert_allclose(empirical, expected, atol=0.035)
-
-    def test_empirical_convergence_self_inclusive(self, tiny_topology):
-        walker = RandomWalker(
-            tiny_topology,
-            RandomWalkConfig(variant="self-inclusive"),
-            seed=100,
-        )
-        empirical = walker.empirical_distribution(0, walks=4000, hops=50)
-        expected = walker.stationary_probabilities()
         np.testing.assert_allclose(empirical, expected, atol=0.035)
 
     def test_endpoint_after(self, small_topology):
@@ -320,10 +261,9 @@ class TestWalkCursor:
         [
             RandomWalkConfig(jump=10),
             RandomWalkConfig(jump=3, variant="metropolis-uniform"),
-            RandomWalkConfig(jump=5, allow_revisits=False),
             RandomWalkConfig(jump=0, burn_in=0),
         ],
-        ids=["simple", "metropolis", "distinct", "dfs"],
+        ids=["simple", "metropolis", "dfs"],
     )
     def test_chunked_takes_equal_one_walk(self, small_topology, config):
         whole = RandomWalker(small_topology, config, seed=21)
@@ -355,14 +295,6 @@ class TestWalkCursor:
         cursor = RandomWalker(small_topology, seed=5).cursor(0)
         with pytest.raises(ConfigurationError):
             cursor.take(-1)
-
-    def test_distinct_mode_spans_takes(self, small_topology):
-        config = RandomWalkConfig(jump=4, allow_revisits=False)
-        cursor = RandomWalker(small_topology, config, seed=9).cursor(0)
-        seen = []
-        for count in (6, 6, 6):
-            seen.extend(cursor.take(count).peers)
-        assert len(seen) == len(set(seen)) == 18
 
     def test_progress_properties(self, small_topology):
         cursor = RandomWalker(small_topology, seed=5).cursor(7)
@@ -401,10 +333,6 @@ REJECTED_COLLECTIONS = {
     "values-method": (
         "collect_values", MEDIAN_ALL, {"sampling_method": "bogus"},
         "unknown sampling method 'bogus'",
-    ),
-    "values-ship": (
-        "collect_values", MEDIAN_ALL, {"ship": "bogus"},
-        "unknown ship mode 'bogus'",
     ),
 }
 

@@ -20,7 +20,6 @@ from repro.core.batch import BatchEngine
 from repro.core.biased import biased_engine_for_query
 from repro.core.groupby import GroupByConfig, GroupByEngine
 from repro.core.median import MedianConfig, MedianEngine
-from repro.core.statistics import StatisticsConfig, StatisticsEngine
 from repro.data.generator import DatasetConfig, generate_dataset
 from repro.data.localdb import LocalDatabase
 from repro.core.two_phase import PlanCache, TwoPhaseConfig, TwoPhaseEngine
@@ -762,17 +761,6 @@ class TestReconciliation:
         assert len(estimates) == 1
         assert estimates[0].engine == "median"
         assert estimates[0].estimate == result.estimate
-
-    def test_histogram_run(self, small_network):
-        engine = StatisticsEngine(
-            small_network, StatisticsConfig(phase_one_peers=30), seed=11
-        )
-        tracer = Tracer()
-        with tracing(tracer):
-            result = engine.histogram(
-                "A", num_buckets=10, value_range=(1, 100), sink=0
-            )
-        assert_reconciles(tracer, result.cost)
 
     def test_group_by_run(self, small_topology):
         dataset = generate_dataset(

@@ -25,7 +25,6 @@ from repro._util import Seed, ensure_rng
 from repro.core import two_phase
 from repro.core.groupby import GroupByEngine
 from repro.core.median import MedianEngine
-from repro.core.statistics import StatisticsConfig, StatisticsEngine
 from repro.core.two_phase import PhaseConfig, PlanCache, TwoPhaseConfig
 from repro.errors import (
     AdmissionError,
@@ -882,39 +881,6 @@ class TestOneConfig:
             results[pool] = engine.execute(query, 0.05, sink=0)
         assert len(rows["two"]) > 0 and not rows["two"]["shipped"].any()
         assert results[False] == results[True]
-
-    def test_histogram_answers_from_phase_two_unpooled(self, small_network):
-        results = {}
-        for pool in (True, False):
-            config = StatisticsConfig(
-                max_phase_two_peers=60, pool_phases=pool
-            )
-            engine = StatisticsEngine(small_network, config, seed=3)
-            rows = self.phase_two_rows(engine)
-            results[pool] = engine.histogram(
-                "A", num_buckets=5, value_range=(1.0, 101.0),
-                delta_req=0.05, sink=0,
-            )
-        two = rows["two"]
-        assert len(two) > 0
-        # Per-bucket Hajek counts over phase II's rows alone.
-        edges = results[False].edges
-        weights = 1.0 / two["probability"]
-        terms = np.zeros((len(two), edges.size - 1))
-        for row in range(len(two)):
-            start = two.offsets[row]
-            values = two.values[start: start + two["shipped"][row]]
-            processed = two["processed_tuples"][row]
-            if processed:
-                counts, _ = np.histogram(values, bins=edges)
-                terms[row] = (
-                    counts * two["local_tuples"][row] / processed
-                ) * weights[row]
-        expected = (
-            terms.sum(axis=0) / weights.sum() * small_network.num_peers
-        )
-        np.testing.assert_allclose(results[False].counts, expected, rtol=1e-9)
-        assert not np.array_equal(results[False].counts, results[True].counts)
 
 
 class TestPlanOccupancy:

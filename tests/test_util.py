@@ -10,7 +10,6 @@ from repro._util import (
     check_positive,
     ensure_rng,
     relative_error,
-    spawn,
     weighted_median,
 )
 from repro.errors import ConfigurationError
@@ -33,23 +32,6 @@ class TestEnsureRng:
     def test_generator_passthrough(self):
         gen = np.random.default_rng(0)
         assert ensure_rng(gen) is gen
-
-
-class TestSpawn:
-    def test_spawn_count(self, rng):
-        children = spawn(rng, 3)
-        assert len(children) == 3
-
-    def test_spawn_zero(self, rng):
-        assert spawn(rng, 0) == []
-
-    def test_spawn_negative_raises(self, rng):
-        with pytest.raises(ConfigurationError):
-            spawn(rng, -1)
-
-    def test_spawned_streams_are_independent(self, rng):
-        a, b = spawn(rng, 2)
-        assert not np.array_equal(a.random(10), b.random(10))
 
 
 class TestChecks:

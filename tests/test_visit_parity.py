@@ -461,23 +461,11 @@ PANEL = [
 KINDS = {
     "values-median": (
         lambda sim, t, method, seed: ValueVisits(
-            sim, MEDIAN_BELOW_30, SINK, t, method, seed, ship="median"
+            sim, MEDIAN_BELOW_30, SINK, t, method, seed
         ),
         lambda sim, peer, ledger, t, method, seed: (
             visit_oracle.oracle_visit_values(
-                sim, peer, MEDIAN_BELOW_30, SINK, ledger, t, "median",
-                method, seed,
-            )
-        ),
-    ),
-    "values-sample": (
-        lambda sim, t, method, seed: ValueVisits(
-            sim, MEDIAN_BELOW_30, SINK, t, method, seed, ship="sample"
-        ),
-        lambda sim, peer, ledger, t, method, seed: (
-            visit_oracle.oracle_visit_values(
-                sim, peer, MEDIAN_BELOW_30, SINK, ledger, t, "sample",
-                method, seed,
+                sim, peer, MEDIAN_BELOW_30, SINK, ledger, t, method, seed,
             )
         ),
     ),

@@ -6,8 +6,8 @@ contract is not "statistically equivalent" but *bit-identical* to the
 segment-by-segment reference in
 ``tests/walk_oracle.py`` (the product's former stepwise walker, moved
 there verbatim): same selected peers, same hop counts, same RNG stream
-position afterwards — for every variant, both revisit modes, any take
-chunking, and the bare ``step``/``trace``/``endpoint_after`` segments.
+position afterwards — for both variants and the weighted walk, any
+take chunking, and the bare ``step``/``trace``/``endpoint_after`` segments.
 The two places the product *intentionally* leaves the oracle's stream
 (oversize segments, zero-hop segments) are pinned in
 ``TestFallbackMatrix``.  ``TestCompiledLoop`` pins the C loops at
@@ -63,7 +63,7 @@ from repro.service import QueryService
 from .conftest import assert_uniforms_consumed
 from .walk_oracle import OracleWalker
 
-VARIANTS = ("simple", "lazy", "self-inclusive", "metropolis-uniform")
+VARIANTS = ("simple", "metropolis-uniform")
 
 TOPOLOGIES = (
     power_law_topology(60, 180, seed=3),
@@ -74,16 +74,9 @@ TOPOLOGIES = (
 SUM_ALL = parse_query("SELECT SUM(A) FROM T")
 
 
-def walker_pair(
-    topology, variant, jump, burn_in, seed, allow_revisits=True, weights=None
-):
+def walker_pair(topology, variant, jump, burn_in, seed, weights=None):
     """The oracle and the product walker on identical RNG streams."""
-    config = RandomWalkConfig(
-        variant=variant,
-        jump=jump,
-        burn_in=burn_in,
-        allow_revisits=allow_revisits,
-    )
+    config = RandomWalkConfig(variant=variant, jump=jump, burn_in=burn_in)
     if weights is None:
         walker = RandomWalker(topology, config, seed=seed)
     else:
@@ -145,57 +138,19 @@ class TestCursorParity:
         assert result.hops == hops
         assert_stream_parity(oracle, walker)
 
-    @pytest.mark.parametrize("variant", VARIANTS)
-    @pytest.mark.parametrize("jump,burn_in", [(10, None), (1, 0), (3, 7), (2, 0)])
-    def test_distinct_peer_mode_matches_the_oracle(
-        self, variant, jump, burn_in
-    ):
-        """Distinct-peer mode is the same loop taken one selection at a
-        time under the seen-set filter — chunked takes included."""
-        oracle, walker = walker_pair(
-            TOPOLOGIES[0], variant, jump, burn_in, seed=42,
-            allow_revisits=False,
-        )
-        oracle_cursor = oracle.cursor(7)
-        cursor = walker.cursor(7)
-        for count in (6, 0, 1, 11):
-            assert_take_parity(oracle_cursor, cursor, count)
-        assert len(set(oracle_cursor._seen)) == 18
-        assert_stream_parity(oracle, walker)
-
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_distinct_peer_hop_budget_trips_like_the_oracle(self, variant):
-        """Five peers cannot yield six distinct selections: both sides
-        give up after the same hops, at the same stream position."""
-        oracle, walker = walker_pair(
-            TOPOLOGIES[2], variant, jump=1, burn_in=0, seed=9,
-            allow_revisits=False,
-        )
-        oracle_cursor = oracle.cursor(1)
-        cursor = walker.cursor(1)
-        assert_take_parity(oracle_cursor, cursor, 3)
-        with pytest.raises(TopologyError, match="distinct peers") as expected:
-            oracle_cursor.take(3)
-        with pytest.raises(TopologyError, match="distinct peers") as raised:
-            cursor.take(3)
-        assert str(raised.value) == str(expected.value)
-        assert_stream_parity(oracle, walker)
-
     def test_weighted_metropolis_parity(self):
         topology = TOPOLOGIES[0]
         weights = np.random.default_rng(19).uniform(
             0.5, 3.0, topology.num_peers
         )
-        for allow_revisits in (True, False):
-            oracle, walker = walker_pair(
-                topology, "simple", jump=4, burn_in=6, seed=8,
-                allow_revisits=allow_revisits, weights=weights,
-            )
-            oracle_cursor = oracle.cursor(3)
-            cursor = walker.cursor(3)
-            for count in (15, 25):
-                assert_take_parity(oracle_cursor, cursor, count)
-            assert_stream_parity(oracle, walker)
+        oracle, walker = walker_pair(
+            topology, "simple", jump=4, burn_in=6, seed=8, weights=weights,
+        )
+        oracle_cursor = oracle.cursor(3)
+        cursor = walker.cursor(3)
+        for count in (15, 25):
+            assert_take_parity(oracle_cursor, cursor, count)
+        assert_stream_parity(oracle, walker)
 
     @pytest.mark.parametrize("variant", [*VARIANTS, "weighted"])
     def test_step_trace_endpoint_stream_position(self, variant):
@@ -243,7 +198,6 @@ class TestCursorParity:
     @settings(max_examples=60, deadline=None)
     @given(
         variant=st.sampled_from(VARIANTS),
-        allow_revisits=st.booleans(),
         stride=st.sampled_from(
             [(1, 0), (3, None), (0, 5), (7, 2), (9000, 1), (2, 9000)]
         ),
@@ -252,17 +206,12 @@ class TestCursorParity:
         second=st.integers(0, 6),
     )
     def test_split_takes_equal_one_take(
-        self, variant, allow_revisits, stride, seed, first, second
+        self, variant, stride, seed, first, second
     ):
         """``take(a); take(b)`` is ``take(a + b)`` — oversize segments
         (9000 hops, past the oracle's RNG block) included."""
         jump, burn_in = stride
-        config = RandomWalkConfig(
-            variant=variant,
-            jump=jump,
-            burn_in=burn_in,
-            allow_revisits=allow_revisits,
-        )
+        config = RandomWalkConfig(variant=variant, jump=jump, burn_in=burn_in)
         split = RandomWalker(TOPOLOGIES[0], config, seed=seed)
         whole = RandomWalker(TOPOLOGIES[0], config, seed=seed)
         cursor = split.cursor(3)
@@ -278,7 +227,7 @@ class TestCursorParity:
     def test_trace_digest_parity(self):
         """The WalkEvents a chunked cursor emits are the oracle's takes."""
         oracle, walker = walker_pair(
-            TOPOLOGIES[0], "lazy", jump=5, burn_in=3, seed=77
+            TOPOLOGIES[0], "metropolis-uniform", jump=5, burn_in=3, seed=77
         )
         tracer = Tracer()
         with tracing(tracer):
@@ -352,7 +301,6 @@ def walk_plans(draw):
     weights = None
     if variant == "weighted":
         variant, weights = "simple", weights_for(topology, draw)
-    allow_revisits = draw(st.booleans()) if topology.num_peers > 5 else True
     ops = draw(
         st.lists(
             st.one_of(
@@ -372,7 +320,6 @@ def walk_plans(draw):
         weights=weights,
         jump=draw(st.integers(0, 12)),
         burn_in=draw(st.one_of(st.none(), st.integers(0, 15))),
-        allow_revisits=allow_revisits,
         seed=draw(st.integers(0, 2**32 - 1)),
         ops=ops,
     )
@@ -380,29 +327,23 @@ def walk_plans(draw):
 
 class TestCompiledLoop:
     """``walk_kernel.c`` against ``tests/walk_oracle.py``: the same
-    peers, hops and stream position for all five loops."""
+    peers, hops and stream position for all three loops."""
 
     @settings(max_examples=80, deadline=None)
     @given(plan=walk_plans())
     def test_every_loop_matches_the_oracle(self, plan):
-        """Takes (distinct-peer ones included), bare segments and
-        traces interleaved on one stream, at every jump from 1."""
+        """Takes, bare segments and traces interleaved on one stream, at every jump from 1."""
         topology = plan["topology"]
         oracle, walker = walker_pair(
             topology, plan["variant"], plan["jump"], plan["burn_in"],
-            plan["seed"], plan["allow_revisits"], plan["weights"],
+            plan["seed"], plan["weights"],
         )
         start = plan["seed"] % topology.num_peers
         oracle_cursor = oracle.cursor(start)
         cursor = walker.cursor(start)
         for op, size in plan["ops"]:
             if op == "take":
-                try:
-                    expected = oracle_cursor.take(size)
-                except TopologyError:  # the distinct-peer hop budget
-                    with pytest.raises(TopologyError):
-                        cursor.take(size)
-                    return
+                expected = oracle_cursor.take(size)
                 result = cursor.take(size)
                 assert (result.peers.tolist(), result.hops) == expected
                 assert cursor.position == oracle_cursor.position
@@ -455,7 +396,7 @@ class TestCompiledLoop:
             variant, weights = "simple", [0.1, 0.3, 1.0, 2.9]
         edges = [0.0, 0.5, 1 / 3, 1 - 2**-53, 0.25, 0.75, 2 / 3, 0.999]
         uniforms = [u for a in edges for b in edges for u in (a, b)]
-        per_hop = 1 if weights is None and variant != VARIANTS[3] else 2
+        per_hop = 1 if weights is None and variant == "simple" else 2
         hops = len(uniforms) // per_hop
         oracle = OracleWalker(
             topology, RandomWalkConfig(variant=variant), 0, weights
@@ -626,7 +567,7 @@ class TestFallbackMatrix:
             with pytest.raises(TypeError, match="walk_kernel"):
                 TwoPhaseConfig(walk_kernel=mode)
         assert [f.name for f in dataclasses.fields(RandomWalkConfig)] == [
-            "jump", "burn_in", "variant", "allow_revisits",
+            "jump", "burn_in", "variant",
         ]
         assert "walk_kernel" not in {
             f.name for f in dataclasses.fields(TwoPhaseConfig)
@@ -793,11 +734,6 @@ class TestEngineParity:
         self, small_topology, small_dataset
     ):
         self._assert_parity(small_topology, small_dataset)
-
-    def test_distinct_peer_engine_parity(self, small_topology, small_dataset):
-        self._assert_parity(
-            small_topology, small_dataset, distinct_peers=True
-        )
 
     def test_parity_survives_fault_injection(
         self, small_topology, small_dataset

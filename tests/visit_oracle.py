@@ -372,21 +372,18 @@ def oracle_visit_values(
     sink,
     ledger,
     tuples_per_peer=0,
-    ship="median",
     sampling_method="uniform",
     seed=None,
 ):
     """The former ``NetworkSimulator.visit_values``: the local quantile
-    of one peer's matching values, or the values themselves."""
-    if ship not in ("median", "sample"):
-        raise ConfigurationError(f"unknown ship mode {ship!r}")
+    of one peer's matching values."""
     columns, total, processed = _open_visit(
         simulator, peer_id, "values", ledger,
         tuples_per_peer, sampling_method, seed,
     )
     column = np.asarray(columns[query.column])
     values = column[query.predicate.mask(columns)] if column.size else column
-    if ship == "median" and values.size:
+    if values.size:
         values = [float(np.quantile(values, query.quantile_fraction))]
     reply = TupleReply(
         source=peer_id,

@@ -4,9 +4,8 @@ compared against (``tests/test_walk_kernel.py``).
 This is the product's former segment-by-segment stepping, moved here
 verbatim when :class:`repro.network.walk_kernel.WalkKernel` became the
 only code that advances a walk: one ``Generator.random`` call per
-burn-in/jump segment, a cursor/refill check per hop, the variant branch
-per hop, and the distinct-peer filter and hop budget around it.  Keep it
-dumb; it exists to be obviously right, not fast.  It builds its own
+burn-in/jump segment, a cursor/refill check per hop and the variant
+branch per hop.  Keep it dumb; it exists to be obviously right, not fast.  It builds its own
 python adjacency (:func:`adjacency`, the tables the product's python
 loop read) since the product walks the CSR arrays in C.
 
@@ -20,7 +19,6 @@ of ``1 <= per_hop * hops <= 8192``.
 import numpy as np
 
 from repro._util import ensure_rng
-from repro.errors import TopologyError
 
 _RANDOM_BLOCK = 8192
 
@@ -44,7 +42,6 @@ class OracleCursor:
         self._segment = segment
         self._config = config
         self._current = start
-        self._seen = set()
         self._started = False
         self._pending_selection = False
         self.total_hops = 0
@@ -59,30 +56,20 @@ class OracleCursor:
             return [], 0
         jump = self._config.effective_jump
         hops = 0
-        budget_base = 0
         if not self._started:
             burn_in = self._config.effective_burn_in
             if burn_in:
                 self._current = self._segment(self._start, burn_in)
             hops = burn_in
-            budget_base = burn_in
             self._started = True
             self._pending_selection = True  # post-burn-in position counts
         selected = []
-        hop_budget = budget_base + 1000 * jump * max(count, 1) + 10_000
         while len(selected) < count:
             if not self._pending_selection:
                 self._current = self._segment(self._current, jump)
                 hops += jump
             self._pending_selection = False
-            if self._config.allow_revisits or self._current not in self._seen:
-                selected.append(self._current)
-                self._seen.add(self._current)
-            elif hops > hop_budget:
-                raise TopologyError(
-                    f"walk could not find {count} distinct peers within "
-                    f"{hop_budget} hops (graph too small?)"
-                )
+            selected.append(self._current)
         self.total_hops += hops
         return selected, hops
 
@@ -109,10 +96,7 @@ class OracleWalker:
             return self._weighted_walk_segment(current, hops)
         nbrs = self._nbrs
         degs = self._degs
-        variant = self._config.variant
-        lazy = variant == "lazy"
-        inclusive = variant == "self-inclusive"
-        metropolis = variant == "metropolis-uniform"
+        metropolis = self._config.variant == "metropolis-uniform"
         rng = self._rng
         # Metropolis consumes two randoms per hop (propose + accept).
         per_hop = 2 if metropolis else 1
@@ -127,16 +111,7 @@ class OracleWalker:
             r = randoms[cursor]
             cursor += 1
             degree = degs[current]
-            if lazy:
-                if r < 0.5:
-                    continue
-                r = (r - 0.5) * 2.0
-                current = nbrs[current][int(r * degree)]
-            elif inclusive:
-                pick = int(r * (degree + 1))
-                if pick < degree:
-                    current = nbrs[current][pick]
-            elif metropolis:
+            if metropolis:
                 proposal = nbrs[current][int(r * degree)]
                 accept = randoms[cursor]
                 cursor += 1
